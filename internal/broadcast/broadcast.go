@@ -398,6 +398,7 @@ type Receiver struct {
 	staleSeen   uint64                 // ring stale-rejects already counted into mStale
 	staleBackup uint64                 // stale backup slots rejected during recovery
 	ticker      *sim.Ticker
+	sweepFn     func() // r.sweep bound once: a poll allocates nothing
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -435,6 +436,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		r.readers[src] = rd
 		r.delivered[src] = make(map[uint64]bool)
 	}
+	r.sweepFn = r.sweep
 	r.ticker = fab.Engine().NewTicker(cfg.PollPeriod, r.poll)
 	return r
 }
@@ -484,61 +486,64 @@ func (r *Receiver) poll() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
 	}
-	r.node.CPU.Exec(r.cfg.PollCost, func() {
-		validated := 0
-		var torn, stale uint64
-		for p := 0; p < r.fab.Size(); p++ {
-			src := rdma.NodeID(p)
-			rd := r.readers[src]
-			if rd == nil {
-				continue
+	r.node.CPU.Exec(r.cfg.PollCost, r.sweepFn)
+}
+
+// sweep is one poll's work on the reader CPU: drain every source's ring.
+func (r *Receiver) sweep() {
+	validated := 0
+	var torn, stale uint64
+	for p := 0; p < r.fab.Size(); p++ {
+		src := rdma.NodeID(p)
+		rd := r.readers[src]
+		if rd == nil {
+			continue
+		}
+		drained := false
+		for {
+			rec, ok, err := rd.Poll()
+			if err != nil || !ok {
+				// An idle poll alone is not a drain proof: the reader
+				// must also be quiescent — a wrap marker consumed with
+				// its record still landing, or a torn record mid-heal,
+				// both return idle while bytes are pending. Promoting a
+				// parked floor then would stale-reject a record the
+				// departed source legitimately posted before revocation.
+				drained = err == nil && !ok && rd.Quiescent()
+				break
 			}
-			drained := false
-			for {
-				rec, ok, err := rd.Poll()
-				if err != nil || !ok {
-					// An idle poll alone is not a drain proof: the reader
-					// must also be quiescent — a wrap marker consumed with
-					// its record still landing, or a torn record mid-heal,
-					// both return idle while bytes are pending. Promoting a
-					// parked floor then would stale-reject a record the
-					// departed source legitimately posted before revocation.
-					drained = err == nil && !ok && rd.Quiescent()
-					break
-				}
-				validated += len(rec)
-				msg, _, err := codec.DecodeRaw(rec)
-				if err != nil {
-					break
-				}
-				_, seq, payload, err := decodeMessage(msg)
-				if err != nil {
-					break
-				}
-				r.deliver(src, seq, payload)
+			validated += len(rec)
+			msg, _, err := codec.DecodeRaw(rec)
+			if err != nil {
+				break
 			}
-			if e, ok := r.pendingMin[src]; ok && drained {
-				delete(r.pendingMin, src)
-				r.SetMinEpoch(src, e)
+			_, seq, payload, err := decodeMessage(msg)
+			if err != nil {
+				break
 			}
-			torn += rd.TornRejects()
-			stale += rd.StaleRejects()
+			r.deliver(src, seq, payload)
 		}
-		if torn > r.tornSeen {
-			r.mTorn.Add(torn - r.tornSeen)
-			r.tornSeen = torn
+		if e, ok := r.pendingMin[src]; ok && drained {
+			delete(r.pendingMin, src)
+			r.SetMinEpoch(src, e)
 		}
-		if stale += r.staleBackup; stale > r.staleSeen {
-			r.mStale.Add(stale - r.staleSeen)
-			r.staleSeen = stale
-		}
-		if cost := r.fab.Latency().CRCCost(validated); cost > 0 {
-			// The checksum compute leg of this sweep's validated reads:
-			// occupy the reader CPU for the bytes re-hashed, so the cost
-			// model charges single-RTT validation what it actually costs.
-			r.node.CPU.Exec(cost, func() {})
-		}
-	})
+		torn += rd.TornRejects()
+		stale += rd.StaleRejects()
+	}
+	if torn > r.tornSeen {
+		r.mTorn.Add(torn - r.tornSeen)
+		r.tornSeen = torn
+	}
+	if stale += r.staleBackup; stale > r.staleSeen {
+		r.mStale.Add(stale - r.staleSeen)
+		r.staleSeen = stale
+	}
+	if cost := r.fab.Latency().CRCCost(validated); cost > 0 {
+		// The checksum compute leg of this sweep's validated reads:
+		// occupy the reader CPU for the bytes re-hashed, so the cost
+		// model charges single-RTT validation what it actually costs.
+		r.node.CPU.Exec(cost, func() {})
+	}
 }
 
 // deliver hands one message to the handler if it has not been seen. The

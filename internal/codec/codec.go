@@ -129,7 +129,7 @@ func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
 		return zero, nil, 0, ErrIncomplete
 	}
 	if total < minEntry || total > MaxRecord {
-		return zero, nil, 0, fmt.Errorf("%w: bad length %d", ErrCorrupt, total)
+		return zero, nil, 0, ErrCorrupt
 	}
 	if len(b) < total {
 		return zero, nil, 0, ErrTruncated
@@ -199,15 +199,18 @@ const SlotOverhead = 16 // u32 version + u32 length + payload + u32 crc + u32 ve
 
 // EncodeSlot frames payload for an overwrite-in-place slot of the given
 // size: version, length, payload, a CRC32-C over those three, and the
-// version again. The version must increase with every overwrite of the same
-// slot. The trailing version sits last so the seqlock fast path samples the
-// frame's outermost words; the CRC sits inside the frame, where a torn
-// boundary-first landing cannot have refreshed it.
+// version again. The returned frame is only the SlotOverhead+len(payload)
+// bytes used — it is self-delimiting, so the slot's stale tail is never read
+// and need not be written; slotSize only bounds the payload. The version
+// must increase with every overwrite of the same slot. The trailing version
+// sits last so the seqlock fast path samples the frame's outermost words;
+// the CRC sits inside the frame, where a torn boundary-first landing cannot
+// have refreshed it.
 func EncodeSlot(payload []byte, version uint32, slotSize int) ([]byte, error) {
 	if len(payload)+SlotOverhead > slotSize {
 		return nil, fmt.Errorf("%w: payload %d for slot %d", ErrTooLarge, len(payload), slotSize)
 	}
-	b := make([]byte, slotSize)
+	b := make([]byte, SlotOverhead+len(payload))
 	binary.LittleEndian.PutUint32(b, version)
 	binary.LittleEndian.PutUint32(b[4:], uint32(len(payload)))
 	copy(b[8:], payload)
@@ -287,7 +290,7 @@ func DecodeRaw(b []byte) ([]byte, int, error) {
 		return nil, 0, ErrIncomplete
 	}
 	if total < RawOverhead || total > MaxRecord {
-		return nil, 0, fmt.Errorf("%w: bad length %d", ErrCorrupt, total)
+		return nil, 0, ErrCorrupt
 	}
 	if len(b) < total {
 		return nil, 0, ErrIncomplete

@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"strings"
@@ -142,8 +143,10 @@ func TestSlotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b) != 64 {
-		t.Fatalf("slot length = %d, want 64", len(b))
+	// Only the used frame is returned, not the whole slot: callers copy it
+	// into place and the frame is self-delimiting.
+	if want := SlotOverhead + len(payload); len(b) != want {
+		t.Fatalf("slot length = %d, want %d", len(b), want)
 	}
 	got, v, err := DecodeSlot(b)
 	if err != nil {
@@ -208,5 +211,45 @@ func TestRawIncomplete(t *testing.T) {
 	b[len(b)-1] = 0
 	if _, _, err := DecodeRaw(b); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("err = %v, want ErrIncomplete without canary", err)
+	}
+}
+
+// TestPollingRejectionsAreBareSentinels pins the rejections a poller hits
+// in steady state — a garbage length word past the last record of a δ-log,
+// a foreign kind byte, a canary not yet landed — to the sentinel values
+// themselves: no formatted wrapper, so a scan that ends on one every 2 µs
+// allocates nothing for it. errors.Is classes are what callers match.
+func TestPollingRejectionsAreBareSentinels(t *testing.T) {
+	badLen := []byte{3, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}
+	delta, err := EncodeDeltaRecord(DeltaRecord{Kind: FrameDelta, Version: 2, Counts: []uint32{1}, C: spec.Call{Method: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	badKind := append([]byte(nil), delta...)
+	badKind[4] = 0x07
+	binary.LittleEndian.PutUint32(badKind[len(badKind)-RecordTrailer:], Checksum(badKind[:len(badKind)-RecordTrailer]))
+	noCanary := append([]byte(nil), delta...)
+	noCanary[len(noCanary)-1] = 0
+
+	var got error
+	cases := []struct {
+		name   string
+		decode func()
+		want   error
+	}{
+		{"delta bad length", func() { _, _, got = DecodeDeltaRecord(badLen) }, ErrCorrupt},
+		{"delta bad kind", func() { _, _, got = DecodeDeltaRecord(badKind) }, ErrCorrupt},
+		{"delta no canary", func() { _, _, got = DecodeDeltaRecord(noCanary) }, ErrTruncated},
+		{"delta header bad length", func() { _, got = PeekDeltaRecord(badLen) }, ErrCorrupt},
+		{"entry bad length", func() { _, _, _, got = DecodeEntry(badLen) }, ErrCorrupt},
+		{"raw bad length", func() { _, _, got = DecodeRaw(badLen) }, ErrCorrupt},
+	}
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.decode); allocs != 0 {
+			t.Errorf("%s: rejection allocates %.1f objects, want 0", c.name, allocs)
+		}
+		if got != c.want {
+			t.Errorf("%s: err = %v, want the bare sentinel %v", c.name, got, c.want)
+		}
 	}
 }

@@ -249,68 +249,104 @@ func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	return b, nil
 }
 
-// DecodeDeltaRecord parses a delta record from the front of b, returning
-// the record and the total length consumed. Error classes mirror the entry
-// decoder, with the truncation distinction the ring readers need:
+// DeltaHeader is what validating a delta record yields without decoding its
+// body: enough for a log walker to skip, fold or stop, at no allocation.
+type DeltaHeader struct {
+	Kind    byte
+	Version uint32 // slot version the record establishes (0 on FrameFull)
+	Total   int    // frame length, length word through canary
+	body    int    // offset of the packed counts, just past the version
+}
+
+// PeekDeltaRecord validates the delta record at the front of b — length
+// word, canary, CRC32-C over the whole frame, kind byte, version varint —
+// and returns its header without touching the packed counts and call. It is
+// the single validation routine for delta frames: DecodeDeltaRecord is this
+// plus DecodeDeltaBody. Error classes, with the truncation distinction the
+// ring readers need:
 //
 //   - ErrIncomplete — no record (zero length word, or fewer than 4 bytes);
 //   - ErrTruncated  — a record header promises bytes b does not hold, or
 //     the canary has not landed: a mid-write partial, retry later;
 //   - ErrTorn       — the canary landed ahead of interior bytes (CRC);
-//   - ErrCorrupt    — structural garbage inside a CRC-intact record
-//     (bad kind, overlong varint, counts past the end).
-func DecodeDeltaRecord(b []byte) (DeltaRecord, int, error) {
-	var zero DeltaRecord
+//   - ErrCorrupt    — structural garbage (bad length; or, inside a
+//     CRC-intact record, bad kind or overlong version varint).
+//
+// The length, canary and kind rejections return the bare sentinel: a δ-log
+// walk ends on its garbage tail every scan and must not pay for a message.
+func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
+	var zero DeltaHeader
 	if len(b) < 4 {
-		return zero, 0, ErrIncomplete
+		return zero, ErrIncomplete
 	}
 	total := int(binary.LittleEndian.Uint32(b))
 	if total == 0 {
-		return zero, 0, ErrIncomplete
+		return zero, ErrIncomplete
 	}
 	if total < minDelta || total > MaxRecord {
-		return zero, 0, fmt.Errorf("%w: bad length %d", ErrCorrupt, total)
+		return zero, ErrCorrupt
 	}
 	if len(b) < total {
-		return zero, 0, ErrTruncated
+		return zero, ErrTruncated
 	}
 	if b[total-1] != Canary {
-		return zero, 0, ErrTruncated // write in flight
+		return zero, ErrTruncated // write in flight
 	}
 	if binary.LittleEndian.Uint32(b[total-RecordTrailer:]) != Checksum(b[:total-RecordTrailer]) {
-		return zero, 0, ErrTorn
+		return zero, ErrTorn
 	}
-	body := b[5 : total-RecordTrailer]
-	r := DeltaRecord{Kind: b[4]}
-	switch r.Kind {
+	h := DeltaHeader{Kind: b[4], Total: total}
+	switch h.Kind {
 	case FrameFull, FrameDelta, FrameAnchor:
 	default:
-		return zero, 0, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
+		return zero, ErrCorrupt
 	}
-	ver, p, err := Uvarint(body)
+	ver, n, err := Uvarint(b[5 : total-RecordTrailer])
 	if err != nil {
-		return zero, 0, asCorrupt(err)
+		return zero, asCorrupt(err)
 	}
 	if ver > uint64(^uint32(0)) {
-		return zero, 0, fmt.Errorf("%w: version overflows u32", ErrCorrupt)
+		return zero, fmt.Errorf("%w: version overflows u32", ErrCorrupt)
 	}
-	r.Version = uint32(ver)
-	counts, n, err := decodeU32Packed(body[p:])
+	h.Version = uint32(ver)
+	h.body = 5 + n
+	return h, nil
+}
+
+// DecodeDeltaBody decodes the packed counts, call and dependency record of
+// the frame PeekDeltaRecord validated as h at the front of b. Every failure
+// is ErrCorrupt: the frame is CRC-intact, so a field that overruns it is
+// writer garbage, not a mid-write partial.
+func DecodeDeltaBody(b []byte, h DeltaHeader) (DeltaRecord, error) {
+	var zero DeltaRecord
+	body := b[h.body : h.Total-RecordTrailer]
+	counts, p, err := decodeU32Packed(body)
 	if err != nil {
-		return zero, 0, asCorrupt(err)
+		return zero, asCorrupt(err)
 	}
-	p += n
 	c, d, n, err := decodePackedCall(body[p:])
 	if err != nil {
-		return zero, 0, asCorrupt(err)
+		return zero, asCorrupt(err)
 	}
 	if p+n != len(body) {
-		return zero, 0, fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
+		return zero, fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
 	}
-	r.Counts = counts
-	r.C = c
-	r.D = d
-	return r, total, nil
+	return DeltaRecord{Kind: h.Kind, Version: h.Version, Counts: counts, C: c, D: d}, nil
+}
+
+// DecodeDeltaRecord parses a delta record from the front of b, returning
+// the record and the total length consumed; error classes as for
+// PeekDeltaRecord.
+func DecodeDeltaRecord(b []byte) (DeltaRecord, int, error) {
+	h, err := PeekDeltaRecord(b)
+	if err != nil {
+		return DeltaRecord{}, 0, err
+	}
+	r, err := DecodeDeltaBody(b, h)
+	if err != nil {
+		return DeltaRecord{}, 0, err
+	}
+	return r, h.Total, nil
 }
 
 // asCorrupt reclassifies a truncation hit inside a CRC-validated record

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hamband/internal/spec"
@@ -215,9 +216,31 @@ func TestDeltaRecordTornAndCorrupt(t *testing.T) {
 	}
 }
 
+// errClass names the declared error value err wraps, most specific first
+// (ErrTruncated wraps ErrIncomplete).
+func errClass(err error) string {
+	for _, c := range []struct {
+		err  error
+		name string
+	}{{ErrTruncated, "truncated"}, {ErrIncomplete, "incomplete"}, {ErrTorn, "torn"},
+		{ErrCorrupt, "corrupt"}, {ErrTooLarge, "too-large"}} {
+		if errors.Is(err, c.err) {
+			return c.name
+		}
+	}
+	if err == nil {
+		return "ok"
+	}
+	return "unclassified: " + err.Error()
+}
+
 // FuzzDeltaEntry asserts the delta-record decoder never panics, never
 // over-reads, and classifies every failure as one of the declared error
-// values on arbitrary remote bytes.
+// values on arbitrary remote bytes — and that the header step the δ-log walk
+// uses on its own (PeekDeltaRecord) never disagrees with the full decode: a
+// frame the header rejects, the decoder rejects with the same class; a
+// frame the header accepts decodes to the same kind, version and length, or
+// fails as corrupt in its body and nothing else.
 func FuzzDeltaEntry(f *testing.F) {
 	good, _ := EncodeDeltaRecord(sampleDelta())
 	f.Add(good)
@@ -231,11 +254,36 @@ func FuzzDeltaEntry(f *testing.F) {
 	anchor, _ := EncodeDeltaRecord(DeltaRecord{Kind: FrameAnchor, Version: 1,
 		C: spec.Call{Method: 1}, Counts: []uint32{1}})
 	f.Add(anchor)
+	// Torn: the canary landed ahead of an interior byte.
+	torn := append([]byte(nil), good...)
+	torn[7] ^= 0xff
+	f.Add(torn)
+	// A header-valid frame whose body overruns: only the body step can tell.
+	short := append([]byte(nil), good[:len(good)-RecordTrailer-3]...)
+	short = append(short, make([]byte, RecordTrailer)...)
+	binary.LittleEndian.PutUint32(short, uint32(len(short)))
+	reframe(short)
+	f.Add(short)
+	// Two records back to back, as a δ-log holds them.
+	f.Add(append(append([]byte(nil), good...), anchor...))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		h, herr := PeekDeltaRecord(data)
 		r, n, err := DecodeDeltaRecord(data)
+		switch {
+		case herr != nil:
+			if err == nil || errClass(err) != errClass(herr) {
+				t.Fatalf("header rejects as %v, decoder says %v", herr, err)
+			}
+		case err != nil:
+			if errClass(err) != "corrupt" {
+				t.Fatalf("header accepts, decoder fails as %v; a body can only be corrupt", err)
+			}
+		case h.Kind != r.Kind || h.Version != r.Version || h.Total != n:
+			t.Fatalf("header (kind %#x, v%d, %d B) disagrees with decode (kind %#x, v%d, %d B)",
+				h.Kind, h.Version, h.Total, r.Kind, r.Version, n)
+		}
 		if err != nil {
-			if !errors.Is(err, ErrIncomplete) && !errors.Is(err, ErrCorrupt) &&
-				!errors.Is(err, ErrTorn) && !errors.Is(err, ErrTooLarge) {
+			if strings.HasPrefix(errClass(err), "unclassified") {
 				t.Fatalf("unclassified error %v", err)
 			}
 			return

@@ -381,7 +381,8 @@ type Replica struct {
 	sigmaSpec spec.State
 	specA     map[callKey2]uint32
 
-	applying bool
+	applying    bool
+	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
 
 	// Per-source epoch floors for summary-slot adoption (dynamic
 	// membership). A leave commit parks the departed source's new floor in
@@ -441,6 +442,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,
 	}
+	r.applyStepFn = r.applyStep
 	r.minEpochs = make([]uint32, n)
 	r.pendingMinEpochs = make([]uint32, n)
 	if c.Opts.Coalescers != nil {

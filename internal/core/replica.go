@@ -237,14 +237,13 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	}
 	off := r.slotOffset(g, r.id)
 	// The validated frame is self-delimiting (leading version, length,
-	// payload, CRC, trailing version), so only the used prefix needs to
-	// travel; stale bytes beyond it are never read. For a counter this
-	// shrinks the wire cost from the full slot (16 KB) to ~60 bytes.
-	used := framed[:codec.SlotOverhead+len(payload)]
+	// payload, CRC, trailing version), so only the used bytes are framed
+	// and travel; stale bytes beyond them are never read. For a counter
+	// this shrinks the wire cost from the full slot (16 KB) to ~60 bytes.
 	// Install locally (the issuer's own slot is the authoritative backup
 	// that peers repair from on failure, and the anchor a gap fetch reads —
 	// it holds the current full frame even between remote anchors) ...
-	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[off:], used)
+	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[off:], framed)
 	// ... then propagate to every other node with inline, unsignaled
 	// one-sided writes (the payload fits the WQE). Summary and applied
 	// count travel in one frame, so no remote node can observe the count
@@ -258,9 +257,9 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: r.opts.Namespace + sumRegionBase, Off: off, Data: used, Label: label}
+	wr := rdma.WR{Region: r.opts.Namespace + sumRegionBase, Off: off, Data: framed, Label: label}
 	if r.opts.DeltaSummaries {
-		wr = r.deltaWR(g, slot, c, used, off, label)
+		wr = r.deltaWR(g, slot, c, framed, off, label)
 	}
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) == r.id {
@@ -501,12 +500,13 @@ const tornParkScans = 3
 // scanDeltaSlot adopts one peer slot in the delta-group layout. The anchor
 // frame at the slot head re-bases the state when newer; the δ-record log is
 // then walked from the front: records at or below the current version are
-// stale leftovers of earlier rounds (skipped), the record at version+1 folds
-// into the summary via the group's Summarize, and a version jumping further
-// ahead is a gap — deltas were lost (partition, dropped write), so the
-// reader schedules a one-sided fetch of the writer's authoritative full
-// state instead of folding onto the wrong base. The second result reports
-// the slot unreadable this pass (torn frame or log record).
+// stale leftovers of earlier rounds (validated, then skipped undecoded), the
+// record at version+1 is decoded and folds into the summary via the group's
+// Summarize, and a version jumping further ahead is a gap — deltas were lost
+// (partition, dropped write), so the reader schedules a one-sided fetch of
+// the writer's authoritative full state instead of folding onto the wrong
+// base. The second result reports the slot unreadable this pass (torn frame
+// or log record).
 func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
 	off := r.slotOffset(g, p)
 	changed := false
@@ -524,9 +524,13 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 		stuck = true
 	}
 	log := region[off+r.anchorCap() : off+r.opts.SumSlotSize]
-	grp := r.cls.SumGroups[g]
+walk:
 	for len(log) > 0 {
-		rec, n, err := codec.DecodeDeltaRecord(log)
+		// Validate every record (length, canary, CRC, kind, version) but
+		// decode a body only for the one about to be folded: the walk
+		// re-reads the whole log every scan, and all but one record of it
+		// is stale.
+		h, err := codec.PeekDeltaRecord(log)
 		if err != nil {
 			if errors.Is(err, codec.ErrTorn) {
 				r.statTorn++
@@ -535,14 +539,18 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 			}
 			break // incomplete, torn or stale garbage: nothing beyond is usable
 		}
-		if rec.Kind != codec.FrameDelta {
+		if h.Kind != codec.FrameDelta {
 			break
 		}
 		switch {
-		case rec.Version <= slot.version:
+		case h.Version <= slot.version:
 			// Stale leftover of an earlier log round, or already folded.
-		case rec.Version == slot.version+1:
-			folded := grp.Summarize(slot.call, rec.C)
+		case h.Version == slot.version+1:
+			rec, err := codec.DecodeDeltaBody(log, h)
+			if err != nil {
+				break walk // CRC-intact garbage from the writer: unusable
+			}
+			folded := r.cls.SumGroups[g].Summarize(slot.call, rec.C)
 			r.installScan(g, p, slot, rec.Version, folded, rec.Counts, "delta")
 			changed = true
 		default:
@@ -550,10 +558,9 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 			// this log, so give up on folding and fetch the full state.
 			r.fetchSlot(g, p, slot)
 			stuck = false // the fetch is the recovery; don't double up
-			log = nil
-			continue
+			break walk
 		}
-		log = log[n:]
+		log = log[h.Total:]
 	}
 	if changed {
 		slot.tornStreak = 0
@@ -922,7 +929,7 @@ func (r *Replica) kickApply() {
 		return
 	}
 	r.applying = true
-	r.node.CPU.Exec(r.opts.ApplyCost, r.applyStep)
+	r.node.CPU.Exec(r.opts.ApplyCost, r.applyStepFn)
 }
 
 func (r *Replica) applyStep() {

@@ -177,7 +177,8 @@ type Instance struct {
 	voteReaders map[rdma.NodeID]*ring.Reader
 	grantReader map[rdma.NodeID]*ring.Reader
 
-	ticker *sim.Ticker
+	ticker  *sim.Ticker
+	sweepFn func() // in.sweep bound once: a poll allocates nothing
 
 	// Instrumentation. proposedAt is populated only when metrics are
 	// enabled, so the disabled path stays allocation-free.
@@ -260,6 +261,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.dedupSet[peer] = make(map[uint64]bool)
 	}
 	in.dedupSet[node.ID()] = make(map[uint64]bool)
+	in.sweepFn = in.sweep
 	in.ticker = fab.Engine().NewTicker(cfg.PollPeriod, in.poll)
 	return in
 }
@@ -672,28 +674,31 @@ func (in *Instance) poll() {
 	if !in.alive() {
 		return
 	}
-	in.node.CPU.Exec(in.cfg.PollCost, func() {
-		in.pollLog()
-		if in.isLeader && !in.recovering {
-			in.pollRequests()
+	in.node.CPU.Exec(in.cfg.PollCost, in.sweepFn)
+}
+
+// sweep is one poll's work on the node's CPU.
+func (in *Instance) sweep() {
+	in.pollLog()
+	if in.isLeader && !in.recovering {
+		in.pollRequests()
+	}
+	in.pollVotes()
+	if in.electing {
+		in.pollGrants()
+	}
+	// Anti-entropy with the leader: a stash gap, or simply no delivery
+	// progress for a while, means entries may have been lost to a
+	// permission window or a ring reset — pull them from the leader's
+	// journal. (An idle but current follower pays one 8-byte read per
+	// staleness window.)
+	if !in.isLeader {
+		_, gapped := in.stash[in.lastDelivered+1]
+		stale := in.fab.Engine().Now()-in.lastProgressAt > sim.Time(in.cfg.CatchUpAfter)
+		if (len(in.stash) > 0 && !gapped) || stale {
+			in.catchUp(in.leader)
 		}
-		in.pollVotes()
-		if in.electing {
-			in.pollGrants()
-		}
-		// Anti-entropy with the leader: a stash gap, or simply no delivery
-		// progress for a while, means entries may have been lost to a
-		// permission window or a ring reset — pull them from the leader's
-		// journal. (An idle but current follower pays one 8-byte read per
-		// staleness window.)
-		if !in.isLeader {
-			_, gapped := in.stash[in.lastDelivered+1]
-			stale := in.fab.Engine().Now()-in.lastProgressAt > sim.Time(in.cfg.CatchUpAfter)
-			if (len(in.stash) > 0 && !gapped) || stale {
-				in.catchUp(in.leader)
-			}
-		}
-	})
+	}
 }
 
 func (in *Instance) pollLog() {
@@ -799,9 +804,12 @@ func (in *Instance) StartElection() {
 	in.grants = map[rdma.NodeID]uint64{in.node.ID(): in.lastDelivered}
 	// Self-vote: take write permission on the local log ring.
 	in.switchLogPermission(in.node.ID())
-	for peer, oc := range in.voteOut {
-		_ = peer
-		in.send(oc, encodeVote(in.term, in.node.ID()), nil)
+	// Ascending NodeID, not map order: the posting order of the vote
+	// requests fixes the engine's event order, and with it the schedule.
+	for p := 0; p < in.n; p++ {
+		if oc := in.voteOut[rdma.NodeID(p)]; oc != nil {
+			in.send(oc, encodeVote(in.term, in.node.ID()), nil)
+		}
 	}
 	in.maybeLead()
 }

@@ -6,6 +6,7 @@ import (
 
 	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 )
 
@@ -621,5 +622,84 @@ func TestRepeatedLeaderKillsConverge(t *testing.T) {
 	}
 	if len(count) != 40 {
 		t.Errorf("delivered %d distinct entries, want 40", len(count))
+	}
+}
+
+// TestElectionRepeatsForASeed pins the schedule of a leader change to the
+// seed: the leader of a five-node group is suspended mid-fan-out, its
+// successor stands for election while the others keep submitting, and the
+// whole run — engine event count, every survivor's commit order, the
+// sequence numbers it saw and the virtual time of every delivery — must come
+// out the same every time. Vote
+// requests once went out in Go map order, which gave one seed several
+// schedules.
+func TestElectionRepeatsForASeed(t *testing.T) {
+	run := func() string {
+		c := newCluster(t, 5, 0)
+		var at []sim.Time // delivery times, all nodes, in engine order
+		for _, in := range c.inst {
+			deliver := in.Deliver
+			in.Deliver = func(seq uint64, origin rdma.NodeID, payload []byte) {
+				at = append(at, c.eng.Now())
+				deliver(seq, origin, payload)
+			}
+		}
+		c.eng.At(0, func() {
+			for i := 0; i < 10; i++ {
+				c.inst[0].Submit([]byte(fmt.Sprintf("pre-%d", i)))
+			}
+		})
+		c.eng.At(sim.Time(30*sim.Microsecond), func() { c.fab.Node(0).Suspend() })
+		// When node 1's vote request reached each peer's vote ring: the
+		// requests are posted back to back, so this is their posting order.
+		voteAt := make([]sim.Time, 5)
+		c.eng.At(sim.Time(200*sim.Microsecond), func() {
+			c.inst[1].StartElection()
+			var probe *sim.Ticker
+			probe = c.eng.NewTicker(25*sim.Nanosecond, func() {
+				seen := 0
+				for p := range voteAt {
+					if voteAt[p] == 0 && p != 1 && c.fab.Node(rdma.NodeID(p)).Region(voteRegion("g", 1)).Bytes()[ring.HeaderSize] != 0 {
+						voteAt[p] = c.eng.Now()
+					}
+					if voteAt[p] != 0 {
+						seen++
+					}
+				}
+				if seen == 4 {
+					probe.Cancel()
+				}
+			})
+		})
+		for i := 0; i < 40; i++ {
+			i := i
+			c.eng.At(sim.Time(150*sim.Microsecond)+sim.Time(i)*sim.Time(5*sim.Microsecond), func() {
+				c.inst[1+i%4].Submit([]byte(fmt.Sprintf("during-%d", i)))
+			})
+		}
+		c.run(20 * sim.Millisecond)
+		if !c.inst[1].IsLeader() {
+			t.Fatal("node 1 did not take over")
+		}
+		if len(c.delivered[1]) < 40 {
+			t.Fatalf("new leader delivered only %d entries", len(c.delivered[1]))
+		}
+		for _, p := range []int{2, 3, 4} {
+			prev := p - 1
+			if prev == 1 {
+				prev = 0 // the candidate does not write to itself
+			}
+			if voteAt[p] <= voteAt[prev] {
+				t.Fatalf("vote requests landed out of NodeID order: %v", voteAt)
+			}
+		}
+		return fmt.Sprintf("executed=%d votes=%v delivered=%v seqs=%v at=%v",
+			c.eng.Executed(), voteAt, c.delivered[1:], c.seqs[1:], at)
+	}
+	first := run()
+	for i := 1; i < 6; i++ {
+		if again := run(); again != first {
+			t.Fatalf("run %d of one seed differs from the first:\n%s\n%s", i, again, first)
+		}
 	}
 }

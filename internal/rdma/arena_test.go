@@ -72,7 +72,7 @@ func TestArenaReleaseReuseAndCoalesce(t *testing.T) {
 }
 
 func TestArenaConcurrentCarveReleaseBudget(t *testing.T) {
-	_, a := arenaFixture(t, 64 * 1024)
+	_, a := arenaFixture(t, 64*1024)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

@@ -307,7 +307,7 @@ func TestChainStatsAndDegenerateForms(t *testing.T) {
 			{Region: "buf", Off: 16, Data: make([]byte, 1024)}, // non-inline tail
 		}, nil)
 		qp.PostChain([]WR{{Region: "buf", Off: 32, Data: []byte{4}}}, nil) // = Write
-		qp.PostChain(nil, nil)                                            // no-op
+		qp.PostChain(nil, nil)                                             // no-op
 	})
 	eng.Run()
 	s := f.Stats()

@@ -19,10 +19,11 @@ package rdma
 // enqueue and allocates nothing, preserving the invoke path's zero-alloc
 // discipline.
 type Coalescer struct {
-	node  *Node
-	out   []peerBatch // indexed by peer NodeID
-	armed bool
-	stats CoalesceStats
+	node    *Node
+	out     []peerBatch // indexed by peer NodeID
+	armed   bool
+	flushFn func() // co.flush bound once, so arming allocates nothing
+	stats   CoalesceStats
 }
 
 // peerBatch accumulates one peer's pending WRs between flushes.
@@ -46,7 +47,9 @@ type CoalesceStats struct {
 // NewCoalescer creates a coalescer posting from node, with one pending
 // batch per fabric peer.
 func NewCoalescer(node *Node) *Coalescer {
-	return &Coalescer{node: node, out: make([]peerBatch, node.fabric.Size())}
+	co := &Coalescer{node: node, out: make([]peerBatch, node.fabric.Size())}
+	co.flushFn = co.flush
+	return co
 }
 
 // Enqueue adds a WR bound for peer under the given stream tag and arms the
@@ -65,7 +68,7 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 		return
 	}
 	co.armed = true
-	co.node.CPU.Exec(0, co.flush)
+	co.node.CPU.Exec(0, co.flushFn)
 }
 
 // flush posts every pending batch, one chain per peer, and rearms.

@@ -159,6 +159,12 @@ type Fabric struct {
 	// path pays only a nil map lookup.
 	links map[linkKey]*linkState
 
+	// freeVerbs recycles write/chain records (see verb). A plain list, not a
+	// sync.Pool: the engine is single-threaded and reuse must not depend on
+	// the collector. It starts empty and grows to the peak number of
+	// doorbells in flight.
+	freeVerbs *verb
+
 	mParked     *metrics.Counter // verbs parked by partitioned links
 	mPartitions *metrics.Counter // link partitions installed
 	mTorn       *metrics.Counter // writes landed out of order by torn links
@@ -217,7 +223,7 @@ func (f *Fabric) Metrics() *metrics.Registry { return f.reg }
 // lands in remote memory, and CQE when the sender reaps the completion
 // (signaled verbs only — an unsignaled write never learns it landed, and
 // neither does its trace). Recording happens inside the verbs' existing
-// event closures and costs no virtual time, so timings, stats and
+// stage events and costs no virtual time, so timings, stats and
 // schedules are bit-identical with tracing on or off. Unlabeled verbs
 // record nothing.
 func (f *Fabric) EnableTracing(tr *trace.Tracer) { f.tr = tr }
@@ -446,21 +452,15 @@ func (qp *QP) From() NodeID { return qp.from.id }
 // To returns the target node's ID.
 func (qp *QP) To() NodeID { return qp.to.id }
 
-// post charges the post cost to the sender CPU and then runs fire, which
-// performs the wire-side work. If the sender has crashed nothing happens.
+// post charges the post cost to the sender CPU and then runs fire, the
+// wire-side work of a READ or CAS, through the link-fault gate: a
+// partitioned link parks the verb at the NIC until heal (see fault.go). If
+// the sender has crashed nothing happens. Writes post through verb.post.
 func (qp *QP) post(fire func()) {
-	qp.postCost(qp.fabric().lat.PostCost, fire)
-}
-
-// postCost is post with an explicit sender CPU charge, used by inline posts
-// and verb chains whose doorbell cost differs from a plain post. The
-// wire-side fire stage runs through the link-fault gate: a partitioned link
-// parks the verb at the NIC until heal (see fault.go).
-func (qp *QP) postCost(cost sim.Duration, fire func()) {
 	if qp.from.crashed {
 		return
 	}
-	qp.from.CPU.Exec(cost, func() { qp.gate(fire) })
+	qp.from.CPU.Exec(qp.fabric().lat.PostCost, func() { qp.gate(fire) })
 }
 
 func (qp *QP) fabric() *Fabric { return qp.from.fabric }
@@ -498,17 +498,23 @@ func (qp *QP) complete(landed sim.Time, cb func(error), err error) {
 		return
 	}
 	f := qp.fabric()
-	t := landed + sim.Time(f.lat.AckLatency)
-	if t <= qp.lastCQE {
-		t = qp.lastCQE + 1
-	}
-	qp.lastCQE = t
-	f.eng.At(t, func() {
+	f.eng.At(qp.cqeAt(landed), func() {
 		if qp.from.crashed {
 			return
 		}
 		qp.from.CPU.Exec(f.lat.PollCost, func() { cb(err) })
 	})
+}
+
+// cqeAt computes the (in-order) completion time of a verb whose response
+// left the target at landed, and advances the QP's completion horizon.
+func (qp *QP) cqeAt(landed sim.Time) sim.Time {
+	t := landed + sim.Time(qp.fabric().lat.AckLatency)
+	if t <= qp.lastCQE {
+		t = qp.lastCQE + 1
+	}
+	qp.lastCQE = t
+	return t
 }
 
 // failLocal reports a local posting failure (crashed target) through cb
@@ -532,7 +538,12 @@ func (qp *QP) failLocal(cb func(error)) {
 // completion on the posting node's CPU; RC semantics guarantee that a
 // successful completion implies the data is in remote memory.
 func (qp *QP) Write(region string, off int, data []byte, onDone func(error)) {
-	qp.write(region, off, data, "", onDone)
+	if qp.from.crashed {
+		return
+	}
+	v := qp.fabric().acquireVerb(qp)
+	v.add(region, off, data, "")
+	v.post(onDone)
 }
 
 // traceVerb records one stage-boundary event for a labeled verb; a no-op
@@ -554,71 +565,6 @@ func (qp *QP) node(kind trace.Kind) int {
 		return int(qp.to.id)
 	}
 	return int(qp.from.id)
-}
-
-// traceCQE wraps cb so the labeled verb's completion records a CQE event
-// just before the callback runs (same CPU slice, no timing change).
-// Returns cb unchanged when tracing is off, the label is empty, or the
-// verb is unsignaled.
-func (qp *QP) traceCQE(label, verb string, bytes int, cb func(error)) func(error) {
-	if qp.fabric().tr == nil || label == "" || cb == nil {
-		return cb
-	}
-	return func(err error) {
-		qp.traceVerb(trace.CQE, label, verb, "completion of", bytes)
-		cb(err)
-	}
-}
-
-// write is Write with a trace label (see WR.Label).
-func (qp *QP) write(region string, off int, data []byte, label string, onDone func(error)) {
-	buf := append([]byte(nil), data...)
-	lat := qp.fabric().lat
-	inline := lat.inline(len(buf))
-	cost := lat.PostCost
-	if inline {
-		cost += lat.InlineCost
-	}
-	onDone = qp.traceCQE(label, "write", len(buf), onDone)
-	qp.postCost(cost, func() {
-		f := qp.fabric()
-		f.stats.Writes++
-		f.stats.BytesWritten += uint64(len(buf))
-		qp.m.writes.Inc()
-		qp.m.bytes.Add(uint64(len(buf)))
-		if inline {
-			f.stats.InlineWrites++
-			qp.m.inline.Inc()
-		}
-		if onDone == nil {
-			f.stats.Unsignaled++
-			qp.m.unsignaled.Inc()
-		}
-		qp.traceVerb(trace.Post, label, "write", "posted", len(buf))
-		if qp.to.crashed {
-			qp.failLocal(onDone)
-			return
-		}
-		posted := f.eng.Now()
-		landed := qp.landAt(len(buf), inline)
-		interior := qp.tearAt(landed, len(buf))
-		qp.m.writeLat.Observe(sim.Duration(interior-posted) + f.lat.AckLatency)
-		f.eng.At(landed, func() {
-			if qp.to.crashed { // crashed while in flight
-				f.stats.Failed++
-				qp.complete(interior, onDone, ErrCrashed)
-				return
-			}
-			r := qp.to.regions[region]
-			err := checkAccess(r, qp.from.id, off, len(buf), true)
-			if err == nil {
-				qp.land(r, off, buf, interior, label, "write")
-			} else {
-				f.stats.Failed++
-			}
-			qp.complete(interior, onDone, err)
-		})
-	})
 }
 
 // tearAt returns the landing time of a write's interior bytes: landed
@@ -659,12 +605,17 @@ func (qp *QP) land(r *Region, off int, buf []byte, interior sim.Time, label, ver
 	copy(r.buf[off:off+4], buf[:4])
 	copy(r.buf[off+len(buf)-4:], buf[len(buf)-4:])
 	qp.traceVerb(trace.Wire, label, verb, "boundary landed (torn)", len(buf))
+	// buf belongs to a verb record that may be recycled before the interior
+	// lands (an unsignaled write is done at its boundary landing), so the
+	// fragment in flight keeps its own copy.
+	rest := append([]byte(nil), buf[4:len(buf)-4]...)
+	n := len(buf)
 	f.eng.At(interior, func() {
 		if qp.to.crashed {
 			return // the write's remaining bytes die with the NIC: region stays torn
 		}
-		copy(r.buf[off+4:], buf[4:len(buf)-4])
-		qp.traceVerb(trace.Wire, label, verb, "interior landed", len(buf))
+		copy(r.buf[off+4:], rest)
+		qp.traceVerb(trace.Wire, label, verb, "interior landed", n)
 	})
 }
 
@@ -697,122 +648,221 @@ type WR struct {
 // Data is copied at post time. A chain of one WR degenerates to Write; an
 // empty chain is a no-op.
 func (qp *QP) PostChain(wrs []WR, onDone func(error)) {
-	switch len(wrs) {
-	case 0:
-		return
-	case 1:
-		qp.write(wrs[0].Region, wrs[0].Off, wrs[0].Data, wrs[0].Label, onDone)
+	if len(wrs) == 0 || qp.from.crashed {
 		return
 	}
-	lat := qp.fabric().lat
-	type chained struct {
-		region string
-		off    int
-		buf    []byte
-		inline bool
-		label  string
+	v := qp.fabric().acquireVerb(qp)
+	for _, wr := range wrs {
+		v.add(wr.Region, wr.Off, wr.Data, wr.Label)
 	}
-	chain := make([]chained, len(wrs))
-	cost := lat.PostCost + sim.Duration(len(wrs)-1)*lat.ChainedPostCost
-	for i, wr := range wrs {
-		buf := append([]byte(nil), wr.Data...)
-		il := lat.inline(len(buf))
-		if il {
+	v.post(onDone)
+}
+
+// verb is the in-flight state of one WRITE doorbell — a single write or a
+// PostChain — from post to completion. One record travels through every
+// stage (sender CPU → link gate → wire → one landing per WR → CQE → poll)
+// and each stage is a func bound to the record once, when it is first
+// allocated, so posting a verb on a warm fabric allocates nothing: no
+// closure per stage, no fresh payload buffer per WR. Records are recycled through
+// Fabric.freeVerbs when their last stage has run; one that never gets there
+// (its poster crashed while it sat parked or queued) is left to the
+// collector.
+type verb struct {
+	qp     *QP
+	wrs    []verbWR
+	data   []byte // the WRs' payloads, copied at post time, back to back
+	onDone func(error)
+	landed int   // WRs landed so far; landings fire in posting order
+	err    error // first WR failure: later WRs flush, the CQE reports it
+
+	gateFn, wireFn, landFn, cqeFn, pollFn func()
+	nextFree                              *verb
+}
+
+// verbWR is one write request of a verb.
+type verbWR struct {
+	region   string
+	off      int
+	lo, hi   int // payload is data[lo:hi]
+	inline   bool
+	label    string
+	interior sim.Time // when the last byte lands (later than the boundary on a torn link)
+}
+
+func (w *verbWR) size() int { return w.hi - w.lo }
+
+func (f *Fabric) acquireVerb(qp *QP) *verb {
+	v := f.freeVerbs
+	if v == nil {
+		v = &verb{}
+		v.gateFn, v.wireFn, v.landFn, v.cqeFn, v.pollFn = v.gate, v.wire, v.landNext, v.cqe, v.poll
+	} else {
+		f.freeVerbs, v.nextFree = v.nextFree, nil
+	}
+	v.qp = qp
+	return v
+}
+
+// release returns the record to the free list. Nothing may reference it
+// afterwards: callers release only from a verb's final stage.
+func (v *verb) release() {
+	f := v.qp.fabric()
+	clear(v.wrs)
+	v.qp, v.wrs, v.data, v.onDone, v.landed, v.err = nil, v.wrs[:0], v.data[:0], nil, 0, nil
+	v.nextFree, f.freeVerbs = f.freeVerbs, v
+}
+
+// name is the verb's name in traces.
+func (v *verb) name() string {
+	if len(v.wrs) > 1 {
+		return "chain"
+	}
+	return "write"
+}
+
+// add appends one WR, copying its payload.
+func (v *verb) add(region string, off int, data []byte, label string) {
+	lo := len(v.data)
+	v.data = append(v.data, data...)
+	v.wrs = append(v.wrs, verbWR{region: region, off: off, lo: lo, hi: len(v.data), label: label,
+		inline: v.qp.fabric().lat.inline(len(data))})
+}
+
+// post rings the doorbell: the sender CPU pays PostCost for the first WR,
+// ChainedPostCost for each further one and InlineCost per inline payload,
+// then the verb reaches the link gate.
+func (v *verb) post(onDone func(error)) {
+	lat := v.qp.fabric().lat
+	cost := lat.PostCost + sim.Duration(len(v.wrs)-1)*lat.ChainedPostCost
+	for i := range v.wrs {
+		if v.wrs[i].inline {
 			cost += lat.InlineCost
 		}
-		chain[i] = chained{region: wr.Region, off: wr.Off, buf: buf, inline: il, label: wr.Label}
 	}
-	if tr := qp.fabric().tr; tr != nil && onDone != nil {
-		// The tail CQE is the moment the sender learns the whole chain
-		// landed: attribute it to every labeled WR in the chain.
-		inner := onDone
-		labeled := false
-		for _, w := range chain {
-			if w.label != "" {
-				labeled = true
-				break
-			}
-		}
-		if labeled {
-			onDone = func(err error) {
-				for _, w := range chain {
-					qp.traceVerb(trace.CQE, w.label, "chain", "completion of", len(w.buf))
-				}
-				inner(err)
-			}
-		}
-	}
-	qp.postCost(cost, func() {
-		f := qp.fabric()
+	v.onDone = onDone
+	v.qp.from.CPU.Exec(cost, v.gateFn)
+}
+
+// gate passes the verb to the wire, or parks it on a partitioned link.
+func (v *verb) gate() { v.qp.gate(v.wireFn) }
+
+// wire is the NIC-side stage: count the WRs, then schedule each one's
+// landing in posting order.
+func (v *verb) wire() {
+	qp := v.qp
+	f := qp.fabric()
+	n := len(v.wrs)
+	if n > 1 {
 		f.stats.Chains++
-		f.stats.ChainedWRs += uint64(len(chain) - 1)
+		f.stats.ChainedWRs += uint64(n - 1)
 		qp.m.chains.Inc()
-		qp.m.chainedWRs.Add(uint64(len(chain) - 1))
-		for _, w := range chain {
-			f.stats.Writes++
-			f.stats.BytesWritten += uint64(len(w.buf))
-			qp.m.writes.Inc()
-			qp.m.bytes.Add(uint64(len(w.buf)))
-			if w.inline {
-				f.stats.InlineWrites++
-				qp.m.inline.Inc()
-			}
+		qp.m.chainedWRs.Add(uint64(n - 1))
+	}
+	for i := range v.wrs {
+		w := &v.wrs[i]
+		f.stats.Writes++
+		f.stats.BytesWritten += uint64(w.size())
+		qp.m.writes.Inc()
+		qp.m.bytes.Add(uint64(w.size()))
+		if w.inline {
+			f.stats.InlineWrites++
+			qp.m.inline.Inc()
 		}
-		unsig := uint64(len(chain) - 1)
-		if lat.ChainSignalAll {
-			unsig = 0
-		}
-		if onDone == nil {
-			unsig++
-		}
-		f.stats.Unsignaled += unsig
-		qp.m.unsignaled.Add(unsig)
-		for _, w := range chain {
-			qp.traceVerb(trace.Post, w.label, "chain", "posted", len(w.buf))
-		}
-		if qp.to.crashed {
-			qp.failLocal(onDone)
+	}
+	// Only the tail WR is signaled, and only if the caller asked.
+	unsig := uint64(n - 1)
+	if f.lat.ChainSignalAll {
+		unsig = 0
+	}
+	if v.onDone == nil {
+		unsig++
+	}
+	f.stats.Unsignaled += unsig
+	qp.m.unsignaled.Add(unsig)
+	for i := range v.wrs {
+		qp.traceVerb(trace.Post, v.wrs[i].label, v.name(), "posted", v.wrs[i].size())
+	}
+	if qp.to.crashed {
+		f.stats.Failed++
+		if v.onDone == nil {
+			v.release()
 			return
 		}
-		posted := f.eng.Now()
-		var chainErr error
-		for i := range chain {
-			w := chain[i]
-			landed := qp.landAt(len(w.buf), w.inline)
-			interior := qp.tearAt(landed, len(w.buf))
-			last := i == len(chain)-1
-			if last {
-				qp.m.writeLat.Observe(sim.Duration(interior-posted) + lat.AckLatency)
-			}
-			f.eng.At(landed, func() {
-				switch {
-				case qp.to.crashed:
-					f.stats.Failed++
-					if chainErr == nil {
-						chainErr = ErrCrashed
-					}
-				case chainErr != nil:
-					// An earlier WR failed: the QP is in the error state and
-					// this WR flushes without landing.
-					f.stats.Failed++
-				default:
-					r := qp.to.regions[w.region]
-					err := checkAccess(r, qp.from.id, w.off, len(w.buf), true)
-					if err == nil {
-						qp.land(r, w.off, w.buf, interior, w.label, "chain")
-					} else {
-						f.stats.Failed++
-						chainErr = err
-					}
-				}
-				if last {
-					qp.complete(interior, onDone, chainErr)
-				} else if lat.ChainSignalAll {
-					qp.complete(interior, func(error) {}, nil)
-				}
-			})
+		v.err = ErrCrashed
+		f.eng.After(f.lat.FailTimeout, v.cqeFn)
+		return
+	}
+	posted := f.eng.Now()
+	for i := range v.wrs {
+		w := &v.wrs[i]
+		landed := qp.landAt(w.size(), w.inline)
+		w.interior = qp.tearAt(landed, w.size())
+		if i == n-1 {
+			qp.m.writeLat.Observe(sim.Duration(w.interior-posted) + f.lat.AckLatency)
 		}
-	})
+		f.eng.At(landed, v.landFn)
+	}
+}
+
+// landNext delivers the next WR into remote memory. landAt hands out
+// strictly increasing times on a QP, so the landings of one verb fire in
+// posting order and a cursor identifies the WR.
+func (v *verb) landNext() {
+	qp := v.qp
+	f := qp.fabric()
+	w := &v.wrs[v.landed]
+	v.landed++
+	switch {
+	case qp.to.crashed: // crashed while in flight
+		f.stats.Failed++
+		if v.err == nil {
+			v.err = ErrCrashed
+		}
+	case v.err != nil:
+		// An earlier WR failed: the QP is in the error state and this WR
+		// flushes without landing.
+		f.stats.Failed++
+	default:
+		r := qp.to.regions[w.region]
+		if err := checkAccess(r, qp.from.id, w.off, w.size(), true); err == nil {
+			qp.land(r, w.off, v.data[w.lo:w.hi], w.interior, w.label, v.name())
+		} else {
+			f.stats.Failed++
+			v.err = err
+		}
+	}
+	switch {
+	case v.landed < len(v.wrs):
+		if f.lat.ChainSignalAll {
+			qp.complete(w.interior, func(error) {}, nil)
+		}
+	case v.onDone == nil:
+		v.release()
+	default:
+		f.eng.At(qp.cqeAt(w.interior), v.cqeFn)
+	}
+}
+
+// cqe is the completion arriving at the sender's NIC; reaping it costs the
+// sender CPU PollCost. Completions destined to a crashed node are dropped.
+func (v *verb) cqe() {
+	if v.qp.from.crashed {
+		v.release()
+		return
+	}
+	v.qp.from.CPU.Exec(v.qp.fabric().lat.PollCost, v.pollFn)
+}
+
+// poll hands the completion to the caller. The tail CQE is the moment the
+// sender learns the whole chain landed, so it is attributed to every
+// labeled WR.
+func (v *verb) poll() {
+	for i := range v.wrs {
+		v.qp.traceVerb(trace.CQE, v.wrs[i].label, v.name(), "completion of", v.wrs[i].size())
+	}
+	cb, err := v.onDone, v.err
+	v.release()
+	cb(err)
 }
 
 // Read posts a one-sided RDMA read of n bytes from (region, off) at the

@@ -12,7 +12,10 @@ package sim
 type CPU struct {
 	eng       *Engine
 	busyUntil Time
-	queue     []cpuTask
+	queue     []cpuTask // waiting items are queue[head:]
+	head      int
+	cur       func() // completion func of the item occupying the core
+	doneFn    func() // c.done bound once, so dispatch allocates nothing
 	running   bool
 	suspended bool
 	busyTotal Duration
@@ -24,7 +27,11 @@ type cpuTask struct {
 }
 
 // NewCPU returns an idle CPU bound to e.
-func NewCPU(e *Engine) *CPU { return &CPU{eng: e} }
+func NewCPU(e *Engine) *CPU {
+	c := &CPU{eng: e}
+	c.doneFn = c.done
+	return c
+}
 
 // Submit enqueues a work item that occupies the core for cost and then runs
 // fn. fn may be nil when only the busy time matters. A suspended CPU queues
@@ -40,13 +47,26 @@ func (c *CPU) Submit(cost Duration, fn func()) {
 // Exec is shorthand for Submit where fn runs after the busy period.
 func (c *CPU) Exec(cost Duration, fn func()) { c.Submit(cost, fn) }
 
+// cpuQueueCompact is the consumed-prefix length beyond which a backlogged
+// queue is shifted down instead of growing behind its head.
+const cpuQueueCompact = 64
+
 func (c *CPU) kick() {
-	if c.running || c.suspended || len(c.queue) == 0 {
+	if c.running || c.suspended || c.head == len(c.queue) {
 		return
 	}
 	c.running = true
-	task := c.queue[0]
-	c.queue = c.queue[1:]
+	task := c.queue[c.head]
+	c.queue[c.head] = cpuTask{}
+	c.head++
+	switch {
+	case c.head == len(c.queue):
+		c.queue, c.head = c.queue[:0], 0
+	case c.head >= cpuQueueCompact && 2*c.head >= len(c.queue):
+		n := copy(c.queue, c.queue[c.head:])
+		clear(c.queue[n:])
+		c.queue, c.head = c.queue[:n], 0
+	}
 	start := c.eng.Now()
 	if c.busyUntil > start {
 		start = c.busyUntil
@@ -54,13 +74,21 @@ func (c *CPU) kick() {
 	end := start + Time(task.cost)
 	c.busyUntil = end
 	c.busyTotal += task.cost
-	c.eng.At(end, func() {
-		if task.fn != nil {
-			task.fn()
-		}
-		c.running = false
-		c.kick()
-	})
+	c.cur = task.fn
+	c.eng.At(end, c.doneFn)
+}
+
+// done runs when the dispatched item's busy period ends: its completion
+// func runs with the core still marked busy (work it submits queues behind
+// it), then the next queued item dispatches.
+func (c *CPU) done() {
+	fn := c.cur
+	c.cur = nil
+	if fn != nil {
+		fn()
+	}
+	c.running = false
+	c.kick()
 }
 
 // Suspend pauses execution of queued work. Items already dispatched to the
@@ -82,7 +110,7 @@ func (c *CPU) Resume() {
 func (c *CPU) Suspended() bool { return c.suspended }
 
 // QueueLen reports the number of work items waiting to execute.
-func (c *CPU) QueueLen() int { return len(c.queue) }
+func (c *CPU) QueueLen() int { return len(c.queue) - c.head }
 
 // BusyTotal reports the cumulative busy time charged to this core.
 func (c *CPU) BusyTotal() Duration { return c.busyTotal }

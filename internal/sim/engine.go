@@ -10,7 +10,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -54,27 +53,65 @@ type event struct {
 	fn  func()
 }
 
-// eventHeap is a min-heap of events ordered by (at, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before orders events by (at, seq).
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 
-func (h *eventHeap) Push(x any) { *h = append(*h, x.(*event)) }
+// eventHeap is a binary min-heap of events ordered by (at, seq). Events are
+// stored by value, so a warm heap schedules and runs events without
+// allocating; seq is unique, so the order is total and the pop sequence does
+// not depend on the heap's internal layout.
+type eventHeap []event
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	*h = q
+	// Sift up with a hole: move parents down, place ev once.
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(&q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = ev
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	last := q[n]
+	q[n] = event{} // drop the closure reference
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	// Sift last down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && q[r].before(&q[child]) {
+			child = r
+		}
+		if !q[child].before(&last) {
+			break
+		}
+		q[i] = q[child]
+		i = child
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a deterministic discrete-event simulator.
@@ -111,7 +148,7 @@ func (e *Engine) At(t Time, fn func()) {
 		t = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: t, seq: e.seq, fn: fn})
+	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d from now. Negative d behaves like d == 0.
@@ -151,7 +188,7 @@ func (e *Engine) Pending() int { return len(e.events) }
 func (e *Engine) Executed() uint64 { return e.ran }
 
 func (e *Engine) step() {
-	ev := heap.Pop(&e.events).(*event)
+	ev := e.events.pop()
 	if ev.at > e.now {
 		e.now = ev.at
 	}
@@ -165,6 +202,7 @@ type Ticker struct {
 	eng      *Engine
 	period   Duration
 	fn       func()
+	tickFn   func() // t.tick bound once, so re-arming allocates nothing
 	canceled bool
 }
 
@@ -174,7 +212,8 @@ func (e *Engine) NewTicker(period Duration, fn func()) *Ticker {
 		panic("sim: ticker period must be positive")
 	}
 	t := &Ticker{eng: e, period: period, fn: fn}
-	e.After(period, t.tick)
+	t.tickFn = t.tick
+	e.After(period, t.tickFn)
 	return t
 }
 
@@ -184,7 +223,7 @@ func (t *Ticker) tick() {
 	}
 	t.fn()
 	if !t.canceled {
-		t.eng.After(t.period, t.tick)
+		t.eng.After(t.period, t.tickFn)
 	}
 }
 

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -272,6 +274,188 @@ func TestEngineHeapStress(t *testing.T) {
 		}
 		if fired[i].at == fired[i-1].at && fired[i].idx < fired[i-1].idx {
 			t.Fatal("insertion tie-break violated")
+		}
+	}
+}
+
+// TestHotPathZeroAlloc pins the engine's steady-state primitives at zero
+// allocations: scheduling and running an event on a warm heap, a CPU work
+// item from Submit to its completion func, and one period of a ticker.
+// Every simulated verb, poll and apply is built from these three.
+func TestHotPathZeroAlloc(t *testing.T) {
+	e := NewEngine(1)
+	noop := func() {}
+	e.After(1, noop) // warm the heap's backing array
+	e.Run()
+	if a := testing.AllocsPerRun(1000, func() {
+		e.After(1, noop)
+		e.Run()
+	}); a != 0 {
+		t.Errorf("After+Run allocates %.2f objects per event, want 0", a)
+	}
+
+	cpu := NewCPU(e)
+	ran := 0
+	count := func() { ran++ }
+	cpu.Submit(10, count)
+	e.Run()
+	if a := testing.AllocsPerRun(1000, func() {
+		cpu.Submit(10, count)
+		e.Run()
+	}); a != 0 {
+		t.Errorf("CPU.Submit to completion allocates %.2f objects per item, want 0", a)
+	}
+	if ran != 1002 { // warm-up + AllocsPerRun's own warm-up + 1000
+		t.Fatalf("completion func ran %d times, want 1002", ran)
+	}
+
+	ticks := 0
+	tk := e.NewTicker(5, func() { ticks++ })
+	e.RunFor(5)
+	if a := testing.AllocsPerRun(1000, func() { e.RunFor(5) }); a != 0 {
+		t.Errorf("one ticker period allocates %.2f objects, want 0", a)
+	}
+	tk.Cancel()
+	if ticks != 1002 {
+		t.Fatalf("ticker fired %d times, want 1002", ticks)
+	}
+}
+
+// TestCPUBacklogKeepsFIFO runs a core that is never idle — every completion
+// submits more work — long enough for the queue to compact behind its head
+// several times, and checks items still complete in submission order.
+func TestCPUBacklogKeepsFIFO(t *testing.T) {
+	e := NewEngine(1)
+	cpu := NewCPU(e)
+	const total = 10 * cpuQueueCompact
+	next, submitted := 0, 0
+	var submit func()
+	submit = func() {
+		id := submitted
+		submitted++
+		cpu.Submit(1, func() {
+			if id != next {
+				t.Fatalf("item %d completed at position %d", id, next)
+			}
+			next++
+			// Two for one while there is budget: the backlog only grows.
+			for k := 0; k < 2 && submitted < total; k++ {
+				submit()
+			}
+		})
+	}
+	submit()
+	e.Run()
+	if next != total || cpu.QueueLen() != 0 {
+		t.Fatalf("completed %d of %d items, %d still queued", next, total, cpu.QueueLen())
+	}
+}
+
+// planned is one event of TestHeapMatchesReferenceSort's random program:
+// when it runs it schedules its children, each at now+delta (a negative
+// delta asks for a time in the past).
+type planned struct {
+	id       int
+	children []plannedChild
+}
+
+type plannedChild struct {
+	delta Duration
+	ev    *planned
+}
+
+// TestHeapMatchesReferenceSort checks the value-typed heap against the
+// definition it implements: events run in ascending (time, insertion
+// order). Random programs mix same-time ties, events scheduled from inside
+// events and At in the past; the reference picks each next event by a
+// stable sort of everything pending.
+func TestHeapMatchesReferenceSort(t *testing.T) {
+	type fired struct {
+		id int
+		at Time
+	}
+	for seed := int64(1); seed <= 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		nextID := 0
+		var grow func(depth int) *planned
+		grow = func(depth int) *planned {
+			ev := &planned{id: nextID}
+			nextID++
+			if depth < 4 {
+				for k := rng.Intn(4); k > 0; k-- {
+					// Few distinct deltas, so ties are common; a fifth of
+					// them point into the past.
+					delta := Duration(rng.Intn(4) * 10)
+					if rng.Intn(5) == 0 {
+						delta = -Duration(1 + rng.Intn(30))
+					}
+					ev.children = append(ev.children, plannedChild{delta, grow(depth + 1)})
+				}
+			}
+			return ev
+		}
+		var roots []plannedChild
+		for k := 0; k < 40; k++ {
+			roots = append(roots, plannedChild{Duration(rng.Intn(6) * 10), grow(0)})
+		}
+
+		// The engine under test.
+		e := NewEngine(seed)
+		var got []fired
+		var schedule func(c plannedChild)
+		schedule = func(c plannedChild) {
+			e.At(e.Now()+Time(c.delta), func() {
+				got = append(got, fired{c.ev.id, e.Now()})
+				for _, ch := range c.ev.children {
+					schedule(ch)
+				}
+			})
+		}
+		for _, r := range roots {
+			schedule(r)
+		}
+		e.Run()
+
+		// The reference: a flat list, stably sorted by time before every pop
+		// (appending in insertion order makes stability the seq tie-break).
+		type pending struct {
+			at Time
+			ev *planned
+		}
+		var now Time
+		var queue []pending
+		var want []fired
+		push := func(c plannedChild) {
+			at := now + Time(c.delta)
+			if at < now {
+				at = now
+			}
+			queue = append(queue, pending{at, c.ev})
+		}
+		for _, r := range roots {
+			push(r)
+		}
+		for len(queue) > 0 {
+			sort.SliceStable(queue, func(i, j int) bool { return queue[i].at < queue[j].at })
+			head := queue[0]
+			queue = queue[1:]
+			now = head.at
+			want = append(want, fired{head.ev.id, now})
+			for _, ch := range head.ev.children {
+				push(ch)
+			}
+		}
+
+		if len(got) != len(want) || len(got) != nextID {
+			t.Fatalf("seed %d: engine ran %d events, reference %d, program has %d", seed, len(got), len(want), nextID)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: event %d was %+v, reference says %+v", seed, i, got[i], want[i])
+			}
+		}
+		if e.Pending() != 0 || e.Executed() != uint64(nextID) {
+			t.Fatalf("seed %d: %d pending, %d executed after the run", seed, e.Pending(), e.Executed())
 		}
 	}
 }

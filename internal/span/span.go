@@ -53,7 +53,9 @@ type Span struct {
 }
 
 // Completed reports whether the call's response resolved.
-func (s *Span) Completed() bool { return s.Done != 0 || (len(s.Events) > 0 && hasKind(s.Events, trace.Complete)) }
+func (s *Span) Completed() bool {
+	return s.Done != 0 || (len(s.Events) > 0 && hasKind(s.Events, trace.Complete))
+}
 
 // Total returns the client-observed latency (submit → response) for
 // completed spans and the full recorded extent otherwise.

@@ -90,9 +90,9 @@ func DefaultOptions() Options {
 // ShardOptions tunes one shard at Open; zero values inherit the store's
 // Core template. Hot shards earn bigger rings and slots through these.
 type ShardOptions struct {
-	SumSlotSize    int // summary-slot bytes (hot shards: bigger summaries/δ-logs)
-	RingCapacity   int // broadcast and Mu log/request ring capacity
-	AnchorInterval int // δ-records between full anchors
+	SumSlotSize    int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
+	RingCapacity   int           // broadcast and Mu log/request ring capacity
+	AnchorInterval int           // δ-records between full anchors
 	Leaders        []spec.ProcID // explicit group leaders (default: staggered by shard index)
 }
 
@@ -114,8 +114,8 @@ type Store struct {
 
 // Shard is one replicated object hosted by the store.
 type Shard struct {
-	Key     string
-	Cluster *core.Cluster
+	Key       string
+	Cluster   *core.Cluster
 	ns        string
 	footprint int
 }
