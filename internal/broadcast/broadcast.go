@@ -125,63 +125,47 @@ func recordEpoch(rec []byte) (uint32, bool) {
 
 // Broadcaster is the source side of reliable broadcast on one node.
 type Broadcaster struct {
-	fab    *rdma.Fabric
-	node   *rdma.Node
 	cfg    Config
 	backup *rdma.Region
 	seq    uint64
 	epoch  uint32   // configuration epoch stamped on outgoing messages
 	slots  []uint64 // seq occupying each backup slot, 0 if free
 
-	peers []*peerChan
+	peers []*ring.Sender // one out-channel per destination
 	// waiting holds broadcasts blocked on a free backup slot.
-	waiting []pendingMsg
+	waiting []*pendingMsg
 
-	mRetries   *metrics.Counter // head-refresh retries on a full remote ring
-	mHeadReads *metrics.Counter // remote head-counter reads
 	mSlotWaits *metrics.Counter // broadcasts queued waiting for a backup slot
 }
 
 type pendingMsg struct {
-	seq    uint64
-	record []byte // codec-framed ring record
-	label  string // trace label stamped on the record's final WR (may be "")
-	onDone func()
-	left   int // outstanding remote writes
-}
-
-// peerChan is the per-destination writer state.
-type peerChan struct {
-	peer      rdma.NodeID
-	qp        *rdma.QP
-	w         *ring.Writer
-	queue     []*pendingMsg
-	reading   bool // head read in flight
-	pumpArmed bool // deferred pump queued on the CPU
+	seq     uint64
+	record  []byte // codec-framed ring record
+	label   string // trace label of the write carrying the record (may be "")
+	onDone  func()
+	left    int         // outstanding remote writes
+	written func(error) // accounts one of them; bound once per message
 }
 
 // NewBroadcaster creates the source side on node. Setup must have run.
 func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster {
 	b := &Broadcaster{
-		fab:        fab,
-		node:       node,
 		cfg:        cfg,
 		backup:     node.Region(cfg.backupRegion()),
 		slots:      make([]uint64, cfg.BackupSlots),
-		mRetries:   cfg.Metrics.Counter("broadcast.ring_full_retries"),
-		mHeadReads: cfg.Metrics.Counter("broadcast.head_reads"),
 		mSlotWaits: cfg.Metrics.Counter("broadcast.backup_slot_waits"),
 	}
+	region := cfg.inRegion(node.ID())
+	headReads := cfg.Metrics.Counter("broadcast.head_reads")
+	retries := cfg.Metrics.Counter("broadcast.ring_full_retries")
 	for i := 0; i < fab.Size(); i++ {
 		peer := rdma.NodeID(i)
 		if peer == node.ID() {
 			continue
 		}
-		b.peers = append(b.peers, &peerChan{
-			peer: peer,
-			qp:   node.QP(peer),
-			w:    ring.NewWriter(cfg.RingCapacity),
-		})
+		pc := ring.NewSender(fab, node, peer, region, cfg.RingCapacity, cfg.RetryDelay)
+		pc.HeadReads, pc.Retries = headReads, retries
+		b.peers = append(b.peers, pc)
 	}
 	return b
 }
@@ -205,8 +189,8 @@ func (b *Broadcaster) SetEpoch(e uint32) {
 func (b *Broadcaster) Epoch() uint32 { return b.epoch }
 
 // BroadcastLabeled is Broadcast with a trace label: when the fabric has a
-// tracer attached, the final work request carrying this message's record is
-// tagged with label, so the transport's post/wire/completion events can be
+// tracer attached, the work request carrying this message's record is tagged
+// with label, so the transport's post/wire/completion events can be
 // attributed to the originating call (see rdma.WR.Label). An empty label
 // records nothing.
 func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onDone func()) error {
@@ -217,11 +201,17 @@ func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onDone func
 		return err
 	}
 	pm := &pendingMsg{seq: b.seq, record: record, label: label, onDone: onDone, left: len(b.peers)}
+	// A failed write (crashed peer) is accounted as done, like a landed one.
+	pm.written = func(error) {
+		if pm.left--; pm.left == 0 {
+			b.finish(pm)
+		}
+	}
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	if b.slots[slot] != 0 {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
-		b.waiting = append(b.waiting, *pm)
+		b.waiting = append(b.waiting, pm)
 		return nil
 	}
 	b.launch(pm)
@@ -243,115 +233,10 @@ func (b *Broadcaster) launch(pm *pendingMsg) {
 		b.finish(pm)
 		return
 	}
+	// One remote write per peer and pump (see ring.Sender): broadcasts issued
+	// by work already queued on the CPU share it.
 	for _, pc := range b.peers {
-		pc.queue = append(pc.queue, pm)
-		b.schedulePump(pc)
-	}
-}
-
-// schedulePump arms a deferred pump as a zero-cost CPU work item. Broadcasts
-// issued by work already queued on the CPU (pipelined calls) land in the
-// peer queue before the pump runs, so they join the same verb chain — one
-// doorbell per peer instead of one per message.
-func (b *Broadcaster) schedulePump(pc *peerChan) {
-	if pc.pumpArmed {
-		return
-	}
-	pc.pumpArmed = true
-	b.node.CPU.Exec(0, func() {
-		pc.pumpArmed = false
-		b.pump(pc)
-	})
-}
-
-// pump advances a peer channel: drains every queued record the remote ring
-// has room for into a single chained post (one doorbell; a message's
-// ring-wrap writes ride the same chain), refreshing the cached head via a
-// remote read when the ring looks full. Messages are removed from the queue
-// as they are batched, so a later crash-drain in refreshHead cannot account
-// them a second time.
-func (b *Broadcaster) pump(pc *peerChan) {
-	if b.node.Crashed() {
-		return
-	}
-	region := b.cfg.inRegion(b.node.ID())
-	var wrs []rdma.WR
-	var batch []*pendingMsg
-	for len(pc.queue) > 0 {
-		pm := pc.queue[0]
-		writes, ok := pc.w.Append(pm.record)
-		if !ok {
-			break
-		}
-		pc.queue = pc.queue[1:]
-		for i, wr := range writes {
-			w := rdma.WR{Region: region, Off: wr.Off, Data: wr.Data}
-			if i == len(writes)-1 {
-				// Label the record's final write: its landing means the
-				// whole record (including any ring-wrap writes) is visible.
-				w.Label = pm.label
-			}
-			wrs = append(wrs, w)
-		}
-		batch = append(batch, pm)
-	}
-	if len(batch) > 0 {
-		msgs := batch
-		// The tail completion covers the whole chain: RC ordering means
-		// every batched record is in the remote ring (or the peer failed,
-		// in which case the writes are accounted as done, matching the
-		// crashed-peer drain below).
-		pc.qp.PostChain(wrs, func(error) {
-			for _, pm := range msgs {
-				b.written(pm)
-			}
-		})
-	}
-	if len(pc.queue) > 0 {
-		b.refreshHead(pc)
-	}
-}
-
-// refreshHead reads the remote ring's head counter and retries the queue.
-func (b *Broadcaster) refreshHead(pc *peerChan) {
-	if pc.reading {
-		return
-	}
-	pc.reading = true
-	b.mHeadReads.Inc()
-	pc.qp.Read(b.cfg.inRegion(b.node.ID()), 0, ring.HeaderSize, func(data []byte, err error) {
-		pc.reading = false
-		if err != nil {
-			// Peer crashed: drop its queue, counting the writes as done.
-			for _, pm := range pc.queue {
-				b.written(pm)
-			}
-			pc.queue = nil
-			return
-		}
-		before := pc.w.Free()
-		pc.w.NoteHead(ring.DecodeHead(data))
-		if pc.w.Free() == before {
-			// No space freed yet (e.g. suspended reader): retry later.
-			b.mRetries.Inc()
-			b.fab.Engine().After(b.cfg.RetryDelay, func() { b.refreshHeadDone(pc) })
-			return
-		}
-		b.pump(pc)
-	})
-}
-
-func (b *Broadcaster) refreshHeadDone(pc *peerChan) {
-	if len(pc.queue) > 0 {
-		b.refreshHead(pc)
-	}
-}
-
-// written accounts one completed remote write of pm.
-func (b *Broadcaster) written(pm *pendingMsg) {
-	pm.left--
-	if pm.left == 0 {
-		b.finish(pm)
+		pc.Send(pm.record, pm.label, pm.written)
 	}
 }
 
@@ -361,19 +246,15 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	if b.slots[slot] == pm.seq {
 		b.slots[slot] = 0
-		zero := make([]byte, b.cfg.BackupSlot)
-		copy(b.backup.Bytes()[slot*b.cfg.BackupSlot:], zero)
+		clear(b.backup.Bytes()[slot*b.cfg.BackupSlot : (slot+1)*b.cfg.BackupSlot])
 	}
 	if pm.onDone != nil {
 		pm.onDone()
 	}
-	for i := range b.waiting {
-		w := b.waiting[i]
-		ws := int(w.seq) % b.cfg.BackupSlots
-		if b.slots[ws] == 0 {
+	for i, w := range b.waiting {
+		if b.slots[int(w.seq)%b.cfg.BackupSlots] == 0 {
 			b.waiting = append(b.waiting[:i], b.waiting[i+1:]...)
-			wcopy := w
-			b.launch(&wcopy)
+			b.launch(w)
 			return
 		}
 	}

@@ -353,6 +353,7 @@ type Replica struct {
 	// Buffers: FIFO queues of delivered-but-unapplied calls.
 	fQueues [][]pendingEntry // per source proc
 	lQueues [][]pendingEntry // per sync group
+	lNext   int              // the L buffer applyOne serves first: the one after the last served
 
 	// Protocol components.
 	bc       *broadcast.Broadcaster

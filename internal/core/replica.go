@@ -967,8 +967,8 @@ func (r *Replica) anyApplicable() bool {
 	return false
 }
 
-// applyOne applies the first applicable buffer head and reports whether it
-// did any work.
+// applyOne applies one applicable buffer head — F buffers before L buffers,
+// each queue FIFO — and reports whether it did any work.
 func (r *Replica) applyOne() bool {
 	if r.opts.MutateApplyOrder {
 		return r.applyOneMutated()
@@ -983,11 +983,15 @@ func (r *Replica) applyOne() bool {
 			}
 		}
 	}
-	for g := range r.lQueues {
+	// The L buffers are served round-robin: scanning from group 0 every time
+	// lets a node whose CPU is saturated starve the higher-numbered groups.
+	for i := range r.lQueues {
+		g := (r.lNext + i) % len(r.lQueues)
 		if len(r.lQueues[g]) > 0 {
 			e := r.lQueues[g][0]
 			if r.applied.Satisfies(e.d, r.an.DependsOn[e.c.Method]) {
 				r.lQueues[g] = r.lQueues[g][1:]
+				r.lNext = g + 1
 				r.applyEntry(e, "conf-app")
 				if e.c.Proc == r.id {
 					r.complete(e.c.Seq, nil, nil)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"hamband/internal/schema"
@@ -188,5 +189,51 @@ func TestTournamentCapacityRace(t *testing.T) {
 		if !h.cluster.Replica(0).CurrentState().Equal(h.cluster.Replica(p).CurrentState()) {
 			t.Fatalf("p%d diverged", p)
 		}
+	}
+}
+
+// TestApplyServesLBuffersRoundRobin is the regression test for L-buffer
+// starvation: with a backlog in both of movie's sync groups the apply pump
+// must alternate between them instead of draining group 0 first, while the
+// F buffers keep their priority and every queue stays FIFO.
+func TestApplyServesLBuffersRoundRobin(t *testing.T) {
+	h := newHarness(t, schema.NewMovie(), 3, 24, nil)
+	r := h.cluster.Replica(2)
+	if len(r.lQueues) != 2 {
+		t.Fatalf("movie has %d sync groups, want 2", len(r.lQueues))
+	}
+	entry := func(u spec.MethodID, seq uint64) pendingEntry {
+		return pendingEntry{c: spec.Call{Method: u, Args: spec.ArgsI(int64(seq)), Proc: 0, Seq: seq}}
+	}
+	methods := [2]spec.MethodID{schema.MovieAddCustomer, schema.MovieAddMovie}
+	for g, u := range methods {
+		if r.an.SyncGroupOf[u] != g {
+			t.Fatalf("method %d is in sync group %d, want %d", u, r.an.SyncGroupOf[u], g)
+		}
+	}
+	for i := uint64(0); i < 3; i++ {
+		r.lQueues[0] = append(r.lQueues[0], entry(methods[0], 10+i))
+		r.lQueues[1] = append(r.lQueues[1], entry(methods[1], 20+i))
+	}
+	r.lQueues[1] = append(r.lQueues[1], entry(methods[1], 23), entry(methods[1], 24))
+	r.fQueues[0] = append(r.fQueues[0], entry(methods[0], 1))
+
+	// served names the buffer head each applyOne consumed.
+	queues := func() [][]pendingEntry {
+		return append(append([][]pendingEntry(nil), r.fQueues...), r.lQueues...)
+	}
+	var served []uint64
+	for before := queues(); r.applyOne(); before = queues() {
+		for i, q := range queues() {
+			if len(q) < len(before[i]) {
+				served = append(served, before[i][0].c.Seq)
+			}
+		}
+	}
+	// F first; then the groups alternate until group 0 runs dry, after which
+	// group 1 is served back to back.
+	want := []uint64{1, 10, 20, 11, 21, 12, 22, 23, 24}
+	if !slices.Equal(served, want) {
+		t.Fatalf("served %v, want %v", served, want)
 	}
 }

@@ -103,23 +103,6 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 // DeliverFunc consumes decided entries, in sequence order, exactly once.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
-// outChan is a single-writer remote ring with a local queue and
-// backpressure handling.
-type outChan struct {
-	peer      rdma.NodeID
-	region    string
-	qp        *rdma.QP
-	w         *ring.Writer
-	queue     []outItem
-	reading   bool
-	pumpArmed bool // deferred pump queued on the CPU
-}
-
-type outItem struct {
-	record []byte
-	onDone func(err error)
-}
-
 // Instance is one node's participant in a consensus group.
 type Instance struct {
 	fab   *rdma.Fabric
@@ -141,7 +124,7 @@ type Instance struct {
 
 	// Leader state.
 	nextSeq   uint64 // next sequence number to assign (1-based)
-	logOut    map[rdma.NodeID]*outChan
+	logOut    map[rdma.NodeID]*ring.Sender
 	acks      map[uint64]int    // seq → completed writes (incl. self)
 	decided   map[uint64]bool   // seq → majority reached
 	entries   map[uint64][]byte // seq → full entry record (until delivered)
@@ -167,9 +150,9 @@ type Instance struct {
 	// Submission state.
 	submitSeq uint64
 	pending   map[uint64][]byte // my submissions not yet delivered
-	reqOut    map[rdma.NodeID]*outChan
-	voteOut   map[rdma.NodeID]*outChan
-	grantOut  map[rdma.NodeID]*outChan
+	reqOut    map[rdma.NodeID]*ring.Sender
+	voteOut   map[rdma.NodeID]*ring.Sender
+	grantOut  map[rdma.NodeID]*ring.Sender
 
 	// Readers.
 	logReader   *ring.Reader
@@ -222,7 +205,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		nextSeq:   1,
 		oldLeader: initialLeader,
 
-		logOut:   make(map[rdma.NodeID]*outChan),
+		logOut:   make(map[rdma.NodeID]*ring.Sender),
 		acks:     make(map[uint64]int),
 		decided:  make(map[uint64]bool),
 		entries:  make(map[uint64][]byte),
@@ -231,9 +214,9 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		dedupSet: make(map[rdma.NodeID]map[uint64]bool),
 		pending:  make(map[uint64][]byte),
 
-		reqOut:   make(map[rdma.NodeID]*outChan),
-		voteOut:  make(map[rdma.NodeID]*outChan),
-		grantOut: make(map[rdma.NodeID]*outChan),
+		reqOut:   make(map[rdma.NodeID]*ring.Sender),
+		voteOut:  make(map[rdma.NodeID]*ring.Sender),
+		grantOut: make(map[rdma.NodeID]*ring.Sender),
 
 		reqReaders:  make(map[rdma.NodeID]*ring.Reader),
 		voteReaders: make(map[rdma.NodeID]*ring.Reader),
@@ -292,13 +275,8 @@ func (in *Instance) Recovering() bool { return in.recovering }
 // (diagnostics).
 func (in *Instance) PendingCount() int { return len(in.pending) }
 
-func (in *Instance) newOut(peer rdma.NodeID, region string, capacity int) *outChan {
-	return &outChan{
-		peer:   peer,
-		region: region,
-		qp:     in.node.QP(peer),
-		w:      ring.NewWriter(capacity),
-	}
+func (in *Instance) newOut(peer rdma.NodeID, region string, capacity int) *ring.Sender {
+	return ring.NewSender(in.fab, in.node, peer, region, capacity, in.cfg.RetryDelay)
 }
 
 // SetMembers installs the configuration's membership view. Majorities are
@@ -400,10 +378,13 @@ func encodeGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
 	return b
 }
 
-// --- output pumping ---------------------------------------------------
+// --- output ------------------------------------------------------------
 
-// send enqueues a raw payload as a framed record on an out channel.
-func (in *Instance) send(oc *outChan, payload []byte, onDone func(error)) {
+// send frames payload and queues it on an out channel (see ring.Sender: one
+// remote write per pump; a write error — e.g. permission revoked by a new
+// leader — reaches every record it carried, so a deposed leader still cannot
+// assemble a majority).
+func (in *Instance) send(oc *ring.Sender, payload []byte, onDone func(error)) {
 	rec, err := codec.EncodeRaw(payload)
 	if err != nil {
 		if onDone != nil {
@@ -411,95 +392,28 @@ func (in *Instance) send(oc *outChan, payload []byte, onDone func(error)) {
 		}
 		return
 	}
-	oc.queue = append(oc.queue, outItem{record: rec, onDone: onDone})
-	in.schedulePump(oc)
+	oc.Send(rec, "", onDone)
 }
 
-// schedulePump arms a deferred pump as a zero-cost CPU work item. A poll
-// sweep that proposes several entries back-to-back queues them all before
-// the pump runs, so one follower gets one chained post — one doorbell —
-// instead of one doorbell per entry.
-func (in *Instance) schedulePump(oc *outChan) {
-	if oc.pumpArmed {
-		return
+// replicate appends entry, framed once, to every follower's log ring. With a
+// nonzero seq each follower's completed write is counted toward deciding seq.
+func (in *Instance) replicate(entry []byte, seq uint64) {
+	rec, err := codec.EncodeRaw(entry)
+	if err != nil {
+		return // oversized: reaches no follower, so is never decided
 	}
-	oc.pumpArmed = true
-	in.node.CPU.Exec(0, func() {
-		oc.pumpArmed = false
-		in.pump(oc)
-	})
-}
-
-// pump drains every queued record the remote ring has room for into one
-// chained post. The tail completion fans out to each batched item's onDone:
-// RC ordering means the tail landing implies all earlier records landed, and
-// a chain error (e.g. permission revoked by a new leader) reaches every
-// batched item, so a deposed leader still cannot assemble a majority.
-func (in *Instance) pump(oc *outChan) {
-	if in.node.Crashed() {
-		return
+	for p := 0; p < in.n; p++ {
+		peer := rdma.NodeID(p)
+		oc := in.logOut[peer]
+		if oc == nil {
+			continue
+		}
+		var onDone func(error)
+		if seq != 0 {
+			onDone = func(err error) { in.acked(peer, seq, err) }
+		}
+		oc.Send(rec, "", onDone)
 	}
-	var wrs []rdma.WR
-	var dones []func(error)
-	for len(oc.queue) > 0 {
-		item := oc.queue[0]
-		writes, ok := oc.w.Append(item.record)
-		if !ok {
-			break
-		}
-		oc.queue = oc.queue[1:]
-		for _, wr := range writes {
-			wrs = append(wrs, rdma.WR{Region: oc.region, Off: wr.Off, Data: wr.Data})
-		}
-		if item.onDone != nil {
-			dones = append(dones, item.onDone)
-		}
-	}
-	if len(wrs) > 0 {
-		var cb func(error)
-		if len(dones) > 0 {
-			ds := dones
-			cb = func(err error) {
-				for _, d := range ds {
-					d(err)
-				}
-			}
-		}
-		oc.qp.PostChain(wrs, cb)
-	}
-	if len(oc.queue) > 0 {
-		in.refreshHead(oc)
-	}
-}
-
-func (in *Instance) refreshHead(oc *outChan) {
-	if oc.reading {
-		return
-	}
-	oc.reading = true
-	oc.qp.Read(oc.region, 0, ring.HeaderSize, func(data []byte, err error) {
-		oc.reading = false
-		if err != nil {
-			for _, item := range oc.queue {
-				if item.onDone != nil {
-					item.onDone(err)
-				}
-			}
-			oc.queue = nil
-			return
-		}
-		before := oc.w.Free()
-		oc.w.NoteHead(ring.DecodeHead(data))
-		if oc.w.Free() == before && len(oc.queue) > 0 {
-			in.fab.Engine().After(in.cfg.RetryDelay, func() {
-				if len(oc.queue) > 0 {
-					in.refreshHead(oc)
-				}
-			})
-			return
-		}
-		in.pump(oc)
-	})
 }
 
 // --- submission -------------------------------------------------------
@@ -546,15 +460,7 @@ func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte
 	if in.acks[seq] >= in.majority() {
 		in.decide(seq)
 	}
-	for p := 0; p < in.n; p++ {
-		oc := in.logOut[rdma.NodeID(p)]
-		if oc == nil {
-			continue
-		}
-		seq := seq
-		peer := rdma.NodeID(p)
-		in.send(oc, entry, func(err error) { in.acked(peer, seq, err) })
-	}
+	in.replicate(entry, seq)
 }
 
 func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
@@ -608,14 +514,7 @@ func (in *Instance) decide(seq uint64) {
 // sendCommitRecord broadcasts a payload-less record carrying the current
 // commit watermark (seq 0 marks it as pure metadata).
 func (in *Instance) sendCommitRecord() {
-	rec := encodeEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil)
-	for p := 0; p < in.n; p++ {
-		oc := in.logOut[rdma.NodeID(p)]
-		if oc == nil {
-			continue
-		}
-		in.send(oc, rec, nil)
-	}
+	in.replicate(encodeEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil), 0)
 }
 
 // bumpDelivered advances the delivery watermark and publishes it in the
@@ -1090,7 +989,7 @@ func (in *Instance) resetRings(next func()) {
 			continue
 		}
 		remaining++
-		oc.queue = nil
+		oc.Drop()
 		in.resetRing(peer, oc, done)
 	}
 	if remaining == 0 {
@@ -1104,7 +1003,7 @@ func (in *Instance) resetRings(next func()) {
 // the reset retries until the permission flips or this node is deposed,
 // with the journal catch-up covering the follower in the interim. done is
 // invoked exactly once, on the first outcome.
-func (in *Instance) resetRing(peer rdma.NodeID, oc *outChan, done func()) {
+func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 	first := true
 	finish := func() {
 		if first {
@@ -1132,7 +1031,7 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *outChan, done func()) {
 			}
 			in.node.QP(peer).Read(logRegion(in.group), 0, ring.HeaderSize, func(data []byte, rerr error) {
 				if rerr == nil {
-					oc.w = ring.NewWriterAt(in.cfg.RingCapacity, ring.DecodeHead(data))
+					oc.RestartAt(ring.DecodeHead(data))
 				}
 				finish()
 			})
@@ -1161,15 +1060,7 @@ func (in *Instance) redisseminate(old []byte) {
 			in.decide(seq)
 		}
 	}
-	for p := 0; p < in.n; p++ {
-		oc := in.logOut[rdma.NodeID(p)]
-		if oc == nil {
-			continue
-		}
-		seq := seq
-		peer := rdma.NodeID(p)
-		in.send(oc, entry, func(err error) { in.acked(peer, seq, err) })
-	}
+	in.replicate(entry, seq)
 }
 
 func (in *Instance) journalRaw(seq uint64, entry []byte) {

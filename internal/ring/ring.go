@@ -89,34 +89,39 @@ func NewWriterAt(capacity int, start uint64) *Writer {
 // may be full given the cached head; the caller should remotely read the
 // head, call NoteHead, and retry.
 func (w *Writer) Append(record []byte) (writes []Write, ok bool) {
-	n := uint64(len(record))
-	if n == 0 || n > w.capacity/2 {
-		panic(fmt.Sprintf("ring: record size %d out of range for capacity %d", n, w.capacity))
-	}
-	tail := w.tail
-	pos := tail % w.capacity
-	boundary := w.capacity - pos
-	var skip uint64
-	var marker []byte
-	if n > boundary {
-		// Wrap: skip the remainder of the lap. A marker is written when
-		// there is room for its length word; shorter remainders are left
-		// zero and skipped implicitly by the reader.
-		skip = boundary
-		if boundary >= 4 {
-			marker = binary.LittleEndian.AppendUint32(nil, skipMarker)
-		}
-	}
-	if w.free() < skip+n {
+	pos, skip, ok := w.reserve(len(record))
+	if !ok {
 		return nil, false
 	}
-	if marker != nil {
-		writes = append(writes, Write{Off: HeaderSize + int(pos), Data: marker})
+	if skip >= 4 {
+		marker := binary.LittleEndian.AppendUint32(nil, skipMarker)
+		writes = append(writes, Write{Off: HeaderSize + pos, Data: marker})
 	}
-	w.tail = tail + skip
-	writes = append(writes, Write{Off: HeaderSize + int(w.tail%w.capacity), Data: record})
-	w.tail += n
-	return writes, true
+	if skip > 0 {
+		pos = 0
+	}
+	return append(writes, Write{Off: HeaderSize + pos, Data: record}), true
+}
+
+// reserve claims ring space for a record of n bytes. The record goes at data
+// offset pos when skip is zero. Otherwise it does not fit before the wrap
+// boundary: the skip bytes at pos are left behind — a skip marker goes there
+// when there is room for its length word (skip ≥ 4), shorter remainders stay
+// zero and the reader skips them implicitly — and the record goes at offset
+// zero. ok is false, and nothing is claimed, when the ring may be full.
+func (w *Writer) reserve(n int) (pos, skip int, ok bool) {
+	if n <= 0 || uint64(n) > w.capacity/2 {
+		panic(fmt.Sprintf("ring: record size %d out of range for capacity %d", n, w.capacity))
+	}
+	pos = int(w.tail % w.capacity)
+	if boundary := int(w.capacity) - pos; n > boundary {
+		skip = boundary
+	}
+	if w.free() < uint64(skip+n) {
+		return 0, 0, false
+	}
+	w.tail += uint64(skip + n)
+	return pos, skip, true
 }
 
 // free returns the bytes available under the cached head.

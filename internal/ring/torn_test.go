@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"hamband/internal/codec"
+	"hamband/internal/rdma"
+	"hamband/internal/sim"
 )
 
 // landBoundary lands only a write's first and last four bytes — the
@@ -252,4 +254,112 @@ func TestTornStreakResetsAcrossRecords(t *testing.T) {
 	if got := r.TornRejects(); got != want {
 		t.Fatalf("TornRejects = %d, want %d", got, want)
 	}
+}
+
+// TestTornRingHeadToHead drives ring records over a torn link: a reader
+// running the pre-CRC canary-only validation consumes at least one corrupt
+// record without an error, while the CRC-validating reader delivers every
+// record intact, counting the torn polls it rejected.
+func TestTornRingHeadToHead(t *testing.T) {
+	const capacity = 1024
+	run := func(validate bool) (corrupt, delivered int, tornRejects uint64) {
+		eng := sim.NewEngine(9)
+		f := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
+		reg := f.Node(1).Register("ring", RegionSize(capacity))
+		reg.AllowWrite(0)
+		// Tear (2±0.5 µs) is longer than the reader's poll period (1 µs),
+		// so every torn record is polled mid-tear at least once — but far
+		// under tornRetryLimit polls, so the validating reader retries
+		// rather than parking.
+		f.SetLinkTorn(0, 1, 2*sim.Microsecond, 500*sim.Nanosecond)
+
+		w := NewWriter(capacity)
+		rd := NewReader(reg.Bytes())
+		if !validate {
+			rd.DisableChecksum()
+		}
+		// Seeded corpus: one record per period, same size so a torn
+		// overwrite of reused ring bytes is indistinguishable by framing
+		// words alone.
+		var want [][]byte
+		for i := 0; i < 60; i++ {
+			i := i
+			eng.At(sim.Time(i+1)*6000, func() {
+				payload := bytes.Repeat([]byte{byte(i + 1)}, 40)
+				record, err := codec.EncodeRaw(payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, payload)
+				writes, ok := w.Append(record)
+				if !ok {
+					w.NoteHead(DecodeHead(reg.Bytes()))
+					writes, ok = w.Append(record)
+				}
+				if !ok {
+					t.Fatalf("ring full at record %d", i)
+				}
+				for _, wr := range writes {
+					f.Node(0).QP(1).Write("ring", wr.Off, wr.Data, nil)
+				}
+			})
+		}
+		poll := eng.NewTicker(sim.Microsecond, func() {
+			for {
+				rec, ok, err := rd.Poll()
+				if err != nil {
+					t.Fatalf("reader parked unexpectedly: %v", err)
+				}
+				if !ok {
+					return
+				}
+				payload, _, derr := codec.DecodeRaw(rec)
+				if derr != nil {
+					// The canary-only reader consumed a record whose
+					// interior had not landed.
+					corrupt++
+					continue
+				}
+				if delivered < len(want) && !bytes.Equal(payload, want[delivered]) {
+					corrupt++
+				}
+				delivered++
+			}
+		})
+		eng.RunUntil(sim.Time(400 * sim.Microsecond))
+		poll.Cancel()
+		eng.Run() // drain remaining landings, then poll out the tail
+		for {
+			rec, ok, err := rd.Poll()
+			if err != nil {
+				t.Fatalf("reader parked during drain: %v", err)
+			}
+			if !ok {
+				break
+			}
+			if payload, _, derr := codec.DecodeRaw(rec); derr != nil {
+				corrupt++
+			} else if delivered < len(want) && !bytes.Equal(payload, want[delivered]) {
+				corrupt++
+			}
+			delivered++
+		}
+		return corrupt, delivered, rd.TornRejects()
+	}
+
+	corrupt, _, _ := run(false)
+	if corrupt == 0 {
+		t.Fatal("canary-only reader never consumed a torn record: the fault injection is not tearing")
+	}
+	vCorrupt, vDelivered, vTorn := run(true)
+	if vCorrupt != 0 {
+		t.Fatalf("CRC-validating reader delivered %d corrupt records", vCorrupt)
+	}
+	if vDelivered != 60 {
+		t.Fatalf("CRC-validating reader delivered %d records, want 60", vDelivered)
+	}
+	if vTorn == 0 {
+		t.Fatal("CRC-validating reader never rejected a torn poll")
+	}
+	t.Logf("canary-only: %d corrupt consumes; CRC: 0 corrupt, %d torn rejects", corrupt, vTorn)
 }
