@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health cover check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health health-exp cover check
 
 all: check
 
@@ -55,22 +55,27 @@ check-race: build
 # (round-trip convergence, a leader kill mid-epoch-transition, pair-aware
 # shrinking). Failing plans are shrunk and dumped as replayable JSON next
 # to the test binary's working dir (see `hambench -exp chaos -plan-json`).
+# TestFingerprints compares every one of those plans' trace hash and counts
+# with testdata/chaos/fingerprints.golden, i.e. with earlier commits.
 chaos:
-	$(GO) test -run 'TestCorpus|TestRandomizedPlans|TestShardMixConverges|TestShardFaultIsolation|TestReconfig' -count=1 -v ./internal/chaos
+	$(GO) test -run 'TestCorpus|TestRandomizedPlans|TestShardMixConverges|TestShardFaultIsolation|TestReconfig|TestFingerprints' -count=1 -v ./internal/chaos
 
 # conform runs the refinement conformance gate: the fixed-seed corpus
 # (fault-free and fault-plan workloads across the counter/orset/bankmap
 # classes, checked deterministic) plus the harness's own mutation test (an
-# injected apply-order bug must be caught and shrunk to <= 8 calls). See
-# `hambench -exp conform` for the exploratory version.
+# injected apply-order bug must be caught and shrunk to <= 8 calls), the
+# sharded plans checked per shard with their cross-wire mutation control,
+# and the corpus fingerprints (hashes and report counts pinned across
+# commits). See `hambench -exp conform` for the exploratory version.
 conform:
-	$(GO) test -run 'TestConformCorpus|TestMutated' -count=1 -v ./internal/conform
+	$(GO) test -run 'TestConformCorpus|TestMutated|TestSharded|TestCrossWire|TestRunChecks|TestShrinkSharded|TestFingerprints' -count=1 -v ./internal/conform
 
 # conform-sessions runs the client-session gate: the session-guarantee
 # checker's unit histories, live sessions across an epoch change (monotonic
 # reads, read-your-writes, writes-follow-reads spanning replica switches),
-# and the stale-read mutation control (must be caught and shrunk to <= 6
-# events).
+# the stale-read mutation control (must be caught and shrunk to <= 6
+# events), and sessions dealt over the shards of a shard_mix fault plan
+# with its own stale-read control.
 conform-sessions:
 	$(GO) test -run 'TestSession|TestStaleRead' -count=1 -v ./internal/conform
 
@@ -85,12 +90,15 @@ store:
 # zero-alloc snapshot guarantee (internal/health), the fault-plan
 # cross-check over the chaos corpus (every firing predicted by an injected
 # fault, fault-free runs silent, schedules unperturbed), the metrics-export
-# completeness pin, and the fixed-seed `-exp health` run itself (nonzero
-# exit on unexpected firings, an unobserved fault run, or a noisy control).
-health:
+# completeness pin, and the fixed-seed `-exp health` run itself (health-exp:
+# nonzero exit on unexpected firings, an unobserved fault run, or a noisy
+# control — the one step of the named gates that no test covers).
+health: health-exp
 	$(GO) test -count=1 -v ./internal/health
 	$(GO) test -run 'TestWatchdog|TestKindRules' -count=1 -v ./internal/chaos
 	$(GO) test -run 'TestMetricsExportCompleteness' -count=1 -v ./internal/bench
+
+health-exp:
 	$(GO) run ./cmd/hambench -exp health -ops 600
 
 # cover prints per-package statement coverage so test gaps stay visible.
@@ -99,9 +107,12 @@ cover:
 
 # check is the full pre-merge gate: tier-1 build + tests (the benchmark
 # module's included), the gofmt gate, static analysis, the race detector, a
-# short fuzz budget over the wire-format parsers, the chaos plan corpus and
-# the refinement conformance corpus.
-check: build fmt vet staticcheck test bench-test race fuzz chaos conform conform-sessions store health
+# short fuzz budget over the wire-format parsers and the fixed-seed health
+# experiment. The chaos, conform, conform-sessions, store and health targets
+# are selections of the tests `test` and `race` already run (the plan
+# corpora included), so check does not run them a third time; they stay as
+# the entry points of the CI lanes and for running one gate alone.
+check: build fmt vet staticcheck test bench-test race fuzz health-exp
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring

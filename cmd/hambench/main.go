@@ -216,7 +216,7 @@ func runConform(cfg bench.Config, seeds int, planJSON, dumpDir string) {
 			os.Exit(1)
 		}
 		fmt.Printf("replay %s\n", res.Verdict.Summary())
-		fmt.Println(res.Report)
+		fmt.Println(res)
 		if !res.Conforms() {
 			os.Exit(1)
 		}

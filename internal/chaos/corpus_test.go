@@ -6,6 +6,21 @@ import (
 	"testing"
 )
 
+// readCorpusPlan reads and validates one committed plan.
+func readCorpusPlan(t *testing.T, path string) Plan {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	p, err := ReadPlan(f)
+	if err != nil {
+		t.Fatalf("invalid corpus plan %s: %v", path, err)
+	}
+	return p
+}
+
 // TestCorpus replays the committed fixed-seed plan corpus — the `make
 // chaos` gate. Every plan must pass every probe; a failure dumps the plan
 // for replay with `hambench -exp chaos -plan-json FILE`.
@@ -21,15 +36,7 @@ func TestCorpus(t *testing.T) {
 	for _, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			p, err := ReadPlan(f)
-			if err != nil {
-				t.Fatalf("invalid corpus plan: %v", err)
-			}
+			p := readCorpusPlan(t, path)
 			classes[p.Class] = true
 			assertPassed(t, mustRun(t, p, Options{}))
 		})

@@ -147,8 +147,10 @@ type Plan struct {
 	// operation records a trace.Session event; the conformance harness's
 	// session checker replays them to verify monotonic reads,
 	// read-your-writes and writes-follow-reads across the switches (and
-	// across any epoch changes the plan's join/leave events drive). Kept as
-	// an opt-in knob so plans without sessions keep their trace hashes.
+	// across any epoch changes the plan's join/leave events drive). On a
+	// ShardMix plan session i works on shard i mod ShardMix for the whole
+	// run. Kept as an opt-in knob so plans without sessions keep their trace
+	// hashes.
 	Sessions int `json:"sessions,omitempty"`
 
 	// MutateStaleReads installs the session mutation control: after a

@@ -20,6 +20,21 @@ func reconfigPlan(class string, seed int64) Plan {
 	}
 }
 
+// reconfigLeaderKillPlan kills the conflicting group's leader while a
+// leave is in flight.
+func reconfigLeaderKillPlan() Plan {
+	return Plan{
+		Class: "account", Nodes: 4, Ops: 120, Seed: 33, Sessions: 2,
+		Events: []Event{
+			{At: sim.Time(300 * sim.Microsecond), Kind: KindLeave, Node: 3},
+			// reconfigSettle delays the actual Leave to 400 µs; the kill at
+			// 410 µs lands while the epoch change is in flight.
+			{At: sim.Time(410 * sim.Microsecond), Kind: KindLeaderKill, Group: 0},
+			{At: sim.Time(900 * sim.Microsecond), Kind: KindJoin, Node: 3},
+		},
+	}
+}
+
 func TestReconfigRoundTripConverges(t *testing.T) {
 	for _, class := range []string{"counter", "orset", "bankmap"} {
 		v := mustRun(t, reconfigPlan(class, 31), Options{})
@@ -37,21 +52,25 @@ func TestReconfigRoundTripConverges(t *testing.T) {
 // cluster must converge with exactly-once acknowledged updates — the
 // probes in assertPassed check both.
 func TestReconfigLeaderKillConverges(t *testing.T) {
-	p := Plan{
-		Class: "account", Nodes: 4, Ops: 120, Seed: 33, Sessions: 2,
-		Events: []Event{
-			{At: sim.Time(300 * sim.Microsecond), Kind: KindLeave, Node: 3},
-			// reconfigSettle delays the actual Leave to 400 µs; the kill at
-			// 410 µs lands while the epoch change is in flight.
-			{At: sim.Time(410 * sim.Microsecond), Kind: KindLeaderKill, Group: 0},
-			{At: sim.Time(900 * sim.Microsecond), Kind: KindJoin, Node: 3},
-		},
-	}
-	v := mustRun(t, p, Options{})
+	v := mustRun(t, reconfigLeaderKillPlan(), Options{})
 	assertPassed(t, v)
 	if v.FinalEpoch < 2 {
 		t.Fatalf("final epoch = %d, want >= 2 (leave and join committed)", v.FinalEpoch)
 	}
+}
+
+// paddedReconfigPlan is the always-failing negative control (leaderkill
+// with recovery disabled) padded with a leave/join round-trip and a
+// partition window the shrinker must strip.
+func paddedReconfigPlan() Plan {
+	p := negativePlan(true)
+	p.Events = append(p.Events,
+		Event{At: sim.Time(100 * sim.Microsecond), Kind: KindLeave, Node: 2},
+		Event{At: sim.Time(150 * sim.Microsecond), Kind: KindPartition, A: 1, B: 3},
+		Event{At: sim.Time(400 * sim.Microsecond), Kind: KindHeal, A: 1, B: 3},
+		Event{At: sim.Time(600 * sim.Microsecond), Kind: KindJoin, Node: 2},
+	)
+	return p
 }
 
 // TestShrinkKeepsReconfigPairs is the satellite-1 regression: shrinking a
@@ -60,13 +79,7 @@ func TestReconfigLeaderKillConverges(t *testing.T) {
 // join without its leave — and still reach the minimal one-event plan.
 func TestShrinkKeepsReconfigPairs(t *testing.T) {
 	opts := Options{DrainDeadline: 10 * sim.Millisecond}
-	p := negativePlan(true) // leaderkill with recovery disabled: always fails
-	p.Events = append(p.Events,
-		Event{At: sim.Time(100 * sim.Microsecond), Kind: KindLeave, Node: 2},
-		Event{At: sim.Time(150 * sim.Microsecond), Kind: KindPartition, A: 1, B: 3},
-		Event{At: sim.Time(400 * sim.Microsecond), Kind: KindHeal, A: 1, B: 3},
-		Event{At: sim.Time(600 * sim.Microsecond), Kind: KindJoin, Node: 2},
-	)
+	p := paddedReconfigPlan()
 	if v := mustRun(t, p, opts); v.Passed {
 		t.Fatal("padded negative plan unexpectedly passed")
 	}

@@ -14,6 +14,7 @@ import (
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
+	"hamband/internal/store"
 	"hamband/internal/trace"
 )
 
@@ -135,16 +136,31 @@ func (v *Verdict) Summary() string {
 		v.Plan.Class, v.Plan.Seed, len(v.Plan.Events), v.Issued, v.Acked, v.Makespan, v.TraceHash, verdict)
 }
 
-// runner holds the live state of one plan execution.
-type runner struct {
-	plan    Plan
-	opts    Options
-	cls     *spec.Class
-	an      *spec.Analysis
-	eng     *sim.Engine
-	fab     *rdma.Fabric
+// shard is one replicated object of a run — the unit the paper's guarantees
+// and therefore every probe are stated over — with the bookkeeping the
+// probes keep per object.
+type shard struct {
+	idx     int
+	key     string // "" on a plain plan; "s00", "s01", … on a ShardMix plan
 	cluster *core.Cluster
-	rng     *rand.Rand // workload randomness, independent of the engine's
+	acked   [][]uint32 // acked[p][u]: acknowledged updates by origin and method
+	pending []int      // in-flight calls by origin
+}
+
+// runner holds the live state of one plan execution. A plain plan is the
+// one-shard case: apart from the health collector and Stop, Run's
+// construction step is the only code that knows whether the shards sit
+// behind a store.
+type runner struct {
+	plan   Plan
+	opts   Options
+	cls    *spec.Class
+	an     *spec.Analysis
+	eng    *sim.Engine
+	fab    *rdma.Fabric
+	st     *store.Store // owns the shards' clusters on a ShardMix plan, nil otherwise
+	shards []*shard
+	rng    *rand.Rand // workload randomness, independent of the engine's
 
 	down    []bool // suspended by the plan (includes leaderkill victims)
 	crashed []bool
@@ -153,9 +169,7 @@ type runner struct {
 
 	sessions []*session // client sessions (Plan.Sessions), nil otherwise
 
-	acked   [][]uint32 // acked[p][u]: acknowledged updates by origin and method
-	pending []int      // in-flight calls by origin
-	batches int        // issue ticks seen (drives the query mix)
+	batches int // issue ticks seen (drives the query mix)
 	v       *Verdict
 	wd      *health.Watchdog
 
@@ -168,9 +182,6 @@ type runner struct {
 func Run(p Plan, opts Options) (*Verdict, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	if p.ShardMix >= 2 {
-		return runSharded(p, opts)
 	}
 	opts = opts.withDefaults()
 
@@ -209,7 +220,6 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		crashed: make([]bool, p.Nodes),
 		leaving: make([]bool, p.Nodes),
 		left:    make([]bool, p.Nodes),
-		pending: make([]int, p.Nodes),
 		v:       &Verdict{Plan: p},
 	}
 	if opts.EnableMetrics {
@@ -222,31 +232,53 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		r.cViolations = reg.Counter("chaos.violations")
 	}
 	if opts.FlightWindow > 0 {
-		tr := trace.NewFlightRecorder(eng, opts.FlightWindow)
-		copts.Tracer = tr
-		r.v.Trace = tr
+		r.v.Trace = trace.NewFlightRecorder(eng, opts.FlightWindow)
 	} else if opts.TraceLimit > 0 {
-		tr := trace.New(eng, opts.TraceLimit)
-		copts.Tracer = tr
-		r.v.Trace = tr
+		r.v.Trace = trace.New(eng, opts.TraceLimit)
 	}
-	r.cluster = core.NewCluster(fab, an, copts)
+
+	addShard := func(key string, c *core.Cluster) {
+		sh := &shard{idx: len(r.shards), key: key, cluster: c, pending: make([]int, p.Nodes)}
+		for i := 0; i < p.Nodes; i++ {
+			sh.acked = append(sh.acked, make([]uint32, len(cls.Methods)))
+		}
+		r.shards = append(r.shards, sh)
+	}
+	if p.ShardMix < 2 {
+		copts.Tracer = r.v.Trace
+		addShard("", core.NewCluster(fab, an, copts))
+	} else {
+		sopts := store.DefaultOptions()
+		sopts.Core = copts
+		sopts.Tracer = r.v.Trace
+		sopts.CrossWire = p.CrossWireShards
+		// Exact admission: the budget is sized to the plan's shard count, so a
+		// footprint-accounting regression surfaces here as an Open error.
+		sopts.MemoryBudget = p.ShardMix * store.Footprint(an, p.Nodes, copts)
+		r.st = store.New(fab, sopts)
+		for i := 0; i < p.ShardMix; i++ {
+			key := fmt.Sprintf("s%02d", i)
+			sh, err := r.st.Open(key, an, store.ShardOptions{})
+			if err != nil {
+				return nil, fmt.Errorf("chaos: opening shard %s: %w", key, err)
+			}
+			addShard(key, sh.Cluster)
+		}
+	}
 	// The watchdog observes health snapshots on the probe cadence. Both
 	// collection and evaluation are read-only and cost no virtual time, so
 	// trace hashes are identical with and without it; its firings are
-	// cross-checked against the fault plan at the end of the run.
+	// cross-checked against the fault plan at the end of the run. Store
+	// snapshots additionally feed the hot-shard and budget-low rules.
 	r.wd = health.NewWatchdog(health.Config{
 		Metrics: copts.Metrics,
-		Tracer:  copts.Tracer,
+		Tracer:  r.v.Trace,
 		OnFirstFiring: func(health.Firing) {
 			if r.v.Trace != nil {
 				r.v.FlightDump = r.v.Trace.Events()
 			}
 		},
 	})
-	for i := 0; i < p.Nodes; i++ {
-		r.acked = append(r.acked, make([]uint32, len(cls.Methods)))
-	}
 	r.run()
 	return r.v, nil
 }
@@ -273,7 +305,11 @@ func (r *runner) run() {
 	// consecutive-observation thresholds are denominated in probe periods.
 	probeTick := r.eng.NewTicker(r.opts.ProbePeriod, func() {
 		r.probeIntegrity(false)
-		r.wd.Observe(health.Collect(r.eng.Now(), r.cluster))
+		if r.st != nil {
+			r.wd.Observe(health.CollectStore(r.eng.Now(), r.st))
+		} else {
+			r.wd.Observe(health.Collect(r.eng.Now(), r.shards[0].cluster))
+		}
 	})
 
 	// Run the schedule out: workload end or last event, whichever is later.
@@ -296,19 +332,38 @@ func (r *runner) run() {
 	r.v.Drained = r.drain()
 	probeTick.Cancel()
 
-	// Final probes over the quiescent state.
-	if !r.v.Drained {
-		r.violate("quiescence", fmt.Sprintf("not quiescent after %v drain: %d calls in flight from correct origins, replication incomplete=%v",
-			r.opts.DrainDeadline, r.pendingCorrect(), !r.replicated()))
-	} else {
-		r.probeConvergence()
-		r.probeExactlyOnce()
+	// Final probes, per shard: one that drained must have converged and hold
+	// exactly-once; the ones that did not make one quiescence violation
+	// naming them, so an isolation failure reads directly off the verdict.
+	var stalled []string
+	var settled []*shard
+	inFlight, unreplicated := 0, false
+	for _, sh := range r.shards {
+		if r.quiescent(sh) {
+			settled = append(settled, sh)
+			continue
+		}
+		stalled = append(stalled, sh.key)
+		inFlight += r.pendingCorrect(sh)
+		unreplicated = unreplicated || !r.replicated(sh)
+	}
+	if len(stalled) > 0 {
+		which := ""
+		if len(r.shards) > 1 {
+			which = fmt.Sprintf("shards [%s] ", strings.Join(stalled, " "))
+		}
+		r.violate("quiescence", fmt.Sprintf("%snot quiescent after %v drain: %d calls in flight from correct origins, replication incomplete=%v",
+			which, r.opts.DrainDeadline, inFlight, unreplicated))
+	}
+	for _, sh := range settled {
+		r.probeConvergence(sh)
+		r.probeExactlyOnce(sh)
 	}
 	r.probeIntegrity(true)
 	classifyFirings(r.v, r.wd, r.violate)
 
 	r.v.Makespan = sim.Duration(r.eng.Now())
-	r.v.FinalEpoch = uint32(r.cluster.Epoch())
+	r.v.FinalEpoch = uint32(r.shards[0].cluster.Epoch())
 	r.v.Passed = len(r.v.Violations) == 0
 	r.v.Correct = make([]bool, r.plan.Nodes)
 	for n := 0; n < r.plan.Nodes; n++ {
@@ -317,7 +372,23 @@ func (r *runner) run() {
 	// Seal the trace hash with the end-of-run facts so verdict-affecting
 	// divergence always shows up in it.
 	r.fold(int64(r.eng.Now()), int64(r.v.Issued), int64(r.v.Acked), int64(len(r.v.Violations)))
-	r.cluster.Stop()
+	if len(r.shards) > 1 {
+		for _, sh := range r.shards {
+			total := 0
+			for _, row := range sh.acked {
+				for _, c := range row {
+					total += int(c)
+				}
+			}
+			r.v.ShardAcked = append(r.v.ShardAcked, total)
+			r.fold(int64(total))
+		}
+	}
+	if r.st != nil {
+		r.st.Stop()
+	} else {
+		r.shards[0].cluster.Stop()
+	}
 }
 
 // apply executes one nemesis event at its scheduled time. Events are
@@ -359,12 +430,15 @@ func (r *runner) apply(e Event) {
 	r.fold(int64(r.eng.Now()), int64(kindIndex(e.Kind)), int64(e.Node), int64(e.A), int64(e.B))
 }
 
+// suspend stops node n's process — every shard it hosts at once. Any
+// shard's replica hands out the node's heartbeat thread: behind a store the
+// replicas of a node share the failure domain's one beater.
 func (r *runner) suspend(n int) {
 	if r.down[n] || r.crashed[n] {
 		return
 	}
 	r.down[n] = true
-	if b := r.cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
+	if b := r.shards[0].cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
 		b.Suspend()
 	}
 	r.fab.Node(rdma.NodeID(n)).Suspend()
@@ -375,35 +449,29 @@ func (r *runner) resume(n int) {
 		return
 	}
 	r.down[n] = false
-	if b := r.cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
+	if b := r.shards[0].cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
 		b.Resume()
 	}
 	r.fab.Node(rdma.NodeID(n)).Resume()
 }
 
-// leaderKill suspends the current leader of synchronization group g, as
-// seen by the lowest-id live replica. Classes without conflicting methods
-// have no leaders; the kill then falls on the lowest-id live node so the
-// event still perturbs something.
+// leaderKill suspends the current leader of one synchronization group, as
+// seen by the lowest-id live replica: g counts groups across shards, shard
+// g mod shards first, so on a ShardMix plan the fault is aimed at exactly
+// one shard's consensus — the probe for cross-shard stall isolation.
+// Classes without conflicting methods have no leaders; the kill then falls
+// on the lowest-id live node so the event still perturbs something.
 func (r *runner) leaderKill(g int) {
-	obs := r.firstLive()
-	if obs < 0 {
+	live := r.issuable()
+	if len(live) == 0 {
 		return
 	}
-	victim := obs
-	if len(r.an.SyncGroups) > 0 {
-		victim = int(r.cluster.Leader(spec.ProcID(obs), g%len(r.an.SyncGroups)))
+	victim := live[0]
+	if groups := len(r.an.SyncGroups); groups > 0 {
+		sh := r.shards[g%len(r.shards)]
+		victim = int(sh.cluster.Leader(spec.ProcID(live[0]), (g/len(r.shards))%groups))
 	}
 	r.suspend(victim)
-}
-
-func (r *runner) firstLive() int {
-	for i := 0; i < r.plan.Nodes; i++ {
-		if !r.down[i] && !r.crashed[i] && !r.leaving[i] {
-			return i
-		}
-	}
-	return -1
 }
 
 // reconfigSettle is how long the runner stops issuing at a leave target
@@ -419,10 +487,13 @@ const reconfigSettle = 2 * 50 * sim.Microsecond
 // forgiving like every other nemesis event — a join of a member or a claim
 // lost to a concurrent change is a no-op, so shrinking can drop events and
 // still leave a runnable plan — but they fold distinctly, so schedules
-// that diverge on the outcome diverge in hash.
+// that diverge on the outcome diverge in hash. Validate rejects leave and
+// join on ShardMix plans (the store has no store-level membership change),
+// so the one shard of a plain plan is the whole configuration.
 func (r *runner) reconfig(n int, join bool) {
+	cluster := r.shards[0].cluster
 	if join {
-		r.cluster.Join(n, func(err error) {
+		cluster.Join(n, func(err error) {
 			if err == nil {
 				r.left[n], r.leaving[n] = false, false
 				r.v.Reconfigs++
@@ -433,7 +504,7 @@ func (r *runner) reconfig(n int, join bool) {
 	}
 	r.leaving[n] = true // stop issuing here before the permissions go
 	r.eng.After(reconfigSettle, func() {
-		r.cluster.Leave(n, func(err error) {
+		cluster.Leave(n, func(err error) {
 			if err == nil {
 				r.left[n] = true
 				r.v.Reconfigs++
@@ -478,7 +549,8 @@ func (r *runner) healAll() {
 	r.fold(int64(r.eng.Now()), -1) // mark the heal in the trace
 }
 
-// issueBatch issues up to BatchSize updates from random live origins.
+// issueBatch issues up to BatchSize updates on random shards from random
+// live origins.
 func (r *runner) issueBatch() {
 	if r.v.Issued >= r.plan.Ops {
 		return
@@ -493,27 +565,47 @@ func (r *runner) issueBatch() {
 		if len(live) == 0 {
 			return
 		}
+		sh := r.pickShard()
 		origin := spec.ProcID(live[r.rng.Intn(len(live))])
 		u := ups[r.rng.Intn(len(ups))]
 		call := r.cls.Gen.Call(r.rng, u)
 		fixTags(&call, origin, uint64(r.v.Issued)+1)
-		r.invoke(origin, u, call.Args, nil)
+		r.invoke(sh, origin, u, call.Args, nil)
 	}
+}
+
+// pickShard draws the target of one workload operation. A plain plan draws
+// nothing: rand.Intn(1) would still consume a value and shift its schedule.
+func (r *runner) pickShard() *shard {
+	if len(r.shards) == 1 {
+		return r.shards[0]
+	}
+	return r.shards[r.rng.Intn(len(r.shards))]
+}
+
+// foldDone folds one call or query completion into the trace hash; the
+// shard index takes part only where there is more than one.
+func (r *runner) foldDone(sh *shard, origin spec.ProcID, m spec.MethodID, code int64) {
+	if len(r.shards) > 1 {
+		r.fold(int64(r.eng.Now()), int64(sh.idx), int64(origin), int64(m), code)
+		return
+	}
+	r.fold(int64(r.eng.Now()), int64(origin), int64(m), code)
 }
 
 // invoke issues one update, maintaining the probe bookkeeping. onAck, when
 // non-nil, runs after the bookkeeping when the call resolves (the session
 // clients hook it to stamp their evidence at ack time).
-func (r *runner) invoke(origin spec.ProcID, u spec.MethodID, args spec.Args, onAck func(error)) {
+func (r *runner) invoke(sh *shard, origin spec.ProcID, u spec.MethodID, args spec.Args, onAck func(error)) {
 	r.v.Issued++
 	r.cCalls.Inc()
-	r.pending[origin]++
-	r.cluster.Replica(origin).Invoke(u, args, func(_ any, err error) {
-		r.pending[origin]--
+	sh.pending[origin]++
+	sh.cluster.Replica(origin).Invoke(u, args, func(_ any, err error) {
+		sh.pending[origin]--
 		code := int64(0)
 		switch {
 		case err == nil:
-			r.acked[origin][u]++
+			sh.acked[origin][u]++
 			r.v.Acked++
 		case errors.Is(err, core.ErrImpermissible):
 			r.v.Rejected++
@@ -522,18 +614,19 @@ func (r *runner) invoke(origin spec.ProcID, u spec.MethodID, args spec.Args, onA
 			code = 2
 		default:
 			code = 3
-			r.violate("invoke-error", fmt.Sprintf("p%d %s: %v", origin, r.cls.Methods[u].Name, err))
+			r.violate("invoke-error", fmt.Sprintf("%sp%d %s: %v", sh.where(), origin, r.cls.Methods[u].Name, err))
 		}
-		r.fold(int64(r.eng.Now()), int64(origin), int64(u), code)
+		r.foldDone(sh, origin, u, code)
 		if onAck != nil {
 			onAck(err)
 		}
 	})
 }
 
-// issueQuery evaluates one random query at a random live origin. Results
-// land in the trace (for the conformance checker to explain), not in the
-// verdict: a query failing with ErrDown mid-fault is expected behavior.
+// issueQuery evaluates one random query on a random shard at a random live
+// origin. Results land in the trace (for the conformance checker to
+// explain), not in the verdict: a query failing with ErrDown mid-fault is
+// expected behavior.
 func (r *runner) issueQuery() {
 	qs := r.cls.QueryMethods()
 	if len(qs) == 0 {
@@ -543,6 +636,7 @@ func (r *runner) issueQuery() {
 	if len(live) == 0 {
 		return
 	}
+	sh := r.pickShard()
 	origin := spec.ProcID(live[r.rng.Intn(len(live))])
 	q := qs[r.rng.Intn(len(qs))]
 	call := r.cls.Gen.Call(r.rng, q)
@@ -552,22 +646,25 @@ func (r *runner) issueQuery() {
 		if err != nil {
 			code = 1
 		}
-		r.fold(int64(r.eng.Now()), int64(origin), int64(q), 16+code)
+		r.foldDone(sh, origin, q, 16+code)
 	}
 	if fresh {
-		r.cluster.Replica(origin).InvokeFresh(q, call.Args, done)
+		sh.cluster.Replica(origin).InvokeFresh(q, call.Args, done)
 	} else {
-		r.cluster.Replica(origin).Invoke(q, call.Args, done)
+		sh.cluster.Replica(origin).Invoke(q, call.Args, done)
 	}
 }
 
-// issuable lists the nodes the workload may target: up, and in (or not
-// yet leaving) the configuration — a departed node acks writes locally
-// that no member will ever accept.
+// usable reports whether node n may originate workload or serve a session:
+// up, and in (or not yet leaving) the configuration — a departed node acks
+// writes locally that no member will ever accept.
+func (r *runner) usable(n int) bool { return r.correct(n) && !r.leaving[n] }
+
+// issuable lists the usable nodes, ascending.
 func (r *runner) issuable() []int {
 	var live []int
 	for n := 0; n < r.plan.Nodes; n++ {
-		if !r.down[n] && !r.crashed[n] && !r.leaving[n] {
+		if r.usable(n) {
 			live = append(live, n)
 		}
 	}
@@ -589,11 +686,21 @@ func fixTags(call *spec.Call, p spec.ProcID, salt uint64) {
 // never crashed and is not (still) suspended.
 func (r *runner) correct(n int) bool { return !r.down[n] && !r.crashed[n] }
 
-// pendingCorrect counts in-flight calls whose origin is correct; calls
-// stranded on a dead origin can never complete and are exempt.
-func (r *runner) pendingCorrect() int {
+// where prefixes a violation detail with the shard it is about, on runs
+// that have more than one.
+func (sh *shard) where() string {
+	if sh.key == "" {
+		return ""
+	}
+	return sh.key + ": "
+}
+
+// pendingCorrect counts the shard's in-flight calls whose origin is
+// correct; calls stranded on a dead origin can never complete and are
+// exempt.
+func (r *runner) pendingCorrect(sh *shard) int {
 	total := 0
-	for n, c := range r.pending {
+	for n, c := range sh.pending {
 		if r.correct(n) {
 			total += c
 		}
@@ -601,56 +708,78 @@ func (r *runner) pendingCorrect() int {
 	return total
 }
 
-// replicated reports whether every correct replica has applied at least
-// every acknowledged update from every correct origin.
-func (r *runner) replicated() bool {
+// eachAcked visits, for every correct replica n of the shard and every
+// correct origin p, how many of p's acknowledged calls of each update
+// method n has applied, until visit returns false.
+func (r *runner) eachAcked(sh *shard, visit func(n, p int, u spec.MethodID, applied, acked uint32) bool) {
 	for n := 0; n < r.plan.Nodes; n++ {
 		if !r.correct(n) {
 			continue
 		}
-		applied := r.cluster.Replica(spec.ProcID(n)).Applied()
+		applied := sh.cluster.Replica(spec.ProcID(n)).Applied()
 		for p := 0; p < r.plan.Nodes; p++ {
 			if !r.correct(p) {
 				continue
 			}
-			for u, want := range r.acked[p] {
-				if applied.Get(spec.ProcID(p), spec.MethodID(u)) < want {
-					return false
+			for u, want := range sh.acked[p] {
+				if !visit(n, p, spec.MethodID(u), applied.Get(spec.ProcID(p), spec.MethodID(u)), want) {
+					return
 				}
 			}
 		}
 	}
-	return true
 }
 
-// drain runs the simulation until quiescence — no in-flight calls from
-// correct origins and full replication — or the drain budget expires.
+// replicated reports whether every correct replica of the shard has applied
+// at least every acknowledged update from every correct origin.
+func (r *runner) replicated(sh *shard) bool {
+	ok := true
+	r.eachAcked(sh, func(_, _ int, _ spec.MethodID, applied, acked uint32) bool {
+		ok = applied >= acked
+		return ok
+	})
+	return ok
+}
+
+// quiescent reports whether the shard has no in-flight calls from correct
+// origins and is fully replicated.
+func (r *runner) quiescent(sh *shard) bool {
+	return r.pendingCorrect(sh) == 0 && r.replicated(sh)
+}
+
+// drain runs the simulation until every shard is quiescent or the drain
+// budget expires.
 func (r *runner) drain() bool {
 	deadline := r.eng.Now() + sim.Time(r.opts.DrainDeadline)
 	for r.eng.Now() < deadline {
 		r.eng.RunFor(200 * sim.Microsecond)
-		if r.pendingCorrect() == 0 && r.replicated() {
+		drained := true
+		for _, sh := range r.shards {
+			drained = drained && r.quiescent(sh)
+		}
+		if drained {
 			return true
 		}
 	}
 	return false
 }
 
-// probeConvergence checks all correct replicas reached identical states.
-func (r *runner) probeConvergence() {
+// probeConvergence checks all correct replicas of the shard reached
+// identical states.
+func (r *runner) probeConvergence(sh *shard) {
 	ref := -1
 	var refState spec.State
 	for n := 0; n < r.plan.Nodes; n++ {
 		if !r.correct(n) {
 			continue
 		}
-		st := r.cluster.Replica(spec.ProcID(n)).CurrentState()
+		st := sh.cluster.Replica(spec.ProcID(n)).CurrentState()
 		if refState == nil {
 			ref, refState = n, st
 			continue
 		}
 		if !refState.Equal(st) {
-			r.violate("convergence", fmt.Sprintf("replicas p%d and p%d hold different states after heal+drain", ref, n))
+			r.violate("convergence", fmt.Sprintf("%sreplicas p%d and p%d hold different states after heal+drain", sh.where(), ref, n))
 		}
 	}
 }
@@ -658,49 +787,39 @@ func (r *runner) probeConvergence() {
 // probeExactlyOnce checks the applied-call counts: every acknowledged
 // update from a correct origin is applied exactly once at every correct
 // replica — fewer is a lost update, more is a duplicate delivery.
-func (r *runner) probeExactlyOnce() {
-	for n := 0; n < r.plan.Nodes; n++ {
-		if !r.correct(n) {
-			continue
+func (r *runner) probeExactlyOnce(sh *shard) {
+	r.eachAcked(sh, func(n, p int, u spec.MethodID, got, want uint32) bool {
+		switch {
+		case got < want:
+			r.violate("lost-update", fmt.Sprintf("%sp%d applied %d of %d acked %s calls from p%d",
+				sh.where(), n, got, want, r.cls.Methods[u].Name, p))
+		case got > want:
+			r.violate("duplicate", fmt.Sprintf("%sp%d applied %d %s calls from p%d but only %d were acked",
+				sh.where(), n, got, r.cls.Methods[u].Name, p, want))
 		}
-		applied := r.cluster.Replica(spec.ProcID(n)).Applied()
-		for p := 0; p < r.plan.Nodes; p++ {
-			if !r.correct(p) {
-				continue
-			}
-			for u, want := range r.acked[p] {
-				got := applied.Get(spec.ProcID(p), spec.MethodID(u))
-				switch {
-				case got < want:
-					r.violate("lost-update", fmt.Sprintf("p%d applied %d of %d acked %s calls from p%d",
-						n, got, want, r.cls.Methods[u].Name, p))
-				case got > want:
-					r.violate("duplicate", fmt.Sprintf("p%d applied %d %s calls from p%d but only %d were acked",
-						n, got, r.cls.Methods[u].Name, p, want))
-				}
-			}
-		}
-	}
+		return true
+	})
 }
 
 // probeIntegrity checks the class invariant on every live replica's
-// current state. Transient violations during the run are real violations:
-// integrity must hold at every queried point (§3, integrity).
+// current state, shard by shard. Transient violations during the run are
+// real violations: integrity must hold at every queried point (§3,
+// integrity).
 func (r *runner) probeIntegrity(final bool) {
 	if r.cls.TrivialInvariant || r.cls.Invariant == nil {
 		return
 	}
-	for n := 0; n < r.plan.Nodes; n++ {
-		if r.down[n] || r.crashed[n] {
-			continue
-		}
-		if !r.cls.Invariant(r.cluster.Replica(spec.ProcID(n)).CurrentState()) {
+	for _, sh := range r.shards {
+		for n := 0; n < r.plan.Nodes; n++ {
+			if !r.correct(n) || r.cls.Invariant(sh.cluster.Replica(spec.ProcID(n)).CurrentState()) {
+				continue
+			}
 			when := "during run"
 			if final {
 				when = "after heal+drain"
 			}
-			r.violate("integrity", fmt.Sprintf("invariant violated at p%d (%s)", n, when))
-			return // one report per probe tick is enough
+			r.violate("integrity", fmt.Sprintf("%sinvariant violated at p%d (%s)", sh.where(), n, when))
+			break // one report per shard per probe tick is enough
 		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // A session is one client with session-guarantee expectations: it issues
-// writes and reads against a single replica at a time and occasionally
-// switches replicas. The client side of the protocol is the switch wait —
-// before moving, the session polls the target until its view covers
-// everything the session has written or read — which is exactly what makes
+// writes and reads against a single replica of one shard at a time and
+// occasionally switches replicas. The client side of the protocol is the
+// switch wait — before moving, the session polls the target until its view
+// covers everything the session has written or read — which is what makes
 // monotonic reads, read-your-writes and writes-follow-reads hold across
 // replica switches (per-replica views only ever grow). Every operation
 // records a trace.Session event carrying the evidence (views, write
@@ -22,6 +22,7 @@ import (
 // protocol, only the guarantees.
 type session struct {
 	r   *runner
+	sh  *shard // the object this client works on, for the whole run
 	id  int
 	rng *rand.Rand
 
@@ -45,10 +46,13 @@ const (
 	sessionPollPeriod  = 20 * sim.Microsecond
 )
 
+// startSessions deals the sessions round-robin over the shards. No RNG is
+// drawn for it, so a plain plan's schedule does not depend on the dealing.
 func (r *runner) startSessions() {
 	for i := 0; i < r.plan.Sessions; i++ {
 		r.sessions = append(r.sessions, &session{
 			r:    r,
+			sh:   r.shards[i%len(r.shards)],
 			id:   i,
 			rng:  rand.New(rand.NewSource(r.plan.Seed ^ int64(0x53551011*(i+1)))),
 			node: i % r.plan.Nodes,
@@ -64,16 +68,11 @@ func (r *runner) stepSessions() {
 	}
 }
 
-// usable reports whether node n can serve a session: up and in the
-// configuration (a departed node acks writes no member will accept).
-func (r *runner) usable(n int) bool {
-	return !r.down[n] && !r.crashed[n] && !r.leaving[n]
-}
-
-// viewOf snapshots node n's per-origin applied-update counts — the
-// session evidence vector. Callers own the returned slice.
-func (r *runner) viewOf(n int) []uint64 {
-	applied := r.cluster.Replica(spec.ProcID(n)).Applied()
+// viewOf snapshots the per-origin applied-update counts of node n's
+// replica of the shard — the session evidence vector. Callers own the
+// returned slice.
+func (r *runner) viewOf(sh *shard, n int) []uint64 {
+	applied := sh.cluster.Replica(spec.ProcID(n)).Applied()
 	v := make([]uint64, r.plan.Nodes)
 	for p := 0; p < r.plan.Nodes; p++ {
 		for _, u := range r.cls.UpdateMethods() {
@@ -118,23 +117,18 @@ func (s *session) write() {
 	origin := spec.ProcID(n)
 	fixTags(&call, origin, uint64(s.r.v.Issued)+1)
 	s.busy = true
-	s.r.invoke(origin, u, call.Args, func(err error) {
+	s.r.invoke(s.sh, origin, u, call.Args, func(err error) {
 		s.busy = false
 		if err != nil {
 			return
 		}
-		wm := s.r.viewOf(n)[n]
+		view := s.r.viewOf(s.sh, n)
+		wm := view[n]
 		if wm > s.need[n] {
 			s.need[n] = wm
 		}
-		s.r.v.Trace.RecordData(n, trace.Session, "",
-			fmt.Sprintf("s%d write wm=%d", s.id, wm),
-			trace.SessionRecord{
-				S: s.id, Op: "write", Node: n,
-				Epoch:     uint32(s.r.cluster.Epoch()),
-				Watermark: wm,
-				View:      s.r.viewOf(n),
-			})
+		s.record(n, fmt.Sprintf("s%d write wm=%d", s.id, wm),
+			trace.SessionRecord{Op: "write", Watermark: wm, View: view})
 	})
 }
 
@@ -145,7 +139,7 @@ func (s *session) write() {
 // answer, not in the switch protocol.
 func (s *session) read() {
 	n := s.node
-	view := s.r.viewOf(n)
+	view := s.r.viewOf(s.sh, n)
 	for p, c := range view {
 		if c > s.need[p] {
 			s.need[p] = c
@@ -159,13 +153,15 @@ func (s *session) read() {
 		recorded = append([]uint64(nil), s.firstView...)
 		s.staleArmed = false
 	}
-	s.r.v.Trace.RecordData(n, trace.Session, "",
-		fmt.Sprintf("s%d read", s.id),
-		trace.SessionRecord{
-			S: s.id, Op: "read", Node: n,
-			Epoch: uint32(s.r.cluster.Epoch()),
-			View:  recorded,
-		})
+	s.record(n, fmt.Sprintf("s%d read", s.id), trace.SessionRecord{Op: "read", View: recorded})
+}
+
+// record writes one session event through the shard's tracer (so the event
+// carries the shard key on a ShardMix plan), stamped with the session, the
+// serving node and the epoch served under.
+func (s *session) record(n int, note string, rec trace.SessionRecord) {
+	rec.S, rec.Node, rec.Epoch = s.id, n, uint32(s.sh.cluster.Epoch())
+	s.sh.cluster.Opts.Tracer.RecordData(n, trace.Session, "", note, rec)
 }
 
 // trySwitch picks a different usable replica and waits until its view
@@ -191,7 +187,7 @@ func (s *session) waitCovered(t int, polls int) {
 		s.busy = false
 		return
 	}
-	if !covers(s.r.viewOf(t), s.need) {
+	if !covers(s.r.viewOf(s.sh, t), s.need) {
 		s.r.eng.After(sessionPollPeriod, func() { s.waitCovered(t, polls-1) })
 		return
 	}
@@ -200,12 +196,7 @@ func (s *session) waitCovered(t int, polls int) {
 	if s.r.plan.MutateStaleReads {
 		s.staleArmed = true
 	}
-	s.r.v.Trace.RecordData(t, trace.Session, "",
-		fmt.Sprintf("s%d switch", s.id),
-		trace.SessionRecord{
-			S: s.id, Op: "switch", Node: t,
-			Epoch: uint32(s.r.cluster.Epoch()),
-		})
+	s.record(t, fmt.Sprintf("s%d switch", s.id), trace.SessionRecord{Op: "switch"})
 }
 
 // covers reports have >= need coordinate-wise.

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -23,15 +22,7 @@ func TestTornCorpusActuallyTears(t *testing.T) {
 	for _, path := range files {
 		path := path
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			f, err := os.Open(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			p, err := ReadPlan(f)
-			if err != nil {
-				t.Fatalf("invalid corpus plan: %v", err)
-			}
+			p := readCorpusPlan(t, path)
 			hasTorn := false
 			for _, e := range p.Events {
 				if e.Kind == KindTorn {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"hamband/internal/chaos"
 	"hamband/internal/spec"
@@ -15,10 +16,14 @@ import (
 // history unexplainable and is reported as a trace violation).
 const DefaultTraceLimit = 1 << 19
 
-// Result pairs one run's chaos verdict with its conformance report.
+// Result pairs one run's chaos verdict with its conformance report. On a
+// ShardMix plan every shard's history is checked on its own, as if it were
+// a standalone cluster: Shards holds those reports by shard key and Report
+// is their sum (mergeShards).
 type Result struct {
 	Verdict *chaos.Verdict
 	Report  *Report
+	Shards  map[string]*Report // nil unless the plan is sharded
 }
 
 // Conforms reports whether the run's history is explainable by the
@@ -27,9 +32,26 @@ type Result struct {
 // pass while the history is unexplainable).
 func (r *Result) Conforms() bool { return r.Report.OK() }
 
+// String renders the run's report, followed on a sharded plan by one line
+// per shard.
+func (r *Result) String() string {
+	var b strings.Builder
+	b.WriteString(r.Report.String())
+	for _, k := range shardKeys(r.Shards) {
+		sr := r.Shards[k]
+		fmt.Fprintf(&b, "\n  shard %s: %d events, %d calls, %d queries, %d violations",
+			k, sr.Events, sr.Calls, sr.Queries, len(sr.Violations))
+	}
+	return b.String()
+}
+
 // Run executes one fault plan with tracing enabled and checks the
-// resulting history against the abstract semantics. Runs are deterministic
-// in the plan: equal plans produce equal trace hashes and equal reports.
+// resulting history against the abstract semantics, per shard when the
+// plan has more than one. Runs are deterministic in the plan: equal plans
+// produce equal trace hashes and equal reports. The plan's mutation knobs
+// are the harness's own controls: a sound checker must come back
+// non-conforming under MutateApplyOrder, MutateStaleReads and
+// CrossWireShards.
 func Run(p chaos.Plan, opts chaos.Options) (*Result, error) {
 	if opts.TraceLimit <= 0 {
 		opts.TraceLimit = DefaultTraceLimit
@@ -45,13 +67,18 @@ func Run(p chaos.Plan, opts chaos.Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep := Check(spec.MustAnalyze(cls), v.Trace.Events(), Options{
-		Nodes:     p.Nodes,
-		Quiescent: v.Drained,
-		Correct:   v.Correct,
-	})
+	an, events := spec.MustAnalyze(cls), v.Trace.Events()
+	copts := Options{Nodes: p.Nodes, Quiescent: v.Drained, Correct: v.Correct}
+	res := &Result{Verdict: v}
+	if p.ShardMix < 2 {
+		res.Report = Check(an, events, copts)
+	} else {
+		res.Shards = CheckSharded(an, events, copts)
+		res.Report = mergeShards(res.Shards)
+	}
+	rep := res.Report
 	if p.Sessions > 0 {
-		rep.Violations = append(rep.Violations, CheckSessions(v.Trace.Events())...)
+		rep.Violations = append(rep.Violations, CheckSessions(events)...)
 	}
 	if d := v.Trace.Dropped(); d > 0 {
 		rep.Violations = append([]Violation{{
@@ -59,7 +86,7 @@ func Run(p chaos.Plan, opts chaos.Options) (*Result, error) {
 			Detail: fmt.Sprintf("%d events dropped beyond the %d-event trace limit; history incomplete", d, opts.TraceLimit),
 		}}, rep.Violations...)
 	}
-	return &Result{Verdict: v, Report: rep}, nil
+	return res, nil
 }
 
 // Shrink minimizes a non-conforming plan: drop fault events one at a time
@@ -146,7 +173,7 @@ func Explore(w io.Writer, o ExploreOptions) (failures int, dumped []string) {
 			continue
 		}
 		failures++
-		fmt.Fprintf(w, "%s\n", res.Report)
+		fmt.Fprintf(w, "%s\n", res)
 		min := Shrink(p, o.Options)
 		if name, err := DumpPlan(o.DumpDir, min); err == nil {
 			dumped = append(dumped, name)

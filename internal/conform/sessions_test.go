@@ -1,7 +1,6 @@
 package conform
 
 import (
-	"strings"
 	"testing"
 
 	"hamband/internal/chaos"
@@ -63,22 +62,25 @@ func TestSessionCheckerUnit(t *testing.T) {
 	}
 }
 
-// TestSessionsConformAcrossReconfig runs the membership round-trip plan
-// with live sessions through the full conformance harness: the
-// state-machine checks and the session checks must both pass, and the
-// sessions must actually have produced evidence spanning both epochs.
-func TestSessionsConformAcrossReconfig(t *testing.T) {
-	p := chaos.Plan{
+// sessionReconfigPlan is the membership round-trip with two live sessions;
+// stale installs the stale-read mutation control on it.
+func sessionReconfigPlan(stale bool) chaos.Plan {
+	return chaos.Plan{
 		Class: "counter", Nodes: 4, Ops: 120, Seed: 51, Sessions: 2,
+		MutateStaleReads: stale,
 		Events: []chaos.Event{
 			{At: sim.Time(300 * sim.Microsecond), Kind: chaos.KindLeave, Node: 3},
 			{At: sim.Time(900 * sim.Microsecond), Kind: chaos.KindJoin, Node: 3},
 		},
 	}
-	res, err := Run(p, chaos.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+}
+
+// TestSessionsConformAcrossReconfig runs the membership round-trip plan
+// with live sessions through the full conformance harness: the
+// state-machine checks and the session checks must both pass, and the
+// sessions must actually have produced evidence spanning both epochs.
+func TestSessionsConformAcrossReconfig(t *testing.T) {
+	res := mustRun(t, sessionReconfigPlan(false))
 	if !res.Conforms() {
 		t.Fatalf("reconfig session run does not conform:\n%s", res.Report)
 	}
@@ -106,28 +108,11 @@ func TestSessionsConformAcrossReconfig(t *testing.T) {
 // session checker, and the violating session must shrink to a handful of
 // events — the offending write/read pair plus little else.
 func TestStaleReadMutationCaught(t *testing.T) {
-	p := chaos.Plan{
-		Class: "counter", Nodes: 4, Ops: 120, Seed: 51, Sessions: 2,
-		MutateStaleReads: true,
-		Events: []chaos.Event{
-			{At: sim.Time(300 * sim.Microsecond), Kind: chaos.KindLeave, Node: 3},
-			{At: sim.Time(900 * sim.Microsecond), Kind: chaos.KindJoin, Node: 3},
-		},
-	}
-	res, err := Run(p, chaos.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := mustRun(t, sessionReconfigPlan(true))
 	if res.Conforms() {
 		t.Fatal("stale-read mutation not caught — the session checker is blind")
 	}
-	sessionViolation := false
-	for _, v := range res.Report.Violations {
-		if strings.HasPrefix(v.Check, "session-") {
-			sessionViolation = true
-		}
-	}
-	if !sessionViolation {
+	if !hasCheck(res.Report, "session-") {
 		t.Fatalf("mutation flagged, but not by a session check:\n%s", res.Report)
 	}
 

@@ -1,10 +1,9 @@
 package conform
 
 import (
-	"fmt"
 	"sort"
+	"strings"
 
-	"hamband/internal/chaos"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
@@ -36,78 +35,37 @@ func CheckSharded(an *spec.Analysis, events []trace.Event, opts Options) map[str
 	return reports
 }
 
-// ShardedResult pairs a sharded chaos verdict with per-shard conformance
-// reports.
-type ShardedResult struct {
-	Verdict *chaos.Verdict
-	Reports map[string]*Report
-}
-
-// Conforms reports whether every shard's history is explainable by the
-// abstract semantics.
-func (r *ShardedResult) Conforms() bool {
-	for _, rep := range r.Reports {
-		if !rep.OK() {
-			return false
+// mergeShards sums per-shard reports into one report for the whole run:
+// shards in key order, each violation naming its shard. A history with no
+// shard-tagged events at all checked nothing, which is a violation rather
+// than a pass.
+func mergeShards(shards map[string]*Report) *Report {
+	rep := &Report{}
+	if len(shards) == 0 {
+		rep.Violations = append(rep.Violations, Violation{Check: "trace", Node: -1,
+			Detail: "sharded plan recorded no shard-tagged events; nothing was checked"})
+	}
+	for _, k := range shardKeys(shards) {
+		sr := shards[k]
+		rep.Events += sr.Events
+		rep.Calls += sr.Calls
+		rep.Queries += sr.Queries
+		for _, v := range sr.Violations {
+			if !strings.HasPrefix(v.Call, k+":") { // call identities already carry the key
+				v.Detail = k + ": " + v.Detail
+			}
+			rep.Violations = append(rep.Violations, v)
 		}
 	}
-	return len(r.Reports) > 0
+	return rep
 }
 
-// Keys lists the checked shards, sorted.
-func (r *ShardedResult) Keys() []string {
-	keys := make([]string, 0, len(r.Reports))
-	for k := range r.Reports {
+// shardKeys lists the checked shards, sorted.
+func shardKeys(shards map[string]*Report) []string {
+	keys := make([]string, 0, len(shards))
+	for k := range shards {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// String renders one verdict line per shard.
-func (r *ShardedResult) String() string {
-	s := ""
-	for _, k := range r.Keys() {
-		s += fmt.Sprintf("%s: %s\n", k, r.Reports[k])
-	}
-	return s
-}
-
-// RunSharded executes a ShardMix fault plan with tracing enabled and
-// checks every shard's history independently. The plan's CrossWireShards
-// knob is the harness's mutation control: it swaps two shards' broadcast
-// apply loops inside the store, and a sound checker must return
-// non-conforming reports for the wired pair.
-func RunSharded(p chaos.Plan, opts chaos.Options) (*ShardedResult, error) {
-	if p.ShardMix < 2 {
-		return nil, fmt.Errorf("conform: plan has shard_mix=%d, want >= 2", p.ShardMix)
-	}
-	if opts.TraceLimit <= 0 {
-		opts.TraceLimit = DefaultTraceLimit
-	}
-	if opts.QueryMix <= 0 {
-		opts.QueryMix = 2
-	}
-	v, err := chaos.Run(p, opts)
-	if err != nil {
-		return nil, err
-	}
-	cls, err := chaos.Class(p.Class)
-	if err != nil {
-		return nil, err
-	}
-	reports := CheckSharded(spec.MustAnalyze(cls), v.Trace.Events(), Options{
-		Nodes:     p.Nodes,
-		Quiescent: v.Drained,
-		Correct:   v.Correct,
-	})
-	if d := v.Trace.Dropped(); d > 0 {
-		for _, rep := range reports {
-			rep.Violations = append([]Violation{{
-				Check: "trace", Node: -1,
-				Detail: fmt.Sprintf("%d events dropped beyond the %d-event trace limit; history incomplete", d, opts.TraceLimit),
-			}}, rep.Violations...)
-		}
-	}
-	return &ShardedResult{Verdict: v, Reports: reports}, nil
 }
