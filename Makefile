@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig benchstat fuzz chaos conform conform-sessions store health health-exp cover check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover check
 
 all: check
 
@@ -139,6 +139,19 @@ bench-shard:
 # around a leave/join round-trip with dip and recovery-time reporting.
 bench-reconfig:
 	$(GO) run ./cmd/hambench -exp reconfig
+
+# bench-pairs is the paired measurement a host-time claim needs
+# (benchmark/README.md, "Host time on the sandbox"): it exports REF with git
+# archive under .bench_build/, runs `bash benchmark/run.sh --trace 0` there and
+# in the working tree in alternating order, PAIRS times each on the same SEED,
+# and prints per end-to-end metric both medians and quartiles, the pairs the
+# working tree won, and whether the virtual values are byte-identical.
+REF ?= HEAD
+WORKLOAD ?= reduce-gset-write
+PAIRS ?= 10
+SEED ?= 42
+bench-pairs:
+	$(GO) run ./scripts/benchpairs -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"hamband/internal/spec"
 )
@@ -63,20 +64,24 @@ const RawOverhead = 4 + RecordTrailer
 // dep arrays, trailer.
 const minEntry = 4 + 2 + 2 + 8 + 2 + 2 + 4 + RecordTrailer
 
-// EncodeEntry serializes (call, deps) into a self-delimiting record:
+// AppendEntry appends (call, deps) to dst as a self-delimiting record and
+// returns the extended slice:
 //
 //	u32 total length | u16 method | u16 proc | u64 seq |
 //	u16 #ints | u16 #strs | ints | (u16 len + bytes)* |
 //	u32 #deps | deps | u32 crc | canary
 //
-// The CRC32-C covers every byte before it (length word included).
-func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
+// The CRC32-C covers every byte of the record before it (length word
+// included) and nothing of dst ahead of the record. With enough capacity in
+// dst the call allocates nothing, so a frame that embeds an entry is built in
+// one buffer.
+func AppendEntry(dst []byte, c spec.Call, d spec.DepVec) ([]byte, error) {
 	n := entrySize(c, d)
 	if n > MaxRecord {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
+		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	b := make([]byte, 0, n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
+	start := len(dst)
+	b := binary.LittleEndian.AppendUint32(slices.Grow(dst, n), uint32(n))
 	b = binary.LittleEndian.AppendUint16(b, uint16(c.Method))
 	b = binary.LittleEndian.AppendUint16(b, uint16(c.Proc))
 	b = binary.LittleEndian.AppendUint64(b, c.Seq)
@@ -93,12 +98,17 @@ func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
 	for _, v := range d {
 		b = binary.LittleEndian.AppendUint32(b, v)
 	}
-	b = binary.LittleEndian.AppendUint32(b, Checksum(b))
+	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
 	b = append(b, Canary)
-	if len(b) != n {
+	if len(b)-start != n {
 		panic("codec: size accounting mismatch")
 	}
 	return b, nil
+}
+
+// EncodeEntry is AppendEntry into a fresh buffer.
+func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
+	return AppendEntry(nil, c, d)
 }
 
 func entrySize(c spec.Call, d spec.DepVec) int {
@@ -197,26 +207,39 @@ func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
 // SlotOverhead is the framing cost of a validated slot beyond its payload.
 const SlotOverhead = 16 // u32 version + u32 length + payload + u32 crc + u32 version
 
+// BeginSlot opens a validated slot frame at the end of dst: the version word
+// and a length word FinishSlot fills in. The caller appends the payload to
+// the returned slice and closes the frame with FinishSlot, passing the length
+// dst had here. Together they write the frame once, where it is to live —
+// into a registered region, say — and allocate nothing while dst has room.
+func BeginSlot(dst []byte, version uint32) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, version)
+	return binary.LittleEndian.AppendUint32(dst, 0)
+}
+
+// FinishSlot closes the frame BeginSlot opened at b[start:]: it writes the
+// payload length, then appends a CRC32-C over version, length and payload,
+// and the version again. The trailing version sits last so the seqlock fast
+// path samples the frame's outermost words; the CRC sits inside the frame,
+// where a torn boundary-first landing cannot have refreshed it.
+func FinishSlot(b []byte, start int) []byte {
+	binary.LittleEndian.PutUint32(b[start+4:], uint32(len(b)-start-8))
+	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
+	return append(b, b[start:start+4]...)
+}
+
 // EncodeSlot frames payload for an overwrite-in-place slot of the given
-// size: version, length, payload, a CRC32-C over those three, and the
-// version again. The returned frame is only the SlotOverhead+len(payload)
-// bytes used — it is self-delimiting, so the slot's stale tail is never read
-// and need not be written; slotSize only bounds the payload. The version
-// must increase with every overwrite of the same slot. The trailing version
-// sits last so the seqlock fast path samples the frame's outermost words;
-// the CRC sits inside the frame, where a torn boundary-first landing cannot
-// have refreshed it.
+// size with BeginSlot and FinishSlot, in a fresh buffer. The returned frame
+// is only the SlotOverhead+len(payload) bytes used — it is self-delimiting,
+// so the slot's stale tail is never read and need not be written; slotSize
+// only bounds the payload. The version must increase with every overwrite of
+// the same slot.
 func EncodeSlot(payload []byte, version uint32, slotSize int) ([]byte, error) {
 	if len(payload)+SlotOverhead > slotSize {
 		return nil, fmt.Errorf("%w: payload %d for slot %d", ErrTooLarge, len(payload), slotSize)
 	}
-	b := make([]byte, SlotOverhead+len(payload))
-	binary.LittleEndian.PutUint32(b, version)
-	binary.LittleEndian.PutUint32(b[4:], uint32(len(payload)))
-	copy(b[8:], payload)
-	binary.LittleEndian.PutUint32(b[8+len(payload):], Checksum(b[:8+len(payload)]))
-	binary.LittleEndian.PutUint32(b[12+len(payload):], version)
-	return b, nil
+	b := BeginSlot(make([]byte, 0, SlotOverhead+len(payload)), version)
+	return FinishSlot(append(b, payload...), 0), nil
 }
 
 // DecodeSlot extracts a slot's payload and version, validating the full

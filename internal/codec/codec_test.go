@@ -1,6 +1,7 @@
 package codec
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
@@ -251,5 +252,48 @@ func TestPollingRejectionsAreBareSentinels(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: err = %v, want the bare sentinel %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestAppendEncodersZeroAlloc pins what the append-style encoders are for: a
+// slot frame holding an entry is built in one pass into a buffer with room —
+// a registered region, in core — and allocates nothing, and the bytes are
+// the ones EncodeSlot over EncodeEntry produces through two buffers.
+func TestAppendEncodersZeroAlloc(t *testing.T) {
+	c := spec.Call{Method: 3, Proc: 2, Seq: 41, Args: spec.Args{I: make([]int64, 64), S: []string{"key", "value"}}}
+	for i := range c.Args.I {
+		c.Args.I[i] = int64(i * 7)
+	}
+	d := spec.DepVec{1, 2, 3}
+	buf := make([]byte, 0, 1024)
+	var frame []byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		b := BeginSlot(append(buf[:0], "prefix"...), 9)
+		b, _ = AppendEntry(b, c, d)
+		frame = FinishSlot(b, len("prefix"))
+	})
+	if allocs != 0 {
+		t.Errorf("framing an entry into a buffer with capacity allocates %.1f objects, want 0", allocs)
+	}
+	if &frame[0] != &buf[:1][0] {
+		t.Fatal("the frame left the buffer it was given")
+	}
+	entry, err := EncodeEntry(c, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := EncodeSlot(entry, 9, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := frame[len("prefix"):]; !bytes.Equal(got, want) {
+		t.Fatalf("one-pass frame differs from EncodeSlot(EncodeEntry):\n got %x\nwant %x", got, want)
+	}
+	payload, ver, err := DecodeSlot(frame[len("prefix"):])
+	if err != nil || ver != 9 {
+		t.Fatalf("DecodeSlot = v%d, %v", ver, err)
+	}
+	if got, gd, _, err := DecodeEntry(payload); err != nil || !got.Args.Equal(c.Args) || len(gd) != len(d) {
+		t.Fatalf("DecodeEntry = %v %v, %v", got, gd, err)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"hamband/internal/codec"
@@ -111,5 +112,61 @@ func TestQuiescentScanZeroAlloc(t *testing.T) {
 	}
 	if r.statApplied != applied {
 		t.Fatalf("the scan adopted something (%d → %d applied): the cluster was not at rest", applied, r.statApplied)
+	}
+}
+
+// TestReduceCycleAllocsIndependentOfSummary pins the O(δ) reduce path: one
+// warm reducible gset invoke plus its fold at the peer allocates the same
+// number of objects whether the summary holds 16 keys or 512, and no buffer
+// that grows with it. The adds draw from keys the summary already holds, as
+// most do once a key space is saturated, so Summarize returns its first
+// argument; the frame is encoded in place; only a ~100 B δ-record travels.
+// What remains of the summary's size is the anchor every AnchorInterval
+// calls — one private copy at the writer, one decode at the reader — which
+// stays far below the 1 KiB a cycle allowed here (the rebuild-per-call path
+// spent over 20 KiB a cycle at 512 keys).
+func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
+	const cycles = 320 // ten anchor intervals
+	measure := func(keys int) (allocs, bytes uint64) {
+		h := newHarness(t, crdt.NewGSet(), 2, 91, func(o *Options) { o.CheckIntegrity = false })
+		all := make([]int64, keys)
+		for i := range all {
+			all[i] = int64(i)
+		}
+		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
+		r0.Invoke(crdt.GSetAdd, spec.Args{I: all}, nil)
+		args := spec.ArgsI(11, 3)
+		now := h.eng.Now()
+		cycle := func() {
+			r0.Invoke(crdt.GSetAdd, args, nil)
+			now += sim.Time(10 * sim.Microsecond)
+			h.eng.RunUntil(now)
+		}
+		for i := 0; i < 64; i++ { // warm: queues, batches and the heartbeat path reach their sizes
+			cycle()
+		}
+		folded := r1.sums[0][0].version
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < cycles; i++ {
+			cycle()
+		}
+		runtime.ReadMemStats(&after)
+		if got := r1.sums[0][0].version - folded; got != cycles {
+			t.Fatalf("the peer folded %d of %d calls", got, cycles)
+		}
+		if got := len(r1.sums[0][0].call.Args.I); got != keys {
+			t.Fatalf("the peer's summary holds %d keys, want %d", got, keys)
+		}
+		return (after.Mallocs - before.Mallocs) / cycles, (after.TotalAlloc - before.TotalAlloc) / cycles
+	}
+	smallAllocs, smallBytes := measure(16)
+	bigAllocs, bigBytes := measure(512)
+	t.Logf("per invoke+fold cycle: 16 keys %d objects %d B, 512 keys %d objects %d B", smallAllocs, smallBytes, bigAllocs, bigBytes)
+	if smallAllocs != bigAllocs {
+		t.Errorf("a cycle allocates %d objects on a 512-key summary, %d on a 16-key one; want the same", bigAllocs, smallAllocs)
+	}
+	if bigBytes > 1024 {
+		t.Errorf("a cycle on a 512-key summary allocates %d B, want at most 1 KiB: some buffer grows with the summary", bigBytes)
 	}
 }

@@ -333,15 +333,13 @@ type Replica struct {
 	id      spec.ProcID
 	n       int
 
-	sigma   spec.State
+	live    view // σ and Apply(S)(σ), the state queries and permissibility checks read
 	applied spec.AppliedMap
 	nextSeq uint64
 
 	// Summaries.
 	sums     [][]*sumSlot // [sum group][proc]
 	sumVer   [][]uint32   // local write version per own slot
-	sigmaQ   spec.State   // materialized Apply(S)(σ)
-	qDirty   bool
 	haveSums bool
 	// coal batches summary-slot writes per peer into one chained doorbell;
 	// private by default, shared across shards when Options.Coalescers is
@@ -378,9 +376,10 @@ type Replica struct {
 	// checks permissibility and projects dependency records against a
 	// speculative view (σ plus proposed-but-undecided calls), which is
 	// simply discarded on deposition — the authoritative σ and A only ever
-	// contain decided, delivered calls.
-	sigmaSpec spec.State
-	specA     map[callKey2]uint32
+	// contain decided, delivered calls. spec is nil until this replica first
+	// orders a call; specA counts the speculated calls σ has yet to catch up on.
+	spec  *view
+	specA map[callKey2]uint32
 
 	applying    bool
 	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
@@ -435,7 +434,6 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		node:        c.Fab.Node(rdma.NodeID(id)),
 		id:          id,
 		n:           n,
-		sigma:       cls.NewState(),
 		applied:     spec.NewAppliedMap(n, len(cls.Methods)),
 		fQueues:     make([][]pendingEntry, n),
 		lQueues:     make([][]pendingEntry, len(c.An.SyncGroups)),
@@ -443,6 +441,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,
 	}
+	r.live = view{r: r, base: cls.NewState()}
 	r.applyStepFn = r.applyStep
 	r.minEpochs = make([]uint32, n)
 	r.pendingMinEpochs = make([]uint32, n)
@@ -521,7 +520,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		in.OnLeaderChange = func(leader rdma.NodeID, _ uint64) {
 			if leader != rdma.NodeID(r.id) {
 				// Deposed (or a peer elected): discard speculation.
-				r.sigmaSpec = nil
+				r.spec = nil
 				r.specA = make(map[callKey2]uint32)
 			}
 		}

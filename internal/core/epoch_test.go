@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -143,13 +142,11 @@ func TestStaleSlotFrameRejected(t *testing.T) {
 		call:    spec.Call{Method: crdt.CounterAdd, Args: spec.ArgsI(999), Proc: 2, Seq: 99},
 		counts:  []uint32{cur.counts[0] + 1},
 	}
-	payload := encodeSumSlot(h.cluster.An.Class.SumGroups[0].Methods, forged, 0) // stale epoch 0
-	framed, err := codec.EncodeSlot(payload, forged.version, r0.anchorCap())
-	if err != nil {
+	off := r0.slotOffset(0, 2)
+	slot := h.fab.Node(0).Region(sumRegionBase).Bytes()[off:]
+	if _, err := appendSumFrame(slot[:0:r0.anchorCap()], forged, 0); err != nil { // stale epoch 0
 		t.Fatal(err)
 	}
-	off := r0.slotOffset(0, 2)
-	copy(h.fab.Node(0).Region(sumRegionBase).Bytes()[off:], framed[:codec.SlotOverhead+len(payload)])
 
 	h.eng.RunFor(1 * sim.Millisecond)
 	if got := r0.sums[0][2].version; got != cur.version {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"hamband/internal/codec"
@@ -165,26 +166,75 @@ func (r *Replica) NextSeq() uint64 { return r.nextSeq + 1 }
 
 // --- queries ------------------------------------------------------------
 
-// queryState returns Apply(S)(σ): the stored state with all summarized
-// calls applied. For classes without summarization groups this is σ itself;
-// otherwise a materialized copy is rebuilt lazily when σ or a summary slot
-// changed.
-func (r *Replica) queryState() spec.State {
-	if !r.haveSums {
-		return r.sigma
+// view is a stored state together with Apply(S)(state), its image under
+// the summary slots, maintained as calls happen instead of recomputed per
+// read. Maintaining it is sound because a reducible method sits in no
+// synchronization group and therefore S-commutes with every call (the
+// declared relation spec.Check tests): a call that lands in the stored state
+// may be applied to the image after the summaries already in it, and a call
+// folded into one slot after the other slots' summaries.
+type view struct {
+	r     *Replica
+	base  spec.State // the stored state: no summarized call applied
+	mat   spec.State // Apply(S)(base); nil until first read, and always without summarization groups
+	dirty bool       // a slot was replaced wholesale: mat is rebuilt on the next read
+}
+
+// maintained reports whether v has an image to keep up to date. A view that
+// was never read, or is dirty anyway, costs nothing per call.
+func (v *view) maintained() bool { return v != nil && v.mat != nil && !v.dirty }
+
+// apply runs c, a call that lands in the stored state, on v.
+func (v *view) apply(c spec.Call) {
+	v.r.cls.ApplyCall(v.base, c)
+	if v.maintained() {
+		v.r.cls.ApplyCall(v.mat, c)
 	}
-	if r.qDirty || r.sigmaQ == nil {
-		st := r.sigma.Clone()
-		for _, row := range r.sums {
+}
+
+// state returns Apply(S)(base), rebuilding it from the slots only when it
+// was never built or a slot was replaced since. For classes without
+// summarization groups it is the stored state itself.
+func (v *view) state() spec.State {
+	if !v.r.haveSums {
+		return v.base
+	}
+	if !v.maintained() {
+		st := v.base.Clone()
+		for _, row := range v.r.sums {
 			for _, slot := range row {
-				r.cls.ApplyCall(st, slot.call)
+				v.r.cls.ApplyCall(st, slot.call)
 			}
 		}
-		r.sigmaQ = st
-		r.qDirty = false
+		v.mat, v.dirty = st, false
 	}
-	return r.sigmaQ
+	return v.mat
 }
+
+// foldViews tells the views that c was folded into a summary slot (an own
+// reducible call, or a peer's δ-record): the slot now summarizes what it did
+// before and then c, so each maintained image just applies c.
+func (r *Replica) foldViews(c spec.Call) {
+	for _, v := range [...]*view{&r.live, r.spec} {
+		if v.maintained() {
+			r.cls.ApplyCall(v.mat, c)
+		}
+	}
+}
+
+// dirtyViews tells the views that a slot's summary was replaced wholesale
+// (an anchor, a gap fetch, a repair or recency read): nothing says what the
+// new summary adds to the old, so the images are rebuilt when next read.
+func (r *Replica) dirtyViews() {
+	r.live.dirty = true
+	if r.spec != nil {
+		r.spec.dirty = true
+	}
+}
+
+// queryState returns Apply(S)(σ): the stored state with all summarized
+// calls applied.
+func (r *Replica) queryState() spec.State { return r.live.state() }
 
 // permissible checks P against the current (summary-applied) state.
 func (r *Replica) permissible(c spec.Call) bool {
@@ -225,26 +275,28 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	gi := groupIndexOf(r.cls.SumGroups[g].Methods, u)
 	slot.counts[gi]++
 	r.applied.Set(r.id, u, slot.counts[gi])
-	r.qDirty = true
+	r.foldViews(c)
 	r.sumVer[g][int(r.id)]++
 	slot.version = r.sumVer[g][int(r.id)]
 
-	payload := encodeSumSlot(r.cls.SumGroups[g].Methods, slot, r.cluster.epoch)
-	framed, err := codec.EncodeSlot(payload, slot.version, r.anchorCap())
-	if err != nil {
-		// The summary outgrew its slot: surface a hard configuration error.
-		panic(fmt.Sprintf("core: summary slot overflow at p%d: %v", r.id, err))
-	}
-	off := r.slotOffset(g, r.id)
 	// The validated frame is self-delimiting (leading version, length,
 	// payload, CRC, trailing version), so only the used bytes are framed
 	// and travel; stale bytes beyond them are never read. For a counter
 	// this shrinks the wire cost from the full slot (16 KB) to ~60 bytes.
-	// Install locally (the issuer's own slot is the authoritative backup
-	// that peers repair from on failure, and the anchor a gap fetch reads —
-	// it holds the current full frame even between remote anchors) ...
-	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[off:], framed)
-	// ... then propagate to every other node with inline, unsignaled
+	// It is encoded once, in place: the issuer's own slot is the
+	// authoritative backup that peers repair from on failure, and the anchor
+	// a gap fetch reads — it holds the current full frame even between
+	// remote anchors.
+	region := r.opts.Namespace + sumRegionBase
+	off := r.slotOffset(g, r.id)
+	own := r.node.Region(region).Bytes()[off:]
+	frame, err := appendSumFrame(own[:0:r.anchorCap()], slot, r.cluster.epoch)
+	if err != nil || len(frame) > r.anchorCap() {
+		// The summary outgrew its slot: surface a hard configuration error.
+		panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte frame for a %d-byte anchor area (%v)",
+			r.id, len(frame), r.anchorCap(), err))
+	}
+	// Then propagate to every other node with inline, unsignaled
 	// one-sided writes (the payload fits the WQE). Summary and applied
 	// count travel in one frame, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
@@ -257,9 +309,15 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: r.opts.Namespace + sumRegionBase, Off: off, Data: framed, Label: label}
-	if r.opts.DeltaSummaries {
-		wr = r.deltaWR(g, slot, c, framed, off, label)
+	wr := rdma.WR{Region: region, Off: off, Label: label}
+	if rec, at := r.nextDelta(g, slot, c); rec != nil {
+		wr.Off, wr.Data = off+r.anchorCap()+at, rec
+	} else {
+		// A full frame travels as a private copy, never as the slot's own
+		// bytes: the coalescer's flush is queued behind other CPU work and
+		// PostChain reads a WR's data only when it posts, by when the next
+		// invoke may have re-encoded the slot in place.
+		wr.Data = slices.Clone(frame)
 	}
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) == r.id {
@@ -296,14 +354,17 @@ func (r *Replica) anchorCap() int {
 	return r.opts.SumSlotSize - r.opts.DeltaLogBytes
 }
 
-// deltaWR picks the remote write for one reducible call under
-// DeltaSummaries: a δ-record appended to the slot's log area, or — every
+// nextDelta picks what one reducible call ships under DeltaSummaries: a
+// δ-record and its offset in the slot's log area, or nil — every
 // AnchorInterval calls, when the log fills, or when the call does not pack —
-// a full-state re-anchor at the slot head, which also resets the log cursor
-// (peers skip the stale records left behind by version).
-func (r *Replica) deltaWR(g int, slot *sumSlot, c spec.Call, anchor []byte, off int, label string) rdma.WR {
+// for a full-state re-anchor at the slot head, which also resets the log
+// cursor (peers skip the stale records left behind by version). Without
+// DeltaSummaries every call ships the full frame.
+func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
+	if !r.opts.DeltaSummaries {
+		return nil, 0
+	}
 	dw := &r.deltaW[g]
-	region := r.opts.Namespace + sumRegionBase
 	rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
 		Version: slot.version,
@@ -312,17 +373,17 @@ func (r *Replica) deltaWR(g int, slot *sumSlot, c spec.Call, anchor []byte, off 
 	})
 	if err == nil && dw.sinceAnchor < r.opts.AnchorInterval &&
 		dw.logOff+len(rec) <= r.opts.DeltaLogBytes {
-		wr := rdma.WR{Region: region, Off: off + r.anchorCap() + dw.logOff, Data: rec, Label: label}
+		at = dw.logOff
 		dw.logOff += len(rec)
 		dw.sinceAnchor++
 		r.statDeltas++
 		r.mDeltas.Inc()
-		return wr
+		return rec, at
 	}
 	dw.logOff, dw.sinceAnchor = 0, 0
 	r.statAnchors++
 	r.mAnchors.Inc()
-	return rdma.WR{Region: region, Off: off, Data: anchor, Label: label}
+	return nil, 0
 }
 
 func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
@@ -334,25 +395,25 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 	panic("core: method not in its summarization group")
 }
 
-// encodeSumSlot serializes a summary slot's payload:
+// appendSumFrame appends slot s as one validated slot frame to dst, in a
+// single pass through the append-style codec encoders. The frame's payload is
 // u16 #methods | (u32 count)* | codec entry of the summary call | u32 epoch.
 // The trailing epoch stamps the frame with the configuration its writer
 // believed current; adopters reject frames stamped before the writer's
 // departure epoch (see the minEpochs floor on Replica).
-func encodeSumSlot(methods []spec.MethodID, s *sumSlot, epoch uint32) []byte {
-	b := make([]byte, 0, 2+4*len(s.counts)+64)
-	b = append(b, byte(len(methods)), byte(len(methods)>>8))
+func appendSumFrame(dst []byte, s *sumSlot, epoch uint32) ([]byte, error) {
+	start := len(dst)
+	b := codec.BeginSlot(dst, s.version)
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s.counts)))
 	for _, c := range s.counts {
-		var w [4]byte
-		w[0], w[1], w[2], w[3] = byte(c), byte(c>>8), byte(c>>16), byte(c>>24)
-		b = append(b, w[:]...)
+		b = binary.LittleEndian.AppendUint32(b, c)
 	}
-	entry, err := codec.EncodeEntry(s.call, nil)
+	b, err := codec.AppendEntry(b, s.call, nil)
 	if err != nil {
-		panic(fmt.Sprintf("core: summary call too large: %v", err))
+		return dst, err
 	}
-	b = append(b, entry...)
-	return binary.LittleEndian.AppendUint32(b, epoch)
+	b = binary.LittleEndian.AppendUint32(b, epoch)
+	return codec.FinishSlot(b, start), nil
 }
 
 func decodeSumSlot(b []byte) (counts []uint32, call spec.Call, epoch uint32, err error) {
@@ -435,7 +496,6 @@ func (r *Replica) scanSummaries() {
 		}
 	}
 	if changed {
-		r.qDirty = true
 		r.assertIntegrity("summary scan")
 		r.kickApply()
 	}
@@ -458,15 +518,20 @@ func (r *Replica) scanFullSlot(g int, p spec.ProcID, slot *sumSlot, region []byt
 		}
 		return false, false
 	}
-	if ver <= slot.version {
-		return false, false
+	return ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "scan"), false
+}
+
+// adoptFrame replaces peer p's summary wholesale with the full-state frame
+// (payload, ver) — found in the local region by a scan, or read from p's own
+// copy — unless it is malformed or stamped below p's epoch floor.
+func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, payload []byte, ver uint32, src string) bool {
+	counts, call, sepoch, err := decodeSumSlot(payload)
+	if err != nil || r.staleSlot(p, sepoch) {
+		return false
 	}
-	counts, call, sepoch, derr := decodeSumSlot(payload)
-	if derr != nil || r.staleSlot(p, sepoch) {
-		return false, false
-	}
-	r.installScan(g, p, slot, ver, call, counts, "scan")
-	return true, false
+	r.installScan(g, p, slot, ver, call, counts, src)
+	r.dirtyViews()
+	return true
 }
 
 // installScan commits an adopted summary (version, call, counts) for peer
@@ -512,12 +577,7 @@ func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []by
 	changed := false
 	stuck := false
 	if payload, ver, err := codec.DecodeSlot(region[off : off+r.anchorCap()]); err == nil {
-		if ver > slot.version {
-			if counts, call, sepoch, derr := decodeSumSlot(payload); derr == nil && !r.staleSlot(p, sepoch) {
-				r.installScan(g, p, slot, ver, call, counts, "anchor")
-				changed = true
-			}
-		}
+		changed = ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "anchor")
 	} else if errors.Is(err, codec.ErrTorn) {
 		r.statTorn++
 		r.mTorn.Inc()
@@ -552,6 +612,7 @@ walk:
 			}
 			folded := r.cls.SumGroups[g].Summarize(slot.call, rec.C)
 			r.installScan(g, p, slot, rec.Version, folded, rec.Counts, "delta")
+			r.foldViews(rec.C)
 			changed = true
 		default:
 			// Version gap: the missing δ-records will never reappear in
@@ -628,8 +689,7 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	}
 	d := r.applied.Project(r.an.DependsOn[u])
 	r.node.CPU.Exec(r.opts.ApplyCost, func() {
-		r.cls.ApplyCall(r.sigma, c)
-		r.qDirty = true
+		r.live.apply(c)
 		r.applied.Inc(r.id, u)
 		r.statApplied++
 		r.mApplied.Inc()
@@ -825,7 +885,7 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 		return out
 	}
 	d := r.projectSpec(r.an.DependsOn[c.Method])
-	r.cls.ApplyCall(r.specState(), c)
+	r.specView().apply(c)
 	r.specA[callKey2{c.Proc, c.Method}]++
 	if r.tracing() {
 		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c, D: d})
@@ -837,28 +897,18 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 	return append([]byte{0}, entry...)
 }
 
-// specState returns the speculative state, lazily forked from σ.
-func (r *Replica) specState() spec.State {
-	if r.sigmaSpec == nil {
-		r.sigmaSpec = r.sigma.Clone()
+// specView returns the speculative view, lazily forked from σ.
+func (r *Replica) specView() *view {
+	if r.spec == nil {
+		r.spec = &view{r: r, base: r.live.base.Clone()}
 	}
-	return r.sigmaSpec
+	return r.spec
 }
 
 // specPermissible checks P against the speculative state with summaries
 // applied.
 func (r *Replica) specPermissible(c spec.Call) bool {
-	if r.cls.TrivialInvariant {
-		return true
-	}
-	st := r.specState().Clone()
-	for _, row := range r.sums {
-		for _, slot := range row {
-			r.cls.ApplyCall(st, slot.call)
-		}
-	}
-	r.cls.ApplyCall(st, c)
-	return r.cls.Invariant(st)
+	return r.cls.TrivialInvariant || r.cls.Permissible(r.specView().state(), c)
 }
 
 // projectSpec projects the applied map plus the speculative overlay over
@@ -1030,8 +1080,7 @@ func (r *Replica) applyOneMutated() bool {
 }
 
 func (r *Replica) applyEntry(e pendingEntry, context string) {
-	r.cls.ApplyCall(r.sigma, e.c)
-	r.qDirty = true
+	r.live.apply(e.c)
 	r.applied.Inc(e.c.Proc, e.c.Method)
 	r.statApplied++
 	r.mApplied.Inc()
@@ -1045,10 +1094,10 @@ func (r *Replica) applyEntry(e pendingEntry, context string) {
 }
 
 // syncSpec keeps the speculative view consistent as σ advances: a call this
-// leader speculated is already in sigmaSpec (consume its overlay count);
-// anything else must be mirrored into it.
+// leader speculated is already in the speculative view (consume its overlay
+// count); anything else must be mirrored into it.
 func (r *Replica) syncSpec(c spec.Call) {
-	if r.sigmaSpec == nil {
+	if r.spec == nil {
 		return
 	}
 	k := callKey2{c.Proc, c.Method}
@@ -1059,7 +1108,7 @@ func (r *Replica) syncSpec(c spec.Call) {
 		}
 		return
 	}
-	r.cls.ApplyCall(r.sigmaSpec, c)
+	r.spec.apply(c)
 }
 
 // --- failure handling ------------------------------------------------------
@@ -1276,11 +1325,7 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 		return false
 	}
 	slot := r.sums[g][p]
-	if ver <= slot.version {
-		return false
-	}
-	counts, call, sepoch, err := decodeSumSlot(payload)
-	if err != nil || r.staleSlot(p, sepoch) {
+	if ver <= slot.version || !r.adoptFrame(g, p, slot, payload, ver, "read") {
 		return false
 	}
 	// Install only the frame's used prefix: under DeltaSummaries the rest
@@ -1288,22 +1333,6 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	// a read issued one RTT ago would clobber records that landed since.
 	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[r.slotOffset(g, p):],
 		data[:codec.SlotOverhead+len(payload)])
-	slot.version = ver
-	slot.call = call
-	for i, u := range r.cls.SumGroups[g].Methods {
-		if i < len(counts) && counts[i] > r.applied.Get(p, u) {
-			r.applied.Set(p, u, counts[i])
-			r.statApplied++
-			r.mApplied.Inc()
-		}
-	}
-	if r.tracing() {
-		r.opts.Tracer.RecordData(int(r.id), trace.Adopt, "",
-			fmt.Sprintf("adopted slot g%d/p%d v%d from read", g, p, ver),
-			trace.SlotRecord{Group: g, Src: p, Version: ver, Sum: call,
-				Counts: append([]uint32(nil), counts...)})
-	}
-	r.qDirty = true
 	r.kickApply()
 	return true
 }

@@ -13,7 +13,7 @@ type BankMapState struct {
 
 // Clone implements spec.State.
 func (s *BankMapState) Clone() spec.State {
-	c := &BankMapState{Open: s.Open.clone(), Balances: make(map[int64]int64, len(s.Balances))}
+	c := &BankMapState{Open: s.Open.Clone(), Balances: make(map[int64]int64, len(s.Balances))}
 	for a, b := range s.Balances {
 		c.Balances[a] = b
 	}
@@ -23,7 +23,7 @@ func (s *BankMapState) Clone() spec.State {
 // Equal implements spec.State.
 func (s *BankMapState) Equal(o spec.State) bool {
 	t, ok := o.(*BankMapState)
-	if !ok || !s.Open.equal(t.Open) || len(s.Balances) != len(t.Balances) {
+	if !ok || !s.Open.Equal(t.Open) || len(s.Balances) != len(t.Balances) {
 		return false
 	}
 	for a, b := range s.Balances {
@@ -177,14 +177,7 @@ func NewBankMap() *spec.Class {
 				return spec.Call{Method: BankOpen}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, x := range a.Args.I {
-					union[x] = true
-				}
-				for _, x := range b.Args.I {
-					union[x] = true
-				}
-				return spec.Call{Method: BankOpen, Args: spec.Args{I: union.sorted()}}
+				return spec.Call{Method: BankOpen, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}

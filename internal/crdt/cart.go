@@ -13,7 +13,7 @@ type CartState struct {
 
 // Clone implements spec.State.
 func (s *CartState) Clone() spec.State {
-	c := &CartState{Items: make(map[int64]map[int64]int64, len(s.Items)), Tombs: s.Tombs.clone()}
+	c := &CartState{Items: make(map[int64]map[int64]int64, len(s.Items)), Tombs: s.Tombs.Clone()}
 	for item, tags := range s.Items {
 		m := make(map[int64]int64, len(tags))
 		for t, q := range tags {
@@ -27,7 +27,7 @@ func (s *CartState) Clone() spec.State {
 // Equal implements spec.State.
 func (s *CartState) Equal(o spec.State) bool {
 	t, ok := o.(*CartState)
-	if !ok || len(s.Items) != len(t.Items) || !s.Tombs.equal(t.Tombs) {
+	if !ok || len(s.Items) != len(t.Items) || !s.Tombs.Equal(t.Tombs) {
 		return false
 	}
 	for item, tags := range s.Items {

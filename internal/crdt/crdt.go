@@ -17,54 +17,15 @@
 // definitions by spec.CheckRelations in this package's tests.
 package crdt
 
-import (
-	"fmt"
-
-	"hamband/internal/spec"
-)
+import "hamband/internal/spec"
 
 // Tag builds a globally unique OR-set element tag from the issuing process
 // and a per-process counter. Tags identify individual add operations so
 // that removes cancel exactly the adds they observed.
 func Tag(p spec.ProcID, seq uint64) int64 { return int64(p)<<40 | int64(seq&0xFFFFFFFFFF) }
 
-// i64Set is a set of int64 used by several states.
-type i64Set map[int64]bool
-
-func (s i64Set) clone() i64Set {
-	c := make(i64Set, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func (s i64Set) equal(o i64Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
-func (s i64Set) sorted() []int64 {
-	out := make([]int64, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
-}
-
-func (s i64Set) String() string { return fmt.Sprint(s.sorted()) }
+// i64Set is the set of int64 several states are made of.
+type i64Set = spec.I64Set
 
 // always and never are convenience relation predicates.
 func always2(_, _ spec.Call) bool { return true }

@@ -6,12 +6,12 @@ import "hamband/internal/spec"
 type GSetState struct{ Elems i64Set }
 
 // Clone implements spec.State.
-func (s *GSetState) Clone() spec.State { return &GSetState{Elems: s.Elems.clone()} }
+func (s *GSetState) Clone() spec.State { return &GSetState{Elems: s.Elems.Clone()} }
 
 // Equal implements spec.State.
 func (s *GSetState) Equal(o spec.State) bool {
 	t, ok := o.(*GSetState)
-	return ok && s.Elems.equal(t.Elems)
+	return ok && s.Elems.Equal(t.Elems)
 }
 
 // GSet method IDs.
@@ -34,14 +34,7 @@ func NewGSet() *spec.Class {
 			return spec.Call{Method: GSetAdd}
 		},
 		Summarize: func(a, b spec.Call) spec.Call {
-			union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-			for _, e := range a.Args.I {
-				union[e] = true
-			}
-			for _, e := range b.Args.I {
-				union[e] = true
-			}
-			return spec.Call{Method: GSetAdd, Args: spec.Args{I: union.sorted()}}
+			return spec.Call{Method: GSetAdd, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 		},
 	}}
 	return cls

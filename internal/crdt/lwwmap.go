@@ -1,7 +1,8 @@
 package crdt
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"hamband/internal/spec"
 )
@@ -54,23 +55,103 @@ const (
 	LWWMapLen
 )
 
-// lwwMapArgs encodes entries as parallel vectors: Args.S holds
-// key1,val1,key2,val2,…; Args.I holds one timestamp per entry.
-func lwwMapDecode(a spec.Args) []struct {
+// lwwEntry is one (key, cell) pair of a set call.
+type lwwEntry struct {
 	K string
 	C lwwCell
-} {
+}
+
+// lwwMapDecode reads a set call's entries from its parallel vectors: Args.S
+// holds key1,val1,key2,val2,…; Args.I holds one timestamp per entry.
+func lwwMapDecode(a spec.Args) []lwwEntry {
 	n := len(a.I)
-	out := make([]struct {
-		K string
-		C lwwCell
-	}, 0, n)
+	out := make([]lwwEntry, 0, n)
 	for i := 0; i < n && 2*i+1 < len(a.S); i++ {
-		out = append(out, struct {
-			K string
-			C lwwCell
-		}{K: a.S[2*i], C: lwwCell{V: a.S[2*i+1], TS: a.I[i]}})
+		out = append(out, lwwEntry{K: a.S[2*i], C: lwwCell{V: a.S[2*i+1], TS: a.I[i]}})
 	}
+	return out
+}
+
+// lwwMapWinners sorts es by key in place and keeps each key's winning cell.
+func lwwMapWinners(es []lwwEntry) []lwwEntry {
+	slices.SortStableFunc(es, func(x, y lwwEntry) int { return strings.Compare(x.K, y.K) })
+	out := es[:0]
+	for _, e := range es {
+		if n := len(out); n > 0 && out[n-1].K == e.K {
+			if e.C.beats(out[n-1].C) {
+				out[n-1].C = e.C
+			}
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// lwwMapCanonical reports whether a is laid out as Summarize writes it: one
+// (key, value) pair per timestamp, keys strictly increasing.
+func lwwMapCanonical(a spec.Args) bool {
+	if len(a.S) != 2*len(a.I) {
+		return false
+	}
+	for i := 1; i < len(a.I); i++ {
+		if a.S[2*i-2] >= a.S[2*i] {
+			return false
+		}
+	}
+	return true
+}
+
+// lwwMapSummarize merges the entries of second into first, the accumulated
+// summary: canonical by construction (see lwwMapCanonical), so one pass over
+// it finds what second changes. The result is first itself when no entry of
+// second adds a key or wins one, otherwise a pair of exact-size vectors;
+// neither argument is written through. A first in any other layout (a raw
+// client call) is brought into the canonical one on a copy.
+func lwwMapSummarize(first, second spec.Args) spec.Args {
+	if !lwwMapCanonical(first) {
+		first = lwwMapSummarize(spec.Args{}, first)
+	}
+	add := lwwMapWinners(lwwMapDecode(second))
+	n := len(first.I)
+	cell := func(i int) lwwCell { return lwwCell{V: first.S[2*i+1], TS: first.I[i]} }
+
+	grow, wins := 0, false
+	i := 0
+	for _, e := range add {
+		for i < n && first.S[2*i] < e.K {
+			i++
+		}
+		if i == n || first.S[2*i] != e.K {
+			grow++
+		} else if e.C.beats(cell(i)) {
+			wins = true
+		}
+	}
+	if grow == 0 && !wins {
+		return first
+	}
+	out := spec.Args{S: make([]string, 0, 2*(n+grow)), I: make([]int64, 0, n+grow)}
+	i = 0
+	for _, e := range add {
+		j := i
+		for j < n && first.S[2*j] < e.K {
+			j++
+		}
+		out.S = append(out.S, first.S[2*i:2*j]...)
+		out.I = append(out.I, first.I[i:j]...)
+		i = j
+		if i < n && first.S[2*i] == e.K {
+			if !e.C.beats(cell(i)) {
+				continue // first's cell stands; it rides the next run
+			}
+			i++
+		}
+		out.S = append(out.S, e.K, e.C.V)
+		out.I = append(out.I, e.C.TS)
+	}
+	out.S = append(out.S, first.S[2*i:]...)
+	out.I = append(out.I, first.I[i:]...)
 	return out
 }
 
@@ -125,27 +206,7 @@ func NewLWWMap() *spec.Class {
 				return spec.Call{Method: LWWMapSet}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				// Per-key winners of both calls, serialized with sorted
-				// keys for a deterministic summary.
-				win := make(map[string]lwwCell)
-				for _, c := range []spec.Call{a, b} {
-					for _, e := range lwwMapDecode(c.Args) {
-						if cur, ok := win[e.K]; !ok || e.C.beats(cur) {
-							win[e.K] = e.C
-						}
-					}
-				}
-				keys := make([]string, 0, len(win))
-				for k := range win {
-					keys = append(keys, k)
-				}
-				sort.Strings(keys)
-				var args spec.Args
-				for _, k := range keys {
-					args.S = append(args.S, k, win[k].V)
-					args.I = append(args.I, win[k].TS)
-				}
-				return spec.Call{Method: LWWMapSet, Args: args}
+				return spec.Call{Method: LWWMapSet, Args: lwwMapSummarize(a.Args, b.Args)}
 			},
 		}},
 	}

@@ -14,9 +14,9 @@ type ORSetState struct {
 
 // Clone implements spec.State.
 func (s *ORSetState) Clone() spec.State {
-	c := &ORSetState{Entries: make(map[int64]i64Set, len(s.Entries)), Tombs: s.Tombs.clone()}
+	c := &ORSetState{Entries: make(map[int64]i64Set, len(s.Entries)), Tombs: s.Tombs.Clone()}
 	for e, tags := range s.Entries {
-		c.Entries[e] = tags.clone()
+		c.Entries[e] = tags.Clone()
 	}
 	return c
 }
@@ -24,11 +24,11 @@ func (s *ORSetState) Clone() spec.State {
 // Equal implements spec.State.
 func (s *ORSetState) Equal(o spec.State) bool {
 	t, ok := o.(*ORSetState)
-	if !ok || len(s.Entries) != len(t.Entries) || !s.Tombs.equal(t.Tombs) {
+	if !ok || len(s.Entries) != len(t.Entries) || !s.Tombs.Equal(t.Tombs) {
 		return false
 	}
 	for e, tags := range s.Entries {
-		if !tags.equal(t.Entries[e]) {
+		if !tags.Equal(t.Entries[e]) {
 			return false
 		}
 	}

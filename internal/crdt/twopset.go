@@ -13,13 +13,13 @@ type TwoPSetState struct {
 
 // Clone implements spec.State.
 func (s *TwoPSetState) Clone() spec.State {
-	return &TwoPSetState{Added: s.Added.clone(), Tombs: s.Tombs.clone()}
+	return &TwoPSetState{Added: s.Added.Clone(), Tombs: s.Tombs.Clone()}
 }
 
 // Equal implements spec.State.
 func (s *TwoPSetState) Equal(o spec.State) bool {
 	t, ok := o.(*TwoPSetState)
-	return ok && s.Added.equal(t.Added) && s.Tombs.equal(t.Tombs)
+	return ok && s.Added.Equal(t.Added) && s.Tombs.Equal(t.Tombs)
 }
 
 // TwoPSet method IDs.
@@ -38,14 +38,7 @@ const (
 func NewTwoPSet() *spec.Class {
 	union := func(method spec.MethodID) func(a, b spec.Call) spec.Call {
 		return func(a, b spec.Call) spec.Call {
-			u := make(i64Set, len(a.Args.I)+len(b.Args.I))
-			for _, e := range a.Args.I {
-				u[e] = true
-			}
-			for _, e := range b.Args.I {
-				u[e] = true
-			}
-			return spec.Call{Method: method, Args: spec.Args{I: u.sorted()}}
+			return spec.Call{Method: method, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 		}
 	}
 	cls := &spec.Class{

@@ -15,7 +15,7 @@ type AuctionState struct {
 // Clone implements spec.State.
 func (s *AuctionState) Clone() spec.State {
 	c := &AuctionState{
-		Bidders: s.Bidders.clone(),
+		Bidders: s.Bidders.Clone(),
 		Bids:    make(map[int64]int64, len(s.Bids)),
 		Closed:  s.Closed,
 		Winner:  s.Winner,
@@ -29,7 +29,7 @@ func (s *AuctionState) Clone() spec.State {
 // Equal implements spec.State.
 func (s *AuctionState) Equal(o spec.State) bool {
 	t, ok := o.(*AuctionState)
-	if !ok || !s.Bidders.equal(t.Bidders) || s.Closed != t.Closed || s.Winner != t.Winner ||
+	if !ok || !s.Bidders.Equal(t.Bidders) || s.Closed != t.Closed || s.Winner != t.Winner ||
 		len(s.Bids) != len(t.Bids) {
 		return false
 	}
@@ -209,14 +209,7 @@ func NewAuction() *spec.Class {
 				return spec.Call{Method: AuctionRegister}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				u := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, x := range a.Args.I {
-					u[x] = true
-				}
-				for _, x := range b.Args.I {
-					u[x] = true
-				}
-				return spec.Call{Method: AuctionRegister, Args: spec.Args{I: keys(u)}}
+				return spec.Call{Method: AuctionRegister, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}

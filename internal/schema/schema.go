@@ -25,28 +25,8 @@ import (
 // pair packs a relation row (left, right) into one int64.
 func pair(l, r int64) int64 { return l<<20 | (r & 0xFFFFF) }
 
-// i64Set is a set of int64.
-type i64Set map[int64]bool
-
-func (s i64Set) clone() i64Set {
-	c := make(i64Set, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
-func (s i64Set) equal(o i64Set) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
+// i64Set is the set of int64 every relation is made of.
+type i64Set = spec.I64Set
 
 // RefState is the state of a referential schema: two entity relations and
 // a link relation whose rows must reference existing entities on both
@@ -61,13 +41,13 @@ type RefState struct {
 
 // Clone implements spec.State.
 func (s *RefState) Clone() spec.State {
-	return &RefState{Left: s.Left.clone(), Right: s.Right.clone(), Links: s.Links.clone()}
+	return &RefState{Left: s.Left.Clone(), Right: s.Right.Clone(), Links: s.Links.Clone()}
 }
 
 // Equal implements spec.State.
 func (s *RefState) Equal(o spec.State) bool {
 	t, ok := o.(*RefState)
-	return ok && s.Left.equal(t.Left) && s.Right.equal(t.Right) && s.Links.equal(t.Links)
+	return ok && s.Left.Equal(t.Left) && s.Right.Equal(t.Right) && s.Links.Equal(t.Links)
 }
 
 // Referential schema method IDs (shared by project management and
@@ -232,19 +212,7 @@ func newReferential(names refNames) *spec.Class {
 				return spec.Call{Method: RefAddRight}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				union := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, e := range a.Args.I {
-					union[e] = true
-				}
-				for _, e := range b.Args.I {
-					union[e] = true
-				}
-				out := make([]int64, 0, len(union))
-				for e := range union {
-					out = append(out, e)
-				}
-				sortI64(out)
-				return spec.Call{Method: RefAddRight, Args: spec.Args{I: out}}
+				return spec.Call{Method: RefAddRight, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}
@@ -257,8 +225,8 @@ func newReferential(names refNames) *spec.Class {
 			for i, n := 0, 1+r.Intn(5); i < n; i++ {
 				st.Right[int64(r.Intn(10))] = true
 			}
-			lefts := keys(st.Left)
-			rights := keys(st.Right)
+			lefts := st.Left.Sorted()
+			rights := st.Right.Sorted()
 			for i, n := 0, r.Intn(4); i < n; i++ {
 				l := lefts[r.Intn(len(lefts))]
 				e := rights[r.Intn(len(rights))]
@@ -287,23 +255,6 @@ func newReferential(names refNames) *spec.Class {
 	return cls
 }
 
-func keys(s i64Set) []int64 {
-	out := make([]int64, 0, len(s))
-	for k := range s {
-		out = append(out, k)
-	}
-	sortI64(out)
-	return out
-}
-
-func sortI64(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
-}
-
 // MovieState is the movie schema's state: two independent relations.
 type MovieState struct {
 	Customers i64Set
@@ -312,13 +263,13 @@ type MovieState struct {
 
 // Clone implements spec.State.
 func (s *MovieState) Clone() spec.State {
-	return &MovieState{Customers: s.Customers.clone(), Movies: s.Movies.clone()}
+	return &MovieState{Customers: s.Customers.Clone(), Movies: s.Movies.Clone()}
 }
 
 // Equal implements spec.State.
 func (s *MovieState) Equal(o spec.State) bool {
 	t, ok := o.(*MovieState)
-	return ok && s.Customers.equal(t.Customers) && s.Movies.equal(t.Movies)
+	return ok && s.Customers.Equal(t.Customers) && s.Movies.Equal(t.Movies)
 }
 
 // Movie schema method IDs.

@@ -14,9 +14,9 @@ type TournamentState struct {
 // Clone implements spec.State.
 func (s *TournamentState) Clone() spec.State {
 	c := &TournamentState{
-		Players:     s.Players.clone(),
+		Players:     s.Players.Clone(),
 		Capacities:  make(map[int64]int64, len(s.Capacities)),
-		Enrollments: s.Enrollments.clone(),
+		Enrollments: s.Enrollments.Clone(),
 	}
 	for t, cap := range s.Capacities {
 		c.Capacities[t] = cap
@@ -27,7 +27,7 @@ func (s *TournamentState) Clone() spec.State {
 // Equal implements spec.State.
 func (s *TournamentState) Equal(o spec.State) bool {
 	t, ok := o.(*TournamentState)
-	if !ok || !s.Players.equal(t.Players) || !s.Enrollments.equal(t.Enrollments) ||
+	if !ok || !s.Players.Equal(t.Players) || !s.Enrollments.Equal(t.Enrollments) ||
 		len(s.Capacities) != len(t.Capacities) {
 		return false
 	}
@@ -243,14 +243,7 @@ func NewTournament() *spec.Class {
 				return spec.Call{Method: TournAddPlayer}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				u := make(i64Set, len(a.Args.I)+len(b.Args.I))
-				for _, x := range a.Args.I {
-					u[x] = true
-				}
-				for _, x := range b.Args.I {
-					u[x] = true
-				}
-				return spec.Call{Method: TournAddPlayer, Args: spec.Args{I: keys(u)}}
+				return spec.Call{Method: TournAddPlayer, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
 			},
 		}},
 	}
@@ -263,7 +256,7 @@ func NewTournament() *spec.Class {
 			for i, n := 0, 1+r.Intn(3); i < n; i++ {
 				st.Capacities[int64(r.Intn(5))] = int64(1 + r.Intn(4))
 			}
-			players := keys(st.Players)
+			players := st.Players.Sorted()
 			for t, cap := range st.Capacities {
 				for i := int64(0); i < cap && i < int64(len(players)); i++ {
 					if r.Intn(2) == 0 {
