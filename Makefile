@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover loc check
 
 all: check
 
@@ -105,6 +105,15 @@ health-exp:
 cover:
 	$(GO) test -cover ./... | grep -v 'no test files'
 
+# loc is the ruler simplicity PRs share: non-test Go lines (blank and comment
+# lines included) per package of the root package, internal/ and cmd/, and
+# their total — 21 802 at commit 38555bf. Files a build constraint excludes
+# are not counted.
+loc:
+	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \
+		while read pkg dir files; do echo "$$(cd $$dir && cat $$files | wc -l) $$pkg"; done | \
+		awk '{ printf "%6d %s\n", $$1, $$2; t += $$1 } END { printf "%6d total\n", t }'
+
 # check is the full pre-merge gate: tier-1 build + tests (the benchmark
 # module's included), the gofmt gate, static analysis, the race detector, a
 # short fuzz budget over the wire-format parsers and the fixed-seed health
@@ -123,14 +132,13 @@ SNAPSHOT ?= BENCH_PR13.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
-# bench-wire runs the δ-vs-full wire-efficiency ablation: bytes on the wire
-# per op, reduction, and wire-stage latency share per class.
+# bench-wire runs the wire-efficiency study: δ bytes on the wire per op,
+# throughput and wire-stage latency share per class.
 bench-wire:
 	$(GO) run ./cmd/hambench -exp wire
 
 # bench-shard runs the sharded-store experiment: object-count and Zipfian
-# skew sweeps with hot-key reporting, cross-shard chained-WR counts and the
-# shared-vs-private doorbell-coalescer ablation.
+# skew sweeps with hot-key reporting and cross-shard chained-WR counts.
 SHARDS ?= 16
 bench-shard:
 	$(GO) run ./cmd/hambench -exp shard -shards $(SHARDS)

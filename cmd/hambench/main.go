@@ -12,10 +12,9 @@
 //
 // The shard experiment drives a keyed counter workload against the sharded
 // multi-object store: object-count and Zipfian-skew sweeps with per-shard
-// (hot-key) throughput reporting, cross-shard chained-WR counts on the
-// shared per-peer QPs, and the shared-vs-private doorbell-coalescer
-// ablation. -shards sets the largest object count; -shard-json dumps every
-// measured point.
+// (hot-key) throughput reporting and cross-shard chained-WR counts on the
+// shared per-peer QPs. -shards sets the largest object count; -shard-json
+// dumps every measured point.
 //
 // The chaos experiment explores -plans randomized, seed-reproducible fault
 // plans (node suspensions, link partitions, latency spikes, torn-write

@@ -101,7 +101,7 @@ type Replica struct {
 	sigmaSpec  spec.State
 	speculated map[callKey]bool
 	beater     *heartbeat.Beater
-	detector   *heartbeat.Detector
+	fdet       *heartbeat.Detector
 	n          int
 }
 
@@ -128,8 +128,8 @@ func newReplica(c *Cluster, an *spec.Analysis, id spec.ProcID, opts Options) *Re
 	}
 	if !opts.DisableFailureHandling {
 		r.beater = heartbeat.NewBeater(c.Fab.Engine(), r.node, opts.Heartbeat.BeatPeriod)
-		r.detector = heartbeat.NewDetector(c.Fab, r.node, opts.Heartbeat)
-		r.detector.OnSuspect = r.onSuspect
+		r.fdet = heartbeat.NewDetector(c.Fab, r.node, opts.Heartbeat)
+		r.fdet.OnSuspect = r.onSuspect
 	}
 	return r
 }
@@ -275,7 +275,7 @@ func (r *Replica) onSuspect(peer rdma.NodeID) {
 			r.in.StartElection()
 			return
 		}
-		if !r.detector.Suspected(next) {
+		if !r.fdet.Suspected(next) {
 			return
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
@@ -46,12 +45,7 @@ func (v doorbellVariant) latency() rdma.LatencyModel {
 // together with the fabric's verb stats and the cluster-wide CPU busy time
 // (the simulated sender/receiver CPU occupancy the ablation is about).
 func (cfg Config) doorbellPoint(cls *spec.Class, nodes int, ratio float64, lat rdma.LatencyModel) (*Result, rdma.Stats, sim.Duration) {
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(cls)
-	fab := rdma.NewFabric(eng, nodes, lat)
-	sys := &hambandSystem{c: core.NewCluster(fab, an, core.DefaultOptions())}
-	wl := NewWorkload(an, nodes, cfg.Ops, ratio, cfg.Seed+1)
-	res := Run(eng, sys, wl)
+	res, fab := cfg.run(Hamband, cls, nodes, cfg.Ops, ratio, variant{lat: &lat})
 	var busy sim.Duration
 	for i := 0; i < fab.Size(); i++ {
 		busy += fab.Node(rdma.NodeID(i)).CPU.BusyTotal()

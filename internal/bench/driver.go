@@ -311,10 +311,3 @@ func (d *driver) finalize() {
 		d.res.QueryRT = d.qryTotal / sim.Duration(d.res.Queries)
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -38,16 +38,48 @@ type Config struct {
 // DefaultOps is the per-point operation count.
 const DefaultOps = 20000
 
-// point runs one (system, class, nodes, ratio) benchmark point.
-func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, faults ...Fault) *Result {
+// variant is what a benchmark point may change about a Hamband deployment
+// (see newHamband): the fabric's cost model (nil: rdma.DefaultLatency), the
+// cluster options, and the closed-loop depth (0: DefaultConcurrency). The
+// baselines run their defaults; only depth applies to them.
+type variant struct {
+	lat   *rdma.LatencyModel
+	mut   func(*rdma.Fabric, *core.Options)
+	depth int
+}
+
+// run is the one place a benchmark point is assembled: engine → analysis →
+// fabric → cluster → workload → Run. It returns the fabric too (nil for the
+// baselines) for experiments that read verb stats or CPU occupancy.
+func (cfg Config) run(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, v variant, faults ...Fault) (*Result, *rdma.Fabric) {
 	eng := sim.NewEngine(cfg.Seed)
 	an := spec.MustAnalyze(cls)
-	sys, err := Build(kind, eng, nodes, an)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
+	var sys System
+	var fab *rdma.Fabric
+	if kind == Hamband {
+		lat := rdma.DefaultLatency()
+		if v.lat != nil {
+			lat = *v.lat
+		}
+		sys, fab = newHamband(eng, nodes, an, lat, v.mut)
+	} else {
+		var err error
+		if sys, err = Build(kind, eng, nodes, an); err != nil {
+			panic(fmt.Sprintf("bench: %v", err))
+		}
 	}
 	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	return Run(eng, sys, wl, faults...)
+	if v.depth > 0 {
+		wl.Concurrency = v.depth
+	}
+	return Run(eng, sys, wl, faults...), fab
+}
+
+// point runs one (system, class, nodes, ratio) benchmark point at the
+// default deployment.
+func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, faults ...Fault) *Result {
+	r, _ := cfg.run(kind, cls, nodes, ops, ratio, variant{}, faults...)
+	return r
 }
 
 // rtPoint measures unloaded response time: a closed loop of depth one, so
@@ -55,19 +87,8 @@ func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio 
 // Little's law: depth/throughput). The paper measures latency the same way
 // — at load levels below saturation.
 func (cfg Config) rtPoint(kind SystemKind, cls *spec.Class, nodes int, ratio float64, faults ...Fault) *Result {
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(cls)
-	sys, err := Build(kind, eng, nodes, an)
-	if err != nil {
-		panic(fmt.Sprintf("bench: %v", err))
-	}
-	ops := cfg.Ops
-	if ops > 2000 {
-		ops = 2000
-	}
-	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	wl.Concurrency = 1
-	return Run(eng, sys, wl, faults...)
+	r, _ := cfg.run(kind, cls, nodes, min(cfg.Ops, 2000), ratio, variant{depth: 1}, faults...)
+	return r
 }
 
 func (cfg Config) printf(format string, args ...any) {
@@ -286,10 +307,10 @@ func (cfg Config) Ablations() {
 	}
 
 	cfg.printf("\nAblation — synchronization groups: movie with two leaders vs one\n")
-	two := cfg.hambandPoint(schema.NewMovie(), 4, cfg.Ops, 1.0, nil)
-	one := cfg.hambandPoint(schema.NewMovie(), 4, cfg.Ops, 1.0, func(o *core.Options) {
+	two := cfg.point(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0)
+	one, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, variant{mut: func(_ *rdma.Fabric, o *core.Options) {
 		o.Leaders = []spec.ProcID{0, 0} // both groups on one node
-	})
+	}})
 	cfg.printf("two leaders: %.2f ops/µs   single leader: %.2f ops/µs   gain: %s\n",
 		two.Throughput(), one.Throughput(),
 		ratioOrDash(two.Throughput(), one.Throughput()))
@@ -300,8 +321,8 @@ func (cfg Config) Ablations() {
 	cfg.printf("group peers queue behind it; cf. Figure 11(b))\n")
 	cfg.printf("%10s %12s %12s %12s\n", "scan", "addProject", "worksOn", "addEmployee")
 	for _, scan := range []sim.Duration{2 * sim.Microsecond, 50 * sim.Microsecond, 200 * sim.Microsecond} {
-		res := cfg.hambandPointOpts(schema.NewProjectManagement(), 4, 2000, 0.5, 1,
-			func(o *core.Options) { o.SumScanPeriod = scan })
+		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5,
+			variant{depth: 1, mut: func(_ *rdma.Fabric, o *core.Options) { o.SumScanPeriod = scan }})
 		cfg.printf("%10v %12s %12s %12s\n", scan,
 			fmtRT(res.ByMethod["addProject"].Mean()),
 			fmtRT(res.ByMethod["worksOn"].Mean()),
@@ -313,36 +334,10 @@ func (cfg Config) Ablations() {
 	cfg.printf("\nAblation — closed-loop depth (counter, 4 nodes, 25%% updates)\n")
 	cfg.printf("%6s %9s %10s\n", "depth", "ops/µs", "mean RT")
 	for _, depth := range []int{1, 4, 8, 16, 32} {
-		eng := sim.NewEngine(cfg.Seed)
-		an := spec.MustAnalyze(crdt.NewCounter())
-		sys, _ := Build(Hamband, eng, 4, an)
-		wl := NewWorkload(an, 4, cfg.Ops, 0.25, cfg.Seed+1)
-		wl.Concurrency = depth
-		res := Run(eng, sys, wl)
+		res, _ := cfg.run(Hamband, crdt.NewCounter(), 4, cfg.Ops, 0.25, variant{depth: depth})
 		cfg.printf("%6d %9.2f %10s\n", depth, res.Throughput(), fmtRT(res.MeanRT))
 	}
 	cfg.printf("\n")
-}
-
-// hambandPoint runs a Hamband point with an options mutator.
-func (cfg Config) hambandPoint(cls *spec.Class, nodes, ops int, ratio float64, mut func(*core.Options)) *Result {
-	return cfg.hambandPointOpts(cls, nodes, ops, ratio, DefaultConcurrency, mut)
-}
-
-// hambandPointOpts additionally controls the closed-loop depth.
-func (cfg Config) hambandPointOpts(cls *spec.Class, nodes, ops int, ratio float64,
-	concurrency int, mut func(*core.Options)) *Result {
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(cls)
-	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
-	opts := core.DefaultOptions()
-	if mut != nil {
-		mut(&opts)
-	}
-	sys := &hambandSystem{c: core.NewCluster(fab, an, opts)}
-	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	wl.Concurrency = concurrency
-	return Run(eng, sys, wl)
 }
 
 // printByMethod prints a per-method response-time table.
@@ -397,12 +392,7 @@ func (cfg Config) Costs() {
 		ops = 500
 	}
 	for _, rw := range rows {
-		eng := sim.NewEngine(cfg.Seed)
-		an := spec.MustAnalyze(rw.cls)
-		fab := rdma.NewFabric(eng, 4, rdma.DefaultLatency())
-		sys := &hambandSystem{c: core.NewCluster(fab, an, core.DefaultOptions())}
-		wl := NewWorkload(an, 4, ops, 1.0, cfg.Seed+1)
-		res := Run(eng, sys, wl)
+		res, fab := cfg.run(Hamband, rw.cls, 4, ops, 1.0, variant{})
 		st := fab.Stats()
 		n := float64(res.Completed - res.Rejected)
 		if n == 0 {
@@ -479,25 +469,21 @@ func (cfg Config) Trace() {
 // the raw snapshot is written there as JSON; when chromeOut is non-nil a
 // Chrome trace-event file of the first calls' lifecycles is written there.
 func (cfg Config) Metrics(jsonOut, chromeOut io.Writer) {
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(crdt.NewBankMap())
-	reg := metrics.New(eng)
-	fab := rdma.NewFabric(eng, 4, rdma.DefaultLatency())
-	fab.EnableMetrics(reg)
-	opts := core.DefaultOptions()
-	opts.Metrics = reg
-	var tr *trace.Tracer
-	if chromeOut != nil {
-		tr = trace.New(eng, 1<<16)
-		opts.Tracer = tr
-	}
-	sys := &hambandSystem{c: core.NewCluster(fab, an, opts)}
 	ops := cfg.Ops / 4
 	if ops < 500 {
 		ops = 500
 	}
-	wl := NewWorkload(an, 4, ops, 0.5, cfg.Seed+1)
-	res := Run(eng, sys, wl)
+	var reg *metrics.Registry
+	var tr *trace.Tracer
+	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+		reg = metrics.New(fab.Engine())
+		fab.EnableMetrics(reg)
+		o.Metrics = reg
+		if chromeOut != nil {
+			tr = trace.New(fab.Engine(), 1<<16)
+			o.Tracer = tr
+		}
+	}})
 	res.Metrics = reg
 
 	cfg.printf("Metrics report — %s\n\n", res)
@@ -557,8 +543,8 @@ func (cfg Config) batchAblation() {
 	cfg.printf("%6s %9s %12s\n", "batch", "ops/µs", "mean RT")
 	for _, batch := range []int{1, 4, 16} {
 		batch := batch
-		res := cfg.hambandPointOpts(crdt.NewORSet(), 4, cfg.Ops, 0.25, DefaultConcurrency,
-			func(o *core.Options) { o.FreeBatchSize = batch })
+		res, _ := cfg.run(Hamband, crdt.NewORSet(), 4, cfg.Ops, 0.25,
+			variant{mut: func(_ *rdma.Fabric, o *core.Options) { o.FreeBatchSize = batch }})
 		cfg.printf("%6d %9.2f %12s\n", batch, res.Throughput(), fmtRT(res.MeanRT))
 	}
 }

@@ -7,9 +7,7 @@ import (
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
-	"hamband/internal/sim"
 	"hamband/internal/span"
-	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
 
@@ -25,21 +23,17 @@ func (cfg Config) Latency(jsonOut io.Writer) {
 		nodes = 4
 		ratio = 0.5
 	)
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(crdt.NewBankMap())
-	reg := metrics.New(eng)
-	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
-	opts := core.DefaultOptions()
-	opts.Metrics = reg
-	tr := trace.New(eng, 1<<20)
-	opts.Tracer = tr
-	sys := &hambandSystem{c: core.NewCluster(fab, an, opts)}
 	ops := cfg.Ops / 4
 	if ops < 500 {
 		ops = 500
 	}
-	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	res := Run(eng, sys, wl)
+	var reg *metrics.Registry
+	var tr *trace.Tracer
+	res, _ := cfg.run(Hamband, crdt.NewBankMap(), nodes, ops, ratio, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+		reg = metrics.New(fab.Engine())
+		tr = trace.New(fab.Engine(), 1<<20)
+		o.Metrics, o.Tracer = reg, tr
+	}})
 
 	spans := span.Build(tr.Events())
 	rep := span.Analyze(spans, reg)

@@ -20,7 +20,6 @@ import (
 type shardResult struct {
 	Shards    int     `json:"shards"`
 	Skew      float64 `json:"skew"` // zipf s parameter; 0 = uniform
-	Private   bool    `json:"private_coalescers,omitempty"`
 	Ops       int     `json:"ops"`
 	MakespanU float64 `json:"makespan_us"`
 	OpsPerUs  float64 `json:"ops_per_us"`
@@ -52,12 +51,10 @@ func (r shardResult) hotKeys(k int) []int {
 
 // shardPoint runs one keyed closed-loop point: nodes×depth outstanding
 // CounterAdd calls, each picking its shard from the skew distribution.
-func (cfg Config) shardPoint(shards, nodes, ops int, skew float64, private bool) shardResult {
+func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
 	eng := sim.NewEngine(cfg.Seed)
 	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
-	opts := store.DefaultOptions()
-	opts.PrivateCoalescers = private
-	st := store.New(fab, opts)
+	st := store.New(fab, store.DefaultOptions())
 	defer st.Stop()
 
 	an := spec.MustAnalyze(crdt.NewCounter())
@@ -81,8 +78,7 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64, private bool)
 		return rng.Intn(shards)
 	}
 
-	res := shardResult{Shards: shards, Skew: skew, Private: private, Ops: ops,
-		PerShard: make([]int, shards)}
+	res := shardResult{Shards: shards, Skew: skew, Ops: ops, PerShard: make([]int, shards)}
 	issued, done := 0, 0
 	var issue func(p spec.ProcID)
 	issue = func(p spec.ProcID) {
@@ -129,9 +125,9 @@ func (cfg Config) shardPoint(shards, nodes, ops int, skew float64, private bool)
 
 // Shard regenerates the sharded-store experiment: object-count and
 // Zipfian-skew sweeps of a keyed counter workload over one node set, with
-// per-shard (hot-key) throughput reporting, cross-shard doorbell
-// coalescing counts, and the shared-vs-private coalescer ablation.
-// jsonPath, when non-empty, additionally receives every point as JSON.
+// per-shard (hot-key) throughput reporting and cross-shard doorbell
+// coalescing counts. jsonPath, when non-empty, additionally receives every
+// point as JSON.
 func (cfg Config) Shard(shards int, jsonPath string) {
 	if shards < 2 {
 		shards = 16
@@ -149,7 +145,7 @@ func (cfg Config) Shard(shards int, jsonPath string) {
 		"shards", "skew", "ops/µs", "chains", "chainedWRs", "crossChains", "crossWRs")
 	for _, sc := range counts {
 		for _, skew := range skews {
-			r := cfg.shardPoint(sc, nodes, cfg.Ops, skew, false)
+			r := cfg.shardPoint(sc, nodes, cfg.Ops, skew)
 			all = append(all, r)
 			cfg.printf("%-7d %6s %9.2f %10d %11d %11d %9d\n",
 				sc, skewName(skew), r.OpsPerUs, r.Chains, r.ChainedWRs, r.CrossChains, r.CrossWRs)
@@ -168,16 +164,10 @@ func (cfg Config) Shard(shards int, jsonPath string) {
 			fmt.Sprintf("#%d:%d", coldest, r.PerShard[coldest]))
 	}
 
-	cfg.printf("\nCoalescer ablation — shared per-peer QP chains vs per-shard flushes (%d shards, skew 1.5)\n", shards)
-	shared := cfg.shardPoint(shards, nodes, cfg.Ops, 1.5, false)
-	private := cfg.shardPoint(shards, nodes, cfg.Ops, 1.5, true)
-	all = append(all, shared, private)
-	cfg.printf("%-8s %9s %10s %11s %11s\n", "variant", "ops/µs", "chains", "chainedWRs", "crossChains")
-	cfg.printf("%-8s %9.2f %10d %11d %11d\n", "shared", shared.OpsPerUs, shared.Chains, shared.ChainedWRs, shared.CrossChains)
-	cfg.printf("%-8s %9.2f %10d %11d %11d\n", "private", private.OpsPerUs, private.Chains, private.ChainedWRs, private.CrossChains)
-	cfg.printf("doorbells rung: shared %d vs private %d (%s)\n",
-		doorbells(shared), doorbells(private),
-		ratioOrDash(float64(doorbells(private)), float64(doorbells(shared))))
+	shared := all[len(all)-len(skews)+indexOfSkew(skews, 1.5)]
+	// Every posted write rings a doorbell unless it rode an earlier WR's chain.
+	cfg.printf("\nShared per-peer QP chains (%d shards, skew 1.5): %d doorbells rung for %d writes\n",
+		shards, shared.Writes-shared.ChainedWRs, shared.Writes)
 
 	cfg.printf("\nMemory budget — %d shards use %d B/node of the %d B arena\n",
 		shards, shared.UsedBytes, store.DefaultOptions().MemoryBudget)
@@ -199,10 +189,6 @@ func (cfg Config) Shard(shards int, jsonPath string) {
 	}
 	cfg.printf("\n")
 }
-
-// doorbells counts the doorbells actually rung: every posted write rings
-// one unless it rode an earlier WR's chain.
-func doorbells(r shardResult) uint64 { return r.Writes - r.ChainedWRs }
 
 func skewName(s float64) string {
 	if s == 0 {

@@ -39,6 +39,24 @@ type Snapshot struct {
 	Points []SnapPoint `json:"points"`
 }
 
+// resultPoint is a driver result in the snapshot schema; bytesPerOp is zero
+// (omitted) for experiments that do not measure wire bytes.
+func resultPoint(exp, system string, nodes int, ratio float64, r *Result, bytesPerOp float64) SnapPoint {
+	return SnapPoint{
+		Experiment:  exp,
+		System:      system,
+		Class:       r.Class,
+		Nodes:       nodes,
+		UpdateRatio: ratio,
+		OpsPerUs:    r.Throughput(),
+		MeanRTUs:    r.MeanRT.Micros(),
+		P50Us:       r.Percentile(50).Micros(),
+		P95Us:       r.Percentile(95).Micros(),
+		P99Us:       r.Percentile(99).Micros(),
+		BytesPerOp:  bytesPerOp,
+	}
+}
+
 // key identifies a point for cross-snapshot matching.
 func (p SnapPoint) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g", p.Experiment, p.System, p.Class, p.Nodes, p.UpdateRatio)
@@ -51,18 +69,7 @@ func (p SnapPoint) key() string {
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
 	add := func(exp string, sysName string, nodes int, ratio float64, r *Result) {
-		s.Points = append(s.Points, SnapPoint{
-			Experiment:  exp,
-			System:      sysName,
-			Class:       r.Class,
-			Nodes:       nodes,
-			UpdateRatio: ratio,
-			OpsPerUs:    r.Throughput(),
-			MeanRTUs:    r.MeanRT.Micros(),
-			P50Us:       r.Percentile(50).Micros(),
-			P95Us:       r.Percentile(95).Micros(),
-			P99Us:       r.Percentile(99).Micros(),
-		})
+		s.Points = append(s.Points, resultPoint(exp, sysName, nodes, ratio, r, 0))
 	}
 	figures := []struct {
 		exp     string
@@ -98,7 +105,7 @@ func (cfg Config) Snapshot() Snapshot {
 		}
 	}
 	for _, skew := range []float64{0, 1.5} {
-		r := cfg.shardPoint(16, 4, cfg.Ops, skew, false)
+		r := cfg.shardPoint(16, 4, cfg.Ops, skew)
 		name := "shard/uniform"
 		if skew > 0 {
 			name = fmt.Sprintf("shard/zipf%.1f", skew)
@@ -117,26 +124,8 @@ func (cfg Config) Snapshot() Snapshot {
 		wireOps = 500
 	}
 	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewGSet, crdt.NewLWWMap} {
-		for _, deltaOn := range []bool{false, true} {
-			exp := "wire/full"
-			if deltaOn {
-				exp = "wire/delta"
-			}
-			r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps, deltaOn)
-			s.Points = append(s.Points, SnapPoint{
-				Experiment:  exp,
-				System:      Hamband.String(),
-				Class:       r.Class,
-				Nodes:       4,
-				UpdateRatio: 1.0,
-				OpsPerUs:    r.Throughput(),
-				MeanRTUs:    r.MeanRT.Micros(),
-				P50Us:       r.Percentile(50).Micros(),
-				P95Us:       r.Percentile(95).Micros(),
-				P99Us:       r.Percentile(99).Micros(),
-				BytesPerOp:  bytes,
-			})
-		}
+		r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps)
+		s.Points = append(s.Points, resultPoint("wire/delta", Hamband.String(), 4, 1.0, r, bytes))
 	}
 	return s
 }

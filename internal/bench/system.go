@@ -78,13 +78,13 @@ func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis) (System, 
 func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, reg *metrics.Registry) (System, error) {
 	switch kind {
 	case Hamband:
-		fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
-		opts := core.DefaultOptions()
-		if reg.Enabled() {
-			fab.EnableMetrics(reg)
-			opts.Metrics = reg
-		}
-		return &hambandSystem{c: core.NewCluster(fab, an, opts)}, nil
+		sys, _ := newHamband(eng, n, an, rdma.DefaultLatency(), func(fab *rdma.Fabric, o *core.Options) {
+			if reg.Enabled() {
+				fab.EnableMetrics(reg)
+				o.Metrics = reg
+			}
+		})
+		return sys, nil
 	case MSG:
 		net := msgnet.New(eng, n, msgnet.DefaultCost())
 		c, err := msgcrdt.NewCluster(net, an, msgcrdt.DefaultOptions())
@@ -108,6 +108,19 @@ func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis
 
 type hambandSystem struct{ c *core.Cluster }
 
+// newHamband assembles a Hamband deployment: a fabric under lat and a
+// cluster whose options are core.DefaultOptions as edited by mut (nil: as
+// they are). mut sees the fabric so it can attach a tracer or registry.
+func newHamband(eng *sim.Engine, n int, an *spec.Analysis, lat rdma.LatencyModel,
+	mut func(*rdma.Fabric, *core.Options)) (*hambandSystem, *rdma.Fabric) {
+	fab := rdma.NewFabric(eng, n, lat)
+	opts := core.DefaultOptions()
+	if mut != nil {
+		mut(fab, &opts)
+	}
+	return &hambandSystem{c: core.NewCluster(fab, an, opts)}, fab
+}
+
 func (s *hambandSystem) Name() string { return "Hamband" }
 func (s *hambandSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
 	s.c.Replica(p).Invoke(u, a, cb)
@@ -124,9 +137,6 @@ func (s *hambandSystem) Fail(p spec.ProcID) {
 }
 func (s *hambandSystem) State(p spec.ProcID) spec.State { return s.c.Replica(p).CurrentState() }
 func (s *hambandSystem) Size() int                      { return len(s.c.Replicas) }
-
-// Cluster exposes the underlying Hamband cluster (used by ablations).
-func (s *hambandSystem) Cluster() *core.Cluster { return s.c }
 
 type msgSystem struct{ c *msgcrdt.Cluster }
 

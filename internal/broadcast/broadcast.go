@@ -270,11 +270,9 @@ type Receiver struct {
 	cfg     Config
 	handler Handler
 
-	readers     map[rdma.NodeID]*ring.Reader
+	readers     map[rdma.NodeID]*ring.Reader // each holds its source's epoch floor
 	delivered   map[rdma.NodeID]map[uint64]bool
 	low         map[rdma.NodeID]uint64 // contiguous delivery watermark per source
-	minEpoch    map[rdma.NodeID]uint32 // per-source epoch floor (dynamic membership)
-	pendingMin  map[rdma.NodeID]uint32 // floors awaiting drain promotion (FloorAfterDrain)
 	tornSeen    uint64                 // ring torn-rejects already counted into mTorn
 	staleSeen   uint64                 // ring stale-rejects already counted into mStale
 	staleBackup uint64                 // stale backup slots rejected during recovery
@@ -299,8 +297,6 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		readers:     make(map[rdma.NodeID]*ring.Reader),
 		delivered:   make(map[rdma.NodeID]map[uint64]bool),
 		low:         make(map[rdma.NodeID]uint64),
-		minEpoch:    make(map[rdma.NodeID]uint32),
-		pendingMin:  make(map[rdma.NodeID]uint32),
 		mDelivered:  cfg.Metrics.Counter("broadcast.delivered"),
 		mRecoveries: cfg.Metrics.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  cfg.Metrics.Counter("broadcast.backup_slots_recovered"),
@@ -325,32 +321,19 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 // Stop cancels the receiver's poll loop.
 func (r *Receiver) Stop() { r.ticker.Cancel() }
 
-// SetMinEpoch raises the epoch floor for one source: ring records and
-// backup slots src stamped with an older configuration are rejected and
-// counted instead of delivered. Call it when src leaves the configuration
-// (floor = the departure epoch) so writes src posted without knowing of
-// its removal cannot be delivered.
-func (r *Receiver) SetMinEpoch(src rdma.NodeID, e uint32) {
-	if e > r.minEpoch[src] {
-		r.minEpoch[src] = e
-	}
-	if rd := r.readers[src]; rd != nil {
-		rd.SetMinEpoch(e)
-	}
-}
-
-// FloorAfterDrain schedules an epoch-floor raise for src that takes effect
-// only once this receiver has drained src's inbound ring: records src
-// legitimately posted (and acked) while still a member must be delivered,
-// not rejected, even if this node was suspended when the membership change
-// committed and only drains its backlog much later. Raising the floor on a
-// timer cannot give that guarantee; draining-then-raising can, because a
-// removed node's writes are refused at the NIC, so everything in the ring
-// predates the revocation.
+// FloorAfterDrain schedules an epoch-floor raise for src (call it when src
+// leaves the configuration, with the departure epoch): ring records and
+// backup slots src stamped with an older configuration are then rejected
+// and counted instead of delivered. The raise takes effect only once this
+// receiver has drained src's inbound ring: records src legitimately posted
+// (and acked) while still a member must be delivered, not rejected, even if
+// this node was suspended when the membership change committed and only
+// drains its backlog much later. Raising the floor on a timer cannot give
+// that guarantee; draining-then-raising can (ring.EpochFloor). The drain
+// proof is the ring reader's: the first poll that finds src's ring
+// quiescent promotes the floor.
 func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
-	if cur, ok := r.pendingMin[src]; (!ok || e > cur) && e > r.minEpoch[src] {
-		r.pendingMin[src] = e
-	}
+	r.readers[src].Floor().RaiseAfterDrain(e)
 }
 
 // StaleRejects returns how many records the epoch gates have rejected
@@ -380,17 +363,9 @@ func (r *Receiver) sweep() {
 		if rd == nil {
 			continue
 		}
-		drained := false
 		for {
 			rec, ok, err := rd.Poll()
 			if err != nil || !ok {
-				// An idle poll alone is not a drain proof: the reader
-				// must also be quiescent — a wrap marker consumed with
-				// its record still landing, or a torn record mid-heal,
-				// both return idle while bytes are pending. Promoting a
-				// parked floor then would stale-reject a record the
-				// departed source legitimately posted before revocation.
-				drained = err == nil && !ok && rd.Quiescent()
 				break
 			}
 			validated += len(rec)
@@ -403,10 +378,6 @@ func (r *Receiver) sweep() {
 				break
 			}
 			r.deliver(src, seq, payload)
-		}
-		if e, ok := r.pendingMin[src]; ok && drained {
-			delete(r.pendingMin, src)
-			r.SetMinEpoch(src, e)
 		}
 		torn += rd.TornRejects()
 		stale += rd.StaleRejects()
@@ -495,7 +466,7 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 			if derr != nil {
 				continue
 			}
-			if epoch < r.minEpoch[src] {
+			if !r.readers[src].Floor().Admits(epoch) {
 				// Backup slot stamped before src's departure epoch: the
 				// same stale-write rejection the ring gate applies.
 				r.staleBackup++

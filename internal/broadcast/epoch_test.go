@@ -26,7 +26,7 @@ func TestStaleEpochRecordsRejected(t *testing.T) {
 	})
 	// Node 0 left the configuration at epoch 1 but does not know yet: it
 	// still stamps epoch 0.
-	rx.SetMinEpoch(0, 1)
+	rx.readers[0].Floor().Raise(1)
 
 	eng.At(0, func() {
 		if err := bc.Broadcast([]byte("stale"), nil); err != nil {
@@ -66,9 +66,9 @@ func TestSetEpochMonotone(t *testing.T) {
 		t.Fatalf("Epoch = %d, want 3", bc.Epoch())
 	}
 	rx := NewReceiver(fab, fab.Node(1), cfg, func(rdma.NodeID, uint64, []byte) {})
-	rx.SetMinEpoch(0, 2)
-	rx.SetMinEpoch(0, 1)
-	if rx.minEpoch[0] != 2 {
-		t.Fatalf("minEpoch = %d, want 2", rx.minEpoch[0])
+	rx.readers[0].Floor().Raise(2)
+	rx.readers[0].Floor().Raise(1)
+	if rx.readers[0].Floor().Min() != 2 {
+		t.Fatalf("floor = %d, want 2", rx.readers[0].Floor().Min())
 	}
 }

@@ -30,6 +30,7 @@ type SourceHealth struct {
 func (r *Receiver) Rings() []SourceHealth {
 	out := make([]SourceHealth, 0, len(r.readers))
 	for src, rd := range r.readers {
+		floor := rd.Floor()
 		h := SourceHealth{
 			Src:        src,
 			Head:       rd.Head(),
@@ -37,11 +38,9 @@ func (r *Receiver) Rings() []SourceHealth {
 			TornStreak: rd.TornStreak(),
 			Torn:       rd.TornRejects(),
 			Stale:      rd.StaleRejects(),
-			MinEpoch:   r.minEpoch[src],
-		}
-		if e, ok := r.pendingMin[src]; ok {
-			h.PendingMin = e
-			h.HasPending = true
+			MinEpoch:   floor.Min(),
+			PendingMin: floor.Pending(),
+			HasPending: floor.Pending() != 0,
 		}
 		if err := rd.Parked(); err != nil {
 			h.Parked = true

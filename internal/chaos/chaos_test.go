@@ -3,6 +3,7 @@ package chaos
 import (
 	"bytes"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hamband/internal/sim"
@@ -95,6 +96,23 @@ func TestPlanJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(p, q) {
 		t.Fatalf("round trip changed the plan:\n%+v\n%+v", p, q)
+	}
+}
+
+// TestPlanJSONRejectsUnknownFields pins the strict decoder: an artifact from
+// before the full-state slot layout was retired carries full_summaries, and
+// replaying it as if the field were absent would be a different run.
+func TestPlanJSONRejectsUnknownFields(t *testing.T) {
+	for _, in := range []string{
+		`{"class":"counter","nodes":4,"ops":80,"seed":208,"full_summaries":true}`,
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"events":[{"at":5,"kind":"suspend","node":1,"nod":2}]}`,
+	} {
+		if _, err := ReadPlan(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("ReadPlan(%s) = %v, want an unknown-field error", in, err)
+		}
+	}
+	if _, err := ReadPlan(strings.NewReader(`{"class":"counter","nodes":4,"ops":80,"seed":208}`)); err != nil {
+		t.Fatalf("the same plan without the retired field: %v", err)
 	}
 }
 

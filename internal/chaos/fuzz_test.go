@@ -24,6 +24,7 @@ func FuzzPlanJSON(f *testing.F) {
 	}
 	f.Add([]byte(`{"class":"counter","nodes":2,"ops":0,"seed":-1,"events":null}`))
 	f.Add([]byte(`{"class":"counter","nodes":2,"events":[{"at":-1,"kind":"suspend"}]}`))
+	f.Add([]byte(`{"class":"counter","nodes":4,"ops":80,"seed":208,"full_summaries":true}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
 

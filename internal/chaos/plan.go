@@ -115,14 +115,8 @@ type Plan struct {
 	// the conformance harness's checks must catch.
 	MutateApplyOrder bool `json:"mutate_apply_order,omitempty"`
 
-	// FullSummaries disables the δ-mutation pipeline (summary slots carry
-	// full state only, F-records use the legacy fixed-width framing) — the
-	// ablation arm for delta-vs-full chaos comparisons.
-	FullSummaries bool `json:"full_summaries,omitempty"`
-
 	// AnchorInterval, when positive, overrides the δ-log's full-state
-	// re-anchor period. Small values stress the anchor/δ interleaving;
-	// ignored under FullSummaries.
+	// re-anchor period. Small values stress the anchor/δ interleaving.
 	AnchorInterval int `json:"anchor_interval,omitempty"`
 
 	// ShardMix, when ≥ 2, runs the plan against a sharded multi-object
@@ -250,10 +244,15 @@ func (p Plan) WriteJSON(w io.Writer) error {
 	return enc.Encode(p)
 }
 
-// ReadPlan parses and validates a JSON plan.
+// ReadPlan parses and validates a JSON plan. Unknown fields are an error: a
+// plan is a replayable bug report, and an artifact carrying a switch this
+// build no longer has (the full-state summaries flag, retired with that
+// slot layout) must fail loudly, not replay as a different run.
 func ReadPlan(r io.Reader) (Plan, error) {
 	var p Plan
-	if err := json.NewDecoder(r).Decode(&p); err != nil {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&p); err != nil {
 		return Plan{}, fmt.Errorf("chaos: decoding plan: %w", err)
 	}
 	return p, p.Validate()

@@ -205,10 +205,6 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	copts.CheckIntegrity = false
 	copts.DisableFailureHandling = p.DisableRecovery
 	copts.MutateApplyOrder = p.MutateApplyOrder
-	if p.FullSummaries {
-		copts.DeltaSummaries = false
-		copts.DeltaWire = false
-	}
 	if p.AnchorInterval > 0 {
 		copts.AnchorInterval = p.AnchorInterval
 	}

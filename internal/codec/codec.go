@@ -249,7 +249,7 @@ func EncodeSlot(payload []byte, version uint32, slotSize int) ([]byte, error) {
 // land both boundary words before the interior; the reader should retry. A
 // zero version means the slot was never written.
 func DecodeSlot(b []byte) (payload []byte, version uint32, err error) {
-	payload, version, err = DecodeSlotSeqlock(b)
+	payload, version, err = decodeSlotSeqlock(b)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -260,12 +260,11 @@ func DecodeSlot(b []byte) (payload []byte, version uint32, err error) {
 	return payload, version, nil
 }
 
-// DecodeSlotSeqlock is the pre-CRC validation scheme: it checks only that
-// the leading and trailing version words match. It false-accepts any torn
-// landing whose boundary words arrive before the interior payload bytes and
-// is retained solely as the ablation baseline for regression tests proving
-// that hazard; production readers must use DecodeSlot.
-func DecodeSlotSeqlock(b []byte) (payload []byte, version uint32, err error) {
+// decodeSlotSeqlock is DecodeSlot's fast-path half: it delimits the payload
+// and checks only that the leading and trailing version words match. Alone
+// it false-accepts any torn landing whose boundary words arrive before the
+// interior payload bytes — the pre-CRC scheme the torn tests pin.
+func decodeSlotSeqlock(b []byte) (payload []byte, version uint32, err error) {
 	if len(b) < SlotOverhead {
 		return nil, 0, ErrCorrupt
 	}

@@ -7,11 +7,12 @@
 //
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
-// The kind byte names the record's role in a delta-group: FrameFull is a
-// packed full call record (the δ-mutation broadcast path), FrameDelta one
-// folded reducible call, FrameAnchor a full summarized state. Kind bytes
-// live above 0xF0 so a delta record can never be confused with a legacy
-// EncodeEntry record, whose fifth byte is a method id's low byte.
+// The kind byte names the record's role: FrameFull is a packed full call
+// record (the δ-mutation broadcast path), FrameDelta one folded reducible
+// call of a delta-group (whose full-state anchor is a slot frame, not a
+// record). Kind bytes live above 0xF0 so a delta record can never be
+// confused with an EncodeEntry record, whose fifth byte is a method id's low
+// byte.
 //
 // All integers are varint-packed; spec.DepVec and the per-method applied
 // counts use a columnar delta encoding (first value, then zigzag deltas
@@ -32,9 +33,8 @@ import (
 // Delta-record kinds. Values above 0xF0 are unreachable as the fifth byte
 // of a legacy entry record (a u16 method id's low byte for any real class).
 const (
-	FrameFull   byte = 0xF1 // packed full call record (δ-mutation broadcast)
-	FrameDelta  byte = 0xF2 // one folded reducible call of a delta-group
-	FrameAnchor byte = 0xF3 // full summarized state anchoring a delta-group
+	FrameFull  byte = 0xF1 // packed full call record (δ-mutation broadcast)
+	FrameDelta byte = 0xF2 // one folded reducible call of a delta-group
 )
 
 // minDelta is the smallest possible delta record: length word, kind,
@@ -230,7 +230,7 @@ func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
 // like the legacy entry frame, so torn landings are rejected the same way.
 func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	switch r.Kind {
-	case FrameFull, FrameDelta, FrameAnchor:
+	case FrameFull, FrameDelta:
 	default:
 		return nil, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
@@ -297,7 +297,7 @@ func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
 	}
 	h := DeltaHeader{Kind: b[4], Total: total}
 	switch h.Kind {
-	case FrameFull, FrameDelta, FrameAnchor:
+	case FrameFull, FrameDelta:
 	default:
 		return zero, ErrCorrupt
 	}

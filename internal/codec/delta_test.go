@@ -26,7 +26,7 @@ func sampleDelta() DeltaRecord {
 }
 
 func TestDeltaRecordRoundTrip(t *testing.T) {
-	for _, kind := range []byte{FrameFull, FrameDelta, FrameAnchor} {
+	for _, kind := range []byte{FrameFull, FrameDelta} {
 		r := sampleDelta()
 		r.Kind = kind
 		b, err := EncodeDeltaRecord(r)
@@ -205,6 +205,21 @@ func TestDeltaRecordTornAndCorrupt(t *testing.T) {
 	if _, _, derr := DecodeDeltaRecord(badkind); !errors.Is(derr, ErrCorrupt) {
 		t.Fatalf("bad kind: err = %v, want ErrCorrupt", derr)
 	}
+	// 0xF3 was FrameAnchor, a kind both switches accepted but nothing ever
+	// encoded; retired, it is as corrupt as any other unknown kind, on the
+	// header step, the full decode and the encoder alike.
+	retired := retiredKindFrame(good)
+	if _, derr := PeekDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
+		t.Fatalf("retired kind 0xF3, header: err = %v, want ErrCorrupt", derr)
+	}
+	if _, _, derr := DecodeDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
+		t.Fatalf("retired kind 0xF3, decode: err = %v, want ErrCorrupt", derr)
+	}
+	r := sampleDelta()
+	r.Kind = 0xF3
+	if _, eerr := EncodeDeltaRecord(r); !errors.Is(eerr, ErrCorrupt) {
+		t.Fatalf("retired kind 0xF3, encode: err = %v, want ErrCorrupt", eerr)
+	}
 	// Truncate the body but keep the frame CRC-valid: a varint that runs
 	// off the end of a *complete* record is corruption.
 	short := append([]byte(nil), good[:len(good)-RecordTrailer-3]...)
@@ -214,6 +229,14 @@ func TestDeltaRecordTornAndCorrupt(t *testing.T) {
 	if _, _, derr := DecodeDeltaRecord(short); !errors.Is(derr, ErrCorrupt) {
 		t.Fatalf("overrunning field in CRC-valid record: err = %v, want ErrCorrupt", derr)
 	}
+}
+
+// retiredKindFrame rewrites a valid record's kind byte to the retired 0xF3
+// behind a recomputed CRC.
+func retiredKindFrame(good []byte) []byte {
+	b := append([]byte(nil), good...)
+	b[4] = 0xF3
+	return reframe(b)
 }
 
 // errClass names the declared error value err wraps, most specific first
@@ -251,9 +274,10 @@ func FuzzDeltaEntry(f *testing.F) {
 	bad := append([]byte(nil), good...)
 	bad[len(bad)-1] ^= 0xff
 	f.Add(bad)
-	anchor, _ := EncodeDeltaRecord(DeltaRecord{Kind: FrameAnchor, Version: 1,
-		C: spec.Call{Method: 1}, Counts: []uint32{1}})
-	f.Add(anchor)
+	full, _ := EncodeDeltaRecord(DeltaRecord{Kind: FrameFull,
+		C: spec.Call{Method: 1}, D: spec.DepVec{1}})
+	f.Add(full)
+	f.Add(retiredKindFrame(good))
 	// Torn: the canary landed ahead of an interior byte.
 	torn := append([]byte(nil), good...)
 	torn[7] ^= 0xff
@@ -265,7 +289,7 @@ func FuzzDeltaEntry(f *testing.F) {
 	reframe(short)
 	f.Add(short)
 	// Two records back to back, as a δ-log holds them.
-	f.Add(append(append([]byte(nil), good...), anchor...))
+	f.Add(append(append([]byte(nil), good...), full...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, herr := PeekDeltaRecord(data)
 		r, n, err := DecodeDeltaRecord(data)

@@ -42,7 +42,7 @@ func TestSlotBoundaryFirstFalseAccept(t *testing.T) {
 
 	// The pre-CRC scheme: both version words read 2, so it hands back the
 	// stale v1 payload stamped as v2 — corrupt payload, no error.
-	pl, ver, serr := DecodeSlotSeqlock(slot[:used])
+	pl, ver, serr := decodeSlotSeqlock(slot[:used])
 	if serr != nil {
 		t.Fatalf("seqlock decode rejected the torn slot (err %v); the false accept this test pins requires matching version words", serr)
 	}
@@ -98,7 +98,7 @@ func TestSlotShrinkingOverwrite(t *testing.T) {
 	// reject; neither may return a blend of the two payloads.
 	slot = append([]byte(nil), v1...)
 	landBoundary(slot, v2, shortUsed)
-	if pl, _, serr := DecodeSlotSeqlock(slot); serr == nil {
+	if pl, _, serr := decodeSlotSeqlock(slot); serr == nil {
 		t.Fatalf("seqlock decode accepted a shrinking torn overwrite: %q", pl)
 	}
 	if pl, _, cerr := DecodeSlot(slot); cerr == nil {

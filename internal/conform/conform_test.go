@@ -30,8 +30,6 @@ func corpusPlans() []chaos.Plan {
 		chaos.Generate("orset", 4, 60, 205),
 		chaos.Generate("bankmap", 4, 60, 206),
 		deltaFaulty,
-		// Ablation arm: the legacy full-state path must stay conforming.
-		{Class: "counter", Nodes: 4, Ops: 80, Seed: 208, FullSummaries: true},
 	}
 }
 

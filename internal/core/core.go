@@ -30,6 +30,7 @@ import (
 	"hamband/internal/metrics"
 	"hamband/internal/mu"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -46,6 +47,9 @@ const epochRegionBase = "ham-epoch"
 
 // epochRegionSize is the epoch word's size.
 const epochRegionSize = 8
+
+// minDeltaLogBytes is the smallest δ-record log a summary slot may carry.
+const minDeltaLogBytes = 64
 
 func epochRegion(ns string) string { return ns + epochRegionBase }
 
@@ -70,28 +74,22 @@ type Options struct {
 	FreeBatchSize  int
 	FreeBatchDelay sim.Duration
 
-	// DeltaSummaries stores summary slots as delta-groups: each reducible
-	// call ships one small δ-record into the slot's log area and the full
-	// summarized state is rewritten only every AnchorInterval calls (or
-	// when the log fills). Remote scanners fold the δ-records onto their
-	// last adopted state and fall back to a one-sided full-state fetch of
-	// the writer's own slot on a version gap or a persistently torn frame.
-	// The writer's own region always holds the current full frame, so
-	// repair, recovery and recency reads stay anchor-aware for free.
-	DeltaSummaries bool
-
-	// DeltaWire ships irreducible conflict-free broadcast records in the
-	// packed varint δ-framing (codec.FrameFull) instead of the fixed-width
-	// entry encoding; receivers accept both.
-	DeltaWire bool
-
+	// Summary slots are delta-groups: each reducible call ships one small
+	// δ-record into the slot's log area and the full summarized state is
+	// rewritten only every AnchorInterval calls (or when the log fills).
+	// Remote scanners fold the δ-records onto their last adopted state and
+	// fall back to a one-sided full-state fetch of the writer's own slot on
+	// a version gap or a persistently torn frame. The writer's own region
+	// always holds the current full frame, so repair, recovery and recency
+	// reads stay anchor-aware for free.
+	//
 	// AnchorInterval is the number of δ-records between full-state anchors
-	// of a delta-group summary slot (≥ 1; 1 degenerates to full-state
-	// writes framed as anchors).
+	// (≥ 1).
 	AnchorInterval int
 
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
-	// the δ-record log; the rest holds the full-state anchor frame.
+	// the δ-record log; the rest holds the full-state anchor frame. Zero,
+	// negative or more than half the slot selects a quarter of the slot.
 	DeltaLogBytes int
 
 	// Leaders overrides the leader of each synchronization group
@@ -139,10 +137,10 @@ type Options struct {
 	// coalescer, which reproduces the single-object behavior exactly.
 	Coalescers []*rdma.Coalescer
 
-	// FailureDomain, when non-nil, supplies shared per-node heartbeat
-	// beaters and detectors; replicas subscribe instead of running their
-	// own, and the cluster skips heartbeat region registration. Nil (the
-	// default) keeps the per-cluster failure handling.
+	// FailureDomain supplies the per-node heartbeat beaters and detectors
+	// every replica subscribes to. A store passes the one domain its shards
+	// share; nil (the default) makes the cluster build and own a domain of
+	// its own — the one-shard case — which Cluster.Stop then stops.
 	FailureDomain *FailureDomain
 
 	// FreeDeliveryHook, when non-nil, intercepts every irreducible
@@ -167,8 +165,6 @@ func DefaultOptions() Options {
 		QueryCost:      100 * sim.Nanosecond,
 		FreeBatchSize:  1,
 		FreeBatchDelay: 5 * sim.Microsecond,
-		DeltaSummaries: true,
-		DeltaWire:      true,
 		AnchorInterval: 32,
 		DeltaLogBytes:  4096,
 	}
@@ -184,10 +180,16 @@ type Cluster struct {
 
 	// Dynamic membership (epoch.go): the configuration epoch and which
 	// nodes are currently members. The per-source epoch floors live on each
-	// replica (Replica.minEpochs): they rise independently, once that
+	// replica (Replica.floors): they rise independently, once that
 	// replica has drained the departed source's remaining frames.
 	epoch   uint32
 	members []bool
+
+	// fdom is the failure domain the replicas subscribe to: nil with failure
+	// handling disabled, Options.FailureDomain when one was supplied, else a
+	// domain this cluster created and stops (ownsFdom).
+	fdom     *FailureDomain
+	ownsFdom bool
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -201,17 +203,17 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor frame needs most of
 	// the slot (summaries grow with the object), so the log is clamped to
-	// at most half the slot and delta mode is dropped when no room remains.
-	if opts.DeltaSummaries {
-		if opts.AnchorInterval < 1 {
-			opts.AnchorInterval = 1
-		}
-		if opts.DeltaLogBytes <= 0 || opts.DeltaLogBytes > opts.SumSlotSize/2 {
-			opts.DeltaLogBytes = opts.SumSlotSize / 4
-		}
-		if opts.DeltaLogBytes < 64 {
-			opts.DeltaSummaries = false
-		}
+	// at most half the slot. A slot too small to hold a δ-log at all is a
+	// hard configuration error, like a summary outgrowing its anchor area.
+	if opts.AnchorInterval < 1 {
+		opts.AnchorInterval = 1
+	}
+	if opts.DeltaLogBytes <= 0 || opts.DeltaLogBytes > opts.SumSlotSize/2 {
+		opts.DeltaLogBytes = opts.SumSlotSize / 4
+	}
+	if opts.DeltaLogBytes < minDeltaLogBytes && len(an.Class.SumGroups) > 0 {
+		panic(fmt.Sprintf("core: %d-byte summary slot leaves a %d-byte δ-log (minimum %d)",
+			opts.SumSlotSize, opts.DeltaLogBytes, minDeltaLogBytes))
 	}
 	c := &Cluster{Fab: fab, An: an, Opts: opts}
 	c.leaders = opts.Leaders
@@ -265,13 +267,20 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		}
 		er := node.Register(epochRegion(opts.Namespace), epochRegionSize)
 		er.AllowAllWrites() // any member may CAS-claim a reconfiguration
-		if !opts.DisableFailureHandling && opts.FailureDomain == nil {
-			heartbeat.Register(node)
-		}
 	}
 	c.members = make([]bool, n)
 	for i := range c.members {
 		c.members[i] = true
+	}
+
+	// Failure handling: every replica subscribes to one failure domain (a
+	// node beats once for everything it hosts). A standalone cluster is the
+	// one-shard case and owns its domain.
+	if !opts.DisableFailureHandling {
+		if c.fdom = opts.FailureDomain; c.fdom == nil {
+			c.fdom = NewFailureDomain(fab, c.Opts.Heartbeat)
+			c.ownsFdom = true
+		}
 	}
 
 	for i := 0; i < n; i++ {
@@ -289,12 +298,16 @@ func (c *Cluster) Leader(p spec.ProcID, g int) spec.ProcID {
 // Replica returns the replica at process p.
 func (c *Cluster) Replica(p spec.ProcID) *Replica { return c.Replicas[p] }
 
-// Stop cancels every replica's pollers, detectors, heartbeats and
-// consensus instances. The cluster must not be used afterwards; memory
-// regions stay registered on the fabric.
+// Stop cancels every replica's pollers and consensus instances, and the
+// failure domain when the cluster owns it (a shared domain outlives the
+// cluster: other shards still use it, and its owner stops it). The cluster
+// must not be used afterwards; memory regions stay registered on the fabric.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.stop()
+	}
+	if c.ownsFdom {
+		c.fdom.Stop()
 	}
 }
 
@@ -304,7 +317,7 @@ type sumSlot struct {
 	call    spec.Call
 	counts  []uint32 // applied counts per method of the group, in group order
 
-	// Delta-group reader state (DeltaSummaries).
+	// Delta-group reader state.
 	tornStreak uint8 // consecutive scans stuck on a torn frame
 	fetching   bool  // a full-state fetch of this slot is outstanding
 }
@@ -345,7 +358,7 @@ type Replica struct {
 	// private by default, shared across shards when Options.Coalescers is
 	// set (cross-shard WRs to one peer then ride one chain).
 	coal *rdma.Coalescer
-	// Per-group delta-writer state for the own slot (DeltaSummaries).
+	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
 
 	// Buffers: FIFO queues of delivered-but-unapplied calls.
@@ -354,12 +367,13 @@ type Replica struct {
 	lNext   int              // the L buffer applyOne serves first: the one after the last served
 
 	// Protocol components.
-	bc       *broadcast.Broadcaster
-	rx       *broadcast.Receiver
-	groups   []*mu.Instance
-	beater   *heartbeat.Beater
-	detector *heartbeat.Detector
-	fdom     *FailureDomain // shared failure handling; beater/detector stay nil-owned
+	bc     *broadcast.Broadcaster
+	rx     *broadcast.Receiver
+	groups []*mu.Instance
+	// The cluster's failure domain and this node's heartbeat thread in it;
+	// both nil with failure handling disabled.
+	fdom   *FailureDomain
+	beater *heartbeat.Beater
 
 	// Pending conflicting requests awaiting their ordered delivery.
 	pendingConf map[uint64]func(any, error)
@@ -385,14 +399,13 @@ type Replica struct {
 	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
 
 	// Per-source epoch floors for summary-slot adoption (dynamic
-	// membership). A leave commit parks the departed source's new floor in
-	// pendingMinEpochs; scanSummaries promotes it into minEpochs only after
-	// a pass in which that source's slots were fully readable (no torn
-	// frame, no fetch in flight), so frames the source legitimately wrote —
-	// and acked — before losing its permission are adopted, never rejected,
-	// even if this replica was suspended across the commit.
-	minEpochs        []uint32
-	pendingMinEpochs []uint32
+	// membership). A leave commit parks the departed source's new floor;
+	// scanSummaries supplies the drain proof only after a pass in which that
+	// source's slots were fully readable (no torn frame, no fetch in
+	// flight), so frames the source legitimately wrote — and acked — before
+	// losing its permission are adopted, never rejected, even if this
+	// replica was suspended across the commit.
+	floors []ring.EpochFloor
 
 	// Instrumentation (nil instruments are free no-ops).
 	mReduceLat  *metrics.Histogram // client-observed reducible-call latency
@@ -443,8 +456,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	}
 	r.live = view{r: r, base: cls.NewState()}
 	r.applyStepFn = r.applyStep
-	r.minEpochs = make([]uint32, n)
-	r.pendingMinEpochs = make([]uint32, n)
+	r.floors = make([]ring.EpochFloor, n)
 	if c.Opts.Coalescers != nil {
 		r.coal = c.Opts.Coalescers[id]
 	} else {
@@ -474,13 +486,11 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.sums = append(r.sums, row)
 		r.sumVer = append(r.sumVer, make([]uint32, n))
 	}
-	if c.Opts.DeltaSummaries {
-		r.deltaW = make([]deltaWriter, len(cls.SumGroups))
-		for g := range r.deltaW {
-			// Force a full-state anchor on the first reducible call so
-			// remote readers never fold onto an unanchored identity.
-			r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
-		}
+	r.deltaW = make([]deltaWriter, len(cls.SumGroups))
+	for g := range r.deltaW {
+		// Force a full-state anchor on the first reducible call so remote
+		// readers never fold onto an unanchored identity.
+		r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
 	}
 
 	// Broadcast: carries irreducible conflict-free calls into F buffers.
@@ -527,20 +537,10 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.groups = append(r.groups, in)
 	}
 
-	// Failure handling: subscribe to the shared domain when one exists
-	// (the node beats once for all its shards), else run a private
-	// beater/detector pair as before.
+	r.fdom = c.fdom
 	if !c.Opts.DisableFailureHandling {
-		if fd := c.Opts.FailureDomain; fd != nil {
-			r.fdom = fd
-			fd.Subscribe(int(id), r.onSuspect, r.onRestore)
-			r.beater = fd.Beater(int(id))
-		} else {
-			r.beater = heartbeat.NewBeater(c.Fab.Engine(), r.node, c.Opts.Heartbeat.BeatPeriod)
-			r.detector = heartbeat.NewDetector(c.Fab, r.node, c.Opts.Heartbeat)
-			r.detector.OnSuspect = r.onSuspect
-			r.detector.OnRestore = r.onRestore
-		}
+		r.fdom.Subscribe(int(id), r.onSuspect, r.onRestore)
+		r.beater = r.fdom.Beater(int(id))
 	}
 
 	// Pollers.
@@ -557,9 +557,9 @@ func (r *Replica) ID() spec.ProcID { return r.id }
 // Node returns the underlying fabric node.
 func (r *Replica) Node() *rdma.Node { return r.node }
 
-// Beater returns the replica's heartbeat thread (nil when failure handling
-// is disabled); tests and the failure benchmarks suspend it to inject the
-// paper's failure mode.
+// Beater returns the heartbeat thread of the replica's node (nil when
+// failure handling is disabled); tests and the failure benchmarks suspend it
+// to inject the paper's failure mode.
 func (r *Replica) Beater() *heartbeat.Beater { return r.beater }
 
 // Group returns the consensus instance of synchronization group g.
@@ -584,9 +584,7 @@ func (r *Replica) DeltaStats() (deltas, anchors, gapFetches uint64) {
 	return r.statDeltas, r.statAnchors, r.statGapFetch
 }
 
-// stop cancels the replica's background activity. Shared failure-domain
-// components outlive the replica (other shards still use them); the domain
-// owner stops them via FailureDomain.Stop.
+// stop cancels the replica's background activity.
 func (r *Replica) stop() {
 	for _, t := range r.tickers {
 		t.Cancel()
@@ -594,14 +592,5 @@ func (r *Replica) stop() {
 	r.rx.Stop()
 	for _, in := range r.groups {
 		in.Stop()
-	}
-	if r.fdom != nil {
-		return
-	}
-	if r.beater != nil {
-		r.beater.Stop()
-	}
-	if r.detector != nil {
-		r.detector.Stop()
 	}
 }

@@ -934,6 +934,28 @@ func TestClusterStopQuiescesEngine(t *testing.T) {
 	}
 }
 
+// TestClusterStopLeavesSuppliedDomainRunning is the other half of the
+// ownership rule: a domain the caller supplied (a store's, shared by its
+// shards) outlives the cluster's Stop and is stopped by its owner.
+func TestClusterStopLeavesSuppliedDomainRunning(t *testing.T) {
+	eng := sim.NewEngine(142)
+	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+	opts := DefaultOptions()
+	opts.FailureDomain = NewFailureDomain(fab, opts.Heartbeat)
+	c := NewCluster(fab, spec.MustAnalyze(crdt.NewAccount()), opts)
+	eng.RunFor(sim.Millisecond)
+	c.Stop()
+	eng.RunFor(sim.Millisecond)
+	if eng.Pending() == 0 {
+		t.Fatal("Cluster.Stop stopped a failure domain it does not own")
+	}
+	opts.FailureDomain.Stop()
+	eng.Run()
+	if eng.Pending() != 0 {
+		t.Fatalf("engine still has %d pending events after the owner stopped the domain", eng.Pending())
+	}
+}
+
 func TestLWWMapStringArgsThroughRuntime(t *testing.T) {
 	// String arguments traverse the codec, summary slots and queries.
 	h := newHarness(t, crdt.NewLWWMap(), 3, 151, nil)

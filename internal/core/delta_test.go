@@ -21,8 +21,8 @@ func deltaStats(c *Cluster) (deltas, anchors, fetches uint64) {
 }
 
 // TestDeltaSummariesConverge drives random reducible traffic from every
-// node with a small anchor interval: the cluster must converge exactly as
-// in full-state mode, with the wire carrying mostly δ-records.
+// node with a small anchor interval: the cluster must converge, with the
+// wire carrying mostly δ-records.
 func TestDeltaSummariesConverge(t *testing.T) {
 	h := newHarness(t, crdt.NewPNCounter(), 4, 71, func(o *Options) {
 		o.AnchorInterval = 4
@@ -73,13 +73,15 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 	}
 }
 
-// TestDeltaFullAblationAgree runs the same workload in delta and full-state
-// modes: final states must match and delta mode must move fewer bytes.
-func TestDeltaFullAblationAgree(t *testing.T) {
-	run := func(deltaOn bool) (spec.State, uint64) {
+// TestAnchorIntervalInvariant runs the same workload re-anchoring after every
+// δ-record (interval 1: every other write ships the full summarized state)
+// and at the default interval of 32: how often the full state travels must
+// not show in the final states, and folding more δ-records must move fewer
+// bytes.
+func TestAnchorIntervalInvariant(t *testing.T) {
+	run := func(interval int) (spec.State, uint64) {
 		h := newHarness(t, crdt.NewGSet(), 3, 73, func(o *Options) {
-			o.DeltaSummaries = deltaOn
-			o.DeltaWire = deltaOn
+			o.AnchorInterval = interval
 		})
 		h.eng.At(0, func() {
 			for i := 0; i < 24; i++ {
@@ -92,13 +94,13 @@ func TestDeltaFullAblationAgree(t *testing.T) {
 		h.checkConvergence()
 		return h.cluster.Replica(0).CurrentState(), h.fab.Stats().BytesWritten
 	}
-	dState, dBytes := run(true)
-	fState, fBytes := run(false)
+	dState, dBytes := run(32)
+	fState, fBytes := run(1)
 	if !dState.Equal(fState) {
-		t.Fatalf("delta and full modes diverged:\n delta %v\n full  %v", dState, fState)
+		t.Fatalf("anchor intervals 32 and 1 diverged:\n 32 %v\n 1  %v", dState, fState)
 	}
 	if dBytes >= fBytes {
-		t.Fatalf("delta mode moved %d bytes, full mode %d; want a reduction", dBytes, fBytes)
+		t.Fatalf("interval 32 moved %d bytes, interval 1 %d; want a reduction", dBytes, fBytes)
 	}
 }
 
@@ -181,28 +183,45 @@ func TestDeltaGapFetchesFullState(t *testing.T) {
 	}
 }
 
-// TestFreeWireFormatsInterop feeds one broadcast batch holding a legacy
-// fixed-width entry and a packed δ-record to the delivery path: both must
-// land in the source's F buffer, so mixed-version clusters interoperate.
-func TestFreeWireFormatsInterop(t *testing.T) {
+// TestLegacyFreeRecordDropped feeds the delivery path the retired
+// fixed-width entry, alone and in the middle of a batch of packed records: it
+// must be dropped together with whatever follows it in the payload — never
+// decoded as a packed record, never delivered — while the records ahead of it
+// land in the source's F buffer.
+func TestLegacyFreeRecordDropped(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 76, nil)
 	r := h.cluster.Replica(1)
 	legacy, err := codec.EncodeEntry(spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(1, 100), Proc: 0, Seq: 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
-		Kind: codec.FrameFull,
-		C:    spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: 2},
-	})
+	packed := func(seq uint64) []byte {
+		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
+			Kind: codec.FrameFull,
+			C:    spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: seq},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	r.onFreeDelivery(0, 1, legacy)
+	if got := len(r.fQueues[0]); got != 0 {
+		t.Fatalf("a legacy fixed-width record was delivered: %+v", r.fQueues[0])
+	}
+	batch := append(append(packed(2), legacy...), packed(3)...)
+	r.onFreeDelivery(0, 2, batch)
+	if got := r.fQueues[0]; len(got) != 1 || got[0].c.Seq != 2 {
+		t.Fatalf("mixed batch delivered %+v, want only the packed record ahead of the legacy one", got)
+	}
+	// A summary δ-record is not an F-path record either.
+	stray, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameDelta, Version: 1,
+		C: spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(3, 102), Proc: 0, Seq: 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.onFreeDelivery(0, 1, append(append([]byte(nil), legacy...), packed...))
-	if got := len(r.fQueues[0]); got != 2 {
-		t.Fatalf("delivered %d entries from a mixed batch, want 2", got)
-	}
-	if r.fQueues[0][0].c.Seq != 1 || r.fQueues[0][1].c.Seq != 2 {
-		t.Fatalf("batch order lost: %+v", r.fQueues[0])
+	r.onFreeDelivery(0, 3, stray)
+	if got := len(r.fQueues[0]); got != 1 {
+		t.Fatalf("a FrameDelta record reached the F buffer: %+v", r.fQueues[0])
 	}
 }

@@ -246,22 +246,10 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 
 	// Failure-detector membership: a departed node is outside the view (no
 	// suspicion, no checks), an admitted one is watched from a clean slate.
-	if fd := c.Opts.FailureDomain; fd != nil {
-		if join {
-			fd.Watch(t)
-		} else {
-			fd.Forget(t)
-		}
-	}
-	for _, r := range c.Replicas {
-		if r.detector == nil {
-			continue
-		}
-		if join {
-			r.detector.Watch(t)
-		} else {
-			r.detector.Forget(t)
-		}
+	if join {
+		c.fdom.Watch(t)
+	} else {
+		c.fdom.Forget(t)
 	}
 
 	if join {
@@ -309,9 +297,7 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 				continue
 			}
 			r.rx.FloorAfterDrain(t, newEpoch)
-			if newEpoch > r.pendingMinEpochs[target] {
-				r.pendingMinEpochs[target] = newEpoch
-			}
+			r.floors[target].RaiseAfterDrain(newEpoch)
 		}
 		// Leader handoff: the successor (lowest live member) stands for any
 		// synchronization group the departed node led.

@@ -9,8 +9,12 @@ import (
 // heartbeat thread and one detector per node — shared by every cluster on
 // the fabric. A node hosting many replicated objects is still one process:
 // it beats once, is suspected once, and every shard on it fails together.
-// Shards subscribe to the domain instead of running private detectors, so
-// N shards cost the same background heartbeat traffic as one.
+// Every replica subscribes to a domain — a standalone cluster to the
+// one-shard domain it owns — so N shards cost the same background heartbeat
+// traffic as one.
+//
+// A nil *FailureDomain is failure handling disabled: it suspects nobody and
+// its membership calls do nothing.
 type FailureDomain struct {
 	beaters   []*heartbeat.Beater
 	detectors []*heartbeat.Detector
@@ -62,17 +66,25 @@ func (fd *FailureDomain) Beater(node int) *heartbeat.Beater { return fd.beaters[
 
 // Suspected reports whether node currently suspects peer.
 func (fd *FailureDomain) Suspected(node int, peer rdma.NodeID) bool {
-	return fd.detectors[node].Suspected(peer)
+	return fd != nil && fd.detectors[node].Suspected(peer)
 }
 
-// Detector returns the node's shared failure detector — the health layer
-// reads its suspicion set; mutation stays with the domain.
-func (fd *FailureDomain) Detector(node int) *heartbeat.Detector { return fd.detectors[node] }
+// Suspects returns the peers node currently suspects, ascending; nil with
+// an empty suspicion set.
+func (fd *FailureDomain) Suspects(node int) []int {
+	if fd == nil {
+		return nil
+	}
+	return fd.detectors[node].Suspects()
+}
 
 // Forget drops peer from every node's failure-detection view: a node that
 // cleanly left the configuration is not failed, so suspicion of it clears
 // immediately and no new suspicion is raised until Watch re-admits it.
 func (fd *FailureDomain) Forget(peer rdma.NodeID) {
+	if fd == nil {
+		return
+	}
 	for _, d := range fd.detectors {
 		d.Forget(peer)
 	}
@@ -80,13 +92,16 @@ func (fd *FailureDomain) Forget(peer rdma.NodeID) {
 
 // Watch re-admits a forgotten peer on every node's detector (a join).
 func (fd *FailureDomain) Watch(peer rdma.NodeID) {
+	if fd == nil {
+		return
+	}
 	for _, d := range fd.detectors {
 		d.Watch(peer)
 	}
 }
 
-// Stop cancels every beater and detector. Call after stopping the clusters
-// subscribed to the domain.
+// Stop cancels every beater and detector. The domain's owner calls it after
+// stopping the clusters subscribed to it.
 func (fd *FailureDomain) Stop() {
 	for _, b := range fd.beaters {
 		b.Stop()

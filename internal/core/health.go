@@ -1,8 +1,10 @@
 package core
 
 import (
+	"slices"
+
 	"hamband/internal/broadcast"
-	"hamband/internal/rdma"
+	"hamband/internal/ring"
 )
 
 // Read-only introspection accessors consumed by the health layer (package
@@ -14,12 +16,10 @@ import (
 // health (occupancy, torn streaks, parked floors).
 func (r *Replica) Receiver() *broadcast.Receiver { return r.rx }
 
-// EpochFloors returns copies of the per-source slot-adoption epoch floors:
-// min is the active floor per source, pending the parked floor awaiting a
-// clean summary-scan pass (zero where nothing is parked).
-func (r *Replica) EpochFloors() (min, pending []uint32) {
-	return append([]uint32(nil), r.minEpochs...), append([]uint32(nil), r.pendingMinEpochs...)
-}
+// EpochFloors returns a copy of the per-source slot-adoption epoch floors:
+// the active floor per source and the one parked awaiting a clean
+// summary-scan pass.
+func (r *Replica) EpochFloors() []ring.EpochFloor { return slices.Clone(r.floors) }
 
 // StaleSlotRejects returns how many summary-slot reads the epoch floors
 // have rejected at this replica.
@@ -27,8 +27,7 @@ func (r *Replica) StaleSlotRejects() uint64 { return r.statStaleSlots }
 
 // AnchorAge returns the maximum δ-log age across the replica's delta
 // groups: how many δ-records the most-stale group has appended since its
-// last full-state anchor. Zero when δ-summarization is off — a freshly
-// anchored log and a disabled one are equally un-stale.
+// last full-state anchor.
 func (r *Replica) AnchorAge() int {
 	age := 0
 	for g := range r.deltaW {
@@ -45,19 +44,7 @@ func (r *Replica) GroupCount() int { return len(r.groups) }
 
 // Suspects returns the peers this replica's failure-detection view
 // currently suspects, ascending. Nil with an empty suspicion set.
-func (r *Replica) Suspects() []int {
-	var out []int
-	for p := 0; p < r.cluster.Fab.Size(); p++ {
-		peer := rdma.NodeID(p)
-		if peer == r.node.ID() {
-			continue
-		}
-		if r.suspected(peer) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
+func (r *Replica) Suspects() []int { return r.fdom.Suspects(int(r.id)) }
 
 // Down reports whether the replica's node is currently suspended or
 // crashed — the fault injector's view, surfaced so health snapshots can

@@ -160,10 +160,6 @@ func (r *Replica) newCall(u spec.MethodID, args spec.Args) spec.Call {
 	return spec.Call{Method: u, Args: args, Proc: r.id, Seq: r.nextSeq}
 }
 
-// NextSeq previews the next request sequence number (workload generators
-// use it to build unique OR-set tags).
-func (r *Replica) NextSeq() uint64 { return r.nextSeq + 1 }
-
 // --- queries ------------------------------------------------------------
 
 // view is a stored state together with Apply(S)(state), its image under
@@ -301,10 +297,10 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// count travel in one frame, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
 	// writes are queued per peer and flushed as one chained doorbell;
-	// successive versions of a slot stay ordered on the QP. Under
-	// DeltaSummaries the propagated frame is usually a small δ-record into
-	// the slot's log area; every AnchorInterval calls (or when the log
-	// fills) the full frame is re-anchored instead.
+	// successive versions of a slot stay ordered on the QP. The propagated
+	// frame is usually a small δ-record into the slot's log area; every
+	// AnchorInterval calls (or when the log fills) the full frame is
+	// re-anchored instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
@@ -345,25 +341,15 @@ func (r *Replica) slotOffset(g int, p spec.ProcID) int {
 }
 
 // anchorCap is the slot prefix holding the full-state anchor frame; the
-// remaining DeltaLogBytes tail is the δ-record log. Without DeltaSummaries
-// the whole slot is the anchor area.
-func (r *Replica) anchorCap() int {
-	if !r.opts.DeltaSummaries {
-		return r.opts.SumSlotSize
-	}
-	return r.opts.SumSlotSize - r.opts.DeltaLogBytes
-}
+// remaining DeltaLogBytes tail is the δ-record log.
+func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogBytes }
 
-// nextDelta picks what one reducible call ships under DeltaSummaries: a
-// δ-record and its offset in the slot's log area, or nil — every
-// AnchorInterval calls, when the log fills, or when the call does not pack —
-// for a full-state re-anchor at the slot head, which also resets the log
-// cursor (peers skip the stale records left behind by version). Without
-// DeltaSummaries every call ships the full frame.
+// nextDelta picks what one reducible call ships: a δ-record and its offset
+// in the slot's log area, or nil — every AnchorInterval calls, when the log
+// fills, or when the call does not pack — for a full-state re-anchor at the
+// slot head, which also resets the log cursor (peers skip the stale records
+// left behind by version).
 func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
-	if !r.opts.DeltaSummaries {
-		return nil, 0
-	}
 	dw := &r.deltaW[g]
 	rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
@@ -400,7 +386,7 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 // u16 #methods | (u32 count)* | codec entry of the summary call | u32 epoch.
 // The trailing epoch stamps the frame with the configuration its writer
 // believed current; adopters reject frames stamped before the writer's
-// departure epoch (see the minEpochs floor on Replica).
+// departure epoch (see the floors on Replica).
 func appendSumFrame(dst []byte, s *sumSlot, epoch uint32) ([]byte, error) {
 	start := len(dst)
 	b := codec.BeginSlot(dst, s.version)
@@ -441,7 +427,7 @@ func decodeSumSlot(b []byte) (counts []uint32, call spec.Call, epoch uint32, err
 // staleSlot reports (and counts) a slot frame from source p stamped before
 // p's departure epoch: a write the configuration no longer accepts.
 func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
-	if epoch >= r.minEpochs[p] {
+	if r.floors[p].Admits(epoch) {
 		return false
 	}
 	r.statStaleSlots++
@@ -451,9 +437,9 @@ func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
 
 // scanSummaries polls the local summary region for slots remotely
 // overwritten by peers and adopts newer versions: the decoded summary call
-// replaces the cached one and the applied counts advance. Under
-// DeltaSummaries each slot is an anchor frame plus a δ-record log; the scan
-// adopts a newer anchor and then folds contiguous δ-records on top.
+// replaces the cached one and the applied counts advance. Each slot is an
+// anchor frame plus a δ-record log; the scan adopts a newer anchor and then
+// folds contiguous δ-records on top.
 func (r *Replica) scanSummaries() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
@@ -461,8 +447,8 @@ func (r *Replica) scanSummaries() {
 	region := r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()
 	changed := false
 	var blocked []bool // per source: a slot was unreadable this pass
-	for p, e := range r.pendingMinEpochs {
-		if e > r.minEpochs[p] {
+	for p := range r.floors {
+		if r.floors[p].Pending() != 0 {
 			blocked = make([]bool, r.n)
 			break
 		}
@@ -472,12 +458,7 @@ func (r *Replica) scanSummaries() {
 			if spec.ProcID(p) == r.id {
 				continue // own slot is written locally
 			}
-			var ch, stalled bool
-			if r.opts.DeltaSummaries {
-				ch, stalled = r.scanDeltaSlot(g, spec.ProcID(p), slot, region)
-			} else {
-				ch, stalled = r.scanFullSlot(g, spec.ProcID(p), slot, region)
-			}
+			ch, stalled := r.scanSlot(g, spec.ProcID(p), slot, region)
 			changed = changed || ch
 			if blocked != nil && (stalled || slot.fetching) {
 				blocked[p] = true
@@ -488,37 +469,15 @@ func (r *Replica) scanSummaries() {
 	// everything the departed source left behind: a floor raised any earlier
 	// could reject frames the source wrote — and acked — while still a
 	// member.
-	if blocked != nil {
-		for p, e := range r.pendingMinEpochs {
-			if e > r.minEpochs[p] && !blocked[p] {
-				r.minEpochs[p] = e
-			}
+	for p := range blocked {
+		if !blocked[p] {
+			r.floors[p].Drained()
 		}
 	}
 	if changed {
 		r.assertIntegrity("summary scan")
 		r.kickApply()
 	}
-}
-
-// scanFullSlot adopts one peer slot in the full-state layout, reporting
-// whether anything changed and whether the slot was unreadable this pass
-// (torn frame — the source may still have undelivered state there).
-func (r *Replica) scanFullSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
-	off := r.slotOffset(g, p)
-	payload, ver, err := codec.DecodeSlot(region[off : off+r.opts.SumSlotSize])
-	if err != nil {
-		if errors.Is(err, codec.ErrTorn) {
-			// A peer's overwrite is still landing (or its boundary
-			// words raced ahead of the interior): reject now, let
-			// the next periodic scan observe the healed slot.
-			r.statTorn++
-			r.mTorn.Inc()
-			return false, true
-		}
-		return false, false
-	}
-	return ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "scan"), false
 }
 
 // adoptFrame replaces peer p's summary wholesale with the full-state frame
@@ -562,7 +521,7 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 // local copy is damaged beyond what retrying can fix.
 const tornParkScans = 3
 
-// scanDeltaSlot adopts one peer slot in the delta-group layout. The anchor
+// scanSlot adopts one peer slot. The anchor
 // frame at the slot head re-bases the state when newer; the δ-record log is
 // then walked from the front: records at or below the current version are
 // stale leftovers of earlier rounds (validated, then skipped undecoded), the
@@ -572,7 +531,7 @@ const tornParkScans = 3
 // the writer's authoritative full state instead of folding onto the wrong
 // base. The second result reports the slot unreadable this pass (torn frame
 // or log record).
-func (r *Replica) scanDeltaSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
+func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
 	off := r.slotOffset(g, p)
 	changed := false
 	stuck := false
@@ -639,7 +598,8 @@ walk:
 // writer's own copy, whose anchor area always holds the current full frame.
 // At most one fetch per slot is outstanding.
 func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
-	if slot.fetching || r.detectorSuspects(p) {
+	// Repair already targets suspects, so gap fetches skip them.
+	if slot.fetching || r.suspected(rdma.NodeID(p)) {
 		return
 	}
 	slot.fetching = true
@@ -653,23 +613,9 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	})
 }
 
-// detectorSuspects reports whether peer p is currently suspected: repair
-// already targets suspects, so gap fetches skip them.
-func (r *Replica) detectorSuspects(p spec.ProcID) bool {
-	return r.suspected(rdma.NodeID(p))
-}
-
-// suspected consults whichever failure detector this replica runs on: its
-// private one, the shared domain's, or none (failure handling disabled).
-func (r *Replica) suspected(peer rdma.NodeID) bool {
-	if r.detector != nil {
-		return r.detector.Suspected(peer)
-	}
-	if r.fdom != nil {
-		return r.fdom.Suspected(int(r.id), peer)
-	}
-	return false
-}
+// suspected reports whether this node's detector currently suspects peer
+// (never, with failure handling disabled).
+func (r *Replica) suspected(peer rdma.NodeID) bool { return r.fdom.Suspected(int(r.id), peer) }
 
 // --- irreducible conflict-free calls (rules FREE / FREE-APP) -------------
 
@@ -700,7 +646,8 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 		if r.tracing() {
 			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
 		}
-		entry, err := r.encodeFree(c, d)
+		// The packed varint δ-framing is the F path's one record format.
+		entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
 		if err == nil {
 			var label string
 			if r.tracing() {
@@ -784,40 +731,19 @@ func (r *Replica) flushFree() error {
 	return r.bc.BroadcastLabeled(label, batch, nil)
 }
 
-// encodeFree serializes one broadcast entry: the packed varint δ-framing
-// (codec.FrameFull) under DeltaWire, the fixed-width entry otherwise. Both
-// are self-delimiting and receivers accept either, so the wire format can
-// differ per node during a rollout.
-func (r *Replica) encodeFree(c spec.Call, d spec.DepVec) ([]byte, error) {
-	if !r.opts.DeltaWire {
-		return codec.EncodeEntry(c, d)
-	}
-	return codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
-}
-
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
-// buffer of its source and tries to apply. Entries are self-delimiting, so
-// single-entry and batched records share one decode loop; the δ-framing's
-// kind byte sits where a legacy entry's method low byte would (≥ 0xF0,
-// unreachable for real method ids), so the two formats interleave freely.
+// buffer of its source and tries to apply. Records are self-delimiting, so
+// single-entry and batched payloads share one decode loop. Anything that is
+// not a FrameFull record — the retired fixed-width entry included, whose
+// method low byte sits where the kind byte does and is < 0xF0 for every real
+// method id — fails the decode and drops the rest of the payload.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
-		var e pendingEntry
-		var n int
-		if len(payload) > 4 && payload[4] >= codec.FrameFull {
-			rec, m, err := codec.DecodeDeltaRecord(payload)
-			if err != nil {
-				return
-			}
-			e, n = pendingEntry{c: rec.C, d: rec.D}, m
-		} else {
-			c, d, m, err := codec.DecodeEntry(payload)
-			if err != nil {
-				return
-			}
-			e, n = pendingEntry{c: c, d: d}, m
+		rec, n, err := codec.DecodeDeltaRecord(payload)
+		if err != nil || rec.Kind != codec.FrameFull {
+			return
 		}
-		r.fQueues[src] = append(r.fQueues[src], e)
+		r.fQueues[src] = append(r.fQueues[src], pendingEntry{c: rec.C, d: rec.D})
 		payload = payload[n:]
 	}
 	r.noteQueueDepths()
@@ -1328,8 +1254,8 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	if ver <= slot.version || !r.adoptFrame(g, p, slot, payload, ver, "read") {
 		return false
 	}
-	// Install only the frame's used prefix: under DeltaSummaries the rest
-	// of the slot is the δ-record log, and overwriting it with the bytes of
+	// Install only the frame's used prefix: the rest of the slot is the
+	// δ-record log, and overwriting it with the bytes of
 	// a read issued one RTT ago would clobber records that landed since.
 	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[r.slotOffset(g, p):],
 		data[:codec.SlotOverhead+len(payload)])

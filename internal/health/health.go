@@ -19,6 +19,7 @@ import (
 	"hamband/internal/broadcast"
 	"hamband/internal/core"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/store"
@@ -70,7 +71,7 @@ type NodeHealth struct {
 
 	// Per-source slot-adoption epoch floors (active, and parked awaiting a
 	// clean scan pass).
-	MinEpochs, PendingMin []uint32
+	Floors []ring.EpochFloor
 }
 
 // GroupHealth is one synchronization group's consensus health as seen from
@@ -121,7 +122,6 @@ func collectNode(c *core.Cluster, p int) NodeHealth {
 	issued, applied, rejected, recovered := r.Stats()
 	deltas, anchors, gaps := r.DeltaStats()
 	free, conf := r.QueueDepths()
-	minE, pendE := r.EpochFloors()
 	h := NodeHealth{
 		Node:        p,
 		Down:        r.Down(),
@@ -139,8 +139,7 @@ func collectNode(c *core.Cluster, p int) NodeHealth {
 		ConfQueue:   conf,
 		Rings:       r.Receiver().Rings(),
 		Suspects:    r.Suspects(),
-		MinEpochs:   minE,
-		PendingMin:  pendE,
+		Floors:      r.EpochFloors(),
 	}
 	for g := 0; g < r.GroupCount(); g++ {
 		in := r.Group(g)
@@ -173,12 +172,7 @@ func CollectStore(at sim.Time, st *store.Store) *Snapshot {
 	fdom := st.FailureDomain()
 	for n := 0; n < fab.Size(); n++ {
 		node := fab.Node(rdma.NodeID(n))
-		nh := NodeHealth{Node: n, Down: node.Suspended() || node.Crashed()}
-		if fdom != nil {
-			for _, p := range fdom.Detector(n).Suspects() {
-				nh.Suspects = append(nh.Suspects, int(p))
-			}
-		}
+		nh := NodeHealth{Node: n, Down: node.Suspended() || node.Crashed(), Suspects: fdom.Suspects(n)}
 		s.Nodes = append(s.Nodes, nh)
 
 		used, total := st.Budget(n)

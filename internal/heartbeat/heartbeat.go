@@ -176,11 +176,11 @@ func (d *Detector) Suspected(peer rdma.NodeID) bool { return d.suspected[peer] }
 // Suspects returns the currently suspected peers, ascending. Read-only and
 // allocation-free when the suspicion set is empty — the health layer polls
 // it every probe period.
-func (d *Detector) Suspects() []rdma.NodeID {
-	var out []rdma.NodeID
+func (d *Detector) Suspects() []int {
+	var out []int
 	for p, s := range d.suspected {
 		if s {
-			out = append(out, rdma.NodeID(p))
+			out = append(out, p)
 		}
 	}
 	return out
@@ -208,10 +208,6 @@ func (d *Detector) Watch(peer rdma.NodeID) {
 	d.advances[peer] = 0
 	d.lastSeen[peer] = 0
 }
-
-// Ignored reports whether peer is currently outside the detector's
-// membership view.
-func (d *Detector) Ignored(peer rdma.NodeID) bool { return d.ignored[peer] }
 
 // check posts one heartbeat read per peer; results are handled
 // asynchronously as completions arrive. At most one read is outstanding per

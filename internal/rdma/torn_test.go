@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -18,6 +19,21 @@ func payloadFor(ver uint32, n int) []byte {
 		p[i] = byte(ver)
 	}
 	return p
+}
+
+// seqlockOnlyDecode is the retired pre-CRC slot check, kept here only as the
+// losing arm of the head-to-head below (PR 6 verdict: 767 false accepts vs 0;
+// exported as codec.DecodeSlotSeqlock up to commit 3887d36): a frame is
+// accepted when its leading and trailing version words match.
+func seqlockOnlyDecode(b []byte) (payload []byte, version uint32, ok bool) {
+	if len(b) < codec.SlotOverhead {
+		return nil, 0, false
+	}
+	v1, n := binary.LittleEndian.Uint32(b), int(binary.LittleEndian.Uint32(b[4:]))
+	if v1 == 0 || n < 0 || n+codec.SlotOverhead > len(b) || binary.LittleEndian.Uint32(b[12+n:]) != v1 {
+		return nil, 0, false
+	}
+	return b[8 : 8+n], v1, true
 }
 
 // TestTornWriteLandsBoundaryFirst pins the fault model itself: under a
@@ -122,7 +138,7 @@ func TestTornSlotHeadToHead(t *testing.T) {
 	var legacyFalse, crcFalse, crcRejects int
 	sampler := eng.NewTicker(25*sim.Nanosecond, func() {
 		b := reg.Bytes()[:used]
-		if pl, ver, err := codec.DecodeSlotSeqlock(b); err == nil {
+		if pl, ver, ok := seqlockOnlyDecode(b); ok {
 			if !bytes.Equal(pl, payloadFor(ver, payloadLen)) {
 				legacyFalse++ // corrupt payload, no error: the bug
 			}

@@ -46,7 +46,7 @@ func TestEpochGateRejectsStaleDeterministically(t *testing.T) {
 		w := NewWriter(1 << 12)
 		r := NewReader(region)
 		r.SetEpochGate(epochGate)
-		r.SetMinEpoch(min)
+		r.Floor().Raise(min)
 
 		epochs := make([]uint32, n)
 		var want [][]byte
@@ -113,20 +113,20 @@ func TestEpochGateRejectsStaleDeterministically(t *testing.T) {
 	}
 }
 
-// TestEpochGateMonotone pins SetMinEpoch's forward-only behavior and that
+// TestEpochGateMonotone pins the floor's forward-only behavior and that
 // an ungated reader (no extractor) ignores the minimum entirely.
 func TestEpochGateMonotone(t *testing.T) {
 	r := NewReader(make([]byte, RegionSize(256)))
-	r.SetMinEpoch(3)
-	r.SetMinEpoch(1) // stale configuration view: must not regress
-	if r.MinEpoch() != 3 {
-		t.Fatalf("MinEpoch = %d, want 3", r.MinEpoch())
+	r.Floor().Raise(3)
+	r.Floor().Raise(1) // stale configuration view: must not regress
+	if r.Floor().Min() != 3 {
+		t.Fatalf("floor = %d, want 3", r.Floor().Min())
 	}
 
 	region := make([]byte, RegionSize(256))
 	w := NewWriter(256)
 	ungated := NewReader(region)
-	ungated.SetMinEpoch(7) // no extractor installed: every record passes
+	ungated.Floor().Raise(7) // no extractor installed: every record passes
 	rec := epochRecord(t, 0, 1)
 	writes, _ := w.Append(rec)
 	apply(region, writes)
@@ -135,5 +135,35 @@ func TestEpochGateMonotone(t *testing.T) {
 	}
 	if ungated.StaleRejects() != 0 {
 		t.Fatal("ungated reader counted a stale reject")
+	}
+}
+
+// TestEpochFloorDrainProof pins the floor type the ring reader, the broadcast
+// receiver and the summary scan share: a parked floor admits the old epoch
+// until the drain proof arrives, the highest parked value wins, and neither
+// path ever lowers the floor.
+func TestEpochFloorDrainProof(t *testing.T) {
+	var f EpochFloor
+	f.RaiseAfterDrain(2)
+	f.RaiseAfterDrain(1) // an older change's floor must not replace a newer one
+	if !f.Admits(0) || f.Min() != 0 || f.Pending() != 2 {
+		t.Fatalf("parked floor took effect early: min %d pending %d", f.Min(), f.Pending())
+	}
+	f.Drained()
+	if f.Admits(1) || !f.Admits(2) || f.Pending() != 0 {
+		t.Fatalf("after drain: min %d pending %d, want 2 and 0", f.Min(), f.Pending())
+	}
+	f.RaiseAfterDrain(2) // not above the active floor: nothing to park
+	f.Raise(1)
+	f.Drained() // a proof with nothing parked changes nothing
+	if f.Min() != 2 || f.Pending() != 0 {
+		t.Fatalf("floor regressed or re-parked: min %d pending %d", f.Min(), f.Pending())
+	}
+
+	// The reader brings its own proof: the first quiescent poll promotes.
+	r := NewReader(make([]byte, RegionSize(256)))
+	r.Floor().RaiseAfterDrain(5)
+	if _, ok, err := r.Poll(); ok || err != nil || r.Floor().Min() != 5 {
+		t.Fatalf("idle poll did not promote the parked floor: min %d", r.Floor().Min())
 	}
 }

@@ -154,24 +154,24 @@ type Reader struct {
 	torn       uint64 // records rejected by the CRC check
 	tornStreak int    // consecutive polls rejecting the same offset
 	parked     error  // sticky quarantine diagnosis; nil while healthy
-	validate   bool   // CRC validation on (production); off = canary-only
 
-	// Drain proof (FloorAfterDrain). wrapPending is set when an explicit
-	// skip marker is consumed: the writer only places one immediately before
-	// a record at offset zero, so a zero length word there means that record
-	// is still landing, not that the ring is empty. quiet records whether
-	// the most recent Poll proved the ring genuinely idle.
+	// Drain proof (EpochFloor.RaiseAfterDrain). wrapPending is set when an
+	// explicit skip marker is consumed: the writer only places one
+	// immediately before a record at offset zero, so a zero length word
+	// there means that record is still landing, not that the ring is empty.
+	// quiet records whether the most recent Poll proved the ring genuinely
+	// idle; such a poll is the drain proof a parked floor waits for.
 	wrapPending bool
 	quiet       bool
 
 	// Epoch gating (dynamic membership). epochOf, when installed, extracts
 	// the configuration epoch a validated record was stamped with; records
-	// older than minEpoch are consumed (so the writer's flow control keeps
-	// working) but discarded and counted instead of returned. The zero
-	// state — no extractor — reproduces the ungated reader exactly.
-	epochOf  func(rec []byte) (epoch uint32, ok bool)
-	minEpoch uint32
-	stale    uint64 // records rejected by the epoch gate
+	// the floor does not admit are consumed (so the writer's flow control
+	// keeps working) but discarded and counted instead of returned. The
+	// zero state — no extractor — reproduces the ungated reader exactly.
+	epochOf func(rec []byte) (epoch uint32, ok bool)
+	floor   EpochFloor
+	stale   uint64 // records rejected by the epoch gate
 }
 
 // NewReader returns a reader over region, which must have been sized with
@@ -180,7 +180,7 @@ func NewReader(region []byte) *Reader {
 	if len(region) <= HeaderSize {
 		panic("ring: region too small")
 	}
-	return &Reader{region: region, capacity: uint64(len(region) - HeaderSize), validate: true}
+	return &Reader{region: region, capacity: uint64(len(region) - HeaderSize)}
 }
 
 // Head returns the logical head (bytes consumed).
@@ -206,39 +206,28 @@ func (r *Reader) TornStreak() int { return r.tornStreak }
 // Quiescent reports whether the most recent Poll proved the ring genuinely
 // empty: no partially landed record visible at the head, no consumed wrap
 // marker still waiting for its record at offset zero, and the reader not
-// parked. Drain-driven decisions (broadcast.Receiver.FloorAfterDrain) must
-// require this in addition to an idle Poll — an idle return alone also
-// covers a record whose write is mid-flight.
+// parked. A parked epoch floor is promoted only by such a poll — an idle
+// return alone also covers a record whose write is mid-flight (a wrap
+// marker consumed with its record still landing, a torn record mid-heal),
+// and raising the floor then would stale-reject a record the departed
+// source legitimately posted before revocation.
 func (r *Reader) Quiescent() bool { return r.quiet }
 
 // SetEpochGate installs an epoch extractor: fn reports the configuration
 // epoch a complete, CRC-validated record carries (ok=false for records
 // without a stamp, which pass ungated). Records stamped with an epoch below
-// the gate's minimum — writes posted by a node that does not know it has
+// the source's floor — writes posted by a node that does not know it has
 // been removed from the configuration — are consumed and discarded rather
 // than delivered, and counted in StaleRejects.
 func (r *Reader) SetEpochGate(fn func(rec []byte) (epoch uint32, ok bool)) { r.epochOf = fn }
 
-// SetMinEpoch raises the gate's minimum epoch. Lower values are ignored:
-// configuration epochs only move forward.
-func (r *Reader) SetMinEpoch(e uint32) {
-	if e > r.minEpoch {
-		r.minEpoch = e
-	}
-}
-
-// MinEpoch returns the gate's current minimum epoch.
-func (r *Reader) MinEpoch() uint32 { return r.minEpoch }
+// Floor returns the gate's epoch floor for the ring's source. The reader
+// supplies the drain proof itself: a floor parked with RaiseAfterDrain takes
+// effect on the first Poll that finds the ring Quiescent.
+func (r *Reader) Floor() *EpochFloor { return &r.floor }
 
 // StaleRejects returns how many records the epoch gate has discarded.
 func (r *Reader) StaleRejects() uint64 { return r.stale }
-
-// DisableChecksum reverts the reader to canary-only record validation —
-// the pre-CRC scheme, which false-accepts a record whose final byte lands
-// before its interior. Retained solely as the ablation baseline for
-// regression tests proving that hazard; production readers must keep
-// validation on.
-func (r *Reader) DisableChecksum() { r.validate = false }
 
 // Poll attempts to consume one record. It returns a copy of the record
 // (including framing) when one is complete and validated, and
@@ -269,7 +258,9 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 		case lenWord == 0:
 			// Empty — unless a consumed wrap marker promised a record here
 			// whose write has not landed yet.
-			r.quiet = !r.wrapPending
+			if r.quiet = !r.wrapPending; r.quiet {
+				r.floor.Drained()
+			}
 			return nil, false, nil
 		case lenWord == skipMarker:
 			r.wrapPending = true
@@ -287,26 +278,23 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 			// non-zero by construction.)
 			return nil, false, nil
 		}
-		if r.validate {
-			// The canary alone proves only that the record's final byte
-			// landed — not its interior, which the fabric may deliver
-			// later. The CRC trailer validates the whole frame in this
-			// single pass.
-			if err := codec.ValidateRecord(data[pos : pos+n]); err != nil {
-				r.torn++
-				r.tornStreak++
-				if r.tornStreak >= tornRetryLimit {
-					return r.park(fmt.Errorf(
-						"%w: record at offset %d (head %d) failed CRC on %d consecutive polls: ring parked",
-						ErrCorrupt, pos, r.head, r.tornStreak))
-				}
-				return nil, false, nil // torn landing: retry next poll
+		// The canary alone proves only that the record's final byte landed
+		// — not its interior, which the fabric may deliver later. The CRC
+		// trailer validates the whole frame in this single pass.
+		if err := codec.ValidateRecord(data[pos : pos+n]); err != nil {
+			r.torn++
+			r.tornStreak++
+			if r.tornStreak >= tornRetryLimit {
+				return r.park(fmt.Errorf(
+					"%w: record at offset %d (head %d) failed CRC on %d consecutive polls: ring parked",
+					ErrCorrupt, pos, r.head, r.tornStreak))
 			}
-			r.tornStreak = 0
+			return nil, false, nil // torn landing: retry next poll
 		}
+		r.tornStreak = 0
 		r.wrapPending = false // the promised post-wrap record has landed
 		if r.epochOf != nil {
-			if epoch, ok := r.epochOf(data[pos : pos+n]); ok && epoch < r.minEpoch {
+			if epoch, ok := r.epochOf(data[pos : pos+n]); ok && !r.floor.Admits(epoch) {
 				// Stale-epoch write: the record is whole (it passed the CRC)
 				// but was stamped before the current configuration. Consume
 				// it — the head must advance for flow control — but discard

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
@@ -16,6 +17,33 @@ import (
 func landBoundary(region []byte, w Write) {
 	copy(region[w.Off:], w.Data[:4])
 	copy(region[w.Off+len(w.Data)-4:], w.Data[len(w.Data)-4:])
+}
+
+// canaryOnlyPoll is the retired pre-CRC reader, kept here only as the losing
+// arm of the head-to-head evidence below (PR 6 verdict: 60 corrupt records
+// consumed vs 0; Reader.DisableChecksum up to commit 3887d36): a record is
+// taken as soon as its length word and canary byte are visible.
+func canaryOnlyPoll(r *Reader) ([]byte, bool, error) {
+	for {
+		data := r.region[HeaderSize:]
+		pos := r.head % r.capacity
+		boundary := r.capacity - pos
+		if boundary < 4 {
+			r.advance(pos, boundary)
+			continue
+		}
+		n := uint64(binary.LittleEndian.Uint32(data[pos:]))
+		if n == skipMarker {
+			r.advance(pos, boundary)
+			continue
+		}
+		if n == 0 || data[pos+n-1] == 0 {
+			return nil, false, nil
+		}
+		out := append([]byte(nil), data[pos:pos+n]...)
+		r.advance(pos, n)
+		return out, true, nil
+	}
 }
 
 // TestCanaryFirstLandingRejected is the regression test for the canary
@@ -48,10 +76,8 @@ func TestCanaryFirstLandingRejected(t *testing.T) {
 		t.Fatalf("TornRejects = %d, want 1", r.TornRejects())
 	}
 
-	// The ablation baseline consumes the same bytes — the bug being pinned.
-	legacy := NewReader(append([]byte(nil), region...))
-	legacy.DisableChecksum()
-	got, ok, perr := legacy.Poll()
+	// The canary-only reference consumes the same bytes — the bug being pinned.
+	got, ok, perr := canaryOnlyPoll(NewReader(append([]byte(nil), region...)))
 	if perr != nil || !ok {
 		t.Fatalf("canary-only poll = (%v, %v); the false accept this test pins requires a consume", ok, perr)
 	}
@@ -275,8 +301,9 @@ func TestTornRingHeadToHead(t *testing.T) {
 
 		w := NewWriter(capacity)
 		rd := NewReader(reg.Bytes())
+		pollOne := rd.Poll
 		if !validate {
-			rd.DisableChecksum()
+			pollOne = func() ([]byte, bool, error) { return canaryOnlyPoll(rd) }
 		}
 		// Seeded corpus: one record per period, same size so a torn
 		// overwrite of reused ring bytes is indistinguishable by framing
@@ -306,7 +333,7 @@ func TestTornRingHeadToHead(t *testing.T) {
 		}
 		poll := eng.NewTicker(sim.Microsecond, func() {
 			for {
-				rec, ok, err := rd.Poll()
+				rec, ok, err := pollOne()
 				if err != nil {
 					t.Fatalf("reader parked unexpectedly: %v", err)
 				}
@@ -330,7 +357,7 @@ func TestTornRingHeadToHead(t *testing.T) {
 		poll.Cancel()
 		eng.Run() // drain remaining landings, then poll out the tail
 		for {
-			rec, ok, err := rd.Poll()
+			rec, ok, err := pollOne()
 			if err != nil {
 				t.Fatalf("reader parked during drain: %v", err)
 			}

@@ -214,12 +214,6 @@ func MustAnalyze(cls *Class) *Analysis {
 // Conflicting reports whether method u needs synchronization.
 func (a *Analysis) Conflicting(u MethodID) bool { return a.Category[u] == CatConflicting }
 
-// Reducible reports whether method u is reducible.
-func (a *Analysis) Reducible(u MethodID) bool { return a.Category[u] == CatReducible }
-
-// NumMethods returns the number of methods in the class.
-func (a *Analysis) NumMethods() int { return len(a.Category) }
-
 // Summary returns a human-readable description of the analysis.
 func (a *Analysis) Summary() string {
 	s := fmt.Sprintf("class %s:\n", a.Class.Name)

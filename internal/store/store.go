@@ -69,11 +69,6 @@ type Options struct {
 	// merged history that trace.ByShard decomposes.
 	Tracer *trace.Tracer
 
-	// PrivateCoalescers gives each shard private per-replica coalescers
-	// instead of the shared per-node ones — the ablation baseline that
-	// cannot chain WRs across shards.
-	PrivateCoalescers bool
-
 	// CrossWire is a negative control for the conformance harness: free
 	// broadcast deliveries of paired shards (0↔1, 2↔3, … in open order)
 	// are rerouted into the partner shard's apply loop. Per-shard
@@ -232,9 +227,7 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 	co.ShardTag = key
 	co.Tracer = s.opts.Tracer.Scoped(key)
 	co.FailureDomain = s.fdom
-	if !s.opts.PrivateCoalescers {
-		co.Coalescers = s.coals
-	}
+	co.Coalescers = s.coals
 	co.Leaders = so.Leaders
 	if co.Leaders == nil {
 		leaders := make([]spec.ProcID, len(an.SyncGroups))
@@ -376,7 +369,7 @@ func (s *Store) Headroom(node int) (available, largest int) {
 }
 
 // Coalescer returns the node's shared write coalescer (its stats expose
-// the cross-shard chains); nil stats-wise only under PrivateCoalescers.
+// the cross-shard chains).
 func (s *Store) Coalescer(node int) *rdma.Coalescer { return s.coals[node] }
 
 // FailureDomain returns the shared failure-handling infrastructure (nil

@@ -250,29 +250,6 @@ func TestCrossShardDoorbellCoalescing(t *testing.T) {
 	}
 }
 
-func TestPrivateCoalescersAblationHasNoCrossChains(t *testing.T) {
-	opts := testOptions()
-	opts.PrivateCoalescers = true
-	eng, s := newStore(t, 3, 7, opts)
-	an := spec.MustAnalyze(crdt.NewCounter())
-	want := make(map[string]int64)
-	for _, key := range []string{"hot", "cold"} {
-		if _, err := s.Open(key, an, ShardOptions{}); err != nil {
-			t.Fatalf("open %s: %v", key, err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		s.Invoke("hot", 0, crdt.CounterAdd, spec.ArgsI(1), nil)
-		s.Invoke("cold", 0, crdt.CounterAdd, spec.ArgsI(2), nil)
-		want["hot"], want["cold"] = want["hot"]+1, want["cold"]+2
-		eng.RunFor(100 * sim.Microsecond)
-	}
-	drainCounters(t, eng, s, want, 50*sim.Millisecond)
-	if st := s.Coalescer(0).Stats(); st.CrossChains != 0 {
-		t.Fatalf("shared coalescer saw traffic (%+v) despite PrivateCoalescers", st)
-	}
-}
-
 func TestShardTaggedTracesDecompose(t *testing.T) {
 	opts := testOptions()
 	eng := sim.NewEngine(8)

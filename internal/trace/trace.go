@@ -303,9 +303,6 @@ func (t *Tracer) Window(n int) []Event {
 // (NewFlightRecorder).
 func (t *Tracer) Dropped() int { return t.base().drops }
 
-// Limit returns the tracer's event capacity.
-func (t *Tracer) Limit() int { return t.base().limit }
-
 // Timeline returns the events of one call, in time order.
 func (t *Tracer) Timeline(call string) []Event {
 	var out []Event
