@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover loc check
 
 all: check
 
@@ -16,9 +16,10 @@ test:
 # module of its own (the root `go test ./...` skips it), and its tests are
 # the only place the same-seed byte-identity of the virtual clock is pinned.
 # TestFigurePointsMatchPR8 is skipped since PR 13 ("one write per pump"): it
-# pins fig9/fig10 to BENCH_PR8's 9.07 / 2.12 ops/µs, which that PR moved to
-# 9.63 / 2.40 on purpose, and benchmark/ was frozen for it. The next
-# benchmark PR re-pins the test to BENCH_PR13.json and drops the skip.
+# pins fig9/fig10 to BENCH_PR8's 9.07 / 2.12 ops/µs. PR 13 moved them to
+# 9.63 / 2.40 and PR 17 ("one round per sync group") moved fig10 on to 3.06,
+# both on purpose and both with benchmark/ frozen. The next benchmark PR
+# re-pins the test to BENCH_PR17.json and drops the skip.
 bench-test:
 	cd benchmark && $(GO) test -skip TestFigurePointsMatchPR8 ./...
 
@@ -126,9 +127,17 @@ check: build fmt vet staticcheck test bench-test race fuzz health-exp
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring
 
+# ledger prints the virtual-CPU ledger of the Fig. 10 point: µs of simulated
+# CPU per committed call by call site (post, CQE, deliver, apply, polls,
+# accept, head and heartbeat reads) for the group-0 leader and for a node
+# that leads nothing, under Hamband and under the SMR baseline. The rows are
+# checked against sim.CPU.BusyTotal.
+ledger:
+	$(GO) test -run TestLeaderLedger -count=1 -v ./internal/bench
+
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR13.json
+SNAPSHOT ?= BENCH_PR17.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -164,8 +173,8 @@ bench-pairs:
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
 # drops by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR13.json
-NEW ?= BENCH_PR13.json
+OLD ?= BENCH_PR17.json
+NEW ?= BENCH_PR17.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -14,13 +14,17 @@ import (
 	"hamband/internal/metrics"
 )
 
-var counterLit = regexp.MustCompile(`\.Counter\("([a-z0-9_.]+)"\)`)
+var (
+	counterLit   = regexp.MustCompile(`\.Counter\("([a-z0-9_.]+)"\)`)
+	histogramLit = regexp.MustCompile(`\.Histogram\("([a-z0-9_.]+)",`)
+)
 
-// scanCounterNames collects every literal counter name registered by
-// non-test source under internal/. Dynamically-formatted names (the
-// per-QP rdma.qp.<i>-<j>.* family) are intentionally out of scope: the
-// scan pins the fixed registry vocabulary.
-func scanCounterNames(t *testing.T, root string) map[string]string {
+// scanInstrumentNames collects every literal instrument name matching lit
+// that non-test source under internal/ registers. Dynamically-formatted
+// names (the per-QP rdma.qp.<i>-<j>.* family, the span.<category>.<stage>
+// histograms) are intentionally out of scope: the scan pins the fixed
+// registry vocabulary.
+func scanInstrumentNames(t *testing.T, root string, lit *regexp.Regexp, atLeast int) map[string]string {
 	t.Helper()
 	names := map[string]string{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -34,7 +38,7 @@ func scanCounterNames(t *testing.T, root string) map[string]string {
 		if err != nil {
 			return err
 		}
-		for _, m := range counterLit.FindAllSubmatch(src, -1) {
+		for _, m := range lit.FindAllSubmatch(src, -1) {
 			names[string(m[1])] = path
 		}
 		return nil
@@ -42,19 +46,21 @@ func scanCounterNames(t *testing.T, root string) map[string]string {
 	if err != nil {
 		t.Fatalf("walking %s: %v", root, err)
 	}
-	if len(names) < 10 {
-		t.Fatalf("scan found only %d counter names under %s — wrong root?", len(names), root)
+	if len(names) < atLeast {
+		t.Fatalf("scan for %s found only %d names under %s — wrong root?", lit, len(names), root)
 	}
 	return names
 }
 
 // TestMetricsExportCompleteness pins the observability contract: every
-// counter registered anywhere under internal/ appears in the `-exp
-// metrics` JSON export. A counter that exists in code but not in the
-// export is invisible to every dashboard built on the export — this test
-// makes adding one without wiring it a build failure.
+// counter and every histogram registered by name anywhere under internal/
+// appears in the `-exp metrics` JSON export, the histograms with
+// observations. An instrument that exists in code but not in the export is
+// invisible to every dashboard built on the export — this test makes adding
+// one without wiring it a build failure.
 func TestMetricsExportCompleteness(t *testing.T) {
-	names := scanCounterNames(t, "..") // internal/
+	names := scanInstrumentNames(t, "..", counterLit, 10) // internal/
+	hists := scanInstrumentNames(t, "..", histogramLit, 5)
 
 	var buf bytes.Buffer
 	cfg := Config{Ops: 500, Seed: 7, Out: io.Discard}
@@ -69,5 +75,11 @@ func TestMetricsExportCompleteness(t *testing.T) {
 			t.Errorf("counter %q (registered in %s) missing from the -exp metrics JSON export", name, where)
 		}
 	}
-	t.Logf("export covers all %d registered counter names (%d total exported)", len(names), len(snap.Counters))
+	for name, where := range hists {
+		if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
+			t.Errorf("histogram %q (registered in %s) missing from the -exp metrics JSON export, or empty in it", name, where)
+		}
+	}
+	t.Logf("export covers all %d registered counter names (%d total exported) and all %d histogram names",
+		len(names), len(snap.Counters), len(hists))
 }

@@ -73,6 +73,11 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	add("conform-sharded/crosswire", crossWire, conformOpts)
 	crossWire.CrossWireShards = false
 	add("conform-sharded/crosswire-control", crossWire, conformOpts)
+	// The round-rule plans at the density TestCorpusDenseRounds replays them
+	// at: their kill times are placed mid-round on this schedule.
+	for _, name := range denseRoundPlans {
+		add("dense-rounds/"+name, readCorpusPlan(t, filepath.Join("testdata", "chaos", name)), denseRounds)
+	}
 	return cases
 }
 

@@ -68,15 +68,21 @@ func TestConformCorpus(t *testing.T) {
 	}
 }
 
+// mutatedOrderOpts is the workload density of the apply-order mutation
+// control, shared by the three tests that run it. A dense workload (whole
+// batches in flight at once) keeps the buffers populated, so the order bug
+// manifests with few calls — which is what lets shrinking reach a small
+// counterexample. Conflicting calls reach the buffers a Mu round at a time, so
+// it takes batches of 16 every 5 µs to have two rounds' worth buffered (8
+// every 20 µs sufficed while every call was its own round).
+var mutatedOrderOpts = chaos.Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
+
 // TestMutatedApplyOrderCaught is the harness's own mutation test: with the
 // injected apply-order bug (newest-first buffer drain, dependency gate
 // skipped) the checker must flag the history, and shrinking must reduce the
 // counterexample to at most 8 calls while still failing.
 func TestMutatedApplyOrderCaught(t *testing.T) {
-	// A dense workload (whole batch in flight at once) keeps the buffers
-	// populated, so the order bug manifests with few calls — which is what
-	// lets shrinking reach a small counterexample.
-	opts := chaos.Options{BatchSize: 8, IssuePeriod: 20 * sim.Microsecond}
+	opts := mutatedOrderOpts
 	var min chaos.Plan
 	found := false
 	for seed := int64(300); seed < 340 && !found; seed++ {
@@ -118,7 +124,7 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 // Explore writes for real corpus failures. The window must be bounded by
 // the ring size and carry the event lines a post-mortem needs.
 func TestFlightWindowDumpedForFailure(t *testing.T) {
-	opts := chaos.Options{BatchSize: 8, IssuePeriod: 20 * sim.Microsecond}
+	opts := mutatedOrderOpts
 	p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 300, MutateApplyOrder: true}
 	res, err := Run(p, opts)
 	if err != nil {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hamband/internal/chaos"
-	"hamband/internal/sim"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/fingerprints.golden from this binary's runs")
@@ -36,7 +35,7 @@ func TestFingerprints(t *testing.T) {
 		pinned{name: "sessions/reconfig-stale", plan: sessionReconfigPlan(true)},
 		pinned{name: "mutated/apply-order",
 			plan: chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 300, MutateApplyOrder: true},
-			opts: chaos.Options{BatchSize: 8, IssuePeriod: 20 * sim.Microsecond}},
+			opts: mutatedOrderOpts},
 		// Sharded plans, checked per shard since Run does so (lines added
 		// after the golden was first recorded).
 		pinned{name: "sharded/corpus-orset-seed1400", plan: chaosCorpusPlan(t, "orset-shardmix-seed1400.json")},

@@ -4,10 +4,16 @@
 // (§4 "Synchronization"), and the SMR baseline of the evaluation.
 //
 // Common case: a designated leader holds exclusive write permission on a
-// log ring at every replica. Ordering a call is one local journal write
-// plus one one-sided RDMA write per follower; the leader considers an entry
-// decided once a majority of writes (counting itself) completed. Followers
-// poll their log rings and deliver entries in sequence order.
+// log ring at every replica. The leader orders calls in rounds, one round in
+// flight at a time: requests that arrive while a round is undecided queue,
+// and the decision that completes the round sequences everything queued as
+// the next one. A round is one local journal write per entry plus one
+// one-sided RDMA write per follower per round; the leader considers an entry
+// decided once a majority of writes (counting itself) completed. Every entry
+// of a round carries the previous round's last sequence number as its commit
+// watermark, so followers, which poll their log rings and deliver entries in
+// sequence order, deliver round k when round k+1 arrives; only a round with
+// no successor is followed by a dedicated commit record.
 //
 // Failure case: when the failure detector suspects the leader, the next
 // node requests leadership under a higher term. Every replica that accepts
@@ -123,7 +129,12 @@ type Instance struct {
 	recovering bool
 
 	// Leader state.
-	nextSeq   uint64 // next sequence number to assign (1-based)
+	nextSeq uint64 // next sequence number to assign (1-based)
+	// queue holds the requests waiting for the next round, in arrival order.
+	// Only an active leader queues, and a deposed one drops the queue, so it
+	// is non-empty only at a leader that is not recovering. The backing array
+	// is reused from round to round.
+	queue     []request
 	logOut    map[rdma.NodeID]*ring.Sender
 	acks      map[uint64]int    // seq → completed writes (incl. self)
 	decided   map[uint64]bool   // seq → majority reached
@@ -165,7 +176,10 @@ type Instance struct {
 
 	// Instrumentation. proposedAt is populated only when metrics are
 	// enabled, so the disabled path stays allocation-free.
-	mCommitLat     *metrics.Histogram // leader: propose → majority decide
+	mCommitLat     *metrics.Histogram // leader: round start → majority decide
+	mQueueWait     *metrics.Histogram // leader: request queued → its round starts
+	mRoundEntries  *metrics.Histogram // leader: entries per round (a count, not a time)
+	mCommitRecords *metrics.Counter   // leader: dedicated commit records sent
 	mLeaderChanges *metrics.Counter   // leader-view adoptions on this node
 	mElections     *metrics.Counter   // candidacies started by this node
 	proposedAt     map[uint64]sim.Time
@@ -224,6 +238,11 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 	}
 	if cfg.Metrics.Enabled() {
 		in.mCommitLat = cfg.Metrics.Histogram("mu.commit_latency", nil)
+		in.mQueueWait = cfg.Metrics.Histogram("mu.queue_wait", nil)
+		// Counts observed as durations, doubling up to the default journal's length.
+		in.mRoundEntries = cfg.Metrics.Histogram("mu.round_entries",
+			[]sim.Duration{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
+		in.mCommitRecords = cfg.Metrics.Counter("mu.commit_records")
 		in.mLeaderChanges = cfg.Metrics.Counter("mu.leader_changes")
 		in.mElections = cfg.Metrics.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
@@ -426,6 +445,7 @@ func (in *Instance) Submit(payload []byte) {
 	buf := append([]byte(nil), payload...)
 	in.pending[in.submitSeq] = buf
 	in.route(in.submitSeq, buf)
+	in.startRound()
 }
 
 func (in *Instance) route(submitSeq uint64, payload []byte) {
@@ -443,24 +463,70 @@ func (in *Instance) route(submitSeq uint64, payload []byte) {
 	in.send(oc, encodeReq(submitSeq, payload), nil)
 }
 
-// propose assigns the next sequence number and disseminates the entry.
+// request is one call waiting in the leader's queue for its round.
+type request struct {
+	origin    rdma.NodeID
+	submitSeq uint64
+	payload   []byte
+	at        sim.Time // when it was queued
+}
+
+// propose queues a request for the leader's next round.
 func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte) {
-	if in.Transform != nil {
-		payload = in.Transform(origin, payload)
+	in.queue = append(in.queue, request{origin, submitSeq, payload, in.fab.Engine().Now()})
+}
+
+// startRound sequences everything queued as one round — Transform, sequence
+// number, journal and one log write per follower for the lot — unless a
+// round is in flight: something proposed is still undelivered here. The gate
+// makes lastDelivered the previous round's last sequence number, and every
+// entry of this round carries it as its commit watermark. A leader whose
+// round can never decide (a zombie) therefore proposes nothing further. It
+// reports whether a round started.
+//
+// A round takes at most half the journal, so the journal always holds the
+// round in flight and the one before it: followers learn that a round is
+// decided only from its successor, and a new leader that has the earlier
+// round merely stashed must find both in the journal. The remainder of a
+// longer queue waits for the next round.
+func (in *Instance) startRound() bool {
+	if len(in.queue) == 0 || in.lastDelivered+1 != in.nextSeq {
+		return false
 	}
-	seq := in.nextSeq
-	in.nextSeq++
-	if in.proposedAt != nil {
-		in.proposedAt[seq] = in.fab.Engine().Now()
+	n := min(len(in.queue), max(in.cfg.JournalSlots/2, 1))
+	now := in.fab.Engine().Now()
+	first := in.nextSeq
+	for i := 0; i < n; i++ {
+		r := &in.queue[i]
+		in.mQueueWait.Observe(sim.Duration(now - r.at))
+		payload := r.payload
+		if in.Transform != nil {
+			payload = in.Transform(r.origin, payload)
+		}
+		seq := in.nextSeq
+		in.nextSeq++
+		if in.proposedAt != nil {
+			in.proposedAt[seq] = now
+		}
+		entry := encodeEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
+		in.journal(seq, entry)
+		in.entries[seq] = entry
+		in.acks[seq] = 1 // self
+		in.replicate(entry, seq)
 	}
-	entry := encodeEntry(seq, in.term, in.lastDelivered, origin, submitSeq, payload)
-	in.journal(seq, entry)
-	in.entries[seq] = entry
-	in.acks[seq] = 1 // self
-	if in.acks[seq] >= in.majority() {
-		in.decide(seq)
+	in.mRoundEntries.Observe(sim.Duration(n))
+	rest := copy(in.queue, in.queue[n:])
+	clear(in.queue[rest:])
+	in.queue = in.queue[:rest]
+	// A configuration whose majority is this node alone decides here, after
+	// the round has left the queue: the last decision completes the round and
+	// comes back for the remainder.
+	if in.majority() == 1 {
+		for seq := first; seq < first+uint64(n); seq++ {
+			in.decide(seq)
+		}
 	}
-	in.replicate(entry, seq)
+	return true
 }
 
 func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
@@ -479,8 +545,9 @@ func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
 }
 
 // decide marks seq decided and delivers contiguous decided entries locally.
-// When no further proposal is in flight to piggyback the new commit
-// watermark, a dedicated commit record carries it to the followers.
+// The decision that completes the round in flight starts the next one, whose
+// entries carry the new commit watermark; with nothing queued, a dedicated
+// commit record carries it to the followers.
 func (in *Instance) decide(seq uint64) {
 	in.decided[seq] = true
 	if at, ok := in.proposedAt[seq]; ok {
@@ -506,7 +573,7 @@ func (in *Instance) decide(seq uint64) {
 		advanced = true
 		in.deliverEntry(entry)
 	}
-	if advanced && in.lastDelivered+1 >= in.nextSeq {
+	if advanced && in.lastDelivered+1 >= in.nextSeq && !in.startRound() {
 		in.sendCommitRecord()
 	}
 }
@@ -514,6 +581,7 @@ func (in *Instance) decide(seq uint64) {
 // sendCommitRecord broadcasts a payload-less record carrying the current
 // commit watermark (seq 0 marks it as pure metadata).
 func (in *Instance) sendCommitRecord() {
+	in.mCommitRecords.Inc()
 	in.replicate(encodeEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil), 0)
 }
 
@@ -684,6 +752,7 @@ func (in *Instance) pollRequests() {
 			in.propose(from, submitSeq, append([]byte(nil), msg[8:]...))
 		}
 	}
+	in.startRound()
 }
 
 // --- leader change ----------------------------------------------------
@@ -761,6 +830,10 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	in.isLeader = false
 	in.electing = false
 	in.leader = cand
+	// A deposed leader drops its queue: every origin resubmits what it has
+	// pending to the new leader, and delivery dedup covers the overlap.
+	clear(in.queue)
+	in.queue = in.queue[:0]
 	// Revoke the previous leader's permission before granting the next —
 	// the order the paper prescribes.
 	in.switchLogPermission(cand)
@@ -1093,4 +1166,5 @@ func (in *Instance) resubmitPending() {
 	for _, submitSeq := range seqs {
 		in.route(submitSeq, in.pending[submitSeq])
 	}
+	in.startRound()
 }

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"testing"
 
+	"hamband/internal/codec"
 	"hamband/internal/heartbeat"
+	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
 	"hamband/internal/sim"
@@ -21,9 +23,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, leader rdma.NodeID) *cluster {
 	t.Helper()
+	return newClusterCfg(t, n, leader, DefaultConfig())
+}
+
+func newClusterCfg(t *testing.T, n int, leader rdma.NodeID, cfg Config) *cluster {
+	t.Helper()
 	eng := sim.NewEngine(41)
 	fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
-	cfg := DefaultConfig()
 	Setup(fab, "g", cfg, leader)
 	c := &cluster{eng: eng, fab: fab, delivered: make([][]string, n), seqs: make([][]uint64, n)}
 	for i := 0; i < n; i++ {
@@ -700,6 +706,334 @@ func TestElectionRepeatsForASeed(t *testing.T) {
 	for i := 1; i < 6; i++ {
 		if again := run(); again != first {
 			t.Fatalf("run %d of one seed differs from the first:\n%s\n%s", i, again, first)
+		}
+	}
+}
+
+// --- one round in flight ------------------------------------------------
+
+// tapLog decodes every record the leader wrote into node's log ring, in
+// ring order. The node's instance must have been stopped before the first
+// write, so that nothing consumed the ring.
+func (c *cluster) tapLog(t *testing.T, node int) []logEntry {
+	t.Helper()
+	rd := ring.NewReader(c.fab.Node(rdma.NodeID(node)).Region(logRegion("g")).Bytes())
+	var out []logEntry
+	for {
+		rec, ok, err := rd.Poll()
+		if err != nil {
+			t.Fatalf("tap of node %d's log ring: %v", node, err)
+		}
+		if !ok {
+			return out
+		}
+		msg, _, err := codec.DecodeRaw(rec)
+		if err != nil {
+			t.Fatalf("tap of node %d's log ring: %v", node, err)
+		}
+		e, err := decodeLogEntry(append([]byte(nil), msg...))
+		if err != nil {
+			t.Fatalf("tap of node %d's log ring: %v", node, err)
+		}
+		out = append(out, e)
+	}
+}
+
+// steadyBurst submits count payloads, one every gap, round-robin over the
+// given nodes, and returns them in submission order.
+func (c *cluster) steadyBurst(nodes []int, count int, gap sim.Duration) []string {
+	var sent []string
+	for i := 0; i < count; i++ {
+		node := nodes[i%len(nodes)]
+		payload := fmt.Sprintf("n%d-%03d", node, i)
+		sent = append(sent, payload)
+		c.eng.At(sim.Time(sim.Duration(i)*gap), func() { c.inst[node].Submit([]byte(payload)) })
+	}
+	return sent
+}
+
+// assertInOrder fails unless each of nodes delivered exactly want entries,
+// with sequence numbers 1..want in order.
+func (c *cluster) assertInOrder(t *testing.T, nodes []int, want int) {
+	t.Helper()
+	for _, i := range nodes {
+		if len(c.delivered[i]) != want {
+			t.Fatalf("node %d delivered %d/%d", i, len(c.delivered[i]), want)
+		}
+		for j, s := range c.seqs[i] {
+			if s != uint64(j+1) {
+				t.Fatalf("node %d delivered seq %d at position %d", i, s, j)
+			}
+		}
+	}
+}
+
+// TestOneRoundInFlight pins the round rule at the leader and on the wire. A
+// fourth node's instance is stopped, so its log ring keeps every record the
+// leader wrote: (1) the leader sequences an entry only when nothing it
+// proposed is undelivered, (2) every entry carries as its commit the last
+// sequence number of the round before its own, (3) a follower receives one
+// write per round plus one per commit record — nothing else — and (4) the
+// round instruments agree with what the wire shows.
+func TestOneRoundInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	reg := metrics.New(nil)
+	cfg.Metrics = reg
+	c := newClusterCfg(t, 4, 0, cfg)
+	c.fab.EnableMetrics(reg)
+	const tap = 3
+	c.inst[tap].Stop()
+
+	leader := c.inst[0]
+	roundOf := map[uint64]int{} // seq → round, as the leader sequenced them
+	rounds := 0
+	var roundEvent uint64 // engine event that sequenced the current round
+	leader.Transform = func(_ rdma.NodeID, payload []byte) []byte {
+		if ev := c.eng.Executed(); ev != roundEvent {
+			// A new round opens: nothing may be in flight.
+			if leader.lastDelivered+1 != leader.nextSeq {
+				t.Errorf("round opened at seq %d with seqs %d..%d undelivered",
+					leader.nextSeq, leader.lastDelivered+1, leader.nextSeq-1)
+			}
+			roundEvent = ev
+			rounds++
+		}
+		roundOf[leader.nextSeq] = rounds
+		return payload
+	}
+	sent := c.steadyBurst([]int{0, 1, 2}, 240, 250*sim.Nanosecond)
+	c.run(2 * sim.Millisecond)
+
+	c.assertInOrder(t, []int{0, 1, 2}, len(sent))
+	if rounds < 10 || rounds > len(sent)/2 {
+		t.Fatalf("%d entries went out in %d rounds: the burst did not batch", len(sent), rounds)
+	}
+
+	entries, commits := 0, 0
+	var prev logEntry
+	for _, e := range c.tapLog(t, tap) {
+		if e.seq == 0 {
+			commits++
+			continue
+		}
+		entries++
+		switch {
+		case prev.seq == 0:
+			if e.commit != 0 {
+				t.Fatalf("first entry carries commit %d", e.commit)
+			}
+		case roundOf[e.seq] == roundOf[prev.seq]:
+			if e.commit != prev.commit {
+				t.Fatalf("seq %d carries commit %d, seq %d of the same round carries %d",
+					e.seq, e.commit, prev.seq, prev.commit)
+			}
+		default:
+			if e.commit != prev.seq {
+				t.Fatalf("seq %d opens round %d with commit %d, want the previous round's last seq %d",
+					e.seq, roundOf[e.seq], e.commit, prev.seq)
+			}
+		}
+		prev = e
+	}
+	if entries != len(sent) {
+		t.Fatalf("tap saw %d entries, want %d", entries, len(sent))
+	}
+	for _, follower := range []int{1, 2, tap} {
+		writes := reg.Counter(fmt.Sprintf("rdma.qp.0-%d.writes", follower)).Value()
+		if writes != uint64(rounds+commits) {
+			t.Fatalf("leader posted %d writes to node %d, want one per round and commit record: %d + %d",
+				writes, follower, rounds, commits)
+		}
+	}
+	perRound, wait := reg.Histogram("mu.round_entries", nil), reg.Histogram("mu.queue_wait", nil)
+	if perRound.Count() != uint64(rounds) || perRound.Sum() != sim.Duration(entries) ||
+		wait.Count() != uint64(entries) || reg.Counter("mu.commit_records").Value() != uint64(commits) {
+		t.Fatalf("instruments: %d rounds of %d entries, %d queue waits, %d commit records; the wire shows %d, %d, %d, %d",
+			perRound.Count(), perRound.Sum(), wait.Count(), reg.Counter("mu.commit_records").Value(),
+			rounds, entries, entries, commits)
+	}
+}
+
+// TestNextRoundCarriesTheCommit: under a steady burst the leader never goes
+// idle between rounds, so the only dedicated commit record is the one
+// trailing the last round. Followers learn every earlier decision from the
+// next round's entries and deliver round k in the sweep that polls round
+// k+1: whatever a follower holds stashed between sweeps is one round, whose
+// commit stamp is the follower's own delivery watermark.
+func TestNextRoundCarriesTheCommit(t *testing.T) {
+	c := newCluster(t, 4, 0)
+	const tap = 3
+	c.inst[tap].Stop()
+	sent := c.steadyBurst([]int{0, 1, 2}, 300, 200*sim.Nanosecond)
+	held := 0 // probes that found a round held back
+	probe := c.eng.NewTicker(100*sim.Nanosecond, func() {
+		for _, in := range c.inst[1:3] {
+			for seq, raw := range in.stash {
+				held++
+				if e, err := decodeLogEntry(raw); err != nil || e.commit != in.lastDelivered {
+					t.Fatalf("follower %d delivered through %d but holds seq %d with commit %d (%v)",
+						in.node.ID(), in.lastDelivered, seq, e.commit, err)
+				}
+			}
+		}
+	})
+	c.run(2 * sim.Millisecond)
+	probe.Cancel()
+	if held == 0 {
+		t.Fatal("no probe saw a stashed round: the check did not run")
+	}
+
+	log := c.tapLog(t, tap)
+	for i, e := range log {
+		if e.seq == 0 && i != len(log)-1 {
+			t.Fatalf("dedicated commit record at position %d of %d: the leader went idle mid-burst", i, len(log))
+		}
+	}
+	if last := log[len(log)-1]; last.seq != 0 || last.commit != uint64(len(sent)) {
+		t.Fatalf("log ends with seq %d commit %d, want the trailing commit record for %d", last.seq, last.commit, len(sent))
+	}
+	c.assertInOrder(t, []int{0, 1, 2}, len(sent))
+}
+
+// TestDeposedLeaderDropsItsQueue: the old leader resumes after its successor
+// was elected and, not yet aware, opens a round that can never decide (its
+// writes fail the voters' permissions). Requests that reach it meanwhile
+// queue behind that round: it must post no further log write for them, drop
+// them when it processes the election, and every one of them — its own
+// submissions and the ones a follower sent it — must be delivered exactly
+// once under the new leader.
+func TestDeposedLeaderDropsItsQueue(t *testing.T) {
+	c := newCluster(t, 3, 0)
+	reg := metrics.New(c.eng)
+	c.fab.EnableMetrics(reg)
+	// Node 0 writes to node 2 only as a leader (log ring): requests, votes
+	// and grants go to node 1, the new leader.
+	logWrites := reg.Counter("rdma.qp.0-2.writes")
+
+	c.eng.At(0, func() { c.inst[0].Submit([]byte("legit")) })
+	c.eng.At(sim.Time(100*sim.Microsecond), func() { c.fab.Node(0).Suspend() })
+	// Lands in the suspended leader's request ring; node 2 keeps it pending.
+	c.eng.At(sim.Time(150*sim.Microsecond), func() { c.inst[2].Submit([]byte("orphan")) })
+	c.eng.At(sim.Time(200*sim.Microsecond), func() { c.inst[1].StartElection() })
+	// Resume between two poll ticks: the zombie has ~1.9 µs before the sweep
+	// that processes the vote request.
+	resume := sim.Time(3*sim.Millisecond + 100*sim.Nanosecond)
+	var before uint64
+	c.eng.At(resume, func() {
+		before = logWrites.Value()
+		c.fab.Node(0).Resume()
+		c.inst[0].Submit([]byte("zombie-round"))
+	})
+	for i := 1; i <= 3; i++ {
+		i := i
+		c.eng.At(resume+sim.Time(i)*sim.Time(300*sim.Nanosecond), func() {
+			if !c.inst[0].IsLeader() {
+				t.Errorf("queued-%d submitted after the deposition was processed: widen the window", i)
+			}
+			c.inst[0].Submit([]byte(fmt.Sprintf("queued-%d", i)))
+		})
+	}
+	c.eng.At(resume+sim.Time(1500*sim.Nanosecond), func() {
+		if got := len(c.inst[0].queue); got != 3 {
+			t.Errorf("zombie queues %d requests behind its undecidable round, want 3", got)
+		}
+	})
+	c.run(30 * sim.Millisecond)
+
+	if c.inst[0].IsLeader() || len(c.inst[0].queue) != 0 {
+		t.Fatalf("deposed leader: isLeader=%v, %d requests still queued", c.inst[0].IsLeader(), len(c.inst[0].queue))
+	}
+	if got := logWrites.Value() - before; got != 1 {
+		t.Fatalf("zombie posted %d log writes to node 2 after resuming, want 1 (the undecidable round)", got)
+	}
+	want := []string{"legit", "orphan", "zombie-round", "queued-1", "queued-2", "queued-3"}
+	for i := 0; i < 3; i++ {
+		counts := map[string]int{}
+		for _, m := range c.delivered[i] {
+			counts[m]++
+		}
+		for _, m := range want {
+			if counts[m] != 1 {
+				t.Fatalf("node %d delivered %q %d times, want exactly once (all: %v)", i, m, counts[m], c.delivered[i])
+			}
+		}
+		if len(c.delivered[i]) != len(want) {
+			t.Fatalf("node %d delivered %v", i, c.delivered[i])
+		}
+		for j := range c.delivered[0] {
+			if c.delivered[i][j] != c.delivered[0][j] {
+				t.Fatalf("order diverges at %d: %v vs %v", j, c.delivered[i], c.delivered[0])
+			}
+		}
+	}
+}
+
+// TestSelfMajorityRoundsTerminate: when the leader alone is a majority, a
+// round decides inside startRound, before any write completes. The one-node
+// group and the group shrunk to one member by SetMembers must both deliver
+// a queue longer than several rounds' cap, in order, on every node (the
+// departed nodes keep receiving the log as observers).
+func TestSelfMajorityRoundsTerminate(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JournalSlots = 16 // rounds of at most 8
+	for _, n := range []int{1, 3} {
+		c := newClusterCfg(t, n, 0, cfg)
+		members := make([]bool, n)
+		members[0] = true
+		for _, in := range c.inst {
+			in.SetMembers(members)
+		}
+		// Requests queue up while the leader is held in recovery, so the
+		// first round finds several caps' worth waiting.
+		const per = 30
+		c.inst[0].recovering = true
+		c.eng.At(0, func() {
+			for i := 0; i < per; i++ {
+				for _, in := range c.inst {
+					in.Submit([]byte(fmt.Sprintf("n%d-%02d", in.node.ID(), i)))
+				}
+			}
+		})
+		c.eng.At(sim.Time(20*sim.Microsecond), func() { c.inst[0].becomeActiveLeader(1) })
+		c.run(5 * sim.Millisecond)
+		all := []int{0, 1, 2}[:n]
+		c.assertInOrder(t, all, n*per)
+	}
+}
+
+// TestBurstLongerThanJournal: a follower submits three journals' worth of
+// requests at once and the leader is suspended at some instant of the burst.
+// A round never takes more than the journal can keep next to its predecessor,
+// so whichever instant it is, the new leader finds every undelivered entry in
+// the old journal: every payload is delivered exactly once, in submission
+// order, on both survivors. (Without the cap the burst overwrites entries the
+// new leader needs, and recovery can never deliver past the holes.)
+func TestBurstLongerThanJournal(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.JournalSlots = 16
+	const burst = 3 * 16
+	for at := 2 * sim.Microsecond; at <= 50*sim.Microsecond; at += 250 * sim.Nanosecond {
+		c := newClusterCfg(t, 3, 0, cfg)
+		c.eng.At(0, func() {
+			for i := 0; i < burst; i++ {
+				c.inst[2].Submit([]byte(fmt.Sprintf("m%02d", i)))
+			}
+		})
+		c.eng.At(sim.Time(at), func() { c.fab.Node(0).Suspend() })
+		c.eng.At(sim.Time(at+200*sim.Microsecond), func() { c.inst[1].StartElection() })
+		c.run(4 * sim.Millisecond)
+		if !c.inst[1].IsLeader() {
+			t.Fatalf("suspended at %v: node 1 did not take over", at)
+		}
+		for _, i := range []int{1, 2} {
+			if len(c.delivered[i]) != burst {
+				t.Fatalf("suspended at %v: node %d delivered %d/%d: %v", at, i, len(c.delivered[i]), burst, c.delivered[i])
+			}
+			for j, m := range c.delivered[i] {
+				if m != fmt.Sprintf("m%02d", j) {
+					t.Fatalf("suspended at %v: node %d delivered %q at position %d", at, i, m, j)
+				}
+			}
 		}
 	}
 }

@@ -19,6 +19,11 @@ type CPU struct {
 	running   bool
 	suspended bool
 	busyTotal Duration
+
+	// Observe, when non-nil, is called with every work item's cost as it is
+	// submitted, on the submitter's stack, so a ledger can charge the cost to
+	// its call site (runtime.Callers). Nil, the default, costs one check.
+	Observe func(cost Duration)
 }
 
 type cpuTask struct {
@@ -39,6 +44,9 @@ func NewCPU(e *Engine) *CPU {
 func (c *CPU) Submit(cost Duration, fn func()) {
 	if cost < 0 {
 		cost = 0
+	}
+	if c.Observe != nil {
+		c.Observe(cost)
 	}
 	c.queue = append(c.queue, cpuTask{cost: cost, fn: fn})
 	c.kick()
