@@ -18,8 +18,10 @@ test:
 # TestFigurePointsMatchPR8 is skipped since PR 13 ("one write per pump"): it
 # pins fig9/fig10 to BENCH_PR8's 9.07 / 2.12 ops/µs. PR 13 moved them to
 # 9.63 / 2.40 and PR 17 ("one round per sync group") moved fig10 on to 3.06,
-# both on purpose and both with benchmark/ frozen. The next benchmark PR
-# re-pins the test to BENCH_PR17.json and drops the skip.
+# both on purpose and both with benchmark/ frozen (PR 18, which builds no F
+# buffers for a class without an irreducible conflict-free method, moved fig10
+# to 3.12 and left fig9 at 9.62). The next benchmark PR re-pins the test to
+# BENCH_PR18.json and drops the skip.
 bench-test:
 	cd benchmark && $(GO) test -skip TestFigurePointsMatchPR8 ./...
 
@@ -127,17 +129,20 @@ check: build fmt vet staticcheck test bench-test race fuzz health-exp
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring
 
-# ledger prints the virtual-CPU ledger of the Fig. 10 point: µs of simulated
-# CPU per committed call by call site (post, CQE, deliver, apply, polls,
-# accept, head and heartbeat reads) for the group-0 leader and for a node
-# that leads nothing, under Hamband and under the SMR baseline. The rows are
-# checked against sim.CPU.BusyTotal.
+# ledger prints the virtual-CPU ledgers: µs of simulated CPU per call by call
+# site (post, CQE, deliver, apply, polls, accept, head and heartbeat reads).
+# TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for a node
+# that leads nothing, under Hamband and under the SMR baseline; TestStoreLedger
+# is one node of a 16-shard store under the store-zipf shape, for counter
+# shards (no polls row: no F or L buffers) and for OR-set shards at 4 and 16
+# (the per-shard pollers that are left). The rows are checked against
+# sim.CPU.BusyTotal.
 ledger:
-	$(GO) test -run TestLeaderLedger -count=1 -v ./internal/bench
+	$(GO) test -run 'Test(Leader|Store)Ledger' -count=1 -v ./internal/bench
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR17.json
+SNAPSHOT ?= BENCH_PR18.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -173,8 +178,8 @@ bench-pairs:
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
 # drops by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR17.json
-NEW ?= BENCH_PR17.json
+OLD ?= BENCH_PR18.json
+NEW ?= BENCH_PR18.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -2,15 +2,18 @@ package bench
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"hamband/internal/crdt"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
+	"hamband/internal/store"
 )
 
 // ledger charges every work item submitted to one node's CPU to the call
@@ -50,7 +53,9 @@ var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).post<", "post: other writes"},
 	{"rdma.(*verb).cqe", "CQE: write completions"},
 	{"mu.(*Instance).deliverEntry", "deliver"},
+	{"broadcast.(*Receiver).deliver", "deliver"},
 	{"core.(*Replica).kickApply", "apply"},
+	{"core.(*Replica).invokeFree", "apply"},
 	{"smr.(*Replica).onDeliver", "apply"},
 	{"mu.(*Instance).poll", "polls"},
 	{"broadcast.(*Receiver).poll", "polls"},
@@ -130,17 +135,7 @@ func TestLeaderLedger(t *testing.T) {
 		}
 		for i, node := range observed {
 			l := ledgers[i]
-			cpu := fab.Node(rdma.NodeID(node)).CPU
-			// Busy time is charged at dispatch, the ledger at submission:
-			// let the few items still queued when the run stopped dispatch.
-			for cpu.QueueLen() > 0 {
-				eng.RunFor(100 * sim.Nanosecond)
-			}
-			cpu.Observe = nil
-			sum := l.total()
-			if sum != cpu.BusyTotal() {
-				t.Errorf("%s p%d: ledger rows sum to %v, CPU.BusyTotal is %v", kind, node, sum, cpu.BusyTotal())
-			}
+			sum := l.settle(t, eng, fab.Node(rdma.NodeID(node)).CPU, fmt.Sprintf("%s p%d", kind, node))
 			role := "leads nothing"
 			if node == leader {
 				role = "leads group 0" // under SMR, the one group
@@ -149,6 +144,110 @@ func TestLeaderLedger(t *testing.T) {
 				res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan, l.table(res.Completed))
 		}
 	}
+}
+
+// storeSystem drives a sharded store through the closed-loop driver: every
+// call goes to a shard drawn from a Zipf 1.5 key distribution, the shape of
+// the two-clock benchmark's store-zipf workload.
+type storeSystem struct {
+	st   *store.Store
+	keys []string
+	zipf *rand.Zipf
+}
+
+func (s *storeSystem) Name() string { return "Hamband store" }
+func (s *storeSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
+	s.st.Invoke(s.keys[s.zipf.Uint64()], p, u, a, cb)
+}
+
+// Applied sums the shards' applied maps: the driver's barrier compares it
+// with the updates accepted over all keys, and no shard can apply more than
+// it accepted.
+func (s *storeSystem) Applied(p spec.ProcID) spec.AppliedMap {
+	var sum spec.AppliedMap
+	for _, key := range s.keys {
+		a := s.st.Shard(key).Replica(p).Applied()
+		if sum == nil {
+			sum = a.Clone()
+			continue
+		}
+		for q := range a {
+			for u, n := range a[q] {
+				sum[q][u] += n
+			}
+		}
+	}
+	return sum
+}
+func (s *storeSystem) Down(p spec.ProcID) bool { return s.st.Fabric().Node(rdma.NodeID(p)).Suspended() }
+func (s *storeSystem) Fail(p spec.ProcID)      { s.st.Fabric().Node(rdma.NodeID(p)).Suspend() }
+func (s *storeSystem) State(p spec.ProcID) spec.State {
+	return s.st.Shard(s.keys[0]).Replica(p).CurrentState()
+}
+func (s *storeSystem) Size() int { return s.st.Fabric().Size() }
+
+// TestStoreLedger prints the virtual-CPU ledger of one node of a sharded
+// store under the store-zipf shape (four nodes, Zipf 1.5 keys, half updates
+// half local queries, eight calls outstanding per node; `make ledger`). A
+// counter has no irreducible conflict-free method, so its shards build no F
+// rings and the ledger must hold no polls row however many are open. The
+// OR-set keeps its buffers: its polls row — one receiver per open shard,
+// PollCost every PollPeriod whether or not anything arrived — is what is left
+// of the per-object slope, printed at 4 and 16 shards.
+func TestStoreLedger(t *testing.T) {
+	const nodes = 4
+	point := func(cls *spec.Class, shards int) *ledger {
+		eng := sim.NewEngine(42)
+		fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
+		st := store.New(fab, store.DefaultOptions())
+		defer st.Stop()
+		an := spec.MustAnalyze(cls)
+		sys := &storeSystem{st: st, zipf: rand.NewZipf(rand.New(rand.NewSource(44)), 1.5, 1, uint64(shards-1))}
+		for i := 0; i < shards; i++ {
+			sys.keys = append(sys.keys, fmt.Sprintf("obj%03d", i))
+			if _, err := st.Open(sys.keys[i], an, store.ShardOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		l := newLedger()
+		cpu := fab.Node(0).CPU
+		cpu.Observe = l.charge
+		res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.5, 43))
+		if res.TimedOut || res.Completed != DefaultOps {
+			t.Fatalf("%s ×%d: completed %d/%d, timed out %v", cls.Name, shards, res.Completed, DefaultOps, res.TimedOut)
+		}
+		sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
+		polls := l.rows["polls"]
+		t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; polls %.4f µs/op = %.1f%% of the node's CPU time\n%s",
+			shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
+			polls.Micros()/float64(res.Completed), 100*float64(polls)/float64(res.Makespan), l.table(res.Completed))
+		return l
+	}
+	if polls, ok := point(crdt.NewCounter(), 16).rows["polls"]; ok {
+		t.Errorf("16 counter shards charge %v of polls: a class without F or L buffers has nothing to poll", polls)
+	}
+	for _, shards := range []int{4, 16} {
+		if point(crdt.NewORSet(), shards).rows["polls"] == 0 {
+			t.Errorf("%d orset shards charge no polls: the ledger lost the receivers' row", shards)
+		}
+	}
+}
+
+// settle closes a ledger after a run: busy time is charged at dispatch, the
+// ledger at submission, so it lets the few items still queued when the run
+// stopped dispatch, detaches the observer and checks that the rows sum to the
+// CPU's busy time, which it returns.
+func (l *ledger) settle(t *testing.T, eng *sim.Engine, cpu *sim.CPU, who string) sim.Duration {
+	t.Helper()
+	for cpu.QueueLen() > 0 {
+		eng.RunFor(100 * sim.Nanosecond)
+	}
+	cpu.Observe = nil
+	sum := l.total()
+	if sum != cpu.BusyTotal() {
+		t.Errorf("%s: ledger rows sum to %v, CPU.BusyTotal is %v", who, sum, cpu.BusyTotal())
+	}
+	return sum
 }
 
 func (l *ledger) total() sim.Duration {

@@ -123,7 +123,9 @@ func recordEpoch(rec []byte) (uint32, bool) {
 	return binary.LittleEndian.Uint32(msg), true
 }
 
-// Broadcaster is the source side of reliable broadcast on one node.
+// Broadcaster is the source side of reliable broadcast on one node. A nil
+// *Broadcaster is the source side of a class that has no F buffers: it stamps
+// nothing, so SetEpoch on it is a no-op.
 type Broadcaster struct {
 	cfg    Config
 	backup *rdma.Region
@@ -180,7 +182,7 @@ func (b *Broadcaster) Broadcast(payload []byte, onDone func()) error {
 // SetEpoch installs the configuration epoch stamped on subsequent
 // messages. Epochs only move forward; stale values are ignored.
 func (b *Broadcaster) SetEpoch(e uint32) {
-	if e > b.epoch {
+	if b != nil && e > b.epoch {
 		b.epoch = e
 	}
 }
@@ -263,7 +265,13 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 // Handler consumes delivered broadcast messages.
 type Handler func(src rdma.NodeID, seq uint64, payload []byte)
 
-// Receiver is the delivery side of reliable broadcast on one node.
+// Receiver is the delivery side of reliable broadcast on one node. A nil
+// *Receiver is the delivery side of a class that has no F buffers (package
+// core builds one only when the analysis finds an irreducible conflict-free
+// method): it has no rings, no backup to recover from and no poller, so
+// RecoverFrom, FloorAfterDrain and Stop do nothing, StaleRejects is zero and
+// Rings is empty. Callers on the failure, epoch and health paths therefore
+// need no "has F buffers" flag of their own.
 type Receiver struct {
 	fab     *rdma.Fabric
 	node    *rdma.Node
@@ -319,7 +327,11 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 }
 
 // Stop cancels the receiver's poll loop.
-func (r *Receiver) Stop() { r.ticker.Cancel() }
+func (r *Receiver) Stop() {
+	if r != nil {
+		r.ticker.Cancel()
+	}
+}
 
 // FloorAfterDrain schedules an epoch-floor raise for src (call it when src
 // leaves the configuration, with the departure epoch): ring records and
@@ -333,12 +345,17 @@ func (r *Receiver) Stop() { r.ticker.Cancel() }
 // proof is the ring reader's: the first poll that finds src's ring
 // quiescent promotes the floor.
 func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
-	r.readers[src].Floor().RaiseAfterDrain(e)
+	if r != nil {
+		r.readers[src].Floor().RaiseAfterDrain(e)
+	}
 }
 
 // StaleRejects returns how many records the epoch gates have rejected
 // across all sources (ring records and recovered backup slots).
 func (r *Receiver) StaleRejects() uint64 {
+	if r == nil {
+		return 0
+	}
 	total := r.staleBackup
 	for _, rd := range r.readers {
 		total += rd.StaleRejects()
@@ -422,7 +439,7 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte) {
 // (its in-flight messages were not delivered anywhere they can be read
 // back from).
 func (r *Receiver) RecoverFrom(src rdma.NodeID) {
-	if src == r.node.ID() {
+	if r == nil || src == r.node.ID() {
 		return
 	}
 	r.mRecoveries.Inc()

@@ -28,6 +28,9 @@ type SourceHealth struct {
 // snapshot is cheap (one pass over fabric-size readers, no allocation
 // beyond the result slice) and read-only.
 func (r *Receiver) Rings() []SourceHealth {
+	if r == nil {
+		return nil
+	}
 	out := make([]SourceHealth, 0, len(r.readers))
 	for src, rd := range r.readers {
 		floor := rd.Floor()

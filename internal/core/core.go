@@ -197,8 +197,9 @@ type Cluster struct {
 func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 
 // NewCluster builds a Hamband deployment of the analyzed class over fab:
-// it registers all memory regions, creates the broadcast, heartbeat and
-// per-group consensus instances, and starts every replica's pollers.
+// it registers the memory regions, creates the heartbeat, the per-group
+// consensus instances and — for a class with an irreducible conflict-free
+// method — the reliable broadcast, and starts every replica's pollers.
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor frame needs most of
@@ -245,9 +246,14 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		}
 	}
 
-	// Region registration.
+	// Region registration: each component of the configuration exists only
+	// where the analysis gives the class something to put in it — F buffers
+	// iff some method is irreducible conflict-free, L buffers per
+	// synchronization group, S slots per summarization group.
 	c.Opts.Broadcast.Namespace = opts.Namespace
-	broadcast.Setup(fab, c.Opts.Broadcast)
+	if an.HasFreeBuffers() {
+		broadcast.Setup(fab, c.Opts.Broadcast)
+	}
 	for g := range an.SyncGroups {
 		mu.Setup(fab, muGroup(opts.Namespace, g), opts.Mu, rdma.NodeID(c.leaders[g]))
 	}
@@ -366,7 +372,9 @@ type Replica struct {
 	lQueues [][]pendingEntry // per sync group
 	lNext   int              // the L buffer applyOne serves first: the one after the last served
 
-	// Protocol components.
+	// Protocol components. bc and rx are nil for a class without an
+	// irreducible conflict-free method (no F buffers); the broadcast types
+	// tolerate the nil receiver, so the failure and epoch paths do not branch.
 	bc     *broadcast.Broadcaster
 	rx     *broadcast.Receiver
 	groups []*mu.Instance
@@ -493,18 +501,22 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
 	}
 
-	// Broadcast: carries irreducible conflict-free calls into F buffers.
-	r.bc = broadcast.NewBroadcaster(c.Fab, r.node, c.Opts.Broadcast)
-	onFree := r.onFreeDelivery
-	if hook := c.Opts.FreeDeliveryHook; hook != nil {
-		onFree = func(src rdma.NodeID, seq uint64, payload []byte) {
-			if hook(id, src, payload) {
-				return
+	// Broadcast: carries irreducible conflict-free calls into F buffers. A
+	// class without such a method has no F buffers: bc and rx stay nil, and no
+	// ring is registered or polled on its behalf.
+	if c.An.HasFreeBuffers() {
+		r.bc = broadcast.NewBroadcaster(c.Fab, r.node, c.Opts.Broadcast)
+		onFree := r.onFreeDelivery
+		if hook := c.Opts.FreeDeliveryHook; hook != nil {
+			onFree = func(src rdma.NodeID, seq uint64, payload []byte) {
+				if hook(id, src, payload) {
+					return
+				}
+				r.onFreeDelivery(src, seq, payload)
 			}
-			r.onFreeDelivery(src, seq, payload)
 		}
+		r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, onFree)
 	}
-	r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, onFree)
 
 	// One consensus instance per synchronization group.
 	for g := range c.An.SyncGroups {
@@ -547,7 +559,11 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	if r.haveSums {
 		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.SumScanPeriod, r.scanSummaries))
 	}
-	r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.ApplyPeriod, r.kickApply))
+	// The retry ticker re-examines dependency-blocked buffer heads; without F
+	// or L buffers nothing is ever buffered.
+	if r.rx != nil || len(r.groups) > 0 {
+		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.ApplyPeriod, r.kickApply))
+	}
 	return r
 }
 

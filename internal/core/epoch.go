@@ -258,7 +258,9 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 				continue
 			}
 			node := c.Fab.Node(rdma.NodeID(i))
-			node.Region(broadcast.InboundRegion(ns, t)).AllowWrite(t)
+			if reg := node.Region(broadcast.InboundRegion(ns, t)); reg != nil {
+				reg.AllowWrite(t)
+			}
 			if reg := node.Region(ns + sumRegionBase); reg != nil {
 				reg.AllowWrite(t)
 			}
@@ -278,7 +280,9 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 				continue
 			}
 			node := c.Fab.Node(rdma.NodeID(i))
-			node.Region(broadcast.InboundRegion(ns, t)).RevokeWrite(t)
+			if reg := node.Region(broadcast.InboundRegion(ns, t)); reg != nil {
+				reg.RevokeWrite(t)
+			}
 			if reg := node.Region(ns + sumRegionBase); reg != nil {
 				reg.RevokeWrite(t)
 			}

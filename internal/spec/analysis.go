@@ -1,6 +1,9 @@
 package spec
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Category classifies a method per §3.3 of the paper.
 type Category int
@@ -213,6 +216,16 @@ func MustAnalyze(cls *Class) *Analysis {
 
 // Conflicting reports whether method u needs synchronization.
 func (a *Analysis) Conflicting(u MethodID) bool { return a.Category[u] == CatConflicting }
+
+// HasFreeBuffers reports whether the class needs the F component of the
+// configuration (§4: one buffer per source for irreducible conflict-free
+// calls): some method is irreducible conflict-free. Like SumGroups for S and
+// SyncGroups for L, it is the one input that decides whether a deployment
+// builds the reliable-broadcast regions, sender, receiver and poller at all,
+// and what a shard's memory footprint counts.
+func (a *Analysis) HasFreeBuffers() bool {
+	return slices.Contains(a.Category, CatIrreducibleFree)
+}
 
 // Summary returns a human-readable description of the analysis.
 func (a *Analysis) Summary() string {

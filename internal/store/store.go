@@ -19,11 +19,11 @@
 //     (core.FailureDomain); a node's shards are suspected and recovered
 //     together, as one process.
 //
-// Per shard: a disjoint region namespace, per-source broadcast rings, one
-// Mu consensus instance per synchronization group (the paper scopes Mu to
-// sync groups; the store scopes it to sync groups × shards), and staggered
-// default group leaders so consensus load spreads across nodes instead of
-// piling onto node 0.
+// Per shard: a disjoint region namespace, per-source broadcast rings when the
+// class has irreducible conflict-free methods, one Mu consensus instance per
+// synchronization group (the paper scopes Mu to sync groups; the store scopes
+// it to sync groups × shards), and staggered default group leaders so
+// consensus load spreads across nodes instead of piling onto node 0.
 package store
 
 import (
@@ -160,8 +160,10 @@ func (s *Store) routeMatch(name string) bool {
 func namespace(key string) string { return "shard[" + key + "]/" }
 
 // Footprint returns the exact per-node memory a shard of the analyzed
-// class costs under the given core options: summary slots, broadcast
-// backup + inbound rings, and per-sync-group Mu log/journal/state plus
+// class costs under the given core options: summary slots per summarization
+// group, broadcast backup + inbound rings iff the class has an irreducible
+// conflict-free method (spec.Analysis.HasFreeBuffers, the predicate
+// core.NewCluster builds by), and per-sync-group Mu log/journal/state plus
 // per-peer request/vote/grant rings. Open admits against this number, and
 // the arena accounting in the tests pins it byte-for-byte.
 func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
@@ -182,8 +184,10 @@ func footprintDetail(an *spec.Analysis, nodes int, o core.Options) (total, large
 		add(nslots*o.SumSlotSize, 1)
 	}
 	add(8, 1) // configuration-epoch word (dynamic membership)
-	add(o.Broadcast.BackupSlots*o.Broadcast.BackupSlot, 1)
-	add(ring.RegionSize(o.Broadcast.RingCapacity), nodes-1)
+	if an.HasFreeBuffers() {
+		add(o.Broadcast.BackupSlots*o.Broadcast.BackupSlot, 1)
+		add(ring.RegionSize(o.Broadcast.RingCapacity), nodes-1)
+	}
 	for range an.SyncGroups {
 		add(ring.RegionSize(o.Mu.RingCapacity), 1)       // leader log
 		add(o.Mu.JournalSlots*o.Mu.JournalSlotSize, 1)   // journal

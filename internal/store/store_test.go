@@ -9,6 +9,7 @@ import (
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
+	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -38,13 +39,10 @@ func newStore(t *testing.T, nodes int, seed int64, opts Options) (*sim.Engine, *
 
 func TestOpenBudgetTypedError(t *testing.T) {
 	opts := testOptions()
-	opts.MemoryBudget = 64 * 1024 // fits one small counter shard, not two
-	_, s := newStore(t, 3, 1, opts)
 	an := spec.MustAnalyze(crdt.NewCounter())
 	fp := Footprint(an, 3, opts.Core)
-	if fp > opts.MemoryBudget {
-		t.Fatalf("test premise broken: one shard (%d B) exceeds the budget", fp)
-	}
+	opts.MemoryBudget = fp + fp/2 // one counter shard fits, two do not
+	_, s := newStore(t, 3, 1, opts)
 	if _, err := s.Open("a", an, ShardOptions{}); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
@@ -59,33 +57,38 @@ func TestOpenBudgetTypedError(t *testing.T) {
 	}
 }
 
+// TestFootprintExactlyMatchesArenaAccounting opens one class of each buffer
+// shape — S only, F only, S+L and all three — and pins the formula to the
+// arena byte for byte after every open: Footprint and core.NewCluster consult
+// the same analysis, so admission counts exactly the regions that get built.
 func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 	opts := testOptions()
 	_, s := newStore(t, 4, 2, opts)
-	classes := map[string]*spec.Class{
-		"ctr":   crdt.NewCounter(), // reducible only: summary slots
-		"items": crdt.NewORSet(),   // irreducible conflict-free: broadcast rings
-		"acct":  crdt.NewAccount(), // conflicting: per-shard Mu groups
+	classes := []*spec.Class{
+		crdt.NewCounter(),      // reducible only: summary slots, no rings
+		crdt.NewORSet(),        // irreducible conflict-free only: broadcast rings
+		schema.NewCourseware(), // reducible + conflicting: slots and one Mu group
+		crdt.NewBankMap(),      // all three categories
 	}
 	want := 0
-	for key, cls := range classes {
+	for _, cls := range classes {
 		an := spec.MustAnalyze(cls)
-		sh, err := s.Open(key, an, ShardOptions{})
+		sh, err := s.Open(cls.Name, an, ShardOptions{})
 		if err != nil {
-			t.Fatalf("open %s: %v", key, err)
+			t.Fatalf("open %s: %v", cls.Name, err)
 		}
 		if sh.Footprint() != Footprint(an, 4, opts.Core) {
-			t.Fatalf("%s: shard footprint %d != Footprint() %d", key, sh.Footprint(), Footprint(an, 4, opts.Core))
+			t.Fatalf("%s: shard footprint %d != Footprint() %d", cls.Name, sh.Footprint(), Footprint(an, 4, opts.Core))
 		}
 		want += sh.Footprint()
-	}
-	for node := 0; node < 4; node++ {
-		used, total := s.Budget(node)
-		if used != want {
-			t.Fatalf("node %d: arena used %d B, footprint formula says %d B", node, used, want)
-		}
-		if total != opts.MemoryBudget {
-			t.Fatalf("node %d: budget %d, want %d", node, total, opts.MemoryBudget)
+		for node := 0; node < 4; node++ {
+			used, total := s.Budget(node)
+			if used != want {
+				t.Fatalf("after opening %s: node %d arena used %d B, footprint formula says %d B", cls.Name, node, used, want)
+			}
+			if total != opts.MemoryBudget {
+				t.Fatalf("node %d: budget %d, want %d", node, total, opts.MemoryBudget)
+			}
 		}
 	}
 }
@@ -375,87 +378,122 @@ func TestKeyedQueryPaths(t *testing.T) {
 // across a shard's whole membership lifecycle: a leave/join round-trip
 // allocates nothing outside the budgeted arena (the epoch word is part of
 // the footprint formula), Close after the round-trip returns every byte,
-// and a reopen lands on exactly the formula again at epoch zero.
+// and a reopen lands on exactly the formula again at epoch zero. It runs on
+// the OR-set, whose commit revokes and restores the departed node's inbound
+// rings, and on the counter, which has no inbound region to revoke.
 func TestReopenUnderEpochChangeKeepsFootprintExact(t *testing.T) {
-	opts := testOptions()
-	eng, s := newStore(t, 4, 9, opts)
-	an := spec.MustAnalyze(crdt.NewCounter())
-	fp := Footprint(an, 4, opts.Core)
+	for _, tc := range []struct {
+		cls  *spec.Class
+		u    spec.MethodID
+		args func(p spec.ProcID, seq uint64) spec.Args
+	}{
+		{crdt.NewORSet(), crdt.ORSetAdd, func(p spec.ProcID, seq uint64) spec.Args {
+			return spec.ArgsI(int64(seq), crdt.Tag(p, seq))
+		}},
+		{crdt.NewCounter(), crdt.CounterAdd, func(spec.ProcID, uint64) spec.Args { return spec.ArgsI(1) }},
+	} {
+		t.Run(tc.cls.Name, func(t *testing.T) {
+			opts := testOptions()
+			eng, s := newStore(t, 4, 9, opts)
+			an := spec.MustAnalyze(tc.cls)
+			fp := Footprint(an, 4, opts.Core)
 
-	assertUsed := func(stage string, want int) {
-		t.Helper()
-		for node := 0; node < 4; node++ {
-			if used, _ := s.Budget(node); used != want {
-				t.Fatalf("%s: node %d arena holds %d B, footprint formula says %d B", stage, node, used, want)
+			assertUsed := func(stage string, want int) {
+				t.Helper()
+				for node := 0; node < 4; node++ {
+					if used, _ := s.Budget(node); used != want {
+						t.Fatalf("%s: node %d arena holds %d B, footprint formula says %d B", stage, node, used, want)
+					}
+				}
 			}
-		}
-	}
 
-	sh, err := s.Open("obj", an, ShardOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertUsed("after open", fp)
+			sh, err := s.Open("obj", an, ShardOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertUsed("after open", fp)
 
-	reconfig := func(stage string, join bool, node int) {
-		t.Helper()
-		done := false
-		var rerr error
-		cb := func(err error) { done, rerr = true, err }
-		if join {
-			sh.Cluster.Join(node, cb)
-		} else {
-			sh.Cluster.Leave(node, cb)
-		}
-		limit := eng.Now() + sim.Time(50*sim.Millisecond)
-		for !done && eng.Now() < limit {
-			eng.RunFor(100 * sim.Microsecond)
-		}
-		if !done {
-			t.Fatalf("%s: reconfiguration never completed", stage)
-		}
-		if rerr != nil {
-			t.Fatalf("%s: %v", stage, rerr)
-		}
-	}
+			reconfig := func(stage string, join bool, node int) {
+				t.Helper()
+				done := false
+				var rerr error
+				cb := func(err error) { done, rerr = true, err }
+				if join {
+					sh.Cluster.Join(node, cb)
+				} else {
+					sh.Cluster.Leave(node, cb)
+				}
+				limit := eng.Now() + sim.Time(50*sim.Millisecond)
+				for !done && eng.Now() < limit {
+					eng.RunFor(100 * sim.Microsecond)
+				}
+				if !done {
+					t.Fatalf("%s: reconfiguration never completed", stage)
+				}
+				if rerr != nil {
+					t.Fatalf("%s: %v", stage, rerr)
+				}
+			}
 
-	// State on both sides of the epoch change, so the round-trip exercises
-	// real summary traffic, not an idle configuration.
-	want := map[string]int64{"obj": 0}
-	workload := func() {
-		for i := 0; i < 8; i++ {
-			s.Invoke("obj", spec.ProcID(i%4), crdt.CounterAdd, spec.ArgsI(1), nil)
-			want["obj"]++
-		}
-		drainCounters(t, eng, s, want, 50*sim.Millisecond)
-	}
-	workload()
+			// State on both sides of the epoch change, so the round-trip
+			// exercises real replication traffic, not an idle configuration.
+			var seq uint64
+			issued := make([]uint32, 4)
+			workload := func(stage string) {
+				t.Helper()
+				for i := 0; i < 8; i++ {
+					p := spec.ProcID(i % 4)
+					seq++
+					s.Invoke("obj", p, tc.u, tc.args(p, seq), nil)
+					issued[p]++
+				}
+				replicated := func() bool {
+					for r := 0; r < 4; r++ {
+						for p, want := range issued {
+							if sh.Replica(spec.ProcID(r)).Applied().Get(spec.ProcID(p), tc.u) != want {
+								return false
+							}
+						}
+					}
+					return true
+				}
+				limit := eng.Now() + sim.Time(50*sim.Millisecond)
+				for !replicated() && eng.Now() < limit {
+					eng.RunFor(200 * sim.Microsecond)
+				}
+				if !replicated() {
+					t.Fatalf("%s: the workload did not replicate to every node", stage)
+				}
+			}
+			workload("before the leave")
 
-	reconfig("leave", false, 3)
-	assertUsed("after leave", fp)
-	reconfig("join", true, 3)
-	assertUsed("after join", fp)
-	if e := sh.Cluster.Epoch(); e != 2 {
-		t.Fatalf("epoch %d after leave/join round-trip, want 2", e)
-	}
-	workload()
-	assertUsed("after post-join workload", fp)
+			reconfig("leave", false, 3)
+			assertUsed("after leave", fp)
+			reconfig("join", true, 3)
+			assertUsed("after join", fp)
+			if e := sh.Cluster.Epoch(); e != 2 {
+				t.Fatalf("epoch %d after leave/join round-trip, want 2", e)
+			}
+			workload("after the join")
+			assertUsed("after post-join workload", fp)
 
-	if err := s.Close("obj"); err != nil {
-		t.Fatal(err)
-	}
-	assertUsed("after close", 0)
+			if err := s.Close("obj"); err != nil {
+				t.Fatal(err)
+			}
+			assertUsed("after close", 0)
 
-	sh2, err := s.Open("obj", an, ShardOptions{})
-	if err != nil {
-		t.Fatalf("reopen: %v", err)
-	}
-	assertUsed("after reopen", fp)
-	if sh2.Footprint() != fp {
-		t.Fatalf("reopened footprint %d, want %d", sh2.Footprint(), fp)
-	}
-	if e := sh2.Cluster.Epoch(); e != 0 {
-		t.Fatalf("reopened shard starts at epoch %d, want a fresh configuration", e)
+			sh2, err := s.Open("obj", an, ShardOptions{})
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			assertUsed("after reopen", fp)
+			if sh2.Footprint() != fp {
+				t.Fatalf("reopened footprint %d, want %d", sh2.Footprint(), fp)
+			}
+			if e := sh2.Cluster.Epoch(); e != 0 {
+				t.Fatalf("reopened shard starts at epoch %d, want a fresh configuration", e)
+			}
+		})
 	}
 }
 
