@@ -75,6 +75,11 @@ func TestMetricsExportCompleteness(t *testing.T) {
 			t.Errorf("counter %q (registered in %s) missing from the -exp metrics JSON export", name, where)
 		}
 	}
+	// Registered with the fabric, counted by the coalescer: present is not
+	// enough, the bank map's deposits must have merged into shared writes.
+	if snap.Counters["rdma.coalesce_merged"] == 0 {
+		t.Error(`counter "rdma.coalesce_merged" is zero in the export: the coalescer no longer reports merged records`)
+	}
 	for name, where := range hists {
 		if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
 			t.Errorf("histogram %q (registered in %s) missing from the -exp metrics JSON export, or empty in it", name, where)

@@ -50,15 +50,16 @@ func (r shardResult) hotKeys(k int) []int {
 }
 
 // shardPoint runs one keyed closed-loop point: nodes×depth outstanding
-// CounterAdd calls, each picking its shard from the skew distribution.
-func (cfg Config) shardPoint(shards, nodes, ops int, skew float64) shardResult {
+// CounterAdd calls, each picking its shard from the skew distribution. idle
+// more shards are opened and never called.
+func (cfg Config) shardPoint(shards, idle, nodes, ops int, skew float64) shardResult {
 	eng := sim.NewEngine(cfg.Seed)
 	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
 	st := store.New(fab, store.DefaultOptions())
 	defer st.Stop()
 
 	an := spec.MustAnalyze(crdt.NewCounter())
-	keys := make([]string, shards)
+	keys := make([]string, shards+idle)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("obj%03d", i)
 		if _, err := st.Open(keys[i], an, store.ShardOptions{}); err != nil {
@@ -145,7 +146,7 @@ func (cfg Config) Shard(shards int, jsonPath string) {
 		"shards", "skew", "ops/µs", "chains", "chainedWRs", "crossChains", "crossWRs")
 	for _, sc := range counts {
 		for _, skew := range skews {
-			r := cfg.shardPoint(sc, nodes, cfg.Ops, skew)
+			r := cfg.shardPoint(sc, 0, nodes, cfg.Ops, skew)
 			all = append(all, r)
 			cfg.printf("%-7d %6s %9.2f %10d %11d %11d %9d\n",
 				sc, skewName(skew), r.OpsPerUs, r.Chains, r.ChainedWRs, r.CrossChains, r.CrossWRs)

@@ -105,7 +105,7 @@ func (cfg Config) Snapshot() Snapshot {
 		}
 	}
 	for _, skew := range []float64{0, 1.5} {
-		r := cfg.shardPoint(16, 4, cfg.Ops, skew)
+		r := cfg.shardPoint(16, 0, 4, cfg.Ops, skew)
 		name := "shard/uniform"
 		if skew > 0 {
 			name = fmt.Sprintf("shard/zipf%.1f", skew)

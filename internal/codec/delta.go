@@ -222,31 +222,39 @@ func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
 	return c, d, p + n, nil
 }
 
-// EncodeDeltaRecord frames one delta-group record:
+// AppendDeltaRecord appends one delta-group record to dst as a
+// self-delimiting frame and returns the extended slice:
 //
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
-// The CRC32-C covers every byte before it, length word included, exactly
-// like the legacy entry frame, so torn landings are rejected the same way.
-func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
+// The CRC32-C covers every byte of the record before it (length word
+// included) and nothing of dst ahead of the record, exactly like the legacy
+// entry frame, so torn landings are rejected the same way. With enough
+// capacity in dst the call allocates nothing; on error dst comes back
+// unextended.
+func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 	switch r.Kind {
 	case FrameFull, FrameDelta:
 	default:
-		return nil, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
+		return dst, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
-	b := make([]byte, 4, 64)
-	b = append(b, r.Kind)
+	start := len(dst)
+	b := append(dst, 0, 0, 0, 0, r.Kind)
 	b = AppendUvarint(b, uint64(r.Version))
 	b = appendU32Packed(b, r.Counts)
 	b = appendPackedCall(b, r.C, r.D)
-	total := len(b) + RecordTrailer
+	total := len(b) - start + RecordTrailer
 	if total > MaxRecord {
-		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
+		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
 	}
-	binary.LittleEndian.PutUint32(b, uint32(total))
-	b = binary.LittleEndian.AppendUint32(b, Checksum(b))
-	b = append(b, Canary)
-	return b, nil
+	binary.LittleEndian.PutUint32(b[start:], uint32(total))
+	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
+	return append(b, Canary), nil
+}
+
+// EncodeDeltaRecord is AppendDeltaRecord into a fresh buffer.
+func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
+	return AppendDeltaRecord(make([]byte, 0, 64), r)
 }
 
 // DeltaHeader is what validating a delta record yields without decoding its

@@ -326,3 +326,36 @@ func FuzzDeltaEntry(f *testing.F) {
 		}
 	})
 }
+
+// TestAppendDeltaRecordInPlace: the append-style encoder writes the record
+// EncodeDeltaRecord returns, behind whatever dst already holds and with a CRC
+// over the record alone, allocates nothing when dst has room, and hands dst
+// back as it was when the record cannot be encoded.
+func TestAppendDeltaRecordInPlace(t *testing.T) {
+	r := sampleDelta()
+	want, err := EncodeDeltaRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, 256)
+	var got []byte
+	allocs := testing.AllocsPerRun(1000, func() {
+		got, _ = AppendDeltaRecord(append(buf[:0], "prefix"...), r)
+	})
+	if allocs != 0 {
+		t.Errorf("appending a record to a buffer with capacity allocates %.1f objects, want 0", allocs)
+	}
+	if &got[0] != &buf[:1][0] {
+		t.Fatal("the record left the buffer it was given")
+	}
+	if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+		t.Fatalf("appended record differs from EncodeDeltaRecord:\n got %x\nwant %x", got[6:], want)
+	}
+	if dec, n, err := DecodeDeltaRecord(got[6:]); err != nil || n != len(want) || dec.Version != r.Version {
+		t.Fatalf("DecodeDeltaRecord = v%d, %d bytes, %v", dec.Version, n, err)
+	}
+	r.Kind = 0x07
+	if b, err := AppendDeltaRecord(got[:6], r); !errors.Is(err, ErrCorrupt) || len(b) != 6 {
+		t.Fatalf("unknown kind: %d bytes, err = %v; want dst unextended and ErrCorrupt", len(b), err)
+	}
+}

@@ -74,7 +74,10 @@ func TestConformCorpus(t *testing.T) {
 // manifests with few calls — which is what lets shrinking reach a small
 // counterexample. Conflicting calls reach the buffers a Mu round at a time, so
 // it takes batches of 16 every 5 µs to have two rounds' worth buffered (8
-// every 20 µs sufficed while every call was its own round).
+// every 20 µs sufficed while every call was its own round). Reducible calls
+// reach a peer a δ-run at a time since PR 19, which left the density's catch
+// rate alone (27 of seeds 300–399, 26 before) but moved the seeds that shrink
+// furthest: TestMutatedApplyOrderCaught searches 450–499.
 var mutatedOrderOpts = chaos.Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
 
 // TestMutatedApplyOrderCaught is the harness's own mutation test: with the
@@ -85,7 +88,7 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 	opts := mutatedOrderOpts
 	var min chaos.Plan
 	found := false
-	for seed := int64(300); seed < 340 && !found; seed++ {
+	for seed := int64(450); seed < 500 && !found; seed++ {
 		p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: seed, MutateApplyOrder: true}
 		res, err := Run(p, opts)
 		if err != nil {
@@ -98,7 +101,7 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatal("no seed in [300,340) shrank the mutated apply order to <= 8 calls")
+		t.Fatal("no seed in [450,500) shrank the mutated apply order to <= 8 calls")
 	}
 
 	res, err := Run(min, opts)

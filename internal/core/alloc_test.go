@@ -6,6 +6,7 @@ import (
 
 	"hamband/internal/codec"
 	"hamband/internal/crdt"
+	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -168,5 +169,58 @@ func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
 	}
 	if bigBytes > 1024 {
 		t.Errorf("a cycle on a 512-key summary allocates %d B, want at most 1 KiB: some buffer grows with the summary", bigBytes)
+	}
+}
+
+// TestSummaryOutChannelAllocatesNothing pins what the copy at enqueue bought:
+// with the tracer detached, picking a call's δ-record, handing it to the
+// coalescer for three peers and flushing it allocates nothing once the verb
+// free list is warm — the record is encoded into the replica's scratch buffer,
+// the coalescer stages it in a buffer it reuses, and the verb copies it into a
+// recycled record. The δ-record carries the version the peers already hold, so
+// their scans skip it undecoded and the engine can be drained inside the
+// measured function.
+func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
+	h := newHarness(t, crdt.NewCounter(), 4, 92, func(o *Options) {
+		o.CheckIntegrity = false
+		o.DisableFailureHandling = true // heartbeat reads allocate, and are not this path
+	})
+	h.eng.At(0, func() {
+		for i := 0; i < 4; i++ {
+			h.invoke(0, crdt.CounterAdd, spec.ArgsI(int64(i+1)))
+		}
+	})
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("replication did not complete")
+	}
+	r := h.cluster.Replica(0)
+	if r.tracing() {
+		t.Fatal("harness attached a tracer unexpectedly")
+	}
+	slot := r.sums[0][0]
+	c := spec.Call{Method: crdt.CounterAdd, Proc: 0, Seq: 4, Args: spec.ArgsI(4)}
+	logOff := r.slotOffset(0, 0) + r.anchorCap()
+	now := h.eng.Now()
+	var recLen int
+	cycle := func() {
+		r.deltaW[0] = deltaWriter{} // the same log bytes every cycle, never an anchor
+		rec, at := r.nextDelta(0, slot, c)
+		recLen = len(rec)
+		wr := rdma.WR{Region: sumRegionBase, Off: logOff + at, Data: rec}
+		for p := 1; p < 4; p++ {
+			r.coal.Enqueue(rdma.NodeID(p), "", wr)
+		}
+		now += sim.Time(10 * sim.Microsecond)
+		h.eng.RunUntil(now) // flush, post, land, release
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("nextDelta, three enqueues and the flush allocate %.2f objects, want 0", allocs)
+	}
+	for p := 1; p < 4; p++ {
+		log := h.cluster.Replica(spec.ProcID(p)).node.Region(sumRegionBase).Bytes()[logOff:]
+		if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != slot.version || hd.Total != recLen {
+			t.Fatalf("p%d's log does not hold the record the cycles wrote: %+v, %v", p, hd, err)
+		}
 	}
 }

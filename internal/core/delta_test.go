@@ -225,3 +225,171 @@ func TestLegacyFreeRecordDropped(t *testing.T) {
 		t.Fatalf("a FrameDelta record reached the F buffer: %+v", r.fQueues[0])
 	}
 }
+
+// burstOf issues n calls of u at replica 0, with arguments first, first+1, …,
+// inside one engine event, so they queue on its CPU back to back and their
+// summary writes meet in one flush of the coalescer.
+func burstOf(h *harness, u spec.MethodID, first, n int) {
+	h.eng.At(h.eng.Now(), func() {
+		for i := 0; i < n; i++ {
+			h.invoke(0, u, spec.ArgsI(int64(first+i)))
+		}
+	})
+}
+
+// TestBurstTravelsAsOneWrite is the out-channel rule seen from the protocol:
+// the δ-records of eight reducible calls issued in one burst sit at
+// consecutive offsets of one slot's log, so each peer receives them as ONE
+// write — no chain — and folds all eight versions in the scan that finds it,
+// with no gap fetch.
+func TestBurstTravelsAsOneWrite(t *testing.T) {
+	h := newHarness(t, crdt.NewGSet(), 4, 77, func(o *Options) {
+		o.DisableFailureHandling = true // no heartbeat writes: every write counted is a summary write
+	})
+	burstOf(h, crdt.GSetAdd, 0, 1) // the first call anchors; δ-records follow
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("the anchor did not replicate")
+	}
+	before := h.fab.Stats()
+	burstOf(h, crdt.GSetAdd, 1, 8)
+	seen := [4]map[uint32]bool{{}, {}, {}, {}} // per peer: versions of p0's slot observed between scans
+	probe := h.eng.NewTicker(100*sim.Nanosecond, func() {
+		for p := 1; p < 4; p++ {
+			seen[p][h.cluster.Replica(spec.ProcID(p)).sums[0][0].version] = true
+		}
+	})
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("the burst did not replicate")
+	}
+	probe.Cancel()
+	h.checkConvergence()
+
+	after := h.fab.Stats()
+	if w, c := after.Writes-before.Writes, after.Chains-before.Chains; w != 3 || c != 0 {
+		t.Fatalf("the burst cost %d writes and %d chains, want one write per peer and no chain", w, c)
+	}
+	for p := 1; p < 4; p++ {
+		if len(seen[p]) != 2 || !seen[p][1] || !seen[p][9] {
+			t.Errorf("p%d saw versions %v of p0's slot, want v1 then v9: the run folds in one scan", p, seen[p])
+		}
+	}
+	if deltas, _, fetches := deltaStats(h.cluster); deltas != 8 || fetches != 0 {
+		t.Fatalf("deltas=%d gap fetches=%d, want 8 and 0", deltas, fetches)
+	}
+}
+
+// TestBurstAcrossAnchorKeepsOrder: a burst that crosses AnchorInterval is
+// run | anchor | run on each peer's QP, in that order — the anchor resets the
+// log cursor, so the δ-record after it is not adjacent to the one before it —
+// and the peers converge without a gap fetch.
+func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
+	h := newHarness(t, crdt.NewGSet(), 4, 78, func(o *Options) {
+		o.DisableFailureHandling = true
+		o.AnchorInterval = 4
+	})
+	burstOf(h, crdt.GSetAdd, 0, 1)
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("the anchor did not replicate")
+	}
+	before := h.fab.Stats()
+	burstOf(h, crdt.GSetAdd, 1, 8) // δ δ δ δ | anchor | δ δ δ
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("the burst did not replicate")
+	}
+	h.checkConvergence()
+	after := h.fab.Stats()
+	if w, c := after.Writes-before.Writes, after.Chains-before.Chains; w != 9 || c != 3 {
+		t.Fatalf("the burst cost %d writes in %d chains, want three WRs on one doorbell per peer", w, c)
+	}
+	if got := h.cluster.Replica(3).sums[0][0].version; got != 9 {
+		t.Fatalf("p3 holds v%d of p0's slot, want v9", got)
+	}
+	if deltas, anchors, fetches := deltaStats(h.cluster); deltas != 7 || anchors != 2 || fetches != 0 {
+		t.Fatalf("deltas=%d anchors=%d gap fetches=%d, want 7, 2 and 0", deltas, anchors, fetches)
+	}
+}
+
+// TestTornRunNeverFoldsEarly tears a merged run. The boundary fragment of one
+// write is its first and last four bytes, which for a run is the length word
+// of its first record and the CRC tail of its last: the log below is in its
+// second round, so behind that length word sits a stale record of the same
+// size, and the walk reaches the last record and rejects it as torn. Sampling
+// the reader between scans, in the TestTornSlotHeadToHead pattern: while any
+// byte of the run is missing no record of it is folded, whatever is folded
+// belongs to its version (zero false accepts), the torn counter sees the run,
+// and once the interior lands the run folds whole, with no gap fetch.
+func TestTornRunNeverFoldsEarly(t *testing.T) {
+	const interval = 8
+	h := newHarness(t, crdt.NewCounter(), 2, 79, func(o *Options) {
+		o.DisableFailureHandling = true
+		o.AnchorInterval = interval
+	})
+	sum := func(v uint32) int64 { return int64(v) * int64(v+1) / 2 } // call i adds i
+	// Round one: anchor v1, δ-records v2..v9 fill the log's first bytes.
+	burstOf(h, crdt.CounterAdd, 1, 1+interval)
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("round one did not replicate")
+	}
+
+	r1 := h.cluster.Replica(1)
+	off := r1.slotOffset(0, 0) + r1.anchorCap()
+	log := r1.node.Region(sumRegionBase).Bytes()[off : off+r1.opts.DeltaLogBytes]
+	type sample struct {
+		ver   uint32
+		torn  uint64
+		bytes string
+	}
+	var samples []sample
+	probe := h.eng.NewTicker(100*sim.Nanosecond, func() {
+		slot := r1.sums[0][0]
+		if got := slot.call.Args.I[0]; got != sum(slot.version) {
+			t.Errorf("false accept: p1 holds %d at v%d, want %d", got, slot.version, sum(slot.version))
+		}
+		samples = append(samples, sample{slot.version, r1.TornRejects(), string(log[:512])})
+	})
+	// Three scans fit no tear, so the reader never gives up and fetches.
+	h.fab.SetLinkTorn(0, 1, 3*sim.Microsecond, 0)
+	before := h.fab.Stats().Writes
+	// Round two: anchor v10, then v11..v18 over v2..v9 as one write.
+	burstOf(h, crdt.CounterAdd, 2+interval, 1+interval)
+	h.eng.RunFor(100 * sim.Microsecond)
+	probe.Cancel()
+	if w := h.fab.Stats().Writes - before; w != 2 {
+		t.Fatalf("round two cost %d writes, want the anchor and one merged run", w)
+	}
+
+	start, final := samples[0], samples[len(samples)-1]
+	if final.ver != 2+2*interval {
+		t.Fatalf("p1 ended at v%d, want v%d", final.ver, 2+2*interval)
+	}
+	var window int
+	var tornBefore, tornAfter uint64
+	for _, s := range samples {
+		if s.bytes == start.bytes || s.bytes == final.bytes {
+			continue
+		}
+		// Part of the run has landed and part has not.
+		if window++; window == 1 {
+			tornBefore = s.torn
+		}
+		tornAfter = s.torn
+		if s.ver > 2+interval {
+			t.Fatalf("p1 folded to v%d while the run's interior was in flight, want at most the anchor v%d", s.ver, 2+interval)
+		}
+	}
+	if window == 0 {
+		t.Fatal("the sampler never saw the run half-landed: the link is not tearing")
+	}
+	if tornAfter == tornBefore {
+		t.Fatalf("torn rejects stayed at %d while the run was half-landed", tornBefore)
+	}
+
+	h.fab.SetLinkTorn(0, 1, 0, 0)
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("replication did not complete after the tear healed")
+	}
+	h.checkConvergence()
+	if _, _, fetches := deltaStats(h.cluster); fetches != 0 {
+		t.Fatalf("%d gap fetches, want 0: the run folds from the log once it has landed", fetches)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"strings"
 
 	"hamband/internal/codec"
@@ -304,24 +303,20 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// one-sided writes (the payload fits the WQE). Summary and applied
 	// count travel in one frame, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
-	// writes are queued per peer and flushed as one chained doorbell;
-	// successive versions of a slot stay ordered on the QP. The propagated
-	// frame is usually a small δ-record into the slot's log area; every
-	// AnchorInterval calls (or when the log fills) the full frame is
+	// writes are queued per peer — the coalescer copies what it is given, so
+	// the slot's own bytes and the scratch record go in as they are — and
+	// flushed as one chained doorbell, the adjacent δ-records of a burst as
+	// one write; successive versions of a slot stay ordered on the QP. The
+	// propagated frame is usually a small δ-record into the slot's log area;
+	// every AnchorInterval calls (or when the log fills) the full frame is
 	// re-anchored instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: region, Off: off, Label: label}
+	wr := rdma.WR{Region: region, Off: off, Data: frame, Label: label}
 	if rec, at := r.nextDelta(g, slot, c); rec != nil {
 		wr.Off, wr.Data = off+r.anchorCap()+at, rec
-	} else {
-		// A full frame travels as a private copy, never as the slot's own
-		// bytes: the coalescer's flush is queued behind other CPU work and
-		// PostChain reads a WR's data only when it posts, by when the next
-		// invoke may have re-encoded the slot in place.
-		wr.Data = slices.Clone(frame)
 	}
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) == r.id {
@@ -356,15 +351,17 @@ func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogB
 // in the slot's log area, or nil — every AnchorInterval calls, when the log
 // fills, or when the call does not pack — for a full-state re-anchor at the
 // slot head, which also resets the log cursor (peers skip the stale records
-// left behind by version).
+// left behind by version). rec lives in the replica's scratch buffer and is
+// good until the next call encodes over it.
 func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
 	dw := &r.deltaW[g]
-	rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
+	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
 		Version: slot.version,
 		Counts:  slot.counts,
 		C:       c,
 	})
+	r.recBuf = rec
 	if err == nil && dw.sinceAnchor < r.opts.AnchorInterval &&
 		dw.logOff+len(rec) <= r.opts.DeltaLogBytes {
 		at = dw.logOff
@@ -655,7 +652,8 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
 		}
 		// The packed varint δ-framing is the F path's one record format.
-		entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
+		entry, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
+		r.recBuf = entry
 		if err == nil {
 			var label string
 			if r.tracing() {
@@ -1057,9 +1055,8 @@ func (r *Replica) onSuspect(peer rdma.NodeID) {
 	}
 	r.rx.RecoverFrom(peer)
 	r.repairSummaries(peer)
-	for g, in := range r.groups {
+	for _, in := range r.groups {
 		if in.Leader() == peer && r.isSuccessor(peer) {
-			_ = g
 			in.StartElection()
 		}
 	}

@@ -13,6 +13,14 @@ package rdma
 // same scheduling round lands in the same flush — and therefore the same
 // chain — before the doorbell rings.
 //
+// A WR that continues the batch's last WR — same region, first byte right
+// after the last one's — extends that WR instead of queueing another: the
+// δ-records a burst of reducible calls appends to one slot's log are adjacent
+// remote bytes, which is one RDMA WRITE, not one per record. Only the tail
+// merges, so the chain keeps enqueue order and an anchor at the slot head
+// followed by the δ after it stay ordered on the QP (DESIGN.md §4, "The
+// summary out-channel").
+//
 // The stream tag exists only for accounting: a chain whose WRs carry more
 // than one distinct tag is a cross-stream chain, the measurable win of
 // sharing QPs across shards. Tag comparison is two pointer-sized loads per
@@ -26,9 +34,14 @@ type Coalescer struct {
 	stats   CoalesceStats
 }
 
-// peerBatch accumulates one peer's pending WRs between flushes.
+// peerBatch accumulates one peer's pending WRs between flushes. Their
+// payloads sit back to back in stage, which is reused from flush to flush;
+// a pending WR's Data stays nil and lens holds its payload's length, since an
+// append may move the buffer under a sub-slice.
 type peerBatch struct {
 	wrs    []WR
+	lens   []int  // payload bytes of wrs[i], in stage right after wrs[i-1]'s
+	stage  []byte // payload bytes, copied at enqueue
 	stream string // tag of the first pending WR
 	mixed  bool   // true when ≥ 2 distinct tags are pending
 }
@@ -42,6 +55,7 @@ type CoalesceStats struct {
 	Chains      uint64 // batches of ≥ 2 WRs posted as one chain
 	CrossChains uint64 // chains mixing ≥ 2 streams
 	CrossWRs    uint64 // WRs that rode a cross-stream chain
+	Merged      uint64 // enqueues that extended the pending tail WR instead of adding one
 }
 
 // NewCoalescer creates a coalescer posting from node, with one pending
@@ -53,7 +67,8 @@ func NewCoalescer(node *Node) *Coalescer {
 }
 
 // Enqueue adds a WR bound for peer under the given stream tag and arms the
-// deferred flush if it is not already armed. Must be called from the
+// deferred flush if it is not already armed. wr.Data is copied: the caller
+// may reuse its buffer as soon as Enqueue returns. Must be called from the
 // node's CPU (it is, on every protocol path: enqueues happen inside invoke
 // processing).
 func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
@@ -63,7 +78,23 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 	} else if b.stream != stream {
 		b.mixed = true
 	}
-	b.wrs = append(b.wrs, wr)
+	b.stage = append(b.stage, wr.Data...)
+	if n := len(b.wrs); n > 0 && b.wrs[n-1].Region == wr.Region && b.wrs[n-1].Off+b.lens[n-1] == wr.Off {
+		// Labels sharing a write are joined with commas, as ring.Sender joins
+		// them; the span layer splits them back out. No tracer, no label.
+		if last := &b.wrs[n-1]; last.Label == "" {
+			last.Label = wr.Label
+		} else if wr.Label != "" {
+			last.Label += "," + wr.Label
+		}
+		b.lens[n-1] += len(wr.Data)
+		co.stats.Merged++
+		co.node.fabric.mMerged.Inc()
+	} else {
+		b.lens = append(b.lens, len(wr.Data))
+		wr.Data = nil
+		b.wrs = append(b.wrs, wr)
+	}
 	if co.armed {
 		return
 	}
@@ -87,8 +118,13 @@ func (co *Coalescer) flush() {
 				co.stats.CrossWRs += uint64(len(b.wrs))
 			}
 		}
-		co.node.QP(NodeID(p)).PostChain(b.wrs, nil)
-		b.wrs = b.wrs[:0]
+		lo := 0
+		for i, n := range b.lens {
+			b.wrs[i].Data = b.stage[lo : lo+n]
+			lo += n
+		}
+		co.node.QP(NodeID(p)).PostChain(b.wrs, nil) // copies the payloads into the verb
+		b.wrs, b.lens, b.stage = b.wrs[:0], b.lens[:0], b.stage[:0]
 		b.stream = ""
 		b.mixed = false
 	}

@@ -168,6 +168,7 @@ type Fabric struct {
 	mParked     *metrics.Counter // verbs parked by partitioned links
 	mPartitions *metrics.Counter // link partitions installed
 	mTorn       *metrics.Counter // writes landed out of order by torn links
+	mMerged     *metrics.Counter // coalescer enqueues that extended a pending WR
 }
 
 // NewFabric creates a fabric with n nodes using the given cost model.
@@ -208,6 +209,7 @@ func (f *Fabric) EnableMetrics(reg *metrics.Registry) {
 	f.mParked = reg.Counter("rdma.parked_verbs")
 	f.mPartitions = reg.Counter("rdma.link_partitions")
 	f.mTorn = reg.Counter("rdma.torn_writes")
+	f.mMerged = reg.Counter("rdma.coalesce_merged")
 	for _, n := range f.nodes {
 		for _, qp := range n.qps {
 			qp.instrument(reg)
