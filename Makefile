@@ -20,8 +20,9 @@ test:
 # 9.63 / 2.40 and PR 17 ("one round per sync group") moved fig10 on to 3.06,
 # both on purpose and both with benchmark/ frozen (PR 18, which builds no F
 # buffers for a class without an irreducible conflict-free method, moved fig10
-# to 3.12 and left fig9 at 9.62; PR 19, one write per δ-run, moved neither).
-# The next benchmark PR re-pins the test to BENCH_PR19.json and drops the skip.
+# to 3.12 and left fig9 at 9.62; PR 19, one write per δ-run, moved neither;
+# PR 20, one broadcast record per round trip, moved fig9 to 13.44). The next
+# benchmark PR re-pins the test to BENCH_PR20.json and drops the skip.
 bench-test:
 	cd benchmark && $(GO) test -skip TestFigurePointsMatchPR8 ./...
 
@@ -137,14 +138,16 @@ bench:
 # shards (no polls row: no F or L buffers) and for OR-set shards at 4 and 16
 # (the per-shard pollers that are left); TestReduceLedger is one node on the
 # reducible path, gset with all updates and counter with a quarter, with the
-# WRs, chains and δ-records per summary write. The rows are checked against
+# WRs, chains and δ-records per summary write; TestFreeLedger is one node on
+# the buffered path (orset, a quarter updates), with the calls per broadcast
+# message and the ring records per write. The rows are checked against
 # sim.CPU.BusyTotal.
 ledger:
-	$(GO) test -run 'Test(Leader|Store|Reduce)Ledger' -count=1 -v ./internal/bench
+	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger' -count=1 -v ./internal/bench
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR19.json
+SNAPSHOT ?= BENCH_PR20.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -180,8 +183,8 @@ bench-pairs:
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
 # drops by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR19.json
-NEW ?= BENCH_PR19.json
+OLD ?= BENCH_PR20.json
+NEW ?= BENCH_PR20.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -141,6 +141,21 @@ func TestDriverFaultInjection(t *testing.T) {
 	}
 }
 
+// TestDriverFaultOnOpenBatch fails a saturated OR-set node for good at
+// sixteen instants a quarter microsecond apart. At fourteen of them the node
+// holds an open F batch: calls it has answered and not yet broadcast. It stays
+// down, so the run ends only if the survivors recover every one of them from
+// its backup region — the driver's barrier wants each answered update, a dead
+// source's included, at every live node.
+func TestDriverFaultOnOpenBatch(t *testing.T) {
+	for at := 100 * sim.Microsecond; at < 104*sim.Microsecond; at += 250 * sim.Nanosecond {
+		res := runOne(t, Hamband, crdt.NewORSet(), 4, 4000, 0.25, Fault{At: sim.Time(at), Node: 3})
+		if res.Completed+res.Lost < 4000 {
+			t.Fatalf("fault at %v: ops unaccounted: completed %d + lost %d < 4000", at, res.Completed, res.Lost)
+		}
+	}
+}
+
 func TestMSGRefusesConflicting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	if _, err := Build(MSG, eng, 3, spec.MustAnalyze(crdt.NewAccount())); err == nil {

@@ -329,8 +329,6 @@ func (cfg Config) Ablations() {
 			fmtRT(res.ByMethod["addEmployee"].Mean()))
 	}
 
-	cfg.batchAblation()
-
 	cfg.printf("\nAblation — closed-loop depth (counter, 4 nodes, 25%% updates)\n")
 	cfg.printf("%6s %9s %10s\n", "depth", "ops/µs", "mean RT")
 	for _, depth := range []int{1, 4, 8, 16, 32} {
@@ -535,16 +533,4 @@ func (cfg Config) Overview() {
 			cls.Name, mix, th.Throughput(), fmtRT(rt.MeanRT), fmtRT(rt.Percentile(99)))
 	}
 	cfg.printf("\n")
-}
-
-// batchAblation measures the F-path batching knob on the OR-set.
-func (cfg Config) batchAblation() {
-	cfg.printf("\nAblation — conflict-free batching (orset, 4 nodes, 25%% updates)\n")
-	cfg.printf("%6s %9s %12s\n", "batch", "ops/µs", "mean RT")
-	for _, batch := range []int{1, 4, 16} {
-		batch := batch
-		res, _ := cfg.run(Hamband, crdt.NewORSet(), 4, cfg.Ops, 0.25,
-			variant{mut: func(_ *rdma.Fabric, o *core.Options) { o.FreeBatchSize = batch }})
-		cfg.printf("%6d %9.2f %12s\n", batch, res.Throughput(), fmtRT(res.MeanRT))
-	}
 }

@@ -2,13 +2,16 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
 	"strings"
 	"testing"
 
+	"hamband/internal/core"
 	"hamband/internal/crdt"
+	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
@@ -57,6 +60,7 @@ var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).cqe", "CQE: write completions"},
 	{"mu.(*Instance).deliverEntry", "deliver"},
 	{"broadcast.(*Receiver).deliver", "deliver"},
+	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
 	{"smr.(*Replica).onDeliver", "apply"},
@@ -197,6 +201,48 @@ func TestReduceLedger(t *testing.T) {
 	}
 	if l, _, _ := point(crdt.NewCounter(), 0.25); l.rows["post: summary writes"] == 0 || l.rows["post: other writes"] != 0 {
 		t.Errorf("counter: summary writes are not in their row: %v", l.rows)
+	}
+}
+
+// TestFreeLedger prints the virtual-CPU ledger of one node on the buffered
+// path (`make ledger`): the Fig. 9 point and buffer-orset shape (orset, a
+// quarter updates, four nodes, eight calls outstanding per node). A node is
+// busy all the time, so what the F out-channel's rule buys is on the ledger:
+// deliver, post and CQE are paid per broadcast message, and one message per
+// round trip carries every call accepted meanwhile; accept and apply are per
+// call and do not move. At commit c6f5281, one message per call, the point
+// read deliver 0.0187 + post 0.0144 + CQE 0.0085 of 0.1038 µs/op and 6 780
+// ring writes for 5 000 updates.
+func TestFreeLedger(t *testing.T) {
+	const nodes = 4
+	eng := sim.NewEngine(42)
+	an := spec.MustAnalyze(crdt.NewORSet())
+	reg := metrics.New(nil)
+	sys, fab := newHamband(eng, nodes, an, rdma.DefaultLatency(), func(_ *rdma.Fabric, o *core.Options) { o.Metrics = reg })
+	l := newLedger()
+	cpu := fab.Node(0).CPU
+	cpu.Observe = l.charge
+	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.25, 43))
+	if res.TimedOut || res.Completed != DefaultOps {
+		t.Fatalf("completed %d/%d, timed out %v", res.Completed, DefaultOps, res.TimedOut)
+	}
+	sum := l.settle(t, eng, cpu, "orset p0")
+	batch := reg.Histogram("core.free_batch_entries", nil)
+	calls, msgs, writes := uint64(batch.Sum()), batch.Count(), fab.Stats().Writes
+	perMsg := float64(calls) / float64(msgs)
+	t.Logf("orset, 25%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d messages (%.1f a message), their %d ring records in %d writes (%.1f a write)\n%s",
+		res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
+		calls, msgs, perMsg, msgs*(nodes-1), writes, float64(msgs*(nodes-1))/float64(writes), l.table(res.Completed))
+	perOp := func(row string) float64 { return l.rows[row].Micros() / float64(res.Completed) }
+	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQE: write completions"); perMessage == 0 || perMessage > 0.020 {
+		t.Errorf("deliver + post + CQE cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
+	}
+	// Per call, so unchanged up to p0's share of the closed loop's calls.
+	if accept, apply := perOp("accept"), perOp("apply"); math.Abs(accept-0.0438) > 0.0002 || math.Abs(apply-0.0124) > 0.0002 {
+		t.Errorf("accept %.4f and apply %.4f µs/op, want the 0.0438 and 0.0124 they cost before: they are per call", accept, apply)
+	}
+	if perMsg < 3 {
+		t.Errorf("%.1f calls per broadcast message, want at least 3", perMsg)
 	}
 }
 

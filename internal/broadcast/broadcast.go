@@ -12,13 +12,18 @@
 // seen.
 //
 // Receivers deduplicate by (source, sequence number), so a message that was
-// both written to a ring and recovered from the backup is delivered once.
+// both written to a ring and recovered from the backup is delivered once. A
+// source that puts a message together over time stages what it has of it in
+// the message's backup slot as it goes (Broadcaster.Stage), so recovery also
+// finds what the source had accepted and not yet sent; the dedup entry is the
+// length delivered, and the message's arrival delivers the rest.
 package broadcast
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"hamband/internal/codec"
 	"hamband/internal/metrics"
@@ -98,12 +103,20 @@ func Setup(fab *rdma.Fabric, cfg Config) {
 // delivered).
 const messageHeader = 12
 
-func encodeMessage(epoch uint32, seq uint64, payload []byte) []byte {
-	b := make([]byte, messageHeader+len(payload))
-	binary.LittleEndian.PutUint32(b, epoch)
-	binary.LittleEndian.PutUint64(b[4:], seq)
-	copy(b[messageHeader:], payload)
-	return b
+func appendMessage(dst []byte, epoch uint32, seq uint64, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, epoch)
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	return append(dst, payload...)
+}
+
+// MaxPayload is the largest payload one message can carry under c. The ring
+// record wraps it (message header, raw framing) and may take at most half an
+// inbound ring (ring.Writer's bound) and one codec record; the backup slot
+// stores that record behind a message header of its own inside a validated
+// slot frame. Whichever is tighter decides.
+func (c Config) MaxPayload() int {
+	record := min(c.BackupSlot-codec.SlotOverhead-messageHeader, c.RingCapacity/2, codec.MaxRecord)
+	return record - messageHeader - codec.RawOverhead
 }
 
 func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err error) {
@@ -132,6 +145,7 @@ type Broadcaster struct {
 	seq    uint64
 	epoch  uint32   // configuration epoch stamped on outgoing messages
 	slots  []uint64 // seq occupying each backup slot, 0 if free
+	msg    []byte   // scratch: the message a ring record is being framed from
 
 	peers []*ring.Sender // one out-channel per destination
 	// waiting holds broadcasts blocked on a free backup slot.
@@ -144,6 +158,7 @@ type pendingMsg struct {
 	seq     uint64
 	record  []byte // codec-framed ring record
 	label   string // trace label of the write carrying the record (may be "")
+	onAck   func() // first completion of the remote writes; nil once fired
 	onDone  func()
 	left    int         // outstanding remote writes
 	written func(error) // accounts one of them; bound once per message
@@ -176,7 +191,7 @@ func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster 
 // non-nil, runs when every remote write has completed (and the backup slot
 // has been cleared). The local node does not deliver its own messages.
 func (b *Broadcaster) Broadcast(payload []byte, onDone func()) error {
-	return b.BroadcastLabeled("", payload, onDone)
+	return b.BroadcastLabeled("", payload, nil, onDone)
 }
 
 // SetEpoch installs the configuration epoch stamped on subsequent
@@ -195,22 +210,28 @@ func (b *Broadcaster) Epoch() uint32 { return b.epoch }
 // with label, so the transport's post/wire/completion events can be
 // attributed to the originating call (see rdma.WR.Label). An empty label
 // records nothing.
-func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onDone func()) error {
+//
+// onAck, if non-nil, runs once, on the first completion of the message's
+// remote writes — one round trip to the nearest peer after the message
+// launched, whatever the slowest link does — or at launch when there is no
+// peer to write to. It is the clock a source paces its messages by (package
+// core's F out-channel). payload is copied before the call returns.
+func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDone func()) error {
 	b.seq++
-	msg := encodeMessage(b.epoch, b.seq, payload)
-	record, err := codec.EncodeRaw(msg)
+	record, err := b.record(b.seq, payload)
 	if err != nil {
 		return err
 	}
-	pm := &pendingMsg{seq: b.seq, record: record, label: label, onDone: onDone, left: len(b.peers)}
+	pm := &pendingMsg{seq: b.seq, record: record, label: label, onAck: onAck, onDone: onDone, left: len(b.peers)}
 	// A failed write (crashed peer) is accounted as done, like a landed one.
 	pm.written = func(error) {
+		pm.ack()
 		if pm.left--; pm.left == 0 {
 			b.finish(pm)
 		}
 	}
 	slot := int(pm.seq) % b.cfg.BackupSlots
-	if b.slots[slot] != 0 {
+	if held := b.slots[slot]; held != 0 && held != pm.seq {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
 		b.waiting = append(b.waiting, pm)
@@ -220,18 +241,29 @@ func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onDone func
 	return nil
 }
 
+// record frames message seq for the rings. EncodeRaw copies, so the message
+// is put together in one buffer reused from call to call.
+func (b *Broadcaster) record(seq uint64, payload []byte) ([]byte, error) {
+	b.msg = appendMessage(b.msg[:0], b.epoch, seq, payload)
+	return codec.EncodeRaw(b.msg)
+}
+
+// ack fires onAck the first time it is called.
+func (pm *pendingMsg) ack() {
+	if ack := pm.onAck; ack != nil {
+		pm.onAck = nil
+		ack()
+	}
+}
+
 func (b *Broadcaster) launch(pm *pendingMsg) {
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	b.slots[slot] = pm.seq
 	// Write the backup before any remote write (the protocol's ordering
 	// requirement); this is a local store.
-	framed, err := codec.EncodeSlot(encodeMessage(b.epoch, pm.seq, pm.record), uint32(pm.seq), b.cfg.BackupSlot)
-	if err != nil {
-		// Oversized for the backup slot: configuration error.
-		panic(fmt.Sprintf("broadcast: %v", err))
-	}
-	copy(b.backup.Bytes()[slot*b.cfg.BackupSlot:], framed)
+	b.backUp(pm.seq, pm.record)
 	if pm.left == 0 { // single-node fabric
+		pm.ack()
 		b.finish(pm)
 		return
 	}
@@ -240,6 +272,44 @@ func (b *Broadcaster) launch(pm *pendingMsg) {
 	for _, pc := range b.peers {
 		pc.Send(pm.record, pm.label, pm.written)
 	}
+}
+
+// backUp stores seq's framed ring record in its backup slot, framed where it
+// is to live. A staged slot is rewritten under one version, so it is the
+// frame's CRC, not its version pair, that rejects a read racing a rewrite.
+func (b *Broadcaster) backUp(seq uint64, record []byte) {
+	if need := codec.SlotOverhead + messageHeader + len(record); need > b.cfg.BackupSlot {
+		// Oversized for the backup slot: configuration error.
+		panic(fmt.Sprintf("broadcast: a %d-byte record needs %d bytes of a %d-byte backup slot", len(record), need, b.cfg.BackupSlot))
+	}
+	off := int(seq) % b.cfg.BackupSlots * b.cfg.BackupSlot
+	f := codec.BeginSlot(b.backup.Bytes()[off:off:off+b.cfg.BackupSlot], uint32(seq))
+	codec.FinishSlot(appendMessage(f, b.epoch, seq, record), 0)
+}
+
+// Stage makes the NEXT message recoverable while its source is still putting
+// it together: payload, what there is of it so far, goes into the backup slot
+// that message will take, under its sequence number, the way launch will store
+// the whole of it. The caller may stage again and must then broadcast a
+// payload that extends each staged one by appending, in units the handler can
+// parse on their own: a receiver that recovered a staged payload is handed
+// only the rest when the message arrives (Receiver.deliver). So whatever the
+// source has staged survives its failure, broadcast or not.
+//
+// Nothing is staged while the slot still holds an older message in flight:
+// the window a broadcast queued for its slot has always had.
+func (b *Broadcaster) Stage(payload []byte) {
+	seq := b.seq + 1
+	slot := int(seq) % b.cfg.BackupSlots
+	if held := b.slots[slot]; held != 0 && held != seq {
+		return
+	}
+	record, err := b.record(seq, payload)
+	if err != nil {
+		return // the broadcast will refuse it
+	}
+	b.slots[slot] = seq
+	b.backUp(seq, record)
 }
 
 // finish clears the backup slot and fires the completion callback, then
@@ -279,7 +349,7 @@ type Receiver struct {
 	handler Handler
 
 	readers     map[rdma.NodeID]*ring.Reader // each holds its source's epoch floor
-	delivered   map[rdma.NodeID]map[uint64]bool
+	delivered   map[rdma.NodeID]map[uint64]int
 	low         map[rdma.NodeID]uint64 // contiguous delivery watermark per source
 	tornSeen    uint64                 // ring torn-rejects already counted into mTorn
 	staleSeen   uint64                 // ring stale-rejects already counted into mStale
@@ -303,7 +373,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		cfg:         cfg,
 		handler:     handler,
 		readers:     make(map[rdma.NodeID]*ring.Reader),
-		delivered:   make(map[rdma.NodeID]map[uint64]bool),
+		delivered:   make(map[rdma.NodeID]map[uint64]int),
 		low:         make(map[rdma.NodeID]uint64),
 		mDelivered:  cfg.Metrics.Counter("broadcast.delivered"),
 		mRecoveries: cfg.Metrics.Counter("broadcast.recovery_sweeps"),
@@ -319,7 +389,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		rd := ring.NewReader(node.Region(cfg.inRegion(src)).Bytes())
 		rd.SetEpochGate(recordEpoch)
 		r.readers[src] = rd
-		r.delivered[src] = make(map[uint64]bool)
+		r.delivered[src] = make(map[uint64]int)
 	}
 	r.sweepFn = r.sweep
 	r.ticker = fab.Engine().NewTicker(cfg.PollPeriod, r.poll)
@@ -394,7 +464,7 @@ func (r *Receiver) sweep() {
 			if err != nil {
 				break
 			}
-			r.deliver(src, seq, payload)
+			r.deliver(src, seq, payload, true)
 		}
 		torn += rd.TornRejects()
 		stale += rd.StaleRejects()
@@ -415,20 +485,38 @@ func (r *Receiver) sweep() {
 	}
 }
 
-// deliver hands one message to the handler if it has not been seen. The
-// dedup set is compacted against a contiguous watermark so memory stays
-// proportional to reordering, not to the message count.
-func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte) {
-	if seq <= r.low[src] || r.delivered[src][seq] {
+// whole is the dedup entry of a message that came by ring: that is all of it.
+const whole = math.MaxInt
+
+// deliver hands the handler what it has not yet had of message (src, seq). A
+// ring record is the whole message. A backup slot may hold one its source was
+// still putting together (Broadcaster.Stage) — a prefix of what the ring will
+// carry — so the dedup entry is the payload length delivered so far, and a
+// longer payload delivers its tail. Only whole messages move the contiguous
+// watermark the set is compacted against, so memory stays proportional to
+// reordering and to recovered messages still awaited on a ring, not to the
+// message count.
+func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing bool) {
+	seen := r.delivered[src]
+	had, dup := seen[seq]
+	if seq <= r.low[src] || had == whole {
 		return
 	}
-	r.delivered[src][seq] = true
-	for r.delivered[src][r.low[src]+1] {
-		r.low[src]++
-		delete(r.delivered[src], r.low[src])
+	fresh := !dup || len(payload) > had
+	if byRing {
+		seen[seq] = whole
+		for seen[r.low[src]+1] == whole {
+			r.low[src]++
+			delete(seen, r.low[src])
+		}
+	} else if fresh {
+		seen[seq] = len(payload)
+	}
+	if !fresh {
+		return
 	}
 	r.mDelivered.Inc()
-	buf := append([]byte(nil), payload...)
+	buf := append([]byte(nil), payload[had:]...)
 	r.node.CPU.Exec(r.cfg.DeliverCost, func() { r.handler(src, seq, buf) })
 }
 
@@ -499,7 +587,7 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 				continue
 			}
 			r.mRecovered.Inc()
-			r.deliver(src, seq, payload)
+			r.deliver(src, seq, payload, false)
 		}
 		if tornSeen && retriesLeft > 0 {
 			// Bounded retry-on-invalid: re-read the backups so a torn slot

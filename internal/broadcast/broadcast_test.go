@@ -2,8 +2,10 @@ package broadcast
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"hamband/internal/codec"
 	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -282,5 +284,138 @@ func TestRecoverFromDoesNotDuplicateInFlightChain(t *testing.T) {
 			}
 			seen[d.seq] = true
 		}
+	}
+}
+
+// TestFirstAckPacesTheSource: onAck runs once per message, at the first
+// completion of its writes — while a parked link still holds onDone back —
+// counts an error completion, and with no peer at all runs at launch.
+func TestFirstAckPacesTheSource(t *testing.T) {
+	eng, fab, bcs, _, _ := setup(3, DefaultConfig())
+	acks, dones := 0, 0
+	eng.At(0, func() {
+		fab.Partition(0, 2)
+		if err := bcs[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, func() { dones++ }); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.RunUntil(sim.Time(50 * sim.Microsecond))
+	if acks != 1 || dones != 0 {
+		t.Fatalf("one link parked: %d acks, %d dones, want the healthy peer's completion only", acks, dones)
+	}
+	fab.HealAll()
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	if acks != 1 || dones != 1 {
+		t.Fatalf("after heal: %d acks, %d dones, want 1 and 1", acks, dones)
+	}
+
+	fab.Node(1).Crash()
+	fab.Node(2).Crash()
+	bcs[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, nil)
+	eng.RunUntil(sim.Time(2 * sim.Millisecond))
+	if acks != 2 {
+		t.Fatalf("every peer crashed: %d acks, want the error completion to count", acks)
+	}
+
+	_, _, solo, _, _ := setup(1, DefaultConfig())
+	solo[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, nil)
+	if acks != 3 {
+		t.Fatal("a message with no peer to write to was not acknowledged at launch")
+	}
+}
+
+// TestMaxPayloadFitsSlotAndRing: a payload of exactly MaxPayload bytes
+// launches — backup slot and ring record both take it — whichever of the two
+// decides the bound, and one byte more fits neither.
+func TestMaxPayloadFitsSlotAndRing(t *testing.T) {
+	for _, ringCap := range []int{1 << 16, 512} {
+		cfg := DefaultConfig()
+		cfg.RingCapacity = ringCap
+		eng, _, bcs, got, _ := setup(2, cfg)
+		n := cfg.MaxPayload()
+		if slot, ring := n+2*messageHeader+codec.RawOverhead+codec.SlotOverhead, n+messageHeader+codec.RawOverhead; slot != cfg.BackupSlot && ring != ringCap/2 {
+			t.Fatalf("ring %d: MaxPayload %d fills a %d-byte slot to %d and a %d-byte record bound to %d: neither is tight",
+				ringCap, n, cfg.BackupSlot, slot, ringCap/2, ring)
+		}
+		if err := bcs[0].Broadcast(make([]byte, n), nil); err != nil {
+			t.Fatal(err)
+		}
+		eng.RunUntil(sim.Time(sim.Millisecond))
+		if len(got[1]) != 1 || len(got[1][0].msg) != n {
+			t.Fatalf("ring %d: %d-byte payload not delivered: %d deliveries", ringCap, n, len(got[1]))
+		}
+	}
+}
+
+// TestStagedMessageSurvivesItsSource: what a source has staged of its next
+// message is in its backup region before anything is broadcast, so a peer that
+// suspects it recovers it; a longer staging, and then the message itself,
+// deliver only what the peer has not had. A source that stays down has lost
+// nothing it staged, one that comes back delivers nothing twice, and once the
+// message has come by ring the dedup entry folds into the watermark.
+func TestStagedMessageSurvivesItsSource(t *testing.T) {
+	eng, _, bcs, got, rcs := setup(3, DefaultConfig())
+	run := func() { eng.RunUntil(eng.Now() + sim.Time(100*sim.Microsecond)) }
+	msgs := func(i int) (s []string) {
+		for _, d := range got[i] {
+			if d.src != 0 || d.seq != 1 {
+				t.Fatalf("node %d got %+v, want parts of message 1 of node 0", i, d)
+			}
+			s = append(s, d.msg)
+		}
+		return s
+	}
+	bcs[0].Stage([]byte("ab"))
+	rcs[1].RecoverFrom(0)
+	run()
+	bcs[0].Stage([]byte("abcd"))
+	rcs[1].RecoverFrom(0)
+	rcs[1].RecoverFrom(0) // nothing new: nothing delivered
+	rcs[2].RecoverFrom(0)
+	run()
+	if a, b := fmt.Sprint(msgs(1)), fmt.Sprint(msgs(2)); a != "[ab cd]" || b != "[abcd]" {
+		t.Fatalf("recovered %s and %s from the staged slot, want [ab cd] and [abcd]", a, b)
+	}
+	if err := bcs[0].Broadcast([]byte("abcdef"), nil); err != nil {
+		t.Fatal(err)
+	}
+	run()
+	rcs[1].RecoverFrom(0)
+	run()
+	if a, b := fmt.Sprint(msgs(1)), fmt.Sprint(msgs(2)); a != "[ab cd ef]" || b != "[abcd ef]" {
+		t.Fatalf("after the broadcast the peers hold %s and %s, want each byte once", a, b)
+	}
+	for i := 1; i < 3; i++ {
+		if rcs[i].low[0] != 1 || len(rcs[i].delivered[0]) != 0 {
+			t.Fatalf("node %d: watermark %d with %d entries above it, want the whole message folded in", i, rcs[i].low[0], len(rcs[i].delivered[0]))
+		}
+	}
+}
+
+// TestStageYieldsToMessagesInFlight: a slot still held by a message in flight
+// is not staged over, and the broadcast that follows queues for it as before.
+func TestStageYieldsToMessagesInFlight(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BackupSlots = 2
+	eng, fab, bcs, got, _ := setup(2, cfg)
+	fab.Partition(0, 1)
+	for _, m := range []string{"one", "two"} {
+		bcs[0].Stage([]byte(m))
+		if err := bcs[0].Broadcast([]byte(m), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bcs[0].Stage([]byte("three")) // message 3 wants message 1's slot
+	backup := fab.Node(0).Region(cfg.backupRegion()).Bytes()
+	if msg, _, err := codec.DecodeSlot(backup[cfg.BackupSlot:]); err != nil || !strings.Contains(string(msg), "one") {
+		t.Fatalf("slot of message 1 holds %q (%v) after staging message 3 over it", msg, err)
+	}
+	if err := bcs[0].Broadcast([]byte("three"), nil); err != nil {
+		t.Fatal(err)
+	}
+	fab.HealAll()
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	if s := fmt.Sprint(got[1]); s != "[{0 1 one} {0 2 two} {0 3 three}]" {
+		t.Fatalf("delivered %s", s)
 	}
 }

@@ -46,7 +46,7 @@ func TestFloorAfterDrainWrapAtPollBoundary(t *testing.T) {
 	// leaving a 30-byte remainder that forces an explicit skip marker.
 	frame := func(seq uint64, tag string) []byte {
 		payload := append([]byte(tag), make([]byte, 28-len(tag))...)
-		rec, err := codec.EncodeRaw(encodeMessage(0, seq, payload))
+		rec, err := codec.EncodeRaw(appendMessage(nil, 0, seq, payload))
 		if err != nil {
 			t.Fatal(err)
 		}

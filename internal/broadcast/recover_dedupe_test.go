@@ -13,12 +13,12 @@ import (
 // backup slot: EncodeSlot( message(seq, EncodeRaw( message(seq, payload)))).
 func backupSlotBytes(t *testing.T, cfg Config, epoch uint32, seq uint64, payload []byte) []byte {
 	t.Helper()
-	inner := encodeMessage(epoch, seq, payload)
+	inner := appendMessage(nil, epoch, seq, payload)
 	record, err := codec.EncodeRaw(inner)
 	if err != nil {
 		t.Fatal(err)
 	}
-	framed, err := codec.EncodeSlot(encodeMessage(epoch, seq, record), uint32(seq), cfg.BackupSlot)
+	framed, err := codec.EncodeSlot(appendMessage(nil, epoch, seq, record), uint32(seq), cfg.BackupSlot)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,3 +84,60 @@ func TestCorpusDenseRounds(t *testing.T) {
 		})
 	}
 }
+
+// denseBurstPlans are the corpus plans written for the F out-channel's rule:
+// dense OR-set bursts, once as a single object and once over three shards
+// with client sessions. The default workload (four updates every 50 µs at
+// random replicas) almost never puts two F calls of one source inside one
+// round trip, so at that density every message carries one record and the
+// batched path goes unchecked.
+var denseBurstPlans = []string{"orset-bursts-seed1800.json", "orset-bursts-shardmix-seed1801.json"}
+
+// TestCorpusDenseBursts replays them at the denseRounds density
+// (TestCorpus replays them at the default one too). Each slows every link of
+// one node past the issue period, so that node always has a message
+// unacknowledged and a batch open behind it, and suspends it 1.2 µs after a
+// burst, holding both, long enough to be suspected; around that run a
+// torn-write window and partitions that park one link and (shardmix) isolate
+// a source. Calls accepted into an open batch must survive all of it exactly
+// once. Every probe must pass, the sources must in fact have been batching,
+// and the faults must have bitten: a batch was held across the suspension.
+func TestCorpusDenseBursts(t *testing.T) {
+	for _, name := range denseBurstPlans {
+		t.Run(name, func(t *testing.T) {
+			p := readCorpusPlan(t, filepath.Join("testdata", "chaos", name))
+			opts := denseRounds
+			opts.EnableMetrics = true
+			v := mustRun(t, p, opts)
+			assertPassed(t, v)
+			if v.Acked+v.Rejected != v.Issued {
+				t.Fatalf("issued %d, acked %d, rejected %d: calls unresolved", v.Issued, v.Acked, v.Rejected)
+			}
+			snap := v.Metrics.Snapshot()
+			batch := snap.Histograms["core.free_batch_entries"]
+			if batch.Count == 0 || batch.SumNS <= int64(batch.Count) || batch.MaxNS < 4 {
+				t.Fatalf("%d calls left in %d messages, the largest carrying %d: the bursts are not dense enough to batch",
+					batch.SumNS, batch.Count, batch.MaxNS)
+			}
+			if snap.Counters["broadcast.recovery_sweeps"] == 0 || snap.Counters["broadcast.backup_slots_recovered"] == 0 {
+				t.Fatalf("%d recovery sweeps found %d backup slots: the suspension caught no message in flight",
+					snap.Counters["broadcast.recovery_sweeps"], snap.Counters["broadcast.backup_slots_recovered"])
+			}
+			if snap.Counters["broadcast.torn_rejects"] == 0 {
+				t.Fatal("no torn read rejected: the torn window saw no batch land")
+			}
+			var down sim.Duration
+			for _, e := range p.Events {
+				switch e.Kind {
+				case KindSuspend:
+					down = -sim.Duration(e.At)
+				case KindResume:
+					down += sim.Duration(e.At)
+				}
+			}
+			if hold := snap.Histograms["core.free_hold"]; down <= 0 || sim.Duration(hold.MaxNS) < down {
+				t.Fatalf("longest hold %v, the suspension lasts %v: the node was not suspended on an open batch", sim.Duration(hold.MaxNS), down)
+			}
+		})
+	}
+}

@@ -78,6 +78,11 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	for _, name := range denseRoundPlans {
 		add("dense-rounds/"+name, readCorpusPlan(t, filepath.Join("testdata", "chaos", name)), denseRounds)
 	}
+	// The F out-channel plans, likewise: their suspensions are placed on an
+	// open batch on this schedule.
+	for _, name := range denseBurstPlans {
+		add("dense-bursts/"+name, readCorpusPlan(t, filepath.Join("testdata", "chaos", name)), denseRounds)
+	}
 	return cases
 }
 

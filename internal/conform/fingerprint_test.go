@@ -45,6 +45,9 @@ func TestFingerprints(t *testing.T) {
 	for _, class := range []string{"counter", "orset", "account"} {
 		cases = append(cases, pinned{name: "sharded/generated-" + class, plan: chaos.GenerateSharded(class, 4, 120, 51, 4)})
 	}
+	for _, name := range denseBurstPlans {
+		cases = append(cases, pinned{name: "dense-bursts/" + name, plan: chaosCorpusPlan(t, name), opts: denseBurstOpts})
+	}
 
 	var b strings.Builder
 	for _, c := range cases {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hamband/internal/chaos"
+	"hamband/internal/sim"
 	"hamband/internal/trace"
 )
 
@@ -83,6 +84,47 @@ func TestRunChecksCorpusShardMixPerShard(t *testing.T) {
 	}
 	if res.Report.Calls != 120 || res.Report.Queries == 0 {
 		t.Fatalf("merged report lost material: %s", res.Report)
+	}
+}
+
+// denseBurstPlans are package chaos's two F out-channel plans (dense OR-set
+// bursts, a node suspended on an open batch; the shardmix twin carries client
+// sessions), and denseBurstOpts the density they were written for, the one
+// chaos.TestCorpusDenseBursts replays them at: there a broadcast message
+// carries several calls, so the checks see batched deliveries.
+var (
+	denseBurstPlans = []string{"orset-bursts-seed1800.json", "orset-bursts-shardmix-seed1801.json"}
+	denseBurstOpts  = chaos.Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
+)
+
+// TestRunChecksDenseBursts: histories in which one message delivers a run of
+// calls, through torn windows, partitions and a suspension mid-batch, must
+// still be explainable call by call — and, on the sessions plan, session by
+// session.
+func TestRunChecksDenseBursts(t *testing.T) {
+	for _, name := range denseBurstPlans {
+		t.Run(name, func(t *testing.T) {
+			p := chaosCorpusPlan(t, name)
+			res, err := Run(p, denseBurstOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Conforms() || !res.Verdict.Passed {
+				t.Fatalf("dense-burst plan does not conform:\n%s\nprobe violations: %v", res, res.Verdict.Violations)
+			}
+			if res.Report.Calls < p.Ops || res.Report.Queries == 0 {
+				t.Fatalf("report lost material: %s", res.Report)
+			}
+			if p.Sessions > 0 {
+				writes := 0
+				for _, ops := range sessionOpsByShard(res.Verdict.Trace.Events()) {
+					writes += ops["write"]
+				}
+				if writes == 0 {
+					t.Fatal("no session write recorded: the session checks had no material")
+				}
+			}
+		})
 	}
 }
 

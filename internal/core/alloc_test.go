@@ -224,3 +224,52 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestFreeBurstAllocsBelowMessagePerCall pins what one message per round trip
+// does to the host clock: a warm burst of eight OR-set adds at one replica of
+// four, tracer detached, allocates per call under half of what it did when
+// every call was its own broadcast message (22.9 objects a call at commit
+// c6f5281: a message, its framed record, backup frame and completion closure
+// at the source, a payload copy and a handler closure at each of three
+// receivers — all now per burst). The batch buffer is reused from flush to
+// flush: dropping it at every flush, as the old knob's path did, costs four
+// more objects a burst and trips the pin. What is left is per call by nature:
+// the argument slices, the Invoke closures, the framed record each staging of
+// the open batch writes to its backup slot, the decoded call at each peer and
+// the OR-set's own state.
+func TestFreeBurstAllocsBelowMessagePerCall(t *testing.T) {
+	const burst = 8
+	h := newHarness(t, crdt.NewORSet(), 4, 93, func(o *Options) {
+		o.CheckIntegrity = false
+		o.DisableFailureHandling = true // heartbeat reads allocate, and are not this path
+	})
+	r := h.cluster.Replica(0)
+	if r.tracing() {
+		t.Fatal("harness attached a tracer unexpectedly")
+	}
+	now := h.eng.Now()
+	tag := uint64(0)
+	cycle := func() {
+		for i := 0; i < burst; i++ {
+			tag++
+			r.Invoke(crdt.ORSetAdd, spec.ArgsI(int64(i), crdt.Tag(0, tag)), nil)
+		}
+		now += sim.Time(20 * sim.Microsecond)
+		h.eng.RunUntil(now) // flush, post, land, deliver, apply
+	}
+	for i := 0; i < 64; i++ { // warm: queues, the batch and the verb free list reach their sizes
+		cycle()
+	}
+	sent := h.fab.Stats().Writes
+	perCall := testing.AllocsPerRun(200, cycle) / burst
+	if writes := h.fab.Stats().Writes - sent; writes != 201*3 {
+		t.Fatalf("201 bursts left in %d writes, want one message of three writes each", writes)
+	}
+	if got := h.cluster.Replica(3).applied.Get(0, crdt.ORSetAdd); got != uint32(tag) {
+		t.Fatalf("p3 applied %d of %d adds", got, tag)
+	}
+	if perCall > 10.5 {
+		t.Errorf("a warm burst allocates %.2f objects per call, want at most 10.5 (10.38 measured; 22.9 with a message per call)", perCall)
+	}
+	t.Logf("allocs per call: %.2f", perCall)
+}

@@ -67,13 +67,6 @@ type Options struct {
 	ApplyCost sim.Duration // CPU cost to apply one update call
 	QueryCost sim.Duration // CPU cost to evaluate one query
 
-	// FreeBatchSize batches up to this many irreducible conflict-free
-	// calls into one broadcast record (1 = no batching). Batching trades
-	// propagation latency (bounded by FreeBatchDelay) for fewer ring
-	// writes — see the batching ablation.
-	FreeBatchSize  int
-	FreeBatchDelay sim.Duration
-
 	// Summary slots are delta-groups: each reducible call ships one small
 	// δ-record into the slot's log area and the full summarized state is
 	// rewritten only every AnchorInterval calls (or when the log fills).
@@ -163,8 +156,6 @@ func DefaultOptions() Options {
 		IssueCost:      100 * sim.Nanosecond,
 		ApplyCost:      50 * sim.Nanosecond,
 		QueryCost:      100 * sim.Nanosecond,
-		FreeBatchSize:  1,
-		FreeBatchDelay: 5 * sim.Microsecond,
 		AnchorInterval: 32,
 		DeltaLogBytes:  4096,
 	}
@@ -190,6 +181,11 @@ type Cluster struct {
 	// domain this cluster created and stops (ownsFdom).
 	fdom     *FailureDomain
 	ownsFdom bool
+
+	// freeBound is the most bytes of call records one broadcast message
+	// carries: what bounds a batch of the F out-channel (Replica.enqueueFree),
+	// and a single call's record with it.
+	freeBound int
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -252,7 +248,15 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	// synchronization group, S slots per summarization group.
 	c.Opts.Broadcast.Namespace = opts.Namespace
 	if an.HasFreeBuffers() {
-		broadcast.Setup(fab, c.Opts.Broadcast)
+		// The smaller of what a backup slot and what half an inbound ring
+		// hold. Too little for any record is a hard configuration error, like
+		// the δ-log above: FrameFull records are δ-records.
+		bc := c.Opts.Broadcast
+		if c.freeBound = bc.MaxPayload(); c.freeBound < minDeltaLogBytes {
+			panic(fmt.Sprintf("core: a %d-byte backup slot and a %d-byte inbound ring leave %d bytes for a message's call records (minimum %d)",
+				bc.BackupSlot, bc.RingCapacity, c.freeBound, minDeltaLogBytes))
+		}
+		broadcast.Setup(fab, bc)
 	}
 	for g := range an.SyncGroups {
 		mu.Setup(fab, muGroup(opts.Namespace, g), opts.Mu, rdma.NodeID(c.leaders[g]))
@@ -389,13 +393,16 @@ type Replica struct {
 	// Pending conflicting requests awaiting their ordered delivery.
 	pendingConf map[uint64]func(any, error)
 
-	// Outgoing batch of irreducible conflict-free entries.
+	// The F out-channel (enqueueFree): the open batch of accepted calls'
+	// records, and how many broadcast messages of this source have seen none
+	// of their writes complete. freeLabels are the batched calls' trace labels
+	// (tracing only), freeSince their accept times (metrics only).
 	freeBatch   []byte
-	freeBatched int
-	flushArmed  bool
-	// Trace labels of the batched entries (only populated when tracing);
-	// joined with commas on the batch's broadcast record.
-	freeLabels []string
+	freeUnacked int
+	freeLabels  []string
+	freeSince   []sim.Time
+	freeIdleFn  func() // r.freeIdle and r.freeAcked bound once: a call allocates nothing
+	freeAckedFn func()
 
 	// Speculative leader state: while this replica leads a group it
 	// checks permissibility and projects dependency records against a
@@ -432,6 +439,8 @@ type Replica struct {
 	mAnchors    *metrics.Counter   // full-state anchor rewrites
 	mGapFetch   *metrics.Counter   // full-state fetches after a gap or CRC park
 	mStaleSlots *metrics.Counter   // slot frames rejected by the epoch floor
+	mFreeBatch  *metrics.Histogram // calls per F broadcast message (a count, not a time)
+	mFreeHold   *metrics.Histogram // F call: accept → its message's flush
 
 	tickers []*sim.Ticker
 
@@ -467,6 +476,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	}
 	r.live = view{r: r, base: cls.NewState()}
 	r.applyStepFn = r.applyStep
+	r.freeIdleFn, r.freeAckedFn = r.freeIdle, r.freeAcked
 	r.floors = make([]ring.EpochFloor, n)
 	if c.Opts.Coalescers != nil {
 		r.coal = c.Opts.Coalescers[id]
@@ -487,6 +497,10 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.mAnchors = reg.Counter("core.anchor_writes")
 		r.mGapFetch = reg.Counter("core.gap_fetches")
 		r.mStaleSlots = reg.Counter("core.stale_slot_rejects")
+		if c.An.HasFreeBuffers() {
+			r.mFreeBatch = reg.Histogram("core.free_batch_entries", nil)
+			r.mFreeHold = reg.Histogram("core.free_hold", nil)
+		}
 	}
 	for range cls.SumGroups {
 		row := make([]*sumSlot, n)

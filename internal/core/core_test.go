@@ -881,45 +881,6 @@ func TestTwoObjectsShareOneFabric(t *testing.T) {
 	}
 }
 
-func TestFreeBatchingConverges(t *testing.T) {
-	// Batched irreducible calls must deliver exactly like unbatched ones,
-	// including the dependency gating across a batch boundary.
-	h := newHarness(t, crdt.NewORSet(), 3, 131, func(o *Options) {
-		o.FreeBatchSize = 8
-	})
-	h.eng.At(0, func() {
-		for i := 0; i < 50; i++ {
-			e := int64(i % 10)
-			h.invoke(spec.ProcID(i%3), crdt.ORSetAdd, spec.ArgsI(e, crdt.Tag(spec.ProcID(i%3), uint64(3000+i))))
-		}
-	})
-	if !h.drain(100 * sim.Millisecond) {
-		t.Fatal("batched replication did not complete")
-	}
-	h.checkConvergence()
-}
-
-func TestFreeBatchingFlushTimer(t *testing.T) {
-	// A lone call in a half-full batch must still propagate within the
-	// flush delay.
-	h := newHarness(t, crdt.NewORSet(), 2, 132, func(o *Options) {
-		o.FreeBatchSize = 16
-		o.FreeBatchDelay = 5 * sim.Microsecond
-	})
-	h.eng.At(0, func() {
-		h.invoke(0, crdt.ORSetAdd, spec.ArgsI(1, crdt.Tag(0, 1)))
-	})
-	if !h.drain(10 * sim.Millisecond) {
-		t.Fatal("half-full batch never flushed")
-	}
-	var got any
-	h.cluster.Replica(1).Invoke(crdt.ORSetContains, spec.ArgsI(1), func(v any, _ error) { got = v })
-	h.eng.RunFor(10 * sim.Microsecond)
-	if got != true {
-		t.Fatal("batched element missing at peer")
-	}
-}
-
 func TestClusterStopQuiescesEngine(t *testing.T) {
 	// After Stop, no ticker keeps the engine alive: the event queue drains.
 	h := newHarness(t, crdt.NewAccount(), 3, 141, nil)

@@ -640,26 +640,13 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	}
 	d := r.applied.Project(r.an.DependsOn[u])
 	r.node.CPU.Exec(r.opts.ApplyCost, func() {
-		r.live.apply(c)
-		r.applied.Inc(r.id, u)
-		r.statApplied++
-		r.mApplied.Inc()
-		r.syncSpec(c)
-		r.assertIntegrity("free")
-		// The local apply is a fact from here on, whatever the broadcast
-		// does, so the trace records it before the send is attempted.
-		if r.tracing() {
-			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
-		}
-		// The packed varint δ-framing is the F path's one record format.
+		// The packed varint δ-framing is the F path's one record format. A
+		// call whose record no broadcast message can carry is refused before
+		// it takes effect anywhere.
 		entry, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
 		r.recBuf = entry
-		if err == nil {
-			var label string
-			if r.tracing() {
-				label = r.callLabel(c)
-			}
-			err = r.enqueueFree(entry, label)
+		if err == nil && len(entry) > r.cluster.freeBound {
+			err = fmt.Errorf("%w: %d-byte call record, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
 		}
 		if err != nil {
 			if r.tracing() {
@@ -670,6 +657,18 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			}
 			return
 		}
+		r.live.apply(c)
+		r.applied.Inc(r.id, u)
+		r.statApplied++
+		r.mApplied.Inc()
+		r.syncSpec(c)
+		r.assertIntegrity("free")
+		var label string
+		if r.tracing() {
+			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
+			label = r.callLabel(c)
+		}
+		r.enqueueFree(entry, label)
 		if r.tracing() {
 			r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
 		}
@@ -680,61 +679,83 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	})
 }
 
-// maxFreeBatchBytes bounds a batch so its broadcast record still fits the
-// reliable broadcast's backup slot. The backup stores the sequence number
-// plus the codec-framed ring record, which itself wraps the sequence number
-// and the batch: validated slot frame, seq (8), raw framing, seq (8), with
-// a small safety margin.
-func (r *Replica) maxFreeBatchBytes() int {
-	return r.opts.Broadcast.BackupSlot - codec.SlotOverhead - 8 - codec.RawOverhead - 8 - 16
-}
+// The F out-channel: one broadcast message per round trip. An accepted call's
+// record joins the open batch, which leaves as ONE message — one sequence
+// number, one backup slot, one ring record and one DeliverCost per peer —
+// (a) when no message of this source is unacknowledged, (b) when the first
+// completion of a message's writes leaves none unacknowledged, or (c) when the
+// next record would not fit (Cluster.freeBound). No size, no delay, no timer,
+// and the client's response waits for none of it. (a) and (b) flush from a
+// zero-cost deferred CPU item (the ring.Sender.Send trick): an idle source
+// sends at once, and calls already queued on the CPU share the message. First
+// completion and not last, so that a slow or parked link never holds the batch
+// back from the healthy peers; an error completion counts, and a message with
+// no peer to write to is acknowledged as it launches. The hold costs no
+// durability: every record is staged in the backup slot its message will take
+// before its client is answered (broadcast.Broadcaster.Stage), so the peers of
+// a source that fails on an open batch recover what it had answered. DESIGN.md
+// §4, "The F out-channel", has the gates that were measured and declined.
 
-// enqueueFree appends an encoded (c, D) entry to the outgoing batch and
-// flushes when the batch is full (by count or by the backup-slot byte
-// budget); a delayed flush bounds the added propagation latency. With
-// FreeBatchSize ≤ 1 entries broadcast immediately.
-func (r *Replica) enqueueFree(entry []byte, label string) error {
-	if r.opts.FreeBatchSize <= 1 {
-		return r.bc.BroadcastLabeled(label, entry, nil)
+// enqueueFree adds an accepted call's record (at most freeBound bytes) to the
+// open batch and stages the batch. A non-empty batch always has a flush coming:
+// the deferred item armed here or by freeAcked, or the completion that will
+// arm it.
+func (r *Replica) enqueueFree(entry []byte, label string) {
+	if len(r.freeBatch)+len(entry) > r.cluster.freeBound {
+		r.flushFree()
 	}
-	if len(r.freeBatch) > 0 && len(r.freeBatch)+len(entry) > r.maxFreeBatchBytes() {
-		if err := r.flushFree(); err != nil {
-			return err
-		}
+	if len(r.freeBatch) == 0 && r.freeUnacked == 0 {
+		r.node.CPU.Exec(0, r.freeIdleFn)
 	}
 	r.freeBatch = append(r.freeBatch, entry...)
+	r.bc.Stage(r.freeBatch)
 	if label != "" {
 		r.freeLabels = append(r.freeLabels, label)
 	}
-	r.freeBatched++
-	if r.freeBatched >= r.opts.FreeBatchSize {
-		return r.flushFree()
+	if r.mFreeHold != nil {
+		r.freeSince = append(r.freeSince, r.cluster.Fab.Engine().Now())
 	}
-	if !r.flushArmed {
-		r.flushArmed = true
-		r.cluster.Fab.Engine().After(r.opts.FreeBatchDelay, func() {
-			if r.flushArmed {
-				_ = r.flushFree()
-			}
-		})
-	}
-	return nil
 }
 
-// flushFree broadcasts the pending batch as one record; the record's trace
-// label joins the batched calls' identities with commas (the span layer
-// splits them back out).
-func (r *Replica) flushFree() error {
-	r.flushArmed = false
-	if r.freeBatched == 0 {
-		return nil
+// freeAcked is the first write completion of one of this source's messages.
+func (r *Replica) freeAcked() {
+	if r.freeUnacked--; r.freeUnacked == 0 && len(r.freeBatch) > 0 {
+		r.node.CPU.Exec(0, r.freeIdleFn)
 	}
-	batch := r.freeBatch
-	label := strings.Join(r.freeLabels, ",")
-	r.freeBatch = nil
-	r.freeLabels = nil
-	r.freeBatched = 0
-	return r.bc.BroadcastLabeled(label, batch, nil)
+}
+
+// freeIdle is the deferred flush. An overflow flush may have overtaken it, in
+// which case the batch waits for that message's completion.
+func (r *Replica) freeIdle() {
+	if r.freeUnacked == 0 {
+		r.flushFree()
+	}
+}
+
+// flushFree broadcasts the open batch as one message; its trace label joins
+// the batched calls' identities with commas (the span layer splits them back
+// out). The broadcast copies the payload, so the batch's buffers are reused.
+func (r *Replica) flushFree() {
+	if len(r.freeBatch) == 0 {
+		return
+	}
+	batch, label := r.freeBatch, strings.Join(r.freeLabels, ",")
+	r.freeBatch = r.freeBatch[:0]
+	clear(r.freeLabels)
+	r.freeLabels = r.freeLabels[:0]
+	if r.mFreeHold != nil {
+		now := r.cluster.Fab.Engine().Now()
+		for _, at := range r.freeSince {
+			r.mFreeHold.Observe(sim.Duration(now - at))
+		}
+		r.mFreeBatch.Observe(sim.Duration(len(r.freeSince)))
+		r.freeSince = r.freeSince[:0]
+	}
+	// The batch is already empty: with no peers freeAcked runs inside the call.
+	r.freeUnacked++
+	if err := r.bc.BroadcastLabeled(label, batch, r.freeAckedFn, nil); err != nil {
+		panic(fmt.Sprintf("core: broadcast refused a %d-byte batch within the %d-byte bound: %v", len(batch), r.cluster.freeBound, err))
+	}
 }
 
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
