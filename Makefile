@@ -147,7 +147,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR20.json
+SNAPSHOT ?= BENCH_PR21.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
 
@@ -181,10 +181,10 @@ bench-pairs:
 	$(GO) run ./scripts/benchpairs -ref $(REF) -workload $(WORKLOAD) -pairs $(PAIRS) -seed $(SEED)
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
-# MAXREGRESS, when nonzero, fails the target if any fig8 point's throughput
+# MAXREGRESS, when nonzero, fails the target if any matched point's throughput
 # drops by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR20.json
-NEW ?= BENCH_PR20.json
+OLD ?= BENCH_PR21.json
+NEW ?= BENCH_PR21.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

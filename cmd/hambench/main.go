@@ -71,7 +71,6 @@ import (
 	"hamband/internal/bench"
 	"hamband/internal/chaos"
 	"hamband/internal/conform"
-	"hamband/internal/crdt"
 	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
@@ -83,7 +82,7 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "write the metrics experiment's registry snapshot as JSON to FILE")
 	latencyJSON := flag.String("latency-json", "", "write the latency experiment's per-stage snapshot as JSON to FILE (compare with -exp benchstat)")
 	wireJSON := flag.String("wire-json", "", "write the wire experiment's per-class snapshot as JSON to FILE (compare with -exp benchstat)")
-	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any fig8 point's throughput drops by more than this percentage (0 disables)")
+	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops by more than this percentage (0 disables)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	snapshotOut := flag.String("snapshot-out", "BENCH.json", "output file for the snapshot experiment")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
@@ -243,8 +242,8 @@ func writeSnapshot(cfg bench.Config, path string) {
 }
 
 // compareSnapshots prints throughput and p99 deltas between two snapshots.
-// With a nonzero maxRegress it additionally gates the fig8 points: any
-// matched point whose throughput dropped by more than that percentage makes
+// With a nonzero maxRegress it additionally gates every point: any matched
+// point whose throughput dropped by more than that percentage makes
 // the command exit nonzero — the CI regression check.
 func compareSnapshots(oldPath, newPath string, maxRegress float64) {
 	if oldPath == "" || newPath == "" {
@@ -268,7 +267,7 @@ func compareSnapshots(oldPath, newPath string, maxRegress float64) {
 	old, cur := read(oldPath), read(newPath)
 	bench.CompareSnapshots(os.Stdout, old, cur)
 	if maxRegress > 0 {
-		bad := bench.RegressionCheck(old, cur, "fig8", maxRegress)
+		bad := bench.RegressionCheck(old, cur, maxRegress)
 		for _, msg := range bad {
 			fmt.Fprintf(os.Stderr, "hambench: regression: %s\n", msg)
 		}
@@ -296,15 +295,7 @@ func fileWriter(path string) io.Writer {
 // method categories, synchronization groups and dependency sets the runtime
 // consumes.
 func printAnalyses() {
-	classes := []*spec.Class{
-		crdt.NewCounter(), crdt.NewPNCounter(), crdt.NewLWW(), crdt.NewLWWMap(),
-		crdt.NewGSet(), crdt.NewGSetBuffered(), crdt.NewTwoPSet(),
-		crdt.NewORSet(), crdt.NewCart(), crdt.NewRGA(), crdt.NewMVRegister(4),
-		crdt.NewAccount(), crdt.NewBankMap(),
-		schema.NewProjectManagement(), schema.NewCourseware(), schema.NewMovie(),
-		schema.NewAuction(), schema.NewTournament(),
-	}
-	for _, cls := range classes {
+	for _, cls := range schema.Bundled() {
 		an, err := spec.Analyze(cls)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)

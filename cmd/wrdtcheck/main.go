@@ -26,15 +26,6 @@ import (
 	"hamband/internal/wrdt"
 )
 
-func classes() []*spec.Class {
-	return []*spec.Class{
-		crdt.NewCounter(), crdt.NewLWW(), crdt.NewGSet(), crdt.NewGSetBuffered(),
-		crdt.NewORSet(), crdt.NewCart(), crdt.NewAccount(), crdt.NewBankMap(),
-		crdt.NewPNCounter(), crdt.NewTwoPSet(), crdt.NewRGA(), crdt.NewLWWMap(), crdt.NewMVRegister(3),
-		schema.NewProjectManagement(), schema.NewCourseware(), schema.NewMovie(), schema.NewAuction(), schema.NewTournament(),
-	}
-}
-
 func main() {
 	clsName := flag.String("class", "", "check a single class (default: all)")
 	iters := flag.Int("iters", 2000, "relation-checker iterations")
@@ -45,7 +36,7 @@ func main() {
 	flag.Parse()
 
 	failed := false
-	for _, cls := range classes() {
+	for _, cls := range schema.Bundled() {
 		if *clsName != "" && cls.Name != *clsName {
 			continue
 		}

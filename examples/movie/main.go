@@ -4,9 +4,12 @@
 //
 // The movie schema's customer and movie relations never interact, so the
 // conflict graph has two connected components. Hamband gives each component
-// its own Mu instance with its own leader; the SMR baseline funnels every
-// update through one leader. With updates split evenly between the two
-// relations, Hamband approaches 2× the SMR throughput.
+// its own Mu instance with its own leader; the SMR baseline — the same runtime
+// over spec.Serialized, the analysis in which every pair of updates conflicts —
+// funnels every update through one leader. The theoretical gain is 2×; under
+// this repo's cost model, where every replica pays to deliver and apply every
+// call whichever group ordered it, it is a few percent (EXPERIMENTS.md,
+// Figure 10).
 //
 // Run with: go run ./examples/movie
 package main
@@ -14,7 +17,6 @@ package main
 import (
 	"fmt"
 
-	"hamband/internal/baseline/smr"
 	"hamband/internal/core"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
@@ -81,10 +83,11 @@ func main() {
 		ham.Replica(p).Invoke(u, a, cb)
 	}, engH)
 
-	// SMR: one leader for everything.
+	// SMR: the same runtime with every pair of updates declared conflicting,
+	// so one group and one leader for everything.
 	engS := sim.NewEngine(3)
 	fabS := rdma.NewFabric(engS, 4, rdma.DefaultLatency())
-	single := smr.NewCluster(fabS, an, smr.DefaultOptions())
+	single := core.NewCluster(fabS, spec.MustAnalyze(spec.Serialized(cls)), core.DefaultOptions())
 	ds := run("Mu SMR (1 leader)", func(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
 		single.Replica(p).Invoke(u, a, cb)
 	}, engS)

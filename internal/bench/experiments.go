@@ -505,15 +505,7 @@ func (cfg Config) Metrics(jsonOut, chromeOut io.Writer) {
 func (cfg Config) Overview() {
 	cfg.printf("Use-case overview — Hamband, 4 nodes, 25%% updates\n")
 	cfg.printf("%-16s %12s %6s %10s %12s\n", "class", "categories", "ops/µs", "mean RT", "p99 RT")
-	classes := []*spec.Class{
-		crdt.NewCounter(), crdt.NewPNCounter(), crdt.NewLWW(), crdt.NewLWWMap(),
-		crdt.NewGSet(), crdt.NewGSetBuffered(), crdt.NewTwoPSet(),
-		crdt.NewORSet(), crdt.NewCart(), crdt.NewRGA(), crdt.NewMVRegister(4),
-		crdt.NewAccount(), crdt.NewBankMap(),
-		schema.NewProjectManagement(), schema.NewCourseware(),
-		schema.NewMovie(), schema.NewAuction(), schema.NewTournament(),
-	}
-	for _, cls := range classes {
+	for _, cls := range schema.Bundled() {
 		an := spec.MustAnalyze(cls)
 		var red, free, conf int
 		for _, u := range cls.UpdateMethods() {

@@ -149,3 +149,22 @@ func TestReconfigExperiment(t *testing.T) {
 		t.Fatalf("a transition never recovered:\n%s", out)
 	}
 }
+
+// TestRegressionCheckGatesEveryPoint: the CI gate covers whatever experiment a
+// point belongs to (it used to look at fig8 alone), ignores unmatched points
+// and tolerates drops within the bound.
+func TestRegressionCheckGatesEveryPoint(t *testing.T) {
+	pt := func(exp, class string, ops float64) SnapPoint {
+		return SnapPoint{Experiment: exp, System: "Hamband", Class: class, Nodes: 4, UpdateRatio: 1, OpsPerUs: ops}
+	}
+	old := Snapshot{Schema: 1, Points: []SnapPoint{
+		pt("fig8", "counter", 16), pt("fig10", "movie", 3), pt("shard/uniform", "counter", 10), pt("wire/delta", "gset", 22),
+	}}
+	cur := Snapshot{Schema: 1, Points: []SnapPoint{
+		pt("fig8", "counter", 15.5), pt("fig10", "movie", 2.5), pt("shard/uniform", "counter", 9), pt("doorbell/chain", "orset", 1),
+	}}
+	bad := RegressionCheck(old, cur, 5)
+	if len(bad) != 2 || !strings.Contains(bad[0], "fig10") || !strings.Contains(bad[1], "shard/uniform") {
+		t.Fatalf("regressions reported: %q, want the fig10 and shard/uniform points", bad)
+	}
+}

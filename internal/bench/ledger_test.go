@@ -63,11 +63,9 @@ var ledgerRows = []struct{ site, row string }{
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
-	{"smr.(*Replica).onDeliver", "apply"},
 	{"mu.(*Instance).poll", "polls"},
 	{"broadcast.(*Receiver).poll", "polls"},
 	{"core.(*Replica).Invoke", "accept"},
-	{"smr.(*Replica).Invoke", "accept"},
 	{"rdma.(*QP).post<ring.(*Sender)", "head reads"},
 	{"rdma.(*QP).post<heartbeat.", "heartbeat reads"},
 	{"rdma.(*QP).complete", "CQE: read completions"},
@@ -126,13 +124,7 @@ func TestLeaderLedger(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var fab *rdma.Fabric
-		switch s := sys.(type) {
-		case *hambandSystem:
-			fab = s.c.Fab
-		case *smrSystem:
-			fab = s.c.Fab
-		}
+		fab := sys.(*hambandSystem).c.Fab
 		observed := []int{leader, follower}
 		ledgers := []*ledger{newLedger(), newLedger()}
 		for i, node := range observed {

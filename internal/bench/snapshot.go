@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strings"
 
 	"hamband/internal/crdt"
 	"hamband/internal/schema"
@@ -130,20 +129,17 @@ func (cfg Config) Snapshot() Snapshot {
 	return s
 }
 
-// RegressionCheck compares every current point whose experiment name starts
-// with prefix against the baseline and returns one message per point whose
-// throughput dropped by more than maxDropPct percent. Points missing from
-// either side are ignored — only like-for-like pairs can regress.
-func RegressionCheck(old, cur Snapshot, prefix string, maxDropPct float64) []string {
+// RegressionCheck compares every current point against the baseline and
+// returns one message per point whose throughput dropped by more than
+// maxDropPct percent. Points missing from either side are ignored — only
+// like-for-like pairs can regress.
+func RegressionCheck(old, cur Snapshot, maxDropPct float64) []string {
 	idx := make(map[string]SnapPoint, len(old.Points))
 	for _, p := range old.Points {
 		idx[p.key()] = p
 	}
 	var bad []string
 	for _, np := range cur.Points {
-		if !strings.HasPrefix(np.Experiment, prefix) {
-			continue
-		}
 		op, ok := idx[np.key()]
 		if !ok || op.OpsPerUs == 0 {
 			continue

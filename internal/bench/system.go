@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"hamband/internal/baseline/msgcrdt"
-	"hamband/internal/baseline/smr"
 	"hamband/internal/core"
 	"hamband/internal/metrics"
 	"hamband/internal/msgnet"
@@ -21,7 +20,7 @@ import (
 )
 
 // System abstracts the three systems under test: Hamband, the MSG
-// baseline, and the Mu SMR baseline.
+// baseline, and the Mu SMR baseline (Hamband under spec.Serialized).
 type System interface {
 	Name() string
 	// Invoke submits a call at replica p.
@@ -77,6 +76,12 @@ func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis) (System, 
 // instrument; it accepts the registry but records nothing.
 func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, reg *metrics.Registry) (System, error) {
 	switch kind {
+	case MuSMR:
+		// One runtime, two analyses: state machine replication is the class in
+		// which every pair of updates conflicts, so the baseline differs from
+		// Hamband in its coordination analysis and in nothing else.
+		an = spec.MustAnalyze(spec.Serialized(an.Class))
+		fallthrough
 	case Hamband:
 		sys, _ := newHamband(eng, n, an, rdma.DefaultLatency(), func(fab *rdma.Fabric, o *core.Options) {
 			if reg.Enabled() {
@@ -84,6 +89,7 @@ func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis
 				o.Metrics = reg
 			}
 		})
+		sys.kind = kind
 		return sys, nil
 	case MSG:
 		net := msgnet.New(eng, n, msgnet.DefaultCost())
@@ -92,21 +98,17 @@ func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis
 			return nil, err
 		}
 		return &msgSystem{c: c}, nil
-	case MuSMR:
-		fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
-		opts := smr.DefaultOptions()
-		if reg.Enabled() {
-			fab.EnableMetrics(reg)
-			opts.Mu.Metrics = reg
-			opts.Heartbeat.Metrics = reg
-		}
-		return &smrSystem{c: smr.NewCluster(fab, an, opts)}, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown system kind %d", kind)
 	}
 }
 
-type hambandSystem struct{ c *core.Cluster }
+// hambandSystem is a core.Cluster under test; kind names the analysis it was
+// built over (Hamband: the class's own, MuSMR: the all-conflicting one).
+type hambandSystem struct {
+	c    *core.Cluster
+	kind SystemKind
+}
 
 // newHamband assembles a Hamband deployment: a fabric under lat and a
 // cluster whose options are core.DefaultOptions as edited by mut (nil: as
@@ -121,7 +123,7 @@ func newHamband(eng *sim.Engine, n int, an *spec.Analysis, lat rdma.LatencyModel
 	return &hambandSystem{c: core.NewCluster(fab, an, opts)}, fab
 }
 
-func (s *hambandSystem) Name() string { return "Hamband" }
+func (s *hambandSystem) Name() string { return s.kind.String() }
 func (s *hambandSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
 	s.c.Replica(p).Invoke(u, a, cb)
 }
@@ -149,20 +151,3 @@ func (s *msgSystem) Down(p spec.ProcID) bool               { return s.c.Replica(
 func (s *msgSystem) Fail(p spec.ProcID)                    { s.c.Net.Node(msgnet.NodeID(p)).Fail() }
 func (s *msgSystem) State(p spec.ProcID) spec.State        { return s.c.Replica(p).CurrentState() }
 func (s *msgSystem) Size() int                             { return len(s.c.Replicas) }
-
-type smrSystem struct{ c *smr.Cluster }
-
-func (s *smrSystem) Name() string { return "Mu" }
-func (s *smrSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
-	s.c.Replica(p).Invoke(u, a, cb)
-}
-func (s *smrSystem) Applied(p spec.ProcID) spec.AppliedMap { return s.c.Replica(p).Applied() }
-func (s *smrSystem) Down(p spec.ProcID) bool               { return s.c.Replica(p).Down() }
-func (s *smrSystem) Fail(p spec.ProcID) {
-	if b := s.c.Replica(p).Beater(); b != nil {
-		b.Suspend()
-	}
-	s.c.Fab.Node(rdma.NodeID(p)).Suspend()
-}
-func (s *smrSystem) State(p spec.ProcID) spec.State { return s.c.Replica(p).CurrentState() }
-func (s *smrSystem) Size() int                      { return len(s.c.Replicas) }

@@ -20,10 +20,12 @@
 package broadcast
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hamband/internal/codec"
 	"hamband/internal/metrics"
@@ -542,10 +544,13 @@ func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 const backupReadRetries = 3
 
 // recoverSweep reads the whole backup region and recovers every validated
-// slot. A torn slot earns a bounded re-read of the region; seen maps slot
-// index → slot version across those passes so a slot recovered in an
-// earlier pass is not processed (and counted) again when only its torn
-// neighbour needed the retry.
+// slot, in sequence order: a slot's index is its sequence number modulo
+// BackupSlots, which is sequence order except across the wrap, and the handler
+// buffers per source and serves head first, so a message delivered ahead of one
+// it depends on would block its buffer. A torn slot earns a bounded re-read of
+// the region; seen maps slot index → slot version across those passes so a slot
+// recovered in an earlier pass is not processed (and counted) again when only
+// its torn neighbour needed the retry.
 func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]uint32) {
 	size := r.cfg.BackupSlots * r.cfg.BackupSlot
 	r.node.QP(src).Read(r.cfg.backupRegion(), 0, size, func(data []byte, err error) {
@@ -553,6 +558,11 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 			return
 		}
 		tornSeen := false
+		type recovered struct {
+			seq     uint64
+			payload []byte
+		}
+		var found []recovered
 		for slot := 0; slot < r.cfg.BackupSlots; slot++ {
 			framed := data[slot*r.cfg.BackupSlot : (slot+1)*r.cfg.BackupSlot]
 			msg, ver, derr := codec.DecodeSlot(framed)
@@ -587,7 +597,11 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 				continue
 			}
 			r.mRecovered.Inc()
-			r.deliver(src, seq, payload, false)
+			found = append(found, recovered{seq, payload})
+		}
+		slices.SortFunc(found, func(a, b recovered) int { return cmp.Compare(a.seq, b.seq) })
+		for _, m := range found {
+			r.deliver(src, m.seq, m.payload, false)
 		}
 		if tornSeen && retriesLeft > 0 {
 			// Bounded retry-on-invalid: re-read the backups so a torn slot

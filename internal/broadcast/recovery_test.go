@@ -105,3 +105,55 @@ func TestRecoverFromWhileReaderSuspendedMidRead(t *testing.T) {
 		t.Errorf("source delivered its own messages: %v", got[0])
 	}
 }
+
+// TestRecoverySweepDeliversInSequenceAcrossWrap pins the order a recovery
+// sweep delivers in. A backup slot's index is its message's sequence number
+// modulo BackupSlots, so slot order is sequence order except across the wrap:
+// with 64 slots, messages 63, 64 and 65 sit in slots 63, 0 and 1. The source
+// fails holding exactly those three — the link to the reader cut before they
+// left, so no ring will ever carry them — and the reader's handler is what
+// package core puts behind it: a per-source buffer served head first, in which
+// each call here depends on its predecessor. Delivered in slot order the buffer
+// reads 64, 65, 63 and its head waits for ever on a call queued behind it.
+func TestRecoverySweepDeliversInSequenceAcrossWrap(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := sim.NewEngine(31)
+	fab := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
+	Setup(fab, cfg)
+	src := NewBroadcaster(fab, fab.Node(0), cfg)
+
+	var buffer []uint64 // delivered, not yet applied
+	applied := uint64(0)
+	rx := NewReceiver(fab, fab.Node(1), cfg, func(_ rdma.NodeID, seq uint64, _ []byte) {
+		buffer = append(buffer, seq)
+		for len(buffer) > 0 && buffer[0] == applied+1 {
+			applied, buffer = buffer[0], buffer[1:]
+		}
+	})
+
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			if err := src.Broadcast([]byte("call"), nil); err != nil {
+				t.Errorf("broadcast: %v", err)
+			}
+		}
+	}
+	before := cfg.BackupSlots - 2
+	eng.At(0, func() { send(before) })
+	eng.At(sim.Time(sim.Millisecond), func() {
+		if applied != uint64(before) {
+			t.Errorf("%d of %d messages applied before the fault", applied, before)
+		}
+		fab.PartitionLink(0, 1)
+		send(3) // slots 63 and, across the wrap, 0 and 1
+	})
+	eng.At(sim.Time(sim.Millisecond+100*sim.Microsecond), func() {
+		fab.Node(0).Suspend()
+		rx.RecoverFrom(0)
+	})
+	eng.RunUntil(sim.Time(2 * sim.Millisecond))
+
+	if want := uint64(before + 3); applied != want || len(buffer) != 0 {
+		t.Fatalf("applied through %d with %v still buffered, want through %d and the buffer drained", applied, buffer, want)
+	}
+}

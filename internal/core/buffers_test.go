@@ -13,19 +13,6 @@ import (
 	"hamband/internal/spec"
 )
 
-// bundledClasses lists the 18 bundled data types (the rows of `hambench -exp
-// overview`).
-func bundledClasses() []*spec.Class {
-	return []*spec.Class{
-		crdt.NewCounter(), crdt.NewPNCounter(), crdt.NewLWW(), crdt.NewLWWMap(),
-		crdt.NewGSet(), crdt.NewGSetBuffered(), crdt.NewTwoPSet(),
-		crdt.NewORSet(), crdt.NewCart(), crdt.NewRGA(), crdt.NewMVRegister(4),
-		crdt.NewAccount(), crdt.NewBankMap(),
-		schema.NewProjectManagement(), schema.NewCourseware(),
-		schema.NewMovie(), schema.NewAuction(), schema.NewTournament(),
-	}
-}
-
 // chargedUnder returns a sim.CPU observer that adds to *sum the cost of every
 // work item submitted from under a function whose name contains site. The
 // observer runs on the submitter's stack, so a receiver's poll sweeps and the
@@ -53,7 +40,7 @@ func chargedUnder(site string, sum *sim.Duration) func(sim.Duration) {
 // of a class without one spends no CPU polling rings nothing can write.
 func TestFreeBuffersFollowAnalysis(t *testing.T) {
 	const n = 4
-	for _, cls := range bundledClasses() {
+	for _, cls := range schema.Bundled() {
 		h := newHarness(t, cls, n, 1, nil)
 		want := h.cluster.An.HasFreeBuffers()
 		polled := make([]sim.Duration, n)

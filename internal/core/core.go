@@ -362,7 +362,6 @@ type Replica struct {
 
 	// Summaries.
 	sums     [][]*sumSlot // [sum group][proc]
-	sumVer   [][]uint32   // local write version per own slot
 	haveSums bool
 	// coal batches summary-slot writes per peer into one chained doorbell;
 	// private by default, shared across shards when Options.Coalescers is
@@ -509,7 +508,6 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 			row[p] = &sumSlot{call: cls.SumGroups[g].Identity(), counts: make([]uint32, len(cls.SumGroups[g].Methods))}
 		}
 		r.sums = append(r.sums, row)
-		r.sumVer = append(r.sumVer, make([]uint32, n))
 	}
 	r.deltaW = make([]deltaWriter, len(cls.SumGroups))
 	for g := range r.deltaW {

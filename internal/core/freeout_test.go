@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -352,6 +354,52 @@ func TestFreeBatchingConverges(t *testing.T) {
 	}
 }
 
+// oversizedArgs are arguments whose record no broadcast message can carry at
+// the default sizes or below: 64 integers of ten varint bytes each.
+func oversizedArgs() spec.Args {
+	big := spec.Args{I: make([]int64, 64)}
+	for i := range big.I {
+		big.I[i] = math.MinInt64 + int64(i)
+	}
+	return big
+}
+
+// TestTooLargeFreeCallTouchesNothing: at the default sizes the backup slot
+// decides the bound, and a call whose record exceeds it is answered with an
+// error wrapping codec.ErrTooLarge before it exists anywhere — the source's
+// state and applied counts, its backup region (nothing staged) and the wire (no
+// write posted, so nothing for a peer to apply) are as they were.
+func TestTooLargeFreeCallTouchesNothing(t *testing.T) {
+	h := newHarness(t, crdt.NewORSet(), 3, 149, nil)
+	h.addAt(0, 1)
+	h.eng.RunUntil(sim.Time(sim.Millisecond))
+	h.assertAppliedOnce([]int{0, 1, 2}, 1)
+
+	r0 := h.cluster.Replica(0)
+	backup := r0.node.Region("rb-backup").Bytes()
+	state, applied := r0.CurrentState(), r0.Applied().Clone()
+	staged, writes := bytes.Clone(backup), h.fab.Stats().Writes
+
+	big := oversizedArgs()
+	var refused error
+	r0.Invoke(crdt.ORSetAdd, big, func(_ any, err error) { refused = err })
+	h.eng.RunUntil(sim.Time(2 * sim.Millisecond))
+
+	if !errors.Is(refused, codec.ErrTooLarge) {
+		t.Fatalf("a %d-argument call under the %d-byte bound: %v, want an error wrapping codec.ErrTooLarge", len(big.I), h.cluster.freeBound, refused)
+	}
+	if !r0.CurrentState().Equal(state) || !reflect.DeepEqual(r0.Applied(), applied) || len(r0.freeBatch) != 0 {
+		t.Fatalf("the refused call took effect at its source: state %v, applied %v, %d bytes batched", r0.CurrentState(), r0.Applied(), len(r0.freeBatch))
+	}
+	if !bytes.Equal(backup, staged) {
+		t.Fatal("the refused call was staged in the backup region")
+	}
+	if got := h.fab.Stats().Writes; got != writes {
+		t.Fatalf("%d writes posted for the refused call", got-writes)
+	}
+	h.assertAppliedOnce([]int{1, 2}, 1)
+}
+
 // TestFreeBoundFollowsTheRing: the bound is the smaller of what the backup
 // slot and what half an inbound ring can hold. With 512-byte rings the ring
 // decides; a burst that fills messages to the bound drains and converges
@@ -384,10 +432,7 @@ func TestFreeBoundFollowsTheRing(t *testing.T) {
 	// A call whose record no message can carry is refused before it takes
 	// effect anywhere: not applied or counted at the source, nothing batched,
 	// nothing sent for a peer to apply.
-	big := spec.Args{I: make([]int64, 64)}
-	for i := range big.I {
-		big.I[i] = math.MinInt64 + int64(i)
-	}
+	big := oversizedArgs()
 	r0 := h.cluster.Replica(0)
 	state := r0.CurrentState().Clone()
 	var refused error

@@ -279,8 +279,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	slot.counts[gi]++
 	r.applied.Set(r.id, u, slot.counts[gi])
 	r.foldViews(c)
-	r.sumVer[g][int(r.id)]++
-	slot.version = r.sumVer[g][int(r.id)]
+	slot.version++
 
 	// The validated frame is self-delimiting (leading version, length,
 	// payload, CRC, trailing version), so only the used bytes are framed

@@ -85,7 +85,7 @@ func runViews(t *testing.T, cls *spec.Class, seed int64, faults, dropDirty bool)
 	})
 	if faults {
 		at := func(us int, fn func()) { h.eng.At(sim.Time(us)*sim.Time(sim.Microsecond), fn) }
-		at(300, func() { h.fab.SetLinkTorn(2, 3, 10*sim.Microsecond, 0) })
+		at(300, func() { h.fab.SetLinkTorn(2, 3, 30*sim.Microsecond, 10*sim.Microsecond) })
 		at(900, func() { h.fab.SetLinkTorn(2, 3, 0, 0) })
 		at(500, func() { h.fab.PartitionLink(0, 1) })
 		at(700, func() {

@@ -38,10 +38,13 @@ const skipMarker = 0xFFFFFFFF
 var ErrCorrupt = errors.New("ring: corrupt record")
 
 // tornRetryLimit bounds how many consecutive polls may observe the same
-// record failing its CRC before the reader declares the writer dead mid-
-// write and parks. A torn landing completes within one fabric delay —
-// orders of magnitude under a poll period — so a record torn this long is
-// never going to heal.
+// record failing its CRC before the reader diagnoses a writer dead mid-write
+// and parks. A torn landing normally completes within one fabric delay —
+// orders of magnitude under a poll period — but a degraded link may take
+// longer than any fixed window, and validity is a property of the bytes: a
+// reader parked this way checks the record again on every poll and resumes
+// when it validates. The limit decides when the fault is reported, not how
+// long the reader waits.
 const tornRetryLimit = 8
 
 // RegionSize returns the memory-region size for a ring of the given data
@@ -153,7 +156,8 @@ type Reader struct {
 	head       uint64
 	torn       uint64 // records rejected by the CRC check
 	tornStreak int    // consecutive polls rejecting the same offset
-	parked     error  // sticky quarantine diagnosis; nil while healthy
+	parked     error  // quarantine diagnosis; nil while healthy
+	final      bool   // parked by an impossible length word: never looked at again
 
 	// Drain proof (EpochFloor.RaiseAfterDrain). wrapPending is set when an
 	// explicit skip marker is consumed: the writer only places one
@@ -191,10 +195,12 @@ func (r *Reader) Head() uint64 { return r.head }
 // still landing.
 func (r *Reader) TornRejects() uint64 { return r.torn }
 
-// Parked returns the sticky diagnosis if the reader has quarantined the
-// ring, nil while it is healthy. A parked reader reported the fault from
-// Poll exactly once; afterwards Poll reports an idle ring rather than the
-// same error forever.
+// Parked returns the diagnosis if the reader has quarantined the ring, nil
+// while it is healthy. A parked reader reported the fault from Poll exactly
+// once; afterwards Poll reports an idle ring rather than the same error
+// forever. A reader parked by CRC failures is healthy again — Parked nil —
+// from the poll on which the record validates; one parked by an impossible
+// length word stays parked.
 func (r *Reader) Parked() error { return r.parked }
 
 // TornStreak returns how many consecutive polls have rejected the record at
@@ -233,15 +239,17 @@ func (r *Reader) StaleRejects() uint64 { return r.stale }
 // (including framing) when one is complete and validated, and
 // (nil, false, nil) when the ring is empty, the next record's write is
 // still landing, or the reader is parked. A corrupt layout — an impossible
-// length word, or a record whose CRC never validates within the bounded
+// length word, or a record whose CRC does not validate within the bounded
 // retry window — is surfaced exactly once, with offset and head
 // diagnostics, and parks the reader: subsequent polls return idle instead
-// of re-reporting the same fault every poll. Consumed bytes are zeroed and
-// the head counter in the region header is advanced for the remote
-// writer's flow control.
+// of re-reporting the same fault every poll. The length word is corruption
+// and terminal; the CRC may be lateness, so a reader parked by it validates
+// the same record once per poll and carries on when it passes. Consumed
+// bytes are zeroed and the head counter in the region header is advanced
+// for the remote writer's flow control.
 func (r *Reader) Poll() ([]byte, bool, error) {
 	r.quiet = false
-	if r.parked != nil {
+	if r.final {
 		return nil, false, nil
 	}
 	for {
@@ -269,6 +277,7 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 		}
 		n := uint64(lenWord)
 		if n < codec.RawOverhead || n > boundary || n > r.capacity/2 {
+			r.final = true
 			return r.park(fmt.Errorf("%w: length %d at offset %d (head %d): ring parked",
 				ErrCorrupt, n, pos, r.head))
 		}
@@ -282,6 +291,9 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 		// — not its interior, which the fabric may deliver later. The CRC
 		// trailer validates the whole frame in this single pass.
 		if err := codec.ValidateRecord(data[pos : pos+n]); err != nil {
+			if r.parked != nil {
+				return nil, false, nil // diagnosed already: looked again, still torn
+			}
 			r.torn++
 			r.tornStreak++
 			if r.tornStreak >= tornRetryLimit {
@@ -291,8 +303,8 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 			}
 			return nil, false, nil // torn landing: retry next poll
 		}
-		r.tornStreak = 0
-		r.wrapPending = false // the promised post-wrap record has landed
+		r.tornStreak, r.parked = 0, nil // whole, however long it took: late, not lost
+		r.wrapPending = false           // the promised post-wrap record has landed
 		if r.epochOf != nil {
 			if epoch, ok := r.epochOf(data[pos : pos+n]); ok && !r.floor.Admits(epoch) {
 				// Stale-epoch write: the record is whole (it passed the CRC)

@@ -124,6 +124,16 @@ func TestCorruptLengthParksOnce(t *testing.T) {
 	if perr := r.Parked(); !errors.Is(perr, ErrCorrupt) {
 		t.Fatalf("Parked() = %v, want the sticky ErrCorrupt", perr)
 	}
+	// Terminal: a length word that was impossible once is corruption, not
+	// lateness, whatever the bytes read afterwards.
+	rec, err := codec.EncodeRaw([]byte("too late"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(region[HeaderSize:], rec)
+	if _, ok, perr := r.Poll(); ok || perr != nil || r.Parked() == nil {
+		t.Fatalf("poll over rewritten bytes = (%v, %v), Parked %v; want idle and parked", ok, perr, r.Parked())
+	}
 }
 
 // TestPersistentTornRecordParks pins the bounded retry: a record that fails
@@ -175,6 +185,62 @@ func TestPersistentTornRecordParks(t *testing.T) {
 	}
 	if r.Parked() == nil {
 		t.Fatal("Parked() = nil after quarantine")
+	}
+}
+
+// TestLateInteriorUnparks pins the other half of the bounded retry: the limit
+// decides when a torn record is reported, not how long the reader waits for
+// it. A link that tears by longer than the retry window (30 µs against eight
+// 2 µs polls) lands the boundary bytes now and the interior later; the reader
+// parks, reports once, validates the same record again on every poll and
+// delivers it — and what follows it — when the interior arrives.
+func TestLateInteriorUnparks(t *testing.T) {
+	region := make([]byte, RegionSize(256))
+	w := NewWriter(256)
+	r := NewReader(region)
+
+	first, err := codec.EncodeRaw(bytes.Repeat([]byte{0xC1}, 40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := codec.EncodeRaw([]byte("behind the late one"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	late, _ := w.Append(first)
+	landBoundary(region, late[0])
+	next, _ := w.Append(second)
+	apply(region, next)
+
+	reports := 0
+	for i := 0; i < tornRetryLimit+7; i++ {
+		_, ok, perr := r.Poll()
+		if ok {
+			t.Fatalf("poll %d consumed a record past a torn one", i)
+		}
+		if perr != nil {
+			reports++
+		}
+	}
+	if reports != 1 || r.Parked() == nil {
+		t.Fatalf("%d reports, Parked() = %v; want the diagnosis once and the reader parked", reports, r.Parked())
+	}
+	if got := r.TornRejects(); got != tornRetryLimit {
+		t.Fatalf("TornRejects = %d, want %d: a parked reader's looks are not new rejections", got, tornRetryLimit)
+	}
+
+	apply(region, late) // the interior lands
+	for _, want := range [][]byte{first, second} {
+		got, ok, perr := r.Poll()
+		if perr != nil || !ok || !bytes.Equal(got, want) {
+			t.Fatalf("poll after the interior landed = (%q, %v, %v), want %q", got, ok, perr, want)
+		}
+		if r.Parked() != nil || r.TornStreak() != 0 {
+			t.Fatalf("Parked() = %v, TornStreak() = %d after a validated record", r.Parked(), r.TornStreak())
+		}
+	}
+	if _, ok, perr := r.Poll(); ok || perr != nil || !r.Quiescent() {
+		t.Fatalf("drained ring polls (%v, %v), quiescent %v", ok, perr, r.Quiescent())
 	}
 }
 

@@ -19,8 +19,22 @@
 package schema
 
 import (
+	"hamband/internal/crdt"
 	"hamband/internal/spec"
 )
+
+// Bundled returns a fresh instance of each of the 18 bundled data types — the
+// CRDTs of package crdt and the schemas of this package — in the order
+// `hambench -exp analysis`, `-exp overview` and `wrdtcheck` print them.
+func Bundled() []*spec.Class {
+	return []*spec.Class{
+		crdt.NewCounter(), crdt.NewPNCounter(), crdt.NewLWW(), crdt.NewLWWMap(),
+		crdt.NewGSet(), crdt.NewGSetBuffered(), crdt.NewTwoPSet(),
+		crdt.NewORSet(), crdt.NewCart(), crdt.NewRGA(), crdt.NewMVRegister(4),
+		crdt.NewAccount(), crdt.NewBankMap(),
+		NewProjectManagement(), NewCourseware(), NewMovie(), NewAuction(), NewTournament(),
+	}
+}
 
 // pair packs a relation row (left, right) into one int64.
 func pair(l, r int64) int64 { return l<<20 | (r & 0xFFFFF) }

@@ -205,6 +205,23 @@ func Analyze(cls *Class) (*Analysis, error) {
 	return a, nil
 }
 
+// Serialized returns cls as state machine replication sees it: every pair of
+// update methods conflicts (a method with itself included), and nothing is
+// summarized or declared dependent, since a total order subsumes both. Analyze
+// then yields one synchronization group of all the update methods, so the
+// runtime orders every update through one Mu instance: the Mu SMR baseline of
+// the paper's evaluation.
+func Serialized(cls *Class) *Class {
+	s := *cls
+	ups := cls.UpdateMethods()
+	s.ConflictsWith = make(map[MethodID][]MethodID, len(ups))
+	for _, u := range ups {
+		s.ConflictsWith[u] = ups
+	}
+	s.SumGroups, s.DependsOn = nil, nil
+	return &s
+}
+
 // MustAnalyze is Analyze panicking on error; for statically-known classes.
 func MustAnalyze(cls *Class) *Analysis {
 	a, err := Analyze(cls)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"hamband/internal/crdt"
+	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
@@ -143,6 +144,41 @@ func TestAnalyzeSyncGroupConnectivity(t *testing.T) {
 	}
 	if a.Category[4] != spec.CatIrreducibleFree {
 		t.Fatalf("4 has no sum group; category = %v", a.Category[4])
+	}
+}
+
+// TestSerializedAnalysis pins the SMR reading of every bundled class: all the
+// update methods in one synchronization group, so nothing is left for the
+// summary slots or the F buffers, and the class itself is not edited.
+func TestSerializedAnalysis(t *testing.T) {
+	bundled := schema.Bundled()
+	if len(bundled) != 18 {
+		t.Fatalf("%d bundled classes, want 18", len(bundled))
+	}
+	for _, cls := range bundled {
+		own := spec.MustAnalyze(cls)
+		an, err := spec.Analyze(spec.Serialized(cls))
+		if err != nil {
+			t.Fatalf("%s: %v", cls.Name, err)
+		}
+		ups := cls.UpdateMethods()
+		if len(an.SyncGroups) != 1 || len(an.SyncGroups[0]) != len(ups) {
+			t.Fatalf("%s: sync groups %v, want one of all %d update methods", cls.Name, an.SyncGroups, len(ups))
+		}
+		for u, cat := range an.Category {
+			if want := cls.Methods[u].Kind == spec.Query; (cat == spec.CatQuery) != want || (!want && cat != spec.CatConflicting) {
+				t.Fatalf("%s: %s is %v under Serialized", cls.Name, cls.Methods[u].Name, cat)
+			}
+			if an.SumGroupOf[u] != spec.NoGroup || len(an.DependsOn[u]) != 0 {
+				t.Fatalf("%s: %s keeps a summarization group or a dependency under Serialized", cls.Name, cls.Methods[u].Name)
+			}
+		}
+		if an.HasFreeBuffers() {
+			t.Fatalf("%s: F buffers under Serialized", cls.Name)
+		}
+		if again := spec.MustAnalyze(cls); again.Summary() != own.Summary() {
+			t.Fatalf("%s: Serialized changed the class's own analysis:\n%s\nwas\n%s", cls.Name, again.Summary(), own.Summary())
+		}
 	}
 }
 
