@@ -82,7 +82,7 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "write the metrics experiment's registry snapshot as JSON to FILE")
 	latencyJSON := flag.String("latency-json", "", "write the latency experiment's per-stage snapshot as JSON to FILE (compare with -exp benchstat)")
 	wireJSON := flag.String("wire-json", "", "write the wire experiment's per-class snapshot as JSON to FILE (compare with -exp benchstat)")
-	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops by more than this percentage (0 disables)")
+	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops, or its p99 rises, by more than this percentage (0 disables)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	snapshotOut := flag.String("snapshot-out", "BENCH.json", "output file for the snapshot experiment")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
@@ -243,8 +243,8 @@ func writeSnapshot(cfg bench.Config, path string) {
 
 // compareSnapshots prints throughput and p99 deltas between two snapshots.
 // With a nonzero maxRegress it additionally gates every point: any matched
-// point whose throughput dropped by more than that percentage makes
-// the command exit nonzero — the CI regression check.
+// point whose throughput dropped, or whose p99 rose, by more than that
+// percentage makes the command exit nonzero — the CI regression check.
 func compareSnapshots(oldPath, newPath string, maxRegress float64) {
 	if oldPath == "" || newPath == "" {
 		fmt.Fprintln(os.Stderr, "hambench: -exp benchstat needs -old FILE and -new FILE")

@@ -124,7 +124,7 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		r.ep.CPU.Exec(r.opts.ApplyCost, func() {
 			r.cls.ApplyCall(r.sigma, c)
 			r.applied.Inc(r.id, u)
-			entry, err := codec.EncodeEntry(c, nil)
+			entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c})
 			if err != nil {
 				if onDone != nil {
 					onDone(nil, err)
@@ -142,10 +142,11 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 
 // onMessage applies a remotely issued effector.
 func (r *Replica) onMessage(_ msgnet.NodeID, payload []byte) {
-	c, _, _, err := codec.DecodeEntry(payload)
+	rec, _, err := codec.DecodeDeltaRecord(payload)
 	if err != nil {
 		return
 	}
+	c := rec.C
 	r.ep.CPU.Exec(r.opts.ApplyCost, func() {
 		r.cls.ApplyCall(r.sigma, c)
 		r.applied.Inc(c.Proc, c.Method)

@@ -79,14 +79,16 @@ const reservoirSize = 4096
 
 // Percentile returns the response-time percentile p in [0,100] from the
 // sampling reservoir (exact when fewer than reservoirSize calls completed).
-func (r *Result) Percentile(p float64) sim.Duration {
-	if len(r.rtSamples) == 0 {
+func (r *Result) Percentile(p float64) sim.Duration { return percentile(r.rtSamples, p) }
+
+// percentile returns the p-th percentile, p in [0,100], of samples (0 of none).
+func percentile(samples []sim.Duration, p float64) sim.Duration {
+	if len(samples) == 0 {
 		return 0
 	}
-	sorted := append([]sim.Duration(nil), r.rtSamples...)
+	sorted := append([]sim.Duration(nil), samples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	idx := int(p / 100 * float64(len(sorted)-1))
-	return sorted[idx]
+	return sorted[int(p/100*float64(len(sorted)-1))]
 }
 
 // Throughput returns operations per virtual microsecond, the paper's

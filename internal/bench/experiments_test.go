@@ -168,3 +168,19 @@ func TestRegressionCheckGatesEveryPoint(t *testing.T) {
 		t.Fatalf("regressions reported: %q, want the fig10 and shard/uniform points", bad)
 	}
 }
+
+// TestRegressionCheckGatesTails: the same threshold gates a matched point's
+// p99 rising. A tail deliberately slowed by a tenth fails at unchanged
+// throughput; one inside the bound, a faster one, and a point whose baseline
+// recorded no tail (the shard points up to BENCH_PR21.json) pass.
+func TestRegressionCheckGatesTails(t *testing.T) {
+	pt := func(exp string, p99 float64) SnapPoint {
+		return SnapPoint{Experiment: exp, System: "Hamband", Class: "movie", Nodes: 4, UpdateRatio: 1, OpsPerUs: 3.12, P99Us: p99}
+	}
+	old := Snapshot{Schema: 1, Points: []SnapPoint{pt("fig10", 15.7), pt("doorbell/baseline", 15.7), pt("wire/delta", 15.7), pt("shard/uniform", 0)}}
+	cur := Snapshot{Schema: 1, Points: []SnapPoint{pt("fig10", 17.3), pt("doorbell/baseline", 16.4), pt("wire/delta", 9), pt("shard/uniform", 3.2)}}
+	bad := RegressionCheck(old, cur, 5)
+	if len(bad) != 1 || !strings.Contains(bad[0], "fig10") || !strings.Contains(bad[0], "p99 15.70 -> 17.30") {
+		t.Fatalf("regressions reported: %q, want the fig10 tail alone", bad)
+	}
+}

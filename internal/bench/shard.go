@@ -24,6 +24,12 @@ type shardResult struct {
 	MakespanU float64 `json:"makespan_us"`
 	OpsPerUs  float64 `json:"ops_per_us"`
 
+	// Response times of the completed calls, Invoke to callback.
+	MeanRTUs float64 `json:"mean_rt_us"`
+	P50Us    float64 `json:"p50_us"`
+	P95Us    float64 `json:"p95_us"`
+	P99Us    float64 `json:"p99_us"`
+
 	PerShard []int `json:"per_shard_ops"` // completed ops by shard index
 
 	// Doorbell accounting on the shared per-peer QPs.
@@ -81,15 +87,19 @@ func (cfg Config) shardPoint(shards, idle, nodes, ops int, skew float64) shardRe
 
 	res := shardResult{Shards: shards, Skew: skew, Ops: ops, PerShard: make([]int, shards)}
 	issued, done := 0, 0
+	rts := make([]sim.Duration, 0, ops)
+	var rtTotal sim.Duration
 	var issue func(p spec.ProcID)
 	issue = func(p spec.ProcID) {
 		if issued >= ops {
 			return
 		}
 		issued++
-		si := pick()
+		si, start := pick(), eng.Now()
 		st.Invoke(keys[si], p, crdt.CounterAdd, spec.ArgsI(1), func(_ any, err error) {
 			done++
+			rts = append(rts, sim.Duration(eng.Now()-start))
+			rtTotal += rts[len(rts)-1]
 			if err == nil {
 				res.PerShard[si]++
 			}
@@ -113,6 +123,10 @@ func (cfg Config) shardPoint(shards, idle, nodes, ops int, skew float64) shardRe
 	if res.MakespanU > 0 {
 		res.OpsPerUs = float64(done) / res.MakespanU
 	}
+	if done > 0 {
+		res.MeanRTUs = (rtTotal / sim.Duration(done)).Micros()
+	}
+	res.P50Us, res.P95Us, res.P99Us = percentile(rts, 50).Micros(), percentile(rts, 95).Micros(), percentile(rts, 99).Micros()
 	fs := fab.Stats()
 	res.Writes, res.Chains, res.ChainedWRs = fs.Writes, fs.Chains, fs.ChainedWRs
 	for n := 0; n < nodes; n++ {

@@ -116,6 +116,10 @@ func (cfg Config) Snapshot() Snapshot {
 			Nodes:       4,
 			UpdateRatio: 1.0,
 			OpsPerUs:    r.OpsPerUs,
+			MeanRTUs:    r.MeanRTUs,
+			P50Us:       r.P50Us,
+			P95Us:       r.P95Us,
+			P99Us:       r.P99Us,
 		})
 	}
 	wireOps := cfg.Ops / 4
@@ -130,10 +134,11 @@ func (cfg Config) Snapshot() Snapshot {
 }
 
 // RegressionCheck compares every current point against the baseline and
-// returns one message per point whose throughput dropped by more than
-// maxDropPct percent. Points missing from either side are ignored — only
-// like-for-like pairs can regress.
-func RegressionCheck(old, cur Snapshot, maxDropPct float64) []string {
+// returns one message per point whose throughput dropped, or whose p99 rose,
+// by more than maxPct percent. Points missing from either side are ignored —
+// only like-for-like pairs can regress — and so is the tail of a point whose
+// baseline recorded none.
+func RegressionCheck(old, cur Snapshot, maxPct float64) []string {
 	idx := make(map[string]SnapPoint, len(old.Points))
 	for _, p := range old.Points {
 		idx[p.key()] = p
@@ -144,9 +149,13 @@ func RegressionCheck(old, cur Snapshot, maxDropPct float64) []string {
 		if !ok || op.OpsPerUs == 0 {
 			continue
 		}
-		if d := pctDelta(op.OpsPerUs, np.OpsPerUs); d < -maxDropPct {
+		if d := pctDelta(op.OpsPerUs, np.OpsPerUs); d < -maxPct {
 			bad = append(bad, fmt.Sprintf("%s %s %s: throughput %.2f -> %.2f ops/µs (%.1f%%)",
 				np.Experiment, np.System, np.Class, op.OpsPerUs, np.OpsPerUs, d))
+		}
+		if d := pctDelta(op.P99Us, np.P99Us); op.P99Us > 0 && d > maxPct {
+			bad = append(bad, fmt.Sprintf("%s %s %s: p99 %.2f -> %.2f µs (+%.1f%%)",
+				np.Experiment, np.System, np.Class, op.P99Us, np.P99Us, d))
 		}
 	}
 	return bad

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hamband/internal/sim"
+	"hamband/internal/trace"
 )
 
 // readCorpusPlan reads and validates one committed plan.
@@ -62,15 +63,42 @@ var denseRoundPlans = []string{"bankmap-rounds-seed1700.json", "bankmap-rounds-s
 // default one too). Each suspends the group-0 leader mid-round, resumes it
 // as a zombie holding a queue while its successor serves, and then suspends
 // the successor mid-round as well. Every probe must pass, the leaders must
-// in fact have been batching, and both kills must have forced an election.
+// in fact have been batching, both kills must have forced an election, and
+// each must have caught its victim mid-round: the last call the victim (shard
+// s00's leader on the shardmix plan) sequenced before the kill commits there
+// after it, or never. The kill times are placed on this schedule by hand; PR 22
+// shortened the records and the first kill of seed 1700 fell between two rounds
+// (it moved from 43.7 to 45.7 µs), which only this check can see.
 func TestCorpusDenseRounds(t *testing.T) {
 	for _, name := range denseRoundPlans {
 		t.Run(name, func(t *testing.T) {
 			p := readCorpusPlan(t, filepath.Join("testdata", "chaos", name))
 			opts := denseRounds
 			opts.EnableMetrics = true
+			opts.TraceLimit = 1 << 20
 			v := mustRun(t, p, opts)
 			assertPassed(t, v)
+			events := v.Trace.Events()
+			for _, kill := range p.Events {
+				if kill.Kind != KindLeaderKill {
+					continue
+				}
+				var last *trace.Event
+				for i := range events {
+					if e := &events[i]; e.At < kill.At && e.Kind == trace.Order && (e.Shard == "" || e.Shard == "s00") {
+						last = e
+					}
+				}
+				if last == nil {
+					t.Fatalf("kill at %v: nothing sequenced before it", sim.Duration(kill.At))
+				}
+				for _, e := range events {
+					if e.Kind == trace.Commit && e.Node == last.Node && e.Shard == last.Shard && e.Call == last.Call && e.At < kill.At {
+						t.Fatalf("kill at %v: n%d's last round (%s, sequenced at %v) had committed at %v: the kill is not mid-round",
+							sim.Duration(kill.At), last.Node, last.Call, sim.Duration(last.At), sim.Duration(e.At))
+					}
+				}
+			}
 			if v.Acked+v.Rejected != v.Issued {
 				t.Fatalf("issued %d, acked %d, rejected %d: calls unresolved", v.Issued, v.Acked, v.Rejected)
 			}

@@ -1,16 +1,19 @@
-// Package codec serializes method calls and their dependency records into
-// the byte format Hamband writes into remote memory (§4): a length-prefixed
-// record carrying the call, its variable-sized dependency arrays, and a
-// CRC32-C + non-zero canary trailer that lets a reader validate a fully
-// written record in a single read.
+// Package codec serializes what Hamband writes into remote memory (§4) as
+// three frames, each validated by re-hashing one read:
 //
-// Summary slots use a seqlock-style frame (a version word before and after
-// the payload) plus a CRC32-C over version, length and payload. The version
-// words are a cheap fast-path rejection of a torn concurrent overwrite; the
-// CRC is authoritative, because a NIC may land a write's boundary bytes
-// before its interior bytes, which fools any scheme that only samples frame
-// edges. Every frame is therefore a checksummed RDMA object: a reader
-// validates any remote or local read in one RTT by re-hashing.
+//   - the call record (delta.go): a length-prefixed, varint-packed call with
+//     its dependency record and, on summary records, the applied counts,
+//     closed by a CRC32-C + non-zero canary trailer. Every path that ships a
+//     call — F buffers, L buffers, the δ-log, the summary anchors, the
+//     message-passing baseline — ships this record.
+//   - the slot: a seqlock-style frame (a version word before and after the
+//     payload) plus a CRC32-C over version, length and payload, for memory
+//     overwritten in place. The version words are a cheap fast-path rejection
+//     of a torn concurrent overwrite; the CRC is authoritative, because a NIC
+//     may land a write's boundary bytes before its interior bytes, which
+//     fools any scheme that only samples frame edges.
+//   - the raw ring record: an opaque payload under the call record's length
+//     word and trailer, for protocol layers that carry their own messages.
 package codec
 
 import (
@@ -18,9 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"slices"
-
-	"hamband/internal/spec"
 )
 
 // Canary is the non-zero byte terminating every complete record.
@@ -59,150 +59,6 @@ const RecordTrailer = 5
 // RawOverhead is the framing cost of EncodeRaw beyond its payload: the u32
 // length word plus the record trailer.
 const RawOverhead = 4 + RecordTrailer
-
-// minEntry is the smallest possible entry record: header, empty arg and
-// dep arrays, trailer.
-const minEntry = 4 + 2 + 2 + 8 + 2 + 2 + 4 + RecordTrailer
-
-// AppendEntry appends (call, deps) to dst as a self-delimiting record and
-// returns the extended slice:
-//
-//	u32 total length | u16 method | u16 proc | u64 seq |
-//	u16 #ints | u16 #strs | ints | (u16 len + bytes)* |
-//	u32 #deps | deps | u32 crc | canary
-//
-// The CRC32-C covers every byte of the record before it (length word
-// included) and nothing of dst ahead of the record. With enough capacity in
-// dst the call allocates nothing, so a frame that embeds an entry is built in
-// one buffer.
-func AppendEntry(dst []byte, c spec.Call, d spec.DepVec) ([]byte, error) {
-	n := entrySize(c, d)
-	if n > MaxRecord {
-		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
-	}
-	start := len(dst)
-	b := binary.LittleEndian.AppendUint32(slices.Grow(dst, n), uint32(n))
-	b = binary.LittleEndian.AppendUint16(b, uint16(c.Method))
-	b = binary.LittleEndian.AppendUint16(b, uint16(c.Proc))
-	b = binary.LittleEndian.AppendUint64(b, c.Seq)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Args.I)))
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(c.Args.S)))
-	for _, v := range c.Args.I {
-		b = binary.LittleEndian.AppendUint64(b, uint64(v))
-	}
-	for _, s := range c.Args.S {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
-	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(d)))
-	for _, v := range d {
-		b = binary.LittleEndian.AppendUint32(b, v)
-	}
-	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
-	b = append(b, Canary)
-	if len(b)-start != n {
-		panic("codec: size accounting mismatch")
-	}
-	return b, nil
-}
-
-// EncodeEntry is AppendEntry into a fresh buffer.
-func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
-	return AppendEntry(nil, c, d)
-}
-
-func entrySize(c spec.Call, d spec.DepVec) int {
-	n := 4 + 2 + 2 + 8 + 2 + 2 // header
-	n += 8 * len(c.Args.I)
-	for _, s := range c.Args.S {
-		n += 2 + len(s)
-	}
-	n += 4 + 4*len(d)
-	n += RecordTrailer
-	return n
-}
-
-// DecodeEntry parses a record produced by EncodeEntry from the front of b.
-// It returns the call, its dependency record and the total record length
-// consumed. ErrIncomplete is returned when the buffer starts with a zero
-// length (no record); ErrTruncated (which wraps ErrIncomplete) when the
-// length word promises bytes the buffer does not hold or the canary has
-// not landed — a mid-write partial, distinct from ErrCorrupt so ring
-// readers retry instead of parking.
-func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
-	var zero spec.Call
-	if len(b) < 4 {
-		return zero, nil, 0, ErrIncomplete
-	}
-	total := int(binary.LittleEndian.Uint32(b))
-	if total == 0 {
-		return zero, nil, 0, ErrIncomplete
-	}
-	if total < minEntry || total > MaxRecord {
-		return zero, nil, 0, ErrCorrupt
-	}
-	if len(b) < total {
-		return zero, nil, 0, ErrTruncated
-	}
-	if b[total-1] != Canary {
-		return zero, nil, 0, ErrTruncated // write in flight
-	}
-	if binary.LittleEndian.Uint32(b[total-RecordTrailer:]) != Checksum(b[:total-RecordTrailer]) {
-		return zero, nil, 0, ErrTorn
-	}
-	p := 4
-	c := spec.Call{
-		Method: spec.MethodID(binary.LittleEndian.Uint16(b[p:])),
-		Proc:   spec.ProcID(binary.LittleEndian.Uint16(b[p+2:])),
-		Seq:    binary.LittleEndian.Uint64(b[p+4:]),
-	}
-	p += 12
-	ni := int(binary.LittleEndian.Uint16(b[p:]))
-	ns := int(binary.LittleEndian.Uint16(b[p+2:]))
-	p += 4
-	if p+8*ni > total {
-		return zero, nil, 0, ErrCorrupt
-	}
-	if ni > 0 {
-		c.Args.I = make([]int64, ni)
-		for i := range c.Args.I {
-			c.Args.I[i] = int64(binary.LittleEndian.Uint64(b[p:]))
-			p += 8
-		}
-	}
-	if ns > 0 {
-		c.Args.S = make([]string, ns)
-		for i := range c.Args.S {
-			if p+2 > total {
-				return zero, nil, 0, ErrCorrupt
-			}
-			l := int(binary.LittleEndian.Uint16(b[p:]))
-			p += 2
-			if p+l > total {
-				return zero, nil, 0, ErrCorrupt
-			}
-			c.Args.S[i] = string(b[p : p+l])
-			p += l
-		}
-	}
-	if p+4 > total {
-		return zero, nil, 0, ErrCorrupt
-	}
-	nd := int(binary.LittleEndian.Uint32(b[p:]))
-	p += 4
-	if p+4*nd+RecordTrailer != total {
-		return zero, nil, 0, ErrCorrupt
-	}
-	var d spec.DepVec
-	if nd > 0 {
-		d = make(spec.DepVec, nd)
-		for i := range d {
-			d[i] = binary.LittleEndian.Uint32(b[p:])
-			p += 4
-		}
-	}
-	return c, d, total, nil
-}
 
 // SlotOverhead is the framing cost of a validated slot beyond its payload.
 const SlotOverhead = 16 // u32 version + u32 length + payload + u32 crc + u32 version
@@ -326,7 +182,7 @@ func DecodeRaw(b []byte) ([]byte, int, error) {
 	return b[4 : total-RecordTrailer], total, nil
 }
 
-// ValidateRecord checks the trailer of one complete framed record (entry or
+// ValidateRecord checks the trailer of one complete framed record (call or
 // raw — both share the crc+canary suffix) without decoding it: the ring
 // reader's single-pass validation. It returns ErrIncomplete while the
 // canary has not landed, ErrTorn when the canary landed ahead of interior

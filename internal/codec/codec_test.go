@@ -12,6 +12,17 @@ import (
 	"hamband/internal/spec"
 )
 
+// encodeCall and decodeCall are the call record as the buffered paths use it:
+// a FrameFull record of (c, D).
+func encodeCall(c spec.Call, d spec.DepVec) ([]byte, error) {
+	return EncodeDeltaRecord(DeltaRecord{Kind: FrameFull, C: c, D: d})
+}
+
+func decodeCall(b []byte) (spec.Call, spec.DepVec, int, error) {
+	r, n, err := DecodeDeltaRecord(b)
+	return r.C, r.D, n, err
+}
+
 func TestEntryRoundTrip(t *testing.T) {
 	c := spec.Call{
 		Method: 3,
@@ -20,11 +31,11 @@ func TestEntryRoundTrip(t *testing.T) {
 		Seq:    99,
 	}
 	d := spec.DepVec{1, 0, 7}
-	b, err := EncodeEntry(c, d)
+	b, err := encodeCall(c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, d2, n, err := DecodeEntry(b)
+	c2, d2, n, err := decodeCall(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +52,11 @@ func TestEntryRoundTrip(t *testing.T) {
 
 func TestEntryRoundTripEmpty(t *testing.T) {
 	c := spec.Call{Method: 0, Proc: 0, Seq: 0}
-	b, err := EncodeEntry(c, nil)
+	b, err := encodeCall(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, d2, _, err := DecodeEntry(b)
+	c2, d2, _, err := decodeCall(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +83,11 @@ func TestEntryRoundTripQuick(t *testing.T) {
 		if len(d) == 0 {
 			d = nil
 		}
-		b, err := EncodeEntry(c, d)
+		b, err := encodeCall(c, d)
 		if err != nil {
 			return false
 		}
-		c2, d2, n, err := DecodeEntry(b)
+		c2, d2, n, err := decodeCall(b)
 		if err != nil || n != len(b) {
 			return false
 		}
@@ -99,42 +110,58 @@ func TestEntryRoundTripQuick(t *testing.T) {
 }
 
 func TestDecodeEmptyBuffer(t *testing.T) {
-	if _, _, _, err := DecodeEntry(make([]byte, 64)); !errors.Is(err, ErrIncomplete) {
+	if _, _, _, err := decodeCall(make([]byte, 64)); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("err = %v, want ErrIncomplete on zeroed buffer", err)
 	}
-	if _, _, _, err := DecodeEntry(nil); !errors.Is(err, ErrIncomplete) {
+	if _, _, _, err := decodeCall(nil); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("err = %v, want ErrIncomplete on nil", err)
 	}
 }
 
 func TestDecodeMissingCanary(t *testing.T) {
-	b, _ := EncodeEntry(spec.Call{Method: 1, Args: spec.ArgsI(5)}, nil)
+	b, _ := encodeCall(spec.Call{Method: 1, Args: spec.ArgsI(5)}, nil)
 	b[len(b)-1] = 0 // canary not yet landed
-	if _, _, _, err := DecodeEntry(b); !errors.Is(err, ErrIncomplete) {
+	if _, _, _, err := decodeCall(b); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("err = %v, want ErrIncomplete without canary", err)
 	}
 }
 
 func TestDecodeTruncated(t *testing.T) {
-	b, _ := EncodeEntry(spec.Call{Method: 1, Args: spec.ArgsI(5, 6, 7)}, spec.DepVec{1})
-	if _, _, _, err := DecodeEntry(b[:len(b)-4]); !errors.Is(err, ErrIncomplete) {
+	b, _ := encodeCall(spec.Call{Method: 1, Args: spec.ArgsI(5, 6, 7)}, spec.DepVec{1})
+	if _, _, _, err := decodeCall(b[:len(b)-4]); !errors.Is(err, ErrIncomplete) {
 		t.Fatalf("err = %v, want ErrIncomplete on truncation", err)
 	}
 }
 
 func TestDecodeCorruptLength(t *testing.T) {
-	b, _ := EncodeEntry(spec.Call{Method: 1}, nil)
+	b, _ := encodeCall(spec.Call{Method: 1}, nil)
 	b[0], b[1], b[2], b[3] = 5, 0, 0, 0 // below minimum record size
-	if _, _, _, err := DecodeEntry(b); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := decodeCall(b); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 }
 
+// TestEncodeTooLarge: a record of exactly MaxRecord bytes encodes and decodes;
+// one byte more is ErrTooLarge, and dst comes back unextended.
 func TestEncodeTooLarge(t *testing.T) {
-	ints := make([]int64, MaxRecord/8)
-	_, err := EncodeEntry(spec.Call{Method: 1, Args: spec.Args{I: ints}}, nil)
-	if !errors.Is(err, ErrTooLarge) {
-		t.Fatalf("err = %v, want ErrTooLarge", err)
+	sized := func(n int) DeltaRecord {
+		return DeltaRecord{Kind: FrameFull, C: spec.Call{Method: 1, Args: spec.Args{S: []string{strings.Repeat("x", n)}}}}
+	}
+	probe, err := EncodeDeltaRecord(sized(MaxRecord / 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fits := MaxRecord/2 + MaxRecord - len(probe) // the length varint is 3 bytes at both sizes
+	b, err := EncodeDeltaRecord(sized(fits))
+	if err != nil || len(b) != MaxRecord {
+		t.Fatalf("a %d-byte record: %d bytes, %v; want MaxRecord and no error", MaxRecord, len(b), err)
+	}
+	if _, n, err := DecodeDeltaRecord(b); err != nil || n != MaxRecord {
+		t.Fatalf("decoding a MaxRecord record: %d bytes, %v", n, err)
+	}
+	dst := []byte("prefix")
+	if b, err := AppendDeltaRecord(dst, sized(fits+1)); !errors.Is(err, ErrTooLarge) || len(b) != len(dst) {
+		t.Fatalf("one byte over MaxRecord: %d bytes, err = %v; want dst unextended and ErrTooLarge", len(b), err)
 	}
 }
 
@@ -242,7 +269,6 @@ func TestPollingRejectionsAreBareSentinels(t *testing.T) {
 		{"delta bad kind", func() { _, _, got = DecodeDeltaRecord(badKind) }, ErrCorrupt},
 		{"delta no canary", func() { _, _, got = DecodeDeltaRecord(noCanary) }, ErrTruncated},
 		{"delta header bad length", func() { _, got = PeekDeltaRecord(badLen) }, ErrCorrupt},
-		{"entry bad length", func() { _, _, _, got = DecodeEntry(badLen) }, ErrCorrupt},
 		{"raw bad length", func() { _, _, got = DecodeRaw(badLen) }, ErrCorrupt},
 	}
 	for _, c := range cases {
@@ -269,16 +295,16 @@ func TestAppendEncodersZeroAlloc(t *testing.T) {
 	var frame []byte
 	allocs := testing.AllocsPerRun(1000, func() {
 		b := BeginSlot(append(buf[:0], "prefix"...), 9)
-		b, _ = AppendEntry(b, c, d)
+		b, _ = AppendDeltaRecord(b, DeltaRecord{Kind: FrameFull, C: c, D: d})
 		frame = FinishSlot(b, len("prefix"))
 	})
 	if allocs != 0 {
-		t.Errorf("framing an entry into a buffer with capacity allocates %.1f objects, want 0", allocs)
+		t.Errorf("framing a record into a buffer with capacity allocates %.1f objects, want 0", allocs)
 	}
 	if &frame[0] != &buf[:1][0] {
 		t.Fatal("the frame left the buffer it was given")
 	}
-	entry, err := EncodeEntry(c, d)
+	entry, err := encodeCall(c, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +319,7 @@ func TestAppendEncodersZeroAlloc(t *testing.T) {
 	if err != nil || ver != 9 {
 		t.Fatalf("DecodeSlot = v%d, %v", ver, err)
 	}
-	if got, gd, _, err := DecodeEntry(payload); err != nil || !got.Args.Equal(c.Args) || len(gd) != len(d) {
-		t.Fatalf("DecodeEntry = %v %v, %v", got, gd, err)
+	if got, gd, _, err := decodeCall(payload); err != nil || !got.Args.Equal(c.Args) || len(gd) != len(d) {
+		t.Fatalf("DecodeDeltaRecord = %v %v, %v", got, gd, err)
 	}
 }

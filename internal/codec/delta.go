@@ -1,18 +1,13 @@
-// Delta-record framing and varint packing — the wire diet for δ-state
-// dissemination (Almeida et al.): reducible classes ship each mutation as a
-// small δ-record and periodically anchor the full summarized state, instead
-// of overwriting the full serialized summary on every call.
-//
-// A δ-record is a self-delimiting, CRC-validated frame like PR 6's records:
+// The call record: the one serialization of a call and what travels with it.
+// It is a self-delimiting, CRC-validated frame,
 //
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
-// The kind byte names the record's role: FrameFull is a packed full call
-// record (the δ-mutation broadcast path), FrameDelta one folded reducible
-// call of a delta-group (whose full-state anchor is a slot frame, not a
-// record). Kind bytes live above 0xF0 so a delta record can never be
-// confused with an EncodeEntry record, whose fifth byte is a method id's low
-// byte.
+// whose kind byte names its role: FrameFull is a full call record — (c, D) in
+// an F or L buffer, or a summary anchor's call with its applied counts —
+// and FrameDelta one folded reducible call of a slot's δ-log (Almeida et al.:
+// a δ-mutation and the state it joins into share a format), whose version is
+// the slot version it establishes.
 //
 // All integers are varint-packed; spec.DepVec and the per-method applied
 // counts use a columnar delta encoding (first value, then zigzag deltas
@@ -30,24 +25,23 @@ import (
 	"hamband/internal/spec"
 )
 
-// Delta-record kinds. Values above 0xF0 are unreachable as the fifth byte
-// of a legacy entry record (a u16 method id's low byte for any real class).
+// Call-record kinds.
 const (
-	FrameFull  byte = 0xF1 // packed full call record (δ-mutation broadcast)
-	FrameDelta byte = 0xF2 // one folded reducible call of a delta-group
+	FrameFull  byte = 0xF1 // full call record: a buffered (c, D), or a summary anchor
+	FrameDelta byte = 0xF2 // one folded reducible call of a slot's δ-log
 )
 
-// minDelta is the smallest possible delta record: length word, kind,
+// minDelta is the smallest possible call record: length word, kind,
 // one-byte version, one-byte count vector, minimal packed call, trailer.
 const minDelta = 4 + 1 + 1 + 1 + 6 + RecordTrailer
 
-// DeltaRecord is the decoded form of one delta-group record.
+// DeltaRecord is the decoded form of one call record.
 type DeltaRecord struct {
 	Kind    byte
 	Version uint32      // slot version this record establishes (0 on FrameFull)
 	Counts  []uint32    // absolute per-method applied counts (summary records)
-	C       spec.Call   // the δ-mutation, folded call, or full summary
-	D       spec.DepVec // dependency record (FrameFull broadcast records)
+	C       spec.Call   // the buffered call, folded call, or full summary
+	D       spec.DepVec // dependency record (buffered calls)
 }
 
 // AppendUvarint appends v in canonical unsigned varint form.
@@ -222,16 +216,15 @@ func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
 	return c, d, p + n, nil
 }
 
-// AppendDeltaRecord appends one delta-group record to dst as a
-// self-delimiting frame and returns the extended slice:
+// AppendDeltaRecord appends one call record to dst as a self-delimiting frame
+// and returns the extended slice:
 //
 //	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
 //
 // The CRC32-C covers every byte of the record before it (length word
-// included) and nothing of dst ahead of the record, exactly like the legacy
-// entry frame, so torn landings are rejected the same way. With enough
-// capacity in dst the call allocates nothing; on error dst comes back
-// unextended.
+// included) and nothing of dst ahead of the record, so a frame that embeds a
+// record is built in one buffer. With enough capacity in dst the call
+// allocates nothing; on error dst comes back unextended.
 func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 	switch r.Kind {
 	case FrameFull, FrameDelta:
@@ -255,6 +248,17 @@ func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 // EncodeDeltaRecord is AppendDeltaRecord into a fresh buffer.
 func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	return AppendDeltaRecord(make([]byte, 0, 64), r)
+}
+
+// EncodeEntry and DecodeEntry are the names benchmark/micro.go measures the
+// call record under (codec.entry_*); they go when that benchmark is unfrozen.
+func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
+	return EncodeDeltaRecord(DeltaRecord{Kind: FrameFull, C: c, D: d})
+}
+
+func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
+	r, n, err := DecodeDeltaRecord(b)
+	return r.C, r.D, n, err
 }
 
 // DeltaHeader is what validating a delta record yields without decoding its

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
@@ -52,6 +54,60 @@ func TestDeltaRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBundledCallsRoundTrip: for every update method of the 18 bundled classes,
+// random calls — the class generator's, and the same with string arguments
+// added — with empty and full-width dependency records, with and without
+// applied counts, under both kinds, encode to bytes that decode to the record
+// and re-encode to the same bytes.
+func TestBundledCallsRoundTrip(t *testing.T) {
+	const nodes = 7
+	r := rand.New(rand.NewSource(22))
+	classes := schema.Bundled()
+	if len(classes) != 18 {
+		t.Fatalf("%d bundled classes, want 18", len(classes))
+	}
+	for _, cls := range classes {
+		for _, u := range cls.UpdateMethods() {
+			for trial := 0; trial < 40; trial++ {
+				rec := DeltaRecord{Kind: FrameFull, C: cls.Gen.Call(r, u)}
+				rec.C.Proc, rec.C.Seq = spec.ProcID(r.Intn(nodes)), uint64(r.Int63())>>uint(r.Intn(64))
+				if trial%2 == 1 {
+					rec.C.Args.S = append(rec.C.Args.S, strings.Repeat("é", r.Intn(40)), "")
+				}
+				if trial%4 >= 2 {
+					rec.D = make(spec.DepVec, nodes*max(1, len(cls.DependsOn[u])))
+					for i := range rec.D {
+						rec.D[i] = uint32(r.Int63()) >> uint(r.Intn(32))
+					}
+				}
+				if trial%8 >= 4 {
+					rec.Kind, rec.Version = FrameDelta, uint32(r.Int63())
+					rec.Counts = make([]uint32, 1+r.Intn(4))
+					for i := range rec.Counts {
+						rec.Counts[i] = uint32(r.Intn(1 << 20))
+					}
+				}
+				b, err := AppendDeltaRecord([]byte("prefix"), rec)
+				if err != nil {
+					t.Fatalf("%s.%s: %v", cls.Name, cls.Methods[u].Name, err)
+				}
+				got, n, err := DecodeDeltaRecord(b[6:])
+				if err != nil || n != len(b)-6 {
+					t.Fatalf("%s.%s: decoded %d of %d bytes, %v", cls.Name, cls.Methods[u].Name, n, len(b)-6, err)
+				}
+				if got.Kind != rec.Kind || got.Version != rec.Version || got.C.Method != rec.C.Method ||
+					got.C.Proc != rec.C.Proc || got.C.Seq != rec.C.Seq || !got.C.Args.Equal(rec.C.Args) ||
+					!slices.Equal(got.Counts, rec.Counts) || !slices.Equal(got.D, rec.D) {
+					t.Fatalf("%s.%s round trip:\n got %+v\nwant %+v", cls.Name, cls.Methods[u].Name, got, rec)
+				}
+				if re, err := EncodeDeltaRecord(got); err != nil || !bytes.Equal(re, b[6:]) {
+					t.Fatalf("%s.%s: re-encoding differs (%v):\n got %x\nwant %x", cls.Name, cls.Methods[u].Name, err, re, b[6:])
+				}
+			}
+		}
+	}
+}
+
 func TestDepVecPackingShrinks(t *testing.T) {
 	d := make(spec.DepVec, 64)
 	for i := range d {
@@ -91,11 +147,10 @@ func TestDepVecRandomRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDeltaTruncationSweep mirrors the PR 2 entry truncation sweep for the
-// packed framing: every proper prefix of a valid record must decode as a
-// retryable mid-write partial (ErrIncomplete or ErrTruncated), never as
-// success, corruption or a torn frame — a ring reader polling mid-write
-// must keep waiting, not park.
+// TestDeltaTruncationSweep: every proper prefix of a valid record must decode
+// as a retryable mid-write partial (ErrIncomplete or ErrTruncated), never as
+// success, corruption or a torn frame — a ring reader polling mid-write must
+// keep waiting, not park.
 func TestDeltaTruncationSweep(t *testing.T) {
 	b, err := EncodeDeltaRecord(sampleDelta())
 	if err != nil {
@@ -115,18 +170,18 @@ func TestDeltaTruncationSweep(t *testing.T) {
 	}
 }
 
-// TestEntryTruncationDistinguished pins the satellite fix on the legacy
-// decoder: a short buffer is ErrTruncated (retry), not ErrCorrupt (park),
-// and ErrTruncated still satisfies errors.Is(_, ErrIncomplete) for callers
-// that only branch on retryability.
+// TestEntryTruncationDistinguished: a buffered call's record cut short is
+// ErrTruncated (retry), not ErrCorrupt (park), and ErrTruncated still
+// satisfies errors.Is(_, ErrIncomplete) for callers that only branch on
+// retryability.
 func TestEntryTruncationDistinguished(t *testing.T) {
-	b, err := EncodeEntry(spec.Call{Method: 1, Proc: 2, Seq: 3,
+	b, err := encodeCall(spec.Call{Method: 1, Proc: 2, Seq: 3,
 		Args: spec.Args{I: []int64{7}, S: []string{"s"}}}, spec.DepVec{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 4; k < len(b); k++ {
-		_, _, _, derr := DecodeEntry(b[:k])
+		_, _, _, derr := decodeCall(b[:k])
 		if !errors.Is(derr, ErrTruncated) {
 			t.Fatalf("prefix %d/%d: err = %v, want ErrTruncated", k, len(b), derr)
 		}
@@ -257,7 +312,7 @@ func errClass(err error) string {
 	return "unclassified: " + err.Error()
 }
 
-// FuzzDeltaEntry asserts the delta-record decoder never panics, never
+// FuzzDeltaEntry asserts the call-record decoder never panics, never
 // over-reads, and classifies every failure as one of the declared error
 // values on arbitrary remote bytes — and that the header step the δ-log walk
 // uses on its own (PeekDeltaRecord) never disagrees with the full decode: a
@@ -290,6 +345,16 @@ func FuzzDeltaEntry(f *testing.F) {
 	f.Add(short)
 	// Two records back to back, as a δ-log holds them.
 	f.Add(append(append([]byte(nil), good...), full...))
+	// A buffered call with arguments and dependencies, cut in half, and with
+	// its canary flipped; a hostile length word over a tiny buffer.
+	call, _ := encodeCall(spec.Call{Method: 3, Proc: 1, Seq: 9,
+		Args: spec.Args{I: []int64{1, 2}, S: []string{"x"}}}, spec.DepVec{4, 5})
+	f.Add(call)
+	f.Add(call[:len(call)/2])
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f, 1, 2, 3})
+	nocanary := append([]byte(nil), call...)
+	nocanary[len(nocanary)-1] ^= 0xff
+	f.Add(nocanary)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, herr := PeekDeltaRecord(data)
 		r, n, err := DecodeDeltaRecord(data)

@@ -68,40 +68,64 @@ func TestConformCorpus(t *testing.T) {
 	}
 }
 
-// mutatedOrderOpts is the workload density of the apply-order mutation
-// control, shared by the three tests that run it. A dense workload (whole
-// batches in flight at once) keeps the buffers populated, so the order bug
-// manifests with few calls — which is what lets shrinking reach a small
-// counterexample. Conflicting calls reach the buffers a Mu round at a time, so
-// it takes batches of 16 every 5 µs to have two rounds' worth buffered (8
-// every 20 µs sufficed while every call was its own round). Reducible calls
-// reach a peer a δ-run at a time since PR 19, which left the density's catch
-// rate alone (27 of seeds 300–399, 26 before) but moved the seeds that shrink
-// furthest: TestMutatedApplyOrderCaught searches 450–499.
+// mutatedOrderOpts and mutatedOrderPlan are the apply-order mutation control,
+// shared by the tests that run it and by the fingerprint line. What makes the
+// mutant observable is the plan's shape, not its seed. The density (batches of
+// 16 every 5 µs, chaos's denseRounds) keeps a Mu round and a broadcast message
+// several calls long, but that alone shows nothing: every replica drains the
+// same round newest-first the same way, and reordered deposits commute. So the
+// plan also cuts the link between the two nodes that lead nothing for the whole
+// workload. Their opens and deposits still reach the leader, which orders
+// withdraws on top of them and stamps those counts into each D; the withdraws
+// reach the other cut-off node through the leader's log, the calls they depend
+// on do not. The runtime parks such a withdraw — and every one behind it — in
+// the L buffer until the heal, so the buffers hold many entries for tens of µs
+// where an unfaulted run holds two for nanoseconds; the mutant applies them at
+// once, ahead of their dependencies, which the dependency check reports. A
+// record a few bytes shorter or a write a few ns earlier (PR 22 moved both, and
+// the fault-free seed-300 plan this control used to run then conformed) does
+// not change which side of a 35 µs partition a call is on.
 var mutatedOrderOpts = chaos.Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
+
+func mutatedOrderPlan(seed int64) chaos.Plan {
+	return chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 64, Seed: seed, MutateApplyOrder: true,
+		Events: []chaos.Event{
+			{At: 0, Kind: chaos.KindPartition, A: 1, B: 2},
+			{At: sim.Time(35 * sim.Microsecond), Kind: chaos.KindHeal, A: 1, B: 2},
+		}}
+}
+
+// mutatedOrderSeed is the seed the fingerprint line and the flight-window test
+// run the control at.
+const mutatedOrderSeed = 303
 
 // TestMutatedApplyOrderCaught is the harness's own mutation test: with the
 // injected apply-order bug (newest-first buffer drain, dependency gate
-// skipped) the checker must flag the history, and shrinking must reduce the
-// counterexample to at most 8 calls while still failing.
+// skipped) the checker must flag the history — at every one of twenty
+// consecutive seeds, with the dependency violation the plan's shape produces —
+// and shrinking must reduce a counterexample to at most 8 calls while still
+// failing.
 func TestMutatedApplyOrderCaught(t *testing.T) {
 	opts := mutatedOrderOpts
 	var min chaos.Plan
 	found := false
-	for seed := int64(450); seed < 500 && !found; seed++ {
-		p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: seed, MutateApplyOrder: true}
+	for seed := int64(300); seed < 320; seed++ {
+		p := mutatedOrderPlan(seed)
 		res, err := Run(p, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Conforms() {
+		if !hasViolation(res.Report, "dependency") {
+			t.Fatalf("seed %d: the mutated apply order shows no dependency violation:\n%s", seed, res.Report)
+		}
+		if !found {
 			if min = Shrink(p, opts); min.Ops <= 8 {
 				found = true
 			}
 		}
 	}
 	if !found {
-		t.Fatal("no seed in [450,500) shrank the mutated apply order to <= 8 calls")
+		t.Fatal("no seed in [300,320) shrank the mutated apply order to <= 8 calls")
 	}
 
 	res, err := Run(min, opts)
@@ -111,14 +135,20 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 	if res.Conforms() {
 		t.Fatalf("shrunk plan (seed %d, %d ops) no longer fails", min.Seed, min.Ops)
 	}
-	kinds := make(map[string]bool)
-	for _, v := range res.Report.Violations {
-		kinds[v.Check] = true
-	}
-	if !kinds["dependency"] && !kinds["permissibility"] && !kinds["conflict-order"] {
+	if !hasViolation(res.Report, "dependency") && !hasViolation(res.Report, "permissibility") && !hasViolation(res.Report, "conflict-order") {
 		t.Errorf("expected a dependency, permissibility or conflict-order violation, got:\n%s", res.Report)
 	}
-	t.Logf("caught with %d ops, %d events:\n%s", min.Ops, len(min.Events), res.Report)
+	t.Logf("seed %d caught with %d ops, %d events:\n%s", min.Seed, min.Ops, len(min.Events), res.Report)
+}
+
+// hasViolation reports whether rep holds a violation of the given check.
+func hasViolation(rep *Report, check string) bool {
+	for _, v := range rep.Violations {
+		if v.Check == check {
+			return true
+		}
+	}
+	return false
 }
 
 // TestFlightWindowDumpedForFailure pins the debugging artifact chain: a
@@ -128,7 +158,7 @@ func TestMutatedApplyOrderCaught(t *testing.T) {
 // the ring size and carry the event lines a post-mortem needs.
 func TestFlightWindowDumpedForFailure(t *testing.T) {
 	opts := mutatedOrderOpts
-	p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 300, MutateApplyOrder: true}
+	p := mutatedOrderPlan(mutatedOrderSeed)
 	res, err := Run(p, opts)
 	if err != nil {
 		t.Fatal(err)

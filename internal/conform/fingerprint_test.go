@@ -33,9 +33,7 @@ func TestFingerprints(t *testing.T) {
 	cases = append(cases,
 		pinned{name: "sessions/reconfig", plan: sessionReconfigPlan(false)},
 		pinned{name: "sessions/reconfig-stale", plan: sessionReconfigPlan(true)},
-		pinned{name: "mutated/apply-order",
-			plan: chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 300, MutateApplyOrder: true},
-			opts: mutatedOrderOpts},
+		pinned{name: "mutated/apply-order", plan: mutatedOrderPlan(mutatedOrderSeed), opts: mutatedOrderOpts},
 		// Sharded plans, checked per shard since Run does so (lines added
 		// after the golden was first recorded).
 		pinned{name: "sharded/corpus-orset-seed1400", plan: chaosCorpusPlan(t, "orset-shardmix-seed1400.json")},

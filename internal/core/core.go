@@ -369,8 +369,9 @@ type Replica struct {
 	coal *rdma.Coalescer
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
-	// recBuf is where nextDelta and invokeFree encode the record they hand
-	// on; the coalescer and the broadcast both copy it before returning.
+	// recBuf is where nextDelta, invokeFree and encodeConf encode the record
+	// they hand on; the coalescer, the broadcast and encodeConf itself copy it
+	// before returning.
 	recBuf []byte
 
 	// Buffers: FIFO queues of delivered-but-unapplied calls.

@@ -183,46 +183,29 @@ func TestDeltaGapFetchesFullState(t *testing.T) {
 	}
 }
 
-// TestLegacyFreeRecordDropped feeds the delivery path the retired
-// fixed-width entry, alone and in the middle of a batch of packed records: it
-// must be dropped together with whatever follows it in the payload — never
-// decoded as a packed record, never delivered — while the records ahead of it
-// land in the source's F buffer.
-func TestLegacyFreeRecordDropped(t *testing.T) {
+// TestStrayFreeRecordDropped feeds the delivery path a record that is not a
+// buffered call — a summary δ-record — alone and in the middle of a batch: it
+// must be dropped together with whatever follows it in the payload, never
+// delivered, while the records ahead of it land in the source's F buffer.
+func TestStrayFreeRecordDropped(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 76, nil)
 	r := h.cluster.Replica(1)
-	legacy, err := codec.EncodeEntry(spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(1, 100), Proc: 0, Seq: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	packed := func(seq uint64) []byte {
-		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
-			Kind: codec.FrameFull,
-			C:    spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: seq},
-		})
+	record := func(kind byte, seq uint64) []byte {
+		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: kind, Version: 1,
+			C: spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: seq}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	r.onFreeDelivery(0, 1, legacy)
+	r.onFreeDelivery(0, 1, record(codec.FrameDelta, 1))
 	if got := len(r.fQueues[0]); got != 0 {
-		t.Fatalf("a legacy fixed-width record was delivered: %+v", r.fQueues[0])
+		t.Fatalf("a FrameDelta record reached the F buffer: %+v", r.fQueues[0])
 	}
-	batch := append(append(packed(2), legacy...), packed(3)...)
+	batch := append(append(record(codec.FrameFull, 2), record(codec.FrameDelta, 3)...), record(codec.FrameFull, 4)...)
 	r.onFreeDelivery(0, 2, batch)
 	if got := r.fQueues[0]; len(got) != 1 || got[0].c.Seq != 2 {
-		t.Fatalf("mixed batch delivered %+v, want only the packed record ahead of the legacy one", got)
-	}
-	// A summary δ-record is not an F-path record either.
-	stray, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameDelta, Version: 1,
-		C: spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(3, 102), Proc: 0, Seq: 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r.onFreeDelivery(0, 3, stray)
-	if got := len(r.fQueues[0]); got != 1 {
-		t.Fatalf("a FrameDelta record reached the F buffer: %+v", r.fQueues[0])
+		t.Fatalf("mixed batch delivered %+v, want only the record ahead of the stray one", got)
 	}
 }
 

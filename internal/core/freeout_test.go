@@ -400,6 +400,52 @@ func TestTooLargeFreeCallTouchesNothing(t *testing.T) {
 	h.assertAppliedOnce([]int{1, 2}, 1)
 }
 
+// TestTooLargeConfCallTouchesNothing is the twin on rule CONF, whose bound is
+// codec.MaxRecord: a conflicting call whose record does not encode is answered
+// with the codec's error at its origin, before the synchronization group hears
+// of it — no pending request, no state or applied count moved, no write posted
+// towards the leader — and the group goes on ordering calls.
+func TestTooLargeConfCallTouchesNothing(t *testing.T) {
+	h := newHarness(t, crdt.NewAccount(), 3, 151, nil)
+	h.invoke(1, crdt.AccountDeposit, spec.ArgsI(100))
+	h.invoke(1, crdt.AccountWithdraw, spec.ArgsI(30))
+	if !h.drain(sim.Millisecond) {
+		t.Fatal("the warm-up calls did not replicate")
+	}
+
+	r1 := h.cluster.Replica(1) // not the leader: an accepted call would be written to p0
+	state, applied, writes := r1.CurrentState(), r1.Applied().Clone(), h.fab.Stats().Writes
+	big := spec.Args{I: make([]int64, codec.MaxRecord/10+1)}
+	for i := range big.I {
+		big.I[i] = math.MinInt64 // ten varint bytes each
+	}
+	var refused error
+	r1.Invoke(crdt.AccountWithdraw, big, func(_ any, err error) { refused = err })
+	h.eng.RunFor(sim.Millisecond)
+
+	if !errors.Is(refused, codec.ErrTooLarge) {
+		t.Fatalf("a %d-argument conflicting call: %v, want an error wrapping codec.ErrTooLarge", len(big.I), refused)
+	}
+	if len(r1.pendingConf) != 0 {
+		t.Fatalf("the refused call left %d pending requests", len(r1.pendingConf))
+	}
+	if !r1.CurrentState().Equal(state) || !reflect.DeepEqual(r1.Applied(), applied) {
+		t.Fatalf("the refused call took effect at its origin: state %v, applied %v", r1.CurrentState(), r1.Applied())
+	}
+	if got := h.fab.Stats().Writes; got != writes {
+		t.Fatalf("%d writes posted for the refused call", got-writes)
+	}
+	h.invoke(1, crdt.AccountWithdraw, spec.ArgsI(20))
+	if !h.drain(sim.Millisecond) {
+		t.Fatal("the group stopped ordering after the refused call")
+	}
+	for p := 0; p < 3; p++ {
+		if got := h.cluster.Replica(spec.ProcID(p)).CurrentState().(*crdt.AccountState).Balance; got != 50 {
+			t.Fatalf("p%d balance %d, want 50", p, got)
+		}
+	}
+}
+
 // TestFreeBoundFollowsTheRing: the bound is the smaller of what the backup
 // slot and what half an inbound ring can hold. With 512-byte rings the ring
 // decides; a burst that fills messages to the bound drains and converges

@@ -1,9 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 
 	"hamband/internal/codec"
@@ -18,13 +18,10 @@ import (
 func callID(c spec.Call) string { return fmt.Sprintf("p%d#%d", c.Proc, c.Seq) }
 
 // confLabel recovers the call identity from an ordered group entry's
-// payload (flag byte + codec entry) so the consensus layer can attribute
-// its Commit events to the originating call.
+// payload so the consensus layer can attribute its Commit events to the
+// originating call.
 func confLabel(payload []byte) string {
-	if len(payload) < 1 {
-		return ""
-	}
-	c, _, _, err := codec.DecodeEntry(payload[1:])
+	_, c, _, err := decodeConf(payload)
 	if err != nil {
 		return ""
 	}
@@ -387,45 +384,29 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 
 // appendSumFrame appends slot s as one validated slot frame to dst, in a
 // single pass through the append-style codec encoders. The frame's payload is
-// u16 #methods | (u32 count)* | codec entry of the summary call | u32 epoch.
-// The trailing epoch stamps the frame with the configuration its writer
+// the call record of the summary call with its applied counts, then the
+// uvarint epoch, which stamps the frame with the configuration its writer
 // believed current; adopters reject frames stamped before the writer's
 // departure epoch (see the floors on Replica).
 func appendSumFrame(dst []byte, s *sumSlot, epoch uint32) ([]byte, error) {
-	start := len(dst)
-	b := codec.BeginSlot(dst, s.version)
-	b = binary.LittleEndian.AppendUint16(b, uint16(len(s.counts)))
-	for _, c := range s.counts {
-		b = binary.LittleEndian.AppendUint32(b, c)
-	}
-	b, err := codec.AppendEntry(b, s.call, nil)
+	b, err := codec.AppendDeltaRecord(codec.BeginSlot(dst, s.version),
+		codec.DeltaRecord{Kind: codec.FrameFull, Counts: s.counts, C: s.call})
 	if err != nil {
 		return dst, err
 	}
-	b = binary.LittleEndian.AppendUint32(b, epoch)
-	return codec.FinishSlot(b, start), nil
+	return codec.FinishSlot(codec.AppendUvarint(b, uint64(epoch)), len(dst)), nil
 }
 
 func decodeSumSlot(b []byte) (counts []uint32, call spec.Call, epoch uint32, err error) {
-	if len(b) < 2 {
+	rec, n, err := codec.DecodeDeltaRecord(b)
+	if err != nil {
+		return nil, call, 0, err
+	}
+	e, m, err := codec.Uvarint(b[n:])
+	if err != nil || rec.Kind != codec.FrameFull || n+m != len(b) || e > math.MaxUint32 {
 		return nil, call, 0, codec.ErrCorrupt
 	}
-	n := int(b[0]) | int(b[1])<<8
-	p := 2
-	if len(b) < p+4*n {
-		return nil, call, 0, codec.ErrCorrupt
-	}
-	counts = make([]uint32, n)
-	for i := range counts {
-		counts[i] = uint32(b[p]) | uint32(b[p+1])<<8 | uint32(b[p+2])<<16 | uint32(b[p+3])<<24
-		p += 4
-	}
-	var m int
-	call, _, m, err = codec.DecodeEntry(b[p:])
-	if err == nil && len(b) >= p+m+4 {
-		epoch = binary.LittleEndian.Uint32(b[p+m:])
-	}
-	return counts, call, epoch, err
+	return rec.Counts, rec.C, uint32(e), nil
 }
 
 // staleSlot reports (and counts) a slot frame from source p stamped before
@@ -760,9 +741,7 @@ func (r *Replica) flushFree() {
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
 // buffer of its source and tries to apply. Records are self-delimiting, so
 // single-entry and batched payloads share one decode loop. Anything that is
-// not a FrameFull record — the retired fixed-width entry included, whose
-// method low byte sits where the kind byte does and is < 0xF0 for every real
-// method id — fails the decode and drops the rest of the payload.
+// not a FrameFull record drops the rest of the payload.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
 		rec, n, err := codec.DecodeDeltaRecord(payload)
@@ -789,20 +768,42 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			r.cls.Methods[u].Name, r.an.SyncGroupOf[u], r.groups[r.an.SyncGroupOf[u]].Leader()),
 			trace.CallRecord{C: c, SubmitAt: submitAt})
 	}
-	g := r.an.SyncGroupOf[u]
-	if onDone != nil {
-		r.pendingConf[c.Seq] = onDone
-	}
-	entry, err := codec.EncodeEntry(c, nil)
+	// The flag byte stays clear; the leader's Transform decides. A call whose
+	// record does not encode is refused before anything knows of it.
+	payload, err := r.encodeConf(c, nil)
 	if err != nil {
-		delete(r.pendingConf, c.Seq)
 		if onDone != nil {
 			onDone(nil, err)
 		}
 		return
 	}
-	// Flag byte travels ahead of the entry; the leader's Transform decides.
-	r.groups[g].Submit(append([]byte{0}, entry...))
+	if onDone != nil {
+		r.pendingConf[c.Seq] = onDone
+	}
+	r.groups[r.an.SyncGroupOf[u]].Submit(payload)
+}
+
+// encodeConf builds an ordered group entry's payload for (c, d): a flag byte
+// (clear) ahead of the call record, in one allocation.
+func (r *Replica) encodeConf(c spec.Call, d spec.DepVec) ([]byte, error) {
+	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
+	r.recBuf = rec
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 1, 1+len(rec)), rec...), nil
+}
+
+// decodeConf is encodeConf's inverse.
+func decodeConf(payload []byte) (flags byte, c spec.Call, d spec.DepVec, err error) {
+	if len(payload) < 1 {
+		return 0, c, nil, codec.ErrIncomplete
+	}
+	rec, _, err := codec.DecodeDeltaRecord(payload[1:])
+	if err == nil && rec.Kind != codec.FrameFull {
+		err = codec.ErrCorrupt
+	}
+	return payload[0], rec.C, rec.D, err
 }
 
 // callKey2 identifies a (process, method) cell of the speculative
@@ -821,10 +822,7 @@ type callKey2 struct {
 // keeping σ free of undecided effects: if this leader turns out to be
 // deposed, its proposals never decide and the speculation is discarded.
 func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
-	if len(payload) < 1 {
-		return payload
-	}
-	c, _, _, err := codec.DecodeEntry(payload[1:])
+	_, c, _, err := decodeConf(payload)
 	if err != nil {
 		return payload
 	}
@@ -842,11 +840,11 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 	if r.tracing() {
 		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c, D: d})
 	}
-	entry, eerr := codec.EncodeEntry(c, d)
-	if eerr != nil {
+	out, err := r.encodeConf(c, d)
+	if err != nil {
 		return payload
 	}
-	return append([]byte{0}, entry...)
+	return out
 }
 
 // specView returns the speculative view, lazily forked from σ.
@@ -885,11 +883,7 @@ func (r *Replica) projectSpec(deps []spec.MethodID) spec.DepVec {
 // completes the pending request when this replica both issued and, as
 // leader, already applied it).
 func (r *Replica) onConfDelivery(g int, _ rdma.NodeID, payload []byte) {
-	if len(payload) < 1 {
-		return
-	}
-	flags := payload[0]
-	c, d, _, err := codec.DecodeEntry(payload[1:])
+	flags, c, d, err := decodeConf(payload)
 	if err != nil {
 		return
 	}
