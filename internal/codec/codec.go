@@ -139,21 +139,33 @@ func decodeSlotSeqlock(b []byte) (payload []byte, version uint32, err error) {
 	return b[8 : 8+n], v1, nil
 }
 
-// EncodeRaw frames an opaque payload as a self-delimiting ring record:
-// u32 total length, payload, u32 crc, canary. Protocol layers (reliable
-// broadcast, consensus) use it to carry their own message formats through
-// ring buffers.
-func EncodeRaw(payload []byte) ([]byte, error) {
-	n := len(payload) + RawOverhead
+// BeginRaw opens a raw ring record at the end of dst: the length word
+// FinishRaw fills in. The caller appends the payload to the returned slice and
+// closes the record with FinishRaw, passing the length dst had here — the
+// BeginSlot/FinishSlot convention, for a layer that builds its message where
+// the record is to carry it instead of copying it in.
+func BeginRaw(dst []byte) []byte { return binary.LittleEndian.AppendUint32(dst, 0) }
+
+// FinishRaw closes the record BeginRaw opened at b[start:]: it writes the
+// total length, then appends the CRC32-C over length and payload, and the
+// canary. The payload is b[start+4 : len(b)] as passed in.
+func FinishRaw(b []byte, start int) ([]byte, error) {
+	n := len(b) - start + RecordTrailer
 	if n > MaxRecord {
 		return nil, fmt.Errorf("%w: %d bytes", ErrTooLarge, n)
 	}
-	b := make([]byte, 0, n)
-	b = binary.LittleEndian.AppendUint32(b, uint32(n))
-	b = append(b, payload...)
-	b = binary.LittleEndian.AppendUint32(b, Checksum(b))
-	b = append(b, Canary)
-	return b, nil
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
+	return append(b, Canary), nil
+}
+
+// EncodeRaw frames an opaque payload as a self-delimiting ring record — u32
+// total length, payload, u32 crc, canary — with BeginRaw and FinishRaw, in a
+// fresh buffer. Protocol layers (reliable broadcast, consensus) use it to
+// carry their own message formats through ring buffers.
+func EncodeRaw(payload []byte) ([]byte, error) {
+	b := BeginRaw(make([]byte, 0, len(payload)+RawOverhead))
+	return FinishRaw(append(b, payload...), 0)
 }
 
 // DecodeRaw unwraps a record framed by EncodeRaw, returning the payload and

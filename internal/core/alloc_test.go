@@ -7,6 +7,7 @@ import (
 	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
+	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -272,4 +273,65 @@ func TestFreeBurstAllocsBelowMessagePerCall(t *testing.T) {
 		t.Errorf("a warm burst allocates %.2f objects per call, want at most 10.5 (10.38 measured; 22.9 with a message per call)", perCall)
 	}
 	t.Logf("allocs per call: %.2f", perCall)
+}
+
+// TestConfCallAllocs pins rule CONF end to end: on a warm 4-node movie
+// cluster, tracer and metrics detached, one conflicting call issued at a
+// follower of its group — forwarded, ordered at the leader, replicated,
+// committed, delivered into four L buffers and applied — allocates exactly
+// mu's 16 buffers (mu.TestWarmCommitAllocs has the list) and, in this package:
+//
+//	1  Invoke's closure, the issue item on the origin's CPU
+//	1  the origin's payload (encodeConf), which mu.Submit keeps uncopied
+//	1  the leader's decode of it (leaderTransform)
+//	1  the payload with the dependency record attached (encodeConf again)
+//	4  each replica's decode of that into its L buffer (onConfDelivery)
+//
+// and nothing for the hops between them: the L buffers reuse their storage,
+// and a delivery is a slice of the copy ring.Reader.Poll made.
+func TestConfCallAllocs(t *testing.T) {
+	h := newHarness(t, schema.NewMovie(), 4, 94, func(o *Options) {
+		o.CheckIntegrity = false
+		o.DisableFailureHandling = true // heartbeat reads allocate, and are not this path
+		o.Mu.CatchUpAfter = sim.Second  // so does the idle group's staleness probe of its leader
+	})
+	r := h.cluster.Replica(1)
+	if r.tracing() || r.mConfLat != nil {
+		t.Fatal("harness attached a tracer or a metrics registry unexpectedly")
+	}
+	if leader := h.cluster.Leader(1, r.an.SyncGroupOf[schema.MovieAddCustomer]); leader == r.id {
+		t.Fatalf("p%d leads addCustomer's group: the call would skip the forward hop", r.id)
+	}
+	args := spec.ArgsI(7) // the same customer every time: the state stops growing after the first call
+	done := 0
+	onDone := func(_ any, err error) {
+		if err != nil {
+			t.Errorf("call failed: %v", err)
+		}
+		done++
+	}
+	now := h.eng.Now()
+	cycle := func() {
+		r.Invoke(schema.MovieAddCustomer, args, onDone)
+		now += sim.Time(30 * sim.Microsecond)
+		h.eng.RunUntil(now)
+	}
+	const warm, runs = 64, 200
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(runs, cycle); allocs != 24 {
+		t.Errorf("a warm conflicting call allocates %.0f times from Invoke to its last apply, want 24", allocs)
+	}
+	if want := warm + runs + 1; done != want {
+		t.Fatalf("%d of %d calls completed", done, want)
+	}
+	for _, p := range h.cluster.Replicas {
+		if got := p.applied.Get(r.id, schema.MovieAddCustomer); got != uint32(done) {
+			t.Fatalf("p%d applied %d of %d calls", p.id, got, done)
+		}
+		if free, conf := p.QueueDepths(); free+conf != 0 {
+			t.Fatalf("p%d still buffers %d calls at rest", p.id, free+conf)
+		}
+	}
 }

@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"hamband/internal/broadcast"
+	"hamband/internal/fifo"
 	"hamband/internal/heartbeat"
 	"hamband/internal/metrics"
 	"hamband/internal/mu"
@@ -374,10 +375,11 @@ type Replica struct {
 	// before returning.
 	recBuf []byte
 
-	// Buffers: FIFO queues of delivered-but-unapplied calls.
-	fQueues [][]pendingEntry // per source proc
-	lQueues [][]pendingEntry // per sync group
-	lNext   int              // the L buffer applyOne serves first: the one after the last served
+	// Buffers: FIFO queues of delivered-but-unapplied calls. Each reuses its
+	// storage and drops a call's references as the call leaves.
+	fQueues []fifo.Queue[pendingEntry] // per source proc
+	lQueues []fifo.Queue[pendingEntry] // per sync group
+	lNext   int                        // the L buffer applyOne serves first: the one after the last served
 
 	// Protocol components. bc and rx are nil for a class without an
 	// irreducible conflict-free method (no F buffers); the broadcast types
@@ -468,8 +470,8 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		id:          id,
 		n:           n,
 		applied:     spec.NewAppliedMap(n, len(cls.Methods)),
-		fQueues:     make([][]pendingEntry, n),
-		lQueues:     make([][]pendingEntry, len(c.An.SyncGroups)),
+		fQueues:     make([]fifo.Queue[pendingEntry], n),
+		lQueues:     make([]fifo.Queue[pendingEntry], len(c.An.SyncGroups)),
 		pendingConf: make(map[uint64]func(any, error)),
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,

@@ -199,13 +199,13 @@ func TestStrayFreeRecordDropped(t *testing.T) {
 		return b
 	}
 	r.onFreeDelivery(0, 1, record(codec.FrameDelta, 1))
-	if got := len(r.fQueues[0]); got != 0 {
-		t.Fatalf("a FrameDelta record reached the F buffer: %+v", r.fQueues[0])
+	if got := r.fQueues[0].Len(); got != 0 {
+		t.Fatalf("a FrameDelta record reached the F buffer: %d queued, head %+v", got, r.fQueues[0].Head())
 	}
 	batch := append(append(record(codec.FrameFull, 2), record(codec.FrameDelta, 3)...), record(codec.FrameFull, 4)...)
 	r.onFreeDelivery(0, 2, batch)
-	if got := r.fQueues[0]; len(got) != 1 || got[0].c.Seq != 2 {
-		t.Fatalf("mixed batch delivered %+v, want only the record ahead of the stray one", got)
+	if got := &r.fQueues[0]; got.Len() != 1 || got.Head().c.Seq != 2 {
+		t.Fatalf("mixed batch delivered %d records, want only the record ahead of the stray one", got.Len())
 	}
 }
 

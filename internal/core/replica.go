@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"hamband/internal/codec"
+	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -748,7 +749,7 @@ func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 		if err != nil || rec.Kind != codec.FrameFull {
 			return
 		}
-		r.fQueues[src] = append(r.fQueues[src], pendingEntry{c: rec.C, d: rec.D})
+		r.fQueues[src].Push(pendingEntry{c: rec.C, d: rec.D})
 		payload = payload[n:]
 	}
 	r.noteQueueDepths()
@@ -784,7 +785,9 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 }
 
 // encodeConf builds an ordered group entry's payload for (c, d): a flag byte
-// (clear) ahead of the call record, in one allocation.
+// (clear) ahead of the call record, in one fresh buffer that is the caller's
+// to give away — invokeConf's to mu.Submit, which keeps it uncopied, and
+// leaderTransform's to the entry being sequenced.
 func (r *Replica) encodeConf(c spec.Call, d spec.DepVec) ([]byte, error) {
 	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
 	r.recBuf = rec
@@ -893,7 +896,7 @@ func (r *Replica) onConfDelivery(g int, _ rdma.NodeID, payload []byte) {
 		}
 		return
 	}
-	r.lQueues[g] = append(r.lQueues[g], pendingEntry{c: c, d: d})
+	r.lQueues[g].Push(pendingEntry{c: c, d: d})
 	r.noteQueueDepths()
 	r.kickApply()
 }
@@ -938,29 +941,30 @@ func (r *Replica) applyStep() {
 
 func (r *Replica) anyApplicable() bool {
 	if r.opts.MutateApplyOrder {
-		for _, q := range r.fQueues {
-			if len(q) > 0 {
-				return true
-			}
-		}
-		for _, q := range r.lQueues {
-			if len(q) > 0 {
-				return true
-			}
-		}
-		return false
+		free, conf := r.QueueDepths()
+		return free+conf > 0
 	}
-	for _, q := range r.fQueues {
-		if len(q) > 0 && r.applied.Satisfies(q[0].d, r.an.DependsOn[q[0].c.Method]) {
+	for i := range r.fQueues {
+		if r.headApplicable(&r.fQueues[i]) {
 			return true
 		}
 	}
-	for _, q := range r.lQueues {
-		if len(q) > 0 && r.applied.Satisfies(q[0].d, r.an.DependsOn[q[0].c.Method]) {
+	for i := range r.lQueues {
+		if r.headApplicable(&r.lQueues[i]) {
 			return true
 		}
 	}
 	return false
+}
+
+// headApplicable reports whether q's oldest call exists and has its
+// dependency record satisfied by the applied map.
+func (r *Replica) headApplicable(q *fifo.Queue[pendingEntry]) bool {
+	if q.Len() == 0 {
+		return false
+	}
+	e := q.Head()
+	return r.applied.Satisfies(e.d, r.an.DependsOn[e.c.Method])
 }
 
 // applyOne applies one applicable buffer head — F buffers before L buffers,
@@ -970,33 +974,31 @@ func (r *Replica) applyOne() bool {
 		return r.applyOneMutated()
 	}
 	for src := range r.fQueues {
-		if len(r.fQueues[src]) > 0 {
-			e := r.fQueues[src][0]
-			if r.applied.Satisfies(e.d, r.an.DependsOn[e.c.Method]) {
-				r.fQueues[src] = r.fQueues[src][1:]
-				r.applyEntry(e, "free-app")
-				return true
-			}
+		if q := &r.fQueues[src]; r.headApplicable(q) {
+			r.applyEntry(q.Pop(), "free-app")
+			return true
 		}
 	}
 	// The L buffers are served round-robin: scanning from group 0 every time
 	// lets a node whose CPU is saturated starve the higher-numbered groups.
 	for i := range r.lQueues {
 		g := (r.lNext + i) % len(r.lQueues)
-		if len(r.lQueues[g]) > 0 {
-			e := r.lQueues[g][0]
-			if r.applied.Satisfies(e.d, r.an.DependsOn[e.c.Method]) {
-				r.lQueues[g] = r.lQueues[g][1:]
-				r.lNext = g + 1
-				r.applyEntry(e, "conf-app")
-				if e.c.Proc == r.id {
-					r.complete(e.c.Seq, nil, nil)
-				}
-				return true
-			}
+		if q := &r.lQueues[g]; r.headApplicable(q) {
+			r.lNext = g + 1
+			r.applyConf(q.Pop())
+			return true
 		}
 	}
 	return false
+}
+
+// applyConf applies a call taken from an L buffer and answers its client when
+// the call is this replica's own.
+func (r *Replica) applyConf(e pendingEntry) {
+	r.applyEntry(e, "conf-app")
+	if e.c.Proc == r.id {
+		r.complete(e.c.Seq, nil, nil)
+	}
 }
 
 // applyOneMutated is the Options.MutateApplyOrder negative control: it
@@ -1004,21 +1006,14 @@ func (r *Replica) applyOne() bool {
 // the apply-order bug the conformance harness must catch.
 func (r *Replica) applyOneMutated() bool {
 	for src := range r.fQueues {
-		if n := len(r.fQueues[src]); n > 0 {
-			e := r.fQueues[src][n-1]
-			r.fQueues[src] = r.fQueues[src][:n-1]
-			r.applyEntry(e, "free-app")
+		if q := &r.fQueues[src]; q.Len() > 0 {
+			r.applyEntry(q.PopBack(), "free-app")
 			return true
 		}
 	}
 	for g := range r.lQueues {
-		if n := len(r.lQueues[g]); n > 0 {
-			e := r.lQueues[g][n-1]
-			r.lQueues[g] = r.lQueues[g][:n-1]
-			r.applyEntry(e, "conf-app")
-			if e.c.Proc == r.id {
-				r.complete(e.c.Seq, nil, nil)
-			}
+		if q := &r.lQueues[g]; q.Len() > 0 {
+			r.applyConf(q.PopBack())
 			return true
 		}
 	}
@@ -1182,11 +1177,11 @@ func (r *Replica) InjectFree(src rdma.NodeID, payload []byte) {
 
 // QueueDepths reports buffered-but-unapplied calls (diagnostics).
 func (r *Replica) QueueDepths() (free, conf int) {
-	for _, q := range r.fQueues {
-		free += len(q)
+	for i := range r.fQueues {
+		free += r.fQueues[i].Len()
 	}
-	for _, q := range r.lQueues {
-		conf += len(q)
+	for i := range r.lQueues {
+		conf += r.lQueues[i].Len()
 	}
 	return free, conf
 }

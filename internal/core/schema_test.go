@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"hamband/internal/fifo"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -212,21 +213,33 @@ func TestApplyServesLBuffersRoundRobin(t *testing.T) {
 		}
 	}
 	for i := uint64(0); i < 3; i++ {
-		r.lQueues[0] = append(r.lQueues[0], entry(methods[0], 10+i))
-		r.lQueues[1] = append(r.lQueues[1], entry(methods[1], 20+i))
+		r.lQueues[0].Push(entry(methods[0], 10+i))
+		r.lQueues[1].Push(entry(methods[1], 20+i))
 	}
-	r.lQueues[1] = append(r.lQueues[1], entry(methods[1], 23), entry(methods[1], 24))
-	r.fQueues[0] = append(r.fQueues[0], entry(methods[0], 1))
+	r.lQueues[1].Push(entry(methods[1], 23))
+	r.lQueues[1].Push(entry(methods[1], 24))
+	r.fQueues[0].Push(entry(methods[0], 1))
 
-	// served names the buffer head each applyOne consumed.
-	queues := func() [][]pendingEntry {
-		return append(append([][]pendingEntry(nil), r.fQueues...), r.lQueues...)
+	// heads lists every buffer's oldest call (zero for an empty buffer), F
+	// buffers first; served names the head each applyOne consumed.
+	heads := func() (seqs []uint64, depth []int) {
+		for _, qs := range [][]fifo.Queue[pendingEntry]{r.fQueues, r.lQueues} {
+			for i := range qs {
+				seq := uint64(0)
+				if qs[i].Len() > 0 {
+					seq = qs[i].Head().c.Seq
+				}
+				seqs, depth = append(seqs, seq), append(depth, qs[i].Len())
+			}
+		}
+		return seqs, depth
 	}
 	var served []uint64
-	for before := queues(); r.applyOne(); before = queues() {
-		for i, q := range queues() {
-			if len(q) < len(before[i]) {
-				served = append(served, before[i][0].c.Seq)
+	for before, was := heads(); r.applyOne(); before, was = heads() {
+		_, now := heads()
+		for i := range now {
+			if now[i] < was[i] {
+				served = append(served, before[i])
 			}
 		}
 	}

@@ -33,6 +33,7 @@ import (
 	"sort"
 
 	"hamband/internal/codec"
+	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
@@ -106,7 +107,9 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 	}
 }
 
-// DeliverFunc consumes decided entries, in sequence order, exactly once.
+// DeliverFunc consumes decided entries, in sequence order, exactly once. The
+// payload is the callee's to keep: the instance never reads, reuses or
+// overwrites it afterwards.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
 // Instance is one node's participant in a consensus group.
@@ -134,11 +137,22 @@ type Instance struct {
 	// Only an active leader queues, and a deposed one drops the queue, so it
 	// is non-empty only at a leader that is not recovering. The backing array
 	// is reused from round to round.
-	queue     []request
-	logOut    map[rdma.NodeID]*ring.Sender
-	acks      map[uint64]int    // seq → completed writes (incl. self)
-	decided   map[uint64]bool   // seq → majority reached
-	entries   map[uint64][]byte // seq → full entry record (until delivered)
+	queue  []request
+	logOut map[rdma.NodeID]*ring.Sender
+	// props is what this leader sequenced and has not delivered — the round in
+	// flight, or the entries a fresh leader recovered: props[i] is sequence
+	// number propBase+i. A round starts it over and a deposition empties it, so
+	// it never outgrows a round, and a write that completes after its entry was
+	// delivered finds nothing to count toward.
+	propBase uint64
+	props    []proposal
+	// unacked[p] lists the sequence numbers of the entries sent to follower p
+	// whose log writes have not completed, oldest first; ackFns[p], bound once,
+	// is the completion of every one of them and pops its own (a Sender's
+	// onDones run in send order). Both are indexed by node id.
+	unacked   []fifo.Queue[uint64]
+	ackFns    []func(error)
+	zeros     []byte // RingCapacity zero bytes: what resetRing writes over a follower's ring
 	grants    map[rdma.NodeID]uint64
 	oldLeader rdma.NodeID
 
@@ -151,6 +165,12 @@ type Instance struct {
 	lastProgressAt sim.Time          // when delivery last advanced (or was verified current)
 	dedupLow       map[rdma.NodeID]uint64
 	dedupSet       map[rdma.NodeID]map[uint64]bool
+	// deliveries holds the decided entries whose DeliverCost item is still
+	// queued on the CPU, oldest first. The CPU runs its items in FIFO order and
+	// never discards one (Suspend and Crash only pause it), so the k-th run of
+	// deliverFn pops the k-th entry pushed.
+	deliveries fifo.Queue[delivery]
+	deliverFn  func() // in.deliverNext bound once: a delivery allocates no closure
 
 	// Membership view (dynamic reconfiguration). nil means the fixed
 	// full-fabric membership; otherwise members[p] reports whether node p
@@ -220,9 +240,8 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		oldLeader: initialLeader,
 
 		logOut:   make(map[rdma.NodeID]*ring.Sender),
-		acks:     make(map[uint64]int),
-		decided:  make(map[uint64]bool),
-		entries:  make(map[uint64][]byte),
+		unacked:  make([]fifo.Queue[uint64], fab.Size()),
+		ackFns:   make([]func(error), fab.Size()),
 		stash:    make(map[uint64][]byte),
 		dedupLow: make(map[rdma.NodeID]uint64),
 		dedupSet: make(map[rdma.NodeID]map[uint64]bool),
@@ -254,6 +273,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 			continue
 		}
 		in.logOut[peer] = in.newOut(peer, logRegion(group), cfg.RingCapacity)
+		in.ackFns[peer] = func(err error) { in.acked(peer, err) }
 		in.reqOut[peer] = in.newOut(peer, reqRegion(group, node.ID()), cfg.RingCapacity)
 		in.voteOut[peer] = in.newOut(peer, voteRegion(group, node.ID()), cfg.CtrlCapacity)
 		in.grantOut[peer] = in.newOut(peer, grantRegion(group, node.ID()), cfg.CtrlCapacity)
@@ -263,7 +283,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.dedupSet[peer] = make(map[uint64]bool)
 	}
 	in.dedupSet[node.ID()] = make(map[uint64]bool)
-	in.sweepFn = in.sweep
+	in.sweepFn, in.deliverFn = in.sweep, in.deliverNext
 	in.ticker = fab.Engine().NewTicker(cfg.PollPeriod, in.poll)
 	return in
 }
@@ -340,15 +360,25 @@ func (in *Instance) alive() bool { return !in.node.Suspended() && !in.node.Crash
 // proposer's decided watermark: receivers deliver an entry only once some
 // record shows it committed, so a zombie's never-decided proposals are
 // never applied. A seq of zero marks a pure commit record (no payload).
-func encodeEntry(seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) []byte {
-	b := make([]byte, 34+len(payload))
-	binary.LittleEndian.PutUint64(b, seq)
-	binary.LittleEndian.PutUint64(b[8:], term)
-	binary.LittleEndian.PutUint64(b[16:], commit)
-	binary.LittleEndian.PutUint16(b[24:], uint16(origin))
-	binary.LittleEndian.PutUint64(b[26:], submitSeq)
-	copy(b[34:], payload)
-	return b
+func appendEntry(dst []byte, seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = binary.LittleEndian.AppendUint64(dst, term)
+	dst = binary.LittleEndian.AppendUint64(dst, commit)
+	dst = binary.LittleEndian.AppendUint16(dst, uint16(origin))
+	dst = binary.LittleEndian.AppendUint64(dst, submitSeq)
+	return append(dst, payload...)
+}
+
+const entryHeader = 34 // the fixed fields ahead of an entry's payload
+
+// frameEntry builds an entry inside the ring record that carries it, in one
+// buffer: the entry is the record's payload, and whoever keeps it keeps a
+// sub-slice of the record. A nil record is an entry no ring record can carry.
+func frameEntry(seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) (entry, rec []byte) {
+	b := codec.BeginRaw(make([]byte, 0, codec.RawOverhead+entryHeader+len(payload)))
+	b = appendEntry(b, seq, term, commit, origin, submitSeq, payload)
+	rec, _ = codec.FinishRaw(b, 0)
+	return b[4:], rec
 }
 
 type logEntry struct {
@@ -359,7 +389,7 @@ type logEntry struct {
 }
 
 func decodeLogEntry(b []byte) (logEntry, error) {
-	if len(b) < 34 {
+	if len(b) < entryHeader {
 		return logEntry{}, codec.ErrCorrupt
 	}
 	return logEntry{
@@ -368,16 +398,15 @@ func decodeLogEntry(b []byte) (logEntry, error) {
 		commit:    binary.LittleEndian.Uint64(b[16:]),
 		origin:    rdma.NodeID(binary.LittleEndian.Uint16(b[24:])),
 		submitSeq: binary.LittleEndian.Uint64(b[26:]),
-		payload:   b[34:],
+		payload:   b[entryHeader:],
 	}, nil
 }
 
-// request: u64 submitSeq | payload
-func encodeReq(submitSeq uint64, payload []byte) []byte {
-	b := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint64(b, submitSeq)
-	copy(b[8:], payload)
-	return b
+// request: u64 submitSeq | payload, built inside its ring record like an entry.
+func frameReq(submitSeq uint64, payload []byte) ([]byte, error) {
+	b := codec.BeginRaw(make([]byte, 0, codec.RawOverhead+8+len(payload)))
+	b = binary.LittleEndian.AppendUint64(b, submitSeq)
+	return codec.FinishRaw(append(b, payload...), 0)
 }
 
 // vote: u64 term | u16 candidate
@@ -399,37 +428,30 @@ func encodeGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
 
 // --- output ------------------------------------------------------------
 
-// send frames payload and queues it on an out channel (see ring.Sender: one
-// remote write per pump; a write error — e.g. permission revoked by a new
-// leader — reaches every record it carried, so a deposed leader still cannot
-// assemble a majority).
-func (in *Instance) send(oc *ring.Sender, payload []byte, onDone func(error)) {
-	rec, err := codec.EncodeRaw(payload)
-	if err != nil {
-		if onDone != nil {
-			onDone(err)
-		}
-		return
+// send frames an election message and queues it on an out channel (see
+// ring.Sender: one remote write per pump).
+func (in *Instance) send(oc *ring.Sender, payload []byte) {
+	if rec, err := codec.EncodeRaw(payload); err == nil {
+		oc.Send(rec, "", nil)
 	}
-	oc.Send(rec, "", onDone)
 }
 
-// replicate appends entry, framed once, to every follower's log ring. With a
-// nonzero seq each follower's completed write is counted toward deciding seq.
-func (in *Instance) replicate(entry []byte, seq uint64) {
-	rec, err := codec.EncodeRaw(entry)
-	if err != nil {
-		return // oversized: reaches no follower, so is never decided
-	}
+// replicate appends rec, an entry framed once, to every follower's log ring
+// (a write error — e.g. permission revoked by a new leader — reaches every
+// record the write carried, so a deposed leader still cannot assemble a
+// majority). With a nonzero seq each follower's completed write is counted
+// toward deciding seq: the sequence number joins the follower's unacked queue,
+// and the follower's one completion callback pops it.
+func (in *Instance) replicate(rec []byte, seq uint64) {
 	for p := 0; p < in.n; p++ {
-		peer := rdma.NodeID(p)
-		oc := in.logOut[peer]
+		oc := in.logOut[rdma.NodeID(p)]
 		if oc == nil {
 			continue
 		}
 		var onDone func(error)
 		if seq != 0 {
-			onDone = func(err error) { in.acked(peer, seq, err) }
+			in.unacked[p].Push(seq)
+			onDone = in.ackFns[p]
 		}
 		oc.Send(rec, "", onDone)
 	}
@@ -439,12 +461,13 @@ func (in *Instance) replicate(entry []byte, seq uint64) {
 
 // Submit hands a payload to the group for total ordering. The payload will
 // be delivered, exactly once and in order, through Deliver on every node.
-// Submissions survive leader changes via resubmission.
+// Submissions survive leader changes via resubmission: the instance keeps the
+// payload, uncopied, until it is delivered here, so the caller must not
+// change it after the call.
 func (in *Instance) Submit(payload []byte) {
 	in.submitSeq++
-	buf := append([]byte(nil), payload...)
-	in.pending[in.submitSeq] = buf
-	in.route(in.submitSeq, buf)
+	in.pending[in.submitSeq] = payload
+	in.route(in.submitSeq, payload)
 	in.startRound()
 }
 
@@ -460,7 +483,9 @@ func (in *Instance) route(submitSeq uint64, payload []byte) {
 	if oc == nil {
 		return // leader view is self but not leader yet; retried on change
 	}
-	in.send(oc, encodeReq(submitSeq, payload), nil)
+	if rec, err := frameReq(submitSeq, payload); err == nil {
+		oc.Send(rec, "", nil)
+	}
 }
 
 // request is one call waiting in the leader's queue for its round.
@@ -496,6 +521,7 @@ func (in *Instance) startRound() bool {
 	n := min(len(in.queue), max(in.cfg.JournalSlots/2, 1))
 	now := in.fab.Engine().Now()
 	first := in.nextSeq
+	in.propBase, in.props = first, in.props[:0] // everything before is delivered
 	for i := 0; i < n; i++ {
 		r := &in.queue[i]
 		in.mQueueWait.Observe(sim.Duration(now - r.at))
@@ -508,11 +534,12 @@ func (in *Instance) startRound() bool {
 		if in.proposedAt != nil {
 			in.proposedAt[seq] = now
 		}
-		entry := encodeEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
+		entry, rec := frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
 		in.journal(seq, entry)
-		in.entries[seq] = entry
-		in.acks[seq] = 1 // self
-		in.replicate(entry, seq)
+		in.props = append(in.props, proposal{entry: entry, acks: 1}) // self
+		if rec != nil {
+			in.replicate(rec, seq)
+		} // else oversized: reaches no follower, so is never decided
 	}
 	in.mRoundEntries.Observe(sim.Duration(n))
 	rest := copy(in.queue, in.queue[n:])
@@ -529,7 +556,9 @@ func (in *Instance) startRound() bool {
 	return true
 }
 
-func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
+// acked is the completion of the oldest unacknowledged log write to peer.
+func (in *Instance) acked(peer rdma.NodeID, err error) {
+	seq := in.unacked[peer].Pop()
 	// Only successful writes count: a deposed leader's writes fail with
 	// permission errors at every voter, so it can never assemble a
 	// majority and never decides its zombie proposals. Acks from nodes
@@ -538,10 +567,31 @@ func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
 	if !in.isLeader || err != nil || !in.member(peer) {
 		return
 	}
-	in.acks[seq]++
-	if !in.decided[seq] && in.acks[seq] >= in.majority() {
+	p := in.proposal(seq)
+	if p == nil || p.entry == nil {
+		return // delivered without this write, or sequenced under an earlier leadership
+	}
+	p.acks++
+	if !p.decided && p.acks >= in.majority() {
 		in.decide(seq)
 	}
+}
+
+// proposal is an entry this leader sequenced and has not delivered yet. The
+// zero value is a sequence number the leader holds nothing for: one it has
+// delivered, or a hole in what it recovered.
+type proposal struct {
+	entry   []byte // the full entry record
+	acks    int    // completed writes, counting the local journal's
+	decided bool   // a majority reached
+}
+
+// proposal returns seq's slot in props, or nil when seq is outside it.
+func (in *Instance) proposal(seq uint64) *proposal {
+	if seq < in.propBase || seq-in.propBase >= uint64(len(in.props)) {
+		return nil
+	}
+	return &in.props[seq-in.propBase]
 }
 
 // decide marks seq decided and delivers contiguous decided entries locally.
@@ -549,13 +599,14 @@ func (in *Instance) acked(peer rdma.NodeID, seq uint64, err error) {
 // entries carry the new commit watermark; with nothing queued, a dedicated
 // commit record carries it to the followers.
 func (in *Instance) decide(seq uint64) {
-	in.decided[seq] = true
+	p := in.proposal(seq)
+	p.decided = true
 	if at, ok := in.proposedAt[seq]; ok {
 		in.mCommitLat.Observe(sim.Duration(in.fab.Engine().Now() - at))
 		delete(in.proposedAt, seq)
 	}
 	if in.Tracer != nil && in.TraceLabel != nil {
-		if e, err := decodeLogEntry(in.entries[seq]); err == nil {
+		if e, err := decodeLogEntry(p.entry); err == nil {
 			if label := in.TraceLabel(e.payload); label != "" {
 				in.Tracer.Record(int(in.node.ID()), trace.Commit, label,
 					fmt.Sprintf("%s seq %d replicated to a majority", in.group, seq))
@@ -563,13 +614,14 @@ func (in *Instance) decide(seq uint64) {
 		}
 	}
 	advanced := false
-	for in.decided[in.lastDelivered+1] {
-		next := in.lastDelivered + 1
-		entry := in.entries[next]
-		delete(in.entries, next)
-		delete(in.decided, next)
-		delete(in.acks, next)
-		in.bumpDelivered(next)
+	for {
+		next := in.proposal(in.lastDelivered + 1)
+		if next == nil || !next.decided {
+			break
+		}
+		entry := next.entry
+		*next = proposal{}
+		in.bumpDelivered(in.lastDelivered + 1)
 		advanced = true
 		in.deliverEntry(entry)
 	}
@@ -582,7 +634,8 @@ func (in *Instance) decide(seq uint64) {
 // commit watermark (seq 0 marks it as pure metadata).
 func (in *Instance) sendCommitRecord() {
 	in.mCommitRecords.Inc()
-	in.replicate(encodeEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil), 0)
+	_, rec := frameEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil)
+	in.replicate(rec, 0)
 }
 
 // bumpDelivered advances the delivery watermark and publishes it in the
@@ -597,16 +650,26 @@ func (in *Instance) bumpDelivered(to uint64) {
 // journal stores an entry in the local journal region and advances the
 // published nextSeq.
 func (in *Instance) journal(seq uint64, entry []byte) {
-	slot := int(seq) % in.cfg.JournalSlots
-	framed, err := codec.EncodeSlot(entry, uint32(seq), in.cfg.JournalSlotSize)
-	if err != nil {
-		panic(fmt.Sprintf("mu: journal slot too small: %v", err))
-	}
-	copy(in.node.Region(journalRegion(in.group)).Bytes()[slot*in.cfg.JournalSlotSize:], framed)
+	in.journalRaw(seq, entry)
 	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes(), in.nextSeq)
 }
 
-// deliverEntry dedups by (origin, submitSeq) and invokes Deliver.
+// journalRaw frames entry into seq's journal slot, in place: the frame is
+// written once, where one-sided readers find it. Only the bytes used are
+// written; the frame is self-delimiting and the slot's stale tail is never
+// read.
+func (in *Instance) journalRaw(seq uint64, entry []byte) {
+	size := in.cfg.JournalSlotSize
+	if len(entry)+codec.SlotOverhead > size {
+		panic(fmt.Sprintf("mu: journal slot too small: %d-byte entry for a %d-byte slot", len(entry), size))
+	}
+	off := int(seq) % in.cfg.JournalSlots * size
+	slot := in.node.Region(journalRegion(in.group)).Bytes()[off : off : off+size]
+	codec.FinishSlot(append(codec.BeginSlot(slot, uint32(seq)), entry...), 0)
+}
+
+// deliverEntry dedups by (origin, submitSeq) and queues the entry for Deliver.
+// The caller gives entry away: its payload goes to Deliver as a sub-slice.
 func (in *Instance) deliverEntry(entry []byte) {
 	e, err := decodeLogEntry(entry)
 	if err != nil {
@@ -629,10 +692,22 @@ func (in *Instance) deliverEntry(entry []byte) {
 		delete(set, in.dedupLow[e.origin])
 	}
 	if in.Deliver != nil {
-		buf := append([]byte(nil), e.payload...)
-		seq, origin := e.seq, e.origin
-		in.node.CPU.Exec(in.cfg.DeliverCost, func() { in.Deliver(seq, origin, buf) })
+		in.deliveries.Push(delivery{e.seq, e.origin, e.payload})
+		in.node.CPU.Exec(in.cfg.DeliverCost, in.deliverFn)
 	}
+}
+
+// delivery is a decided entry on its way to Deliver.
+type delivery struct {
+	seq     uint64
+	origin  rdma.NodeID
+	payload []byte
+}
+
+// deliverNext is the DeliverCost item of the oldest queued delivery.
+func (in *Instance) deliverNext() {
+	d := in.deliveries.Pop()
+	in.Deliver(d.seq, d.origin, d.payload)
 }
 
 // --- polling ----------------------------------------------------------
@@ -706,7 +781,7 @@ func (in *Instance) pollLog() {
 			continue
 		}
 		if e.seq > in.lastDelivered {
-			in.stash[e.seq] = append([]byte(nil), msg...)
+			in.stash[e.seq] = msg // a sub-slice of Poll's copy, which nothing else holds
 		}
 		in.drainCommitted()
 	}
@@ -749,7 +824,7 @@ func (in *Instance) pollRequests() {
 			if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
 				continue
 			}
-			in.propose(from, submitSeq, append([]byte(nil), msg[8:]...))
+			in.propose(from, submitSeq, msg[8:]) // Poll's copy is this request's alone
 		}
 	}
 	in.startRound()
@@ -776,7 +851,7 @@ func (in *Instance) StartElection() {
 	// requests fixes the engine's event order, and with it the schedule.
 	for p := 0; p < in.n; p++ {
 		if oc := in.voteOut[rdma.NodeID(p)]; oc != nil {
-			in.send(oc, encodeVote(in.term, in.node.ID()), nil)
+			in.send(oc, encodeVote(in.term, in.node.ID()))
 		}
 	}
 	in.maybeLead()
@@ -834,11 +909,15 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	// pending to the new leader, and delivery dedup covers the overlap.
 	clear(in.queue)
 	in.queue = in.queue[:0]
+	// Its proposals go with it: they can no longer be decided here, and the
+	// entries a later leadership recovers are sequenced afresh.
+	clear(in.props)
+	in.props = in.props[:0]
 	// Revoke the previous leader's permission before granting the next —
 	// the order the paper prescribes.
 	in.switchLogPermission(cand)
 	if oc := in.grantOut[cand]; oc != nil {
-		in.send(oc, encodeGrant(term, in.lastDelivered, in.node.ID()), nil)
+		in.send(oc, encodeGrant(term, in.lastDelivered, in.node.ID()))
 	}
 	in.mLeaderChanges.Inc()
 	if in.OnLeaderChange != nil {
@@ -899,6 +978,7 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 				}
 				in.bumpDelivered(seq)
 				delete(in.stash, seq)
+				// A copy: what Deliver keeps must not pin the whole journal read.
 				in.deliverEntry(append([]byte(nil), entry...))
 			}
 			// Drain any stashed successors the catch-up unblocked.
@@ -1003,6 +1083,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 			recovered = append(recovered, append([]byte(nil), entry...))
 		}
 		in.resetRings(func() {
+			in.propBase, in.props = in.lastDelivered+1, in.props[:0]
 			for _, entry := range recovered {
 				in.redisseminate(entry)
 			}
@@ -1062,7 +1143,12 @@ func (in *Instance) resetRings(next func()) {
 			continue
 		}
 		remaining++
-		oc.Drop()
+		// The dropped records complete nothing: their sequence numbers, the
+		// newest sent to peer, leave its unacked queue with them, and a write
+		// still in flight keeps popping its own.
+		for dropped := oc.Drop(); dropped > 0; dropped-- {
+			in.unacked[peer].PopBack()
+		}
 		in.resetRing(peer, oc, done)
 	}
 	if remaining == 0 {
@@ -1090,8 +1176,12 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 			finish() // deposed meanwhile
 			return
 		}
-		zeros := make([]byte, in.cfg.RingCapacity)
-		in.node.QP(peer).Write(logRegion(in.group), ring.HeaderSize, zeros, func(err error) {
+		// One zero buffer serves every follower and every attempt: the write
+		// copies its data at post time.
+		if in.zeros == nil {
+			in.zeros = make([]byte, in.cfg.RingCapacity)
+		}
+		in.node.QP(peer).Write(logRegion(in.group), ring.HeaderSize, in.zeros, func(err error) {
 			if err == rdma.ErrPermission {
 				// Voter has not switched permissions yet: retry.
 				in.fab.Engine().After(in.cfg.CatchUpAfter, attempt)
@@ -1121,28 +1211,23 @@ func (in *Instance) redisseminate(old []byte) {
 		return
 	}
 	seq := oe.seq
-	entry := encodeEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
+	entry, rec := frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
 	in.journalRaw(seq, entry)
-	in.entries[seq] = entry
-	if seq <= in.lastDelivered {
-		delete(in.entries, seq)
-	} else {
-		in.acks[seq] = 1
-		in.decided[seq] = in.acks[seq] >= in.majority()
-		if in.decided[seq] {
+	if seq > in.lastDelivered {
+		// Recovered entries come in sequence order; one the journal had lost
+		// leaves a zero proposal behind, which is never decided.
+		for in.propBase+uint64(len(in.props)) <= seq {
+			in.props = append(in.props, proposal{})
+		}
+		p := in.proposal(seq)
+		*p = proposal{entry: entry, acks: 1}
+		if p.acks >= in.majority() {
 			in.decide(seq)
 		}
 	}
-	in.replicate(entry, seq)
-}
-
-func (in *Instance) journalRaw(seq uint64, entry []byte) {
-	slot := int(seq) % in.cfg.JournalSlots
-	framed, err := codec.EncodeSlot(entry, uint32(seq), in.cfg.JournalSlotSize)
-	if err != nil {
-		panic(fmt.Sprintf("mu: journal slot too small: %v", err))
+	if rec != nil {
+		in.replicate(rec, seq)
 	}
-	copy(in.node.Region(journalRegion(in.group)).Bytes()[slot*in.cfg.JournalSlotSize:], framed)
 }
 
 func (in *Instance) becomeActiveLeader(nextSeq uint64) {

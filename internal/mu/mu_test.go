@@ -516,7 +516,7 @@ func TestFollowerCatchUpAfterMissedElection(t *testing.T) {
 }
 
 func TestLogEntryWireRoundTrip(t *testing.T) {
-	e := encodeEntry(42, 3, 41, 2, 99, []byte("payload"))
+	e := appendEntry(nil, 42, 3, 41, 2, 99, []byte("payload"))
 	d, err := decodeLogEntry(e)
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +529,7 @@ func TestLogEntryWireRoundTrip(t *testing.T) {
 		t.Fatal("truncated entry decoded")
 	}
 	// A commit record has seq 0 and empty payload.
-	cr := encodeEntry(0, 3, 41, 1, 0, nil)
+	cr := appendEntry(nil, 0, 3, 41, 1, 0, nil)
 	d, err = decodeLogEntry(cr)
 	if err != nil || d.seq != 0 || len(d.payload) != 0 {
 		t.Fatalf("commit record round trip = %+v, %v", d, err)

@@ -78,6 +78,9 @@ func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region strin
 // (rdma.WR.Label; labels sharing a write are joined with commas). onDone, if
 // non-nil, receives that write's completion, or the error that cost the
 // record its place: a failed write, or a failed head read while it queued.
+// The onDones of one Sender run in send order: records leave the queue in
+// order, a write's completion reaches the records it carried in order, and an
+// RC queue pair completes its writes in posting order.
 func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 	s.queue = append(s.queue, sendItem{record, label, onDone})
 	if !s.pumpArmed {
@@ -86,10 +89,19 @@ func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 	}
 }
 
-// Drop discards every queued record without completing it.
-func (s *Sender) Drop() {
+// Drop discards every queued record without completing it and returns how
+// many of them carried an onDone. A peer's onDones run in send order and the
+// queue holds the newest sends, so a caller that tracks its outstanding
+// completions in a FIFO forgets that many from the tail.
+func (s *Sender) Drop() (withDone int) {
+	for i := range s.queue {
+		if s.queue[i].onDone != nil {
+			withDone++
+		}
+	}
 	clear(s.queue)
 	s.queue = s.queue[:0]
+	return withDone
 }
 
 // RestartAt repositions the writer at logical offset head — the reader's

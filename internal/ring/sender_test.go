@@ -3,6 +3,7 @@ package ring
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"hamband/internal/codec"
@@ -292,5 +293,65 @@ func TestSenderErrorReachesEveryDone(t *testing.T) {
 	rig.eng.Run()
 	if landed != 2 || failed != 4 {
 		t.Fatalf("%d landed, %d failed; want 2 and 4", landed, failed)
+	}
+}
+
+// TestSenderCompletesInSendOrder pins what a caller that keeps its
+// outstanding completions in a FIFO relies on: across a pumped write and the
+// failed head read that fails everything still queued behind a full ring,
+// every record's onDone runs exactly once and in the order the records were
+// sent.
+func TestSenderCompletesInSendOrder(t *testing.T) {
+	rig := newSenderRig(64)
+	var order []int
+	var errs []error
+	for i := 0; i < 6; i++ { // two fit, four queue behind the full ring
+		i := i
+		rig.s.Send(rec(t, 30, byte(i)), "", func(err error) {
+			order = append(order, i)
+			errs = append(errs, err)
+		})
+	}
+	rig.eng.RunUntil(sim.Time(20 * sim.Microsecond))
+	if len(order) != 2 {
+		t.Fatalf("%d completions before the crash, want the two records that fit", len(order))
+	}
+	rig.fab.Node(1).Crash()
+	rig.eng.Run()
+	if want := []int{0, 1, 2, 3, 4, 5}; !slices.Equal(order, want) {
+		t.Fatalf("completions ran in order %v, want %v", order, want)
+	}
+	for i, err := range errs {
+		if failed := err != nil; failed != (i >= 2) {
+			t.Fatalf("completion %d = %v; want the first two to land and the rest to fail", i, err)
+		}
+	}
+}
+
+// TestSenderDropReportsCallbacks queues records with and without an onDone
+// behind a write in flight: Drop must report the queued callbacks it
+// discarded — two — and run none of them, while the write in flight still
+// completes.
+func TestSenderDropReportsCallbacks(t *testing.T) {
+	rig := newSenderRig(1 << 10)
+	var done []int
+	note := func(i int) func(error) { return func(error) { done = append(done, i) } }
+	rig.s.Send(rec(t, 30, 0), "", note(0))
+	rig.eng.RunUntil(sim.Time(300 * sim.Nanosecond)) // pumped and posted, not yet complete
+	if len(done) != 0 || rig.fab.Stats().Writes != 1 {
+		t.Fatalf("%d completions and %d writes at 300 ns, want a write in flight", len(done), rig.fab.Stats().Writes)
+	}
+	rig.s.Send(rec(t, 30, 1), "", note(1))
+	rig.s.Send(rec(t, 30, 2), "", nil)
+	rig.s.Send(rec(t, 30, 3), "", note(3))
+	if got := rig.s.Drop(); got != 2 {
+		t.Fatalf("Drop reported %d callbacks, want 2", got)
+	}
+	if got := rig.s.Drop(); got != 0 {
+		t.Fatalf("a second Drop reported %d callbacks, want 0", got)
+	}
+	rig.eng.Run()
+	if !slices.Equal(done, []int{0}) || rig.fab.Stats().Writes != 1 {
+		t.Fatalf("completions %v over %d writes, want only the write in flight to complete", done, rig.fab.Stats().Writes)
 	}
 }
