@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz chaos conform conform-sessions store health health-exp cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions store health health-exp cover loc check
 
 all: check
 
@@ -52,6 +52,14 @@ race:
 # every run actually exercises the detector.
 check-race: build
 	$(GO) test -race -count=1 ./...
+
+# relations runs wrdtcheck over every bundled class with 5000 relation-checker
+# iterations — more samples than the unit tests afford — so each declared
+# relation, and each method Guard against the definition P(σ, c) the runtime
+# no longer evaluates, meets thousands of generated states and calls; the
+# abstract-semantics, refinement and exhaustive checks run alongside.
+relations:
+	$(GO) run ./cmd/wrdtcheck -iters 5000
 
 # chaos replays the committed fixed-seed plan corpus (including the three
 # join/leave reconfiguration plans and the recovery sweep across the backup

@@ -229,20 +229,11 @@ func (r *Replica) dirtyViews() {
 // calls applied.
 func (r *Replica) queryState() spec.State { return r.live.state() }
 
-// vacuous reports that c's permissibility check cannot fail: the invariant is
-// constant true, or the class declares c invariant-sufficient — permissible
-// in every state satisfying the invariant, which σ and the speculative view
-// do by integrity (Lemma 1). The declared relation is the one the analysis
-// already rests on and spec.CheckRelations tests against Permissible, so the
-// check's state clone, apply and invariant evaluation are skipped.
-func (r *Replica) vacuous(c spec.Call) bool {
-	suff := r.cls.Rel.InvariantSufficient
-	return r.cls.TrivialInvariant || (suff != nil && suff(c))
-}
-
-// permissible checks P against the current (summary-applied) state.
+// permissible checks P against the current (summary-applied) state in place
+// (spec.Class.Allows). A vacuous call does not even read the state, so its
+// check never rebuilds a view.
 func (r *Replica) permissible(c spec.Call) bool {
-	return r.vacuous(c) || r.cls.Permissible(r.queryState(), c)
+	return r.cls.Vacuous(c) || r.cls.Allows(r.queryState(), c)
 }
 
 func (r *Replica) assertIntegrity(context string) {
@@ -859,9 +850,9 @@ func (r *Replica) specView() *view {
 }
 
 // specPermissible checks P against the speculative state with summaries
-// applied.
+// applied, in place, like permissible.
 func (r *Replica) specPermissible(c spec.Call) bool {
-	return r.vacuous(c) || r.cls.Permissible(r.specView().state(), c)
+	return r.cls.Vacuous(c) || r.cls.Allows(r.specView().state(), c)
 }
 
 // projectSpec projects the applied map plus the speculative overlay over

@@ -50,6 +50,9 @@ func NewAccount() *spec.Class {
 				Apply: func(s spec.State, a spec.Args) {
 					s.(*AccountState).Balance -= a.I[0]
 				},
+				Guard: func(s spec.State, a spec.Args) bool {
+					return s.(*AccountState).Balance-a.I[0] >= 0
+				},
 			},
 			AccountBalance: {
 				Name: "balance",

@@ -34,6 +34,14 @@ func (s *BankMapState) Equal(o spec.State) bool {
 	return true
 }
 
+// settles reports that account a may hold balance b under the invariant: a
+// zero balance is deleted, any other must be positive and in an open account.
+// On a state satisfying the invariant a money move changes only its own
+// account, so this is its guard.
+func settles(st *BankMapState, a, b int64) bool {
+	return b == 0 || (b > 0 && st.Open[a])
+}
+
 // BankMap method IDs.
 const (
 	BankOpen spec.MethodID = iota
@@ -95,6 +103,10 @@ func NewBankMap() *spec.Class {
 						delete(st.Balances, a.I[0])
 					}
 				},
+				Guard: func(s spec.State, a spec.Args) bool {
+					st := s.(*BankMapState)
+					return settles(st, a.I[0], st.Balances[a.I[0]]+a.I[1])
+				},
 			},
 			BankWithdraw: {
 				Name: "withdraw",
@@ -105,6 +117,10 @@ func NewBankMap() *spec.Class {
 					if st.Balances[a.I[0]] == 0 {
 						delete(st.Balances, a.I[0])
 					}
+				},
+				Guard: func(s spec.State, a spec.Args) bool {
+					st := s.(*BankMapState)
+					return settles(st, a.I[0], st.Balances[a.I[0]]-a.I[1])
 				},
 			},
 			BankBalance: {

@@ -118,6 +118,12 @@ func NewAuction() *spec.Class {
 						st.Bids[b] = amt
 					}
 				},
+				// On a state satisfying I only a bid that is stored can
+				// break it, and an open auction has no winner to move.
+				Guard: func(s spec.State, a spec.Args) bool {
+					st := s.(*AuctionState)
+					return st.Closed || a.I[1] <= st.Bids[a.I[0]] || st.Bidders[a.I[0]]
+				},
 			},
 			AuctionClose: {
 				Name: "close",

@@ -133,6 +133,11 @@ func newReferential(names refNames) *spec.Class {
 				Apply: func(s spec.State, a spec.Args) {
 					s.(*RefState).Links[pair(a.I[0], a.I[1])] = true
 				},
+				// On a state satisfying I only the new row can break it.
+				Guard: func(s spec.State, a spec.Args) bool {
+					st, row := s.(*RefState), pair(a.I[0], a.I[1])
+					return st.Left[row>>20] && st.Right[row&0xFFFFF]
+				},
 			},
 			RefAddRight: {
 				Name: names.addRight,

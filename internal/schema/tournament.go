@@ -127,6 +127,17 @@ func NewTournament() *spec.Class {
 				Apply: func(s spec.State, a spec.Args) {
 					s.(*TournamentState).Enrollments[pair(a.I[1], a.I[0])] = true
 				},
+				// On a state satisfying I only a new row can break it: its
+				// player and tournament must exist and a seat be free.
+				Guard: func(s spec.State, a spec.Args) bool {
+					st, row := s.(*TournamentState), pair(a.I[1], a.I[0])
+					if st.Enrollments[row] {
+						return true
+					}
+					t := row >> 20
+					capacity, ok := st.Capacities[t]
+					return ok && st.Players[row&0xFFFFF] && st.enrolledCount(t) < capacity
+				},
 			},
 			TournEnrolled: {
 				Name: "enrolled",

@@ -12,6 +12,9 @@ import "fmt"
 //
 //   - declared S-commute(c1,c2) ⇒ c2(c1(σ)) = c1(c2(σ))
 //   - declared invariant-sufficient(c) ⇒ P(σ, c)
+//   - Allows(σ, c) = P(σ, c) on σ and on the post-states below, for a call
+//     of every update method; Allows does not modify σ, and a call that is
+//     not invariant-sufficient has a Guard to answer it
 //   - declared c1 ▷_P c2 ⇒ (P(σ,c1) ⇒ P(c2(σ),c1))
 //   - declared c2 ◁_P c1 ⇒ (P(c1(σ),c2) ⇒ P(σ,c2))
 //   - call-level conflict ⇒ a method-level conflict edge exists
@@ -86,6 +89,14 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 			}
 		}
 
+		// Guards: the runtime's Allows against the definition, for a call
+		// of every update method.
+		for _, u := range updates {
+			if err := checkGuard(cls, sigma, cls.Gen.Call(r, u), it); err != nil {
+				return err
+			}
+		}
+
 		// P-R-commutativity: P(σ,c1) ⇒ P(c2(σ),c1). The interposed call
 		// c2 must itself be permissible in σ — executions only ever apply
 		// permissible calls, and the relation is used to reason about them.
@@ -96,6 +107,9 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 				return fmt.Errorf("%s: declared ▷_P fails: %s after %s (iter %d)",
 					cls.Name, c1.Format(cls), c2.Format(cls), it)
 			}
+			if err := checkGuard(cls, post2, c1, it); err != nil {
+				return err
+			}
 		}
 
 		// P-L-commutativity: P(c1(σ),c2) ⇒ P(σ,c2), for permissible c1.
@@ -105,6 +119,9 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 			if cls.Permissible(post1, c2) && !cls.Permissible(sigma, c2) {
 				return fmt.Errorf("%s: declared ◁_P fails: %s w.r.t. %s (iter %d)",
 					cls.Name, c2.Format(cls), c1.Format(cls), it)
+			}
+			if err := checkGuard(cls, post1, c2, it); err != nil {
+				return err
 			}
 		}
 
@@ -144,6 +161,30 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 				return fmt.Errorf("%s: group %q Identity is not a no-op (iter %d)", cls.Name, g.Name, it)
 			}
 		}
+	}
+	return nil
+}
+
+// checkGuard holds Allows(σ, c) to P(σ, c) for a state σ that satisfies the
+// invariant (a post-state that does not is skipped: the runtime never checks
+// one), and requires Allows to leave σ as it found it.
+func checkGuard(cls *Class, sigma State, c Call, it int) error {
+	if !cls.Invariant(sigma) {
+		return nil
+	}
+	m := cls.Methods[c.Method]
+	if !cls.Vacuous(c) && m.Guard == nil {
+		return fmt.Errorf("%s: %s declares no Guard, yet %s is not invariant-sufficient (iter %d)",
+			cls.Name, m.Name, c.Format(cls), it)
+	}
+	before := sigma.Clone()
+	allows := cls.Allows(sigma, c)
+	if !sigma.Equal(before) {
+		return fmt.Errorf("%s: %s's Guard modified the state on %s (iter %d)", cls.Name, m.Name, c.Format(cls), it)
+	}
+	if p := cls.Permissible(sigma, c); allows != p {
+		return fmt.Errorf("%s: Allows(σ, %s) = %t but P(σ, %s) = %t (iter %d)",
+			cls.Name, c.Format(cls), allows, c.Format(cls), p, it)
 	}
 	return nil
 }

@@ -124,6 +124,11 @@ type Method struct {
 	Apply func(State, Args)
 	// Eval executes a query against the state and returns its value.
 	Eval func(State, Args) any
+	// Guard reports P(σ, c) for a call of this update method on a state σ
+	// that satisfies the invariant, without modifying σ. Every update
+	// method with a call that is not invariant-sufficient declares one;
+	// CheckRelations holds it to Permissible.
+	Guard func(State, Args) bool
 }
 
 // Relations declares the call-level coordination relations of §3.2. The
@@ -228,11 +233,38 @@ type Class struct {
 }
 
 // Permissible reports P(σ, c): the invariant holds after applying c to a
-// copy of σ. The argument state is not modified.
+// copy of σ. The argument state is not modified. It is the definition the
+// checkers (CheckRelations, conform, wrdt, rdmawrdt) hold the runtime to;
+// the runtime itself asks Allows.
 func (c *Class) Permissible(sigma State, call Call) bool {
 	post := sigma.Clone()
 	c.Methods[call.Method].Apply(post, call.Args)
 	return c.Invariant(post)
+}
+
+// Allows reports P(σ, c) for a state σ that satisfies the invariant, without
+// copying σ: c is Vacuous or the method's Guard admits it. The runtime only
+// checks states that satisfy the invariant (Lemma 1), so there Allows and
+// Permissible agree whenever the declarations CheckRelations validates hold.
+// It panics when c needs a Guard its method does not declare.
+func (c *Class) Allows(sigma State, call Call) bool {
+	if c.Vacuous(call) {
+		return true
+	}
+	m := &c.Methods[call.Method]
+	if m.Guard == nil {
+		panic("spec: " + c.Name + "." + m.Name + " declares no Guard for a call that is not invariant-sufficient")
+	}
+	return m.Guard(sigma, call.Args)
+}
+
+// Vacuous reports that c's permissibility cannot fail in a state satisfying
+// the invariant: the invariant is constant true, or the class declares c
+// invariant-sufficient. A runtime asks it before building the state Allows
+// would be given.
+func (c *Class) Vacuous(call Call) bool {
+	suff := c.Rel.InvariantSufficient
+	return c.TrivialInvariant || (suff != nil && suff(call))
 }
 
 // ApplyCall applies an update call to the state in place.

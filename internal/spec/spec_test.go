@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"hamband/internal/crdt"
@@ -180,6 +181,9 @@ func TestSerializedAnalysis(t *testing.T) {
 			t.Fatalf("%s: Serialized changed the class's own analysis:\n%s\nwas\n%s", cls.Name, again.Summary(), own.Summary())
 		}
 	}
+	if mu := spec.Serialized(schema.NewCourseware()); mu.Methods[schema.RefLink].Guard == nil {
+		t.Fatal("the Mu baseline's courseware enroll lost its Guard under Serialized")
+	}
 }
 
 func TestAnalyzeRejectsIllFormedClasses(t *testing.T) {
@@ -316,6 +320,51 @@ func TestCheckRelationsCatchesBadDeclarations(t *testing.T) {
 	cls5.SumGroups = nil
 	if err := spec.CheckRelations(cls5, rand.New(rand.NewSource(5)), 500); err == nil {
 		t.Fatal("checker accepted a false S-commute claim")
+	}
+
+	// A courseware enroll guard that skips the student check must be
+	// caught: it admits a row whose student was never registered.
+	cls6 := schema.NewCourseware()
+	cls6.Methods[schema.RefLink].Guard = func(s spec.State, a spec.Args) bool {
+		return s.(*schema.RefState).Left[a.I[0]]
+	}
+	if err := spec.CheckRelations(cls6, rand.New(rand.NewSource(5)), 500); err == nil {
+		t.Fatal("checker accepted an enroll guard without the student check")
+	}
+
+	// A bankmap deposit guard that ignores Open must be caught: it admits
+	// money into an account that was never opened.
+	cls7 := crdt.NewBankMap()
+	cls7.Methods[crdt.BankDeposit].Guard = func(s spec.State, a spec.Args) bool {
+		return s.(*crdt.BankMapState).Balances[a.I[0]]+a.I[1] >= 0
+	}
+	if err := spec.CheckRelations(cls7, rand.New(rand.NewSource(5)), 500); err == nil {
+		t.Fatal("checker accepted a deposit guard that ignores Open")
+	}
+
+	// A method that needs a guard and declares none is named.
+	cls8 := crdt.NewAccount()
+	cls8.Methods[crdt.AccountWithdraw].Guard = nil
+	if err := spec.CheckRelations(cls8, rand.New(rand.NewSource(5)), 500); err == nil ||
+		!strings.Contains(err.Error(), "withdraw declares no Guard") {
+		t.Fatalf("checker error %v does not name the unguarded withdraw", err)
+	}
+}
+
+// TestAllowsAllocatesNothing pins the point of guards: the runtime's
+// permissibility check copies no state. For every bundled class, Allows
+// allocates nothing on a generated state for a generated call of each update
+// method.
+func TestAllowsAllocatesNothing(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, cls := range schema.Bundled() {
+		sigma := cls.Gen.State(r)
+		for _, u := range cls.UpdateMethods() {
+			c := cls.Gen.Call(r, u)
+			if allocs := testing.AllocsPerRun(50, func() { cls.Allows(sigma, c) }); allocs != 0 {
+				t.Errorf("%s: Allows(%s) allocates %.0f objects, want 0", cls.Name, c.Format(cls), allocs)
+			}
+		}
 	}
 }
 
