@@ -96,10 +96,13 @@ conform-sessions:
 
 # store runs the sharded multi-object store gate: exact footprint
 # accounting against the per-node arena, typed budget errors, freed-memory
-# reuse under concurrent open/close, cross-shard doorbell coalescing and
-# shard-tagged trace decomposition.
+# reuse under concurrent open/close, set-up allocating only carved bytes,
+# cross-shard doorbell coalescing and shard-tagged trace decomposition —
+# plus the arena's own tests (first-fit carving, coalescing, carved regions
+# serving verbs), which live in internal/rdma.
 store:
 	$(GO) test -count=1 -v ./internal/store
+	$(GO) test -run Arena -count=1 -v ./internal/rdma
 
 # health runs the introspection gate: the watchdog rule unit tests and the
 # zero-alloc snapshot guarantee (internal/health), the fault-plan

@@ -3,10 +3,11 @@
 // withdrawals), a product catalog (grow-only set) and a shopping cart
 // (OR-cart), each with exactly the coordination its methods need. The
 // sharded store carves every object's rings, summary slots and δ-logs out
-// of one registered arena per node with an explicit memory budget, runs
-// one heartbeat/detector pair per node for all objects, and routes every
-// object's summary writes through shared per-peer QPs so fan-out to the
-// same peer rides one chained doorbell even across objects.
+// of one registration budget per node (an rdma.Arena that allocates only
+// the carved bytes), runs one heartbeat/detector pair per node for all
+// objects, and routes every object's summary writes through shared per-peer
+// QPs so fan-out to the same peer rides one chained doorbell even across
+// objects.
 //
 // Run with: go run ./examples/store
 package main
@@ -26,7 +27,7 @@ func main() {
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
 
 	opts := store.DefaultOptions()
-	opts.MemoryBudget = 8 << 20 // 8 MiB of registered memory per node
+	opts.MemoryBudget = 8 << 20 // an 8 MiB registration budget per node
 	opts.Core.CheckIntegrity = true
 	st := store.New(fab, opts)
 	defer st.Stop()

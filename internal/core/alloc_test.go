@@ -42,7 +42,15 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 // a live single-node cluster and compares per-cycle allocations with the
 // tracer detached and attached. The attached run must allocate strictly
 // more — proving the lifecycle events a conformance run records are work
-// the tracing() guards genuinely skip, not merely defer, when disabled.
+// the tracing() guards genuinely skip, not merely defer, when disabled. The
+// detached cycle is pinned exactly at three objects:
+//
+//	1  the caller's argument slice
+//	1  Invoke's closure, the issue item on the replica's CPU
+//	1  the counter's new summary (Summarize returns fresh Args)
+//
+// A tracing-only use of the call that takes its address (SlotRecord.C) must
+// take it of a copy made under the guard, or every call moves to the heap.
 func TestTracerCostVanishesWhenDisabled(t *testing.T) {
 	measure := func(attach bool) float64 {
 		h := newHarness(t, crdt.NewCounter(), 1, 1, func(o *Options) { o.CheckIntegrity = false })
@@ -58,6 +66,9 @@ func TestTracerCostVanishesWhenDisabled(t *testing.T) {
 		})
 	}
 	off, on := measure(false), measure(true)
+	if off != 3 {
+		t.Errorf("a detached reducible invoke cycle allocates %.0f objects, want 3", off)
+	}
 	if on <= off {
 		t.Errorf("tracer-attached invoke allocates %.1f/op, detached %.1f/op; want attached > detached", on, off)
 	}

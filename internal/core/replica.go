@@ -316,9 +316,10 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	r.mApplied.Inc()
 	r.assertIntegrity("reduce")
 	if r.tracing() {
+		traced := c // its own copy: taking c's address would put every call on the heap, tracer or not
 		r.traceData(trace.Reduce, c, fmt.Sprintf("summary v%d remote-written to %d peers", slot.version, r.n-1),
 			trace.SlotRecord{Group: g, Src: r.id, Version: slot.version, Sum: slot.call,
-				Counts: append([]uint32(nil), slot.counts...), C: &c})
+				Counts: append([]uint32(nil), slot.counts...), C: &traced})
 		r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
 	}
 	r.kickApply() // counts advanced: dependent buffered calls may unblock

@@ -97,7 +97,8 @@ type ShardHealth struct {
 	Nodes   []NodeHealth
 }
 
-// ArenaHealth is one node's store-arena budget health.
+// ArenaHealth is one node's store memory budget: the modelled registration's
+// size and how much of it the open shards have carved.
 type ArenaHealth struct {
 	Node      int
 	Size      int

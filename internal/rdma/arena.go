@@ -7,62 +7,54 @@ import (
 )
 
 // ErrArenaExhausted is returned by Arena.Carve when the requested size does
-// not fit in any free span of the parent region. It is a typed, recoverable
-// error: multi-object stores turn it into an admission decision ("this
-// shard does not fit the ring-memory budget") instead of a crash.
+// not fit in any free span of the budget. It is a typed, recoverable error:
+// multi-object stores turn it into an admission decision ("this shard does
+// not fit the ring-memory budget") instead of a crash.
 var ErrArenaExhausted = errors.New("rdma: arena exhausted")
 
-// span is one contiguous byte range of the arena's parent region.
+// span is one contiguous byte range of the arena's budget.
 type span struct{ off, size int }
 
-// Arena sub-allocates named sub-regions from one registered parent region.
+// Arena is one node's registration budget, sub-allocated by name.
 //
 // Real RDMA deployments register a few large memory regions at startup
 // (registration pins pages and programs the NIC's MTT, which is slow and a
 // scarce resource) and carve per-object rings and slots out of them. Arena
-// reproduces that discipline for the simulated fabric: every Carve returns
-// a *Region aliasing a sub-range of the parent's buffer, so one-sided verbs
-// targeting the sub-region's name work exactly like verbs on a first-class
-// registration, while the memory itself stays inside the parent's single
-// allocation and an explicit byte budget.
+// models that discipline as bookkeeping: the budget is the modelled
+// registration, an address space [0, size) that is never allocated, and every
+// Carve reserves a span of it. The region a carve backs (Node.Register builds
+// it) owns a buffer of exactly its size, so the bytes that exist are the bytes
+// carved, while admission, fragmentation and reuse follow the spans.
 //
-// Allocation is first-fit over a sorted, coalesced free list. Release
-// zeroes the span (the next tenant must not observe a previous shard's
-// bytes) and merges it back. All operations are mutex-guarded so stores can
-// admit and close shards concurrently against one budget.
+// Allocation is first-fit over a sorted, coalesced free list. Release merges
+// the span back; the next tenant gets fresh memory, so it never observes a
+// previous shard's bytes. All operations are mutex-guarded so stores can admit
+// and close shards concurrently against one budget.
 type Arena struct {
 	mu     sync.Mutex
-	parent *Region
+	size   int
+	used   int    // bytes carved: the sum of allocs' sizes
 	free   []span // sorted by offset, adjacent spans coalesced
 	allocs map[string]span
 }
 
-// NewArena wraps parent as an allocation arena. The parent region should
-// not be written through directly once sub-regions are carved from it.
-func NewArena(parent *Region) *Arena {
+// NewArena returns an arena over a budget of size bytes, all of it free.
+func NewArena(size int) *Arena {
 	return &Arena{
-		parent: parent,
-		free:   []span{{0, parent.Size()}},
+		size:   size,
+		free:   []span{{0, size}},
 		allocs: make(map[string]span),
 	}
 }
 
 // Size returns the arena's total capacity in bytes.
-func (a *Arena) Size() int { return a.parent.Size() }
+func (a *Arena) Size() int { return a.size }
 
 // Used returns the bytes currently carved out.
 func (a *Arena) Used() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.used()
-}
-
-func (a *Arena) used() int {
-	u := 0
-	for _, s := range a.allocs {
-		u += s.size
-	}
-	return u
+	return a.used
 }
 
 // Available returns the bytes not currently carved out. Fragmentation can
@@ -70,13 +62,17 @@ func (a *Arena) used() int {
 func (a *Arena) Available() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.parent.Size() - a.used()
+	return a.size - a.used
 }
 
 // Largest returns the biggest single allocation that can currently succeed.
 func (a *Arena) Largest() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	return a.largest()
+}
+
+func (a *Arena) largest() int {
 	max := 0
 	for _, s := range a.free {
 		if s.size > max {
@@ -86,12 +82,11 @@ func (a *Arena) Largest() int {
 	return max
 }
 
-// Carve allocates a sub-region of the given size under name. The returned
-// region aliases the parent's memory and serves verbs like any registered
-// region. Exhaustion returns an error wrapping ErrArenaExhausted; a
-// duplicate name or non-positive size is a programming error and panics,
-// matching Node.Register.
-func (a *Arena) Carve(name string, size int) (*Region, error) {
+// Carve reserves a span of the given size under name; the region it backs is
+// built by Node.Register (see Node.Route). Exhaustion returns an error
+// wrapping ErrArenaExhausted; a duplicate name or non-positive size is a
+// programming error and panics, matching Node.Register.
+func (a *Arena) Carve(name string, size int) error {
 	if size <= 0 {
 		panic(fmt.Sprintf("rdma: arena carve %q with size %d", name, size))
 	}
@@ -110,31 +105,14 @@ func (a *Arena) Carve(name string, size int) (*Region, error) {
 			a.free[i] = span{s.off + size, s.size - size}
 		}
 		a.allocs[name] = span{s.off, size}
-		r := &Region{
-			name:    name,
-			owner:   a.parent.owner,
-			buf:     a.parent.buf[s.off : s.off+size : s.off+size],
-			writers: make(map[NodeID]bool),
-			arena:   a,
-		}
-		return r, nil
+		a.used += size
+		return nil
 	}
-	return nil, fmt.Errorf("rdma: carving %q (%d B, %d B free, largest span %d B): %w",
-		name, size, a.parent.Size()-a.used(), a.largestLocked(), ErrArenaExhausted)
+	return fmt.Errorf("rdma: carving %q (%d B, %d B free, largest span %d B): %w",
+		name, size, a.size-a.used, a.largest(), ErrArenaExhausted)
 }
 
-func (a *Arena) largestLocked() int {
-	max := 0
-	for _, s := range a.free {
-		if s.size > max {
-			max = s.size
-		}
-	}
-	return max
-}
-
-// release returns name's span to the free list, zeroing its bytes so a
-// future tenant starts from clean memory. Unknown names are a no-op
+// release returns name's span to the free list. Unknown names are a no-op
 // (release is idempotent).
 func (a *Arena) release(name string) {
 	a.mu.Lock()
@@ -144,9 +122,7 @@ func (a *Arena) release(name string) {
 		return
 	}
 	delete(a.allocs, name)
-	for i := range a.parent.buf[s.off : s.off+s.size] {
-		a.parent.buf[s.off+i] = 0
-	}
+	a.used -= s.size
 	// Insert sorted by offset, then coalesce with the neighbors.
 	at := len(a.free)
 	for i, f := range a.free {

@@ -9,49 +9,42 @@ import (
 	"hamband/internal/sim"
 )
 
-func arenaFixture(t *testing.T, budget int) (*Node, *Arena) {
-	t.Helper()
-	eng := sim.NewEngine(1)
-	fab := NewFabric(eng, 2, DefaultLatency())
-	n := fab.Node(0)
-	return n, NewArena(n.Register("arena", budget))
-}
-
 func TestArenaExhaustionTypedError(t *testing.T) {
-	_, a := arenaFixture(t, 1024)
-	if _, err := a.Carve("fits", 1000); err != nil {
+	a := NewArena(1024)
+	if err := a.Carve("fits", 1000); err != nil {
 		t.Fatalf("carve fits: %v", err)
 	}
-	_, err := a.Carve("overflow", 100)
+	err := a.Carve("overflow", 100)
 	if err == nil {
 		t.Fatal("carve past budget succeeded")
 	}
 	if !errors.Is(err, ErrArenaExhausted) {
 		t.Fatalf("error %v does not wrap ErrArenaExhausted", err)
 	}
-	if a.Used() != 1000 || a.Available() != 24 {
-		t.Fatalf("used=%d available=%d after failed carve", a.Used(), a.Available())
+	if a.Used() != 1000 || a.Available() != 24 || a.Largest() != 24 {
+		t.Fatalf("used=%d available=%d largest=%d after failed carve", a.Used(), a.Available(), a.Largest())
 	}
 }
 
 func TestArenaReleaseReuseAndCoalesce(t *testing.T) {
-	n, a := arenaFixture(t, 300)
+	n := NewFabric(sim.NewEngine(1), 2, DefaultLatency()).Node(0)
+	a := NewArena(300)
+	n.Route(func(string) bool { return true }, a)
 	for _, name := range []string{"a", "b", "c"} {
-		r, err := a.Carve(name, 100)
-		if err != nil {
-			t.Fatalf("carve %s: %v", name, err)
-		}
+		r := n.Register(name, 100)
 		for i := range r.Bytes() {
 			r.Bytes()[i] = 0xAB
 		}
-		n.regions[name] = r
 	}
-	if _, err := a.Carve("d", 1); !errors.Is(err, ErrArenaExhausted) {
+	if err := a.Carve("d", 1); !errors.Is(err, ErrArenaExhausted) {
 		t.Fatalf("full arena carve: %v", err)
 	}
 	// Free the middle span, then both ends; spans must coalesce back into
 	// one 300-byte run so a full-size carve succeeds again.
 	n.Unregister("b")
+	if a.Used() != 200 || a.Largest() != 100 {
+		t.Fatalf("used=%d largest=%d after releasing the middle span", a.Used(), a.Largest())
+	}
 	n.Unregister("a")
 	n.Unregister("c")
 	if a.Used() != 0 {
@@ -60,19 +53,16 @@ func TestArenaReleaseReuseAndCoalesce(t *testing.T) {
 	if got := a.Largest(); got != 300 {
 		t.Fatalf("largest=%d after full release; spans not coalesced", got)
 	}
-	r, err := a.Carve("whole", 300)
-	if err != nil {
-		t.Fatalf("re-carve whole arena: %v", err)
-	}
+	r := n.Register("whole", 300)
 	for i, b := range r.Bytes() {
 		if b != 0 {
-			t.Fatalf("byte %d = %#x: released memory not zeroed", i, b)
+			t.Fatalf("byte %d = %#x: the new tenant sees a previous one's memory", i, b)
 		}
 	}
 }
 
 func TestArenaConcurrentCarveReleaseBudget(t *testing.T) {
-	_, a := arenaFixture(t, 64*1024)
+	a := NewArena(64 * 1024)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -80,16 +70,15 @@ func TestArenaConcurrentCarveReleaseBudget(t *testing.T) {
 			defer wg.Done()
 			name := string(rune('a' + g))
 			for i := 0; i < 200; i++ {
-				r, err := a.Carve(name, 4096)
-				if err != nil {
+				if err := a.Carve(name, 4096); err != nil {
 					if !errors.Is(err, ErrArenaExhausted) {
 						t.Errorf("goroutine %d: %v", g, err)
 						return
 					}
 					continue
 				}
-				if len(r.Bytes()) != 4096 {
-					t.Errorf("goroutine %d: carved %d bytes", g, len(r.Bytes()))
+				if used := a.Used(); used < 4096 || used > a.Size() {
+					t.Errorf("goroutine %d: used=%d while holding a 4096-byte carve", g, used)
 				}
 				a.release(name)
 			}
@@ -105,12 +94,14 @@ func TestArenaConcurrentCarveReleaseBudget(t *testing.T) {
 }
 
 func TestRegisterRoutesIntoArena(t *testing.T) {
-	n, a := arenaFixture(t, 4096)
+	eng := sim.NewEngine(1)
+	n := NewFabric(eng, 2, DefaultLatency()).Node(0)
+	a := NewArena(4096)
 	n.Route(func(name string) bool { return strings.HasPrefix(name, "shard/") }, a)
 
 	routed := n.Register("shard/ring", 1024)
-	if routed.arena != a {
-		t.Fatal("routed region not carved from arena")
+	if routed.arena != a || routed.owner != n {
+		t.Fatal("routed region not charged to the arena, or not owned by its node")
 	}
 	if a.Used() != 1024 {
 		t.Fatalf("arena used=%d after routed register", a.Used())
@@ -134,35 +125,47 @@ func TestRegisterRoutesIntoArena(t *testing.T) {
 }
 
 // A verb targeting a carved sub-region behaves exactly like one targeting a
-// first-class registration, and an unregistered name fails with ErrNoRegion
-// (the rkey-invalidated case).
+// first-class registration: the region holds exactly its carved bytes, bounds
+// are its own (a write past its end fails even though the budget continues),
+// a sibling carve next to it in the budget is untouched, and an unregistered
+// name fails with ErrNoRegion (the rkey-invalidated case).
 func TestArenaRegionServesVerbs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	fab := NewFabric(eng, 2, DefaultLatency())
 	target := fab.Node(1)
-	a := NewArena(target.Register("arena", 4096))
+	a := NewArena(4096)
 	target.Route(func(name string) bool { return strings.HasPrefix(name, "sub") }, a)
 	sub := target.Register("sub0", 64)
+	sibling := target.Register("sub1", 64)
 	sub.AllowWrite(0)
+	sibling.AllowWrite(0)
+	if b := sub.Bytes(); len(b) != 64 || cap(b) != 64 {
+		t.Fatalf("carved region has len %d cap %d, want 64/64", len(b), cap(b))
+	}
 
-	done := false
-	fab.Node(0).QP(1).Write("sub0", 8, []byte("hello"), func(err error) {
-		if err != nil {
-			t.Errorf("write to carved region: %v", err)
+	write := func(off int, data string) error {
+		t.Helper()
+		done, got := false, error(nil)
+		fab.Node(0).QP(1).Write("sub0", off, []byte(data), func(err error) { done, got = true, err })
+		eng.Run()
+		if !done {
+			t.Fatal("write completion never delivered")
 		}
-		done = true
-	})
-	eng.Run()
-	if !done {
-		t.Fatal("write completion never delivered")
+		return got
+	}
+	if err := write(8, "hello"); err != nil {
+		t.Fatalf("write to carved region: %v", err)
 	}
 	if got := string(sub.Bytes()[8:13]); got != "hello" {
 		t.Fatalf("carved region holds %q", got)
 	}
-	// The parent buffer aliases the carve.
-	parent := target.Region("arena")
-	if got := string(parent.Bytes()[8:13]); got != "hello" {
-		t.Fatalf("parent region holds %q — carve does not alias parent memory", got)
+	if err := write(60, "hello"); !errors.Is(err, ErrOutOfBounds) {
+		t.Fatalf("write past the carve's end: %v, want ErrOutOfBounds", err)
+	}
+	for i, b := range sibling.Bytes() {
+		if b != 0 {
+			t.Fatalf("sibling carve byte %d = %#x: a write to sub0 reached it", i, b)
+		}
 	}
 
 	target.Unregister("sub0")

@@ -266,36 +266,36 @@ func (n *Node) Suspended() bool { return n.suspended }
 // returns it. Registering an existing name panics: region layout is part of
 // protocol setup and a double registration is a programming error.
 //
-// If an installed route (see Route) matches the name, the region is carved
-// out of the route's arena instead of freshly allocated. The caller is
-// expected to have reserved the arena budget beforehand — a carve failure
-// here means the reservation accounting is wrong, so it panics rather than
-// silently spilling outside the budget.
+// If an installed route (see Route) matches the name, the region's size is
+// carved out of the route's arena budget first. The caller is expected to
+// have reserved that budget beforehand — a carve failure here means the
+// reservation accounting is wrong, so it panics rather than silently spilling
+// outside the budget.
 func (n *Node) Register(name string, size int) *Region {
 	if _, ok := n.regions[name]; ok {
 		panic(fmt.Sprintf("rdma: region %q already registered on node %d", name, n.id))
 	}
+	var arena *Arena
 	for _, rt := range n.routes {
 		if !rt.match(name) {
 			continue
 		}
-		r, err := rt.arena.Carve(name, size)
-		if err != nil {
+		if err := rt.arena.Carve(name, size); err != nil {
 			panic(fmt.Sprintf("rdma: routed region %q on node %d: %v (budget not reserved?)", name, n.id, err))
 		}
-		n.regions[name] = r
-		return r
+		arena = rt.arena
+		break
 	}
-	r := &Region{name: name, owner: n, buf: make([]byte, size), writers: make(map[NodeID]bool)}
+	r := &Region{name: name, owner: n, buf: make([]byte, size), writers: make(map[NodeID]bool), arena: arena}
 	n.regions[name] = r
 	return r
 }
 
 // Route installs an arena route: subsequent Register calls whose name
-// matches are carved out of the arena rather than freshly allocated. Routes
-// are consulted in installation order; the first match wins. This is how a
-// multi-object store funnels a protocol stack's region registrations —
-// which know nothing about arenas — into one budgeted parent region.
+// matches are charged to the arena's budget. Routes are consulted in
+// installation order; the first match wins. This is how a multi-object store
+// holds a protocol stack's region registrations — which know nothing about
+// arenas — to one per-node registration budget.
 func (n *Node) Route(match func(name string) bool, a *Arena) {
 	n.routes = append(n.routes, regionRoute{match: match, arena: a})
 }
@@ -304,7 +304,7 @@ func (n *Node) Route(match func(name string) bool, a *Arena) {
 func (n *Node) Region(name string) *Region { return n.regions[name] }
 
 // Unregister removes the region registered under name. Arena-carved
-// regions return their span (zeroed) to the arena for reuse. Unknown names
+// regions return their span to the arena for reuse. Unknown names
 // are a no-op. The caller is responsible for quiescence: in-flight verbs
 // targeting the name after removal fail with ErrNoRegion, exactly as a
 // real NIC invalidates an rkey.
@@ -378,7 +378,7 @@ type Region struct {
 	buf      []byte
 	writers  map[NodeID]bool
 	allowAll bool
-	arena    *Arena // non-nil when carved from an arena (see Arena.Carve)
+	arena    *Arena // non-nil when charged to an arena's budget (see Node.Route)
 }
 
 // Name returns the region's registered name.

@@ -5,12 +5,12 @@
 //
 // Three resources are shared across shards, everything else is per shard:
 //
-//   - Memory. Each node registers ONE parent region of MemoryBudget bytes;
-//     every shard's rings, summary slots and δ-log areas are carved out of
-//     it by an rdma.Arena (registration is a scarce NIC resource — real
-//     deployments register big and sub-allocate). Open admits a shard only
-//     if its exact footprint fits the remaining budget, returning ErrBudget
-//     otherwise; Close returns the shard's spans for reuse.
+//   - Memory. Each node has ONE registration budget of MemoryBudget bytes
+//     (registration is a scarce NIC resource — real deployments register
+//     big and sub-allocate); an rdma.Arena carves every shard's rings,
+//     summary slots and δ-log areas out of it, and only carved bytes exist.
+//     Open admits a shard only if its exact footprint fits the remaining
+//     budget, returning ErrBudget otherwise; Close returns its spans.
 //   - Queue pairs. All shards on a node post through the node's per-peer RC
 //     QPs, and their summary writes flow through one shared per-node
 //     rdma.Coalescer — WRs from different shards bound for the same peer
@@ -54,8 +54,8 @@ var (
 // Options configures a Store.
 type Options struct {
 	// MemoryBudget is the per-node byte budget for all shards' rings,
-	// summary slots, journals and δ-logs combined (default 16 MiB). The
-	// budget is registered once as one parent region per node.
+	// summary slots, journals and δ-logs combined (default 16 MiB): the
+	// modelled registration, of which only the carved bytes are allocated.
 	MemoryBudget int
 
 	// Core is the per-shard cluster option template. Namespace, ShardTag,
@@ -97,7 +97,7 @@ type Store struct {
 	fab  *rdma.Fabric
 	opts Options
 
-	arenas []*rdma.Arena     // per node: the budgeted parent region
+	arenas []*rdma.Arena     // per node: the registration budget shards carve from
 	coals  []*rdma.Coalescer // per node: shared write coalescer
 	fdom   *core.FailureDomain
 
@@ -135,7 +135,7 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 	}
 	for i := 0; i < fab.Size(); i++ {
 		node := fab.Node(rdma.NodeID(i))
-		a := rdma.NewArena(node.Register("store-arena", opts.MemoryBudget))
+		a := rdma.NewArena(opts.MemoryBudget)
 		s.arenas = append(s.arenas, a)
 		node.Route(s.routeMatch, a)
 		s.coals = append(s.coals, rdma.NewCoalescer(node))
@@ -290,7 +290,7 @@ func (s *Store) crossPeer(key string) *Shard {
 }
 
 // Close stops the shard's cluster and unregisters its regions, returning
-// their zeroed spans to every node's budget. The caller is responsible for
+// their spans to every node's budget. The caller is responsible for
 // quiescence: verbs in flight toward a closed shard fail with ErrNoRegion,
 // the same way a real NIC invalidates an rkey.
 func (s *Store) Close(key string) error {

@@ -3,6 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -90,6 +91,39 @@ func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 				t.Fatalf("node %d: budget %d, want %d", node, total, opts.MemoryBudget)
 			}
 		}
+	}
+}
+
+// TestSetupAllocatesOnlyWhatShardsCarve pins what a store costs to build: the
+// budget is bookkeeping, so store.New at the default 16 MiB budget plus 16
+// counter shards on 4 nodes allocates within a small factor of the bytes the
+// shards carve (4 × 16 × Footprint, 4 MiB) — never the 4 × 16 MiB of budget,
+// which a store that allocated its registration up front would pay.
+func TestSetupAllocatesOnlyWhatShardsCarve(t *testing.T) {
+	const nodes, shards = 4, 16
+	opts := DefaultOptions()
+	an := spec.MustAnalyze(crdt.NewCounter())
+	carved := uint64(nodes * shards * Footprint(an, nodes, opts.Core))
+	fab := rdma.NewFabric(sim.NewEngine(13), nodes, rdma.DefaultLatency())
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := New(fab, opts)
+	for i := 0; i < shards; i++ {
+		if _, err := s.Open(fmt.Sprintf("obj%02d", i), an, ShardOptions{}); err != nil {
+			t.Fatalf("open %d: %v", i, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	s.Stop()
+
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("set-up allocated %d B for %d B carved (%.2f×); the budget is %d B", got, carved, float64(got)/float64(carved), nodes*opts.MemoryBudget)
+	if got > 2*carved {
+		t.Errorf("set-up allocated %d B, more than twice the %d B the shards carve", got, carved)
+	}
+	if used, _ := s.Budget(0); uint64(used) != carved/nodes {
+		t.Fatalf("node 0 carved %d B, want %d", used, carved/nodes)
 	}
 }
 

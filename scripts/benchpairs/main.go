@@ -137,28 +137,45 @@ func run(ref, workload string, pairs, seed int) error {
 		if len(r) != pairs || len(c) != pairs {
 			continue // not an end-to-end metric of this benchmark version
 		}
-		wins := 0
-		for i := range r {
-			if better(spec.Better, c[i], r[i]) {
-				wins++
-			}
-		}
-		rq, cq := quartiles(r), quartiles(c)
-		reading := ""
-		switch {
-		case texts[spec.Name] != nil && len(texts[spec.Name]) == 1:
-			reading = "virtual: byte-identical on both sides"
-		case texts[spec.Name] != nil:
-			reading = fmt.Sprintf("virtual: NOT byte-identical (%d distinct values)", len(texts[spec.Name]))
-		case 10*wins >= 9*pairs && better(spec.Better, cq[1], rq[1]) && math.Abs(cq[1]-rq[1]) > rq[2]-rq[0]:
-			reading = fmt.Sprintf("gain: %.3g× the ref median, beyond the ref's spread", cq[1]/rq[1])
-		default:
-			reading = fmt.Sprintf("no claim: %.3g× the ref median", cq[1]/rq[1])
-		}
-		fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", spec.Name, spec.Unit, show(rq), show(cq),
-			fmt.Sprintf("%d/%d", wins, pairs), reading)
+		v := judge(spec.Better, r, c, len(texts[spec.Name]))
+		fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", spec.Name, spec.Unit, show(v.ref), show(v.change),
+			fmt.Sprintf("%d/%d", v.wins, pairs), v.reading)
 	}
 	return nil
+}
+
+// verdict is what the paired runs say about one end-to-end metric.
+type verdict struct {
+	wins        int        // pairs the change won; a tie counts for neither side
+	ref, change [3]float64 // each side's quartiles
+	reading     string
+}
+
+// judge applies the claim rule to one metric's values, ref[i] and change[i]
+// being pair i. texts is the number of distinct value texts a virtual-clock
+// metric produced over both sides (0 for a host metric): a virtual metric is
+// read only for byte-identity. A host metric reads as a gain when the change
+// won at least nine tenths of the pairs and its median is better than the
+// ref's by more than the ref's interquartile range.
+func judge(direction string, ref, change []float64, texts int) verdict {
+	v := verdict{ref: quartiles(ref), change: quartiles(change)}
+	for i := range ref {
+		if better(direction, change[i], ref[i]) {
+			v.wins++
+		}
+	}
+	r, c := v.ref, v.change
+	switch {
+	case texts == 1:
+		v.reading = "virtual: byte-identical on both sides"
+	case texts > 1:
+		v.reading = fmt.Sprintf("virtual: NOT byte-identical (%d distinct values)", texts)
+	case 10*v.wins >= 9*len(ref) && better(direction, c[1], r[1]) && math.Abs(c[1]-r[1]) > r[2]-r[0]:
+		v.reading = fmt.Sprintf("gain: %.3g× the ref median, beyond the ref's spread", c[1]/r[1])
+	default:
+		v.reading = fmt.Sprintf("no claim: %.3g× the ref median", c[1]/r[1])
+	}
+	return v
 }
 
 // export unpacks commit sha into dir with git archive piped into tar; dir

@@ -1,0 +1,61 @@
+package main
+
+import (
+	"strings"
+	"testing"
+)
+
+// TestJudgeClaimRule pins the rule every host-time claim rests on: at least
+// nine tenths of the pairs won, a tie counting for neither side, and a median
+// better than the ref's by more than the ref's interquartile range; a virtual
+// metric is read for byte-identity only.
+func TestJudgeClaimRule(t *testing.T) {
+	// ref's quartiles are 12.25 / 14.5 / 16.75: an interquartile range of 4.5.
+	ref := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
+	shift := func(d float64) []float64 {
+		out := make([]float64, len(ref))
+		for i, r := range ref {
+			out[i] = r + d
+		}
+		return out
+	}
+	with := func(xs []float64, i int, x float64) []float64 {
+		out := append([]float64(nil), xs...)
+		out[i] = x
+		return out
+	}
+	for _, tc := range []struct {
+		name      string
+		direction string
+		change    []float64
+		texts     int
+		wins      int
+		reading   string
+	}{
+		{"every pair won, far beyond the spread", "lower", shift(-9), 0, 10, "gain: "},
+		{"nine of ten won", "lower", with(shift(-9), 3, 99), 0, 9, "gain: "},
+		{"nine won and a tie", "lower", with(shift(-9), 3, ref[3]), 0, 9, "gain: "},
+		{"eight won and two ties", "lower", with(with(shift(-9), 3, ref[3]), 4, ref[4]), 0, 8, "no claim: "},
+		{"eight of ten won", "lower", with(with(shift(-9), 3, 99), 4, 99), 0, 8, "no claim: "},
+		{"every pair won, inside the spread", "lower", shift(-1), 0, 10, "no claim: "},
+		{"median gap equal to the spread", "lower", shift(-4.5), 0, 10, "no claim: "},
+		{"median gap just past the spread", "lower", shift(-4.6), 0, 10, "gain: "},
+		{"higher is better", "higher", shift(9), 0, 10, "gain: "},
+		{"the wrong direction", "lower", shift(9), 0, 0, "no claim: "},
+		{"virtual, identical", "lower", ref, 1, 0, "virtual: byte-identical"},
+		{"virtual, moved", "lower", shift(-9), 2, 10, "virtual: NOT byte-identical (2 distinct values)"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := judge(tc.direction, ref, tc.change, tc.texts)
+			if v.wins != tc.wins {
+				t.Errorf("wins = %d, want %d", v.wins, tc.wins)
+			}
+			if !strings.HasPrefix(v.reading, tc.reading) {
+				t.Errorf("reading %q, want it to start %q", v.reading, tc.reading)
+			}
+			if v.ref != [3]float64{12.25, 14.5, 16.75} {
+				t.Errorf("ref quartiles %v", v.ref)
+			}
+		})
+	}
+}
