@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions store health health-exp cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions store health health-exp cover loc check
 
 all: check
 
@@ -143,6 +143,17 @@ check: build fmt vet staticcheck test bench-test race fuzz health-exp
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring
+
+# allocs runs every testing.AllocsPerRun pin under internal/, uncached and
+# verbose, so a host-cost change prints its counts with one command. The pins
+# are found in the test files — a Test function that calls
+# testing.AllocsPerRun is one — so a new pin joins without an edit here.
+allocs:
+	@for dir in $$(grep -rl --include='*_test.go' 'testing.AllocsPerRun' internal | xargs -n1 dirname | sort -u); do \
+		run=$$(awk 'FNR == 1 || /^func / { name = "" } /^func Test/ { name = $$2; sub(/\(.*/, "", name) } \
+			/testing\.AllocsPerRun/ && name != "" { print name }' $$dir/*_test.go | sort -u | paste -sd'|'); \
+		$(GO) test -count=1 -v -run "^($$run)$$" ./$$dir || exit 1; \
+	done
 
 # ledger prints the virtual-CPU ledgers: µs of simulated CPU per call by call
 # site (post, CQE, deliver, apply, polls, accept, head and heartbeat reads).

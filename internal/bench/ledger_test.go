@@ -65,7 +65,8 @@ var ledgerRows = []struct{ site, row string }{
 	{"core.(*Replica).invokeFree", "apply"},
 	{"mu.(*Instance).poll", "polls"},
 	{"broadcast.(*Receiver).poll", "polls"},
-	{"core.(*Replica).Invoke", "accept"},
+	{"core.(*Replica).submit", "accept"},
+	{"core.(*Replica).queueQuery", "accept"},
 	{"rdma.(*QP).post<ring.(*Sender)", "head reads"},
 	{"rdma.(*QP).post<heartbeat.", "heartbeat reads"},
 	{"rdma.(*QP).complete", "CQE: read completions"},

@@ -28,6 +28,7 @@ import (
 	"slices"
 
 	"hamband/internal/codec"
+	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
@@ -358,6 +359,12 @@ type Receiver struct {
 	staleBackup uint64                 // stale backup slots rejected during recovery
 	ticker      *sim.Ticker
 	sweepFn     func() // r.sweep bound once: a poll allocates nothing
+	// inbox holds the messages whose DeliverCost item is still queued on the
+	// CPU, oldest first. The CPU runs its items in order and never discards one
+	// (Suspend and Crash only pause it), so the k-th run of handleFn pops the
+	// k-th message pushed.
+	inbox    fifo.Queue[message]
+	handleFn func() // r.handleNext bound once: a delivery allocates no closure
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -393,7 +400,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		r.readers[src] = rd
 		r.delivered[src] = make(map[uint64]int)
 	}
-	r.sweepFn = r.sweep
+	r.sweepFn, r.handleFn = r.sweep, r.handleNext
 	r.ticker = fab.Engine().NewTicker(cfg.PollPeriod, r.poll)
 	return r
 }
@@ -518,8 +525,22 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing b
 		return
 	}
 	r.mDelivered.Inc()
-	buf := append([]byte(nil), payload[had:]...)
-	r.node.CPU.Exec(r.cfg.DeliverCost, func() { r.handler(src, seq, buf) })
+	r.inbox.Push(message{src, seq, append([]byte(nil), payload[had:]...)})
+	r.node.CPU.Exec(r.cfg.DeliverCost, r.handleFn)
+}
+
+// message is a delivered message on its way to the handler; the payload is
+// the receiver's own copy.
+type message struct {
+	src     rdma.NodeID
+	seq     uint64
+	payload []byte
+}
+
+// handleNext is the DeliverCost item of the oldest queued message.
+func (r *Receiver) handleNext() {
+	m := r.inbox.Pop()
+	r.handler(m.src, m.seq, m.payload)
 }
 
 // RecoverFrom reads src's backup region remotely and delivers any pending

@@ -347,6 +347,24 @@ type pendingEntry struct {
 	d spec.DepVec
 }
 
+// clientCall is a client call on its way from Invoke to its IssueCost item,
+// and a query on from there to its QueryCost item.
+type clientCall struct {
+	u        spec.MethodID
+	args     spec.Args
+	submitAt sim.Time // Invoke entry
+	fresh    bool     // InvokeFresh on a class with summaries: refresh the slots first
+	onDone   func(any, error)
+}
+
+// freeCall is an accepted irreducible conflict-free call waiting for its
+// ApplyCost item.
+type freeCall struct {
+	c      spec.Call
+	d      spec.DepVec
+	onDone func(any, error)
+}
+
 // Replica is one node's Hamband runtime.
 type Replica struct {
 	cluster *Cluster
@@ -361,9 +379,23 @@ type Replica struct {
 	applied spec.AppliedMap
 	nextSeq uint64
 
+	// The call path: a client call waits in calls for its IssueCost item, a
+	// query in queries for its QueryCost item, an accepted irreducible
+	// conflict-free call in accepts for its ApplyCost item. Every push is paired
+	// with one CPU.Exec of the queue's bound item in the same function, and
+	// sim.CPU runs items in order and never discards one (Suspend and Crash only
+	// pause it), so the k-th run of an item pops the k-th record.
+	calls    fifo.Queue[clientCall]
+	queries  fifo.Queue[clientCall]
+	accepts  fifo.Queue[freeCall]
+	issueFn  func() // r.issue, r.query and r.accept bound once: a call allocates no closure
+	queryFn  func()
+	acceptFn func()
+
 	// Summaries.
-	sums     [][]*sumSlot // [sum group][proc]
-	haveSums bool
+	sums      [][]*sumSlot // [sum group][proc]
+	haveSums  bool
+	sumRegion string // the summary-slot region's name: Options.Namespace + sumRegionBase
 	// coal batches summary-slot writes per peer into one chained doorbell;
 	// private by default, shared across shards when Options.Coalescers is
 	// set (cross-shard WRs to one peer then ride one chain).
@@ -475,8 +507,10 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		pendingConf: make(map[uint64]func(any, error)),
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,
+		sumRegion:   c.Opts.Namespace + sumRegionBase,
 	}
 	r.live = view{r: r, base: cls.NewState()}
+	r.issueFn, r.queryFn, r.acceptFn = r.issue, r.query, r.accept
 	r.applyStepFn = r.applyStep
 	r.freeIdleFn, r.freeAckedFn = r.freeIdle, r.freeAcked
 	r.floors = make([]ring.EpochFloor, n)

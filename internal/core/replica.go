@@ -74,43 +74,74 @@ var (
 // after ordered delivery for conflicting calls. The result is the query's
 // return value (nil for updates).
 func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any, err error)) {
+	r.submit(u, args, false, onDone)
+}
+
+// submit queues a client call for its IssueCost item; fresh asks for a query
+// on refreshed summaries (InvokeFresh).
+func (r *Replica) submit(u spec.MethodID, args spec.Args, fresh bool, onDone func(any, error)) {
 	if r.node.Suspended() || r.node.Crashed() {
 		if onDone != nil {
 			onDone(nil, ErrDown)
 		}
 		return
 	}
-	onDone = r.measureCall(u, onDone)
-	// Invoke-entry time: the span layer derives the issue→dispatch stage
-	// (CPU queueing + issue cost) from it. Captured unconditionally — it
-	// rides the closure that exists anyway, costing no extra allocation.
-	submitAt := r.cluster.Fab.Engine().Now()
-	r.node.CPU.Exec(r.opts.IssueCost, func() {
-		r.statIssued++
-		switch r.an.Category[u] {
-		case spec.CatQuery:
-			r.node.CPU.Exec(r.opts.QueryCost, func() {
-				v := r.cls.Methods[u].Eval(r.queryState(), args)
-				if r.tracing() {
-					r.opts.Tracer.RecordData(int(r.id), trace.Query, "", r.cls.Methods[u].Name,
-						trace.QueryRecord{Method: u, Args: args, Result: v})
-				}
-				if onDone != nil {
-					onDone(v, nil)
-				}
-			})
-		case spec.CatReducible:
-			r.invokeReduce(u, args, submitAt, onDone)
-		case spec.CatIrreducibleFree:
-			r.invokeFree(u, args, submitAt, onDone)
-		case spec.CatConflicting:
-			r.invokeConf(u, args, submitAt, onDone)
-		default:
-			if onDone != nil {
-				onDone(nil, ErrNotUpdate)
-			}
+	if fresh && r.an.Category[u] != spec.CatQuery {
+		if onDone != nil {
+			onDone(nil, ErrNotUpdate)
 		}
-	})
+		return
+	}
+	// submitAt is the Invoke-entry time: the span layer derives the
+	// issue→dispatch stage (CPU queueing + issue cost) from it.
+	r.calls.Push(clientCall{u: u, args: args, submitAt: r.cluster.Fab.Engine().Now(),
+		fresh: fresh && r.haveSums, onDone: r.measureCall(u, onDone)})
+	r.node.CPU.Exec(r.opts.IssueCost, r.issueFn)
+}
+
+// issue is a call's IssueCost item. It pops the call before dispatching it:
+// the call's onDone may re-enter Invoke, which pushes behind it.
+func (r *Replica) issue() {
+	cc := r.calls.Pop()
+	r.statIssued++
+	switch r.an.Category[cc.u] {
+	case spec.CatQuery:
+		if cc.fresh {
+			r.refresh(cc)
+		} else {
+			r.queueQuery(cc)
+		}
+	case spec.CatReducible:
+		r.invokeReduce(cc.u, cc.args, cc.submitAt, cc.onDone)
+	case spec.CatIrreducibleFree:
+		r.invokeFree(cc.u, cc.args, cc.submitAt, cc.onDone)
+	case spec.CatConflicting:
+		r.invokeConf(cc.u, cc.args, cc.submitAt, cc.onDone)
+	default:
+		if cc.onDone != nil {
+			cc.onDone(nil, ErrNotUpdate)
+		}
+	}
+}
+
+// queueQuery queues a query for its QueryCost item.
+func (r *Replica) queueQuery(cc clientCall) {
+	r.queries.Push(cc)
+	r.node.CPU.Exec(r.opts.QueryCost, r.queryFn)
+}
+
+// query is a query's QueryCost item: it pops the query, evaluates it against
+// Apply(S)(σ) and answers.
+func (r *Replica) query() {
+	cc := r.queries.Pop()
+	v := r.cls.Methods[cc.u].Eval(r.queryState(), cc.args)
+	if r.tracing() {
+		r.opts.Tracer.RecordData(int(r.id), trace.Query, "", r.cls.Methods[cc.u].Name,
+			trace.QueryRecord{Method: cc.u, Args: cc.args, Result: v, Fresh: cc.fresh})
+	}
+	if cc.onDone != nil {
+		cc.onDone(v, nil)
+	}
 }
 
 // measureCall wraps a completion callback so the call's client-observed
@@ -278,9 +309,8 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// authoritative backup that peers repair from on failure, and the anchor
 	// a gap fetch reads — it holds the current full frame even between
 	// remote anchors.
-	region := r.opts.Namespace + sumRegionBase
 	off := r.slotOffset(g, r.id)
-	own := r.node.Region(region).Bytes()[off:]
+	own := r.node.Region(r.sumRegion).Bytes()[off:]
 	frame, err := appendSumFrame(own[:0:r.anchorCap()], slot, r.cluster.epoch)
 	if err != nil || len(frame) > r.anchorCap() {
 		// The summary outgrew its slot: surface a hard configuration error.
@@ -302,7 +332,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: region, Off: off, Data: frame, Label: label}
+	wr := rdma.WR{Region: r.sumRegion, Off: off, Data: frame, Label: label}
 	if rec, at := r.nextDelta(g, slot, c); rec != nil {
 		wr.Off, wr.Data = off+r.anchorCap()+at, rec
 	}
@@ -422,7 +452,7 @@ func (r *Replica) scanSummaries() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
 	}
-	region := r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()
+	region := r.node.Region(r.sumRegion).Bytes()
 	changed := false
 	var blocked []bool // per source: a slot was unreadable this pass
 	for p := range r.floors {
@@ -611,45 +641,52 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 		}
 		return
 	}
-	d := r.applied.Project(r.an.DependsOn[u])
-	r.node.CPU.Exec(r.opts.ApplyCost, func() {
-		// The packed varint δ-framing is the F path's one record format. A
-		// call whose record no broadcast message can carry is refused before
-		// it takes effect anywhere.
-		entry, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
-		r.recBuf = entry
-		if err == nil && len(entry) > r.cluster.freeBound {
-			err = fmt.Errorf("%w: %d-byte call record, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
-		}
-		if err != nil {
-			if r.tracing() {
-				r.traceData(trace.Complete, c, "response resolved: "+err.Error(), trace.AckRecord{})
-			}
-			if onDone != nil {
-				onDone(nil, err)
-			}
-			return
-		}
-		r.live.apply(c)
-		r.applied.Inc(r.id, u)
-		r.statApplied++
-		r.mApplied.Inc()
-		r.syncSpec(c)
-		r.assertIntegrity("free")
-		var label string
+	r.accepts.Push(freeCall{c: c, d: r.applied.Project(r.an.DependsOn[u]), onDone: onDone})
+	r.node.CPU.Exec(r.opts.ApplyCost, r.acceptFn)
+}
+
+// accept is an accepted irreducible conflict-free call's ApplyCost item: it
+// pops the call, applies it locally, adds its record to the open batch and
+// answers.
+func (r *Replica) accept() {
+	fc := r.accepts.Pop()
+	c := fc.c
+	// The packed varint δ-framing is the F path's one record format. A call
+	// whose record no broadcast message can carry is refused before it takes
+	// effect anywhere.
+	entry, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: fc.d})
+	r.recBuf = entry
+	if err == nil && len(entry) > r.cluster.freeBound {
+		err = fmt.Errorf("%w: %d-byte call record, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
+	}
+	if err != nil {
 		if r.tracing() {
-			r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: d})
-			label = r.callLabel(c)
+			r.traceData(trace.Complete, c, "response resolved: "+err.Error(), trace.AckRecord{})
 		}
-		r.enqueueFree(entry, label)
-		if r.tracing() {
-			r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
+		if fc.onDone != nil {
+			fc.onDone(nil, err)
 		}
-		r.kickApply()
-		if onDone != nil {
-			onDone(nil, nil)
-		}
-	})
+		return
+	}
+	r.live.apply(c)
+	r.applied.Inc(r.id, c.Method)
+	r.statApplied++
+	r.mApplied.Inc()
+	r.syncSpec(c)
+	r.assertIntegrity("free")
+	var label string
+	if r.tracing() {
+		r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: fc.d})
+		label = r.callLabel(c)
+	}
+	r.enqueueFree(entry, label)
+	if r.tracing() {
+		r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
+	}
+	r.kickApply()
+	if fc.onDone != nil {
+		fc.onDone(nil, nil)
+	}
 }
 
 // The F out-channel: one broadcast message per round trip. An accepted call's
@@ -1108,7 +1145,7 @@ func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done
 	off := r.slotOffset(g, p)
 	var attempt func(left int)
 	attempt = func(left int) {
-		r.node.QP(peer).Read(r.opts.Namespace+sumRegionBase, off, r.opts.SumSlotSize,
+		r.node.QP(peer).Read(r.sumRegion, off, r.opts.SumSlotSize,
 			func(data []byte, err error) {
 				if err != nil {
 					done(nil)
@@ -1193,60 +1230,33 @@ func (r *Replica) QueueDepths() (free, conf int) {
 // usual propagation; for classes without summarization groups InvokeFresh
 // degenerates to a plain query.
 func (r *Replica) InvokeFresh(q spec.MethodID, args spec.Args, onDone func(result any, err error)) {
-	if r.node.Suspended() || r.node.Crashed() {
-		if onDone != nil {
-			onDone(nil, ErrDown)
-		}
-		return
-	}
-	if r.an.Category[q] != spec.CatQuery {
-		if onDone != nil {
-			onDone(nil, ErrNotUpdate)
-		}
-		return
-	}
-	if !r.haveSums {
-		r.Invoke(q, args, onDone)
-		return
-	}
-	r.node.CPU.Exec(r.opts.IssueCost, func() {
-		remaining := 0
-		finish := func() {
-			remaining--
-			if remaining > 0 {
-				return
+	r.submit(q, args, true, onDone)
+}
+
+// refresh is a fresh query's issue work: it reads every peer's summary slot
+// from the peer's own copy, adopts anything newer, and queues the query once
+// the last read is in.
+func (r *Replica) refresh(cc clientCall) {
+	remaining := 0
+	for g := range r.sums {
+		for p := 0; p < r.n; p++ {
+			if spec.ProcID(p) == r.id {
+				continue
 			}
-			r.node.CPU.Exec(r.opts.QueryCost, func() {
-				v := r.cls.Methods[q].Eval(r.queryState(), args)
-				if r.tracing() {
-					r.opts.Tracer.RecordData(int(r.id), trace.Query, "", r.cls.Methods[q].Name,
-						trace.QueryRecord{Method: q, Args: args, Result: v, Fresh: true})
+			remaining++
+			r.readSlotValidated(rdma.NodeID(p), g, spec.ProcID(p), func(data []byte) {
+				if data != nil {
+					r.adoptSlot(g, spec.ProcID(p), data)
 				}
-				if onDone != nil {
-					onDone(v, nil)
+				if remaining--; remaining == 0 {
+					r.queueQuery(cc)
 				}
 			})
 		}
-		for g := range r.sums {
-			for p := 0; p < r.n; p++ {
-				if spec.ProcID(p) == r.id {
-					continue
-				}
-				g, p := g, p
-				remaining++
-				r.readSlotValidated(rdma.NodeID(p), g, spec.ProcID(p), func(data []byte) {
-					if data != nil {
-						r.adoptSlot(g, spec.ProcID(p), data)
-					}
-					finish()
-				})
-			}
-		}
-		if remaining == 0 { // single-node cluster
-			remaining = 1
-			finish()
-		}
-	})
+	}
+	if remaining == 0 { // single-node cluster
+		r.queueQuery(cc)
+	}
 }
 
 // adoptSlot installs a freshly read remote slot if it is newer than the
@@ -1263,7 +1273,7 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	// Install only the frame's used prefix: the rest of the slot is the
 	// δ-record log, and overwriting it with the bytes of
 	// a read issued one RTT ago would clobber records that landed since.
-	copy(r.node.Region(r.opts.Namespace + sumRegionBase).Bytes()[r.slotOffset(g, p):],
+	copy(r.node.Region(r.sumRegion).Bytes()[r.slotOffset(g, p):],
 		data[:codec.SlotOverhead+len(payload)])
 	r.kickApply()
 	return true

@@ -1,7 +1,8 @@
 // Package fifo is the queue the runtime's buffers share: the F and L call
-// buffers of a replica (core) and, in a consensus instance (mu), the decided
-// entries waiting for their CPU item and each follower's unacknowledged
-// sequence numbers.
+// buffers of a replica (core) and its client calls waiting for their issue,
+// query or accept item; in a consensus instance (mu), the decided entries
+// waiting for their CPU item and each follower's unacknowledged sequence
+// numbers; and the broadcast messages waiting for their delivery item.
 package fifo
 
 // Queue is a first-in-first-out queue over a circular array. The array grows
