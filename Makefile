@@ -172,9 +172,9 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR22.json
+SNAPSHOT ?= BENCH_PR30.json
 bench-snapshot:
-	$(GO) run ./cmd/hambench -exp snapshot -snapshot-out $(SNAPSHOT)
+	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
 # bench-wire runs the wire-efficiency study: δ bytes on the wire per op,
 # throughput and wire-stage latency share per class.
@@ -208,8 +208,8 @@ bench-pairs:
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any matched point's throughput
 # drops, or its p99 rises, by more than that percentage — the CI regression gate.
-OLD ?= BENCH_PR22.json
-NEW ?= BENCH_PR22.json
+OLD ?= BENCH_PR30.json
+NEW ?= BENCH_PR30.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -31,7 +31,7 @@ func runPoint(b *testing.B, kind bench.SystemKind, cls func() *spec.Class,
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine(int64(42 + i))
 		an := spec.MustAnalyze(cls())
-		sys, err := bench.Build(kind, eng, nodes, an)
+		sys, err := bench.Build(kind, eng, nodes, an, bench.Variant{})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,17 +3,24 @@
 //
 // Usage:
 //
-//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|analysis|metrics|latency|shard|reconfig|chaos|health|hamtop]
-//	         [-ops N] [-seed N] [-metrics-json FILE] [-chrome-trace FILE]
-//	         [-latency-json FILE] [-shards N] [-shard-json FILE]
-//	         [-plans N] [-plan-json FILE] [-chaos-dir DIR]
-//	         [-health-json FILE] [-frames N]
+//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|doorbell|costs|trace|overview|
+//	               metrics|latency|wire|shard|reconfig|snapshot|benchstat|chaos|health|hamtop]
+//	         [-ops N] [-seed N] [-json FILE] [-chrome-trace FILE]
+//	         [-old FILE -new FILE [-max-regress PCT]] [-shards N]
+//	         [-plans N] [-plan-json FILE] [-chaos-dir DIR] [-frames N]
+//
+// Every fixed-op point, the sharded store's included, is driven by
+// bench.Run's closed loop and ends when every update is applied at every live
+// node (the paper's throughput: calls over that makespan). -json
+// FILE is the one export: snapshot, latency, wire, shard and health write
+// their points there as one benchmark snapshot that -exp benchstat diffs
+// (-exp snapshot, the canonical set committed at the repository root, needs it),
+// and metrics writes its registry snapshot.
 //
 // The shard experiment drives a keyed counter workload against the sharded
 // multi-object store: object-count and Zipfian-skew sweeps with per-shard
 // (hot-key) throughput reporting and cross-shard chained-WR counts on the
-// shared per-peer QPs. -shards sets the largest object count; -shard-json
-// dumps every measured point.
+// shared per-peer QPs. -shards sets the largest object count.
 //
 // The chaos experiment explores -plans randomized, seed-reproducible fault
 // plans (node suspensions, link partitions, latency spikes, torn-write
@@ -34,22 +41,20 @@
 // watchdog attached: every firing is classified against the injected
 // faults (unexpected firings fail the run), a per-fault coverage table
 // shows each fault was observed, and a fault-free control run must stay
-// silent; -health-json writes the firing counts as a benchmark snapshot
-// that -exp benchstat can diff. The hamtop experiment renders -frames
+// silent; its export holds the firing counts. The hamtop experiment renders -frames
 // top-style snapshots of a live sharded store — per-node progress and
 // suspicion sets, arena headroom, hottest shards, watchdog firings — all
 // in deterministic virtual time.
 //
 // The metrics experiment runs one fully instrumented workload and prints
-// the percentile report; -metrics-json additionally dumps the raw registry
-// snapshot as JSON, and -chrome-trace writes a chrome://tracing file of the
-// recorded call lifecycles.
+// the percentile report; its export is the raw registry snapshot, and
+// -chrome-trace writes a chrome://tracing file of the recorded call
+// lifecycles.
 //
 // The latency experiment runs one fully traced workload, reconstructs a
 // causal span per call and prints per-stage p50/p95/p99 tables plus a
 // tail-attribution report (which protocol stage the p95/p99-slowest calls
-// spent their time in); -latency-json writes the same data as a benchmark
-// snapshot that -exp benchstat can diff.
+// spent their time in); its export holds the same data.
 //
 // The -ops flag plays the role of the paper's 4 M operations per
 // experiment point; the default (20000) keeps a full-suite run to roughly a
@@ -66,32 +71,26 @@ import (
 
 	"hamband/internal/bench"
 	"hamband/internal/chaos"
-	"hamband/internal/schema"
-	"hamband/internal/spec"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, analysis, metrics, latency, wire, shard, reconfig, snapshot, benchstat, chaos, health, hamtop")
+	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, metrics, latency, wire, shard, reconfig, snapshot, benchstat, chaos, health, hamtop")
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
-	metricsJSON := flag.String("metrics-json", "", "write the metrics experiment's registry snapshot as JSON to FILE")
-	latencyJSON := flag.String("latency-json", "", "write the latency experiment's per-stage snapshot as JSON to FILE (compare with -exp benchstat)")
-	wireJSON := flag.String("wire-json", "", "write the wire experiment's per-class snapshot as JSON to FILE (compare with -exp benchstat)")
+	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot -exp benchstat can diff; metrics: the registry snapshot)")
 	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops, or its p99 rises, by more than this percentage (0 disables)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
-	snapshotOut := flag.String("snapshot-out", "BENCH.json", "output file for the snapshot experiment")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
 	newSnap := flag.String("new", "", "benchstat: current snapshot file")
 	plans := flag.Int("plans", 30, "chaos: number of randomized fault plans to explore")
 	planJSON := flag.String("plan-json", "", "chaos: replay one fault plan from FILE instead of exploring")
 	chaosDir := flag.String("chaos-dir", ".", "chaos: directory for failing-plan JSON dumps")
 	shards := flag.Int("shards", 16, "shard: objects hosted by the sharded store at the largest sweep point")
-	shardJSON := flag.String("shard-json", "", "shard: write every measured point as JSON to FILE")
-	healthJSON := flag.String("health-json", "", "health: write the watchdog firing counts as JSON to FILE (compare with -exp benchstat)")
 	topFrames := flag.Int("frames", 6, "hamtop: snapshot frames to render")
 	flag.Parse()
 
-	cfg := bench.Config{Ops: *ops, Seed: *seed, Out: os.Stdout}
+	cfg := bench.Config{Ops: *ops, Seed: *seed, Out: os.Stdout,
+		JSON: fileWriter(*jsonOut), ChromeTrace: fileWriter(*chromeTrace)}
 	switch *exp {
 	case "all":
 		cfg.All()
@@ -113,7 +112,11 @@ func main() {
 	case "doorbell":
 		cfg.Doorbell()
 	case "snapshot":
-		writeSnapshot(cfg, *snapshotOut)
+		if cfg.JSON == nil {
+			fmt.Fprintln(os.Stderr, "hambench: -exp snapshot needs -json FILE")
+			os.Exit(2)
+		}
+		fmt.Printf("wrote %d benchmark points to %s\n", len(cfg.Snapshot().Points), *jsonOut)
 	case "benchstat":
 		compareSnapshots(*oldSnap, *newSnap, *maxRegress)
 	case "costs":
@@ -123,23 +126,21 @@ func main() {
 	case "overview":
 		cfg.Overview()
 	case "metrics":
-		cfg.Metrics(fileWriter(*metricsJSON), fileWriter(*chromeTrace))
+		cfg.Metrics()
 	case "latency":
-		cfg.Latency(fileWriter(*latencyJSON))
+		cfg.Latency()
 	case "wire":
-		cfg.Wire(fileWriter(*wireJSON))
+		cfg.Wire()
 	case "shard":
-		cfg.Shard(*shards, *shardJSON)
+		cfg.Shard(*shards)
 	case "reconfig":
 		cfg.Reconfig()
 	case "health":
-		if cfg.Health(fileWriter(*healthJSON)) > 0 {
+		if cfg.Health() > 0 {
 			os.Exit(1)
 		}
 	case "hamtop":
 		runHamtop(cfg, *topFrames)
-	case "analysis":
-		printAnalyses()
 	case "chaos":
 		runChaos(cfg, *plans, *planJSON, *chaosDir)
 	default:
@@ -181,22 +182,6 @@ func runChaos(cfg bench.Config, plans int, planJSON, dumpDir string) {
 	if cfg.Chaos(plans, dumpDir) > 0 {
 		os.Exit(1)
 	}
-}
-
-// writeSnapshot runs the canonical benchmark set and writes it to path.
-func writeSnapshot(cfg bench.Config, path string) {
-	s := cfg.Snapshot()
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := s.WriteJSON(f); err != nil {
-		fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %d benchmark points to %s\n", len(s.Points), path)
 }
 
 // compareSnapshots prints throughput and p99 deltas between two snapshots.
@@ -247,19 +232,4 @@ func fileWriter(path string) io.Writer {
 		os.Exit(1)
 	}
 	return f
-}
-
-// printAnalyses prints the coordination analysis of every use-case: the
-// method categories, synchronization groups and dependency sets the runtime
-// consumes.
-func printAnalyses() {
-	for _, cls := range schema.Bundled() {
-		an, err := spec.Analyze(cls)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hambench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(an.Summary())
-		fmt.Println()
-	}
 }

@@ -45,7 +45,8 @@ func (v doorbellVariant) latency() rdma.LatencyModel {
 // together with the fabric's verb stats and the cluster-wide CPU busy time
 // (the simulated sender/receiver CPU occupancy the ablation is about).
 func (cfg Config) doorbellPoint(cls *spec.Class, nodes int, ratio float64, lat rdma.LatencyModel) (*Result, rdma.Stats, sim.Duration) {
-	res, fab := cfg.run(Hamband, cls, nodes, cfg.Ops, ratio, variant{lat: &lat})
+	res, sys := cfg.run(Hamband, cls, nodes, cfg.Ops, ratio, 0, Variant{Latency: &lat})
+	fab := sys.(*hambandSystem).c.Fab
 	var busy sim.Duration
 	for i := 0; i < fab.Size(); i++ {
 		busy += fab.Node(rdma.NodeID(i)).CPU.BusyTotal()

@@ -2,11 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sort"
 
-	"hamband/internal/metrics"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -55,23 +53,9 @@ type Result struct {
 	ByMethod map[string]MethodStat
 	TimedOut bool // replication barrier not reached before the deadline
 
-	// Metrics holds the run's registry when the system was built with
-	// BuildWithMetrics; nil for uninstrumented runs.
-	Metrics *metrics.Registry
-
 	// rtSamples is a uniform reservoir of response times for percentiles.
 	rtSamples []sim.Duration
 	rtSeen    int
-}
-
-// WriteMetricsReport writes the registry's percentile table (p50/p95/p99
-// per histogram, then counters and gauges). It writes nothing for an
-// uninstrumented run.
-func (r *Result) WriteMetricsReport(w io.Writer) {
-	if !r.Metrics.Enabled() {
-		return
-	}
-	r.Metrics.WriteTable(w)
 }
 
 // reservoirSize bounds percentile memory.
@@ -79,14 +63,11 @@ const reservoirSize = 4096
 
 // Percentile returns the response-time percentile p in [0,100] from the
 // sampling reservoir (exact when fewer than reservoirSize calls completed).
-func (r *Result) Percentile(p float64) sim.Duration { return percentile(r.rtSamples, p) }
-
-// percentile returns the p-th percentile, p in [0,100], of samples (0 of none).
-func percentile(samples []sim.Duration, p float64) sim.Duration {
-	if len(samples) == 0 {
+func (r *Result) Percentile(p float64) sim.Duration {
+	if len(r.rtSamples) == 0 {
 		return 0
 	}
-	sorted := append([]sim.Duration(nil), samples...)
+	sorted := append([]sim.Duration(nil), r.rtSamples...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	return sorted[int(p/100*float64(len(sorted)-1))]
 }

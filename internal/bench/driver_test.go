@@ -5,8 +5,10 @@ import (
 	"strings"
 	"testing"
 
+	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
+	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -16,7 +18,7 @@ func runOne(t *testing.T, kind SystemKind, cls *spec.Class, nodes, ops int, rati
 	t.Helper()
 	eng := sim.NewEngine(99)
 	an := spec.MustAnalyze(cls)
-	sys, err := Build(kind, eng, nodes, an)
+	sys, err := Build(kind, eng, nodes, an, Variant{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +51,10 @@ func TestDriverMetricsReport(t *testing.T) {
 	// deposit irreducible conflict-free, withdraw conflicting).
 	an := spec.MustAnalyze(crdt.NewBankMap())
 	reg := metrics.New(eng)
-	sys, err := BuildWithMetrics(Hamband, eng, 3, an, reg)
+	sys, err := Build(Hamband, eng, 3, an, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
+		fab.EnableMetrics(reg)
+		o.Metrics = reg
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,10 +63,9 @@ func TestDriverMetricsReport(t *testing.T) {
 	if res.TimedOut {
 		t.Fatal("instrumented run timed out")
 	}
-	res.Metrics = reg
 
 	var buf bytes.Buffer
-	res.WriteMetricsReport(&buf)
+	reg.WriteTable(&buf)
 	out := buf.String()
 	for _, want := range []string{
 		"p50", "p95", "p99",
@@ -74,7 +78,7 @@ func TestDriverMetricsReport(t *testing.T) {
 		}
 	}
 	// The report must carry real measurements, not just headings: the
-	// project-management workload exercises every category.
+	// bank-map workload exercises every category.
 	snap := reg.Snapshot()
 	for _, h := range []string{"core.call.reduce", "core.call.free", "core.call.conf", "core.call.query"} {
 		hs, ok := snap.Histograms[h]
@@ -89,9 +93,9 @@ func TestDriverMetricsReport(t *testing.T) {
 		t.Fatal("per-QP write counter recorded nothing")
 	}
 
-	// An uninstrumented Result writes nothing.
+	// A registry no run fed writes nothing.
 	var empty bytes.Buffer
-	(&Result{}).WriteMetricsReport(&empty)
+	metrics.New(nil).WriteTable(&empty)
 	if empty.Len() != 0 {
 		t.Fatalf("uninstrumented report not empty: %q", empty.String())
 	}
@@ -158,7 +162,7 @@ func TestDriverFaultOnOpenBatch(t *testing.T) {
 
 func TestMSGRefusesConflicting(t *testing.T) {
 	eng := sim.NewEngine(1)
-	if _, err := Build(MSG, eng, 3, spec.MustAnalyze(crdt.NewAccount())); err == nil {
+	if _, err := Build(MSG, eng, 3, spec.MustAnalyze(crdt.NewAccount()), Variant{}); err == nil {
 		t.Fatal("MSG baseline accepted a conflicting class")
 	}
 }

@@ -1,30 +1,20 @@
 package bench
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 
-	"hamband/internal/baseline/msgcrdt"
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
-	"hamband/internal/msgnet"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
-
-// msgnetNew and msgcrdtNew keep the Costs experiment readable.
-func msgnetNew(eng *sim.Engine, n int) *msgnet.Network {
-	return msgnet.New(eng, n, msgnet.DefaultCost())
-}
-
-func msgcrdtNew(net *msgnet.Network, an *spec.Analysis) (*msgcrdt.Cluster, error) {
-	return msgcrdt.NewCluster(net, an, msgcrdt.DefaultOptions())
-}
 
 // Config parameterizes an experiment run. Ops plays the role of the
 // paper's 4 M operations per experiment; the default keeps full-suite runs
@@ -33,52 +23,38 @@ type Config struct {
 	Ops  int
 	Seed int64
 	Out  io.Writer
+	// JSON, when non-nil, receives the experiment's points as one Snapshot
+	// (snapshot, latency, wire, shard, health) or, for metrics, the registry
+	// snapshot; ChromeTrace receives the metrics experiment's call lifecycles.
+	JSON        io.Writer
+	ChromeTrace io.Writer
 }
 
 // DefaultOps is the per-point operation count.
 const DefaultOps = 20000
 
-// variant is what a benchmark point may change about a Hamband deployment
-// (see newHamband): the fabric's cost model (nil: rdma.DefaultLatency), the
-// cluster options, and the closed-loop depth (0: DefaultConcurrency). The
-// baselines run their defaults; only depth applies to them.
-type variant struct {
-	lat   *rdma.LatencyModel
-	mut   func(*rdma.Fabric, *core.Options)
-	depth int
-}
-
 // run is the one place a benchmark point is assembled: engine → analysis →
-// fabric → cluster → workload → Run. It returns the fabric too (nil for the
-// baselines) for experiments that read verb stats or CPU occupancy.
-func (cfg Config) run(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, v variant, faults ...Fault) (*Result, *rdma.Fabric) {
+// Build → workload (depth calls outstanding per node; 0: DefaultConcurrency)
+// → Run. It returns the system too, for experiments that read its fabric's
+// verb stats or CPU occupancy.
+func (cfg Config) run(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, depth int, v Variant, faults ...Fault) (*Result, System) {
 	eng := sim.NewEngine(cfg.Seed)
 	an := spec.MustAnalyze(cls)
-	var sys System
-	var fab *rdma.Fabric
-	if kind == Hamband {
-		lat := rdma.DefaultLatency()
-		if v.lat != nil {
-			lat = *v.lat
-		}
-		sys, fab = newHamband(eng, nodes, an, lat, v.mut)
-	} else {
-		var err error
-		if sys, err = Build(kind, eng, nodes, an); err != nil {
-			panic(fmt.Sprintf("bench: %v", err))
-		}
+	sys, err := Build(kind, eng, nodes, an, v)
+	if err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
 	}
 	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	if v.depth > 0 {
-		wl.Concurrency = v.depth
+	if depth > 0 {
+		wl.Concurrency = depth
 	}
-	return Run(eng, sys, wl, faults...), fab
+	return Run(eng, sys, wl, faults...), sys
 }
 
 // point runs one (system, class, nodes, ratio) benchmark point at the
 // default deployment.
 func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, faults ...Fault) *Result {
-	r, _ := cfg.run(kind, cls, nodes, ops, ratio, variant{}, faults...)
+	r, _ := cfg.run(kind, cls, nodes, ops, ratio, 0, Variant{}, faults...)
 	return r
 }
 
@@ -87,8 +63,20 @@ func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio 
 // Little's law: depth/throughput). The paper measures latency the same way
 // — at load levels below saturation.
 func (cfg Config) rtPoint(kind SystemKind, cls *spec.Class, nodes int, ratio float64, faults ...Fault) *Result {
-	r, _ := cfg.run(kind, cls, nodes, min(cfg.Ops, 2000), ratio, variant{depth: 1}, faults...)
+	r, _ := cfg.run(kind, cls, nodes, min(cfg.Ops, 2000), ratio, 1, Variant{}, faults...)
 	return r
+}
+
+// export writes v as indented JSON to cfg.JSON, when set.
+func (cfg Config) export(what string, v any) {
+	if cfg.JSON == nil {
+		return
+	}
+	enc := json.NewEncoder(cfg.JSON)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		cfg.printf("%s: JSON export failed: %v\n", what, err)
+	}
 }
 
 func (cfg Config) printf(format string, args ...any) {
@@ -211,18 +199,15 @@ func (cfg Config) Fig10() {
 func (cfg Config) Fig11() {
 	cfg.printf("Figure 11(a) — project management, 4 nodes: throughput (ops/µs)\n")
 	cfg.printf("%5s %9s %8s %7s\n", "upd%", "Hamband", "Mu", "H/Mu")
-	var last *Result
 	for _, ratio := range []float64{0.5, 0.25, 0.10} {
 		h := cfg.point(Hamband, schema.NewProjectManagement(), 4, cfg.Ops, ratio)
 		u := cfg.point(MuSMR, schema.NewProjectManagement(), 4, cfg.Ops, ratio)
 		cfg.printf("%5.0f %9.2f %8.2f %7s\n", ratio*100,
 			h.Throughput(), u.Throughput(), ratioOrDash(h.Throughput(), u.Throughput()))
-		last = h
 	}
 	cfg.printf("\nFigure 11(b) — response time per method (unloaded, 50%% updates)\n")
 	h := cfg.rtPoint(Hamband, schema.NewProjectManagement(), 4, 0.5)
 	printByMethod(cfg, h)
-	_ = last
 	cfg.printf("\n")
 }
 
@@ -308,7 +293,7 @@ func (cfg Config) Ablations() {
 
 	cfg.printf("\nAblation — synchronization groups: movie with two leaders vs one\n")
 	two := cfg.point(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0)
-	one, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, variant{mut: func(_ *rdma.Fabric, o *core.Options) {
+	one, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, 0, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) {
 		o.Leaders = []spec.ProcID{0, 0} // both groups on one node
 	}})
 	cfg.printf("two leaders: %.2f ops/µs   single leader: %.2f ops/µs   gain: %s\n",
@@ -321,8 +306,8 @@ func (cfg Config) Ablations() {
 	cfg.printf("group peers queue behind it; cf. Figure 11(b))\n")
 	cfg.printf("%10s %12s %12s %12s\n", "scan", "addProject", "worksOn", "addEmployee")
 	for _, scan := range []sim.Duration{2 * sim.Microsecond, 50 * sim.Microsecond, 200 * sim.Microsecond} {
-		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5,
-			variant{depth: 1, mut: func(_ *rdma.Fabric, o *core.Options) { o.SumScanPeriod = scan }})
+		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5, 1,
+			Variant{Edit: func(_ *rdma.Fabric, o *core.Options) { o.SumScanPeriod = scan }})
 		cfg.printf("%10v %12s %12s %12s\n", scan,
 			fmtRT(res.ByMethod["addProject"].Mean()),
 			fmtRT(res.ByMethod["worksOn"].Mean()),
@@ -332,7 +317,7 @@ func (cfg Config) Ablations() {
 	cfg.printf("\nAblation — closed-loop depth (counter, 4 nodes, 25%% updates)\n")
 	cfg.printf("%6s %9s %10s\n", "depth", "ops/µs", "mean RT")
 	for _, depth := range []int{1, 4, 8, 16, 32} {
-		res, _ := cfg.run(Hamband, crdt.NewCounter(), 4, cfg.Ops, 0.25, variant{depth: depth})
+		res, _ := cfg.run(Hamband, crdt.NewCounter(), 4, cfg.Ops, 0.25, depth, Variant{})
 		cfg.printf("%6d %9.2f %10s\n", depth, res.Throughput(), fmtRT(res.MeanRT))
 	}
 	cfg.printf("\n")
@@ -390,7 +375,8 @@ func (cfg Config) Costs() {
 		ops = 500
 	}
 	for _, rw := range rows {
-		res, fab := cfg.run(Hamband, rw.cls, 4, ops, 1.0, variant{})
+		res, sys := cfg.run(Hamband, rw.cls, 4, ops, 1.0, 0, Variant{})
+		fab := sys.(*hambandSystem).c.Fab
 		st := fab.Stats()
 		n := float64(res.Completed - res.Rejected)
 		if n == 0 {
@@ -403,19 +389,9 @@ func (cfg Config) Costs() {
 			float64(st.Writes)/n, float64(st.Reads)/n, float64(st.BytesWritten)/n, int64(crc))
 	}
 	// Contrast: the MSG baseline's per-op message count.
-	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(crdt.NewCounter())
-	net := msgnetNew(eng, 4)
-	c, err := msgcrdtNew(net, an)
-	if err == nil {
-		sys := &msgSystem{c: c}
-		wl := NewWorkload(an, 4, ops, 1.0, cfg.Seed+1)
-		res := Run(eng, sys, wl)
-		st := net.Stats()
-		n := float64(res.Completed)
-		cfg.printf("%-28s %10s %10s %12s  (%.2f messages/op)\n",
-			"MSG baseline (counter)", "-", "-", "-", float64(st.Sent)/n)
-	}
+	res, sys := cfg.run(MSG, crdt.NewCounter(), 4, ops, 1.0, 0, Variant{})
+	cfg.printf("%-28s %10s %10s %12s  (%.2f messages/op)\n",
+		"MSG baseline (counter)", "-", "-", "-", float64(sys.(*msgSystem).c.Net.Stats().Sent)/float64(res.Completed))
 	cfg.printf("\n")
 }
 
@@ -427,26 +403,22 @@ func (cfg Config) Costs() {
 // recovery look like.
 func (cfg Config) Trace() {
 	eng := sim.NewEngine(cfg.Seed)
-	an := spec.MustAnalyze(crdt.NewAccount())
-	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
-	opts := core.DefaultOptions()
-	tr := trace.New(eng, 1<<16)
-	opts.Tracer = tr
-	cluster := core.NewCluster(fab, an, opts)
+	var tr *trace.Tracer
+	sys, _ := Build(Hamband, eng, 3, spec.MustAnalyze(crdt.NewAccount()), Variant{Edit: func(_ *rdma.Fabric, o *core.Options) {
+		tr = trace.New(eng, 1<<16)
+		o.Tracer = tr
+	}})
 
 	eng.At(0, func() {
-		cluster.Replica(1).Invoke(crdt.AccountDeposit, spec.ArgsI(100), nil)
+		sys.Invoke(1, crdt.AccountDeposit, spec.ArgsI(100), nil)
 	})
 	eng.At(sim.Time(500*sim.Microsecond), func() {
-		cluster.Replica(2).Invoke(crdt.AccountWithdraw, spec.ArgsI(30), nil)
+		sys.Invoke(2, crdt.AccountWithdraw, spec.ArgsI(30), nil)
 	})
-	eng.At(sim.Time(1*sim.Millisecond), func() {
-		// Fail the withdraw-group leader; the next withdraw needs fail-over.
-		cluster.Replica(0).Beater().Suspend()
-		fab.Node(0).Suspend()
-	})
+	// Fail the withdraw-group leader; the next withdraw needs fail-over.
+	eng.At(sim.Time(1*sim.Millisecond), func() { sys.Fail(0) })
 	eng.At(sim.Time(1100*sim.Microsecond), func() {
-		cluster.Replica(1).Invoke(crdt.AccountWithdraw, spec.ArgsI(10), nil)
+		sys.Invoke(1, crdt.AccountWithdraw, spec.ArgsI(10), nil)
 	})
 	eng.RunUntil(sim.Time(50 * sim.Millisecond))
 
@@ -463,36 +435,33 @@ func (cfg Config) Trace() {
 // mixes all three update-method categories — and prints
 // the registry's percentile report: p50/p95/p99 latency per call category,
 // per-QP verb counters and bytes, and the protocol health counters
-// (broadcast retries, commit latency, suspicions). When jsonOut is non-nil
-// the raw snapshot is written there as JSON; when chromeOut is non-nil a
-// Chrome trace-event file of the first calls' lifecycles is written there.
-func (cfg Config) Metrics(jsonOut, chromeOut io.Writer) {
+// (broadcast retries, commit latency, suspicions). The JSON export is the
+// registry snapshot (see writeMergedMetrics); ChromeTrace, when set, receives
+// a Chrome trace-event file of the first calls' lifecycles.
+func (cfg Config) Metrics() {
 	ops := cfg.Ops / 4
 	if ops < 500 {
 		ops = 500
 	}
 	var reg *metrics.Registry
 	var tr *trace.Tracer
-	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		reg = metrics.New(fab.Engine())
 		fab.EnableMetrics(reg)
 		o.Metrics = reg
-		if chromeOut != nil {
+		if cfg.ChromeTrace != nil {
 			tr = trace.New(fab.Engine(), 1<<16)
 			o.Tracer = tr
 		}
 	}})
-	res.Metrics = reg
 
 	cfg.printf("Metrics report — %s\n\n", res)
-	res.WriteMetricsReport(cfg.Out)
-	if jsonOut != nil {
-		if err := cfg.writeMergedMetrics(jsonOut, reg); err != nil {
-			cfg.printf("metrics: JSON export failed: %v\n", err)
-		}
+	reg.WriteTable(cfg.Out)
+	if cfg.JSON != nil {
+		cfg.writeMergedMetrics(reg)
 	}
-	if chromeOut != nil {
-		if err := tr.WriteChromeTrace(chromeOut); err != nil {
+	if cfg.ChromeTrace != nil {
+		if err := tr.WriteChromeTrace(cfg.ChromeTrace); err != nil {
 			cfg.printf("metrics: chrome trace export failed: %v\n", err)
 		}
 	}

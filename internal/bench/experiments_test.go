@@ -37,8 +37,8 @@ func TestAllExperimentsSmoke(t *testing.T) {
 // the percentile table on Out, the JSON snapshot, and the Chrome trace.
 func TestMetricsExperiment(t *testing.T) {
 	var out, jsonBuf, chromeBuf bytes.Buffer
-	cfg := Config{Ops: 400, Seed: 3, Out: &out}
-	cfg.Metrics(&jsonBuf, &chromeBuf)
+	cfg := Config{Ops: 400, Seed: 3, Out: &out, JSON: &jsonBuf, ChromeTrace: &chromeBuf}
+	cfg.Metrics()
 
 	for _, want := range []string{"p50", "p95", "p99", "core.call.reduce", "core.call.conf", "rdma.qp.0-1.writes"} {
 		if !strings.Contains(out.String(), want) {

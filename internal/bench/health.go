@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"io"
 
 	"hamband/internal/chaos"
 	"hamband/internal/health"
@@ -39,9 +38,9 @@ func healthPlan(seed int64, ops int) chaos.Plan {
 // per-fault coverage table), then a fault-free control that must stay
 // silent. Returns the number of problems found — unexpected firings, an
 // unobserved fault run, a noisy control, or a failed verdict — so the CI
-// lane can gate on zero. jsonOut, when non-nil, receives the firing counts
-// in the benchmark-snapshot schema for `-exp benchstat` diffing.
-func (cfg Config) Health(jsonOut io.Writer) int {
+// lane can gate on zero. Its JSON export holds the firing counts, for
+// `-exp benchstat` diffing.
+func (cfg Config) Health() int {
 	ops := cfg.Ops
 	if ops > 600 {
 		ops = 600 // the plan's faults are placed inside a ~5ms horizon
@@ -126,12 +125,7 @@ func (cfg Config) Health(jsonOut io.Writer) int {
 	if problems == 0 {
 		cfg.printf("health: OK — %d expected firings, full fault coverage checked, control silent\n", expected)
 	}
-
-	if jsonOut != nil {
-		if err := healthSnapshot(cfg, plan, v, control).WriteJSON(jsonOut); err != nil {
-			cfg.printf("health: JSON export failed: %v\n", err)
-		}
-	}
+	cfg.export("health", healthSnapshot(cfg, plan, v, control))
 	return problems
 }
 

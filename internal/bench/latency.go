@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
@@ -14,11 +12,10 @@ import (
 // Latency runs one fully traced Hamband workload (the bank map mixes all
 // three update-method categories) and prints the causal-span latency
 // attribution: per-stage p50/p95/p99 per category, plus a tail report
-// decomposing the p95/p99 slowest calls by stage. When jsonOut is non-nil
-// the report is also written there as a benchmark snapshot (schema shared
-// with `-exp snapshot`), so two latency snapshots diff with
+// decomposing the p95/p99 slowest calls by stage. Its JSON export is the
+// report as a benchmark snapshot, so two latency exports diff with
 // `-exp benchstat`. Deterministic for a fixed seed.
-func (cfg Config) Latency(jsonOut io.Writer) {
+func (cfg Config) Latency() {
 	const (
 		nodes = 4
 		ratio = 0.5
@@ -29,7 +26,7 @@ func (cfg Config) Latency(jsonOut io.Writer) {
 	}
 	var reg *metrics.Registry
 	var tr *trace.Tracer
-	res, _ := cfg.run(Hamband, crdt.NewBankMap(), nodes, ops, ratio, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+	res, _ := cfg.run(Hamband, crdt.NewBankMap(), nodes, ops, ratio, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		reg = metrics.New(fab.Engine())
 		tr = trace.New(fab.Engine(), 1<<20)
 		o.Metrics, o.Tracer = reg, tr
@@ -44,12 +41,7 @@ func (cfg Config) Latency(jsonOut io.Writer) {
 	}
 	cfg.printf("\n")
 	rep.WriteTable(cfg.Out)
-
-	if jsonOut != nil {
-		if err := latencySnapshot(cfg, ops, nodes, ratio, rep).WriteJSON(jsonOut); err != nil {
-			cfg.printf("latency: JSON export failed: %v\n", err)
-		}
-	}
+	cfg.export("latency", latencySnapshot(cfg, ops, nodes, ratio, rep))
 }
 
 // latencySnapshot flattens a span report into the benchmark-snapshot

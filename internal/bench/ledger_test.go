@@ -16,7 +16,6 @@ import (
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
-	"hamband/internal/store"
 )
 
 // ledger charges every work item submitted to one node's CPU to the call
@@ -121,7 +120,7 @@ func TestLeaderLedger(t *testing.T) {
 	for _, kind := range []SystemKind{Hamband, MuSMR} {
 		eng := sim.NewEngine(42)
 		an := spec.MustAnalyze(schema.NewMovie())
-		sys, err := Build(kind, eng, nodes, an)
+		sys, err := Build(kind, eng, nodes, an, Variant{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +160,12 @@ func TestReduceLedger(t *testing.T) {
 	point := func(cls *spec.Class, updates float64) (l *ledger, ops int, perWrite float64) {
 		eng := sim.NewEngine(42)
 		an := spec.MustAnalyze(cls)
-		sys, fab := newHamband(eng, nodes, an, rdma.DefaultLatency(), nil)
+		built, err := Build(Hamband, eng, nodes, an, Variant{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys := built.(*hambandSystem)
+		fab := sys.c.Fab
 		l = newLedger()
 		cpu := fab.Node(0).CPU
 		cpu.Observe = l.charge
@@ -211,7 +215,11 @@ func TestFreeLedger(t *testing.T) {
 	eng := sim.NewEngine(42)
 	an := spec.MustAnalyze(crdt.NewORSet())
 	reg := metrics.New(nil)
-	sys, fab := newHamband(eng, nodes, an, rdma.DefaultLatency(), func(_ *rdma.Fabric, o *core.Options) { o.Metrics = reg })
+	sys, err := Build(Hamband, eng, nodes, an, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) { o.Metrics = reg }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fab := sys.(*hambandSystem).c.Fab
 	l := newLedger()
 	cpu := fab.Node(0).CPU
 	cpu.Observe = l.charge
@@ -239,46 +247,6 @@ func TestFreeLedger(t *testing.T) {
 	}
 }
 
-// storeSystem drives a sharded store through the closed-loop driver: every
-// call goes to a shard drawn from a Zipf 1.5 key distribution, the shape of
-// the two-clock benchmark's store-zipf workload.
-type storeSystem struct {
-	st   *store.Store
-	keys []string
-	zipf *rand.Zipf
-}
-
-func (s *storeSystem) Name() string { return "Hamband store" }
-func (s *storeSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(any, error)) {
-	s.st.Invoke(s.keys[s.zipf.Uint64()], p, u, a, cb)
-}
-
-// Applied sums the shards' applied maps: the driver's barrier compares it
-// with the updates accepted over all keys, and no shard can apply more than
-// it accepted.
-func (s *storeSystem) Applied(p spec.ProcID) spec.AppliedMap {
-	var sum spec.AppliedMap
-	for _, key := range s.keys {
-		a := s.st.Shard(key).Replica(p).Applied()
-		if sum == nil {
-			sum = a.Clone()
-			continue
-		}
-		for q := range a {
-			for u, n := range a[q] {
-				sum[q][u] += n
-			}
-		}
-	}
-	return sum
-}
-func (s *storeSystem) Down(p spec.ProcID) bool { return s.st.Fabric().Node(rdma.NodeID(p)).Suspended() }
-func (s *storeSystem) Fail(p spec.ProcID)      { s.st.Fabric().Node(rdma.NodeID(p)).Suspend() }
-func (s *storeSystem) State(p spec.ProcID) spec.State {
-	return s.st.Shard(s.keys[0]).Replica(p).CurrentState()
-}
-func (s *storeSystem) Size() int { return s.st.Fabric().Size() }
-
 // TestStoreLedger prints the virtual-CPU ledger of one node of a sharded
 // store under the store-zipf shape (four nodes, Zipf 1.5 keys, half updates
 // half local queries, eight calls outstanding per node; `make ledger`). A
@@ -292,16 +260,12 @@ func TestStoreLedger(t *testing.T) {
 	point := func(cls *spec.Class, shards int) *ledger {
 		eng := sim.NewEngine(42)
 		fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
-		st := store.New(fab, store.DefaultOptions())
-		defer st.Stop()
 		an := spec.MustAnalyze(cls)
-		sys := &storeSystem{st: st, zipf: rand.NewZipf(rand.New(rand.NewSource(44)), 1.5, 1, uint64(shards-1))}
-		for i := 0; i < shards; i++ {
-			sys.keys = append(sys.keys, fmt.Sprintf("obj%03d", i))
-			if _, err := st.Open(sys.keys[i], an, store.ShardOptions{}); err != nil {
-				t.Fatal(err)
-			}
+		sys, err := newStoreSystem(fab, an, shards, 0, zipfPick(rand.New(rand.NewSource(44)), 1.5, shards))
+		if err != nil {
+			t.Fatal(err)
 		}
+		defer sys.st.Stop()
 		l := newLedger()
 		cpu := fab.Node(0).CPU
 		cpu.Observe = l.charge

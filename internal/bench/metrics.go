@@ -1,35 +1,30 @@
 package bench
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-
 	"hamband/internal/chaos"
 	"hamband/internal/metrics"
 	"hamband/internal/sim"
 )
 
-// writeMergedMetrics writes the workload registry's snapshot as JSON, with
-// the counter families that only exist on a nemesis run's registry —
-// chaos.* and health.* — merged in from a small sidecar fault run. The
-// merge keeps the `-exp metrics` export complete: every counter name the
-// tree can emit appears in it, which TestMetricsExportCompleteness pins.
-// Sidecar names never overwrite workload values; they fill gaps only.
-func (cfg Config) writeMergedMetrics(w io.Writer, reg *metrics.Registry) error {
+// writeMergedMetrics exports the workload registry's snapshot, with the
+// counter families that only exist on a nemesis run's registry — chaos.*
+// and health.* — merged in from a small sidecar fault run. The merge keeps
+// the `-exp metrics` export complete: every counter name the tree can emit
+// appears in it, which TestMetricsExportCompleteness pins. Sidecar names
+// never overwrite workload values; they fill gaps only.
+func (cfg Config) writeMergedMetrics(reg *metrics.Registry) {
 	s := reg.Snapshot()
 	side, err := sidecarChaosSnapshot(cfg.Seed)
 	if err != nil {
-		return fmt.Errorf("sidecar chaos run: %w", err)
+		cfg.printf("metrics: JSON export failed: sidecar chaos run: %v\n", err)
+		return
 	}
 	for name, v := range side.Counters {
 		if _, ok := s.Counters[name]; !ok {
 			s.Counters[name] = v
 		}
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+	cfg.export("metrics", s)
 }
 
 // sidecarChaosSnapshot runs one tiny instrumented fault plan and returns

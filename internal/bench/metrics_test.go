@@ -63,8 +63,8 @@ func TestMetricsExportCompleteness(t *testing.T) {
 	hists := scanInstrumentNames(t, "..", histogramLit, 5)
 
 	var buf bytes.Buffer
-	cfg := Config{Ops: 500, Seed: 7, Out: io.Discard}
-	cfg.Metrics(&buf, nil)
+	cfg := Config{Ops: 500, Seed: 7, Out: io.Discard, JSON: &buf}
+	cfg.Metrics()
 
 	var snap metrics.Snapshot
 	if err := json.Unmarshal(buf.Bytes(), &snap); err != nil {

@@ -36,7 +36,7 @@ type reconfigReport struct {
 func (cfg Config) Reconfig() {
 	eng := sim.NewEngine(cfg.Seed)
 	an := spec.MustAnalyze(crdt.NewCounter())
-	sys, err := Build(Hamband, eng, reconfigNodes, an)
+	sys, err := Build(Hamband, eng, reconfigNodes, an, Variant{})
 	if err != nil {
 		panic(err)
 	}

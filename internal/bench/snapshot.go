@@ -40,13 +40,13 @@ type Snapshot struct {
 
 // resultPoint is a driver result in the snapshot schema; bytesPerOp is zero
 // (omitted) for experiments that do not measure wire bytes.
-func resultPoint(exp, system string, nodes int, ratio float64, r *Result, bytesPerOp float64) SnapPoint {
+func resultPoint(exp, system string, r *Result, bytesPerOp float64) SnapPoint {
 	return SnapPoint{
 		Experiment:  exp,
 		System:      system,
 		Class:       r.Class,
-		Nodes:       nodes,
-		UpdateRatio: ratio,
+		Nodes:       r.Nodes,
+		UpdateRatio: r.UpdateRatio,
 		OpsPerUs:    r.Throughput(),
 		MeanRTUs:    r.MeanRT.Micros(),
 		P50Us:       r.Percentile(50).Micros(),
@@ -61,14 +61,15 @@ func (p SnapPoint) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g", p.Experiment, p.System, p.Class, p.Nodes, p.UpdateRatio)
 }
 
-// Snapshot runs the canonical benchmark set: one representative point per
-// headline figure (all three systems where the class supports them) plus
-// the doorbell ablation's baseline and full variants over the three
-// replication paths.
+// Snapshot runs the canonical benchmark set — one representative point per
+// headline figure (all three systems where the class supports them), the
+// doorbell ablation's baseline and full variants over the three replication
+// paths, the sharded store at uniform and Zipf 1.5 keys and the wire points —
+// exports it and returns it.
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
-	add := func(exp string, sysName string, nodes int, ratio float64, r *Result) {
-		s.Points = append(s.Points, resultPoint(exp, sysName, nodes, ratio, r, 0))
+	add := func(exp string, sysName string, r *Result) {
+		s.Points = append(s.Points, resultPoint(exp, sysName, r, 0))
 	}
 	figures := []struct {
 		exp     string
@@ -82,8 +83,7 @@ func (cfg Config) Snapshot() Snapshot {
 	}
 	for _, f := range figures {
 		for _, kind := range f.systems {
-			r := cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio)
-			add(f.exp, kind.String(), 4, f.ratio, r)
+			add(f.exp, kind.String(), cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio))
 		}
 	}
 	doorbell := []struct {
@@ -100,27 +100,11 @@ func (cfg Config) Snapshot() Snapshot {
 		}
 		for _, d := range doorbell {
 			r, _, _ := cfg.doorbellPoint(d.cls(), 4, d.ratio, v.latency())
-			add("doorbell/"+v.name, Hamband.String(), 4, d.ratio, r)
+			add("doorbell/"+v.name, Hamband.String(), r)
 		}
 	}
 	for _, skew := range []float64{0, 1.5} {
-		r := cfg.shardPoint(16, 0, 4, cfg.Ops, skew)
-		name := "shard/uniform"
-		if skew > 0 {
-			name = fmt.Sprintf("shard/zipf%.1f", skew)
-		}
-		s.Points = append(s.Points, SnapPoint{
-			Experiment:  name,
-			System:      Hamband.String(),
-			Class:       "counter-x16",
-			Nodes:       4,
-			UpdateRatio: 1.0,
-			OpsPerUs:    r.OpsPerUs,
-			MeanRTUs:    r.MeanRTUs,
-			P50Us:       r.P50Us,
-			P95Us:       r.P95Us,
-			P99Us:       r.P99Us,
-		})
+		add(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)
 	}
 	wireOps := cfg.Ops / 4
 	if wireOps < 500 {
@@ -128,8 +112,9 @@ func (cfg Config) Snapshot() Snapshot {
 	}
 	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewGSet, crdt.NewLWWMap} {
 		r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps)
-		s.Points = append(s.Points, resultPoint("wire/delta", Hamband.String(), 4, 1.0, r, bytes))
+		s.Points = append(s.Points, resultPoint("wire/delta", Hamband.String(), r, bytes))
 	}
+	cfg.export("snapshot", s)
 	return s
 }
 
@@ -161,14 +146,7 @@ func RegressionCheck(old, cur Snapshot, maxPct float64) []string {
 	return bad
 }
 
-// WriteJSON writes the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
-}
-
-// ReadSnapshot parses a snapshot written by WriteJSON. Arbitrary JSON
+// ReadSnapshot parses a snapshot an experiment exported. Arbitrary JSON
 // objects decode into a zero Snapshot without error, so the schema field
 // doubles as a file-type check.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {

@@ -25,7 +25,7 @@ func TestOrderStageCarriesQueueWait(t *testing.T) {
 	var reg *metrics.Registry
 	var tr *trace.Tracer
 	cfg := Config{Ops: 2000, Seed: 11, Out: io.Discard}
-	res, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+	res, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		reg = metrics.New(fab.Engine())
 		tr = trace.New(fab.Engine(), 1<<20)
 		o.Metrics, o.Tracer = reg, tr
@@ -76,7 +76,7 @@ func TestDoorbellStageCarriesTheHold(t *testing.T) {
 	var reg *metrics.Registry
 	var tr *trace.Tracer
 	cfg := Config{Ops: 2000, Seed: 11, Out: io.Discard}
-	res, _ := cfg.run(Hamband, crdt.NewORSet(), 4, cfg.Ops, 1.0, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+	res, _ := cfg.run(Hamband, crdt.NewORSet(), 4, cfg.Ops, 1.0, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		reg = metrics.New(fab.Engine())
 		tr = trace.New(fab.Engine(), 1<<20)
 		o.Metrics, o.Tracer = reg, tr

@@ -12,7 +12,6 @@ import (
 
 	"hamband/internal/baseline/msgcrdt"
 	"hamband/internal/core"
-	"hamband/internal/metrics"
 	"hamband/internal/msgnet"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -62,35 +61,27 @@ func (k SystemKind) String() string {
 	}
 }
 
+// Variant is what a benchmark point may change about a Hamband or Mu
+// deployment: the fabric's cost model (nil: rdma.DefaultLatency) and the
+// cluster options, which Edit sees as core.DefaultOptions together with the
+// fabric, so it can attach a tracer or registry (nil: as they are). The MSG
+// baseline runs its defaults.
+type Variant struct {
+	Latency *rdma.LatencyModel
+	Edit    func(*rdma.Fabric, *core.Options)
+}
+
 // Build constructs a system of the given kind for an analyzed class on a
 // fresh engine. The MSG baseline refuses classes with conflicting methods
 // (as in the paper, it only runs the CRDT use-cases).
-func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis) (System, error) {
-	return BuildWithMetrics(kind, eng, n, an, nil)
-}
-
-// BuildWithMetrics constructs a system with a metrics registry attached:
-// per-QP verb instruments on the fabric plus the runtime's protocol
-// instruments. A nil registry reproduces Build exactly. The MSG baseline
-// runs over the message-passing network, which has no RDMA fabric to
-// instrument; it accepts the registry but records nothing.
-func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, reg *metrics.Registry) (System, error) {
+func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, v Variant) (System, error) {
 	switch kind {
+	case Hamband:
 	case MuSMR:
 		// One runtime, two analyses: state machine replication is the class in
 		// which every pair of updates conflicts, so the baseline differs from
 		// Hamband in its coordination analysis and in nothing else.
 		an = spec.MustAnalyze(spec.Serialized(an.Class))
-		fallthrough
-	case Hamband:
-		sys, _ := newHamband(eng, n, an, rdma.DefaultLatency(), func(fab *rdma.Fabric, o *core.Options) {
-			if reg.Enabled() {
-				fab.EnableMetrics(reg)
-				o.Metrics = reg
-			}
-		})
-		sys.kind = kind
-		return sys, nil
 	case MSG:
 		net := msgnet.New(eng, n, msgnet.DefaultCost())
 		c, err := msgcrdt.NewCluster(net, an, msgcrdt.DefaultOptions())
@@ -101,6 +92,16 @@ func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis
 	default:
 		return nil, fmt.Errorf("bench: unknown system kind %d", kind)
 	}
+	lat := rdma.DefaultLatency()
+	if v.Latency != nil {
+		lat = *v.Latency
+	}
+	fab := rdma.NewFabric(eng, n, lat)
+	opts := core.DefaultOptions()
+	if v.Edit != nil {
+		v.Edit(fab, &opts)
+	}
+	return &hambandSystem{c: core.NewCluster(fab, an, opts), kind: kind}, nil
 }
 
 // hambandSystem is a core.Cluster under test; kind names the analysis it was
@@ -108,19 +109,6 @@ func BuildWithMetrics(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis
 type hambandSystem struct {
 	c    *core.Cluster
 	kind SystemKind
-}
-
-// newHamband assembles a Hamband deployment: a fabric under lat and a
-// cluster whose options are core.DefaultOptions as edited by mut (nil: as
-// they are). mut sees the fabric so it can attach a tracer or registry.
-func newHamband(eng *sim.Engine, n int, an *spec.Analysis, lat rdma.LatencyModel,
-	mut func(*rdma.Fabric, *core.Options)) (*hambandSystem, *rdma.Fabric) {
-	fab := rdma.NewFabric(eng, n, lat)
-	opts := core.DefaultOptions()
-	if mut != nil {
-		mut(fab, &opts)
-	}
-	return &hambandSystem{c: core.NewCluster(fab, an, opts)}, fab
 }
 
 func (s *hambandSystem) Name() string { return s.kind.String() }

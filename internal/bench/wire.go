@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"io"
-
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
@@ -27,13 +25,13 @@ func wireClasses() []func() *spec.Class {
 // attribution charges to the wire stage.
 func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int) (res *Result, bytesPerOp, wireShare float64) {
 	var tr *trace.Tracer
-	res, fab := cfg.run(Hamband, cls, nodes, ops, 1.0, variant{mut: func(fab *rdma.Fabric, o *core.Options) {
+	res, sys := cfg.run(Hamband, cls, nodes, ops, 1.0, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		tr = trace.New(fab.Engine(), 1<<20)
 		o.Tracer = tr
 	}})
 
 	if n := float64(res.Completed - res.Rejected); n > 0 {
-		bytesPerOp = float64(fab.Stats().BytesWritten) / n
+		bytesPerOp = float64(sys.(*hambandSystem).c.Fab.Stats().BytesWritten) / n
 	}
 	var wire, total sim.Duration
 	for _, s := range span.Build(tr.Events()) {
@@ -55,10 +53,9 @@ func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int) (res *Result, bytes
 
 // Wire runs the wire-efficiency study: for each class an update-only
 // workload, reporting bytes on the wire per operation, throughput, and the
-// wire stage's share of span-attributed latency. When jsonOut is non-nil the
-// per-class points are written as a benchmark snapshot (`-exp benchstat`
-// diffs it).
-func (cfg Config) Wire(jsonOut io.Writer) {
+// wire stage's share of span-attributed latency. Its JSON export holds the
+// per-class points (`-exp benchstat` diffs two).
+func (cfg Config) Wire() {
 	const nodes = 4
 	ops := cfg.Ops / 4
 	if ops < 500 {
@@ -70,12 +67,8 @@ func (cfg Config) Wire(jsonOut io.Writer) {
 	for _, mk := range wireClasses() {
 		r, bytes, share := cfg.wirePoint(mk(), nodes, ops)
 		cfg.printf("%-10s %11.1f %9.2f %10.1f%%\n", r.Class, bytes, r.Throughput(), 100*share)
-		s.Points = append(s.Points, resultPoint("wire/delta", "hamband", nodes, 1.0, r, bytes))
+		s.Points = append(s.Points, resultPoint("wire/delta", "hamband", r, bytes))
 	}
 	cfg.printf("\n")
-	if jsonOut != nil {
-		if err := s.WriteJSON(jsonOut); err != nil {
-			cfg.printf("wire: JSON export failed: %v\n", err)
-		}
-	}
+	cfg.export("wire", s)
 }

@@ -118,21 +118,40 @@ func TestPairwiseMergeConverges(t *testing.T) {
 }
 
 // TestSummarizeMatchesSequential checks, for every summarization group of
-// every pure CRDT, that applying Summarize(a, b) equals applying a then b —
-// the defining property that lets summary slots stand for their calls.
+// every pure CRDT, that a run of 2–12 calls folded left by Summarize replays
+// as the calls in order, and so do the two folds of any split of the run —
+// the defining property that lets summary slots and δ-records stand for
+// their calls, however many of them a reader finds in one pass.
 func TestSummarizeMatchesSequential(t *testing.T) {
 	for _, cls := range pureCRDTs() {
 		for gi := range cls.SumGroups {
 			cls, gi := cls, gi
 			g := cls.SumGroups[gi]
+			fold := func(calls []spec.Call) spec.Call {
+				d := calls[0]
+				for _, c := range calls[1:] {
+					d = g.Summarize(d, c)
+				}
+				return d
+			}
 			f := func(seed int64) bool {
 				r := rand.New(rand.NewSource(seed))
-				a := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-				b := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
+				calls := make([]spec.Call, 2+r.Intn(11))
+				for i := range calls {
+					calls[i] = cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
+				}
 				base := cls.Gen.State(r)
-				seq := applyAll(cls, base.Clone(), []spec.Call{a, b})
-				sum := applyAll(cls, base.Clone(), []spec.Call{g.Summarize(a, b)})
-				return seq.Equal(sum)
+				seq := applyAll(cls, base.Clone(), calls)
+				if !seq.Equal(applyAll(cls, base.Clone(), []spec.Call{fold(calls)})) {
+					return false
+				}
+				for mid := 1; mid < len(calls); mid++ {
+					split := []spec.Call{fold(calls[:mid]), fold(calls[mid:])}
+					if !seq.Equal(applyAll(cls, base.Clone(), split)) {
+						return false
+					}
+				}
+				return true
 			}
 			if err := quick.Check(f, nil); err != nil {
 				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
@@ -164,205 +183,5 @@ func TestSummaryIdentityIsNeutral(t *testing.T) {
 				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
 			}
 		}
-	}
-}
-
-// deltaState replays a FullState call list onto a fresh state so two
-// δ-views can be compared through the class semantics they stand for.
-func deltaState(cls *spec.Class, d DeltaCRDT) spec.State {
-	calls, _ := d.FullState()
-	return applyAll(cls, cls.NewState(), calls)
-}
-
-// TestDeltaReplayEquivalence checks ApplyDelta(Delta(v)) ≡ FullState: a
-// mirror stalled at any version v that catches up through one δ-group ends
-// bit-identical (through the class semantics) to the writer's full state —
-// the replay-equivalence law of the delta pipeline.
-func TestDeltaReplayEquivalence(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		cls := cls
-		f := func(seed int64) bool {
-			r := rand.New(rand.NewSource(seed))
-			for _, writer := range DeltasFor(cls, 0) {
-				var groupCalls []spec.Call
-				if sd, ok := writer.(*SummaryDelta); ok {
-					g := sd.g
-					groupCalls = make([]spec.Call, 2+r.Intn(10))
-					for i := range groupCalls {
-						groupCalls[i] = cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-					}
-				} else {
-					groupCalls = genCalls(cls, r, 2+r.Intn(10))
-				}
-				stall := uint64(r.Intn(len(groupCalls)))
-				mirror := DeltasFor(cls, 0)[0]
-				if _, isSum := writer.(*SummaryDelta); isSum {
-					mirror = NewSummaryDelta(writer.(*SummaryDelta).g, 0)
-				}
-				for i, c := range groupCalls {
-					writer.Mutate(c)
-					if uint64(i) < stall {
-						mirror.Mutate(c)
-					}
-				}
-				ds, ok := writer.Delta(stall)
-				if !ok {
-					return false
-				}
-				if err := mirror.ApplyDelta(stall, ds); err != nil {
-					return false
-				}
-				if mirror.Version() != writer.Version() {
-					return false
-				}
-				if !deltaState(cls, mirror).Equal(deltaState(cls, writer)) {
-					return false
-				}
-			}
-			return true
-		}
-		if err := quick.Check(f, nil); err != nil {
-			t.Errorf("%s: %v", cls.Name, err)
-		}
-	}
-}
-
-// TestDeltaCompositionAssociativity checks δ-group composition associates:
-// catching up in one jump Delta(0), in two jumps through any midpoint, or
-// by applying the Fold of the whole group as a single call all land on the
-// same state — the property that lets a reader fold however many log
-// records it finds in one pass.
-func TestDeltaCompositionAssociativity(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		for gi := range cls.SumGroups {
-			cls, gi := cls, gi
-			g := cls.SumGroups[gi]
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				n := 3 + r.Intn(8)
-				writer := NewSummaryDelta(g, 0)
-				for i := 0; i < n; i++ {
-					writer.Mutate(cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))]))
-				}
-				want := deltaState(cls, writer)
-				// One jump from every stall point.
-				for v := 0; v < n; v++ {
-					m := NewSummaryDelta(g, 0)
-					head, _ := writer.Delta(0)
-					if m.ApplyDelta(0, head[:v]) != nil {
-						return false
-					}
-					ds, ok := writer.Delta(uint64(v))
-					if !ok || m.ApplyDelta(uint64(v), ds) != nil {
-						return false
-					}
-					if m.Version() != writer.Version() || !deltaState(cls, m).Equal(want) {
-						return false
-					}
-				}
-				// Two jumps through a random midpoint must equal one jump.
-				mid := uint64(1 + r.Intn(n-1))
-				all, _ := writer.Delta(0)
-				tail, ok := writer.Delta(mid)
-				if !ok {
-					return false
-				}
-				m2 := NewSummaryDelta(g, 0)
-				if m2.ApplyDelta(0, all[:mid]) != nil || m2.ApplyDelta(mid, tail) != nil {
-					return false
-				}
-				if !deltaState(cls, m2).Equal(want) {
-					return false
-				}
-				// Fold associativity: collapsing any split into two folded
-				// calls, or the whole group into one, replays identically.
-				folded := applyAll(cls, cls.NewState(), []spec.Call{writer.Fold(all)})
-				split := applyAll(cls, cls.NewState(),
-					[]spec.Call{writer.Fold(all[:mid]), writer.Fold(all[mid:])})
-				return folded.Equal(want) && split.Equal(want)
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
-			}
-		}
-	}
-}
-
-// TestAnchorIntervalInvariance drives a writer/reader pair where the reader
-// re-anchors from FullState every K mutations and folds deltas in between:
-// the converged state must not depend on K — anchors are a recovery and
-// bound mechanism, never a semantic one.
-func TestAnchorIntervalInvariance(t *testing.T) {
-	for _, cls := range pureCRDTs() {
-		for gi := range cls.SumGroups {
-			cls, gi := cls, gi
-			g := cls.SumGroups[gi]
-			f := func(seed int64) bool {
-				r := rand.New(rand.NewSource(seed))
-				calls := make([]spec.Call, 12+r.Intn(12))
-				for i := range calls {
-					calls[i] = cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-				}
-				var states []spec.State
-				for _, k := range []int{1, 3, 8} {
-					writer := NewSummaryDelta(g, 0)
-					reader := NewSummaryDelta(g, 0)
-					for i, c := range calls {
-						writer.Mutate(c)
-						if (i+1)%k == 0 {
-							// Anchor: the reader adopts the full state.
-							full, v := writer.FullState()
-							reader.full, reader.ver = full[0], v
-						} else {
-							ds, ok := writer.Delta(reader.Version())
-							if !ok || reader.ApplyDelta(reader.Version(), ds) != nil {
-								return false
-							}
-						}
-					}
-					states = append(states, deltaState(cls, reader))
-				}
-				return states[0].Equal(states[1]) && states[1].Equal(states[2]) &&
-					states[0].Equal(applyAll(cls, cls.NewState(), calls))
-			}
-			if err := quick.Check(f, nil); err != nil {
-				t.Errorf("%s group %s: %v", cls.Name, g.Name, err)
-			}
-		}
-	}
-}
-
-// TestDeltaGapDetection checks the failure modes the runtime leans on: a
-// Delta call predating the retained window reports no coverage (forcing the
-// full-state fallback) and ApplyDelta onto the wrong version errors instead
-// of silently corrupting the mirror.
-func TestDeltaGapDetection(t *testing.T) {
-	cls := NewPNCounter()
-	g := cls.SumGroups[0]
-	r := rand.New(rand.NewSource(11))
-	s := NewSummaryDelta(g, 4)
-	for i := 0; i < 10; i++ {
-		s.Mutate(cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))]))
-	}
-	if _, ok := s.Delta(2); ok {
-		t.Fatal("Delta(2) with a 4-deep window must report a gap")
-	}
-	if ds, ok := s.Delta(6); !ok || len(ds) != 4 {
-		t.Fatalf("Delta(6) inside the window: ok=%v len=%d", ok, len(ds))
-	}
-	if _, ok := s.Delta(11); ok {
-		t.Fatal("Delta past the writer version must report a gap")
-	}
-	m := NewSummaryDelta(g, 4)
-	if err := m.ApplyDelta(3, []spec.Call{g.Identity()}); err == nil {
-		t.Fatal("ApplyDelta onto the wrong version must error")
-	}
-	l := NewLogDelta()
-	l.Mutate(cls.Gen.Call(r, g.Methods[0]))
-	if err := l.ApplyDelta(5, nil); err == nil {
-		t.Fatal("LogDelta.ApplyDelta onto the wrong version must error")
-	}
-	if _, ok := l.Delta(9); ok {
-		t.Fatal("LogDelta.Delta past the log must report a gap")
 	}
 }

@@ -33,11 +33,10 @@ type NodeID int
 
 // Errors returned through verb completions.
 var (
-	ErrCrashed      = errors.New("rdma: target node crashed")
-	ErrNoRegion     = errors.New("rdma: no such memory region")
-	ErrPermission   = errors.New("rdma: write permission denied")
-	ErrOutOfBounds  = errors.New("rdma: access out of region bounds")
-	ErrLocalCrashed = errors.New("rdma: local node crashed")
+	ErrCrashed     = errors.New("rdma: target node crashed")
+	ErrNoRegion    = errors.New("rdma: no such memory region")
+	ErrPermission  = errors.New("rdma: write permission denied")
+	ErrOutOfBounds = errors.New("rdma: access out of region bounds")
 )
 
 // LatencyModel holds the fabric's cost parameters. The defaults

@@ -25,7 +25,7 @@ import (
 
 // Bundled returns a fresh instance of each of the 18 bundled data types — the
 // CRDTs of package crdt and the schemas of this package — in the order
-// `hambench -exp analysis`, `-exp overview` and `wrdtcheck` print them.
+// `hambench -exp overview` and `wrdtcheck` print them.
 func Bundled() []*spec.Class {
 	return []*spec.Class{
 		crdt.NewCounter(), crdt.NewPNCounter(), crdt.NewLWW(), crdt.NewLWWMap(),
