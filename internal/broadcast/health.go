@@ -20,7 +20,7 @@ type SourceHealth struct {
 	MinEpoch   uint32 // active per-source epoch floor
 	PendingMin uint32 // floor parked awaiting drain promotion (FloorAfterDrain)
 	HasPending bool   // a parked floor exists
-	Parked     bool   // reader quarantined (sticky)
+	Parked     bool   // reader quarantined (until the record validates; for good on a bad length word)
 	ParkedWhy  string // the one-shot parking diagnosis, "" while healthy
 }
 

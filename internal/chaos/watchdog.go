@@ -51,8 +51,8 @@ func kindRules(k Kind) []health.Rule {
 			health.RuleFloorStalled, health.RuleHotShard,
 		}
 	case KindTorn:
-		// Torn writes quarantine readers (sticky CRC park) and stall the
-		// victim's apply stream.
+		// Torn writes quarantine readers (a CRC park, lifted once the torn
+		// record validates) and stall the victim's apply stream.
 		return []health.Rule{
 			health.RuleReaderParked, health.RuleWatermarkLag, health.RuleHotShard,
 		}

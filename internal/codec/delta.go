@@ -83,8 +83,19 @@ func appendU32Packed(b []byte, vs []uint32) []byte {
 	return b
 }
 
-// decodeU32Packed decodes a vector written by appendU32Packed.
-func decodeU32Packed(b []byte) ([]uint32, int, error) {
+// resize returns s with length n, in s's own array when it has the room; a
+// new array doubles s's capacity, or holds exactly n for an s without one (a
+// fresh decode), and a nil s stays nil for n == 0.
+func resize[T any](s []T, n int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return make([]T, n, max(n, 2*cap(s)))
+}
+
+// decodeU32Packed decodes a vector written by appendU32Packed into dst's
+// array (see resize).
+func decodeU32Packed(dst []uint32, b []byte) ([]uint32, int, error) {
 	n, p, err := Uvarint(b)
 	if err != nil {
 		return nil, 0, err
@@ -94,10 +105,7 @@ func decodeU32Packed(b []byte) ([]uint32, int, error) {
 	if n > uint64(len(b)) {
 		return nil, 0, fmt.Errorf("%w: packed vector count %d exceeds buffer", ErrCorrupt, n)
 	}
-	if n == 0 {
-		return nil, p, nil
-	}
-	vs := make([]uint32, n)
+	vs := resize(dst, int(n))
 	prev := int64(0)
 	for i := range vs {
 		u, m, err := Uvarint(b[p:])
@@ -125,7 +133,7 @@ func AppendDepVec(b []byte, d spec.DepVec) []byte {
 // DecodeDepVec decodes a dependency record written by AppendDepVec,
 // returning the vector and the bytes consumed.
 func DecodeDepVec(b []byte) (spec.DepVec, int, error) {
-	vs, n, err := decodeU32Packed(b)
+	vs, n, err := decodeU32Packed(nil, b)
 	return spec.DepVec(vs), n, err
 }
 
@@ -147,9 +155,11 @@ func appendPackedCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 	return AppendDepVec(b, d)
 }
 
-// decodePackedCall decodes a call written by appendPackedCall.
-func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
-	var c spec.Call
+// decodePackedCall decodes a call and dependency record written by
+// appendPackedCall into dst.C and dst.D, reusing their arrays (see resize),
+// and returns the bytes consumed.
+func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
+	c := &dst.C
 	p := 0
 	next := func() (uint64, error) {
 		v, n, err := Uvarint(b[p:])
@@ -158,62 +168,59 @@ func decodePackedCall(b []byte) (spec.Call, spec.DepVec, int, error) {
 	}
 	m, err := next()
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
 	pr, err := next()
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
 	seq, err := next()
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
 	c.Method = spec.MethodID(m)
 	c.Proc = spec.ProcID(pr)
 	c.Seq = seq
 	ni, err := next()
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
 	if ni > uint64(len(b)-p) {
-		return c, nil, 0, fmt.Errorf("%w: %d int args exceed buffer", ErrCorrupt, ni)
+		return 0, fmt.Errorf("%w: %d int args exceed buffer", ErrCorrupt, ni)
 	}
-	if ni > 0 {
-		c.Args.I = make([]int64, ni)
-		for i := range c.Args.I {
-			u, err := next()
-			if err != nil {
-				return c, nil, 0, err
-			}
-			c.Args.I[i] = unzigzag(u)
+	c.Args.I = resize(c.Args.I, int(ni))
+	for i := range c.Args.I {
+		u, err := next()
+		if err != nil {
+			return 0, err
 		}
+		c.Args.I[i] = unzigzag(u)
 	}
 	ns, err := next()
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
 	if ns > uint64(len(b)-p) {
-		return c, nil, 0, fmt.Errorf("%w: %d string args exceed buffer", ErrCorrupt, ns)
+		return 0, fmt.Errorf("%w: %d string args exceed buffer", ErrCorrupt, ns)
 	}
-	if ns > 0 {
-		c.Args.S = make([]string, ns)
-		for i := range c.Args.S {
-			l, err := next()
-			if err != nil {
-				return c, nil, 0, err
-			}
-			if l > uint64(len(b)-p) {
-				return c, nil, 0, fmt.Errorf("%w: string length %d exceeds buffer", ErrCorrupt, l)
-			}
-			c.Args.S[i] = string(b[p : p+int(l)])
-			p += int(l)
+	c.Args.S = resize(c.Args.S, int(ns))
+	for i := range c.Args.S {
+		l, err := next()
+		if err != nil {
+			return 0, err
 		}
+		if l > uint64(len(b)-p) {
+			return 0, fmt.Errorf("%w: string length %d exceeds buffer", ErrCorrupt, l)
+		}
+		c.Args.S[i] = string(b[p : p+int(l)])
+		p += int(l)
 	}
-	d, n, err := DecodeDepVec(b[p:])
+	d, n, err := decodeU32Packed(dst.D, b[p:])
 	if err != nil {
-		return c, nil, 0, err
+		return 0, err
 	}
-	return c, d, p + n, nil
+	dst.D = d
+	return p + n, nil
 }
 
 // AppendDeltaRecord appends one call record to dst as a self-delimiting frame
@@ -326,36 +333,42 @@ func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
 }
 
 // DecodeDeltaBody decodes the packed counts, call and dependency record of
-// the frame PeekDeltaRecord validated as h at the front of b. Every failure
-// is ErrCorrupt: the frame is CRC-intact, so a field that overruns it is
-// writer garbage, not a mid-write partial.
-func DecodeDeltaBody(b []byte, h DeltaHeader) (DeltaRecord, error) {
-	var zero DeltaRecord
+// the frame PeekDeltaRecord validated as h at the front of b into dst,
+// reusing the arrays of dst's Counts, C.Args and D: a reader that folds one
+// record at a time decodes into the same record and, once its arrays are
+// large enough, allocates nothing but the string arguments. Every slice dst
+// ends with holds exactly what the frame does.
+// Every failure is ErrCorrupt: the frame is CRC-intact, so a field that
+// overruns it is writer garbage, not a mid-write partial; dst is then left
+// partly decoded.
+func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 	body := b[h.body : h.Total-RecordTrailer]
-	counts, p, err := decodeU32Packed(body)
+	counts, p, err := decodeU32Packed(dst.Counts, body)
 	if err != nil {
-		return zero, asCorrupt(err)
+		return asCorrupt(err)
 	}
-	c, d, n, err := decodePackedCall(body[p:])
+	dst.Counts = counts
+	n, err := decodePackedCall(dst, body[p:])
 	if err != nil {
-		return zero, asCorrupt(err)
+		return asCorrupt(err)
 	}
 	if p+n != len(body) {
-		return zero, fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
+		return fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
 	}
-	return DeltaRecord{Kind: h.Kind, Version: h.Version, Counts: counts, C: c, D: d}, nil
+	dst.Kind, dst.Version = h.Kind, h.Version
+	return nil
 }
 
-// DecodeDeltaRecord parses a delta record from the front of b, returning
-// the record and the total length consumed; error classes as for
-// PeekDeltaRecord.
+// DecodeDeltaRecord parses a delta record from the front of b into fresh
+// storage, returning the record and the total length consumed; error classes
+// as for PeekDeltaRecord.
 func DecodeDeltaRecord(b []byte) (DeltaRecord, int, error) {
 	h, err := PeekDeltaRecord(b)
 	if err != nil {
 		return DeltaRecord{}, 0, err
 	}
-	r, err := DecodeDeltaBody(b, h)
-	if err != nil {
+	var r DeltaRecord
+	if err := DecodeDeltaBody(&r, b, h); err != nil {
 		return DeltaRecord{}, 0, err
 	}
 	return r, h.Total, nil

@@ -312,14 +312,46 @@ func errClass(err error) string {
 	return "unclassified: " + err.Error()
 }
 
+// longDelta is a record longer than any seed in every field the decoder
+// reuses: counts, int and string arguments, and dependency cells.
+func longDelta() DeltaRecord {
+	r := DeltaRecord{Kind: FrameFull, Version: 0, C: spec.Call{Method: 9, Proc: 6, Seq: 1 << 40}}
+	for i := 0; i < 48; i++ {
+		r.Counts = append(r.Counts, uint32(1000+i))
+		r.C.Args.I = append(r.C.Args.I, int64(-i)<<20)
+		r.C.Args.S = append(r.C.Args.S, strings.Repeat("s", i))
+		r.D = append(r.D, uint32(7*i))
+	}
+	return r
+}
+
+// sameRecord reports whether two decoded records hold the same fields,
+// element for element: a slice with a leftover cell differs in length.
+func sameRecord(a, b DeltaRecord) bool {
+	return a.Kind == b.Kind && a.Version == b.Version && slices.Equal(a.Counts, b.Counts) &&
+		a.C.Method == b.C.Method && a.C.Proc == b.C.Proc && a.C.Seq == b.C.Seq &&
+		a.C.Args.Equal(b.C.Args) && slices.Equal(a.D, b.D)
+}
+
 // FuzzDeltaEntry asserts the call-record decoder never panics, never
 // over-reads, and classifies every failure as one of the declared error
 // values on arbitrary remote bytes — and that the header step the δ-log walk
 // uses on its own (PeekDeltaRecord) never disagrees with the full decode: a
 // frame the header rejects, the decoder rejects with the same class; a
 // frame the header accepts decodes to the same kind, version and length, or
-// fails as corrupt in its body and nothing else.
+// fails as corrupt in its body and nothing else. A body decoded into a
+// record that already holds an earlier, longer decode (a reader's scratch
+// record) fails as the fresh decode does, or equals it with no leftover
+// count, argument or dependency cell.
 func FuzzDeltaEntry(f *testing.F) {
+	long, err := EncodeDeltaRecord(longDelta())
+	if err != nil {
+		f.Fatal(err)
+	}
+	longHdr, err := PeekDeltaRecord(long)
+	if err != nil {
+		f.Fatal(err)
+	}
 	good, _ := EncodeDeltaRecord(sampleDelta())
 	f.Add(good)
 	f.Add([]byte{})
@@ -370,6 +402,19 @@ func FuzzDeltaEntry(f *testing.F) {
 		case h.Kind != r.Kind || h.Version != r.Version || h.Total != n:
 			t.Fatalf("header (kind %#x, v%d, %d B) disagrees with decode (kind %#x, v%d, %d B)",
 				h.Kind, h.Version, h.Total, r.Kind, r.Version, n)
+		}
+		if herr == nil {
+			var reused DeltaRecord
+			if err := DecodeDeltaBody(&reused, long, longHdr); err != nil {
+				t.Fatal(err)
+			}
+			rerr := DecodeDeltaBody(&reused, data, h)
+			if errClass(rerr) != errClass(err) {
+				t.Fatalf("decoding into a used record fails as %v, a fresh decode as %v", rerr, err)
+			}
+			if err == nil && !sameRecord(reused, r) {
+				t.Fatalf("decoding into a used record gives %+v, a fresh decode %+v", reused, r)
+			}
 		}
 		if err != nil {
 			if strings.HasPrefix(errClass(err), "unclassified") {

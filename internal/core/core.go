@@ -26,6 +26,7 @@ import (
 	"fmt"
 
 	"hamband/internal/broadcast"
+	"hamband/internal/codec"
 	"hamband/internal/fifo"
 	"hamband/internal/heartbeat"
 	"hamband/internal/metrics"
@@ -325,8 +326,12 @@ func (c *Cluster) Stop() {
 // sumSlot holds the decoded view of one summary slot.
 type sumSlot struct {
 	version uint32
-	call    spec.Call
-	counts  []uint32 // applied counts per method of the group, in group order
+	// call is the summary. The slot owns its arrays: Summarize folds into
+	// them in place, an adopted anchor swaps arrays with the replica's
+	// scratch record, and whatever outlives the next fold (a trace record)
+	// takes a copy.
+	call   spec.Call
+	counts []uint32 // applied counts per method of the group, in group order
 
 	// Delta-group reader state.
 	tornStreak uint8 // consecutive scans stuck on a torn frame
@@ -406,6 +411,12 @@ type Replica struct {
 	// they hand on; the coalescer, the broadcast and encodeConf itself copy it
 	// before returning.
 	recBuf []byte
+	// The receive side's scratch records: scanSlot decodes the δ-record it
+	// folds into deltaRec, which Summarize and the views only borrow, and
+	// adoptFrame decodes an anchor into anchorRec, whose arrays it swaps with
+	// the slot's once the frame has passed every check.
+	deltaRec  codec.DeltaRecord
+	anchorRec codec.DeltaRecord
 
 	// Buffers: FIFO queues of delivered-but-unapplied calls. Each reuses its
 	// storage and drops a call's references as the call leaves.

@@ -348,7 +348,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if r.tracing() {
 		traced := c // its own copy: taking c's address would put every call on the heap, tracer or not
 		r.traceData(trace.Reduce, c, fmt.Sprintf("summary v%d remote-written to %d peers", slot.version, r.n-1),
-			trace.SlotRecord{Group: g, Src: r.id, Version: slot.version, Sum: slot.call,
+			trace.SlotRecord{Group: g, Src: r.id, Version: slot.version, Sum: slot.call.Clone(), // the next fold writes the slot's arrays
 				Counts: append([]uint32(nil), slot.counts...), C: &traced})
 		r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
 	}
@@ -420,16 +420,21 @@ func appendSumFrame(dst []byte, s *sumSlot, epoch uint32) ([]byte, error) {
 	return codec.FinishSlot(codec.AppendUvarint(b, uint64(epoch)), len(dst)), nil
 }
 
-func decodeSumSlot(b []byte) (counts []uint32, call spec.Call, epoch uint32, err error) {
-	rec, n, err := codec.DecodeDeltaRecord(b)
+// decodeSumSlot decodes the payload of a slot frame appendSumFrame wrote into
+// rec (reusing its arrays) and returns the frame's epoch.
+func decodeSumSlot(rec *codec.DeltaRecord, b []byte) (epoch uint32, err error) {
+	h, err := codec.PeekDeltaRecord(b)
 	if err != nil {
-		return nil, call, 0, err
+		return 0, err
 	}
-	e, m, err := codec.Uvarint(b[n:])
-	if err != nil || rec.Kind != codec.FrameFull || n+m != len(b) || e > math.MaxUint32 {
-		return nil, call, 0, codec.ErrCorrupt
+	if err := codec.DecodeDeltaBody(rec, b, h); err != nil {
+		return 0, err
 	}
-	return rec.Counts, rec.C, uint32(e), nil
+	e, m, err := codec.Uvarint(b[h.Total:])
+	if err != nil || h.Kind != codec.FrameFull || h.Total+m != len(b) || e > math.MaxUint32 {
+		return 0, codec.ErrCorrupt
+	}
+	return uint32(e), nil
 }
 
 // staleSlot reports (and counts) a slot frame from source p stamped before
@@ -490,23 +495,43 @@ func (r *Replica) scanSummaries() {
 
 // adoptFrame replaces peer p's summary wholesale with the full-state frame
 // (payload, ver) — found in the local region by a scan, or read from p's own
-// copy — unless it is malformed or stamped below p's epoch floor.
+// copy — unless it is malformed or stamped below p's epoch floor. The frame is
+// decoded into the replica's anchor scratch, and only a frame that passes both
+// checks swaps arrays with the slot: the slot takes the decoded summary, the
+// scratch the old one's arrays for the next anchor to decode into.
 func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, payload []byte, ver uint32, src string) bool {
-	counts, call, sepoch, err := decodeSumSlot(payload)
+	rec := &r.anchorRec
+	// Give the scratch the slot's room first, so the swap never leaves the
+	// slot less to fold into than it had: a growing summary then reallocates
+	// once per doubling on this side too, not at every anchor.
+	rec.C.Args.I = reserve(rec.C.Args.I, cap(slot.call.Args.I))
+	rec.C.Args.S = reserve(rec.C.Args.S, cap(slot.call.Args.S))
+	sepoch, err := decodeSumSlot(rec, payload)
 	if err != nil || r.staleSlot(p, sepoch) {
 		return false
 	}
-	r.installScan(g, p, slot, ver, call, counts, src)
+	slot.call, rec.C = rec.C, slot.call
+	r.installScan(g, p, slot, ver, rec.Counts, src)
 	r.dirtyViews()
 	return true
 }
 
-// installScan commits an adopted summary (version, call, counts) for peer
-// p's slot: the cached call flips, the applied counts advance monotonically,
-// and the adoption is traced for the conformance checker.
-func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, call spec.Call, counts []uint32, src string) {
+// reserve returns s emptied, in its own array when that holds n elements and
+// in a new one of exactly n otherwise: no more, or the slot and the scratch
+// would outgrow each other at every swap.
+func reserve[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, 0, n)
+	}
+	return s[:0]
+}
+
+// installScan commits an adopted summary for peer p's slot, whose call the
+// caller has already replaced or folded into: the version flips, the applied
+// counts advance monotonically, and the adoption is traced for the
+// conformance checker.
+func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, counts []uint32, src string) {
 	slot.version = ver
-	slot.call = call
 	for i, u := range r.cls.SumGroups[g].Methods {
 		if i < len(counts) && counts[i] > r.applied.Get(p, u) {
 			r.applied.Set(p, u, counts[i])
@@ -517,7 +542,7 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 	if r.tracing() {
 		r.opts.Tracer.RecordData(int(r.id), trace.Adopt, "",
 			fmt.Sprintf("adopted slot g%d/p%d v%d from %s", g, p, ver, src),
-			trace.SlotRecord{Group: g, Src: p, Version: ver, Sum: call,
+			trace.SlotRecord{Group: g, Src: p, Version: ver, Sum: slot.call.Clone(), // the next fold writes the slot's arrays
 				Counts: append([]uint32(nil), counts...)})
 	}
 }
@@ -533,8 +558,9 @@ const tornParkScans = 3
 // frame at the slot head re-bases the state when newer; the δ-record log is
 // then walked from the front: records at or below the current version are
 // stale leftovers of earlier rounds (validated, then skipped undecoded), the
-// record at version+1 is decoded and folds into the summary via the group's
-// Summarize, and a version jumping further ahead is a gap — deltas were lost
+// record at version+1 is decoded into the replica's scratch record and folds
+// into the summary via the group's Summarize, which, like the views, only
+// borrows it, and a version jumping further ahead is a gap — deltas were lost
 // (partition, dropped write), so the reader schedules a one-sided fetch of
 // the writer's authoritative full state instead of folding onto the wrong
 // base. The second result reports the slot unreadable this pass (torn frame
@@ -573,12 +599,12 @@ walk:
 		case h.Version <= slot.version:
 			// Stale leftover of an earlier log round, or already folded.
 		case h.Version == slot.version+1:
-			rec, err := codec.DecodeDeltaBody(log, h)
-			if err != nil {
+			rec := &r.deltaRec
+			if codec.DecodeDeltaBody(rec, log, h) != nil {
 				break walk // CRC-intact garbage from the writer: unusable
 			}
-			folded := r.cls.SumGroups[g].Summarize(slot.call, rec.C)
-			r.installScan(g, p, slot, rec.Version, folded, rec.Counts, "delta")
+			slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
+			r.installScan(g, p, slot, rec.Version, rec.Counts, "delta")
 			r.foldViews(rec.C)
 			changed = true
 		default:

@@ -103,7 +103,8 @@ func NewAccount() *spec.Class {
 				return spec.Call{Method: AccountDeposit, Args: spec.ArgsI(0)}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: AccountDeposit, Args: spec.ArgsI(a.Args.I[0] + b.Args.I[0])}
+				a.Args.I[0] += b.Args.I[0]
+				return spec.Call{Method: AccountDeposit, Args: spec.Args{I: a.Args.I}}
 			},
 		}},
 	}

@@ -52,7 +52,8 @@ func NewCounter() *spec.Class {
 				return spec.Call{Method: CounterAdd, Args: spec.ArgsI(0)}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: CounterAdd, Args: spec.ArgsI(a.Args.I[0] + b.Args.I[0])}
+				a.Args.I[0] += b.Args.I[0]
+				return spec.Call{Method: CounterAdd, Args: spec.Args{I: a.Args.I}}
 			},
 		}},
 	}

@@ -381,7 +381,7 @@ func TestLWWMapSummarizeKeepsWinners(t *testing.T) {
 	a := spec.Call{Method: LWWMapSet, Args: spec.Args{S: []string{"k", "old", "x", "1"}, I: []int64{1, 9}}}
 	b := spec.Call{Method: LWWMapSet, Args: spec.Args{S: []string{"k", "new"}, I: []int64{2}}}
 	sum := g.Summarize(a, b)
-	dec := lwwMapDecode(sum.Args)
+	dec := lwwMapDecode(nil, sum.Args)
 	if len(dec) != 2 {
 		t.Fatalf("summary entries = %d, want 2", len(dec))
 	}

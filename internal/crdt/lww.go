@@ -73,12 +73,14 @@ func NewLWW() *spec.Class {
 				return spec.Call{Method: LWWWrite, Args: spec.ArgsI(math.MinInt64, 0)}
 			},
 			Summarize: func(a, b spec.Call) spec.Call {
-				// The summary of two writes is the one that wins.
+				// The summary of two writes is the one that wins, written
+				// into a's arguments.
 				if b.Args.I[1] > a.Args.I[1] ||
 					(b.Args.I[1] == a.Args.I[1] && b.Args.I[0] > a.Args.I[0]) {
-					return spec.Call{Method: LWWWrite, Args: b.Args.Clone(), Proc: b.Proc, Seq: b.Seq}
+					a.Args.I = append(a.Args.I[:0], b.Args.I...)
+					a.Proc, a.Seq = b.Proc, b.Seq
 				}
-				return spec.Call{Method: LWWWrite, Args: a.Args.Clone(), Proc: a.Proc, Seq: a.Seq}
+				return spec.Call{Method: LWWWrite, Args: spec.Args{I: a.Args.I}, Proc: a.Proc, Seq: a.Seq}
 			},
 		}},
 	}

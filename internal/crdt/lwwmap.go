@@ -61,11 +61,11 @@ type lwwEntry struct {
 	C lwwCell
 }
 
-// lwwMapDecode reads a set call's entries from its parallel vectors: Args.S
-// holds key1,val1,key2,val2,…; Args.I holds one timestamp per entry.
-func lwwMapDecode(a spec.Args) []lwwEntry {
+// lwwMapDecode appends a set call's entries, read from its parallel vectors,
+// to out: Args.S holds key1,val1,key2,val2,…; Args.I holds one timestamp per
+// entry.
+func lwwMapDecode(out []lwwEntry, a spec.Args) []lwwEntry {
 	n := len(a.I)
-	out := make([]lwwEntry, 0, n)
 	for i := 0; i < n && 2*i+1 < len(a.S); i++ {
 		out = append(out, lwwEntry{K: a.S[2*i], C: lwwCell{V: a.S[2*i+1], TS: a.I[i]}})
 	}
@@ -103,56 +103,59 @@ func lwwMapCanonical(a spec.Args) bool {
 }
 
 // lwwMapSummarize merges the entries of second into first, the accumulated
-// summary: canonical by construction (see lwwMapCanonical), so one pass over
-// it finds what second changes. The result is first itself when no entry of
-// second adds a key or wins one, otherwise a pair of exact-size vectors;
-// neither argument is written through. A first in any other layout (a raw
-// client call) is brought into the canonical one on a copy.
+// summary, under Summarize's contract: canonical by construction (see
+// lwwMapCanonical), so one pass over it finds what second changes. A winning
+// entry overwrites its key's cell in place and new keys are inserted into
+// first's vectors, which grow by doubling when full; second is only read. A
+// first in any other layout (a raw client call) is rebuilt canonical first.
 func lwwMapSummarize(first, second spec.Args) spec.Args {
 	if !lwwMapCanonical(first) {
 		first = lwwMapSummarize(spec.Args{}, first)
 	}
-	add := lwwMapWinners(lwwMapDecode(second))
+	var small [4]lwwEntry // a client call's entries fit: no allocation to sort them
+	add := lwwMapWinners(lwwMapDecode(small[:0], second))
 	n := len(first.I)
-	cell := func(i int) lwwCell { return lwwCell{V: first.S[2*i+1], TS: first.I[i]} }
 
-	grow, wins := 0, false
+	missing := 0
 	i := 0
 	for _, e := range add {
 		for i < n && first.S[2*i] < e.K {
 			i++
 		}
-		if i == n || first.S[2*i] != e.K {
-			grow++
-		} else if e.C.beats(cell(i)) {
-			wins = true
+		switch {
+		case i == n || first.S[2*i] != e.K:
+			missing++
+		case e.C.beats(lwwCell{V: first.S[2*i+1], TS: first.I[i]}):
+			first.S[2*i+1], first.I[i] = e.C.V, e.C.TS
 		}
 	}
-	if grow == 0 && !wins {
+	if missing == 0 {
 		return first
 	}
-	out := spec.Args{S: make([]string, 0, 2*(n+grow)), I: make([]int64, 0, n+grow)}
-	i = 0
-	for _, e := range add {
-		j := i
-		for j < n && first.S[2*j] < e.K {
-			j++
-		}
-		out.S = append(out.S, first.S[2*i:2*j]...)
-		out.I = append(out.I, first.I[i:j]...)
-		i = j
-		if i < n && first.S[2*i] == e.K {
-			if !e.C.beats(cell(i)) {
-				continue // first's cell stands; it rides the next run
-			}
-			i++
-		}
-		out.S = append(out.S, e.K, e.C.V)
-		out.I = append(out.I, e.C.TS)
+	m := n + missing
+	if m > cap(first.I) || 2*m > cap(first.S) {
+		c := max(m, 2*cap(first.I))
+		first.I = append(make([]int64, 0, c), first.I...)
+		first.S = append(make([]string, 0, 2*c), first.S...)
 	}
-	out.S = append(out.S, first.S[2*i:]...)
-	out.I = append(out.I, first.I[i:]...)
-	return out
+	// Merge the new keys in from the back, as UnionSorted does.
+	s, ts := first.S[:2*m], first.I[:m]
+	i, k := n-1, m-1
+	for j := len(add) - 1; j >= 0; {
+		switch e := add[j]; {
+		case i >= 0 && first.S[2*i] > e.K:
+			s[2*k], s[2*k+1], ts[k] = first.S[2*i], first.S[2*i+1], first.I[i]
+			i--
+		case i >= 0 && first.S[2*i] == e.K:
+			j-- // an existing key: settled in place above
+			continue
+		default:
+			s[2*k], s[2*k+1], ts[k] = e.K, e.C.V, e.C.TS
+			j--
+		}
+		k--
+	}
+	return spec.Args{S: s, I: ts}
 }
 
 // NewLWWMap returns a last-writer-wins map with string keys and values —
@@ -174,7 +177,7 @@ func NewLWWMap() *spec.Class {
 				Kind: spec.Update,
 				Apply: func(s spec.State, a spec.Args) {
 					st := s.(*LWWMapState)
-					for _, e := range lwwMapDecode(a) {
+					for _, e := range lwwMapDecode(make([]lwwEntry, 0, len(a.I)), a) {
 						if cur, ok := st.Cells[e.K]; !ok || e.C.beats(cur) {
 							st.Cells[e.K] = e.C
 						}

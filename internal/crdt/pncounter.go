@@ -91,7 +91,7 @@ func NewPNCounter() *spec.Class {
 			Summarize: func(a, b spec.Call) spec.Call {
 				pa, na := pn(a)
 				pb, nb := pn(b)
-				return spec.Call{Method: PNAdjust, Args: spec.ArgsI(pa+pb, na+nb)}
+				return spec.Call{Method: PNAdjust, Args: spec.Args{I: append(a.Args.I[:0], pa+pb, na+nb)}}
 			},
 		}},
 	}

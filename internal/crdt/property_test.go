@@ -128,7 +128,7 @@ func TestSummarizeMatchesSequential(t *testing.T) {
 			cls, gi := cls, gi
 			g := cls.SumGroups[gi]
 			fold := func(calls []spec.Call) spec.Call {
-				d := calls[0]
+				d := calls[0].Clone() // Summarize consumes its first argument
 				for _, c := range calls[1:] {
 					d = g.Summarize(d, c)
 				}

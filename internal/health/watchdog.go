@@ -16,7 +16,8 @@ type Rule string
 // calls for watermark-lag; percent for hot-shard and budget-low.
 const (
 	// RuleReaderParked fires when an inbound ring reader has been parked
-	// (sticky CRC quarantine) for ParkedPolls consecutive observations.
+	// (CRC quarantine, lifted on the poll the record validates) for
+	// ParkedPolls consecutive observations.
 	RuleReaderParked Rule = "reader-parked"
 
 	// RuleFloorStalled fires when a per-source epoch floor has sat parked

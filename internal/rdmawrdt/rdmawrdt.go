@@ -116,7 +116,9 @@ func (k *Config) Reduce(c spec.Call) error {
 	if !k.Class.Invariant(cur) {
 		return fmt.Errorf("rdmawrdt: REDUCE %s not locally permissible", c.Format(k.Class))
 	}
-	sum := k.Class.SumGroups[g].Summarize(k.Procs[j].S[g][j], c)
+	// Every process's row, and every configuration cloned from this one,
+	// shares the old summary: Summarize consumes a copy of it.
+	sum := k.Class.SumGroups[g].Summarize(k.Procs[j].S[g][j].Clone(), c)
 	n := k.Procs[j].A.Get(j, u) + 1
 	for i := range k.Procs {
 		k.Procs[i].S[g][j] = sum

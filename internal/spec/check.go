@@ -19,6 +19,8 @@ import "fmt"
 //   - declared c2 ◁_P c1 ⇒ (P(c1(σ),c2) ⇒ P(σ,c2))
 //   - call-level conflict ⇒ a method-level conflict edge exists
 //   - call-level dependency ⇒ a method-level dependency edge exists
+//   - Apply and Eval borrow their arguments: scribbling over a call's Args
+//     after it ran leaves the state as it was, for a call of every method
 //   - Summarize(c1,c2)(σ) = c2(c1(σ)) and Identity is a no-op
 //   - generated states and the initial state satisfy the invariant
 //
@@ -97,6 +99,13 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 			}
 		}
 
+		// Borrowed arguments: Apply and Eval keep none of a call's arrays.
+		for u := range cls.Methods {
+			if err := checkBorrow(cls, sigma, cls.Gen.Call(r, MethodID(u)), it); err != nil {
+				return err
+			}
+		}
+
 		// P-R-commutativity: P(σ,c1) ⇒ P(c2(σ),c1). The interposed call
 		// c2 must itself be permissible in σ — executions only ever apply
 		// permissible calls, and the relation is used to reason about them.
@@ -141,7 +150,7 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 		for _, g := range cls.SumGroups {
 			ca := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
 			cb := cls.Gen.Call(r, g.Methods[r.Intn(len(g.Methods))])
-			sum := g.Summarize(ca, cb)
+			sum := g.Summarize(ca.Clone(), cb) // ca is applied below: pass a copy to consume
 			if !inGroup(g, sum.Method) {
 				return fmt.Errorf("%s: group %q not closed: Summarize yields method %d (iter %d)",
 					cls.Name, g.Name, sum.Method, it)
@@ -185,6 +194,33 @@ func checkGuard(cls *Class, sigma State, c Call, it int) error {
 	if p := cls.Permissible(sigma, c); allows != p {
 		return fmt.Errorf("%s: Allows(σ, %s) = %t but P(σ, %s) = %t (iter %d)",
 			cls.Name, c.Format(cls), allows, c.Format(cls), p, it)
+	}
+	return nil
+}
+
+// checkBorrow runs c — an update through ApplyCall, a query through Eval — on
+// a copy of σ, then scribbles over every element of c's arguments and
+// requires the state to read as it did before the scribble: a method that
+// keeps an argument array in the state would let a runtime that applies a
+// call decoded into reused storage corrupt it on the next decode.
+func checkBorrow(cls *Class, sigma State, c Call, it int) error {
+	m := cls.Methods[c.Method]
+	st := sigma.Clone()
+	if m.Kind == Update {
+		cls.ApplyCall(st, c)
+	} else {
+		m.Eval(st, c.Args)
+	}
+	want := st.Clone()
+	for i := range c.Args.I {
+		c.Args.I[i] = ^c.Args.I[i]
+	}
+	for i := range c.Args.S {
+		c.Args.S[i] += "\x00scribbled"
+	}
+	if !st.Equal(want) {
+		return fmt.Errorf("%s: %s keeps its arguments: scribbling over them after the call changed the state (iter %d)",
+			cls.Name, m.Name, it)
 	}
 	return nil
 }

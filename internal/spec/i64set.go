@@ -44,17 +44,17 @@ func (s I64Set) Sorted() []int64 {
 func (s I64Set) String() string { return fmt.Sprint(s.Sorted()) }
 
 // UnionSorted returns the sorted, duplicate-free union of first and second:
-// the Summarize of every set-valued summarization group. first is the
-// accumulated summary — an earlier result of this function, so already sorted
-// and duplicate-free — and second one client call's few elements in any
-// order, so the work is one merge pass instead of a rebuild: the result is
-// first itself when second adds nothing, otherwise one slice of exactly the
-// union's size. Neither argument is written through. A first that is not
-// sorted and duplicate-free (a raw client call, as spec.Check passes) is
-// normalised on a copy, which costs what the rebuild used to.
+// the Summarize of every set-valued summarization group, under its contract.
+// first is consumed like append's slice — the accumulated summary, an earlier
+// result of this function, so already sorted and duplicate-free — and second
+// is one client call's few elements in any order, borrowed. second's new
+// elements are inserted into first's array, which grows by doubling when it
+// is full, so a summary that gains one element a call allocates O(log n)
+// times over its life instead of once a call. A first that is not sorted and
+// duplicate-free (a raw client call) is normalised in place first.
 func UnionSorted(first, second []int64) []int64 {
 	if !sortedUnique(first) {
-		first = UnionSorted(nil, first)
+		first = normalize(first)
 	}
 	var small [8]int64 // a client call's elements fit: no allocation to sort them
 	add := normalize(append(small[:0], second...))
@@ -71,17 +71,31 @@ func UnionSorted(first, second []int64) []int64 {
 	if missing == 0 {
 		return first
 	}
-	out := make([]int64, 0, len(first)+missing)
-	rest = first
-	for _, e := range add {
-		i, found := slices.BinarySearch(rest, e)
-		out = append(out, rest[:i]...)
-		rest = rest[i:]
-		if !found {
-			out = append(out, e)
-		}
+	n := len(first) + missing
+	if n > cap(first) {
+		grown := make([]int64, len(first), max(n, 2*cap(first)))
+		copy(grown, first)
+		first = grown
 	}
-	return append(out, rest...)
+	// Merge from the back, so each element of first moves once and only
+	// into slots the merge has already read.
+	out := first[:n]
+	i, k := len(first)-1, n-1
+	for j := len(add) - 1; j >= 0; {
+		switch {
+		case i >= 0 && first[i] > add[j]:
+			out[k] = first[i]
+			i--
+		case i >= 0 && first[i] == add[j]:
+			j-- // already held: it moves with first's run
+			continue
+		default:
+			out[k] = add[j]
+			j--
+		}
+		k--
+	}
+	return out
 }
 
 func sortedUnique(xs []int64) bool {

@@ -89,6 +89,13 @@ type Call struct {
 	Seq    uint64
 }
 
+// Clone returns c with its own copy of the arguments: what a caller passes
+// as Summarize's first argument when it still needs c afterwards.
+func (c Call) Clone() Call {
+	c.Args = c.Args.Clone()
+	return c
+}
+
 // SameRequest reports whether two calls denote the same request.
 func (c Call) SameRequest(d Call) bool { return c.Proc == d.Proc && c.Seq == d.Seq }
 
@@ -124,6 +131,9 @@ type Method struct {
 	Apply func(State, Args)
 	// Eval executes a query against the state and returns its value.
 	Eval func(State, Args) any
+	// Apply and Eval borrow their arguments: the state keeps none of the
+	// argument arrays, so a runtime may apply a call decoded into storage it
+	// reuses (CheckRelations scribbles over them to check it).
 	// Guard reports P(σ, c) for a call of this update method on a state σ
 	// that satisfies the invariant, without modifying σ. Every update
 	// method with a call that is not invariant-sufficient declares one;
@@ -178,10 +188,14 @@ type SumGroup struct {
 	Name    string
 	Methods []MethodID
 	// Identity returns the group's neutral call (e.g. deposit(0)); the
-	// initial content of every summary slot.
+	// initial content of every summary slot. No two calls of it share
+	// arrays, so each slot may fold into its own.
 	Identity func() Call
 	// Summarize combines two calls into one whose effect equals applying
-	// first then second.
+	// first then second. It consumes first as append consumes its slice:
+	// the result may reuse first's arrays, and the caller keeps only the
+	// result (a caller that still needs first passes first.Clone()). second
+	// is borrowed: never written, and never retained by the result.
 	Summarize func(first, second Call) Call
 }
 

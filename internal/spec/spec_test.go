@@ -2,6 +2,7 @@ package spec_test
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -265,12 +266,7 @@ func TestAppliedMapClone(t *testing.T) {
 }
 
 func TestCheckRelationsAllClasses(t *testing.T) {
-	classes := []*spec.Class{
-		crdt.NewCounter(), crdt.NewLWW(), crdt.NewGSet(), crdt.NewGSetBuffered(),
-		crdt.NewORSet(), crdt.NewCart(), crdt.NewAccount(), crdt.NewBankMap(),
-		crdt.NewPNCounter(), crdt.NewTwoPSet(), crdt.NewRGA(), crdt.NewLWWMap(), crdt.NewMVRegister(3),
-	}
-	for _, cls := range classes {
+	for _, cls := range schema.Bundled() {
 		r := rand.New(rand.NewSource(11))
 		if err := spec.CheckRelations(cls, r, 400); err != nil {
 			t.Errorf("%s: %v", cls.Name, err)
@@ -349,6 +345,64 @@ func TestCheckRelationsCatchesBadDeclarations(t *testing.T) {
 		!strings.Contains(err.Error(), "withdraw declares no Guard") {
 		t.Fatalf("checker error %v does not name the unguarded withdraw", err)
 	}
+}
+
+// keeper is a register whose state holds the argument array of the last set
+// call itself, not a copy of it.
+type keeper struct{ last []int64 }
+
+func (k *keeper) Clone() spec.State { return &keeper{last: slices.Clone(k.last)} }
+
+func (k *keeper) Equal(o spec.State) bool { return slices.Equal(k.last, o.(*keeper).last) }
+
+// keeperClass is a one-method register over keeper whose declarations are
+// all true: set calls conflict, are invariant-sufficient and P-commute. set
+// copies its argument, or keeps it when keep is set.
+func keeperClass(keep bool) *spec.Class {
+	cls := &spec.Class{
+		Name: "keeper",
+		Methods: []spec.Method{
+			{Name: "set", Kind: spec.Update, Apply: func(s spec.State, a spec.Args) {
+				if keep {
+					s.(*keeper).last = a.I
+				} else {
+					s.(*keeper).last = slices.Clone(a.I)
+				}
+			}},
+			{Name: "get", Kind: spec.Query, Eval: func(s spec.State, _ spec.Args) any { return len(s.(*keeper).last) }},
+		},
+		NewState:         func() spec.State { return &keeper{} },
+		Invariant:        func(spec.State) bool { return true },
+		TrivialInvariant: true,
+		Rel: spec.Relations{
+			SCommute:            func(c1, c2 spec.Call) bool { return false },
+			InvariantSufficient: func(spec.Call) bool { return true },
+			PRCommute:           func(c1, c2 spec.Call) bool { return true },
+			PLCommute:           func(c2, c1 spec.Call) bool { return true },
+		},
+		ConflictsWith: map[spec.MethodID][]spec.MethodID{0: {0}},
+	}
+	cls.Gen = spec.Generators{
+		State: func(r spec.Rand) spec.State { return &keeper{last: []int64{int64(r.Intn(9))}} },
+		Call: func(r spec.Rand, u spec.MethodID) spec.Call {
+			return spec.Call{Method: u, Args: spec.ArgsI(int64(r.Intn(9)), int64(r.Intn(9)))}
+		},
+	}
+	return cls
+}
+
+// TestCheckRelationsCatchesKeptArguments is the mutation control of the
+// borrowed-arguments check: a class whose Apply keeps a.I must be caught, and
+// the same class copying a.I must pass.
+func TestCheckRelationsCatchesKeptArguments(t *testing.T) {
+	if err := spec.CheckRelations(keeperClass(false), rand.New(rand.NewSource(5)), 200); err != nil {
+		t.Fatalf("a set that copies its argument fails the checker: %v", err)
+	}
+	err := spec.CheckRelations(keeperClass(true), rand.New(rand.NewSource(5)), 200)
+	if err == nil || !strings.Contains(err.Error(), "set keeps its arguments") {
+		t.Fatalf("checker error %v does not name the set that keeps its argument", err)
+	}
+	t.Logf("caught: %v", err)
 }
 
 // TestAllowsAllocatesNothing pins the point of guards: the runtime's

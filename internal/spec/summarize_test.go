@@ -64,8 +64,8 @@ func refLWWMap(a, b spec.Call) spec.Call {
 
 // sumCase is one summarization group under the contract test: how to draw
 // a raw client call of it and what its Summarize must agree with. Groups
-// whose summary is a scalar have no rebuild to replace; their reference is
-// the Summarize itself and only the no-write-through half bites.
+// whose summary is a scalar have no rebuild to compare with; their reference
+// is the Summarize itself, run on copies, and only the ownership half bites.
 type sumCase struct {
 	name string
 	g    spec.SumGroup
@@ -122,22 +122,24 @@ func sumCases() []sumCase {
 	return out
 }
 
-// checkSummarize runs the contract on one group: for raw inputs (unsorted,
-// duplicated) and for an accumulated first, the result equals the
-// reference's element for element; the arguments read the same after the
-// call; and they still do after the result's backing arrays are scribbled
-// over, unless the result is first itself (which Summarize may return when
-// second adds nothing). first always has spare capacity, as a slice grown by
-// append has, so a Summarize that inserts in place is seen shifting it.
+// checkSummarize runs the contract on one group. For a raw first (unsorted,
+// duplicated) and for an accumulated one — the previous result itself, as the
+// runtime keeps it — with spare capacity and without, so an in-place fold is
+// seen both shifting first's array and growing it: the result equals the
+// reference's element for element; second reads the same after the call; and
+// it still does after the result's arrays are scribbled over, so the result
+// shares no memory with second. first is consumed and not looked at again.
 func checkSummarize(c sumCase, sum func(a, b spec.Call) spec.Call, r *rand.Rand, iters int) error {
 	acc := c.g.Identity()
 	for it := 0; it < iters; it++ {
 		first := c.gen(r)
 		if it%2 == 1 {
-			first = acc // an accumulated summary, as the runtime passes
+			first = acc
 		}
-		first.Args.I = append(make([]int64, 0, len(first.Args.I)+8), first.Args.I...)
-		first.Args.S = append(make([]string, 0, len(first.Args.S)+8), first.Args.S...)
+		if it%4 < 2 {
+			first.Args.I = append(make([]int64, 0, len(first.Args.I)+8), first.Args.I...)
+			first.Args.S = append(make([]string, 0, len(first.Args.S)+8), first.Args.S...)
+		}
 		second := c.gen(r)
 		a0, b0 := first.Args.Clone(), second.Args.Clone()
 		want := c.ref(spec.Call{Method: first.Method, Args: a0.Clone()}, spec.Call{Method: second.Method, Args: b0.Clone()})
@@ -145,35 +147,51 @@ func checkSummarize(c sumCase, sum func(a, b spec.Call) spec.Call, r *rand.Rand,
 		if got.Method != want.Method || !slices.Equal(got.Args.I, want.Args.I) || !slices.Equal(got.Args.S, want.Args.S) {
 			return fmt.Errorf("iter %d: Summarize(%v, %v) = %v, reference %v", it, a0, b0, got, want)
 		}
-		if !first.Args.Equal(a0) || !second.Args.Equal(b0) {
-			return fmt.Errorf("iter %d: Summarize wrote through an argument: %v, %v were %v, %v",
-				it, first.Args, second.Args, a0, b0)
+		if !second.Args.Equal(b0) {
+			return fmt.Errorf("iter %d: Summarize(%v, %v) wrote through second: it reads %v", it, a0, b0, second.Args)
 		}
-		acc = spec.Call{Method: got.Method, Args: got.Args.Clone()}
-		if !sameSlice(got.Args.I, first.Args.I) {
-			for i := range got.Args.I {
-				got.Args.I[i] = -1
-			}
+		keep := got.Args.Clone()
+		scribble(got.Args)
+		if !second.Args.Equal(b0) {
+			return fmt.Errorf("iter %d: the result of Summarize(%v, %v) shares memory with second", it, a0, b0)
 		}
-		if !sameSlice(got.Args.S, first.Args.S) {
-			for i := range got.Args.S {
-				got.Args.S[i] = "scribble"
-			}
-		}
-		if !first.Args.Equal(a0) || !second.Args.Equal(b0) {
-			return fmt.Errorf("iter %d: the result of Summarize(%v, %v) shares memory with an argument", it, a0, b0)
+		copy(got.Args.I, keep.I)
+		copy(got.Args.S, keep.S)
+		acc = got
+	}
+	return nil
+}
+
+// scribble overwrites every element of a.
+func scribble(a spec.Args) {
+	for i := range a.I {
+		a.I[i] = -1
+	}
+	for i := range a.S {
+		a.S[i] = "scribble"
+	}
+}
+
+// checkIdentity folds a different call into each of two Identity() results
+// and requires the first fold to survive the second: two slots that start
+// from Identity must not share an array to fold into.
+func checkIdentity(c sumCase, r *rand.Rand, iters int) error {
+	for it := 0; it < iters; it++ {
+		x, y := c.gen(r), c.gen(r)
+		sx := c.g.Summarize(c.g.Identity(), x)
+		want := sx.Clone()
+		c.g.Summarize(c.g.Identity(), y)
+		if !sx.Args.Equal(want.Args) {
+			return fmt.Errorf("iter %d: folding %v into one Identity() changed a fold of %v into another: %v, want %v",
+				it, y.Args, x.Args, sx.Args, want.Args)
 		}
 	}
 	return nil
 }
 
-// sameSlice reports whether x and y are one slice (or both empty).
-func sameSlice[T any](x, y []T) bool {
-	return len(x) == len(y) && (len(x) == 0 || &x[0] == &y[0])
-}
-
 // TestSummarizeContract holds every summarization group of every class to
-// the contract the merge-style Summarize promises.
+// its reference result and to Summarize's contract: first is consumed,
+// second is borrowed, and Identity hands out arrays no other call holds.
 func TestSummarizeContract(t *testing.T) {
 	cases := sumCases()
 	rebuilt := 0
@@ -191,38 +209,33 @@ func TestSummarizeContract(t *testing.T) {
 			if err := checkSummarize(c, c.g.Summarize, rand.New(rand.NewSource(15)), 400); err != nil {
 				t.Fatal(err)
 			}
+			if err := checkIdentity(c, rand.New(rand.NewSource(16)), 40); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }
 
-// TestSummarizeContractCatchesInPlaceInsert is the mutation control: a merge
-// that inserts second's new elements into first's own backing array — right
-// whenever first has no spare capacity, which is every time in a short test —
-// must fail the contract.
-func TestSummarizeContractCatchesInPlaceInsert(t *testing.T) {
-	var gset sumCase
+// TestSummarizeContractCatchesAliasedSecond is the mutation control: a
+// counter Summarize that, when first is the identity, answers with second
+// itself — the right value, in second's array — must fail the contract, since
+// the next fold into the slot would then write through the caller's call.
+func TestSummarizeContractCatchesAliasedSecond(t *testing.T) {
+	var counter sumCase
 	for _, c := range sumCases() {
-		if c.name == "gset/add" {
-			gset = c
+		if c.name == "counter/add" {
+			counter = c
 		}
 	}
-	inPlace := func(a, b spec.Call) spec.Call {
-		out := a.Args.I
-		for i := 1; i < len(out); i++ {
-			if out[i-1] >= out[i] {
-				return gset.g.Summarize(a, b) // a raw first: nothing to insert into
-			}
+	aliasing := func(a, b spec.Call) spec.Call {
+		if a.Args.I[0] == 0 {
+			return spec.Call{Method: b.Method, Args: b.Args}
 		}
-		for _, e := range b.Args.I {
-			if i, found := slices.BinarySearch(out, e); !found {
-				out = slices.Insert(out, i, e)
-			}
-		}
-		return spec.Call{Method: a.Method, Args: spec.Args{I: out}}
+		return counter.g.Summarize(a, b)
 	}
-	err := checkSummarize(gset, inPlace, rand.New(rand.NewSource(15)), 400)
+	err := checkSummarize(counter, aliasing, rand.New(rand.NewSource(15)), 400)
 	if err == nil {
-		t.Fatal("an in-place-insert Summarize passed the contract test")
+		t.Fatal("a Summarize that returns second's array passed the contract test")
 	}
 	t.Logf("caught: %v", err)
 }
