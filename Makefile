@@ -57,7 +57,10 @@ check-race: build
 # iterations — more samples than the unit tests afford — so each declared
 # relation, and each method Guard against the definition P(σ, c) the runtime
 # no longer evaluates, meets thousands of generated states and calls; the
-# abstract-semantics, refinement and exhaustive checks run alongside.
+# abstract-semantics, refinement and exhaustive checks run alongside. The
+# exhaustive scopes are rdmawrdt.Scenarios, whose state counts
+# rdmawrdt's TestScenarios pins: rga 199, account 415, bankmap 69,
+# projectmgmt 169, courseware 169, movie 199.
 relations:
 	$(GO) run ./cmd/wrdtcheck -iters 5000
 
@@ -74,16 +77,19 @@ relations:
 chaos:
 	$(GO) test -run 'TestCorpus|TestRandomizedPlans|TestShardMixConverges|TestShardFaultIsolation|TestReconfig|TestFingerprints' -count=1 -v ./internal/chaos
 
-# conform runs the refinement conformance gate: the fixed-seed corpus
-# (fault-free and fault-plan workloads across the counter/orset/bankmap
-# classes, checked deterministic) plus the checker's own mutation test (an
-# injected apply-order bug must fail its run and shrink to <= 8 calls), the
-# sharded plans checked per shard with their cross-wire mutation control,
-# and the corpus fingerprints (hashes and report counts pinned across
-# commits). Every run is a chaos run that checks its own history;
+# conform runs the refinement conformance gate. Every history is replayed
+# through rdmawrdt's Fig. 7 rule steps (Exec, Install, Query), each failed
+# premise reported by its rule, plus the trace-only checks. The gate: the
+# fixed-seed corpus (fault-free and fault-plan workloads across the
+# counter/orset/bankmap classes, checked deterministic), the checker's own
+# mutation test (an injected apply-order bug must fail its run and shrink to
+# <= 8 calls), the tampered-trace table (one tampered event per premise and
+# check), the sharded plans checked per shard with their cross-wire mutation
+# control, and the corpus fingerprints (hashes and report counts pinned
+# across commits). Every run is a chaos run that checks its own history;
 # `hambench -exp chaos` is the exploratory version.
 conform:
-	$(GO) test -run 'TestConformCorpus|TestMutated|TestSharded|TestCrossWire|TestRunChecks|TestShrinkSharded|TestFingerprints' -count=1 -v ./internal/conform
+	$(GO) test -run 'TestConformCorpus|TestMutated|TestTampered|TestSharded|TestCrossWire|TestRunChecks|TestShrinkSharded|TestFingerprints' -count=1 -v ./internal/conform
 
 # conform-sessions runs the client-session gate: the session-guarantee
 # checker's unit histories, live sessions across an epoch change (monotonic

@@ -19,7 +19,6 @@ import (
 	"math/rand"
 	"os"
 
-	"hamband/internal/crdt"
 	"hamband/internal/rdmawrdt"
 	"hamband/internal/schema"
 	"hamband/internal/spec"
@@ -73,10 +72,10 @@ func main() {
 			fmt.Printf("   refinement: ok (%d lock-step executions)\n", *trials)
 		}
 
-		// 4. Exhaustive small-scope model checking, where a canned
-		// scenario exists for the class.
-		if cands, n := exhaustiveScenario(cls.Name); cands != nil {
-			states, err := rdmawrdt.CheckExhaustive(an, n, cands)
+		// 4. Exhaustive small-scope model checking, where rdmawrdt has a
+		// scenario for the class.
+		if sc, ok := rdmawrdt.Scenarios[cls.Name]; ok {
+			states, err := rdmawrdt.CheckExhaustive(an, sc.Procs, sc.Calls)
 			if err != nil {
 				fmt.Printf("   exhaustive: FAIL: %v\n", err)
 				failed = true
@@ -87,49 +86,6 @@ func main() {
 	}
 	if failed {
 		os.Exit(1)
-	}
-}
-
-// exhaustiveScenario returns a canned candidate-call set (and process
-// count) for classes with interesting small-scope coordination structure.
-func exhaustiveScenario(name string) ([]spec.Call, int) {
-	switch name {
-	case "account":
-		return []spec.Call{
-			{Method: crdt.AccountDeposit, Args: spec.ArgsI(10), Proc: 1, Seq: 1},
-			{Method: crdt.AccountDeposit, Args: spec.ArgsI(5), Proc: 2, Seq: 1},
-			{Method: crdt.AccountWithdraw, Args: spec.ArgsI(8), Proc: 0, Seq: 1},
-			{Method: crdt.AccountWithdraw, Args: spec.ArgsI(7), Proc: 0, Seq: 2},
-		}, 3
-	case "bankmap":
-		return []spec.Call{
-			{Method: crdt.BankOpen, Args: spec.ArgsI(7), Proc: 0, Seq: 1},
-			{Method: crdt.BankDeposit, Args: spec.ArgsI(7, 5), Proc: 0, Seq: 2},
-			{Method: crdt.BankOpen, Args: spec.ArgsI(8), Proc: 1, Seq: 1},
-			{Method: crdt.BankDeposit, Args: spec.ArgsI(8, 3), Proc: 1, Seq: 2},
-		}, 2
-	case "movie":
-		return []spec.Call{
-			{Method: schema.MovieAddCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 1},
-			{Method: schema.MovieDelCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 2},
-			{Method: schema.MovieAddMovie, Args: spec.ArgsI(1), Proc: 1, Seq: 1},
-		}, 2
-	case "rga":
-		a, b := crdt.Tag(0, 1), crdt.Tag(0, 2)
-		return []spec.Call{
-			{Method: crdt.RGAInsert, Args: spec.ArgsI(0, a, 'h'), Proc: 0, Seq: 1},
-			{Method: crdt.RGAInsert, Args: spec.ArgsI(a, b, 'i'), Proc: 0, Seq: 2},
-			{Method: crdt.RGAInsert, Args: spec.ArgsI(0, crdt.Tag(1, 1), 'y'), Proc: 1, Seq: 1},
-		}, 2
-	case "courseware", "projectmgmt":
-		return []spec.Call{
-			{Method: schema.RefAddLeft, Args: spec.ArgsI(1), Proc: 0, Seq: 1},
-			{Method: schema.RefAddRight, Args: spec.ArgsI(9), Proc: 1, Seq: 1},
-			{Method: schema.RefLink, Args: spec.ArgsI(1, 9), Proc: 0, Seq: 2},
-			{Method: schema.RefDelLeft, Args: spec.ArgsI(1), Proc: 0, Seq: 3},
-		}, 2
-	default:
-		return nil, 0
 	}
 }
 

@@ -1,36 +1,31 @@
 // Package conform is the runtime refinement conformance harness: it checks
 // that histories produced by the *actual* runtime (internal/core over the
-// simulated RDMA fabric) are explainable by the abstract WRDT semantics of
-// the paper's Fig. 5 (internal/spec, internal/wrdt). Package rdmawrdt
-// model-checks Lemma 3 at the semantics level; this package validates the
-// same refinement claim one level down, against implementation traces —
-// where, per Enea et al. (replication-aware linearizability) and De Porre
-// et al. (VeriFx), replicated-type bugs actually hide.
+// simulated RDMA fabric) are explainable by the paper's semantics — where,
+// per Enea et al. (replication-aware linearizability) and De Porre et al.
+// (VeriFx), replicated-type bugs actually hide.
 //
 // The checker replays a trace.Tracer history (structured lifecycle events
-// recorded by core behind Options.Tracer) through the abstract semantics,
-// reconstructing each replica's state, summary slots and applied-call
-// counts, and verifies five properties:
+// recorded by core behind Options.Tracer) as a schedule of Fig. 7's steps
+// on one rdmawrdt.Config, the same machine rdmawrdt's model checker drives.
+// A FreeSend or Apply event fires Exec (FREE at the issuer, FREE-APP,
+// CONF-APP), a Reduce or Adopt event fires Install (REDUCE's summary write
+// landing), a Query event fires QUERY. Each step's premises become checks:
 //
-//  1. local permissibility — every applied update was permissible against
-//     the replica's reconstructed pre-state (the P(σ,c) side condition of
-//     rules CALL and PROP; by Lemma 1 this is what preserves integrity);
-//  2. conflict-synchronization — conflicting calls of one synchronization
-//     group are applied in one total order at all replicas (callConfSync /
-//     propConfSync);
-//  3. dependency-preservation — no call is applied before the dependencies
-//     in its recorded dependency vector (propDepPres);
-//  4. exactly-once — each acknowledged call is applied exactly once per
-//     correct replica (at-most-once per identity during the run, and
-//     applied-count agreement with the acknowledgment set at quiescence);
-//  5. query explainability — every recorded query result equals the
-//     abstract query evaluated over the replayed, applied-set-consistent
-//     state of the replica that answered it.
+//   - dependency — Exec's D ≤ A;
+//   - permissibility — Exec's and REDUCE's P(Apply(S)(σ), c), and Install's
+//     post-check I(Apply(S)(σ)) on an adopt;
+//   - trace — Install's version premise (a slot version never regresses);
+//   - summarization — after a REDUCE, the state equals the pre-state plus
+//     the call, so the slot really stands for its calls;
+//   - query — the recorded answer equals QUERY on the replayed state.
 //
-// Beyond the five, the checker validates summarization correctness (a
-// Reduce event's post-state must equal pre-state + call — the summary
-// really stands for its calls), slot-version monotonicity, and replayed
-// convergence at quiescence. The package is a checker library: it knows
+// A failed premise is reported, naming its rule, and the effect fires
+// anyway, so the replay keeps following the run. The checks with no Fig. 7
+// counterpart stay here: identity and provenance of applied records,
+// at-most-once per replica, conflicting calls sequenced before they apply
+// and applied in one order per synchronization group, exactly-once counts
+// and convergence at quiescence, and (CheckSessions, CheckSharded) client
+// sessions and shards. The package is a checker library: it knows
 // histories, not clusters. Package chaos runs every plan whose complete trace
 // it records through Check (CheckSharded on a sharded plan, CheckSessions when
 // the plan has client sessions), so a run's one verdict covers its probes and
@@ -42,6 +37,7 @@ import (
 	"reflect"
 	"strings"
 
+	"hamband/internal/rdmawrdt"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -100,7 +96,7 @@ type Report struct {
 	Shards map[string]*Report
 }
 
-// OK reports whether the history conforms to the abstract semantics.
+// OK reports whether the history conforms to the semantics.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
 // String renders the report, one violation per line, followed on a sharded
@@ -124,19 +120,8 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// slotState mirrors one summary slot of the replayed replica: the folded
-// summary call, the per-method applied counts and the seqlock version.
-type slotState struct {
-	version uint32
-	sum     spec.Call
-	counts  []uint32
-}
-
-// nodeState is the abstract-semantics reconstruction of one replica.
+// nodeState is what the trace-only checks remember of one replica.
 type nodeState struct {
-	sigma    spec.State
-	applied  spec.AppliedMap
-	slots    [][]*slotState // [sumGroup][src]
 	seen     map[string]int // applies per call identity (at-most-once)
 	applySeq [][]string     // [syncGroup] -> call identities in apply order
 }
@@ -146,6 +131,7 @@ type checker struct {
 	cls   *spec.Class
 	opts  Options
 	rep   *Report
+	k     *rdmawrdt.Config // σ, A and S of every replica, moved only by Fig. 7's steps
 	nodes []*nodeState
 
 	issued  map[string]spec.Call // identity -> the issued call
@@ -154,9 +140,9 @@ type checker struct {
 	lastAt  sim.Time             // timestamp of the last consumed event
 }
 
-// Check replays a trace against the abstract semantics of an's class and
-// reports every way the history fails to conform. The trace must come from
-// a single-threaded simulation run: recorded order is the authoritative
+// Check replays a trace against the semantics of an's class and reports
+// every way the history fails to conform. The trace must come from a
+// single-threaded simulation run: recorded order is the authoritative
 // interleaving.
 func Check(an *spec.Analysis, events []trace.Event, opts Options) *Report {
 	nodes := opts.Nodes
@@ -169,28 +155,16 @@ func Check(an *spec.Analysis, events []trace.Event, opts Options) *Report {
 	c := &checker{
 		an: an, cls: an.Class, opts: opts,
 		rep:     &Report{Events: len(events)},
+		k:       rdmawrdt.New(an, nodes),
 		issued:  make(map[string]spec.Call),
 		ordered: make(map[string]bool),
 		acked:   make(map[string]bool),
 	}
 	for n := 0; n < nodes; n++ {
-		ns := &nodeState{
-			sigma:    c.cls.NewState(),
-			applied:  spec.NewAppliedMap(nodes, len(c.cls.Methods)),
+		c.nodes = append(c.nodes, &nodeState{
 			seen:     make(map[string]int),
 			applySeq: make([][]string, len(an.SyncGroups)),
-		}
-		for g := range c.cls.SumGroups {
-			row := make([]*slotState, nodes)
-			for p := range row {
-				row[p] = &slotState{
-					sum:    c.cls.SumGroups[g].Identity(),
-					counts: make([]uint32, len(c.cls.SumGroups[g].Methods)),
-				}
-			}
-			ns.slots = append(ns.slots, row)
-		}
-		c.nodes = append(c.nodes, ns)
+		})
 	}
 	for _, e := range events {
 		c.step(e)
@@ -209,77 +183,41 @@ func (c *checker) violate(check string, e trace.Event, detail string) {
 	})
 }
 
-// queryState returns the replayed Apply(S)(σ) of node n: the stored state
-// with every summary slot's call applied, matching core's queryState. The
-// result is a fresh clone when summarization groups exist, σ itself
-// otherwise (callers must not mutate it in that case).
-func (c *checker) queryState(n int) spec.State {
-	ns := c.nodes[n]
-	if len(ns.slots) == 0 {
-		return ns.sigma
-	}
-	st := ns.sigma.Clone()
-	for _, row := range ns.slots {
-		for _, s := range row {
-			c.cls.ApplyCall(st, s.sum)
-		}
-	}
-	return st
-}
-
-func (c *checker) checkPermissible(e trace.Event, call spec.Call, context string) {
-	if c.cls.TrivialInvariant {
-		return
-	}
-	if !c.cls.Permissible(c.queryState(e.Node), call) {
-		c.violate("permissibility", e, fmt.Sprintf("%s not permissible against p%d's replayed pre-state (%s)",
-			call.Format(c.cls), e.Node, context))
-	}
-}
-
 func (c *checker) step(e trace.Event) {
 	c.lastAt = e.At
 	switch e.Kind {
-	case trace.Issue:
+	case trace.Issue, trace.Order, trace.FreeSend, trace.Apply:
 		rec, ok := e.Data.(trace.CallRecord)
 		if !ok {
-			c.violate("trace", e, "issue event without a call record")
+			c.violate("trace", e, fmt.Sprintf("%s event without a call record", e.Kind))
 			return
 		}
-		c.issued[e.Call] = rec.C
+		switch e.Kind {
+		case trace.Issue:
+			c.issued[e.Call] = rec.C
+		case trace.Order:
+			c.ordered[e.Call] = true
+		case trace.FreeSend:
+			c.stepApply(e, rec, "FREE")
+		case trace.Apply:
+			rule := "FREE-APP"
+			if c.an.Category[rec.C.Method] == spec.CatConflicting {
+				rule = "CONF-APP"
+				if !c.ordered[e.Call] {
+					c.violate("conflict-order", e, fmt.Sprintf("conflicting call %s applied at p%d without being sequenced by a leader",
+						rec.C.Format(c.cls), e.Node))
+				}
+			}
+			c.stepApply(e, rec, rule)
+		}
 
-	case trace.Reduce:
-		c.stepReduce(e)
-
-	case trace.Adopt:
-		c.stepAdopt(e)
-
-	case trace.FreeSend:
-		rec, ok := e.Data.(trace.CallRecord)
-		if !ok {
-			c.violate("trace", e, "free-send event without a call record")
+	case trace.Reduce, trace.Adopt:
+		rec, ok := e.Data.(trace.SlotRecord)
+		if !ok || e.Kind == trace.Reduce && rec.C == nil {
+			c.violate("trace", e, fmt.Sprintf("%s event without a slot record", e.Kind))
 			return
 		}
-		c.stepApply(e, rec, "free local apply")
-
-	case trace.Order:
-		if _, ok := e.Data.(trace.CallRecord); !ok {
-			c.violate("trace", e, "order event without a call record")
-			return
-		}
-		c.ordered[e.Call] = true
-
-	case trace.Apply:
-		rec, ok := e.Data.(trace.CallRecord)
-		if !ok {
-			c.violate("trace", e, "apply event without a call record")
-			return
-		}
-		if c.an.Category[rec.C.Method] == spec.CatConflicting && !c.ordered[e.Call] {
-			c.violate("conflict-order", e, fmt.Sprintf("conflicting call %s applied at p%d without being sequenced by a leader",
-				rec.C.Format(c.cls), e.Node))
-		}
-		c.stepApply(e, rec, e.Note)
+		c.stepSlot(e, rec)
 
 	case trace.Query:
 		rec, ok := e.Data.(trace.QueryRecord)
@@ -288,9 +226,9 @@ func (c *checker) step(e trace.Event) {
 			return
 		}
 		c.rep.Queries++
-		got := c.cls.Methods[rec.Method].Eval(c.queryState(e.Node), rec.Args)
+		got := c.k.Query(spec.ProcID(e.Node), rec.Method, rec.Args)
 		if !reflect.DeepEqual(got, rec.Result) {
-			c.violate("query", e, fmt.Sprintf("%s(%s) answered %v at p%d but the replayed state says %v",
+			c.violate("query", e, fmt.Sprintf("QUERY %s(%s) answered %v at p%d but the replayed state says %v",
 				c.cls.Methods[rec.Method].Name, rec.Args, rec.Result, e.Node, got))
 		}
 
@@ -301,11 +239,10 @@ func (c *checker) step(e trace.Event) {
 	}
 }
 
-// stepApply replays one per-call apply (a FreeSend at the origin or a
-// buffered Apply anywhere): at-most-once, dependency-preservation and
-// permissibility, then the state transition.
-func (c *checker) stepApply(e trace.Event, rec trace.CallRecord, context string) {
-	ns := c.nodes[e.Node]
+// stepApply replays one per-call apply — FREE at the issuer (a FreeSend),
+// FREE-APP or CONF-APP (an Apply) — as rdmawrdt's Exec: provenance and
+// at-most-once, then Exec's two premises, then its effect.
+func (c *checker) stepApply(e trace.Event, rec trace.CallRecord, rule string) {
 	// Provenance: the applied record must be the call that was issued under
 	// this identity. A mismatch means the apply loop is consuming somebody
 	// else's calls (e.g. two shards' deliveries cross-wired); tags make
@@ -317,99 +254,75 @@ func (c *checker) stepApply(e trace.Event, rec trace.CallRecord, context string)
 		}
 	} else if c.opts.RequireIssued {
 		c.violate("identity", e, fmt.Sprintf("call %s applied at p%d but never issued in this history (%s)",
-			rec.C.Format(c.cls), e.Node, context))
+			rec.C.Format(c.cls), e.Node, rule))
 	}
-	ns.seen[e.Call]++
-	if n := ns.seen[e.Call]; n > 1 {
-		c.violate("exactly-once", e, fmt.Sprintf("call %s applied %d times at p%d",
-			rec.C.Format(c.cls), n, e.Node))
+	c.once(e, rec.C, "applied")
+	p := spec.ProcID(e.Node)
+	if !c.k.DepsMet(p, rec.C, rec.D) {
+		c.violate("dependency", e, fmt.Sprintf("%s premise D ≤ A fails: %s applied at p%d before its recorded dependencies (d=%v)",
+			rule, rec.C.Format(c.cls), e.Node, rec.D))
 	}
-	deps := c.an.DependsOn[rec.C.Method]
-	if len(deps) > 0 && !ns.applied.Satisfies(rec.D, deps) {
-		c.violate("dependency", e, fmt.Sprintf("%s applied at p%d before its recorded dependencies (d=%v)",
-			rec.C.Format(c.cls), e.Node, rec.D))
-	}
-	c.checkPermissible(e, rec.C, context)
-	c.cls.ApplyCall(ns.sigma, rec.C)
-	ns.applied.Inc(rec.C.Proc, rec.C.Method)
+	c.checkPermits(e, rec.C, rule)
+	c.k.Exec(p, rec.C)
 	if g := c.an.SyncGroupOf[rec.C.Method]; g != spec.NoGroup {
-		ns.applySeq[g] = append(ns.applySeq[g], e.Call)
+		seq := c.nodes[e.Node].applySeq
+		seq[g] = append(seq[g], e.Call)
 	}
 }
 
-// stepReduce replays a reducible call folding into the origin's own summary
-// slot: permissibility against the pre-state, version monotonicity, and
-// summarization correctness (post-state = pre-state + call).
-func (c *checker) stepReduce(e trace.Event) {
-	rec, ok := e.Data.(trace.SlotRecord)
-	if !ok || rec.C == nil {
-		c.violate("trace", e, "reduce event without a slot record")
+// stepSlot replays REDUCE's summary write landing at e.Node — at the issuer
+// (a Reduce event) or at a peer (an Adopt) — as rdmawrdt's Install: its
+// version premise, then its effect. A Reduce is checked against REDUCE's
+// permissibility premise before and for summarization correctness after
+// (post-state = pre-state + call); an adopt gets Install's post-check (by
+// Lemma 1 the per-call permissibility of summarized calls is equivalent to
+// invariant preservation on reachable states).
+func (c *checker) stepSlot(e trace.Event, rec trace.SlotRecord) {
+	p := spec.ProcID(e.Node)
+	s := c.k.Procs[p].S
+	if rec.Group < 0 || rec.Group >= len(s) || int(rec.Src) >= len(s[rec.Group]) {
+		c.violate("trace", e, fmt.Sprintf("%s names slot g%d/p%d which the class does not have", e.Kind, rec.Group, rec.Src))
 		return
 	}
-	ns := c.nodes[e.Node]
-	if rec.Group < 0 || rec.Group >= len(ns.slots) || int(rec.Src) >= len(ns.slots[rec.Group]) {
-		c.violate("trace", e, fmt.Sprintf("reduce names slot g%d/p%d which the class does not have", rec.Group, rec.Src))
+	var want spec.State
+	if e.Kind == trace.Reduce {
+		c.checkPermits(e, *rec.C, "REDUCE")
+		want = c.k.CurrentState(p)
+		c.cls.ApplyCall(want, *rec.C)
+	}
+	if !c.k.Newer(p, rec.Group, rec.Src, rec.Version) {
+		c.violate("trace", e, fmt.Sprintf("REDUCE write premise fails: slot g%d/p%d version regressed on %s: v%d after v%d",
+			rec.Group, rec.Src, e.Kind, rec.Version, s[rec.Group][rec.Src].Version))
+	}
+	c.k.Install(p, rec.Group, rec.Src, rdmawrdt.Slot{Sum: rec.Sum, Version: rec.Version}, rec.Counts)
+	if e.Kind == trace.Adopt {
+		if !c.k.Intact(p) {
+			c.violate("permissibility", e, fmt.Sprintf("REDUCE post-check I fails: invariant violated at p%d after adopting slot g%d/p%d v%d",
+				e.Node, rec.Group, rec.Src, rec.Version))
+		}
 		return
 	}
-	want := c.queryState(e.Node) // fresh clone: reducible methods imply sum groups
-	c.checkPermissible(e, *rec.C, "reduce")
-	c.cls.ApplyCall(want, *rec.C)
-
-	slot := ns.slots[rec.Group][rec.Src]
-	if rec.Version <= slot.version {
-		c.violate("trace", e, fmt.Sprintf("slot g%d/p%d version regressed: v%d after v%d",
-			rec.Group, rec.Src, rec.Version, slot.version))
-	}
-	c.installSlot(e, rec)
-
-	if got := c.queryState(e.Node); !got.Equal(want) {
+	if got := c.k.CurrentState(p); !got.Equal(want) {
 		c.violate("summarization", e, fmt.Sprintf("summary slot g%d/p%d v%d does not stand for its calls: post-state differs from pre-state + %s",
 			rec.Group, rec.Src, rec.Version, rec.C.Format(c.cls)))
 	}
-	ns.seen[e.Call]++
-	if n := ns.seen[e.Call]; n > 1 {
-		c.violate("exactly-once", e, fmt.Sprintf("call %s reduced %d times at p%d", rec.C.Format(c.cls), n, e.Node))
+	c.once(e, *rec.C, "reduced")
+}
+
+// checkPermits reports a failed permissibility premise of rule at e.Node.
+func (c *checker) checkPermits(e trace.Event, call spec.Call, rule string) {
+	if !c.k.Permits(spec.ProcID(e.Node), call) {
+		c.violate("permissibility", e, fmt.Sprintf("%s premise P(Apply(S)(σ), c) fails: %s not permissible against p%d's replayed pre-state",
+			rule, call.Format(c.cls), e.Node))
 	}
 }
 
-// stepAdopt replays a remotely written summary slot being adopted: version
-// monotonicity, then the slot swap, then integrity of the post-state (by
-// Lemma 1 the per-call permissibility of summarized calls is equivalent to
-// invariant preservation on reachable states).
-func (c *checker) stepAdopt(e trace.Event) {
-	rec, ok := e.Data.(trace.SlotRecord)
-	if !ok {
-		c.violate("trace", e, "adopt event without a slot record")
-		return
-	}
-	ns := c.nodes[e.Node]
-	if rec.Group < 0 || rec.Group >= len(ns.slots) || int(rec.Src) >= len(ns.slots[rec.Group]) {
-		c.violate("trace", e, fmt.Sprintf("adopt names slot g%d/p%d which the class does not have", rec.Group, rec.Src))
-		return
-	}
-	if slot := ns.slots[rec.Group][rec.Src]; rec.Version <= slot.version {
-		c.violate("trace", e, fmt.Sprintf("slot g%d/p%d version regressed on adopt: v%d after v%d",
-			rec.Group, rec.Src, rec.Version, slot.version))
-	}
-	c.installSlot(e, rec)
-	if !c.cls.TrivialInvariant && !c.cls.Invariant(c.queryState(e.Node)) {
-		c.violate("permissibility", e, fmt.Sprintf("invariant violated at p%d after adopting slot g%d/p%d v%d",
-			e.Node, rec.Group, rec.Src, rec.Version))
-	}
-}
-
-// installSlot swaps the recorded slot contents in and advances the applied
-// counts (counts only ever grow; stale reads never regress them).
-func (c *checker) installSlot(e trace.Event, rec trace.SlotRecord) {
-	ns := c.nodes[e.Node]
-	slot := ns.slots[rec.Group][rec.Src]
-	slot.version = rec.Version
-	slot.sum = rec.Sum
-	slot.counts = rec.Counts
-	for i, u := range c.cls.SumGroups[rec.Group].Methods {
-		if i < len(rec.Counts) && rec.Counts[i] > ns.applied.Get(rec.Src, u) {
-			ns.applied.Set(rec.Src, u, rec.Counts[i])
-		}
+// once counts e's call at e.Node, flagging a second apply (at-most-once).
+func (c *checker) once(e trace.Event, call spec.Call, verb string) {
+	seen := c.nodes[e.Node].seen
+	seen[e.Call]++
+	if n := seen[e.Call]; n > 1 {
+		c.violate("exactly-once", e, fmt.Sprintf("call %s %s %d times at p%d", call.Format(c.cls), verb, n, e.Node))
 	}
 }
 
@@ -474,13 +387,13 @@ func (c *checker) finish() {
 				continue
 			}
 			for _, u := range c.cls.UpdateMethods() {
-				got := c.nodes[n].applied.Get(spec.ProcID(o), u)
+				got := c.k.Procs[n].A.Get(spec.ProcID(o), u)
 				if want := ackedCount[o][u]; got < want {
 					c.violate("exactly-once", end, fmt.Sprintf(
 						"p%d applied %d of %d acked %s calls from p%d at quiescence",
 						n, got, want, c.cls.Methods[u].Name, o))
 				}
-				if origin := c.nodes[o].applied.Get(spec.ProcID(o), u); got > origin {
+				if origin := c.k.Procs[o].A.Get(spec.ProcID(o), u); got > origin {
 					c.violate("exactly-once", end, fmt.Sprintf(
 						"p%d applied %d %s calls from p%d but the origin itself applied only %d",
 						n, got, c.cls.Methods[u].Name, o, origin))
@@ -490,14 +403,14 @@ func (c *checker) finish() {
 	}
 
 	// Convergence of the replayed states: if the histories explain a
-	// drained run, the abstract semantics must drive all correct replicas
-	// to one state (Lemma 2 at the trace level).
+	// drained run, the semantics must drive all correct replicas to one
+	// state (Lemma 2 at the trace level).
 	ref, refState := -1, spec.State(nil)
 	for n := range c.nodes {
 		if !c.correct(n) {
 			continue
 		}
-		st := c.queryState(n)
+		st := c.k.CurrentState(spec.ProcID(n))
 		if refState == nil {
 			ref, refState = n, st
 			continue

@@ -8,6 +8,7 @@ import (
 
 	"hamband/internal/chaos"
 	"hamband/internal/conform"
+	"hamband/internal/crdt"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -20,7 +21,7 @@ import (
 func corpusPlans() []chaos.Plan {
 	// δ-stress arm: a generated fault plan with a tiny anchor interval, so
 	// the anchor/δ-log interleaving (re-anchors, gap fetches, torn parks)
-	// is itself replayed through the abstract semantics.
+	// is itself replayed through rdmawrdt's rule steps.
 	deltaFaulty := chaos.Generate("bankmap", 4, 60, 207)
 	deltaFaulty.AnchorInterval = 2
 	return []chaos.Plan{
@@ -280,71 +281,131 @@ func conformingTrace(t *testing.T, class string, seed int64) (*spec.Analysis, []
 	return spec.MustAnalyze(cls), events, conform.Options{Nodes: p.Nodes, Quiescent: v.Drained, Correct: v.Correct}
 }
 
-// TestTamperedQueryResultFlagged corrupts one recorded query answer; the
-// checker must report a query violation.
-func TestTamperedQueryResultFlagged(t *testing.T) {
-	an, events, opts := conformingTrace(t, "counter", 211)
-	tampered := false
-	for i := range events {
-		if q, ok := events[i].Data.(trace.QueryRecord); ok {
-			if v, ok := q.Result.(int64); ok {
-				q.Result = v + 1000
-				events[i].Data = q
-				tampered = true
-				break
+// TestTamperedTraces records one clean bankmap history and tampers one event
+// per row; each row names the check that must flag it and, for a failed
+// premise of a Fig. 7 step, the words naming the rule and premise in the
+// violation: the version premise of REDUCE's write landing (an adopt), the
+// dependency premise of FREE-APP and the permissibility premise of CONF-APP.
+// The first row breaks the summarization comparison after a REDUCE.
+func TestTamperedTraces(t *testing.T) {
+	an, clean, opts := conformingTrace(t, "bankmap", 214)
+	rows := []struct {
+		name, check, rule string
+		tamper            func(events []trace.Event) []trace.Event
+	}{
+		{"reduce-sum", "summarization", "", func(events []trace.Event) []trace.Event {
+			// The slot claims an account no call ever opened.
+			i := find(t, events, func(e trace.Event) bool { return e.Kind == trace.Reduce })
+			rec := events[i].Data.(trace.SlotRecord)
+			rec.Sum.Args.I = append(append([]int64(nil), rec.Sum.Args.I...), 1<<40)
+			events[i].Data = rec
+			return events
+		}},
+		{"adopt-version", "trace", "REDUCE write premise", func(events []trace.Event) []trace.Event {
+			// The second adoption of one slot at one node comes back one
+			// version below the first.
+			first := map[string]uint32{}
+			i := find(t, events, func(e trace.Event) bool {
+				rec, ok := e.Data.(trace.SlotRecord)
+				if !ok || e.Kind != trace.Adopt {
+					return false
+				}
+				key := fmt.Sprintf("p%d g%d/p%d", e.Node, rec.Group, rec.Src)
+				if _, seen := first[key]; !seen {
+					first[key] = rec.Version
+					return false
+				}
+				return true
+			})
+			rec := events[i].Data.(trace.SlotRecord)
+			rec.Version = first[fmt.Sprintf("p%d g%d/p%d", events[i].Node, rec.Group, rec.Src)] - 1
+			events[i].Data = rec
+			return events
+		}},
+		{"deposit-before-open", "dependency", "FREE-APP premise D ≤ A", func(events []trace.Event) []trace.Event {
+			// A deposit applied at p whose record counts an open by q moves
+			// ahead of p's first adoption of q's slot.
+			adopt := -1
+			i := find(t, events, func(e trace.Event) bool {
+				rec, ok := e.Data.(trace.CallRecord)
+				if !ok || e.Kind != trace.Apply || rec.C.Method != crdt.BankDeposit {
+					return false
+				}
+				for q, n := range rec.D {
+					if q != e.Node && n > 0 {
+						adopt = find(t, events, func(a trace.Event) bool {
+							s, ok := a.Data.(trace.SlotRecord)
+							return ok && a.Kind == trace.Adopt && a.Node == e.Node && int(s.Src) == q
+						})
+						return true
+					}
+				}
+				return false
+			})
+			moved := events[i]
+			events = append(events[:i], events[i+1:]...)
+			return append(events[:adopt], append([]trace.Event{moved}, events[adopt:]...)...)
+		}},
+		{"withdraw-overdraft", "permissibility", "CONF-APP premise P", func(events []trace.Event) []trace.Event {
+			i := find(t, events, func(e trace.Event) bool {
+				rec, ok := e.Data.(trace.CallRecord)
+				return ok && e.Kind == trace.Apply && rec.C.Method == crdt.BankWithdraw
+			})
+			rec := events[i].Data.(trace.CallRecord)
+			rec.C.Args.I = []int64{rec.C.Args.I[0], 1 << 40}
+			events[i].Data = rec
+			return events
+		}},
+		{"query-result", "query", "", func(events []trace.Event) []trace.Event {
+			i := find(t, events, func(e trace.Event) bool {
+				q, ok := e.Data.(trace.QueryRecord)
+				_, isInt := q.Result.(int64)
+				return ok && isInt
+			})
+			q := events[i].Data.(trace.QueryRecord)
+			q.Result = q.Result.(int64) + 1000
+			events[i].Data = q
+			return events
+		}},
+		{"duplicated-apply", "exactly-once", "", func(events []trace.Event) []trace.Event {
+			i := find(t, events, func(e trace.Event) bool { return e.Kind == trace.Apply })
+			return append(events[:i+1], append([]trace.Event{events[i]}, events[i+1:]...)...)
+		}},
+		{"dropped-apply", "exactly-once", "", func(events []trace.Event) []trace.Event {
+			// At quiescence the replica that lost the apply is one call short.
+			i := find(t, events, func(e trace.Event) bool { return e.Kind == trace.Apply })
+			return append(events[:i], events[i+1:]...)
+		}},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			rep := conform.Check(an, r.tamper(append([]trace.Event(nil), clean...)), opts)
+			if !hasCheck(rep, r.check) || !strings.Contains(rep.String(), r.rule) {
+				t.Fatalf("want a %s violation naming %q, got:\n%s", r.check, r.rule, rep)
 			}
-		}
-	}
-	if !tampered {
-		t.Fatal("trace carries no integer query result to tamper with")
-	}
-	rep := conform.Check(an, events, opts)
-	if rep.OK() {
-		t.Fatal("tampered query result not flagged")
-	}
-	if rep.Violations[0].Check != "query" {
-		t.Fatalf("want a query violation first, got:\n%s", rep)
+		})
 	}
 }
 
-// TestDuplicatedApplyFlagged duplicates one apply event; the checker must
-// report it as a double delivery.
-func TestDuplicatedApplyFlagged(t *testing.T) {
-	an, events, opts := conformingTrace(t, "orset", 212)
-	dup := -1
-	for i, e := range events {
-		if e.Kind == trace.Apply {
-			dup = i
-			break
-		}
-	}
-	if dup < 0 {
-		t.Fatal("trace carries no apply event to duplicate")
-	}
-	events = append(events[:dup+1], append([]trace.Event{events[dup]}, events[dup+1:]...)...)
-	if rep := conform.Check(an, events, opts); !hasCheck(rep, "exactly-once") {
-		t.Fatalf("want an exactly-once violation, got:\n%s", rep)
+// TestEmptyHistory: a history with no events and no node count replays on no
+// replicas and conforms, for a class with a synchronization group too.
+func TestEmptyHistory(t *testing.T) {
+	if rep := conform.Check(spec.MustAnalyze(crdt.NewAccount()), nil, conform.Options{}); !rep.OK() {
+		t.Fatal(rep)
 	}
 }
 
-// TestDroppedApplyFlagged removes one remote apply event; at quiescence the
-// checker must see the lost update.
-func TestDroppedApplyFlagged(t *testing.T) {
-	an, events, opts := conformingTrace(t, "orset", 213)
-	drop := -1
+// find returns the index of the first event ok accepts, failing the test when
+// the trace has none.
+func find(t *testing.T, events []trace.Event, ok func(trace.Event) bool) int {
+	t.Helper()
 	for i, e := range events {
-		if e.Kind == trace.Apply {
-			drop = i
-			break
+		if ok(e) {
+			return i
 		}
 	}
-	if drop < 0 {
-		t.Fatal("trace carries no apply event to drop")
-	}
-	events = append(events[:drop], events[drop+1:]...)
-	if conform.Check(an, events, opts).OK() {
-		t.Fatal("dropped apply not flagged")
-	}
+	t.Fatal("the trace carries no event to tamper with")
+	return -1
 }
 
 // TestExploreCorpusStyle drives the one explorer, which checks every history,

@@ -20,10 +20,10 @@ func SplitShards(events []trace.Event) map[string][]trace.Event {
 }
 
 // CheckSharded replays a sharded store's history per shard: each key's
-// events run through all five conformance checks independently, exactly
-// as if that shard were a standalone cluster. Per-shard checking is what
-// makes isolation falsifiable — leakage between apply loops surfaces as
-// an identity violation (a call applied in a shard that never issued it,
+// events run through Check independently, exactly as if that shard were a
+// standalone cluster. Per-shard checking is what makes isolation
+// falsifiable — leakage between apply loops surfaces as an identity
+// violation (a call applied in a shard that never issued it,
 // or an applied record disagreeing with the issued call), which is why
 // RequireIssued is forced on here. The report is the shards' sum
 // (mergeShards), with each shard's own in Shards.

@@ -59,32 +59,11 @@ func (e *Explorer) Step(issueBias float64) error {
 func (e *Explorer) applyRandom() error {
 	k := e.RC.K
 	p := spec.ProcID(e.rng.Intn(k.NumProcs()))
-	// Choose a random non-empty buffer at p.
-	type target struct {
-		conf bool
-		idx  int
-	}
-	var opts []target
-	for from := range k.Procs[p].F {
-		if len(k.Procs[p].F[from]) > 0 {
-			opts = append(opts, target{false, from})
-		}
-	}
-	for g := range k.Procs[p].L {
-		if len(k.Procs[p].L[g]) > 0 {
-			opts = append(opts, target{true, g})
-		}
-	}
-	if len(opts) == 0 {
+	bufs := k.Bufs(p)
+	if len(bufs) == 0 {
 		return nil
 	}
-	pick := opts[e.rng.Intn(len(opts))]
-	var err error
-	if pick.conf {
-		_, err = e.RC.ConfApp(p, pick.idx)
-	} else {
-		_, err = e.RC.FreeApp(p, spec.ProcID(pick.idx))
-	}
+	_, err := e.RC.App(p, bufs[e.rng.Intn(len(bufs))])
 	return err
 }
 
@@ -95,24 +74,12 @@ func (e *Explorer) Drain() error {
 	for !k.Drained() {
 		progressed := false
 		for p := 0; p < k.NumProcs(); p++ {
-			pp := spec.ProcID(p)
-			for from := range k.Procs[p].F {
-				if len(k.Procs[p].F[from]) > 0 {
-					fired, err := e.RC.FreeApp(pp, spec.ProcID(from))
-					if err != nil {
-						return err
-					}
-					progressed = progressed || fired
+			for _, b := range k.Bufs(spec.ProcID(p)) {
+				fired, err := e.RC.App(spec.ProcID(p), b)
+				if err != nil {
+					return err
 				}
-			}
-			for g := range k.Procs[p].L {
-				if len(k.Procs[p].L[g]) > 0 {
-					fired, err := e.RC.ConfApp(pp, g)
-					if err != nil {
-						return err
-					}
-					progressed = progressed || fired
-				}
+				progressed = progressed || fired
 			}
 		}
 		if !progressed {

@@ -3,6 +3,8 @@ package rdmawrdt
 import (
 	"fmt"
 
+	"hamband/internal/crdt"
+	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
@@ -21,7 +23,7 @@ func (k *Config) Clone() *Config {
 			A:     p.A.Clone(),
 		}
 		for _, row := range p.S {
-			q.S = append(q.S, append([]spec.Call(nil), row...))
+			q.S = append(q.S, append([]Slot(nil), row...))
 		}
 		q.F = make([][]Entry, len(p.F))
 		for i, buf := range p.F {
@@ -57,6 +59,12 @@ func CheckExhaustive(an *spec.Analysis, nprocs int, candidates []spec.Call) (sta
 func checkDFS(rc *RefinementChecker, candidates []spec.Call, issued []bool) (int, error) {
 	states := 1
 	progressed := false
+	descend := func(fork *RefinementChecker) error {
+		progressed = true
+		n, err := checkDFS(fork, candidates, issued)
+		states += n
+		return err
+	}
 
 	// Choice: issue any not-yet-issued candidate.
 	for i, c := range candidates {
@@ -71,53 +79,22 @@ func checkDFS(rc *RefinementChecker, candidates []spec.Call, issued []bool) (int
 		if !fired {
 			continue // impermissible here; maybe permissible in another order
 		}
-		progressed = true
 		issued[i] = true
-		n, err := checkDFS(fork, candidates, issued)
+		err = descend(fork)
 		issued[i] = false
-		states += n
 		if err != nil {
 			return states, err
 		}
 	}
 
-	// Choice: apply any non-empty buffer head.
+	// Choice: apply any non-empty buffer head whose premises hold.
 	for p := 0; p < rc.K.NumProcs(); p++ {
-		pp := spec.ProcID(p)
-		for from := range rc.K.Procs[p].F {
-			if len(rc.K.Procs[p].F[from]) == 0 {
-				continue
-			}
+		for _, b := range rc.K.Bufs(spec.ProcID(p)) {
 			fork := forkChecker(rc)
-			fired, err := fork.FreeApp(pp, spec.ProcID(from))
-			if err != nil {
-				return states, fmt.Errorf("free-app at p%d: %w", p, err)
+			fired, err := fork.App(spec.ProcID(p), b)
+			if err == nil && fired {
+				err = descend(fork)
 			}
-			if !fired {
-				continue // dependency-blocked here
-			}
-			progressed = true
-			n, err := checkDFS(fork, candidates, issued)
-			states += n
-			if err != nil {
-				return states, err
-			}
-		}
-		for g := range rc.K.Procs[p].L {
-			if len(rc.K.Procs[p].L[g]) == 0 {
-				continue
-			}
-			fork := forkChecker(rc)
-			fired, err := fork.ConfApp(pp, g)
-			if err != nil {
-				return states, fmt.Errorf("conf-app at p%d: %w", p, err)
-			}
-			if !fired {
-				continue
-			}
-			progressed = true
-			n, err := checkDFS(fork, candidates, issued)
-			states += n
 			if err != nil {
 				return states, err
 			}
@@ -145,6 +122,57 @@ func checkDFS(rc *RefinementChecker, candidates []spec.Call, issued []bool) (int
 	}
 	return states, nil
 }
+
+// A Scenario is one small scope for CheckExhaustive: the candidate calls and
+// the number of processes they run on.
+type Scenario struct {
+	Procs int
+	Calls []spec.Call
+}
+
+// Scenarios are the exhaustive scopes of the bundled classes whose
+// small-scope coordination is worth every interleaving, by class name.
+// wrdtcheck runs them, and TestScenarios pins each one's state count.
+var Scenarios = map[string]Scenario{
+	// Two deposits at different nodes and two withdrawals at the leader.
+	"account": {3, []spec.Call{
+		{Method: crdt.AccountDeposit, Args: spec.ArgsI(10), Proc: 1, Seq: 1},
+		{Method: crdt.AccountDeposit, Args: spec.ArgsI(5), Proc: 2, Seq: 1},
+		{Method: crdt.AccountWithdraw, Args: spec.ArgsI(8), Proc: 0, Seq: 1},
+		{Method: crdt.AccountWithdraw, Args: spec.ArgsI(7), Proc: 0, Seq: 2},
+	}},
+	// open (reducible) → deposit (irreducible conflict-free, depends on
+	// open): every schedule must gate the deposit behind the open.
+	"bankmap": {2, []spec.Call{
+		{Method: crdt.BankOpen, Args: spec.ArgsI(7), Proc: 0, Seq: 1},
+		{Method: crdt.BankDeposit, Args: spec.ArgsI(7, 5), Proc: 0, Seq: 2},
+		{Method: crdt.BankOpen, Args: spec.ArgsI(8), Proc: 1, Seq: 1},
+		{Method: crdt.BankDeposit, Args: spec.ArgsI(8, 3), Proc: 1, Seq: 2},
+	}},
+	// Two synchronization groups.
+	"movie": {2, []spec.Call{
+		{Method: schema.MovieAddCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 1},
+		{Method: schema.MovieDelCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 2},
+		{Method: schema.MovieAddMovie, Args: spec.ArgsI(1), Proc: 1, Seq: 1},
+	}},
+	// An insert depends on the insert of its anchor.
+	"rga": {2, []spec.Call{
+		{Method: crdt.RGAInsert, Args: spec.ArgsI(0, crdt.Tag(0, 1), 'h'), Proc: 0, Seq: 1},
+		{Method: crdt.RGAInsert, Args: spec.ArgsI(crdt.Tag(0, 1), crdt.Tag(0, 2), 'i'), Proc: 0, Seq: 2},
+		{Method: crdt.RGAInsert, Args: spec.ArgsI(0, crdt.Tag(1, 1), 'y'), Proc: 1, Seq: 1},
+	}},
+	"courseware":  refScenario,
+	"projectmgmt": refScenario,
+}
+
+// refScenario adds a left and a right row, links them, and deletes the left
+// row: courseware and projectmgmt share these referential methods.
+var refScenario = Scenario{2, []spec.Call{
+	{Method: schema.RefAddLeft, Args: spec.ArgsI(1), Proc: 0, Seq: 1},
+	{Method: schema.RefAddRight, Args: spec.ArgsI(9), Proc: 1, Seq: 1},
+	{Method: schema.RefLink, Args: spec.ArgsI(1, 9), Proc: 0, Seq: 2},
+	{Method: schema.RefDelLeft, Args: spec.ArgsI(1), Proc: 0, Seq: 3},
+}}
 
 // forkChecker clones both sides of the lock-step pair.
 func forkChecker(rc *RefinementChecker) *RefinementChecker {

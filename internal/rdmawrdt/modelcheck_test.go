@@ -8,71 +8,32 @@ import (
 	"hamband/internal/spec"
 )
 
-func TestExhaustiveAccount(t *testing.T) {
-	// All interleavings of: two deposits at different nodes and two
-	// withdrawals at the leader, with every buffer-application schedule.
-	an := spec.MustAnalyze(crdt.NewAccount())
-	candidates := []spec.Call{
-		{Method: crdt.AccountDeposit, Args: spec.ArgsI(10), Proc: 1, Seq: 1},
-		{Method: crdt.AccountDeposit, Args: spec.ArgsI(5), Proc: 2, Seq: 1},
-		{Method: crdt.AccountWithdraw, Args: spec.ArgsI(8), Proc: 0, Seq: 1},
-		{Method: crdt.AccountWithdraw, Args: spec.ArgsI(7), Proc: 0, Seq: 2},
+// TestScenarios runs every canned exhaustive scope — the ones wrdtcheck runs —
+// and pins the number of states each one reaches, so a change to a rule's
+// premises or effects that grows or prunes the search shows here.
+func TestScenarios(t *testing.T) {
+	want := map[string]int{
+		"rga": 199, "account": 415, "bankmap": 69,
+		"projectmgmt": 169, "courseware": 169, "movie": 199,
 	}
-	states, err := CheckExhaustive(an, 3, candidates)
-	if err != nil {
-		t.Fatal(err)
+	if len(Scenarios) != len(want) {
+		t.Fatalf("%d scenarios, %d pinned counts", len(Scenarios), len(want))
 	}
-	if states < 300 {
-		t.Fatalf("explored only %d states; the scope should be hundreds", states)
+	for _, cls := range schema.Bundled() {
+		sc, ok := Scenarios[cls.Name]
+		if !ok {
+			continue
+		}
+		t.Run(cls.Name, func(t *testing.T) {
+			states, err := CheckExhaustive(spec.MustAnalyze(cls), sc.Procs, sc.Calls)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if states != want[cls.Name] {
+				t.Fatalf("explored %d states, want %d", states, want[cls.Name])
+			}
+		})
 	}
-	t.Logf("explored %d states", states)
-}
-
-func TestExhaustiveBankMapFreeDependency(t *testing.T) {
-	// open (reducible) → deposit (irreducible conflict-free, depends on
-	// open): every schedule must gate the deposit behind the open.
-	an := spec.MustAnalyze(crdt.NewBankMap())
-	candidates := []spec.Call{
-		{Method: crdt.BankOpen, Args: spec.ArgsI(7), Proc: 0, Seq: 1},
-		{Method: crdt.BankDeposit, Args: spec.ArgsI(7, 5), Proc: 0, Seq: 2},
-		{Method: crdt.BankOpen, Args: spec.ArgsI(8), Proc: 1, Seq: 1},
-		{Method: crdt.BankDeposit, Args: spec.ArgsI(8, 3), Proc: 1, Seq: 2},
-	}
-	states, err := CheckExhaustive(an, 2, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("explored %d states", states)
-}
-
-func TestExhaustiveMovieTwoGroups(t *testing.T) {
-	an := spec.MustAnalyze(schema.NewMovie())
-	candidates := []spec.Call{
-		{Method: schema.MovieAddCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 1},
-		{Method: schema.MovieDelCustomer, Args: spec.ArgsI(1), Proc: 0, Seq: 2},
-		{Method: schema.MovieAddMovie, Args: spec.ArgsI(1), Proc: 1, Seq: 1},
-	}
-	states, err := CheckExhaustive(an, 2, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("explored %d states", states)
-}
-
-func TestExhaustiveRGACausalAnchors(t *testing.T) {
-	an := spec.MustAnalyze(crdt.NewRGA())
-	a := crdt.Tag(0, 1)
-	b := crdt.Tag(0, 2)
-	candidates := []spec.Call{
-		{Method: crdt.RGAInsert, Args: spec.ArgsI(0, a, 'h'), Proc: 0, Seq: 1},
-		{Method: crdt.RGAInsert, Args: spec.ArgsI(a, b, 'i'), Proc: 0, Seq: 2},
-		{Method: crdt.RGAInsert, Args: spec.ArgsI(0, crdt.Tag(1, 1), 'y'), Proc: 1, Seq: 1},
-	}
-	states, err := CheckExhaustive(an, 2, candidates)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("explored %d states", states)
 }
 
 func TestCloneIsolation(t *testing.T) {

@@ -13,6 +13,9 @@ func accountConfig(nprocs int) *Config {
 	return New(spec.MustAnalyze(crdt.NewAccount()), nprocs)
 }
 
+// l0 names the L buffer of synchronization group 0.
+var l0 = Buf{Conf: true}
+
 func dep(amount int64, p spec.ProcID, seq uint64) spec.Call {
 	return spec.Call{Method: crdt.AccountDeposit, Args: spec.ArgsI(amount), Proc: p, Seq: seq}
 }
@@ -31,8 +34,8 @@ func TestReduceInstallsSummaryEverywhere(t *testing.T) {
 	}
 	for p := 0; p < 3; p++ {
 		s := k.Procs[p].S[0][1]
-		if s.Args.I[0] != 8 {
-			t.Fatalf("p%d summary for p1 = %v, want deposit(8)", p, s.Args.I)
+		if s.Sum.Args.I[0] != 8 || s.Version != 2 {
+			t.Fatalf("p%d slot for p1 = %v v%d, want deposit(8) v2", p, s.Sum.Args.I, s.Version)
 		}
 		if got := k.Procs[p].A.Get(1, crdt.AccountDeposit); got != 2 {
 			t.Fatalf("p%d applied(p1, deposit) = %d, want 2", p, got)
@@ -93,11 +96,11 @@ func TestConfAppGatesOnDependencies(t *testing.T) {
 	}
 	// Roll p1's applied count for the deposit back to simulate lag.
 	k.Procs[1].A.Set(0, crdt.AccountDeposit, 0)
-	if err := k.ConfApp(1, 0); err == nil {
+	if _, err := k.App(1, l0); err == nil {
 		t.Fatal("CONF-APP fired with unsatisfied dependencies")
 	}
 	k.Procs[1].A.Set(0, crdt.AccountDeposit, 1)
-	if err := k.ConfApp(1, 0); err != nil {
+	if _, err := k.App(1, l0); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Query(1, crdt.AccountBalance, spec.Args{}); got.(int64) != 0 {
@@ -120,7 +123,7 @@ func TestFreeAppFIFO(t *testing.T) {
 	if len(k.Procs[1].F[0]) != 2 {
 		t.Fatalf("buffer length = %d, want 2", len(k.Procs[1].F[0]))
 	}
-	if err := k.FreeApp(1, 0); err != nil {
+	if _, err := k.App(1, Buf{Idx: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if got := k.Query(1, crdt.ORSetContains, spec.ArgsI(1)); got != true {
@@ -152,8 +155,10 @@ func TestConvergenceAfterDrain(t *testing.T) {
 	mustOK(t, k.Conf(wdr(5, 0, 1)))
 	mustOK(t, k.Conf(wdr(5, 0, 2)))
 	for p := 1; p < 3; p++ {
-		mustOK(t, k.ConfApp(spec.ProcID(p), 0))
-		mustOK(t, k.ConfApp(spec.ProcID(p), 0))
+		for i := 0; i < 2; i++ {
+			_, err := k.App(spec.ProcID(p), l0)
+			mustOK(t, err)
+		}
 	}
 	if !k.Drained() {
 		t.Fatal("buffers should be drained")

@@ -59,36 +59,16 @@ func (rc *RefinementChecker) Issue(c spec.Call) (fired bool, err error) {
 	return true, rc.compareStates()
 }
 
-// FreeApp fires concrete FREE-APP and the abstract PROP of the applied call.
-func (rc *RefinementChecker) FreeApp(p, from spec.ProcID) (fired bool, err error) {
-	buf := rc.K.Procs[p].F[from]
-	if len(buf) == 0 {
-		return false, nil
-	}
-	c := buf[0].C
-	if err := rc.K.FreeApp(p, from); err != nil {
+// App fires concrete FREE-APP or CONF-APP on the head of p's buffer b and
+// the abstract PROP of the applied call.
+func (rc *RefinementChecker) App(p spec.ProcID, b Buf) (fired bool, err error) {
+	c, err := rc.K.App(p, b)
+	if err != nil {
 		return false, nil
 	}
 	if err := rc.W.Prop(p, c); err != nil {
-		return true, fmt.Errorf("refinement: FREE-APP %s at p%d: abstract PROP rejected: %w",
-			c.Format(rc.K.Class), p, err)
-	}
-	return true, rc.compareStates()
-}
-
-// ConfApp fires concrete CONF-APP and the abstract PROP of the applied call.
-func (rc *RefinementChecker) ConfApp(p spec.ProcID, g int) (fired bool, err error) {
-	buf := rc.K.Procs[p].L[g]
-	if len(buf) == 0 {
-		return false, nil
-	}
-	c := buf[0].C
-	if err := rc.K.ConfApp(p, g); err != nil {
-		return false, nil
-	}
-	if err := rc.W.Prop(p, c); err != nil {
-		return true, fmt.Errorf("refinement: CONF-APP %s at p%d: abstract PROP rejected: %w",
-			c.Format(rc.K.Class), p, err)
+		return true, fmt.Errorf("refinement: %s %s at p%d: abstract PROP rejected: %w",
+			b.rule(), c.Format(rc.K.Class), p, err)
 	}
 	return true, rc.compareStates()
 }
