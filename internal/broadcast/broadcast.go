@@ -20,6 +20,7 @@
 package broadcast
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -148,7 +149,7 @@ type Broadcaster struct {
 	seq    uint64
 	epoch  uint32   // configuration epoch stamped on outgoing messages
 	slots  []uint64 // seq occupying each backup slot, 0 if free
-	msg    []byte   // scratch: the message a ring record is being framed from
+	rec    []byte   // scratch: the ring record being framed; ring.Sender.Send copies it
 
 	peers []*ring.Sender // one out-channel per destination
 	// waiting holds broadcasts blocked on a free backup slot.
@@ -159,7 +160,7 @@ type Broadcaster struct {
 
 type pendingMsg struct {
 	seq     uint64
-	record  []byte // codec-framed ring record
+	record  []byte // its own copy of the ring record, kept only while it waits for a backup slot
 	label   string // trace label of the write carrying the record (may be "")
 	onAck   func() // first completion of the remote writes; nil once fired
 	onDone  func()
@@ -218,14 +219,17 @@ func (b *Broadcaster) Epoch() uint32 { return b.epoch }
 // remote writes — one round trip to the nearest peer after the message
 // launched, whatever the slowest link does — or at launch when there is no
 // peer to write to. It is the clock a source paces its messages by (package
-// core's F out-channel). payload is copied before the call returns.
+// core's F out-channel). payload is copied before the call returns: the
+// message is framed in a scratch buffer, and the backup slot and every peer's
+// ring.Sender copy it from there. Only a message that has to wait for its
+// backup slot keeps a copy of its own.
 func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDone func()) error {
 	b.seq++
 	record, err := b.record(b.seq, payload)
 	if err != nil {
 		return err
 	}
-	pm := &pendingMsg{seq: b.seq, record: record, label: label, onAck: onAck, onDone: onDone, left: len(b.peers)}
+	pm := &pendingMsg{seq: b.seq, label: label, onAck: onAck, onDone: onDone, left: len(b.peers)}
 	// A failed write (crashed peer) is accounted as done, like a landed one.
 	pm.written = func(error) {
 		pm.ack()
@@ -237,18 +241,25 @@ func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDo
 	if held := b.slots[slot]; held != 0 && held != pm.seq {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
+		pm.record = bytes.Clone(record)
 		b.waiting = append(b.waiting, pm)
 		return nil
 	}
-	b.launch(pm)
+	b.launch(pm, record)
 	return nil
 }
 
-// record frames message seq for the rings. EncodeRaw copies, so the message
-// is put together in one buffer reused from call to call.
+// record frames message seq for the rings in the scratch buffer. The record
+// is valid until the next one is framed.
 func (b *Broadcaster) record(seq uint64, payload []byte) ([]byte, error) {
-	b.msg = appendMessage(b.msg[:0], b.epoch, seq, payload)
-	return codec.EncodeRaw(b.msg)
+	f := appendMessage(codec.BeginRaw(b.rec[:0]), b.epoch, seq, payload)
+	rec, err := codec.FinishRaw(f, 0)
+	if err != nil {
+		b.rec = f
+		return nil, err
+	}
+	b.rec = rec
+	return rec, nil
 }
 
 // ack fires onAck the first time it is called.
@@ -259,12 +270,14 @@ func (pm *pendingMsg) ack() {
 	}
 }
 
-func (b *Broadcaster) launch(pm *pendingMsg) {
+// launch stores record, message pm's ring record, in its backup slot and
+// queues it to every peer; both copy it.
+func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	b.slots[slot] = pm.seq
 	// Write the backup before any remote write (the protocol's ordering
 	// requirement); this is a local store.
-	b.backUp(pm.seq, pm.record)
+	b.backUp(pm.seq, record)
 	if pm.left == 0 { // single-node fabric
 		pm.ack()
 		b.finish(pm)
@@ -273,7 +286,7 @@ func (b *Broadcaster) launch(pm *pendingMsg) {
 	// One remote write per peer and pump (see ring.Sender): broadcasts issued
 	// by work already queued on the CPU share it.
 	for _, pc := range b.peers {
-		pc.Send(pm.record, pm.label, pm.written)
+		pc.Send(record, pm.label, pm.written)
 	}
 }
 
@@ -329,13 +342,18 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 	for i, w := range b.waiting {
 		if b.slots[int(w.seq)%b.cfg.BackupSlots] == 0 {
 			b.waiting = append(b.waiting[:i], b.waiting[i+1:]...)
-			b.launch(w)
+			record := w.record
+			w.record = nil
+			b.launch(w, record)
 			return
 		}
 	}
 }
 
-// Handler consumes delivered broadcast messages.
+// Handler consumes delivered broadcast messages. The payload is borrowed for
+// the call: when the handler returns, its buffer goes back to the receiver's
+// free list and is overwritten by a later message, so a handler that keeps
+// the bytes copies them.
 type Handler func(src rdma.NodeID, seq uint64, payload []byte)
 
 // Receiver is the delivery side of reliable broadcast on one node. A nil
@@ -365,6 +383,10 @@ type Receiver struct {
 	// k-th message pushed.
 	inbox    fifo.Queue[message]
 	handleFn func() // r.handleNext bound once: a delivery allocates no closure
+	// free holds the buffers of handled messages: an inbox payload is a copy
+	// into one of them, and goes back once the handler returns, so a warm
+	// receiver allocates nothing per message.
+	free [][]byte
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -525,22 +547,31 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing b
 		return
 	}
 	r.mDelivered.Inc()
-	r.inbox.Push(message{src, seq, append([]byte(nil), payload[had:]...)})
+	var buf []byte
+	if n := len(r.free); n > 0 {
+		buf, r.free[n-1] = r.free[n-1], nil
+		r.free = r.free[:n-1]
+	}
+	r.inbox.Push(message{src, seq, append(buf, payload[had:]...)})
 	r.node.CPU.Exec(r.cfg.DeliverCost, r.handleFn)
 }
 
 // message is a delivered message on its way to the handler; the payload is
-// the receiver's own copy.
+// the receiver's own copy, in a buffer from its free list.
 type message struct {
 	src     rdma.NodeID
 	seq     uint64
 	payload []byte
 }
 
-// handleNext is the DeliverCost item of the oldest queued message.
+// handleNext is the DeliverCost item of the oldest queued message: the
+// handler borrows the payload, and its buffer is free again once it returns.
 func (r *Receiver) handleNext() {
 	m := r.inbox.Pop()
 	r.handler(m.src, m.seq, m.payload)
+	if cap(m.payload) > 0 {
+		r.free = append(r.free, m.payload[:0])
+	}
 }
 
 // RecoverFrom reads src's backup region remotely and delivers any pending

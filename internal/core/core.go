@@ -407,16 +407,19 @@ type Replica struct {
 	coal *rdma.Coalescer
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
-	// recBuf is where nextDelta, invokeFree and encodeConf encode the record
-	// they hand on; the coalescer, the broadcast and encodeConf itself copy it
-	// before returning.
+	// recBuf is where nextDelta, invokeFree, invokeConf and leaderTransform
+	// encode the record they hand on; the coalescer, the broadcast, invokeConf
+	// itself and mu (which copies Transform's result into the entry) copy it
+	// before it is reused.
 	recBuf []byte
-	// The receive side's scratch records: scanSlot decodes the δ-record it
-	// folds into deltaRec, which Summarize and the views only borrow, and
-	// adoptFrame decodes an anchor into anchorRec, whose arrays it swaps with
-	// the slot's once the frame has passed every check.
+	// The scratch records: scanSlot decodes the δ-record it folds into
+	// deltaRec, which Summarize and the views only borrow; adoptFrame decodes
+	// an anchor into anchorRec, whose arrays it swaps with the slot's once the
+	// frame has passed every check; and leaderTransform decodes the call it
+	// orders into confRec.
 	deltaRec  codec.DeltaRecord
 	anchorRec codec.DeltaRecord
+	confRec   codec.DeltaRecord
 
 	// Buffers: FIFO queues of delivered-but-unapplied calls. Each reuses its
 	// storage and drops a call's references as the call leaves.

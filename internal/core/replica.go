@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -22,11 +23,11 @@ func callID(c spec.Call) string { return fmt.Sprintf("p%d#%d", c.Proc, c.Seq) }
 // payload so the consensus layer can attribute its Commit events to the
 // originating call.
 func confLabel(payload []byte) string {
-	_, c, _, err := decodeConf(payload)
-	if err != nil {
+	var rec codec.DeltaRecord
+	if _, err := decodeConf(&rec, payload); err != nil {
 		return ""
 	}
-	return callID(c)
+	return callID(rec.C)
 }
 
 // tracing reports whether a tracer is attached; call sites that build
@@ -797,7 +798,9 @@ func (r *Replica) flushFree() {
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
 // buffer of its source and tries to apply. Records are self-delimiting, so
 // single-entry and batched payloads share one decode loop. Anything that is
-// not a FrameFull record drops the rest of the payload.
+// not a FrameFull record drops the rest of the payload. The payload is the
+// receiver's, borrowed for the call: each call is decoded into storage of its
+// own.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
 		rec, n, err := codec.DecodeDeltaRecord(payload)
@@ -825,43 +828,51 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			trace.CallRecord{C: c, SubmitAt: submitAt})
 	}
 	// The flag byte stays clear; the leader's Transform decides. A call whose
-	// record does not encode is refused before anything knows of it.
-	payload, err := r.encodeConf(c, nil)
+	// record does not encode is refused before anything knows of it. The
+	// payload is encoded in recBuf and copied into a buffer of its own, which
+	// mu.Submit keeps uncopied until the call is delivered.
+	b, err := encodeConf(r.recBuf[:0], c, nil)
+	r.recBuf = b
 	if err != nil {
 		if onDone != nil {
 			onDone(nil, err)
 		}
 		return
 	}
+	payload := bytes.Clone(b)
 	if onDone != nil {
 		r.pendingConf[c.Seq] = onDone
 	}
 	r.groups[r.an.SyncGroupOf[u]].Submit(payload)
 }
 
-// encodeConf builds an ordered group entry's payload for (c, d): a flag byte
-// (clear) ahead of the call record, in one fresh buffer that is the caller's
-// to give away — invokeConf's to mu.Submit, which keeps it uncopied, and
-// leaderTransform's to the entry being sequenced.
-func (r *Replica) encodeConf(c spec.Call, d spec.DepVec) ([]byte, error) {
-	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
-	r.recBuf = rec
+// encodeConf appends an ordered group entry's payload for (c, d) to dst: a
+// flag byte (clear) ahead of the call record. On error dst comes back
+// unextended.
+func encodeConf(dst []byte, c spec.Call, d spec.DepVec) ([]byte, error) {
+	b, err := codec.AppendDeltaRecord(append(dst, 0), codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	return append(make([]byte, 1, 1+len(rec)), rec...), nil
+	return b, nil
 }
 
-// decodeConf is encodeConf's inverse.
-func decodeConf(payload []byte) (flags byte, c spec.Call, d spec.DepVec, err error) {
+// decodeConf is encodeConf's inverse: it returns the flag byte and decodes the
+// call record into dst, reusing dst's arrays (codec.DecodeDeltaBody) — a fresh
+// record for a call that is kept, the replica's scratch record for one that is
+// only looked at.
+func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, err error) {
 	if len(payload) < 1 {
-		return 0, c, nil, codec.ErrIncomplete
+		return 0, codec.ErrIncomplete
 	}
-	rec, _, err := codec.DecodeDeltaRecord(payload[1:])
-	if err == nil && rec.Kind != codec.FrameFull {
+	h, err := codec.PeekDeltaRecord(payload[1:])
+	if err == nil && h.Kind != codec.FrameFull {
 		err = codec.ErrCorrupt
 	}
-	return payload[0], rec.C, rec.D, err
+	if err == nil {
+		err = codec.DecodeDeltaBody(dst, payload[1:], h)
+	}
+	return payload[0], err
 }
 
 // callKey2 identifies a (process, method) cell of the speculative
@@ -879,26 +890,33 @@ type callKey2 struct {
 // (two withdrawals cannot both pass against the same balance) while
 // keeping σ free of undecided effects: if this leader turns out to be
 // deposed, its proposals never decide and the speculation is discarded.
+//
+// The call is decoded into the replica's scratch record and the entry's
+// payload encoded in recBuf, which mu copies into the entry before anything
+// else runs (the Transform contract), so ordering a call allocates nothing
+// here but its dependency record; a traced call is cloned, since the next
+// decode reuses the record's arrays.
 func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
-	_, c, _, err := decodeConf(payload)
-	if err != nil {
+	if _, err := decodeConf(&r.confRec, payload); err != nil {
 		return payload
 	}
+	c := r.confRec.C
 	if !r.specPermissible(c) {
 		r.statRejected++
 		r.mRejected.Inc()
 		r.trace(trace.Reject, c, "rejected at the ordering point")
-		out := append([]byte(nil), payload...)
-		out[0] = confFlagRejected
-		return out
+		r.recBuf = append(r.recBuf[:0], payload...)
+		r.recBuf[0] = confFlagRejected
+		return r.recBuf
 	}
 	d := r.projectSpec(r.an.DependsOn[c.Method])
 	r.specView().apply(c)
 	r.specA[callKey2{c.Proc, c.Method}]++
 	if r.tracing() {
-		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c, D: d})
+		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c.Clone(), D: d})
 	}
-	out, err := r.encodeConf(c, d)
+	out, err := encodeConf(r.recBuf[:0], c, d)
+	r.recBuf = out
 	if err != nil {
 		return payload
 	}
@@ -939,12 +957,15 @@ func (r *Replica) projectSpec(deps []spec.MethodID) spec.DepVec {
 
 // onConfDelivery receives an ordered group entry into the L buffer (or
 // completes the pending request when this replica both issued and, as
-// leader, already applied it).
+// leader, already applied it). The payload is mu's, borrowed for the call:
+// the buffered call is decoded into storage of its own.
 func (r *Replica) onConfDelivery(g int, _ rdma.NodeID, payload []byte) {
-	flags, c, d, err := decodeConf(payload)
+	var rec codec.DeltaRecord
+	flags, err := decodeConf(&rec, payload)
 	if err != nil {
 		return
 	}
+	c, d := rec.C, rec.D
 	if flags&confFlagRejected != 0 {
 		if c.Proc == r.id {
 			r.complete(c.Seq, nil, ErrImpermissible)

@@ -2,7 +2,8 @@
 // buffers of a replica (core) and its client calls waiting for their issue,
 // query or accept item; in a consensus instance (mu), the decided entries
 // waiting for their CPU item and each follower's unacknowledged sequence
-// numbers; and the broadcast messages waiting for their delivery item.
+// numbers; the broadcast messages waiting for their delivery item; and a ring
+// sender's posts in flight with the completions they carry.
 package fifo
 
 // Queue is a first-in-first-out queue over a circular array. The array grows

@@ -133,7 +133,8 @@ type Detector struct {
 	advances  []int  // consecutive advancing checks while suspected
 	inflight  []bool // a check read is outstanding to this peer
 	suspected []bool
-	ignored   []bool // peers outside the membership: not checked, never suspected
+	ignored   []bool                // peers outside the membership: not checked, never suspected
+	readFns   []func([]byte, error) // readFns[p], bound once, handles a check read of p
 	ticker    *sim.Ticker
 
 	mSuspicions *metrics.Counter // peer transitions to suspected
@@ -162,6 +163,11 @@ func NewDetector(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Detector {
 		ignored:     make([]bool, n),
 		mSuspicions: cfg.Metrics.Counter("heartbeat.suspicions"),
 		mRestores:   cfg.Metrics.Counter("heartbeat.restores"),
+		readFns:     make([]func([]byte, error), n),
+	}
+	for p := range d.readFns {
+		peer := rdma.NodeID(p)
+		d.readFns[p] = func(data []byte, err error) { d.checked(peer, data, err) }
 	}
 	d.ticker = fab.Engine().NewTicker(cfg.CheckPeriod, d.check)
 	return d
@@ -224,23 +230,26 @@ func (d *Detector) check() {
 			continue
 		}
 		d.inflight[peer] = true
-		d.node.QP(peer).Read(RegionName, 0, 8, func(data []byte, err error) {
-			d.inflight[peer] = false
-			if err != nil {
-				d.miss(peer) // crashed NIC: immediate miss
-				return
-			}
-			count := binary.LittleEndian.Uint64(data)
-			if count > d.lastSeen[peer] {
-				d.lastSeen[peer] = count
-				d.misses[peer] = 0
-				d.advance(peer)
-				return
-			}
-			d.advances[peer] = 0
-			d.miss(peer)
-		})
+		d.node.QP(peer).Read(RegionName, 0, 8, d.readFns[peer])
 	}
+}
+
+// checked handles the completion of a check read of peer.
+func (d *Detector) checked(peer rdma.NodeID, data []byte, err error) {
+	d.inflight[peer] = false
+	if err != nil {
+		d.miss(peer) // crashed NIC: immediate miss
+		return
+	}
+	count := binary.LittleEndian.Uint64(data)
+	if count > d.lastSeen[peer] {
+		d.lastSeen[peer] = count
+		d.misses[peer] = 0
+		d.advance(peer)
+		return
+	}
+	d.advances[peer] = 0
+	d.miss(peer)
 }
 
 // advance records an advancing check and restores the peer once it has

@@ -3,16 +3,19 @@ package mu
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
 
-// One buffer per hop: the tests of who owns an entry's bytes on the way from
-// Submit to Deliver, and of the two queues that replaced per-entry closures —
-// each follower's unacknowledged sequence numbers and the deliveries waiting
-// for their CPU item.
+// One copy per hop: the tests of who owns an entry's bytes on the way from
+// Submit to Deliver — a reused scratch or reader buffer while a record is in
+// hand, a buffer from the instance's free list while an entry waits, back on
+// the list once Deliver returns — and of the two queues that replaced
+// per-entry closures: each follower's unacknowledged sequence numbers and the
+// deliveries waiting for their CPU item.
 
 // leaderResidue counts what in still holds for entries it sequenced: the
 // proposals it has not delivered and the log writes it has not seen complete.
@@ -69,19 +72,20 @@ func TestLateAckLeavesNoResidue(t *testing.T) {
 	check("second leader", 2*burst, 0, 1)
 }
 
-// TestWarmCommitAllocs pins the host cost of the whole path: on a warm 4-node
-// group, one follower submission — forwarded to the leader, sequenced in a
-// round, replicated, committed and delivered on all four nodes — allocates
-// exactly these buffers and nothing per hop besides:
+// TestWarmCommitAllocs pins the host cost of the whole path at nothing: on a
+// warm 4-node group, one follower submission — forwarded to the leader,
+// sequenced in a round, replicated, committed and delivered on all four nodes
+// — allocates no object. Every hop has a buffer that is already there:
 //
-//	1  the request record (frameReq), which carries the caller's payload
-//	1  the leader's copy of it out of its request ring (ring.Reader.Poll)
-//	1  the entry record (frameEntry): journalled in place, delivered locally
-//	   and sent to every follower as it is
-//	6  ring.Sender.pump's completion callback and its list, per follower
-//	3  each follower's copy out of its log ring, stashed and delivered as it is
-//	1  the commit record
-//	3  each follower's copy of that
+//   - the request, entry and commit records are framed in the instance's
+//     scratch buffer, and each ring.Sender copies a record into a queue buffer
+//     it reuses, so one scratch buffer serves every follower;
+//   - ring.Reader.Poll returns each record in a buffer the reader reuses;
+//   - the queued request, the proposal and each follower's stashed entry are
+//     copies into buffers from the instance's free list, and every one of
+//     them goes back to the list when Deliver returns;
+//   - a pump's completion is the Sender's bound callback, which finds the
+//     post's onDones queued, and each follower's ack is its bound ackFns.
 func TestWarmCommitAllocs(t *testing.T) {
 	c := newCluster(t, 4, 0)
 	delivered := 0
@@ -97,8 +101,8 @@ func TestWarmCommitAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		commit()
 	}
-	if allocs := testing.AllocsPerRun(runs, commit); allocs != 16 {
-		t.Fatalf("a warm follower submission allocates %.0f times from Submit to the last Deliver, want 16", allocs)
+	if allocs := testing.AllocsPerRun(runs, commit); allocs != 0 {
+		t.Fatalf("a warm follower submission allocates %.0f times from Submit to the last Deliver, want 0", allocs)
 	}
 	if want := 4 * (warm + runs + 1); delivered != want {
 		t.Fatalf("%d deliveries, want %d", delivered, want)
@@ -111,8 +115,11 @@ func TestWarmCommitAllocs(t *testing.T) {
 // suspendedDeliveries suspends a follower while decided entries are queued
 // behind its CPU, changes the leader, orders more entries and resumes it: the
 // follower must deliver everything exactly once and in sequence order, the
-// entries it had queued first. lifo is the mutation: the follower's CPU item
-// takes the newest queued delivery instead of the oldest.
+// entries it had queued first, each exactly as submitted: the queued entries
+// hold buffers from the free list, which the deliveries made meanwhile on the
+// other nodes recycle, and the payloads differ in length so that a buffer
+// handed out twice shows. lifo is the mutation: the follower's CPU item takes
+// the newest queued delivery instead of the oldest.
 func suspendedDeliveries(t *testing.T, lifo bool) error {
 	t.Helper()
 	c := newCluster(t, 4, 0)
@@ -121,7 +128,8 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	if lifo {
 		in.deliverFn = func() {
 			d := in.deliveries.PopBack()
-			in.Deliver(d.seq, d.origin, d.payload)
+			in.Deliver(d.seq, d.origin, d.entry[entryHeader:])
+			in.release(d.entry)
 		}
 	}
 	// One event submits six: the first is a round of its own, the other five
@@ -129,7 +137,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	var want []string
 	c.eng.At(0, func() {
 		for i := 0; i < 6; i++ {
-			want = append(want, fmt.Sprintf("first-%d", i))
+			want = append(want, fmt.Sprintf("first-%d-%s", i, strings.Repeat("f", 5*i)))
 			c.inst[0].Submit([]byte(want[i]))
 		}
 	})
@@ -153,7 +161,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 		t.Fatal("node 1 did not take over")
 	}
 	for i := 0; i < 4; i++ {
-		want = append(want, fmt.Sprintf("second-%d", i))
+		want = append(want, fmt.Sprintf("second-%d-%s", i, strings.Repeat("s", 7*i)))
 		c.inst[2].Submit([]byte(want[6+i]))
 	}
 	c.run(2 * sim.Millisecond)
@@ -221,7 +229,7 @@ func resetWithWriteInFlight(t *testing.T, trim bool) error {
 	// The sequence numbers are past anything the leader proposed, so the
 	// completions only move the queues: no proposal counts them.
 	record := func(seq uint64) []byte {
-		_, rec := frameEntry(seq, in.term, 0, 0, seq, []byte("x"))
+		_, rec := in.frameEntry(seq, in.term, 0, 0, seq, []byte("x"))
 		return rec
 	}
 	at := func(d sim.Duration, fn func()) { c.eng.At(sim.Time(d), fn) }
@@ -264,4 +272,91 @@ func TestResetRingsCatchesMissingTrim(t *testing.T) {
 		t.Fatal("a reset that leaves dropped records in the unacked queues passed")
 	}
 	t.Logf("caught: %v", err)
+}
+
+// distinctPayload is the i-th payload of a test phase: unique, and of a length
+// that varies, so that a buffer recycled while its entry was still held
+// changes what some Deliver sees.
+func distinctPayload(phase string, i int) string {
+	return fmt.Sprintf("%s-%03d-%s", phase, i, strings.Repeat(string(rune('a'+i%26)), i%23))
+}
+
+// wantDelivered fails unless each of nodes delivered exactly want, in order.
+func (c *cluster) wantDelivered(t *testing.T, nodes []int, want []string) {
+	t.Helper()
+	for _, node := range nodes {
+		if !slices.Equal(c.delivered[node], want) {
+			t.Fatalf("node %d delivered %d entries %q, want %d: %q", node, len(c.delivered[node]), c.delivered[node], len(want), want)
+		}
+	}
+}
+
+// TestStashAcrossTermChangeDeliversSubmittedBytes suspends a leader while its
+// followers hold a round of entries in their stashes, uncommitted, and elects
+// a successor, which recovers the round from the old leader's journal and
+// re-sends it under its own term: each follower drops its older-term stash
+// entries and stashes the re-sent ones. Every entry the followers deliver,
+// those and the ones ordered after the change, must carry exactly the bytes
+// that were submitted, and nothing may stay stashed.
+func TestStashAcrossTermChangeDeliversSubmittedBytes(t *testing.T) {
+	c := newCluster(t, 5, 0)
+	var want []string
+	c.eng.At(0, func() { // the first is a round of its own, the other nine the next
+		for i := 0; i < 10; i++ {
+			want = append(want, distinctPayload("first", i))
+			c.inst[0].Submit([]byte(want[i]))
+		}
+	})
+	for len(c.inst[2].stash) < 9 || len(c.inst[3].stash) < 9 || len(c.inst[4].stash) < 9 {
+		if c.eng.Now() > sim.Time(100*sim.Microsecond) {
+			t.Fatal("the followers never stashed the second round")
+		}
+		c.run(50 * sim.Nanosecond)
+	}
+	c.fab.Node(0).Suspend() // before the round decides: no commit record follows it
+	c.run(sim.Microsecond)
+	c.inst[1].StartElection()
+	c.run(2 * sim.Millisecond)
+	if !c.inst[1].IsLeader() || c.inst[1].Term() == 0 {
+		t.Fatal("node 1 did not take over under a new term")
+	}
+	for i := 0; i < 12; i++ {
+		payload := distinctPayload("second", i)
+		want = append(want, payload)
+		c.eng.At(c.eng.Now()+sim.Time(sim.Duration(i)*sim.Microsecond), func() { c.inst[2].Submit([]byte(payload)) })
+	}
+	c.run(5 * sim.Millisecond)
+	c.wantDelivered(t, []int{1, 2, 3, 4}, want)
+	for node := 2; node < 5; node++ {
+		if n := len(c.inst[node].stash); n != 0 {
+			t.Fatalf("node %d still stashes %d entries at rest", node, n)
+		}
+	}
+}
+
+// TestCatchUpDeliversSubmittedBytes cuts a follower's log ring off its leader
+// — the leader's writes to it are refused — so that everything it delivers
+// comes from the leader's journal by catch-up, copied out of one read into
+// buffers of its own: every entry must carry exactly the bytes submitted.
+func TestCatchUpDeliversSubmittedBytes(t *testing.T) {
+	c := newCluster(t, 4, 0)
+	const cut = 3
+	c.fab.Node(cut).Region(logRegion("g")).RevokeWrite(0)
+	var want []string
+	for i := 0; i < 200; i++ {
+		node, payload := i%4, distinctPayload("entry", i)
+		want = append(want, payload)
+		c.eng.At(sim.Time(sim.Duration(i)*sim.Microsecond), func() { c.inst[node].Submit([]byte(payload)) })
+	}
+	c.run(5 * sim.Millisecond)
+	// The order is the leader's to choose; the bytes are the submitters'.
+	got := slices.Clone(c.delivered[0])
+	slices.Sort(got)
+	if !slices.Equal(got, want) {
+		t.Fatalf("the leader delivered %q, want the submitted %q in some order", c.delivered[0], want)
+	}
+	c.wantDelivered(t, []int{1, 2, cut}, c.delivered[0])
+	if head := c.inst[cut].logReader.Head(); head != 0 {
+		t.Fatalf("node %d consumed %d bytes of its log ring: some entries came by ring, not by catch-up", cut, head)
+	}
 }

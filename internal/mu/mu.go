@@ -108,8 +108,9 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 }
 
 // DeliverFunc consumes decided entries, in sequence order, exactly once. The
-// payload is the callee's to keep: the instance never reads, reuses or
-// overwrites it afterwards.
+// payload is borrowed for the call: when Deliver returns, its buffer goes back
+// to the instance's free list and is overwritten by a later entry, so a callee
+// that keeps the bytes copies them.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
 // Instance is one node's participant in a consensus group.
@@ -130,6 +131,17 @@ type Instance struct {
 	// recovery; proposals are held until it clears so recovered entries
 	// keep their original sequence numbers.
 	recovering bool
+
+	// Buffers. Every entry or request the instance holds on to — a request
+	// queued for a round, a proposal, a stashed follower entry, a delivery
+	// waiting for its CPU item — lives in a buffer from free, and the buffer
+	// goes back to free when its holder is done with it: when Deliver returns,
+	// or when the entry is dropped as a duplicate, as an older-term entry, or
+	// because a catch-up or a newer leader's entry filled its stash slot. A
+	// warm instance therefore allocates no buffers. rec is the scratch buffer
+	// every outgoing ring record is framed in: ring.Sender.Send copies it.
+	free [][]byte
+	rec  []byte
 
 	// Leader state.
 	nextSeq uint64 // next sequence number to assign (1-based)
@@ -158,7 +170,7 @@ type Instance struct {
 
 	// Delivery state (all roles).
 	lastDelivered  uint64
-	stash          map[uint64][]byte // out-of-order, not-yet-committed log entries
+	stash          map[uint64][]byte // out-of-order, not-yet-committed log entries, each in a buffer from free
 	commitSeen     uint64            // highest commit watermark received
 	ringTerm       uint64            // highest term seen in the log ring
 	catching       bool              // journal catch-up read in flight
@@ -211,7 +223,9 @@ type Instance struct {
 	// immediately before sequencing it (for both local submissions and
 	// redirected requests). Hamband uses it to check permissibility and
 	// attach the dependency record at the ordering point, as rule CONF
-	// prescribes.
+	// prescribes. Both the payload and the result are borrowed for the call:
+	// the instance copies the result into the entry before anything else
+	// runs, so Transform may return a buffer it reuses, or its argument.
 	Transform func(origin rdma.NodeID, payload []byte) []byte
 	// OnLeaderChange is invoked when this node adopts a new leader view.
 	OnLeaderChange func(leader rdma.NodeID, term uint64)
@@ -371,14 +385,46 @@ func appendEntry(dst []byte, seq, term, commit uint64, origin rdma.NodeID, submi
 
 const entryHeader = 34 // the fixed fields ahead of an entry's payload
 
-// frameEntry builds an entry inside the ring record that carries it, in one
-// buffer: the entry is the record's payload, and whoever keeps it keeps a
-// sub-slice of the record. A nil record is an entry no ring record can carry.
-func frameEntry(seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) (entry, rec []byte) {
-	b := codec.BeginRaw(make([]byte, 0, codec.RawOverhead+entryHeader+len(payload)))
-	b = appendEntry(b, seq, term, commit, origin, submitSeq, payload)
-	rec, _ = codec.FinishRaw(b, 0)
-	return b[4:], rec
+// frameEntry builds an entry inside the ring record that carries it, in the
+// instance's scratch buffer (see frame): the entry is the record's payload,
+// and one that is kept — a proposal — is copied out of it. A nil record is an
+// entry no ring record can carry.
+func (in *Instance) frameEntry(seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) (entry, rec []byte) {
+	b := appendEntry(codec.BeginRaw(in.rec[:0]), seq, term, commit, origin, submitSeq, payload)
+	return b[4:], in.frame(b)
+}
+
+// frame closes the ring record b, opened on the scratch buffer with
+// codec.BeginRaw, and keeps b's array as the scratch buffer. The record is
+// valid until the next one is framed; ring.Sender.Send copies it. It is nil
+// when no ring record can carry b's message.
+func (in *Instance) frame(b []byte) []byte {
+	rec, err := codec.FinishRaw(b, 0)
+	if err != nil {
+		in.rec = b
+		return nil
+	}
+	in.rec = rec
+	return rec
+}
+
+// keep copies b into a buffer from the free list, or into a new one when the
+// list is empty.
+func (in *Instance) keep(b []byte) []byte {
+	var buf []byte
+	if n := len(in.free); n > 0 {
+		buf, in.free[n-1] = in.free[n-1], nil
+		in.free = in.free[:n-1]
+	}
+	return append(buf, b...)
+}
+
+// release puts b, a buffer from keep whose holder is done with it, back on the
+// free list.
+func (in *Instance) release(b []byte) {
+	if cap(b) > 0 {
+		in.free = append(in.free, b[:0])
+	}
 }
 
 type logEntry struct {
@@ -403,10 +449,9 @@ func decodeLogEntry(b []byte) (logEntry, error) {
 }
 
 // request: u64 submitSeq | payload, built inside its ring record like an entry.
-func frameReq(submitSeq uint64, payload []byte) ([]byte, error) {
-	b := codec.BeginRaw(make([]byte, 0, codec.RawOverhead+8+len(payload)))
-	b = binary.LittleEndian.AppendUint64(b, submitSeq)
-	return codec.FinishRaw(append(b, payload...), 0)
+func (in *Instance) frameReq(submitSeq uint64, payload []byte) []byte {
+	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), submitSeq)
+	return in.frame(append(b, payload...))
 }
 
 // vote: u64 term | u16 candidate
@@ -430,8 +475,8 @@ func encodeGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
 
 // send frames an election message and queues it on an out channel (see
 // ring.Sender: one remote write per pump).
-func (in *Instance) send(oc *ring.Sender, payload []byte) {
-	if rec, err := codec.EncodeRaw(payload); err == nil {
+func (in *Instance) send(oc *ring.Sender, msg []byte) {
+	if rec := in.frame(append(codec.BeginRaw(in.rec[:0]), msg...)); rec != nil {
 		oc.Send(rec, "", nil)
 	}
 }
@@ -483,7 +528,7 @@ func (in *Instance) route(submitSeq uint64, payload []byte) {
 	if oc == nil {
 		return // leader view is self but not leader yet; retried on change
 	}
-	if rec, err := frameReq(submitSeq, payload); err == nil {
+	if rec := in.frameReq(submitSeq, payload); rec != nil {
 		oc.Send(rec, "", nil)
 	}
 }
@@ -492,13 +537,13 @@ func (in *Instance) route(submitSeq uint64, payload []byte) {
 type request struct {
 	origin    rdma.NodeID
 	submitSeq uint64
-	payload   []byte
+	payload   []byte   // a buffer from the free list
 	at        sim.Time // when it was queued
 }
 
-// propose queues a request for the leader's next round.
+// propose queues a copy of a request for the leader's next round.
 func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte) {
-	in.queue = append(in.queue, request{origin, submitSeq, payload, in.fab.Engine().Now()})
+	in.queue = append(in.queue, request{origin, submitSeq, in.keep(payload), in.fab.Engine().Now()})
 }
 
 // startRound sequences everything queued as one round — Transform, sequence
@@ -534,9 +579,10 @@ func (in *Instance) startRound() bool {
 		if in.proposedAt != nil {
 			in.proposedAt[seq] = now
 		}
-		entry, rec := frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
+		entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
+		in.release(r.payload) // copied into the entry, like Transform's result
 		in.journal(seq, entry)
-		in.props = append(in.props, proposal{entry: entry, acks: 1}) // self
+		in.props = append(in.props, proposal{entry: in.keep(entry), acks: 1}) // self
 		if rec != nil {
 			in.replicate(rec, seq)
 		} // else oversized: reaches no follower, so is never decided
@@ -581,7 +627,7 @@ func (in *Instance) acked(peer rdma.NodeID, err error) {
 // zero value is a sequence number the leader holds nothing for: one it has
 // delivered, or a hole in what it recovered.
 type proposal struct {
-	entry   []byte // the full entry record
+	entry   []byte // the full entry, in a buffer from the free list
 	acks    int    // completed writes, counting the local journal's
 	decided bool   // a majority reached
 }
@@ -634,7 +680,7 @@ func (in *Instance) decide(seq uint64) {
 // commit watermark (seq 0 marks it as pure metadata).
 func (in *Instance) sendCommitRecord() {
 	in.mCommitRecords.Inc()
-	_, rec := frameEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil)
+	_, rec := in.frameEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil)
 	in.replicate(rec, 0)
 }
 
@@ -669,16 +715,20 @@ func (in *Instance) journalRaw(seq uint64, entry []byte) {
 }
 
 // deliverEntry dedups by (origin, submitSeq) and queues the entry for Deliver.
-// The caller gives entry away: its payload goes to Deliver as a sub-slice.
+// The caller gives entry, a buffer from the free list, away: its payload goes
+// to Deliver as a sub-slice, and the buffer back to the free list when Deliver
+// returns, or now when the entry is not delivered.
 func (in *Instance) deliverEntry(entry []byte) {
 	e, err := decodeLogEntry(entry)
 	if err != nil {
+		in.release(entry)
 		return
 	}
 	if e.origin == in.node.ID() {
 		delete(in.pending, e.submitSeq)
 	}
 	if e.submitSeq <= in.dedupLow[e.origin] || in.dedupSet[e.origin][e.submitSeq] {
+		in.release(entry)
 		return
 	}
 	set := in.dedupSet[e.origin]
@@ -691,23 +741,27 @@ func (in *Instance) deliverEntry(entry []byte) {
 		in.dedupLow[e.origin]++
 		delete(set, in.dedupLow[e.origin])
 	}
-	if in.Deliver != nil {
-		in.deliveries.Push(delivery{e.seq, e.origin, e.payload})
-		in.node.CPU.Exec(in.cfg.DeliverCost, in.deliverFn)
+	if in.Deliver == nil {
+		in.release(entry)
+		return
 	}
+	in.deliveries.Push(delivery{e.seq, e.origin, entry})
+	in.node.CPU.Exec(in.cfg.DeliverCost, in.deliverFn)
 }
 
 // delivery is a decided entry on its way to Deliver.
 type delivery struct {
-	seq     uint64
-	origin  rdma.NodeID
-	payload []byte
+	seq    uint64
+	origin rdma.NodeID
+	entry  []byte // a buffer from the free list
 }
 
-// deliverNext is the DeliverCost item of the oldest queued delivery.
+// deliverNext is the DeliverCost item of the oldest queued delivery: Deliver
+// borrows the entry's payload, and the buffer is free again once it returns.
 func (in *Instance) deliverNext() {
 	d := in.deliveries.Pop()
-	in.Deliver(d.seq, d.origin, d.payload)
+	in.Deliver(d.seq, d.origin, d.entry[entryHeader:])
+	in.release(d.entry)
 }
 
 // --- polling ----------------------------------------------------------
@@ -769,6 +823,7 @@ func (in *Instance) pollLog() {
 			for seq, old := range in.stash {
 				if oe, oerr := decodeLogEntry(old); oerr == nil && oe.term < e.term {
 					delete(in.stash, seq)
+					in.release(old)
 				}
 			}
 		}
@@ -781,7 +836,10 @@ func (in *Instance) pollLog() {
 			continue
 		}
 		if e.seq > in.lastDelivered {
-			in.stash[e.seq] = msg // a sub-slice of Poll's copy, which nothing else holds
+			// Poll reuses its buffer, so the stash keeps a copy, in place of any
+			// entry a newer leader's re-dissemination supersedes.
+			in.release(in.stash[e.seq])
+			in.stash[e.seq] = in.keep(msg)
 		}
 		in.drainCommitted()
 	}
@@ -824,7 +882,7 @@ func (in *Instance) pollRequests() {
 			if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
 				continue
 			}
-			in.propose(from, submitSeq, msg[8:]) // Poll's copy is this request's alone
+			in.propose(from, submitSeq, msg[8:])
 		}
 	}
 	in.startRound()
@@ -977,9 +1035,9 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 					in.commitSeen = je.seq - 1
 				}
 				in.bumpDelivered(seq)
+				in.release(in.stash[seq])
 				delete(in.stash, seq)
-				// A copy: what Deliver keeps must not pin the whole journal read.
-				in.deliverEntry(append([]byte(nil), entry...))
+				in.deliverEntry(in.keep(entry))
 			}
 			// Drain any stashed successors the catch-up unblocked.
 			in.drainCommitted()
@@ -1080,7 +1138,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 			if derr != nil || je.seq != seq {
 				continue // slot overwritten (journal wrapped)
 			}
-			recovered = append(recovered, append([]byte(nil), entry...))
+			recovered = append(recovered, in.keep(entry))
 		}
 		in.resetRings(func() {
 			in.propBase, in.props = in.lastDelivered+1, in.props[:0]
@@ -1204,15 +1262,23 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 }
 
 // redisseminate re-journals and re-sends a recovered entry under this
-// leader's term. Receivers (and our own delivery path) dedup.
+// leader's term. Receivers (and our own delivery path) dedup. old is a buffer
+// from the free list, which the new entry replaces.
 func (in *Instance) redisseminate(old []byte) {
+	defer in.release(old)
 	oe, err := decodeLogEntry(old)
 	if err != nil {
 		return
 	}
 	seq := oe.seq
-	entry, rec := frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
+	entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
 	in.journalRaw(seq, entry)
+	// The record goes out after a decision, which may frame records of its
+	// own in the scratch buffer: it waits in a buffer of its own.
+	if rec != nil {
+		rec = in.keep(rec)
+		defer in.release(rec)
+	}
 	if seq > in.lastDelivered {
 		// Recovered entries come in sequence order; one the journal had lost
 		// leaves a zero proposal behind, which is never decided.
@@ -1220,7 +1286,7 @@ func (in *Instance) redisseminate(old []byte) {
 			in.props = append(in.props, proposal{})
 		}
 		p := in.proposal(seq)
-		*p = proposal{entry: entry, acks: 1}
+		*p = proposal{entry: in.keep(entry), acks: 1}
 		if p.acks >= in.majority() {
 			in.decide(seq)
 		}

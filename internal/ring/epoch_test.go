@@ -69,7 +69,7 @@ func TestEpochGateRejectsStaleDeterministically(t *testing.T) {
 				if !ok {
 					return
 				}
-				got = append(got, rec)
+				got = append(got, bytes.Clone(rec)) // valid only until the next Poll
 			}
 		}
 		for i, e := range epochs {

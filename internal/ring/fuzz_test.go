@@ -1,20 +1,49 @@
 package ring
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+
+	"hamband/internal/codec"
+)
 
 // FuzzReaderPoll asserts the ring reader never panics on arbitrary region
 // contents — a misbehaving remote writer may have scribbled anything into
-// the data area.
+// the data area — and that every record it accepts is the reader's own copy
+// of what the region held: the bytes just before the new head as they were
+// before the poll, with everything the poll consumed zeroed afterwards, and
+// in a buffer whose writes do not reach the region.
 func FuzzReaderPoll(f *testing.F) {
 	region := make([]byte, RegionSize(256))
 	f.Add(region, 3)
+	// A ring holding three whole records, so the accepted-record checks run
+	// from the first input on.
+	written := make([]byte, RegionSize(64))
+	w := NewWriter(64)
+	for i := byte(0); i < 3; i++ {
+		rec, err := codec.EncodeRaw(bytes.Repeat([]byte{'a' + i}, 11))
+		if err != nil {
+			f.Fatal(err)
+		}
+		writes, ok := w.Append(rec)
+		if !ok {
+			f.Fatal("seed ring full")
+		}
+		for _, wr := range writes {
+			copy(written[wr.Off:], wr.Data)
+		}
+	}
+	f.Add(written, 4)
 	f.Fuzz(func(t *testing.T, data []byte, polls int) {
 		if len(data) <= HeaderSize+4 {
 			return
 		}
 		buf := append([]byte(nil), data...)
 		r := NewReader(buf)
+		ring := buf[HeaderSize:]
+		capacity := uint64(len(ring))
 		for i := 0; i < polls%16+1; i++ {
+			before, head := bytes.Clone(ring), r.Head()
 			rec, ok, err := r.Poll()
 			if err != nil {
 				return // corrupt layout detected, fine
@@ -24,6 +53,24 @@ func FuzzReaderPoll(f *testing.F) {
 			}
 			if len(rec) == 0 {
 				t.Fatal("Poll returned ok with an empty record")
+			}
+			// Records never span the wrap boundary, so the record is the
+			// len(rec) bytes that end at the new head.
+			start := (r.Head() - uint64(len(rec))) % capacity
+			if !bytes.Equal(rec, before[start:start+uint64(len(rec))]) {
+				t.Fatalf("poll %d returned % x, but the region held % x there", i, rec, before[start:start+uint64(len(rec))])
+			}
+			for off := head; off < r.Head(); off++ {
+				if b := ring[off%capacity]; b != 0 {
+					t.Fatalf("poll %d consumed [%d, %d) but left byte %#x at %d", i, head, r.Head(), b, off)
+				}
+			}
+			after := bytes.Clone(buf)
+			for j := range rec {
+				rec[j] ^= 0xFF
+			}
+			if !bytes.Equal(buf, after) {
+				t.Fatalf("poll %d: writing into the returned record changed the region", i)
 			}
 		}
 	})

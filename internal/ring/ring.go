@@ -152,6 +152,7 @@ func DecodeHead(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 // region's memory.
 type Reader struct {
 	region     []byte // full region: header + data
+	rec        []byte // the record Poll returned last; reused by the next Poll
 	capacity   uint64
 	head       uint64
 	torn       uint64 // records rejected by the CRC check
@@ -235,18 +236,22 @@ func (r *Reader) Floor() *EpochFloor { return &r.floor }
 // StaleRejects returns how many records the epoch gate has discarded.
 func (r *Reader) StaleRejects() uint64 { return r.stale }
 
-// Poll attempts to consume one record. It returns a copy of the record
-// (including framing) when one is complete and validated, and
-// (nil, false, nil) when the ring is empty, the next record's write is
-// still landing, or the reader is parked. A corrupt layout — an impossible
-// length word, or a record whose CRC does not validate within the bounded
-// retry window — is surfaced exactly once, with offset and head
-// diagnostics, and parks the reader: subsequent polls return idle instead
-// of re-reporting the same fault every poll. The length word is corruption
-// and terminal; the CRC may be lateness, so a reader parked by it validates
-// the same record once per poll and carries on when it passes. Consumed
-// bytes are zeroed and the head counter in the region header is advanced
-// for the remote writer's flow control.
+// Poll attempts to consume one record. It returns the record (including
+// framing) when one is complete and validated, and (nil, false, nil) when
+// the ring is empty, the next record's write is still landing, or the
+// reader is parked. The record is copied into a buffer the reader owns and
+// reuses: it stays valid until the next Poll, like bufio.Scanner.Bytes, and a
+// caller that keeps it longer copies it. Writing into it leaves the region
+// unchanged.
+//
+// A corrupt layout — an impossible length word, or a record whose CRC does
+// not validate within the bounded retry window — is surfaced exactly once,
+// with offset and head diagnostics, and parks the reader: subsequent polls
+// return idle instead of re-reporting the same fault every poll. The length
+// word is corruption and terminal; the CRC may be lateness, so a reader
+// parked by it validates the same record once per poll and carries on when
+// it passes. Consumed bytes are zeroed and the head counter in the region
+// header is advanced for the remote writer's flow control.
 func (r *Reader) Poll() ([]byte, bool, error) {
 	r.quiet = false
 	if r.final {
@@ -316,9 +321,9 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 				continue
 			}
 		}
-		out := append([]byte(nil), data[pos:pos+n]...)
+		r.rec = append(r.rec[:0], data[pos:pos+n]...)
 		r.advance(pos, n)
-		return out, true, nil
+		return r.rec, true, nil
 	}
 }
 

@@ -3,6 +3,7 @@ package ring
 import (
 	"encoding/binary"
 
+	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -16,14 +17,17 @@ const maxBackoff = 32
 // other. It is the out-channel of reliable broadcast (one per peer) and of
 // every Mu channel (log, request, vote, grant).
 //
-// Send arms a deferred pump as a zero-cost CPU work item, so records queued
-// by work already on the CPU (a poll sweep proposing several entries,
-// pipelined calls) reach the ring together. Records appended back to back
-// are adjacent bytes of the ring, so the pump posts them as one remote write
-// — two when the run crosses the wrap boundary — built in a staging buffer
-// that is reused from pump to pump (PostChain copies at post time). RC
-// ordering makes the tail completion cover the whole post; it and any error
-// fan out to every batched record's onDone.
+// Send copies the record into a queue buffer the Sender reuses and arms a
+// deferred pump as a zero-cost CPU work item, so records queued by work
+// already on the CPU (a poll sweep proposing several entries, pipelined
+// calls) reach the ring together. Records appended back to back are adjacent
+// bytes of the ring, so the pump posts them as one remote write — two when
+// the run crosses the wrap boundary — built in a staging buffer that is
+// reused from pump to pump (PostChain copies at post time). RC ordering makes
+// the tail completion cover the whole post; it and any error fan out to every
+// batched record's onDone, through one callback bound at construction and a
+// queue of the onDones each post carries: a warm Sender allocates nothing per
+// record or per post.
 //
 // When the ring looks full the pump reads the remote head counter. A read
 // that frees nothing (a suspended reader) holds every further read until a
@@ -37,7 +41,16 @@ type Sender struct {
 	region string
 	w      *Writer
 	queue  []sendItem
+	data   []byte // the queued records' bytes, back to back, in queue order
 	stage  []byte // the pump's merged runs; reused across pumps
+
+	// posted holds, for every post in flight that carries an onDone, how many
+	// it carries, oldest post first; dones holds those onDones in send order.
+	// doneFn, bound once, is each such post's completion: an RC queue pair
+	// completes its posts in posting order, so it pops the oldest count.
+	posted fifo.Queue[int]
+	dones  fifo.Queue[func(error)]
+	doneFn func(error)
 
 	pumpArmed bool         // deferred pump queued on the CPU
 	pumpFn    func()       // the deferred pump, bound once: a Send allocates nothing
@@ -50,8 +63,9 @@ type Sender struct {
 	HeadReads, Retries *metrics.Counter
 }
 
+// sendItem is one queued record: the next size bytes of data.
 type sendItem struct {
-	record []byte
+	size   int
 	label  string
 	onDone func(error)
 }
@@ -70,19 +84,21 @@ func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region strin
 		delay:  retry,
 	}
 	s.pumpFn = func() { s.pumpArmed = false; s.pump() }
+	s.doneFn = s.completed
 	return s
 }
 
-// Send queues a framed record, which must not change until it is pumped.
-// label, when non-empty, tags the remote write carrying the record
-// (rdma.WR.Label; labels sharing a write are joined with commas). onDone, if
+// Send queues a copy of a framed record: the caller may reuse record as soon
+// as Send returns. label, when non-empty, tags the remote write carrying the
+// record (rdma.WR.Label; labels sharing a write are joined with commas). onDone, if
 // non-nil, receives that write's completion, or the error that cost the
 // record its place: a failed write, or a failed head read while it queued.
 // The onDones of one Sender run in send order: records leave the queue in
 // order, a write's completion reaches the records it carried in order, and an
 // RC queue pair completes its writes in posting order.
 func (s *Sender) Send(record []byte, label string, onDone func(error)) {
-	s.queue = append(s.queue, sendItem{record, label, onDone})
+	s.queue = append(s.queue, sendItem{len(record), label, onDone})
+	s.data = append(s.data, record...)
 	if !s.pumpArmed {
 		s.pumpArmed = true
 		s.node.CPU.Exec(0, s.pumpFn)
@@ -100,7 +116,7 @@ func (s *Sender) Drop() (withDone int) {
 		}
 	}
 	clear(s.queue)
-	s.queue = s.queue[:0]
+	s.queue, s.data = s.queue[:0], s.data[:0]
 	return withDone
 }
 
@@ -124,11 +140,10 @@ func (s *Sender) pump() {
 	off, split, run := 0, 0, 0
 	var labels [2]string
 	stage := s.stage[:0]
-	var dones []func(error)
-	sent := 0
+	sent, staged, withDone := 0, 0, 0 // records, their bytes of data, and their onDones
 	for ; sent < len(s.queue); sent++ {
 		it := &s.queue[sent]
-		pos, skip, ok := s.w.reserve(len(it.record))
+		pos, skip, ok := s.w.reserve(it.size)
 		if !ok {
 			break
 		}
@@ -143,17 +158,16 @@ func (s *Sender) pump() {
 			// ended exactly at the boundary.
 			split, run = len(stage), 1
 		}
-		stage = append(stage, it.record...)
+		stage = append(stage, s.data[staged:staged+it.size]...)
+		staged += it.size
 		if l := &labels[run]; *l == "" {
 			*l = it.label
 		} else if it.label != "" {
 			*l += "," + it.label
 		}
 		if it.onDone != nil {
-			if dones == nil {
-				dones = make([]func(error), 0, len(s.queue)-sent)
-			}
-			dones = append(dones, it.onDone)
+			s.dones.Push(it.onDone)
+			withDone++
 		}
 	}
 	s.stage = stage
@@ -161,6 +175,7 @@ func (s *Sender) pump() {
 		n := copy(s.queue, s.queue[sent:])
 		clear(s.queue[n:])
 		s.queue = s.queue[:n]
+		s.data = s.data[:copy(s.data, s.data[staged:])]
 		if run == 0 {
 			split = len(stage)
 		}
@@ -174,17 +189,22 @@ func (s *Sender) pump() {
 			wrs[k] = rdma.WR{Region: s.region, Off: HeaderSize, Data: stage[split:], Label: labels[1]}
 			k++
 		}
-		var cb func(error)
-		if len(dones) > 0 {
-			cb = func(err error) {
-				for _, done := range dones {
-					done(err)
-				}
-			}
+		var cb func(error) // unsignaled when no record asked for its completion
+		if withDone > 0 {
+			s.posted.Push(withDone)
+			cb = s.doneFn
 		}
 		s.qp.PostChain(wrs[:k], cb)
 	}
 	s.refreshHead() // a no-op unless records are left behind a ring that looks full
+}
+
+// completed is the completion of the oldest post in flight that carries an
+// onDone: it runs that post's onDones, in send order.
+func (s *Sender) completed(err error) {
+	for n := s.posted.Pop(); n > 0; n-- {
+		s.dones.Pop()(err)
+	}
 }
 
 // refreshHead reads the remote head counter, unless a read is in flight or
@@ -203,7 +223,7 @@ func (s *Sender) onHead(data []byte, err error) {
 		// Peer crashed: fail the queue. It is detached first, so a record an
 		// onDone sends is queued afresh instead of being dropped with it.
 		queue := s.queue
-		s.queue, s.waiting = nil, false
+		s.queue, s.data, s.waiting = nil, s.data[:0], false
 		for _, it := range queue {
 			if it.onDone != nil {
 				it.onDone(err)

@@ -228,10 +228,12 @@ func TestSenderMergedWriteOnTornLink(t *testing.T) {
 	}
 }
 
-// TestSenderWarmPumpReusesStaging pins the staging buffer: once the queue and
-// the staging buffer have grown, queueing a burst, pumping it as one write and
-// fanning the completion out allocate only the completion callback and its
-// list of onDones — no fresh buffer for the merged payload, whatever its size.
+// TestSenderWarmPumpReusesStaging pins the Sender's buffers: once the queue,
+// its copy of the records, the staging buffer and the completion queues have
+// grown, queueing a burst, pumping it as one write and fanning the completion
+// out allocate nothing — no fresh buffer for the merged payload, whatever its
+// size, and no closure or list for the completion, which is bound once and
+// finds its onDones queued in send order.
 func TestSenderWarmPumpReusesStaging(t *testing.T) {
 	rig := newSenderRig(1 << 20) // room for every run without a reader
 	records := [][]byte{rec(t, 200, 1), rec(t, 3000, 2), rec(t, 250, 3), rec(t, 180, 4)}
@@ -244,12 +246,36 @@ func TestSenderWarmPumpReusesStaging(t *testing.T) {
 		rig.eng.Run()
 	}
 	burst()
-	if allocs := testing.AllocsPerRun(200, burst); allocs != 2 {
-		t.Fatalf("a warm pump allocates %.1f times per burst, want 2", allocs)
+	if allocs := testing.AllocsPerRun(200, burst); allocs != 0 {
+		t.Fatalf("a warm pump allocates %.1f times per burst, want 0", allocs)
 	}
 	if want := 202 * len(records); done != want {
 		t.Fatalf("%d completions, want %d", done, want)
 	}
+}
+
+// TestSenderCopiesAtSend has the caller frame every record in one buffer and
+// overwrite it the moment Send returns, the way mu and broadcast frame into
+// scratch: the wire must still carry each record as it was when sent, for a
+// burst pumped as one write and for records that queue behind a full ring.
+func TestSenderCopiesAtSend(t *testing.T) {
+	rig := newSenderRig(256)
+	var want, got [][]byte
+	scratch := make([]byte, 0, 64)
+	for i := 0; i < 20; i++ { // 20 records of 40 bytes: three laps of the ring
+		r := rec(t, 40, byte('a'+i))
+		want = append(want, r)
+		scratch = append(scratch[:0], r...)
+		rig.s.Send(scratch, "", nil)
+		for j := range scratch {
+			scratch[j] = 0xEE
+		}
+	}
+	poll := rig.eng.NewTicker(sim.Microsecond, func() { got = append(got, drain(t, rig.rd)...) })
+	rig.eng.RunUntil(sim.Time(200 * sim.Microsecond))
+	poll.Cancel()
+	rig.eng.Run()
+	wantRecords(t, "after overwriting the caller's buffer", got, want)
 }
 
 // TestSenderErrorReachesEveryDone covers the two ways a record loses its

@@ -39,7 +39,8 @@ func land(region []byte, writes []Write) {
 	}
 }
 
-// drain polls until empty, returning the consumed records.
+// drain polls until empty, returning copies of the consumed records: a
+// polled record is valid only until the next Poll.
 func drain(t *testing.T, r *Reader) [][]byte {
 	t.Helper()
 	var out [][]byte
@@ -51,7 +52,7 @@ func drain(t *testing.T, r *Reader) [][]byte {
 		if !ok {
 			return out
 		}
-		out = append(out, rec)
+		out = append(out, bytes.Clone(rec))
 	}
 }
 
