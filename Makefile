@@ -229,3 +229,4 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRaw -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaEntry -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzPlanJSON -fuzztime=$(FUZZTIME) ./internal/chaos
+	$(GO) test -run=^$$ -fuzz=FuzzCallBuffer -fuzztime=$(FUZZTIME) ./internal/core

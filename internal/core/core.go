@@ -346,12 +346,6 @@ type deltaWriter struct {
 	sinceAnchor int
 }
 
-// pendingEntry is a buffered call awaiting dependency satisfaction.
-type pendingEntry struct {
-	c spec.Call
-	d spec.DepVec
-}
-
 // clientCall is a client call on its way from Invoke to its IssueCost item,
 // and a query on from there to its QueryCost item.
 type clientCall struct {
@@ -408,24 +402,25 @@ type Replica struct {
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
 	// recBuf is where nextDelta, invokeFree, invokeConf and leaderTransform
-	// encode the record they hand on; the coalescer, the broadcast, invokeConf
-	// itself and mu (which copies Transform's result into the entry) copy it
-	// before it is reused.
+	// encode the record they hand on; the coalescer, the broadcast, mu.Submit
+	// and mu (which copies Transform's result into the entry) copy it before it
+	// is reused.
 	recBuf []byte
 	// The scratch records: scanSlot decodes the δ-record it folds into
 	// deltaRec, which Summarize and the views only borrow; adoptFrame decodes
 	// an anchor into anchorRec, whose arrays it swaps with the slot's once the
-	// frame has passed every check; and leaderTransform decodes the call it
-	// orders into confRec.
+	// frame has passed every check; and callRec is where leaderTransform
+	// decodes the call it orders, and onFreeDelivery and onConfDelivery each
+	// record they buffer, to validate it.
 	deltaRec  codec.DeltaRecord
 	anchorRec codec.DeltaRecord
-	confRec   codec.DeltaRecord
+	callRec   codec.DeltaRecord
 
-	// Buffers: FIFO queues of delivered-but-unapplied calls. Each reuses its
-	// storage and drops a call's references as the call leaves.
-	fQueues []fifo.Queue[pendingEntry] // per source proc
-	lQueues []fifo.Queue[pendingEntry] // per sync group
-	lNext   int                        // the L buffer applyOne serves first: the one after the last served
+	// Buffers: the delivered-but-unapplied calls, each buffer the records as
+	// they arrived, in storage it reuses (callBuffer).
+	fQueues []callBuffer // per source proc
+	lQueues []callBuffer // per sync group
+	lNext   int          // the L buffer applyOne serves first: the one after the last served
 
 	// Protocol components. bc and rx are nil for a class without an
 	// irreducible conflict-free method (no F buffers); the broadcast types
@@ -516,8 +511,8 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		id:          id,
 		n:           n,
 		applied:     spec.NewAppliedMap(n, len(cls.Methods)),
-		fQueues:     make([]fifo.Queue[pendingEntry], n),
-		lQueues:     make([]fifo.Queue[pendingEntry], len(c.An.SyncGroups)),
+		fQueues:     make([]callBuffer, n),
+		lQueues:     make([]callBuffer, len(c.An.SyncGroups)),
 		pendingConf: make(map[uint64]func(any, error)),
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,

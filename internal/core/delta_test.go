@@ -204,7 +204,7 @@ func TestStrayFreeRecordDropped(t *testing.T) {
 	}
 	batch := append(append(record(codec.FrameFull, 2), record(codec.FrameDelta, 3)...), record(codec.FrameFull, 4)...)
 	r.onFreeDelivery(0, 2, batch)
-	if got := &r.fQueues[0]; got.Len() != 1 || got.Head().c.Seq != 2 {
+	if got := &r.fQueues[0]; got.Len() != 1 || got.Head().C.Seq != 2 {
 		t.Fatalf("mixed batch delivered %d records, want only the record ahead of the stray one", got.Len())
 	}
 }

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"strings"
 
 	"hamband/internal/codec"
-	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -24,7 +22,7 @@ func callID(c spec.Call) string { return fmt.Sprintf("p%d#%d", c.Proc, c.Seq) }
 // originating call.
 func confLabel(payload []byte) string {
 	var rec codec.DeltaRecord
-	if _, err := decodeConf(&rec, payload); err != nil {
+	if _, _, err := decodeConf(&rec, payload); err != nil {
 		return ""
 	}
 	return callID(rec.C)
@@ -797,18 +795,18 @@ func (r *Replica) flushFree() {
 
 // onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
 // buffer of its source and tries to apply. Records are self-delimiting, so
-// single-entry and batched payloads share one decode loop. Anything that is
-// not a FrameFull record drops the rest of the payload. The payload is the
-// receiver's, borrowed for the call: each call is decoded into storage of its
-// own.
+// single-entry and batched payloads share one loop. Each record is decoded
+// into the replica's scratch record to validate it, and anything that is not
+// a FrameFull record drops the rest of the payload. The payload is the
+// receiver's, borrowed for the call: the F buffer copies each record's bytes.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
-		rec, n, err := codec.DecodeDeltaRecord(payload)
-		if err != nil || rec.Kind != codec.FrameFull {
+		h, err := codec.PeekDeltaRecord(payload)
+		if err != nil || h.Kind != codec.FrameFull || codec.DecodeDeltaBody(&r.callRec, payload, h) != nil {
 			return
 		}
-		r.fQueues[src].Push(pendingEntry{c: rec.C, d: rec.D})
-		payload = payload[n:]
+		r.fQueues[src].Push(payload[:h.Total])
+		payload = payload[h.Total:]
 	}
 	r.noteQueueDepths()
 	r.kickApply()
@@ -829,17 +827,15 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	}
 	// The flag byte stays clear; the leader's Transform decides. A call whose
 	// record does not encode is refused before anything knows of it. The
-	// payload is encoded in recBuf and copied into a buffer of its own, which
-	// mu.Submit keeps uncopied until the call is delivered.
-	b, err := encodeConf(r.recBuf[:0], c, nil)
-	r.recBuf = b
+	// payload is encoded in recBuf, which mu.Submit copies.
+	payload, err := encodeConf(r.recBuf[:0], c, nil)
+	r.recBuf = payload
 	if err != nil {
 		if onDone != nil {
 			onDone(nil, err)
 		}
 		return
 	}
-	payload := bytes.Clone(b)
 	if onDone != nil {
 		r.pendingConf[c.Seq] = onDone
 	}
@@ -857,13 +853,13 @@ func encodeConf(dst []byte, c spec.Call, d spec.DepVec) ([]byte, error) {
 	return b, nil
 }
 
-// decodeConf is encodeConf's inverse: it returns the flag byte and decodes the
-// call record into dst, reusing dst's arrays (codec.DecodeDeltaBody) — a fresh
-// record for a call that is kept, the replica's scratch record for one that is
-// only looked at.
-func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, err error) {
+// decodeConf is encodeConf's inverse: it returns the flag byte and the call
+// record's bytes, and decodes the record into dst, reusing dst's arrays
+// (codec.DecodeDeltaBody): a fresh record in confLabel, one of the replica's
+// scratch records everywhere else.
+func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, rec []byte, err error) {
 	if len(payload) < 1 {
-		return 0, codec.ErrIncomplete
+		return 0, nil, codec.ErrIncomplete
 	}
 	h, err := codec.PeekDeltaRecord(payload[1:])
 	if err == nil && h.Kind != codec.FrameFull {
@@ -872,7 +868,10 @@ func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, err error) 
 	if err == nil {
 		err = codec.DecodeDeltaBody(dst, payload[1:], h)
 	}
-	return payload[0], err
+	if err != nil {
+		return 0, nil, err
+	}
+	return payload[0], payload[1 : 1+h.Total], nil
 }
 
 // callKey2 identifies a (process, method) cell of the speculative
@@ -897,10 +896,10 @@ type callKey2 struct {
 // here but its dependency record; a traced call is cloned, since the next
 // decode reuses the record's arrays.
 func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
-	if _, err := decodeConf(&r.confRec, payload); err != nil {
+	if _, _, err := decodeConf(&r.callRec, payload); err != nil {
 		return payload
 	}
-	c := r.confRec.C
+	c := r.callRec.C
 	if !r.specPermissible(c) {
 		r.statRejected++
 		r.mRejected.Inc()
@@ -955,24 +954,23 @@ func (r *Replica) projectSpec(deps []spec.MethodID) spec.DepVec {
 	return d
 }
 
-// onConfDelivery receives an ordered group entry into the L buffer (or
-// completes the pending request when this replica both issued and, as
-// leader, already applied it). The payload is mu's, borrowed for the call:
-// the buffered call is decoded into storage of its own.
+// onConfDelivery receives an ordered group entry into the L buffer of its
+// group, or answers the origin's client when the leader rejected the call.
+// The entry is decoded into the replica's scratch record to validate it. The
+// payload is mu's, borrowed for the call: the L buffer copies the call
+// record's bytes.
 func (r *Replica) onConfDelivery(g int, _ rdma.NodeID, payload []byte) {
-	var rec codec.DeltaRecord
-	flags, err := decodeConf(&rec, payload)
+	flags, rec, err := decodeConf(&r.callRec, payload)
 	if err != nil {
 		return
 	}
-	c, d := rec.C, rec.D
 	if flags&confFlagRejected != 0 {
-		if c.Proc == r.id {
+		if c := r.callRec.C; c.Proc == r.id {
 			r.complete(c.Seq, nil, ErrImpermissible)
 		}
 		return
 	}
-	r.lQueues[g].Push(pendingEntry{c: c, d: d})
+	r.lQueues[g].Push(rec)
 	r.noteQueueDepths()
 	r.kickApply()
 }
@@ -1035,16 +1033,18 @@ func (r *Replica) anyApplicable() bool {
 
 // headApplicable reports whether q's oldest call exists and has its
 // dependency record satisfied by the applied map.
-func (r *Replica) headApplicable(q *fifo.Queue[pendingEntry]) bool {
+func (r *Replica) headApplicable(q *callBuffer) bool {
 	if q.Len() == 0 {
 		return false
 	}
 	e := q.Head()
-	return r.applied.Satisfies(e.d, r.an.DependsOn[e.c.Method])
+	return r.applied.Satisfies(e.D, r.an.DependsOn[e.C.Method])
 }
 
 // applyOne applies one applicable buffer head — F buffers before L buffers,
-// each queue FIFO — and reports whether it did any work.
+// each queue FIFO — and reports whether it did any work. The call applied is
+// the buffer's decoded record, borrowed: applyEntry and Apply read it, and
+// the buffer's next decode overwrites it.
 func (r *Replica) applyOne() bool {
 	if r.opts.MutateApplyOrder {
 		return r.applyOneMutated()
@@ -1070,10 +1070,10 @@ func (r *Replica) applyOne() bool {
 
 // applyConf applies a call taken from an L buffer and answers its client when
 // the call is this replica's own.
-func (r *Replica) applyConf(e pendingEntry) {
+func (r *Replica) applyConf(e *codec.DeltaRecord) {
 	r.applyEntry(e, "conf-app")
-	if e.c.Proc == r.id {
-		r.complete(e.c.Seq, nil, nil)
+	if e.C.Proc == r.id {
+		r.complete(e.C.Seq, nil, nil)
 	}
 }
 
@@ -1096,17 +1096,21 @@ func (r *Replica) applyOneMutated() bool {
 	return false
 }
 
-func (r *Replica) applyEntry(e pendingEntry, context string) {
-	r.live.apply(e.c)
-	r.applied.Inc(e.c.Proc, e.c.Method)
+// applyEntry applies e, a buffer's decoded record, which it borrows: the
+// trace record takes a copy, since the buffer's next decode reuses e's
+// arrays.
+func (r *Replica) applyEntry(e *codec.DeltaRecord, context string) {
+	c := e.C
+	r.live.apply(c)
+	r.applied.Inc(c.Proc, c.Method)
 	r.statApplied++
 	r.mApplied.Inc()
-	r.syncSpec(e.c)
+	r.syncSpec(c)
 	if r.opts.CheckIntegrity {
-		r.assertIntegrity(context + " of " + e.c.Format(r.cls))
+		r.assertIntegrity(context + " of " + c.Format(r.cls))
 	}
 	if r.tracing() {
-		r.traceData(trace.Apply, e.c, context, trace.CallRecord{C: e.c, D: e.d})
+		r.traceData(trace.Apply, c, context, trace.CallRecord{C: c.Clone(), D: e.D.Clone()})
 	}
 }
 

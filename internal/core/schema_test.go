@@ -5,7 +5,7 @@ import (
 	"slices"
 	"testing"
 
-	"hamband/internal/fifo"
+	"hamband/internal/codec"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -203,8 +203,13 @@ func TestApplyServesLBuffersRoundRobin(t *testing.T) {
 	if len(r.lQueues) != 2 {
 		t.Fatalf("movie has %d sync groups, want 2", len(r.lQueues))
 	}
-	entry := func(u spec.MethodID, seq uint64) pendingEntry {
-		return pendingEntry{c: spec.Call{Method: u, Args: spec.ArgsI(int64(seq)), Proc: 0, Seq: seq}}
+	entry := func(u spec.MethodID, seq uint64) []byte {
+		rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull,
+			C: spec.Call{Method: u, Args: spec.ArgsI(int64(seq)), Proc: 0, Seq: seq}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
 	}
 	methods := [2]spec.MethodID{schema.MovieAddCustomer, schema.MovieAddMovie}
 	for g, u := range methods {
@@ -223,11 +228,11 @@ func TestApplyServesLBuffersRoundRobin(t *testing.T) {
 	// heads lists every buffer's oldest call (zero for an empty buffer), F
 	// buffers first; served names the head each applyOne consumed.
 	heads := func() (seqs []uint64, depth []int) {
-		for _, qs := range [][]fifo.Queue[pendingEntry]{r.fQueues, r.lQueues} {
+		for _, qs := range [][]callBuffer{r.fQueues, r.lQueues} {
 			for i := range qs {
 				seq := uint64(0)
 				if qs[i].Len() > 0 {
-					seq = qs[i].Head().c.Seq
+					seq = qs[i].Head().C.Seq
 				}
 				seqs, depth = append(seqs, seq), append(depth, qs[i].Len())
 			}

@@ -81,9 +81,10 @@ func TestLateAckLeavesNoResidue(t *testing.T) {
 //     scratch buffer, and each ring.Sender copies a record into a queue buffer
 //     it reuses, so one scratch buffer serves every follower;
 //   - ring.Reader.Poll returns each record in a buffer the reader reuses;
-//   - the queued request, the proposal and each follower's stashed entry are
-//     copies into buffers from the instance's free list, and every one of
-//     them goes back to the list when Deliver returns;
+//   - the submitter's pending copy, the queued request, the proposal and each
+//     follower's stashed entry are copies into buffers from the instance's
+//     free list, and every one of them goes back to the list when the entry
+//     is delivered;
 //   - a pump's completion is the Sender's bound callback, which finds the
 //     post's onDones queued, and each follower's ack is its bound ackFns.
 func TestWarmCommitAllocs(t *testing.T) {
@@ -358,5 +359,52 @@ func TestCatchUpDeliversSubmittedBytes(t *testing.T) {
 	c.wantDelivered(t, []int{1, 2, cut}, c.delivered[0])
 	if head := c.inst[cut].logReader.Head(); head != 0 {
 		t.Fatalf("node %d consumed %d bytes of its log ring: some entries came by ring, not by catch-up", cut, head)
+	}
+}
+
+// TestSubmitCopiesThePayload: a submitter that reuses one buffer for every
+// payload, overwriting it as soon as Submit returns, must still have exactly
+// the bytes it submitted delivered everywhere, including the submissions that
+// were still pending when their leader was suspended and that the new leader
+// receives by resubmission. Four payloads go to a live leader; four more go to
+// it once it is suspended, wait in pending, and are re-routed after node 1
+// takes over.
+func TestSubmitCopiesThePayload(t *testing.T) {
+	c := newCluster(t, 3, 0)
+	buf := make([]byte, 0, 64)
+	var want []string
+	submit := func(phase string, i int) {
+		want = append(want, distinctPayload(phase, i))
+		buf = append(buf[:0], want[len(want)-1]...)
+		c.inst[2].Submit(buf)
+		for j := range buf {
+			buf[j] = '#'
+		}
+	}
+	c.eng.At(0, func() {
+		for i := 0; i < 4; i++ {
+			submit("live", i)
+		}
+	})
+	c.run(sim.Millisecond)
+	c.wantDelivered(t, []int{0, 1, 2}, want)
+	c.eng.At(c.eng.Now(), func() {
+		c.fab.Node(0).Suspend()
+		for i := 0; i < 4; i++ {
+			submit("orphan", i)
+		}
+	})
+	c.run(200 * sim.Microsecond)
+	if n := c.inst[2].PendingCount(); n != 4 {
+		t.Fatalf("node 2 holds %d submissions pending under the suspended leader, want 4", n)
+	}
+	c.inst[1].StartElection()
+	c.run(20 * sim.Millisecond)
+	if !c.inst[1].IsLeader() {
+		t.Fatal("node 1 did not take over")
+	}
+	c.wantDelivered(t, []int{1, 2}, want)
+	if n := c.inst[2].PendingCount(); n != 0 {
+		t.Fatalf("node 2 still holds %d submissions pending at rest", n)
 	}
 }

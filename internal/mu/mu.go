@@ -132,13 +132,14 @@ type Instance struct {
 	// keep their original sequence numbers.
 	recovering bool
 
-	// Buffers. Every entry or request the instance holds on to — a request
-	// queued for a round, a proposal, a stashed follower entry, a delivery
-	// waiting for its CPU item — lives in a buffer from free, and the buffer
-	// goes back to free when its holder is done with it: when Deliver returns,
-	// or when the entry is dropped as a duplicate, as an older-term entry, or
-	// because a catch-up or a newer leader's entry filled its stash slot. A
-	// warm instance therefore allocates no buffers. rec is the scratch buffer
+	// Buffers. Every payload, entry or request the instance holds on to — a
+	// submission not yet delivered here, a request queued for a round, a
+	// proposal, a stashed follower entry, a delivery waiting for its CPU item —
+	// lives in a buffer from free, and the buffer goes back to free when its
+	// holder is done with it: when the submission is delivered, when Deliver
+	// returns, or when the entry is dropped as a duplicate, as an older-term
+	// entry, or because a catch-up or a newer leader's entry filled its stash
+	// slot. A warm instance therefore allocates no buffers. rec is the scratch buffer
 	// every outgoing ring record is framed in: ring.Sender.Send copies it.
 	free [][]byte
 	rec  []byte
@@ -192,7 +193,7 @@ type Instance struct {
 
 	// Submission state.
 	submitSeq uint64
-	pending   map[uint64][]byte // my submissions not yet delivered
+	pending   map[uint64][]byte // my submissions not yet delivered, each in a buffer from free
 	reqOut    map[rdma.NodeID]*ring.Sender
 	voteOut   map[rdma.NodeID]*ring.Sender
 	grantOut  map[rdma.NodeID]*ring.Sender
@@ -506,11 +507,13 @@ func (in *Instance) replicate(rec []byte, seq uint64) {
 
 // Submit hands a payload to the group for total ordering. The payload will
 // be delivered, exactly once and in order, through Deliver on every node.
-// Submissions survive leader changes via resubmission: the instance keeps the
-// payload, uncopied, until it is delivered here, so the caller must not
-// change it after the call.
+// Submissions survive leader changes via resubmission: the instance keeps a
+// copy of the payload, in a buffer from its free list, until the payload is
+// delivered here, so the caller may reuse its buffer as soon as Submit
+// returns.
 func (in *Instance) Submit(payload []byte) {
 	in.submitSeq++
+	payload = in.keep(payload)
 	in.pending[in.submitSeq] = payload
 	in.route(in.submitSeq, payload)
 	in.startRound()
@@ -717,7 +720,8 @@ func (in *Instance) journalRaw(seq uint64, entry []byte) {
 // deliverEntry dedups by (origin, submitSeq) and queues the entry for Deliver.
 // The caller gives entry, a buffer from the free list, away: its payload goes
 // to Deliver as a sub-slice, and the buffer back to the free list when Deliver
-// returns, or now when the entry is not delivered.
+// returns, or now when the entry is not delivered. An entry of this node's own
+// submission also puts the submission's pending copy back on the list.
 func (in *Instance) deliverEntry(entry []byte) {
 	e, err := decodeLogEntry(entry)
 	if err != nil {
@@ -725,7 +729,10 @@ func (in *Instance) deliverEntry(entry []byte) {
 		return
 	}
 	if e.origin == in.node.ID() {
-		delete(in.pending, e.submitSeq)
+		if mine, ok := in.pending[e.submitSeq]; ok {
+			delete(in.pending, e.submitSeq)
+			in.release(mine)
+		}
 	}
 	if e.submitSeq <= in.dedupLow[e.origin] || in.dedupSet[e.origin][e.submitSeq] {
 		in.release(entry)
