@@ -113,14 +113,17 @@ store:
 # health runs the introspection gate: the watchdog rule unit tests and the
 # zero-alloc snapshot guarantee (internal/health), the fault-plan
 # cross-check over the chaos corpus (every firing predicted by an injected
-# fault, fault-free runs silent, schedules unperturbed), the metrics-export
-# completeness pin, and the fixed-seed `-exp health` run itself (health-exp:
+# fault, fault-free runs silent, schedules unperturbed), the fabric's one
+# registry (a store's shared failure domain counts its suspicions, a registry
+# attached to the fabric alone reaches every layer), the metrics-export
+# completeness pin, the one-count pin (every exported counter equals the
+# layer's own count), and the fixed-seed `-exp health` run itself (health-exp:
 # nonzero exit on unexpected firings, an unobserved fault run, or a noisy
 # control — the one step of the named gates that no test covers).
 health: health-exp
 	$(GO) test -count=1 -v ./internal/health
-	$(GO) test -run 'TestWatchdog|TestKindRules' -count=1 -v ./internal/chaos
-	$(GO) test -run 'TestMetricsExportCompleteness' -count=1 -v ./internal/bench
+	$(GO) test -run 'TestWatchdog|TestKindRules|TestFabricRegistry' -count=1 -v ./internal/chaos
+	$(GO) test -run 'TestMetricsExportCompleteness|TestEachEventCountedOnce' -count=1 -v ./internal/bench
 
 health-exp:
 	$(GO) run ./cmd/hambench -exp health -ops 600

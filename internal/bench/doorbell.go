@@ -25,14 +25,12 @@ func doorbellVariants() []doorbellVariant {
 }
 
 // latency builds the variant's cost model. Chaining off means every WR pays
-// a full doorbell (ChainedPostCost = PostCost) and every WR in a chain is
-// signaled — the one-fully-signaled-verb-per-write model the runtime used
-// before the chain API. Inline off disables IBV_SEND_INLINE entirely.
+// a full doorbell (ChainedPostCost = PostCost); only a chain's tail WR is
+// signaled on every arm. Inline off disables IBV_SEND_INLINE entirely.
 func (v doorbellVariant) latency() rdma.LatencyModel {
 	lat := rdma.DefaultLatency()
 	if !v.chain {
 		lat.ChainedPostCost = lat.PostCost
-		lat.ChainSignalAll = true
 	}
 	if !v.inline {
 		lat.InlineThreshold = 0
@@ -69,7 +67,7 @@ func (cfg Config) Doorbell() {
 		{"orset (broadcast)", crdt.NewORSet, 0.25},
 		{"movie (consensus)", schema.NewMovie, 1.0},
 	}
-	cfg.printf("Ablation — doorbell batching, inline sends, unsignaled completions (4 nodes)\n")
+	cfg.printf("Ablation — doorbell batching, inline sends (4 nodes)\n")
 	for _, tg := range targets {
 		cfg.printf("\n%s, %.0f%% updates\n", tg.name, tg.ratio*100)
 		cfg.printf("%-13s %8s %9s %9s %9s %8s %9s %8s\n",

@@ -51,8 +51,7 @@ func TestDriverMetricsReport(t *testing.T) {
 	// deposit irreducible conflict-free, withdraw conflicting).
 	an := spec.MustAnalyze(crdt.NewBankMap())
 	reg := metrics.New(eng)
-	sys, err := Build(Hamband, eng, 3, an, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
-		fab.EnableMetrics(reg)
+	sys, err := Build(Hamband, eng, 3, an, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) {
 		o.Metrics = reg
 	}})
 	if err != nil {

@@ -447,7 +447,6 @@ func (cfg Config) Metrics() {
 	var tr *trace.Tracer
 	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 		reg = metrics.New(fab.Engine())
-		fab.EnableMetrics(reg)
 		o.Metrics = reg
 		if cfg.ChromeTrace != nil {
 			tr = trace.New(fab.Engine(), 1<<16)

@@ -5,17 +5,25 @@ import (
 	"encoding/json"
 	"io"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 
+	"hamband/internal/core"
+	"hamband/internal/crdt"
 	"hamband/internal/metrics"
+	"hamband/internal/rdma"
+	"hamband/internal/sim"
+	"hamband/internal/spec"
 )
 
 var (
-	counterLit   = regexp.MustCompile(`\.Counter\("([a-z0-9_.]+)"\)`)
+	// A counter is registered by Counter, or by CounterFunc when the
+	// registry reads a count the layer keeps.
+	counterLit   = regexp.MustCompile(`\.Counter(?:Func)?\("([a-z0-9_.]+)"[,)]`)
 	histogramLit = regexp.MustCompile(`\.Histogram\("([a-z0-9_.]+)",`)
 )
 
@@ -87,4 +95,121 @@ func TestMetricsExportCompleteness(t *testing.T) {
 	}
 	t.Logf("export covers all %d registered counter names (%d total exported) and all %d histogram names",
 		len(names), len(snap.Counters), len(hists))
+}
+
+// TestEachEventCountedOnce pins the one-count rule: a layer that keeps its own
+// count of an event exports that count, and the registry reads it, so every
+// exported counter equals the layer's own number. It runs a bank map cluster
+// (the registry attached to the fabric and again through core.Options, as the
+// two-clock benchmark does: the second attach must count nothing twice) and a
+// 4-shard OR-set store (the registry attached to the fabric only).
+func TestEachEventCountedOnce(t *testing.T) {
+	t.Run("bankmap-cluster", func(t *testing.T) {
+		eng := sim.NewEngine(7)
+		an := spec.MustAnalyze(crdt.NewBankMap())
+		reg := metrics.New(eng)
+		var coals []*rdma.Coalescer
+		sys, err := Build(Hamband, eng, 4, an, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
+			fab.EnableMetrics(reg)
+			o.Metrics = reg
+			// Shared coalescers, one per node, are the private ones of a
+			// single cluster, made reachable for the sum.
+			for i := 0; i < fab.Size(); i++ {
+				coals = append(coals, rdma.NewCoalescer(fab.Node(rdma.NodeID(i))))
+			}
+			o.Coalescers = coals
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
+		c := sys.(*hambandSystem).c
+		checkOneCount(t, reg, c.Fab, []*core.Cluster{c}, coals)
+	})
+	t.Run("orset-store", func(t *testing.T) {
+		eng := sim.NewEngine(7)
+		fab := rdma.NewFabric(eng, 4, rdma.DefaultLatency())
+		reg := metrics.New(eng)
+		fab.EnableMetrics(reg)
+		an := spec.MustAnalyze(crdt.NewORSet())
+		rng := rand.New(rand.NewSource(7))
+		sys, err := newStoreSystem(fab, an, 4, 0, func() int { return rng.Intn(4) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.st.Stop()
+		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
+		var clusters []*core.Cluster
+		var coals []*rdma.Coalescer
+		for i, key := range sys.keys {
+			clusters = append(clusters, sys.st.Shard(key).Cluster)
+			coals = append(coals, sys.st.Coalescer(i))
+		}
+		checkOneCount(t, reg, fab, clusters, coals)
+	})
+}
+
+// checkOneCount compares every counter reg exports for the fabric, core and
+// broadcast layers with the count the layer keeps.
+func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, clusters []*core.Cluster, coals []*rdma.Coalescer) {
+	t.Helper()
+	snap := reg.Snapshot()
+	qpSum := func(suffix string) uint64 {
+		var n uint64
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "rdma.qp.") && strings.HasSuffix(name, "."+suffix) {
+				n += v
+			}
+		}
+		return n
+	}
+	var merged, applied, rejected, torn, deltas, anchors, gaps, stale, bcTorn, bcStale uint64
+	for _, c := range clusters {
+		for _, r := range c.Replicas {
+			_, a, rj, _ := r.Stats()
+			d, an, g := r.DeltaStats()
+			applied, rejected, deltas, anchors, gaps = applied+a, rejected+rj, deltas+d, anchors+an, gaps+g
+			torn += r.TornRejects()
+			stale += r.StaleSlotRejects()
+			bcTorn += r.Receiver().TornRejects()
+			bcStale += r.Receiver().StaleRejects()
+		}
+	}
+	for _, co := range coals {
+		merged += co.Stats().Merged
+	}
+	st := fab.Stats()
+	for _, c := range []struct {
+		name      string
+		got, want uint64
+	}{
+		{"Σ rdma.qp.*.writes", qpSum("writes"), st.Writes},
+		{"Σ rdma.qp.*.bytes_written", qpSum("bytes_written"), st.BytesWritten},
+		{"Σ rdma.qp.*.reads", qpSum("reads"), st.Reads},
+		{"Σ rdma.qp.*.cases", qpSum("cases"), st.CASes},
+		{"Σ rdma.qp.*.chains", qpSum("chains"), st.Chains},
+		{"Σ rdma.qp.*.chained_wrs", qpSum("chained_wrs"), st.ChainedWRs},
+		{"Σ rdma.qp.*.inline_writes", qpSum("inline_writes"), st.InlineWrites},
+		{"Σ rdma.qp.*.unsignaled", qpSum("unsignaled"), st.Unsignaled},
+		{"rdma.parked_verbs", snap.Counters["rdma.parked_verbs"], st.Parked},
+		{"rdma.link_partitions", snap.Counters["rdma.link_partitions"], st.Partitions},
+		{"rdma.torn_writes", snap.Counters["rdma.torn_writes"], st.TornWrites},
+		{"rdma.coalesce_merged", snap.Counters["rdma.coalesce_merged"], merged},
+		{"core.applied", snap.Counters["core.applied"], applied},
+		{"core.rejected", snap.Counters["core.rejected"], rejected},
+		{"core.torn_rejects", snap.Counters["core.torn_rejects"], torn},
+		{"core.delta_records", snap.Counters["core.delta_records"], deltas},
+		{"core.anchor_writes", snap.Counters["core.anchor_writes"], anchors},
+		{"core.gap_fetches", snap.Counters["core.gap_fetches"], gaps},
+		{"core.stale_slot_rejects", snap.Counters["core.stale_slot_rejects"], stale},
+		{"broadcast.torn_rejects", snap.Counters["broadcast.torn_rejects"], bcTorn},
+		{"broadcast.stale_rejects", snap.Counters["broadcast.stale_rejects"], bcStale},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %d, the layer counted %d", c.name, c.got, c.want)
+		}
+	}
+	if st.Writes == 0 || applied == 0 {
+		t.Fatalf("nothing ran: %d writes, %d applied", st.Writes, applied)
+	}
 }

@@ -62,10 +62,6 @@ type Config struct {
 	RetryDelay   sim.Duration // writer retry delay when a ring is full
 	PollCost     sim.Duration // CPU cost of one poll sweep
 	DeliverCost  sim.Duration // CPU cost of delivering one message
-
-	// Metrics, when non-nil, receives protocol counters (ring-full
-	// retries, backup-slot recoveries). Nil disables instrumentation.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns sizes suited to the benchmark workloads.
@@ -168,17 +164,19 @@ type pendingMsg struct {
 	written func(error) // accounts one of them; bound once per message
 }
 
-// NewBroadcaster creates the source side on node. Setup must have run.
+// NewBroadcaster creates the source side on node. Setup must have run. Its
+// counters go to the fabric's registry, if one is attached.
 func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster {
+	reg := fab.Metrics()
 	b := &Broadcaster{
 		cfg:        cfg,
 		backup:     node.Region(cfg.backupRegion()),
 		slots:      make([]uint64, cfg.BackupSlots),
-		mSlotWaits: cfg.Metrics.Counter("broadcast.backup_slot_waits"),
+		mSlotWaits: reg.Counter("broadcast.backup_slot_waits"),
 	}
 	region := cfg.inRegion(node.ID())
-	headReads := cfg.Metrics.Counter("broadcast.head_reads")
-	retries := cfg.Metrics.Counter("broadcast.ring_full_retries")
+	headReads := reg.Counter("broadcast.head_reads")
+	retries := reg.Counter("broadcast.ring_full_retries")
 	for i := 0; i < fab.Size(); i++ {
 		peer := rdma.NodeID(i)
 		if peer == node.ID() {
@@ -372,8 +370,7 @@ type Receiver struct {
 	readers     map[rdma.NodeID]*ring.Reader // each holds its source's epoch floor
 	delivered   map[rdma.NodeID]map[uint64]int
 	low         map[rdma.NodeID]uint64 // contiguous delivery watermark per source
-	tornSeen    uint64                 // ring torn-rejects already counted into mTorn
-	staleSeen   uint64                 // ring stale-rejects already counted into mStale
+	tornBackup  uint64                 // backup slots rejected by CRC validation during recovery
 	staleBackup uint64                 // stale backup slots rejected during recovery
 	ticker      *sim.Ticker
 	sweepFn     func() // r.sweep bound once: a poll allocates nothing
@@ -391,13 +388,14 @@ type Receiver struct {
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
 	mRecovered  *metrics.Counter // backup slots holding a decodable pending message
-	mTorn       *metrics.Counter // reads rejected by CRC validation (ring + backup)
-	mStale      *metrics.Counter // records rejected by the epoch gate
 }
 
 // NewReceiver starts delivery on node, invoking handler on the node's CPU
-// for every message. Setup must have run.
+// for every message. Setup must have run. Its counters go to the fabric's
+// registry, if one is attached; broadcast.torn_rejects and
+// broadcast.stale_rejects read TornRejects and StaleRejects.
 func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler) *Receiver {
+	reg := fab.Metrics()
 	r := &Receiver{
 		fab:         fab,
 		node:        node,
@@ -406,12 +404,12 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		readers:     make(map[rdma.NodeID]*ring.Reader),
 		delivered:   make(map[rdma.NodeID]map[uint64]int),
 		low:         make(map[rdma.NodeID]uint64),
-		mDelivered:  cfg.Metrics.Counter("broadcast.delivered"),
-		mRecoveries: cfg.Metrics.Counter("broadcast.recovery_sweeps"),
-		mRecovered:  cfg.Metrics.Counter("broadcast.backup_slots_recovered"),
-		mTorn:       cfg.Metrics.Counter("broadcast.torn_rejects"),
-		mStale:      cfg.Metrics.Counter("broadcast.stale_rejects"),
+		mDelivered:  reg.Counter("broadcast.delivered"),
+		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
+		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
 	}
+	reg.CounterFunc("broadcast.torn_rejects", r.TornRejects)
+	reg.CounterFunc("broadcast.stale_rejects", r.StaleRejects)
 	for i := 0; i < fab.Size(); i++ {
 		src := rdma.NodeID(i)
 		if src == node.ID() {
@@ -451,6 +449,19 @@ func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
 	}
 }
 
+// TornRejects returns how many reads CRC validation has rejected across all
+// sources (ring records and recovered backup slots).
+func (r *Receiver) TornRejects() uint64 {
+	if r == nil {
+		return 0
+	}
+	total := r.tornBackup
+	for _, rd := range r.readers {
+		total += rd.TornRejects()
+	}
+	return total
+}
+
 // StaleRejects returns how many records the epoch gates have rejected
 // across all sources (ring records and recovered backup slots).
 func (r *Receiver) StaleRejects() uint64 {
@@ -474,7 +485,6 @@ func (r *Receiver) poll() {
 // sweep is one poll's work on the reader CPU: drain every source's ring.
 func (r *Receiver) sweep() {
 	validated := 0
-	var torn, stale uint64
 	for p := 0; p < r.fab.Size(); p++ {
 		src := rdma.NodeID(p)
 		rd := r.readers[src]
@@ -497,16 +507,6 @@ func (r *Receiver) sweep() {
 			}
 			r.deliver(src, seq, payload, true)
 		}
-		torn += rd.TornRejects()
-		stale += rd.StaleRejects()
-	}
-	if torn > r.tornSeen {
-		r.mTorn.Add(torn - r.tornSeen)
-		r.tornSeen = torn
-	}
-	if stale += r.staleBackup; stale > r.staleSeen {
-		r.mStale.Add(stale - r.staleSeen)
-		r.staleSeen = stale
 	}
 	if cost := r.fab.Latency().CRCCost(validated); cost > 0 {
 		// The checksum compute leg of this sweep's validated reads:
@@ -620,7 +620,7 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 			msg, ver, derr := codec.DecodeSlot(framed)
 			if derr != nil {
 				if errors.Is(derr, codec.ErrTorn) {
-					r.mTorn.Inc()
+					r.tornBackup++
 					tornSeen = true
 				}
 				continue

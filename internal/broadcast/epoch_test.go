@@ -16,7 +16,8 @@ func TestStaleEpochRecordsRejected(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := sim.NewEngine(31)
 	fab := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
-	cfg.Metrics = metrics.New(eng)
+	reg := metrics.New(eng)
+	fab.EnableMetrics(reg)
 	Setup(fab, cfg)
 
 	bc := NewBroadcaster(fab, fab.Node(0), cfg)
@@ -47,7 +48,7 @@ func TestStaleEpochRecordsRejected(t *testing.T) {
 	if n := rx.StaleRejects(); n != 1 {
 		t.Fatalf("StaleRejects = %d, want 1", n)
 	}
-	if n := cfg.Metrics.Counter("broadcast.stale_rejects").Value(); n != 1 {
+	if n := reg.Counter("broadcast.stale_rejects").Value(); n != 1 {
 		t.Fatalf("stale_rejects counter = %d, want 1", n)
 	}
 }

@@ -34,7 +34,8 @@ func TestRecoverRetryDoesNotReapplySlots(t *testing.T) {
 	eng := sim.NewEngine(99)
 	fab := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
 	cfg := DefaultConfig()
-	cfg.Metrics = metrics.New(eng)
+	reg := metrics.New(eng)
+	fab.EnableMetrics(reg)
 	Setup(fab, cfg)
 
 	var got []delivery
@@ -58,10 +59,10 @@ func TestRecoverRetryDoesNotReapplySlots(t *testing.T) {
 	if len(got) != 1 || got[0].msg != "survivor" || got[0].seq != 1 {
 		t.Fatalf("deliveries = %v, want exactly the survivor slot once", got)
 	}
-	if n := cfg.Metrics.Counter("broadcast.backup_slots_recovered").Value(); n != 1 {
+	if n := reg.Counter("broadcast.backup_slots_recovered").Value(); n != 1 {
 		t.Fatalf("recovered counter = %d, want 1 (slot re-counted across torn retries)", n)
 	}
-	if n := cfg.Metrics.Counter("broadcast.torn_rejects").Value(); n < uint64(backupReadRetries) {
+	if n := reg.Counter("broadcast.torn_rejects").Value(); n < uint64(backupReadRetries) {
 		t.Fatalf("torn rejects = %d; the torn slot should have earned every retry", n)
 	}
 }

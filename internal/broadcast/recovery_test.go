@@ -38,8 +38,9 @@ func TestRecoverFromWhileReaderSuspendedMidRead(t *testing.T) {
 	cfg.BackupSlots = 4
 	cfg.BackupSlot = 128
 	eng := sim.NewEngine(31)
-	cfg.Metrics = metrics.New(eng)
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+	reg := metrics.New(eng)
+	fab.EnableMetrics(reg)
 	Setup(fab, cfg)
 
 	const n = 20
@@ -58,7 +59,7 @@ func TestRecoverFromWhileReaderSuspendedMidRead(t *testing.T) {
 			got[i][seq]++
 		})
 	}
-	recovered := cfg.Metrics.Counter("broadcast.backup_slots_recovered")
+	recovered := reg.Counter("broadcast.backup_slots_recovered")
 
 	done := 0
 	eng.At(0, func() {
@@ -70,7 +71,7 @@ func TestRecoverFromWhileReaderSuspendedMidRead(t *testing.T) {
 		}
 	})
 	eng.At(sim.Time(100*sim.Microsecond), func() {
-		if cfg.Metrics.Counter("broadcast.backup_slot_waits").Value() == 0 {
+		if reg.Counter("broadcast.backup_slot_waits").Value() == 0 {
 			t.Error("no broadcast ever waited for a backup slot — backpressure never built, test is vacuous")
 		}
 		rcs[1].RecoverFrom(0)

@@ -258,7 +258,6 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	}
 	if opts.EnableMetrics {
 		reg := metrics.New(eng)
-		copts.Metrics = reg
 		fab.EnableMetrics(reg)
 		r.v.Metrics = reg
 		r.cEvents = reg.Counter("chaos.events")
@@ -305,7 +304,7 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	// cross-checked against the fault plan at the end of the run. Store
 	// snapshots additionally feed the hot-shard and budget-low rules.
 	r.wd = health.NewWatchdog(health.Config{
-		Metrics: copts.Metrics,
+		Metrics: r.v.Metrics,
 		Tracer:  r.v.Trace,
 		OnFirstFiring: func(health.Firing) {
 			if r.v.Trace != nil {

@@ -123,3 +123,31 @@ func TestShardFaultIsolation(t *testing.T) {
 	// shard-private Mu group elects a successor.
 	assertPassed(t, mustRun(t, faultOneShardPlan(false), opts))
 }
+
+// TestFabricRegistry: chaos.Run attaches its registry to the fabric and
+// leaves core.Options.Metrics unset, so every layer must find the registry
+// there, on one cluster and across a store's shards — the store's shared
+// failure domain included, which is built before any shard from the
+// heartbeat configuration alone. The leader kill must show as a suspicion.
+func TestFabricRegistry(t *testing.T) {
+	for _, tc := range []struct {
+		class    string
+		counters []string
+	}{
+		{"account", []string{"heartbeat.suspicions"}},
+		{"bankmap", []string{"core.applied", "broadcast.delivered", "mu.commit_records", "heartbeat.suspicions"}},
+	} {
+		for _, mix := range []int{0, 4} {
+			p := faultOneShardPlan(false)
+			p.Class, p.ShardMix = tc.class, mix
+			v := mustRun(t, p, Options{EnableMetrics: true, DrainDeadline: 10 * sim.Millisecond})
+			assertPassed(t, v)
+			snap := v.Metrics.Snapshot()
+			for _, name := range tc.counters {
+				if n, ok := snap.Counters[name]; n == 0 {
+					t.Errorf("%s, shard_mix %d: counter %s = 0 (registered: %v)", tc.class, mix, name, ok)
+				}
+			}
+		}
+	}
+}

@@ -98,10 +98,10 @@ type Options struct {
 	// (issue/order/apply/…) for debugging and the trace experiment.
 	Tracer *trace.Tracer
 
-	// Metrics, when non-nil, receives per-category call latency
-	// histograms and buffer-depth gauges, and is propagated to the
-	// broadcast, consensus and heartbeat layers. Nil disables all
-	// instrumentation at zero hot-path cost.
+	// Metrics, when non-nil, is attached to the fabric
+	// (rdma.Fabric.EnableMetrics) before anything is built: every layer
+	// registers its instruments in the fabric's registry. Nil leaves the
+	// fabric as it is; without a registry instrumentation costs nothing.
 	Metrics *metrics.Registry
 
 	// DisableFailureHandling turns off detectors and recovery (ablation).
@@ -230,18 +230,9 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		fab.EnableTracing(opts.Tracer)
 	}
 
-	// Propagate the registry to the protocol layers (explicit per-layer
-	// registries, if any, win).
-	if opts.Metrics.Enabled() {
-		if c.Opts.Broadcast.Metrics == nil {
-			c.Opts.Broadcast.Metrics = opts.Metrics
-		}
-		if c.Opts.Mu.Metrics == nil {
-			c.Opts.Mu.Metrics = opts.Metrics
-		}
-		if c.Opts.Heartbeat.Metrics == nil {
-			c.Opts.Heartbeat.Metrics = opts.Metrics
-		}
+	// The fabric holds the run's one registry; every layer reads it there.
+	if opts.Metrics != nil {
+		fab.EnableMetrics(opts.Metrics)
 	}
 
 	// Region registration: each component of the configuration exists only
@@ -469,34 +460,27 @@ type Replica struct {
 	floors []ring.EpochFloor
 
 	// Instrumentation (nil instruments are free no-ops).
-	mReduceLat  *metrics.Histogram // client-observed reducible-call latency
-	mFreeLat    *metrics.Histogram // irreducible conflict-free call latency
-	mConfLat    *metrics.Histogram // conflicting-call latency (issue → ordered response)
-	mQueryLat   *metrics.Histogram // query latency
-	mFreeDepth  *metrics.Gauge     // total F-buffer depth
-	mConfDepth  *metrics.Gauge     // total L-buffer depth
-	mApplied    *metrics.Counter   // calls applied to σ or a summary slot
-	mRejected   *metrics.Counter   // calls rejected as impermissible
-	mTorn       *metrics.Counter   // slot reads rejected by CRC validation
-	mDeltas     *metrics.Counter   // δ-records written to peer slot logs
-	mAnchors    *metrics.Counter   // full-state anchor rewrites
-	mGapFetch   *metrics.Counter   // full-state fetches after a gap or CRC park
-	mStaleSlots *metrics.Counter   // slot frames rejected by the epoch floor
-	mFreeBatch  *metrics.Histogram // calls per F broadcast message (a count, not a time)
-	mFreeHold   *metrics.Histogram // F call: accept → its message's flush
+	mReduceLat *metrics.Histogram // client-observed reducible-call latency
+	mFreeLat   *metrics.Histogram // irreducible conflict-free call latency
+	mConfLat   *metrics.Histogram // conflicting-call latency (issue → ordered response)
+	mQueryLat  *metrics.Histogram // query latency
+	mFreeDepth *metrics.Gauge     // total F-buffer depth
+	mConfDepth *metrics.Gauge     // total L-buffer depth
+	mFreeBatch *metrics.Histogram // calls per F broadcast message (a count, not a time)
+	mFreeHold  *metrics.Histogram // F call: accept → its message's flush
 
 	tickers []*sim.Ticker
 
-	// Stats.
-	statApplied    uint64
+	// Stats; the registry's core.* counters read them.
+	statApplied    uint64 // calls applied to σ or a summary slot
 	statIssued     uint64
-	statRejected   uint64
+	statRejected   uint64 // calls rejected as impermissible
 	statRecovered  uint64
-	statTorn       uint64
-	statDeltas     uint64
-	statAnchors    uint64
-	statGapFetch   uint64
-	statStaleSlots uint64
+	statTorn       uint64 // slot reads rejected by CRC validation
+	statDeltas     uint64 // δ-records written to peer slot logs
+	statAnchors    uint64 // full-state anchor rewrites
+	statGapFetch   uint64 // full-state fetches after a gap or CRC park
+	statStaleSlots uint64 // slot frames rejected by the epoch floor
 }
 
 func newReplica(c *Cluster, id spec.ProcID) *Replica {
@@ -528,20 +512,20 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	} else {
 		r.coal = rdma.NewCoalescer(r.node)
 	}
-	if reg := c.Opts.Metrics; reg.Enabled() {
+	if reg := c.Fab.Metrics(); reg.Enabled() {
 		r.mReduceLat = reg.Histogram("core.call.reduce", nil)
 		r.mFreeLat = reg.Histogram("core.call.free", nil)
 		r.mConfLat = reg.Histogram("core.call.conf", nil)
 		r.mQueryLat = reg.Histogram("core.call.query", nil)
 		r.mFreeDepth = reg.Gauge("core.queue.free_depth")
 		r.mConfDepth = reg.Gauge("core.queue.conf_depth")
-		r.mApplied = reg.Counter("core.applied")
-		r.mRejected = reg.Counter("core.rejected")
-		r.mTorn = reg.Counter("core.torn_rejects")
-		r.mDeltas = reg.Counter("core.delta_records")
-		r.mAnchors = reg.Counter("core.anchor_writes")
-		r.mGapFetch = reg.Counter("core.gap_fetches")
-		r.mStaleSlots = reg.Counter("core.stale_slot_rejects")
+		reg.CounterFunc("core.applied", func() uint64 { return r.statApplied })
+		reg.CounterFunc("core.rejected", func() uint64 { return r.statRejected })
+		reg.CounterFunc("core.torn_rejects", func() uint64 { return r.statTorn })
+		reg.CounterFunc("core.delta_records", func() uint64 { return r.statDeltas })
+		reg.CounterFunc("core.anchor_writes", func() uint64 { return r.statAnchors })
+		reg.CounterFunc("core.gap_fetches", func() uint64 { return r.statGapFetch })
+		reg.CounterFunc("core.stale_slot_rejects", func() uint64 { return r.statStaleSlots })
 		if c.An.HasFreeBuffers() {
 			r.mFreeBatch = reg.Histogram("core.free_batch_entries", nil)
 			r.mFreeHold = reg.Histogram("core.free_hold", nil)

@@ -284,7 +284,6 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	}
 	if !r.permissible(c) {
 		r.statRejected++
-		r.mRejected.Inc()
 		r.trace(trace.Reject, c, "not locally permissible")
 		if onDone != nil {
 			onDone(nil, ErrImpermissible)
@@ -342,7 +341,6 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 		r.coal.Enqueue(rdma.NodeID(p), r.opts.ShardTag, wr)
 	}
 	r.statApplied++
-	r.mApplied.Inc()
 	r.assertIntegrity("reduce")
 	if r.tracing() {
 		traced := c // its own copy: taking c's address would put every call on the heap, tracer or not
@@ -386,12 +384,10 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at i
 		dw.logOff += len(rec)
 		dw.sinceAnchor++
 		r.statDeltas++
-		r.mDeltas.Inc()
 		return rec, at
 	}
 	dw.logOff, dw.sinceAnchor = 0, 0
 	r.statAnchors++
-	r.mAnchors.Inc()
 	return nil, 0
 }
 
@@ -443,7 +439,6 @@ func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
 		return false
 	}
 	r.statStaleSlots++
-	r.mStaleSlots.Inc()
 	return true
 }
 
@@ -535,7 +530,6 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 		if i < len(counts) && counts[i] > r.applied.Get(p, u) {
 			r.applied.Set(p, u, counts[i])
 			r.statApplied++
-			r.mApplied.Inc()
 		}
 	}
 	if r.tracing() {
@@ -572,7 +566,6 @@ func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (
 		changed = ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "anchor")
 	} else if errors.Is(err, codec.ErrTorn) {
 		r.statTorn++
-		r.mTorn.Inc()
 		stuck = true
 	}
 	log := region[off+r.anchorCap() : off+r.opts.SumSlotSize]
@@ -586,7 +579,6 @@ walk:
 		if err != nil {
 			if errors.Is(err, codec.ErrTorn) {
 				r.statTorn++
-				r.mTorn.Inc()
 				stuck = true
 			}
 			break // incomplete, torn or stale garbage: nothing beyond is usable
@@ -637,7 +629,6 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	}
 	slot.fetching = true
 	r.statGapFetch++
-	r.mGapFetch.Inc()
 	r.readSlotValidated(rdma.NodeID(p), g, p, func(data []byte) {
 		slot.fetching = false
 		if data != nil {
@@ -659,7 +650,6 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 	}
 	if !r.permissible(c) {
 		r.statRejected++
-		r.mRejected.Inc()
 		r.trace(trace.Reject, c, "not locally permissible")
 		if onDone != nil {
 			onDone(nil, ErrImpermissible)
@@ -696,7 +686,6 @@ func (r *Replica) accept() {
 	r.live.apply(c)
 	r.applied.Inc(r.id, c.Method)
 	r.statApplied++
-	r.mApplied.Inc()
 	r.syncSpec(c)
 	r.assertIntegrity("free")
 	var label string
@@ -902,7 +891,6 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 	c := r.callRec.C
 	if !r.specPermissible(c) {
 		r.statRejected++
-		r.mRejected.Inc()
 		r.trace(trace.Reject, c, "rejected at the ordering point")
 		r.recBuf = append(r.recBuf[:0], payload...)
 		r.recBuf[0] = confFlagRejected
@@ -1104,7 +1092,6 @@ func (r *Replica) applyEntry(e *codec.DeltaRecord, context string) {
 	r.live.apply(c)
 	r.applied.Inc(c.Proc, c.Method)
 	r.statApplied++
-	r.mApplied.Inc()
 	r.syncSpec(c)
 	if r.opts.CheckIntegrity {
 		r.assertIntegrity(context + " of " + c.Format(r.cls))
@@ -1205,7 +1192,6 @@ func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done
 				if _, _, derr := codec.DecodeSlot(data); derr != nil {
 					if errors.Is(derr, codec.ErrTorn) {
 						r.statTorn++
-						r.mTorn.Inc()
 						if left > 0 {
 							attempt(left - 1)
 							return

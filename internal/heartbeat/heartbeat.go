@@ -39,9 +39,6 @@ type Config struct {
 	// restores on the first sign of life; chaos configurations raise it to
 	// ride out flapping links without suspect/restore churn.
 	TrustThreshold int
-
-	// Metrics, when non-nil, receives suspicion/restore counters.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns timings in line with microsecond-scale RDMA
@@ -147,7 +144,8 @@ type Detector struct {
 	OnRestore func(peer rdma.NodeID)
 }
 
-// NewDetector starts a failure detector on node.
+// NewDetector starts a failure detector on node. Its suspicion and restore
+// counters go to the fabric's registry, if one is attached.
 func NewDetector(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Detector {
 	cfg = cfg.withDefaults()
 	n := fab.Size()
@@ -161,8 +159,8 @@ func NewDetector(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Detector {
 		inflight:    make([]bool, n),
 		suspected:   make([]bool, n),
 		ignored:     make([]bool, n),
-		mSuspicions: cfg.Metrics.Counter("heartbeat.suspicions"),
-		mRestores:   cfg.Metrics.Counter("heartbeat.restores"),
+		mSuspicions: fab.Metrics().Counter("heartbeat.suspicions"),
+		mRestores:   fab.Metrics().Counter("heartbeat.restores"),
 		readFns:     make([]func([]byte, error), n),
 	}
 	for p := range d.readFns {

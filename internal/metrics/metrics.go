@@ -29,8 +29,12 @@ import (
 )
 
 // Counter is a monotone event count. The nil counter discards increments.
+// Besides its own increments it may read counts a layer keeps itself (see
+// Registry.CounterFunc), so an event the layer already counts is not counted
+// a second time.
 type Counter struct {
-	v uint64
+	v     uint64
+	reads []func() uint64
 }
 
 // Inc adds one.
@@ -47,12 +51,17 @@ func (c *Counter) Add(n uint64) {
 	}
 }
 
-// Value returns the current count (0 for the nil counter).
+// Value returns the current count — the counter's own increments plus
+// every read — (0 for the nil counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {
 		return 0
 	}
-	return c.v
+	v := c.v
+	for _, read := range c.reads {
+		v += read()
+	}
+	return v
 }
 
 // Gauge is an instantaneous level (queue depth, in-flight count). The nil
@@ -293,6 +302,16 @@ func (r *Registry) Counter(name string) *Counter {
 		r.names = append(r.names, name)
 	}
 	return c
+}
+
+// CounterFunc adds read to the counter registered under name, creating it
+// on first use: the counter's value then includes what read returns. A layer
+// that keeps its own count of an event exports it this way, once per
+// instance (the counter sums them). A no-op on the nil registry.
+func (r *Registry) CounterFunc(name string, read func() uint64) {
+	if c := r.Counter(name); c != nil {
+		c.reads = append(c.reads, read)
+	}
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.

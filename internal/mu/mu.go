@@ -64,10 +64,6 @@ type Config struct {
 	DeliverCost     sim.Duration // CPU cost per delivered entry
 	RetryDelay      sim.Duration // backpressure retry delay
 	CatchUpAfter    sim.Duration // follower staleness before a journal catch-up
-
-	// Metrics, when non-nil, receives commit latency and leader-change
-	// instruments. Nil disables instrumentation.
-	Metrics *metrics.Registry
 }
 
 // DefaultConfig returns sizes suited to the benchmark workloads.
@@ -240,7 +236,8 @@ type Instance struct {
 }
 
 // NewInstance creates this node's participant for group. Setup must have
-// run with the same initialLeader.
+// run with the same initialLeader. Its instruments go to the fabric's
+// registry, if one is attached.
 func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, initialLeader rdma.NodeID) *Instance {
 	in := &Instance{
 		fab:       fab,
@@ -270,15 +267,15 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		voteReaders: make(map[rdma.NodeID]*ring.Reader),
 		grantReader: make(map[rdma.NodeID]*ring.Reader),
 	}
-	if cfg.Metrics.Enabled() {
-		in.mCommitLat = cfg.Metrics.Histogram("mu.commit_latency", nil)
-		in.mQueueWait = cfg.Metrics.Histogram("mu.queue_wait", nil)
+	if reg := fab.Metrics(); reg.Enabled() {
+		in.mCommitLat = reg.Histogram("mu.commit_latency", nil)
+		in.mQueueWait = reg.Histogram("mu.queue_wait", nil)
 		// Counts observed as durations, doubling up to the default journal's length.
-		in.mRoundEntries = cfg.Metrics.Histogram("mu.round_entries",
+		in.mRoundEntries = reg.Histogram("mu.round_entries",
 			[]sim.Duration{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
-		in.mCommitRecords = cfg.Metrics.Counter("mu.commit_records")
-		in.mLeaderChanges = cfg.Metrics.Counter("mu.leader_changes")
-		in.mElections = cfg.Metrics.Counter("mu.elections")
+		in.mCommitRecords = reg.Counter("mu.commit_records")
+		in.mLeaderChanges = reg.Counter("mu.leader_changes")
+		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
 	}
 	in.logReader = ring.NewReader(node.Region(logRegion(group)).Bytes())

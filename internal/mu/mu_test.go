@@ -23,13 +23,16 @@ type cluster struct {
 
 func newCluster(t *testing.T, n int, leader rdma.NodeID) *cluster {
 	t.Helper()
-	return newClusterCfg(t, n, leader, DefaultConfig())
+	return newClusterCfg(t, n, leader, DefaultConfig(), nil)
 }
 
-func newClusterCfg(t *testing.T, n int, leader rdma.NodeID, cfg Config) *cluster {
+// newClusterCfg builds an n-node group under cfg; reg, when non-nil, is
+// attached to the fabric first, so the instances register their instruments.
+func newClusterCfg(t *testing.T, n int, leader rdma.NodeID, cfg Config, reg *metrics.Registry) *cluster {
 	t.Helper()
 	eng := sim.NewEngine(41)
 	fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
+	fab.EnableMetrics(reg)
 	Setup(fab, "g", cfg, leader)
 	c := &cluster{eng: eng, fab: fab, delivered: make([][]string, n), seqs: make([][]uint64, n)}
 	for i := 0; i < n; i++ {
@@ -778,9 +781,7 @@ func (c *cluster) assertInOrder(t *testing.T, nodes []int, want int) {
 func TestOneRoundInFlight(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := metrics.New(nil)
-	cfg.Metrics = reg
-	c := newClusterCfg(t, 4, 0, cfg)
-	c.fab.EnableMetrics(reg)
+	c := newClusterCfg(t, 4, 0, cfg, reg)
 	const tap = 3
 	c.inst[tap].Stop()
 
@@ -977,7 +978,7 @@ func TestSelfMajorityRoundsTerminate(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.JournalSlots = 16 // rounds of at most 8
 	for _, n := range []int{1, 3} {
-		c := newClusterCfg(t, n, 0, cfg)
+		c := newClusterCfg(t, n, 0, cfg, nil)
 		members := make([]bool, n)
 		members[0] = true
 		for _, in := range c.inst {
@@ -1013,7 +1014,7 @@ func TestBurstLongerThanJournal(t *testing.T) {
 	cfg.JournalSlots = 16
 	const burst = 3 * 16
 	for at := 2 * sim.Microsecond; at <= 50*sim.Microsecond; at += 250 * sim.Nanosecond {
-		c := newClusterCfg(t, 3, 0, cfg)
+		c := newClusterCfg(t, 3, 0, cfg, nil)
 		c.eng.At(0, func() {
 			for i := 0; i < burst; i++ {
 				c.inst[2].Submit([]byte(fmt.Sprintf("m%02d", i)))

@@ -175,31 +175,6 @@ func TestChainIntermediatesUnsignaled(t *testing.T) {
 	}
 }
 
-// TestChainSignalAllAblation: with the ablation knob set, every WR in the
-// chain pays PollCost — the selective-signaling baseline.
-func TestChainSignalAllAblation(t *testing.T) {
-	const k = 4
-	lat := chainLatency()
-	lat.ChainSignalAll = true
-	eng, f, _ := chainFabric(t, lat)
-	eng.At(0, func() {
-		wrs := make([]WR, k)
-		for i := range wrs {
-			wrs[i] = WR{Region: "buf", Off: i * 4, Data: []byte{1}}
-		}
-		f.Node(0).QP(1).PostChain(wrs, func(error) {})
-	})
-	eng.Run()
-	busy := f.Node(0).CPU.BusyTotal()
-	postBusy := lat.PostCost + (k-1)*lat.ChainedPostCost
-	if got := busy - postBusy; got != sim.Duration(k)*lat.PollCost {
-		t.Fatalf("completion CPU = %v, want k·PollCost (%v) with ChainSignalAll", got, sim.Duration(k)*lat.PollCost)
-	}
-	if got := f.Stats().Unsignaled; got != 0 {
-		t.Fatalf("Unsignaled = %d with ChainSignalAll, want 0", got)
-	}
-}
-
 // TestChainLandsInOrderAndCompletes: all WRs of a chain are applied, in
 // posting order, and the tail completion implies every write is visible.
 func TestChainLandsInOrderAndCompletes(t *testing.T) {

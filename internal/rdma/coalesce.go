@@ -63,6 +63,7 @@ type CoalesceStats struct {
 func NewCoalescer(node *Node) *Coalescer {
 	co := &Coalescer{node: node, out: make([]peerBatch, node.fabric.Size())}
 	co.flushFn = co.flush
+	node.fabric.coalescers = append(node.fabric.coalescers, co)
 	return co
 }
 
@@ -89,7 +90,6 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 		}
 		b.lens[n-1] += len(wr.Data)
 		co.stats.Merged++
-		co.node.fabric.mMerged.Inc()
 	} else {
 		b.lens = append(b.lens, len(wr.Data))
 		wr.Data = nil

@@ -69,8 +69,7 @@ func (f *Fabric) PartitionLink(from, to NodeID) {
 	ls := f.ensureLink(from, to)
 	if !ls.partitioned {
 		ls.partitioned = true
-		f.stats.Partitions++
-		f.mPartitions.Inc()
+		f.partitions++
 	}
 }
 
@@ -202,8 +201,7 @@ func (f *Fabric) drop(from, to NodeID, ls *linkState) {
 func (qp *QP) gate(fn func()) {
 	f := qp.fabric()
 	if ls := f.link(qp.from.id, qp.to.id); ls != nil && ls.partitioned {
-		f.stats.Parked++
-		f.mParked.Inc()
+		qp.stats.Parked++
 		ls.parked = append(ls.parked, func() {
 			if qp.from.crashed {
 				return

@@ -80,10 +80,6 @@ type LatencyModel struct {
 	// NIC's DMA read of the payload; inline posts skip it and land that
 	// much earlier.
 	InlineDMASaving sim.Duration
-	// ChainSignalAll, when set, makes every WR in a chain generate a CQE
-	// (each paying PollCost) instead of only the tail — the ablation
-	// baseline for selective signaling.
-	ChainSignalAll bool
 }
 
 // DefaultLatency returns the calibrated cost model described above.
@@ -128,7 +124,8 @@ func (m LatencyModel) CRCCost(n int) sim.Duration {
 	return sim.Duration(n / m.CRCBytesPerNS)
 }
 
-// Stats counts verb activity for tests and ablation reports.
+// Stats counts verb activity for tests and ablation reports. Each QP
+// counts the verbs posted on it; link partitions are counted on the fabric.
 type Stats struct {
 	Writes, Reads, CASes uint64
 	BytesWritten         uint64
@@ -149,9 +146,11 @@ type Fabric struct {
 	eng   *sim.Engine
 	lat   LatencyModel
 	nodes []*Node
-	stats Stats
 	reg   *metrics.Registry
 	tr    *trace.Tracer
+
+	partitions uint64       // directed-link partitions installed (Stats.Partitions)
+	coalescers []*Coalescer // every coalescer posting on the fabric, for rdma.coalesce_merged
 
 	// links holds per-directed-link injected faults (see fault.go). It
 	// stays nil until the first fault is installed, so the fault-free verb
@@ -163,11 +162,6 @@ type Fabric struct {
 	// the collector. It starts empty and grows to the peak number of
 	// doorbells in flight.
 	freeVerbs *verb
-
-	mParked     *metrics.Counter // verbs parked by partitioned links
-	mPartitions *metrics.Counter // link partitions installed
-	mTorn       *metrics.Counter // writes landed out of order by torn links
-	mMerged     *metrics.Counter // coalescer enqueues that extended a pending WR
 }
 
 // NewFabric creates a fabric with n nodes using the given cost model.
@@ -196,19 +190,54 @@ func (f *Fabric) Size() int { return len(f.nodes) }
 // Node returns the node with the given id.
 func (f *Fabric) Node(id NodeID) *Node { return f.nodes[id] }
 
-// Stats returns a snapshot of verb counters.
-func (f *Fabric) Stats() Stats { return f.stats }
+// Stats returns the fabric's verb counters: the sum of every QP's, plus the
+// link partitions.
+func (f *Fabric) Stats() Stats {
+	s := Stats{Partitions: f.partitions}
+	for _, n := range f.nodes {
+		for _, qp := range n.qps {
+			s.add(&qp.stats)
+		}
+	}
+	return s
+}
 
-// EnableMetrics attaches a metrics registry to the fabric: every queue
-// pair — existing and future — records per-verb counters, bytes and
-// post-to-completion latency histograms under "rdma.qp.<from>-<to>.*".
-// A nil registry (the default) costs nothing on the verb paths.
+// add accumulates o's verb counts into s.
+func (s *Stats) add(o *Stats) {
+	s.Writes += o.Writes
+	s.Reads += o.Reads
+	s.CASes += o.CASes
+	s.BytesWritten += o.BytesWritten
+	s.Failed += o.Failed
+	s.Chains += o.Chains
+	s.ChainedWRs += o.ChainedWRs
+	s.InlineWrites += o.InlineWrites
+	s.Unsignaled += o.Unsignaled
+	s.Parked += o.Parked
+	s.TornWrites += o.TornWrites
+}
+
+// EnableMetrics attaches the run's one metrics registry: every layer built on
+// the fabric registers its instruments in Metrics(). Each queue pair —
+// existing and future — exports its verb counts (read from its Stats, so
+// nothing is counted twice) and post-to-completion latency histograms under
+// "rdma.qp.<from>-<to>.*". Attaching the attached registry again does
+// nothing; a nil registry (the default) costs nothing on the verb paths.
 func (f *Fabric) EnableMetrics(reg *metrics.Registry) {
+	if reg == f.reg {
+		return
+	}
 	f.reg = reg
-	f.mParked = reg.Counter("rdma.parked_verbs")
-	f.mPartitions = reg.Counter("rdma.link_partitions")
-	f.mTorn = reg.Counter("rdma.torn_writes")
-	f.mMerged = reg.Counter("rdma.coalesce_merged")
+	reg.CounterFunc("rdma.parked_verbs", func() uint64 { return f.Stats().Parked })
+	reg.CounterFunc("rdma.link_partitions", func() uint64 { return f.partitions })
+	reg.CounterFunc("rdma.torn_writes", func() uint64 { return f.Stats().TornWrites })
+	reg.CounterFunc("rdma.coalesce_merged", func() uint64 {
+		var n uint64
+		for _, co := range f.coalescers {
+			n += co.stats.Merged
+		}
+		return n
+	})
 	for _, n := range f.nodes {
 		for _, qp := range n.qps {
 			qp.instrument(reg)
@@ -410,41 +439,33 @@ type QP struct {
 	from, to *Node
 	lastLand sim.Time // delivery ordering horizon (RC in-order)
 	lastCQE  sim.Time // completion ordering horizon (CQEs in posting order)
-	m        qpMetrics
+	stats    Stats    // the verbs posted on this QP (Partitions stays 0)
+
+	// Post-to-completion latency; nil (free no-ops) when the fabric has no
+	// registry attached.
+	writeLat, readLat, casLat *metrics.Histogram
 }
 
-// qpMetrics holds the per-QP instruments; all nil (free no-ops) when the
-// fabric has no registry attached.
-type qpMetrics struct {
-	writes, reads, cases *metrics.Counter
-	bytes                *metrics.Counter
-	chains, chainedWRs   *metrics.Counter
-	inline, unsignaled   *metrics.Counter
-	writeLat             *metrics.Histogram
-	readLat              *metrics.Histogram
-	casLat               *metrics.Histogram
-}
-
-// instrument creates the QP's instruments in reg (idempotent; no-op for a
-// nil registry). Name formatting happens here, once, never on a verb path.
+// instrument exports the QP's counts and creates its histograms in reg
+// (no-op for a nil registry). Name formatting happens here, once, never on a
+// verb path.
 func (qp *QP) instrument(reg *metrics.Registry) {
-	if reg == nil || qp.m.writes != nil {
+	if reg == nil {
 		return
 	}
 	prefix := fmt.Sprintf("rdma.qp.%d-%d.", qp.from.id, qp.to.id)
-	qp.m = qpMetrics{
-		writes:     reg.Counter(prefix + "writes"),
-		reads:      reg.Counter(prefix + "reads"),
-		cases:      reg.Counter(prefix + "cases"),
-		bytes:      reg.Counter(prefix + "bytes_written"),
-		chains:     reg.Counter(prefix + "chains"),
-		chainedWRs: reg.Counter(prefix + "chained_wrs"),
-		inline:     reg.Counter(prefix + "inline_writes"),
-		unsignaled: reg.Counter(prefix + "unsignaled"),
-		writeLat:   reg.Histogram(prefix+"write_latency", nil),
-		readLat:    reg.Histogram(prefix+"read_latency", nil),
-		casLat:     reg.Histogram(prefix+"cas_latency", nil),
-	}
+	s := &qp.stats
+	reg.CounterFunc(prefix+"writes", func() uint64 { return s.Writes })
+	reg.CounterFunc(prefix+"reads", func() uint64 { return s.Reads })
+	reg.CounterFunc(prefix+"cases", func() uint64 { return s.CASes })
+	reg.CounterFunc(prefix+"bytes_written", func() uint64 { return s.BytesWritten })
+	reg.CounterFunc(prefix+"chains", func() uint64 { return s.Chains })
+	reg.CounterFunc(prefix+"chained_wrs", func() uint64 { return s.ChainedWRs })
+	reg.CounterFunc(prefix+"inline_writes", func() uint64 { return s.InlineWrites })
+	reg.CounterFunc(prefix+"unsignaled", func() uint64 { return s.Unsignaled })
+	qp.writeLat = reg.Histogram(prefix+"write_latency", nil)
+	qp.readLat = reg.Histogram(prefix+"read_latency", nil)
+	qp.casLat = reg.Histogram(prefix+"cas_latency", nil)
 }
 
 // From returns the posting node's ID.
@@ -522,7 +543,7 @@ func (qp *QP) cqeAt(landed sim.Time) sim.Time {
 // after the fabric's failure timeout.
 func (qp *QP) failLocal(cb func(error)) {
 	f := qp.fabric()
-	f.stats.Failed++
+	qp.stats.Failed++
 	if cb == nil {
 		return
 	}
@@ -579,9 +600,7 @@ func (qp *QP) tearAt(landed sim.Time, n int) sim.Time {
 	if tear <= 0 || n <= 8 {
 		return landed
 	}
-	f := qp.fabric()
-	f.stats.TornWrites++
-	f.mTorn.Inc()
+	qp.stats.TornWrites++
 	interior := landed + sim.Time(tear)
 	if interior > qp.lastLand {
 		qp.lastLand = interior
@@ -752,39 +771,30 @@ func (v *verb) gate() { v.qp.gate(v.wireFn) }
 func (v *verb) wire() {
 	qp := v.qp
 	f := qp.fabric()
+	st := &qp.stats
 	n := len(v.wrs)
 	if n > 1 {
-		f.stats.Chains++
-		f.stats.ChainedWRs += uint64(n - 1)
-		qp.m.chains.Inc()
-		qp.m.chainedWRs.Add(uint64(n - 1))
+		st.Chains++
+		st.ChainedWRs += uint64(n - 1)
 	}
 	for i := range v.wrs {
 		w := &v.wrs[i]
-		f.stats.Writes++
-		f.stats.BytesWritten += uint64(w.size())
-		qp.m.writes.Inc()
-		qp.m.bytes.Add(uint64(w.size()))
+		st.Writes++
+		st.BytesWritten += uint64(w.size())
 		if w.inline {
-			f.stats.InlineWrites++
-			qp.m.inline.Inc()
+			st.InlineWrites++
 		}
 	}
 	// Only the tail WR is signaled, and only if the caller asked.
-	unsig := uint64(n - 1)
-	if f.lat.ChainSignalAll {
-		unsig = 0
-	}
+	st.Unsignaled += uint64(n - 1)
 	if v.onDone == nil {
-		unsig++
+		st.Unsignaled++
 	}
-	f.stats.Unsignaled += unsig
-	qp.m.unsignaled.Add(unsig)
 	for i := range v.wrs {
 		qp.traceVerb(trace.Post, v.wrs[i].label, v.name(), "posted", v.wrs[i].size())
 	}
 	if qp.to.crashed {
-		f.stats.Failed++
+		st.Failed++
 		if v.onDone == nil {
 			v.release()
 			return
@@ -799,7 +809,7 @@ func (v *verb) wire() {
 		landed := qp.landAt(w.size(), w.inline)
 		w.interior = qp.tearAt(landed, w.size())
 		if i == n-1 {
-			qp.m.writeLat.Observe(sim.Duration(w.interior-posted) + f.lat.AckLatency)
+			qp.writeLat.Observe(sim.Duration(w.interior-posted) + f.lat.AckLatency)
 		}
 		f.eng.At(landed, v.landFn)
 	}
@@ -815,28 +825,25 @@ func (v *verb) landNext() {
 	v.landed++
 	switch {
 	case qp.to.crashed: // crashed while in flight
-		f.stats.Failed++
+		qp.stats.Failed++
 		if v.err == nil {
 			v.err = ErrCrashed
 		}
 	case v.err != nil:
 		// An earlier WR failed: the QP is in the error state and this WR
 		// flushes without landing.
-		f.stats.Failed++
+		qp.stats.Failed++
 	default:
 		r := qp.to.regions[w.region]
 		if err := checkAccess(r, qp.from.id, w.off, w.size(), true); err == nil {
 			qp.land(r, w.off, v.data[w.lo:w.hi], w.interior, w.label, v.name())
 		} else {
-			f.stats.Failed++
+			qp.stats.Failed++
 			v.err = err
 		}
 	}
 	switch {
-	case v.landed < len(v.wrs):
-		if f.lat.ChainSignalAll {
-			qp.complete(w.interior, func(error) {}, nil)
-		}
+	case v.landed < len(v.wrs): // only the tail WR is signaled
 	case v.onDone == nil:
 		v.release()
 	default:
@@ -871,8 +878,7 @@ func (v *verb) poll() {
 func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 	qp.post(func() {
 		f := qp.fabric()
-		f.stats.Reads++
-		qp.m.reads.Inc()
+		qp.stats.Reads++
 		if qp.to.crashed {
 			qp.failLocal(func(err error) { onDone(nil, err) })
 			return
@@ -886,10 +892,10 @@ func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 		if back > qp.lastLand {
 			qp.lastLand = back
 		}
-		qp.m.readLat.Observe(sim.Duration(back-posted) + f.lat.AckLatency)
+		qp.readLat.Observe(sim.Duration(back-posted) + f.lat.AckLatency)
 		f.eng.At(landed, func() {
 			if qp.to.crashed {
-				f.stats.Failed++
+				qp.stats.Failed++
 				qp.complete(landed, func(err error) { onDone(nil, err) }, ErrCrashed)
 				return
 			}
@@ -899,7 +905,7 @@ func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 			if err == nil {
 				data = append([]byte(nil), r.buf[off:off+n]...)
 			} else {
-				f.stats.Failed++
+				qp.stats.Failed++
 			}
 			qp.complete(back, func(e error) { onDone(data, e) }, err)
 		})
@@ -913,8 +919,7 @@ func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 func (qp *QP) CAS(region string, off int, expect, swap uint64, onDone func(old uint64, err error)) {
 	qp.post(func() {
 		f := qp.fabric()
-		f.stats.CASes++
-		qp.m.cases.Inc()
+		qp.stats.CASes++
 		if qp.to.crashed {
 			qp.failLocal(func(err error) { onDone(0, err) })
 			return
@@ -928,10 +933,10 @@ func (qp *QP) CAS(region string, off int, expect, swap uint64, onDone func(old u
 		// occupancy.
 		landed := qp.landAt(8, false)
 		responded := landed + sim.Time(f.lat.CASExtra)
-		qp.m.casLat.Observe(sim.Duration(responded-posted) + f.lat.AckLatency)
+		qp.casLat.Observe(sim.Duration(responded-posted) + f.lat.AckLatency)
 		f.eng.At(landed, func() {
 			if qp.to.crashed {
-				f.stats.Failed++
+				qp.stats.Failed++
 				qp.complete(responded, func(err error) { onDone(0, err) }, ErrCrashed)
 				return
 			}
@@ -944,7 +949,7 @@ func (qp *QP) CAS(region string, off int, expect, swap uint64, onDone func(old u
 					putU64(r.buf[off:], swap)
 				}
 			} else {
-				f.stats.Failed++
+				qp.stats.Failed++
 			}
 			qp.complete(responded, func(e error) { onDone(old, e) }, err)
 		})

@@ -130,6 +130,11 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 		opts.Core = base
 	}
 	s := &Store{fab: fab, opts: opts, shards: make(map[string]*Shard)}
+	// The fabric holds the run's one registry: the shared failure domain
+	// built below registers its counters there like every shard's layers.
+	if opts.Core.Metrics != nil {
+		fab.EnableMetrics(opts.Core.Metrics)
+	}
 	if opts.Tracer != nil {
 		fab.EnableTracing(opts.Tracer)
 	}
