@@ -237,28 +237,41 @@ func (cfg Config) Fig12() {
 	cfg.printf("\n")
 }
 
-// Fig13 regenerates Figure 13: the effect of follower and leader failure
-// on the courseware schema, with per-method response times.
+// fig13Point is one scenario of Figure 13 with the fabric bytes its run
+// wrote per completed op.
+type fig13Point struct {
+	scenario   string // normal, follower or leader
+	res        *Result
+	bytesPerOp float64
+}
+
+// fig13Points runs Figure 13's three scenarios on the courseware schema — no
+// failure, the follower p3 failing, and the synchronization group's leader p0
+// failing (p3 leads nothing), each fault a quarter into the fault-free
+// makespan.
 //
-// The run length is scaled so that the leader-change outage (~150 µs of
+// The run length is scaled so that the leader-change outage (~115 µs of
 // virtual time — cf. Mu's sub-millisecond failover) occupies a fraction of
 // the measurement window comparable to the paper's: with the full 4 M-op
 // analogue the failover amortizes to noise and the figure's effect
 // disappears.
-func (cfg Config) Fig13() {
-	ops := cfg.Ops / 20
-	if ops < 1000 {
-		ops = 1000
+func (cfg Config) fig13Points() []fig13Point {
+	ops := max(cfg.Ops/20, 1000)
+	run := func(scenario string, faults ...Fault) fig13Point {
+		r, sys := cfg.run(Hamband, schema.NewCourseware(), 4, ops, 0.5, 0, Variant{}, faults...)
+		return fig13Point{scenario, r, wireBytesPerOp(r, sys)}
 	}
+	normal := run("normal")
+	failAt := sim.Time(normal.res.Makespan / 4)
+	return []fig13Point{normal, run("follower", Fault{At: failAt, Node: 3}), run("leader", Fault{At: failAt, Node: 0})}
+}
+
+// Fig13 regenerates Figure 13: the effect of follower and leader failure
+// on the courseware schema, with per-method response times.
+func (cfg Config) Fig13() {
 	cfg.printf("Figure 13(a) — courseware under failures, 4 nodes, 50%% updates: throughput (ops/µs)\n")
-	normal := cfg.point(Hamband, schema.NewCourseware(), 4, ops, 0.5)
-	failAt := sim.Time(normal.Makespan / 4)
-	// The courseware synchronization group's leader defaults to p0; p3
-	// leads nothing.
-	follower := cfg.point(Hamband, schema.NewCourseware(), 4, ops, 0.5,
-		Fault{At: failAt, Node: 3})
-	leader := cfg.point(Hamband, schema.NewCourseware(), 4, ops, 0.5,
-		Fault{At: failAt, Node: 0})
+	points := cfg.fig13Points()
+	normal, follower, leader := points[0].res, points[1].res, points[2].res
 	cfg.printf("%-16s %9s %7s\n", "scenario", "ops/µs", "Δ")
 	cfg.printf("%-16s %9.2f %7s\n", "normal", normal.Throughput(), "-")
 	cfg.printf("%-16s %9.2f %6.0f%%\n", "follower fails", follower.Throughput(),

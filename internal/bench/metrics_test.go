@@ -88,6 +88,17 @@ func TestMetricsExportCompleteness(t *testing.T) {
 	if snap.Counters["rdma.coalesce_merged"] == 0 {
 		t.Error(`counter "rdma.coalesce_merged" is zero in the export: the coalescer no longer reports merged records`)
 	}
+	// The per-QP family is formatted, so the scan above cannot see it: every
+	// queue pair that reads (heartbeats do) must export the bytes it read.
+	var read uint64
+	for name, v := range snap.Counters {
+		if strings.HasPrefix(name, "rdma.qp.") && strings.HasSuffix(name, ".bytes_read") {
+			read += v
+		}
+	}
+	if read == 0 {
+		t.Error(`no "rdma.qp.*.bytes_read" counter in the export counts a byte: reads no longer report what they moved`)
+	}
 	for name, where := range hists {
 		if h, ok := snap.Histograms[name]; !ok || h.Count == 0 {
 			t.Errorf("histogram %q (registered in %s) missing from the -exp metrics JSON export, or empty in it", name, where)
@@ -186,6 +197,7 @@ func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, cluste
 		{"Σ rdma.qp.*.writes", qpSum("writes"), st.Writes},
 		{"Σ rdma.qp.*.bytes_written", qpSum("bytes_written"), st.BytesWritten},
 		{"Σ rdma.qp.*.reads", qpSum("reads"), st.Reads},
+		{"Σ rdma.qp.*.bytes_read", qpSum("bytes_read"), st.BytesRead},
 		{"Σ rdma.qp.*.cases", qpSum("cases"), st.CASes},
 		{"Σ rdma.qp.*.chains", qpSum("chains"), st.Chains},
 		{"Σ rdma.qp.*.chained_wrs", qpSum("chained_wrs"), st.ChainedWRs},
@@ -209,7 +221,7 @@ func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, cluste
 			t.Errorf("%s = %d, the layer counted %d", c.name, c.got, c.want)
 		}
 	}
-	if st.Writes == 0 || applied == 0 {
-		t.Fatalf("nothing ran: %d writes, %d applied", st.Writes, applied)
+	if st.Writes == 0 || applied == 0 || st.BytesRead == 0 {
+		t.Fatalf("nothing ran: %d writes, %d bytes read, %d applied", st.Writes, st.BytesRead, applied)
 	}
 }

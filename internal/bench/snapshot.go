@@ -25,7 +25,8 @@ type SnapPoint struct {
 	P95Us       float64 `json:"p95_us"`
 	P99Us       float64 `json:"p99_us"`
 	// BytesPerOp records the fabric bytes shipped per completed op; only
-	// the wire-efficiency points set it (zero elsewhere, omitted in JSON).
+	// the wire-efficiency and Figure 13 points set it (zero elsewhere,
+	// omitted in JSON).
 	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
 }
 
@@ -62,9 +63,10 @@ func (p SnapPoint) key() string {
 }
 
 // Snapshot runs the canonical benchmark set — one representative point per
-// headline figure (all three systems where the class supports them), the
-// doorbell ablation's baseline and full variants over the three replication
-// paths, the sharded store at uniform and Zipf 1.5 keys and the wire points —
+// headline figure (all three systems where the class supports them), Figure
+// 13's three failure scenarios with their wire bytes, the doorbell
+// ablation's baseline and full variants over the three replication paths,
+// the sharded store at uniform and Zipf 1.5 keys and the wire points —
 // exports it and returns it.
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
@@ -85,6 +87,9 @@ func (cfg Config) Snapshot() Snapshot {
 		for _, kind := range f.systems {
 			add(f.exp, kind.String(), cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio))
 		}
+	}
+	for _, p := range cfg.fig13Points() {
+		s.Points = append(s.Points, resultPoint("fig13/"+p.scenario, Hamband.String(), p.res, p.bytesPerOp))
 	}
 	doorbell := []struct {
 		cls   func() *spec.Class

@@ -30,9 +30,7 @@ func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int) (res *Result, bytes
 		o.Tracer = tr
 	}})
 
-	if n := float64(res.Completed - res.Rejected); n > 0 {
-		bytesPerOp = float64(sys.(*hambandSystem).c.Fab.Stats().BytesWritten) / n
-	}
+	bytesPerOp = wireBytesPerOp(res, sys)
 	var wire, total sim.Duration
 	for _, s := range span.Build(tr.Events()) {
 		if s.Rejected {
@@ -49,6 +47,16 @@ func (cfg Config) wirePoint(cls *spec.Class, nodes, ops int) (res *Result, bytes
 		wireShare = float64(wire) / float64(total)
 	}
 	return res, bytesPerOp, wireShare
+}
+
+// wireBytesPerOp is the bytes a Hamband run's fabric wrote per completed,
+// unrejected call.
+func wireBytesPerOp(res *Result, sys System) float64 {
+	n := float64(res.Completed - res.Rejected)
+	if n <= 0 {
+		return 0
+	}
+	return float64(sys.(*hambandSystem).c.Fab.Stats().BytesWritten) / n
 }
 
 // Wire runs the wire-efficiency study: for each class an update-only

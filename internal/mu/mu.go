@@ -159,8 +159,14 @@ type Instance struct {
 	// whose log writes have not completed, oldest first; ackFns[p], bound once,
 	// is the completion of every one of them and pops its own (a Sender's
 	// onDones run in send order). Both are indexed by node id.
-	unacked   []fifo.Queue[uint64]
-	ackFns    []func(error)
+	unacked []fifo.Queue[uint64]
+	ackFns  []func(error)
+	// open[p] reports whether this node's writer on follower p's log ring sits
+	// at a position it established: from the start for the initial leader,
+	// once resetRing has wiped the ring and read its head for a later one.
+	// replicate skips a follower whose ring is not open, and the journal
+	// catch-up covers that follower meanwhile. Indexed by node id.
+	open      []bool
 	zeros     []byte // RingCapacity zero bytes: what resetRing writes over a follower's ring
 	grants    map[rdma.NodeID]uint64
 	oldLeader rdma.NodeID
@@ -254,6 +260,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		logOut:   make(map[rdma.NodeID]*ring.Sender),
 		unacked:  make([]fifo.Queue[uint64], fab.Size()),
 		ackFns:   make([]func(error), fab.Size()),
+		open:     make([]bool, fab.Size()),
 		stash:    make(map[uint64][]byte),
 		dedupLow: make(map[rdma.NodeID]uint64),
 		dedupSet: make(map[rdma.NodeID]map[uint64]bool),
@@ -286,6 +293,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		}
 		in.logOut[peer] = in.newOut(peer, logRegion(group), cfg.RingCapacity)
 		in.ackFns[peer] = func(err error) { in.acked(peer, err) }
+		in.open[peer] = true // every ring starts empty, with its head at zero
 		in.reqOut[peer] = in.newOut(peer, reqRegion(group, node.ID()), cfg.RingCapacity)
 		in.voteOut[peer] = in.newOut(peer, voteRegion(group, node.ID()), cfg.CtrlCapacity)
 		in.grantOut[peer] = in.newOut(peer, grantRegion(group, node.ID()), cfg.CtrlCapacity)
@@ -452,43 +460,32 @@ func (in *Instance) frameReq(submitSeq uint64, payload []byte) []byte {
 	return in.frame(append(b, payload...))
 }
 
-// vote: u64 term | u16 candidate
-func encodeVote(term uint64, cand rdma.NodeID) []byte {
-	b := make([]byte, 10)
-	binary.LittleEndian.PutUint64(b, term)
-	binary.LittleEndian.PutUint16(b[8:], uint16(cand))
-	return b
+// vote: u64 term | u16 candidate, built inside its ring record like a request.
+func (in *Instance) frameVote(term uint64, cand rdma.NodeID) []byte {
+	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), term)
+	return in.frame(binary.LittleEndian.AppendUint16(b, uint16(cand)))
 }
 
-// grant: u64 term | u64 lastDelivered | u16 voter
-func encodeGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
-	b := make([]byte, 18)
-	binary.LittleEndian.PutUint64(b, term)
-	binary.LittleEndian.PutUint64(b[8:], lastDelivered)
-	binary.LittleEndian.PutUint16(b[16:], uint16(voter))
-	return b
+// grant: u64 term | u64 lastDelivered | u16 voter, built like a vote.
+func (in *Instance) frameGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
+	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), term)
+	b = binary.LittleEndian.AppendUint64(b, lastDelivered)
+	return in.frame(binary.LittleEndian.AppendUint16(b, uint16(voter)))
 }
 
 // --- output ------------------------------------------------------------
 
-// send frames an election message and queues it on an out channel (see
-// ring.Sender: one remote write per pump).
-func (in *Instance) send(oc *ring.Sender, msg []byte) {
-	if rec := in.frame(append(codec.BeginRaw(in.rec[:0]), msg...)); rec != nil {
-		oc.Send(rec, "", nil)
-	}
-}
-
-// replicate appends rec, an entry framed once, to every follower's log ring
-// (a write error — e.g. permission revoked by a new leader — reaches every
-// record the write carried, so a deposed leader still cannot assemble a
-// majority). With a nonzero seq each follower's completed write is counted
-// toward deciding seq: the sequence number joins the follower's unacked queue,
-// and the follower's one completion callback pops it.
+// replicate appends rec, an entry framed once, to the log ring of every
+// follower whose ring is open (a write error — e.g. permission revoked by a
+// new leader — reaches every record the write carried, so a deposed leader
+// still cannot assemble a majority). With a nonzero seq each follower's
+// completed write is counted toward deciding seq: the sequence number joins
+// the follower's unacked queue, and the follower's one completion callback
+// pops it.
 func (in *Instance) replicate(rec []byte, seq uint64) {
 	for p := 0; p < in.n; p++ {
 		oc := in.logOut[rdma.NodeID(p)]
-		if oc == nil {
+		if oc == nil || !in.open[p] {
 			continue
 		}
 		var onDone func(error)
@@ -910,10 +907,12 @@ func (in *Instance) StartElection() {
 	// Self-vote: take write permission on the local log ring.
 	in.switchLogPermission(in.node.ID())
 	// Ascending NodeID, not map order: the posting order of the vote
-	// requests fixes the engine's event order, and with it the schedule.
+	// requests fixes the engine's event order, and with it the schedule. One
+	// record serves every peer: ring.Sender.Send copies it.
+	rec := in.frameVote(in.term, in.node.ID())
 	for p := 0; p < in.n; p++ {
 		if oc := in.voteOut[rdma.NodeID(p)]; oc != nil {
-			in.send(oc, encodeVote(in.term, in.node.ID()))
+			oc.Send(rec, "", nil)
 		}
 	}
 	in.maybeLead()
@@ -979,7 +978,7 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	// the order the paper prescribes.
 	in.switchLogPermission(cand)
 	if oc := in.grantOut[cand]; oc != nil {
-		in.send(oc, encodeGrant(term, in.lastDelivered, in.node.ID()))
+		oc.Send(in.frameGrant(term, in.lastDelivered, in.node.ID()), "", nil)
 	}
 	in.mLeaderChanges.Inc()
 	if in.OnLeaderChange != nil {
@@ -992,10 +991,11 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	in.catchUp(cand)
 }
 
-// catchUp reads the leader's published nextSeq and journal with one-sided
-// reads and fills any delivery gap [lastDelivered+1, nextSeq). It runs when
-// a node adopts a new leader and whenever the poll loop observes a stash
-// gap (entries lost to a permission window or a wiped ring).
+// catchUp reads the leader's published nextSeq and then the journal slots of
+// the delivery gap [lastDelivered+1, nextSeq) with one-sided reads, and fills
+// the gap. It runs when a node adopts a new leader and whenever the poll loop
+// observes a stash gap (entries lost to a permission window or a wiped ring,
+// or sent while the leader had not yet reset this node's ring).
 func (in *Instance) catchUp(from rdma.NodeID) {
 	if in.catching || in.isLeader || from == in.node.ID() || !in.alive() {
 		return
@@ -1018,16 +1018,16 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 			in.lastProgressAt = in.fab.Engine().Now() // verified current
 			return
 		}
-		size := in.cfg.JournalSlots * in.cfg.JournalSlotSize
-		in.node.QP(from).Read(journalRegion(in.group), 0, size, func(jdata []byte, jerr error) {
+		in.readJournal(from, in.lastDelivered+1, next, func(slot func(uint64) []byte, jerr error) {
 			in.catching = false
 			if jerr != nil {
 				return
 			}
+			// Deliveries off the ring may have advanced lastDelivered while the
+			// read was in flight: what is left of the gap lies inside the range
+			// read.
 			for seq := in.lastDelivered + 1; seq < next; seq++ {
-				slot := int(seq) % in.cfg.JournalSlots
-				framed := jdata[slot*in.cfg.JournalSlotSize : (slot+1)*in.cfg.JournalSlotSize]
-				entry, _, derr := codec.DecodeSlot(framed)
+				entry, _, derr := codec.DecodeSlot(slot(seq))
 				if derr != nil {
 					return // hole (journal wrapped or write in flight): stop
 				}
@@ -1094,17 +1094,18 @@ func (in *Instance) maybeLead() {
 	in.recoverFrom(in.oldLeader)
 }
 
-// recoverFrom rebuilds leadership state after winning an election:
+// recoverFrom rebuilds leadership state after winning an election. Two
+// strands run side by side from the moment the election is won:
 //
-//  1. read every peer's published delivery watermark and the old leader's
-//     published nextSeq (one-sided reads; a crashed peer is skipped);
-//  2. read the old leader's journal and collect entries past the global
-//     minimum watermark (the recovery floor);
-//  3. reset every follower's log ring — zero-fill the data area and
-//     reposition this leader's ring writer at the follower's (now
-//     quiescent) head — because the old leader's writer position is
-//     unknown to us;
-//  4. re-disseminate the recovered entries and start serving.
+//   - resetRings establishes this leader's writer on every follower's log
+//     ring, because the old leader's writer position is unknown to us;
+//   - the reads: every peer's published delivery watermark and the old
+//     leader's published nextSeq (one-sided reads; a crashed peer is
+//     skipped), then only the old leader's journal slots past the global
+//     minimum watermark (the recovery floor), up to that nextSeq.
+//
+// Once both have finished, the recovered entries are re-disseminated and the
+// leader starts serving.
 func (in *Instance) recoverFrom(old rdma.NodeID) {
 	if old == in.node.ID() {
 		in.becomeActiveLeader(in.lastDelivered + 1)
@@ -1113,11 +1114,22 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 	floor := in.lastDelivered
 	ceil := in.lastDelivered
 	oldNext := uint64(0)
-	remaining := 0
-	var journal []byte
+	var recovered [][]byte
+	strands := 2
 	done := func() {
-		remaining--
-		if remaining > 0 {
+		if strands--; strands > 0 {
+			return
+		}
+		in.propBase, in.props = in.lastDelivered+1, in.props[:0]
+		for _, entry := range recovered {
+			in.redisseminate(entry)
+		}
+		in.becomeActiveLeader(oldNext)
+	}
+	in.resetRings(done)
+	states := 0
+	stated := func() {
+		if states--; states > 0 {
 			return
 		}
 		// Never assign a sequence number at or below any watermark we can
@@ -1127,38 +1139,27 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		if oldNext < ceil+1 {
 			oldNext = ceil + 1
 		}
-		var recovered [][]byte
-		for seq := floor + 1; seq < oldNext; seq++ {
-			if journal == nil {
-				break
+		in.readJournal(old, floor+1, oldNext, func(slot func(uint64) []byte, err error) {
+			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
+				entry, _, derr := codec.DecodeSlot(slot(seq))
+				if derr != nil {
+					continue
+				}
+				je, derr := decodeLogEntry(entry)
+				if derr != nil || je.seq != seq {
+					continue // slot overwritten (journal wrapped)
+				}
+				recovered = append(recovered, in.keep(entry))
 			}
-			slot := int(seq) % in.cfg.JournalSlots
-			framed := journal[slot*in.cfg.JournalSlotSize : (slot+1)*in.cfg.JournalSlotSize]
-			entry, _, derr := codec.DecodeSlot(framed)
-			if derr != nil {
-				continue
-			}
-			je, derr := decodeLogEntry(entry)
-			if derr != nil || je.seq != seq {
-				continue // slot overwritten (journal wrapped)
-			}
-			recovered = append(recovered, in.keep(entry))
-		}
-		in.resetRings(func() {
-			in.propBase, in.props = in.lastDelivered+1, in.props[:0]
-			for _, entry := range recovered {
-				in.redisseminate(entry)
-			}
-			in.becomeActiveLeader(oldNext)
+			done()
 		})
 	}
-	// Phase 1+2: gather peer states and the old leader's journal.
 	for p := 0; p < in.n; p++ {
 		peer := rdma.NodeID(p)
 		if peer == in.node.ID() {
 			continue
 		}
-		remaining++
+		states++
 		in.node.QP(peer).Read(stateRegion(in.group), 0, 16, func(data []byte, err error) {
 			if err == nil {
 				ld := binary.LittleEndian.Uint64(data[8:])
@@ -1172,24 +1173,57 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 					oldNext = binary.LittleEndian.Uint64(data)
 				}
 			}
-			done()
+			stated()
 		})
 	}
-	remaining++
-	size := in.cfg.JournalSlots * in.cfg.JournalSlotSize
-	in.node.QP(old).Read(journalRegion(in.group), 0, size, func(data []byte, err error) {
-		if err == nil {
-			journal = data
-		}
-		done()
-	})
 }
 
-// resetRings zero-fills every follower's log ring and repositions this
-// node's ring writers at the followers' heads, then runs next. Zero-filling
-// quiesces each reader (nothing left to consume), so the head read after it
-// is stable; the subsequent entry writes travel on the same QP and land in
-// order.
+// readJournal reads the slots of sequence numbers [lo, hi) from node from's
+// journal: one read, or two when the range wraps past the last slot; a range
+// as long as the journal reads all of it. got receives a function that
+// returns seq's slot, for any seq in the range, or the first read's error. An
+// empty range reads nothing and calls got at once.
+func (in *Instance) readJournal(from rdma.NodeID, lo, hi uint64, got func(slot func(seq uint64) []byte, err error)) {
+	slots, size := in.cfg.JournalSlots, in.cfg.JournalSlotSize
+	// parts[0] holds the slots from lo's onwards and parts[1] the slots from
+	// zero that the range wraps onto, so (seq-lo) mod slots indexes their
+	// concatenation.
+	var parts [2][]byte
+	slot := func(seq uint64) []byte {
+		i := int((seq-lo)%uint64(slots)) * size
+		if i >= len(parts[0]) {
+			return parts[1][i-len(parts[0]) : i-len(parts[0])+size]
+		}
+		return parts[0][i : i+size]
+	}
+	if hi <= lo {
+		got(slot, nil)
+		return
+	}
+	n, first := int(min(hi-lo, uint64(slots))), int(lo%uint64(slots))
+	spans := [][2]int{{first, min(first+n, slots)}, {0, first + n - slots}}
+	if first+n <= slots {
+		spans = spans[:1]
+	}
+	reads := len(spans)
+	var failed error
+	for i, sp := range spans {
+		in.node.QP(from).Read(journalRegion(in.group), sp[0]*size, (sp[1]-sp[0])*size, func(data []byte, err error) {
+			parts[i] = data
+			if failed == nil {
+				failed = err
+			}
+			if reads--; reads == 0 {
+				got(slot, failed)
+			}
+		})
+	}
+}
+
+// resetRings establishes this node's writer on every follower's log ring (see
+// resetRing), closing each follower's channel until its ring is reset, and
+// runs next once every follower has had a first outcome. The subsequent entry
+// writes travel on the same QP as the reset and land after it.
 func (in *Instance) resetRings(next func()) {
 	remaining := 0
 	done := func() {
@@ -1211,6 +1245,7 @@ func (in *Instance) resetRings(next func()) {
 		for dropped := oc.Drop(); dropped > 0; dropped-- {
 			in.unacked[peer].PopBack()
 		}
+		in.open[peer] = false
 		in.resetRing(peer, oc, done)
 	}
 	if remaining == 0 {
@@ -1218,12 +1253,16 @@ func (in *Instance) resetRings(next func()) {
 	}
 }
 
-// resetRing zero-fills one follower's log ring and repositions the writer
-// at the follower's head. A suspended follower still holds the old
-// leader's write permission (it has not processed the vote request yet);
-// the reset retries until the permission flips or this node is deposed,
-// with the journal catch-up covering the follower in the interim. done is
-// invoked exactly once, on the first outcome.
+// resetRing probes one follower's log ring with a word of zeros and, once a
+// probe lands, zero-fills the ring, repositions the writer at the follower's
+// head and opens the channel. Zero-filling quiesces the reader (nothing left
+// to consume), so the head read after it is stable. A follower that has not
+// yet switched its permission to this node — the suspended old leader, or any
+// voter that has not processed the vote request — refuses the probe; the probe
+// (8 bytes, not the whole ring) retries every CatchUpAfter until the
+// permission flips or this node leaves the term, with the journal catch-up
+// covering the follower in the interim. done is invoked exactly once, on the
+// first outcome: the ring reset, the first probe refused, or the peer lost.
 func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 	first := true
 	finish := func() {
@@ -1232,37 +1271,47 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 			done()
 		}
 	}
-	var attempt func()
-	attempt = func() {
-		if !in.isLeader && !in.recovering {
+	term := in.term
+	current := func() bool { return in.isLeader && in.term == term }
+	qp, region := in.node.QP(peer), logRegion(in.group)
+	// One zero buffer serves every follower and every attempt: a write copies
+	// its data at post time.
+	if in.zeros == nil {
+		in.zeros = make([]byte, in.cfg.RingCapacity)
+	}
+	var probe func()
+	probe = func() {
+		if !current() {
 			finish() // deposed meanwhile
 			return
 		}
-		// One zero buffer serves every follower and every attempt: the write
-		// copies its data at post time.
-		if in.zeros == nil {
-			in.zeros = make([]byte, in.cfg.RingCapacity)
-		}
-		in.node.QP(peer).Write(logRegion(in.group), ring.HeaderSize, in.zeros, func(err error) {
+		qp.Write(region, ring.HeaderSize, in.zeros[:8], func(err error) {
 			if err == rdma.ErrPermission {
-				// Voter has not switched permissions yet: retry.
-				in.fab.Engine().After(in.cfg.CatchUpAfter, attempt)
+				// Voter has not switched permissions yet: probe again.
+				in.fab.Engine().After(in.cfg.CatchUpAfter, probe)
 				finish()
 				return
 			}
 			if err != nil {
-				finish() // crashed peer: leave its channel alone
+				finish() // crashed peer: its channel stays closed
 				return
 			}
-			in.node.QP(peer).Read(logRegion(in.group), 0, ring.HeaderSize, func(data []byte, rerr error) {
-				if rerr == nil {
-					oc.RestartAt(ring.DecodeHead(data))
+			qp.Write(region, ring.HeaderSize, in.zeros, func(err error) {
+				if err != nil {
+					finish() // the permission moved on to a newer candidate
+					return
 				}
-				finish()
+				qp.Read(region, 0, ring.HeaderSize, func(data []byte, rerr error) {
+					if rerr == nil && current() {
+						oc.RestartAt(ring.DecodeHead(data))
+						in.open[peer] = true
+					}
+					finish()
+				})
 			})
 		})
 	}
-	attempt()
+	probe()
 }
 
 // redisseminate re-journals and re-sends a recovered entry under this

@@ -540,13 +540,14 @@ func TestLogEntryWireRoundTrip(t *testing.T) {
 }
 
 func TestVoteGrantWireRoundTrip(t *testing.T) {
-	v := encodeVote(7, 2)
-	if binaryTerm(v) != 7 {
-		t.Fatal("vote term mismatch")
+	in := newCluster(t, 3, 0).inst[0]
+	v, _, err := codec.DecodeRaw(in.frameVote(7, 2))
+	if err != nil || len(v) != 10 || binaryTerm(v) != 7 {
+		t.Fatalf("vote %x, %v: want 10 bytes with term 7", v, err)
 	}
-	g := encodeGrant(7, 123, 1)
-	if binaryTerm(g) != 7 {
-		t.Fatal("grant term mismatch")
+	g, _, err := codec.DecodeRaw(in.frameGrant(7, 123, 1))
+	if err != nil || len(g) != 18 || binaryTerm(g) != 7 || binaryTerm(g[8:]) != 123 {
+		t.Fatalf("grant %x, %v: want 18 bytes with term 7 and watermark 123", g, err)
 	}
 }
 

@@ -129,6 +129,7 @@ func (m LatencyModel) CRCCost(n int) sim.Duration {
 type Stats struct {
 	Writes, Reads, CASes uint64
 	BytesWritten         uint64
+	BytesRead            uint64 // bytes the reads asked for, counted with Reads
 	Failed               uint64
 
 	Chains       uint64 // PostChain calls with ≥ 2 WRs (doorbells shared)
@@ -208,6 +209,7 @@ func (s *Stats) add(o *Stats) {
 	s.Reads += o.Reads
 	s.CASes += o.CASes
 	s.BytesWritten += o.BytesWritten
+	s.BytesRead += o.BytesRead
 	s.Failed += o.Failed
 	s.Chains += o.Chains
 	s.ChainedWRs += o.ChainedWRs
@@ -459,6 +461,7 @@ func (qp *QP) instrument(reg *metrics.Registry) {
 	reg.CounterFunc(prefix+"reads", func() uint64 { return s.Reads })
 	reg.CounterFunc(prefix+"cases", func() uint64 { return s.CASes })
 	reg.CounterFunc(prefix+"bytes_written", func() uint64 { return s.BytesWritten })
+	reg.CounterFunc(prefix+"bytes_read", func() uint64 { return s.BytesRead })
 	reg.CounterFunc(prefix+"chains", func() uint64 { return s.Chains })
 	reg.CounterFunc(prefix+"chained_wrs", func() uint64 { return s.ChainedWRs })
 	reg.CounterFunc(prefix+"inline_writes", func() uint64 { return s.InlineWrites })
@@ -879,6 +882,7 @@ func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 	qp.post(func() {
 		f := qp.fabric()
 		qp.stats.Reads++
+		qp.stats.BytesRead += uint64(n)
 		if qp.to.crashed {
 			qp.failLocal(func(err error) { onDone(nil, err) })
 			return
