@@ -50,13 +50,16 @@ func (l *ledger) charge(cost sim.Duration) {
 // "function" or, for the rdma verbs, "function<user": the first caller
 // outside rdma, which says whose verb it is — or the coalescer's flush, which
 // runs as a CPU work item of its own and posts the reducible path's writes.
-// Unlisted sites get a row of their own, so the rows always sum to the CPU's
-// busy time.
+// Every verb's completion is reaped by one stage, so reads and writes share
+// the CQE row. Unlisted sites get a row of their own, so the rows always sum
+// to the CPU's busy time.
 var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).post<ring.(*Sender).pump", "post: log/request ring writes"},
 	{"rdma.(*verb).post<rdma.(*Coalescer).flush", "post: summary writes"},
+	{"rdma.(*verb).post<ring.(*Sender)", "head reads"},
+	{"rdma.(*verb).post<heartbeat.", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
-	{"rdma.(*verb).cqe", "CQE: write completions"},
+	{"rdma.(*verb).cqe", "CQE: completions"},
 	{"mu.(*Instance).deliverEntry", "deliver"},
 	{"broadcast.(*Receiver).deliver", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
@@ -66,9 +69,6 @@ var ledgerRows = []struct{ site, row string }{
 	{"broadcast.(*Receiver).poll", "polls"},
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
-	{"rdma.(*QP).post<ring.(*Sender)", "head reads"},
-	{"rdma.(*QP).post<heartbeat.", "heartbeat reads"},
-	{"rdma.(*QP).complete", "CQE: read completions"},
 }
 
 // ledgerRow names the row of the stack pcs. The innermost frame outside sim
@@ -235,7 +235,7 @@ func TestFreeLedger(t *testing.T) {
 		res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
 		calls, msgs, perMsg, msgs*(nodes-1), writes, float64(msgs*(nodes-1))/float64(writes), l.table(res.Completed))
 	perOp := func(row string) float64 { return l.rows[row].Micros() / float64(res.Completed) }
-	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQE: write completions"); perMessage == 0 || perMessage > 0.020 {
+	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQE: completions"); perMessage == 0 || perMessage > 0.020 {
 		t.Errorf("deliver + post + CQE cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
 	}
 	// Per call, so unchanged up to p0's share of the closed loop's calls.

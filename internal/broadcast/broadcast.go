@@ -20,7 +20,6 @@
 package broadcast
 
 import (
-	"bytes"
 	"cmp"
 	"encoding/binary"
 	"errors"
@@ -150,18 +149,26 @@ type Broadcaster struct {
 	peers []*ring.Sender // one out-channel per destination
 	// waiting holds broadcasts blocked on a free backup slot.
 	waiting []*pendingMsg
+	// free holds finished messages' records for reuse, linked through
+	// nextFree: a warm broadcaster allocates none per message.
+	free *pendingMsg
 
 	mSlotWaits *metrics.Counter // broadcasts queued waiting for a backup slot
 }
 
+// pendingMsg is one message from Broadcast to its last remote write's
+// completion; finish puts it on the broadcaster's free list.
 type pendingMsg struct {
-	seq     uint64
-	record  []byte // its own copy of the ring record, kept only while it waits for a backup slot
-	label   string // trace label of the write carrying the record (may be "")
-	onAck   func() // first completion of the remote writes; nil once fired
-	onDone  func()
-	left    int         // outstanding remote writes
-	written func(error) // accounts one of them; bound once per message
+	seq uint64
+	// record is the message's own copy of its ring record while it waits for
+	// a backup slot; the buffer stays with the pendingMsg for its next wait.
+	record   []byte
+	label    string // trace label of the write carrying the record (may be "")
+	onAck    func() // first completion of the remote writes; nil once fired
+	onDone   func()
+	left     int         // outstanding remote writes
+	written  func(error) // accounts one of them; bound once per pendingMsg
+	nextFree *pendingMsg
 }
 
 // NewBroadcaster creates the source side on node. Setup must have run. Its
@@ -227,19 +234,13 @@ func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDo
 	if err != nil {
 		return err
 	}
-	pm := &pendingMsg{seq: b.seq, label: label, onAck: onAck, onDone: onDone, left: len(b.peers)}
-	// A failed write (crashed peer) is accounted as done, like a landed one.
-	pm.written = func(error) {
-		pm.ack()
-		if pm.left--; pm.left == 0 {
-			b.finish(pm)
-		}
-	}
+	pm := b.pending()
+	pm.seq, pm.label, pm.onAck, pm.onDone, pm.left = b.seq, label, onAck, onDone, len(b.peers)
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	if held := b.slots[slot]; held != 0 && held != pm.seq {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
-		pm.record = bytes.Clone(record)
+		pm.record = append(pm.record[:0], record...)
 		b.waiting = append(b.waiting, pm)
 		return nil
 	}
@@ -258,6 +259,25 @@ func (b *Broadcaster) record(seq uint64, payload []byte) ([]byte, error) {
 	}
 	b.rec = rec
 	return rec, nil
+}
+
+// pending takes a pendingMsg off the free list, or makes one with its written
+// func bound.
+func (b *Broadcaster) pending() *pendingMsg {
+	pm := b.free
+	if pm == nil {
+		pm = &pendingMsg{}
+		// A failed write (crashed peer) is accounted as done, like a landed one.
+		pm.written = func(error) {
+			pm.ack()
+			if pm.left--; pm.left == 0 {
+				b.finish(pm)
+			}
+		}
+		return pm
+	}
+	b.free, pm.nextFree = pm.nextFree, nil
+	return pm
 }
 
 // ack fires onAck the first time it is called.
@@ -326,23 +346,25 @@ func (b *Broadcaster) Stage(payload []byte) {
 	b.backUp(seq, record)
 }
 
-// finish clears the backup slot and fires the completion callback, then
-// launches any broadcast waiting for the freed slot.
+// finish clears the backup slot, puts pm back on the free list and fires
+// its completion callback, then launches any broadcast waiting for the freed
+// slot.
 func (b *Broadcaster) finish(pm *pendingMsg) {
 	slot := int(pm.seq) % b.cfg.BackupSlots
 	if b.slots[slot] == pm.seq {
 		b.slots[slot] = 0
 		clear(b.backup.Bytes()[slot*b.cfg.BackupSlot : (slot+1)*b.cfg.BackupSlot])
 	}
-	if pm.onDone != nil {
-		pm.onDone()
+	onDone := pm.onDone
+	pm.label, pm.onAck, pm.onDone = "", nil, nil
+	pm.nextFree, b.free = b.free, pm
+	if onDone != nil {
+		onDone()
 	}
 	for i, w := range b.waiting {
 		if b.slots[int(w.seq)%b.cfg.BackupSlots] == 0 {
 			b.waiting = append(b.waiting[:i], b.waiting[i+1:]...)
-			record := w.record
-			w.record = nil
-			b.launch(w, record)
+			b.launch(w, w.record) // launch copies the record
 			return
 		}
 	}

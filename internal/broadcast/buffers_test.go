@@ -17,14 +17,11 @@ import (
 
 // TestWarmDeliveryAllocs pins one message's host cost: on a warm 4-node
 // fabric, a 64-byte message from BroadcastLabeled to the last of its three
-// handler calls allocates exactly what the source keeps per message in flight
-// —
-//
-//	1  the pendingMsg: its sequence number, callbacks and write count
-//	1  its written closure, the completion every peer's write reports to
-//
-// — and nothing on the way: the record is framed in the broadcaster's scratch
-// buffer, each ring.Sender copies it into a queue buffer it reuses and
+// handler calls allocates nothing. The source keeps the message in flight in
+// a pendingMsg from its free list, whose written func, the completion every
+// peer's write reports to, was bound when it was first made (2 objects a
+// message when each had its own); the record is framed in the broadcaster's
+// scratch buffer, each ring.Sender copies it into a queue buffer it reuses and
 // completes it through its bound callback, and each receiver polls it into its
 // reader's buffer and hands the handler a recycled inbox buffer.
 func TestWarmDeliveryAllocs(t *testing.T) {
@@ -51,8 +48,8 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 	for i := 0; i < warm; i++ {
 		message()
 	}
-	if allocs := testing.AllocsPerRun(runs, message); allocs != 2 {
-		t.Errorf("a warm message allocates %.0f times from BroadcastLabeled to its last handler call, want 2", allocs)
+	if allocs := testing.AllocsPerRun(runs, message); allocs != 0 {
+		t.Errorf("a warm message allocates %.0f times from BroadcastLabeled to its last handler call, want 0", allocs)
 	}
 	if want := 3 * (warm + runs + 1); handled != want {
 		t.Fatalf("%d handler calls, want %d", handled, want)
@@ -105,5 +102,67 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 				t.Fatalf("node %d's message %d is seq %d %q, want seq %d %q", node, i, d.seq, d.msg, i+1, want[i])
 			}
 		}
+	}
+}
+
+// TestRecycledPendingMsgKeepsEachMessage drives the pendingMsg free list
+// through its reuse paths: with four backup slots, 24 messages of different
+// lengths are broadcast at once, so 20 wait for a slot with a copy of their
+// record while finished messages go back to the free list, and each of the
+// first eight onDones broadcasts a follow-up, which takes a record finished a
+// moment before. Every receiver must handle each message exactly once and
+// exactly as broadcast, every onDone must fire once, and every record must
+// come back.
+func TestRecycledPendingMsgKeepsEachMessage(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BackupSlots = 4
+	eng, _, bcs, got, _ := setup(3, cfg)
+	const first, follow = 24, 8
+	var want []string
+	done := make([]int, first+follow)
+	var send func(i int)
+	send = func(i int) {
+		want = append(want, fmt.Sprintf("m%02d-%s", i, strings.Repeat("x", i%7)))
+		payload := want[len(want)-1]
+		if err := bcs[0].Broadcast([]byte(payload), func() {
+			done[i]++
+			if i < follow {
+				send(first + i)
+			}
+		}); err != nil {
+			t.Error(err)
+		}
+	}
+	eng.At(0, func() {
+		for i := 0; i < first; i++ {
+			send(i)
+		}
+	})
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	for i, n := range done {
+		if n != 1 {
+			t.Errorf("message %d's onDone fired %d times", i, n)
+		}
+	}
+	for node := 1; node < 3; node++ {
+		if len(got[node]) != len(want) {
+			t.Fatalf("node %d handled %d of %d messages", node, len(got[node]), len(want))
+		}
+		seen := make([]bool, len(want))
+		for _, d := range got[node] {
+			// Sequence numbers follow the Broadcast calls; a follow-up can
+			// launch ahead of messages still waiting for their slots.
+			if i := int(d.seq) - 1; i < 0 || i >= len(want) || seen[i] || d.msg != want[i] {
+				t.Fatalf("node %d handled seq %d as %q: not once, or not as broadcast", node, d.seq, d.msg)
+			}
+			seen[int(d.seq)-1] = true
+		}
+	}
+	free := 0
+	for pm := bcs[0].free; pm != nil; pm = pm.nextFree {
+		free++
+	}
+	if free != first {
+		t.Errorf("%d pendingMsgs on the free list, want the %d the burst needed at once", free, first)
 	}
 }

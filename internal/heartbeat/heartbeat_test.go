@@ -180,3 +180,36 @@ func TestNodeSuspendStopsBeating(t *testing.T) {
 		t.Fatal("suspended node never suspected")
 	}
 }
+
+// TestCheckRoundAllocatesNothing pins the failure detector's host cost: a
+// warm check round over three peers — a READ of each peer's counter and the
+// three completions — allocates nothing. Each read rides a recycled rdma
+// record and completes through the detector's callback for that peer, bound
+// once; the callback only decodes the borrowed counter.
+func TestCheckRoundAllocatesNothing(t *testing.T) {
+	eng, fab := setup(4)
+	for i := 1; i < 4; i++ {
+		NewBeater(eng, fab.Node(rdma.NodeID(i)), 0)
+	}
+	d := NewDetector(fab, fab.Node(0), DefaultConfig())
+	d.Stop() // the measured rounds are the only ones
+	round := func() {
+		d.check()
+		eng.RunFor(5 * sim.Microsecond) // the reads' round trips and polls
+	}
+	for i := 0; i < 4; i++ {
+		round()
+	}
+	reads := fab.Stats().Reads
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a warm check round over three peers allocates %.2f objects, want 0", allocs)
+	}
+	if got := fab.Stats().Reads - reads; got != 3*101 {
+		t.Fatalf("%d check reads in 101 rounds, want three a round", got)
+	}
+	for p := 1; p < 4; p++ {
+		if d.inflight[p] || d.lastSeen[p] == 0 {
+			t.Fatalf("peer %d: in flight %v, last seen %d: its reads did not complete", p, d.inflight[p], d.lastSeen[p])
+		}
+	}
+}

@@ -1181,8 +1181,9 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 // readJournal reads the slots of sequence numbers [lo, hi) from node from's
 // journal: one read, or two when the range wraps past the last slot; a range
 // as long as the journal reads all of it. got receives a function that
-// returns seq's slot, for any seq in the range, or the first read's error. An
-// empty range reads nothing and calls got at once.
+// returns seq's slot, for any seq in the range, or the first read's error;
+// the slots are valid until got returns. An empty range reads nothing and
+// calls got at once.
 func (in *Instance) readJournal(from rdma.NodeID, lo, hi uint64, got func(slot func(seq uint64) []byte, err error)) {
 	slots, size := in.cfg.JournalSlots, in.cfg.JournalSlotSize
 	// parts[0] holds the slots from lo's onwards and parts[1] the slots from
@@ -1209,12 +1210,20 @@ func (in *Instance) readJournal(from rdma.NodeID, lo, hi uint64, got func(slot f
 	var failed error
 	for i, sp := range spans {
 		in.node.QP(from).Read(journalRegion(in.group), sp[0]*size, (sp[1]-sp[0])*size, func(data []byte, err error) {
-			parts[i] = data
 			if failed == nil {
 				failed = err
 			}
-			if reads--; reads == 0 {
-				got(slot, failed)
+			if reads--; reads > 0 {
+				// The read lends data only until this callback returns, and
+				// got runs when the other span lands: keep a copy meanwhile,
+				// in a buffer from the free list.
+				parts[i] = in.keep(data)
+				return
+			}
+			parts[i] = data
+			got(slot, failed)
+			if len(spans) > 1 {
+				in.release(parts[1-i])
 			}
 		})
 	}

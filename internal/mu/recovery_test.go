@@ -165,8 +165,14 @@ func (c *cluster) journalEntries(node int, lo, hi uint64, stop bool) []journalEn
 // 14, 15, 0, 1, 2 — and punches a hole at seq 17 in its journal.
 func wrappedJournal(t *testing.T, cut func(c *cluster)) (*cluster, *metrics.Registry) {
 	t.Helper()
+	return wrappedJournalSlots(t, DefaultConfig().JournalSlotSize, cut)
+}
+
+// wrappedJournalSlots is wrappedJournal with journal slots of slotSize bytes.
+func wrappedJournalSlots(t *testing.T, slotSize int, cut func(c *cluster)) (*cluster, *metrics.Registry) {
+	t.Helper()
 	cfg := DefaultConfig()
-	cfg.JournalSlots = 16
+	cfg.JournalSlots, cfg.JournalSlotSize = 16, slotSize
 	reg := metrics.New(nil)
 	c := newClusterCfg(t, 3, 0, cfg, reg)
 	for i := 0; i < 13; i++ {
@@ -261,5 +267,57 @@ func TestCatchUpReadsOnlyTheGap(t *testing.T) {
 	cfg := c.inst[0].cfg
 	if limit := uint64(5*cfg.JournalSlotSize + 16); read == 0 || read > limit {
 		t.Fatalf("the follower read %d bytes from the leader, want 1..%d: the slots of seqs 14..18 and the state words", read, limit)
+	}
+}
+
+// TestWrappedJournalReadKeepsTheFirstSpan: a journal read that wraps is two
+// READs, and readJournal needs the first one's bytes until the second lands,
+// although a READ lends them only until its callback returns. With 8 KiB
+// slots the second span (slots 0..2) takes 4.9 µs of wire, longer than an
+// 8 B read's round trip, so the heartbeat-sized reads node 1 posts every
+// 250 ns meanwhile complete between the spans and take the first span's
+// record, and its buffer, off the free list. The slots must still decode to
+// what a whole-journal read finds.
+func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
+	c, _ := wrappedJournalSlots(t, 8<<10, func(*cluster) {})
+	want := c.journalEntries(0, 14, 19, false)
+	if len(want) != 4 {
+		t.Fatalf("the leader's journal holds %d of seqs 14..18 besides the hole, want 4", len(want))
+	}
+	var got []journalEntry
+	done := false
+	var beat func()
+	beat = func() {
+		if done {
+			return
+		}
+		c.fab.Node(1).QP(2).Read(stateRegion("g"), 8, 8, func([]byte, error) {})
+		c.eng.After(250*sim.Nanosecond, beat)
+	}
+	c.eng.At(c.eng.Now(), func() {
+		c.inst[1].readJournal(0, 14, 19, func(slot func(uint64) []byte, err error) {
+			if err != nil {
+				t.Fatalf("journal read failed: %v", err)
+			}
+			for seq := uint64(14); seq < 19; seq++ {
+				entry, _, derr := codec.DecodeSlot(slot(seq))
+				var e logEntry
+				if derr == nil {
+					e, derr = decodeLogEntry(entry)
+				}
+				if derr == nil && e.seq == seq {
+					got = append(got, journalEntry{e.seq, e.origin, e.submitSeq, string(e.payload)})
+				}
+			}
+			done = true
+		})
+		beat()
+	})
+	c.run(20 * sim.Microsecond)
+	if !done {
+		t.Fatal("the journal read did not complete")
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("the wrapped read found %v, want what the whole journal holds: %v", got, want)
 	}
 }

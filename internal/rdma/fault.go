@@ -32,7 +32,7 @@ type linkState struct {
 	jitter      sim.Duration // per-verb uniform extra in [0, jitter]
 	tear        sim.Duration // torn writes: interior bytes land this much later
 	tearJitter  sim.Duration // per-write uniform extra tear in [0, tearJitter]
-	parked      []func()     // wire-side verb stages awaiting heal, posting order
+	parked      []*verb      // verbs awaiting heal, posting order
 }
 
 // clear reports whether the link carries no fault state and can be dropped
@@ -177,13 +177,13 @@ func (f *Fabric) HealAll() {
 
 // release schedules a link's parked verbs to fire now, as separate engine
 // events so they interleave with other same-instant work in insertion order.
-// Each parked entry re-checks the gate, so a link re-partitioned in the same
+// Each parked verb re-checks the gate, so a link re-partitioned in the same
 // instant re-parks them instead of leaking traffic through.
 func (f *Fabric) release(ls *linkState) {
-	fires := ls.parked
+	parked := ls.parked
 	ls.parked = nil
-	for _, fire := range fires {
-		f.eng.At(f.eng.Now(), fire)
+	for _, v := range parked {
+		f.eng.At(f.eng.Now(), v.gateFn)
 	}
 }
 
@@ -194,23 +194,25 @@ func (f *Fabric) drop(from, to NodeID, ls *linkState) {
 	}
 }
 
-// gate runs the wire-side stage of a verb, parking it if the link to the
-// target is partitioned. Parked stages re-enter the gate on heal, so they
+// gate passes a verb to the wire, parking the record itself if the link to
+// the target is partitioned. Parked verbs re-enter the gate on heal, so they
 // retransmit in posting order (RC retry semantics). A poster that crashed
-// while its verb was parked never reaches the wire.
-func (qp *QP) gate(fn func()) {
-	f := qp.fabric()
-	if ls := f.link(qp.from.id, qp.to.id); ls != nil && ls.partitioned {
-		qp.stats.Parked++
-		ls.parked = append(ls.parked, func() {
-			if qp.from.crashed {
-				return
-			}
-			qp.gate(fn)
-		})
+// while its verb was parked never reaches the wire: the record goes back to
+// the free list.
+func (v *verb) gate() {
+	qp := v.qp
+	if v.parked && qp.from.crashed {
+		v.release()
 		return
 	}
-	fn()
+	if ls := qp.fabric().link(qp.from.id, qp.to.id); ls != nil && ls.partitioned {
+		qp.stats.Parked++
+		v.parked = true
+		ls.parked = append(ls.parked, v)
+		return
+	}
+	v.parked = false
+	v.wire()
 }
 
 // linkDelay returns the injected extra latency for one verb on this QP's

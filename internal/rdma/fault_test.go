@@ -92,7 +92,7 @@ func TestPartitionParksReads(t *testing.T) {
 			if err != nil {
 				t.Errorf("read: %v", err)
 			}
-			got = data
+			got = append([]byte(nil), data...) // borrowed until the callback returns
 		})
 	})
 	eng.At(sim.Time(10*sim.Microsecond), func() {

@@ -20,8 +20,10 @@
 package rdma
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hamband/internal/metrics"
 	"hamband/internal/sim"
@@ -158,9 +160,9 @@ type Fabric struct {
 	// path pays only a nil map lookup.
 	links map[linkKey]*linkState
 
-	// freeVerbs recycles write/chain records (see verb). A plain list, not a
-	// sync.Pool: the engine is single-threaded and reuse must not depend on
-	// the collector. It starts empty and grows to the peak number of
+	// freeVerbs recycles verb records of every kind (see verb). A plain list,
+	// not a sync.Pool: the engine is single-threaded and reuse must not depend
+	// on the collector. It starts empty and grows to the peak number of
 	// doorbells in flight.
 	freeVerbs *verb
 }
@@ -477,17 +479,6 @@ func (qp *QP) From() NodeID { return qp.from.id }
 // To returns the target node's ID.
 func (qp *QP) To() NodeID { return qp.to.id }
 
-// post charges the post cost to the sender CPU and then runs fire, the
-// wire-side work of a READ or CAS, through the link-fault gate: a
-// partitioned link parks the verb at the NIC until heal (see fault.go). If
-// the sender has crashed nothing happens. Writes post through verb.post.
-func (qp *QP) post(fire func()) {
-	if qp.from.crashed {
-		return
-	}
-	qp.from.CPU.Exec(qp.fabric().lat.PostCost, func() { qp.gate(fire) })
-}
-
 func (qp *QP) fabric() *Fabric { return qp.from.fabric }
 
 // landAt computes the (in-order) delivery time for a payload of n bytes
@@ -512,27 +503,12 @@ func (qp *QP) landAt(n int, inline bool) sim.Time {
 	return t
 }
 
-// complete schedules cb(err) on the posting node's CPU after the ack
-// travels back. cb may be nil (an unsignaled verb). RC queue pairs deliver
-// completions in posting order, so the CQE time is clamped to the QP's
-// completion horizon: a verb whose response is slow (e.g. a CAS waiting on
-// the remote atomic unit) delays later verbs' completions — but not, per
-// landAt, their wire delivery.
-func (qp *QP) complete(landed sim.Time, cb func(error), err error) {
-	if cb == nil {
-		return
-	}
-	f := qp.fabric()
-	f.eng.At(qp.cqeAt(landed), func() {
-		if qp.from.crashed {
-			return
-		}
-		qp.from.CPU.Exec(f.lat.PollCost, func() { cb(err) })
-	})
-}
-
-// cqeAt computes the (in-order) completion time of a verb whose response
-// left the target at landed, and advances the QP's completion horizon.
+// cqeAt computes the completion time of a verb whose response left the
+// target at landed, and advances the QP's completion horizon. RC queue pairs
+// deliver completions in posting order, so the time is clamped to that
+// horizon: a verb whose response is slow (a CAS waiting on the remote atomic
+// unit) delays later verbs' completions — but not, per landAt, their wire
+// delivery.
 func (qp *QP) cqeAt(landed sim.Time) sim.Time {
 	t := landed + sim.Time(qp.fabric().lat.AckLatency)
 	if t <= qp.lastCQE {
@@ -540,22 +516,6 @@ func (qp *QP) cqeAt(landed sim.Time) sim.Time {
 	}
 	qp.lastCQE = t
 	return t
-}
-
-// failLocal reports a local posting failure (crashed target) through cb
-// after the fabric's failure timeout.
-func (qp *QP) failLocal(cb func(error)) {
-	f := qp.fabric()
-	qp.stats.Failed++
-	if cb == nil {
-		return
-	}
-	f.eng.After(f.lat.FailTimeout, func() {
-		if qp.from.crashed {
-			return
-		}
-		qp.from.CPU.Exec(f.lat.PollCost, func() { cb(ErrCrashed) })
-	})
 }
 
 // Write posts a one-sided RDMA write of data into (region, off) at the
@@ -566,9 +526,10 @@ func (qp *QP) Write(region string, off int, data []byte, onDone func(error)) {
 	if qp.from.crashed {
 		return
 	}
-	v := qp.fabric().acquireVerb(qp)
+	v := qp.fabric().acquireVerb(qp, opWrite)
 	v.add(region, off, data, "")
-	v.post(onDone)
+	v.onDone = onDone
+	v.post()
 }
 
 // traceVerb records one stage-boundary event for a labeled verb; a no-op
@@ -674,55 +635,83 @@ func (qp *QP) PostChain(wrs []WR, onDone func(error)) {
 	if len(wrs) == 0 || qp.from.crashed {
 		return
 	}
-	v := qp.fabric().acquireVerb(qp)
+	v := qp.fabric().acquireVerb(qp, opWrite)
+	n := 0
+	for _, wr := range wrs {
+		n += len(wr.Data)
+	}
+	// Room for the whole chain at once: a record grows its buffers once, not
+	// once per doubling.
+	v.wrs, v.data = slices.Grow(v.wrs, len(wrs)), slices.Grow(v.data, n)
 	for _, wr := range wrs {
 		v.add(wr.Region, wr.Off, wr.Data, wr.Label)
 	}
-	v.post(onDone)
+	v.onDone = onDone
+	v.post()
 }
 
-// verb is the in-flight state of one WRITE doorbell — a single write or a
-// PostChain — from post to completion. One record travels through every
-// stage (sender CPU → link gate → wire → one landing per WR → CQE → poll)
-// and each stage is a func bound to the record once, when it is first
-// allocated, so posting a verb on a warm fabric allocates nothing: no
-// closure per stage, no fresh payload buffer per WR. Records are recycled through
-// Fabric.freeVerbs when their last stage has run; one that never gets there
-// (its poster crashed while it sat parked or queued) is left to the
-// collector.
+// verbOp is the kind of one-sided verb a record carries.
+type verbOp uint8
+
+const (
+	opWrite verbOp = iota // one WRITE, or a PostChain of them
+	opRead
+	opCAS
+)
+
+// verb is the in-flight state of one doorbell — a WRITE, a PostChain, a READ
+// or a CAS — from post to completion. One record travels through every stage
+// (sender CPU → link gate → wire → landing → CQE → poll) and each stage is a
+// func bound to the record once, when it is first allocated, so posting a
+// verb on a warm fabric allocates nothing: no closure per stage, no fresh
+// payload or response buffer, not even to park at a partitioned link.
+// Records of every kind are recycled through Fabric.freeVerbs when their last
+// stage has run; one that never gets there (its poster crashed while it sat
+// queued on its CPU) is left to the collector.
 type verb struct {
-	qp     *QP
-	wrs    []verbWR
-	data   []byte // the WRs' payloads, copied at post time, back to back
-	onDone func(error)
-	landed int   // WRs landed so far; landings fire in posting order
-	err    error // first WR failure: later WRs flush, the CQE reports it
+	qp *QP
+	// wrs holds a WRITE's requests, one per WR of a chain, and a READ's or a
+	// CAS's one target (lo is 0, hi the bytes it reads or swaps).
+	wrs []verbWR
+	// data holds a WRITE's payloads, copied at post time, back to back; a
+	// CAS's compare and swap operands, and then the value it found; a READ's
+	// response, copied at landing and lent to onRead.
+	data   []byte
+	onDone func(error)                  // WRITE
+	onRead func(data []byte, err error) // READ
+	onCAS  func(old uint64, err error)  // CAS
+	landed int32                        // WRs landed so far; landings fire in posting order
+	op     verbOp
+	parked bool  // waiting at a partitioned link, or released from it by a heal
+	err    error // first failure: later WRs flush, the CQE reports it
 
-	gateFn, wireFn, landFn, cqeFn, pollFn func()
-	nextFree                              *verb
+	gateFn, landFn, cqeFn, pollFn func()
+	nextFree                      *verb
 }
 
-// verbWR is one write request of a verb.
+// verbWR is one request of a verb.
 type verbWR struct {
-	region   string
-	off      int
-	lo, hi   int // payload is data[lo:hi]
-	inline   bool
-	label    string
-	interior sim.Time // when the last byte lands (later than the boundary on a torn link)
+	region string
+	off    int
+	lo, hi int // payload is data[lo:hi]
+	inline bool
+	label  string
+	// interior is when a write's last byte lands (later than the boundary on a
+	// torn link), or when a READ's or CAS's response leaves the target.
+	interior sim.Time
 }
 
 func (w *verbWR) size() int { return w.hi - w.lo }
 
-func (f *Fabric) acquireVerb(qp *QP) *verb {
+func (f *Fabric) acquireVerb(qp *QP, op verbOp) *verb {
 	v := f.freeVerbs
 	if v == nil {
 		v = &verb{}
-		v.gateFn, v.wireFn, v.landFn, v.cqeFn, v.pollFn = v.gate, v.wire, v.landNext, v.cqe, v.poll
+		v.gateFn, v.landFn, v.cqeFn, v.pollFn = v.gate, v.land, v.cqe, v.poll
 	} else {
 		f.freeVerbs, v.nextFree = v.nextFree, nil
 	}
-	v.qp = qp
+	v.qp, v.op = qp, op
 	return v
 }
 
@@ -731,11 +720,12 @@ func (f *Fabric) acquireVerb(qp *QP) *verb {
 func (v *verb) release() {
 	f := v.qp.fabric()
 	clear(v.wrs)
-	v.qp, v.wrs, v.data, v.onDone, v.landed, v.err = nil, v.wrs[:0], v.data[:0], nil, 0, nil
+	v.qp, v.wrs, v.data, v.landed, v.parked, v.err = nil, v.wrs[:0], v.data[:0], 0, false, nil
+	v.onDone, v.onRead, v.onCAS = nil, nil, nil
 	v.nextFree, f.freeVerbs = f.freeVerbs, v
 }
 
-// name is the verb's name in traces.
+// name is a WRITE's name in traces (READ and CAS carry no label).
 func (v *verb) name() string {
 	if len(v.wrs) > 1 {
 		return "chain"
@@ -754,7 +744,7 @@ func (v *verb) add(region string, off int, data []byte, label string) {
 // post rings the doorbell: the sender CPU pays PostCost for the first WR,
 // ChainedPostCost for each further one and InlineCost per inline payload,
 // then the verb reaches the link gate.
-func (v *verb) post(onDone func(error)) {
+func (v *verb) post() {
 	lat := v.qp.fabric().lat
 	cost := lat.PostCost + sim.Duration(len(v.wrs)-1)*lat.ChainedPostCost
 	for i := range v.wrs {
@@ -762,16 +752,24 @@ func (v *verb) post(onDone func(error)) {
 			cost += lat.InlineCost
 		}
 	}
-	v.onDone = onDone
 	v.qp.from.CPU.Exec(cost, v.gateFn)
 }
 
-// gate passes the verb to the wire, or parks it on a partitioned link.
-func (v *verb) gate() { v.qp.gate(v.wireFn) }
-
-// wire is the NIC-side stage: count the WRs, then schedule each one's
-// landing in posting order.
+// wire is the NIC-side stage, run once the link gate lets the verb through.
 func (v *verb) wire() {
+	switch v.op {
+	case opRead:
+		v.wireRead()
+	case opCAS:
+		v.wireCAS()
+	default:
+		v.wireWrite()
+	}
+}
+
+// wireWrite counts a WRITE's WRs, then schedules each one's landing in
+// posting order.
+func (v *verb) wireWrite() {
 	qp := v.qp
 	f := qp.fabric()
 	st := &qp.stats
@@ -802,8 +800,7 @@ func (v *verb) wire() {
 			v.release()
 			return
 		}
-		v.err = ErrCrashed
-		f.eng.After(f.lat.FailTimeout, v.cqeFn)
+		v.failLater()
 		return
 	}
 	posted := f.eng.Now()
@@ -818,7 +815,74 @@ func (v *verb) wire() {
 	}
 }
 
-// landNext delivers the next WR into remote memory. landAt hands out
+// wireRead sends a READ's request; the response streams back behind it.
+func (v *verb) wireRead() {
+	qp := v.qp
+	f := qp.fabric()
+	w := &v.wrs[0]
+	qp.stats.Reads++
+	qp.stats.BytesRead += uint64(w.size())
+	if qp.to.crashed {
+		qp.stats.Failed++
+		v.failLater()
+		return
+	}
+	posted := f.eng.Now()
+	landed := qp.landAt(0, false) // request is small; payload returns with the ack
+	// The response payload streams back at wire bandwidth over the same QP,
+	// so it occupies the in-order wire horizon: back-to-back large reads
+	// complete no faster than the wire can carry their payloads.
+	w.interior = landed + sim.Time(f.lat.transfer(w.size()))
+	if w.interior > qp.lastLand {
+		qp.lastLand = w.interior
+	}
+	qp.readLat.Observe(sim.Duration(w.interior-posted) + f.lat.AckLatency)
+	f.eng.At(landed, v.landFn)
+}
+
+// wireCAS sends a CAS's 8-byte operand. It occupies the wire like any verb;
+// the remote NIC's atomic unit then takes CASExtra to execute and produce
+// the response. That extra time delays this verb's completion (and, via the
+// CQE horizon, later completions), but not the wire delivery of subsequent
+// verbs: CASExtra is remote-NIC latency, not wire occupancy.
+func (v *verb) wireCAS() {
+	qp := v.qp
+	f := qp.fabric()
+	w := &v.wrs[0]
+	qp.stats.CASes++
+	if qp.to.crashed {
+		qp.stats.Failed++
+		v.failLater()
+		return
+	}
+	posted := f.eng.Now()
+	landed := qp.landAt(w.size(), false)
+	w.interior = landed + sim.Time(f.lat.CASExtra)
+	qp.casLat.Observe(sim.Duration(w.interior-posted) + f.lat.AckLatency)
+	f.eng.At(landed, v.landFn)
+}
+
+// failLater reports a target already crashed at the doorbell: the sender
+// learns of it after the fabric's failure timeout.
+func (v *verb) failLater() {
+	f := v.qp.fabric()
+	v.err = ErrCrashed
+	f.eng.After(f.lat.FailTimeout, v.cqeFn)
+}
+
+// land is the verb reaching the target's memory.
+func (v *verb) land() {
+	switch v.op {
+	case opRead:
+		v.landRead()
+	case opCAS:
+		v.landCAS()
+	default:
+		v.landNext()
+	}
+}
+
+// landNext delivers a WRITE's next WR into remote memory. landAt hands out
 // strictly increasing times on a QP, so the landings of one verb fire in
 // posting order and a cursor identifies the WR.
 func (v *verb) landNext() {
@@ -846,12 +910,56 @@ func (v *verb) landNext() {
 		}
 	}
 	switch {
-	case v.landed < len(v.wrs): // only the tail WR is signaled
+	case int(v.landed) < len(v.wrs): // only the tail WR is signaled
 	case v.onDone == nil:
 		v.release()
 	default:
 		f.eng.At(qp.cqeAt(w.interior), v.cqeFn)
 	}
+}
+
+// landRead copies a READ's response out of remote memory into the record.
+func (v *verb) landRead() {
+	qp := v.qp
+	f := qp.fabric()
+	w := &v.wrs[0]
+	respond := w.interior
+	if qp.to.crashed {
+		// The request found the target's NIC dead: no response to wait for.
+		v.err, respond = ErrCrashed, f.eng.Now()
+	} else {
+		r := qp.to.regions[w.region]
+		if v.err = checkAccess(r, qp.from.id, w.off, w.size(), false); v.err == nil {
+			v.data = append(v.data[:0], r.buf[w.off:w.off+w.size()]...)
+		}
+	}
+	if v.err != nil {
+		qp.stats.Failed++
+	}
+	f.eng.At(qp.cqeAt(respond), v.cqeFn)
+}
+
+// landCAS executes a CAS at the target's atomic unit.
+func (v *verb) landCAS() {
+	qp := v.qp
+	f := qp.fabric()
+	w := &v.wrs[0]
+	if qp.to.crashed {
+		v.err = ErrCrashed
+	} else {
+		r := qp.to.regions[w.region]
+		if v.err = checkAccess(r, qp.from.id, w.off, w.size(), true); v.err == nil {
+			old := readU64(r.buf[w.off:])
+			if old == readU64(v.data) {
+				putU64(r.buf[w.off:], readU64(v.data[8:]))
+			}
+			putU64(v.data, old)
+		}
+	}
+	if v.err != nil {
+		qp.stats.Failed++
+	}
+	f.eng.At(qp.cqeAt(w.interior), v.cqeFn)
 }
 
 // cqe is the completion arriving at the sender's NIC; reaping it costs the
@@ -864,56 +972,52 @@ func (v *verb) cqe() {
 	v.qp.from.CPU.Exec(v.qp.fabric().lat.PollCost, v.pollFn)
 }
 
-// poll hands the completion to the caller. The tail CQE is the moment the
-// sender learns the whole chain landed, so it is attributed to every
-// labeled WR.
+// poll hands the completion to the caller. A READ's callback borrows the
+// response, so its record returns to the free list only once the callback
+// has returned; a WRITE's and a CAS's return first, so a callback that posts
+// again reuses its own record.
 func (v *verb) poll() {
-	for i := range v.wrs {
-		v.qp.traceVerb(trace.CQE, v.wrs[i].label, v.name(), "completion of", v.wrs[i].size())
+	switch v.op {
+	case opRead:
+		var data []byte
+		if v.err == nil {
+			data = v.data
+		}
+		v.onRead(data, v.err)
+		v.release()
+	case opCAS:
+		var old uint64
+		if v.err == nil {
+			old = readU64(v.data)
+		}
+		cb, err := v.onCAS, v.err
+		v.release()
+		cb(old, err)
+	default:
+		// The tail CQE is the moment the sender learns the whole chain
+		// landed, so it is attributed to every labeled WR.
+		for i := range v.wrs {
+			v.qp.traceVerb(trace.CQE, v.wrs[i].label, v.name(), "completion of", v.wrs[i].size())
+		}
+		cb, err := v.onDone, v.err
+		v.release()
+		cb(err)
 	}
-	cb, err := v.onDone, v.err
-	v.release()
-	cb(err)
 }
 
 // Read posts a one-sided RDMA read of n bytes from (region, off) at the
-// target. onDone receives a copy of the remote bytes.
-func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
-	qp.post(func() {
-		f := qp.fabric()
-		qp.stats.Reads++
-		qp.stats.BytesRead += uint64(n)
-		if qp.to.crashed {
-			qp.failLocal(func(err error) { onDone(nil, err) })
-			return
-		}
-		posted := f.eng.Now()
-		landed := qp.landAt(0, false) // request is small; payload returns with the ack
-		// The response payload streams back at wire bandwidth over the same
-		// QP, so it occupies the in-order wire horizon: back-to-back large
-		// reads complete no faster than the wire can carry their payloads.
-		back := landed + sim.Time(f.lat.transfer(n))
-		if back > qp.lastLand {
-			qp.lastLand = back
-		}
-		qp.readLat.Observe(sim.Duration(back-posted) + f.lat.AckLatency)
-		f.eng.At(landed, func() {
-			if qp.to.crashed {
-				qp.stats.Failed++
-				qp.complete(landed, func(err error) { onDone(nil, err) }, ErrCrashed)
-				return
-			}
-			r := qp.to.regions[region]
-			err := checkAccess(r, qp.from.id, off, n, false)
-			var data []byte
-			if err == nil {
-				data = append([]byte(nil), r.buf[off:off+n]...)
-			} else {
-				qp.stats.Failed++
-			}
-			qp.complete(back, func(e error) { onDone(data, e) }, err)
-		})
-	})
+// target. onDone receives the remote bytes on the posting node's CPU, copied
+// when the read reached the target's memory. It borrows them: they are valid
+// until onDone returns and are then overwritten by a later verb, so a caller
+// that keeps the bytes copies them.
+func (qp *QP) Read(region string, off, n int, onDone func(data []byte, err error)) {
+	if qp.from.crashed {
+		return
+	}
+	v := qp.fabric().acquireVerb(qp, opRead)
+	v.wrs = append(v.wrs, verbWR{region: region, off: off, hi: n})
+	v.onRead = onDone
+	v.post()
 }
 
 // CAS posts a one-sided 8-byte compare-and-swap on (region, off). onDone
@@ -921,43 +1025,14 @@ func (qp *QP) Read(region string, off, n int, onDone func([]byte, error)) {
 // Hamband's protocols avoid CAS by design (single-writer buffers); it is
 // provided for completeness and for tests demonstrating its extra cost.
 func (qp *QP) CAS(region string, off int, expect, swap uint64, onDone func(old uint64, err error)) {
-	qp.post(func() {
-		f := qp.fabric()
-		qp.stats.CASes++
-		if qp.to.crashed {
-			qp.failLocal(func(err error) { onDone(0, err) })
-			return
-		}
-		posted := f.eng.Now()
-		// The 8-byte operand occupies the wire like any verb; the remote
-		// NIC's atomic unit then takes CASExtra to execute and produce the
-		// response. That extra time delays this verb's completion (and, via
-		// the CQE horizon, later completions), but not the wire delivery of
-		// subsequent verbs: CASExtra is remote-NIC latency, not wire
-		// occupancy.
-		landed := qp.landAt(8, false)
-		responded := landed + sim.Time(f.lat.CASExtra)
-		qp.casLat.Observe(sim.Duration(responded-posted) + f.lat.AckLatency)
-		f.eng.At(landed, func() {
-			if qp.to.crashed {
-				qp.stats.Failed++
-				qp.complete(responded, func(err error) { onDone(0, err) }, ErrCrashed)
-				return
-			}
-			r := qp.to.regions[region]
-			err := checkAccess(r, qp.from.id, off, 8, true)
-			var old uint64
-			if err == nil {
-				old = readU64(r.buf[off:])
-				if old == expect {
-					putU64(r.buf[off:], swap)
-				}
-			} else {
-				qp.stats.Failed++
-			}
-			qp.complete(responded, func(e error) { onDone(old, e) }, err)
-		})
-	})
+	if qp.from.crashed {
+		return
+	}
+	v := qp.fabric().acquireVerb(qp, opCAS)
+	v.wrs = append(v.wrs, verbWR{region: region, off: off, hi: 8})
+	v.data = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(v.data, expect), swap)
+	v.onCAS = onDone
+	v.post()
 }
 
 func checkAccess(r *Region, from NodeID, off, n int, write bool) error {

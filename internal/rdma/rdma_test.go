@@ -94,7 +94,7 @@ func TestReadReturnsRemoteBytes(t *testing.T) {
 			if err != nil {
 				t.Errorf("read error: %v", err)
 			}
-			got = data
+			got = append([]byte(nil), data...) // borrowed until the callback returns
 		})
 	})
 	eng.Run()
@@ -217,7 +217,7 @@ func TestSuspendedTargetStillServesOneSided(t *testing.T) {
 		f.Node(0).QP(1).Write("buf", 0, []byte{7}, func(e error) { werr = e })
 	})
 	eng.At(50_000, func() {
-		f.Node(0).QP(1).Read("buf", 0, 1, func(d []byte, _ error) { data = d })
+		f.Node(0).QP(1).Read("buf", 0, 1, func(d []byte, _ error) { data = append([]byte(nil), d...) })
 	})
 	eng.Run()
 	if werr != nil {
