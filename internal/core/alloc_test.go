@@ -504,3 +504,66 @@ func TestConfCallAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestViewRebuildAllocatesNothing pins the rebuild an adopted anchor forces:
+// on a warm one-node courseware replica holding 256 courses, 300 students
+// (its own registerStudent summary) and 300 enrollments, marking both views
+// dirty and then reading each — a hasCourse query for the live view, the
+// leader's check of an enroll for the speculative one — allocates nothing.
+// Each rebuild copies σ into the image's own maps and re-applies the
+// students' union there. A rebuild that clones σ instead allocates the
+// clone's three sets and grows them to size: 48 objects a cycle here, 52 at
+// twice the students and enrollments.
+func TestViewRebuildAllocatesNothing(t *testing.T) {
+	const courses, students, links = 256, 300, 300
+	h := newHarness(t, schema.NewCourseware(), 1, 5, func(o *Options) { o.CheckIntegrity = false })
+	r := h.cluster.Replica(0)
+	h.eng.At(0, func() {
+		for k := int64(0); k < courses; k++ {
+			h.invoke(0, schema.RefAddLeft, spec.ArgsI(k))
+		}
+		for s := int64(0); s < students; s += 3 {
+			h.invoke(0, schema.RefAddRight, spec.ArgsI(s, s+1, s+2))
+		}
+		for i := int64(0); i < links; i++ {
+			h.invoke(0, schema.RefLink, spec.ArgsI(i%courses, (7*i)%students))
+		}
+	})
+	if !h.drain(50 * sim.Millisecond) {
+		t.Fatal("state was not built")
+	}
+	st := r.CurrentState().(*schema.RefState)
+	if len(st.Left) != courses || len(st.Right) != students || len(st.Links) != links {
+		t.Fatalf("state holds %d courses, %d students, %d links; want %d, %d, %d",
+			len(st.Left), len(st.Right), len(st.Links), courses, students, links)
+	}
+	enroll := spec.Call{Method: schema.RefLink, Args: spec.ArgsI(5, 7)}
+	answered := 0
+	onDone := func(v any, err error) {
+		if err != nil || v != any(true) {
+			t.Errorf("hasCourse(5) = %v, %v; want true", v, err)
+		}
+		answered++
+	}
+	args := spec.ArgsI(5)
+	now := h.eng.Now()
+	cycle := func() {
+		r.dirtyViews()
+		r.Invoke(schema.RefHasLeft, args, onDone)
+		now += sim.Time(10 * sim.Microsecond)
+		h.eng.RunUntil(now)
+		if !r.specPermissible(enroll) {
+			t.Error("the speculative view refused a permissible enroll")
+		}
+	}
+	cycle() // warm: each image reaches its size
+	if r.spec == nil || r.live.dirty || r.spec.dirty {
+		t.Fatal("the cycle did not rebuild both views")
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("a dirty-view rebuild and its read allocate %.2f objects, want 0", allocs)
+	}
+	if answered != 102 {
+		t.Fatalf("%d of 102 queries answered", answered)
+	}
+}

@@ -200,7 +200,7 @@ type view struct {
 	r     *Replica
 	base  spec.State // the stored state: no summarized call applied
 	mat   spec.State // Apply(S)(base); nil until first read, and always without summarization groups
-	dirty bool       // a slot was replaced wholesale: mat is rebuilt on the next read
+	dirty bool       // a slot was replaced wholesale: mat is rebuilt, into its own storage, on the next read
 }
 
 // maintained reports whether v has an image to keep up to date. A view that
@@ -216,20 +216,26 @@ func (v *view) apply(c spec.Call) {
 }
 
 // state returns Apply(S)(base), rebuilding it from the slots only when it
-// was never built or a slot was replaced since. For classes without
-// summarization groups it is the stored state itself.
+// was never built or a slot was replaced since. A rebuild copies base into
+// the image's own maps (spec.State.CopyFrom), so once the image has grown to
+// size an anchor adoption costs a copy and the slots' summaries, not a fresh
+// state. For classes without summarization groups it is the stored state
+// itself.
 func (v *view) state() spec.State {
 	if !v.r.haveSums {
 		return v.base
 	}
 	if !v.maintained() {
-		st := v.base.Clone()
+		if v.mat == nil {
+			v.mat = v.r.cls.NewState()
+		}
+		v.mat.CopyFrom(v.base)
 		for _, row := range v.r.sums {
 			for _, slot := range row {
-				v.r.cls.ApplyCall(st, slot.call)
+				v.r.cls.ApplyCall(v.mat, slot.call)
 			}
 		}
-		v.mat, v.dirty = st, false
+		v.dirty = false
 	}
 	return v.mat
 }

@@ -123,9 +123,12 @@ func runViews(t *testing.T, cls *spec.Class, seed int64, faults, dropDirty bool)
 	return run
 }
 
-// viewClasses are the classes of the view-equivalence test: scalar and
-// set-valued summaries, with and without conflicting methods (and so with
-// and without a leader's speculative view).
+// viewClasses are the classes of the view-equivalence test: every bundled
+// class with a summarization group — scalar, register, map and set-valued
+// summaries, one and two groups, with and without conflicting methods (and so
+// with and without a leader's speculative view). Each rebuild goes through
+// the class state's CopyFrom, so this holds every CopyFrom the runtime calls
+// to the from-scratch rebuild.
 var viewClasses = []struct {
 	cls   func() *spec.Class
 	conf  bool // has a synchronization group
@@ -136,6 +139,13 @@ var viewClasses = []struct {
 	{crdt.NewAccount, true, []int64{5, 6}},
 	{crdt.NewBankMap, true, []int64{7, 8}},
 	{schema.NewCourseware, true, []int64{9, 10}},
+	{crdt.NewLWW, false, []int64{11, 12}},
+	{crdt.NewLWWMap, false, []int64{13, 14}},
+	{crdt.NewPNCounter, false, []int64{15, 16}},
+	{crdt.NewTwoPSet, false, []int64{17, 18}},
+	{schema.NewAuction, true, []int64{19, 20}},
+	{schema.NewProjectManagement, true, []int64{21, 22}},
+	{schema.NewTournament, true, []int64{23, 24}},
 }
 
 // TestViewsEqualRebuild is the view-equivalence property: however own

@@ -8,6 +8,9 @@ type AccountState struct{ Balance int64 }
 // Clone implements spec.State.
 func (s *AccountState) Clone() spec.State { c := *s; return &c }
 
+// CopyFrom implements spec.State.
+func (s *AccountState) CopyFrom(src spec.State) { *s = *src.(*AccountState) }
+
 // Equal implements spec.State.
 func (s *AccountState) Equal(o spec.State) bool {
 	t, ok := o.(*AccountState)

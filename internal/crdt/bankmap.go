@@ -12,12 +12,13 @@ type BankMapState struct {
 }
 
 // Clone implements spec.State.
-func (s *BankMapState) Clone() spec.State {
-	c := &BankMapState{Open: s.Open.Clone(), Balances: make(map[int64]int64, len(s.Balances))}
-	for a, b := range s.Balances {
-		c.Balances[a] = b
-	}
-	return c
+func (s *BankMapState) Clone() spec.State { c := &BankMapState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *BankMapState) CopyFrom(src spec.State) {
+	t := src.(*BankMapState)
+	s.Open = spec.CopyMap(s.Open, t.Open)
+	s.Balances = spec.CopyMap(s.Balances, t.Balances)
 }
 
 // Equal implements spec.State.

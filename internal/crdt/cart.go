@@ -12,16 +12,13 @@ type CartState struct {
 }
 
 // Clone implements spec.State.
-func (s *CartState) Clone() spec.State {
-	c := &CartState{Items: make(map[int64]map[int64]int64, len(s.Items)), Tombs: s.Tombs.Clone()}
-	for item, tags := range s.Items {
-		m := make(map[int64]int64, len(tags))
-		for t, q := range tags {
-			m[t] = q
-		}
-		c.Items[item] = m
-	}
-	return c
+func (s *CartState) Clone() spec.State { c := &CartState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *CartState) CopyFrom(src spec.State) {
+	t := src.(*CartState)
+	s.Items = spec.CopyMapWith(s.Items, t.Items, spec.CopyMap[map[int64]int64])
+	s.Tombs = spec.CopyMap(s.Tombs, t.Tombs)
 }
 
 // Equal implements spec.State.

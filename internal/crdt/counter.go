@@ -8,6 +8,9 @@ type CounterState struct{ V int64 }
 // Clone implements spec.State.
 func (s *CounterState) Clone() spec.State { c := *s; return &c }
 
+// CopyFrom implements spec.State.
+func (s *CounterState) CopyFrom(src spec.State) { *s = *src.(*CounterState) }
+
 // Equal implements spec.State.
 func (s *CounterState) Equal(o spec.State) bool {
 	t, ok := o.(*CounterState)

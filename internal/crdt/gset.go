@@ -6,7 +6,10 @@ import "hamband/internal/spec"
 type GSetState struct{ Elems i64Set }
 
 // Clone implements spec.State.
-func (s *GSetState) Clone() spec.State { return &GSetState{Elems: s.Elems.Clone()} }
+func (s *GSetState) Clone() spec.State { c := &GSetState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *GSetState) CopyFrom(src spec.State) { s.Elems = spec.CopyMap(s.Elems, src.(*GSetState).Elems) }
 
 // Equal implements spec.State.
 func (s *GSetState) Equal(o spec.State) bool {

@@ -18,6 +18,9 @@ type LWWState struct {
 // Clone implements spec.State.
 func (s *LWWState) Clone() spec.State { c := *s; return &c }
 
+// CopyFrom implements spec.State.
+func (s *LWWState) CopyFrom(src spec.State) { *s = *src.(*LWWState) }
+
 // Equal implements spec.State.
 func (s *LWWState) Equal(o spec.State) bool {
 	t, ok := o.(*LWWState)

@@ -26,12 +26,11 @@ type LWWMapState struct {
 }
 
 // Clone implements spec.State.
-func (s *LWWMapState) Clone() spec.State {
-	c := &LWWMapState{Cells: make(map[string]lwwCell, len(s.Cells))}
-	for k, v := range s.Cells {
-		c.Cells[k] = v
-	}
-	return c
+func (s *LWWMapState) Clone() spec.State { c := &LWWMapState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *LWWMapState) CopyFrom(src spec.State) {
+	s.Cells = spec.CopyMap(s.Cells, src.(*LWWMapState).Cells)
 }
 
 // Equal implements spec.State.

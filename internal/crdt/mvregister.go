@@ -46,12 +46,13 @@ type MVRegisterState struct {
 }
 
 // Clone implements spec.State.
-func (s *MVRegisterState) Clone() spec.State {
-	c := &MVRegisterState{Entries: make(map[string]mvEntry, len(s.Entries))}
-	for k, e := range s.Entries {
-		c.Entries[k] = mvEntry{V: e.V, VV: append([]uint32(nil), e.VV...)}
-	}
-	return c
+func (s *MVRegisterState) Clone() spec.State { c := &MVRegisterState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *MVRegisterState) CopyFrom(src spec.State) {
+	s.Entries = spec.CopyMapWith(s.Entries, src.(*MVRegisterState).Entries, func(into, from mvEntry) mvEntry {
+		return mvEntry{V: from.V, VV: append(into.VV[:0], from.VV...)}
+	})
 }
 
 // Equal implements spec.State.

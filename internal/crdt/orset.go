@@ -13,12 +13,13 @@ type ORSetState struct {
 }
 
 // Clone implements spec.State.
-func (s *ORSetState) Clone() spec.State {
-	c := &ORSetState{Entries: make(map[int64]i64Set, len(s.Entries)), Tombs: s.Tombs.Clone()}
-	for e, tags := range s.Entries {
-		c.Entries[e] = tags.Clone()
-	}
-	return c
+func (s *ORSetState) Clone() spec.State { c := &ORSetState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *ORSetState) CopyFrom(src spec.State) {
+	t := src.(*ORSetState)
+	s.Entries = spec.CopyMapWith(s.Entries, t.Entries, spec.CopyMap[i64Set])
+	s.Tombs = spec.CopyMap(s.Tombs, t.Tombs)
 }
 
 // Equal implements spec.State.

@@ -12,6 +12,9 @@ type PNCounterState struct {
 // Clone implements spec.State.
 func (s *PNCounterState) Clone() spec.State { c := *s; return &c }
 
+// CopyFrom implements spec.State.
+func (s *PNCounterState) CopyFrom(src spec.State) { *s = *src.(*PNCounterState) }
+
 // Equal implements spec.State.
 func (s *PNCounterState) Equal(o spec.State) bool {
 	t, ok := o.(*PNCounterState)

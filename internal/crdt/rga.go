@@ -33,25 +33,26 @@ type RGAState struct {
 }
 
 // Clone implements spec.State.
-func (s *RGAState) Clone() spec.State {
-	c := &RGAState{
-		Nodes:   make(map[int64]*rgaNode, len(s.Nodes)),
-		Root:    append([]int64(nil), s.Root...),
-		Parked:  make(map[int64][]int64, len(s.Parked)),
-		Content: make(map[int64]rgaNode, len(s.Content)),
-	}
-	for id, n := range s.Nodes {
-		cp := *n
-		cp.Children = append([]int64(nil), n.Children...)
-		c.Nodes[id] = &cp
-	}
-	for a, kids := range s.Parked {
-		c.Parked[a] = append([]int64(nil), kids...)
-	}
-	for id, n := range s.Content {
-		c.Content[id] = n
-	}
-	return c
+func (s *RGAState) Clone() spec.State { c := &RGAState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State. A parked node never has children (it is
+// not in Nodes, where children attach), so Content copies by value.
+func (s *RGAState) CopyFrom(src spec.State) {
+	t := src.(*RGAState)
+	s.Nodes = spec.CopyMapWith(s.Nodes, t.Nodes, func(into, from *rgaNode) *rgaNode {
+		if into == nil {
+			into = new(rgaNode)
+		}
+		kids := into.Children
+		*into = *from
+		into.Children = append(kids[:0], from.Children...)
+		return into
+	})
+	s.Root = append(s.Root[:0], t.Root...)
+	s.Parked = spec.CopyMapWith(s.Parked, t.Parked, func(into, from []int64) []int64 {
+		return append(into[:0], from...)
+	})
+	s.Content = spec.CopyMap(s.Content, t.Content)
 }
 
 // Equal implements spec.State.

@@ -12,8 +12,13 @@ type TwoPSetState struct {
 }
 
 // Clone implements spec.State.
-func (s *TwoPSetState) Clone() spec.State {
-	return &TwoPSetState{Added: s.Added.Clone(), Tombs: s.Tombs.Clone()}
+func (s *TwoPSetState) Clone() spec.State { c := &TwoPSetState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *TwoPSetState) CopyFrom(src spec.State) {
+	t := src.(*TwoPSetState)
+	s.Added = spec.CopyMap(s.Added, t.Added)
+	s.Tombs = spec.CopyMap(s.Tombs, t.Tombs)
 }
 
 // Equal implements spec.State.

@@ -13,17 +13,14 @@ type AuctionState struct {
 }
 
 // Clone implements spec.State.
-func (s *AuctionState) Clone() spec.State {
-	c := &AuctionState{
-		Bidders: s.Bidders.Clone(),
-		Bids:    make(map[int64]int64, len(s.Bids)),
-		Closed:  s.Closed,
-		Winner:  s.Winner,
-	}
-	for b, a := range s.Bids {
-		c.Bids[b] = a
-	}
-	return c
+func (s *AuctionState) Clone() spec.State { c := &AuctionState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *AuctionState) CopyFrom(src spec.State) {
+	t := src.(*AuctionState)
+	s.Bidders = spec.CopyMap(s.Bidders, t.Bidders)
+	s.Bids = spec.CopyMap(s.Bids, t.Bids)
+	s.Closed, s.Winner = t.Closed, t.Winner
 }
 
 // Equal implements spec.State.

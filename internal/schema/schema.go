@@ -54,8 +54,14 @@ type RefState struct {
 }
 
 // Clone implements spec.State.
-func (s *RefState) Clone() spec.State {
-	return &RefState{Left: s.Left.Clone(), Right: s.Right.Clone(), Links: s.Links.Clone()}
+func (s *RefState) Clone() spec.State { c := &RefState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *RefState) CopyFrom(src spec.State) {
+	t := src.(*RefState)
+	s.Left = spec.CopyMap(s.Left, t.Left)
+	s.Right = spec.CopyMap(s.Right, t.Right)
+	s.Links = spec.CopyMap(s.Links, t.Links)
 }
 
 // Equal implements spec.State.
@@ -281,8 +287,13 @@ type MovieState struct {
 }
 
 // Clone implements spec.State.
-func (s *MovieState) Clone() spec.State {
-	return &MovieState{Customers: s.Customers.Clone(), Movies: s.Movies.Clone()}
+func (s *MovieState) Clone() spec.State { c := &MovieState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *MovieState) CopyFrom(src spec.State) {
+	t := src.(*MovieState)
+	s.Customers = spec.CopyMap(s.Customers, t.Customers)
+	s.Movies = spec.CopyMap(s.Movies, t.Movies)
 }
 
 // Equal implements spec.State.

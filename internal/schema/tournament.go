@@ -12,16 +12,14 @@ type TournamentState struct {
 }
 
 // Clone implements spec.State.
-func (s *TournamentState) Clone() spec.State {
-	c := &TournamentState{
-		Players:     s.Players.Clone(),
-		Capacities:  make(map[int64]int64, len(s.Capacities)),
-		Enrollments: s.Enrollments.Clone(),
-	}
-	for t, cap := range s.Capacities {
-		c.Capacities[t] = cap
-	}
-	return c
+func (s *TournamentState) Clone() spec.State { c := &TournamentState{}; c.CopyFrom(s); return c }
+
+// CopyFrom implements spec.State.
+func (s *TournamentState) CopyFrom(src spec.State) {
+	t := src.(*TournamentState)
+	s.Players = spec.CopyMap(s.Players, t.Players)
+	s.Capacities = spec.CopyMap(s.Capacities, t.Capacities)
+	s.Enrollments = spec.CopyMap(s.Enrollments, t.Enrollments)
 }
 
 // Equal implements spec.State.

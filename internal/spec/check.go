@@ -1,6 +1,9 @@
 package spec
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // CheckRelations validates a class's declared coordination relations
 // against their semantic definitions (§3.2) by randomized testing. It is
@@ -22,6 +25,8 @@ import "fmt"
 //   - Apply and Eval borrow their arguments: scribbling over a call's Args
 //     after it ran leaves the state as it was, for a call of every method
 //   - Summarize(c1,c2)(σ) = c2(c1(σ)) and Identity is a no-op
+//   - CopyFrom(σ) into a used state Equals σ and shares no storage with it,
+//     and neither does σ.Clone() (checked first: every other check clones)
 //   - generated states and the initial state satisfy the invariant
 //
 // It returns the first counterexample found, or nil.
@@ -61,6 +66,9 @@ func CheckRelations(cls *Class, r Rand, iters int) error {
 	}
 
 	for it := 0; it < iters; it++ {
+		if err := checkCopy(cls, r, updates, it); err != nil {
+			return err
+		}
 		sigma := cls.Gen.State(r)
 		if !cls.Invariant(sigma) {
 			return fmt.Errorf("%s: generated state violates invariant (iter %d)", cls.Name, it)
@@ -223,6 +231,100 @@ func checkBorrow(cls *Class, sigma State, c Call, it int) error {
 			cls.Name, m.Name, it)
 	}
 	return nil
+}
+
+// checkCopy holds CopyFrom, and Clone, to their contract before the other
+// checks lean on Clone: a scratch state filled from another generated state,
+// after CopyFrom(σ), Equals σ and shares no map, slice or pointer target with
+// it, nor does σ.Clone(); and a random update applied to the copy leaves σ
+// equal to its snapshot and brings the copy where it brings the snapshot.
+func checkCopy(cls *Class, r Rand, updates []MethodID, it int) error {
+	sigma := cls.Gen.State(r)
+	cp := cls.Gen.State(r)
+	cp.CopyFrom(sigma)
+	if !cp.Equal(sigma) {
+		return fmt.Errorf("%s: CopyFrom(σ) does not Equal σ (iter %d)", cls.Name, it)
+	}
+	if sharesStorage(cp, sigma) {
+		return fmt.Errorf("%s: CopyFrom shares storage with its source (iter %d)", cls.Name, it)
+	}
+	snap := sigma.Clone()
+	if sharesStorage(snap, sigma) {
+		return fmt.Errorf("%s: Clone shares storage with its source (iter %d)", cls.Name, it)
+	}
+	c := cls.Gen.Call(r, updates[r.Intn(len(updates))])
+	cls.ApplyCall(cp, c)
+	if !sigma.Equal(snap) {
+		return fmt.Errorf("%s: %s on a CopyFrom copy changed its source (iter %d)", cls.Name, c.Format(cls), it)
+	}
+	cls.ApplyCall(snap, c)
+	if !cp.Equal(snap) {
+		return fmt.Errorf("%s: %s on a CopyFrom copy differs from %s on a Clone (iter %d)",
+			cls.Name, c.Format(cls), c.Format(cls), it)
+	}
+	return nil
+}
+
+// sharesStorage reports whether a and b reach a common map, slice array or
+// pointer target. Strings are immutable and may be shared.
+func sharesStorage(a, b State) bool {
+	var sa, sb []span
+	spans(reflect.ValueOf(a), &sa)
+	spans(reflect.ValueOf(b), &sb)
+	for _, x := range sa {
+		for _, y := range sb {
+			if x.lo < y.hi && y.lo < x.hi {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// span is a half-open address range of storage a state owns.
+type span struct{ lo, hi uintptr }
+
+// spans appends the storage reachable from v: each map (as its header), each
+// slice's backing array and each pointer's target, recursively.
+func spans(v reflect.Value, out *[]span) {
+	add := func(p, size uintptr) { *out = append(*out, span{p, p + max(size, 1)}) }
+	switch v.Kind() {
+	case reflect.Map:
+		if v.IsNil() {
+			return
+		}
+		add(v.Pointer(), 1)
+		for it := v.MapRange(); it.Next(); {
+			spans(it.Key(), out)
+			spans(it.Value(), out)
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			return
+		}
+		add(v.Pointer(), v.Type().Elem().Size())
+		spans(v.Elem(), out)
+	case reflect.Slice:
+		if v.Cap() == 0 {
+			return
+		}
+		add(v.Pointer(), uintptr(v.Cap())*v.Type().Elem().Size())
+		for i := 0; i < v.Len(); i++ {
+			spans(v.Index(i), out)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			spans(v.Index(i), out)
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			spans(v.Field(i), out)
+		}
+	case reflect.Interface:
+		if !v.IsNil() {
+			spans(v.Elem(), out)
+		}
+	}
 }
 
 func inGroup(g SumGroup, u MethodID) bool {

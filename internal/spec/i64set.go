@@ -9,15 +9,6 @@ import (
 // two-phase and observed-remove sets and of the relational schemas.
 type I64Set map[int64]bool
 
-// Clone returns a copy of the set.
-func (s I64Set) Clone() I64Set {
-	c := make(I64Set, len(s))
-	for k := range s {
-		c[k] = true
-	}
-	return c
-}
-
 // Equal reports whether both sets hold the same elements.
 func (s I64Set) Equal(o I64Set) bool {
 	if len(s) != len(o) {

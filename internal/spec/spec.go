@@ -115,9 +115,49 @@ type State interface {
 	// Clone returns a deep copy; the operational semantics replicate and
 	// fork states freely.
 	Clone() State
+	// CopyFrom makes the receiver a deep copy of src, another state of the
+	// same type, reusing the receiver's own maps and slices: a state rebuilt
+	// over and over (the runtime's Apply(S)(σ) after a slot is replaced)
+	// stops allocating once it has grown to size. The receiver and src
+	// share nothing afterwards.
+	CopyFrom(src State)
 	// Equal reports semantic state equality; used by the convergence
 	// checkers.
 	Equal(State) bool
+}
+
+// CopyMap makes dst hold exactly src's entries and returns it, reusing dst's
+// storage; a nil dst is made with src's size. It is CopyFrom's step for a map
+// of plain values.
+func CopyMap[M ~map[K]V, K comparable, V any](dst, src M) M {
+	if dst == nil {
+		dst = make(M, len(src))
+	} else {
+		clear(dst)
+	}
+	for k, v := range src {
+		dst[k] = v
+	}
+	return dst
+}
+
+// CopyMapWith is CopyMap for values that own storage of their own (a nested
+// map, a slice): cp copies each of src's values into the value dst already
+// holds under its key (the zero value for a new key) and returns the result,
+// so the nested storage of the keys both maps hold is reused too.
+func CopyMapWith[M ~map[K]V, K comparable, V any](dst, src M, cp func(into, from V) V) M {
+	if dst == nil {
+		dst = make(M, len(src))
+	}
+	for k := range dst {
+		if _, ok := src[k]; !ok {
+			delete(dst, k)
+		}
+	}
+	for k, v := range src {
+		dst[k] = cp(dst[k], v)
+	}
+	return dst
 }
 
 // Method is one method definition. Update methods have Apply (the function

@@ -353,6 +353,8 @@ type keeper struct{ last []int64 }
 
 func (k *keeper) Clone() spec.State { return &keeper{last: slices.Clone(k.last)} }
 
+func (k *keeper) CopyFrom(src spec.State) { k.last = append(k.last[:0], src.(*keeper).last...) }
+
 func (k *keeper) Equal(o spec.State) bool { return slices.Equal(k.last, o.(*keeper).last) }
 
 // keeperClass is a one-method register over keeper whose declarations are
@@ -401,6 +403,67 @@ func TestCheckRelationsCatchesKeptArguments(t *testing.T) {
 	err := spec.CheckRelations(keeperClass(true), rand.New(rand.NewSource(5)), 200)
 	if err == nil || !strings.Contains(err.Error(), "set keeps its arguments") {
 		t.Fatalf("checker error %v does not name the set that keeps its argument", err)
+	}
+	t.Logf("caught: %v", err)
+}
+
+// aliasRef is courseware's RefState with a CopyFrom that, unless deep is
+// set, assigns the source's maps instead of copying them. Clone goes through
+// CopyFrom, as every bundled state's does.
+type aliasRef struct {
+	schema.RefState
+	deep bool
+}
+
+func (s *aliasRef) Clone() spec.State { c := &aliasRef{deep: s.deep}; c.CopyFrom(s); return c }
+
+func (s *aliasRef) CopyFrom(src spec.State) {
+	t := src.(*aliasRef)
+	if s.deep {
+		s.RefState.CopyFrom(&t.RefState)
+		return
+	}
+	s.Left, s.Right, s.Links = t.Left, t.Right, t.Links
+}
+
+func (s *aliasRef) Equal(o spec.State) bool { return s.RefState.Equal(&o.(*aliasRef).RefState) }
+
+// aliasCourseware is courseware over aliasRef: every function of the class
+// that takes a state unwraps it.
+func aliasCourseware(deep bool) *spec.Class {
+	cls := schema.NewCourseware()
+	ref := func(s spec.State) spec.State { return &s.(*aliasRef).RefState }
+	wrap := func(s spec.State) spec.State { return &aliasRef{RefState: *s.(*schema.RefState), deep: deep} }
+	for i := range cls.Methods {
+		m := &cls.Methods[i]
+		if apply := m.Apply; apply != nil {
+			m.Apply = func(s spec.State, a spec.Args) { apply(ref(s), a) }
+		}
+		if eval := m.Eval; eval != nil {
+			m.Eval = func(s spec.State, a spec.Args) any { return eval(ref(s), a) }
+		}
+		if guard := m.Guard; guard != nil {
+			m.Guard = func(s spec.State, a spec.Args) bool { return guard(ref(s), a) }
+		}
+	}
+	newState, invariant, gen := cls.NewState, cls.Invariant, cls.Gen.State
+	cls.NewState = func() spec.State { return wrap(newState()) }
+	cls.Invariant = func(s spec.State) bool { return invariant(ref(s)) }
+	cls.Gen.State = func(r spec.Rand) spec.State { return wrap(gen(r)) }
+	return cls
+}
+
+// TestCheckRelationsCatchesSharedCopy is the mutation control of the copy
+// law: a RefState whose CopyFrom assigns σ's maps must be caught by the copy
+// check, before any check that clones reads a state it shares; the same
+// wrapper copying deeply must pass.
+func TestCheckRelationsCatchesSharedCopy(t *testing.T) {
+	if err := spec.CheckRelations(aliasCourseware(true), rand.New(rand.NewSource(5)), 200); err != nil {
+		t.Fatalf("a deep CopyFrom fails the checker: %v", err)
+	}
+	err := spec.CheckRelations(aliasCourseware(false), rand.New(rand.NewSource(5)), 200)
+	if err == nil || !strings.Contains(err.Error(), "CopyFrom shares storage") {
+		t.Fatalf("checker error %v does not name the CopyFrom that shares its source's maps", err)
 	}
 	t.Logf("caught: %v", err)
 }

@@ -2,7 +2,9 @@
 // the working tree in alternating pairs and prints, per end-to-end metric,
 // what choosing-metrics §8 asks of a performance claim: each side's median and
 // quartiles, how many pairs the change won, whether the medians differ by more
-// than the reference's own spread, and whether the virtual-clock values are
+// than the reference's own spread, whether the change's median is worse than
+// the reference's by more than the metric's bound in BENCHMARK.json (the rule
+// a regression is rejected on), and whether the virtual-clock values are
 // byte-identical on both sides.
 //
 //	make bench-pairs REF=HEAD~1 WORKLOAD=reduce-gset-write PAIRS=10 SEED=77
@@ -27,9 +29,10 @@ import (
 )
 
 type metricSpec struct {
-	Name   string `json:"name"`
-	Unit   string `json:"unit"`
-	Better string `json:"better"`
+	Name   string  `json:"name"`
+	Unit   string  `json:"unit"`
+	Better string  `json:"better"`
+	Bound  float64 `json:"bound"` // the worsening of the median a change may show, as a fraction of the ref's
 }
 
 // result is the part of a `run.sh --out` file this tool reads.
@@ -137,7 +140,7 @@ func run(ref, workload string, pairs, seed int) error {
 		if len(r) != pairs || len(c) != pairs {
 			continue // not an end-to-end metric of this benchmark version
 		}
-		v := judge(spec.Better, r, c, len(texts[spec.Name]))
+		v := judge(spec, r, c, len(texts[spec.Name]))
 		fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", spec.Name, spec.Unit, show(v.ref), show(v.change),
 			fmt.Sprintf("%d/%d", v.wins, pairs), v.reading)
 	}
@@ -156,22 +159,29 @@ type verdict struct {
 // metric produced over both sides (0 for a host metric): a virtual metric is
 // read only for byte-identity. A host metric reads as a gain when the change
 // won at least nine tenths of the pairs and its median is better than the
-// ref's by more than the ref's interquartile range.
-func judge(direction string, ref, change []float64, texts int) verdict {
+// ref's by more than the ref's interquartile range, and as a regression when
+// its median is worse than the ref's by more than m.Bound of it.
+func judge(m metricSpec, ref, change []float64, texts int) verdict {
 	v := verdict{ref: quartiles(ref), change: quartiles(change)}
 	for i := range ref {
-		if better(direction, change[i], ref[i]) {
+		if better(m.Better, change[i], ref[i]) {
 			v.wins++
 		}
 	}
 	r, c := v.ref, v.change
+	limit := r[1] * (1 + m.Bound) // the worst median the bound allows
+	if m.Better == "higher" {
+		limit = r[1] * (1 - m.Bound)
+	}
 	switch {
 	case texts == 1:
 		v.reading = "virtual: byte-identical on both sides"
 	case texts > 1:
 		v.reading = fmt.Sprintf("virtual: NOT byte-identical (%d distinct values)", texts)
-	case 10*v.wins >= 9*len(ref) && better(direction, c[1], r[1]) && math.Abs(c[1]-r[1]) > r[2]-r[0]:
+	case 10*v.wins >= 9*len(ref) && better(m.Better, c[1], r[1]) && math.Abs(c[1]-r[1]) > r[2]-r[0]:
 		v.reading = fmt.Sprintf("gain: %.3g× the ref median, beyond the ref's spread", c[1]/r[1])
+	case better(m.Better, limit, c[1]):
+		v.reading = fmt.Sprintf("regression: %.3g× the ref median, past the %g bound", c[1]/r[1], m.Bound)
 	default:
 		v.reading = fmt.Sprintf("no claim: %.3g× the ref median", c[1]/r[1])
 	}

@@ -7,8 +7,9 @@ import (
 
 // TestJudgeClaimRule pins the rule every host-time claim rests on: at least
 // nine tenths of the pairs won, a tie counting for neither side, and a median
-// better than the ref's by more than the ref's interquartile range; a virtual
-// metric is read for byte-identity only.
+// better than the ref's by more than the ref's interquartile range; and the
+// rule a regression is rejected on: a median worse than the ref's by more
+// than the metric's bound. A virtual metric is read for byte-identity only.
 func TestJudgeClaimRule(t *testing.T) {
 	// ref's quartiles are 12.25 / 14.5 / 16.75: an interquartile range of 4.5.
 	ref := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
@@ -27,26 +28,31 @@ func TestJudgeClaimRule(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		direction string
+		bound     float64
 		change    []float64
 		texts     int
 		wins      int
 		reading   string
 	}{
-		{"every pair won, far beyond the spread", "lower", shift(-9), 0, 10, "gain: "},
-		{"nine of ten won", "lower", with(shift(-9), 3, 99), 0, 9, "gain: "},
-		{"nine won and a tie", "lower", with(shift(-9), 3, ref[3]), 0, 9, "gain: "},
-		{"eight won and two ties", "lower", with(with(shift(-9), 3, ref[3]), 4, ref[4]), 0, 8, "no claim: "},
-		{"eight of ten won", "lower", with(with(shift(-9), 3, 99), 4, 99), 0, 8, "no claim: "},
-		{"every pair won, inside the spread", "lower", shift(-1), 0, 10, "no claim: "},
-		{"median gap equal to the spread", "lower", shift(-4.5), 0, 10, "no claim: "},
-		{"median gap just past the spread", "lower", shift(-4.6), 0, 10, "gain: "},
-		{"higher is better", "higher", shift(9), 0, 10, "gain: "},
-		{"the wrong direction", "lower", shift(9), 0, 0, "no claim: "},
-		{"virtual, identical", "lower", ref, 1, 0, "virtual: byte-identical"},
-		{"virtual, moved", "lower", shift(-9), 2, 10, "virtual: NOT byte-identical (2 distinct values)"},
+		{"every pair won, far beyond the spread", "lower", 0.05, shift(-9), 0, 10, "gain: "},
+		{"nine of ten won", "lower", 0.05, with(shift(-9), 3, 99), 0, 9, "gain: "},
+		{"nine won and a tie", "lower", 0.05, with(shift(-9), 3, ref[3]), 0, 9, "gain: "},
+		{"eight won and two ties", "lower", 0.05, with(with(shift(-9), 3, ref[3]), 4, ref[4]), 0, 8, "no claim: "},
+		{"eight of ten won", "lower", 0.05, with(with(shift(-9), 3, 99), 4, 99), 0, 8, "no claim: "},
+		{"every pair won, inside the spread", "lower", 0.05, shift(-1), 0, 10, "no claim: "},
+		{"median gap equal to the spread", "lower", 0.05, shift(-4.5), 0, 10, "no claim: "},
+		{"median gap just past the spread", "lower", 0.05, shift(-4.6), 0, 10, "gain: "},
+		{"higher is better", "higher", 0.05, shift(9), 0, 10, "gain: "},
+		{"the wrong direction", "lower", 0.05, shift(9), 0, 0, "regression: "},
+		{"worse past the bound", "lower", 0.05, shift(1), 0, 0, "regression: "},
+		{"worse within the bound", "lower", 0.05, shift(0.5), 0, 0, "no claim: "},
+		{"lower past the bound, higher is better", "higher", 0.05, shift(-1), 0, 0, "regression: "},
+		{"a wider bound forgives it", "lower", 0.1, shift(1), 0, 0, "no claim: "},
+		{"virtual, identical", "lower", 0.05, ref, 1, 0, "virtual: byte-identical"},
+		{"virtual, moved", "lower", 0.05, shift(-9), 2, 10, "virtual: NOT byte-identical (2 distinct values)"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			v := judge(tc.direction, ref, tc.change, tc.texts)
+			v := judge(metricSpec{Better: tc.direction, Bound: tc.bound}, ref, tc.change, tc.texts)
 			if v.wins != tc.wins {
 				t.Errorf("wins = %d, want %d", v.wins, tc.wins)
 			}
