@@ -125,16 +125,6 @@ func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err erro
 	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint64(b[4:]), b[messageHeader:], nil
 }
 
-// recordEpoch extracts the epoch stamp from a framed ring record — the
-// extractor installed on every inbound ring reader's epoch gate.
-func recordEpoch(rec []byte) (uint32, bool) {
-	msg, _, err := codec.DecodeRaw(rec)
-	if err != nil || len(msg) < messageHeader {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(msg), true
-}
-
 // Broadcaster is the source side of reliable broadcast on one node. A nil
 // *Broadcaster is the source side of a class that has no F buffers: it stamps
 // nothing, so SetEpoch on it is a no-op.
@@ -389,7 +379,12 @@ type Receiver struct {
 	cfg     Config
 	handler Handler
 
-	readers     map[rdma.NodeID]*ring.Reader // each holds its source's epoch floor
+	// readers[src] reads src's inbound ring, nil for this node. floors[src]
+	// is src's epoch floor, which the sweep and recovery gate on, and
+	// stale[src] counts the ring records it rejected.
+	readers     []*ring.Reader
+	floors      []ring.EpochFloor
+	stale       []uint64
 	delivered   map[rdma.NodeID]map[uint64]int
 	low         map[rdma.NodeID]uint64 // contiguous delivery watermark per source
 	tornBackup  uint64                 // backup slots rejected by CRC validation during recovery
@@ -423,7 +418,9 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		node:        node,
 		cfg:         cfg,
 		handler:     handler,
-		readers:     make(map[rdma.NodeID]*ring.Reader),
+		readers:     make([]*ring.Reader, fab.Size()),
+		floors:      make([]ring.EpochFloor, fab.Size()),
+		stale:       make([]uint64, fab.Size()),
 		delivered:   make(map[rdma.NodeID]map[uint64]int),
 		low:         make(map[rdma.NodeID]uint64),
 		mDelivered:  reg.Counter("broadcast.delivered"),
@@ -437,9 +434,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		if src == node.ID() {
 			continue
 		}
-		rd := ring.NewReader(node.Region(cfg.inRegion(src)).Bytes())
-		rd.SetEpochGate(recordEpoch)
-		r.readers[src] = rd
+		r.readers[src] = ring.NewReader(node.Region(cfg.inRegion(src)).Bytes())
 		r.delivered[src] = make(map[uint64]int)
 	}
 	r.sweepFn, r.handleFn = r.sweep, r.handleNext
@@ -463,11 +458,11 @@ func (r *Receiver) Stop() {
 // this node was suspended when the membership change committed and only
 // drains its backlog much later. Raising the floor on a timer cannot give
 // that guarantee; draining-then-raising can (ring.EpochFloor). The drain
-// proof is the ring reader's: the first poll that finds src's ring
-// quiescent promotes the floor.
+// proof is the sweep's: the first poll that finds src's ring Quiescent
+// promotes the floor.
 func (r *Receiver) FloorAfterDrain(src rdma.NodeID, e uint32) {
 	if r != nil {
-		r.readers[src].Floor().RaiseAfterDrain(e)
+		r.floors[src].RaiseAfterDrain(e)
 	}
 }
 
@@ -479,7 +474,9 @@ func (r *Receiver) TornRejects() uint64 {
 	}
 	total := r.tornBackup
 	for _, rd := range r.readers {
-		total += rd.TornRejects()
+		if rd != nil {
+			total += rd.TornRejects()
+		}
 	}
 	return total
 }
@@ -491,8 +488,8 @@ func (r *Receiver) StaleRejects() uint64 {
 		return 0
 	}
 	total := r.staleBackup
-	for _, rd := range r.readers {
-		total += rd.StaleRejects()
+	for _, n := range r.stale {
+		total += n
 	}
 	return total
 }
@@ -504,30 +501,36 @@ func (r *Receiver) poll() {
 	r.node.CPU.Exec(r.cfg.PollCost, r.sweepFn)
 }
 
-// sweep is one poll's work on the reader CPU: drain every source's ring.
+// sweep is one poll's work on the reader CPU: drain every source's ring. A
+// record stamped below its source's epoch floor is whole (it passed the CRC)
+// but was posted before the current configuration: it is consumed — the
+// head must advance for the writer's flow control — and counted instead of
+// delivered. An idle poll that finds the ring Quiescent is the drain proof
+// a floor parked by FloorAfterDrain waits for.
 func (r *Receiver) sweep() {
 	validated := 0
-	for p := 0; p < r.fab.Size(); p++ {
-		src := rdma.NodeID(p)
-		rd := r.readers[src]
+	for p, rd := range r.readers {
 		if rd == nil {
 			continue
 		}
 		for {
-			rec, ok, err := rd.Poll()
+			msg, ok, err := rd.Poll()
 			if err != nil || !ok {
+				if rd.Quiescent() {
+					r.floors[p].Drained()
+				}
 				break
 			}
-			validated += len(rec)
-			msg, _, err := codec.DecodeRaw(rec)
+			epoch, seq, payload, err := decodeMessage(msg)
+			if err == nil && !r.floors[p].Admits(epoch) {
+				r.stale[p]++
+				continue
+			}
+			validated += len(msg) + codec.RawOverhead
 			if err != nil {
 				break
 			}
-			_, seq, payload, err := decodeMessage(msg)
-			if err != nil {
-				break
-			}
-			r.deliver(src, seq, payload, true)
+			r.deliver(rdma.NodeID(p), seq, payload, true)
 		}
 	}
 	if cost := r.fab.Latency().CRCCost(validated); cost > 0 {
@@ -655,9 +658,9 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 			if derr != nil {
 				continue
 			}
-			if !r.readers[src].Floor().Admits(epoch) {
+			if !r.floors[src].Admits(epoch) {
 				// Backup slot stamped before src's departure epoch: the
-				// same stale-write rejection the ring gate applies.
+				// same stale-write rejection the sweep applies.
 				r.staleBackup++
 				continue
 			}

@@ -1,10 +1,6 @@
 package broadcast
 
-import (
-	"sort"
-
-	"hamband/internal/rdma"
-)
+import "hamband/internal/rdma"
 
 // SourceHealth is one inbound ring's introspection snapshot: the receiver's
 // view of a single source. All fields are copies taken at call time; the
@@ -16,7 +12,7 @@ type SourceHealth struct {
 	Low        uint64 // contiguous delivery watermark (messages)
 	TornStreak int    // consecutive CRC-rejecting polls of the stuck record
 	Torn       uint64 // total CRC rejections on this ring
-	Stale      uint64 // records rejected by the epoch gate
+	Stale      uint64 // ring records rejected by the epoch floor
 	MinEpoch   uint32 // active per-source epoch floor
 	PendingMin uint32 // floor parked awaiting drain promotion (FloorAfterDrain)
 	HasPending bool   // a parked floor exists
@@ -31,16 +27,19 @@ func (r *Receiver) Rings() []SourceHealth {
 	if r == nil {
 		return nil
 	}
-	out := make([]SourceHealth, 0, len(r.readers))
-	for src, rd := range r.readers {
-		floor := rd.Floor()
+	out := make([]SourceHealth, 0, len(r.readers)-1)
+	for p, rd := range r.readers {
+		if rd == nil {
+			continue
+		}
+		src, floor := rdma.NodeID(p), &r.floors[p]
 		h := SourceHealth{
 			Src:        src,
 			Head:       rd.Head(),
 			Low:        r.low[src],
 			TornStreak: rd.TornStreak(),
 			Torn:       rd.TornRejects(),
-			Stale:      rd.StaleRejects(),
+			Stale:      r.stale[p],
 			MinEpoch:   floor.Min(),
 			PendingMin: floor.Pending(),
 			HasPending: floor.Pending() != 0,
@@ -51,7 +50,6 @@ func (r *Receiver) Rings() []SourceHealth {
 		}
 		out = append(out, h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Src < out[j].Src })
 	return out
 }
 

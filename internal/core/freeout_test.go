@@ -34,23 +34,23 @@ type tappedMsg struct {
 
 // tapFree decodes every message src wrote into node's inbound ring, in ring
 // order. The wire format is broadcast's: a raw-framed record holding u32
-// epoch | u64 seq | payload, the payload a run of FrameFull δ-records.
+// epoch | u64 seq | payload, the payload a run of FrameFull δ-records; Poll
+// strips the framing.
 func (h *harness) tapFree(node, src int) []tappedMsg {
 	h.t.Helper()
 	region := h.fab.Node(rdma.NodeID(node)).Region(broadcast.InboundRegion("", rdma.NodeID(src)))
 	rd := ring.NewReader(region.Bytes())
 	var out []tappedMsg
 	for {
-		rec, ok, err := rd.Poll()
+		msg, ok, err := rd.Poll()
 		if err != nil {
 			h.t.Fatalf("tap of p%d's ring from p%d: %v", node, src, err)
 		}
 		if !ok {
 			return out
 		}
-		msg, _, err := codec.DecodeRaw(rec)
-		if err != nil || len(msg) < 12 {
-			h.t.Fatalf("tap of p%d's ring from p%d: %d-byte message, %v", node, src, len(msg), err)
+		if len(msg) < 12 {
+			h.t.Fatalf("tap of p%d's ring from p%d: %d-byte message", node, src, len(msg))
 		}
 		m := tappedMsg{seq: binary.LittleEndian.Uint64(msg[4:]), payload: len(msg) - 12}
 		for payload := msg[12:]; len(payload) > 0; {

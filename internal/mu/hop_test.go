@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 )
 
@@ -110,6 +111,48 @@ func TestWarmCommitAllocs(t *testing.T) {
 	}
 	if held := leaderResidue(c.inst[0]); held != 0 {
 		t.Fatalf("the leader holds %d proposals and unacknowledged writes at rest", held)
+	}
+}
+
+// TestElectionSweepAllocatesNothing pins the election path's sweep at nothing:
+// on a warm 3-node group, a candidate's sweep that drains a vote request from
+// node 0 and a grant from node 1 allocates no object. The records come over
+// the peers' vote and grant senders, are polled into the readers' reused
+// buffers, and reach their handlers through drain, which keeps no handler
+// past the sweep. Both are of an older term, so they change nothing here;
+// the catch-up read an idle follower makes is kept out by a long
+// CatchUpAfter.
+func TestElectionSweepAllocatesNothing(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CatchUpAfter = sim.Second
+	c := newClusterCfg(t, 3, 0, cfg, nil)
+	c.inst[0].Stop()
+	c.inst[1].Stop()
+	in := c.inst[2]
+	in.electing, in.term = true, 5
+	round := func() {
+		c.inst[0].voteOut[2].Send(c.inst[0].frameVote(1, 0), "", nil)
+		c.inst[1].grantOut[2].Send(c.inst[1].frameGrant(1, 0, 1), "", nil)
+		c.run(5 * sim.Microsecond)
+	}
+	const warm, runs = 50, 200
+	for i := 0; i < warm; i++ {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Fatalf("a warm sweep handling a vote and a grant allocates %.0f times, want 0", allocs)
+	}
+	// Every record was swept: both rings are empty, past many laps of them.
+	for _, rd := range []*ring.Reader{in.voteReaders[0], in.grantReaders[1]} {
+		if rd.Head() < uint64(cfg.CtrlCapacity) {
+			t.Fatalf("a ring's head is at %d, under one lap of %d bytes", rd.Head(), cfg.CtrlCapacity)
+		}
+		if _, ok, err := rd.Poll(); ok || err != nil {
+			t.Fatalf("a record was left unswept: (%v, %v)", ok, err)
+		}
+	}
+	if !in.electing || in.term != 5 {
+		t.Fatalf("stale votes and grants moved the candidate: electing %v, term %d", in.electing, in.term)
 	}
 }
 

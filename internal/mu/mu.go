@@ -200,11 +200,12 @@ type Instance struct {
 	voteOut   map[rdma.NodeID]*ring.Sender
 	grantOut  map[rdma.NodeID]*ring.Sender
 
-	// Readers.
-	logReader   *ring.Reader
-	reqReaders  map[rdma.NodeID]*ring.Reader
-	voteReaders map[rdma.NodeID]*ring.Reader
-	grantReader map[rdma.NodeID]*ring.Reader
+	// Readers: the log ring, and each peer's request, vote and grant rings,
+	// indexed by peer (nil for this node).
+	logReader    *ring.Reader
+	reqReaders   []*ring.Reader
+	voteReaders  []*ring.Reader
+	grantReaders []*ring.Reader
 
 	ticker  *sim.Ticker
 	sweepFn func() // in.sweep bound once: a poll allocates nothing
@@ -270,9 +271,9 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		voteOut:  make(map[rdma.NodeID]*ring.Sender),
 		grantOut: make(map[rdma.NodeID]*ring.Sender),
 
-		reqReaders:  make(map[rdma.NodeID]*ring.Reader),
-		voteReaders: make(map[rdma.NodeID]*ring.Reader),
-		grantReader: make(map[rdma.NodeID]*ring.Reader),
+		reqReaders:   make([]*ring.Reader, fab.Size()),
+		voteReaders:  make([]*ring.Reader, fab.Size()),
+		grantReaders: make([]*ring.Reader, fab.Size()),
 	}
 	if reg := fab.Metrics(); reg.Enabled() {
 		in.mCommitLat = reg.Histogram("mu.commit_latency", nil)
@@ -299,7 +300,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.grantOut[peer] = in.newOut(peer, grantRegion(group, node.ID()), cfg.CtrlCapacity)
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
 		in.voteReaders[peer] = ring.NewReader(node.Region(voteRegion(group, peer)).Bytes())
-		in.grantReader[peer] = ring.NewReader(node.Region(grantRegion(group, peer)).Bytes())
+		in.grantReaders[peer] = ring.NewReader(node.Region(grantRegion(group, peer)).Bytes())
 		in.dedupSet[peer] = make(map[uint64]bool)
 	}
 	in.dedupSet[node.ID()] = make(map[uint64]bool)
@@ -778,11 +779,12 @@ func (in *Instance) poll() {
 func (in *Instance) sweep() {
 	in.pollLog()
 	if in.isLeader && !in.recovering {
-		in.pollRequests()
+		drain(in.reqReaders, 8, in.handleRequest)
+		in.startRound()
 	}
-	in.pollVotes()
+	drain(in.voteReaders, 10, in.handleVoteMsg)
 	if in.electing {
-		in.pollGrants()
+		drain(in.grantReaders, 18, in.handleGrant)
 	}
 	// Anti-entropy with the leader: a stash gap, or simply no delivery
 	// progress for a while, means entries may have been lost to a
@@ -798,14 +800,29 @@ func (in *Instance) sweep() {
 	}
 }
 
+// drain hands every record waiting on readers — one kind of per-peer ring,
+// indexed by peer — to handle, peer by peer in ascending order. A record
+// shorter than min ends its ring's drain for this sweep. handle does not
+// escape, so a method value passed per sweep allocates nothing.
+func drain(readers []*ring.Reader, min int, handle func(from rdma.NodeID, msg []byte)) {
+	for p, rd := range readers {
+		if rd == nil {
+			continue
+		}
+		for {
+			msg, ok, err := rd.Poll()
+			if err != nil || !ok || len(msg) < min {
+				break
+			}
+			handle(rdma.NodeID(p), msg)
+		}
+	}
+}
+
 func (in *Instance) pollLog() {
 	for {
-		rec, ok, err := in.logReader.Poll()
+		msg, ok, err := in.logReader.Poll()
 		if err != nil || !ok {
-			return
-		}
-		msg, _, err := codec.DecodeRaw(rec)
-		if err != nil {
 			return
 		}
 		e, derr := decodeLogEntry(msg)
@@ -860,33 +877,17 @@ func (in *Instance) drainCommitted() {
 	}
 }
 
-func (in *Instance) pollRequests() {
-	for p := 0; p < in.n; p++ {
-		from := rdma.NodeID(p)
-		rd := in.reqReaders[from]
-		if rd == nil {
-			continue
-		}
-		for {
-			rec, ok, err := rd.Poll()
-			if err != nil || !ok {
-				break
-			}
-			msg, _, err := codec.DecodeRaw(rec)
-			if err != nil || len(msg) < 8 {
-				break
-			}
-			submitSeq := binary.LittleEndian.Uint64(msg)
-			// Requests may be replayed after a leader change; dedup before
-			// proposing to keep the log free of duplicates where possible
-			// (delivery-side dedup is the safety net).
-			if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
-				continue
-			}
-			in.propose(from, submitSeq, msg[8:])
-		}
+// handleRequest proposes the request msg — u64 submitSeq | payload — that
+// from redirected to this leader.
+func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) {
+	submitSeq := binary.LittleEndian.Uint64(msg)
+	// Requests may be replayed after a leader change; dedup before proposing
+	// to keep the log free of duplicates where possible (delivery-side dedup
+	// is the safety net).
+	if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
+		return
 	}
-	in.startRound()
+	in.propose(from, submitSeq, msg[8:])
 }
 
 // --- leader change ----------------------------------------------------
@@ -926,26 +927,9 @@ func (in *Instance) switchLogPermission(to rdma.NodeID) {
 	region.AllowWrite(to)
 }
 
-func (in *Instance) pollVotes() {
-	for p := 0; p < in.n; p++ {
-		rd := in.voteReaders[rdma.NodeID(p)]
-		if rd == nil {
-			continue
-		}
-		for {
-			rec, ok, err := rd.Poll()
-			if err != nil || !ok {
-				break
-			}
-			msg, _, err := codec.DecodeRaw(rec)
-			if err != nil || len(msg) < 10 {
-				break
-			}
-			term := binary.LittleEndian.Uint64(msg)
-			cand := rdma.NodeID(binary.LittleEndian.Uint16(msg[8:]))
-			in.handleVote(term, cand)
-		}
-	}
+// handleVoteMsg handles the vote request msg: u64 term | u16 candidate.
+func (in *Instance) handleVoteMsg(_ rdma.NodeID, msg []byte) {
+	in.handleVote(binary.LittleEndian.Uint64(msg), rdma.NodeID(binary.LittleEndian.Uint16(msg[8:])))
 }
 
 func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
@@ -1049,34 +1033,16 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 	})
 }
 
-func (in *Instance) pollGrants() {
-	for p := 0; p < in.n; p++ {
-		rd := in.grantReader[rdma.NodeID(p)]
-		if rd == nil {
-			continue
-		}
-		for {
-			rec, ok, err := rd.Poll()
-			if err != nil || !ok {
-				break
-			}
-			msg, _, err := codec.DecodeRaw(rec)
-			if err != nil || len(msg) < 18 {
-				break
-			}
-			term := binary.LittleEndian.Uint64(msg)
-			lastDelivered := binary.LittleEndian.Uint64(msg[8:])
-			voter := rdma.NodeID(binary.LittleEndian.Uint16(msg[16:]))
-			if term != in.term || !in.electing {
-				continue
-			}
-			if !in.member(voter) {
-				continue
-			}
-			in.grants[voter] = lastDelivered
-			in.maybeLead()
-		}
+// handleGrant counts the grant msg — u64 term | u64 lastDelivered | u16
+// voter — toward this node's candidacy.
+func (in *Instance) handleGrant(_ rdma.NodeID, msg []byte) {
+	term := binary.LittleEndian.Uint64(msg)
+	voter := rdma.NodeID(binary.LittleEndian.Uint16(msg[16:]))
+	if term != in.term || !in.electing || !in.member(voter) {
+		return
 	}
+	in.grants[voter] = binary.LittleEndian.Uint64(msg[8:])
+	in.maybeLead()
 }
 
 func (in *Instance) maybeLead() {

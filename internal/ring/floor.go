@@ -6,9 +6,10 @@ package ring
 // floor only moves forward. It rises at once (Raise), or — when the source
 // may still have legitimately posted, acked frames in flight to this reader
 // — only after the holder has proved it drained them (RaiseAfterDrain, then
-// Drained). The ring reader, the broadcast receiver's backup recovery and
-// the summary-slot scan all gate on this one type; each brings its own
-// drain proof.
+// Drained). The broadcast receiver (its ring records and backup slots) and
+// the summary-slot scan both gate on this one type, and each holder brings
+// its own drain proof: the receiver an idle, Quiescent ring poll, the scan
+// a full pass that found nothing of the source's still to read.
 type EpochFloor struct {
 	min     uint32
 	pending uint32 // floor awaiting a drain proof; 0 = none parked

@@ -2,6 +2,7 @@ package ring
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"hamband/internal/codec"
@@ -9,14 +10,16 @@ import (
 
 // FuzzReaderPoll asserts the ring reader never panics on arbitrary region
 // contents — a misbehaving remote writer may have scribbled anything into
-// the data area — and that every record it accepts is the reader's own copy
-// of what the region held: the bytes just before the new head as they were
-// before the poll, with everything the poll consumed zeroed afterwards, and
-// in a buffer whose writes do not reach the region.
+// the data area — and that every payload it accepts is the reader's own copy
+// of what the region held: the bytes between the length word and the CRC
+// trailer of the record that ends at the new head, as they were before the
+// poll, where that whole framed record passes codec.ValidateRecord; with
+// everything the poll consumed zeroed afterwards, and in a buffer whose
+// writes do not reach the region.
 func FuzzReaderPoll(f *testing.F) {
 	region := make([]byte, RegionSize(256))
 	f.Add(region, 3)
-	// A ring holding three whole records, so the accepted-record checks run
+	// A ring holding three whole records, so the accepted-payload checks run
 	// from the first input on.
 	written := make([]byte, RegionSize(64))
 	w := NewWriter(64)
@@ -44,21 +47,27 @@ func FuzzReaderPoll(f *testing.F) {
 		capacity := uint64(len(ring))
 		for i := 0; i < polls%16+1; i++ {
 			before, head := bytes.Clone(ring), r.Head()
-			rec, ok, err := r.Poll()
+			msg, ok, err := r.Poll()
 			if err != nil {
 				return // corrupt layout detected, fine
 			}
 			if !ok {
 				return
 			}
-			if len(rec) == 0 {
-				t.Fatal("Poll returned ok with an empty record")
+			// Records never span the wrap boundary, so the framed record is
+			// the bytes that end at the new head: length word, payload, CRC
+			// trailer.
+			n := uint64(len(msg)) + codec.RawOverhead
+			start := (r.Head() - n) % capacity
+			framed := before[start : start+n]
+			if got := binary.LittleEndian.Uint32(framed); uint64(got) != n {
+				t.Fatalf("poll %d returned a %d-byte payload of a record whose length word reads %d", i, len(msg), got)
 			}
-			// Records never span the wrap boundary, so the record is the
-			// len(rec) bytes that end at the new head.
-			start := (r.Head() - uint64(len(rec))) % capacity
-			if !bytes.Equal(rec, before[start:start+uint64(len(rec))]) {
-				t.Fatalf("poll %d returned % x, but the region held % x there", i, rec, before[start:start+uint64(len(rec))])
+			if !bytes.Equal(msg, framed[4:n-codec.RecordTrailer]) {
+				t.Fatalf("poll %d returned % x, but the record there held % x", i, msg, framed[4:n-codec.RecordTrailer])
+			}
+			if err := codec.ValidateRecord(framed); err != nil {
+				t.Fatalf("poll %d accepted a record that fails validation: %v", i, err)
 			}
 			for off := head; off < r.Head(); off++ {
 				if b := ring[off%capacity]; b != 0 {
@@ -66,11 +75,11 @@ func FuzzReaderPoll(f *testing.F) {
 				}
 			}
 			after := bytes.Clone(buf)
-			for j := range rec {
-				rec[j] ^= 0xFF
+			for j := range msg {
+				msg[j] ^= 0xFF
 			}
 			if !bytes.Equal(buf, after) {
-				t.Fatalf("poll %d: writing into the returned record changed the region", i)
+				t.Fatalf("poll %d: writing into the returned payload changed the region", i)
 			}
 		}
 	})

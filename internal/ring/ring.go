@@ -16,8 +16,10 @@
 // length word and trailing canary, validates the whole frame against the
 // CRC32-C trailer (the canary alone cannot prove the interior bytes have
 // landed), consumes it, zeroes the bytes for reuse and advances its head.
-// Records never span the wrap boundary: the writer leaves a skip marker
-// and continues at offset zero.
+// That one check is all the validation a record gets: the reader hands back
+// the payload with the framing stripped, so the layer above reads its own
+// message and never sees the frame. Records never span the wrap boundary:
+// the writer leaves a skip marker and continues at offset zero.
 package ring
 
 import (
@@ -152,7 +154,7 @@ func DecodeHead(b []byte) uint64 { return binary.LittleEndian.Uint64(b) }
 // region's memory.
 type Reader struct {
 	region     []byte // full region: header + data
-	rec        []byte // the record Poll returned last; reused by the next Poll
+	rec        []byte // the payload Poll returned last; reused by the next Poll
 	capacity   uint64
 	head       uint64
 	torn       uint64 // records rejected by the CRC check
@@ -160,23 +162,13 @@ type Reader struct {
 	parked     error  // quarantine diagnosis; nil while healthy
 	final      bool   // parked by an impossible length word: never looked at again
 
-	// Drain proof (EpochFloor.RaiseAfterDrain). wrapPending is set when an
-	// explicit skip marker is consumed: the writer only places one
-	// immediately before a record at offset zero, so a zero length word
-	// there means that record is still landing, not that the ring is empty.
-	// quiet records whether the most recent Poll proved the ring genuinely
-	// idle; such a poll is the drain proof a parked floor waits for.
+	// Drain proof (see Quiescent). wrapPending is set when an explicit skip
+	// marker is consumed: the writer only places one immediately before a
+	// record at offset zero, so a zero length word there means that record
+	// is still landing, not that the ring is empty. quiet records whether
+	// the most recent Poll proved the ring genuinely idle.
 	wrapPending bool
 	quiet       bool
-
-	// Epoch gating (dynamic membership). epochOf, when installed, extracts
-	// the configuration epoch a validated record was stamped with; records
-	// the floor does not admit are consumed (so the writer's flow control
-	// keeps working) but discarded and counted instead of returned. The
-	// zero state — no extractor — reproduces the ungated reader exactly.
-	epochOf func(rec []byte) (epoch uint32, ok bool)
-	floor   EpochFloor
-	stale   uint64 // records rejected by the epoch gate
 }
 
 // NewReader returns a reader over region, which must have been sized with
@@ -213,34 +205,19 @@ func (r *Reader) TornStreak() int { return r.tornStreak }
 // Quiescent reports whether the most recent Poll proved the ring genuinely
 // empty: no partially landed record visible at the head, no consumed wrap
 // marker still waiting for its record at offset zero, and the reader not
-// parked. A parked epoch floor is promoted only by such a poll — an idle
-// return alone also covers a record whose write is mid-flight (a wrap
-// marker consumed with its record still landing, a torn record mid-heal),
-// and raising the floor then would stale-reject a record the departed
-// source legitimately posted before revocation.
+// parked. It is the drain proof a parked EpochFloor waits for (the
+// broadcast receiver's): an idle return alone also covers a record whose
+// write is mid-flight (a wrap marker consumed with its record still
+// landing, a torn record mid-heal), and raising the floor then would
+// stale-reject a record the departed source legitimately posted before
+// revocation.
 func (r *Reader) Quiescent() bool { return r.quiet }
 
-// SetEpochGate installs an epoch extractor: fn reports the configuration
-// epoch a complete, CRC-validated record carries (ok=false for records
-// without a stamp, which pass ungated). Records stamped with an epoch below
-// the source's floor — writes posted by a node that does not know it has
-// been removed from the configuration — are consumed and discarded rather
-// than delivered, and counted in StaleRejects.
-func (r *Reader) SetEpochGate(fn func(rec []byte) (epoch uint32, ok bool)) { r.epochOf = fn }
-
-// Floor returns the gate's epoch floor for the ring's source. The reader
-// supplies the drain proof itself: a floor parked with RaiseAfterDrain takes
-// effect on the first Poll that finds the ring Quiescent.
-func (r *Reader) Floor() *EpochFloor { return &r.floor }
-
-// StaleRejects returns how many records the epoch gate has discarded.
-func (r *Reader) StaleRejects() uint64 { return r.stale }
-
-// Poll attempts to consume one record. It returns the record (including
-// framing) when one is complete and validated, and (nil, false, nil) when
-// the ring is empty, the next record's write is still landing, or the
-// reader is parked. The record is copied into a buffer the reader owns and
-// reuses: it stays valid until the next Poll, like bufio.Scanner.Bytes, and a
+// Poll attempts to consume one record. It returns the record's payload —
+// the bytes between its length word and its CRC trailer — when the record
+// is complete and validated, and (nil, false, nil) when the ring is empty,
+// the next record's write is still landing, or the reader is parked. The
+// payload is copied into a buffer the reader owns and reuses: it stays valid until the next Poll, like bufio.Scanner.Bytes, and a
 // caller that keeps it longer copies it. Writing into it leaves the region
 // unchanged.
 //
@@ -271,9 +248,7 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 		case lenWord == 0:
 			// Empty — unless a consumed wrap marker promised a record here
 			// whose write has not landed yet.
-			if r.quiet = !r.wrapPending; r.quiet {
-				r.floor.Drained()
-			}
+			r.quiet = !r.wrapPending
 			return nil, false, nil
 		case lenWord == skipMarker:
 			r.wrapPending = true
@@ -310,18 +285,7 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 		}
 		r.tornStreak, r.parked = 0, nil // whole, however long it took: late, not lost
 		r.wrapPending = false           // the promised post-wrap record has landed
-		if r.epochOf != nil {
-			if epoch, ok := r.epochOf(data[pos : pos+n]); ok && !r.floor.Admits(epoch) {
-				// Stale-epoch write: the record is whole (it passed the CRC)
-				// but was stamped before the current configuration. Consume
-				// it — the head must advance for flow control — but discard
-				// instead of delivering, and count the rejection.
-				r.stale++
-				r.advance(pos, n)
-				continue
-			}
-		}
-		r.rec = append(r.rec[:0], data[pos:pos+n]...)
+		r.rec = append(r.rec[:0], data[pos+4:pos+n-codec.RecordTrailer]...)
 		r.advance(pos, n)
 		return r.rec, true, nil
 	}

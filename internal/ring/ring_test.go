@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"hamband/internal/codec"
-	"hamband/internal/spec"
 )
 
 // apply lands the writer's remote writes directly in the region, emulating
@@ -18,14 +17,27 @@ func apply(region []byte, writes []Write) {
 	}
 }
 
-func record(t *testing.T, seq uint64, payload ...int64) []byte {
+// record frames a raw ring record whose payload is seq followed by words,
+// each eight bytes: 17 + 8·len(words) bytes in all.
+func record(t *testing.T, seq uint64, words ...int64) []byte {
 	t.Helper()
-	b, err := codec.EncodeEntry(spec.Call{Method: 1, Seq: seq, Args: spec.Args{I: payload}}, nil)
+	payload := binary.LittleEndian.AppendUint64(nil, seq)
+	for _, w := range words {
+		payload = binary.LittleEndian.AppendUint64(payload, uint64(w))
+	}
+	b, err := codec.EncodeRaw(payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return b
 }
+
+// seqOf reads the sequence number of a payload Poll returned for a record.
+func seqOf(payload []byte) uint64 { return binary.LittleEndian.Uint64(payload) }
+
+// payloadOf strips a framed record down to what Poll returns for it: the
+// bytes between its length word and its CRC trailer.
+func payloadOf(rec []byte) []byte { return rec[4 : len(rec)-codec.RecordTrailer] }
 
 func TestAppendPollRoundTrip(t *testing.T) {
 	region := make([]byte, RegionSize(256))
@@ -42,7 +54,7 @@ func TestAppendPollRoundTrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("poll = (%v, %v)", ok, err)
 	}
-	if !bytes.Equal(got, rec) {
+	if !bytes.Equal(got, payloadOf(rec)) {
 		t.Fatal("record corrupted in transit")
 	}
 	if _, ok, _ := r.Poll(); ok {
@@ -81,7 +93,7 @@ func TestFlowControlAndNoteHead(t *testing.T) {
 	region := make([]byte, RegionSize(128))
 	w := NewWriter(128)
 	r := NewReader(region)
-	rec := record(t, 1, 1) // 37 bytes
+	rec := record(t, 1, 1) // 25 bytes
 	n := 0
 	for {
 		writes, ok := w.Append(rec)
@@ -158,33 +170,25 @@ func TestWraparoundTorture(t *testing.T) {
 				seq--
 			}
 		} else {
-			rec, ok, err := r.Poll()
+			msg, ok, err := r.Poll()
 			if err != nil {
 				t.Fatalf("round %d: %v", round, err)
 			}
 			if ok {
-				c, _, _, err := codec.DecodeEntry(rec)
-				if err != nil {
-					t.Fatalf("round %d: %v", round, err)
-				}
-				got = append(got, c.Seq)
+				got = append(got, seqOf(msg))
 			}
 		}
 	}
 	// Drain.
 	for {
-		rec, ok, err := r.Poll()
+		msg, ok, err := r.Poll()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
 		}
-		c, _, _, err := codec.DecodeEntry(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, c.Seq)
+		got = append(got, seqOf(msg))
 	}
 	if len(got) != len(sent) {
 		t.Fatalf("received %d records, sent %d", len(got), len(sent))
@@ -207,7 +211,7 @@ func TestSkipMarkerPath(t *testing.T) {
 	w := NewWriter(capacity)
 	r := NewReader(region)
 
-	first := record(t, 1, 1, 2, 3, 4) // 61 bytes: offsets the tail
+	first := record(t, 1, 1, 2, 3, 4) // 49 bytes: offsets the tail
 	writes, ok := w.Append(first)
 	if !ok {
 		t.Fatal("first append refused")
@@ -218,8 +222,8 @@ func TestSkipMarkerPath(t *testing.T) {
 	}
 	w.NoteHead(DecodeHead(region))
 
-	// Now the tail sits mid-ring; append 77-byte records until one must
-	// wrap with a marker (boundary 41 ≥ 4 at the fourth append).
+	// Now the tail sits mid-ring; append 65-byte records until one must
+	// wrap with a marker (boundary 12 ≥ 4 at the fourth append).
 	wrapped := false
 	for i := uint64(2); i < 20; i++ {
 		rec := record(t, i, 9, 9, 9, 9, 9, 9)
@@ -239,9 +243,8 @@ func TestSkipMarkerPath(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("poll %d = (%v, %v)", i, ok, err)
 		}
-		c, _, _, _ := codec.DecodeEntry(got)
-		if c.Seq != i {
-			t.Fatalf("got seq %d, want %d", c.Seq, i)
+		if seq := seqOf(got); seq != i {
+			t.Fatalf("got seq %d, want %d", seq, i)
 		}
 	}
 	if !wrapped {
@@ -305,8 +308,7 @@ func TestNewWriterAtContinuesAtReaderHead(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("reader missed the takeover record: (%v, %v)", ok, err)
 	}
-	c, _, _, derr := codec.DecodeEntry(got)
-	if derr != nil || c.Seq != 99 {
-		t.Fatalf("takeover record = %+v, %v", c, derr)
+	if !bytes.Equal(got, payloadOf(rec)) {
+		t.Fatalf("takeover record = % x, want % x", got, payloadOf(rec))
 	}
 }

@@ -34,15 +34,16 @@ func newSenderRig(capacity int) *senderRig {
 	}
 }
 
-// wantRecords fails unless got holds exactly the records of want, in order.
+// wantRecords fails unless got holds exactly the payloads of want's records,
+// in order.
 func wantRecords(t *testing.T, context string, got, want [][]byte) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: delivered %d records, want %d", context, len(got), len(want))
 	}
 	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("%s: record %d differs: % x, want % x", context, i, got[i], want[i])
+		if !bytes.Equal(got[i], payloadOf(want[i])) {
+			t.Fatalf("%s: record %d differs: % x, want % x", context, i, got[i], payloadOf(want[i]))
 		}
 	}
 }
@@ -205,7 +206,7 @@ func TestSenderMergedWriteOnTornLink(t *testing.T) {
 	poll := rig.eng.NewTicker(sim.Microsecond, func() {
 		got = append(got, drain(t, rig.rd)...)
 		for i := range got {
-			if !bytes.Equal(got[i], want[i]) {
+			if !bytes.Equal(got[i], payloadOf(want[i])) {
 				t.Fatalf("record %d delivered torn or out of order: % x", i, got[i])
 			}
 		}

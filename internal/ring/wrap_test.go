@@ -39,8 +39,8 @@ func land(region []byte, writes []Write) {
 	}
 }
 
-// drain polls until empty, returning copies of the consumed records: a
-// polled record is valid only until the next Poll.
+// drain polls until empty, returning copies of the consumed records'
+// payloads: a polled payload is valid only until the next Poll.
 func drain(t *testing.T, r *Reader) [][]byte {
 	t.Helper()
 	var out [][]byte
@@ -79,7 +79,7 @@ func TestWrapBoundaryPlacement(t *testing.T) {
 			land(region, writes)
 		}
 		got := drain(t, r)
-		if len(got) != 2 || !bytes.Equal(got[0], a) || !bytes.Equal(got[1], b) {
+		if len(got) != 2 || !bytes.Equal(got[0], payloadOf(a)) || !bytes.Equal(got[1], payloadOf(b)) {
 			t.Fatalf("first lap mismatch: %v", got)
 		}
 		w.NoteHead(r.Head())
@@ -92,7 +92,7 @@ func TestWrapBoundaryPlacement(t *testing.T) {
 			t.Fatalf("post-boundary append placed %+v, want offset %d", writes, HeaderSize)
 		}
 		land(region, writes)
-		if got := drain(t, r); len(got) != 1 || !bytes.Equal(got[0], c) {
+		if got := drain(t, r); len(got) != 1 || !bytes.Equal(got[0], payloadOf(c)) {
 			t.Fatalf("post-boundary record mismatch: %v", got)
 		}
 		if r.Head() != w.Tail() {
@@ -115,7 +115,7 @@ func TestWrapBoundaryPlacement(t *testing.T) {
 			}
 			land(region, writes)
 		}
-		if got := drain(t, r); len(got) != 2 || !bytes.Equal(got[0], a) {
+		if got := drain(t, r); len(got) != 2 || !bytes.Equal(got[0], payloadOf(a)) {
 			t.Fatalf("fill records mismatch: %v", got)
 		}
 		w.NoteHead(r.Head())
@@ -137,7 +137,7 @@ func TestWrapBoundaryPlacement(t *testing.T) {
 			t.Fatalf("record write at %d, want wrap to %d", writes[1].Off, HeaderSize)
 		}
 		land(region, writes)
-		if got := drain(t, r); len(got) != 1 || !bytes.Equal(got[0], b) {
+		if got := drain(t, r); len(got) != 1 || !bytes.Equal(got[0], payloadOf(b)) {
 			t.Fatalf("wrapped record mismatch: %v", got)
 		}
 		if r.Head() != w.Tail() {
@@ -180,7 +180,7 @@ func TestWrapBoundaryPlacement(t *testing.T) {
 			}
 			land(region, writes)
 			got := drain(t, r)
-			if len(got) != 1 || !bytes.Equal(got[0], c) {
+			if len(got) != 1 || !bytes.Equal(got[0], payloadOf(c)) {
 				t.Fatalf("remainder %d: wrapped record mismatch: %v", remainder, got)
 			}
 			if r.Head() != w.Tail() {
@@ -223,7 +223,7 @@ func TestWrapBoundarySweep(t *testing.T) {
 			t.Fatalf("size %d: consumed %d records, produced %d", size, len(consumed), len(produced))
 		}
 		for i := range produced {
-			if !bytes.Equal(consumed[i], produced[i]) {
+			if !bytes.Equal(consumed[i], payloadOf(produced[i])) {
 				t.Fatalf("size %d: record %d differs: % x vs % x", size, i, consumed[i], produced[i])
 			}
 		}
@@ -290,7 +290,7 @@ func TestQuiescentDistinguishesWrapInFlight(t *testing.T) {
 
 	// The record lands: delivered, and idleness is provable again.
 	land(region, writes[1:])
-	if got := drain(t, r); len(got) != 1 || got[0][4] != 0xA3 {
+	if got := drain(t, r); len(got) != 1 || got[0][0] != 0xA3 {
 		t.Fatalf("wrapped record not delivered: %d records", len(got))
 	}
 	if !r.Quiescent() {
