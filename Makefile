@@ -216,7 +216,8 @@ bench-pairs:
 
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json.
 # MAXREGRESS, when nonzero, fails the target if any matched point's throughput
-# drops, or its p99 rises, by more than that percentage — the CI regression gate.
+# drops, or its p99 or bytes per op rise, by more than that percentage — the CI
+# regression gate.
 OLD ?= BENCH_PR36.json
 NEW ?= BENCH_PR36.json
 MAXREGRESS ?= 0

@@ -78,7 +78,7 @@ func main() {
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
 	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot -exp benchstat can diff; metrics: the registry snapshot)")
-	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops, or its p99 rises, by more than this percentage (0 disables)")
+	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops, or its p99 or bytes per op rise, by more than this percentage (0 disables)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
 	newSnap := flag.String("new", "", "benchstat: current snapshot file")

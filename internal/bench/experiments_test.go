@@ -184,3 +184,18 @@ func TestRegressionCheckGatesTails(t *testing.T) {
 		t.Fatalf("regressions reported: %q, want the fig10 tail alone", bad)
 	}
 }
+
+// TestRegressionCheckGatesBytes: the same threshold gates a matched point's
+// bytes per op rising. Six per cent more bytes fails at 5, four per cent
+// passes, and so do fewer bytes and a point whose baseline recorded none.
+func TestRegressionCheckGatesBytes(t *testing.T) {
+	pt := func(exp string, bytes float64) SnapPoint {
+		return SnapPoint{Experiment: exp, System: "Hamband", Class: "gset", Nodes: 4, UpdateRatio: 1, OpsPerUs: 22.5, P99Us: 1.9, BytesPerOp: bytes}
+	}
+	old := Snapshot{Schema: 1, Points: []SnapPoint{pt("wire/delta", 100), pt("fig13/normal", 100), pt("fig13/leader", 100), pt("fig8", 0)}}
+	cur := Snapshot{Schema: 1, Points: []SnapPoint{pt("wire/delta", 106), pt("fig13/normal", 104), pt("fig13/leader", 60), pt("fig8", 50)}}
+	bad := RegressionCheck(old, cur, 5)
+	if len(bad) != 1 || !strings.Contains(bad[0], "wire/delta") || !strings.Contains(bad[0], "bytes 100.0 -> 106.0") {
+		t.Fatalf("regressions reported: %q, want the wire/delta bytes alone", bad)
+	}
+}

@@ -124,10 +124,10 @@ func (cfg Config) Snapshot() Snapshot {
 }
 
 // RegressionCheck compares every current point against the baseline and
-// returns one message per point whose throughput dropped, or whose p99 rose,
-// by more than maxPct percent. Points missing from either side are ignored —
-// only like-for-like pairs can regress — and so is the tail of a point whose
-// baseline recorded none.
+// returns one message per point whose throughput dropped, or whose p99 or
+// bytes per op rose, by more than maxPct percent. Points missing from either
+// side are ignored — only like-for-like pairs can regress — and so is the
+// tail or the byte count of a point whose baseline recorded none.
 func RegressionCheck(old, cur Snapshot, maxPct float64) []string {
 	idx := make(map[string]SnapPoint, len(old.Points))
 	for _, p := range old.Points {
@@ -146,6 +146,10 @@ func RegressionCheck(old, cur Snapshot, maxPct float64) []string {
 		if d := pctDelta(op.P99Us, np.P99Us); op.P99Us > 0 && d > maxPct {
 			bad = append(bad, fmt.Sprintf("%s %s %s: p99 %.2f -> %.2f µs (+%.1f%%)",
 				np.Experiment, np.System, np.Class, op.P99Us, np.P99Us, d))
+		}
+		if d := pctDelta(op.BytesPerOp, np.BytesPerOp); op.BytesPerOp > 0 && d > maxPct {
+			bad = append(bad, fmt.Sprintf("%s %s %s: bytes %.1f -> %.1f B/op (+%.1f%%)",
+				np.Experiment, np.System, np.Class, op.BytesPerOp, np.BytesPerOp, d))
 		}
 	}
 	return bad

@@ -5,7 +5,9 @@
 //     its dependency record and, on summary records, the applied counts,
 //     closed by a CRC32-C + non-zero canary trailer. Every path that ships a
 //     call — F buffers, L buffers, the δ-log, the summary anchors, the
-//     message-passing baseline — ships this record.
+//     message-passing baseline — ships this record. A δ-log record is a
+//     δ-group: it names the span of versions it covers, and its call is the
+//     summarization group's fold of that many calls.
 //   - the slot: a seqlock-style frame (a version word before and after the
 //     payload) plus a CRC32-C over version, length and payload, for memory
 //     overwritten in place. The version words are a cheap fast-path rejection

@@ -1,13 +1,15 @@
 // The call record: the one serialization of a call and what travels with it.
 // It is a self-delimiting, CRC-validated frame,
 //
-//	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
+//	u32 total | kind | uvarint version | [uvarint span] | packed counts | packed call | u32 crc | canary
 //
 // whose kind byte names its role: FrameFull is a full call record — (c, D) in
 // an F or L buffer, or a summary anchor's call with its applied counts —
-// and FrameDelta one folded reducible call of a slot's δ-log (Almeida et al.:
-// a δ-mutation and the state it joins into share a format), whose version is
-// the slot version it establishes.
+// and FrameDelta a δ-group of a slot's δ-log: the span ≥ 1 reducible calls
+// that took the slot to version, folded by their group's Summarize into one
+// call (Almeida et al.: a join of δ-mutations is itself a δ-mutation, and a
+// δ and the state it joins into share a format). Only FrameDelta carries the
+// span; it covers versions version−span+1 through version.
 //
 // All integers are varint-packed; spec.DepVec and the per-method applied
 // counts use a columnar delta encoding (first value, then zigzag deltas
@@ -28,7 +30,7 @@ import (
 // Call-record kinds.
 const (
 	FrameFull  byte = 0xF1 // full call record: a buffered (c, D), or a summary anchor
-	FrameDelta byte = 0xF2 // one folded reducible call of a slot's δ-log
+	FrameDelta byte = 0xF2 // a run of folded reducible calls of a slot's δ-log
 )
 
 // minDelta is the smallest possible call record: length word, kind,
@@ -39,6 +41,7 @@ const minDelta = 4 + 1 + 1 + 1 + 6 + RecordTrailer
 type DeltaRecord struct {
 	Kind    byte
 	Version uint32      // slot version this record establishes (0 on FrameFull)
+	Span    uint32      // calls folded into C, 1..Version (FrameDelta; an encoder reads 0 as 1)
 	Counts  []uint32    // absolute per-method applied counts (summary records)
 	C       spec.Call   // the buffered call, folded call, or full summary
 	D       spec.DepVec // dependency record (buffered calls)
@@ -226,8 +229,10 @@ func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
 // AppendDeltaRecord appends one call record to dst as a self-delimiting frame
 // and returns the extended slice:
 //
-//	u32 total | kind | uvarint version | packed counts | packed call | u32 crc | canary
+//	u32 total | kind | uvarint version | [uvarint span] | packed counts | packed call | u32 crc | canary
 //
+// The span is written for FrameDelta only, where a zero Span stands for one
+// call and a Span beyond Version is refused as ErrCorrupt.
 // The CRC32-C covers every byte of the record before it (length word
 // included) and nothing of dst ahead of the record, so a frame that embeds a
 // record is built in one buffer. With enough capacity in dst the call
@@ -241,6 +246,13 @@ func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 	start := len(dst)
 	b := append(dst, 0, 0, 0, 0, r.Kind)
 	b = AppendUvarint(b, uint64(r.Version))
+	if r.Kind == FrameDelta {
+		span := max(r.Span, 1)
+		if span > r.Version {
+			return dst, fmt.Errorf("%w: span %d exceeds version %d", ErrCorrupt, span, r.Version)
+		}
+		b = AppendUvarint(b, uint64(span))
+	}
 	b = appendU32Packed(b, r.Counts)
 	b = appendPackedCall(b, r.C, r.D)
 	total := len(b) - start + RecordTrailer
@@ -273,13 +285,18 @@ func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
 type DeltaHeader struct {
 	Kind    byte
 	Version uint32 // slot version the record establishes (0 on FrameFull)
+	Span    uint32 // calls the record folds, 1..Version (0 on FrameFull)
 	Total   int    // frame length, length word through canary
-	body    int    // offset of the packed counts, just past the version
+	body    int    // offset of the packed counts, just past the version and span
 }
 
+// First is the first slot version a FrameDelta record covers: the record
+// folds onto a slot at First−1.
+func (h DeltaHeader) First() uint32 { return h.Version - h.Span + 1 }
+
 // PeekDeltaRecord validates the delta record at the front of b — length
-// word, canary, CRC32-C over the whole frame, kind byte, version varint —
-// and returns its header without touching the packed counts and call. It is
+// word, canary, CRC32-C over the whole frame, kind byte, version varint and,
+// on FrameDelta, the span varint — and returns its header without touching the packed counts and call. It is
 // the single validation routine for delta frames: DecodeDeltaRecord is this
 // plus DecodeDeltaBody. Error classes, with the truncation distinction the
 // ring readers need:
@@ -289,7 +306,8 @@ type DeltaHeader struct {
 //     the canary has not landed: a mid-write partial, retry later;
 //   - ErrTorn       — the canary landed ahead of interior bytes (CRC);
 //   - ErrCorrupt    — structural garbage (bad length; or, inside a
-//     CRC-intact record, bad kind or overlong version varint).
+//     CRC-intact record, bad kind, an overlong version or span varint, or a
+//     span of zero or beyond the version).
 //
 // The length, canary and kind rejections return the bare sentinel: a δ-log
 // walk ends on its garbage tail every scan and must not pay for a message.
@@ -329,6 +347,17 @@ func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
 	}
 	h.Version = uint32(ver)
 	h.body = 5 + n
+	if h.Kind == FrameDelta {
+		span, m, err := Uvarint(b[h.body : total-RecordTrailer])
+		if err != nil {
+			return zero, asCorrupt(err)
+		}
+		if span == 0 || span > ver {
+			return zero, fmt.Errorf("%w: span %d outside 1..%d", ErrCorrupt, span, ver)
+		}
+		h.Span = uint32(span)
+		h.body += m
+	}
 	return h, nil
 }
 
@@ -355,7 +384,7 @@ func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 	if p+n != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
 	}
-	dst.Kind, dst.Version = h.Kind, h.Version
+	dst.Kind, dst.Version, dst.Span = h.Kind, h.Version, h.Span
 	return nil
 }
 

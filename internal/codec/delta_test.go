@@ -18,6 +18,7 @@ func sampleDelta() DeltaRecord {
 	return DeltaRecord{
 		Kind:    FrameDelta,
 		Version: 41,
+		Span:    6,
 		Counts:  []uint32{17, 3, 17},
 		C: spec.Call{
 			Method: 2, Proc: 3, Seq: 99,
@@ -30,7 +31,9 @@ func sampleDelta() DeltaRecord {
 func TestDeltaRecordRoundTrip(t *testing.T) {
 	for _, kind := range []byte{FrameFull, FrameDelta} {
 		r := sampleDelta()
-		r.Kind = kind
+		if r.Kind = kind; kind == FrameFull {
+			r.Span = 0 // only a δ-record names a run
+		}
 		b, err := EncodeDeltaRecord(r)
 		if err != nil {
 			t.Fatal(err)
@@ -81,7 +84,8 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 					}
 				}
 				if trial%8 >= 4 {
-					rec.Kind, rec.Version = FrameDelta, uint32(r.Int63())
+					rec.Kind, rec.Version = FrameDelta, max(1, uint32(r.Int63()))
+					rec.Span = 1 + uint32(r.Int63n(int64(min(rec.Version, 1<<10))))
 					rec.Counts = make([]uint32, 1+r.Intn(4))
 					for i := range rec.Counts {
 						rec.Counts[i] = uint32(r.Intn(1 << 20))
@@ -95,7 +99,7 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 				if err != nil || n != len(b)-6 {
 					t.Fatalf("%s.%s: decoded %d of %d bytes, %v", cls.Name, cls.Methods[u].Name, n, len(b)-6, err)
 				}
-				if got.Kind != rec.Kind || got.Version != rec.Version || got.C.Method != rec.C.Method ||
+				if got.Kind != rec.Kind || got.Version != rec.Version || got.Span != rec.Span || got.C.Method != rec.C.Method ||
 					got.C.Proc != rec.C.Proc || got.C.Seq != rec.C.Seq || !got.C.Args.Equal(rec.C.Args) ||
 					!slices.Equal(got.Counts, rec.Counts) || !slices.Equal(got.D, rec.D) {
 					t.Fatalf("%s.%s round trip:\n got %+v\nwant %+v", cls.Name, cls.Methods[u].Name, got, rec)
@@ -286,6 +290,59 @@ func TestDeltaRecordTornAndCorrupt(t *testing.T) {
 	}
 }
 
+// spanFrame rewrites the span byte of sampleDelta's encoding (version 41, a
+// one-byte span behind a one-byte version) behind a recomputed CRC.
+func spanFrame(good []byte, span byte) []byte {
+	b := append([]byte(nil), good...)
+	b[6] = span
+	return reframe(b)
+}
+
+// TestDeltaSpanBounds: a δ-record names 1..version calls. The header step and
+// the full decode reject a span of zero or beyond the version as corrupt, the
+// encoder refuses a span beyond the version and reads a zero span as one call,
+// and a one-call δ-record is one byte, the span, longer than the same call
+// under FrameFull at a one-byte version.
+func TestDeltaSpanBounds(t *testing.T) {
+	good, err := EncodeDeltaRecord(sampleDelta())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := PeekDeltaRecord(good); err != nil || h.Span != 6 || h.First() != 36 {
+		t.Fatalf("sample header: %+v (first v%d), %v; want span 6 from v36", h, h.First(), err)
+	}
+	for _, span := range []byte{0, 42} {
+		b := spanFrame(good, span)
+		if _, err := PeekDeltaRecord(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("span %d at v41, header: err = %v, want ErrCorrupt", span, err)
+		}
+		if _, _, err := DecodeDeltaRecord(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("span %d at v41, decode: err = %v, want ErrCorrupt", span, err)
+		}
+	}
+	r := sampleDelta()
+	r.Span = 42
+	if _, err := EncodeDeltaRecord(r); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("encoding span 42 at v41: err = %v, want ErrCorrupt", err)
+	}
+	r.Span = 0
+	one, err := EncodeDeltaRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h, err := PeekDeltaRecord(one); err != nil || h.Span != 1 {
+		t.Fatalf("a zero span encodes as %+v, %v; want one call", h, err)
+	}
+	r.Kind = FrameFull
+	full, err := EncodeDeltaRecord(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grow := len(one) - len(full); grow != 1 {
+		t.Fatalf("a one-call δ-record is %d bytes longer than its FrameFull, want 1", grow)
+	}
+}
+
 // retiredKindFrame rewrites a valid record's kind byte to the retired 0xF3
 // behind a recomputed CRC.
 func retiredKindFrame(good []byte) []byte {
@@ -328,7 +385,7 @@ func longDelta() DeltaRecord {
 // sameRecord reports whether two decoded records hold the same fields,
 // element for element: a slice with a leftover cell differs in length.
 func sameRecord(a, b DeltaRecord) bool {
-	return a.Kind == b.Kind && a.Version == b.Version && slices.Equal(a.Counts, b.Counts) &&
+	return a.Kind == b.Kind && a.Version == b.Version && a.Span == b.Span && slices.Equal(a.Counts, b.Counts) &&
 		a.C.Method == b.C.Method && a.C.Proc == b.C.Proc && a.C.Seq == b.C.Seq &&
 		a.C.Args.Equal(b.C.Args) && slices.Equal(a.D, b.D)
 }
@@ -365,6 +422,8 @@ func FuzzDeltaEntry(f *testing.F) {
 		C: spec.Call{Method: 1}, D: spec.DepVec{1}})
 	f.Add(full)
 	f.Add(retiredKindFrame(good))
+	f.Add(spanFrame(good, 0))
+	f.Add(spanFrame(good, 42))
 	// Torn: the canary landed ahead of an interior byte.
 	torn := append([]byte(nil), good...)
 	torn[7] ^= 0xff
@@ -399,9 +458,11 @@ func FuzzDeltaEntry(f *testing.F) {
 			if errClass(err) != "corrupt" {
 				t.Fatalf("header accepts, decoder fails as %v; a body can only be corrupt", err)
 			}
-		case h.Kind != r.Kind || h.Version != r.Version || h.Total != n:
-			t.Fatalf("header (kind %#x, v%d, %d B) disagrees with decode (kind %#x, v%d, %d B)",
-				h.Kind, h.Version, h.Total, r.Kind, r.Version, n)
+		case h.Kind != r.Kind || h.Version != r.Version || h.Span != r.Span || h.Total != n:
+			t.Fatalf("header (kind %#x, v%d, span %d, %d B) disagrees with decode (kind %#x, v%d, span %d, %d B)",
+				h.Kind, h.Version, h.Span, h.Total, r.Kind, r.Version, r.Span, n)
+		case h.Kind == FrameDelta && (h.Span == 0 || h.Span > h.Version):
+			t.Fatalf("header accepts a δ-record spanning %d calls up to v%d", h.Span, h.Version)
 		}
 		if herr == nil {
 			var reused DeltaRecord

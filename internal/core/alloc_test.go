@@ -122,13 +122,14 @@ func TestQueryCycleZeroAlloc(t *testing.T) {
 func TestQuiescentScanZeroAlloc(t *testing.T) {
 	const perNode = 10
 	h := newHarness(t, crdt.NewCounter(), 4, 81, func(o *Options) { o.CheckIntegrity = false })
-	h.eng.At(0, func() {
-		for i := 0; i < perNode; i++ {
+	for i := 0; i < perNode; i++ {
+		// One round a flush apart: each call ships its own δ-record.
+		h.eng.At(sim.Time(i)*sim.Time(5*sim.Microsecond), func() {
 			for p := 0; p < 4; p++ {
 				h.invoke(spec.ProcID(p), crdt.CounterAdd, spec.ArgsI(int64(i+1)))
 			}
-		}
-	})
+		})
+	}
 	if !h.drain(100 * sim.Millisecond) {
 		t.Fatal("replication did not complete")
 	}
@@ -338,15 +339,20 @@ func TestSummaryGrowthAllocs(t *testing.T) {
 // coalescer for three peers and flushing it allocates nothing once the verb
 // free list is warm — the record is encoded into the replica's scratch buffer,
 // the coalescer stages it in a buffer it reuses, and the verb copies it into a
-// recycled record. The δ-record carries the version the peers already hold, so
-// their scans skip it undecoded and the engine can be drained inside the
-// measured function.
+// recycled record. The second cycle is a burst of calls on the slot between
+// two flushes: each folds into the open run's call, which the writer keeps in
+// arrays it reuses from run to run, and re-encodes the one record in place,
+// which the coalescer writes over the staged bytes of the pending write —
+// nothing allocated either. The δ-records carry versions the peers already
+// hold, so their scans skip them undecoded and the engine can be drained
+// inside the measured function.
 func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
+	const burst = 6
 	h := newHarness(t, crdt.NewCounter(), 4, 92, func(o *Options) {
 		o.CheckIntegrity = false
 	})
 	h.eng.At(0, func() {
-		for i := 0; i < 4; i++ {
+		for i := 0; i < burst; i++ {
 			h.invoke(0, crdt.CounterAdd, spec.ArgsI(int64(i+1)))
 		}
 	})
@@ -358,29 +364,51 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 		t.Fatal("harness attached a tracer unexpectedly")
 	}
 	slot := r.sums[0][0]
+	top := slot.version
 	c := spec.Call{Method: crdt.CounterAdd, Proc: 0, Seq: 4, Args: spec.ArgsI(4)}
 	logOff := r.slotOffset(0, 0) + r.anchorCap()
 	now := h.eng.Now()
 	var recLen int
-	cycle := func() {
-		r.deltaW[0] = deltaWriter{} // the same log bytes every cycle, never an anchor
+	ship := func() {
+		slot.version++ // the call's version; a cycle ends at top
 		rec, at := r.nextDelta(0, slot, c)
 		recLen = len(rec)
 		wr := rdma.WR{Region: sumRegionBase, Off: logOff + at, Data: rec}
 		for p := 1; p < 4; p++ {
 			r.coal.Enqueue(rdma.NodeID(p), "", wr)
 		}
-		now += sim.Time(10 * sim.Microsecond)
-		h.eng.RunUntil(now) // flush, post, land, release
+		r.deltaW[0].mark = r.coal.Mark()
 	}
-	cycle()
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("nextDelta, three enqueues and the flush allocate %.2f objects, want 0", allocs)
+	cycle := func(calls int) func() {
+		return func() {
+			// The same log bytes every cycle, never an anchor.
+			dw := &r.deltaW[0]
+			dw.logOff, dw.sinceAnchor, dw.open = 0, 0, false
+			slot.version = top - uint32(calls)
+			for i := 0; i < calls; i++ {
+				ship()
+			}
+			now += sim.Time(10 * sim.Microsecond)
+			h.eng.RunUntil(now) // flush, post, land, release
+		}
+	}
+	for _, calls := range []int{1, burst} {
+		writes := h.fab.Stats().Writes
+		cycle(calls)()
+		if w := h.fab.Stats().Writes - writes; w != 3 {
+			t.Fatalf("a %d-call cycle posted %d writes, want one per peer", calls, w)
+		}
+		if span := r.deltaW[0].call.Args.I[0] / c.Args.I[0]; span != int64(calls) {
+			t.Fatalf("the run folded %d calls, want %d", span, calls)
+		}
+		if allocs := testing.AllocsPerRun(200, cycle(calls)); allocs != 0 {
+			t.Errorf("%d× nextDelta, three enqueues each and the flush allocate %.2f objects, want 0", calls, allocs)
+		}
 	}
 	for p := 1; p < 4; p++ {
 		log := h.cluster.Replica(spec.ProcID(p)).node.Region(sumRegionBase).Bytes()[logOff:]
-		if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != slot.version || hd.Total != recLen {
-			t.Fatalf("p%d's log does not hold the record the cycles wrote: %+v, %v", p, hd, err)
+		if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != top || hd.Span != burst || hd.Total != recLen {
+			t.Fatalf("p%d's log does not hold the run the cycles wrote: %+v, %v", p, hd, err)
 		}
 	}
 }

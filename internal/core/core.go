@@ -69,17 +69,18 @@ type Options struct {
 	ApplyCost sim.Duration // CPU cost to apply one update call
 	QueryCost sim.Duration // CPU cost to evaluate one query
 
-	// Summary slots are delta-groups: each reducible call ships one small
-	// δ-record into the slot's log area and the full summarized state is
-	// rewritten only every AnchorInterval calls (or when the log fills).
-	// Remote scanners fold the δ-records onto their last adopted state and
-	// fall back to a one-sided full-state fetch of the writer's own slot on
-	// a version gap or a persistently torn frame. The writer's own region
-	// always holds the current full frame, so repair, recovery and recency
-	// reads stay anchor-aware for free.
+	// Summary slots are delta-groups: the reducible calls a replica ships in
+	// one flush of its coalescer fold into one small δ-record in the slot's
+	// log area, and the full summarized state is rewritten only every
+	// AnchorInterval calls (or when the log fills). Remote scanners fold the
+	// δ-records onto their last adopted state and fall back to a one-sided
+	// full-state fetch of the writer's own slot on a version gap or a
+	// persistently torn frame. The writer's own region always holds the
+	// current full frame, so repair, recovery and recency reads stay
+	// anchor-aware for free.
 	//
-	// AnchorInterval is the number of δ-records between full-state anchors
-	// (≥ 1).
+	// AnchorInterval is the number of reducible calls between full-state
+	// anchors (≥ 1), however many δ-records carried them.
 	AnchorInterval int
 
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
@@ -330,11 +331,20 @@ type sumSlot struct {
 }
 
 // deltaWriter is the writer-side state of one delta-group summary slot:
-// where the next δ-record lands in the slot's log area and how many have
-// been written since the last full-state anchor.
+// where the next δ-record lands in the slot's log area, how many calls have
+// shipped since the last full-state anchor, and the open run — the δ-record
+// the next call folds into while it is still the pending tail of every peer's
+// batch in the coalescer.
 type deltaWriter struct {
 	logOff      int
 	sinceAnchor int
+
+	open  bool      // a run is open: its record is at runAt
+	mark  uint64    // the coalescer's Mark right after the group's last enqueue
+	runAt int       // log offset of the run's record
+	ext   int       // bytes the run's record has covered in this flush: the longest encoding
+	first uint32    // slot version of the run's first call
+	call  spec.Call // the group's Summarize over the run; the writer owns its arrays
 }
 
 // clientCall is a client call on its way from Invoke to its IssueCost item,

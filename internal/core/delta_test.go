@@ -21,8 +21,8 @@ func deltaStats(c *Cluster) (deltas, anchors, fetches uint64) {
 }
 
 // TestDeltaSummariesConverge drives random reducible traffic from every
-// node with a small anchor interval: the cluster must converge, with the
-// wire carrying mostly δ-records.
+// node with a small anchor interval: the cluster must converge, with δ-records
+// carrying most calls.
 func TestDeltaSummariesConverge(t *testing.T) {
 	h := newHarness(t, crdt.NewPNCounter(), 4, 71, func(o *Options) {
 		o.AnchorInterval = 4
@@ -45,8 +45,8 @@ func TestDeltaSummariesConverge(t *testing.T) {
 	if deltas == 0 || anchors == 0 {
 		t.Fatalf("delta pipeline idle: deltas=%d anchors=%d", deltas, anchors)
 	}
-	if deltas < anchors {
-		t.Fatalf("anchors dominate (%d anchors vs %d deltas); interval 4 should fold more", anchors, deltas)
+	if 40-anchors < anchors {
+		t.Fatalf("anchors dominate (%d anchors vs %d calls in %d δ-records); interval 4 should fold more", anchors, 40-anchors, deltas)
 	}
 }
 
@@ -58,11 +58,12 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 		o.AnchorInterval = 1 << 20 // anchors only when the log wraps
 		o.DeltaLogBytes = 96       // two-ish records per round
 	})
-	h.eng.At(0, func() {
-		for i := 0; i < 30; i++ {
+	for i := 0; i < 30; i++ {
+		// A flush apart: calls that shared one would fold into one record.
+		h.eng.At(sim.Time(i)*sim.Time(5*sim.Microsecond), func() {
 			h.invoke(spec.ProcID(i%3), crdt.CounterAdd, spec.ArgsI(int64(i)))
-		}
-	})
+		})
+	}
 	if !h.drain(100 * sim.Millisecond) {
 		t.Fatal("replication did not complete")
 	}
@@ -221,10 +222,10 @@ func burstOf(h *harness, u spec.MethodID, first, n int) {
 }
 
 // TestBurstTravelsAsOneWrite is the out-channel rule seen from the protocol:
-// the δ-records of eight reducible calls issued in one burst sit at
-// consecutive offsets of one slot's log, so each peer receives them as ONE
-// write — no chain — and folds all eight versions in the scan that finds it,
-// with no gap fetch.
+// eight reducible calls issued in one burst fold into ONE δ-record spanning
+// eight versions, rewritten at one offset of the slot's log as each call
+// joins, so each peer receives it as one write — no chain — and folds all
+// eight versions in the scan that finds it, with no gap fetch.
 func TestBurstTravelsAsOneWrite(t *testing.T) {
 	h := newHarness(t, crdt.NewGSet(), 4, 77, func(o *Options) {
 		o.DisableFailureHandling = true // no heartbeat writes: every write counted is a summary write
@@ -256,15 +257,16 @@ func TestBurstTravelsAsOneWrite(t *testing.T) {
 			t.Errorf("p%d saw versions %v of p0's slot, want v1 then v9: the run folds in one scan", p, seen[p])
 		}
 	}
-	if deltas, _, fetches := deltaStats(h.cluster); deltas != 8 || fetches != 0 {
-		t.Fatalf("deltas=%d gap fetches=%d, want 8 and 0", deltas, fetches)
+	if deltas, _, fetches := deltaStats(h.cluster); deltas != 1 || fetches != 0 {
+		t.Fatalf("deltas=%d gap fetches=%d, want 1 and 0", deltas, fetches)
 	}
 }
 
 // TestBurstAcrossAnchorKeepsOrder: a burst that crosses AnchorInterval is
-// run | anchor | run on each peer's QP, in that order — the anchor resets the
-// log cursor, so the δ-record after it is not adjacent to the one before it —
-// and the peers converge without a gap fetch.
+// run | anchor | run on each peer's QP, in that order — the anchor closes the
+// first run and resets the log cursor, so the δ-record after it is a second
+// run, written over the first at the log's head — and the peers converge without a
+// gap fetch.
 func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
 	h := newHarness(t, crdt.NewGSet(), 4, 78, func(o *Options) {
 		o.DisableFailureHandling = true
@@ -287,20 +289,21 @@ func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
 	if got := h.cluster.Replica(3).sums[0][0].version; got != 9 {
 		t.Fatalf("p3 holds v%d of p0's slot, want v9", got)
 	}
-	if deltas, anchors, fetches := deltaStats(h.cluster); deltas != 7 || anchors != 2 || fetches != 0 {
-		t.Fatalf("deltas=%d anchors=%d gap fetches=%d, want 7, 2 and 0", deltas, anchors, fetches)
+	if deltas, anchors, fetches := deltaStats(h.cluster); deltas != 2 || anchors != 2 || fetches != 0 {
+		t.Fatalf("deltas=%d anchors=%d gap fetches=%d, want 2 runs, 2 anchors and 0", deltas, anchors, fetches)
 	}
 }
 
-// TestTornRunNeverFoldsEarly tears a merged run. The boundary fragment of one
-// write is its first and last four bytes, which for a run is the length word
-// of its first record and the CRC tail of its last: the log below is in its
-// second round, so behind that length word sits a stale record of the same
-// size, and the walk reaches the last record and rejects it as torn. Sampling
-// the reader between scans, in the TestTornSlotHeadToHead pattern: while any
-// byte of the run is missing no record of it is folded, whatever is folded
-// belongs to its version (zero false accepts), the torn counter sees the run,
-// and once the interior lands the run folds whole, with no gap fetch.
+// TestTornRunNeverFoldsEarly tears a run. A burst's calls fold into one
+// δ-record, and the boundary fragment of a write is its first and last four
+// bytes: the record's length word, and its CRC tail and canary. The log below
+// is in its second round, so behind that length word sits round one's run at
+// the same offset, and the walk rejects the half-landed record as torn.
+// Sampling the reader between scans, in the TestTornSlotHeadToHead pattern:
+// while any byte of the run is missing nothing of it is folded, whatever is
+// folded belongs to its version (zero false accepts), the torn counter sees
+// the run, and once the interior lands the run folds whole, in one step from
+// the anchor to its last version, with no gap fetch.
 func TestTornRunNeverFoldsEarly(t *testing.T) {
 	const interval = 8
 	h := newHarness(t, crdt.NewCounter(), 2, 79, func(o *Options) {
@@ -308,7 +311,7 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 		o.AnchorInterval = interval
 	})
 	sum := func(v uint32) int64 { return int64(v) * int64(v+1) / 2 } // call i adds i
-	// Round one: anchor v1, δ-records v2..v9 fill the log's first bytes.
+	// Round one: anchor v1, then the run v2..v9 as one δ-record at the log's head.
 	burstOf(h, crdt.CounterAdd, 1, 1+interval)
 	if !h.drain(20 * sim.Millisecond) {
 		t.Fatal("round one did not replicate")
@@ -333,7 +336,7 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 	// Three scans fit no tear, so the reader never gives up and fetches.
 	h.fab.SetLinkTorn(0, 1, 3*sim.Microsecond, 0)
 	before := h.fab.Stats().Writes
-	// Round two: anchor v10, then v11..v18 over v2..v9 as one write.
+	// Round two: anchor v10, then the run v11..v18 over v2..v9, one write each.
 	burstOf(h, crdt.CounterAdd, 2+interval, 1+interval)
 	h.eng.RunFor(100 * sim.Microsecond)
 	probe.Cancel()
@@ -362,6 +365,14 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 	}
 	if window == 0 {
 		t.Fatal("the sampler never saw the run half-landed: the link is not tearing")
+	}
+	for _, s := range samples {
+		if s.ver > 2+interval && s.ver < final.ver {
+			t.Fatalf("p1 passed through v%d: the run folds in one step from the anchor v%d to v%d", s.ver, 2+interval, final.ver)
+		}
+	}
+	if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != final.ver || hd.Span != interval {
+		t.Fatalf("p1's log head is %+v (%v), want one record spanning v%d..v%d", hd, err, 3+interval, final.ver)
 	}
 	if tornAfter == tornBefore {
 		t.Fatalf("torn rejects stayed at %d while the run was half-landed", tornBefore)

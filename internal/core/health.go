@@ -26,8 +26,8 @@ func (r *Replica) EpochFloors() []ring.EpochFloor { return slices.Clone(r.floors
 func (r *Replica) StaleSlotRejects() uint64 { return r.statStaleSlots }
 
 // AnchorAge returns the maximum δ-log age across the replica's delta
-// groups: how many δ-records the most-stale group has appended since its
-// last full-state anchor.
+// groups: how many calls the most-stale group has shipped as δ-records since
+// its last full-state anchor.
 func (r *Replica) AnchorAge() int {
 	age := 0
 	for g := range r.deltaW {

@@ -327,11 +327,11 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// without the summary (the S-before-A ordering of rule REDUCE). The
 	// writes are queued per peer — the coalescer copies what it is given, so
 	// the slot's own bytes and the scratch record go in as they are — and
-	// flushed as one chained doorbell, the adjacent δ-records of a burst as
-	// one write; successive versions of a slot stay ordered on the QP. The
-	// propagated frame is usually a small δ-record into the slot's log area;
-	// every AnchorInterval calls (or when the log fills) the full frame is
-	// re-anchored instead.
+	// flushed as one chained doorbell, a burst's calls to one slot as one
+	// δ-record in one write; successive versions of a slot stay ordered on
+	// the QP. The propagated frame is usually a small δ-record into the
+	// slot's log area; every AnchorInterval calls (or when the log fills) the
+	// full frame is re-anchored instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
@@ -346,6 +346,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 		}
 		r.coal.Enqueue(rdma.NodeID(p), r.opts.ShardTag, wr)
 	}
+	r.deltaW[g].mark = r.coal.Mark() // what nextDelta asks before extending the run
 	r.statApplied++
 	r.assertIntegrity("reduce")
 	if r.tracing() {
@@ -373,28 +374,63 @@ func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogB
 // in the slot's log area, or nil — every AnchorInterval calls, when the log
 // fills, or when the call does not pack — for a full-state re-anchor at the
 // slot head, which also resets the log cursor (peers skip the stale records
-// left behind by version). rec lives in the replica's scratch buffer and is
-// good until the next call encodes over it.
+// left behind by version).
+//
+// A δ-record is a run: while the open run's record is still the pending tail
+// of every peer's batch (nothing enqueued on the coalescer and no flush since,
+// which its Mark tells), c is folded into the run's call and the one record
+// re-encoded at the run's offset, where the coalescer writes it over the old
+// encoding. A shorter re-encoding is padded with zeros to the longest one, so
+// a peer's walk ends behind it on an empty length word instead of on the old
+// encoding's tail. Anything else starts a run at the log cursor. rec lives in
+// the replica's scratch buffer and is good until the next call encodes over it.
 func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
 	dw := &r.deltaW[g]
+	if dw.sinceAnchor < r.opts.AnchorInterval {
+		if dw.open && dw.mark == r.coal.Mark() {
+			dw.call = r.cls.SumGroups[g].Summarize(dw.call, c)
+			if rec := r.encodeRun(dw, slot); rec != nil {
+				dw.sinceAnchor++
+				return rec, dw.runAt
+			}
+		}
+		dw.open, dw.runAt, dw.ext, dw.first = true, dw.logOff, 0, slot.version
+		dw.call.Method, dw.call.Proc, dw.call.Seq = c.Method, c.Proc, c.Seq
+		dw.call.Args.I = append(dw.call.Args.I[:0], c.Args.I...)
+		dw.call.Args.S = append(dw.call.Args.S[:0], c.Args.S...)
+		if rec := r.encodeRun(dw, slot); rec != nil {
+			dw.sinceAnchor++
+			r.statDeltas++
+			return rec, dw.runAt
+		}
+	}
+	dw.open, dw.logOff, dw.sinceAnchor = false, 0, 0
+	r.statAnchors++
+	return nil, 0
+}
+
+// encodeRun encodes dw's run, up to slot's version, at the run's offset into
+// the scratch buffer, padded to the longest encoding it had, and moves the
+// log cursor behind it; nil when it does not pack or fit the log.
+func (r *Replica) encodeRun(dw *deltaWriter, slot *sumSlot) []byte {
 	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
 		Version: slot.version,
+		Span:    slot.version - dw.first + 1,
 		Counts:  slot.counts,
-		C:       c,
+		C:       dw.call,
 	})
 	r.recBuf = rec
-	if err == nil && dw.sinceAnchor < r.opts.AnchorInterval &&
-		dw.logOff+len(rec) <= r.opts.DeltaLogBytes {
-		at = dw.logOff
-		dw.logOff += len(rec)
-		dw.sinceAnchor++
-		r.statDeltas++
-		return rec, at
+	if err != nil || dw.runAt+len(rec) > r.opts.DeltaLogBytes {
+		return nil
 	}
-	dw.logOff, dw.sinceAnchor = 0, 0
-	r.statAnchors++
-	return nil, 0
+	dw.logOff = dw.runAt + len(rec)
+	for len(rec) < dw.ext {
+		rec = append(rec, 0)
+	}
+	dw.ext = len(rec)
+	r.recBuf = rec
+	return rec
 }
 
 func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
@@ -556,14 +592,16 @@ const tornParkScans = 3
 // scanSlot adopts one peer slot. The anchor
 // frame at the slot head re-bases the state when newer; the δ-record log is
 // then walked from the front: records at or below the current version are
-// stale leftovers of earlier rounds (validated, then skipped undecoded), the
-// record at version+1 is decoded into the replica's scratch record and folds
-// into the summary via the group's Summarize, which, like the views, only
-// borrows it, and a version jumping further ahead is a gap — deltas were lost
-// (partition, dropped write), so the reader schedules a one-sided fetch of
-// the writer's authoritative full state instead of folding onto the wrong
-// base. The second result reports the slot unreadable this pass (torn frame
-// or log record).
+// stale leftovers of earlier rounds (validated, then skipped undecoded), a
+// record whose run starts at version+1 is decoded into the replica's scratch
+// record and folds into the summary via the group's Summarize, which, like
+// the views, only borrows it, and anything else is a gap — a run starting
+// further ahead means deltas were lost (partition, dropped write), and one
+// straddling the current version (a fetch landed mid-run) holds calls the
+// summary already has — so the reader schedules a one-sided fetch of the
+// writer's authoritative full state instead of folding onto the wrong base.
+// The second result reports the slot unreadable this pass (torn frame or log
+// record).
 func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
 	off := r.slotOffset(g, p)
 	changed := false
@@ -595,7 +633,7 @@ walk:
 		switch {
 		case h.Version <= slot.version:
 			// Stale leftover of an earlier log round, or already folded.
-		case h.Version == slot.version+1:
+		case h.First() == slot.version+1:
 			rec := &r.deltaRec
 			if codec.DecodeDeltaBody(rec, log, h) != nil {
 				break walk // CRC-intact garbage from the writer: unusable
@@ -605,8 +643,9 @@ walk:
 			r.foldViews(rec.C)
 			changed = true
 		default:
-			// Version gap: the missing δ-records will never reappear in
-			// this log, so give up on folding and fetch the full state.
+			// Version gap or straddle: the missing δ-records will never
+			// reappear in this log, and the calls of a straddling run
+			// cannot be taken apart, so fetch the full state.
 			r.fetchSlot(g, p, slot)
 			stuck = false // the fetch is the recovery; don't double up
 			break walk

@@ -56,7 +56,7 @@ type NodeHealth struct {
 	Issued, Applied, Rejected, Recovered uint64
 	TornRejects, StaleSlots              uint64
 	Deltas, Anchors, GapFetches          uint64
-	AnchorAge                            int // δ-records since the stalest group's last anchor
+	AnchorAge                            int // calls shipped as δ-records since the stalest group's last anchor
 	FreeQueue, ConfQueue                 int // buffered calls awaiting apply
 
 	// Per-source inbound ring health (occupancy, torn streaks, parked

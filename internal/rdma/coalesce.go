@@ -13,13 +13,15 @@ package rdma
 // same scheduling round lands in the same flush — and therefore the same
 // chain — before the doorbell rings.
 //
-// A WR that continues the batch's last WR — same region, first byte right
-// after the last one's — extends that WR instead of queueing another: the
-// δ-records a burst of reducible calls appends to one slot's log are adjacent
-// remote bytes, which is one RDMA WRITE, not one per record. Only the tail
-// merges, so the chain keeps enqueue order and an anchor at the slot head
-// followed by the δ after it stay ordered on the QP (DESIGN.md §4, "The
-// summary out-channel").
+// A WR to the region of the batch's last WR that starts inside that WR, or
+// right after it, is written onto the tail's staged bytes, extending them if
+// it reaches further, instead of queueing another: remote memory ends
+// byte-identical to posting both in order, which RC ordering guarantees
+// anyway. A burst of reducible calls rewrites one slot's δ-record at one log
+// offset and appends the next record right behind it; both are one RDMA
+// WRITE, not one per call. Only the tail merges, so the chain keeps enqueue
+// order and an anchor at the slot head followed by the δ after it stay
+// ordered on the QP (DESIGN.md §4, "The summary out-channel").
 //
 // The stream tag exists only for accounting: a chain whose WRs carry more
 // than one distinct tag is a cross-stream chain, the measurable win of
@@ -31,6 +33,7 @@ type Coalescer struct {
 	out     []peerBatch // indexed by peer NodeID
 	armed   bool
 	flushFn func() // co.flush bound once, so arming allocates nothing
+	mark    uint64 // advanced by every enqueue and every flush; see Mark
 	stats   CoalesceStats
 }
 
@@ -55,7 +58,7 @@ type CoalesceStats struct {
 	Chains      uint64 // batches of ≥ 2 WRs posted as one chain
 	CrossChains uint64 // chains mixing ≥ 2 streams
 	CrossWRs    uint64 // WRs that rode a cross-stream chain
-	Merged      uint64 // enqueues that extended the pending tail WR instead of adding one
+	Merged      uint64 // enqueues written onto the pending tail WR instead of adding one
 }
 
 // NewCoalescer creates a coalescer posting from node, with one pending
@@ -73,24 +76,30 @@ func NewCoalescer(node *Node) *Coalescer {
 // node's CPU (it is, on every protocol path: enqueues happen inside invoke
 // processing).
 func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
+	co.mark++
 	b := &co.out[peer]
 	if len(b.wrs) == 0 {
 		b.stream = stream
 	} else if b.stream != stream {
 		b.mixed = true
 	}
-	b.stage = append(b.stage, wr.Data...)
-	if n := len(b.wrs); n > 0 && b.wrs[n-1].Region == wr.Region && b.wrs[n-1].Off+b.lens[n-1] == wr.Off {
+	if n := len(b.wrs); n > 0 && b.wrs[n-1].Region == wr.Region &&
+		b.wrs[n-1].Off <= wr.Off && wr.Off <= b.wrs[n-1].Off+b.lens[n-1] {
+		// The tail's payload is the last lens[n-1] bytes of stage.
+		last := &b.wrs[n-1]
+		in := copy(b.stage[len(b.stage)-b.lens[n-1]+wr.Off-last.Off:], wr.Data)
+		b.stage = append(b.stage, wr.Data[in:]...)
+		b.lens[n-1] += len(wr.Data) - in
 		// Labels sharing a write are joined with commas, as ring.Sender joins
 		// them; the span layer splits them back out. No tracer, no label.
-		if last := &b.wrs[n-1]; last.Label == "" {
+		if last.Label == "" {
 			last.Label = wr.Label
 		} else if wr.Label != "" {
 			last.Label += "," + wr.Label
 		}
-		b.lens[n-1] += len(wr.Data)
 		co.stats.Merged++
 	} else {
+		b.stage = append(b.stage, wr.Data...)
 		b.lens = append(b.lens, len(wr.Data))
 		wr.Data = nil
 		b.wrs = append(b.wrs, wr)
@@ -102,8 +111,16 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 	co.node.CPU.Exec(0, co.flushFn)
 }
 
+// Mark returns a value that changes with every Enqueue and every flush. A
+// producer that reads it right after enqueueing a WR for each of its peers
+// and finds it unchanged later knows that WR is still every such batch's
+// pending tail: a WR it enqueues now at an offset inside or right after it
+// rewrites those bytes of the same write.
+func (co *Coalescer) Mark() uint64 { return co.mark }
+
 // flush posts every pending batch, one chain per peer, and rearms.
 func (co *Coalescer) flush() {
+	co.mark++
 	co.armed = false
 	co.stats.Flushes++
 	for p := range co.out {

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -183,5 +184,82 @@ func TestCoalescerSteadyStateAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("a warm enqueue burst and its flush allocate %.2f objects, want 0", allocs)
+	}
+}
+
+// TestCoalescerMatchesPostingInOrder is the merge rule's property: random
+// bursts of WRs to one peer — extending the tail, overwriting it from its
+// first byte with more or fewer bytes, starting inside it, landing elsewhere
+// in its region or in another region — leave both target regions
+// byte-identical to posting every WR on its own, in order. A burst in which
+// no WR starts inside the pending tail (the only merges are appends right
+// after it) posts exactly as many WRs as the append-only rule did, and every
+// burst posts as many as the rule predicts.
+func TestCoalescerMatchesPostingInOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(40))
+	regions := []string{"slots", "other"}
+	for trial := 0; trial < 300; trial++ {
+		eng, fab, co, _ := coalescePair(t)
+		want := map[string][]byte{"slots": make([]byte, 1024), "other": make([]byte, 1024)}
+		var wrs []WR
+		type span struct {
+			region  string
+			off, to int
+		}
+		var tail span
+		wantWRs, appendOnly, inside := 0, 0, false
+		for k, n := 0, 1+rng.Intn(12); k < n; k++ {
+			wr := WR{Region: tail.region}
+			size := 1 + rng.Intn(40)
+			switch c := rng.Intn(6); {
+			case k == 0 || c == 0 || tail.to == 1024: // anywhere, in either region
+				wr.Region, wr.Off = regions[rng.Intn(2)], rng.Intn(900)
+			case c == 1: // right after the tail
+				wr.Off = tail.to
+			case c == 2: // over the tail from its first byte
+				wr.Off = tail.off
+			case c == 3: // from inside the tail
+				wr.Off = tail.off + rng.Intn(tail.to-tail.off)
+			case c == 4: // a shorter overwrite wholly inside the tail
+				wr.Off = tail.off + rng.Intn(tail.to-tail.off)
+				size = 1 + rng.Intn(tail.to-wr.Off)
+			default: // the same offset in the other region
+				wr.Region, wr.Off = regions[0], tail.off
+				if tail.region == regions[0] {
+					wr.Region = regions[1]
+				}
+			}
+			wr.Data = make([]byte, min(size, 1024-wr.Off))
+			rng.Read(wr.Data)
+			copy(want[wr.Region][wr.Off:], wr.Data)
+			wrs = append(wrs, wr)
+			end := wr.Off + len(wr.Data)
+			switch {
+			case k > 0 && wr.Region == tail.region && wr.Off == tail.to:
+				tail.to = end
+			case k > 0 && wr.Region == tail.region && tail.off <= wr.Off && wr.Off < tail.to:
+				inside = true
+				appendOnly++
+				tail.to = max(tail.to, end)
+			default:
+				wantWRs++
+				appendOnly++
+				tail = span{wr.Region, wr.Off, end}
+			}
+		}
+		fab.Node(0).CPU.Exec(0, func() {
+			for _, wr := range wrs {
+				co.Enqueue(1, "s", wr)
+			}
+		})
+		eng.Run()
+		for _, name := range regions {
+			if got := fab.Node(1).Region(name).Bytes(); !bytes.Equal(got, want[name]) {
+				t.Fatalf("trial %d: region %s differs from posting the %d WRs in order", trial, name, len(wrs))
+			}
+		}
+		if got := fab.Stats().Writes; got != uint64(wantWRs) || !inside && got != uint64(appendOnly) {
+			t.Fatalf("trial %d: %d WRs posted, want %d (append-only rule: %d)", trial, got, wantWRs, appendOnly)
+		}
 	}
 }

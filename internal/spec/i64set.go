@@ -38,7 +38,8 @@ func (s I64Set) String() string { return fmt.Sprint(s.Sorted()) }
 // the Summarize of every set-valued summarization group, under its contract.
 // first is consumed like append's slice — the accumulated summary, an earlier
 // result of this function, so already sorted and duplicate-free — and second
-// is one client call's few elements in any order, borrowed. second's new
+// is borrowed: one client call's few elements in any order, sorted into a
+// small stack copy, or a folded δ-run's union, read in place. second's new
 // elements are inserted into first's array, which grows by doubling when it
 // is full, so a summary that gains one element a call allocates O(log n)
 // times over its life instead of once a call. A first that is not sorted and
@@ -47,8 +48,11 @@ func UnionSorted(first, second []int64) []int64 {
 	if !sortedUnique(first) {
 		first = normalize(first)
 	}
-	var small [8]int64 // a client call's elements fit: no allocation to sort them
-	add := normalize(append(small[:0], second...))
+	add := second
+	if !sortedUnique(second) {
+		var small [8]int64 // a client call's elements fit: no allocation to sort them
+		add = normalize(append(small[:0], second...))
+	}
 
 	missing := 0
 	rest := first
