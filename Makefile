@@ -181,7 +181,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR36.json
+SNAPSHOT ?= BENCH_PR40.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -218,8 +218,8 @@ bench-pairs:
 # MAXREGRESS, when nonzero, fails the target if any matched point's throughput
 # drops, or its p99 or bytes per op rise, by more than that percentage — the CI
 # regression gate.
-OLD ?= BENCH_PR36.json
-NEW ?= BENCH_PR36.json
+OLD ?= BENCH_PR40.json
+NEW ?= BENCH_PR40.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)

@@ -28,31 +28,35 @@ func sampleDelta() DeltaRecord {
 	}
 }
 
+// TestDeltaRecordRoundTrip covers one- to five-byte versions and spans: the
+// body starts where their varints' lengths put it.
 func TestDeltaRecordRoundTrip(t *testing.T) {
-	for _, kind := range []byte{FrameFull, FrameDelta} {
-		r := sampleDelta()
-		if r.Kind = kind; kind == FrameFull {
-			r.Span = 0 // only a δ-record names a run
-		}
-		b, err := EncodeDeltaRecord(r)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, n, err := DecodeDeltaRecord(b)
-		if err != nil {
-			t.Fatalf("kind 0x%02x: %v", kind, err)
-		}
-		if n != len(b) {
-			t.Fatalf("consumed %d of %d", n, len(b))
-		}
-		if !reflect.DeepEqual(got, r) {
-			t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
-		}
-		// Self-delimiting: decoding from a longer buffer consumes only the
-		// record.
-		got2, n2, err := DecodeDeltaRecord(append(append([]byte(nil), b...), 0xEE, 0xEE))
-		if err != nil || n2 != len(b) || !reflect.DeepEqual(got2, r) {
-			t.Fatalf("decode with trailing bytes: n=%d err=%v", n2, err)
+	for _, vs := range [][2]uint32{{41, 6}, {127, 127}, {128, 128}, {1 << 20, 300}, {1<<32 - 1, 1 << 31}} {
+		for _, kind := range []byte{FrameFull, FrameDelta} {
+			r := sampleDelta()
+			if r.Kind, r.Version, r.Span = kind, vs[0], vs[1]; kind == FrameFull {
+				r.Span = 0 // only a δ-record names a run
+			}
+			b, err := EncodeDeltaRecord(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, n, err := DecodeDeltaRecord(b)
+			if err != nil {
+				t.Fatalf("kind 0x%02x v%d: %v", kind, r.Version, err)
+			}
+			if n != len(b) {
+				t.Fatalf("consumed %d of %d", n, len(b))
+			}
+			if !reflect.DeepEqual(got, r) {
+				t.Fatalf("round trip:\n got %+v\nwant %+v", got, r)
+			}
+			// Self-delimiting: decoding from a longer buffer consumes only the
+			// record.
+			got2, n2, err := DecodeDeltaRecord(append(append([]byte(nil), b...), 0xEE, 0xEE))
+			if err != nil || n2 != len(b) || !reflect.DeepEqual(got2, r) {
+				t.Fatalf("decode with trailing bytes: n=%d err=%v", n2, err)
+			}
 		}
 	}
 }

@@ -373,11 +373,7 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 		slot.version++ // the call's version; a cycle ends at top
 		rec, at := r.nextDelta(0, slot, c)
 		recLen = len(rec)
-		wr := rdma.WR{Region: sumRegionBase, Off: logOff + at, Data: rec}
-		for p := 1; p < 4; p++ {
-			r.coal.Enqueue(rdma.NodeID(p), "", wr)
-		}
-		r.deltaW[0].mark = r.coal.Mark()
+		r.propagate(0, rdma.WR{Region: sumRegionBase, Off: logOff + at, Data: rec})
 	}
 	cycle := func(calls int) func() {
 		return func() {

@@ -52,26 +52,90 @@ func TestDeltaSummariesConverge(t *testing.T) {
 
 // TestDeltaLogWrapReanchors fills a deliberately tiny δ-log so the writer
 // re-anchors on wraparound; readers must skip the stale records left from
-// earlier rounds and stay convergent.
+// earlier rounds and stay convergent. Two inputs wrap it: counter calls a
+// flush apart, one record each, over many flushes; and one burst of gset
+// adds in a single flush, whose folded run outgrows the log, so the fold that
+// does not fit ends the run there and the call re-anchors. The run the
+// overflow closes must keep the versions it already shipped, and no reader
+// may need a gap fetch.
 func TestDeltaLogWrapReanchors(t *testing.T) {
-	h := newHarness(t, crdt.NewCounter(), 3, 72, func(o *Options) {
-		o.AnchorInterval = 1 << 20 // anchors only when the log wraps
-		o.DeltaLogBytes = 96       // two-ish records per round
-	})
-	for i := 0; i < 30; i++ {
-		// A flush apart: calls that shared one would fold into one record.
-		h.eng.At(sim.Time(i)*sim.Time(5*sim.Microsecond), func() {
-			h.invoke(spec.ProcID(i%3), crdt.CounterAdd, spec.ArgsI(int64(i)))
+	t.Run("rounds", func(t *testing.T) {
+		h := newHarness(t, crdt.NewCounter(), 3, 72, func(o *Options) {
+			o.AnchorInterval = 1 << 20 // anchors only when the log wraps
+			o.DeltaLogBytes = 96       // two-ish records per round
 		})
-	}
-	if !h.drain(100 * sim.Millisecond) {
-		t.Fatal("replication did not complete")
-	}
-	h.checkConvergence()
-	_, anchors, _ := deltaStats(h.cluster)
-	if anchors < 6 {
-		t.Fatalf("log wrap produced only %d anchors; want several rounds", anchors)
-	}
+		for i := 0; i < 30; i++ {
+			// A flush apart: calls that shared one would fold into one record.
+			h.eng.At(sim.Time(i)*sim.Time(5*sim.Microsecond), func() {
+				h.invoke(spec.ProcID(i%3), crdt.CounterAdd, spec.ArgsI(int64(i)))
+			})
+		}
+		if !h.drain(100 * sim.Millisecond) {
+			t.Fatal("replication did not complete")
+		}
+		h.checkConvergence()
+		_, anchors, _ := deltaStats(h.cluster)
+		if anchors < 6 {
+			t.Fatalf("log wrap produced only %d anchors; want several rounds", anchors)
+		}
+	})
+	t.Run("burst", func(t *testing.T) {
+		const calls = 150
+		h := newHarness(t, crdt.NewGSet(), 3, 72, func(o *Options) {
+			o.AnchorInterval = 1 << 20
+			o.DeltaLogBytes = 64 // a run of a few dozen keys fills it
+		})
+		r := h.cluster.Replica(0)
+		var (
+			shipped    []byte // the open run's record as last enqueued
+			first      uint32 // the open run's first version
+			anchors    uint64
+			overflows  int
+			flushes    uint64
+			checkAfter func()
+		)
+		checkAfter = func() {
+			v := r.sums[0][0].version
+			if r.statAnchors > anchors { // the call at v re-anchored
+				anchors = r.statAnchors
+				if len(shipped) == 0 {
+					return // the slot's first call: no run open yet
+				}
+				overflows++ // the fold of the call at v did not fit
+				hd, err := codec.PeekDeltaRecord(shipped)
+				if err != nil || hd.Version != v-1 || hd.First() != first {
+					t.Fatalf("at v%d the run before the overflow reads %+v (%v), want v%d…v%d", v, hd, err, first, v-1)
+				}
+				shipped = shipped[:0]
+				return
+			}
+			if len(shipped) == 0 { // the call opened a run
+				first = v
+			}
+			shipped = append(shipped[:0], r.recBuf...)
+		}
+		h.eng.At(0, func() {
+			flushes, anchors = r.coal.Stats().Flushes, r.statAnchors
+			for i := 0; i < calls; i++ {
+				h.invoke(0, crdt.GSetAdd, spec.ArgsI(int64(i)))
+				r.node.CPU.Exec(0, checkAfter) // runs right after the call's issue item
+			}
+		})
+		if !h.drain(100 * sim.Millisecond) {
+			t.Fatal("replication did not complete")
+		}
+		if f := r.coal.Stats().Flushes - flushes; f != 1 {
+			t.Fatalf("the burst went out in %d flushes, want one", f)
+		}
+		t.Logf("%d calls in one flush; %d runs closed on an overflow", calls, overflows)
+		if overflows < 2 {
+			t.Fatalf("the burst's runs overflowed the log %d times, want several", overflows)
+		}
+		h.checkConvergence()
+		if _, _, fetches := deltaStats(h.cluster); fetches != 0 {
+			t.Fatalf("%d gap fetches; a run closed by an overflow must fold whole", fetches)
+		}
+	})
 }
 
 // TestAnchorIntervalInvariant runs the same workload re-anchoring after every

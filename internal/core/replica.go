@@ -321,8 +321,9 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 		panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte frame for a %d-byte anchor area (%v)",
 			r.id, len(frame), r.anchorCap(), err))
 	}
-	// Then propagate to every other node with inline, unsignaled
-	// one-sided writes (the payload fits the WQE). Summary and applied
+	// Then propagate to every other node with unsignaled one-sided writes,
+	// inline only when the CPU has nothing else queued (rdma.Coalescer).
+	// Summary and applied
 	// count travel in one frame, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
 	// writes are queued per peer — the coalescer copies what it is given, so
@@ -340,13 +341,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if rec, at := r.nextDelta(g, slot, c); rec != nil {
 		wr.Off, wr.Data = off+r.anchorCap()+at, rec
 	}
-	for p := 0; p < r.n; p++ {
-		if spec.ProcID(p) == r.id {
-			continue
-		}
-		r.coal.Enqueue(rdma.NodeID(p), r.opts.ShardTag, wr)
-	}
-	r.deltaW[g].mark = r.coal.Mark() // what nextDelta asks before extending the run
+	r.propagate(g, wr)
 	r.statApplied++
 	r.assertIntegrity("reduce")
 	if r.tracing() {
@@ -360,6 +355,18 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	if onDone != nil {
 		onDone(nil, nil)
 	}
+}
+
+// propagate queues group g's slot write wr for every peer and notes the
+// coalescer's Mark behind it: while the Mark stays there, wr is every peer's
+// pending tail, which is what lets nextDelta fold the next call into it.
+func (r *Replica) propagate(g int, wr rdma.WR) {
+	for p := 0; p < r.n; p++ {
+		if spec.ProcID(p) != r.id {
+			r.coal.Enqueue(rdma.NodeID(p), r.opts.ShardTag, wr)
+		}
+	}
+	r.deltaW[g].mark = r.coal.Mark()
 }
 
 func (r *Replica) slotOffset(g int, p spec.ProcID) int {

@@ -23,6 +23,13 @@ package rdma
 // order and an anchor at the slot head followed by the δ after it stay
 // ordered on the QP (DESIGN.md §4, "The summary out-channel").
 //
+// A batch posts inline only when no work waits on the CPU behind the flush.
+// Copying the payloads into the WQE charges the sender InlineCost per WR to
+// land them InlineDMASaving sooner: an idle node's peers see the write
+// earlier, but on a busy node every queued item waits behind the copies. A
+// busy node posts the batch by DMA from the stage it already sits in; nobody
+// waits for its completion.
+//
 // The stream tag exists only for accounting: a chain whose WRs carry more
 // than one distinct tag is a cross-stream chain, the measurable win of
 // sharing QPs across shards. Tag comparison is two pointer-sized loads per
@@ -140,7 +147,7 @@ func (co *Coalescer) flush() {
 			b.wrs[i].Data = b.stage[lo : lo+n]
 			lo += n
 		}
-		co.node.QP(NodeID(p)).PostChain(b.wrs, nil) // copies the payloads into the verb
+		co.node.QP(NodeID(p)).postChain(b.wrs, nil, co.node.CPU.QueueLen() == 0) // copies the payloads into the verb
 		b.wrs, b.lens, b.stage = b.wrs[:0], b.lens[:0], b.stage[:0]
 		b.stream = ""
 		b.mixed = false

@@ -55,6 +55,37 @@ func TestCoalescerMergesContiguousRun(t *testing.T) {
 	}
 }
 
+// TestCoalescerInlinesOnlyWhenIdle: a batch small enough to post inline does
+// so when nothing waits on the CPU behind the flush, and pays InlineCost for
+// it; with an item queued behind the flush it posts by DMA and pays PostCost
+// alone.
+func TestCoalescerInlinesOnlyWhenIdle(t *testing.T) {
+	const behind = 50 * sim.Nanosecond
+	lat := DefaultLatency()
+	data := bytes.Repeat([]byte{7}, 40)
+	for _, busy := range []bool{false, true} {
+		eng, fab, co, _ := coalescePair(t)
+		cpu := fab.Node(0).CPU
+		cpu.Exec(0, func() {
+			co.Enqueue(1, "s", WR{Region: "slots", Off: 0, Data: data})
+			if busy {
+				cpu.Exec(behind, nil) // queued behind the flush
+			}
+		})
+		eng.Run()
+		wantInline, wantBusy := uint64(1), lat.PostCost+lat.InlineCost
+		if busy {
+			wantInline, wantBusy = 0, lat.PostCost+behind
+		}
+		if got := fab.Stats().InlineWrites; got != wantInline {
+			t.Errorf("busy=%v: %d inline writes, want %d", busy, got, wantInline)
+		}
+		if got := cpu.BusyTotal(); got != wantBusy {
+			t.Errorf("busy=%v: sender busy %v, want %v", busy, got, wantBusy)
+		}
+	}
+}
+
 // TestCoalescerRunEndsAndKeepsOrder: only the tail merges. Another region or a
 // non-adjacent offset ends the run, and the chain keeps enqueue order — run,
 // anchor, run is three WRs in that order — so a later write to bytes an

@@ -527,7 +527,7 @@ func (qp *QP) Write(region string, off int, data []byte, onDone func(error)) {
 		return
 	}
 	v := qp.fabric().acquireVerb(qp, opWrite)
-	v.add(region, off, data, "")
+	v.add(region, off, data, "", true)
 	v.onDone = onDone
 	v.post()
 }
@@ -631,7 +631,11 @@ type WR struct {
 //
 // Data is copied at post time. A chain of one WR degenerates to Write; an
 // empty chain is a no-op.
-func (qp *QP) PostChain(wrs []WR, onDone func(error)) {
+func (qp *QP) PostChain(wrs []WR, onDone func(error)) { qp.postChain(wrs, onDone, true) }
+
+// postChain is PostChain; with inline false every payload posts by DMA,
+// whatever its size, as a Coalescer's batch does on a busy node.
+func (qp *QP) postChain(wrs []WR, onDone func(error), inline bool) {
 	if len(wrs) == 0 || qp.from.crashed {
 		return
 	}
@@ -644,7 +648,7 @@ func (qp *QP) PostChain(wrs []WR, onDone func(error)) {
 	// once per doubling.
 	v.wrs, v.data = slices.Grow(v.wrs, len(wrs)), slices.Grow(v.data, n)
 	for _, wr := range wrs {
-		v.add(wr.Region, wr.Off, wr.Data, wr.Label)
+		v.add(wr.Region, wr.Off, wr.Data, wr.Label, inline)
 	}
 	v.onDone = onDone
 	v.post()
@@ -733,12 +737,13 @@ func (v *verb) name() string {
 	return "write"
 }
 
-// add appends one WR, copying its payload.
-func (v *verb) add(region string, off int, data []byte, label string) {
+// add appends one WR, copying its payload; it posts inline if inline allows
+// it and the payload fits InlineThreshold.
+func (v *verb) add(region string, off int, data []byte, label string, inline bool) {
 	lo := len(v.data)
 	v.data = append(v.data, data...)
 	v.wrs = append(v.wrs, verbWR{region: region, off: off, lo: lo, hi: len(v.data), label: label,
-		inline: v.qp.fabric().lat.inline(len(data))})
+		inline: inline && v.qp.fabric().lat.inline(len(data))})
 }
 
 // post rings the doorbell: the sender CPU pays PostCost for the first WR,
