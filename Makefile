@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions store health health-exp cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions mutants store health health-exp cover loc check
 
 all: check
 
@@ -81,24 +81,32 @@ chaos:
 # through rdmawrdt's Fig. 7 rule steps (Exec, Install, Query), each failed
 # premise reported by its rule, plus the trace-only checks. The gate: the
 # fixed-seed corpus (fault-free and fault-plan workloads across the
-# counter/orset/bankmap classes, checked deterministic), the checker's own
-# mutation test (an injected apply-order bug must fail its run and shrink to
-# <= 8 calls), the tampered-trace table (one tampered event per premise and
-# check), the sharded plans checked per shard with their cross-wire mutation
-# control, and the corpus fingerprints (hashes and report counts pinned
-# across commits). Every run is a chaos run that checks its own history;
-# `hambench -exp chaos` is the exploratory version.
+# counter/orset/bankmap classes, checked deterministic), the catch matrix
+# (see mutants; among its rows, the injected apply-order bug must fail its
+# run and shrink to <= 8 calls, and cross-wired shards must fail the
+# per-shard identity check), the tampered-trace table (one tampered event
+# per premise and check), the sharded plans checked per shard, and the
+# corpus fingerprints (hashes and report counts pinned across commits).
+# Every run is a chaos run that checks its own history; `hambench -exp
+# chaos` is the exploratory version.
 conform:
-	$(GO) test -run 'TestConformCorpus|TestMutated|TestTampered|TestSharded|TestCrossWire|TestRunChecks|TestShrinkSharded|TestFingerprints' -count=1 -v ./internal/conform
+	$(GO) test -run 'TestConformCorpus|TestMutated|TestTampered|TestSharded|TestCatchMatrix|TestRunChecks|TestShrinkSharded|TestFingerprints' -count=1 -v ./internal/conform
 
 # conform-sessions runs the client-session gate: the session-guarantee
 # checker's unit histories, live sessions across an epoch change (monotonic
 # reads, read-your-writes, writes-follow-reads spanning replica switches),
-# the stale-read mutation control (must fail its run through the session
-# check alone and shrink to <= 6 events), and sessions dealt over the shards
-# of a shard_mix fault plan with its own stale-read control.
+# the catch matrix, whose stale-reads row must fail its run through the
+# session check alone and shrink to <= 6 events, and sessions dealt over the
+# shards of a shard_mix fault plan with their own stale-reads control.
 conform-sessions:
-	$(GO) test -run 'TestSession|TestStaleRead' -count=1 -v ./internal/conform
+	$(GO) test -run 'TestSession|TestCatchMatrix' -count=1 -v ./internal/conform
+
+# mutants runs the catch matrix: each mutant of the catalogue (chaos.Mutants)
+# on its control-plan family, and for each checker — probes and history — the
+# runs it caught, the checks that fired and the shrunk counterexample's size,
+# printed and compared with internal/conform/testdata/mutants.golden.
+mutants:
+	$(GO) test -run 'TestCatchMatrix' -count=1 -v ./internal/conform
 
 # store runs the sharded multi-object store gate: exact footprint
 # accounting against the per-node arena, typed budget errors, freed-memory

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	_ "embed"
 	"reflect"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func TestRunIsReproducible(t *testing.T) {
 func TestPlanJSONRoundTrip(t *testing.T) {
 	p := Generate("counter", 4, 80, 3)
 	p.NoFinalHeal = true
-	p.DisableRecovery = true
+	p.Mutants = []string{"no-recovery", "apply-order"}
 	var buf bytes.Buffer
 	if err := p.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -106,6 +107,11 @@ func TestPlanJSONRejectsUnknownFields(t *testing.T) {
 	for _, in := range []string{
 		`{"class":"counter","nodes":4,"ops":80,"seed":208,"full_summaries":true}`,
 		`{"class":"counter","nodes":4,"ops":80,"seed":1,"events":[{"at":5,"kind":"suspend","node":1,"nod":2}]}`,
+		// The mutation switches the catalogue's names replaced.
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"mutate_apply_order":true}`,
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"shard_mix":2,"cross_wire_shards":true}`,
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"sessions":2,"mutate_stale_reads":true}`,
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"disable_recovery":true}`,
 	} {
 		if _, err := ReadPlan(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("ReadPlan(%s) = %v, want an unknown-field error", in, err)
@@ -123,6 +129,8 @@ func TestPlanValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: "warp"}}},
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindSuspend, Node: 9}}},
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindPartition, A: 2, B: 2}}},
+		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"off-by-one"}},
+		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"apply-order", "no-recovery", "apply-order"}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -173,42 +181,26 @@ func TestRandomizedPlans(t *testing.T) {
 
 // --- negative control ------------------------------------------------------
 
-// negativePlan kills the conflicting-group leader and never heals: with
-// failure handling disabled the cluster cannot elect a successor, so
-// withdraws from correct nodes can never be ordered.
-func negativePlan(disableRecovery bool) Plan {
-	return Plan{
-		Class: "account", Nodes: 4, Ops: 80, Seed: 5,
-		NoFinalHeal:     true,
-		DisableRecovery: disableRecovery,
-		Events: []Event{
-			{At: sim.Time(200 * sim.Microsecond), Kind: KindLeaderKill, Group: 0},
-		},
-	}
-}
+// noRecoveryControl is the no-recovery mutant's control plan: it kills the
+// conflicting-group leader and never heals, so with failure handling off the
+// cluster cannot elect a successor, and withdraws from correct nodes can
+// never be ordered. Package conform's catch matrix runs it too, so it is
+// committed as a plan file rather than written out here.
+//
+//go:embed testdata/controls/no-recovery-account-seed5.json
+var noRecoveryControl []byte
 
-// TestNegativeControlCaught proves the probes have teeth: an intentionally
-// broken configuration (recovery disabled) is caught, and the identical
-// fault schedule passes once recovery is enabled.
-func TestNegativeControlCaught(t *testing.T) {
-	opts := Options{DrainDeadline: 10 * sim.Millisecond}
-
-	broken := mustRun(t, negativePlan(true), opts)
-	if broken.Passed {
-		t.Fatal("recovery-disabled cluster passed a leader-kill plan — probes are blind")
+// negativePlan is the no-recovery control plan, with the mutant when broken
+// and as its healthy twin otherwise.
+func negativePlan(broken bool) Plan {
+	p, err := ReadPlan(bytes.NewReader(noRecoveryControl))
+	if err != nil {
+		panic(err)
 	}
-	found := false
-	for _, v := range broken.Violations {
-		if v.Probe == "quiescence" {
-			found = true
-		}
+	if !broken {
+		p.Mutants = nil
 	}
-	if !found {
-		t.Fatalf("want a quiescence violation, got:\n%s", FormatViolations(broken))
-	}
-
-	healthy := mustRun(t, negativePlan(false), opts)
-	assertPassed(t, healthy)
+	return p
 }
 
 // --- shrinking -------------------------------------------------------------

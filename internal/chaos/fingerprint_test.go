@@ -72,9 +72,9 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	for _, class := range []string{"counter", "orset", "account"} {
 		add("conform-sharded/"+class, GenerateSharded(class, 4, 120, 51, 4), checked)
 	}
-	crossWire := Plan{Class: "orset", Nodes: 4, Ops: 120, Seed: 61, ShardMix: 2, CrossWireShards: true}
+	crossWire := Plan{Class: "orset", Nodes: 4, Ops: 120, Seed: 61, ShardMix: 2, Mutants: []string{"cross-wire"}}
 	add("conform-sharded/crosswire", crossWire, checked)
-	crossWire.CrossWireShards = false
+	crossWire.Mutants = nil
 	add("conform-sharded/crosswire-control", crossWire, checked)
 	// The round-rule plans at the density TestCorpusDenseRounds replays them
 	// at: their kill times are placed mid-round on this schedule.

@@ -15,8 +15,12 @@ func FuzzPlanJSON(f *testing.F) {
 		var buf bytes.Buffer
 		p := Generate("bankmap", 4, 60, seed)
 		p.NoFinalHeal = seed%2 == 0
-		p.DisableRecovery = seed%3 == 0
-		p.MutateApplyOrder = seed%4 == 0
+		if seed%3 == 0 {
+			p.Mutants = append(p.Mutants, "no-recovery")
+		}
+		if seed%4 == 0 {
+			p.Mutants = append(p.Mutants, "apply-order")
+		}
 		if err := p.WriteJSON(&buf); err != nil {
 			f.Fatal(err)
 		}
@@ -41,13 +45,17 @@ func FuzzPlanJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading an encoded valid plan failed: %v", err)
 		}
-		// Normalize the one asymmetry JSON allows: an empty slice encodes
-		// as [] but absent/null decodes as nil.
+		// Normalize the asymmetries JSON allows: an empty event list encodes
+		// as [] but absent/null decodes as nil, and an empty mutant list is
+		// omitted.
 		if len(p.Events) == 0 {
 			p.Events = nil
 		}
 		if len(q.Events) == 0 {
 			q.Events = nil
+		}
+		if len(p.Mutants) == 0 {
+			p.Mutants = nil
 		}
 		if !reflect.DeepEqual(p, q) {
 			t.Fatalf("round-trip changed the plan:\n in: %+v\nout: %+v", p, q)

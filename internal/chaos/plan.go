@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"hamband/internal/crdt"
@@ -107,16 +108,6 @@ type Plan struct {
 	// excluded from the correctness probes (used by negative controls).
 	NoFinalHeal bool `json:"no_final_heal,omitempty"`
 
-	// DisableRecovery turns off the cluster's failure handling (no
-	// heartbeats, no detectors, no backup recovery, no leader change) —
-	// the negative-control configuration the probes must catch.
-	DisableRecovery bool `json:"disable_recovery,omitempty"`
-
-	// MutateApplyOrder injects the core runtime's apply-order bug (buffers
-	// drain newest-first, dependency gate skipped) — the negative control
-	// a checked run's history check must catch.
-	MutateApplyOrder bool `json:"mutate_apply_order,omitempty"`
-
 	// AnchorInterval, when positive, overrides the δ-log's full-state
 	// re-anchor period. Small values stress the anchor/δ interleaving.
 	AnchorInterval int `json:"anchor_interval,omitempty"`
@@ -129,12 +120,6 @@ type Plan struct {
 	// exercises cross-shard isolation: a fault stalling one shard must
 	// not stop its siblings from acking and converging.
 	ShardMix int `json:"shard_mix,omitempty"`
-
-	// CrossWireShards installs the store's cross-wiring mutation control:
-	// broadcast deliveries of two shards are swapped at one node. A
-	// correct checker must catch the resulting divergence — this is a
-	// negative control, never part of a passing corpus plan.
-	CrossWireShards bool `json:"cross_wire_shards,omitempty"`
 
 	// Sessions, when positive, runs that many client sessions alongside the
 	// batch workload: each session issues writes and reads against one
@@ -149,12 +134,9 @@ type Plan struct {
 	// hashes.
 	Sessions int `json:"sessions,omitempty"`
 
-	// MutateStaleReads installs the session mutation control: after a
-	// replica switch, the first read of each session is served from the view
-	// the session cached at its very first read instead of the live replica
-	// state — the classic stale-failover-cache bug. A correct session
-	// checker must catch it; never part of a passing corpus plan.
-	MutateStaleReads bool `json:"mutate_stale_reads,omitempty"`
+	// Mutants names the catalogue mutants (Mutants) the run installs: bugs
+	// a checker must catch, never part of a passing corpus plan.
+	Mutants []string `json:"mutants,omitempty"`
 
 	Events []Event `json:"events"`
 }
@@ -173,14 +155,22 @@ func (p Plan) Validate() error {
 	if p.ShardMix != 0 && (p.ShardMix < 2 || p.ShardMix > 32) {
 		return fmt.Errorf("chaos: shard_mix = %d, want 0 or 2..32", p.ShardMix)
 	}
-	if p.CrossWireShards && p.ShardMix < 2 {
-		return fmt.Errorf("chaos: cross_wire_shards needs shard_mix >= 2")
-	}
-	if p.MutateStaleReads && p.Sessions <= 0 {
-		return fmt.Errorf("chaos: mutate_stale_reads needs sessions > 0")
+	if p.AnchorInterval < 0 {
+		return fmt.Errorf("chaos: anchor_interval = %d, want 0 (the default) or more", p.AnchorInterval)
 	}
 	if p.Sessions < 0 || p.Sessions > 16 {
 		return fmt.Errorf("chaos: sessions = %d, want 0..16", p.Sessions)
+	}
+	for i, name := range p.Mutants {
+		m := slices.IndexFunc(Mutants, func(m Mutant) bool { return m.Name == name })
+		switch {
+		case m < 0:
+			return fmt.Errorf("chaos: unknown mutant %q", name)
+		case slices.Contains(p.Mutants[:i], name):
+			return fmt.Errorf("chaos: mutant %s named twice", name)
+		case Mutants[m].holds != nil && !Mutants[m].holds(p):
+			return fmt.Errorf("chaos: mutant %s needs %s", name, Mutants[m].needs)
+		}
 	}
 	node := func(i int) bool { return i >= 0 && i < p.Nodes }
 	left := make(map[int]bool)
@@ -228,6 +218,33 @@ func (p Plan) Validate() error {
 	}
 	return nil
 }
+
+// Mutant is one entry of the catalogue of bugs the harness injects to prove
+// that a checker catches them. A plan names the mutants it installs
+// (Plan.Mutants), and the runner puts each where it applies: no-recovery
+// into the options every cluster is built with, apply-order onto every built
+// cluster, cross-wire onto the opened shard pairs, and stale-reads into the
+// client sessions. Production types carry none of them.
+type Mutant struct {
+	Name string
+	Doc  string // the bug, in one line
+
+	needs string          // the plan shape it needs, "" when any plan will do
+	holds func(Plan) bool // whether a plan has that shape
+}
+
+// Mutants is the catalogue.
+var Mutants = []Mutant{
+	{Name: "apply-order", Doc: "buffers drain newest-first and the dependency gate is skipped"},
+	{Name: "cross-wire", Doc: "shard pairs (0↔1, 2↔3 in open order) swap their free deliveries",
+		needs: "shard_mix >= 2", holds: func(p Plan) bool { return p.ShardMix >= 2 }},
+	{Name: "stale-reads", Doc: "the first read after a switch serves the session's first cached view",
+		needs: "sessions > 0", holds: func(p Plan) bool { return p.Sessions > 0 }},
+	{Name: "no-recovery", Doc: "failure handling off: no heartbeats, detectors, backup recovery or leader change"},
+}
+
+// mutated reports whether the plan installs the named mutant.
+func (p Plan) mutated(name string) bool { return slices.Contains(p.Mutants, name) }
 
 // Without returns a copy of the plan with event i removed — the shrinking
 // step.

@@ -153,7 +153,7 @@ func TestReconfigValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindLeave, Node: 1}, {At: 1, Kind: KindLeave, Node: 1}}}, // double leave
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindLeave, Node: 7}}},                                    // out of range
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: 2, Events: []Event{{Kind: KindLeave, Node: 1}}},                       // sharded
-		{Class: "counter", Nodes: 4, Ops: 10, MutateStaleReads: true},                                                         // mutation without sessions
+		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"stale-reads"}},                                               // mutant without sessions
 		{Class: "counter", Nodes: 4, Ops: 10, Sessions: 99},                                                                   // too many sessions
 	}
 	for i, p := range bad {

@@ -241,8 +241,7 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	// Integrity is probed (and reported) rather than asserted: a violation
 	// must become a verdict, not a panic.
 	copts.CheckIntegrity = false
-	copts.DisableFailureHandling = p.DisableRecovery
-	copts.MutateApplyOrder = p.MutateApplyOrder
+	copts.DisableFailureHandling = p.mutated("no-recovery")
 	if p.AnchorInterval > 0 {
 		copts.AnchorInterval = p.AnchorInterval
 	}
@@ -284,7 +283,6 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		sopts := store.DefaultOptions()
 		sopts.Core = copts
 		sopts.Tracer = r.v.Trace
-		sopts.CrossWire = p.CrossWireShards
 		// Exact admission: the budget is sized to the plan's shard count, so a
 		// footprint-accounting regression surfaces here as an Open error.
 		sopts.MemoryBudget = p.ShardMix * store.Footprint(an, p.Nodes, copts)
@@ -296,6 +294,16 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 				return nil, fmt.Errorf("chaos: opening shard %s: %w", key, err)
 			}
 			addShard(key, sh.Cluster)
+		}
+	}
+	// The mutants that act on built clusters; cross-wire pairs the shards in
+	// open order.
+	for i, sh := range r.shards {
+		if p.mutated("apply-order") {
+			sh.cluster.MutateApplyOrder()
+		}
+		if p.mutated("cross-wire") && i%2 == 1 {
+			core.CrossWire(r.shards[i-1].cluster, sh.cluster)
 		}
 	}
 	// The watchdog observes health snapshots on the probe cadence. Both

@@ -31,9 +31,9 @@ type session struct {
 	busy  bool     // an op (or a switch wait) is in flight; skip ticks
 	need  []uint64 // per-origin coverage the session has observed or written
 
-	// Mutation-control state (Plan.MutateStaleReads): the view cached at
-	// the session's first read, served verbatim on the first read after
-	// each switch — the stale-failover-cache bug the checker must catch.
+	// State of the stale-reads mutant: the view cached at the session's
+	// first read, served verbatim on the first read after each switch — the
+	// stale-failover-cache bug the checker must catch.
 	firstView  []uint64
 	staleArmed bool
 }
@@ -193,7 +193,7 @@ func (s *session) waitCovered(t int, polls int) {
 	}
 	s.node = t
 	s.busy = false
-	if s.r.plan.MutateStaleReads {
+	if s.r.plan.mutated("stale-reads") {
 		s.staleArmed = true
 	}
 	s.record(t, fmt.Sprintf("s%d switch", s.id), trace.SessionRecord{Op: "switch"})

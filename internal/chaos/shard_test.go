@@ -35,7 +35,8 @@ func TestShardMixValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: 1},
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: -3},
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: 33},
-		{Class: "counter", Nodes: 4, Ops: 10, CrossWireShards: true},
+		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"cross-wire"}},
+		{Class: "counter", Nodes: 4, Ops: 10, AnchorInterval: -1},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -79,15 +80,18 @@ func TestShardMixConverges(t *testing.T) {
 // be ordered; its three siblings share the same node set and must keep
 // acking and converging regardless.
 func faultOneShardPlan(disableRecovery bool) Plan {
-	return Plan{
+	p := Plan{
 		Class: "account", Nodes: 4, Ops: 160, Seed: 41,
-		ShardMix:        4,
-		NoFinalHeal:     true,
-		DisableRecovery: disableRecovery,
+		ShardMix:    4,
+		NoFinalHeal: true,
 		Events: []Event{
 			{At: sim.Time(200 * sim.Microsecond), Kind: KindLeaderKill, Group: 0},
 		},
 	}
+	if disableRecovery {
+		p.Mutants = []string{"no-recovery"}
+	}
+	return p
 }
 
 // TestShardFaultIsolation is the cross-shard stall-isolation probe: a

@@ -9,7 +9,6 @@ import (
 	"hamband/internal/chaos"
 	"hamband/internal/conform"
 	"hamband/internal/crdt"
-	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
@@ -119,72 +118,6 @@ func TestFlightWindowRunIsNotChecked(t *testing.T) {
 	}
 }
 
-// mutatedOrderOpts and mutatedOrderPlan are the apply-order mutation control,
-// shared by the tests that run it and by the fingerprint line. What makes the
-// mutant observable is the plan's shape, not its seed. The density (batches of
-// 16 every 5 µs, chaos's denseRounds) keeps a Mu round and a broadcast message
-// several calls long, but that alone shows nothing: every replica drains the
-// same round newest-first the same way, and reordered deposits commute. So the
-// plan also cuts the link between the two nodes that lead nothing for the whole
-// workload. Their opens and deposits still reach the leader, which orders
-// withdraws on top of them and stamps those counts into each D; the withdraws
-// reach the other cut-off node through the leader's log, the calls they depend
-// on do not. The runtime parks such a withdraw — and every one behind it — in
-// the L buffer until the heal, so the buffers hold many entries for tens of µs
-// where an unfaulted run holds two for nanoseconds; the mutant applies them at
-// once, ahead of their dependencies, which the dependency check reports. A
-// record a few bytes shorter or a write a few ns earlier (PR 22 moved both, and
-// the fault-free seed-300 plan this control used to run then conformed) does
-// not change which side of a 35 µs partition a call is on.
-var mutatedOrderOpts = chaos.Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
-
-func mutatedOrderPlan(seed int64) chaos.Plan {
-	return chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 64, Seed: seed, MutateApplyOrder: true,
-		Events: []chaos.Event{
-			{At: 0, Kind: chaos.KindPartition, A: 1, B: 2},
-			{At: sim.Time(35 * sim.Microsecond), Kind: chaos.KindHeal, A: 1, B: 2},
-		}}
-}
-
-// mutatedOrderSeed is the seed the fingerprint line and the flight-window test
-// run the control at.
-const mutatedOrderSeed = 303
-
-// TestMutatedApplyOrderCaught is the harness's own mutation test: with the
-// injected apply-order bug (newest-first buffer drain, dependency gate
-// skipped) the checker must flag the history — at every one of twenty
-// consecutive seeds, with the dependency violation the plan's shape produces —
-// and shrinking must reduce a counterexample to at most 8 calls while still
-// failing.
-func TestMutatedApplyOrderCaught(t *testing.T) {
-	var min chaos.Plan
-	found := false
-	for seed := int64(300); seed < 320; seed++ {
-		p := mutatedOrderPlan(seed)
-		v := run(t, p, mutatedOrderOpts)
-		if !hasCheck(v.Conform, "dependency") {
-			t.Fatalf("seed %d: the mutated apply order shows no dependency violation:\n%s", seed, v.Conform)
-		}
-		if !found {
-			if min = chaos.Shrink(p, chaos.FailsLike(v, mutatedOrderOpts.Checked())); min.Ops <= 8 {
-				found = true
-			}
-		}
-	}
-	if !found {
-		t.Fatal("no seed in [300,320) shrank the mutated apply order to <= 8 calls")
-	}
-
-	v := run(t, min, mutatedOrderOpts)
-	if v.Conform.OK() {
-		t.Fatalf("shrunk plan (seed %d, %d ops) no longer fails", min.Seed, min.Ops)
-	}
-	if !hasCheck(v.Conform, "dependency") && !hasCheck(v.Conform, "permissibility") && !hasCheck(v.Conform, "conflict-order") {
-		t.Errorf("expected a dependency, permissibility or conflict-order violation, got:\n%s", v.Conform)
-	}
-	t.Logf("seed %d caught with %d ops, %d events:\n%s", min.Seed, min.Ops, len(min.Events), v.Conform)
-}
-
 // TestRunCarriesOneVerdict pins the one verdict on the apply-order control:
 // run with a complete trace, the mutant's history fails its check inside the
 // run, so the run fails with dependency violations in its report while every
@@ -254,7 +187,7 @@ func TestFlightWindowDumpedForFailure(t *testing.T) {
 // TestMutatedRunsAreDeterministic pins that even non-conforming runs
 // replay bit-identically, so dumped counterexamples reproduce.
 func TestMutatedRunsAreDeterministic(t *testing.T) {
-	p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 301, MutateApplyOrder: true}
+	p := chaos.Plan{Class: "bankmap", Nodes: 3, Ops: 40, Seed: 301, Mutants: []string{"apply-order"}}
 	v1, v2 := run(t, p, chaos.Options{}), run(t, p, chaos.Options{})
 	if v1.TraceHash != v2.TraceHash {
 		t.Fatalf("trace hash %016x then %016x", v1.TraceHash, v2.TraceHash)

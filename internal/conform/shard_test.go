@@ -3,6 +3,7 @@ package conform_test
 import (
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hamband/internal/chaos"
@@ -13,14 +14,20 @@ import (
 // chaosCorpusPlan reads one plan of package chaos's committed corpus.
 func chaosCorpusPlan(t *testing.T, name string) chaos.Plan {
 	t.Helper()
-	f, err := os.Open(filepath.Join("..", "chaos", "testdata", "chaos", name))
+	return readPlan(t, filepath.Join("..", "chaos", "testdata", "chaos", name))
+}
+
+// readPlan reads one committed plan file.
+func readPlan(t *testing.T, path string) chaos.Plan {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Close()
 	p, err := chaos.ReadPlan(f)
 	if err != nil {
-		t.Fatalf("invalid corpus plan %s: %v", name, err)
+		t.Fatalf("invalid plan %s: %v", path, err)
 	}
 	return p
 }
@@ -104,49 +111,13 @@ func TestRunChecksDenseBursts(t *testing.T) {
 	}
 }
 
-// crossWirePlan cross-wires two shards' broadcast apply loops inside the
-// store (deliveries for one shard are injected into its pair).
-func crossWirePlan() chaos.Plan {
-	return chaos.Plan{
-		Class: "orset", Nodes: 4, Ops: 120, Seed: 61,
-		ShardMix:        2,
-		CrossWireShards: true,
-	}
-}
-
-// TestCrossWireMutationCaught is the harness's negative control: the
-// per-shard checker must flag the cross-wired leakage. Globally unique tags
-// guarantee a wired-in call can never masquerade as one of the victim
-// shard's own issues.
-func TestCrossWireMutationCaught(t *testing.T) {
-	plan := crossWirePlan()
-	v := run(t, plan, chaos.Options{})
-	if v.Conform.OK() {
-		t.Fatal("cross-wired apply loops conformed — the per-shard checker is blind to shard leakage")
-	}
-	caught := false
-	for _, rep := range v.Conform.Shards {
-		caught = caught || hasCheck(rep, "identity")
-	}
-	if !caught || !hasCheck(v.Conform, "identity") {
-		t.Fatalf("no identity violation; leakage was flagged for the wrong reason:\n%s", v.Conform)
-	}
-
-	// The identical plan without the mutation conforms: the violations
-	// above are caused by the cross-wiring, not by sharding itself.
-	plan.CrossWireShards = false
-	if clean := run(t, plan, chaos.Options{}); !clean.Conform.OK() {
-		t.Fatalf("un-mutated control does not conform:\n%s", clean.Conform)
-	}
-}
-
 // TestShrinkShardedPlan: the shrinker runs sharded plans like any other —
 // the cross-wire plan, shrunk under the explorer's predicate, must still fail
 // its history check for the same reason.
 func TestShrinkShardedPlan(t *testing.T) {
 	plan := crossWirePlan()
 	min := chaos.Shrink(plan, chaos.FailsLike(run(t, plan, chaos.Options{}), chaos.Options{}.Checked()))
-	if min.ShardMix != 2 || !min.CrossWireShards {
+	if min.ShardMix != 2 || !slices.Equal(min.Mutants, plan.Mutants) {
 		t.Fatalf("shrinking dropped the plan's shape: %+v", min)
 	}
 	if min.Ops >= plan.Ops {
@@ -198,7 +169,7 @@ func TestSessionsAcrossShards(t *testing.T) {
 		}
 	}
 
-	plan.MutateStaleReads = true
+	plan.Mutants = []string{"stale-reads"}
 	if stale := run(t, plan, chaos.Options{}); stale.Conform.OK() || !hasCheck(stale.Conform, "session-") {
 		t.Fatalf("stale-read mutation on a sharded plan not caught by a session check:\n%s", stale.Conform)
 	}

@@ -69,7 +69,7 @@ func (b *callBuffer) Pop() *codec.DeltaRecord {
 }
 
 // PopBack removes the newest call and returns it decoded, borrowed like Pop's.
-// It serves Options.MutateApplyOrder only. The buffer must not be empty.
+// It serves the apply-order mutant (Cluster.MutateApplyOrder) only. The buffer must not be empty.
 func (b *callBuffer) PopBack() *codec.DeltaRecord {
 	at := len(b.recs) - int(b.lens.PopBack())
 	b.decode(b.recs[at:])

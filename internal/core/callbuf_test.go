@@ -36,10 +36,10 @@ func heapInUse() uint64 {
 }
 
 // TestBufferedBacklogBytes pins what a backlogged call costs an F buffer: with
-// the apply pump held, 4 096 OR-set adds delivered through InjectFree keep at
-// most 48 B of heap each — here 36 B: the record's 22 wire bytes and its 4-byte
-// length, in storage that doubles. Kept decoded, each call held 112 B: a 96 B
-// queue slot and a 16 B argument array of its own. Draining the backlog
+// the apply pump held, 4 096 OR-set adds delivered through onFreeDelivery keep
+// at most 48 B of heap each — here 36 B: the record's 22 wire bytes and its
+// 4-byte length, in storage that doubles. Kept decoded, each call held 112 B:
+// a 96 B queue slot and a 16 B argument array of its own. Draining the backlog
 // through the pump then allocates nothing: each head is decoded into the
 // buffer's scratch record, and the OR-set already holds every tag, so applying
 // one adds none.
@@ -63,7 +63,7 @@ func TestBufferedBacklogBytes(t *testing.T) {
 	r.applying = true // hold the pump: deliveries only queue
 	before := heapInUse()
 	for _, p := range payloads {
-		r.InjectFree(0, p)
+		r.onFreeDelivery(0, 0, p)
 	}
 	held := heapInUse() - before
 	runtime.KeepAlive(payloads) // live across both measurements, so neither counts them
@@ -97,8 +97,9 @@ func TestBufferedBacklogBytes(t *testing.T) {
 
 // TestOverwrittenPayloadAppliesItsCalls: a delivered payload belongs to the
 // deliverer, which reuses its buffer once the handler returns. Overwriting a
-// two-call payload with two other valid calls right after InjectFree must not
-// change what applies: the F buffer holds copies of the records it accepted.
+// two-call payload with two other valid calls right after onFreeDelivery must
+// not change what applies: the F buffer holds copies of the records it
+// accepted.
 func TestOverwrittenPayloadAppliesItsCalls(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 72, nil)
 	r := h.cluster.Replica(1)
@@ -108,7 +109,7 @@ func TestOverwrittenPayloadAppliesItsCalls(t *testing.T) {
 		t.Fatalf("test premise: the overwriting payload is %d bytes, the delivered one %d", len(other), len(payload))
 	}
 	h.eng.At(h.eng.Now(), func() {
-		r.InjectFree(0, payload)
+		r.onFreeDelivery(0, 0, payload)
 		copy(payload, other)
 	})
 	h.eng.RunFor(100 * sim.Microsecond)
@@ -131,7 +132,7 @@ func TestTracedAppliesKeepTheirCalls(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 73, nil)
 	r := h.cluster.Replica(1)
 	r.opts.Tracer = trace.New(h.eng, 1<<10)
-	h.eng.At(h.eng.Now(), func() { r.InjectFree(0, append(orsetAdd(t, 1, 5), orsetAdd(t, 2, 6)...)) })
+	h.eng.At(h.eng.Now(), func() { r.onFreeDelivery(0, 0, append(orsetAdd(t, 1, 5), orsetAdd(t, 2, 6)...)) })
 	h.eng.RunFor(100 * sim.Microsecond)
 	var got []spec.Args
 	for _, ev := range r.opts.Tracer.ByKind(trace.Apply) {

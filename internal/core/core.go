@@ -108,12 +108,6 @@ type Options struct {
 	// DisableFailureHandling turns off detectors and recovery (ablation).
 	DisableFailureHandling bool
 
-	// MutateApplyOrder deliberately breaks the apply pump: buffered calls
-	// apply newest-first and the dependency-record gate is skipped. It is a
-	// negative control for the conformance harness (an injected apply-order
-	// bug its checks must catch) and must never be set in production.
-	MutateApplyOrder bool
-
 	// Namespace isolates this cluster's memory regions and consensus
 	// groups, so several replicated objects can share one fabric. The
 	// heartbeat infrastructure is shared across namespaces.
@@ -138,13 +132,6 @@ type Options struct {
 	// share; nil (the default) makes the cluster build and own a domain of
 	// its own — the one-shard case — which Cluster.Stop then stops.
 	FailureDomain *FailureDomain
-
-	// FreeDeliveryHook, when non-nil, intercepts every irreducible
-	// conflict-free broadcast delivery before the replica processes it.
-	// Returning true consumes the delivery. It exists for the conformance
-	// harness's cross-wiring mutation control and must never be set in
-	// production.
-	FreeDeliveryHook func(p spec.ProcID, src rdma.NodeID, payload []byte) bool
 }
 
 // DefaultOptions returns production-shaped parameters.
@@ -302,6 +289,25 @@ func (c *Cluster) Leader(p spec.ProcID, g int) spec.ProcID {
 // Replica returns the replica at process p.
 func (c *Cluster) Replica(p spec.ProcID) *Replica { return c.Replicas[p] }
 
+// MutateApplyOrder installs the apply-order mutant on every replica: buffered
+// calls apply newest-first and the dependency-record gate is skipped. It is
+// for the conformance harness only, a bug its checks must catch.
+func (c *Cluster) MutateApplyOrder() {
+	for _, r := range c.Replicas {
+		r.mutateOrder = true
+	}
+}
+
+// CrossWire installs the cross-wire mutant on two clusters of one fabric:
+// replica p of each delivers the irreducible conflict-free broadcasts it
+// receives into replica p of the other. It is for the conformance harness
+// only, a leak between shards its per-shard checks must catch.
+func CrossWire(a, b *Cluster) {
+	for p := range a.Replicas {
+		a.Replicas[p].freeSink, b.Replicas[p].freeSink = b.Replicas[p], a.Replicas[p]
+	}
+}
+
 // Stop cancels every replica's pollers and consensus instances, and the
 // failure domain when the cluster owns it (a shared domain outlives the
 // cluster: other shards still use it, and its owner stops it). The cluster
@@ -429,6 +435,9 @@ type Replica struct {
 	bc     *broadcast.Broadcaster
 	rx     *broadcast.Receiver
 	groups []*mu.Instance
+	// freeSink is the replica rx's deliveries go to: this one, or the partner
+	// CrossWire gave it.
+	freeSink *Replica
 	// The cluster's failure domain and this node's heartbeat thread in it;
 	// both nil with failure handling disabled.
 	fdom   *FailureDomain
@@ -459,6 +468,7 @@ type Replica struct {
 
 	applying    bool
 	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
+	mutateOrder bool   // the apply-order mutant (Cluster.MutateApplyOrder)
 
 	// Per-source epoch floors for summary-slot adoption (dynamic
 	// membership). A leave commit parks the departed source's new floor;
@@ -512,6 +522,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		haveSums:    len(cls.SumGroups) > 0,
 		sumRegion:   c.Opts.Namespace + sumRegionBase,
 	}
+	r.freeSink = r
 	r.live = view{r: r, base: cls.NewState()}
 	r.issueFn, r.queryFn, r.acceptFn = r.issue, r.query, r.accept
 	r.applyStepFn = r.applyStep
@@ -561,16 +572,9 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	// ring is registered or polled on its behalf.
 	if c.An.HasFreeBuffers() {
 		r.bc = broadcast.NewBroadcaster(c.Fab, r.node, c.Opts.Broadcast)
-		onFree := r.onFreeDelivery
-		if hook := c.Opts.FreeDeliveryHook; hook != nil {
-			onFree = func(src rdma.NodeID, seq uint64, payload []byte) {
-				if hook(id, src, payload) {
-					return
-				}
-				r.onFreeDelivery(src, seq, payload)
-			}
-		}
-		r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, onFree)
+		r.rx = broadcast.NewReceiver(c.Fab, r.node, c.Opts.Broadcast, func(src rdma.NodeID, seq uint64, payload []byte) {
+			r.freeSink.onFreeDelivery(src, seq, payload)
+		})
 	}
 
 	// One consensus instance per synchronization group.

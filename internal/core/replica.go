@@ -1054,7 +1054,7 @@ func (r *Replica) applyStep() {
 }
 
 func (r *Replica) anyApplicable() bool {
-	if r.opts.MutateApplyOrder {
+	if r.mutateOrder {
 		free, conf := r.QueueDepths()
 		return free+conf > 0
 	}
@@ -1086,7 +1086,7 @@ func (r *Replica) headApplicable(q *callBuffer) bool {
 // the buffer's decoded record, borrowed: applyEntry and Apply read it, and
 // the buffer's next decode overwrites it.
 func (r *Replica) applyOne() bool {
-	if r.opts.MutateApplyOrder {
+	if r.mutateOrder {
 		return r.applyOneMutated()
 	}
 	for src := range r.fQueues {
@@ -1117,7 +1117,7 @@ func (r *Replica) applyConf(e *codec.DeltaRecord) {
 	}
 }
 
-// applyOneMutated is the Options.MutateApplyOrder negative control: it
+// applyOneMutated is the apply-order mutant (Cluster.MutateApplyOrder): it
 // drains buffers newest-first and ignores the dependency-record gate —
 // the apply-order bug the conformance harness must catch.
 func (r *Replica) applyOneMutated() bool {
@@ -1283,15 +1283,6 @@ func (r *Replica) repairSummaries(peer rdma.NodeID) {
 
 // CurrentState returns a snapshot of Apply(S)(σ) for tests and examples.
 func (r *Replica) CurrentState() spec.State { return r.queryState().Clone() }
-
-// InjectFree feeds an irreducible conflict-free broadcast payload into this
-// replica's F buffers as if it had been delivered from src. It exists for
-// the conformance harness's cross-wiring mutation control (a delivery
-// rerouted into the wrong shard's apply loop, which the per-shard checks
-// must catch); production deliveries always arrive through the receiver.
-func (r *Replica) InjectFree(src rdma.NodeID, payload []byte) {
-	r.onFreeDelivery(src, 0, payload)
-}
 
 // QueueDepths reports buffered-but-unapplied calls (diagnostics).
 func (r *Replica) QueueDepths() (free, conf int) {

@@ -286,7 +286,9 @@ func resetWithWriteInFlight(t *testing.T, trim bool) error {
 		in.replicate(record(3), 3)
 		if !trim {
 			for _, oc := range in.logOut {
-				oc.Drop()
+				if oc != nil {
+					oc.Drop()
+				}
 			}
 		}
 		in.resetRings(func() { in.replicate(record(4), 4) })

@@ -147,7 +147,7 @@ type Instance struct {
 	// is non-empty only at a leader that is not recovering. The backing array
 	// is reused from round to round.
 	queue  []request
-	logOut map[rdma.NodeID]*ring.Sender
+	logOut []*ring.Sender // indexed by node id, nil for this node
 	// props is what this leader sequenced and has not delivered — the round in
 	// flight, or the entries a fresh leader recovered: props[i] is sequence
 	// number propBase+i. A round starts it over and a deposition empties it, so
@@ -178,8 +178,11 @@ type Instance struct {
 	ringTerm       uint64            // highest term seen in the log ring
 	catching       bool              // journal catch-up read in flight
 	lastProgressAt sim.Time          // when delivery last advanced (or was verified current)
-	dedupLow       map[rdma.NodeID]uint64
-	dedupSet       map[rdma.NodeID]map[uint64]bool
+	// Delivery dedup per origin, indexed by node id: every submission sequence
+	// number up to dedupLow[p] is delivered, and dedupSet[p] holds the ones
+	// above it that are.
+	dedupLow []uint64
+	dedupSet []map[uint64]bool
 	// deliveries holds the decided entries whose DeliverCost item is still
 	// queued on the CPU, oldest first. The CPU runs its items in FIFO order and
 	// never discards one (Suspend and Crash only pause it), so the k-th run of
@@ -196,9 +199,11 @@ type Instance struct {
 	// Submission state.
 	submitSeq uint64
 	pending   map[uint64][]byte // my submissions not yet delivered, each in a buffer from free
-	reqOut    map[rdma.NodeID]*ring.Sender
-	voteOut   map[rdma.NodeID]*ring.Sender
-	grantOut  map[rdma.NodeID]*ring.Sender
+	// Writers on each peer's request, vote and grant rings from this node,
+	// indexed by peer (nil for this node).
+	reqOut   []*ring.Sender
+	voteOut  []*ring.Sender
+	grantOut []*ring.Sender
 
 	// Readers: the log ring, and each peer's request, vote and grant rings,
 	// indexed by peer (nil for this node).
@@ -258,18 +263,18 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		nextSeq:   1,
 		oldLeader: initialLeader,
 
-		logOut:   make(map[rdma.NodeID]*ring.Sender),
+		logOut:   make([]*ring.Sender, fab.Size()),
 		unacked:  make([]fifo.Queue[uint64], fab.Size()),
 		ackFns:   make([]func(error), fab.Size()),
 		open:     make([]bool, fab.Size()),
 		stash:    make(map[uint64][]byte),
-		dedupLow: make(map[rdma.NodeID]uint64),
-		dedupSet: make(map[rdma.NodeID]map[uint64]bool),
+		dedupLow: make([]uint64, fab.Size()),
+		dedupSet: make([]map[uint64]bool, fab.Size()),
 		pending:  make(map[uint64][]byte),
 
-		reqOut:   make(map[rdma.NodeID]*ring.Sender),
-		voteOut:  make(map[rdma.NodeID]*ring.Sender),
-		grantOut: make(map[rdma.NodeID]*ring.Sender),
+		reqOut:   make([]*ring.Sender, fab.Size()),
+		voteOut:  make([]*ring.Sender, fab.Size()),
+		grantOut: make([]*ring.Sender, fab.Size()),
 
 		reqReaders:   make([]*ring.Reader, fab.Size()),
 		voteReaders:  make([]*ring.Reader, fab.Size()),
@@ -288,6 +293,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 	}
 	in.logReader = ring.NewReader(node.Region(logRegion(group)).Bytes())
 	for p := 0; p < in.n; p++ {
+		in.dedupSet[p] = make(map[uint64]bool)
 		peer := rdma.NodeID(p)
 		if peer == node.ID() {
 			continue
@@ -301,9 +307,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
 		in.voteReaders[peer] = ring.NewReader(node.Region(voteRegion(group, peer)).Bytes())
 		in.grantReaders[peer] = ring.NewReader(node.Region(grantRegion(group, peer)).Bytes())
-		in.dedupSet[peer] = make(map[uint64]bool)
 	}
-	in.dedupSet[node.ID()] = make(map[uint64]bool)
 	in.sweepFn, in.deliverFn = in.sweep, in.deliverNext
 	in.ticker = fab.Engine().NewTicker(cfg.PollPeriod, in.poll)
 	return in
@@ -352,9 +356,10 @@ func (in *Instance) SetMembers(members []bool) {
 	in.members = append([]bool(nil), members[:in.n]...)
 }
 
-// member reports whether node p is in the current configuration.
+// member reports whether node p is in the current configuration. An id read
+// off a ring that names no node is in none.
 func (in *Instance) member(p rdma.NodeID) bool {
-	return in.members == nil || in.members[p]
+	return int(p) < in.n && (in.members == nil || in.members[p])
 }
 
 func (in *Instance) majority() int {
@@ -485,7 +490,7 @@ func (in *Instance) frameGrant(term, lastDelivered uint64, voter rdma.NodeID) []
 // pops it.
 func (in *Instance) replicate(rec []byte, seq uint64) {
 	for p := 0; p < in.n; p++ {
-		oc := in.logOut[rdma.NodeID(p)]
+		oc := in.logOut[p]
 		if oc == nil || !in.open[p] {
 			continue
 		}
@@ -723,6 +728,11 @@ func (in *Instance) deliverEntry(entry []byte) {
 		in.release(entry)
 		return
 	}
+	if int(e.origin) >= in.n {
+		// An entry naming no node is sequenced but delivered nowhere.
+		in.release(entry)
+		return
+	}
 	if e.origin == in.node.ID() {
 		if mine, ok := in.pending[e.submitSeq]; ok {
 			delete(in.pending, e.submitSeq)
@@ -734,10 +744,6 @@ func (in *Instance) deliverEntry(entry []byte) {
 		return
 	}
 	set := in.dedupSet[e.origin]
-	if set == nil {
-		set = make(map[uint64]bool)
-		in.dedupSet[e.origin] = set
-	}
 	set[e.submitSeq] = true
 	for set[in.dedupLow[e.origin]+1] {
 		in.dedupLow[e.origin]++
@@ -912,7 +918,7 @@ func (in *Instance) StartElection() {
 	// record serves every peer: ring.Sender.Send copies it.
 	rec := in.frameVote(in.term, in.node.ID())
 	for p := 0; p < in.n; p++ {
-		if oc := in.voteOut[rdma.NodeID(p)]; oc != nil {
+		if oc := in.voteOut[p]; oc != nil {
 			oc.Send(rec, "", nil)
 		}
 	}
@@ -1011,16 +1017,12 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 			// read was in flight: what is left of the gap lies inside the range
 			// read.
 			for seq := in.lastDelivered + 1; seq < next; seq++ {
-				entry, _, derr := codec.DecodeSlot(slot(seq))
-				if derr != nil {
+				entry := journalSlot(slot(seq), seq)
+				if entry == nil {
 					return // hole (journal wrapped or write in flight): stop
 				}
-				je, derr := decodeLogEntry(entry)
-				if derr != nil || je.seq != seq {
-					return
-				}
-				if je.seq-1 > in.commitSeen {
-					in.commitSeen = je.seq - 1
+				if seq-1 > in.commitSeen {
+					in.commitSeen = seq - 1
 				}
 				in.bumpDelivered(seq)
 				in.release(in.stash[seq])
@@ -1107,15 +1109,9 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		}
 		in.readJournal(old, floor+1, oldNext, func(slot func(uint64) []byte, err error) {
 			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
-				entry, _, derr := codec.DecodeSlot(slot(seq))
-				if derr != nil {
-					continue
+				if entry := journalSlot(slot(seq), seq); entry != nil {
+					recovered = append(recovered, in.keep(entry))
 				}
-				je, derr := decodeLogEntry(entry)
-				if derr != nil || je.seq != seq {
-					continue // slot overwritten (journal wrapped)
-				}
-				recovered = append(recovered, in.keep(entry))
 			}
 			done()
 		})
@@ -1142,6 +1138,20 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 			stated()
 		})
 	}
+}
+
+// journalSlot decodes seq's entry from its journal slot, or returns nil for
+// a hole (a write in flight) or a slot that holds another sequence number (the
+// journal wrapped). The entry is a sub-slice of slot.
+func journalSlot(slot []byte, seq uint64) []byte {
+	entry, _, err := codec.DecodeSlot(slot)
+	if err != nil {
+		return nil
+	}
+	if je, err := decodeLogEntry(entry); err != nil || je.seq != seq {
+		return nil
+	}
+	return entry
 }
 
 // readJournal reads the slots of sequence numbers [lo, hi) from node from's
@@ -1207,9 +1217,8 @@ func (in *Instance) resetRings(next func()) {
 			next()
 		}
 	}
-	for p := 0; p < in.n; p++ {
+	for p, oc := range in.logOut {
 		peer := rdma.NodeID(p)
-		oc := in.logOut[peer]
 		if oc == nil {
 			continue
 		}

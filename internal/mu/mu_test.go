@@ -313,6 +313,58 @@ func TestDuplicateVoteSameTermIgnored(t *testing.T) {
 	}
 }
 
+// TestMessagesNamingNoNodeDropped writes a vote, a grant and a log entry that
+// name node n, an id no node has, onto the rings they travel on. Each must be
+// dropped: no panic, and no change to the receiver's leader, term, grants or
+// delivery dedup. The entry is still sequenced, but delivered nowhere. With a
+// membership view installed, looking such an id up in the view used to index
+// past it; without one, the vote made a node no node the leader.
+func TestMessagesNamingNoNodeDropped(t *testing.T) {
+	const n = 5
+	for _, view := range []bool{false, true} {
+		t.Run(fmt.Sprintf("view=%v", view), func(t *testing.T) {
+			c := newCluster(t, n, 0)
+			if view {
+				for _, in := range c.inst {
+					in.SetMembers([]bool{true, true, true, true, true})
+				}
+			}
+			// Node 1 stands for election with nodes 0, 3 and 4 suspended: node
+			// 2's grant leaves it one short of a majority, still electing.
+			c.eng.At(0, func() {
+				for _, p := range []rdma.NodeID{0, 3, 4} {
+					c.fab.Node(p).Suspend()
+				}
+			})
+			c.eng.At(sim.Time(10*sim.Microsecond), func() { c.inst[1].StartElection() })
+			c.run(100 * sim.Microsecond)
+			cand, follower := c.inst[1], c.inst[2]
+			if !cand.Electing() || len(cand.grants) != 2 || follower.Leader() != 1 {
+				t.Fatalf("electing=%v grants=%v follower's leader %d: want node 1 electing on 2 grants", cand.Electing(), cand.grants, follower.Leader())
+			}
+			state := func(in *Instance) string {
+				return fmt.Sprintf("leader=%d term=%d leading=%v electing=%v grants=%v dedup=%v %v",
+					in.leader, in.term, in.isLeader, in.electing, in.grants, in.dedupLow, in.dedupSet)
+			}
+			before := state(cand) + " | " + state(follower)
+			c.eng.At(c.eng.Now(), func() {
+				cand.voteOut[2].Send(cand.frameVote(cand.term+1, n), "", nil)
+				follower.grantOut[1].Send(follower.frameGrant(cand.term, 0, n), "", nil)
+				entry := appendEntry(codec.BeginRaw(nil), 1, cand.term, 1, n, 1, []byte("from no node"))
+				cand.logOut[2].Send(cand.frame(entry), "", nil)
+			})
+			c.run(50 * sim.Microsecond)
+			if after := state(cand) + " | " + state(follower); after != before {
+				t.Errorf("messages naming node %d changed state:\n before %s\n after  %s", n, before, after)
+			}
+			if follower.LastDelivered() != 1 || len(c.delivered[2]) != 0 {
+				t.Errorf("follower delivered through seq %d, payloads %q: want the entry sequenced and delivered nowhere",
+					follower.LastDelivered(), c.delivered[2])
+			}
+		})
+	}
+}
+
 func TestLogRingBackpressure(t *testing.T) {
 	// A tiny log ring forces the leader through the head-refresh path;
 	// every entry must still arrive, in order.

@@ -68,13 +68,6 @@ type Options struct {
 	// a scoped view stamping its events with the shard key, yielding one
 	// merged history that trace.ByShard decomposes.
 	Tracer *trace.Tracer
-
-	// CrossWire is a negative control for the conformance harness: free
-	// broadcast deliveries of paired shards (0↔1, 2↔3, … in open order)
-	// are rerouted into the partner shard's apply loop. Per-shard
-	// conformance checks must catch the resulting corruption. Never set
-	// outside tests.
-	CrossWire bool
 }
 
 // DefaultOptions returns a production-shaped store configuration.
@@ -87,7 +80,7 @@ func DefaultOptions() Options {
 type ShardOptions struct {
 	SumSlotSize    int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
 	RingCapacity   int           // broadcast and Mu log/request ring capacity
-	AnchorInterval int           // δ-records between full anchors
+	AnchorInterval int           // calls between full anchors
 	Leaders        []spec.ProcID // explicit group leaders (default: staggered by shard index)
 }
 
@@ -102,9 +95,8 @@ type Store struct {
 	fdom   *core.FailureDomain
 
 	shards  map[string]*Shard
-	keys    []string // open keys in open order (cross-wire pairing)
-	opening string   // namespace being routed during an Open, "" otherwise
-	nOpened int      // total Opens ever, for leader staggering
+	opening string // namespace being routed during an Open, "" otherwise
+	nOpened int    // total Opens ever, for leader staggering
 }
 
 // Shard is one replicated object hosted by the store.
@@ -245,16 +237,6 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 		}
 		co.Leaders = leaders
 	}
-	if s.opts.CrossWire {
-		key := key
-		co.FreeDeliveryHook = func(p spec.ProcID, src rdma.NodeID, payload []byte) bool {
-			if peer := s.crossPeer(key); peer != nil {
-				peer.Cluster.Replica(p).InjectFree(src, payload)
-				return true
-			}
-			return false
-		}
-	}
 
 	total, largest := footprintDetail(an, n, co)
 	for i, a := range s.arenas {
@@ -271,27 +253,8 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 
 	sh := &Shard{Key: key, Cluster: cluster, ns: ns, footprint: total}
 	s.shards[key] = sh
-	s.keys = append(s.keys, key)
 	s.nOpened++
 	return sh, nil
-}
-
-// crossPeer returns key's cross-wire partner (consecutive keys pair up in
-// open order), or nil for an unpaired key.
-func (s *Store) crossPeer(key string) *Shard {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, k := range s.keys {
-		if k != key {
-			continue
-		}
-		j := i ^ 1
-		if j < len(s.keys) {
-			return s.shards[s.keys[j]]
-		}
-		return nil
-	}
-	return nil
 }
 
 // Close stops the shard's cluster and unregisters its regions, returning
@@ -312,12 +275,6 @@ func (s *Store) Close(key string) error {
 		})
 	}
 	delete(s.shards, key)
-	for i, k := range s.keys {
-		if k == key {
-			s.keys = append(s.keys[:i], s.keys[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 
@@ -332,7 +289,10 @@ func (s *Store) Shard(key string) *Shard {
 func (s *Store) Keys() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := append([]string(nil), s.keys...)
+	out := make([]string, 0, len(s.shards))
+	for key := range s.shards {
+		out = append(out, key)
+	}
 	sort.Strings(out)
 	return out
 }
