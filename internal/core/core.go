@@ -247,6 +247,7 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		node := fab.Node(rdma.NodeID(i))
 		if nslots > 0 {
 			r := node.Register(opts.Namespace+sumRegionBase, nslots*opts.SumSlotSize)
+			r.TrackWrites() // the scan validates only what moved (Replica.scanSlot)
 			// Single-writer per slot by protocol; the grants are explicit
 			// per peer (not AllowAllWrites) so a leaving node's permission
 			// can be revoked without touching anyone else's.
@@ -298,6 +299,16 @@ func (c *Cluster) MutateApplyOrder() {
 	}
 }
 
+// MutateStaleScan installs the stale-scan mutant on every replica: the scan
+// trusts the header it saved for an anchor frame or log record even after a
+// write touched the record's bytes. It is for the mutation controls only, a
+// bug the δ-path tests and the chaos corpus must catch.
+func (c *Cluster) MutateStaleScan() {
+	for _, r := range c.Replicas {
+		r.mutateScan = true
+	}
+}
+
 // CrossWire installs the cross-wire mutant on two clusters of one fabric:
 // replica p of each delivers the irreducible conflict-free broadcasts it
 // receives into replica p of the other. It is for the conformance harness
@@ -334,6 +345,32 @@ type sumSlot struct {
 	// Delta-group reader state.
 	tornStreak uint8 // consecutive scans stuck on a torn frame
 	fetching   bool  // a full-state fetch of this slot is outstanding
+
+	// What earlier scans validated (scanSlot), each with the summary
+	// region's generation the bytes were read at: bytes no write has touched
+	// since are not validated again.
+	anchor seenFrame // the anchor frame
+	walked seenLog   // the log prefix the walk has passed
+}
+
+// seenFrame is a validated anchor frame: its version and payload length.
+type seenFrame struct {
+	gen uint64 // 0: none
+	ver uint32
+	n   int
+}
+
+// seenLog is the prefix [0, end) of a slot's δ-log that a walk validated and
+// passed, every record in it stale or folded once the slot reached version
+// ver: while no write touches the prefix and the slot stays at ver or above,
+// a walk would pass it again without a fold, a fetch or a torn reject. The
+// prefix's bytes in its last chunk, which the next record's landing also
+// stamps, are kept as a copy and compared instead.
+type seenLog struct {
+	gen  uint64 // 0: none
+	end  int
+	ver  uint32
+	tail []byte // the prefix's bytes past its last whole chunk (in the slot's own array)
 }
 
 // deltaWriter is the writer-side state of one delta-group summary slot:
@@ -469,6 +506,7 @@ type Replica struct {
 	applying    bool
 	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
 	mutateOrder bool   // the apply-order mutant (Cluster.MutateApplyOrder)
+	mutateScan  bool   // the stale-scan mutant (Cluster.MutateStaleScan)
 
 	// Per-source epoch floors for summary-slot adoption (dynamic
 	// membership). A leave commit parks the departed source's new floor;
@@ -501,6 +539,7 @@ type Replica struct {
 	statAnchors    uint64 // full-state anchor rewrites
 	statGapFetch   uint64 // full-state fetches after a gap or CRC park
 	statStaleSlots uint64 // slot frames rejected by the epoch floor
+	statValidated  uint64 // anchor frames and log records the scan validated: one CRC pass each
 }
 
 func newReplica(c *Cluster, id spec.ProcID) *Replica {

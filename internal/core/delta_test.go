@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"hamband/internal/codec"
@@ -231,7 +232,7 @@ func TestDeltaGapFetchesFullState(t *testing.T) {
 	}
 	h.eng.At(h.eng.Now(), func() {
 		off := r1.slotOffset(0, 0)
-		copy(r1.node.Region(sumRegionBase).Bytes()[off+r1.anchorCap():], rec)
+		r1.node.Region(sumRegionBase).Write(off+r1.anchorCap(), rec)
 	})
 	h.eng.RunFor(5 * sim.Millisecond)
 
@@ -368,17 +369,35 @@ func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
 // folded belongs to its version (zero false accepts), the torn counter sees
 // the run, and once the interior lands the run folds whole, in one step from
 // the anchor to its last version, with no gap fetch.
+//
+// The stale-scan mutant (Cluster.MutateStaleScan) is the control: a reader
+// that trusts what it validated in round one after round two's writes
+// landed over it must fail.
 func TestTornRunNeverFoldsEarly(t *testing.T) {
+	if err := tornRun(t, false); err != nil {
+		t.Fatal(err)
+	}
+	err := tornRun(t, true)
+	if err == nil {
+		t.Fatal("a reader trusting round one's anchor and run after round two landed passed")
+	}
+	t.Logf("stale-scan mutant caught: %v", err)
+}
+
+func tornRun(t *testing.T, staleScan bool) error {
 	const interval = 8
 	h := newHarness(t, crdt.NewCounter(), 2, 79, func(o *Options) {
 		o.DisableFailureHandling = true
 		o.AnchorInterval = interval
 	})
+	if staleScan {
+		h.cluster.MutateStaleScan()
+	}
 	sum := func(v uint32) int64 { return int64(v) * int64(v+1) / 2 } // call i adds i
 	// Round one: anchor v1, then the run v2..v9 as one δ-record at the log's head.
 	burstOf(h, crdt.CounterAdd, 1, 1+interval)
 	if !h.drain(20 * sim.Millisecond) {
-		t.Fatal("round one did not replicate")
+		return fmt.Errorf("round one did not replicate")
 	}
 
 	r1 := h.cluster.Replica(1)
@@ -390,10 +409,11 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 		bytes string
 	}
 	var samples []sample
+	var falseAccept error
 	probe := h.eng.NewTicker(100*sim.Nanosecond, func() {
 		slot := r1.sums[0][0]
-		if got := slot.call.Args.I[0]; got != sum(slot.version) {
-			t.Errorf("false accept: p1 holds %d at v%d, want %d", got, slot.version, sum(slot.version))
+		if got := slot.call.Args.I[0]; got != sum(slot.version) && falseAccept == nil {
+			falseAccept = fmt.Errorf("false accept: p1 holds %d at v%d, want %d", got, slot.version, sum(slot.version))
 		}
 		samples = append(samples, sample{slot.version, r1.TornRejects(), string(log[:512])})
 	})
@@ -404,13 +424,16 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 	burstOf(h, crdt.CounterAdd, 2+interval, 1+interval)
 	h.eng.RunFor(100 * sim.Microsecond)
 	probe.Cancel()
+	if falseAccept != nil {
+		return falseAccept
+	}
 	if w := h.fab.Stats().Writes - before; w != 2 {
-		t.Fatalf("round two cost %d writes, want the anchor and one merged run", w)
+		return fmt.Errorf("round two cost %d writes, want the anchor and one merged run", w)
 	}
 
 	start, final := samples[0], samples[len(samples)-1]
 	if final.ver != 2+2*interval {
-		t.Fatalf("p1 ended at v%d, want v%d", final.ver, 2+2*interval)
+		return fmt.Errorf("p1 ended at v%d, want v%d", final.ver, 2+2*interval)
 	}
 	var window int
 	var tornBefore, tornAfter uint64
@@ -424,30 +447,68 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 		}
 		tornAfter = s.torn
 		if s.ver > 2+interval {
-			t.Fatalf("p1 folded to v%d while the run's interior was in flight, want at most the anchor v%d", s.ver, 2+interval)
+			return fmt.Errorf("p1 folded to v%d while the run's interior was in flight, want at most the anchor v%d", s.ver, 2+interval)
 		}
 	}
 	if window == 0 {
-		t.Fatal("the sampler never saw the run half-landed: the link is not tearing")
+		return fmt.Errorf("the sampler never saw the run half-landed: the link is not tearing")
 	}
 	for _, s := range samples {
 		if s.ver > 2+interval && s.ver < final.ver {
-			t.Fatalf("p1 passed through v%d: the run folds in one step from the anchor v%d to v%d", s.ver, 2+interval, final.ver)
+			return fmt.Errorf("p1 passed through v%d: the run folds in one step from the anchor v%d to v%d", s.ver, 2+interval, final.ver)
 		}
 	}
 	if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != final.ver || hd.Span != interval {
-		t.Fatalf("p1's log head is %+v (%v), want one record spanning v%d..v%d", hd, err, 3+interval, final.ver)
+		return fmt.Errorf("p1's log head is %+v (%v), want one record spanning v%d..v%d", hd, err, 3+interval, final.ver)
 	}
 	if tornAfter == tornBefore {
-		t.Fatalf("torn rejects stayed at %d while the run was half-landed", tornBefore)
+		return fmt.Errorf("torn rejects stayed at %d while the run was half-landed", tornBefore)
 	}
 
 	h.fab.SetLinkTorn(0, 1, 0, 0)
 	if !h.drain(20 * sim.Millisecond) {
-		t.Fatal("replication did not complete after the tear healed")
+		return fmt.Errorf("replication did not complete after the tear healed")
 	}
 	h.checkConvergence()
 	if _, _, fetches := deltaStats(h.cluster); fetches != 0 {
-		t.Fatalf("%d gap fetches, want 0: the run folds from the log once it has landed", fetches)
+		return fmt.Errorf("%d gap fetches, want 0: the run folds from the log once it has landed", fetches)
+	}
+	return nil
+}
+
+// TestScanValidatesOnlyNews pins the scan's host cost to what landed: once a
+// peer's slot has been read, scans that find no new landing validate nothing
+// (no CRC pass), and the scans after one more δ-record lands validate exactly
+// that record — not the anchor, and not the records ahead of it in the log.
+func TestScanValidatesOnlyNews(t *testing.T) {
+	h := newHarness(t, crdt.NewCounter(), 2, 81, func(o *Options) {
+		o.DisableFailureHandling = true
+	})
+	r1 := h.cluster.Replica(1)
+	add := func(v int64) {
+		burstOf(h, crdt.CounterAdd, int(v), 1)
+		if !h.drain(20 * sim.Millisecond) {
+			t.Fatalf("add(%d) did not replicate", v)
+		}
+	}
+	add(1) // the anchor
+	add(2) // the log's first record
+	add(3) // its second
+
+	before := r1.statValidated
+	for i := 0; i < 3; i++ {
+		r1.scanSummaries()
+	}
+	h.eng.RunFor(50 * sim.Microsecond) // and 25 periodic scans
+	if n := r1.statValidated - before; n != 0 {
+		t.Fatalf("scans with no new landing validated %d frames or records, want 0", n)
+	}
+
+	add(4)
+	if n := r1.statValidated - before; n != 1 {
+		t.Fatalf("the scans after one landed record validated %d frames or records, want exactly that record", n)
+	}
+	if v := r1.sums[0][0].version; v != 4 {
+		t.Fatalf("p1 holds v%d of p0's slot, want v4", v)
 	}
 }

@@ -142,11 +142,11 @@ func TestStaleSlotFrameRejected(t *testing.T) {
 		call:    spec.Call{Method: crdt.CounterAdd, Args: spec.ArgsI(999), Proc: 2, Seq: 99},
 		counts:  []uint32{cur.counts[0] + 1},
 	}
-	off := r0.slotOffset(0, 2)
-	slot := h.fab.Node(0).Region(sumRegionBase).Bytes()[off:]
-	if _, err := appendSumFrame(slot[:0:r0.anchorCap()], forged, 0); err != nil { // stale epoch 0
+	frame, err := appendSumFrame(nil, forged, 0) // stale epoch 0
+	if err != nil {
 		t.Fatal(err)
 	}
+	h.fab.Node(0).Region(sumRegionBase).Write(r0.slotOffset(0, 2), frame) // as a landing would
 
 	h.eng.RunFor(1 * sim.Millisecond)
 	if got := r0.sums[0][2].version; got != cur.version {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -500,7 +501,7 @@ func (r *Replica) scanSummaries() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
 	}
-	region := r.node.Region(r.sumRegion).Bytes()
+	reg := r.node.Region(r.sumRegion)
 	changed := false
 	var blocked []bool // per source: a slot was unreadable this pass
 	for p := range r.floors {
@@ -514,7 +515,7 @@ func (r *Replica) scanSummaries() {
 			if spec.ProcID(p) == r.id {
 				continue // own slot is written locally
 			}
-			ch, stalled := r.scanSlot(g, spec.ProcID(p), slot, region)
+			ch, stalled := r.scanSlot(g, spec.ProcID(p), slot, reg)
 			changed = changed || ch
 			if blocked != nil && (stalled || slot.fetching) {
 				blocked[p] = true
@@ -609,24 +610,52 @@ const tornParkScans = 3
 // writer's authoritative full state instead of folding onto the wrong base.
 // The second result reports the slot unreadable this pass (torn frame or log
 // record).
-func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, region []byte) (bool, bool) {
+//
+// The walk pays for news, not for the log: the anchor frame and the log
+// prefix an earlier scan validated are not validated again while no write has
+// touched their bytes (rdma.Region.Moved, which every landing and adoptSlot's
+// install stamp), and the walk starts behind that prefix. Every record in it
+// is at or below the slot's version, which only rises, so the full walk would
+// pass it without a fold, a fetch or a torn reject: the scan's outcome, its
+// stats and its fetches are those of the full walk at the same instant.
+func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region) (bool, bool) {
 	off := r.slotOffset(g, p)
+	gen := reg.Gen()
+	region := reg.Bytes()
 	changed := false
 	stuck := false
-	if payload, ver, err := codec.DecodeSlot(region[off : off+r.anchorCap()]); err == nil {
+	// The anchor frame, unless it is the one an earlier scan validated.
+	var payload []byte
+	var ver uint32
+	var err error
+	if a := slot.anchor; a.gen != 0 && r.unmoved(reg, off, codec.SlotOverhead+a.n, a.gen) {
+		payload, ver = region[off+8:off+8+a.n], a.ver
+	} else if payload, ver, err = codec.DecodeSlot(region[off : off+r.anchorCap()]); err == nil {
+		r.statValidated++
+		slot.anchor = seenFrame{gen: gen, ver: ver, n: len(payload)}
+	}
+	if err == nil {
 		changed = ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "anchor")
 	} else if errors.Is(err, codec.ErrTorn) {
 		r.statTorn++
 		stuck = true
 	}
-	log := region[off+r.anchorCap() : off+r.opts.SumSlotSize]
+	logOff := off + r.anchorCap()
+	log := region[logOff : off+r.opts.SumSlotSize]
+	// The walk starts behind the prefix an earlier walk passed, when that
+	// prefix is unchanged and the slot has not gone below the version it
+	// was passed at: every record in it is stale, and validating it again
+	// would find just that.
+	at := 0
+	if w := &slot.walked; w.gen != 0 && slot.version >= w.ver && r.unmovedLog(reg, logOff, w) {
+		at = w.end
+	}
+	from, passed := at, at
 walk:
-	for len(log) > 0 {
+	for len(log) > at {
 		// Validate every record (length, canary, CRC, kind, version) but
-		// decode a body only for the one about to be folded: the walk
-		// re-reads the whole log every scan, and all but one record of it
-		// is stale.
-		h, err := codec.PeekDeltaRecord(log)
+		// decode a body only for the one about to be folded.
+		h, err := codec.PeekDeltaRecord(log[at:])
 		if err != nil {
 			if errors.Is(err, codec.ErrTorn) {
 				r.statTorn++
@@ -634,6 +663,7 @@ walk:
 			}
 			break // incomplete, torn or stale garbage: nothing beyond is usable
 		}
+		r.statValidated++
 		if h.Kind != codec.FrameDelta {
 			break
 		}
@@ -642,7 +672,7 @@ walk:
 			// Stale leftover of an earlier log round, or already folded.
 		case h.First() == slot.version+1:
 			rec := &r.deltaRec
-			if codec.DecodeDeltaBody(rec, log, h) != nil {
+			if codec.DecodeDeltaBody(rec, log[at:], h) != nil {
 				break walk // CRC-intact garbage from the writer: unusable
 			}
 			slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
@@ -657,7 +687,13 @@ walk:
 			stuck = false // the fetch is the recovery; don't double up
 			break walk
 		}
-		log = log[h.Total:]
+		at += h.Total
+		passed = at
+	}
+	if passed > from {
+		w := &slot.walked
+		w.gen, w.end, w.ver = gen, passed, slot.version
+		w.tail = append(w.tail[:0], log[tailStart(logOff, passed)-logOff:passed]...)
 	}
 	if changed {
 		slot.tornStreak = 0
@@ -668,6 +704,29 @@ walk:
 		}
 	}
 	return changed, stuck
+}
+
+// unmoved reports whether no write has touched [off, off+n) of the summary
+// region reg since generation gen — always, under the stale-scan mutant.
+func (r *Replica) unmoved(reg *rdma.Region, off, n int, gen uint64) bool {
+	return r.mutateScan || !reg.Moved(off, n, gen)
+}
+
+// unmovedLog reports whether the log prefix w, which starts at region offset
+// logOff, holds the bytes it was walked with: its whole chunks unmoved since
+// w.gen and its tail equal to the copy. A record landing right behind the
+// prefix stamps the prefix's last chunk, so only the copy tells that landing
+// from one that overwrote the prefix.
+func (r *Replica) unmovedLog(reg *rdma.Region, logOff int, w *seenLog) bool {
+	ts := tailStart(logOff, w.end)
+	return r.unmoved(reg, logOff, ts-logOff, w.gen) &&
+		(r.mutateScan || bytes.Equal(reg.Bytes()[ts:logOff+w.end], w.tail))
+}
+
+// tailStart is the region offset where the last chunk of the log prefix
+// [logOff, logOff+end) begins, or logOff when the prefix lies in one chunk.
+func tailStart(logOff, end int) int {
+	return max(logOff, (logOff+end)/rdma.GenChunk*rdma.GenChunk)
 }
 
 // fetchSlot recovers a delta slot that cannot make forward progress (a
@@ -1353,8 +1412,7 @@ func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
 	// Install only the frame's used prefix: the rest of the slot is the
 	// δ-record log, and overwriting it with the bytes of
 	// a read issued one RTT ago would clobber records that landed since.
-	copy(r.node.Region(r.sumRegion).Bytes()[r.slotOffset(g, p):],
-		data[:codec.SlotOverhead+len(payload)])
+	r.node.Region(r.sumRegion).Write(r.slotOffset(g, p), data[:codec.SlotOverhead+len(payload)])
 	r.kickApply()
 	return true
 }

@@ -411,7 +411,17 @@ type Region struct {
 	writers  map[NodeID]bool
 	allowAll bool
 	arena    *Arena // non-nil when charged to an arena's budget (see Node.Route)
+
+	// Write generations (Write, Moved): gen counts the region's writes, and
+	// gens[i] is the gen of the last write that touched chunk i — kept once
+	// TrackWrites is called, so a region no reader asks about keeps none.
+	gen  uint64
+	gens []uint64
 }
+
+// GenChunk is the granularity of a region's write generations: a write
+// stamps every GenChunk-byte chunk it touches.
+const GenChunk = 64
 
 // Name returns the region's registered name.
 func (r *Region) Name() string { return r.name }
@@ -421,6 +431,58 @@ func (r *Region) Size() int { return len(r.buf) }
 
 // Bytes exposes the region's memory for local access by the owner.
 func (r *Region) Bytes() []byte { return r.buf }
+
+// Write copies b into the region at off and stamps every chunk it touches
+// with the region's next generation. Every byte the fabric lands goes
+// through Write — a WRITE, each part of a torn one, a CAS — so a reader that
+// remembers a generation can tell, by Moved, whether bytes it validated may
+// have changed since. Bytes the owner writes through Bytes are not stamped:
+// a reader that relies on Moved must see its region written only by Write.
+func (r *Region) Write(off int, b []byte) {
+	copy(r.buf[off:], b)
+	if len(b) == 0 {
+		return
+	}
+	r.gen++
+	if r.gens == nil {
+		return
+	}
+	for c := off / GenChunk; c <= (off+len(b)-1)/GenChunk; c++ {
+		r.gens[c] = r.gen
+	}
+}
+
+// TrackWrites makes the region keep its chunks' write generations from now
+// on, for Moved; writes before it count as older than any generation Gen
+// returns after it.
+func (r *Region) TrackWrites() {
+	if r.gens == nil {
+		r.gens = make([]uint64, (len(r.buf)+GenChunk-1)/GenChunk)
+	}
+}
+
+// Gen returns the generation of the region's last Write, 0 before the first.
+func (r *Region) Gen() uint64 { return r.gen }
+
+// Moved reports whether a Write after generation since touched a chunk of
+// [off, off+n) of a region that tracks writes. It is exact at chunk
+// granularity: false means no byte of the range changed since; true means
+// some byte of a chunk the range shares may have. An untracked region
+// reports every range moved.
+func (r *Region) Moved(off, n int, since uint64) bool {
+	if r.gens == nil {
+		return true
+	}
+	if r.gen <= since || n <= 0 {
+		return false
+	}
+	for c := off / GenChunk; c <= (off+n-1)/GenChunk; c++ {
+		if r.gens[c] > since {
+			return true
+		}
+	}
+	return false
+}
 
 // AllowWrite grants remote write permission to from.
 func (r *Region) AllowWrite(from NodeID) { r.writers[from] = true }
@@ -582,12 +644,12 @@ func (qp *QP) tearAt(landed sim.Time, n int) sim.Time {
 func (qp *QP) land(r *Region, off int, buf []byte, interior sim.Time, label, verb string) {
 	f := qp.fabric()
 	if interior <= f.eng.Now() {
-		copy(r.buf[off:], buf)
+		r.Write(off, buf)
 		qp.traceVerb(trace.Wire, label, verb, "landed", len(buf))
 		return
 	}
-	copy(r.buf[off:off+4], buf[:4])
-	copy(r.buf[off+len(buf)-4:], buf[len(buf)-4:])
+	r.Write(off, buf[:4])
+	r.Write(off+len(buf)-4, buf[len(buf)-4:])
 	qp.traceVerb(trace.Wire, label, verb, "boundary landed (torn)", len(buf))
 	// buf belongs to a verb record that may be recycled before the interior
 	// lands (an unsignaled write is done at its boundary landing), so the
@@ -598,7 +660,7 @@ func (qp *QP) land(r *Region, off int, buf []byte, interior sim.Time, label, ver
 		if qp.to.crashed {
 			return // the write's remaining bytes die with the NIC: region stays torn
 		}
-		copy(r.buf[off+4:], rest)
+		r.Write(off+4, rest)
 		qp.traceVerb(trace.Wire, label, verb, "interior landed", n)
 	})
 }
@@ -956,7 +1018,7 @@ func (v *verb) landCAS() {
 		if v.err = checkAccess(r, qp.from.id, w.off, w.size(), true); v.err == nil {
 			old := readU64(r.buf[w.off:])
 			if old == readU64(v.data) {
-				putU64(r.buf[w.off:], readU64(v.data[8:]))
+				r.Write(w.off, v.data[8:16])
 			}
 			putU64(v.data, old)
 		}

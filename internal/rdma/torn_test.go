@@ -174,3 +174,68 @@ func TestTornSlotHeadToHead(t *testing.T) {
 	}
 	t.Logf("sampler: %d seqlock false accepts, %d CRC rejects, 0 CRC false accepts", legacyFalse, crcRejects)
 }
+
+// TestRegionWriteGenerations pins the write generations a tracked region
+// keeps: a landing stamps every GenChunk-byte chunk it touches and no other,
+// a torn landing stamps its boundary words when they land and its interior
+// when that lands, a CAS stamps its word, and a region that does not track
+// writes reports every range moved.
+func TestRegionWriteGenerations(t *testing.T) {
+	eng := sim.NewEngine(12)
+	f := NewFabric(eng, 2, DefaultLatency())
+	r := f.Node(1).Register("buf", 8*GenChunk)
+	r.AllowWrite(0)
+	if !r.Moved(0, 1, r.Gen()) {
+		t.Fatal("an untracked region reports a range unmoved")
+	}
+	r.TrackWrites()
+	write := func(off int, data []byte) {
+		eng.At(eng.Now(), func() { f.Node(0).QP(1).Write("buf", off, data, nil) })
+	}
+
+	g0 := r.Gen()
+	write(GenChunk+8, make([]byte, GenChunk)) // chunks 1 and 2
+	eng.RunFor(10 * sim.Microsecond)
+	for c, want := range []bool{false, true, true, false} {
+		if got := r.Moved(c*GenChunk, GenChunk, g0); got != want {
+			t.Errorf("chunk %d moved = %v after a write to chunks 1–2, want %v", c, got, want)
+		}
+	}
+	if !r.Moved(0, 2*GenChunk, g0) || r.Moved(3*GenChunk, 5*GenChunk, g0) || r.Moved(GenChunk, 0, g0) {
+		t.Error("Moved over a range is not the or of its chunks")
+	}
+	if g1 := r.Gen(); g1 != g0+1 || r.Moved(0, r.Size(), g1) {
+		t.Errorf("generation %d → %d, want one step, and nothing moved since", g0, g1)
+	}
+
+	// A torn write across chunks 4–6: the boundary words (chunks 4 and 6)
+	// land first, the interior (chunks 4–6 again) after the tear.
+	f.SetLinkTorn(0, 1, 3*sim.Microsecond, 0)
+	g1 := r.Gen()
+	write(4*GenChunk+GenChunk/2, make([]byte, 2*GenChunk))
+	var boundary, interior uint64
+	probe := eng.NewTicker(100*sim.Nanosecond, func() {
+		switch {
+		case boundary == 0 && r.Moved(4*GenChunk, GenChunk, g1):
+			boundary = r.Gen()
+			if r.Moved(5*GenChunk, GenChunk, g1) || !r.Moved(6*GenChunk, GenChunk, g1) {
+				t.Error("the boundary landing stamped the interior chunk or missed the tail")
+			}
+		case boundary != 0 && interior == 0 && r.Moved(5*GenChunk, GenChunk, g1):
+			interior = r.Gen()
+		}
+	})
+	eng.RunFor(10 * sim.Microsecond)
+	probe.Cancel()
+	if boundary != g1+2 || interior != g1+3 {
+		t.Fatalf("torn write stamped generations %d then %d, want %d (both boundary words) then %d", boundary, interior, g1+2, g1+3)
+	}
+	f.SetLinkTorn(0, 1, 0, 0)
+
+	g2 := r.Gen()
+	eng.At(eng.Now(), func() { f.Node(0).QP(1).CAS("buf", 7*GenChunk, 0, 9, func(uint64, error) {}) })
+	eng.RunFor(10 * sim.Microsecond)
+	if !r.Moved(7*GenChunk, 8, g2) || r.Moved(0, 7*GenChunk, g2) {
+		t.Error("a CAS did not stamp exactly its word's chunk")
+	}
+}
