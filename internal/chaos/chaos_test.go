@@ -112,6 +112,8 @@ func TestPlanJSONRejectsUnknownFields(t *testing.T) {
 		`{"class":"counter","nodes":4,"ops":80,"seed":1,"shard_mix":2,"cross_wire_shards":true}`,
 		`{"class":"counter","nodes":4,"ops":80,"seed":1,"sessions":2,"mutate_stale_reads":true}`,
 		`{"class":"counter","nodes":4,"ops":80,"seed":1,"disable_recovery":true}`,
+		// The anchor period delta_log_bytes replaced.
+		`{"class":"counter","nodes":4,"ops":80,"seed":1,"anchor_interval":3}`,
 	} {
 		if _, err := ReadPlan(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "unknown field") {
 			t.Errorf("ReadPlan(%s) = %v, want an unknown-field error", in, err)

@@ -25,6 +25,7 @@ import (
 	"slices"
 	"sort"
 
+	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -108,9 +109,10 @@ type Plan struct {
 	// excluded from the correctness probes (used by negative controls).
 	NoFinalHeal bool `json:"no_final_heal,omitempty"`
 
-	// AnchorInterval, when positive, overrides the δ-log's full-state
-	// re-anchor period. Small values stress the anchor/δ interleaving.
-	AnchorInterval int `json:"anchor_interval,omitempty"`
+	// DeltaLogBytes, when positive, overrides the size of each summary
+	// slot's δ-log. The writer re-anchors when the log fills, so small values
+	// stress the anchor/δ interleaving.
+	DeltaLogBytes int `json:"delta_log_bytes,omitempty"`
 
 	// ShardMix, when ≥ 2, runs the plan against a sharded multi-object
 	// store instead of a single cluster: the node set hosts that many
@@ -155,8 +157,8 @@ func (p Plan) Validate() error {
 	if p.ShardMix != 0 && (p.ShardMix < 2 || p.ShardMix > 32) {
 		return fmt.Errorf("chaos: shard_mix = %d, want 0 or 2..32", p.ShardMix)
 	}
-	if p.AnchorInterval < 0 {
-		return fmt.Errorf("chaos: anchor_interval = %d, want 0 (the default) or more", p.AnchorInterval)
+	if maxLog := core.DefaultOptions().SumSlotSize / 2; p.DeltaLogBytes != 0 && (p.DeltaLogBytes < core.MinDeltaLogBytes || p.DeltaLogBytes > maxLog) {
+		return fmt.Errorf("chaos: delta_log_bytes = %d, want 0 (the default) or %d..%d", p.DeltaLogBytes, core.MinDeltaLogBytes, maxLog)
 	}
 	if p.Sessions < 0 || p.Sessions > 16 {
 		return fmt.Errorf("chaos: sessions = %d, want 0..16", p.Sessions)
@@ -222,9 +224,9 @@ func (p Plan) Validate() error {
 // Mutant is one entry of the catalogue of bugs the harness injects to prove
 // that a checker catches them. A plan names the mutants it installs
 // (Plan.Mutants), and the runner puts each where it applies: no-recovery
-// into the options every cluster is built with, apply-order onto every built
-// cluster, cross-wire onto the opened shard pairs, and stale-reads into the
-// client sessions. Production types carry none of them.
+// into the options every cluster is built with, apply-order and stale-scan
+// onto every built cluster, cross-wire onto the opened shard pairs, and
+// stale-reads into the client sessions. Production types carry none of them.
 type Mutant struct {
 	Name string
 	Doc  string // the bug, in one line
@@ -241,6 +243,11 @@ var Mutants = []Mutant{
 	{Name: "stale-reads", Doc: "the first read after a switch serves the session's first cached view",
 		needs: "sessions > 0", holds: func(p Plan) bool { return p.Sessions > 0 }},
 	{Name: "no-recovery", Doc: "failure handling off: no heartbeats, detectors, backup recovery or leader change"},
+	{Name: "stale-scan", Doc: "the summary scan trusts the anchor and log prefix it validated after a write touched them",
+		needs: "a class with a summarization group", holds: func(p Plan) bool {
+			cls, err := Class(p.Class)
+			return err == nil && len(cls.SumGroups) > 0
+		}},
 }
 
 // mutated reports whether the plan installs the named mutant.

@@ -242,8 +242,8 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	// must become a verdict, not a panic.
 	copts.CheckIntegrity = false
 	copts.DisableFailureHandling = p.mutated("no-recovery")
-	if p.AnchorInterval > 0 {
-		copts.AnchorInterval = p.AnchorInterval
+	if p.DeltaLogBytes > 0 {
+		copts.DeltaLogBytes = p.DeltaLogBytes
 	}
 
 	r := &runner{
@@ -301,6 +301,9 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	for i, sh := range r.shards {
 		if p.mutated("apply-order") {
 			sh.cluster.MutateApplyOrder()
+		}
+		if p.mutated("stale-scan") {
+			sh.cluster.MutateStaleScan()
 		}
 		if p.mutated("cross-wire") && i%2 == 1 {
 			core.CrossWire(r.shards[i-1].cluster, sh.cluster)

@@ -36,7 +36,9 @@ func TestShardMixValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: -3},
 		{Class: "counter", Nodes: 4, Ops: 10, ShardMix: 33},
 		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"cross-wire"}},
-		{Class: "counter", Nodes: 4, Ops: 10, AnchorInterval: -1},
+		{Class: "counter", Nodes: 4, Ops: 10, DeltaLogBytes: -1},
+		{Class: "counter", Nodes: 4, Ops: 10, DeltaLogBytes: 63},
+		{Class: "counter", Nodes: 4, Ops: 10, DeltaLogBytes: 8193},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

@@ -86,6 +86,42 @@ func TestCorpusTornPastWindow(t *testing.T) {
 	}
 }
 
+// TestCorpusTornLong replays the plans whose links tear by 20–60 µs, past the
+// ring readers' 8-poll retry window, on counter and bankmap, whose δ-logs now
+// re-anchor only when they fill: a summary reader that meets a torn record
+// cannot wait for the next anchor, so it recovers through fetchSlot's
+// one-sided read of the writer's own slot. Each plan must tear writes, make
+// gap fetches, and pass every probe and the history check.
+func TestCorpusTornLong(t *testing.T) {
+	files, err := filepath.Glob(filepath.Join("testdata", "chaos", "*-torn-long-*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := map[string]bool{}
+	for _, path := range files {
+		p := readCorpusPlan(t, path)
+		classes[p.Class] = true
+		for _, e := range p.Events {
+			if e.Kind == KindTorn && (e.Extra < 20*sim.Microsecond || e.Extra+e.Jitter > 60*sim.Microsecond) {
+				t.Fatalf("%s: %v tears outside 20–60µs", path, e)
+			}
+		}
+		v := mustRun(t, p, Options{EnableMetrics: true}.Checked())
+		assertPassed(t, v)
+		if !v.Conform.OK() {
+			t.Fatalf("%s: history check failed:\n%s", path, v.Conform)
+		}
+		torn, fetches := v.Metrics.Counter("rdma.torn_writes").Value(), v.Metrics.Counter("core.gap_fetches").Value()
+		t.Logf("%s: %d torn writes, %d gap fetches", filepath.Base(path), torn, fetches)
+		if torn == 0 || fetches == 0 {
+			t.Fatalf("%s: %d torn writes and %d gap fetches, want both", path, torn, fetches)
+		}
+	}
+	if !classes["counter"] || !classes["bankmap"] {
+		t.Fatalf("long-tear corpus covers %v, want counter and bankmap", classes)
+	}
+}
+
 // TestGeneratedPlansIncludeTorn pins that the randomized generator emits
 // torn-write windows: across a seed sweep some plans must contain a torn
 // event, every torn event must carry its matching heal, and all generated

@@ -8,6 +8,7 @@ import (
 
 	"hamband/internal/chaos"
 	"hamband/internal/conform"
+	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -18,11 +19,11 @@ import (
 // the counter (reducible), orset (irreducible conflict-free) and bankmap
 // (mixed categories, conflicting withdraw, dependent deposit) classes.
 func corpusPlans() []chaos.Plan {
-	// δ-stress arm: a generated fault plan with a tiny anchor interval, so
+	// δ-stress arm: a generated fault plan with the smallest δ-log, so
 	// the anchor/δ-log interleaving (re-anchors, gap fetches, torn parks)
 	// is itself replayed through rdmawrdt's rule steps.
 	deltaFaulty := chaos.Generate("bankmap", 4, 60, 207)
-	deltaFaulty.AnchorInterval = 2
+	deltaFaulty.DeltaLogBytes = core.MinDeltaLogBytes
 	return []chaos.Plan{
 		{Class: "counter", Nodes: 4, Ops: 80, Seed: 201},
 		{Class: "orset", Nodes: 4, Ops: 80, Seed: 202},

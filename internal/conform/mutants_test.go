@@ -173,12 +173,33 @@ func controls(t *testing.T) []control {
 		mutant: "no-recovery", opts: chaos.Options{DrainDeadline: 10 * sim.Millisecond},
 		family: []chaos.Plan{readPlan(t, filepath.Join("..", "chaos", "testdata", "controls", "no-recovery-account-seed5.json"))},
 		twin:   true,
-		caught: func(t *testing.T, v *chaos.Verdict) {
-			if !slices.ContainsFunc(v.Violations, func(pv chaos.Violation) bool { return pv.Probe == "quiescence" }) {
-				t.Errorf("want a quiescence violation, got:\n%s", chaos.FormatViolations(v))
-			}
-		},
+		caught: wantQuiescence,
+	}, {
+		// A summary scan that trusts the anchor and log prefix it validated
+		// after writes landed over them misses what they carried; the reader
+		// never reaches the writer's version, which the quiescence probe
+		// reports. The corpus plan's 64-byte δ-log wraps every few records,
+		// the default 4 KiB one in no corpus plan, so this is the plan that
+		// overwrites what a reader validated.
+		mutant: "stale-scan", family: []chaos.Plan{staleScanPlan(t)}, twin: true,
+		caught: wantQuiescence,
 	}}
+}
+
+// staleScanPlan is the stale-scan mutant's control: the corpus plan whose
+// small δ-log interleaves anchors and δ-records under torn writes.
+func staleScanPlan(t *testing.T) chaos.Plan {
+	p := readPlan(t, filepath.Join("..", "chaos", "testdata", "chaos", "bankmap-delta-torn-seed1300.json"))
+	p.Mutants = []string{"stale-scan"}
+	return p
+}
+
+// wantQuiescence is the controls' check that the probes caught a run that
+// did not quiesce.
+func wantQuiescence(t *testing.T, v *chaos.Verdict) {
+	if !slices.ContainsFunc(v.Violations, func(pv chaos.Violation) bool { return pv.Probe == "quiescence" }) {
+		t.Errorf("want a quiescence violation, got:\n%s", chaos.FormatViolations(v))
+	}
 }
 
 // TestCatchMatrix is the catch matrix: every catalogue mutant's control-plan

@@ -172,7 +172,7 @@ func TestQuiescentScanZeroAlloc(t *testing.T) {
 // that grows with it. The adds draw from keys the summary already holds, as
 // most do once a key space is saturated, so Summarize returns its first
 // argument; the frame is encoded in place; only a ~100 B δ-record travels,
-// and the peer decodes it, and the anchor every AnchorInterval calls, into
+// and the peer decodes it, and the anchor each time the δ-log fills, into
 // its scratch records. The failure detector runs alongside, and its heartbeat
 // reads ride recycled verb records like the writes, so a cycle allocates
 // nothing: 0 objects and 0 B (5 and 243 B when each heartbeat read built
@@ -180,12 +180,12 @@ func TestQuiescentScanZeroAlloc(t *testing.T) {
 // closure per peer; 8 and 410 B when each peer fold decoded into fresh counts
 // and arguments; over 20 KiB when Summarize rebuilt the union).
 //
-// The warm-up runs four anchor intervals. The heartbeat reads hold verb
-// records while the writes go on, so three records take turns carrying the
-// writes, and each grows its buffer to anchor size the first time it carries
-// an anchor: three anchors after the first fill, not one.
+// The warm-up runs until the δ-log has wrapped three times. The heartbeat
+// reads hold verb records while the writes go on, so three records take
+// turns carrying the writes, and each grows its buffer to anchor size the
+// first time it carries an anchor: three anchors after the first, not one.
 func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
-	const cycles = 320 // ten anchor intervals
+	const cycles = 320 // more than a δ-log of records: the window holds an anchor
 	measure := func(keys int) (allocs, bytes uint64) {
 		h := newHarness(t, crdt.NewGSet(), 2, 91, func(o *Options) { o.CheckIntegrity = false })
 		all := make([]int64, keys)
@@ -201,7 +201,7 @@ func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
 			now += sim.Time(10 * sim.Microsecond)
 			h.eng.RunUntil(now)
 		}
-		for i := 0; i < 4*r0.opts.AnchorInterval; i++ { // warm: queues, batches, the heartbeat path and every verb record's buffer
+		for r0.statAnchors < 4 { // warm: queues, batches, the heartbeat path and every verb record's buffer
 			cycle()
 		}
 		folded := r1.sums[0][0].version

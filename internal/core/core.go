@@ -50,8 +50,8 @@ const epochRegionBase = "ham-epoch"
 // epochRegionSize is the epoch word's size.
 const epochRegionSize = 8
 
-// minDeltaLogBytes is the smallest δ-record log a summary slot may carry.
-const minDeltaLogBytes = 64
+// MinDeltaLogBytes is the smallest δ-record log a summary slot may carry.
+const MinDeltaLogBytes = 64
 
 func epochRegion(ns string) string { return ns + epochRegionBase }
 
@@ -71,18 +71,13 @@ type Options struct {
 
 	// Summary slots are delta-groups: the reducible calls a replica ships in
 	// one flush of its coalescer fold into one small δ-record in the slot's
-	// log area, and the full summarized state is rewritten only every
-	// AnchorInterval calls (or when the log fills). Remote scanners fold the
-	// δ-records onto their last adopted state and fall back to a one-sided
-	// full-state fetch of the writer's own slot on a version gap or a
-	// persistently torn frame. The writer's own region always holds the
-	// current full frame, so repair, recovery and recency reads stay
-	// anchor-aware for free.
+	// log area, and the full summarized state is rewritten only when the log
+	// fills. Remote scanners fold the δ-records onto their last adopted state
+	// and fall back to a one-sided full-state fetch of the writer's own slot
+	// on a version gap or a persistently torn frame. The writer's own region
+	// always holds the current full frame, so repair, recovery and recency
+	// reads stay anchor-aware for free.
 	//
-	// AnchorInterval is the number of reducible calls between full-state
-	// anchors (≥ 1), however many δ-records carried them.
-	AnchorInterval int
-
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
 	// the δ-record log; the rest holds the full-state anchor frame. Zero,
 	// negative or more than half the slot selects a quarter of the slot.
@@ -137,17 +132,16 @@ type Options struct {
 // DefaultOptions returns production-shaped parameters.
 func DefaultOptions() Options {
 	return Options{
-		Heartbeat:      heartbeat.DefaultConfig(),
-		Broadcast:      broadcast.DefaultConfig(),
-		Mu:             mu.DefaultConfig(),
-		SumSlotSize:    16 * 1024,
-		SumScanPeriod:  2 * sim.Microsecond,
-		ApplyPeriod:    5 * sim.Microsecond,
-		IssueCost:      100 * sim.Nanosecond,
-		ApplyCost:      50 * sim.Nanosecond,
-		QueryCost:      100 * sim.Nanosecond,
-		AnchorInterval: 32,
-		DeltaLogBytes:  4096,
+		Heartbeat:     heartbeat.DefaultConfig(),
+		Broadcast:     broadcast.DefaultConfig(),
+		Mu:            mu.DefaultConfig(),
+		SumSlotSize:   16 * 1024,
+		SumScanPeriod: 2 * sim.Microsecond,
+		ApplyPeriod:   5 * sim.Microsecond,
+		IssueCost:     100 * sim.Nanosecond,
+		ApplyCost:     50 * sim.Nanosecond,
+		QueryCost:     100 * sim.Nanosecond,
+		DeltaLogBytes: 4096,
 	}
 }
 
@@ -192,15 +186,12 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	// the slot (summaries grow with the object), so the log is clamped to
 	// at most half the slot. A slot too small to hold a δ-log at all is a
 	// hard configuration error, like a summary outgrowing its anchor area.
-	if opts.AnchorInterval < 1 {
-		opts.AnchorInterval = 1
-	}
 	if opts.DeltaLogBytes <= 0 || opts.DeltaLogBytes > opts.SumSlotSize/2 {
 		opts.DeltaLogBytes = opts.SumSlotSize / 4
 	}
-	if opts.DeltaLogBytes < minDeltaLogBytes && len(an.Class.SumGroups) > 0 {
+	if opts.DeltaLogBytes < MinDeltaLogBytes && len(an.Class.SumGroups) > 0 {
 		panic(fmt.Sprintf("core: %d-byte summary slot leaves a %d-byte δ-log (minimum %d)",
-			opts.SumSlotSize, opts.DeltaLogBytes, minDeltaLogBytes))
+			opts.SumSlotSize, opts.DeltaLogBytes, MinDeltaLogBytes))
 	}
 	c := &Cluster{Fab: fab, An: an, Opts: opts}
 	c.leaders = opts.Leaders
@@ -233,9 +224,9 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		// hold. Too little for any record is a hard configuration error, like
 		// the δ-log above: FrameFull records are δ-records.
 		bc := c.Opts.Broadcast
-		if c.freeBound = bc.MaxPayload(); c.freeBound < minDeltaLogBytes {
+		if c.freeBound = bc.MaxPayload(); c.freeBound < MinDeltaLogBytes {
 			panic(fmt.Sprintf("core: a %d-byte backup slot and a %d-byte inbound ring leave %d bytes for a message's call records (minimum %d)",
-				bc.BackupSlot, bc.RingCapacity, c.freeBound, minDeltaLogBytes))
+				bc.BackupSlot, bc.RingCapacity, c.freeBound, MinDeltaLogBytes))
 		}
 		broadcast.Setup(fab, bc)
 	}
@@ -379,8 +370,9 @@ type seenLog struct {
 // the next call folds into while it is still the pending tail of every peer's
 // batch in the coalescer.
 type deltaWriter struct {
+	anchored    bool // the slot's first anchor has shipped
 	logOff      int
-	sinceAnchor int
+	sinceAnchor int // calls shipped as δ-records since the last anchor (Replica.AnchorAge)
 
 	open  bool      // a run is open: its record is at runAt
 	mark  uint64    // the coalescer's Mark right after the group's last enqueue
@@ -599,12 +591,9 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		}
 		r.sums = append(r.sums, row)
 	}
+	// The first reducible call of each group anchors (deltaWriter.anchored),
+	// so remote readers never fold onto an unanchored identity.
 	r.deltaW = make([]deltaWriter, len(cls.SumGroups))
-	for g := range r.deltaW {
-		// Force a full-state anchor on the first reducible call so remote
-		// readers never fold onto an unanchored identity.
-		r.deltaW[g].sinceAnchor = c.Opts.AnchorInterval
-	}
 
 	// Broadcast: carries irreducible conflict-free calls into F buffers. A
 	// class without such a method has no F buffers: bc and rx stay nil, and no

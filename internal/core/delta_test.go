@@ -22,11 +22,11 @@ func deltaStats(c *Cluster) (deltas, anchors, fetches uint64) {
 }
 
 // TestDeltaSummariesConverge drives random reducible traffic from every
-// node with a small anchor interval: the cluster must converge, with δ-records
-// carrying most calls.
+// node with the smallest δ-log, which a few records fill: the cluster must
+// converge, with δ-records carrying most calls.
 func TestDeltaSummariesConverge(t *testing.T) {
 	h := newHarness(t, crdt.NewPNCounter(), 4, 71, func(o *Options) {
-		o.AnchorInterval = 4
+		o.DeltaLogBytes = MinDeltaLogBytes
 	})
 	h.eng.At(0, func() {
 		for i := 0; i < 40; i++ {
@@ -47,7 +47,7 @@ func TestDeltaSummariesConverge(t *testing.T) {
 		t.Fatalf("delta pipeline idle: deltas=%d anchors=%d", deltas, anchors)
 	}
 	if 40-anchors < anchors {
-		t.Fatalf("anchors dominate (%d anchors vs %d calls in %d δ-records); interval 4 should fold more", anchors, 40-anchors, deltas)
+		t.Fatalf("anchors dominate (%d anchors vs %d calls in %d δ-records); a %d-byte log should fold more", anchors, 40-anchors, deltas, MinDeltaLogBytes)
 	}
 }
 
@@ -62,8 +62,7 @@ func TestDeltaSummariesConverge(t *testing.T) {
 func TestDeltaLogWrapReanchors(t *testing.T) {
 	t.Run("rounds", func(t *testing.T) {
 		h := newHarness(t, crdt.NewCounter(), 3, 72, func(o *Options) {
-			o.AnchorInterval = 1 << 20 // anchors only when the log wraps
-			o.DeltaLogBytes = 96       // two-ish records per round
+			o.DeltaLogBytes = 96 // two-ish records per round
 		})
 		for i := 0; i < 30; i++ {
 			// A flush apart: calls that shared one would fold into one record.
@@ -83,7 +82,6 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 	t.Run("burst", func(t *testing.T) {
 		const calls = 150
 		h := newHarness(t, crdt.NewGSet(), 3, 72, func(o *Options) {
-			o.AnchorInterval = 1 << 20
 			o.DeltaLogBytes = 64 // a run of a few dozen keys fills it
 		})
 		r := h.cluster.Replica(0)
@@ -139,34 +137,46 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 	})
 }
 
-// TestAnchorIntervalInvariant runs the same workload re-anchoring after every
-// δ-record (interval 1: every other write ships the full summarized state)
-// and at the default interval of 32: how often the full state travels must
-// not show in the final states, and folding more δ-records must move fewer
-// bytes.
-func TestAnchorIntervalInvariant(t *testing.T) {
-	run := func(interval int) (spec.State, uint64) {
+// TestDeltaLogBytesInvariant runs the same workload over δ-logs from the
+// smallest (64 B, a few records between anchors) to the default 4096 B, the
+// writer re-anchoring each time its log fills: how often the full state
+// travels must not show in the final states, and a log that folds more
+// δ-records between anchors must move fewer bytes.
+func TestDeltaLogBytesInvariant(t *testing.T) {
+	run := func(logBytes int) (spec.State, uint64, uint64) {
 		h := newHarness(t, crdt.NewGSet(), 3, 73, func(o *Options) {
-			o.AnchorInterval = interval
+			o.DeltaLogBytes = logBytes
 		})
-		h.eng.At(0, func() {
-			for i := 0; i < 24; i++ {
+		for i := 0; i < 48; i++ {
+			// Rounds a flush apart, so the calls travel as many records.
+			h.eng.At(sim.Time(i/3)*sim.Time(5*sim.Microsecond), func() {
 				h.invoke(spec.ProcID(i%3), crdt.GSetAdd, spec.ArgsI(int64(i%7)))
-			}
-		})
+			})
+		}
 		if !h.drain(100 * sim.Millisecond) {
 			t.Fatal("replication did not complete")
 		}
 		h.checkConvergence()
-		return h.cluster.Replica(0).CurrentState(), h.fab.Stats().BytesWritten
+		_, anchors, _ := deltaStats(h.cluster)
+		return h.cluster.Replica(0).CurrentState(), h.fab.Stats().BytesWritten, anchors
 	}
-	dState, dBytes := run(32)
-	fState, fBytes := run(1)
-	if !dState.Equal(fState) {
-		t.Fatalf("anchor intervals 32 and 1 diverged:\n 32 %v\n 1  %v", dState, fState)
+	wantState, wantBytes, wantAnchors := run(4096)
+	if wantAnchors != 3 {
+		t.Fatalf("a 4096-byte log anchored %d times, want each writer's first call only", wantAnchors)
 	}
-	if dBytes >= fBytes {
-		t.Fatalf("interval 32 moved %d bytes, interval 1 %d; want a reduction", dBytes, fBytes)
+	lastBytes := uint64(0)
+	for _, logBytes := range []int{2048, 1024, 512, 256, 128, MinDeltaLogBytes} {
+		state, bytes, anchors := run(logBytes)
+		if !state.Equal(wantState) {
+			t.Fatalf("δ-logs of %d and 4096 bytes diverged:\n %4d %v\n 4096 %v", logBytes, logBytes, state, wantState)
+		}
+		if bytes < wantBytes || bytes < lastBytes {
+			t.Fatalf("a %d-byte log moved %d bytes (%d anchors), fewer than a longer one (4096: %d)", logBytes, bytes, anchors, wantBytes)
+		}
+		lastBytes = bytes
+	}
+	if lastBytes <= wantBytes {
+		t.Fatalf("a %d-byte log moved %d bytes, the 4096-byte one %d; want a reduction", MinDeltaLogBytes, lastBytes, wantBytes)
 	}
 }
 
@@ -202,7 +212,6 @@ func TestDeltaTornParkFetchesFullState(t *testing.T) {
 func TestDeltaGapFetchesFullState(t *testing.T) {
 	h := newHarness(t, crdt.NewCounter(), 2, 75, func(o *Options) {
 		o.DisableFailureHandling = true
-		o.AnchorInterval = 1 << 20
 	})
 	h.eng.At(0, func() { h.invoke(0, crdt.CounterAdd, spec.ArgsI(5)) })
 	if !h.drain(20 * sim.Millisecond) {
@@ -327,22 +336,23 @@ func TestBurstTravelsAsOneWrite(t *testing.T) {
 	}
 }
 
-// TestBurstAcrossAnchorKeepsOrder: a burst that crosses AnchorInterval is
-// run | anchor | run on each peer's QP, in that order — the anchor closes the
-// first run and resets the log cursor, so the δ-record after it is a second
-// run, written over the first at the log's head — and the peers converge without a
-// gap fetch.
+// TestBurstAcrossAnchorKeepsOrder: a burst that fills the δ-log is
+// run | anchor | run on each peer's QP, in that order — the call whose fold
+// no longer fits the log anchors, closing the first run and resetting the log
+// cursor, so the δ-record after it is a second run, written over the first at
+// the log's head — and the peers converge without a gap fetch.
 func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
 	h := newHarness(t, crdt.NewGSet(), 4, 78, func(o *Options) {
 		o.DisableFailureHandling = true
-		o.AnchorInterval = 4
+		o.DeltaLogBytes = MinDeltaLogBytes
 	})
-	burstOf(h, crdt.GSetAdd, 0, 1)
+	const key = 1 << 50 // eight bytes a key: six fit one run in the log, seven do not
+	burstOf(h, crdt.GSetAdd, key, 1)
 	if !h.drain(20 * sim.Millisecond) {
 		t.Fatal("the anchor did not replicate")
 	}
 	before := h.fab.Stats()
-	burstOf(h, crdt.GSetAdd, 1, 8) // δ δ δ δ | anchor | δ δ δ
+	burstOf(h, crdt.GSetAdd, key+1, 8) // δ…δ | anchor | δ
 	if !h.drain(20 * sim.Millisecond) {
 		t.Fatal("the burst did not replicate")
 	}
@@ -385,22 +395,40 @@ func TestTornRunNeverFoldsEarly(t *testing.T) {
 }
 
 func tornRun(t *testing.T, staleScan bool) error {
-	const interval = 8
+	const run = 8 // calls in each round's run
 	h := newHarness(t, crdt.NewCounter(), 2, 79, func(o *Options) {
 		o.DisableFailureHandling = true
-		o.AnchorInterval = interval
+		o.DeltaLogBytes = MinDeltaLogBytes
 	})
 	if staleScan {
 		h.cluster.MutateStaleScan()
 	}
 	sum := func(v uint32) int64 { return int64(v) * int64(v+1) / 2 } // call i adds i
-	// Round one: anchor v1, then the run v2..v9 as one δ-record at the log's head.
-	burstOf(h, crdt.CounterAdd, 1, 1+interval)
+	r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
+	// Round one: anchor v1, then the run v2..v9 as one δ-record at the log's
+	// head, then single-call records a flush apart until the log has no room
+	// for one more: round two's first call re-anchors.
+	burstOf(h, crdt.CounterAdd, 1, 1+run)
 	if !h.drain(20 * sim.Millisecond) {
 		return fmt.Errorf("round one did not replicate")
 	}
+	dw := &r0.deltaW[0]
+	for v := 2 + run; ; v++ {
+		at := dw.logOff
+		burstOf(h, crdt.CounterAdd, v, 1)
+		if !h.drain(20 * sim.Millisecond) {
+			return fmt.Errorf("filler v%d did not replicate", v)
+		}
+		if r0.statAnchors != 1 {
+			return fmt.Errorf("filler v%d re-anchored: the log has no room for round two's anchor to be the one", v)
+		}
+		if dw.logOff+(dw.logOff-at) > r0.opts.DeltaLogBytes {
+			break
+		}
+	}
+	anchor := r0.sums[0][0].version + 1 // round two's first call
+	final := anchor + run
 
-	r1 := h.cluster.Replica(1)
 	off := r1.slotOffset(0, 0) + r1.anchorCap()
 	log := r1.node.Region(sumRegionBase).Bytes()[off : off+r1.opts.DeltaLogBytes]
 	type sample struct {
@@ -415,13 +443,14 @@ func tornRun(t *testing.T, staleScan bool) error {
 		if got := slot.call.Args.I[0]; got != sum(slot.version) && falseAccept == nil {
 			falseAccept = fmt.Errorf("false accept: p1 holds %d at v%d, want %d", got, slot.version, sum(slot.version))
 		}
-		samples = append(samples, sample{slot.version, r1.TornRejects(), string(log[:512])})
+		samples = append(samples, sample{slot.version, r1.TornRejects(), string(log)})
 	})
 	// Three scans fit no tear, so the reader never gives up and fetches.
 	h.fab.SetLinkTorn(0, 1, 3*sim.Microsecond, 0)
 	before := h.fab.Stats().Writes
-	// Round two: anchor v10, then the run v11..v18 over v2..v9, one write each.
-	burstOf(h, crdt.CounterAdd, 2+interval, 1+interval)
+	// Round two: the anchor, then a run of the next eight calls over round
+	// one's, one write each.
+	burstOf(h, crdt.CounterAdd, int(anchor), 1+run)
 	h.eng.RunFor(100 * sim.Microsecond)
 	probe.Cancel()
 	if falseAccept != nil {
@@ -431,14 +460,14 @@ func tornRun(t *testing.T, staleScan bool) error {
 		return fmt.Errorf("round two cost %d writes, want the anchor and one merged run", w)
 	}
 
-	start, final := samples[0], samples[len(samples)-1]
-	if final.ver != 2+2*interval {
-		return fmt.Errorf("p1 ended at v%d, want v%d", final.ver, 2+2*interval)
+	start, last := samples[0], samples[len(samples)-1]
+	if last.ver != final {
+		return fmt.Errorf("p1 ended at v%d, want v%d", last.ver, final)
 	}
 	var window int
 	var tornBefore, tornAfter uint64
 	for _, s := range samples {
-		if s.bytes == start.bytes || s.bytes == final.bytes {
+		if s.bytes == start.bytes || s.bytes == last.bytes {
 			continue
 		}
 		// Part of the run has landed and part has not.
@@ -446,20 +475,20 @@ func tornRun(t *testing.T, staleScan bool) error {
 			tornBefore = s.torn
 		}
 		tornAfter = s.torn
-		if s.ver > 2+interval {
-			return fmt.Errorf("p1 folded to v%d while the run's interior was in flight, want at most the anchor v%d", s.ver, 2+interval)
+		if s.ver > anchor {
+			return fmt.Errorf("p1 folded to v%d while the run's interior was in flight, want at most the anchor v%d", s.ver, anchor)
 		}
 	}
 	if window == 0 {
 		return fmt.Errorf("the sampler never saw the run half-landed: the link is not tearing")
 	}
 	for _, s := range samples {
-		if s.ver > 2+interval && s.ver < final.ver {
-			return fmt.Errorf("p1 passed through v%d: the run folds in one step from the anchor v%d to v%d", s.ver, 2+interval, final.ver)
+		if s.ver > anchor && s.ver < final {
+			return fmt.Errorf("p1 passed through v%d: the run folds in one step from the anchor v%d to v%d", s.ver, anchor, final)
 		}
 	}
-	if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != final.ver || hd.Span != interval {
-		return fmt.Errorf("p1's log head is %+v (%v), want one record spanning v%d..v%d", hd, err, 3+interval, final.ver)
+	if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != final || hd.Span != run {
+		return fmt.Errorf("p1's log head is %+v (%v), want one record spanning v%d..v%d", hd, err, anchor+1, final)
 	}
 	if tornAfter == tornBefore {
 		return fmt.Errorf("torn rejects stayed at %d while the run was half-landed", tornBefore)

@@ -332,8 +332,8 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	// flushed as one chained doorbell, a burst's calls to one slot as one
 	// δ-record in one write; successive versions of a slot stay ordered on
 	// the QP. The propagated frame is usually a small δ-record into the
-	// slot's log area; every AnchorInterval calls (or when the log fills) the
-	// full frame is re-anchored instead.
+	// slot's log area; when the log fills, the full frame is re-anchored
+	// instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
@@ -379,10 +379,13 @@ func (r *Replica) slotOffset(g int, p spec.ProcID) int {
 func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogBytes }
 
 // nextDelta picks what one reducible call ships: a δ-record and its offset
-// in the slot's log area, or nil — every AnchorInterval calls, when the log
+// in the slot's log area, or nil — for the slot's first call, when the log
 // fills, or when the call does not pack — for a full-state re-anchor at the
 // slot head, which also resets the log cursor (peers skip the stale records
-// left behind by version).
+// left behind by version). Anchors are not counted in calls: the log holds
+// every δ-record since the last anchor, and a scan pays only for the records
+// that landed since it last looked (scanSlot), so a longer log costs the
+// reader nothing and saves the writer the anchors' bytes.
 //
 // A δ-record is a run: while the open run's record is still the pending tail
 // of every peer's batch (nothing enqueued on the coalescer and no flush since,
@@ -394,7 +397,7 @@ func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogB
 // the replica's scratch buffer and is good until the next call encodes over it.
 func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
 	dw := &r.deltaW[g]
-	if dw.sinceAnchor < r.opts.AnchorInterval {
+	if dw.anchored {
 		if dw.open && dw.mark == r.coal.Mark() {
 			dw.call = r.cls.SumGroups[g].Summarize(dw.call, c)
 			if rec := r.encodeRun(dw, slot); rec != nil {
@@ -412,7 +415,7 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at i
 			return rec, dw.runAt
 		}
 	}
-	dw.open, dw.logOff, dw.sinceAnchor = false, 0, 0
+	dw.anchored, dw.open, dw.logOff, dw.sinceAnchor = true, false, 0, 0
 	r.statAnchors++
 	return nil, 0
 }

@@ -29,7 +29,6 @@ func runLaw(t *testing.T, cls *spec.Class, g int, seed int64, straddle, foldStra
 	h := newHarness(t, cls, 2, seed, func(o *Options) {
 		o.DisableFailureHandling = true
 		o.CheckIntegrity = false
-		o.AnchorInterval = 1 << 20
 	})
 	rng := rand.New(rand.NewSource(seed))
 	r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)

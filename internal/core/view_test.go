@@ -56,8 +56,7 @@ func runViews(t *testing.T, cls *spec.Class, seed int64, faults, dropDirty bool)
 	t.Helper()
 	h := newHarness(t, cls, 4, seed, func(o *Options) {
 		o.CheckIntegrity = false // it reads the live view after every change; leave reads to the queries
-		o.DeltaLogBytes = 160
-		o.AnchorInterval = 3
+		o.DeltaLogBytes = 64     // a few records a round: anchors interleave with δ-records
 	})
 	var run viewRun
 	note := func(err error) {

@@ -412,16 +412,22 @@ type Region struct {
 	allowAll bool
 	arena    *Arena // non-nil when charged to an arena's budget (see Node.Route)
 
-	// Write generations (Write, Moved): gen counts the region's writes, and
-	// gens[i] is the gen of the last write that touched chunk i — kept once
-	// TrackWrites is called, so a region no reader asks about keeps none.
-	gen  uint64
-	gens []uint64
+	// Write generations (Write, Moved): gen counts the region's writes,
+	// gens[i] is the gen of the last write that touched chunk i, and pages[j]
+	// that of the last write that touched page j — kept once TrackWrites is
+	// called, so a region no reader asks about keeps none.
+	gen   uint64
+	gens  []uint64
+	pages []uint64
 }
 
 // GenChunk is the granularity of a region's write generations: a write
-// stamps every GenChunk-byte chunk it touches.
-const GenChunk = 64
+// stamps every GenChunk-byte chunk it touches, and every page of genPage
+// chunks, so Moved steps over an unwritten page in one comparison.
+const (
+	GenChunk = 64
+	genPage  = 16
+)
 
 // Name returns the region's registered name.
 func (r *Region) Name() string { return r.name }
@@ -447,8 +453,12 @@ func (r *Region) Write(off int, b []byte) {
 	if r.gens == nil {
 		return
 	}
-	for c := off / GenChunk; c <= (off+len(b)-1)/GenChunk; c++ {
+	lo, hi := off/GenChunk, (off+len(b)-1)/GenChunk
+	for c := lo; c <= hi; c++ {
 		r.gens[c] = r.gen
+	}
+	for pg := lo / genPage; pg <= hi/genPage; pg++ {
+		r.pages[pg] = r.gen
 	}
 }
 
@@ -458,6 +468,7 @@ func (r *Region) Write(off int, b []byte) {
 func (r *Region) TrackWrites() {
 	if r.gens == nil {
 		r.gens = make([]uint64, (len(r.buf)+GenChunk-1)/GenChunk)
+		r.pages = make([]uint64, (len(r.gens)+genPage-1)/genPage)
 	}
 }
 
@@ -476,7 +487,12 @@ func (r *Region) Moved(off, n int, since uint64) bool {
 	if r.gen <= since || n <= 0 {
 		return false
 	}
-	for c := off / GenChunk; c <= (off+n-1)/GenChunk; c++ {
+	hi := (off + n - 1) / GenChunk
+	for c := off / GenChunk; c <= hi; c++ {
+		if r.pages[c/genPage] <= since {
+			c |= genPage - 1 // the page's last chunk: the loop steps to the next page
+			continue
+		}
 		if r.gens[c] > since {
 			return true
 		}

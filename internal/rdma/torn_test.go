@@ -238,4 +238,19 @@ func TestRegionWriteGenerations(t *testing.T) {
 	if !r.Moved(7*GenChunk, 8, g2) || r.Moved(0, 7*GenChunk, g2) {
 		t.Error("a CAS did not stamp exactly its word's chunk")
 	}
+
+	// Over several pages: Moved steps over unwritten pages and still sees
+	// each written chunk, and only it, in a written one.
+	big := f.Node(1).Register("big", 3*genPage*GenChunk)
+	big.TrackWrites()
+	g3 := big.Gen()
+	big.Write((genPage+5)*GenChunk+1, []byte{1}) // page 1, chunk 5 of it
+	for c := 0; c < 3*genPage; c++ {
+		if got, want := big.Moved(c*GenChunk, GenChunk, g3), c == genPage+5; got != want {
+			t.Errorf("chunk %d moved = %v, want %v", c, got, want)
+		}
+	}
+	if !big.Moved(0, big.Size(), g3) || big.Moved(0, (genPage+5)*GenChunk, g3) || big.Moved((genPage+6)*GenChunk, 2*genPage*GenChunk-6*GenChunk, g3) {
+		t.Error("Moved over pages is not the or of their chunks")
+	}
 }

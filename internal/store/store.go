@@ -78,10 +78,9 @@ func DefaultOptions() Options {
 // ShardOptions tunes one shard at Open; zero values inherit the store's
 // Core template. Hot shards earn bigger rings and slots through these.
 type ShardOptions struct {
-	SumSlotSize    int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
-	RingCapacity   int           // broadcast and Mu log/request ring capacity
-	AnchorInterval int           // calls between full anchors
-	Leaders        []spec.ProcID // explicit group leaders (default: staggered by shard index)
+	SumSlotSize  int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
+	RingCapacity int           // broadcast and Mu log/request ring capacity
+	Leaders      []spec.ProcID // explicit group leaders (default: staggered by shard index)
 }
 
 // Store is a keyed directory of replicated objects sharing one fabric.
@@ -219,9 +218,6 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 	if so.RingCapacity > 0 {
 		co.Broadcast.RingCapacity = so.RingCapacity
 		co.Mu.RingCapacity = so.RingCapacity
-	}
-	if so.AnchorInterval > 0 {
-		co.AnchorInterval = so.AnchorInterval
 	}
 	ns := namespace(key)
 	co.Namespace = ns
