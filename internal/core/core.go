@@ -291,9 +291,9 @@ func (c *Cluster) MutateApplyOrder() {
 }
 
 // MutateStaleScan installs the stale-scan mutant on every replica: the scan
-// trusts the header it saved for an anchor frame or log record even after a
-// write touched the record's bytes. It is for the mutation controls only, a
-// bug the δ-path tests and the chaos corpus must catch.
+// trusts the anchor frame and the log prefix it validated even after a write
+// touched their bytes. It is for the mutation controls only, a bug the δ-path
+// tests and the chaos corpus must catch.
 func (c *Cluster) MutateStaleScan() {
 	for _, r := range c.Replicas {
 		r.mutateScan = true
@@ -361,7 +361,7 @@ type seenLog struct {
 	gen  uint64 // 0: none
 	end  int
 	ver  uint32
-	tail []byte // the prefix's bytes past its last whole chunk (in the slot's own array)
+	tail []byte // the prefix's bytes past its last whole chunk, in an array of GenChunk bytes
 }
 
 // deltaWriter is the writer-side state of one delta-group summary slot:
@@ -587,7 +587,8 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		row := make([]*sumSlot, n)
 		for p := range row {
 			g := len(r.sums)
-			row[p] = &sumSlot{call: cls.SumGroups[g].Identity(), counts: make([]uint32, len(cls.SumGroups[g].Methods))}
+			row[p] = &sumSlot{call: cls.SumGroups[g].Identity(), counts: make([]uint32, len(cls.SumGroups[g].Methods)),
+				walked: seenLog{tail: make([]byte, 0, rdma.GenChunk)}}
 		}
 		r.sums = append(r.sums, row)
 	}
