@@ -717,13 +717,12 @@ func (r *Replica) unmoved(reg *rdma.Region, off, n int, gen uint64) bool {
 
 // unmovedLog reports whether the log prefix w, which starts at region offset
 // logOff, holds the bytes it was walked with: its whole chunks unmoved since
-// w.gen and its tail equal to the copy. A record landing right behind the
-// prefix stamps the prefix's last chunk, so only the copy tells that landing
-// from one that overwrote the prefix.
+// w.gen and its tail equal to the copy — always, under the stale-scan mutant.
+// A record landing right behind the prefix stamps the prefix's last chunk, so
+// only the copy tells that landing from one that overwrote the prefix.
 func (r *Replica) unmovedLog(reg *rdma.Region, logOff int, w *seenLog) bool {
 	ts := tailStart(logOff, w.end)
-	return r.unmoved(reg, logOff, ts-logOff, w.gen) &&
-		(r.mutateScan || bytes.Equal(reg.Bytes()[ts:logOff+w.end], w.tail))
+	return r.mutateScan || !reg.Moved(logOff, ts-logOff, w.gen) && bytes.Equal(reg.Bytes()[ts:logOff+w.end], w.tail)
 }
 
 // tailStart is the region offset where the last chunk of the log prefix
