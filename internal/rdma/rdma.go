@@ -423,9 +423,10 @@ type Region struct {
 
 // GenChunk is the granularity of a region's write generations: a write
 // stamps every GenChunk-byte chunk it touches, and every page of genPage
-// chunks, so Moved steps over an unwritten page in one comparison.
+// chunks, so Moved steps over an unwritten page in one comparison. The
+// stamps take 1/32 of a tracked region's memory.
 const (
-	GenChunk = 64
+	GenChunk = 256
 	genPage  = 16
 )
 
