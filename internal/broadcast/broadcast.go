@@ -22,7 +22,6 @@ package broadcast
 import (
 	"cmp"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -109,13 +108,11 @@ func appendMessage(dst []byte, epoch uint32, seq uint64, payload []byte) []byte 
 }
 
 // MaxPayload is the largest payload one message can carry under c. The ring
-// record wraps it (message header, raw framing) and may take at most half an
-// inbound ring (ring.Writer's bound) and one codec record; the backup slot
-// stores that record behind a message header of its own inside a validated
-// slot frame. Whichever is tighter decides.
+// record wraps it (message header, raw framing) and must fit a backup slot,
+// which keeps the record as it is, half an inbound ring (ring.Writer's bound)
+// and one codec record. Whichever is tighter decides.
 func (c Config) MaxPayload() int {
-	record := min(c.BackupSlot-codec.SlotOverhead-messageHeader, c.RingCapacity/2, codec.MaxRecord)
-	return record - messageHeader - codec.RawOverhead
+	return min(c.BackupSlot, c.RingCapacity/2, codec.MaxRecord) - messageHeader - codec.RawOverhead
 }
 
 func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err error) {
@@ -298,17 +295,16 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	}
 }
 
-// backUp stores seq's framed ring record in its backup slot, framed where it
-// is to live. A staged slot is rewritten under one version, so it is the
-// frame's CRC, not its version pair, that rejects a read racing a rewrite.
+// backUp copies seq's ring record into its backup slot as it is: recovery
+// validates it the way a ring poll does, and it is the record's CRC that
+// rejects a read racing the rewrite of a staged slot.
 func (b *Broadcaster) backUp(seq uint64, record []byte) {
-	if need := codec.SlotOverhead + messageHeader + len(record); need > b.cfg.BackupSlot {
+	if len(record) > b.cfg.BackupSlot {
 		// Oversized for the backup slot: configuration error.
-		panic(fmt.Sprintf("broadcast: a %d-byte record needs %d bytes of a %d-byte backup slot", len(record), need, b.cfg.BackupSlot))
+		panic(fmt.Sprintf("broadcast: a %d-byte record does not fit a %d-byte backup slot", len(record), b.cfg.BackupSlot))
 	}
 	off := int(seq) % b.cfg.BackupSlots * b.cfg.BackupSlot
-	f := codec.BeginSlot(b.backup.Bytes()[off:off:off+b.cfg.BackupSlot], uint32(seq))
-	codec.FinishSlot(appendMessage(f, b.epoch, seq, record), 0)
+	copy(b.backup.Bytes()[off:], record)
 }
 
 // Stage makes the NEXT message recoverable while its source is still putting
@@ -610,7 +606,7 @@ func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 		return
 	}
 	r.mRecoveries.Inc()
-	r.recoverSweep(src, backupReadRetries, make(map[int]uint32))
+	r.recoverSweep(src, backupReadRetries, make(map[int]uint64))
 }
 
 // backupReadRetries bounds the re-reads a recovery sweep earns when a
@@ -624,11 +620,13 @@ const backupReadRetries = 3
 // slot, in sequence order: a slot's index is its sequence number modulo
 // BackupSlots, which is sequence order except across the wrap, and the handler
 // buffers per source and serves head first, so a message delivered ahead of one
-// it depends on would block its buffer. A torn slot earns a bounded re-read of
-// the region; seen maps slot index → slot version across those passes so a slot
+// it depends on would block its buffer. A slot holds a ring record, read back
+// the way a ring poll reads one: a zero length word is an empty slot, and any
+// other slot that fails validation is torn and earns a bounded re-read of the
+// region; seen maps slot index → sequence number across those passes so a slot
 // recovered in an earlier pass is not processed (and counted) again when only
 // its torn neighbour needed the retry.
-func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]uint32) {
+func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]uint64) {
 	size := r.cfg.BackupSlots * r.cfg.BackupSlot
 	r.node.QP(src).Read(r.cfg.backupRegion(), 0, size, func(data []byte, err error) {
 		if err != nil {
@@ -641,36 +639,25 @@ func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]u
 		}
 		var found []recovered
 		for slot := 0; slot < r.cfg.BackupSlots; slot++ {
-			framed := data[slot*r.cfg.BackupSlot : (slot+1)*r.cfg.BackupSlot]
-			msg, ver, derr := codec.DecodeSlot(framed)
+			record := data[slot*r.cfg.BackupSlot : (slot+1)*r.cfg.BackupSlot]
+			if binary.LittleEndian.Uint32(record) == 0 {
+				continue // empty
+			}
+			msg, _, derr := codec.DecodeRaw(record)
 			if derr != nil {
-				if errors.Is(derr, codec.ErrTorn) {
-					r.tornBackup++
-					tornSeen = true
-				}
+				r.tornBackup++
+				tornSeen = true
 				continue
 			}
-			if seen[slot] == ver {
+			epoch, seq, payload, derr := decodeMessage(msg)
+			if derr != nil || seen[slot] == seq {
 				continue
 			}
-			seen[slot] = ver
-			epoch, seq, record, derr := decodeMessage(msg)
-			if derr != nil {
-				continue
-			}
+			seen[slot] = seq
 			if !r.floors[src].Admits(epoch) {
 				// Backup slot stamped before src's departure epoch: the
 				// same stale-write rejection the sweep applies.
 				r.staleBackup++
-				continue
-			}
-			// The backup stores the framed ring record; unwrap it.
-			inner, _, derr := codec.DecodeRaw(record)
-			if derr != nil {
-				continue
-			}
-			_, iseq, payload, derr := decodeMessage(inner)
-			if derr != nil || iseq != seq {
 				continue
 			}
 			r.mRecovered.Inc()

@@ -325,17 +325,21 @@ func TestFirstAckPacesTheSource(t *testing.T) {
 }
 
 // TestMaxPayloadFitsSlotAndRing: a payload of exactly MaxPayload bytes
-// launches — backup slot and ring record both take it — whichever of the two
-// decides the bound, and one byte more fits neither.
+// launches — backup slot and ring both take its record, which the slot keeps
+// as it is — whichever of the two decides the bound, and one byte more fits
+// neither. At the defaults the slot decides: 512 − 12 − 9 = 491 bytes.
 func TestMaxPayloadFitsSlotAndRing(t *testing.T) {
+	if n := DefaultConfig().MaxPayload(); n != 491 {
+		t.Fatalf("default MaxPayload %d, want 491", n)
+	}
 	for _, ringCap := range []int{1 << 16, 512} {
 		cfg := DefaultConfig()
 		cfg.RingCapacity = ringCap
 		eng, _, bcs, got, _ := setup(2, cfg)
 		n := cfg.MaxPayload()
-		if slot, ring := n+2*messageHeader+codec.RawOverhead+codec.SlotOverhead, n+messageHeader+codec.RawOverhead; slot != cfg.BackupSlot && ring != ringCap/2 {
-			t.Fatalf("ring %d: MaxPayload %d fills a %d-byte slot to %d and a %d-byte record bound to %d: neither is tight",
-				ringCap, n, cfg.BackupSlot, slot, ringCap/2, ring)
+		if record := n + messageHeader + codec.RawOverhead; record != min(cfg.BackupSlot, ringCap/2) {
+			t.Fatalf("ring %d: MaxPayload %d makes a %d-byte record; the %d-byte slot and the %d-byte record bound are not tight",
+				ringCap, n, record, cfg.BackupSlot, ringCap/2)
 		}
 		if err := bcs[0].Broadcast(make([]byte, n), nil); err != nil {
 			t.Fatal(err)
@@ -407,7 +411,7 @@ func TestStageYieldsToMessagesInFlight(t *testing.T) {
 	}
 	bcs[0].Stage([]byte("three")) // message 3 wants message 1's slot
 	backup := fab.Node(0).Region(cfg.backupRegion()).Bytes()
-	if msg, _, err := codec.DecodeSlot(backup[cfg.BackupSlot:]); err != nil || !strings.Contains(string(msg), "one") {
+	if msg, _, err := codec.DecodeRaw(backup[cfg.BackupSlot : 2*cfg.BackupSlot]); err != nil || !strings.Contains(string(msg), "one") {
 		t.Fatalf("slot of message 1 holds %q (%v) after staging message 3 over it", msg, err)
 	}
 	if err := bcs[0].Broadcast([]byte("three"), nil); err != nil {

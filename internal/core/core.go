@@ -63,7 +63,6 @@ type Options struct {
 
 	SumSlotSize   int          // bytes per summary slot
 	SumScanPeriod sim.Duration // period of the summary-slot scan
-	ApplyPeriod   sim.Duration // retry period for dependency-blocked buffers
 
 	IssueCost sim.Duration // CPU cost to accept and dispatch a client call
 	ApplyCost sim.Duration // CPU cost to apply one update call
@@ -137,7 +136,6 @@ func DefaultOptions() Options {
 		Mu:            mu.DefaultConfig(),
 		SumSlotSize:   16 * 1024,
 		SumScanPeriod: 2 * sim.Microsecond,
-		ApplyPeriod:   5 * sim.Microsecond,
 		IssueCost:     100 * sim.Nanosecond,
 		ApplyCost:     50 * sim.Nanosecond,
 		QueryCost:     100 * sim.Nanosecond,
@@ -646,11 +644,6 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	// Pollers.
 	if r.haveSums {
 		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.SumScanPeriod, r.scanSummaries))
-	}
-	// The retry ticker re-examines dependency-blocked buffer heads; without F
-	// or L buffers nothing is ever buffered.
-	if r.rx != nil || len(r.groups) > 0 {
-		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.ApplyPeriod, r.kickApply))
 	}
 	return r
 }

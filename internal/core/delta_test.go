@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
 	"hamband/internal/codec"
 	"hamband/internal/crdt"
+	"hamband/internal/metrics"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -539,5 +541,67 @@ func TestScanValidatesOnlyNews(t *testing.T) {
 	}
 	if v := r1.sums[0][0].version; v != 4 {
 		t.Fatalf("p1 holds v%d of p0's slot, want v4", v)
+	}
+}
+
+// TestTornSlotReadIsReread: readSlotValidated re-reads a peer slot that fails
+// its CRC. p0's own copy of its slot is forged torn through Region.Write (an
+// interior byte flipped, both version words intact). Left torn, it is read
+// 1 + slotReadRetries times, each counted in core.torn_rejects, and dropped;
+// healed between reads, it is adopted on the re-read. p1's scan is stopped,
+// so it holds an older version of the slot than p0's copy.
+func TestTornSlotReadIsReread(t *testing.T) {
+	for _, heal := range []bool{false, true} {
+		reg := metrics.New(nil)
+		h := newHarness(t, crdt.NewCounter(), 3, 37, func(o *Options) {
+			o.DisableFailureHandling = true
+			o.Metrics = reg
+		})
+		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
+		r1.stop()
+		h.invoke(0, crdt.CounterAdd, spec.ArgsI(5))
+		h.eng.RunFor(100 * sim.Microsecond)
+
+		own := r0.node.Region(r0.sumRegion)
+		off := r0.slotOffset(0, 0)
+		good := bytes.Clone(own.Bytes()[off : off+r0.opts.SumSlotSize])
+		_, ver, err := codec.DecodeSlot(good)
+		if err != nil || ver <= r1.sums[0][0].version {
+			t.Fatalf("p0's slot reads version %d (%v), p1 holds %d: want a newer valid frame", ver, err, r1.sums[0][0].version)
+		}
+		torn := bytes.Clone(good)
+		torn[10] ^= 0xFF
+		own.Write(off, torn)
+
+		var got []byte
+		done := false
+		h.eng.At(h.eng.Now()+1, func() {
+			r1.readSlotValidated(0, 0, 0, func(data []byte) {
+				done = true
+				if data != nil && r1.adoptSlot(0, 0, data) {
+					got = data
+				}
+			})
+		})
+		if heal {
+			var probe *sim.Ticker
+			probe = h.eng.NewTicker(10*sim.Nanosecond, func() {
+				if r1.TornRejects() == 1 {
+					own.Write(off, good)
+					probe.Cancel()
+				}
+			})
+		}
+		h.eng.RunFor(100 * sim.Microsecond)
+
+		torns := reg.Snapshot().Counters["core.torn_rejects"]
+		switch {
+		case !done:
+			t.Fatalf("heal %v: the read never finished", heal)
+		case heal && (torns != 1 || got == nil || r1.sums[0][0].version != ver):
+			t.Fatalf("healed slot: %d torn reads, adopted %v, p1 at version %d; want 1, true, %d", torns, got != nil, r1.sums[0][0].version, ver)
+		case !heal && (torns != 1+slotReadRetries || got != nil):
+			t.Fatalf("torn slot: %d torn reads, adopted %v; want %d and nothing", torns, got != nil, 1+slotReadRetries)
+		}
 	}
 }

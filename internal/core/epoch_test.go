@@ -3,10 +3,12 @@ package core
 import (
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"hamband/internal/crdt"
+	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -256,5 +258,170 @@ func TestLeaderHandoffOnLeave(t *testing.T) {
 	st := h.cluster.Replica(1).CurrentState().(*crdt.AccountState)
 	if st.Balance != 70 {
 		t.Fatalf("balance = %d, want 70", st.Balance)
+	}
+}
+
+// TestContestedEpochClaimOneWinner is the one-winner property when both claims
+// travel as CAS verbs. Node 0, the home of the epoch word, is suspended and
+// suspected by every live member, so node 1 initiates both leaves and reaches
+// the word one-sidedly — a suspended node's NIC still serves the atomic. Two
+// claims in flight together race on the word: the loser reports
+// ErrEpochConflict, and the wins equal the epochs committed.
+func TestContestedEpochClaimOneWinner(t *testing.T) {
+	conflicts := 0
+	for _, gap := range []sim.Time{0, 100, 255} {
+		h := newHarness(t, crdt.NewCounter(), 4, 23, nil)
+		h.eng.At(0, func() { h.invoke(1, crdt.CounterAdd, spec.ArgsI(1)) })
+		if !h.drain(20 * sim.Millisecond) {
+			t.Fatal("replication did not complete")
+		}
+		h.cluster.Replica(0).Beater().Suspend()
+		h.fab.Node(0).Suspend()
+		for i := 0; i < 100 && !h.suspectedByAll(0); i++ {
+			h.eng.RunFor(100 * sim.Microsecond)
+		}
+		if !h.suspectedByAll(0) {
+			t.Fatal("the live members never all suspected node 0")
+		}
+		var errs []error
+		start := h.eng.Now() + 1
+		for i, target := range []int{2, 3} {
+			h.eng.At(start+sim.Time(i)*gap, func() {
+				if init := h.cluster.initiator(target); init != 1 {
+					t.Errorf("leave of %d initiated by node %d, want node 1", target, init)
+				}
+				h.cluster.Leave(target, func(err error) { errs = append(errs, err) })
+			})
+		}
+		for i := 0; i < 200 && len(errs) < 2; i++ {
+			h.eng.RunFor(100 * sim.Microsecond)
+		}
+		if len(errs) != 2 {
+			t.Fatalf("gap %v: %d of the two leaves resolved", gap, len(errs))
+		}
+		wins := 0
+		for _, err := range errs {
+			switch {
+			case err == nil:
+				wins++
+			case errors.Is(err, ErrEpochConflict):
+				conflicts++
+			default:
+				t.Fatalf("gap %v: unexpected reconfiguration error: %v", gap, err)
+			}
+		}
+		left := 0
+		for p := 2; p <= 3; p++ {
+			if !h.cluster.IsMember(spec.ProcID(p)) {
+				left++
+			}
+		}
+		if wins != int(h.cluster.Epoch()) || left != wins {
+			t.Fatalf("gap %v: %d leaves won, epoch %d, %d nodes left", gap, wins, h.cluster.Epoch(), left)
+		}
+	}
+	if conflicts == 0 {
+		t.Fatal("no claim lost the race: the CAS contest never happened")
+	}
+}
+
+// TestLocalClaimAgainstAMovedEpoch: a claim the home node makes on its own
+// memory loses, too, when the epoch moved after its reconfiguration began.
+// Node 0 initiates both leaves. The leave of node 3 waits for agreement — node
+// 2's detector is stopped, so only nodes 0 and 1 suspect 3 — while the leave of
+// node 2 agrees at once and commits; once node 2 is out, the members agree on
+// node 3, and its claim against the old epoch fails.
+func TestLocalClaimAgainstAMovedEpoch(t *testing.T) {
+	h := newHarness(t, crdt.NewCounter(), 4, 31, nil)
+	h.cluster.fdom.detectors[2].Stop()
+	h.cluster.Replica(3).Beater().Suspend()
+	h.eng.RunFor(sim.Millisecond)
+	var errs [2]error
+	fired := 0
+	h.eng.At(h.eng.Now()+1, func() {
+		h.cluster.Leave(3, func(err error) { errs[0] = err; fired++ })
+		h.cluster.Leave(2, func(err error) { errs[1] = err; fired++ })
+	})
+	for i := 0; i < 100 && fired < 2; i++ {
+		h.eng.RunFor(100 * sim.Microsecond)
+	}
+	if fired != 2 || !errors.Is(errs[0], ErrEpochConflict) || errs[1] != nil {
+		t.Fatalf("%d leaves resolved: leave(3) %v, leave(2) %v; want a conflict and a win", fired, errs[0], errs[1])
+	}
+	if h.cluster.Epoch() != 1 || h.cluster.IsMember(2) == h.cluster.IsMember(3) {
+		t.Fatalf("epoch %d, members %v: want node 2 out at epoch 1", h.cluster.Epoch(), h.cluster.Members())
+	}
+}
+
+// suspectedByAll reports whether every live node other than p suspects p.
+func (h *harness) suspectedByAll(p int) bool {
+	for q, r := range h.cluster.Replicas {
+		if q != p && !r.node.Suspended() && !r.suspected(rdma.NodeID(p)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestReconfigureRefusals: the arguments reconfigure refuses at once, and a
+// leave whose members never agree on the target's status, refused after
+// viewAgreeRetries rounds. Nothing refused moves the epoch.
+func TestReconfigureRefusals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		join   bool
+		target int
+		setup  func(h *harness)
+		want   error  // a sentinel, or nil for msg
+		msg    string // what an error without a sentinel says
+	}{
+		{name: "target out of range", target: 4, msg: "out of range"},
+		{name: "negative target", join: true, target: -1, msg: "out of range"},
+		{name: "leave of a non-member", target: 2, want: ErrNotMember, setup: func(h *harness) {
+			if err := h.reconfigure(false, 2, h.eng.Now()+1); err != nil {
+				t.Fatalf("first leave: %v", err)
+			}
+		}},
+		{name: "join of a member", join: true, target: 1, want: ErrAlreadyMember},
+		{name: "no live initiator", target: 0, want: ErrNoInitiator, setup: func(h *harness) {
+			for p := 1; p < 4; p++ {
+				h.fab.Node(rdma.NodeID(p)).Suspend()
+			}
+		}},
+		{name: "no agreement", target: 3, want: ErrNoAgreement, setup: func(h *harness) {
+			// Node 2's detector stops, so it never suspects node 3, whose
+			// heartbeat stops; nodes 0 and 1 do.
+			h.cluster.fdom.detectors[2].Stop()
+			h.cluster.Replica(3).Beater().Suspend()
+			h.eng.RunFor(sim.Millisecond)
+			if !h.cluster.Replica(0).suspected(3) || !h.cluster.Replica(1).suspected(3) || h.cluster.Replica(2).suspected(3) {
+				t.Fatal("the members' views of node 3 do not split")
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, crdt.NewCounter(), 4, 29, nil)
+			if tc.setup != nil {
+				tc.setup(h)
+			}
+			epoch := h.cluster.Epoch()
+			at := h.eng.Now() + 1
+			err := h.reconfigure(tc.join, tc.target, at)
+			switch {
+			case tc.want != nil && !errors.Is(err, tc.want):
+				t.Fatalf("got %v, want %v", err, tc.want)
+			case tc.want == nil && (err == nil || !strings.Contains(err.Error(), tc.msg)):
+				t.Fatalf("got %v, want an error saying %q", err, tc.msg)
+			}
+			if h.cluster.Epoch() != epoch {
+				t.Fatalf("a refused reconfiguration moved the epoch from %d to %d", epoch, h.cluster.Epoch())
+			}
+			if tc.want == ErrNoAgreement {
+				// Every round waits four detector check periods.
+				if waited, min := h.eng.Now()-at, sim.Time(viewAgreeRetries*4*h.cluster.Opts.Heartbeat.CheckPeriod); waited < min {
+					t.Fatalf("refused after %v, before %d agreement rounds (%v)", waited, viewAgreeRetries, min)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -492,11 +493,59 @@ func TestFreeBoundFollowsTheRing(t *testing.T) {
 	}
 	h.assertAppliedOnce([]int{1}, 40)
 
+	// The largest backup slot too small: its record overhead (a message
+	// header and the raw framing, the slot's size less the payload bound)
+	// leaves one byte under MinDeltaLogBytes.
+	def := DefaultOptions().Broadcast
+	slot := MinDeltaLogBytes - 1 + def.BackupSlot - def.MaxPayload()
 	defer func() {
 		msg, _ := recover().(string)
-		if !strings.Contains(msg, "100-byte backup slot") || !strings.Contains(msg, "512-byte inbound ring") {
-			t.Fatalf("NewCluster with a 100-byte backup slot: %q, want a panic naming both sizes", msg)
+		if !strings.Contains(msg, fmt.Sprintf("%d-byte backup slot", slot)) || !strings.Contains(msg, "512-byte inbound ring") {
+			t.Fatalf("NewCluster with a %d-byte backup slot: %q, want a panic naming both sizes", slot, msg)
 		}
 	}()
-	newHarness(t, crdt.NewORSet(), 3, 139, func(o *Options) { small(o); o.Broadcast.BackupSlot = 100 })
+	newHarness(t, crdt.NewORSet(), 3, 139, func(o *Options) { small(o); o.Broadcast.BackupSlot = slot })
+}
+
+// TestApplyFollowsResume: an F delivery that lands while its node is
+// suspended — the delivery's CPU item was dispatched before the suspension
+// and completes during it — is applied as soon as the node resumes, because
+// the kick queues the apply pump on the paused CPU. The resume falls halfway
+// between two multiples of 5 µs: a pump that waited for a retry at that
+// period would apply the call 2.5 µs after it.
+func TestApplyFollowsResume(t *testing.T) {
+	quiet := func(o *Options) { o.DisableFailureHandling = true }
+	// A first run finds when p1's F buffer takes p0's call.
+	h := newHarness(t, crdt.NewORSet(), 3, 161, quiet)
+	r1 := h.cluster.Replica(1)
+	var landed sim.Time
+	probe := h.eng.NewTicker(sim.Nanosecond, func() {
+		if free, _ := r1.QueueDepths(); free > 0 && landed == 0 {
+			landed = h.eng.Now()
+		}
+	})
+	h.addAt(0, 1)
+	h.eng.RunUntil(sim.Time(20 * sim.Microsecond))
+	probe.Cancel()
+	if landed == 0 || r1.applied.Get(0, crdt.ORSetAdd) != 1 {
+		t.Fatalf("p1 applied %d calls, its F buffer first held one at %v", r1.applied.Get(0, crdt.ORSetAdd), landed)
+	}
+
+	// The same run, with p1 suspended while the delivery's item is on its CPU.
+	const period = sim.Time(5 * sim.Microsecond)
+	resume := (landed/period+1)*period + period/2
+	h = newHarness(t, crdt.NewORSet(), 3, 161, quiet)
+	r1 = h.cluster.Replica(1)
+	h.addAt(0, 1)
+	h.eng.At(landed-10, func() { h.fab.Node(1).Suspend() })
+	h.eng.At(resume, func() {
+		if free, _ := r1.QueueDepths(); free != 1 || r1.applied.Get(0, crdt.ORSetAdd) != 0 {
+			t.Fatalf("at the resume p1 buffers %d calls and applied %d: the delivery did not land during the suspension", free, r1.applied.Get(0, crdt.ORSetAdd))
+		}
+		h.fab.Node(1).Resume()
+	})
+	h.eng.RunUntil(resume + sim.Time(sim.Microsecond))
+	if got := r1.applied.Get(0, crdt.ORSetAdd); got != 1 {
+		t.Fatalf("1 µs after the resume at %v p1 applied %d calls, want the one that landed while it was suspended", resume, got)
+	}
 }

@@ -1094,9 +1094,12 @@ func (r *Replica) complete(seq uint64, v any, err error) {
 
 // kickApply starts the apply pump if any buffered call's dependencies are
 // satisfied. The pump charges the apply cost per call on the CPU and
-// processes buffers FIFO.
+// processes buffers FIFO. Every event that can make a buffered call
+// applicable kicks the pump, so nothing retries it on a timer: a kick that
+// arrives while the node is suspended queues the pump on the paused CPU,
+// which runs it on resume.
 func (r *Replica) kickApply() {
-	if r.applying || r.node.Suspended() || r.node.Crashed() {
+	if r.applying || r.node.Crashed() {
 		return
 	}
 	if !r.anyApplicable() {

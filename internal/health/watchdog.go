@@ -17,34 +17,34 @@ type Rule string
 const (
 	// RuleReaderParked fires when an inbound ring reader has been parked
 	// (CRC quarantine, lifted on the poll the record validates) for
-	// ParkedPolls consecutive observations.
+	// parkedPolls consecutive observations.
 	RuleReaderParked Rule = "reader-parked"
 
 	// RuleFloorStalled fires when a per-source epoch floor has sat parked
-	// (FloorAfterDrain issued, drain never observed) for FloorStallPolls
+	// (FloorAfterDrain issued, drain never observed) for floorStallPolls
 	// consecutive observations — the source ring drained long ago or keeps
 	// the promotion from ever happening.
 	RuleFloorStalled Rule = "floor-stalled"
 
 	// RuleLeaderless fires when a node observes one of its groups without
 	// an effective leader — electing, recovering, or led by a peer the
-	// node's own detector suspects — for LeaderlessPolls observations.
+	// node's own detector suspects — for leaderlessPolls observations.
 	RuleLeaderless Rule = "leaderless"
 
-	// RuleHotShard fires when one shard holds more than HotShardPct
+	// RuleHotShard fires when one shard holds more than hotShardPct
 	// percent of all issued ops (with at least HotShardMinOps total).
 	RuleHotShard Rule = "hot-shard"
 
 	// RuleBudgetLow fires when a node's arena headroom *falls* below
-	// BudgetHeadroomPct percent of its size after having been above it: a
+	// budgetHeadroomPct percent of its size after having been above it: a
 	// store that pre-commits its whole budget at admission (the chaos
 	// runner's exact sizing) sits at 0% headroom as its healthy steady
 	// state and never trips the rule.
 	RuleBudgetLow Rule = "budget-low"
 
 	// RuleWatermarkLag fires when a node's applied watermark sits at least
-	// LagFloor calls behind the cluster maximum, has not shrunk for
-	// LagPolls consecutive observations, and has grown on net over that
+	// lagFloor calls behind the cluster maximum, has not shrunk for
+	// lagPolls consecutive observations, and has grown on net over that
 	// window — the signature of a replica no longer keeping up rather than
 	// ordinary in-flight jitter. (Non-decreasing rather than strictly
 	// increasing per observation: a probe cadence finer than the issue
@@ -58,20 +58,22 @@ var Rules = []Rule{
 	RuleHotShard, RuleBudgetLow, RuleWatermarkLag,
 }
 
-// Config parameterizes the watchdog. The zero value gets defaults suited
-// to the chaos runner's 100µs probe period.
+// The rules' thresholds, suited to the chaos runner's 100µs probe period.
+const (
+	parkedPolls     = 2 // reader-parked: consecutive observations
+	floorStallPolls = 5 // floor-stalled: consecutive observations
+	leaderlessPolls = 3 // leaderless: consecutive observations
+
+	lagPolls = 4  // watermark-lag: consecutive growth observations
+	lagFloor = 64 // watermark-lag: minimum lag in applied calls
+
+	hotShardPct       = 80 // hot-shard: percent of total ops
+	budgetHeadroomPct = 10 // budget-low: percent of arena size
+)
+
+// Config parameterizes the watchdog. The zero value gets defaults.
 type Config struct {
-	ParkedPolls     int // reader-parked: consecutive observations (default 2)
-	FloorStallPolls int // floor-stalled: consecutive observations (default 5)
-	LeaderlessPolls int // leaderless: consecutive observations (default 3)
-
-	LagPolls int    // watermark-lag: consecutive growth observations (default 4)
-	LagFloor uint64 // watermark-lag: minimum lag in applied calls (default 64)
-
-	HotShardPct    int // hot-shard: percent of total ops (default 80)
 	HotShardMinOps int // hot-shard: minimum total ops before the rule arms (default 500)
-
-	BudgetHeadroomPct int // budget-low: percent of arena size (default 10)
 
 	// Tracer, when non-nil, receives one trace.Health event per firing.
 	Tracer *trace.Tracer
@@ -86,29 +88,8 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ParkedPolls <= 0 {
-		c.ParkedPolls = 2
-	}
-	if c.FloorStallPolls <= 0 {
-		c.FloorStallPolls = 5
-	}
-	if c.LeaderlessPolls <= 0 {
-		c.LeaderlessPolls = 3
-	}
-	if c.LagPolls <= 0 {
-		c.LagPolls = 4
-	}
-	if c.LagFloor == 0 {
-		c.LagFloor = 64
-	}
-	if c.HotShardPct <= 0 {
-		c.HotShardPct = 80
-	}
 	if c.HotShardMinOps <= 0 {
 		c.HotShardMinOps = 500
-	}
-	if c.BudgetHeadroomPct <= 0 {
-		c.BudgetHeadroomPct = 10
 	}
 	return c
 }
@@ -184,19 +165,19 @@ func (w *Watchdog) Observe(s *Snapshot) {
 func (w *Watchdog) observeNode(at sim.Time, shard string, n *NodeHealth) {
 	for _, r := range n.Rings {
 		key := fmt.Sprintf("parked/%s/n%d/src%d", shard, n.Node, r.Src)
-		w.track(key, r.Parked, w.cfg.ParkedPolls, func(obs int) Firing {
+		w.track(key, r.Parked, parkedPolls, func(obs int) Firing {
 			return Firing{
 				At: at, Rule: RuleReaderParked, Node: n.Node, Shard: shard,
-				Value: int64(obs), Threshold: int64(w.cfg.ParkedPolls),
+				Value: int64(obs), Threshold: int64(parkedPolls),
 				Detail: fmt.Sprintf("ring from src %d parked for %d observations: %s", r.Src, obs, r.ParkedWhy),
 			}
 		})
 
 		key = fmt.Sprintf("floor/%s/n%d/src%d", shard, n.Node, r.Src)
-		w.track(key, r.HasPending, w.cfg.FloorStallPolls, func(obs int) Firing {
+		w.track(key, r.HasPending, floorStallPolls, func(obs int) Firing {
 			return Firing{
 				At: at, Rule: RuleFloorStalled, Node: n.Node, Shard: shard,
-				Value: int64(obs), Threshold: int64(w.cfg.FloorStallPolls),
+				Value: int64(obs), Threshold: int64(floorStallPolls),
 				Detail: fmt.Sprintf("epoch floor %d for src %d parked %d observations without a drain", r.PendingMin, r.Src, obs),
 			}
 		})
@@ -205,7 +186,7 @@ func (w *Watchdog) observeNode(at sim.Time, shard string, n *NodeHealth) {
 		g := g
 		key := fmt.Sprintf("leader/%s/n%d/g%d", shard, n.Node, g.Group)
 		unhealthy := g.Electing || g.Recovering || g.LeaderSuspect
-		w.track(key, unhealthy, w.cfg.LeaderlessPolls, func(obs int) Firing {
+		w.track(key, unhealthy, leaderlessPolls, func(obs int) Firing {
 			why := "electing"
 			switch {
 			case g.Recovering:
@@ -215,7 +196,7 @@ func (w *Watchdog) observeNode(at sim.Time, shard string, n *NodeHealth) {
 			}
 			return Firing{
 				At: at, Rule: RuleLeaderless, Node: n.Node, Shard: shard,
-				Value: int64(obs), Threshold: int64(w.cfg.LeaderlessPolls),
+				Value: int64(obs), Threshold: int64(leaderlessPolls),
 				Detail: fmt.Sprintf("group %d without an effective leader for %d observations (%s)", g.Group, obs, why),
 			}
 		})
@@ -251,7 +232,7 @@ func (w *Watchdog) lagScope(at sim.Time, shard string, nodes []NodeHealth) {
 		lag := max - n.Applied
 		last := w.lastLag[key]
 		w.lastLag[key] = lag
-		if lag < w.cfg.LagFloor || lag < last {
+		if lag < lagFloor || lag < last {
 			// Below the floor or shrinking: the replica is keeping up (or
 			// catching up), so the streak, its baseline, and any fired
 			// episode all reset.
@@ -264,11 +245,11 @@ func (w *Watchdog) lagScope(at sim.Time, shard string, nodes []NodeHealth) {
 			w.lagBase[key] = lag
 		}
 		w.lagGrow[key]++
-		if w.lagGrow[key] >= w.cfg.LagPolls && lag > w.lagBase[key] && !w.active[fkey] {
+		if w.lagGrow[key] >= lagPolls && lag > w.lagBase[key] && !w.active[fkey] {
 			w.active[fkey] = true
 			w.fire(Firing{
 				At: at, Rule: RuleWatermarkLag, Node: n.Node, Shard: shard,
-				Value: int64(lag), Threshold: int64(w.cfg.LagFloor),
+				Value: int64(lag), Threshold: int64(lagFloor),
 				Detail: fmt.Sprintf("applied watermark %d behind cluster max and growing across %d observations", lag, w.lagGrow[key]),
 			})
 		}
@@ -291,7 +272,7 @@ func (w *Watchdog) observeHotShard(s *Snapshot) {
 		sh := &s.Shards[i]
 		share := int(sh.Ops * 100 / total)
 		key := "hot/" + sh.Key
-		if share <= w.cfg.HotShardPct {
+		if share <= hotShardPct {
 			w.clear(key)
 			continue
 		}
@@ -301,7 +282,7 @@ func (w *Watchdog) observeHotShard(s *Snapshot) {
 		w.active[key] = true
 		w.fire(Firing{
 			At: s.At, Rule: RuleHotShard, Node: -1, Shard: sh.Key,
-			Value: int64(share), Threshold: int64(w.cfg.HotShardPct),
+			Value: int64(share), Threshold: int64(hotShardPct),
 			Detail: fmt.Sprintf("shard %q holds %d%% of %d issued ops", sh.Key, share, total),
 		})
 	}
@@ -318,7 +299,7 @@ func (w *Watchdog) observeBudget(s *Snapshot) {
 		}
 		headroom := a.Available * 100 / a.Size
 		key := fmt.Sprintf("budget/n%d", a.Node)
-		if headroom >= w.cfg.BudgetHeadroomPct {
+		if headroom >= budgetHeadroomPct {
 			w.armed[key] = true
 			w.clear(key)
 			continue
@@ -332,7 +313,7 @@ func (w *Watchdog) observeBudget(s *Snapshot) {
 		w.active[key] = true
 		w.fire(Firing{
 			At: s.At, Rule: RuleBudgetLow, Node: a.Node,
-			Value: int64(headroom), Threshold: int64(w.cfg.BudgetHeadroomPct),
+			Value: int64(headroom), Threshold: int64(budgetHeadroomPct),
 			Detail: fmt.Sprintf("arena headroom %d%% (%d of %d bytes free, largest extent %d)", headroom, a.Available, a.Size, a.Largest),
 		})
 	}

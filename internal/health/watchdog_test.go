@@ -33,7 +33,7 @@ func TestReaderParkedThresholdAndRearm(t *testing.T) {
 		}
 	}
 	w.Observe(snap(1, parked(true)))
-	fired(t, w, 0) // one observation: below ParkedPolls=2
+	fired(t, w, 0) // one observation: below parkedPolls=2
 	w.Observe(snap(2, parked(true)))
 	fs := fired(t, w, 1)
 	if fs[0].Rule != RuleReaderParked || fs[0].Node != 0 || fs[0].Value != 2 {
@@ -55,7 +55,7 @@ func TestFloorStalledThreshold(t *testing.T) {
 	for i := int64(1); i <= 4; i++ {
 		w.Observe(snap(i, pend))
 	}
-	fired(t, w, 0) // FloorStallPolls=5
+	fired(t, w, 0) // floorStallPolls=5
 	w.Observe(snap(5, pend))
 	fs := fired(t, w, 1)
 	if fs[0].Rule != RuleFloorStalled {
@@ -105,7 +105,7 @@ func TestWatermarkLagNeedsFloorAndGrowth(t *testing.T) {
 		w.Observe(lagged(i, 10000-uint64(i))) // lag == i < 64
 	}
 	fired(t, w, 0)
-	// Growing past the floor across LagPolls=4 observations — including a
+	// Growing past the floor across lagPolls=4 observations — including a
 	// flat window, which a probe cadence finer than the issue cadence
 	// produces mid-decline: fires.
 	w.Observe(lagged(20, 8000))

@@ -117,9 +117,9 @@ func TestWarmCommitAllocs(t *testing.T) {
 // TestElectionSweepAllocatesNothing pins the election path's sweep at nothing:
 // on a warm 3-node group, a candidate's sweep that drains a vote request from
 // node 0 and a grant from node 1 allocates no object. The records come over
-// the peers' vote and grant senders, are polled into the readers' reused
-// buffers, and reach their handlers through drain, which keeps no handler
-// past the sweep. Both are of an older term, so they change nothing here;
+// the peers' control-ring senders, are polled into the readers' reused
+// buffers, and reach handleCtrl through drain, which keeps no handler past
+// the sweep. Both are of an older term, so they change nothing here;
 // the catch-up read an idle follower makes is kept out by a long
 // CatchUpAfter.
 func TestElectionSweepAllocatesNothing(t *testing.T) {
@@ -131,8 +131,8 @@ func TestElectionSweepAllocatesNothing(t *testing.T) {
 	in := c.inst[2]
 	in.electing, in.term = true, 5
 	round := func() {
-		c.inst[0].voteOut[2].Send(c.inst[0].frameVote(1, 0), "", nil)
-		c.inst[1].grantOut[2].Send(c.inst[1].frameGrant(1, 0, 1), "", nil)
+		c.inst[0].ctrlOut[2].Send(c.inst[0].frameVote(1, 0), "", nil)
+		c.inst[1].ctrlOut[2].Send(c.inst[1].frameGrant(1, 0, 1), "", nil)
 		c.run(5 * sim.Microsecond)
 	}
 	const warm, runs = 50, 200
@@ -143,7 +143,7 @@ func TestElectionSweepAllocatesNothing(t *testing.T) {
 		t.Fatalf("a warm sweep handling a vote and a grant allocates %.0f times, want 0", allocs)
 	}
 	// Every record was swept: both rings are empty, past many laps of them.
-	for _, rd := range []*ring.Reader{in.voteReaders[0], in.grantReaders[1]} {
+	for _, rd := range []*ring.Reader{in.ctrlReaders[0], in.ctrlReaders[1]} {
 		if rd.Head() < uint64(cfg.CtrlCapacity) {
 			t.Fatalf("a ring's head is at %d, under one lap of %d bytes", rd.Head(), cfg.CtrlCapacity)
 		}

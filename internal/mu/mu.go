@@ -44,11 +44,8 @@ import (
 // Region name builders; all are per consensus group.
 func logRegion(g string) string                   { return "mu-log-" + g }
 func reqRegion(g string, from rdma.NodeID) string { return fmt.Sprintf("mu-req-%s-%d", g, from) }
-func voteRegion(g string, from rdma.NodeID) string {
-	return fmt.Sprintf("mu-vote-%s-%d", g, from)
-}
-func grantRegion(g string, from rdma.NodeID) string {
-	return fmt.Sprintf("mu-grant-%s-%d", g, from)
+func ctrlRegion(g string, from rdma.NodeID) string {
+	return fmt.Sprintf("mu-ctrl-%s-%d", g, from)
 }
 func journalRegion(g string) string { return "mu-journal-" + g }
 func stateRegion(g string) string   { return "mu-state-" + g }
@@ -56,7 +53,7 @@ func stateRegion(g string) string   { return "mu-state-" + g }
 // Config holds consensus parameters.
 type Config struct {
 	RingCapacity    int          // log and request ring capacity
-	CtrlCapacity    int          // vote/grant ring capacity
+	CtrlCapacity    int          // control (vote and grant) ring capacity
 	JournalSlots    int          // journal length (entries)
 	JournalSlotSize int          // bytes per journal slot
 	PollPeriod      sim.Duration // poll loop period
@@ -97,8 +94,7 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 				continue
 			}
 			node.Register(reqRegion(group, peer), ring.RegionSize(cfg.RingCapacity)).AllowWrite(peer)
-			node.Register(voteRegion(group, peer), ring.RegionSize(cfg.CtrlCapacity)).AllowWrite(peer)
-			node.Register(grantRegion(group, peer), ring.RegionSize(cfg.CtrlCapacity)).AllowWrite(peer)
+			node.Register(ctrlRegion(group, peer), ring.RegionSize(cfg.CtrlCapacity)).AllowWrite(peer)
 		}
 	}
 }
@@ -199,18 +195,17 @@ type Instance struct {
 	// Submission state.
 	submitSeq uint64
 	pending   map[uint64][]byte // my submissions not yet delivered, each in a buffer from free
-	// Writers on each peer's request, vote and grant rings from this node,
-	// indexed by peer (nil for this node).
-	reqOut   []*ring.Sender
-	voteOut  []*ring.Sender
-	grantOut []*ring.Sender
+	// Writers on each peer's request and control rings from this node,
+	// indexed by peer (nil for this node). A control ring carries votes and
+	// grants alike.
+	reqOut  []*ring.Sender
+	ctrlOut []*ring.Sender
 
-	// Readers: the log ring, and each peer's request, vote and grant rings,
+	// Readers: the log ring, and each peer's request and control rings,
 	// indexed by peer (nil for this node).
-	logReader    *ring.Reader
-	reqReaders   []*ring.Reader
-	voteReaders  []*ring.Reader
-	grantReaders []*ring.Reader
+	logReader   *ring.Reader
+	reqReaders  []*ring.Reader
+	ctrlReaders []*ring.Reader
 
 	ticker  *sim.Ticker
 	sweepFn func() // in.sweep bound once: a poll allocates nothing
@@ -272,13 +267,11 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		dedupSet: make([]map[uint64]bool, fab.Size()),
 		pending:  make(map[uint64][]byte),
 
-		reqOut:   make([]*ring.Sender, fab.Size()),
-		voteOut:  make([]*ring.Sender, fab.Size()),
-		grantOut: make([]*ring.Sender, fab.Size()),
+		reqOut:  make([]*ring.Sender, fab.Size()),
+		ctrlOut: make([]*ring.Sender, fab.Size()),
 
-		reqReaders:   make([]*ring.Reader, fab.Size()),
-		voteReaders:  make([]*ring.Reader, fab.Size()),
-		grantReaders: make([]*ring.Reader, fab.Size()),
+		reqReaders:  make([]*ring.Reader, fab.Size()),
+		ctrlReaders: make([]*ring.Reader, fab.Size()),
 	}
 	if reg := fab.Metrics(); reg.Enabled() {
 		in.mCommitLat = reg.Histogram("mu.commit_latency", nil)
@@ -302,11 +295,9 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.ackFns[peer] = func(err error) { in.acked(peer, err) }
 		in.open[peer] = true // every ring starts empty, with its head at zero
 		in.reqOut[peer] = in.newOut(peer, reqRegion(group, node.ID()), cfg.RingCapacity)
-		in.voteOut[peer] = in.newOut(peer, voteRegion(group, node.ID()), cfg.CtrlCapacity)
-		in.grantOut[peer] = in.newOut(peer, grantRegion(group, node.ID()), cfg.CtrlCapacity)
+		in.ctrlOut[peer] = in.newOut(peer, ctrlRegion(group, node.ID()), cfg.CtrlCapacity)
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
-		in.voteReaders[peer] = ring.NewReader(node.Region(voteRegion(group, peer)).Bytes())
-		in.grantReaders[peer] = ring.NewReader(node.Region(grantRegion(group, peer)).Bytes())
+		in.ctrlReaders[peer] = ring.NewReader(node.Region(ctrlRegion(group, peer)).Bytes())
 	}
 	in.sweepFn, in.deliverFn = in.sweep, in.deliverNext
 	in.ticker = fab.Engine().NewTicker(cfg.PollPeriod, in.poll)
@@ -466,6 +457,9 @@ func (in *Instance) frameReq(submitSeq uint64, payload []byte) []byte {
 	return in.frame(append(b, payload...))
 }
 
+// Votes and grants share a peer's control ring; their lengths tell them apart.
+const voteLen, grantLen = 10, 18
+
 // vote: u64 term | u16 candidate, built inside its ring record like a request.
 func (in *Instance) frameVote(term uint64, cand rdma.NodeID) []byte {
 	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), term)
@@ -584,11 +578,9 @@ func (in *Instance) startRound() bool {
 		}
 		entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
 		in.release(r.payload) // copied into the entry, like Transform's result
-		in.journal(seq, entry)
+		in.journal(seq, rec)
 		in.props = append(in.props, proposal{entry: in.keep(entry), acks: 1}) // self
-		if rec != nil {
-			in.replicate(rec, seq)
-		} // else oversized: reaches no follower, so is never decided
+		in.replicate(rec, seq)
 	}
 	in.mRoundEntries.Observe(sim.Duration(n))
 	rest := copy(in.queue, in.queue[n:])
@@ -696,25 +688,24 @@ func (in *Instance) bumpDelivered(to uint64) {
 	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes()[8:], to)
 }
 
-// journal stores an entry in the local journal region and advances the
-// published nextSeq.
-func (in *Instance) journal(seq uint64, entry []byte) {
-	in.journalRaw(seq, entry)
+// journal stores seq's log record in the local journal region and advances
+// the published nextSeq.
+func (in *Instance) journal(seq uint64, rec []byte) {
+	in.journalRaw(seq, rec)
 	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes(), in.nextSeq)
 }
 
-// journalRaw frames entry into seq's journal slot, in place: the frame is
-// written once, where one-sided readers find it. Only the bytes used are
-// written; the frame is self-delimiting and the slot's stale tail is never
-// read.
-func (in *Instance) journalRaw(seq uint64, entry []byte) {
+// journalRaw copies rec, seq's log ring record as frameEntry built it, into
+// seq's journal slot as it is: one-sided readers validate it the way a ring
+// poll does. Only the bytes used are written; the record is self-delimiting
+// and the slot's stale tail is never read.
+func (in *Instance) journalRaw(seq uint64, rec []byte) {
 	size := in.cfg.JournalSlotSize
-	if len(entry)+codec.SlotOverhead > size {
-		panic(fmt.Sprintf("mu: journal slot too small: %d-byte entry for a %d-byte slot", len(entry), size))
+	if rec == nil || len(rec) > size { // nil: the entry is over codec.MaxRecord
+		panic(fmt.Sprintf("mu: journal slot too small: a %d-byte slot for a %d-byte record", size, len(rec)))
 	}
 	off := int(seq) % in.cfg.JournalSlots * size
-	slot := in.node.Region(journalRegion(in.group)).Bytes()[off : off : off+size]
-	codec.FinishSlot(append(codec.BeginSlot(slot, uint32(seq)), entry...), 0)
+	copy(in.node.Region(journalRegion(in.group)).Bytes()[off:], rec)
 }
 
 // deliverEntry dedups by (origin, submitSeq) and queues the entry for Deliver.
@@ -788,10 +779,7 @@ func (in *Instance) sweep() {
 		drain(in.reqReaders, 8, in.handleRequest)
 		in.startRound()
 	}
-	drain(in.voteReaders, 10, in.handleVoteMsg)
-	if in.electing {
-		drain(in.grantReaders, 18, in.handleGrant)
-	}
+	drain(in.ctrlReaders, voteLen, in.handleCtrl)
 	// Anti-entropy with the leader: a stash gap, or simply no delivery
 	// progress for a while, means entries may have been lost to a
 	// permission window or a ring reset — pull them from the leader's
@@ -918,7 +906,7 @@ func (in *Instance) StartElection() {
 	// record serves every peer: ring.Sender.Send copies it.
 	rec := in.frameVote(in.term, in.node.ID())
 	for p := 0; p < in.n; p++ {
-		if oc := in.voteOut[p]; oc != nil {
+		if oc := in.ctrlOut[p]; oc != nil {
 			oc.Send(rec, "", nil)
 		}
 	}
@@ -933,8 +921,14 @@ func (in *Instance) switchLogPermission(to rdma.NodeID) {
 	region.AllowWrite(to)
 }
 
-// handleVoteMsg handles the vote request msg: u64 term | u16 candidate.
-func (in *Instance) handleVoteMsg(_ rdma.NodeID, msg []byte) {
+// handleCtrl handles msg off a control ring: a grant when it is as long as
+// one, else a vote request (u64 term | u16 candidate). A grant that lands
+// while this node is not electing is consumed and dropped.
+func (in *Instance) handleCtrl(_ rdma.NodeID, msg []byte) {
+	if len(msg) >= grantLen {
+		in.handleGrant(msg)
+		return
+	}
 	in.handleVote(binary.LittleEndian.Uint64(msg), rdma.NodeID(binary.LittleEndian.Uint16(msg[8:])))
 }
 
@@ -967,7 +961,7 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	// Revoke the previous leader's permission before granting the next —
 	// the order the paper prescribes.
 	in.switchLogPermission(cand)
-	if oc := in.grantOut[cand]; oc != nil {
+	if oc := in.ctrlOut[cand]; oc != nil {
 		oc.Send(in.frameGrant(term, in.lastDelivered, in.node.ID()), "", nil)
 	}
 	in.mLeaderChanges.Inc()
@@ -1037,7 +1031,7 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 
 // handleGrant counts the grant msg — u64 term | u64 lastDelivered | u16
 // voter — toward this node's candidacy.
-func (in *Instance) handleGrant(_ rdma.NodeID, msg []byte) {
+func (in *Instance) handleGrant(msg []byte) {
 	term := binary.LittleEndian.Uint64(msg)
 	voter := rdma.NodeID(binary.LittleEndian.Uint16(msg[16:]))
 	if term != in.term || !in.electing || !in.member(voter) {
@@ -1140,11 +1134,12 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 	}
 }
 
-// journalSlot decodes seq's entry from its journal slot, or returns nil for
-// a hole (a write in flight) or a slot that holds another sequence number (the
+// journalSlot decodes seq's entry from its journal slot, which holds the log
+// record as a ring poll reads one, or returns nil for a hole (an empty slot,
+// or a write in flight) or a slot that holds another sequence number (the
 // journal wrapped). The entry is a sub-slice of slot.
 func journalSlot(slot []byte, seq uint64) []byte {
-	entry, _, err := codec.DecodeSlot(slot)
+	entry, _, err := codec.DecodeRaw(slot)
 	if err != nil {
 		return nil
 	}
@@ -1309,13 +1304,11 @@ func (in *Instance) redisseminate(old []byte) {
 	}
 	seq := oe.seq
 	entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
-	in.journalRaw(seq, entry)
+	in.journalRaw(seq, rec)
 	// The record goes out after a decision, which may frame records of its
 	// own in the scratch buffer: it waits in a buffer of its own.
-	if rec != nil {
-		rec = in.keep(rec)
-		defer in.release(rec)
-	}
+	rec = in.keep(rec)
+	defer in.release(rec)
 	if seq > in.lastDelivered {
 		// Recovered entries come in sequence order; one the journal had lost
 		// leaves a zero proposal behind, which is never decided.
@@ -1328,9 +1321,7 @@ func (in *Instance) redisseminate(old []byte) {
 			in.decide(seq)
 		}
 	}
-	if rec != nil {
-		in.replicate(rec, seq)
-	}
+	in.replicate(rec, seq)
 }
 
 func (in *Instance) becomeActiveLeader(nextSeq uint64) {

@@ -2,6 +2,7 @@ package mu
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"hamband/internal/codec"
@@ -348,8 +349,8 @@ func TestMessagesNamingNoNodeDropped(t *testing.T) {
 			}
 			before := state(cand) + " | " + state(follower)
 			c.eng.At(c.eng.Now(), func() {
-				cand.voteOut[2].Send(cand.frameVote(cand.term+1, n), "", nil)
-				follower.grantOut[1].Send(follower.frameGrant(cand.term, 0, n), "", nil)
+				cand.ctrlOut[2].Send(cand.frameVote(cand.term+1, n), "", nil)
+				follower.ctrlOut[1].Send(follower.frameGrant(cand.term, 0, n), "", nil)
 				entry := appendEntry(codec.BeginRaw(nil), 1, cand.term, 1, n, 1, []byte("from no node"))
 				cand.logOut[2].Send(cand.frame(entry), "", nil)
 			})
@@ -712,7 +713,7 @@ func TestElectionRepeatsForASeed(t *testing.T) {
 			}
 		})
 		c.eng.At(sim.Time(30*sim.Microsecond), func() { c.fab.Node(0).Suspend() })
-		// When node 1's vote request reached each peer's vote ring: the
+		// When node 1's vote request reached each peer's control ring: the
 		// requests are posted back to back, so this is their posting order.
 		voteAt := make([]sim.Time, 5)
 		c.eng.At(sim.Time(200*sim.Microsecond), func() {
@@ -721,7 +722,7 @@ func TestElectionRepeatsForASeed(t *testing.T) {
 			probe = c.eng.NewTicker(25*sim.Nanosecond, func() {
 				seen := 0
 				for p := range voteAt {
-					if voteAt[p] == 0 && p != 1 && c.fab.Node(rdma.NodeID(p)).Region(voteRegion("g", 1)).Bytes()[ring.HeaderSize] != 0 {
+					if voteAt[p] == 0 && p != 1 && c.fab.Node(rdma.NodeID(p)).Region(ctrlRegion("g", 1)).Bytes()[ring.HeaderSize] != 0 {
 						voteAt[p] = c.eng.Now()
 					}
 					if voteAt[p] != 0 {
@@ -1084,6 +1085,24 @@ func TestBurstLongerThanJournal(t *testing.T) {
 					t.Fatalf("suspended at %v: node %d delivered %q at position %d", at, i, m, j)
 				}
 			}
+		}
+	}
+}
+
+// TestSetupRegistersOneControlRingPerPeer: a group registers 3 + 2(n−1)
+// regions on each node — the log ring, the journal and the state words, then
+// a request ring and a control ring, carrying votes and grants alike, per
+// peer.
+func TestSetupRegistersOneControlRingPerPeer(t *testing.T) {
+	const n = 4
+	fab := rdma.NewFabric(sim.NewEngine(1), n, rdma.DefaultLatency())
+	Setup(fab, "g", DefaultConfig(), 0)
+	for i := 0; i < n; i++ {
+		node := fab.Node(rdma.NodeID(i))
+		ctrl := node.UnregisterMatch(func(name string) bool { return strings.HasPrefix(name, "mu-ctrl-g-") })
+		all := node.UnregisterMatch(func(string) bool { return true })
+		if ctrl != n-1 || ctrl+all != 3+2*(n-1) {
+			t.Fatalf("node %d registers %d regions, %d of them control rings; want %d and %d", i, ctrl+all, ctrl, 3+2*(n-1), n-1)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mu
 
 import (
+	"bytes"
 	"fmt"
 	"slices"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"hamband/internal/codec"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 )
 
@@ -144,7 +146,7 @@ func (c *cluster) journalEntries(node int, lo, hi uint64, stop bool) []journalEn
 	var out []journalEntry
 	for seq := lo; seq < hi; seq++ {
 		off := int(seq) % cfg.JournalSlots * cfg.JournalSlotSize
-		entry, _, err := codec.DecodeSlot(journal[off : off+cfg.JournalSlotSize])
+		entry, _, err := codec.DecodeRaw(journal[off : off+cfg.JournalSlotSize])
 		var e logEntry
 		if err == nil {
 			e, err = decodeLogEntry(entry)
@@ -300,7 +302,7 @@ func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 				t.Fatalf("journal read failed: %v", err)
 			}
 			for seq := uint64(14); seq < 19; seq++ {
-				entry, _, derr := codec.DecodeSlot(slot(seq))
+				entry, _, derr := codec.DecodeRaw(slot(seq))
 				var e logEntry
 				if derr == nil {
 					e, derr = decodeLogEntry(entry)
@@ -319,5 +321,29 @@ func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("the wrapped read found %v, want what the whole journal holds: %v", got, want)
+	}
+}
+
+// TestJournalSlotHoldsTheLogRecord: a journal slot holds the log ring record
+// the followers receive, byte for byte, and nothing else. Node 1 is stopped
+// before the write, so its log ring keeps the record.
+func TestJournalSlotHoldsTheLogRecord(t *testing.T) {
+	c := newCluster(t, 3, 0)
+	c.inst[1].Stop()
+	c.eng.At(0, func() { c.inst[0].Submit([]byte("kept as sent")) })
+	c.run(50 * sim.Microsecond)
+
+	in := c.fab.Node(1).Region(logRegion("g")).Bytes()[ring.HeaderSize:]
+	_, n, err := codec.DecodeRaw(in)
+	if err != nil {
+		t.Fatalf("node 1's log ring holds no record: %v", err)
+	}
+	size := c.inst[0].cfg.JournalSlotSize
+	slot := c.fab.Node(0).Region(journalRegion("g")).Bytes()[1*size : 2*size]
+	if !bytes.Equal(slot[:n], in[:n]) {
+		t.Fatalf("journal slot of seq 1\n%x\nlog record\n%x", slot[:n], in[:n])
+	}
+	if !bytes.Equal(slot[n:], make([]byte, size-n)) {
+		t.Fatalf("the slot holds bytes past the %d-byte record", n)
 	}
 }

@@ -189,7 +189,7 @@ func footprintDetail(an *spec.Analysis, nodes int, o core.Options) (total, large
 		add(o.Mu.JournalSlots*o.Mu.JournalSlotSize, 1)   // journal
 		add(16, 1)                                       // state words
 		add(ring.RegionSize(o.Mu.RingCapacity), nodes-1) // request rings
-		add(ring.RegionSize(o.Mu.CtrlCapacity), 2*(nodes-1))
+		add(ring.RegionSize(o.Mu.CtrlCapacity), nodes-1) // control rings
 	}
 	return total, largest
 }
