@@ -158,8 +158,12 @@ loc:
 # the entry points of the CI lanes and for running one gate alone.
 check: build fmt vet staticcheck test bench-test race fuzz health-exp
 
+# bench runs the package micro-benchmarks: the metrics registry, and the
+# effectors whose cost must not grow with the state — OR-set and cart remove,
+# and the referential deleteLeft cascade — each at 1 k and at 64 k live tags
+# or rows.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/ring
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/crdt ./internal/schema
 
 # allocs runs every testing.AllocsPerRun pin under internal/, uncached and
 # verbose, so a host-cost change prints its counts with one command. The pins

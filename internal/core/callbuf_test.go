@@ -113,14 +113,11 @@ func TestOverwrittenPayloadAppliesItsCalls(t *testing.T) {
 		copy(payload, other)
 	})
 	h.eng.RunFor(100 * sim.Microsecond)
-	st := r.CurrentState().(*crdt.ORSetState)
-	for e, seq := range map[int64]uint64{5: 1, 6: 2} {
-		if !st.Entries[e][crdt.Tag(0, seq)] {
-			t.Errorf("element %d is not in the set under tag %d: %v", e, crdt.Tag(0, seq), st.Entries)
+	st, contains := r.CurrentState(), r.cls.Methods[crdt.ORSetContains].Eval
+	for e, want := range map[int64]bool{5: true, 6: true, 7: false, 8: false} {
+		if got := contains(st, spec.ArgsI(e)); got != want {
+			t.Errorf("contains(%d) = %v, want %v: the set must hold elements 5 and 6 only", e, got, want)
 		}
-	}
-	if len(st.Entries) != 2 {
-		t.Errorf("the set holds %v, want elements 5 and 6 only", st.Entries)
 	}
 }
 

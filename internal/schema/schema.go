@@ -47,10 +47,22 @@ type i64Set = spec.I64Set
 // sides. For project management: Left = projects, Right = employees,
 // Links = worksOn. For courseware: Left = courses, Right = students,
 // Links = enrollments.
+//
+// The rows of one left key (row>>20) form a chain, so the cascade of a
+// deleted left entity visits its own rows only: head holds each key's first
+// row and Links maps every row to the next one of its key, the last to
+// itself. The chain costs no storage beyond what the set of rows takes, and
+// it is not part of the abstract state: Equal compares the rows alone.
 type RefState struct {
-	Left  i64Set // guarded entities (projects / courses)
-	Right i64Set // registered entities (employees / students)
-	Links i64Set // pair(left, right) rows
+	Left  i64Set          // guarded entities (projects / courses)
+	Right i64Set          // registered entities (employees / students)
+	Links map[int64]int64 // pair(left, right) rows → the next row of the same left key
+
+	head map[int64]int64 // left key → its first row, for keys that have rows
+}
+
+func newRefState() *RefState {
+	return &RefState{Left: make(i64Set), Right: make(i64Set), Links: make(map[int64]int64), head: make(map[int64]int64)}
 }
 
 // Clone implements spec.State.
@@ -62,12 +74,53 @@ func (s *RefState) CopyFrom(src spec.State) {
 	s.Left = spec.CopyMap(s.Left, t.Left)
 	s.Right = spec.CopyMap(s.Right, t.Right)
 	s.Links = spec.CopyMap(s.Links, t.Links)
+	s.head = spec.CopyMap(s.head, t.head)
 }
 
 // Equal implements spec.State.
 func (s *RefState) Equal(o spec.State) bool {
 	t, ok := o.(*RefState)
-	return ok && s.Left.Equal(t.Left) && s.Right.Equal(t.Right) && s.Links.Equal(t.Links)
+	if !ok || !s.Left.Equal(t.Left) || !s.Right.Equal(t.Right) || len(s.Links) != len(t.Links) {
+		return false
+	}
+	for row := range s.Links {
+		if !t.linked(row) {
+			return false
+		}
+	}
+	return true
+}
+
+// linked reports whether row is in the link relation.
+func (s *RefState) linked(row int64) bool { _, ok := s.Links[row]; return ok }
+
+// link adds row to the link relation, at the front of its left key's chain.
+func (s *RefState) link(row int64) {
+	if s.linked(row) {
+		return
+	}
+	next, ok := s.head[row>>20]
+	if !ok {
+		next = row
+	}
+	s.Links[row], s.head[row>>20] = next, row
+}
+
+// unlinkLeft removes every row whose left key is l by walking l's chain.
+func (s *RefState) unlinkLeft(l int64) {
+	row, ok := s.head[l]
+	if !ok {
+		return
+	}
+	delete(s.head, l)
+	for {
+		next := s.Links[row]
+		delete(s.Links, row)
+		if next == row {
+			return
+		}
+		row = next
+	}
 }
 
 // Referential schema method IDs (shared by project management and
@@ -122,22 +175,17 @@ func newReferential(names refNames) *spec.Class {
 				Kind: spec.Update,
 				Apply: func(s spec.State, a spec.Args) {
 					st := s.(*RefState)
-					l := a.I[0]
-					delete(st.Left, l)
-					// Cascade: remove link rows referencing l, preserving
-					// the foreign-key invariant.
-					for row := range st.Links {
-						if row>>20 == l {
-							delete(st.Links, row)
-						}
-					}
+					delete(st.Left, a.I[0])
+					// Cascade: remove link rows referencing the entity,
+					// preserving the foreign-key invariant.
+					st.unlinkLeft(a.I[0])
 				},
 			},
 			RefLink: {
 				Name: names.link,
 				Kind: spec.Update,
 				Apply: func(s spec.State, a spec.Args) {
-					s.(*RefState).Links[pair(a.I[0], a.I[1])] = true
+					s.(*RefState).link(pair(a.I[0], a.I[1]))
 				},
 				// On a state satisfying I only the new row can break it.
 				Guard: func(s spec.State, a spec.Args) bool {
@@ -170,9 +218,7 @@ func newReferential(names refNames) *spec.Class {
 				},
 			},
 		},
-		NewState: func() spec.State {
-			return &RefState{Left: make(i64Set), Right: make(i64Set), Links: make(i64Set)}
-		},
+		NewState: func() spec.State { return newRefState() },
 		// I: every link row references an existing left and right entity.
 		Invariant: func(s spec.State) bool {
 			st := s.(*RefState)
@@ -243,7 +289,7 @@ func newReferential(names refNames) *spec.Class {
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {
-			st := &RefState{Left: make(i64Set), Right: make(i64Set), Links: make(i64Set)}
+			st := newRefState()
 			for i, n := 0, 1+r.Intn(5); i < n; i++ {
 				st.Left[int64(r.Intn(10))] = true
 			}
@@ -255,7 +301,7 @@ func newReferential(names refNames) *spec.Class {
 			for i, n := 0, r.Intn(4); i < n; i++ {
 				l := lefts[r.Intn(len(lefts))]
 				e := rights[r.Intn(len(rights))]
-				st.Links[pair(l, e)] = true
+				st.link(pair(l, e))
 			}
 			return st
 		},
