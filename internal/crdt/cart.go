@@ -86,21 +86,25 @@ func (s *CartState) add(item, qty, tag int64) {
 	if s.Tombs[tag] {
 		return
 	}
-	q, ok := s.qty(item, tag)
+	if l, live := s.Live[tag]; !live || l.Item == item {
+		if live && qty <= l.Qty {
+			return
+		}
+		s.Live[tag] = CartLine{item, qty}
+		s.sum(item, qty-l.Qty)
+		return
+	}
+	q, ok := s.Dups[tag][item]
 	if ok && qty <= q {
 		return
 	}
-	if l, live := s.Live[tag]; !live || l.Item == item {
-		s.Live[tag] = CartLine{item, qty}
-	} else {
-		if s.Dups == nil {
-			s.Dups = make(map[int64]map[int64]int64)
-		}
-		if s.Dups[tag] == nil {
-			s.Dups[tag] = make(map[int64]int64)
-		}
-		s.Dups[tag][item] = qty
+	if s.Dups == nil {
+		s.Dups = make(map[int64]map[int64]int64)
 	}
+	if s.Dups[tag] == nil {
+		s.Dups[tag] = make(map[int64]int64)
+	}
+	s.Dups[tag][item] = qty
 	s.sum(item, qty-q)
 }
 

@@ -69,12 +69,15 @@ func (s *ORSetState) live(e, tag int64) bool {
 
 // add makes tag live under e unless it is tombstoned.
 func (s *ORSetState) add(e, tag int64) {
-	if s.Tombs[tag] || s.live(e, tag) {
+	if s.Tombs[tag] {
 		return
 	}
-	if _, ok := s.Live[tag]; !ok {
+	switch first, ok := s.Live[tag]; {
+	case !ok:
 		s.Live[tag] = e
-	} else {
+	case first == e || s.Dups[tag][e]:
+		return
+	default:
 		if s.Dups == nil {
 			s.Dups = make(map[int64]i64Set)
 		}
