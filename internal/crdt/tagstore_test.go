@@ -108,9 +108,10 @@ func permutations(n int) [][]int {
 // TestIllFormedDuplicateTagsCommute: a tag added under two elements (items)
 // is ill-formed, since Tag mints each tag for one add, but users pass their
 // own tags. Every order of three adds of one tag — two elements, one of them
-// twice, the cart's with two quantities — and a remove of it ends in Equal
-// states with the same query answers; so does every order of the adds alone,
-// whichever element each order stores the tag under first.
+// twice, the cart's with two quantities — an add of another tag to the second
+// element and a remove of the first tag ends in Equal states with the same
+// query answers; so does every order of the adds alone, whichever element each
+// order stores the tag under first.
 func TestIllFormedDuplicateTagsCommute(t *testing.T) {
 	tag, other := Tag(1, 7), Tag(2, 7)
 	cases := []struct {
