@@ -1,5 +1,5 @@
 // Package codec serializes what Hamband writes into remote memory (§4) as
-// three frames, each validated by re-hashing one read:
+// two frames, each validated by re-hashing one read:
 //
 //   - the call record (delta.go): a length-prefixed, varint-packed call with
 //     its dependency record and, on summary records, the applied counts,
@@ -7,15 +7,15 @@
 //     call — F buffers, L buffers, the δ-log, the summary anchors, the
 //     message-passing baseline — ships this record. A δ-log record is a
 //     δ-group: it names the span of versions it covers, and its call is the
-//     summarization group's fold of that many calls.
-//   - the slot: a seqlock-style frame (a version word before and after the
-//     payload) plus a CRC32-C over version, length and payload, for memory
-//     overwritten in place. The version words are a cheap fast-path rejection
-//     of a torn concurrent overwrite; the CRC is authoritative, because a NIC
-//     may land a write's boundary bytes before its interior bytes, which
-//     fools any scheme that only samples frame edges.
+//     summarization group's fold of that many calls. An anchor, overwritten
+//     in place at its slot's head, needs nothing more: a NIC may land a
+//     write's boundary bytes before its interior, and the CRC over the whole
+//     record refuses every such torn landing.
 //   - the raw ring record: an opaque payload under the call record's length
 //     word and trailer, for protocol layers that carry their own messages.
+//
+// EncodeSlot and DecodeSlot keep a third, retired frame for measurement and
+// tests only (see EncodeSlot).
 package codec
 
 import (
@@ -62,50 +62,35 @@ const RecordTrailer = 5
 // length word plus the record trailer.
 const RawOverhead = 4 + RecordTrailer
 
-// SlotOverhead is the framing cost of a validated slot beyond its payload.
+// SlotOverhead is the framing cost of a slot frame beyond its payload.
 const SlotOverhead = 16 // u32 version + u32 length + payload + u32 crc + u32 version
 
-// BeginSlot opens a validated slot frame at the end of dst: the version word
-// and a length word FinishSlot fills in. The caller appends the payload to
-// the returned slice and closes the frame with FinishSlot, passing the length
-// dst had here. Together they write the frame once, where it is to live —
-// into a registered region, say — and allocate nothing while dst has room.
-func BeginSlot(dst []byte, version uint32) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, version)
-	return binary.LittleEndian.AppendUint32(dst, 0)
-}
-
-// FinishSlot closes the frame BeginSlot opened at b[start:]: it writes the
-// payload length, then appends a CRC32-C over version, length and payload,
-// and the version again. The trailing version sits last so the seqlock fast
-// path samples the frame's outermost words; the CRC sits inside the frame,
-// where a torn boundary-first landing cannot have refreshed it.
-func FinishSlot(b []byte, start int) []byte {
-	binary.LittleEndian.PutUint32(b[start+4:], uint32(len(b)-start-8))
-	b = binary.LittleEndian.AppendUint32(b, Checksum(b[start:]))
-	return append(b, b[start:start+4]...)
-}
-
-// EncodeSlot frames payload for an overwrite-in-place slot of the given
-// size with BeginSlot and FinishSlot, in a fresh buffer. The returned frame
-// is only the SlotOverhead+len(payload) bytes used — it is self-delimiting,
-// so the slot's stale tail is never read and need not be written; slotSize
-// only bounds the payload. The version must increase with every overwrite of
-// the same slot.
+// EncodeSlot and DecodeSlot frame a payload as a seqlock slot — a version
+// word before and after it plus a CRC32-C over version, length and payload.
+// No runtime path writes or reads one: they are the names benchmark/micro.go
+// measures (codec.slot_*) and the reference internal/rdma/torn_test.go
+// tears, and they go when that benchmark is unfrozen.
+//
+// EncodeSlot frames payload for a slot of slotSize bytes, in a fresh buffer
+// of exactly SlotOverhead+len(payload) bytes; slotSize only bounds the
+// payload. The version must increase with every overwrite of the same slot.
 func EncodeSlot(payload []byte, version uint32, slotSize int) ([]byte, error) {
 	if len(payload)+SlotOverhead > slotSize {
 		return nil, fmt.Errorf("%w: payload %d for slot %d", ErrTooLarge, len(payload), slotSize)
 	}
-	b := BeginSlot(make([]byte, 0, SlotOverhead+len(payload)), version)
-	return FinishSlot(append(b, payload...), 0), nil
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, SlotOverhead+len(payload)), version)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = append(b, payload...)
+	b = binary.LittleEndian.AppendUint32(b, Checksum(b))
+	return binary.LittleEndian.AppendUint32(b, version), nil
 }
 
-// DecodeSlot extracts a slot's payload and version, validating the full
-// frame: the seqlock version pair as a cheap fast-path rejection, then the
-// CRC32-C as the authoritative check. ErrTorn signals an overwrite whose
-// bytes have not all landed — matching versions included, since a NIC may
-// land both boundary words before the interior; the reader should retry. A
-// zero version means the slot was never written.
+// DecodeSlot extracts a slot frame's payload and version: the seqlock
+// version pair as a cheap fast-path rejection, then the CRC32-C as the
+// authoritative check. ErrTorn signals an overwrite whose bytes have not all
+// landed — matching versions included, since a NIC may land both boundary
+// words before the interior. A zero version means the slot was never
+// written.
 func DecodeSlot(b []byte) (payload []byte, version uint32, err error) {
 	payload, version, err = decodeSlotSeqlock(b)
 	if err != nil {
@@ -143,9 +128,9 @@ func decodeSlotSeqlock(b []byte) (payload []byte, version uint32, err error) {
 
 // BeginRaw opens a raw ring record at the end of dst: the length word
 // FinishRaw fills in. The caller appends the payload to the returned slice and
-// closes the record with FinishRaw, passing the length dst had here — the
-// BeginSlot/FinishSlot convention, for a layer that builds its message where
-// the record is to carry it instead of copying it in.
+// closes the record with FinishRaw, passing the length dst had here, so a
+// layer builds its message where the record is to carry it instead of
+// copying it in.
 func BeginRaw(dst []byte) []byte { return binary.LittleEndian.AppendUint32(dst, 0) }
 
 // FinishRaw closes the record BeginRaw opened at b[start:]: it writes the

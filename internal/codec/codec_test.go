@@ -1,10 +1,10 @@
 package codec
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -281,45 +281,33 @@ func TestPollingRejectionsAreBareSentinels(t *testing.T) {
 	}
 }
 
-// TestAppendEncodersZeroAlloc pins what the append-style encoders are for: a
-// slot frame holding an entry is built in one pass into a buffer with room —
-// a registered region, in core — and allocates nothing, and the bytes are
-// the ones EncodeSlot over EncodeEntry produces through two buffers.
+// TestAppendEncodersZeroAlloc pins what the append-style encoder is for: a
+// summary anchor is built in one pass where it is to live — a registered
+// region, in core — behind whatever the buffer already holds, allocates
+// nothing, and decodes back to the summary, its counts and its epoch.
 func TestAppendEncodersZeroAlloc(t *testing.T) {
 	c := spec.Call{Method: 3, Proc: 2, Seq: 41, Args: spec.Args{I: make([]int64, 64), S: []string{"key", "value"}}}
 	for i := range c.Args.I {
 		c.Args.I[i] = int64(i * 7)
 	}
-	d := spec.DepVec{1, 2, 3}
+	r := DeltaRecord{Kind: FrameAnchor, Version: 9, Epoch: 2, Counts: []uint32{5, 1, 3}, C: c}
 	buf := make([]byte, 0, 1024)
 	var frame []byte
 	allocs := testing.AllocsPerRun(1000, func() {
-		b := BeginSlot(append(buf[:0], "prefix"...), 9)
-		b, _ = AppendDeltaRecord(b, DeltaRecord{Kind: FrameFull, C: c, D: d})
-		frame = FinishSlot(b, len("prefix"))
+		frame, _ = AppendDeltaRecord(append(buf[:0], "prefix"...), r)
 	})
 	if allocs != 0 {
-		t.Errorf("framing a record into a buffer with capacity allocates %.1f objects, want 0", allocs)
+		t.Errorf("framing an anchor into a buffer with capacity allocates %.1f objects, want 0", allocs)
 	}
 	if &frame[0] != &buf[:1][0] {
 		t.Fatal("the frame left the buffer it was given")
 	}
-	entry, err := encodeCall(c, d)
-	if err != nil {
-		t.Fatal(err)
+	h, err := PeekDeltaRecord(frame[len("prefix"):])
+	if err != nil || h.Kind != FrameAnchor || h.Version != 9 || h.Epoch() != 2 || h.Total != len(frame)-len("prefix") {
+		t.Fatalf("PeekDeltaRecord = %+v (epoch %d), %v", h, h.Epoch(), err)
 	}
-	want, err := EncodeSlot(entry, 9, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := frame[len("prefix"):]; !bytes.Equal(got, want) {
-		t.Fatalf("one-pass frame differs from EncodeSlot(EncodeEntry):\n got %x\nwant %x", got, want)
-	}
-	payload, ver, err := DecodeSlot(frame[len("prefix"):])
-	if err != nil || ver != 9 {
-		t.Fatalf("DecodeSlot = v%d, %v", ver, err)
-	}
-	if got, gd, _, err := decodeCall(payload); err != nil || !got.Args.Equal(c.Args) || len(gd) != len(d) {
-		t.Fatalf("DecodeDeltaRecord = %v %v, %v", got, gd, err)
+	var got DeltaRecord
+	if err := DecodeDeltaBody(&got, frame[len("prefix"):], h); err != nil || !reflect.DeepEqual(got, r) {
+		t.Fatalf("DecodeDeltaBody = %+v, %v; want %+v", got, err, r)
 	}
 }

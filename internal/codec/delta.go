@@ -1,15 +1,17 @@
 // The call record: the one serialization of a call and what travels with it.
 // It is a self-delimiting, CRC-validated frame,
 //
-//	u32 total | kind | uvarint version | [uvarint span] | packed counts | packed call | u32 crc | canary
+//	u32 total | kind | uvarint version | [uvarint span | uvarint epoch] | packed counts | packed call | u32 crc | canary
 //
-// whose kind byte names its role: FrameFull is a full call record — (c, D) in
-// an F or L buffer, or a summary anchor's call with its applied counts —
-// and FrameDelta a δ-group of a slot's δ-log: the span ≥ 1 reducible calls
-// that took the slot to version, folded by their group's Summarize into one
-// call (Almeida et al.: a join of δ-mutations is itself a δ-mutation, and a
-// δ and the state it joins into share a format). Only FrameDelta carries the
-// span; it covers versions version−span+1 through version.
+// whose kind byte names its role: FrameFull is a full call record, (c, D) in
+// an F or L buffer; FrameAnchor a summary anchor, a slot's whole summary call
+// with its applied counts and the configuration epoch its writer stamped; and
+// FrameDelta a δ-group of a slot's δ-log: the span ≥ 1 reducible calls that
+// took the slot to version, folded by their group's Summarize into one call
+// (Almeida et al.: a join of δ-mutations is itself a δ-mutation, and a δ and
+// the state it joins into share a format). Only FrameDelta carries the span;
+// it covers versions version−span+1 through version. Only FrameAnchor
+// carries the epoch, in the same place.
 //
 // All integers are varint-packed; spec.DepVec and the per-method applied
 // counts use a columnar delta encoding (first value, then zigzag deltas
@@ -30,8 +32,9 @@ import (
 
 // Call-record kinds.
 const (
-	FrameFull  byte = 0xF1 // full call record: a buffered (c, D), or a summary anchor
-	FrameDelta byte = 0xF2 // a run of folded reducible calls of a slot's δ-log
+	FrameFull   byte = 0xF1 // full call record: a buffered (c, D)
+	FrameDelta  byte = 0xF2 // a run of folded reducible calls of a slot's δ-log
+	FrameAnchor byte = 0xF4 // a slot's full summary, counts and writer's epoch (0xF3 is retired)
 )
 
 // minDelta is the smallest possible call record: length word, kind,
@@ -43,6 +46,7 @@ type DeltaRecord struct {
 	Kind    byte
 	Version uint32      // slot version this record establishes (0 on FrameFull)
 	Span    uint32      // calls folded into C, 1..Version (FrameDelta; an encoder reads 0 as 1)
+	Epoch   uint32      // configuration epoch the writer stamped (FrameAnchor)
 	Counts  []uint32    // absolute per-method applied counts (summary records)
 	C       spec.Call   // the buffered call, folded call, or full summary
 	D       spec.DepVec // dependency record (buffered calls)
@@ -126,19 +130,12 @@ func decodeU32Packed(dst []uint32, b []byte) ([]uint32, int, error) {
 	return vs, p, nil
 }
 
-// AppendDepVec appends a dependency record in packed columnar form.
+// appendDepVec appends a dependency record in packed columnar form.
 // Neighbouring cells of a DepVec are applied counts of adjacent processes,
 // so the zigzag deltas are near zero and the vector shrinks from 4 bytes a
 // cell to roughly one.
-func AppendDepVec(b []byte, d spec.DepVec) []byte {
+func appendDepVec(b []byte, d spec.DepVec) []byte {
 	return appendU32Packed(b, d)
-}
-
-// DecodeDepVec decodes a dependency record written by AppendDepVec,
-// returning the vector and the bytes consumed.
-func DecodeDepVec(b []byte) (spec.DepVec, int, error) {
-	vs, n, err := decodeU32Packed(nil, b)
-	return spec.DepVec(vs), n, err
 }
 
 // appendPackedCall appends a varint-packed call and dependency record:
@@ -156,7 +153,7 @@ func appendPackedCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 		b = AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	return AppendDepVec(b, d)
+	return appendDepVec(b, d)
 }
 
 // decodePackedCall decodes a call and dependency record written by
@@ -230,29 +227,31 @@ func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
 // AppendDeltaRecord appends one call record to dst as a self-delimiting frame
 // and returns the extended slice:
 //
-//	u32 total | kind | uvarint version | [uvarint span] | packed counts | packed call | u32 crc | canary
+//	u32 total | kind | uvarint version | [uvarint span | uvarint epoch] | packed counts | packed call | u32 crc | canary
 //
 // The span is written for FrameDelta only, where a zero Span stands for one
-// call and a Span beyond Version is refused as ErrCorrupt.
+// call and a Span beyond Version is refused as ErrCorrupt; the epoch for
+// FrameAnchor only.
 // The CRC32-C covers every byte of the record before it (length word
 // included) and nothing of dst ahead of the record, so a frame that embeds a
 // record is built in one buffer. With enough capacity in dst the call
 // allocates nothing; on error dst comes back unextended.
 func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
-	switch r.Kind {
-	case FrameFull, FrameDelta:
-	default:
-		return dst, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
-	}
 	start := len(dst)
 	b := append(dst, 0, 0, 0, 0, r.Kind)
 	b = AppendUvarint(b, uint64(r.Version))
-	if r.Kind == FrameDelta {
+	switch r.Kind {
+	case FrameFull:
+	case FrameDelta:
 		span := max(r.Span, 1)
 		if span > r.Version {
 			return dst, fmt.Errorf("%w: span %d exceeds version %d", ErrCorrupt, span, r.Version)
 		}
 		b = AppendUvarint(b, uint64(span))
+	case FrameAnchor:
+		b = AppendUvarint(b, uint64(r.Epoch))
+	default:
+		return dst, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
 	b = appendU32Packed(b, r.Counts)
 	b = appendPackedCall(b, r.C, r.D)
@@ -285,11 +284,12 @@ func DecodeEntry(b []byte) (spec.Call, spec.DepVec, int, error) {
 // body: enough for a log walker to skip, fold or stop, at no allocation. It
 // keeps to four fields so the compiler holds it in registers across a log
 // walk; a fifth puts every return through memory, which slowed a summary
-// scan's walk by about a third.
+// scan's walk by about a third. So Span holds a FrameAnchor record's epoch,
+// the varint in the span's place; Epoch names it.
 type DeltaHeader struct {
 	Kind    byte
 	Version uint32 // slot version the record establishes (0 on FrameFull)
-	Span    uint32 // calls the record folds, 1..Version (0 on FrameFull)
+	Span    uint32 // calls the record folds, 1..Version (FrameDelta); the epoch (FrameAnchor); 0 on FrameFull
 	Total   int    // frame length, length word through canary
 }
 
@@ -297,12 +297,15 @@ type DeltaHeader struct {
 // folds onto a slot at First−1.
 func (h DeltaHeader) First() uint32 { return h.Version - h.Span + 1 }
 
+// Epoch is the configuration epoch a FrameAnchor record's writer stamped.
+func (h DeltaHeader) Epoch() uint32 { return h.Span }
+
 // bodyOffset is where the packed counts start: past the length word, the kind
-// byte and the version and span varints, whose lengths their values fix since
-// Uvarint refuses an overlong encoding.
+// byte and the version and span (or epoch) varints, whose lengths their
+// values fix since Uvarint refuses an overlong encoding.
 func (h DeltaHeader) bodyOffset() int {
 	n := 5 + uvarintLen(uint64(h.Version))
-	if h.Kind == FrameDelta {
+	if h.Kind != FrameFull {
 		n += uvarintLen(uint64(h.Span))
 	}
 	return n
@@ -313,7 +316,8 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // PeekDeltaRecord validates the delta record at the front of b — length
 // word, canary, CRC32-C over the whole frame, kind byte, version varint and,
-// on FrameDelta, the span varint — and returns its header without touching the packed counts and call. It is
+// on FrameDelta, the span varint or, on FrameAnchor, the epoch varint — and
+// returns its header without touching the packed counts and call. It is
 // the single validation routine for delta frames: DecodeDeltaRecord is this
 // plus DecodeDeltaBody. Error classes, with the truncation distinction the
 // ring readers need:
@@ -323,8 +327,8 @@ func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 //     the canary has not landed: a mid-write partial, retry later;
 //   - ErrTorn       — the canary landed ahead of interior bytes (CRC);
 //   - ErrCorrupt    — structural garbage (bad length; or, inside a
-//     CRC-intact record, bad kind, an overlong version or span varint, or a
-//     span of zero or beyond the version).
+//     CRC-intact record, bad kind, an overlong version, span or epoch
+//     varint, a span of zero or beyond the version, or an epoch beyond u32).
 //
 // The length, canary and kind rejections return the bare sentinel: a δ-log
 // walk ends on its garbage tail every scan and must not pay for a message.
@@ -351,7 +355,7 @@ func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
 	}
 	h := DeltaHeader{Kind: b[4], Total: total}
 	switch h.Kind {
-	case FrameFull, FrameDelta:
+	case FrameFull, FrameDelta, FrameAnchor:
 	default:
 		return zero, ErrCorrupt
 	}
@@ -363,15 +367,18 @@ func PeekDeltaRecord(b []byte) (DeltaHeader, error) {
 		return zero, fmt.Errorf("%w: version overflows u32", ErrCorrupt)
 	}
 	h.Version = uint32(ver)
-	if h.Kind == FrameDelta {
-		span, _, err := Uvarint(b[5+n : total-RecordTrailer])
+	if h.Kind != FrameFull {
+		v, _, err := Uvarint(b[5+n : total-RecordTrailer])
 		if err != nil {
 			return zero, asCorrupt(err)
 		}
-		if span == 0 || span > ver {
-			return zero, fmt.Errorf("%w: span %d outside 1..%d", ErrCorrupt, span, ver)
+		if h.Kind == FrameDelta && (v == 0 || v > ver) {
+			return zero, fmt.Errorf("%w: span %d outside 1..%d", ErrCorrupt, v, ver)
 		}
-		h.Span = uint32(span)
+		if v > uint64(^uint32(0)) {
+			return zero, fmt.Errorf("%w: epoch overflows u32", ErrCorrupt)
+		}
+		h.Span = uint32(v)
 	}
 	return h, nil
 }
@@ -399,7 +406,10 @@ func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 	if p+n != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)
 	}
-	dst.Kind, dst.Version, dst.Span = h.Kind, h.Version, h.Span
+	dst.Kind, dst.Version, dst.Span, dst.Epoch = h.Kind, h.Version, h.Span, 0
+	if h.Kind == FrameAnchor {
+		dst.Span, dst.Epoch = 0, h.Span
+	}
 	return nil
 }
 

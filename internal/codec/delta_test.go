@@ -28,14 +28,30 @@ func sampleDelta() DeltaRecord {
 	}
 }
 
-// TestDeltaRecordRoundTrip covers one- to five-byte versions and spans: the
-// body starts where their varints' lengths put it.
+// sampleAnchor is a summary anchor: a slot's whole summary call with its
+// counts, stamped with its writer's epoch.
+func sampleAnchor() DeltaRecord {
+	return DeltaRecord{
+		Kind:    FrameAnchor,
+		Version: 41,
+		Epoch:   3,
+		Counts:  []uint32{17, 3, 17},
+		C:       spec.Call{Method: 2, Proc: 3, Seq: 99, Args: spec.Args{I: []int64{-5, 1 << 33, 0}, S: []string{"k", ""}}},
+	}
+}
+
+// TestDeltaRecordRoundTrip covers one- to five-byte versions, spans and
+// epochs: the body starts where their varints' lengths put it.
 func TestDeltaRecordRoundTrip(t *testing.T) {
 	for _, vs := range [][2]uint32{{41, 6}, {127, 127}, {128, 128}, {1 << 20, 300}, {1<<32 - 1, 1 << 31}} {
-		for _, kind := range []byte{FrameFull, FrameDelta} {
+		for _, kind := range []byte{FrameFull, FrameDelta, FrameAnchor} {
 			r := sampleDelta()
-			if r.Kind, r.Version, r.Span = kind, vs[0], vs[1]; kind == FrameFull {
-				r.Span = 0 // only a δ-record names a run
+			r.Kind, r.Version, r.Span = kind, vs[0], 0
+			switch kind {
+			case FrameDelta: // only a δ-record names a run
+				r.Span = vs[1]
+			case FrameAnchor: // only an anchor carries an epoch
+				r.Epoch = vs[1]
 			}
 			b, err := EncodeDeltaRecord(r)
 			if err != nil {
@@ -64,8 +80,8 @@ func TestDeltaRecordRoundTrip(t *testing.T) {
 // TestBundledCallsRoundTrip: for every update method of the 18 bundled classes,
 // random calls — the class generator's, and the same with string arguments
 // added — with empty and full-width dependency records, with and without
-// applied counts, under both kinds, encode to bytes that decode to the record
-// and re-encode to the same bytes.
+// applied counts, under all three kinds, encode to bytes that decode to the
+// record and re-encode to the same bytes.
 func TestBundledCallsRoundTrip(t *testing.T) {
 	const nodes = 7
 	r := rand.New(rand.NewSource(22))
@@ -89,7 +105,9 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 				}
 				if trial%8 >= 4 {
 					rec.Kind, rec.Version = FrameDelta, max(1, uint32(r.Int63()))
-					rec.Span = 1 + uint32(r.Int63n(int64(min(rec.Version, 1<<10))))
+					if rec.Span = 1 + uint32(r.Int63n(int64(min(rec.Version, 1<<10)))); trial%16 >= 8 {
+						rec.Kind, rec.Span, rec.Epoch = FrameAnchor, 0, uint32(r.Int63())>>uint(r.Intn(32))
+					}
 					rec.Counts = make([]uint32, 1+r.Intn(4))
 					for i := range rec.Counts {
 						rec.Counts[i] = uint32(r.Intn(1 << 20))
@@ -103,7 +121,7 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 				if err != nil || n != len(b)-6 {
 					t.Fatalf("%s.%s: decoded %d of %d bytes, %v", cls.Name, cls.Methods[u].Name, n, len(b)-6, err)
 				}
-				if got.Kind != rec.Kind || got.Version != rec.Version || got.Span != rec.Span || got.C.Method != rec.C.Method ||
+				if got.Kind != rec.Kind || got.Version != rec.Version || got.Span != rec.Span || got.Epoch != rec.Epoch || got.C.Method != rec.C.Method ||
 					got.C.Proc != rec.C.Proc || got.C.Seq != rec.C.Seq || !got.C.Args.Equal(rec.C.Args) ||
 					!slices.Equal(got.Counts, rec.Counts) || !slices.Equal(got.D, rec.D) {
 					t.Fatalf("%s.%s round trip:\n got %+v\nwant %+v", cls.Name, cls.Methods[u].Name, got, rec)
@@ -116,24 +134,37 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDepVecPackingShrinks: a buffered call's dependency record travels
+// packed, so 64 neighbouring cells cost about a byte each, not four, and
+// come back as they went.
 func TestDepVecPackingShrinks(t *testing.T) {
 	d := make(spec.DepVec, 64)
 	for i := range d {
 		d[i] = uint32(1000 + i%3)
 	}
-	packed := AppendDepVec(nil, d)
-	if len(packed) >= 4*len(d) {
-		t.Fatalf("packed DepVec is %d bytes for %d cells; want < %d", len(packed), len(d), 4*len(d))
+	c := spec.Call{Method: 1, Proc: 2, Seq: 3}
+	bare, err := AppendDeltaRecord(nil, DeltaRecord{Kind: FrameFull, C: c})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got, n, err := DecodeDepVec(packed)
-	if err != nil || n != len(packed) {
+	b, err := AppendDeltaRecord(nil, DeltaRecord{Kind: FrameFull, C: c, D: d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if packed := len(b) - len(bare) + 1; packed >= 4*len(d) { // +1: the bare record's empty vector
+		t.Fatalf("packed DepVec is %d bytes for %d cells; want < %d", packed, len(d), 4*len(d))
+	}
+	got, n, err := DecodeDeltaRecord(b)
+	if err != nil || n != len(b) {
 		t.Fatalf("decode: n=%d err=%v", n, err)
 	}
-	if !reflect.DeepEqual(got, d) {
-		t.Fatalf("round trip mismatch: %v != %v", got, d)
+	if !reflect.DeepEqual(got.D, d) {
+		t.Fatalf("round trip mismatch: %v != %v", got.D, d)
 	}
 }
 
+// TestDepVecRandomRoundTrip: dependency records of any width and any u32
+// cells, behind a prefix, decode to themselves.
 func TestDepVecRandomRoundTrip(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
@@ -141,16 +172,19 @@ func TestDepVecRandomRoundTrip(t *testing.T) {
 		for i := range d {
 			d[i] = uint32(r.Int63n(1 << 32))
 		}
-		packed := AppendDepVec(nil, d)
-		got, n, err := DecodeDepVec(packed)
-		if err != nil || n != len(packed) {
+		b, err := AppendDeltaRecord([]byte("prefix"), DeltaRecord{Kind: FrameFull, C: spec.Call{Method: 1}, D: d})
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		got, n, err := DecodeDeltaRecord(b[6:])
+		if err != nil || n != len(b)-6 {
 			t.Fatalf("trial %d: n=%d err=%v", trial, n, err)
 		}
-		if len(d) == 0 && len(got) == 0 {
+		if len(d) == 0 && len(got.D) == 0 {
 			continue
 		}
-		if !reflect.DeepEqual(got, d) {
-			t.Fatalf("trial %d: %v != %v", trial, got, d)
+		if !reflect.DeepEqual(got.D, d) {
+			t.Fatalf("trial %d: %v != %v", trial, got.D, d)
 		}
 	}
 }
@@ -248,50 +282,75 @@ func TestOverlongVarintRejected(t *testing.T) {
 	}
 }
 
-// TestDeltaRecordTornAndCorrupt covers the remaining error classes: flipped
-// interior bytes behind an intact canary are ErrTorn; an unknown kind byte
-// behind a valid CRC is ErrCorrupt; a field overrunning the CRC-validated
-// body is ErrCorrupt, not truncation.
+// TestDeltaRecordTornAndCorrupt covers the remaining error classes, on a
+// δ-record and on an anchor: flipped interior bytes behind an intact canary
+// are ErrTorn; an unknown kind byte behind a valid CRC is ErrCorrupt; a field
+// overrunning the CRC-validated body is ErrCorrupt, not truncation; and an
+// anchor's epoch beyond u32 is ErrCorrupt.
 func TestDeltaRecordTornAndCorrupt(t *testing.T) {
-	good, err := EncodeDeltaRecord(sampleDelta())
+	for _, rec := range []DeltaRecord{sampleDelta(), sampleAnchor()} {
+		good, err := EncodeDeltaRecord(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		torn := append([]byte(nil), good...)
+		torn[7] ^= 0xFF
+		if _, _, derr := DecodeDeltaRecord(torn); !errors.Is(derr, ErrTorn) {
+			t.Fatalf("kind %#x, interior flip: err = %v, want ErrTorn", rec.Kind, derr)
+		}
+		badkind := append([]byte(nil), good...)
+		badkind[4] = 0x07
+		reframe(badkind)
+		if _, _, derr := DecodeDeltaRecord(badkind); !errors.Is(derr, ErrCorrupt) {
+			t.Fatalf("kind %#x, bad kind: err = %v, want ErrCorrupt", rec.Kind, derr)
+		}
+		// 0xF3 was an anchor kind both switches accepted but nothing ever
+		// encoded; retired, it is as corrupt as any other unknown kind, on the
+		// header step, the full decode and the encoder alike.
+		retired := retiredKindFrame(good)
+		if _, derr := PeekDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
+			t.Fatalf("kind %#x, retired kind 0xF3, header: err = %v, want ErrCorrupt", rec.Kind, derr)
+		}
+		if _, _, derr := DecodeDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
+			t.Fatalf("kind %#x, retired kind 0xF3, decode: err = %v, want ErrCorrupt", rec.Kind, derr)
+		}
+		r := rec
+		r.Kind = 0xF3
+		if _, eerr := EncodeDeltaRecord(r); !errors.Is(eerr, ErrCorrupt) {
+			t.Fatalf("kind %#x, retired kind 0xF3, encode: err = %v, want ErrCorrupt", rec.Kind, eerr)
+		}
+		// Truncate the body but keep the frame CRC-valid: a varint that runs
+		// off the end of a *complete* record is corruption.
+		short := append([]byte(nil), good[:len(good)-RecordTrailer-3]...)
+		short = append(short, make([]byte, RecordTrailer)...)
+		binary.LittleEndian.PutUint32(short, uint32(len(short)))
+		reframe(short)
+		if _, _, derr := DecodeDeltaRecord(short); !errors.Is(derr, ErrCorrupt) {
+			t.Fatalf("kind %#x, overrunning field in CRC-valid record: err = %v, want ErrCorrupt", rec.Kind, derr)
+		}
+	}
+	wide := epochFrame(sampleAnchor(), 1<<32)
+	if _, derr := PeekDeltaRecord(wide); !errors.Is(derr, ErrCorrupt) {
+		t.Fatalf("epoch 2^32, header: err = %v, want ErrCorrupt", derr)
+	}
+	if _, _, derr := DecodeDeltaRecord(wide); !errors.Is(derr, ErrCorrupt) {
+		t.Fatalf("epoch 2^32, decode: err = %v, want ErrCorrupt", derr)
+	}
+}
+
+// epochFrame encodes anchor r with its epoch varint replaced by epoch, which
+// may exceed u32, behind a recomputed CRC.
+func epochFrame(r DeltaRecord, epoch uint64) []byte {
+	r.Epoch = 0
+	good, err := EncodeDeltaRecord(r)
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	torn := append([]byte(nil), good...)
-	torn[7] ^= 0xFF
-	if _, _, derr := DecodeDeltaRecord(torn); !errors.Is(derr, ErrTorn) {
-		t.Fatalf("interior flip: err = %v, want ErrTorn", derr)
-	}
-	badkind := append([]byte(nil), good...)
-	badkind[4] = 0x07
-	reframe(badkind)
-	if _, _, derr := DecodeDeltaRecord(badkind); !errors.Is(derr, ErrCorrupt) {
-		t.Fatalf("bad kind: err = %v, want ErrCorrupt", derr)
-	}
-	// 0xF3 was FrameAnchor, a kind both switches accepted but nothing ever
-	// encoded; retired, it is as corrupt as any other unknown kind, on the
-	// header step, the full decode and the encoder alike.
-	retired := retiredKindFrame(good)
-	if _, derr := PeekDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
-		t.Fatalf("retired kind 0xF3, header: err = %v, want ErrCorrupt", derr)
-	}
-	if _, _, derr := DecodeDeltaRecord(retired); !errors.Is(derr, ErrCorrupt) {
-		t.Fatalf("retired kind 0xF3, decode: err = %v, want ErrCorrupt", derr)
-	}
-	r := sampleDelta()
-	r.Kind = 0xF3
-	if _, eerr := EncodeDeltaRecord(r); !errors.Is(eerr, ErrCorrupt) {
-		t.Fatalf("retired kind 0xF3, encode: err = %v, want ErrCorrupt", eerr)
-	}
-	// Truncate the body but keep the frame CRC-valid: a varint that runs
-	// off the end of a *complete* record is corruption.
-	short := append([]byte(nil), good[:len(good)-RecordTrailer-3]...)
-	short = append(short, make([]byte, RecordTrailer)...)
-	binary.LittleEndian.PutUint32(short, uint32(len(short)))
-	reframe(short)
-	if _, _, derr := DecodeDeltaRecord(short); !errors.Is(derr, ErrCorrupt) {
-		t.Fatalf("overrunning field in CRC-valid record: err = %v, want ErrCorrupt", derr)
-	}
+	at := 5 + uvarintLen(uint64(r.Version)) // the epoch varint, one byte for 0
+	b := AppendUvarint(append([]byte(nil), good[:at]...), epoch)
+	b = append(b, good[at+1:]...)
+	binary.LittleEndian.PutUint32(b, uint32(len(b)))
+	return reframe(b)
 }
 
 // spanFrame rewrites the span byte of sampleDelta's encoding (version 41, a
@@ -389,7 +448,7 @@ func longDelta() DeltaRecord {
 // sameRecord reports whether two decoded records hold the same fields,
 // element for element: a slice with a leftover cell differs in length.
 func sameRecord(a, b DeltaRecord) bool {
-	return a.Kind == b.Kind && a.Version == b.Version && a.Span == b.Span && slices.Equal(a.Counts, b.Counts) &&
+	return a.Kind == b.Kind && a.Version == b.Version && a.Span == b.Span && a.Epoch == b.Epoch && slices.Equal(a.Counts, b.Counts) &&
 		a.C.Method == b.C.Method && a.C.Proc == b.C.Proc && a.C.Seq == b.C.Seq &&
 		a.C.Args.Equal(b.C.Args) && slices.Equal(a.D, b.D)
 }
@@ -399,8 +458,8 @@ func sameRecord(a, b DeltaRecord) bool {
 // values on arbitrary remote bytes — and that the header step the δ-log walk
 // uses on its own (PeekDeltaRecord) never disagrees with the full decode: a
 // frame the header rejects, the decoder rejects with the same class; a
-// frame the header accepts decodes to the same kind, version and length, or
-// fails as corrupt in its body and nothing else. A body decoded into a
+// frame the header accepts decodes to the same kind, version, span or epoch
+// and length, or fails as corrupt in its body and nothing else. A body decoded into a
 // record that already holds an earlier, longer decode (a reader's scratch
 // record) fails as the fresh decode does, or equals it with no leftover
 // count, argument or dependency cell.
@@ -450,6 +509,10 @@ func FuzzDeltaEntry(f *testing.F) {
 	nocanary := append([]byte(nil), call...)
 	nocanary[len(nocanary)-1] ^= 0xff
 	f.Add(nocanary)
+	// A summary anchor, whole and with an epoch beyond u32.
+	anchor, _ := EncodeDeltaRecord(sampleAnchor())
+	f.Add(anchor)
+	f.Add(epochFrame(sampleAnchor(), 1<<32))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, herr := PeekDeltaRecord(data)
 		r, n, err := DecodeDeltaRecord(data)
@@ -462,9 +525,11 @@ func FuzzDeltaEntry(f *testing.F) {
 			if errClass(err) != "corrupt" {
 				t.Fatalf("header accepts, decoder fails as %v; a body can only be corrupt", err)
 			}
-		case h.Kind != r.Kind || h.Version != r.Version || h.Span != r.Span || h.Total != n:
-			t.Fatalf("header (kind %#x, v%d, span %d, %d B) disagrees with decode (kind %#x, v%d, span %d, %d B)",
-				h.Kind, h.Version, h.Span, h.Total, r.Kind, r.Version, r.Span, n)
+		case h.Kind != r.Kind || h.Version != r.Version || h.Span != r.Span+r.Epoch || h.Total != n:
+			t.Fatalf("header (kind %#x, v%d, span %d, %d B) disagrees with decode (kind %#x, v%d, span %d, epoch %d, %d B)",
+				h.Kind, h.Version, h.Span, h.Total, r.Kind, r.Version, r.Span, r.Epoch, n)
+		case r.Span != 0 && r.Epoch != 0:
+			t.Fatalf("decode gives a record both a span and an epoch: %+v", r)
 		case h.Kind == FrameDelta && (h.Span == 0 || h.Span > h.Version):
 			t.Fatalf("header accepts a δ-record spanning %d calls up to v%d", h.Span, h.Version)
 		}

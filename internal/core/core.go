@@ -73,12 +73,12 @@ type Options struct {
 	// log area, and the full summarized state is rewritten only when the log
 	// fills. Remote scanners fold the δ-records onto their last adopted state
 	// and fall back to a one-sided full-state fetch of the writer's own slot
-	// on a version gap or a persistently torn frame. The writer's own region
-	// always holds the current full frame, so repair, recovery and recency
+	// on a version gap or a persistently torn record. The writer's own region
+	// always holds the current anchor, so repair, recovery and recency
 	// reads stay anchor-aware for free.
 	//
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
-	// the δ-record log; the rest holds the full-state anchor frame. Zero,
+	// the δ-record log; the rest holds the full-state anchor. Zero,
 	// negative or more than half the slot selects a quarter of the slot.
 	DeltaLogBytes int
 
@@ -180,7 +180,7 @@ func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 // method — the reliable broadcast, and starts every replica's pollers.
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
-	// Normalize the delta-group parameters: the anchor frame needs most of
+	// Normalize the delta-group parameters: the anchor needs most of
 	// the slot (summaries grow with the object), so the log is clamped to
 	// at most half the slot. A slot too small to hold a δ-log at all is a
 	// hard configuration error, like a summary outgrowing its anchor area.
@@ -289,7 +289,7 @@ func (c *Cluster) MutateApplyOrder() {
 }
 
 // MutateStaleScan installs the stale-scan mutant on every replica: the scan
-// trusts the anchor frame and the log prefix it validated even after a write
+// trusts the anchor and the log prefix it validated even after a write
 // touched their bytes. It is for the mutation controls only, a bug the δ-path
 // tests and the chaos corpus must catch.
 func (c *Cluster) MutateStaleScan() {
@@ -338,15 +338,14 @@ type sumSlot struct {
 	// What earlier scans validated (scanSlot), each with the summary
 	// region's generation the bytes were read at: bytes no write has touched
 	// since are not validated again.
-	anchor seenFrame // the anchor frame
-	walked seenLog   // the log prefix the walk has passed
+	anchor seenAnchor // the anchor
+	walked seenLog    // the log prefix the walk has passed
 }
 
-// seenFrame is a validated anchor frame: its version and payload length.
-type seenFrame struct {
+// seenAnchor is a validated anchor: its header.
+type seenAnchor struct {
 	gen uint64 // 0: none
-	ver uint32
-	n   int
+	h   codec.DeltaHeader
 }
 
 // seenLog is the prefix [0, end) of a slot's δ-log that a walk validated and
@@ -528,8 +527,8 @@ type Replica struct {
 	statDeltas     uint64 // δ-records written to peer slot logs
 	statAnchors    uint64 // full-state anchor rewrites
 	statGapFetch   uint64 // full-state fetches after a gap or CRC park
-	statStaleSlots uint64 // slot frames rejected by the epoch floor
-	statValidated  uint64 // anchor frames and log records the scan validated: one CRC pass each
+	statStaleSlots uint64 // anchors rejected by the epoch floor
+	statValidated  uint64 // anchors and log records the scan validated: one CRC pass each
 }
 
 func newReplica(c *Cluster, id spec.ProcID) *Replica {
@@ -670,8 +669,8 @@ func (r *Replica) Stats() (issued, applied, rejected, recovered uint64) {
 	return r.statIssued, r.statApplied, r.statRejected, r.statRecovered
 }
 
-// TornRejects reports how many slot reads the CRC validation rejected —
-// each one a torn landing the seqlock-only scheme would have accepted.
+// TornRejects reports how many summary records — anchors and δ-records,
+// scanned or read from a peer — the CRC validation rejected as torn.
 func (r *Replica) TornRejects() uint64 { return r.statTorn }
 
 // DeltaStats reports the delta-group pipeline's activity: δ-records written

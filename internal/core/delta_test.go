@@ -207,6 +207,82 @@ func TestDeltaTornParkFetchesFullState(t *testing.T) {
 	}
 }
 
+// TestTornAnchorOverwriteParksAndFetches: a re-anchor that lands torn over
+// the anchor a reader holds — boundary first, its length word and last four
+// bytes ahead of the interior, the way a torn link lands a write — is
+// rejected whether the new anchor is longer or shorter than the old. Each
+// scan counts it in core.torn_rejects, and after tornParkScans stuck scans
+// the reader fetches the writer's own slot, whose anchor it adopts and
+// installs over the torn bytes. The reader's scans run by hand, and its log
+// is wiped, as if the δ-record beside the re-anchor had been lost.
+func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b int64
+	}{{"growing", 1, 1 << 40}, {"shrinking", 1 << 40, 1 - 1<<40}} {
+		reg := metrics.New(nil)
+		h := newHarness(t, crdt.NewCounter(), 2, 76, func(o *Options) {
+			o.DisableFailureHandling = true
+			o.Metrics = reg
+		})
+		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
+		r1.stop()
+		h.invoke(0, crdt.CounterAdd, spec.ArgsI(tc.a))
+		h.eng.RunFor(100 * sim.Microsecond)
+		r1.scanSummaries()
+		if v := r1.sums[0][0].version; v != 1 {
+			t.Fatalf("%s: p1 holds v%d of p0's slot, want the first anchor", tc.name, v)
+		}
+		h.invoke(0, crdt.CounterAdd, spec.ArgsI(tc.b))
+		h.eng.RunFor(100 * sim.Microsecond)
+
+		off := r0.slotOffset(0, 0)
+		mine := r1.node.Region(r1.sumRegion)
+		old, err := codec.PeekDeltaRecord(mine.Bytes()[off:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		theirs := r0.node.Region(r0.sumRegion).Bytes()[off:]
+		hd, err := codec.PeekDeltaRecord(theirs)
+		if err != nil || hd.Kind != codec.FrameAnchor || hd.Version != 2 {
+			t.Fatalf("%s: p0's own slot holds %+v (%v), want its v2 anchor", tc.name, hd, err)
+		}
+		if grows := hd.Total > old.Total; grows != (tc.name == "growing") {
+			t.Fatalf("%s: the new anchor is %d bytes, the old %d", tc.name, hd.Total, old.Total)
+		}
+		next := bytes.Clone(theirs[:hd.Total])
+		mine.Write(off+r1.anchorCap(), make([]byte, r1.opts.DeltaLogBytes))
+		mine.Write(off, next[:4])
+		mine.Write(off+len(next)-4, next[len(next)-4:])
+
+		torn := func() uint64 { return reg.Snapshot().Counters["core.torn_rejects"] }
+		for i := 1; i <= tornParkScans; i++ {
+			r1.scanSummaries()
+			_, _, fetches := deltaStats(h.cluster)
+			if got := torn(); got != uint64(i) {
+				t.Fatalf("%s: %d torn rejects after %d scans, want one a scan", tc.name, got, i)
+			}
+			if want := uint64(i / tornParkScans); fetches != want {
+				t.Fatalf("%s: %d fetches after %d stuck scans, want %d", tc.name, fetches, i, want)
+			}
+			if v := r1.sums[0][0].version; v != 1 {
+				t.Fatalf("%s: p1 moved to v%d on a torn anchor", tc.name, v)
+			}
+		}
+		h.eng.RunFor(100 * sim.Microsecond)
+		if v, st := r1.sums[0][0].version, r1.CurrentState().(*crdt.CounterState); v != 2 || st.V != tc.a+tc.b {
+			t.Fatalf("%s: after the fetch p1 holds v%d, counter %d; want v2, %d", tc.name, v, st.V, tc.a+tc.b)
+		}
+		if !bytes.Equal(mine.Bytes()[off:off+len(next)], next) {
+			t.Fatalf("%s: the fetched anchor was not installed over the torn bytes", tc.name)
+		}
+		r1.scanSummaries()
+		if got := torn(); got != tornParkScans {
+			t.Fatalf("%s: %d torn rejects after the install, want %d", tc.name, got, tornParkScans)
+		}
+	}
+}
+
 // TestDeltaGapFetchesFullState forges the failure the gap rule exists for:
 // the reader's log jumps versions because intermediate δ-records were lost.
 // The reader must not fold across the hole; it recovers the writer's
@@ -546,7 +622,7 @@ func TestScanValidatesOnlyNews(t *testing.T) {
 
 // TestTornSlotReadIsReread: readSlotValidated re-reads a peer slot that fails
 // its CRC. p0's own copy of its slot is forged torn through Region.Write (an
-// interior byte flipped, both version words intact). Left torn, it is read
+// interior byte of the anchor flipped, its length word and trailer intact). Left torn, it is read
 // 1 + slotReadRetries times, each counted in core.torn_rejects, and dropped;
 // healed between reads, it is adopted on the re-read. p1's scan is stopped,
 // so it holds an older version of the slot than p0's copy.
@@ -565,9 +641,10 @@ func TestTornSlotReadIsReread(t *testing.T) {
 		own := r0.node.Region(r0.sumRegion)
 		off := r0.slotOffset(0, 0)
 		good := bytes.Clone(own.Bytes()[off : off+r0.opts.SumSlotSize])
-		_, ver, err := codec.DecodeSlot(good)
-		if err != nil || ver <= r1.sums[0][0].version {
-			t.Fatalf("p0's slot reads version %d (%v), p1 holds %d: want a newer valid frame", ver, err, r1.sums[0][0].version)
+		hd, err := codec.PeekDeltaRecord(good)
+		ver := hd.Version
+		if err != nil || hd.Kind != codec.FrameAnchor || ver <= r1.sums[0][0].version {
+			t.Fatalf("p0's slot reads %+v (%v), p1 holds version %d: want a newer valid anchor", hd, err, r1.sums[0][0].version)
 		}
 		torn := bytes.Clone(good)
 		torn[10] ^= 0xFF
@@ -576,9 +653,9 @@ func TestTornSlotReadIsReread(t *testing.T) {
 		var got []byte
 		done := false
 		h.eng.At(h.eng.Now()+1, func() {
-			r1.readSlotValidated(0, 0, 0, func(data []byte) {
+			r1.readSlotValidated(0, 0, 0, func(data []byte, hd codec.DeltaHeader) {
 				done = true
-				if data != nil && r1.adoptSlot(0, 0, data) {
+				if data != nil && r1.adoptSlot(0, 0, data, hd) {
 					got = data
 				}
 			})

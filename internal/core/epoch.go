@@ -50,7 +50,7 @@ func (c *Cluster) Members() []bool { return append([]bool(nil), c.members...) }
 
 // StaleRejects totals the stale-epoch rejections across the cluster: ring
 // records and backup slots refused by the broadcast receivers' epoch gates,
-// plus summary-slot frames refused at adoption.
+// plus summary anchors refused at adoption.
 func (c *Cluster) StaleRejects() uint64 {
 	var total uint64
 	for _, r := range c.Replicas {

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -116,13 +117,32 @@ func TestLeaveRevokesWrites(t *testing.T) {
 		}
 	}
 
+	// The write did land in the departed node's own slot, stamped with the
+	// cluster's new epoch, which its floor admits. A member's fresh query
+	// must not read it from there: it answers 1, leaves the member at 1 and
+	// counts no stale reject, since nothing stale was read.
+	var got any
+	h.cluster.Replica(0).InvokeFresh(crdt.CounterValue, spec.Args{}, func(v any, err error) {
+		if err != nil {
+			t.Errorf("fresh query: %v", err)
+		}
+		got = v
+	})
+	h.eng.RunFor(1 * sim.Millisecond)
+	if st := h.cluster.Replica(0).CurrentState().(*crdt.CounterState); got != int64(1) || st.V != 1 {
+		t.Fatalf("fresh query at member 0 = %v, counter %d after the departed node's write, want 1 and 1", got, st.V)
+	}
+	if n := h.cluster.StaleRejects(); n != 0 {
+		t.Fatalf("%d stale rejects, want 0: the departed node's slot is not read", n)
+	}
+
 	// Reconfiguring the same node again fails cleanly.
 	if err := h.reconfigure(false, 2, h.eng.Now()+1); !errors.Is(err, ErrNotMember) {
 		t.Fatalf("second Leave(2) = %v, want ErrNotMember", err)
 	}
 }
 
-// TestStaleSlotFrameRejected plants a summary frame stamped with the
+// TestStaleSlotFrameRejected plants a summary anchor stamped with the
 // departed node's old epoch directly in a member's region — the landed-but-
 // unadopted write a revocation race leaves behind — and asserts the scanner
 // refuses it, counts it, and leaves the member's state untouched.
@@ -139,12 +159,13 @@ func TestStaleSlotFrameRejected(t *testing.T) {
 
 	r0 := h.cluster.Replica(0)
 	cur := r0.sums[0][2]
-	forged := &sumSlot{
-		version: cur.version + 1,
-		call:    spec.Call{Method: crdt.CounterAdd, Args: spec.ArgsI(999), Proc: 2, Seq: 99},
-		counts:  []uint32{cur.counts[0] + 1},
-	}
-	frame, err := appendSumFrame(nil, forged, 0) // stale epoch 0
+	frame, err := codec.EncodeDeltaRecord(codec.DeltaRecord{
+		Kind:    codec.FrameAnchor,
+		Version: cur.version + 1,
+		Epoch:   0, // stale
+		Counts:  []uint32{cur.counts[0] + 1},
+		C:       spec.Call{Method: crdt.CounterAdd, Args: spec.ArgsI(999), Proc: 2, Seq: 99},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,10 +173,10 @@ func TestStaleSlotFrameRejected(t *testing.T) {
 
 	h.eng.RunFor(1 * sim.Millisecond)
 	if got := r0.sums[0][2].version; got != cur.version {
-		t.Fatalf("stale-epoch frame adopted (version %d, want %d)", got, cur.version)
+		t.Fatalf("stale-epoch anchor adopted (version %d, want %d)", got, cur.version)
 	}
 	if st := r0.CurrentState().(*crdt.CounterState); st.V != 5 {
-		t.Fatalf("member state = %d after stale frame, want 5", st.V)
+		t.Fatalf("member state = %d after stale anchor, want 5", st.V)
 	}
 	if h.cluster.StaleRejects() == 0 {
 		t.Fatal("stale-epoch rejection not counted")

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"strings"
 
 	"hamband/internal/codec"
@@ -306,34 +305,36 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	r.foldViews(c)
 	slot.version++
 
-	// The validated frame is self-delimiting (leading version, length,
-	// payload, CRC, trailing version), so only the used bytes are framed
-	// and travel; stale bytes beyond them are never read. For a counter
-	// this shrinks the wire cost from the full slot (16 KB) to ~60 bytes.
-	// It is encoded once, in place: the issuer's own slot is the
-	// authoritative backup that peers repair from on failure, and the anchor
-	// a gap fetch reads — it holds the current full frame even between
-	// remote anchors.
+	// The anchor is one call record (codec.FrameAnchor: the summary call,
+	// its applied counts and the epoch that stamps it with the configuration
+	// its writer believed current; adopters reject anchors stamped before the
+	// writer's departure epoch, see the floors on Replica). It is
+	// self-delimiting, so only the used bytes are framed and travel; stale
+	// bytes beyond them are never read. For a counter this shrinks the wire
+	// cost from the full slot (16 KB) to ~25 bytes. It is encoded once, in
+	// place: the issuer's own slot is the authoritative backup that peers
+	// repair from on failure, and the anchor a gap fetch reads — it holds the
+	// current full summary even between remote anchors.
 	off := r.slotOffset(g, r.id)
 	own := r.node.Region(r.sumRegion).Bytes()[off:]
-	frame, err := appendSumFrame(own[:0:r.anchorCap()], slot, r.cluster.epoch)
+	frame, err := codec.AppendDeltaRecord(own[:0:r.anchorCap()], codec.DeltaRecord{
+		Kind: codec.FrameAnchor, Version: slot.version, Epoch: r.cluster.epoch, Counts: slot.counts, C: slot.call})
 	if err != nil || len(frame) > r.anchorCap() {
 		// The summary outgrew its slot: surface a hard configuration error.
-		panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte frame for a %d-byte anchor area (%v)",
+		panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte anchor for a %d-byte anchor area (%v)",
 			r.id, len(frame), r.anchorCap(), err))
 	}
 	// Then propagate to every other node with unsignaled one-sided writes,
 	// inline only when the CPU has nothing else queued (rdma.Coalescer).
 	// Summary and applied
-	// count travel in one frame, so no remote node can observe the count
+	// count travel in one record, so no remote node can observe the count
 	// without the summary (the S-before-A ordering of rule REDUCE). The
 	// writes are queued per peer — the coalescer copies what it is given, so
 	// the slot's own bytes and the scratch record go in as they are — and
 	// flushed as one chained doorbell, a burst's calls to one slot as one
 	// δ-record in one write; successive versions of a slot stay ordered on
-	// the QP. The propagated frame is usually a small δ-record into the
-	// slot's log area; when the log fills, the full frame is re-anchored
-	// instead.
+	// the QP. The propagated record is usually a small δ-record into the
+	// slot's log area; when the log fills, the anchor ships instead.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
@@ -374,7 +375,7 @@ func (r *Replica) slotOffset(g int, p spec.ProcID) int {
 	return (g*r.n + int(p)) * r.opts.SumSlotSize
 }
 
-// anchorCap is the slot prefix holding the full-state anchor frame; the
+// anchorCap is the slot prefix holding the full-state anchor; the
 // remaining DeltaLogBytes tail is the δ-record log.
 func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogBytes }
 
@@ -453,39 +454,7 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 	panic("core: method not in its summarization group")
 }
 
-// appendSumFrame appends slot s as one validated slot frame to dst, in a
-// single pass through the append-style codec encoders. The frame's payload is
-// the call record of the summary call with its applied counts, then the
-// uvarint epoch, which stamps the frame with the configuration its writer
-// believed current; adopters reject frames stamped before the writer's
-// departure epoch (see the floors on Replica).
-func appendSumFrame(dst []byte, s *sumSlot, epoch uint32) ([]byte, error) {
-	b, err := codec.AppendDeltaRecord(codec.BeginSlot(dst, s.version),
-		codec.DeltaRecord{Kind: codec.FrameFull, Counts: s.counts, C: s.call})
-	if err != nil {
-		return dst, err
-	}
-	return codec.FinishSlot(codec.AppendUvarint(b, uint64(epoch)), len(dst)), nil
-}
-
-// decodeSumSlot decodes the payload of a slot frame appendSumFrame wrote into
-// rec (reusing its arrays) and returns the frame's epoch.
-func decodeSumSlot(rec *codec.DeltaRecord, b []byte) (epoch uint32, err error) {
-	h, err := codec.PeekDeltaRecord(b)
-	if err != nil {
-		return 0, err
-	}
-	if err := codec.DecodeDeltaBody(rec, b, h); err != nil {
-		return 0, err
-	}
-	e, m, err := codec.Uvarint(b[h.Total:])
-	if err != nil || h.Kind != codec.FrameFull || h.Total+m != len(b) || e > math.MaxUint32 {
-		return 0, codec.ErrCorrupt
-	}
-	return uint32(e), nil
-}
-
-// staleSlot reports (and counts) a slot frame from source p stamped before
+// staleSlot reports (and counts) an anchor from source p stamped before
 // p's departure epoch: a write the configuration no longer accepts.
 func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
 	if r.floors[p].Admits(epoch) {
@@ -498,7 +467,7 @@ func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
 // scanSummaries polls the local summary region for slots remotely
 // overwritten by peers and adopts newer versions: the decoded summary call
 // replaces the cached one and the applied counts advance. Each slot is an
-// anchor frame plus a δ-record log; the scan adopts a newer anchor and then
+// anchor plus a δ-record log; the scan adopts a newer anchor and then
 // folds contiguous δ-records on top.
 func (r *Replica) scanSummaries() {
 	if r.node.Suspended() || r.node.Crashed() {
@@ -540,25 +509,28 @@ func (r *Replica) scanSummaries() {
 	}
 }
 
-// adoptFrame replaces peer p's summary wholesale with the full-state frame
-// (payload, ver) — found in the local region by a scan, or read from p's own
-// copy — unless it is malformed or stamped below p's epoch floor. The frame is
-// decoded into the replica's anchor scratch, and only a frame that passes both
-// checks swaps arrays with the slot: the slot takes the decoded summary, the
-// scratch the old one's arrays for the next anchor to decode into.
-func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, payload []byte, ver uint32, src string) bool {
+// adoptFrame replaces peer p's summary wholesale with the anchor at the front
+// of b, which PeekDeltaRecord validated as h — found in the local region by a
+// scan, or read from p's own copy — unless it is no anchor, its body is
+// malformed or it is stamped below p's epoch floor. The body is decoded into
+// the replica's anchor scratch, and only an anchor that passes every check
+// swaps arrays with the slot: the slot takes the decoded summary, the scratch
+// the old one's arrays for the next anchor to decode into.
+func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, b []byte, h codec.DeltaHeader, src string) bool {
+	if h.Kind != codec.FrameAnchor {
+		return false
+	}
 	rec := &r.anchorRec
 	// Give the scratch the slot's room first, so the swap never leaves the
 	// slot less to fold into than it had: a growing summary then reallocates
 	// once per doubling on this side too, not at every anchor.
 	rec.C.Args.I = reserve(rec.C.Args.I, cap(slot.call.Args.I))
 	rec.C.Args.S = reserve(rec.C.Args.S, cap(slot.call.Args.S))
-	sepoch, err := decodeSumSlot(rec, payload)
-	if err != nil || r.staleSlot(p, sepoch) {
+	if codec.DecodeDeltaBody(rec, b, h) != nil || r.staleSlot(p, h.Epoch()) {
 		return false
 	}
 	slot.call, rec.C = rec.C, slot.call
-	r.installScan(g, p, slot, ver, rec.Counts, src)
+	r.installScan(g, p, slot, h.Version, rec.Counts, src)
 	r.dirtyViews()
 	return true
 }
@@ -594,14 +566,14 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 }
 
 // tornParkScans is how many consecutive scans a delta slot may sit on a
-// torn frame with no forward progress before the reader stops waiting and
+// torn record with no forward progress before the reader stops waiting and
 // fetches the writer's own full state: a torn landing heals within one
 // fabric delay, so a persistent one means the writer died mid-write or the
 // local copy is damaged beyond what retrying can fix.
 const tornParkScans = 3
 
 // scanSlot adopts one peer slot. The anchor
-// frame at the slot head re-bases the state when newer; the δ-record log is
+// at the slot head re-bases the state when newer; the δ-record log is
 // then walked from the front: records at or below the current version are
 // stale leftovers of earlier rounds (validated, then skipped undecoded), a
 // record whose run starts at version+1 is decoded into the replica's scratch
@@ -611,10 +583,10 @@ const tornParkScans = 3
 // straddling the current version (a fetch landed mid-run) holds calls the
 // summary already has — so the reader schedules a one-sided fetch of the
 // writer's authoritative full state instead of folding onto the wrong base.
-// The second result reports the slot unreadable this pass (torn frame or log
+// The second result reports the slot unreadable this pass (torn anchor or log
 // record).
 //
-// The walk pays for news, not for the log: the anchor frame and the log
+// The walk pays for news, not for the log: the anchor and the log
 // prefix an earlier scan validated are not validated again while no write has
 // touched their bytes (rdma.Region.Moved, which every landing and adoptSlot's
 // install stamp), and the walk starts behind that prefix. Every record in it
@@ -627,18 +599,18 @@ func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region
 	region := reg.Bytes()
 	changed := false
 	stuck := false
-	// The anchor frame, unless it is the one an earlier scan validated.
-	var payload []byte
-	var ver uint32
+	// The anchor, unless it is the one an earlier scan validated.
 	var err error
-	if a := slot.anchor; a.gen != 0 && r.unmoved(reg, off, codec.SlotOverhead+a.n, a.gen) {
-		payload, ver = region[off+8:off+8+a.n], a.ver
-	} else if payload, ver, err = codec.DecodeSlot(region[off : off+r.anchorCap()]); err == nil {
-		r.statValidated++
-		slot.anchor = seenFrame{gen: gen, ver: ver, n: len(payload)}
+	a := &slot.anchor
+	if a.gen == 0 || !r.unmoved(reg, off, a.h.Total, a.gen) {
+		var h codec.DeltaHeader
+		if h, err = codec.PeekDeltaRecord(region[off : off+r.anchorCap()]); err == nil {
+			r.statValidated++
+			*a = seenAnchor{gen: gen, h: h}
+		}
 	}
 	if err == nil {
-		changed = ver > slot.version && r.adoptFrame(g, p, slot, payload, ver, "anchor")
+		changed = a.h.Version > slot.version && r.adoptFrame(g, p, slot, region[off:], a.h, "anchor")
 	} else if errors.Is(err, codec.ErrTorn) {
 		r.statTorn++
 		stuck = true
@@ -732,8 +704,8 @@ func tailStart(logOff, end int) int {
 }
 
 // fetchSlot recovers a delta slot that cannot make forward progress (a
-// version gap or a persistently torn frame) with a one-sided read of the
-// writer's own copy, whose anchor area always holds the current full frame.
+// version gap or a persistently torn record) with a one-sided read of the
+// writer's own copy, whose anchor area always holds the current full summary.
 // At most one fetch per slot is outstanding.
 func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	// Repair already targets suspects, so gap fetches skip them.
@@ -742,10 +714,10 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	}
 	slot.fetching = true
 	r.statGapFetch++
-	r.readSlotValidated(rdma.NodeID(p), g, p, func(data []byte) {
+	r.readSlotValidated(rdma.NodeID(p), g, p, func(data []byte, h codec.DeltaHeader) {
 		slot.fetching = false
 		if data != nil {
-			r.adoptSlot(g, p, data)
+			r.adoptSlot(g, p, data, h)
 		}
 	})
 }
@@ -1291,21 +1263,23 @@ func (r *Replica) isSuccessor(peer rdma.NodeID) bool {
 const slotReadRetries = 3
 
 // readSlotValidated issues a one-sided read of (g, p)'s summary slot at
-// peer and delivers only a CRC-validated frame to done. A torn read is
-// counted in torn_rejects and re-read, bounded by slotReadRetries; read
-// errors and exhausted retries drop the read silently — the periodic
-// summary scan observes the healed slot later.
-func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done func(data []byte)) {
+// peer and delivers only a slot whose head record is CRC-validated to done,
+// with the record's header; done gets nil on failure. A torn read is counted
+// in torn_rejects and re-read, bounded by slotReadRetries; read errors and
+// exhausted retries drop the read silently — the periodic summary scan
+// observes the healed slot later.
+func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done func(data []byte, h codec.DeltaHeader)) {
 	off := r.slotOffset(g, p)
 	var attempt func(left int)
 	attempt = func(left int) {
 		r.node.QP(peer).Read(r.sumRegion, off, r.opts.SumSlotSize,
 			func(data []byte, err error) {
 				if err != nil {
-					done(nil)
+					done(nil, codec.DeltaHeader{})
 					return
 				}
-				if _, _, derr := codec.DecodeSlot(data); derr != nil {
+				h, derr := codec.PeekDeltaRecord(data)
+				if derr != nil {
 					if errors.Is(derr, codec.ErrTorn) {
 						r.statTorn++
 						if left > 0 {
@@ -1313,10 +1287,10 @@ func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done
 							return
 						}
 					}
-					done(nil)
+					done(nil, h)
 					return
 				}
-				done(data)
+				done(data, h)
 			})
 	}
 	attempt(slotReadRetries)
@@ -1332,11 +1306,11 @@ func (r *Replica) repairSummaries(peer rdma.NodeID) {
 	}
 	for g := range r.sums {
 		g := g
-		r.readSlotValidated(peer, g, spec.ProcID(peer), func(data []byte) {
+		r.readSlotValidated(peer, g, spec.ProcID(peer), func(data []byte, h codec.DeltaHeader) {
 			if data == nil {
 				return
 			}
-			if r.adoptSlot(g, spec.ProcID(peer), data) {
+			if r.adoptSlot(g, spec.ProcID(peer), data, h) {
 				r.statRecovered++
 			}
 		})
@@ -1377,20 +1351,22 @@ func (r *Replica) InvokeFresh(q spec.MethodID, args spec.Args, onDone func(resul
 	r.submit(q, args, true, onDone)
 }
 
-// refresh is a fresh query's issue work: it reads every peer's summary slot
-// from the peer's own copy, adopts anything newer, and queues the query once
-// the last read is in.
+// refresh is a fresh query's issue work: it reads every other member's
+// summary slot from the member's own copy, adopts anything newer, and queues
+// the query once the last read is in. A departed node is not read: it keeps
+// running as an observer and stamps the cluster's current epoch, so its
+// floor cannot tell what it wrote after it left from what it wrote before.
 func (r *Replica) refresh(cc clientCall) {
 	remaining := 0
 	for g := range r.sums {
 		for p := 0; p < r.n; p++ {
-			if spec.ProcID(p) == r.id {
+			if spec.ProcID(p) == r.id || !r.cluster.members[p] {
 				continue
 			}
 			remaining++
-			r.readSlotValidated(rdma.NodeID(p), g, spec.ProcID(p), func(data []byte) {
+			r.readSlotValidated(rdma.NodeID(p), g, spec.ProcID(p), func(data []byte, h codec.DeltaHeader) {
 				if data != nil {
-					r.adoptSlot(g, spec.ProcID(p), data)
+					r.adoptSlot(g, spec.ProcID(p), data, h)
 				}
 				if remaining--; remaining == 0 {
 					r.queueQuery(cc)
@@ -1398,26 +1374,23 @@ func (r *Replica) refresh(cc clientCall) {
 			})
 		}
 	}
-	if remaining == 0 { // single-node cluster
+	if remaining == 0 { // no other member
 		r.queueQuery(cc)
 	}
 }
 
-// adoptSlot installs a freshly read remote slot if it is newer than the
-// local copy, returning whether anything changed.
-func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte) bool {
-	payload, ver, err := codec.DecodeSlot(data)
-	if err != nil {
-		return false
-	}
+// adoptSlot installs a freshly read remote slot, whose anchor
+// readSlotValidated validated as h, if it is newer than the local copy,
+// returning whether anything changed.
+func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte, h codec.DeltaHeader) bool {
 	slot := r.sums[g][p]
-	if ver <= slot.version || !r.adoptFrame(g, p, slot, payload, ver, "read") {
+	if h.Version <= slot.version || !r.adoptFrame(g, p, slot, data, h, "read") {
 		return false
 	}
-	// Install only the frame's used prefix: the rest of the slot is the
-	// δ-record log, and overwriting it with the bytes of
-	// a read issued one RTT ago would clobber records that landed since.
-	r.node.Region(r.sumRegion).Write(r.slotOffset(g, p), data[:codec.SlotOverhead+len(payload)])
+	// Install only the anchor: the rest of the slot is the δ-record log, and
+	// overwriting it with the bytes of a read issued one RTT ago would
+	// clobber records that landed since.
+	r.node.Region(r.sumRegion).Write(r.slotOffset(g, p), data[:h.Total])
 	r.kickApply()
 	return true
 }

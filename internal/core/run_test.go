@@ -53,9 +53,10 @@ func runLaw(t *testing.T, cls *spec.Class, g int, seed int64, straddle, foldStra
 			if straddle && i == j-1 {
 				// Adopted as a fetch adopts it, but left out of p1's anchor
 				// area, whose next scan would re-adopt it under the mutation.
-				payload, ver, err := codec.DecodeSlot(r0.node.Region(r0.sumRegion).Bytes()[off : off+r0.anchorCap()])
-				if err != nil || !r1.adoptFrame(g, 0, r1.sums[g][0], payload, ver, "read") {
-					t.Fatalf("%s: p1 did not adopt p0's frame after %d of %d calls (%v)", cls.Name, j, k, err)
+				anchor := r0.node.Region(r0.sumRegion).Bytes()[off : off+r0.anchorCap()]
+				hd, err := codec.PeekDeltaRecord(anchor)
+				if err != nil || !r1.adoptFrame(g, 0, r1.sums[g][0], anchor, hd, "read") {
+					t.Fatalf("%s: p1 did not adopt p0's anchor after %d of %d calls (%v)", cls.Name, j, k, err)
 				}
 				if foldStraddle {
 					r1.sums[g][0].version -= uint32(j)

@@ -231,9 +231,6 @@ func MustAnalyze(cls *Class) *Analysis {
 	return a
 }
 
-// Conflicting reports whether method u needs synchronization.
-func (a *Analysis) Conflicting(u MethodID) bool { return a.Category[u] == CatConflicting }
-
 // HasFreeBuffers reports whether the class needs the F component of the
 // configuration (§4: one buffer per source for irreducible conflict-free
 // calls): some method is irreducible conflict-free. Like SumGroups for S and

@@ -60,8 +60,8 @@ type Options struct {
 
 	// Core is the per-shard cluster option template. Namespace, ShardTag,
 	// Tracer, Coalescers, FailureDomain and Leaders are overwritten per
-	// shard; everything else applies to every shard (per-shard overrides
-	// via ShardOptions). Zero value means core.DefaultOptions().
+	// shard; everything else applies to every shard alike. Zero value means
+	// core.DefaultOptions().
 	Core core.Options
 
 	// Tracer, when non-nil, is the root tracer: each shard records through
@@ -75,13 +75,9 @@ func DefaultOptions() Options {
 	return Options{MemoryBudget: 16 << 20, Core: core.DefaultOptions()}
 }
 
-// ShardOptions tunes one shard at Open; zero values inherit the store's
-// Core template. Hot shards earn bigger rings and slots through these.
-type ShardOptions struct {
-	SumSlotSize  int           // summary-slot bytes (hot shards: bigger summaries/δ-logs)
-	RingCapacity int           // broadcast and Mu log/request ring capacity
-	Leaders      []spec.ProcID // explicit group leaders (default: staggered by shard index)
-}
+// ShardOptions is Open's per-shard argument. It has no fields: every shard
+// takes the store's Core template.
+type ShardOptions struct{}
 
 // Store is a keyed directory of replicated objects sharing one fabric.
 type Store struct {
@@ -199,9 +195,9 @@ func footprintDetail(an *spec.Analysis, nodes int, o core.Options) (total, large
 // registration happens), then builds the shard's cluster with its regions
 // routed into the arenas, its Mu instances scoped per sync group per
 // shard, its traces stamped with the key, and its summary writes flowing
-// through the shared coalescers. Default group leaders are staggered by
+// through the shared coalescers. Group leaders are staggered by
 // shard index so consensus load spreads across the nodes.
-func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, error) {
+func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, error) {
 	if key == "" || strings.ContainsAny(key, ":,[]") {
 		return nil, fmt.Errorf("store: invalid shard key %q (must be non-empty, without ':' ',' '[' ']')", key)
 	}
@@ -212,26 +208,15 @@ func (s *Store) Open(key string, an *spec.Analysis, so ShardOptions) (*Shard, er
 	}
 	n := s.fab.Size()
 	co := s.opts.Core
-	if so.SumSlotSize > 0 {
-		co.SumSlotSize = so.SumSlotSize
-	}
-	if so.RingCapacity > 0 {
-		co.Broadcast.RingCapacity = so.RingCapacity
-		co.Mu.RingCapacity = so.RingCapacity
-	}
 	ns := namespace(key)
 	co.Namespace = ns
 	co.ShardTag = key
 	co.Tracer = s.opts.Tracer.Scoped(key)
 	co.FailureDomain = s.fdom
 	co.Coalescers = s.coals
-	co.Leaders = so.Leaders
-	if co.Leaders == nil {
-		leaders := make([]spec.ProcID, len(an.SyncGroups))
-		for g := range leaders {
-			leaders[g] = spec.ProcID((g + s.nOpened) % n)
-		}
-		co.Leaders = leaders
+	co.Leaders = make([]spec.ProcID, len(an.SyncGroups))
+	for g := range co.Leaders {
+		co.Leaders[g] = spec.ProcID((g + s.nOpened) % n)
 	}
 
 	total, largest := footprintDetail(an, n, co)

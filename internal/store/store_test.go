@@ -339,30 +339,6 @@ func TestStaggeredLeadersSpreadAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestHotShardGetsBiggerRings(t *testing.T) {
-	opts := testOptions()
-	_, s := newStore(t, 3, 10, opts)
-	an := spec.MustAnalyze(crdt.NewORSet())
-	cold, err := s.Open("cold", an, ShardOptions{})
-	if err != nil {
-		t.Fatalf("open cold: %v", err)
-	}
-	hot, err := s.Open("hot", an, ShardOptions{RingCapacity: 1 << 14})
-	if err != nil {
-		t.Fatalf("open hot: %v", err)
-	}
-	if hot.Footprint() <= cold.Footprint() {
-		t.Fatalf("hot shard footprint %d not larger than cold %d despite bigger rings",
-			hot.Footprint(), cold.Footprint())
-	}
-	co := opts.Core
-	co.Broadcast.RingCapacity = 1 << 14
-	co.Mu.RingCapacity = 1 << 14
-	if hot.Footprint() != Footprint(an, 3, co) {
-		t.Fatalf("hot footprint %d does not match formula %d", hot.Footprint(), Footprint(an, 3, co))
-	}
-}
-
 func TestInvalidAndUnknownKeys(t *testing.T) {
 	_, s := newStore(t, 2, 11, testOptions())
 	an := spec.MustAnalyze(crdt.NewCounter())
