@@ -160,12 +160,13 @@ loc:
 # the entry points of the CI lanes and for running one gate alone.
 check: build fmt vet staticcheck test bench-test race fuzz health-exp
 
-# bench runs the package micro-benchmarks: the metrics registry, and the
+# bench runs the package micro-benchmarks: the metrics registry, the
 # effectors whose cost must not grow with the state — OR-set and cart remove,
 # and the referential deleteLeft cascade — each at 1 k and at 64 k live tags
-# or rows.
+# or rows, and the issuer's reducible call on a gset summary of 64 and of
+# 2 048 keys.
 bench:
-	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/crdt ./internal/schema
+	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/crdt ./internal/schema ./internal/core
 
 # allocs runs every testing.AllocsPerRun pin under internal/, uncached and
 # verbose, so a host-cost change prints its counts with one command. The pins

@@ -224,9 +224,10 @@ func (p Plan) Validate() error {
 // Mutant is one entry of the catalogue of bugs the harness injects to prove
 // that a checker catches them. A plan names the mutants it installs
 // (Plan.Mutants), and the runner puts each where it applies: no-recovery
-// into the options every cluster is built with, apply-order and stale-scan
-// onto every built cluster, cross-wire onto the opened shard pairs, and
-// stale-reads into the client sessions. Production types carry none of them.
+// into the options every cluster is built with, apply-order, stale-scan and
+// no-local-delta onto every built cluster, cross-wire onto the opened shard
+// pairs, and stale-reads into the client sessions. Production types carry
+// none of them.
 type Mutant struct {
 	Name string
 	Doc  string // the bug, in one line
@@ -244,10 +245,15 @@ var Mutants = []Mutant{
 		needs: "sessions > 0", holds: func(p Plan) bool { return p.Sessions > 0 }},
 	{Name: "no-recovery", Doc: "failure handling off: no heartbeats, detectors, backup recovery or leader change"},
 	{Name: "stale-scan", Doc: "the summary scan trusts the anchor and log prefix it validated after a write touched them",
-		needs: "a class with a summarization group", holds: func(p Plan) bool {
-			cls, err := Class(p.Class)
-			return err == nil && len(cls.SumGroups) > 0
-		}},
+		needs: "a class with a summarization group", holds: summarized},
+	{Name: "no-local-delta", Doc: "an issuer installs the anchors it ships in its own summary slot but not the δ-records",
+		needs: "a class with a summarization group", holds: summarized},
+}
+
+// summarized reports whether the plan's class has a summarization group.
+func summarized(p Plan) bool {
+	cls, err := Class(p.Class)
+	return err == nil && len(cls.SumGroups) > 0
 }
 
 // mutated reports whether the plan installs the named mutant.

@@ -305,6 +305,9 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		if p.mutated("stale-scan") {
 			sh.cluster.MutateStaleScan()
 		}
+		if p.mutated("no-local-delta") {
+			sh.cluster.MutateNoLocalDelta()
+		}
 		if p.mutated("cross-wire") && i%2 == 1 {
 			core.CrossWire(r.shards[i-1].cluster, sh.cluster)
 		}

@@ -74,12 +74,15 @@ func sessionReconfigPlan(stale bool) chaos.Plan {
 // control is one catalogue mutant's row source: its control-plan family, the
 // options the family runs at, whether the family without the mutant must
 // pass (its healthy twin), what every run must show, and, where the mutant's
-// counterexample is shrunk, the shrink and its bound.
+// counterexample is shrunk, the shrink and its bound. A mutant no checker
+// catches yet is marked notYet instead, with the ROADMAP item that will catch
+// it and the unit test that does today; its rows must then stay at zero.
 type control struct {
 	mutant string
 	opts   chaos.Options
 	family []chaos.Plan
 	twin   bool
+	notYet string
 	caught func(t *testing.T, v *chaos.Verdict)
 	// shrink shrinks a counterexample of the family's verdicts and returns
 	// its size; unit names what the size counts, bound its limit.
@@ -183,7 +186,25 @@ func controls(t *testing.T) []control {
 		// overwrites what a reader validated.
 		mutant: "stale-scan", family: []chaos.Plan{staleScanPlan(t)}, twin: true,
 		caught: wantQuiescence,
+	}, {
+		// A writer that leaves its δ-records out of its own slot serves a gap
+		// fetch its last anchor alone: the reader adopts nothing and waits for
+		// the records the log still brings, so every replica converges and
+		// every adoption it makes is sound. Only when calls become visible
+		// tells, which no checker measures yet. The corpus plan tears writes
+		// for 20–60 µs and recovers through gap fetches.
+		mutant: "no-local-delta", family: []chaos.Plan{noLocalDeltaPlan(t)}, twin: true,
+		notYet: "ROADMAP item 3 (visibility); caught by core.TestDeltaGapFetchesFullState",
+		caught: func(*testing.T, *chaos.Verdict) {},
 	}}
+}
+
+// noLocalDeltaPlan is the no-local-delta mutant's control: a corpus plan
+// whose torn writes send readers to the writer's own slot.
+func noLocalDeltaPlan(t *testing.T) chaos.Plan {
+	p := readPlan(t, filepath.Join("..", "chaos", "testdata", "chaos", "bankmap-torn-long-seed2101.json"))
+	p.Mutants = []string{"no-local-delta"}
+	return p
 }
 
 // staleScanPlan is the stale-scan mutant's control: the corpus plan whose
@@ -211,13 +232,16 @@ func wantQuiescence(t *testing.T, v *chaos.Verdict) {
 // so a change that weakens a checker shows as a diff. The test fails when a
 // line's catch count falls below the golden's, when a shrunk size exceeds its
 // bound, when a run misses what its control asserts, when a healthy twin
-// fails, and when a catalogue mutant is caught by no checker — under -update
-// too, which then leaves the golden as it is.
+// fails, when a catalogue mutant is caught by no checker and not marked "not
+// yet", and when one so marked is caught — under -update too, which then
+// leaves the golden as it is.
 func TestCatchMatrix(t *testing.T) {
 	pinned := goldenCatches(t)
 	var b strings.Builder
 	caught := make(map[string]int)
+	notYet := make(map[string]bool)
 	for _, c := range controls(t) {
+		notYet[c.mutant] = c.notYet != ""
 		t.Run(c.mutant, func(t *testing.T) {
 			rows := []struct {
 				checker string
@@ -257,6 +281,9 @@ func TestCatchMatrix(t *testing.T) {
 				rows[1].shrunk = fmt.Sprintf(" shrunk=%d/%d %s", size, c.bound, c.unit)
 			}
 			fmt.Fprintf(&b, "# %s: %s\n", c.mutant, mutantDoc(c.mutant))
+			if c.notYet != "" {
+				fmt.Fprintf(&b, "# not yet: %s\n", c.notYet)
+			}
 			for _, row := range rows {
 				key := c.mutant + " " + row.checker
 				if want, ok := pinned[key]; ok && row.caught < want {
@@ -273,8 +300,11 @@ func TestCatchMatrix(t *testing.T) {
 		})
 	}
 	for _, m := range chaos.Mutants {
-		if caught[m.Name] == 0 {
+		switch {
+		case caught[m.Name] == 0 && !notYet[m.Name]:
 			t.Errorf("mutant %s is caught by no checker", m.Name)
+		case caught[m.Name] > 0 && notYet[m.Name]:
+			t.Errorf("mutant %s is caught: drop its not-yet mark", m.Name)
 		}
 	}
 	got := b.String()

@@ -73,9 +73,10 @@ type Options struct {
 	// log area, and the full summarized state is rewritten only when the log
 	// fills. Remote scanners fold the δ-records onto their last adopted state
 	// and fall back to a one-sided full-state fetch of the writer's own slot
-	// on a version gap or a persistently torn record. The writer's own region
-	// always holds the current anchor, so repair, recovery and recency
-	// reads stay anchor-aware for free.
+	// on a version gap or a persistently torn record. The writer installs
+	// every record it ships in its own slot too, so that copy holds what each
+	// peer's does; a fetch, repair or recency read folds its anchor and log
+	// the way a scan does.
 	//
 	// DeltaLogBytes is the tail portion of each summary slot reserved for
 	// the δ-record log; the rest holds the full-state anchor. Zero,
@@ -298,6 +299,16 @@ func (c *Cluster) MutateStaleScan() {
 	}
 }
 
+// MutateNoLocalDelta installs the no-local-delta mutant on every replica: an
+// issuer installs the anchors it ships in its own slot but not the
+// δ-records, so a fetch, repair or recency read of that slot misses the calls
+// since its anchor. It is for the mutation controls only.
+func (c *Cluster) MutateNoLocalDelta() {
+	for _, r := range c.Replicas {
+		r.mutateLocal = true
+	}
+}
+
 // CrossWire installs the cross-wire mutant on two clusters of one fabric:
 // replica p of each delivers the irreducible conflict-free broadcasts it
 // receives into replica p of the other. It is for the conformance harness
@@ -338,14 +349,9 @@ type sumSlot struct {
 	// What earlier scans validated (scanSlot), each with the summary
 	// region's generation the bytes were read at: bytes no write has touched
 	// since are not validated again.
-	anchor seenAnchor // the anchor
-	walked seenLog    // the log prefix the walk has passed
-}
-
-// seenAnchor is a validated anchor: its header.
-type seenAnchor struct {
-	gen uint64 // 0: none
-	h   codec.DeltaHeader
+	anchor    codec.DeltaHeader // the anchor's header
+	anchorGen uint64            // 0: none
+	walked    seenLog           // the log prefix the walk has passed
 }
 
 // seenLog is the prefix [0, end) of a slot's δ-log that a walk validated and
@@ -435,16 +441,16 @@ type Replica struct {
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
 	// recBuf is where nextDelta, invokeFree, invokeConf and leaderTransform
-	// encode the record they hand on; the coalescer, the broadcast, mu.Submit
-	// and mu (which copies Transform's result into the entry) copy it before it
-	// is reused.
+	// encode the record they hand on; the summary region, the coalescer, the
+	// broadcast, mu.Submit and mu (which copies Transform's result into the
+	// entry) copy it before it is reused.
 	recBuf []byte
-	// The scratch records: scanSlot decodes the δ-record it folds into
-	// deltaRec, which Summarize and the views only borrow; adoptFrame decodes
-	// an anchor into anchorRec, whose arrays it swaps with the slot's once the
-	// frame has passed every check; and callRec is where leaderTransform
-	// decodes the call it orders, and onFreeDelivery and onConfDelivery each
-	// record they buffer, to validate it.
+	// The scratch records: walkLog decodes the δ-record it folds into
+	// deltaRec, which Summarize and the views only borrow; adoptAnchor decodes
+	// an anchor into anchorRec, folds a read log onto it and swaps its arrays
+	// with the slot's once it has passed every check; and callRec is where
+	// leaderTransform decodes the call it orders, and onFreeDelivery and
+	// onConfDelivery each record they buffer, to validate it.
 	deltaRec  codec.DeltaRecord
 	anchorRec codec.DeltaRecord
 	callRec   codec.DeltaRecord
@@ -496,6 +502,7 @@ type Replica struct {
 	applyStepFn func() // r.applyStep bound once: a kick allocates nothing
 	mutateOrder bool   // the apply-order mutant (Cluster.MutateApplyOrder)
 	mutateScan  bool   // the stale-scan mutant (Cluster.MutateStaleScan)
+	mutateLocal bool   // the no-local-delta mutant (Cluster.MutateNoLocalDelta)
 
 	// Per-source epoch floors for summary-slot adoption (dynamic
 	// membership). A leave commit parks the departed source's new floor;
@@ -528,7 +535,7 @@ type Replica struct {
 	statAnchors    uint64 // full-state anchor rewrites
 	statGapFetch   uint64 // full-state fetches after a gap or CRC park
 	statStaleSlots uint64 // anchors rejected by the epoch floor
-	statValidated  uint64 // anchors and log records the scan validated: one CRC pass each
+	statValidated  uint64 // anchors the scan and log records the walks validated: one CRC pass each
 }
 
 func newReplica(c *Cluster, id spec.ProcID) *Replica {

@@ -213,8 +213,10 @@ func TestDeltaTornParkFetchesFullState(t *testing.T) {
 // rejected whether the new anchor is longer or shorter than the old. Each
 // scan counts it in core.torn_rejects, and after tornParkScans stuck scans
 // the reader fetches the writer's own slot, whose anchor it adopts and
-// installs over the torn bytes. The reader's scans run by hand, and its log
-// is wiped, as if the δ-record beside the re-anchor had been lost.
+// installs over the torn bytes. The writer's log is the smallest, filled by
+// add(0) calls a flush apart, so the second add is the re-anchor. The
+// reader's scans run by hand, and its log is wiped, as if the δ-records
+// before the re-anchor had been lost.
 func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -224,6 +226,7 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 		h := newHarness(t, crdt.NewCounter(), 2, 76, func(o *Options) {
 			o.DisableFailureHandling = true
 			o.Metrics = reg
+			o.DeltaLogBytes = MinDeltaLogBytes
 		})
 		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
 		r1.stop()
@@ -233,24 +236,37 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 		if v := r1.sums[0][0].version; v != 1 {
 			t.Fatalf("%s: p1 holds v%d of p0's slot, want the first anchor", tc.name, v)
 		}
-		h.invoke(0, crdt.CounterAdd, spec.ArgsI(tc.b))
-		h.eng.RunFor(100 * sim.Microsecond)
-
 		off := r0.slotOffset(0, 0)
 		mine := r1.node.Region(r1.sumRegion)
-		old, err := codec.PeekDeltaRecord(mine.Bytes()[off:])
+		held := bytes.Clone(mine.Bytes()[off : off+r1.anchorCap()])
+		old, err := codec.PeekDeltaRecord(held)
 		if err != nil {
 			t.Fatal(err)
 		}
+		for dw := &r0.deltaW[0]; ; { // until the log has no room for one more record like the last
+			at := dw.logOff
+			h.invoke(0, crdt.CounterAdd, spec.ArgsI(0))
+			h.eng.RunFor(100 * sim.Microsecond)
+			if dw.logOff+(dw.logOff-at) > r0.opts.DeltaLogBytes {
+				break
+			}
+		}
+		h.invoke(0, crdt.CounterAdd, spec.ArgsI(tc.b))
+		h.eng.RunFor(100 * sim.Microsecond)
+		ver := r0.sums[0][0].version
+
 		theirs := r0.node.Region(r0.sumRegion).Bytes()[off:]
 		hd, err := codec.PeekDeltaRecord(theirs)
-		if err != nil || hd.Kind != codec.FrameAnchor || hd.Version != 2 {
-			t.Fatalf("%s: p0's own slot holds %+v (%v), want its v2 anchor", tc.name, hd, err)
+		if err != nil || hd.Kind != codec.FrameAnchor || hd.Version != ver || r0.statAnchors != 2 {
+			t.Fatalf("%s: p0's own slot holds %+v (%v) after %d anchors, want its second, v%d", tc.name, hd, err, r0.statAnchors, ver)
 		}
 		if grows := hd.Total > old.Total; grows != (tc.name == "growing") {
 			t.Fatalf("%s: the new anchor is %d bytes, the old %d", tc.name, hd.Total, old.Total)
 		}
+		// The re-anchor landed whole at p1: put back the anchor area p1 held,
+		// and land the re-anchor again, torn.
 		next := bytes.Clone(theirs[:hd.Total])
+		mine.Write(off, held)
 		mine.Write(off+r1.anchorCap(), make([]byte, r1.opts.DeltaLogBytes))
 		mine.Write(off, next[:4])
 		mine.Write(off+len(next)-4, next[len(next)-4:])
@@ -270,8 +286,8 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 			}
 		}
 		h.eng.RunFor(100 * sim.Microsecond)
-		if v, st := r1.sums[0][0].version, r1.CurrentState().(*crdt.CounterState); v != 2 || st.V != tc.a+tc.b {
-			t.Fatalf("%s: after the fetch p1 holds v%d, counter %d; want v2, %d", tc.name, v, st.V, tc.a+tc.b)
+		if v, st := r1.sums[0][0].version, r1.CurrentState().(*crdt.CounterState); v != ver || st.V != tc.a+tc.b {
+			t.Fatalf("%s: after the fetch p1 holds v%d, counter %d; want v%d, %d", tc.name, v, st.V, ver, tc.a+tc.b)
 		}
 		if !bytes.Equal(mine.Bytes()[off:off+len(next)], next) {
 			t.Fatalf("%s: the fetched anchor was not installed over the torn bytes", tc.name)
@@ -286,14 +302,33 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 // TestDeltaGapFetchesFullState forges the failure the gap rule exists for:
 // the reader's log jumps versions because intermediate δ-records were lost.
 // The reader must not fold across the hole; it recovers the writer's
-// authoritative full state with a one-sided read instead.
+// authoritative full state with a one-sided read instead: the writer's own
+// anchor, v1, with the run v2..v3 its log holds folded on.
+//
+// The no-local-delta mutant (Cluster.MutateNoLocalDelta) is the control: a
+// writer that leaves its δ-records out of its own slot serves the fetch its
+// v1 anchor alone, and the reader must be caught short of v3.
 func TestDeltaGapFetchesFullState(t *testing.T) {
+	if err := deltaGap(t, false); err != nil {
+		t.Fatal(err)
+	}
+	err := deltaGap(t, true)
+	if err == nil {
+		t.Fatal("a fetch of a writer that skips its own δ installs recovered the full state")
+	}
+	t.Logf("no-local-delta mutant caught: %v", err)
+}
+
+func deltaGap(t *testing.T, noLocalDelta bool) error {
 	h := newHarness(t, crdt.NewCounter(), 2, 75, func(o *Options) {
 		o.DisableFailureHandling = true
 	})
+	if noLocalDelta {
+		h.cluster.MutateNoLocalDelta()
+	}
 	h.eng.At(0, func() { h.invoke(0, crdt.CounterAdd, spec.ArgsI(5)) })
 	if !h.drain(20 * sim.Millisecond) {
-		t.Fatal("seed write did not replicate")
+		return fmt.Errorf("seed write did not replicate")
 	}
 
 	// Writer advances to v3 while its link to the reader is cut, so the
@@ -324,15 +359,59 @@ func TestDeltaGapFetchesFullState(t *testing.T) {
 	h.eng.RunFor(5 * sim.Millisecond)
 
 	if _, _, fetches := deltaStats(h.cluster); fetches == 0 {
-		t.Fatal("version gap did not trigger a full-state fetch")
+		return fmt.Errorf("version gap did not trigger a full-state fetch")
 	}
 	// The fetch adopted the writer's authoritative v3 state (5+7+9); the
 	// forged v4 was left behind by the version gate, not folded blindly.
 	if got := r1.CurrentState().(*crdt.CounterState).V; got != 21 {
-		t.Fatalf("reader state = %d after gap recovery, want 21", got)
+		return fmt.Errorf("reader state = %d after gap recovery, want 21", got)
 	}
 	if got := r0.CurrentState().(*crdt.CounterState).V; got != 21 {
-		t.Fatalf("writer state = %d, want 21", got)
+		return fmt.Errorf("writer state = %d, want 21", got)
+	}
+	return nil
+}
+
+// TestIssuerSlotMatchesEveryCopy pins the slot layout: the issuer's own slot
+// is written by the writes it ships and nothing else. On a counter and a
+// gset with the smallest δ-log, bursts of one to four calls a flush apart
+// fold into runs and re-anchor at least twice. Between two re-anchors the
+// issuer's anchor area does not change, and at quiescence its whole slot —
+// anchor, log and the stale bytes of earlier rounds — equals each peer's
+// copy byte for byte.
+func TestIssuerSlotMatchesEveryCopy(t *testing.T) {
+	for _, tc := range []struct {
+		cls *spec.Class
+		u   spec.MethodID
+	}{{crdt.NewCounter(), crdt.CounterAdd}, {crdt.NewGSet(), crdt.GSetAdd}} {
+		h := newHarness(t, tc.cls, 3, 81, func(o *Options) {
+			o.DisableFailureHandling = true
+			o.DeltaLogBytes = MinDeltaLogBytes
+		})
+		r0 := h.cluster.Replica(0)
+		off := r0.slotOffset(0, 0)
+		own := r0.node.Region(r0.sumRegion).Bytes()[off : off+r0.opts.SumSlotSize]
+		var anchor []byte
+		anchors, runs := r0.statAnchors, 0
+		for r0.statAnchors < 3 || runs < 8 {
+			burstOf(h, tc.u, 3*runs, 1+runs%4)
+			h.eng.RunFor(20 * sim.Microsecond)
+			if r0.statAnchors != anchors {
+				anchors, anchor = r0.statAnchors, bytes.Clone(own[:r0.anchorCap()])
+			} else if !bytes.Equal(own[:r0.anchorCap()], anchor) {
+				t.Fatalf("%s: the issuer's anchor area moved between anchors, after run %d", tc.cls.Name, runs)
+			}
+			runs++
+		}
+		if !h.drain(20 * sim.Millisecond) {
+			t.Fatalf("%s: the runs did not replicate", tc.cls.Name)
+		}
+		for _, r := range h.cluster.Replicas[1:] {
+			if !bytes.Equal(r.node.Region(r.sumRegion).Bytes()[off:off+r.opts.SumSlotSize], own) {
+				t.Fatalf("%s: p%d's copy of p0's slot differs from p0's own after %d runs and %d anchors",
+					tc.cls.Name, r.id, runs, anchors)
+			}
+		}
 	}
 }
 
@@ -620,7 +699,7 @@ func TestScanValidatesOnlyNews(t *testing.T) {
 	}
 }
 
-// TestTornSlotReadIsReread: readSlotValidated re-reads a peer slot that fails
+// TestTornSlotReadIsReread: readSlot re-reads a peer slot that fails
 // its CRC. p0's own copy of its slot is forged torn through Region.Write (an
 // interior byte of the anchor flipped, its length word and trailer intact). Left torn, it is read
 // 1 + slotReadRetries times, each counted in core.torn_rejects, and dropped;
@@ -650,15 +729,9 @@ func TestTornSlotReadIsReread(t *testing.T) {
 		torn[10] ^= 0xFF
 		own.Write(off, torn)
 
-		var got []byte
-		done := false
+		got, done := false, false
 		h.eng.At(h.eng.Now()+1, func() {
-			r1.readSlotValidated(0, 0, 0, func(data []byte, hd codec.DeltaHeader) {
-				done = true
-				if data != nil && r1.adoptSlot(0, 0, data, hd) {
-					got = data
-				}
-			})
+			r1.readSlot(0, 0, 0, func(adopted bool) { got, done = adopted, true })
 		})
 		if heal {
 			var probe *sim.Ticker
@@ -675,10 +748,10 @@ func TestTornSlotReadIsReread(t *testing.T) {
 		switch {
 		case !done:
 			t.Fatalf("heal %v: the read never finished", heal)
-		case heal && (torns != 1 || got == nil || r1.sums[0][0].version != ver):
-			t.Fatalf("healed slot: %d torn reads, adopted %v, p1 at version %d; want 1, true, %d", torns, got != nil, r1.sums[0][0].version, ver)
-		case !heal && (torns != 1+slotReadRetries || got != nil):
-			t.Fatalf("torn slot: %d torn reads, adopted %v; want %d and nothing", torns, got != nil, 1+slotReadRetries)
+		case heal && (torns != 1 || !got || r1.sums[0][0].version != ver):
+			t.Fatalf("healed slot: %d torn reads, adopted %v, p1 at version %d; want 1, true, %d", torns, got, r1.sums[0][0].version, ver)
+		case !heal && (torns != 1+slotReadRetries || got):
+			t.Fatalf("torn slot: %d torn reads, adopted %v; want %d and nothing", torns, got, 1+slotReadRetries)
 		}
 	}
 }

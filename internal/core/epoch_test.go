@@ -117,10 +117,9 @@ func TestLeaveRevokesWrites(t *testing.T) {
 		}
 	}
 
-	// The write did land in the departed node's own slot, stamped with the
-	// cluster's new epoch, which its floor admits. A member's fresh query
-	// must not read it from there: it answers 1, leaves the member at 1 and
-	// counts no stale reject, since nothing stale was read.
+	// The write did land in the departed node's own slot. A member's fresh
+	// query must not read it from there: it answers 1, leaves the member at 1
+	// and counts no stale reject, since nothing stale was read.
 	var got any
 	h.cluster.Replica(0).InvokeFresh(crdt.CounterValue, spec.Args{}, func(v any, err error) {
 		if err != nil {

@@ -305,43 +305,42 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	r.foldViews(c)
 	slot.version++
 
-	// The anchor is one call record (codec.FrameAnchor: the summary call,
+	// The call ships as one record in one write: usually a small δ-record
+	// into the slot's log area (nextDelta), and when the log fills the anchor,
+	// one call record at the slot head (codec.FrameAnchor: the summary call,
 	// its applied counts and the epoch that stamps it with the configuration
-	// its writer believed current; adopters reject anchors stamped before the
-	// writer's departure epoch, see the floors on Replica). It is
-	// self-delimiting, so only the used bytes are framed and travel; stale
-	// bytes beyond them are never read. For a counter this shrinks the wire
-	// cost from the full slot (16 KB) to ~25 bytes. It is encoded once, in
-	// place: the issuer's own slot is the authoritative backup that peers
-	// repair from on failure, and the anchor a gap fetch reads — it holds the
-	// current full summary even between remote anchors.
-	off := r.slotOffset(g, r.id)
-	own := r.node.Region(r.sumRegion).Bytes()[off:]
-	frame, err := codec.AppendDeltaRecord(own[:0:r.anchorCap()], codec.DeltaRecord{
-		Kind: codec.FrameAnchor, Version: slot.version, Epoch: r.cluster.epoch, Counts: slot.counts, C: slot.call})
-	if err != nil || len(frame) > r.anchorCap() {
-		// The summary outgrew its slot: surface a hard configuration error.
-		panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte anchor for a %d-byte anchor area (%v)",
-			r.id, len(frame), r.anchorCap(), err))
-	}
-	// Then propagate to every other node with unsignaled one-sided writes,
-	// inline only when the CPU has nothing else queued (rdma.Coalescer).
-	// Summary and applied
-	// count travel in one record, so no remote node can observe the count
-	// without the summary (the S-before-A ordering of rule REDUCE). The
-	// writes are queued per peer — the coalescer copies what it is given, so
-	// the slot's own bytes and the scratch record go in as they are — and
-	// flushed as one chained doorbell, a burst's calls to one slot as one
-	// δ-record in one write; successive versions of a slot stay ordered on
-	// the QP. The propagated record is usually a small δ-record into the
-	// slot's log area; when the log fills, the anchor ships instead.
+	// its writer believed current; adopters reject anchors stamped below the
+	// writer's departure epoch, see the floors on Replica). The issuer
+	// installs it in its own slot, the copy fetches, repairs and recency reads
+	// fold, which so holds what every peer's does, byte for byte; every other
+	// node gets it as an unsignaled one-sided write, inline only when the CPU
+	// has nothing else queued (rdma.Coalescer), queued per peer — the
+	// coalescer copies what it is given — and flushed as one chained doorbell,
+	// a burst's calls to one slot as one δ-record in one write. Summary and
+	// applied counts travel in one record, so no remote node can observe the
+	// count without the summary (the S-before-A ordering of rule REDUCE), and
+	// successive versions of a slot stay ordered on the QP.
 	var label string
 	if r.tracing() {
 		label = r.callLabel(c) // built only when tracing: keeps the hot path allocation-free
 	}
-	wr := rdma.WR{Region: r.sumRegion, Off: off, Data: frame, Label: label}
-	if rec, at := r.nextDelta(g, slot, c); rec != nil {
-		wr.Off, wr.Data = off+r.anchorCap()+at, rec
+	off := r.slotOffset(g, r.id)
+	own := r.node.Region(r.sumRegion)
+	rec, at := r.nextDelta(g, slot, c)
+	wr := rdma.WR{Region: r.sumRegion, Off: off + r.anchorCap() + at, Data: rec, Label: label}
+	if rec == nil {
+		// Encoded in place, so a growing summary costs no scratch.
+		frame, err := codec.AppendDeltaRecord(own.Bytes()[off:off:off+r.anchorCap()], codec.DeltaRecord{
+			Kind: codec.FrameAnchor, Version: slot.version, Epoch: r.cluster.epoch, Counts: slot.counts, C: slot.call})
+		if err != nil || len(frame) > r.anchorCap() {
+			// The summary outgrew its slot: surface a hard configuration error.
+			panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte anchor for a %d-byte anchor area (%v)",
+				r.id, len(frame), r.anchorCap(), err))
+		}
+		wr.Off, wr.Data = off, frame
+	}
+	if rec == nil || !r.mutateLocal {
+		own.Write(wr.Off, wr.Data)
 	}
 	r.propagate(g, wr)
 	r.statApplied++
@@ -454,16 +453,6 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 	panic("core: method not in its summarization group")
 }
 
-// staleSlot reports (and counts) an anchor from source p stamped before
-// p's departure epoch: a write the configuration no longer accepts.
-func (r *Replica) staleSlot(p spec.ProcID, epoch uint32) bool {
-	if r.floors[p].Admits(epoch) {
-		return false
-	}
-	r.statStaleSlots++
-	return true
-}
-
 // scanSummaries polls the local summary region for slots remotely
 // overwritten by peers and adopts newer versions: the decoded summary call
 // replaces the cached one and the applied counts advance. Each slot is an
@@ -509,14 +498,15 @@ func (r *Replica) scanSummaries() {
 	}
 }
 
-// adoptFrame replaces peer p's summary wholesale with the anchor at the front
-// of b, which PeekDeltaRecord validated as h — found in the local region by a
-// scan, or read from p's own copy — unless it is no anchor, its body is
-// malformed or it is stamped below p's epoch floor. The body is decoded into
-// the replica's anchor scratch, and only an anchor that passes every check
-// swaps arrays with the slot: the slot takes the decoded summary, the scratch
-// the old one's arrays for the next anchor to decode into.
-func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, b []byte, h codec.DeltaHeader, src string) bool {
+// adoptAnchor replaces peer p's summary wholesale with the anchor at the
+// front of b, validated as h, with the contiguous δ-records of log folded on
+// from the anchor's version — when that is newer than the slot, unless the
+// anchor is malformed or stamped below p's epoch floor. A scan passes no log;
+// a read of p's own copy passes its log, and folding from the anchor is what
+// makes a read that lands mid-run correct, where the slot's version may
+// straddle the run. Only an anchor that passes every check swaps arrays with
+// the slot: the slot takes the decoded summary, the scratch the old arrays.
+func (r *Replica) adoptAnchor(g int, p spec.ProcID, slot *sumSlot, b []byte, h codec.DeltaHeader, log []byte, src string) bool {
 	if h.Kind != codec.FrameAnchor {
 		return false
 	}
@@ -526,11 +516,22 @@ func (r *Replica) adoptFrame(g int, p spec.ProcID, slot *sumSlot, b []byte, h co
 	// once per doubling on this side too, not at every anchor.
 	rec.C.Args.I = reserve(rec.C.Args.I, cap(slot.call.Args.I))
 	rec.C.Args.S = reserve(rec.C.Args.S, cap(slot.call.Args.S))
-	if codec.DecodeDeltaBody(rec, b, h) != nil || r.staleSlot(p, h.Epoch()) {
+	if codec.DecodeDeltaBody(rec, b, h) != nil {
+		return false
+	}
+	r.walkLog(log, 0, rec.Version, func(d *codec.DeltaRecord) {
+		rec.C = r.cls.SumGroups[g].Summarize(rec.C, d.C)
+		rec.Version, rec.Counts = d.Version, append(rec.Counts[:0], d.Counts...)
+	})
+	if rec.Version <= slot.version {
+		return false
+	}
+	if !r.floors[p].Admits(rec.Epoch) {
+		r.statStaleSlots++ // a write the configuration no longer accepts
 		return false
 	}
 	slot.call, rec.C = rec.C, slot.call
-	r.installScan(g, p, slot, h.Version, rec.Counts, src)
+	r.installScan(g, p, slot, rec.Version, rec.Counts, src)
 	r.dirtyViews()
 	return true
 }
@@ -572,19 +573,14 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 // local copy is damaged beyond what retrying can fix.
 const tornParkScans = 3
 
-// scanSlot adopts one peer slot. The anchor
-// at the slot head re-bases the state when newer; the δ-record log is
-// then walked from the front: records at or below the current version are
-// stale leftovers of earlier rounds (validated, then skipped undecoded), a
-// record whose run starts at version+1 is decoded into the replica's scratch
-// record and folds into the summary via the group's Summarize, which, like
-// the views, only borrows it, and anything else is a gap — a run starting
-// further ahead means deltas were lost (partition, dropped write), and one
-// straddling the current version (a fetch landed mid-run) holds calls the
-// summary already has — so the reader schedules a one-sided fetch of the
-// writer's authoritative full state instead of folding onto the wrong base.
-// The second result reports the slot unreadable this pass (torn anchor or log
-// record).
+// scanSlot adopts one peer slot from the local region. The anchor at the slot
+// head re-bases the state when newer; the δ-record log is then walked from
+// the slot's version (walkLog), and a gap there — a run starting further
+// ahead means deltas were lost (partition, dropped write), and one straddling
+// the slot's version (a fetch landed mid-run) holds calls the summary already
+// has — schedules a one-sided fetch of the writer's own copy instead of
+// folding onto the wrong base. The second result reports the slot unreadable
+// this pass (torn anchor or log record).
 //
 // The walk pays for news, not for the log: the anchor and the log
 // prefix an earlier scan validated are not validated again while no write has
@@ -601,16 +597,15 @@ func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region
 	stuck := false
 	// The anchor, unless it is the one an earlier scan validated.
 	var err error
-	a := &slot.anchor
-	if a.gen == 0 || !r.unmoved(reg, off, a.h.Total, a.gen) {
+	if slot.anchorGen == 0 || !r.unmoved(reg, off, slot.anchor.Total, slot.anchorGen) {
 		var h codec.DeltaHeader
 		if h, err = codec.PeekDeltaRecord(region[off : off+r.anchorCap()]); err == nil {
 			r.statValidated++
-			*a = seenAnchor{gen: gen, h: h}
+			slot.anchor, slot.anchorGen = h, gen
 		}
 	}
-	if err == nil {
-		changed = a.h.Version > slot.version && r.adoptFrame(g, p, slot, region[off:], a.h, "anchor")
+	if a := slot.anchor; err == nil {
+		changed = a.Version > slot.version && r.adoptAnchor(g, p, slot, region[off:], a, nil, "anchor")
 	} else if errors.Is(err, codec.ErrTorn) {
 		r.statTorn++
 		stuck = true
@@ -621,50 +616,23 @@ func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region
 	// prefix is unchanged and the slot has not gone below the version it
 	// was passed at: every record in it is stale, and validating it again
 	// would find just that.
-	at := 0
+	from := 0
 	if w := &slot.walked; w.gen != 0 && slot.version >= w.ver && r.unmovedLog(reg, logOff, w) {
-		at = w.end
+		from = w.end
 	}
-	from, passed := at, at
-walk:
-	for len(log) > at {
-		// Validate every record (length, canary, CRC, kind, version) but
-		// decode a body only for the one about to be folded.
-		h, err := codec.PeekDeltaRecord(log[at:])
-		if err != nil {
-			if errors.Is(err, codec.ErrTorn) {
-				r.statTorn++
-				stuck = true
-			}
-			break // incomplete, torn or stale garbage: nothing beyond is usable
-		}
-		r.statValidated++
-		if h.Kind != codec.FrameDelta {
-			break
-		}
-		switch {
-		case h.Version <= slot.version:
-			// Stale leftover of an earlier log round, or already folded.
-		case h.First() == slot.version+1:
-			rec := &r.deltaRec
-			if codec.DecodeDeltaBody(rec, log[at:], h) != nil {
-				break walk // CRC-intact garbage from the writer: unusable
-			}
-			slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
-			r.installScan(g, p, slot, rec.Version, rec.Counts, "delta")
-			r.foldViews(rec.C)
-			changed = true
-		default:
-			// Version gap or straddle: the missing δ-records will never
-			// reappear in this log, and the calls of a straddling run
-			// cannot be taken apart, so fetch the full state.
-			r.fetchSlot(g, p, slot)
-			stuck = false // the fetch is the recovery; don't double up
-			break walk
-		}
-		at += h.Total
-		passed = at
+	passed, torn, gap := r.walkLog(log, from, slot.version, func(rec *codec.DeltaRecord) {
+		slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
+		r.installScan(g, p, slot, rec.Version, rec.Counts, "delta")
+		r.foldViews(rec.C)
+		changed = true
+	})
+	if torn {
+		r.statTorn++
 	}
+	if gap {
+		r.fetchSlot(g, p, slot)
+	}
+	stuck = (stuck || torn) && !gap // a fetch is the recovery; don't double up
 	if passed > from {
 		w := &slot.walked
 		w.gen, w.end, w.ver = gen, passed, slot.version
@@ -679,6 +647,41 @@ walk:
 		}
 	}
 	return changed, stuck
+}
+
+// walkLog walks a δ-record log from byte at for a summary at version ver: the
+// scan's walk of its local copy from the slot's version, and adoptAnchor's of
+// a copy read from the writer from the anchor's. Every record is validated,
+// but only one whose run starts at ver+1 is decoded — into the scratch record,
+// which fold borrows — and folded, advancing ver; records at or below ver are
+// stale leftovers or already folded, and are passed. The walk stops at the
+// first record it cannot pass — incomplete, torn (reported), garbage, or a
+// gap (reported: a run starting past ver+1 or straddling ver) — and returns
+// its offset.
+func (r *Replica) walkLog(log []byte, at int, ver uint32, fold func(*codec.DeltaRecord)) (passed int, torn, gap bool) {
+	for len(log) > at {
+		h, err := codec.PeekDeltaRecord(log[at:])
+		if err != nil {
+			return at, errors.Is(err, codec.ErrTorn), false
+		}
+		r.statValidated++
+		switch {
+		case h.Kind != codec.FrameDelta:
+			return at, false, false
+		case h.Version <= ver:
+		case h.First() == ver+1:
+			rec := &r.deltaRec
+			if codec.DecodeDeltaBody(rec, log[at:], h) != nil {
+				return at, false, false // CRC-intact garbage from the writer: unusable
+			}
+			fold(rec)
+			ver = rec.Version
+		default:
+			return at, false, true
+		}
+		at += h.Total
+	}
+	return at, false, false
 }
 
 // unmoved reports whether no write has touched [off, off+n) of the summary
@@ -705,7 +708,7 @@ func tailStart(logOff, end int) int {
 
 // fetchSlot recovers a delta slot that cannot make forward progress (a
 // version gap or a persistently torn record) with a one-sided read of the
-// writer's own copy, whose anchor area always holds the current full summary.
+// writer's own copy, whose anchor and log fold to its current full summary.
 // At most one fetch per slot is outstanding.
 func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	// Repair already targets suspects, so gap fetches skip them.
@@ -714,12 +717,7 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 	}
 	slot.fetching = true
 	r.statGapFetch++
-	r.readSlotValidated(rdma.NodeID(p), g, p, func(data []byte, h codec.DeltaHeader) {
-		slot.fetching = false
-		if data != nil {
-			r.adoptSlot(g, p, data, h)
-		}
-	})
+	r.readSlot(rdma.NodeID(p), g, p, func(bool) { slot.fetching = false })
 }
 
 // suspected reports whether this node's detector currently suspects peer
@@ -1262,35 +1260,27 @@ func (r *Replica) isSuccessor(peer rdma.NodeID) bool {
 // that died mid-write — its previous version remains in force.
 const slotReadRetries = 3
 
-// readSlotValidated issues a one-sided read of (g, p)'s summary slot at
-// peer and delivers only a slot whose head record is CRC-validated to done,
-// with the record's header; done gets nil on failure. A torn read is counted
-// in torn_rejects and re-read, bounded by slotReadRetries; read errors and
-// exhausted retries drop the read silently — the periodic summary scan
-// observes the healed slot later.
-func (r *Replica) readSlotValidated(peer rdma.NodeID, g int, p spec.ProcID, done func(data []byte, h codec.DeltaHeader)) {
+// readSlot issues a one-sided read of (g, p)'s summary slot at peer, adopts
+// the slot read when its anchor is CRC-validated (adoptSlot), and tells done
+// whether that changed anything. A torn anchor is counted in torn_rejects and
+// re-read, bounded by slotReadRetries; read errors and exhausted retries drop
+// the read silently — the periodic summary scan observes the healed slot
+// later.
+func (r *Replica) readSlot(peer rdma.NodeID, g int, p spec.ProcID, done func(adopted bool)) {
 	off := r.slotOffset(g, p)
 	var attempt func(left int)
 	attempt = func(left int) {
 		r.node.QP(peer).Read(r.sumRegion, off, r.opts.SumSlotSize,
 			func(data []byte, err error) {
-				if err != nil {
-					done(nil, codec.DeltaHeader{})
-					return
-				}
-				h, derr := codec.PeekDeltaRecord(data)
-				if derr != nil {
-					if errors.Is(derr, codec.ErrTorn) {
-						r.statTorn++
-						if left > 0 {
-							attempt(left - 1)
-							return
-						}
+				h, perr := codec.PeekDeltaRecord(data)
+				if err == nil && errors.Is(perr, codec.ErrTorn) {
+					r.statTorn++
+					if left > 0 {
+						attempt(left - 1)
+						return
 					}
-					done(nil, h)
-					return
 				}
-				done(data, h)
+				done(err == nil && perr == nil && r.adoptSlot(g, p, data, h))
 			})
 	}
 	attempt(slotReadRetries)
@@ -1305,12 +1295,8 @@ func (r *Replica) repairSummaries(peer rdma.NodeID) {
 		return
 	}
 	for g := range r.sums {
-		g := g
-		r.readSlotValidated(peer, g, spec.ProcID(peer), func(data []byte, h codec.DeltaHeader) {
-			if data == nil {
-				return
-			}
-			if r.adoptSlot(g, spec.ProcID(peer), data, h) {
+		r.readSlot(peer, g, spec.ProcID(peer), func(adopted bool) {
+			if adopted {
 				r.statRecovered++
 			}
 		})
@@ -1364,10 +1350,7 @@ func (r *Replica) refresh(cc clientCall) {
 				continue
 			}
 			remaining++
-			r.readSlotValidated(rdma.NodeID(p), g, spec.ProcID(p), func(data []byte, h codec.DeltaHeader) {
-				if data != nil {
-					r.adoptSlot(g, spec.ProcID(p), data, h)
-				}
+			r.readSlot(rdma.NodeID(p), g, spec.ProcID(p), func(bool) {
 				if remaining--; remaining == 0 {
 					r.queueQuery(cc)
 				}
@@ -1379,12 +1362,12 @@ func (r *Replica) refresh(cc clientCall) {
 	}
 }
 
-// adoptSlot installs a freshly read remote slot, whose anchor
-// readSlotValidated validated as h, if it is newer than the local copy,
-// returning whether anything changed.
+// adoptSlot adopts a slot read from p's own copy, whose anchor
+// PeekDeltaRecord validated as h: its anchor and log, when they fold to a
+// newer summary than the local copy's (adoptAnchor). It reports whether
+// anything changed.
 func (r *Replica) adoptSlot(g int, p spec.ProcID, data []byte, h codec.DeltaHeader) bool {
-	slot := r.sums[g][p]
-	if h.Version <= slot.version || !r.adoptFrame(g, p, slot, data, h, "read") {
+	if !r.adoptAnchor(g, p, r.sums[g][p], data, h, data[r.anchorCap():], "read") {
 		return false
 	}
 	// Install only the anchor: the rest of the slot is the δ-record log, and

@@ -19,11 +19,13 @@ import (
 // slot differs from p0's own, which folded the run's calls one at a time —
 // what p1 holds after folding their k one-call records. p0 issues k random
 // calls of the group inside one engine event, so they meet in one flush and
-// fold into one record. With straddle, p1 first adopts p0's frame as it stood
-// after j < k of them, as a fetch landing mid-run leaves it; p1 must then
-// fetch rather than fold. foldStraddle is the mutation: p1 forgets it is
-// mid-run — its version drops back to the run's first version minus one,
-// the summary stays — and so folds the straddling record as if it were next.
+// fold into one record. With straddle, p1 first adopts p0's whole slot as it
+// stood after j < k of them, as a fetch landing mid-run does (adoptSlot folds
+// the run's record of j calls onto the anchor); p1 must then fetch rather
+// than fold the grown record, which straddles its version. foldStraddle is
+// the mutation: p1 forgets it is mid-run — its version drops back to the
+// run's first version minus one, the summary stays — and so folds the
+// straddling record as if it were next.
 func runLaw(t *testing.T, cls *spec.Class, g int, seed int64, straddle, foldStraddle bool) error {
 	t.Helper()
 	h := newHarness(t, cls, 2, seed, func(o *Options) {
@@ -51,12 +53,10 @@ func runLaw(t *testing.T, cls *spec.Class, g int, seed int64, straddle, foldStra
 		for i := 0; i < k; i++ {
 			reduce(call())
 			if straddle && i == j-1 {
-				// Adopted as a fetch adopts it, but left out of p1's anchor
-				// area, whose next scan would re-adopt it under the mutation.
-				anchor := r0.node.Region(r0.sumRegion).Bytes()[off : off+r0.anchorCap()]
-				hd, err := codec.PeekDeltaRecord(anchor)
-				if err != nil || !r1.adoptFrame(g, 0, r1.sums[g][0], anchor, hd, "read") {
-					t.Fatalf("%s: p1 did not adopt p0's anchor after %d of %d calls (%v)", cls.Name, j, k, err)
+				own := r0.node.Region(r0.sumRegion).Bytes()[off : off+r0.opts.SumSlotSize]
+				hd, err := codec.PeekDeltaRecord(own)
+				if err != nil || !r1.adoptSlot(g, 0, own, hd) || r1.sums[g][0].version != r0.sums[g][0].version {
+					t.Fatalf("%s: p1 did not adopt p0's slot at v%d after %d of %d calls (%v)", cls.Name, r0.sums[g][0].version, j, k, err)
 				}
 				if foldStraddle {
 					r1.sums[g][0].version -= uint32(j)
