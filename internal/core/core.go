@@ -373,7 +373,7 @@ type seenLog struct {
 // the next call folds into while it is still the pending tail of every peer's
 // batch in the coalescer.
 type deltaWriter struct {
-	anchored    bool // the slot's first anchor has shipped
+	anchored    bool // an anchor has shipped since the start or the last join
 	logOff      int
 	sinceAnchor int // calls shipped as δ-records since the last anchor (Replica.AnchorAge)
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"hamband/internal/codec"
@@ -413,6 +414,58 @@ func TestIssuerSlotMatchesEveryCopy(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSummaryOverflowPanicsAtReanchor pins where a summary that outgrows its
+// anchor area fails: the issuer encodes its anchor only when nextDelta
+// re-anchors, so the calls after the summary outgrew the area keep shipping
+// δ-records, which every peer folds, and the configuration panic fires at the
+// first re-anchor after that, not at the call that outgrew the area.
+func TestSummaryOverflowPanicsAtReanchor(t *testing.T) {
+	h := newHarness(t, crdt.NewGSet(), 3, 83, func(o *Options) {
+		o.DisableFailureHandling = true
+		o.SumSlotSize, o.DeltaLogBytes = 2*MinDeltaLogBytes, MinDeltaLogBytes
+	})
+	r0 := h.cluster.Replica(0)
+	slot := r0.sums[0][0]
+	over := func() bool { // the summary's anchor is wider than the anchor area
+		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameAnchor, Version: slot.version,
+			Epoch: uint32(h.cluster.Epoch()), Counts: slot.counts, C: slot.call})
+		return err != nil || len(b) > r0.anchorCap()
+	}
+	outgrew := 0 // calls that left the summary wider than the area without a panic
+	for i := 0; i < 200; i++ {
+		anchors := r0.statAnchors
+		msg := func() (msg string) {
+			defer func() { msg, _ = recover().(string) }()
+			h.eng.At(h.eng.Now(), func() { h.invoke(0, crdt.GSetAdd, spec.ArgsI(1<<40+int64(i))) })
+			h.eng.RunFor(20 * sim.Microsecond)
+			return ""
+		}()
+		reanchored := r0.statAnchors != anchors
+		if msg != "" {
+			if !reanchored || !over() || !strings.Contains(msg, "summary slot overflow") {
+				t.Fatalf("call %d (re-anchor %v, summary over the area %v) panicked: %q, want the overflow panic at a re-anchor",
+					i, reanchored, over(), msg)
+			}
+			if outgrew == 0 {
+				t.Fatalf("the overflow panic fired at call %d, the one that outgrew the area; want it at a later re-anchor", i)
+			}
+			t.Logf("overflow panic at call %d, the re-anchor %d calls after the summary outgrew the area", i, outgrew)
+			return
+		}
+		if reanchored && over() {
+			t.Fatalf("call %d re-anchored a summary wider than the area without a panic", i)
+		}
+		if !h.drain(20 * sim.Millisecond) {
+			t.Fatalf("call %d did not replicate", i)
+		}
+		h.checkConvergence()
+		if over() {
+			outgrew++
+		}
+	}
+	t.Fatalf("200 calls and no overflow panic; %d of them left the summary wider than the area", outgrew)
 }
 
 // TestStrayFreeRecordDropped feeds the delivery path a record that is not a

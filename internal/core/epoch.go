@@ -252,18 +252,25 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 		c.fdom.Forget(t)
 	}
 
+	// The target's write permission on every other node's inbound ring and
+	// summary region follows its membership.
+	for i := 0; i < n; i++ {
+		for _, name := range []string{broadcast.InboundRegion(ns, t), ns + sumRegionBase} {
+			switch reg := c.Fab.Node(rdma.NodeID(i)).Region(name); {
+			case i == target || reg == nil:
+			case join:
+				reg.AllowWrite(t)
+			default:
+				reg.RevokeWrite(t)
+			}
+		}
+	}
+
 	if join {
-		for i := 0; i < n; i++ {
-			if i == target {
-				continue
-			}
-			node := c.Fab.Node(rdma.NodeID(i))
-			if reg := node.Region(broadcast.InboundRegion(ns, t)); reg != nil {
-				reg.AllowWrite(t)
-			}
-			if reg := node.Region(ns + sumRegionBase); reg != nil {
-				reg.AllowWrite(t)
-			}
+		// The members' floor for the node stays at its departure epoch, which
+		// refuses the anchors it wrote before it left: each group re-anchors.
+		for g := range c.Replicas[target].deltaW {
+			c.Replicas[target].deltaW[g].anchored = false
 		}
 		// Catch-up: the node kept receiving broadcasts and consensus log
 		// entries while out, so only the members' summary rows need a
@@ -275,18 +282,6 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 			c.Replicas[target].repairSummaries(rdma.NodeID(p))
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			if i == target {
-				continue
-			}
-			node := c.Fab.Node(rdma.NodeID(i))
-			if reg := node.Region(broadcast.InboundRegion(ns, t)); reg != nil {
-				reg.RevokeWrite(t)
-			}
-			if reg := node.Region(ns + sumRegionBase); reg != nil {
-				reg.RevokeWrite(t)
-			}
-		}
 		// Raise the epoch floors for the departed source only once each
 		// receiver/scanner has drained what it legitimately posted — and
 		// acked — before the revocation. A wall-clock grace cannot give that

@@ -141,6 +141,51 @@ func TestLeaveRevokesWrites(t *testing.T) {
 	}
 }
 
+// TestRejoinedWriterReanchors pins that a rejoined node's next reducible
+// call ships an anchor stamped with the join epoch. The members' floor for
+// the node stays at its departure epoch, so an anchor it wrote before it left
+// is refused, and the δ-record of a call it made while out is a hole at the
+// head of their copy of its log: without the re-anchor no fetch, repair or
+// fresh read of its slot would adopt its calls.
+func TestRejoinedWriterReanchors(t *testing.T) {
+	h := newHarness(t, crdt.NewCounter(), 3, 17, nil)
+	h.eng.At(0, func() { h.invoke(2, crdt.CounterAdd, spec.ArgsI(1)) }) // p2's first anchor, at epoch 0
+	if !h.drain(20 * sim.Millisecond) {
+		t.Fatal("replication did not complete")
+	}
+	if err := h.reconfigure(false, 2, h.eng.Now()+1); err != nil {
+		t.Fatalf("Leave(2): %v", err)
+	}
+	h.eng.RunFor(1 * sim.Millisecond)
+	h.cluster.Replica(2).Invoke(crdt.CounterAdd, spec.ArgsI(50), nil) // refused at every member's NIC
+	h.eng.RunFor(1 * sim.Millisecond)
+	if err := h.reconfigure(true, 2, h.eng.Now()+1); err != nil {
+		t.Fatalf("Join(2): %v", err)
+	}
+
+	// The summary is cumulative: the call after the join carries the one
+	// refused while out, and a member's fresh query issued with it sees both.
+	var got any
+	h.eng.At(h.eng.Now()+1, func() {
+		h.cluster.Replica(2).Invoke(crdt.CounterAdd, spec.ArgsI(7), nil)
+		h.cluster.Replica(0).InvokeFresh(crdt.CounterValue, spec.Args{}, func(v any, err error) {
+			if err != nil {
+				t.Errorf("fresh query: %v", err)
+			}
+			got = v
+		})
+	})
+	h.eng.RunFor(2 * sim.Millisecond)
+	if got != int64(58) {
+		t.Fatalf("fresh query at member 0 = %v after the rejoined node's call, want 58", got)
+	}
+	for p := 0; p < 3; p++ {
+		if st := h.cluster.Replica(spec.ProcID(p)).CurrentState().(*crdt.CounterState); st.V != 58 {
+			t.Fatalf("p%d counter = %d after the rejoined node's call, want 58", p, st.V)
+		}
+	}
+}
+
 // TestStaleSlotFrameRejected plants a summary anchor stamped with the
 // departed node's old epoch directly in a member's region — the landed-but-
 // unadopted write a revocation race leaves behind — and asserts the scanner

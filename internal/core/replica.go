@@ -1340,8 +1340,9 @@ func (r *Replica) InvokeFresh(q spec.MethodID, args spec.Args, onDone func(resul
 // refresh is a fresh query's issue work: it reads every other member's
 // summary slot from the member's own copy, adopts anything newer, and queues
 // the query once the last read is in. A departed node is not read: it keeps
-// running as an observer and stamps the cluster's current epoch, so its
-// floor cannot tell what it wrote after it left from what it wrote before.
+// running as an observer, and the anchors it writes after it left carry the
+// cluster's current epoch, so its floor cannot tell them apart from the ones
+// it wrote while a member.
 func (r *Replica) refresh(cc clientCall) {
 	remaining := 0
 	for g := range r.sums {
