@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions mutants store health health-exp cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions mutants store health health-exp torn cover loc check
 
 all: check
 
@@ -135,6 +135,13 @@ health: health-exp
 
 health-exp:
 	$(GO) run ./cmd/hambench -exp health -ops 600
+
+# torn runs every torn-read test in one command: the one bound
+# (rdma.TornLooks) and the one validated read (rdma.QP.ReadValid), the ring
+# reader's park and heal, the codec's trailer check, the summary scan's park
+# and slot re-read, the recovery sweep's re-read, and the torn chaos corpus.
+torn:
+	$(GO) test -count=1 -run 'Torn|Park|Reread|ReadValid|RecoverRetry|StaleBackup' ./internal/rdma ./internal/ring ./internal/codec ./internal/core ./internal/broadcast ./internal/chaos
 
 # cover prints per-package statement coverage so test gaps stay visible.
 cover:

@@ -606,15 +606,8 @@ func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 		return
 	}
 	r.mRecoveries.Inc()
-	r.recoverSweep(src, backupReadRetries, make(map[int]uint64))
+	r.recoverSweep(src)
 }
-
-// backupReadRetries bounds the re-reads a recovery sweep earns when a
-// backup slot fails CRC validation — a torn read heals within one fabric
-// delay, so a handful of extra RTTs is enough; a slot still torn after
-// that belongs to a source that died mid-write and carries nothing
-// recoverable.
-const backupReadRetries = 3
 
 // recoverSweep reads the whole backup region and recovers every validated
 // slot, in sequence order: a slot's index is its sequence number modulo
@@ -622,55 +615,52 @@ const backupReadRetries = 3
 // buffers per source and serves head first, so a message delivered ahead of one
 // it depends on would block its buffer. A slot holds a ring record, read back
 // the way a ring poll reads one: a zero length word is an empty slot, and any
-// other slot that fails validation is torn and earns a bounded re-read of the
-// region; seen maps slot index → sequence number across those passes so a slot
-// recovered in an earlier pass is not processed (and counted) again when only
-// its torn neighbour needed the retry.
-func (r *Receiver) recoverSweep(src rdma.NodeID, retriesLeft int, seen map[int]uint64) {
-	size := r.cfg.BackupSlots * r.cfg.BackupSlot
-	r.node.QP(src).Read(r.cfg.backupRegion(), 0, size, func(data []byte, err error) {
-		if err != nil {
-			return
-		}
+// other slot that fails validation is torn, counted, and earns the region a
+// re-read (rdma.QP.ReadValid). Only the last read is recovered from: a slot
+// intact in an earlier read and empty in the last was cleared, which its
+// source does only once the message has landed in every ring.
+func (r *Receiver) recoverSweep(src rdma.NodeID) {
+	type recovered struct {
+		epoch   uint32
+		seq     uint64
+		payload []byte
+	}
+	var found []recovered // the latest read's validated slots, borrowing its bytes
+	torn := func(data []byte) bool {
+		found = found[:0]
 		tornSeen := false
-		type recovered struct {
-			seq     uint64
-			payload []byte
-		}
-		var found []recovered
 		for slot := 0; slot < r.cfg.BackupSlots; slot++ {
 			record := data[slot*r.cfg.BackupSlot : (slot+1)*r.cfg.BackupSlot]
 			if binary.LittleEndian.Uint32(record) == 0 {
 				continue // empty
 			}
-			msg, _, derr := codec.DecodeRaw(record)
-			if derr != nil {
+			msg, _, err := codec.DecodeRaw(record)
+			if err != nil {
 				r.tornBackup++
 				tornSeen = true
 				continue
 			}
-			epoch, seq, payload, derr := decodeMessage(msg)
-			if derr != nil || seen[slot] == seq {
-				continue
+			if epoch, seq, payload, err := decodeMessage(msg); err == nil {
+				found = append(found, recovered{epoch, seq, payload})
 			}
-			seen[slot] = seq
-			if !r.floors[src].Admits(epoch) {
+		}
+		return tornSeen
+	}
+	size := r.cfg.BackupSlots * r.cfg.BackupSlot
+	r.node.QP(src).ReadValid(r.cfg.backupRegion(), 0, size, torn, func(_ []byte, err error) {
+		if err != nil {
+			return
+		}
+		slices.SortFunc(found, func(a, b recovered) int { return cmp.Compare(a.seq, b.seq) })
+		for _, m := range found {
+			if !r.floors[src].Admits(m.epoch) {
 				// Backup slot stamped before src's departure epoch: the
 				// same stale-write rejection the sweep applies.
 				r.staleBackup++
 				continue
 			}
 			r.mRecovered.Inc()
-			found = append(found, recovered{seq, payload})
-		}
-		slices.SortFunc(found, func(a, b recovered) int { return cmp.Compare(a.seq, b.seq) })
-		for _, m := range found {
 			r.deliver(src, m.seq, m.payload, false)
-		}
-		if tornSeen && retriesLeft > 0 {
-			// Bounded retry-on-invalid: re-read the backups so a torn slot
-			// whose interior lands momentarily is still recovered.
-			r.recoverSweep(src, retriesLeft-1, seen)
 		}
 	})
 }

@@ -24,9 +24,9 @@ func backupSlotBytes(t *testing.T, epoch uint32, seq uint64, payload []byte) []b
 
 // TestRecoverRetryDoesNotReapplySlots is the regression test for the
 // recovery sweep re-processing every backup slot when a torn neighbour
-// earns the region a re-read: a slot recovered in pass one must not be
-// counted (or decoded and re-delivered) again by passes two through four.
-// Before the seen-map dedupe, the recovered counter read one per pass.
+// earns the region a re-read: a slot intact in all rdma.TornLooks reads is
+// counted, decoded and delivered once, from the last read. A sweep that
+// recovered from every read once counted it once a read.
 func TestRecoverRetryDoesNotReapplySlots(t *testing.T) {
 	eng := sim.NewEngine(99)
 	fab := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
@@ -59,8 +59,8 @@ func TestRecoverRetryDoesNotReapplySlots(t *testing.T) {
 	if n := reg.Counter("broadcast.backup_slots_recovered").Value(); n != 1 {
 		t.Fatalf("recovered counter = %d, want 1 (slot re-counted across torn retries)", n)
 	}
-	if n := reg.Counter("broadcast.torn_rejects").Value(); n < uint64(backupReadRetries) {
-		t.Fatalf("torn rejects = %d; the torn slot should have earned every retry", n)
+	if n := reg.Counter("broadcast.torn_rejects").Value(); n != rdma.TornLooks {
+		t.Fatalf("torn rejects = %d, want the torn slot counted on each of %d reads", n, rdma.TornLooks)
 	}
 }
 
@@ -102,8 +102,55 @@ func TestStaleBackupSlotRejected(t *testing.T) {
 	if n := reg.Counter("broadcast.stale_rejects").Value(); n != 1 {
 		t.Fatalf("stale_rejects counter = %d, want 1", n)
 	}
-	if n := rx.TornRejects(); n != backupReadRetries+1 {
-		t.Fatalf("TornRejects = %d, want the torn slot counted on each of %d reads", n, backupReadRetries+1)
+	if n := rx.TornRejects(); n != rdma.TornLooks {
+		t.Fatalf("TornRejects = %d, want the torn slot counted on each of %d reads", n, rdma.TornLooks)
+	}
+}
+
+// TestRecoverRereadHealsTornSlot: a backup slot torn on the sweep's first
+// read and healed before its second is recovered from the re-read, and its
+// intact neighbour, valid in both reads, is not recovered twice. Each slot is
+// delivered once and counted once in backup_slots_recovered, and the tear once
+// in torn_rejects.
+func TestRecoverRereadHealsTornSlot(t *testing.T) {
+	eng := sim.NewEngine(11)
+	fab := rdma.NewFabric(eng, 2, rdma.DefaultLatency())
+	cfg := DefaultConfig()
+	reg := metrics.New(eng)
+	fab.EnableMetrics(reg)
+	Setup(fab, cfg)
+
+	var got []delivery
+	rx := NewReceiver(fab, fab.Node(1), cfg, func(src rdma.NodeID, seq uint64, payload []byte) {
+		got = append(got, delivery{src, seq, string(payload)})
+	})
+
+	backup := fab.Node(0).Region(cfg.backupRegion()).Bytes()
+	copy(backup[1*cfg.BackupSlot:], backupSlotBytes(t, 0, 1, []byte("intact")))
+	healed := backupSlotBytes(t, 0, 2, []byte("lands late"))
+	torn := bytes.Clone(healed)
+	torn[10] ^= 0xFF
+	copy(backup[2*cfg.BackupSlot:], torn)
+
+	eng.At(0, func() { rx.RecoverFrom(0) })
+	var probe *sim.Ticker
+	probe = eng.NewTicker(10*sim.Nanosecond, func() {
+		if rx.TornRejects() == 1 { // the first read saw the tear: the interior lands
+			copy(backup[2*cfg.BackupSlot:], healed)
+			probe.Cancel()
+		}
+	})
+	eng.RunUntil(sim.Time(5 * sim.Millisecond))
+
+	want := []delivery{{0, 1, "intact"}, {0, 2, "lands late"}}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("deliveries = %v, want %v", got, want)
+	}
+	if n := reg.Counter("broadcast.backup_slots_recovered").Value(); n != 2 {
+		t.Fatalf("recovered counter = %d, want each slot counted once", n)
+	}
+	if n := rx.TornRejects(); n != 1 {
+		t.Fatalf("TornRejects = %d, want the tear counted on the one read that saw it", n)
 	}
 }
 

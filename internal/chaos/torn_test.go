@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hamband/internal/health"
+	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
 
@@ -47,15 +48,15 @@ func TestTornCorpusActuallyTears(t *testing.T) {
 }
 
 // TestCorpusTornPastWindow replays the plan whose link tears by 30 µs + 10 µs
-// of jitter — past the 16 µs (tornRetryLimit polls) a ring reader waits before
-// it diagnoses a dead writer and parks — under bankmap load. The park is the
-// diagnosis, not a quarantine: the reader validates the parked record again on
-// every poll and resumes when the interior lands. So reader-parked must fire,
-// only on the torn link's two rings, and must clear: the watchdog re-arms an
-// episode only once its condition has cleared, so a second firing on one ring
-// proves the first park ended, and the run passing its quiescence and
+// of jitter — past the 8 µs (rdma.TornLooks polls of 2 µs) a ring reader waits
+// before it diagnoses a dead writer and parks — under bankmap load. The park is
+// the diagnosis, not a quarantine: the reader validates the parked record again
+// on every poll and resumes when the interior lands. So reader-parked must
+// fire, only on the torn link's two rings, and must clear: the watchdog re-arms
+// an episode only once its condition has cleared, so a second firing on one
+// ring proves the first park ended, and the run passing its quiescence and
 // exactly-once probes proves the last one did (a reader still parked holds its
-// F buffer for good). The park lasts 15–25 µs; the default 100 µs probe cadence
+// F buffer for good). The park lasts 22–32 µs; the default 100 µs probe cadence
 // would step over it, hence the 4 µs one.
 func TestCorpusTornPastWindow(t *testing.T) {
 	p := readCorpusPlan(t, filepath.Join("testdata", "chaos", "bankmap-torn-late-seed1900.json"))
@@ -81,17 +82,17 @@ func TestCorpusTornPastWindow(t *testing.T) {
 	if parks[torn.A] < 2 && parks[torn.B] < 2 {
 		t.Fatalf("reader-parked firings by node %v: no ring parked, cleared and parked again", parks)
 	}
-	if rejects := v.Metrics.Counter("broadcast.torn_rejects").Value(); rejects < 16 {
+	if rejects := v.Metrics.Counter("broadcast.torn_rejects").Value(); rejects < 2*rdma.TornLooks {
 		t.Fatalf("%d torn reads rejected: no reader sat out its whole retry window twice", rejects)
 	}
 }
 
 // TestCorpusTornLong replays the plans whose links tear by 20–60 µs, past the
-// ring readers' 8-poll retry window, on counter and bankmap, whose δ-logs now
-// re-anchor only when they fill: a summary reader that meets a torn record
-// cannot wait for the next anchor, so it recovers through fetchSlot's
-// one-sided read of the writer's own slot. Each plan must tear writes, make
-// gap fetches, and pass every probe and the history check.
+// ring readers' rdma.TornLooks-poll retry window, on counter and bankmap, whose
+// δ-logs now re-anchor only when they fill: a summary reader that meets a torn
+// record cannot wait for the next anchor, so it recovers through fetchSlot's
+// one-sided read of the writer's own slot. Each plan must tear writes, make gap
+// fetches, and pass every probe and the history check.
 func TestCorpusTornLong(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "chaos", "*-torn-long-*.json"))
 	if err != nil {
@@ -119,6 +120,17 @@ func TestCorpusTornLong(t *testing.T) {
 	}
 	if !classes["counter"] || !classes["bankmap"] {
 		t.Fatalf("long-tear corpus covers %v, want counter and bankmap", classes)
+	}
+}
+
+// TestCorpusMuTornRejects: Mu's log, request and control ring readers reject
+// torn records on a bankmap torn plan, and mu.torn_rejects exports the count.
+func TestCorpusMuTornRejects(t *testing.T) {
+	p := readCorpusPlan(t, filepath.Join("testdata", "chaos", "bankmap-torn-seed1102.json"))
+	v := mustRun(t, p, Options{EnableMetrics: true})
+	assertPassed(t, v)
+	if n := v.Metrics.Counter("mu.torn_rejects").Value(); n == 0 {
+		t.Fatal("mu.torn_rejects = 0: no Mu ring reader's torn reject reached the registry")
 	}
 }
 

@@ -172,11 +172,8 @@ func DecodeRaw(b []byte) ([]byte, int, error) {
 	if len(b) < total {
 		return nil, 0, ErrIncomplete
 	}
-	if b[total-1] != Canary {
-		return nil, 0, ErrIncomplete
-	}
-	if binary.LittleEndian.Uint32(b[total-RecordTrailer:]) != Checksum(b[:total-RecordTrailer]) {
-		return nil, 0, ErrTorn
+	if err := ValidateRecord(b[:total]); err != nil {
+		return nil, 0, err
 	}
 	return b[4 : total-RecordTrailer], total, nil
 }

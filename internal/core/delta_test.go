@@ -9,6 +9,7 @@ import (
 	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
+	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -185,7 +186,7 @@ func TestDeltaLogBytesInvariant(t *testing.T) {
 
 // TestDeltaTornParkFetchesFullState installs a long-lived torn-write fault
 // on the writer→reader link: the reader's scans reject the torn frame, and
-// after tornParkScans stuck scans it must stop waiting and recover through a
+// after rdma.TornLooks stuck scans it must stop waiting and recover through a
 // one-sided full-state fetch of the writer's own (clean) slot.
 func TestDeltaTornParkFetchesFullState(t *testing.T) {
 	h := newHarness(t, crdt.NewCounter(), 2, 74, func(o *Options) {
@@ -203,7 +204,7 @@ func TestDeltaTornParkFetchesFullState(t *testing.T) {
 	if _, _, fetches := deltaStats(h.cluster); fetches == 0 {
 		t.Fatal("no gap fetch recorded; the reader must not wait out a parked frame")
 	}
-	if r1.TornRejects() < tornParkScans {
+	if r1.TornRejects() < rdma.TornLooks {
 		t.Fatalf("only %d torn rejects; the park threshold never engaged", r1.TornRejects())
 	}
 }
@@ -212,7 +213,7 @@ func TestDeltaTornParkFetchesFullState(t *testing.T) {
 // the anchor a reader holds — boundary first, its length word and last four
 // bytes ahead of the interior, the way a torn link lands a write — is
 // rejected whether the new anchor is longer or shorter than the old. Each
-// scan counts it in core.torn_rejects, and after tornParkScans stuck scans
+// scan counts it in core.torn_rejects, and after rdma.TornLooks stuck scans
 // the reader fetches the writer's own slot, whose anchor it adopts and
 // installs over the torn bytes. The writer's log is the smallest, filled by
 // add(0) calls a flush apart, so the second add is the re-anchor. The
@@ -273,13 +274,13 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 		mine.Write(off+len(next)-4, next[len(next)-4:])
 
 		torn := func() uint64 { return reg.Snapshot().Counters["core.torn_rejects"] }
-		for i := 1; i <= tornParkScans; i++ {
+		for i := 1; i <= rdma.TornLooks; i++ {
 			r1.scanSummaries()
 			_, _, fetches := deltaStats(h.cluster)
 			if got := torn(); got != uint64(i) {
 				t.Fatalf("%s: %d torn rejects after %d scans, want one a scan", tc.name, got, i)
 			}
-			if want := uint64(i / tornParkScans); fetches != want {
+			if want := uint64(i / rdma.TornLooks); fetches != want {
 				t.Fatalf("%s: %d fetches after %d stuck scans, want %d", tc.name, fetches, i, want)
 			}
 			if v := r1.sums[0][0].version; v != 1 {
@@ -294,8 +295,8 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 			t.Fatalf("%s: the fetched anchor was not installed over the torn bytes", tc.name)
 		}
 		r1.scanSummaries()
-		if got := torn(); got != tornParkScans {
-			t.Fatalf("%s: %d torn rejects after the install, want %d", tc.name, got, tornParkScans)
+		if got := torn(); got != rdma.TornLooks {
+			t.Fatalf("%s: %d torn rejects after the install, want %d", tc.name, got, rdma.TornLooks)
 		}
 	}
 }
@@ -755,7 +756,7 @@ func TestScanValidatesOnlyNews(t *testing.T) {
 // TestTornSlotReadIsReread: readSlot re-reads a peer slot that fails
 // its CRC. p0's own copy of its slot is forged torn through Region.Write (an
 // interior byte of the anchor flipped, its length word and trailer intact). Left torn, it is read
-// 1 + slotReadRetries times, each counted in core.torn_rejects, and dropped;
+// rdma.TornLooks times, each counted in core.torn_rejects, and dropped;
 // healed between reads, it is adopted on the re-read. p1's scan is stopped,
 // so it holds an older version of the slot than p0's copy.
 func TestTornSlotReadIsReread(t *testing.T) {
@@ -803,8 +804,8 @@ func TestTornSlotReadIsReread(t *testing.T) {
 			t.Fatalf("heal %v: the read never finished", heal)
 		case heal && (torns != 1 || !got || r1.sums[0][0].version != ver):
 			t.Fatalf("healed slot: %d torn reads, adopted %v, p1 at version %d; want 1, true, %d", torns, got, r1.sums[0][0].version, ver)
-		case !heal && (torns != 1+slotReadRetries || got):
-			t.Fatalf("torn slot: %d torn reads, adopted %v; want %d and nothing", torns, got, 1+slotReadRetries)
+		case !heal && (torns != rdma.TornLooks || got):
+			t.Fatalf("torn slot: %d torn reads, adopted %v; want %d and nothing", torns, got, rdma.TornLooks)
 		}
 	}
 }

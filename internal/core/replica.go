@@ -566,13 +566,6 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 	}
 }
 
-// tornParkScans is how many consecutive scans a delta slot may sit on a
-// torn record with no forward progress before the reader stops waiting and
-// fetches the writer's own full state: a torn landing heals within one
-// fabric delay, so a persistent one means the writer died mid-write or the
-// local copy is damaged beyond what retrying can fix.
-const tornParkScans = 3
-
 // scanSlot adopts one peer slot from the local region. The anchor at the slot
 // head re-bases the state when newer; the δ-record log is then walked from
 // the slot's version (walkLog), and a gap there — a run starting further
@@ -580,7 +573,8 @@ const tornParkScans = 3
 // the slot's version (a fetch landed mid-run) holds calls the summary already
 // has — schedules a one-sided fetch of the writer's own copy instead of
 // folding onto the wrong base. The second result reports the slot unreadable
-// this pass (torn anchor or log record).
+// this pass (torn anchor or log record); on the rdma.TornLooks-th such scan
+// in a row the slot fetches the writer's copy too.
 //
 // The walk pays for news, not for the log: the anchor and the log
 // prefix an earlier scan validated are not validated again while no write has
@@ -641,7 +635,7 @@ func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region
 	if changed {
 		slot.tornStreak = 0
 	} else if stuck {
-		if slot.tornStreak++; slot.tornStreak >= tornParkScans {
+		if slot.tornStreak++; slot.tornStreak >= rdma.TornLooks {
 			slot.tornStreak = 0
 			r.fetchSlot(g, p, slot)
 		}
@@ -1254,36 +1248,24 @@ func (r *Replica) isSuccessor(peer rdma.NodeID) bool {
 	return false
 }
 
-// slotReadRetries bounds the re-reads a torn remote slot read earns. Each
-// retry costs one more RTT, and a torn landing heals within one fabric
-// delay, so a slot still torn after three re-reads belongs to a writer
-// that died mid-write — its previous version remains in force.
-const slotReadRetries = 3
-
 // readSlot issues a one-sided read of (g, p)'s summary slot at peer, adopts
 // the slot read when its anchor is CRC-validated (adoptSlot), and tells done
 // whether that changed anything. A torn anchor is counted in torn_rejects and
-// re-read, bounded by slotReadRetries; read errors and exhausted retries drop
-// the read silently — the periodic summary scan observes the healed slot
-// later.
+// re-read (rdma.QP.ReadValid). A read error, or an anchor still torn on the
+// rdma.TornLooks-th read (its writer died mid-write), adopts nothing; the
+// periodic summary scan observes the healed slot later.
 func (r *Replica) readSlot(peer rdma.NodeID, g int, p spec.ProcID, done func(adopted bool)) {
-	off := r.slotOffset(g, p)
-	var attempt func(left int)
-	attempt = func(left int) {
-		r.node.QP(peer).Read(r.sumRegion, off, r.opts.SumSlotSize,
-			func(data []byte, err error) {
-				h, perr := codec.PeekDeltaRecord(data)
-				if err == nil && errors.Is(perr, codec.ErrTorn) {
-					r.statTorn++
-					if left > 0 {
-						attempt(left - 1)
-						return
-					}
-				}
-				done(err == nil && perr == nil && r.adoptSlot(g, p, data, h))
-			})
-	}
-	attempt(slotReadRetries)
+	var h codec.DeltaHeader
+	var perr error
+	r.node.QP(peer).ReadValid(r.sumRegion, r.slotOffset(g, p), r.opts.SumSlotSize,
+		func(data []byte) bool {
+			if h, perr = codec.PeekDeltaRecord(data); errors.Is(perr, codec.ErrTorn) {
+				r.statTorn++
+				return true
+			}
+			return false
+		},
+		func(data []byte, err error) { done(err == nil && perr == nil && r.adoptSlot(g, p, data, h)) })
 }
 
 // repairSummaries reads the suspect's own summary row remotely (its NIC

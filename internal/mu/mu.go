@@ -283,6 +283,15 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.mLeaderChanges = reg.Counter("mu.leader_changes")
 		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
+		reg.CounterFunc("mu.torn_rejects", func() uint64 { // the log, request and control rings' CRC rejects
+			n := in.logReader.TornRejects()
+			for p, rd := range in.reqReaders {
+				if rd != nil {
+					n += rd.TornRejects() + in.ctrlReaders[p].TornRejects()
+				}
+			}
+			return n
+		})
 	}
 	in.logReader = ring.NewReader(node.Region(logRegion(group)).Bytes())
 	for p := 0; p < in.n; p++ {

@@ -1104,6 +1104,31 @@ func (qp *QP) Read(region string, off, n int, onDone func(data []byte, err error
 	v.post()
 }
 
+// TornLooks is the one bound on torn reads. A record whose boundary bytes
+// landed ahead of its interior fails validation; such a tear heals within one
+// fabric delay, so every reader of remote memory acts on the TornLooks-th
+// consecutive look (a poll, a scan or a READ) that finds the same record torn:
+// a ring reader parks and reports, a summary scan fetches the writer's copy,
+// a one-sided read gives up.
+const TornLooks = 4
+
+// ReadValid is Read for bytes validated on arrival: torn sees every read and
+// reports whether the bytes are torn, and the region is read again while they
+// are, up to TornLooks reads in all. onDone gets the last read, which borrows
+// the bytes the way Read's callback does. A read error ends the reads.
+func (qp *QP) ReadValid(region string, off, n int, torn func([]byte) bool, onDone func([]byte, error)) {
+	looks := 0
+	var read func([]byte, error)
+	read = func(data []byte, err error) {
+		if looks++; err == nil && torn(data) && looks < TornLooks {
+			qp.Read(region, off, n, read)
+			return
+		}
+		onDone(data, err)
+	}
+	qp.Read(region, off, n, read)
+}
+
 // CAS posts a one-sided 8-byte compare-and-swap on (region, off). onDone
 // receives the previous value; the swap succeeded iff old == expect.
 // Hamband's protocols avoid CAS by design (single-writer buffers); it is

@@ -254,3 +254,48 @@ func TestRegionWriteGenerations(t *testing.T) {
 		t.Error("Moved over pages is not the or of their chunks")
 	}
 }
+
+// TestReadValid pins the one validated read. torn sees every read, and the
+// region is read again while it reports the bytes torn, up to TornLooks reads
+// in all; onDone runs once, with the last read. A read error is not re-read.
+// The region's first byte is 'v' once valid, and its second counts the looks
+// torn has taken, so each read tells which look it follows.
+func TestReadValid(t *testing.T) {
+	type outcome struct {
+		looks, dones int
+		reads        uint64
+		last         []byte
+		err          error
+	}
+	run := func(region string, healAt int) (o outcome) {
+		eng, f := testFabric(2)
+		r := f.Node(1).Register("buf", 2)
+		eng.At(0, func() {
+			f.Node(0).QP(1).ReadValid(region, 0, 2, func(data []byte) bool {
+				o.looks++
+				if r.Bytes()[1] = byte(o.looks); o.looks == healAt {
+					r.Bytes()[0] = 'v'
+				}
+				return data[0] != 'v'
+			}, func(data []byte, err error) {
+				o.dones++
+				o.last, o.err = bytes.Clone(data), err
+			})
+		})
+		eng.Run()
+		o.reads = f.Stats().Reads
+		return o
+	}
+	for k := 1; k < TornLooks; k++ {
+		o := run("buf", k)
+		if o.dones != 1 || o.err != nil || o.reads != uint64(k+1) || o.looks != k+1 || !bytes.Equal(o.last, []byte{'v', byte(k)}) {
+			t.Fatalf("torn for %d reads: %+v; want one onDone after %d reads, with the valid bytes", k, o, k+1)
+		}
+	}
+	if o := run("buf", 0); o.dones != 1 || o.err != nil || o.reads != TornLooks || o.looks != TornLooks || !bytes.Equal(o.last, []byte{0, TornLooks - 1}) {
+		t.Fatalf("torn for good: %+v; want %d reads, each looked at, and the last one passed on", o, TornLooks)
+	}
+	if o := run("missing", 0); o.dones != 1 || !errors.Is(o.err, ErrNoRegion) || o.reads != 1 || o.looks != 0 {
+		t.Fatalf("read error: %+v; want one read, not looked at, its error passed on", o)
+	}
+}

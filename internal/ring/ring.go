@@ -28,6 +28,7 @@ import (
 	"fmt"
 
 	"hamband/internal/codec"
+	"hamband/internal/rdma"
 )
 
 // HeaderSize is the region prefix holding the head counter.
@@ -38,16 +39,6 @@ const skipMarker = 0xFFFFFFFF
 
 // ErrCorrupt reports a reader finding an impossible record layout.
 var ErrCorrupt = errors.New("ring: corrupt record")
-
-// tornRetryLimit bounds how many consecutive polls may observe the same
-// record failing its CRC before the reader diagnoses a writer dead mid-write
-// and parks. A torn landing normally completes within one fabric delay —
-// orders of magnitude under a poll period — but a degraded link may take
-// longer than any fixed window, and validity is a property of the bytes: a
-// reader parked this way checks the record again on every poll and resumes
-// when it validates. The limit decides when the fault is reported, not how
-// long the reader waits.
-const tornRetryLimit = 8
 
 // RegionSize returns the memory-region size for a ring of the given data
 // capacity.
@@ -199,7 +190,7 @@ func (r *Reader) Parked() error { return r.parked }
 // TornStreak returns how many consecutive polls have rejected the record at
 // the current head — the progress of the one-shot parking diagnosis. It
 // resets to zero the moment a poll validates, so a healed tear leaves no
-// residue: a later tear must again fail the full retry window to park.
+// residue: a later tear must again fail rdma.TornLooks polls to park.
 func (r *Reader) TornStreak() int { return r.tornStreak }
 
 // Quiescent reports whether the most recent Poll proved the ring genuinely
@@ -221,8 +212,8 @@ func (r *Reader) Quiescent() bool { return r.quiet }
 // caller that keeps it longer copies it. Writing into it leaves the region
 // unchanged.
 //
-// A corrupt layout — an impossible length word, or a record whose CRC does
-// not validate within the bounded retry window — is surfaced exactly once,
+// A corrupt layout — an impossible length word, or a record whose CRC fails
+// on rdma.TornLooks consecutive polls — is surfaced exactly once,
 // with offset and head diagnostics, and parks the reader: subsequent polls
 // return idle instead of re-reporting the same fault every poll. The length
 // word is corruption and terminal; the CRC may be lateness, so a reader
@@ -276,7 +267,7 @@ func (r *Reader) Poll() ([]byte, bool, error) {
 			}
 			r.torn++
 			r.tornStreak++
-			if r.tornStreak >= tornRetryLimit {
+			if r.tornStreak >= rdma.TornLooks {
 				return r.park(fmt.Errorf(
 					"%w: record at offset %d (head %d) failed CRC on %d consecutive polls: ring parked",
 					ErrCorrupt, pos, r.head, r.tornStreak))

@@ -138,7 +138,7 @@ func TestCorruptLengthParksOnce(t *testing.T) {
 }
 
 // TestPersistentTornRecordParks pins the bounded retry: a record that fails
-// its CRC on tornRetryLimit consecutive polls (the writer died mid-write;
+// its CRC on rdma.TornLooks consecutive polls (the writer died mid-write;
 // the interior is never coming) parks the ring with a one-time diagnosis
 // instead of retrying forever.
 func TestPersistentTornRecordParks(t *testing.T) {
@@ -155,7 +155,7 @@ func TestPersistentTornRecordParks(t *testing.T) {
 
 	var parked error
 	polls := 0
-	for i := 0; i < tornRetryLimit+4; i++ {
+	for i := 0; i < rdma.TornLooks+4; i++ {
 		_, ok, perr := r.Poll()
 		if ok {
 			t.Fatal("consumed a permanently torn record")
@@ -169,16 +169,16 @@ func TestPersistentTornRecordParks(t *testing.T) {
 	if parked == nil {
 		t.Fatalf("reader never parked after %d polls of a dead record", polls)
 	}
-	if polls != tornRetryLimit {
-		t.Fatalf("parked after %d polls, want %d", polls, tornRetryLimit)
+	if polls != rdma.TornLooks {
+		t.Fatalf("parked after %d polls, want %d", polls, rdma.TornLooks)
 	}
 	for _, want := range []string{"failed CRC", "offset 0", "parked"} {
 		if !strings.Contains(parked.Error(), want) {
 			t.Errorf("diagnosis %q missing %q", parked, want)
 		}
 	}
-	if got := r.TornRejects(); got != uint64(tornRetryLimit) {
-		t.Fatalf("TornRejects = %d, want %d", got, tornRetryLimit)
+	if got := r.TornRejects(); got != uint64(rdma.TornLooks) {
+		t.Fatalf("TornRejects = %d, want %d", got, rdma.TornLooks)
 	}
 	// Parked is sticky and quiet.
 	if _, ok, perr := r.Poll(); ok || perr != nil {
@@ -191,7 +191,7 @@ func TestPersistentTornRecordParks(t *testing.T) {
 
 // TestLateInteriorUnparks pins the other half of the bounded retry: the limit
 // decides when a torn record is reported, not how long the reader waits for
-// it. A link that tears by longer than the retry window (30 µs against eight
+// it. A link that tears by longer than the retry window (30 µs against four
 // 2 µs polls) lands the boundary bytes now and the interior later; the reader
 // parks, reports once, validates the same record again on every poll and
 // delivers it — and what follows it — when the interior arrives.
@@ -215,7 +215,7 @@ func TestLateInteriorUnparks(t *testing.T) {
 	apply(region, next)
 
 	reports := 0
-	for i := 0; i < tornRetryLimit+7; i++ {
+	for i := 0; i < rdma.TornLooks+7; i++ {
 		_, ok, perr := r.Poll()
 		if ok {
 			t.Fatalf("poll %d consumed a record past a torn one", i)
@@ -227,8 +227,8 @@ func TestLateInteriorUnparks(t *testing.T) {
 	if reports != 1 || r.Parked() == nil {
 		t.Fatalf("%d reports, Parked() = %v; want the diagnosis once and the reader parked", reports, r.Parked())
 	}
-	if got := r.TornRejects(); got != tornRetryLimit {
-		t.Fatalf("TornRejects = %d, want %d: a parked reader's looks are not new rejections", got, tornRetryLimit)
+	if got := r.TornRejects(); got != rdma.TornLooks {
+		t.Fatalf("TornRejects = %d, want %d: a parked reader's looks are not new rejections", got, rdma.TornLooks)
 	}
 
 	apply(region, late) // the interior lands
@@ -250,7 +250,7 @@ func TestLateInteriorUnparks(t *testing.T) {
 // health layer exposes: TornStreak climbs one per rejecting poll while a
 // tear persists, drops to zero the moment the record validates, and a later
 // tear starts its park countdown from scratch — a healed episode leaves no
-// residue toward the tornRetryLimit quarantine.
+// residue toward the rdma.TornLooks quarantine.
 func TestTornStreakResetsAfterHeal(t *testing.T) {
 	region := make([]byte, RegionSize(256))
 	w := NewWriter(256)
@@ -281,7 +281,7 @@ func TestTornStreakResetsAfterHeal(t *testing.T) {
 	}
 
 	// First tear: one poll short of the park limit, then the interior lands.
-	writes := tearAndPoll(bytes.Repeat([]byte{0xAA}, 24), tornRetryLimit-1)
+	writes := tearAndPoll(bytes.Repeat([]byte{0xAA}, 24), rdma.TornLooks-1)
 	apply(region, writes)
 	if _, ok, perr := r.Poll(); !ok || perr != nil {
 		t.Fatalf("healed poll = (%v, %v)", ok, perr)
@@ -290,9 +290,9 @@ func TestTornStreakResetsAfterHeal(t *testing.T) {
 		t.Fatalf("TornStreak after heal = %d, want 0", got)
 	}
 
-	// Second tear: the countdown must restart — tornRetryLimit-1 more
+	// Second tear: the countdown must restart — rdma.TornLooks-1 more
 	// rejects still do not park, despite the earlier episode.
-	writes = tearAndPoll(bytes.Repeat([]byte{0xBB}, 24), tornRetryLimit-1)
+	writes = tearAndPoll(bytes.Repeat([]byte{0xBB}, 24), rdma.TornLooks-1)
 	if r.Parked() != nil {
 		t.Fatalf("parked with a reset streak: %v", r.Parked())
 	}
@@ -313,7 +313,7 @@ func TestTornStreakResetsAcrossRecords(t *testing.T) {
 	w := NewWriter(512)
 	r := NewReader(region)
 
-	for i := 0; i < 2*tornRetryLimit; i++ {
+	for i := 0; i < 2*rdma.TornLooks; i++ {
 		payload := bytes.Repeat([]byte{byte(i + 1)}, 24)
 		rec, err := codec.EncodeRaw(payload)
 		if err != nil {
@@ -330,7 +330,7 @@ func TestTornStreakResetsAcrossRecords(t *testing.T) {
 		apply(region, writes[:len(writes)-1])
 		landBoundary(region, writes[len(writes)-1])
 		// A few torn polls, each rejected...
-		for p := 0; p < tornRetryLimit-1; p++ {
+		for p := 0; p < rdma.TornLooks-1; p++ {
 			if _, ok, perr := r.Poll(); ok || perr != nil {
 				t.Fatalf("record %d poll %d = (%v, %v)", i, p, ok, perr)
 			}
@@ -345,7 +345,7 @@ func TestTornStreakResetsAcrossRecords(t *testing.T) {
 	if r.Parked() != nil {
 		t.Fatalf("healing torn records parked the ring: %v", r.Parked())
 	}
-	want := uint64(2 * tornRetryLimit * (tornRetryLimit - 1))
+	want := uint64(2 * rdma.TornLooks * (rdma.TornLooks - 1))
 	if got := r.TornRejects(); got != want {
 		t.Fatalf("TornRejects = %d, want %d", got, want)
 	}
@@ -363,9 +363,9 @@ func TestTornRingHeadToHead(t *testing.T) {
 		reg := f.Node(1).Register("ring", RegionSize(capacity))
 		reg.AllowWrite(0)
 		// Tear (2±0.5 µs) is longer than the reader's poll period (1 µs),
-		// so every torn record is polled mid-tear at least once — but far
-		// under tornRetryLimit polls, so the validating reader retries
-		// rather than parking.
+		// so every torn record is polled mid-tear at least once — but heals
+		// within three polls, under rdma.TornLooks, so the validating reader
+		// retries rather than parking.
 		f.SetLinkTorn(0, 1, 2*sim.Microsecond, 500*sim.Nanosecond)
 
 		w := NewWriter(capacity)
