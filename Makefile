@@ -203,7 +203,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR42.json
+SNAPSHOT ?= BENCH_PR48.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -240,8 +240,8 @@ bench-pairs:
 # MAXREGRESS, when nonzero, fails the target if any matched point's throughput
 # drops, or its p99 or bytes per op rise, by more than that percentage — the CI
 # regression gate.
-OLD ?= BENCH_PR42.json
-NEW ?= BENCH_PR42.json
+OLD ?= BENCH_PR48.json
+NEW ?= BENCH_PR48.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)
@@ -256,3 +256,5 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaEntry -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzPlanJSON -fuzztime=$(FUZZTIME) ./internal/chaos
 	$(GO) test -run=^$$ -fuzz=FuzzCallBuffer -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run=^$$ -fuzz=FuzzLogEntry -fuzztime=$(FUZZTIME) ./internal/mu
+	$(GO) test -run=^$$ -fuzz=FuzzMessage -fuzztime=$(FUZZTIME) ./internal/broadcast

@@ -93,33 +93,41 @@ func Setup(fab *rdma.Fabric, cfg Config) {
 	}
 }
 
-// message is the wire format: u32 epoch | u64 seq | payload. The epoch is
-// the configuration the source believed current when it posted the write;
-// receivers reject messages stamped before the source's minimum epoch
+// message is the wire format: uvarint epoch | uvarint seq | payload, the
+// call record's canonical varints (codec.AppendUvarint, codec.Uvarints). The
+// epoch is the configuration the source believed current when it posted the
+// write; receivers reject messages stamped before the source's minimum epoch
 // (dynamic membership: a removed node that has not yet learned of its
 // removal keeps stamping its old epoch, and those writes must not be
-// delivered).
-const messageHeader = 12
-
+// delivered). An epoch beyond u32 is codec.ErrCorrupt.
 func appendMessage(dst []byte, epoch uint32, seq uint64, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, epoch)
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
+	dst = codec.AppendUvarint(dst, uint64(epoch))
+	dst = codec.AppendUvarint(dst, seq)
 	return append(dst, payload...)
 }
 
+// maxMessageHeader is the longest a message's fields pack to: a five-byte
+// epoch and a ten-byte seq.
+const maxMessageHeader = 5 + binary.MaxVarintLen64
+
 // MaxPayload is the largest payload one message can carry under c. The ring
-// record wraps it (message header, raw framing) and must fit a backup slot,
-// which keeps the record as it is, half an inbound ring (ring.Writer's bound)
-// and one codec record. Whichever is tighter decides.
+// record wraps it (the longest packed header, raw framing) and must fit a
+// backup slot, which keeps the record as it is, half an inbound ring
+// (ring.Writer's bound) and one codec record. Whichever is tighter decides.
 func (c Config) MaxPayload() int {
-	return min(c.BackupSlot, c.RingCapacity/2, codec.MaxRecord) - messageHeader - codec.RawOverhead
+	return min(c.BackupSlot, c.RingCapacity/2, codec.MaxRecord) - maxMessageHeader - codec.RawOverhead
 }
 
 func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err error) {
-	if len(b) < messageHeader {
-		return 0, 0, nil, codec.ErrCorrupt
+	var e uint64
+	payload, err = codec.Uvarints(b, &e, &seq)
+	if err == nil && e > math.MaxUint32 {
+		err = fmt.Errorf("%w: epoch %d beyond u32", codec.ErrCorrupt, e)
 	}
-	return binary.LittleEndian.Uint32(b), binary.LittleEndian.Uint64(b[4:]), b[messageHeader:], nil
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return uint32(e), seq, payload, nil
 }
 
 // Broadcaster is the source side of reliable broadcast on one node. A nil

@@ -2,6 +2,7 @@ package broadcast
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -324,23 +325,26 @@ func TestFirstAckPacesTheSource(t *testing.T) {
 	}
 }
 
-// TestMaxPayloadFitsSlotAndRing: a payload of exactly MaxPayload bytes
-// launches — backup slot and ring both take its record, which the slot keeps
-// as it is — whichever of the two decides the bound, and one byte more fits
-// neither. At the defaults the slot decides: 512 − 12 − 9 = 491 bytes.
+// TestMaxPayloadFitsSlotAndRing: a payload of exactly MaxPayload bytes under
+// the longest packed header — a five-byte epoch and a ten-byte seq — makes a
+// ring record as long as the backup slot and the ring take, whichever of the
+// two decides the bound, and such a payload launches and is delivered. At the
+// defaults the slot decides: 512 − 15 − 9 = 488 bytes.
 func TestMaxPayloadFitsSlotAndRing(t *testing.T) {
-	if n := DefaultConfig().MaxPayload(); n != 491 {
-		t.Fatalf("default MaxPayload %d, want 491", n)
+	if n := DefaultConfig().MaxPayload(); n != 488 {
+		t.Fatalf("default MaxPayload %d, want 488", n)
 	}
 	for _, ringCap := range []int{1 << 16, 512} {
 		cfg := DefaultConfig()
 		cfg.RingCapacity = ringCap
 		eng, _, bcs, got, _ := setup(2, cfg)
 		n := cfg.MaxPayload()
-		if record := n + messageHeader + codec.RawOverhead; record != min(cfg.BackupSlot, ringCap/2) {
+		longest := appendMessage(nil, math.MaxUint32, math.MaxUint64, make([]byte, n))
+		if record := len(longest) + codec.RawOverhead; record != min(cfg.BackupSlot, ringCap/2) {
 			t.Fatalf("ring %d: MaxPayload %d makes a %d-byte record; the %d-byte slot and the %d-byte record bound are not tight",
 				ringCap, n, record, cfg.BackupSlot, ringCap/2)
 		}
+		bcs[0].SetEpoch(math.MaxUint32)
 		if err := bcs[0].Broadcast(make([]byte, n), nil); err != nil {
 			t.Fatal(err)
 		}

@@ -43,9 +43,10 @@ func TestFloorAfterDrainWrapAtPollBoundary(t *testing.T) {
 	}
 	// frame builds the wire record for one message, padded so the framed
 	// size is exactly 49 bytes: two fill the 128-byte lap to offset 98,
-	// leaving a 30-byte remainder that forces an explicit skip marker.
+	// leaving a 30-byte remainder that forces an explicit skip marker. The
+	// raw framing takes 9 bytes and epoch 0 and a seq below 128 one each.
 	frame := func(seq uint64, tag string) []byte {
-		payload := append([]byte(tag), make([]byte, 28-len(tag))...)
+		payload := append([]byte(tag), make([]byte, 49-codec.RawOverhead-2-len(tag))...)
 		rec, err := codec.EncodeRaw(appendMessage(nil, 0, seq, payload))
 		if err != nil {
 			t.Fatal(err)

@@ -12,7 +12,8 @@
 //     write's boundary bytes before its interior, and the CRC over the whole
 //     record refuses every such torn landing.
 //   - the raw ring record: an opaque payload under the call record's length
-//     word and trailer, for protocol layers that carry their own messages.
+//     word and trailer, for protocol layers that carry their own messages
+//     and pack their headers in the call record's varints (Uvarints).
 //
 // EncodeSlot and DecodeSlot keep a third, retired frame for measurement and
 // tests only (see EncodeSlot).

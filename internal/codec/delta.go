@@ -13,12 +13,14 @@
 // it covers versions version−span+1 through version. Only FrameAnchor
 // carries the epoch, in the same place.
 //
-// All integers are varint-packed; spec.DepVec and the per-method applied
-// counts use a columnar delta encoding (first value, then zigzag deltas
-// between consecutive values) since neighbouring counts are near each
-// other. Varints must be canonical: an overlong encoding (a value that fits
-// fewer bytes, or more than ten bytes) decodes as ErrCorrupt, never as a
-// second representation of the same record.
+// All integers are varint-packed; spec.DepVec, the per-method applied
+// counts and the call's int args use a columnar delta encoding (first value,
+// then zigzag deltas between consecutive values) since neighbouring counts are
+// near each other and a set's elements travel sorted. Varints must be
+// canonical: an overlong encoding (a value that fits fewer bytes, or more than
+// ten bytes) decodes as ErrCorrupt, never as a second representation of the
+// same record. The headers mu and broadcast pack ahead of their raw ring
+// records are runs of the same varints (Uvarints).
 package codec
 
 import (
@@ -73,6 +75,21 @@ func Uvarint(b []byte) (uint64, int, error) {
 		return 0, 0, fmt.Errorf("%w: overlong varint", ErrCorrupt)
 	}
 	return v, n, nil
+}
+
+// Uvarints decodes canonical uvarints off the front of b into vs, in order,
+// and returns the bytes that follow them: how a protocol layer reads the
+// header it packs ahead of a raw ring record's payload. Errors as for
+// Uvarint: a b that ends inside the run is ErrTruncated.
+func Uvarints(b []byte, vs ...*uint64) ([]byte, error) {
+	for _, v := range vs {
+		x, n, err := Uvarint(b)
+		if err != nil {
+			return nil, err
+		}
+		*v, b = x, b[n:]
+	}
+	return b, nil
 }
 
 // zigzag maps signed to unsigned so small magnitudes stay short.
@@ -138,15 +155,23 @@ func appendDepVec(b []byte, d spec.DepVec) []byte {
 	return appendU32Packed(b, d)
 }
 
+// MaxDepVecBytes is the most bytes a DepVec of cells cells packs into: its
+// count, then five bytes a cell, the longest zigzag delta between two u32s.
+func MaxDepVecBytes(cells int) int { return uvarintLen(uint64(cells)) + 5*cells }
+
 // appendPackedCall appends a varint-packed call and dependency record:
-// method, proc, seq, int args (zigzag), string args, packed DepVec.
+// method, proc, seq, int args (count, then each arg's zigzag delta from the
+// one before it, the first from 0), string args, packed DepVec. The deltas
+// wrap like int64 arithmetic, and the decoder adds them back the same way.
 func appendPackedCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 	b = AppendUvarint(b, uint64(c.Method))
 	b = AppendUvarint(b, uint64(c.Proc))
 	b = AppendUvarint(b, c.Seq)
 	b = AppendUvarint(b, uint64(len(c.Args.I)))
+	prev := int64(0)
 	for _, v := range c.Args.I {
-		b = AppendUvarint(b, zigzag(v))
+		b = AppendUvarint(b, zigzag(v-prev))
+		prev = v
 	}
 	b = AppendUvarint(b, uint64(len(c.Args.S)))
 	for _, s := range c.Args.S {
@@ -190,12 +215,14 @@ func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
 		return 0, fmt.Errorf("%w: %d int args exceed buffer", ErrCorrupt, ni)
 	}
 	c.Args.I = resize(c.Args.I, int(ni))
+	prev := int64(0)
 	for i := range c.Args.I {
 		u, err := next()
 		if err != nil {
 			return 0, err
 		}
-		c.Args.I[i] = unzigzag(u)
+		prev += unzigzag(u)
+		c.Args.I[i] = prev
 	}
 	ns, err := next()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -160,6 +161,48 @@ func TestDepVecPackingShrinks(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got.D, d) {
 		t.Fatalf("round trip mismatch: %v != %v", got.D, d)
+	}
+}
+
+// TestIntArgsPackAsDeltas: int args pack like the DepVec, each as the zigzag
+// delta from the one before, the first from 0. A one-arg call packs as it did
+// when each arg was its own zigzag value; a sorted run of nearby keys costs its
+// first key and then a byte a key; the extremes, whose deltas wrap, round trip;
+// and args alternating between MinInt64 and 0 still cost ten bytes each.
+func TestIntArgsPackAsDeltas(t *testing.T) {
+	argBytes := func(args ...int64) int {
+		t.Helper()
+		c := spec.Call{Method: 1, Proc: 2, Seq: 3, Args: spec.Args{I: args}}
+		b, err := AppendDeltaRecord(nil, DeltaRecord{Kind: FrameFull, C: c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := DecodeDeltaRecord(b)
+		if err != nil || !reflect.DeepEqual(got.C.Args.I, c.Args.I) {
+			t.Fatalf("args %v decode to %v, %v", args, got.C.Args.I, err)
+		}
+		bare, _ := AppendDeltaRecord(nil, DeltaRecord{Kind: FrameFull, C: spec.Call{Method: 1, Proc: 2, Seq: 3}})
+		return len(b) - len(bare)
+	}
+	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, math.MinInt64, math.MaxInt64} {
+		if got, want := argBytes(v), len(AppendUvarint(nil, zigzag(v))); got != want {
+			t.Fatalf("one arg %d packs to %d bytes, want %d", v, got, want)
+		}
+	}
+	keys := make([]int64, 16)
+	for i := range keys {
+		keys[i] = 1<<40 + int64(i)
+	}
+	if got, want := argBytes(keys...), len(AppendUvarint(nil, zigzag(keys[0])))+len(keys)-1; got != want {
+		t.Fatalf("16 sorted neighbouring keys pack to %d bytes, want %d", got, want)
+	}
+	argBytes(math.MaxInt64, math.MinInt64, math.MaxInt64, 0, -1, math.MinInt64)
+	alternating := make([]int64, 8)
+	for i := 0; i < len(alternating); i += 2 {
+		alternating[i] = math.MinInt64
+	}
+	if got := argBytes(alternating...); got != 10*len(alternating) {
+		t.Fatalf("8 args alternating MinInt64 and 0 pack to %d bytes, want 80", got)
 	}
 }
 

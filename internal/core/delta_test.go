@@ -439,7 +439,9 @@ func TestSummaryOverflowPanicsAtReanchor(t *testing.T) {
 		anchors := r0.statAnchors
 		msg := func() (msg string) {
 			defer func() { msg, _ = recover().(string) }()
-			h.eng.At(h.eng.Now(), func() { h.invoke(0, crdt.GSetAdd, spec.ArgsI(1<<40+int64(i))) })
+			// Keys 2^40 apart: the summary's sorted union packs each as a
+			// six-byte delta, so it outgrows the area within a few δ-logs.
+			h.eng.At(h.eng.Now(), func() { h.invoke(0, crdt.GSetAdd, spec.ArgsI(int64(i+1)<<40)) })
 			h.eng.RunFor(20 * sim.Microsecond)
 			return ""
 		}()
@@ -557,13 +559,19 @@ func TestBurstAcrossAnchorKeepsOrder(t *testing.T) {
 		o.DisableFailureHandling = true
 		o.DeltaLogBytes = MinDeltaLogBytes
 	})
-	const key = 1 << 50 // eight bytes a key: six fit one run in the log, seven do not
+	// Keys 2^50 apart: a run's sorted union packs each as an eight-byte
+	// delta, and six fit one run in the log, seven do not.
+	const key = 1 << 50
 	burstOf(h, crdt.GSetAdd, key, 1)
 	if !h.drain(20 * sim.Millisecond) {
 		t.Fatal("the anchor did not replicate")
 	}
 	before := h.fab.Stats()
-	burstOf(h, crdt.GSetAdd, key+1, 8) // δ…δ | anchor | δ
+	h.eng.At(h.eng.Now(), func() { // δ…δ | anchor | δ
+		for i := 1; i <= 8; i++ {
+			h.invoke(0, crdt.GSetAdd, spec.ArgsI(int64(key+i*key)))
+		}
+	})
 	if !h.drain(20 * sim.Millisecond) {
 		t.Fatal("the burst did not replicate")
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -34,9 +33,9 @@ type tappedMsg struct {
 }
 
 // tapFree decodes every message src wrote into node's inbound ring, in ring
-// order. The wire format is broadcast's: a raw-framed record holding u32
-// epoch | u64 seq | payload, the payload a run of FrameFull δ-records; Poll
-// strips the framing.
+// order. The wire format is broadcast's: a raw-framed record holding uvarint
+// epoch | uvarint seq | payload, the payload a run of FrameFull δ-records;
+// Poll strips the framing.
 func (h *harness) tapFree(node, src int) []tappedMsg {
 	h.t.Helper()
 	region := h.fab.Node(rdma.NodeID(node)).Region(broadcast.InboundRegion("", rdma.NodeID(src)))
@@ -50,11 +49,13 @@ func (h *harness) tapFree(node, src int) []tappedMsg {
 		if !ok {
 			return out
 		}
-		if len(msg) < 12 {
-			h.t.Fatalf("tap of p%d's ring from p%d: %d-byte message", node, src, len(msg))
+		var m tappedMsg
+		var epoch uint64
+		payload, err := codec.Uvarints(msg, &epoch, &m.seq)
+		if err != nil {
+			h.t.Fatalf("tap of p%d's ring from p%d: %d-byte message: %v", node, src, len(msg), err)
 		}
-		m := tappedMsg{seq: binary.LittleEndian.Uint64(msg[4:]), payload: len(msg) - 12}
-		for payload := msg[12:]; len(payload) > 0; {
+		for m.payload = len(payload); len(payload) > 0; {
 			r, n, err := codec.DecodeDeltaRecord(payload)
 			if err != nil || r.Kind != codec.FrameFull {
 				h.t.Fatalf("tap of p%d's ring from p%d: message %d: %v", node, src, m.seq, err)
@@ -356,11 +357,13 @@ func TestFreeBatchingConverges(t *testing.T) {
 }
 
 // oversizedArgs are arguments whose record no broadcast message can carry at
-// the default sizes or below: 64 integers of ten varint bytes each.
+// the default sizes or below: 64 integers of ten varint bytes each. Int args
+// pack as deltas, so the values alternate between MinInt64 and 0, each a
+// ten-byte step from the one before.
 func oversizedArgs() spec.Args {
 	big := spec.Args{I: make([]int64, 64)}
-	for i := range big.I {
-		big.I[i] = math.MinInt64 + int64(i)
+	for i := 0; i < len(big.I); i += 2 {
+		big.I[i] = math.MinInt64
 	}
 	return big
 }
@@ -401,11 +404,12 @@ func TestTooLargeFreeCallTouchesNothing(t *testing.T) {
 	h.assertAppliedOnce([]int{1, 2}, 1)
 }
 
-// TestTooLargeConfCallTouchesNothing is the twin on rule CONF, whose bound is
-// codec.MaxRecord: a conflicting call whose record does not encode is answered
-// with the codec's error at its origin, before the synchronization group hears
-// of it — no pending request, no state or applied count moved, no write posted
-// towards the leader — and the group goes on ordering calls.
+// TestTooLargeConfCallTouchesNothing is the twin on rule CONF for a call
+// whose record does not encode at all (over codec.MaxRecord; the tighter
+// journal-slot bound has TestConfCallBoundIsTheJournalSlot): it is answered
+// with the codec's error at its origin, before the synchronization group
+// hears of it — no pending request, no state or applied count moved, no write
+// posted towards the leader — and the group goes on ordering calls.
 func TestTooLargeConfCallTouchesNothing(t *testing.T) {
 	h := newHarness(t, crdt.NewAccount(), 3, 151, nil)
 	h.invoke(1, crdt.AccountDeposit, spec.ArgsI(100))
@@ -417,8 +421,8 @@ func TestTooLargeConfCallTouchesNothing(t *testing.T) {
 	r1 := h.cluster.Replica(1) // not the leader: an accepted call would be written to p0
 	state, applied, writes := r1.CurrentState(), r1.Applied().Clone(), h.fab.Stats().Writes
 	big := spec.Args{I: make([]int64, codec.MaxRecord/10+1)}
-	for i := range big.I {
-		big.I[i] = math.MinInt64 // ten varint bytes each
+	for i := 0; i < len(big.I); i += 2 {
+		big.I[i] = math.MinInt64 // alternating with 0: ten delta bytes each
 	}
 	var refused error
 	r1.Invoke(crdt.AccountWithdraw, big, func(_ any, err error) { refused = err })
@@ -443,6 +447,88 @@ func TestTooLargeConfCallTouchesNothing(t *testing.T) {
 	for p := 0; p < 3; p++ {
 		if got := h.cluster.Replica(spec.ProcID(p)).CurrentState().(*crdt.AccountState).Balance; got != 50 {
 			t.Fatalf("p%d balance %d, want 50", p, got)
+		}
+	}
+}
+
+// TestConfCallBoundIsTheJournalSlot: rule CONF's bound is the Mu journal slot
+// (mu.Config.MaxPayload), far below codec.MaxRecord. The
+// origin counts its call's entry payload with room for the longest dependency
+// record the leader may add. A call exactly at the bound is ordered and
+// applied on every node; one a byte longer is refused at its origin with
+// codec.ErrTooLarge, no request pending and no write posted. Without the
+// bound, a withdraw of 24 args alternating MinInt64 and 0 (ten delta bytes
+// each) reached the leader and panicked it in mu.journalRaw; at the leader and
+// at a follower it is refused.
+func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
+	h := newHarness(t, crdt.NewAccount(), 3, 152, nil)
+	h.invoke(1, crdt.AccountDeposit, spec.ArgsI(100))
+	if !h.drain(sim.Millisecond) {
+		t.Fatal("the deposit did not replicate")
+	}
+	bound := h.cluster.Opts.Mu.MaxPayload()
+	if bound >= h.cluster.Opts.Mu.JournalSlotSize {
+		t.Fatalf("bound %d, want less than the %d-byte journal slot", bound, h.cluster.Opts.Mu.JournalSlotSize)
+	}
+	r1 := h.cluster.Replica(1) // not the leader: an accepted call is written to p0
+	// withdraw(1) padded with zero args, a byte each, and its entry payload
+	// as the origin counts it: flag byte, record, the longest 3-cell DepVec
+	// in place of the empty one.
+	withdraw := func(args int) spec.Args {
+		a := spec.Args{I: make([]int64, args)}
+		a.I[0] = 1
+		return a
+	}
+	counted := func(a spec.Args) int {
+		c := spec.Call{Method: crdt.AccountWithdraw, Proc: 1, Seq: r1.nextSeq + 1, Args: a}
+		b, err := encodeConf(nil, c, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(b) - 1 + codec.MaxDepVecBytes(3)
+	}
+	args := 1
+	for counted(withdraw(args+1)) <= bound {
+		args++
+	}
+	if got := counted(withdraw(args)); got != bound {
+		t.Fatalf("%d args count %d bytes, want the %d-byte bound", args, got, bound)
+	}
+	h.invoke(1, crdt.AccountWithdraw, withdraw(args))
+	if !h.drain(sim.Millisecond) {
+		t.Fatal("the call at the bound did not replicate")
+	}
+	for p := 0; p < 3; p++ {
+		if got := h.cluster.Replica(spec.ProcID(p)).CurrentState().(*crdt.AccountState).Balance; got != 99 {
+			t.Fatalf("p%d balance %d, want 99: the call at the bound was not applied", p, got)
+		}
+	}
+
+	writes := h.fab.Stats().Writes
+	var refused error
+	big := withdraw(args + 1)
+	r1.Invoke(crdt.AccountWithdraw, big, func(_ any, err error) { refused = err })
+	h.eng.RunFor(sim.Millisecond)
+	if !errors.Is(refused, codec.ErrTooLarge) {
+		t.Fatalf("a call counting %d bytes under the %d-byte bound: %v, want an error wrapping codec.ErrTooLarge", bound+1, bound, refused)
+	}
+	if len(r1.pendingConf) != 0 {
+		t.Fatalf("the refused call left %d pending requests", len(r1.pendingConf))
+	}
+	if got := h.fab.Stats().Writes; got != writes {
+		t.Fatalf("%d writes posted for the refused call", got-writes)
+	}
+	// The call that panicked the leader, at the leader and at a follower.
+	panicked := spec.Args{I: make([]int64, 24)}
+	for i := 0; i < len(panicked.I); i += 2 {
+		panicked.I[i] = math.MinInt64
+	}
+	for _, p := range []spec.ProcID{0, 1} {
+		refused = nil
+		h.cluster.Replica(p).Invoke(crdt.AccountWithdraw, panicked, func(_ any, err error) { refused = err })
+		h.eng.RunFor(sim.Millisecond)
+		if !errors.Is(refused, codec.ErrTooLarge) {
+			t.Fatalf("p%d: a withdraw of 24 args alternating MinInt64 and 0: %v, want codec.ErrTooLarge", p, refused)
 		}
 	}
 }

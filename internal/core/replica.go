@@ -892,10 +892,16 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			trace.CallRecord{C: c, SubmitAt: submitAt})
 	}
 	// The flag byte stays clear; the leader's Transform decides. A call whose
-	// record does not encode is refused before anything knows of it. The
-	// payload is encoded in recBuf, which mu.Submit copies.
+	// record does not encode, or whose entry would not fit a journal slot once
+	// the leader adds its dependency record (packed as a one-byte empty
+	// vector here), is refused before anything knows of it. The payload is
+	// encoded in recBuf, which mu.Submit copies.
 	payload, err := encodeConf(r.recBuf[:0], c, nil)
 	r.recBuf = payload
+	bound := r.cluster.Opts.Mu.MaxPayload()
+	if n := len(payload) - 1 + codec.MaxDepVecBytes(r.n*len(r.an.DependsOn[u])); err == nil && n > bound {
+		err = fmt.Errorf("%w: %d-byte conflicting call entry, Mu entries carry %d", codec.ErrTooLarge, n, bound)
+	}
 	if err != nil {
 		if onDone != nil {
 			onDone(nil, err)

@@ -121,10 +121,12 @@ func TestWarmCommitAllocs(t *testing.T) {
 // buffers, and reach handleCtrl through drain, which keeps no handler past
 // the sweep. Both are of an older term, so they change nothing here;
 // the catch-up read an idle follower makes is kept out by a long
-// CatchUpAfter.
+// CatchUpAfter. The control rings are 2 KiB, so the 250 rounds' packed
+// 12-byte vote and 13-byte grant records lap them.
 func TestElectionSweepAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CatchUpAfter = sim.Second
+	cfg.CtrlCapacity = 1 << 11
 	c := newClusterCfg(t, 3, 0, cfg, nil)
 	c.inst[0].Stop()
 	c.inst[1].Stop()
@@ -172,7 +174,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	if lifo {
 		in.deliverFn = func() {
 			d := in.deliveries.PopBack()
-			in.Deliver(d.seq, d.origin, d.entry[entryHeader:])
+			in.Deliver(d.seq, d.origin, d.payload)
 			in.release(d.entry)
 		}
 	}

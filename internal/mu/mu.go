@@ -378,24 +378,44 @@ func (in *Instance) majority() int {
 func (in *Instance) alive() bool { return !in.node.Suspended() && !in.node.Crashed() }
 
 // --- wire formats -----------------------------------------------------
+//
+// Every message is the payload of a raw ring record (codec.BeginRaw /
+// FinishRaw), and its fixed fields are a run of the call record's canonical
+// uvarints (codec.AppendUvarint, codec.Uvarints) ahead of the payload, if it
+// has one. A node id above maxNode is codec.ErrCorrupt.
 
-// entry: u64 seq | u64 term | u64 commit | u16 origin | u64 submitSeq | payload.
-// term is the proposing leader's term: receivers drop entries from terms
-// older than the highest they have seen, which silences a deposed "zombie"
-// leader that has not yet learned of its deposition. commit is the
-// proposer's decided watermark: receivers deliver an entry only once some
-// record shows it committed, so a zombie's never-decided proposals are
-// never applied. A seq of zero marks a pure commit record (no payload).
+// maxNode is the largest node id a message carries.
+const maxNode = 0xFFFF
+
+// entry: uvarint seq | uvarint term | uvarint commit | uvarint origin |
+// uvarint submitSeq | payload. term is the proposing leader's term: receivers
+// drop entries from terms older than the highest they have seen, which
+// silences a deposed "zombie" leader that has not yet learned of its
+// deposition. commit is the proposer's decided watermark: receivers deliver an
+// entry only once some record shows it committed, so a zombie's never-decided
+// proposals are never applied. A seq of zero marks a pure commit record (no
+// payload).
 func appendEntry(dst []byte, seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, seq)
-	dst = binary.LittleEndian.AppendUint64(dst, term)
-	dst = binary.LittleEndian.AppendUint64(dst, commit)
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(origin))
-	dst = binary.LittleEndian.AppendUint64(dst, submitSeq)
+	dst = codec.AppendUvarint(dst, seq)
+	dst = codec.AppendUvarint(dst, term)
+	dst = codec.AppendUvarint(dst, commit)
+	dst = codec.AppendUvarint(dst, uint64(origin))
+	dst = codec.AppendUvarint(dst, submitSeq)
 	return append(dst, payload...)
 }
 
-const entryHeader = 34 // the fixed fields ahead of an entry's payload
+// maxEntryHeader is the longest an entry's fields pack to: four ten-byte
+// varints and a three-byte origin.
+const maxEntryHeader = 4*binary.MaxVarintLen64 + 3
+
+// MaxPayload is the largest payload Submit can order under c. The ring record
+// that carries its entry (the longest packed header, raw framing) must fit a
+// journal slot, which keeps the record as it is, half a log ring
+// (ring.Writer's bound) and one codec record. Whichever is tighter decides.
+// A request for the payload is shorter than its entry.
+func (c Config) MaxPayload() int {
+	return min(c.JournalSlotSize, c.RingCapacity/2, codec.MaxRecord) - maxEntryHeader - codec.RawOverhead
+}
 
 // frameEntry builds an entry inside the ring record that carries it, in the
 // instance's scratch buffer (see frame): the entry is the record's payload,
@@ -443,43 +463,96 @@ type logEntry struct {
 	seq, term, commit uint64
 	origin            rdma.NodeID
 	submitSeq         uint64
-	payload           []byte
+	payload           []byte // a sub-slice of the decoded bytes
 }
 
 func decodeLogEntry(b []byte) (logEntry, error) {
-	if len(b) < entryHeader {
-		return logEntry{}, codec.ErrCorrupt
+	var e logEntry
+	var origin uint64
+	payload, err := codec.Uvarints(b, &e.seq, &e.term, &e.commit, &origin, &e.submitSeq)
+	if err == nil {
+		e.origin, err = nodeID(origin)
 	}
-	return logEntry{
-		seq:       binary.LittleEndian.Uint64(b),
-		term:      binary.LittleEndian.Uint64(b[8:]),
-		commit:    binary.LittleEndian.Uint64(b[16:]),
-		origin:    rdma.NodeID(binary.LittleEndian.Uint16(b[24:])),
-		submitSeq: binary.LittleEndian.Uint64(b[26:]),
-		payload:   b[entryHeader:],
-	}, nil
+	if err != nil {
+		return logEntry{}, err
+	}
+	e.payload = payload
+	return e, nil
 }
 
-// request: u64 submitSeq | payload, built inside its ring record like an entry.
+// nodeID checks a node id read off a ring.
+func nodeID(v uint64) (rdma.NodeID, error) {
+	if v > maxNode {
+		return 0, fmt.Errorf("%w: node id %d", codec.ErrCorrupt, v)
+	}
+	return rdma.NodeID(v), nil
+}
+
+// request: uvarint submitSeq | payload, built inside its ring record like an
+// entry.
 func (in *Instance) frameReq(submitSeq uint64, payload []byte) []byte {
-	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), submitSeq)
+	b := codec.AppendUvarint(codec.BeginRaw(in.rec[:0]), submitSeq)
 	return in.frame(append(b, payload...))
 }
 
-// Votes and grants share a peer's control ring; their lengths tell them apart.
-const voteLen, grantLen = 10, 18
-
-// vote: u64 term | u16 candidate, built inside its ring record like a request.
-func (in *Instance) frameVote(term uint64, cand rdma.NodeID) []byte {
-	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), term)
-	return in.frame(binary.LittleEndian.AppendUint16(b, uint16(cand)))
+func decodeRequest(b []byte) (submitSeq uint64, payload []byte, err error) {
+	payload, err = codec.Uvarints(b, &submitSeq)
+	return submitSeq, payload, err
 }
 
-// grant: u64 term | u64 lastDelivered | u16 voter, built like a vote.
+// Votes and grants share a peer's control ring, and a kind byte ahead of
+// their fields tells them apart. Counting fields would save the byte, but a
+// grant cut short after its second field would then read as a well-formed
+// vote; with the kind byte every cut is an error.
+const (
+	kindVote  byte = 1 // vote: kind | uvarint term | uvarint candidate
+	kindGrant byte = 2 // grant: kind | uvarint term | uvarint lastDelivered | uvarint voter
+)
+
+// frameVote builds a vote inside its ring record like a request.
+func (in *Instance) frameVote(term uint64, cand rdma.NodeID) []byte {
+	b := codec.AppendUvarint(append(codec.BeginRaw(in.rec[:0]), kindVote), term)
+	return in.frame(codec.AppendUvarint(b, uint64(cand)))
+}
+
+// frameGrant builds a grant like a vote.
 func (in *Instance) frameGrant(term, lastDelivered uint64, voter rdma.NodeID) []byte {
-	b := binary.LittleEndian.AppendUint64(codec.BeginRaw(in.rec[:0]), term)
-	b = binary.LittleEndian.AppendUint64(b, lastDelivered)
-	return in.frame(binary.LittleEndian.AppendUint16(b, uint16(voter)))
+	b := codec.AppendUvarint(append(codec.BeginRaw(in.rec[:0]), kindGrant), term)
+	b = codec.AppendUvarint(b, lastDelivered)
+	return in.frame(codec.AppendUvarint(b, uint64(voter)))
+}
+
+// ctrl is a decoded vote (grant false: node is the candidate) or grant (node
+// is the voter).
+type ctrl struct {
+	grant               bool
+	term, lastDelivered uint64
+	node                rdma.NodeID
+}
+
+// decodeCtrl decodes a vote or a grant; a byte past its fields is
+// codec.ErrCorrupt. On error the message is partly decoded.
+func decodeCtrl(b []byte) (m ctrl, err error) {
+	var node uint64
+	var rest []byte
+	switch {
+	case len(b) == 0:
+		return m, codec.ErrTruncated
+	case b[0] == kindVote:
+		rest, err = codec.Uvarints(b[1:], &m.term, &node)
+	case b[0] == kindGrant:
+		m.grant = true
+		rest, err = codec.Uvarints(b[1:], &m.term, &m.lastDelivered, &node)
+	default:
+		return m, fmt.Errorf("%w: control kind %d", codec.ErrCorrupt, b[0])
+	}
+	if err == nil && len(rest) > 0 {
+		err = fmt.Errorf("%w: %d bytes past a control message", codec.ErrCorrupt, len(rest))
+	}
+	if err == nil {
+		m.node, err = nodeID(node)
+	}
+	return m, err
 }
 
 // --- output ------------------------------------------------------------
@@ -753,22 +826,23 @@ func (in *Instance) deliverEntry(entry []byte) {
 		in.release(entry)
 		return
 	}
-	in.deliveries.Push(delivery{e.seq, e.origin, entry})
+	in.deliveries.Push(delivery{e.seq, e.origin, entry, e.payload})
 	in.node.CPU.Exec(in.cfg.DeliverCost, in.deliverFn)
 }
 
 // delivery is a decided entry on its way to Deliver.
 type delivery struct {
-	seq    uint64
-	origin rdma.NodeID
-	entry  []byte // a buffer from the free list
+	seq     uint64
+	origin  rdma.NodeID
+	entry   []byte // a buffer from the free list
+	payload []byte // the entry's payload, a sub-slice of entry
 }
 
 // deliverNext is the DeliverCost item of the oldest queued delivery: Deliver
 // borrows the entry's payload, and the buffer is free again once it returns.
 func (in *Instance) deliverNext() {
 	d := in.deliveries.Pop()
-	in.Deliver(d.seq, d.origin, d.entry[entryHeader:])
+	in.Deliver(d.seq, d.origin, d.payload)
 	in.release(d.entry)
 }
 
@@ -785,10 +859,10 @@ func (in *Instance) poll() {
 func (in *Instance) sweep() {
 	in.pollLog()
 	if in.isLeader && !in.recovering {
-		drain(in.reqReaders, 8, in.handleRequest)
+		drain(in.reqReaders, in.handleRequest)
 		in.startRound()
 	}
-	drain(in.ctrlReaders, voteLen, in.handleCtrl)
+	drain(in.ctrlReaders, in.handleCtrl)
 	// Anti-entropy with the leader: a stash gap, or simply no delivery
 	// progress for a while, means entries may have been lost to a
 	// permission window or a ring reset — pull them from the leader's
@@ -805,19 +879,18 @@ func (in *Instance) sweep() {
 
 // drain hands every record waiting on readers — one kind of per-peer ring,
 // indexed by peer — to handle, peer by peer in ascending order. A record
-// shorter than min ends its ring's drain for this sweep. handle does not
+// handle cannot decode ends its ring's drain for this sweep. handle does not
 // escape, so a method value passed per sweep allocates nothing.
-func drain(readers []*ring.Reader, min int, handle func(from rdma.NodeID, msg []byte)) {
+func drain(readers []*ring.Reader, handle func(from rdma.NodeID, msg []byte) error) {
 	for p, rd := range readers {
 		if rd == nil {
 			continue
 		}
 		for {
 			msg, ok, err := rd.Poll()
-			if err != nil || !ok || len(msg) < min {
+			if err != nil || !ok || handle(rdma.NodeID(p), msg) != nil {
 				break
 			}
-			handle(rdma.NodeID(p), msg)
 		}
 	}
 }
@@ -880,17 +953,20 @@ func (in *Instance) drainCommitted() {
 	}
 }
 
-// handleRequest proposes the request msg — u64 submitSeq | payload — that
-// from redirected to this leader.
-func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) {
-	submitSeq := binary.LittleEndian.Uint64(msg)
+// handleRequest proposes the request msg that from redirected to this leader.
+func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) error {
+	submitSeq, payload, err := decodeRequest(msg)
+	if err != nil {
+		return err
+	}
 	// Requests may be replayed after a leader change; dedup before proposing
 	// to keep the log free of duplicates where possible (delivery-side dedup
 	// is the safety net).
 	if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
-		return
+		return nil
 	}
-	in.propose(from, submitSeq, msg[8:])
+	in.propose(from, submitSeq, payload)
+	return nil
 }
 
 // --- leader change ----------------------------------------------------
@@ -930,15 +1006,19 @@ func (in *Instance) switchLogPermission(to rdma.NodeID) {
 	region.AllowWrite(to)
 }
 
-// handleCtrl handles msg off a control ring: a grant when it is as long as
-// one, else a vote request (u64 term | u16 candidate). A grant that lands
-// while this node is not electing is consumed and dropped.
-func (in *Instance) handleCtrl(_ rdma.NodeID, msg []byte) {
-	if len(msg) >= grantLen {
-		in.handleGrant(msg)
-		return
+// handleCtrl handles msg off a control ring, a vote request or a grant. A
+// grant that lands while this node is not electing is consumed and dropped.
+func (in *Instance) handleCtrl(_ rdma.NodeID, msg []byte) error {
+	m, err := decodeCtrl(msg)
+	if err != nil {
+		return err
 	}
-	in.handleVote(binary.LittleEndian.Uint64(msg), rdma.NodeID(binary.LittleEndian.Uint16(msg[8:])))
+	if m.grant {
+		in.handleGrant(m.term, m.lastDelivered, m.node)
+	} else {
+		in.handleVote(m.term, m.node)
+	}
+	return nil
 }
 
 func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
@@ -1038,15 +1118,13 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 	})
 }
 
-// handleGrant counts the grant msg — u64 term | u64 lastDelivered | u16
-// voter — toward this node's candidacy.
-func (in *Instance) handleGrant(msg []byte) {
-	term := binary.LittleEndian.Uint64(msg)
-	voter := rdma.NodeID(binary.LittleEndian.Uint16(msg[16:]))
+// handleGrant counts voter's grant, with its delivery watermark, toward this
+// node's candidacy.
+func (in *Instance) handleGrant(term, lastDelivered uint64, voter rdma.NodeID) {
 	if term != in.term || !in.electing || !in.member(voter) {
 		return
 	}
-	in.grants[voter] = binary.LittleEndian.Uint64(msg[8:])
+	in.grants[voter] = lastDelivered
 	in.maybeLead()
 }
 

@@ -581,8 +581,15 @@ func TestLogEntryWireRoundTrip(t *testing.T) {
 		d.submitSeq != 99 || string(d.payload) != "payload" {
 		t.Fatalf("round trip = %+v", d)
 	}
-	if _, err := decodeLogEntry(e[:20]); err == nil {
-		t.Fatal("truncated entry decoded")
+	// Five one-byte varints ahead of the payload: every cut inside them is an
+	// error.
+	if header := len(e) - len("payload"); header != 5 {
+		t.Fatalf("entry header packs to %d bytes, want 5", header)
+	}
+	for cut := 0; cut < 5; cut++ {
+		if _, err := decodeLogEntry(e[:cut]); err == nil {
+			t.Fatalf("entry truncated to %d bytes decoded", cut)
+		}
 	}
 	// A commit record has seq 0 and empty payload.
 	cr := appendEntry(nil, 0, 3, 41, 1, 0, nil)
@@ -595,21 +602,19 @@ func TestLogEntryWireRoundTrip(t *testing.T) {
 func TestVoteGrantWireRoundTrip(t *testing.T) {
 	in := newCluster(t, 3, 0).inst[0]
 	v, _, err := codec.DecodeRaw(in.frameVote(7, 2))
-	if err != nil || len(v) != 10 || binaryTerm(v) != 7 {
-		t.Fatalf("vote %x, %v: want 10 bytes with term 7", v, err)
+	if err != nil || len(v) != 3 {
+		t.Fatalf("vote %x, %v: want kind, term and candidate in 3 bytes", v, err)
 	}
-	g, _, err := codec.DecodeRaw(in.frameGrant(7, 123, 1))
-	if err != nil || len(g) != 18 || binaryTerm(g) != 7 || binaryTerm(g[8:]) != 123 {
-		t.Fatalf("grant %x, %v: want 18 bytes with term 7 and watermark 123", g, err)
+	if m, err := decodeCtrl(v); err != nil || m != (ctrl{term: 7, node: 2}) {
+		t.Fatalf("vote decodes to %+v, %v: want term 7 from candidate 2", m, err)
 	}
-}
-
-func binaryTerm(b []byte) uint64 {
-	var t uint64
-	for i := 7; i >= 0; i-- {
-		t = t<<8 | uint64(b[i])
+	g, _, err := codec.DecodeRaw(in.frameGrant(7, 300, 1))
+	if err != nil || len(g) != 5 {
+		t.Fatalf("grant %x, %v: want kind, term, a two-byte watermark and voter in 5 bytes", g, err)
 	}
-	return t
+	if m, err := decodeCtrl(g); err != nil || m != (ctrl{grant: true, term: 7, lastDelivered: 300, node: 1}) {
+		t.Fatalf("grant decodes to %+v, %v: want term 7, watermark 300 from voter 1", m, err)
+	}
 }
 
 // TestRepeatedLeaderKillsConverge drives three successive leader kills on
