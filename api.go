@@ -51,7 +51,8 @@ func NewEngine(seed int64) *Engine { return sim.NewEngine(seed) }
 // Fabric is the simulated RDMA network.
 type Fabric = rdma.Fabric
 
-// LatencyModel is the fabric's cost model.
+// LatencyModel is the fabric's cost model: the verbs' prices and every CPU
+// price and poll period the layers above them charge.
 type LatencyModel = rdma.LatencyModel
 
 // NodeID identifies a fabric node.

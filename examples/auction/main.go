@@ -26,15 +26,16 @@ import (
 
 func main() {
 	eng := sim.NewEngine(5)
-	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+	// A slow summary scan makes the plain-vs-fresh query contrast visible.
+	lat := rdma.DefaultLatency()
+	lat.ScanPeriod = 200 * sim.Microsecond
+	fab := rdma.NewFabric(eng, 3, lat)
 	cls := schema.NewAuction()
 	an := spec.MustAnalyze(cls)
 	fmt.Print(an.Summary())
 
 	opts := core.DefaultOptions()
 	opts.CheckIntegrity = true
-	// A slow summary scan makes the plain-vs-fresh query contrast visible.
-	opts.SumScanPeriod = 200 * sim.Microsecond
 	cluster := core.NewCluster(fab, an, opts)
 
 	log := func(format string, args ...any) {

@@ -21,22 +21,6 @@ import (
 	"hamband/internal/spec"
 )
 
-// Options configures the MSG baseline.
-type Options struct {
-	IssueCost sim.Duration // CPU cost to accept a client call
-	ApplyCost sim.Duration // CPU cost to apply one update
-	QueryCost sim.Duration // CPU cost to evaluate one query
-}
-
-// DefaultOptions mirrors core.DefaultOptions' application costs.
-func DefaultOptions() Options {
-	return Options{
-		IssueCost: 100 * sim.Nanosecond,
-		ApplyCost: 50 * sim.Nanosecond,
-		QueryCost: 100 * sim.Nanosecond,
-	}
-}
-
 // Cluster is a set of message-passing CRDT replicas.
 type Cluster struct {
 	Net      *msgnet.Network
@@ -44,16 +28,17 @@ type Cluster struct {
 	Replicas []*Replica
 }
 
-// NewCluster builds the MSG deployment of a conflict-free class over net.
-// It rejects classes with conflicting methods: message-passing CRDTs cannot
-// order them.
-func NewCluster(net *msgnet.Network, an *spec.Analysis, opts Options) (*Cluster, error) {
+// NewCluster builds the MSG deployment of a conflict-free class over net,
+// charging each replica's application work at costs (Hamband's are its
+// fabric's, rdma.LatencyModel.CallCosts). It rejects classes with
+// conflicting methods: message-passing CRDTs cannot order them.
+func NewCluster(net *msgnet.Network, an *spec.Analysis, costs sim.CallCosts) (*Cluster, error) {
 	if len(an.SyncGroups) > 0 {
 		return nil, fmt.Errorf("msgcrdt: class %s has conflicting methods", an.Class.Name)
 	}
 	c := &Cluster{Net: net, Class: an.Class}
 	for i := 0; i < net.Size(); i++ {
-		c.Replicas = append(c.Replicas, newReplica(c, an, spec.ProcID(i), opts))
+		c.Replicas = append(c.Replicas, newReplica(c, an, spec.ProcID(i), costs))
 	}
 	return c, nil
 }
@@ -65,7 +50,7 @@ func (c *Cluster) Replica(p spec.ProcID) *Replica { return c.Replicas[p] }
 type Replica struct {
 	cls     *spec.Class
 	an      *spec.Analysis
-	opts    Options
+	costs   sim.CallCosts
 	ep      *msgnet.Endpoint
 	id      spec.ProcID
 	sigma   spec.State
@@ -73,11 +58,11 @@ type Replica struct {
 	nextSeq uint64
 }
 
-func newReplica(c *Cluster, an *spec.Analysis, id spec.ProcID, opts Options) *Replica {
+func newReplica(c *Cluster, an *spec.Analysis, id spec.ProcID, costs sim.CallCosts) *Replica {
 	r := &Replica{
 		cls:     an.Class,
 		an:      an,
-		opts:    opts,
+		costs:   costs,
 		ep:      c.Net.Node(msgnet.NodeID(id)),
 		id:      id,
 		sigma:   an.Class.NewState(),
@@ -109,9 +94,9 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		}
 		return
 	}
-	r.ep.CPU.Exec(r.opts.IssueCost, func() {
+	r.ep.CPU.Exec(r.costs.IssueCost, func() {
 		if r.cls.Methods[u].Kind == spec.Query {
-			r.ep.CPU.Exec(r.opts.QueryCost, func() {
+			r.ep.CPU.Exec(r.costs.QueryCost, func() {
 				v := r.cls.Methods[u].Eval(r.sigma, args)
 				if onDone != nil {
 					onDone(v, nil)
@@ -121,7 +106,7 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		}
 		r.nextSeq++
 		c := spec.Call{Method: u, Args: args, Proc: r.id, Seq: r.nextSeq}
-		r.ep.CPU.Exec(r.opts.ApplyCost, func() {
+		r.ep.CPU.Exec(r.costs.ApplyCost, func() {
 			r.cls.ApplyCall(r.sigma, c)
 			r.applied.Inc(r.id, u)
 			entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c})
@@ -147,7 +132,7 @@ func (r *Replica) onMessage(_ msgnet.NodeID, payload []byte) {
 		return
 	}
 	c := rec.C
-	r.ep.CPU.Exec(r.opts.ApplyCost, func() {
+	r.ep.CPU.Exec(r.costs.ApplyCost, func() {
 		r.cls.ApplyCall(r.sigma, c)
 		r.applied.Inc(c.Proc, c.Method)
 	})

@@ -5,6 +5,7 @@ import (
 
 	"hamband/internal/crdt"
 	"hamband/internal/msgnet"
+	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -13,7 +14,7 @@ func setup(t *testing.T, cls *spec.Class, n int) (*sim.Engine, *Cluster) {
 	t.Helper()
 	eng := sim.NewEngine(51)
 	net := msgnet.New(eng, n, msgnet.DefaultCost())
-	c, err := NewCluster(net, spec.MustAnalyze(cls), DefaultOptions())
+	c, err := NewCluster(net, spec.MustAnalyze(cls), rdma.DefaultLatency().CallCosts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestORSetConvergesUnderConcurrency(t *testing.T) {
 func TestRejectsConflictingClass(t *testing.T) {
 	eng := sim.NewEngine(1)
 	net := msgnet.New(eng, 2, msgnet.DefaultCost())
-	if _, err := NewCluster(net, spec.MustAnalyze(crdt.NewAccount()), DefaultOptions()); err == nil {
+	if _, err := NewCluster(net, spec.MustAnalyze(crdt.NewAccount()), rdma.DefaultLatency().CallCosts); err == nil {
 		t.Fatal("MSG baseline accepted a class with conflicting methods")
 	}
 }

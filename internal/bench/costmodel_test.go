@@ -1,0 +1,163 @@
+package bench
+
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+
+	"hamband/internal/crdt"
+	"hamband/internal/rdma"
+	"hamband/internal/schema"
+	"hamband/internal/sim"
+	"hamband/internal/spec"
+)
+
+// TestEveryCostFieldMovesTheClock: every field of the cost model is charged
+// somewhere a benchmark point reaches, so every arm of a sensitivity sweep
+// over the model moves the clock. Each row runs a small point once on
+// DefaultLatency and once with one field's price doubled (a rate, *PerNS,
+// halved) and wants the virtual clock to read differently: the makespan, or
+// the mean response time where a small price hides inside the makespan's
+// 2 µs completion probe. A layer that kept a price of its own instead of
+// reading the model's leaves its row flat. The test walks the struct, so a
+// field added to the model without a row fails it.
+func TestEveryCostFieldMovesTheClock(t *testing.T) {
+	type point struct {
+		name  string
+		kind  SystemKind
+		cls   func() *spec.Class
+		ratio float64
+	}
+	var (
+		counter = point{"Hamband/counter", Hamband, crdt.NewCounter, 0.25}
+		orset   = point{"Hamband/orset", Hamband, crdt.NewORSet, 0.25}
+		movie   = point{"Hamband/movie", Hamband, schema.NewMovie, 1.0}
+		mu      = point{"Mu/counter", MuSMR, crdt.NewCounter, 0.25}
+		msg     = point{"MSG/counter", MSG, crdt.NewCounter, 0.25}
+	)
+	// Each field's points, or why no fault-free point reaches it.
+	rows := map[string]struct {
+		points []point
+		why    string
+	}{
+		"PostCost":    {points: []point{counter}},
+		"PollCost":    {points: []point{counter}},
+		"WireLatency": {points: []point{counter}},
+		"AckLatency":  {points: []point{counter}},
+		"BytesPerNS":  {points: []point{orset}},
+		"CASExtra":    {why: "CAS runs only in elections and reconfigurations"},
+		"FailTimeout": {why: "charged only for a verb on a crashed target"},
+
+		"CRCBytesPerNS":   {points: []point{orset}},
+		"ChainedPostCost": {points: []point{counter}}, // a summary flush chains its WRs to a peer
+		"InlineThreshold": {points: []point{orset}},
+		"InlineCost":      {points: []point{orset}},
+		"InlineDMASaving": {points: []point{orset}},
+
+		"SweepPeriod": {points: []point{orset, movie, mu}},
+		"SweepCost":   {points: []point{orset, movie, mu}},
+		"DeliverCost": {points: []point{orset, movie, mu}},
+		"ScanPeriod":  {points: []point{counter}},
+		"IssueCost":   {points: []point{counter, msg}},
+		"ApplyCost":   {points: []point{orset, msg}}, // a reducible call's adoption is not priced
+		"QueryCost":   {points: []point{counter, msg}},
+	}
+
+	cfg := Config{Ops: 2000, Seed: 42}
+	// clock reads a point's makespan and mean response time.
+	type reading struct{ makespan, meanRT sim.Duration }
+	clock := func(p point, lat rdma.LatencyModel) reading {
+		r, _ := cfg.run(p.kind, p.cls(), 4, cfg.Ops, p.ratio, 0, Variant{Latency: &lat})
+		if r.TimedOut {
+			t.Fatalf("%s timed out", p.name)
+		}
+		return reading{r.Makespan, r.MeanRT}
+	}
+	base := map[string]reading{}
+	seen := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(rdma.LatencyModel{})) {
+		if f.Anonymous {
+			continue // sim.CallCosts: its fields are walked one by one
+		}
+		seen[f.Name] = true
+		row, ok := rows[f.Name]
+		if !ok {
+			t.Errorf("LatencyModel.%s has no row: name a point it moves, or why none does", f.Name)
+			continue
+		}
+		if row.why != "" {
+			continue
+		}
+		lat := rdma.DefaultLatency()
+		v := reflect.ValueOf(&lat).Elem().FieldByIndex(f.Index)
+		if strings.HasSuffix(f.Name, "PerNS") {
+			v.SetInt(v.Int() / 2)
+		} else {
+			v.SetInt(v.Int() * 2)
+		}
+		for _, p := range row.points {
+			old, ok := base[p.name]
+			if !ok {
+				old = clock(p, rdma.DefaultLatency())
+				base[p.name] = old
+			}
+			if got := clock(p, lat); got == old {
+				t.Errorf("%s ×2 leaves %s's clock at makespan %v, mean RT %v", f.Name, p.name, got.makespan, got.meanRT)
+			}
+		}
+	}
+	for name := range rows {
+		if !seen[name] {
+			t.Errorf("row %s names no field of LatencyModel", name)
+		}
+	}
+}
+
+// TestExperimentEntryPointsSmoke runs the experiments no other test runs at
+// a small scale: each prints its header, each JSON export reads back as a
+// Snapshot with points, and the health run passes.
+func TestExperimentEntryPointsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test is not short")
+	}
+	cases := []struct {
+		name, header string
+		run          func(Config)
+		exports      bool
+	}{
+		{"costs", "Coordination cost per call", Config.Costs, false},
+		{"trace", "Call lifecycles", Config.Trace, false},
+		{"overview", "Use-case overview", Config.Overview, false},
+		{"doorbell", "Ablation — doorbell batching", Config.Doorbell, false},
+		{"latency", "Latency attribution", Config.Latency, true},
+		{"wire", "Wire efficiency", Config.Wire, true},
+		{"health", "Anomaly watchdog", func(cfg Config) {
+			if n := cfg.Health(); n != 0 {
+				t.Errorf("health returned %d", n)
+			}
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out, js bytes.Buffer
+			c.run(Config{Ops: 1000, Seed: 42, Out: &out, JSON: &js})
+			if !strings.HasPrefix(out.String(), c.header) {
+				t.Fatalf("output does not open with %q:\n%s", c.header, out.String())
+			}
+			if !c.exports {
+				if js.Len() != 0 {
+					t.Fatalf("%s wrote %d bytes of JSON it is not said to export", c.name, js.Len())
+				}
+				return
+			}
+			s, err := ReadSnapshot(&js)
+			if err != nil {
+				t.Fatalf("export: %v", err)
+			}
+			if len(s.Points) == 0 {
+				t.Fatal("export holds no points")
+			}
+		})
+	}
+}

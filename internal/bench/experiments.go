@@ -319,8 +319,9 @@ func (cfg Config) Ablations() {
 	cfg.printf("group peers queue behind it; cf. Figure 11(b))\n")
 	cfg.printf("%10s %12s %12s %12s\n", "scan", "addProject", "worksOn", "addEmployee")
 	for _, scan := range []sim.Duration{2 * sim.Microsecond, 50 * sim.Microsecond, 200 * sim.Microsecond} {
-		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5, 1,
-			Variant{Edit: func(_ *rdma.Fabric, o *core.Options) { o.SumScanPeriod = scan }})
+		lat := rdma.DefaultLatency()
+		lat.ScanPeriod = scan
+		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5, 1, Variant{Latency: &lat})
 		cfg.printf("%10v %12s %12s %12s\n", scan,
 			fmtRT(res.ByMethod["addProject"].Mean()),
 			fmtRT(res.ByMethod["worksOn"].Mean()),

@@ -259,7 +259,7 @@ func TestFreeLedger(t *testing.T) {
 // counter has no irreducible conflict-free method, so its shards build no F
 // rings and the ledger must hold no polls row however many are open. The
 // OR-set keeps its buffers: its polls row — one receiver per open shard,
-// PollCost every PollPeriod whether or not anything arrived — is what is left
+// SweepCost every SweepPeriod whether or not anything arrived — is what is left
 // of the per-object slope, printed at 4 and 16 shards.
 func TestStoreLedger(t *testing.T) {
 	const nodes = 4

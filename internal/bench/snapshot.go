@@ -65,9 +65,9 @@ func (p SnapPoint) key() string {
 // Snapshot runs the canonical benchmark set — one representative point per
 // headline figure (all three systems where the class supports them), Figure
 // 13's three failure scenarios with their wire bytes, the doorbell
-// ablation's baseline and full variants over the three replication paths,
-// the sharded store at uniform and Zipf 1.5 keys and the wire points —
-// exports it and returns it.
+// ablation's baseline over the three replication paths (its full variant is
+// DefaultLatency, which the figure points already run), the sharded store at
+// uniform and Zipf 1.5 keys and the wire points — exports it and returns it.
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
 	add := func(exp string, sysName string, r *Result) {
@@ -99,14 +99,10 @@ func (cfg Config) Snapshot() Snapshot {
 		{crdt.NewORSet, 0.25},
 		{schema.NewMovie, 1.0},
 	}
-	for _, v := range doorbellVariants() {
-		if v.name != "baseline" && v.name != "chain+inline" {
-			continue
-		}
-		for _, d := range doorbell {
-			r, _, _ := cfg.doorbellPoint(d.cls(), 4, d.ratio, v.latency())
-			add("doorbell/"+v.name, Hamband.String(), r)
-		}
+	base := doorbellVariant{name: "baseline"}
+	for _, d := range doorbell {
+		r, _, _ := cfg.doorbellPoint(d.cls(), 4, d.ratio, base.latency())
+		add("doorbell/"+base.name, Hamband.String(), r)
 	}
 	for _, skew := range []float64{0, 1.5} {
 		add(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)

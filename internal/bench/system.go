@@ -61,11 +61,11 @@ func (k SystemKind) String() string {
 	}
 }
 
-// Variant is what a benchmark point may change about a Hamband or Mu
-// deployment: the fabric's cost model (nil: rdma.DefaultLatency) and the
-// cluster options, which Edit sees as core.DefaultOptions together with the
-// fabric, so it can attach a tracer or registry (nil: as they are). The MSG
-// baseline runs its defaults.
+// Variant is what a benchmark point may change about a deployment: the cost
+// model (nil: rdma.DefaultLatency), which prices all three systems (the MSG
+// baseline takes its call costs from it), and a Hamband or Mu cluster's
+// options, which Edit sees as core.DefaultOptions together with the fabric,
+// so it can attach a tracer or registry (nil: as they are).
 type Variant struct {
 	Latency *rdma.LatencyModel
 	Edit    func(*rdma.Fabric, *core.Options)
@@ -75,6 +75,10 @@ type Variant struct {
 // fresh engine. The MSG baseline refuses classes with conflicting methods
 // (as in the paper, it only runs the CRDT use-cases).
 func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, v Variant) (System, error) {
+	lat := rdma.DefaultLatency()
+	if v.Latency != nil {
+		lat = *v.Latency
+	}
 	switch kind {
 	case Hamband:
 	case MuSMR:
@@ -84,17 +88,13 @@ func Build(kind SystemKind, eng *sim.Engine, n int, an *spec.Analysis, v Variant
 		an = spec.MustAnalyze(spec.Serialized(an.Class))
 	case MSG:
 		net := msgnet.New(eng, n, msgnet.DefaultCost())
-		c, err := msgcrdt.NewCluster(net, an, msgcrdt.DefaultOptions())
+		c, err := msgcrdt.NewCluster(net, an, lat.CallCosts)
 		if err != nil {
 			return nil, err
 		}
 		return &msgSystem{c: c}, nil
 	default:
 		return nil, fmt.Errorf("bench: unknown system kind %d", kind)
-	}
-	lat := rdma.DefaultLatency()
-	if v.Latency != nil {
-		lat = *v.Latency
 	}
 	fab := rdma.NewFabric(eng, n, lat)
 	opts := core.DefaultOptions()

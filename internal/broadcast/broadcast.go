@@ -47,19 +47,17 @@ func InboundRegion(ns string, src rdma.NodeID) string {
 	return fmt.Sprintf("%srb-in-%d", ns, src)
 }
 
-// Config holds broadcast parameters.
+// Config holds broadcast sizes. The receiver's poll period and CPU prices
+// are the fabric's (rdma.LatencyModel's SweepPeriod, SweepCost and
+// DeliverCost).
 type Config struct {
 	// Namespace prefixes every region name, isolating this broadcast
 	// domain from others sharing the fabric (one per replicated object).
 	Namespace string
 
-	RingCapacity int          // per-source inbound ring data capacity
-	BackupSlots  int          // concurrent in-flight broadcasts per source
-	BackupSlot   int          // backup slot size (bytes)
-	PollPeriod   sim.Duration // receiver ring poll period
-	RetryDelay   sim.Duration // writer retry delay when a ring is full
-	PollCost     sim.Duration // CPU cost of one poll sweep
-	DeliverCost  sim.Duration // CPU cost of delivering one message
+	RingCapacity int // per-source inbound ring data capacity
+	BackupSlots  int // concurrent in-flight broadcasts per source
+	BackupSlot   int // backup slot size (bytes)
 }
 
 // DefaultConfig returns sizes suited to the benchmark workloads.
@@ -68,10 +66,6 @@ func DefaultConfig() Config {
 		RingCapacity: 1 << 16,
 		BackupSlots:  64,
 		BackupSlot:   512,
-		PollPeriod:   2 * sim.Microsecond,
-		RetryDelay:   5 * sim.Microsecond,
-		PollCost:     50 * sim.Nanosecond,
-		DeliverCost:  100 * sim.Nanosecond,
 	}
 }
 
@@ -184,7 +178,7 @@ func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster 
 		if peer == node.ID() {
 			continue
 		}
-		pc := ring.NewSender(fab, node, peer, region, cfg.RingCapacity, cfg.RetryDelay)
+		pc := ring.NewSender(fab, node, peer, region, cfg.RingCapacity)
 		pc.HeadReads, pc.Retries = headReads, retries
 		b.peers = append(b.peers, pc)
 	}
@@ -442,7 +436,7 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		r.delivered[src] = make(map[uint64]int)
 	}
 	r.sweepFn, r.handleFn = r.sweep, r.handleNext
-	r.ticker = fab.Engine().NewTicker(cfg.PollPeriod, r.poll)
+	r.ticker = fab.Engine().NewTicker(fab.Latency().SweepPeriod, r.poll)
 	return r
 }
 
@@ -502,7 +496,7 @@ func (r *Receiver) poll() {
 	if r.node.Suspended() || r.node.Crashed() {
 		return
 	}
-	r.node.CPU.Exec(r.cfg.PollCost, r.sweepFn)
+	r.node.CPU.Exec(r.fab.Latency().SweepCost, r.sweepFn)
 }
 
 // sweep is one poll's work on the reader CPU: drain every source's ring. A
@@ -582,7 +576,7 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing b
 		r.free = r.free[:n-1]
 	}
 	r.inbox.Push(message{src, seq, append(buf, payload[had:]...)})
-	r.node.CPU.Exec(r.cfg.DeliverCost, r.handleFn)
+	r.node.CPU.Exec(r.fab.Latency().DeliverCost, r.handleFn)
 }
 
 // message is a delivered message on its way to the handler; the payload is

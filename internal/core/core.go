@@ -55,18 +55,14 @@ const MinDeltaLogBytes = 64
 
 func epochRegion(ns string) string { return ns + epochRegionBase }
 
-// Options configures a Hamband cluster.
+// Options configures a Hamband cluster. Its CPU prices and poll periods are
+// not options: they are the fabric's cost model (rdma.LatencyModel).
 type Options struct {
 	Heartbeat heartbeat.Config
 	Broadcast broadcast.Config
 	Mu        mu.Config
 
-	SumSlotSize   int          // bytes per summary slot
-	SumScanPeriod sim.Duration // period of the summary-slot scan
-
-	IssueCost sim.Duration // CPU cost to accept and dispatch a client call
-	ApplyCost sim.Duration // CPU cost to apply one update call
-	QueryCost sim.Duration // CPU cost to evaluate one query
+	SumSlotSize int // bytes per summary slot
 
 	// Summary slots are delta-groups: the reducible calls a replica ships in
 	// one flush of its coalescer fold into one small δ-record in the slot's
@@ -136,10 +132,6 @@ func DefaultOptions() Options {
 		Broadcast:     broadcast.DefaultConfig(),
 		Mu:            mu.DefaultConfig(),
 		SumSlotSize:   16 * 1024,
-		SumScanPeriod: 2 * sim.Microsecond,
-		IssueCost:     100 * sim.Nanosecond,
-		ApplyCost:     50 * sim.Nanosecond,
-		QueryCost:     100 * sim.Nanosecond,
 		DeltaLogBytes: 4096,
 	}
 }
@@ -649,7 +641,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 
 	// Pollers.
 	if r.haveSums {
-		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Opts.SumScanPeriod, r.scanSummaries))
+		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Fab.Latency().ScanPeriod, r.scanSummaries))
 	}
 	return r
 }

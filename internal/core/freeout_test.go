@@ -119,7 +119,7 @@ func TestLoneFreeCallPostsAtOnce(t *testing.T) {
 		t.Fatalf("%d labeled posts, want one write per peer: %+v", len(posts), posts)
 	}
 	lat := rdma.DefaultLatency()
-	want := sim.Time(DefaultOptions().IssueCost + DefaultOptions().ApplyCost + lat.PostCost + lat.InlineCost)
+	want := sim.Time(lat.IssueCost + lat.ApplyCost + lat.PostCost + lat.InlineCost)
 	if posts[0].At != want || posts[0].Call != "p0#1" {
 		t.Fatalf("first write posted at %v for %q, want %v for p0#1", posts[0].At, posts[0].Call, want)
 	}

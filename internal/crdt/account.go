@@ -99,17 +99,7 @@ func NewAccount() *spec.Class {
 		DependsOn: map[spec.MethodID][]spec.MethodID{
 			AccountWithdraw: {AccountDeposit},
 		},
-		SumGroups: []spec.SumGroup{{
-			Name:    "deposit",
-			Methods: []spec.MethodID{AccountDeposit},
-			Identity: func() spec.Call {
-				return spec.Call{Method: AccountDeposit, Args: spec.ArgsI(0)}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				a.Args.I[0] += b.Args.I[0]
-				return spec.Call{Method: AccountDeposit, Args: spec.Args{I: a.Args.I}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.AddGroup("deposit", AccountDeposit)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

@@ -187,16 +187,7 @@ func NewBankMap() *spec.Class {
 			BankDeposit:  {BankOpen},
 			BankWithdraw: {BankOpen, BankDeposit},
 		},
-		SumGroups: []spec.SumGroup{{
-			Name:    "open",
-			Methods: []spec.MethodID{BankOpen},
-			Identity: func() spec.Call {
-				return spec.Call{Method: BankOpen}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: BankOpen, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.UnionGroup("open", BankOpen)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

@@ -48,17 +48,7 @@ func NewCounter() *spec.Class {
 		NewState:  func() spec.State { return &CounterState{} },
 		Invariant: invariantTrue,
 		Rel:       crdtRelations(),
-		SumGroups: []spec.SumGroup{{
-			Name:    "add",
-			Methods: []spec.MethodID{CounterAdd},
-			Identity: func() spec.Call {
-				return spec.Call{Method: CounterAdd, Args: spec.ArgsI(0)}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				a.Args.I[0] += b.Args.I[0]
-				return spec.Call{Method: CounterAdd, Args: spec.Args{I: a.Args.I}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.AddGroup("add", CounterAdd)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

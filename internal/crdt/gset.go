@@ -30,16 +30,7 @@ const (
 // method to add a set, then the add method is summarizable").
 func NewGSet() *spec.Class {
 	cls := newGSet("gset")
-	cls.SumGroups = []spec.SumGroup{{
-		Name:    "add",
-		Methods: []spec.MethodID{GSetAdd},
-		Identity: func() spec.Call {
-			return spec.Call{Method: GSetAdd}
-		},
-		Summarize: func(a, b spec.Call) spec.Call {
-			return spec.Call{Method: GSetAdd, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-		},
-	}}
+	cls.SumGroups = []spec.SumGroup{spec.UnionGroup("add", GSetAdd)}
 	return cls
 }
 

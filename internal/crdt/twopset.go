@@ -41,11 +41,6 @@ const (
 // then keeps two summary slots per peer, exercising the runtime's
 // multi-group summary region.
 func NewTwoPSet() *spec.Class {
-	union := func(method spec.MethodID) func(a, b spec.Call) spec.Call {
-		return func(a, b spec.Call) spec.Call {
-			return spec.Call{Method: method, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-		}
-	}
 	cls := &spec.Class{
 		Name: "twopset",
 		Methods: []spec.Method{
@@ -83,20 +78,7 @@ func NewTwoPSet() *spec.Class {
 		},
 		Invariant: invariantTrue,
 		Rel:       crdtRelations(),
-		SumGroups: []spec.SumGroup{
-			{
-				Name:      "add",
-				Methods:   []spec.MethodID{TwoPAdd},
-				Identity:  func() spec.Call { return spec.Call{Method: TwoPAdd} },
-				Summarize: union(TwoPAdd),
-			},
-			{
-				Name:      "remove",
-				Methods:   []spec.MethodID{TwoPRemove},
-				Identity:  func() spec.Call { return spec.Call{Method: TwoPRemove} },
-				Summarize: union(TwoPRemove),
-			},
-		},
+		SumGroups: []spec.SumGroup{spec.UnionGroup("add", TwoPAdd), spec.UnionGroup("remove", TwoPRemove)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

@@ -53,11 +53,9 @@ type NodeHealth struct {
 	Down bool // suspended or crashed (the fault injector's view)
 
 	// Core replica progress counters.
-	Issued, Applied, Rejected, Recovered uint64
-	TornRejects, StaleSlots              uint64
-	Deltas, Anchors, GapFetches          uint64
-	AnchorAge                            int // calls shipped as δ-records since the stalest group's last anchor
-	FreeQueue, ConfQueue                 int // buffered calls awaiting apply
+	Issued, Applied, Rejected uint64
+	TornRejects               uint64
+	AnchorAge                 int // calls shipped as δ-records since the stalest group's last anchor
 
 	// Per-source inbound ring health (occupancy, torn streaks, parked
 	// floors), ordered by source.
@@ -120,24 +118,15 @@ func Collect(at sim.Time, c *core.Cluster) *Snapshot {
 // collectNode gathers one replica's health.
 func collectNode(c *core.Cluster, p int) NodeHealth {
 	r := c.Replica(spec.ProcID(p))
-	issued, applied, rejected, recovered := r.Stats()
-	deltas, anchors, gaps := r.DeltaStats()
-	free, conf := r.QueueDepths()
+	issued, applied, rejected, _ := r.Stats()
 	h := NodeHealth{
 		Node:        p,
 		Down:        r.Down(),
 		Issued:      issued,
 		Applied:     applied,
 		Rejected:    rejected,
-		Recovered:   recovered,
 		TornRejects: r.TornRejects(),
-		StaleSlots:  r.StaleSlotRejects(),
-		Deltas:      deltas,
-		Anchors:     anchors,
-		GapFetches:  gaps,
 		AnchorAge:   r.AnchorAge(),
-		FreeQueue:   free,
-		ConfQueue:   conf,
 		Rings:       r.Receiver().Rings(),
 		Suspects:    r.Suspects(),
 		Floors:      r.EpochFloors(),

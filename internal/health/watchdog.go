@@ -21,9 +21,11 @@ const (
 	RuleReaderParked Rule = "reader-parked"
 
 	// RuleFloorStalled fires when a per-source epoch floor has sat parked
-	// (FloorAfterDrain issued, drain never observed) for floorStallPolls
-	// consecutive observations — the source ring drained long ago or keeps
-	// the promotion from ever happening.
+	// for floorStallPolls consecutive observations: a ring floor
+	// (FloorAfterDrain issued, drain never observed) or a summary-slot floor
+	// (raised after drain, no clean scan pass yet), each under its own key —
+	// the source drained long ago or something keeps the promotion from
+	// ever happening.
 	RuleFloorStalled Rule = "floor-stalled"
 
 	// RuleLeaderless fires when a node observes one of its groups without
@@ -179,6 +181,16 @@ func (w *Watchdog) observeNode(at sim.Time, shard string, n *NodeHealth) {
 				At: at, Rule: RuleFloorStalled, Node: n.Node, Shard: shard,
 				Value: int64(obs), Threshold: int64(floorStallPolls),
 				Detail: fmt.Sprintf("epoch floor %d for src %d parked %d observations without a drain", r.PendingMin, r.Src, obs),
+			}
+		})
+	}
+	for src, f := range n.Floors {
+		key := fmt.Sprintf("slotfloor/%s/n%d/src%d", shard, n.Node, src)
+		w.track(key, f.Pending() != 0, floorStallPolls, func(obs int) Firing {
+			return Firing{
+				At: at, Rule: RuleFloorStalled, Node: n.Node, Shard: shard,
+				Value: int64(obs), Threshold: int64(floorStallPolls),
+				Detail: fmt.Sprintf("slot epoch floor %d for src %d parked %d observations without a clean scan", f.Pending(), src, obs),
 			}
 		})
 	}

@@ -1,9 +1,11 @@
 package health
 
 import (
+	"strings"
 	"testing"
 
 	"hamband/internal/broadcast"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 )
 
@@ -61,6 +63,41 @@ func TestFloorStalledThreshold(t *testing.T) {
 	if fs[0].Rule != RuleFloorStalled {
 		t.Fatalf("bad rule: %+v", fs[0])
 	}
+}
+
+// TestSlotFloorStalledThreshold: a parked summary-slot floor trips the same
+// rule at the same threshold as a ring floor, under a key of its own, so a
+// ring floor and a slot floor for one source fire once each.
+func TestSlotFloorStalledThreshold(t *testing.T) {
+	w := NewWatchdog(Config{})
+	var parked ring.EpochFloor
+	parked.RaiseAfterDrain(3)
+	slot := func(s *Snapshot) { s.Nodes[0].Floors = []ring.EpochFloor{{}, {}, parked} }
+	for i := int64(1); i <= 4; i++ {
+		w.Observe(snap(i, slot))
+	}
+	fired(t, w, 0)
+	w.Observe(snap(5, slot))
+	fs := fired(t, w, 1)
+	if fs[0].Rule != RuleFloorStalled || fs[0].Node != 0 || fs[0].Value != 5 {
+		t.Fatalf("bad firing: %+v", fs[0])
+	}
+	both := func(s *Snapshot) {
+		slot(s)
+		s.Nodes[0].Rings = []broadcast.SourceHealth{{Src: 2, HasPending: true, PendingMin: 3}}
+	}
+	for i := int64(6); i <= 10; i++ {
+		w.Observe(snap(i, both))
+	}
+	fs = fired(t, w, 2) // the slot episode holds; the ring floor fires on its own key
+	if fs[1].Rule != RuleFloorStalled || !strings.Contains(fs[1].Detail, "epoch floor 3 for src 2") {
+		t.Fatalf("bad ring firing: %+v", fs[1])
+	}
+	w.Observe(snap(11, func(s *Snapshot) { s.Nodes[0].Floors = make([]ring.EpochFloor, 3) })) // drained: the episode clears
+	for i := int64(12); i <= 16; i++ {
+		w.Observe(snap(i, slot))
+	}
+	fired(t, w, 3)
 }
 
 func TestLeaderlessCountsSuspectedLeader(t *testing.T) {

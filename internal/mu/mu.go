@@ -50,16 +50,13 @@ func ctrlRegion(g string, from rdma.NodeID) string {
 func journalRegion(g string) string { return "mu-journal-" + g }
 func stateRegion(g string) string   { return "mu-state-" + g }
 
-// Config holds consensus parameters.
+// Config holds consensus sizes. The poll period and CPU prices are the
+// fabric's (rdma.LatencyModel's SweepPeriod, SweepCost and DeliverCost).
 type Config struct {
 	RingCapacity    int          // log and request ring capacity
 	CtrlCapacity    int          // control (vote and grant) ring capacity
 	JournalSlots    int          // journal length (entries)
 	JournalSlotSize int          // bytes per journal slot
-	PollPeriod      sim.Duration // poll loop period
-	PollCost        sim.Duration // CPU cost per poll sweep
-	DeliverCost     sim.Duration // CPU cost per delivered entry
-	RetryDelay      sim.Duration // backpressure retry delay
 	CatchUpAfter    sim.Duration // follower staleness before a journal catch-up
 }
 
@@ -70,10 +67,6 @@ func DefaultConfig() Config {
 		CtrlCapacity:    1 << 12,
 		JournalSlots:    1024,
 		JournalSlotSize: 256,
-		PollPeriod:      2 * sim.Microsecond,
-		PollCost:        50 * sim.Nanosecond,
-		DeliverCost:     100 * sim.Nanosecond,
-		RetryDelay:      5 * sim.Microsecond,
 		CatchUpAfter:    100 * sim.Microsecond,
 	}
 }
@@ -309,7 +302,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.ctrlReaders[peer] = ring.NewReader(node.Region(ctrlRegion(group, peer)).Bytes())
 	}
 	in.sweepFn, in.deliverFn = in.sweep, in.deliverNext
-	in.ticker = fab.Engine().NewTicker(cfg.PollPeriod, in.poll)
+	in.ticker = fab.Engine().NewTicker(fab.Latency().SweepPeriod, in.poll)
 	return in
 }
 
@@ -340,7 +333,7 @@ func (in *Instance) Recovering() bool { return in.recovering }
 func (in *Instance) PendingCount() int { return len(in.pending) }
 
 func (in *Instance) newOut(peer rdma.NodeID, region string, capacity int) *ring.Sender {
-	return ring.NewSender(in.fab, in.node, peer, region, capacity, in.cfg.RetryDelay)
+	return ring.NewSender(in.fab, in.node, peer, region, capacity)
 }
 
 // SetMembers installs the configuration's membership view. Majorities are
@@ -827,7 +820,7 @@ func (in *Instance) deliverEntry(entry []byte) {
 		return
 	}
 	in.deliveries.Push(delivery{e.seq, e.origin, entry, e.payload})
-	in.node.CPU.Exec(in.cfg.DeliverCost, in.deliverFn)
+	in.node.CPU.Exec(in.fab.Latency().DeliverCost, in.deliverFn)
 }
 
 // delivery is a decided entry on its way to Deliver.
@@ -852,7 +845,7 @@ func (in *Instance) poll() {
 	if !in.alive() {
 		return
 	}
-	in.node.CPU.Exec(in.cfg.PollCost, in.sweepFn)
+	in.node.CPU.Exec(in.fab.Latency().SweepCost, in.sweepFn)
 }
 
 // sweep is one poll's work on the node's CPU.

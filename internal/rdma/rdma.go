@@ -41,10 +41,13 @@ var (
 	ErrOutOfBounds = errors.New("rdma: access out of region bounds")
 )
 
-// LatencyModel holds the fabric's cost parameters. The defaults
-// (DefaultLatency) are calibrated to published RDMA microbenchmarks for a
-// 40 Gbps InfiniBand RC setup: ~1 µs one-sided write visibility, ~2 µs
-// write-completion RTT, ~2.5 µs read/CAS RTT.
+// LatencyModel is the one cost model of the simulation: every price the
+// fabric charges for its verbs, and every CPU price and poll period the
+// layers above it (ring pollers, the replica's call path, the summary scan)
+// charge on a node, each read from Fabric.Latency where it is charged. The
+// verb defaults (DefaultLatency) are calibrated to published RDMA
+// microbenchmarks for a 40 Gbps InfiniBand RC setup: ~1 µs one-sided write
+// visibility, ~2 µs write-completion RTT, ~2.5 µs read/CAS RTT.
 type LatencyModel struct {
 	PostCost    sim.Duration // sender CPU occupancy to post one verb (WQE write + doorbell MMIO)
 	PollCost    sim.Duration // sender CPU occupancy to reap one completion
@@ -82,6 +85,20 @@ type LatencyModel struct {
 	// NIC's DMA read of the payload; inline posts skip it and land that
 	// much earlier.
 	InlineDMASaving sim.Duration
+
+	// The layers' prices, which the fabric itself never charges.
+
+	// SweepPeriod is the period of every ring poller (a broadcast receiver,
+	// a Mu instance), SweepCost its CPU per sweep, and DeliverCost its CPU
+	// per record handed on.
+	SweepPeriod sim.Duration
+	SweepCost   sim.Duration
+	DeliverCost sim.Duration
+	// ScanPeriod is the period of a replica's summary-slot scan.
+	ScanPeriod sim.Duration
+	// CallCosts price a replica's application work: accepting a client
+	// call, applying an update, evaluating a query.
+	sim.CallCosts
 }
 
 // DefaultLatency returns the calibrated cost model described above.
@@ -101,6 +118,16 @@ func DefaultLatency() LatencyModel {
 		InlineDMASaving: 300 * sim.Nanosecond,
 
 		CRCBytesPerNS: 20, // hardware CRC32-C, one core
+
+		SweepPeriod: 2 * sim.Microsecond,
+		SweepCost:   50 * sim.Nanosecond,
+		DeliverCost: 100 * sim.Nanosecond,
+		ScanPeriod:  2 * sim.Microsecond,
+		CallCosts: sim.CallCosts{
+			IssueCost: 100 * sim.Nanosecond,
+			ApplyCost: 50 * sim.Nanosecond,
+			QueryCost: 100 * sim.Nanosecond,
+		},
 	}
 }
 

@@ -9,8 +9,12 @@ import (
 	"hamband/internal/sim"
 )
 
-// maxBackoff caps the head-read retry delay at this multiple of the base.
-const maxBackoff = 32
+// retryDelay is the base delay between head reads of a ring that stays
+// full, and maxBackoff caps the delay at this multiple of it.
+const (
+	retryDelay = 5 * sim.Microsecond
+	maxBackoff = 32
+)
 
 // Sender is the writer's end of one remote ring: a local FIFO of framed
 // records, the ring's Writer, and the pump that moves the one into the
@@ -55,7 +59,6 @@ type Sender struct {
 	pumpArmed bool         // deferred pump queued on the CPU
 	pumpFn    func()       // the deferred pump, bound once: a Send allocates nothing
 	waiting   bool         // head read in flight, or held back by the retry timer
-	retry     sim.Duration // base retry delay
 	delay     sim.Duration // next retry delay
 
 	// HeadReads and Retries, when non-nil, count remote head-counter reads
@@ -71,17 +74,15 @@ type sendItem struct {
 }
 
 // NewSender returns node's out-channel to the ring of the given data
-// capacity in region at peer. retry is the base delay between head reads of
-// a ring that stays full.
-func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region string, capacity int, retry sim.Duration) *Sender {
+// capacity in region at peer.
+func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region string, capacity int) *Sender {
 	s := &Sender{
 		node:   node,
 		eng:    fab.Engine(),
 		qp:     node.QP(peer),
 		region: region,
 		w:      NewWriter(capacity),
-		retry:  retry,
-		delay:  retry,
+		delay:  retryDelay,
 	}
 	s.pumpFn = func() { s.pumpArmed = false; s.pump() }
 	s.doneFn = s.completed
@@ -124,7 +125,7 @@ func (s *Sender) Drop() (withDone int) {
 // head counter, read after the ring was wiped (see NewWriterAt).
 func (s *Sender) RestartAt(head uint64) {
 	s.w = NewWriterAt(int(s.w.capacity), head)
-	s.delay = s.retry
+	s.delay = retryDelay
 }
 
 // pump moves every queued record the ring has room for into one post.
@@ -236,11 +237,11 @@ func (s *Sender) onHead(data []byte, err error) {
 	if s.w.Free() == before && len(s.queue) > 0 {
 		s.Retries.Inc()
 		s.eng.After(s.delay, func() { s.waiting = false; s.refreshHead() })
-		if s.delay < maxBackoff*s.retry {
+		if s.delay < maxBackoff*retryDelay {
 			s.delay *= 2
 		}
 		return
 	}
-	s.waiting, s.delay = false, s.retry
+	s.waiting, s.delay = false, retryDelay
 	s.pump()
 }

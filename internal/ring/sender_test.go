@@ -11,7 +11,7 @@ import (
 	"hamband/internal/sim"
 )
 
-const rigRetry = 5 * sim.Microsecond
+const rigRetry = retryDelay
 
 // senderRig is node 0 sending into a ring on node 1.
 type senderRig struct {
@@ -29,7 +29,7 @@ func newSenderRig(capacity int) *senderRig {
 	reg.AllowWrite(0)
 	return &senderRig{
 		eng: eng, fab: fab, reg: reg,
-		s:  NewSender(fab, fab.Node(0), 1, "ring", capacity, rigRetry),
+		s:  NewSender(fab, fab.Node(0), 1, "ring", capacity),
 		rd: NewReader(reg.Bytes()),
 	}
 }

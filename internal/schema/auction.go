@@ -205,16 +205,7 @@ func NewAuction() *spec.Class {
 		DependsOn: map[spec.MethodID][]spec.MethodID{
 			AuctionBid: {AuctionRegister, AuctionClose},
 		},
-		SumGroups: []spec.SumGroup{{
-			Name:    "register",
-			Methods: []spec.MethodID{AuctionRegister},
-			Identity: func() spec.Call {
-				return spec.Call{Method: AuctionRegister}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: AuctionRegister, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.UnionGroup("register", AuctionRegister)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

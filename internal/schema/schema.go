@@ -276,16 +276,7 @@ func newReferential(names refNames) *spec.Class {
 		DependsOn: map[spec.MethodID][]spec.MethodID{
 			RefLink: {RefAddLeft, RefAddRight},
 		},
-		SumGroups: []spec.SumGroup{{
-			Name:    names.addRight,
-			Methods: []spec.MethodID{RefAddRight},
-			Identity: func() spec.Call {
-				return spec.Call{Method: RefAddRight}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: RefAddRight, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.UnionGroup(names.addRight, RefAddRight)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

@@ -245,16 +245,7 @@ func NewTournament() *spec.Class {
 		DependsOn: map[spec.MethodID][]spec.MethodID{
 			TournEnroll: {TournAddPlayer, TournAdd},
 		},
-		SumGroups: []spec.SumGroup{{
-			Name:    "addPlayer",
-			Methods: []spec.MethodID{TournAddPlayer},
-			Identity: func() spec.Call {
-				return spec.Call{Method: TournAddPlayer}
-			},
-			Summarize: func(a, b spec.Call) spec.Call {
-				return spec.Call{Method: TournAddPlayer, Args: spec.Args{I: spec.UnionSorted(a.Args.I, b.Args.I)}}
-			},
-		}},
+		SumGroups: []spec.SumGroup{spec.UnionGroup("addPlayer", TournAddPlayer)},
 	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {

@@ -26,6 +26,15 @@ type CPU struct {
 	Observe func(cost Duration)
 }
 
+// CallCosts price a replica's application work on its CPU. Hamband reads
+// them from the fabric's cost model (rdma.LatencyModel embeds them); the MSG
+// baseline, which has no RDMA fabric, takes them directly.
+type CallCosts struct {
+	IssueCost Duration // accept and dispatch a client call
+	ApplyCost Duration // apply one update call
+	QueryCost Duration // evaluate one query
+}
+
 type cpuTask struct {
 	cost Duration
 	fn   func()

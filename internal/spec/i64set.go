@@ -93,6 +93,36 @@ func UnionSorted(first, second []int64) []int64 {
 	return out
 }
 
+// UnionGroup is the summarization group of a method m whose arguments are a
+// set of elements it adds (gset add, bankmap open, auction register): its
+// identity adds nothing, and two calls fold into one adding their union
+// (UnionSorted).
+func UnionGroup(name string, m MethodID) SumGroup {
+	return SumGroup{
+		Name:     name,
+		Methods:  []MethodID{m},
+		Identity: func() Call { return Call{Method: m} },
+		Summarize: func(a, b Call) Call {
+			return Call{Method: m, Args: Args{I: UnionSorted(a.Args.I, b.Args.I)}}
+		},
+	}
+}
+
+// AddGroup is the summarization group of a method m whose one argument is
+// an amount it adds (counter add, account deposit): its identity adds 0, and
+// two calls fold into one adding both amounts.
+func AddGroup(name string, m MethodID) SumGroup {
+	return SumGroup{
+		Name:     name,
+		Methods:  []MethodID{m},
+		Identity: func() Call { return Call{Method: m, Args: ArgsI(0)} },
+		Summarize: func(a, b Call) Call {
+			a.Args.I[0] += b.Args.I[0]
+			return Call{Method: m, Args: Args{I: a.Args.I}}
+		},
+	}
+}
+
 func sortedUnique(xs []int64) bool {
 	for i := 1; i < len(xs); i++ {
 		if xs[i-1] >= xs[i] {
