@@ -203,7 +203,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR48.json
+SNAPSHOT ?= BENCH_PR50.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -240,8 +240,8 @@ bench-pairs:
 # MAXREGRESS, when nonzero, fails the target if any matched point's throughput
 # drops, or its p99 or bytes per op rise, by more than that percentage — the CI
 # regression gate.
-OLD ?= BENCH_PR48.json
-NEW ?= BENCH_PR48.json
+OLD ?= BENCH_PR50.json
+NEW ?= BENCH_PR50.json
 MAXREGRESS ?= 0
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW) -max-regress $(MAXREGRESS)
@@ -254,6 +254,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzSlot -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRaw -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzDeltaEntry -fuzztime=$(FUZZTIME) ./internal/codec
+	$(GO) test -run=^$$ -fuzz=FuzzCall -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzPlanJSON -fuzztime=$(FUZZTIME) ./internal/chaos
 	$(GO) test -run=^$$ -fuzz=FuzzCallBuffer -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run=^$$ -fuzz=FuzzLogEntry -fuzztime=$(FUZZTIME) ./internal/mu

@@ -109,14 +109,7 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		r.ep.CPU.Exec(r.costs.ApplyCost, func() {
 			r.cls.ApplyCall(r.sigma, c)
 			r.applied.Inc(r.id, u)
-			entry, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull, C: c})
-			if err != nil {
-				if onDone != nil {
-					onDone(nil, err)
-				}
-				return
-			}
-			r.ep.Broadcast(entry, func() {
+			r.ep.Broadcast(codec.AppendCall(nil, c, nil), func() {
 				if onDone != nil {
 					onDone(nil, nil)
 				}
@@ -127,8 +120,8 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 
 // onMessage applies a remotely issued effector.
 func (r *Replica) onMessage(_ msgnet.NodeID, payload []byte) {
-	rec, _, err := codec.DecodeDeltaRecord(payload)
-	if err != nil {
+	var rec codec.DeltaRecord
+	if n, err := codec.DecodeCall(&rec, payload); err != nil || n != len(payload) {
 		return
 	}
 	c := rec.C

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -51,7 +52,7 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 
 		"CRCBytesPerNS":   {points: []point{orset}},
 		"ChainedPostCost": {points: []point{counter}}, // a summary flush chains its WRs to a peer
-		"InlineThreshold": {points: []point{orset}},
+		"InlineThreshold": {points: []point{movie}},   // the OR-set point's writes all fit 220 B; movie's Mu rounds straddle it
 		"InlineCost":      {points: []point{orset}},
 		"InlineDMASaving": {points: []point{orset}},
 
@@ -115,8 +116,8 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 }
 
 // TestExperimentEntryPointsSmoke runs the experiments no other test runs at
-// a small scale: each prints its header, each JSON export reads back as a
-// Snapshot with points, and the health run passes.
+// a small scale: each prints its header (the snapshot prints nothing), each
+// JSON export reads back as a Snapshot with points, and the health run passes.
 func TestExperimentEntryPointsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
@@ -132,6 +133,8 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 		{"doorbell", "Ablation — doorbell batching", Config.Doorbell, false},
 		{"latency", "Latency attribution", Config.Latency, true},
 		{"wire", "Wire efficiency", Config.Wire, true},
+		{"snapshot", "", func(cfg Config) { cfg.Snapshot() }, true},
+		{"shard", "Sharded store", func(cfg Config) { cfg.Shard(4) }, true},
 		{"health", "Anomaly watchdog", func(cfg Config) {
 			if n := cfg.Health(); n != 0 {
 				t.Errorf("health returned %d", n)
@@ -159,5 +162,31 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 				t.Fatal("export holds no points")
 			}
 		})
+	}
+}
+
+// TestSnapshotIsDeterministic: two snapshots at one (ops, seed) marshal to
+// the same bytes, and so do their exports. The committed BENCH_PR<n>.json
+// files and CI's benchstat lane, which regenerates one and diffs it against
+// the committed one, rest on it.
+func TestSnapshotIsDeterministic(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two snapshots are not short")
+	}
+	var runs [2][]byte
+	var exports [2]bytes.Buffer
+	for i := range runs {
+		s := Config{Ops: 1000, Seed: 7, JSON: &exports[i]}.Snapshot()
+		b, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = b
+	}
+	if !bytes.Equal(runs[0], runs[1]) {
+		t.Fatalf("two snapshots at seed 7 differ:\n%s\n%s", runs[0], runs[1])
+	}
+	if exports[0].Len() == 0 || !bytes.Equal(exports[0].Bytes(), exports[1].Bytes()) {
+		t.Fatalf("two snapshot exports at seed 7 differ (%d and %d bytes)", exports[0].Len(), exports[1].Len())
 	}
 }

@@ -224,7 +224,7 @@ func TestCorpusSweepWrap(t *testing.T) {
 // messageSeqs numbers src's broadcast messages by its ring writes to peer,
 // which carry them in sequence order: it returns the sequence number of each
 // call's message and each message's post time. A labeled write names its
-// calls, and the bytes it carries beyond their records are its messages'
+// calls, and the bytes it carries beyond their bare calls are its messages'
 // framing: the same for every message but for the packed seq, one byte longer
 // from seq 128 on. So every write must carry the least such overhead seen
 // plus what its seq adds, or the numbering would skip.
@@ -233,11 +233,7 @@ func messageSeqs(t *testing.T, events []trace.Event, src, peer int) (map[string]
 	size := make(map[string]int)
 	for _, e := range events {
 		if rec, ok := e.Data.(trace.CallRecord); ok && e.Kind == trace.FreeSend && e.Node == src {
-			b, err := codec.AppendDeltaRecord(nil, codec.DeltaRecord{Kind: codec.FrameFull, C: rec.C, D: rec.D})
-			if err != nil {
-				t.Fatal(err)
-			}
-			size[e.Call] = len(b)
+			size[e.Call] = len(codec.AppendCall(nil, rec.C, rec.D))
 		}
 	}
 	type write struct {

@@ -1,12 +1,11 @@
-// Package codec serializes what Hamband writes into remote memory (§4) as
-// two frames, each validated by re-hashing one read:
+// Package codec serializes what Hamband writes into remote memory (§4). Every
+// call travels in exactly one validated frame, checked by re-hashing one read,
+// and there are two:
 //
 //   - the call record (delta.go): a length-prefixed, varint-packed call with
-//     its dependency record and, on summary records, the applied counts,
-//     closed by a CRC32-C + non-zero canary trailer. Every path that ships a
-//     call — F buffers, L buffers, the δ-log, the summary anchors, the
-//     message-passing baseline — ships this record. A δ-log record is a
-//     δ-group: it names the span of versions it covers, and its call is the
+//     its applied counts, closed by a CRC32-C + non-zero canary trailer — what
+//     a summary slot holds, each record torn-checked on its own. A δ-log record is
+//     a δ-group: it names the span of versions it covers, and its call is the
 //     summarization group's fold of that many calls. An anchor, overwritten
 //     in place at its slot's head, needs nothing more: a NIC may land a
 //     write's boundary bytes before its interior, and the CRC over the whole
@@ -14,6 +13,10 @@
 //   - the raw ring record: an opaque payload under the call record's length
 //     word and trailer, for protocol layers that carry their own messages
 //     and pack their headers in the call record's varints (Uvarints).
+//
+// A buffered or conflicting call travels as a bare call (AppendCall), the
+// call record's body with nothing around it, inside the raw ring record (or
+// journal, backup slot or message) that carries it: that frame validates it.
 //
 // EncodeSlot and DecodeSlot keep a third, retired frame for measurement and
 // tests only (see EncodeSlot).

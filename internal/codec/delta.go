@@ -1,17 +1,21 @@
-// The call record: the one serialization of a call and what travels with it.
-// It is a self-delimiting, CRC-validated frame,
+// The call and the call record: the one serialization of a call and what
+// travels with it. A call (AppendCall) is bare — method, proc, seq, args and
+// dependency record, packed — and rides inside a frame that validates it: a
+// ring record, a journal or backup slot, a message. A call record is a call
+// framed on its own, for what is written into a summary slot as a write of
+// its own and torn-checked alone: a self-delimiting, CRC-validated frame,
 //
 //	u32 total | kind | uvarint version | [uvarint span | uvarint epoch] | packed counts | packed call | u32 crc | canary
 //
-// whose kind byte names its role: FrameFull is a full call record, (c, D) in
-// an F or L buffer; FrameAnchor a summary anchor, a slot's whole summary call
-// with its applied counts and the configuration epoch its writer stamped; and
-// FrameDelta a δ-group of a slot's δ-log: the span ≥ 1 reducible calls that
-// took the slot to version, folded by their group's Summarize into one call
-// (Almeida et al.: a join of δ-mutations is itself a δ-mutation, and a δ and
-// the state it joins into share a format). Only FrameDelta carries the span;
-// it covers versions version−span+1 through version. Only FrameAnchor
-// carries the epoch, in the same place.
+// whose kind byte names its role: FrameAnchor a summary anchor, a slot's whole
+// summary call with its applied counts and the configuration epoch its writer
+// stamped; FrameDelta a δ-group of a slot's δ-log: the span ≥ 1 reducible
+// calls that took the slot to version, folded by their group's Summarize into
+// one call (Almeida et al.: a join of δ-mutations is itself a δ-mutation, and
+// a δ and the state it joins into share a format); and FrameFull a bare call
+// framed alone, which no runtime path writes (EncodeEntry). Only FrameDelta
+// carries the span; it covers versions version−span+1 through version. Only
+// FrameAnchor carries the epoch, in the same place.
 //
 // All integers are varint-packed; spec.DepVec, the per-method applied
 // counts and the call's int args use a columnar delta encoding (first value,
@@ -34,7 +38,7 @@ import (
 
 // Call-record kinds.
 const (
-	FrameFull   byte = 0xF1 // full call record: a buffered (c, D)
+	FrameFull   byte = 0xF1 // a bare call framed alone: EncodeEntry's only
 	FrameDelta  byte = 0xF2 // a run of folded reducible calls of a slot's δ-log
 	FrameAnchor byte = 0xF4 // a slot's full summary, counts and writer's epoch (0xF3 is retired)
 )
@@ -50,8 +54,8 @@ type DeltaRecord struct {
 	Span    uint32      // calls folded into C, 1..Version (FrameDelta; an encoder reads 0 as 1)
 	Epoch   uint32      // configuration epoch the writer stamped (FrameAnchor)
 	Counts  []uint32    // absolute per-method applied counts (summary records)
-	C       spec.Call   // the buffered call, folded call, or full summary
-	D       spec.DepVec // dependency record (buffered calls)
+	C       spec.Call   // the call, folded call, or full summary
+	D       spec.DepVec // dependency record (buffered and ordered calls)
 }
 
 // AppendUvarint appends v in canonical unsigned varint form.
@@ -159,11 +163,21 @@ func appendDepVec(b []byte, d spec.DepVec) []byte {
 // count, then five bytes a cell, the longest zigzag delta between two u32s.
 func MaxDepVecBytes(cells int) int { return uvarintLen(uint64(cells)) + 5*cells }
 
-// appendPackedCall appends a varint-packed call and dependency record:
-// method, proc, seq, int args (count, then each arg's zigzag delta from the
-// one before it, the first from 0), string args, packed DepVec. The deltas
-// wrap like int64 arithmetic, and the decoder adds them back the same way.
-func appendPackedCall(b []byte, c spec.Call, d spec.DepVec) []byte {
+// AppendCall appends c and its dependency record d to b as a bare call:
+//
+//	uvarint method | uvarint proc | uvarint seq | int args | string args | packed DepVec
+//
+// the int args a count, then each arg's zigzag delta from the one before it
+// (the first from 0), the string args a count, then each string's length and
+// bytes — and nothing before or after it. A bare call is self-delimiting, and
+// it is what every carrier of a buffered or conflicting call ships: a broadcast
+// message's run of calls, a CONF payload behind its flag byte, an F or L
+// buffer, the message-passing baseline's message. The ring record, journal
+// slot, backup slot or message around it validates its bytes, so it needs no
+// frame of its own; a call record (AppendDeltaRecord) is this body framed.
+// The deltas wrap like int64 arithmetic, and the decoder adds them back the
+// same way.
+func AppendCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 	b = AppendUvarint(b, uint64(c.Method))
 	b = AppendUvarint(b, uint64(c.Proc))
 	b = AppendUvarint(b, c.Seq)
@@ -181,9 +195,23 @@ func appendPackedCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 	return appendDepVec(b, d)
 }
 
-// decodePackedCall decodes a call and dependency record written by
-// appendPackedCall into dst.C and dst.D, reusing their arrays (see resize),
-// and returns the bytes consumed.
+// DecodeCall decodes the bare call at the front of b (AppendCall) into dst.C
+// and dst.D, reusing their arrays (see resize), and returns the bytes it took;
+// dst's other fields are left as they are. Calls back to back decode one at a
+// time. Every failure is ErrCorrupt: a bare call is read only out of bytes the
+// frame around it validated, so a call that overruns them, or an overlong
+// varint, is the writer's garbage, not a mid-write partial; dst is then left
+// partly decoded. The caller decides what the call may be (a method, process
+// and dependency record of its cluster's): the codec knows no class.
+func DecodeCall(dst *DeltaRecord, b []byte) (int, error) {
+	n, err := decodePackedCall(dst, b)
+	if err != nil {
+		return 0, asCorrupt(err)
+	}
+	return n, nil
+}
+
+// decodePackedCall is DecodeCall with Uvarint's error classes.
 func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
 	c := &dst.C
 	p := 0
@@ -281,7 +309,7 @@ func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 		return dst, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
 	b = appendU32Packed(b, r.Counts)
-	b = appendPackedCall(b, r.C, r.D)
+	b = AppendCall(b, r.C, r.D)
 	total := len(b) - start + RecordTrailer
 	if total > MaxRecord {
 		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
@@ -296,8 +324,11 @@ func EncodeDeltaRecord(r DeltaRecord) ([]byte, error) {
 	return AppendDeltaRecord(make([]byte, 0, 64), r)
 }
 
-// EncodeEntry and DecodeEntry are the names benchmark/micro.go measures the
-// call record under (codec.entry_*); they go when that benchmark is unfrozen.
+// EncodeEntry and DecodeEntry frame a bare call alone, as a FrameFull record,
+// and read one back. No runtime path ships that frame — a call rides bare
+// inside the record that carries it — so they are only the names
+// benchmark/micro.go measures (codec.entry_*), and they go when that benchmark
+// is unfrozen.
 func EncodeEntry(c spec.Call, d spec.DepVec) ([]byte, error) {
 	return EncodeDeltaRecord(DeltaRecord{Kind: FrameFull, C: c, D: d})
 }
@@ -426,9 +457,9 @@ func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 		return asCorrupt(err)
 	}
 	dst.Counts = counts
-	n, err := decodePackedCall(dst, body[p:])
+	n, err := DecodeCall(dst, body[p:])
 	if err != nil {
-		return asCorrupt(err)
+		return err
 	}
 	if p+n != len(body) {
 		return fmt.Errorf("%w: %d trailing bytes inside record", ErrCorrupt, len(body)-p-n)

@@ -135,6 +135,47 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBareCallIsTheRecordLessItsFrame pins the bare call's size: for every
+// update method of the 18 bundled classes, with empty and full-width
+// dependency records, AppendCall is exactly 12 bytes shorter than the framed
+// FrameFull record of the same call — length word, kind, version, empty
+// counts and trailer — and is that record's body byte for byte. A carrier
+// that went back to shipping the framed record would pay those 12 bytes a call
+// again; this fails first. Every call decodes back (DecodeCall) to itself.
+func TestBareCallIsTheRecordLessItsFrame(t *testing.T) {
+	const nodes, frame = 7, 12
+	r := rand.New(rand.NewSource(50))
+	for _, cls := range schema.Bundled() {
+		for _, u := range cls.UpdateMethods() {
+			for trial := 0; trial < 8; trial++ {
+				c := cls.Gen.Call(r, u)
+				c.Proc, c.Seq = spec.ProcID(r.Intn(nodes)), uint64(r.Int63())>>uint(r.Intn(64))
+				var d spec.DepVec
+				if trial%2 == 1 {
+					d = make(spec.DepVec, nodes*max(1, len(cls.DependsOn[u])))
+					for i := range d {
+						d[i] = uint32(r.Int63()) >> uint(r.Intn(32))
+					}
+				}
+				bare := AppendCall([]byte("prefix"), c, d)[6:]
+				framed, err := EncodeDeltaRecord(DeltaRecord{Kind: FrameFull, C: c, D: d})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(framed)-len(bare) != frame || !bytes.Equal(framed[7:len(framed)-RecordTrailer], bare) {
+					t.Fatalf("%s.%s: bare call %d bytes, framed record %d; want the record's body, %d bytes shorter",
+						cls.Name, cls.Methods[u].Name, len(bare), len(framed), frame)
+				}
+				var got DeltaRecord
+				if n, err := DecodeCall(&got, bare); err != nil || n != len(bare) || got.C.Method != c.Method || got.C.Proc != c.Proc ||
+					got.C.Seq != c.Seq || !got.C.Args.Equal(c.Args) || !slices.Equal(got.D, d) {
+					t.Fatalf("%s.%s: DecodeCall took %d of %d bytes (%v): %+v, want %+v D=%v", cls.Name, cls.Methods[u].Name, n, len(bare), err, got, c, d)
+				}
+			}
+		}
+	}
+}
+
 // TestDepVecPackingShrinks: a buffered call's dependency record travels
 // packed, so 64 neighbouring cells cost about a byte each, not four, and
 // come back as they went.
@@ -606,6 +647,59 @@ func FuzzDeltaEntry(f *testing.F) {
 		}
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("re-encode differs:\n got %x\nwant %x", re, data[:n])
+		}
+	})
+}
+
+// FuzzCall holds the bare call to its contract on arbitrary bytes: no input
+// panics; every failure is ErrCorrupt (a bare call is read only from bytes its
+// carrier's frame validated); whatever decodes re-encodes to exactly the bytes
+// it took, and every strict prefix of those bytes fails; the same bytes with
+// their first varint rewritten overlong fail; and decoding into a record that
+// holds an earlier, longer decode gives the fresh decode.
+func FuzzCall(f *testing.F) {
+	long := longDelta()
+	sample := sampleDelta()
+	good := AppendCall(nil, sample.C, sample.D)
+	f.Add(good)
+	f.Add(AppendCall(nil, spec.Call{}, nil))
+	f.Add(AppendCall(nil, long.C, long.D))
+	f.Add(append(AppendCall(nil, spec.Call{Method: 1, Seq: 2}, spec.DepVec{1}), good...)) // two calls back to back
+	f.Add(good[:len(good)/2])
+	f.Add([]byte{})
+	f.Add([]byte{0x80, 0x00})                         // an overlong method
+	f.Add([]byte{1, 0, 1, 0xff, 0xff, 0xff, 0x7f, 0}) // an int-arg count past the buffer
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r DeltaRecord
+		n, err := DecodeCall(&r, data)
+		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("DecodeCall fails as %v, want ErrCorrupt", err)
+			}
+			return
+		}
+		if n <= 0 || n > len(data) {
+			t.Fatalf("DecodeCall took %d of %d bytes", n, len(data))
+		}
+		if re := AppendCall(nil, r.C, r.D); !bytes.Equal(re, data[:n]) {
+			t.Fatalf("re-encode differs:\n got %x\nwant %x", re, data[:n])
+		}
+		for i := 0; i < n; i++ {
+			if _, err := DecodeCall(&DeltaRecord{}, data[:i]); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("a %d-byte prefix of a %d-byte call decodes (%v)", i, n, err)
+			}
+		}
+		_, m, _ := Uvarint(data)
+		over := append(append(append([]byte(nil), data[:m-1]...), data[m-1]|0x80, 0), data[m:n]...)
+		if _, err := DecodeCall(&DeltaRecord{}, over); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("the call with an overlong method varint %x decodes (%v)", over, err)
+		}
+		reused := DeltaRecord{}
+		if _, err := DecodeCall(&reused, AppendCall(nil, long.C, long.D)); err != nil {
+			t.Fatal(err)
+		}
+		if rn, err := DecodeCall(&reused, data); err != nil || rn != n || !sameRecord(reused, r) {
+			t.Fatalf("decoding into a used record gives %+v (%d bytes, %v), a fresh decode %+v (%d bytes)", reused, rn, err, r, n)
 		}
 	})
 }

@@ -7,16 +7,16 @@ import (
 	"hamband/internal/fifo"
 )
 
-// callBuffer is an F or L buffer: the call records peers wrote into this
-// node's rings, kept as they arrived — back to back, oldest first, in storage
-// the buffer reuses — until the apply pump takes them. A buffered call costs
-// its wire bytes and a length word. Only a record the pump looks at is
-// decoded, into the buffer's one scratch record, so a warm buffer allocates
-// nothing per call. The zero callBuffer is empty and ready to use.
+// callBuffer is an F or L buffer: the bare calls (codec.AppendCall) peers
+// wrote into this node's rings, kept as they arrived — back to back, oldest
+// first, in storage the buffer reuses — until the apply pump takes them. A
+// buffered call costs its wire bytes and a length word. Only a call the pump
+// looks at is decoded, into the buffer's one scratch record, so a warm buffer
+// allocates nothing per call. The zero callBuffer is empty and ready to use.
 type callBuffer struct {
-	recs []byte             // recs[off:] holds the queued records back to back
-	off  int                // where the oldest record starts
-	lens fifo.Queue[uint32] // each queued record's length, oldest first
+	recs []byte             // recs[off:] holds the queued calls back to back
+	off  int                // where the oldest call starts
+	lens fifo.Queue[uint32] // each queued call's length, oldest first
 	// rec is the scratch record: the oldest call while decoded is set, and
 	// what Pop or PopBack last took out until the buffer is used again.
 	rec     codec.DeltaRecord
@@ -26,11 +26,10 @@ type callBuffer struct {
 // Len returns the number of calls buffered.
 func (b *callBuffer) Len() int { return b.lens.Len() }
 
-// Push copies rec, one call record that codec.PeekDeltaRecord and
-// codec.DecodeDeltaBody accept, behind everything already buffered; the caller
-// keeps rec. When the storage is full, a consumed prefix at least as long as
-// the queued records is reclaimed in place; otherwise the storage doubles, and
-// only the queued records move.
+// Push copies rec, exactly one call that codec.DecodeCall accepts, behind
+// everything already buffered; the caller keeps rec. When the storage is full,
+// a consumed prefix at least as long as the queued calls is reclaimed in
+// place; otherwise the storage doubles, and only the queued calls move.
 func (b *callBuffer) Push(rec []byte) {
 	if len(b.recs)+len(rec) > cap(b.recs) {
 		live := b.recs[b.off:]
@@ -86,13 +85,9 @@ func (b *callBuffer) reset() {
 	}
 }
 
-// decode decodes rec, a record Push accepted, into the scratch record.
+// decode decodes rec, a call Push accepted, into the scratch record.
 func (b *callBuffer) decode(rec []byte) {
-	h, err := codec.PeekDeltaRecord(rec)
-	if err == nil {
-		err = codec.DecodeDeltaBody(&b.rec, rec, h)
-	}
-	if err != nil {
-		panic(fmt.Sprintf("core: a buffered call record no longer decodes: %v", err))
+	if n, err := codec.DecodeCall(&b.rec, rec); err != nil || n != len(rec) {
+		panic(fmt.Sprintf("core: a buffered call no longer decodes: %d of %d bytes, %v", n, len(rec), err))
 	}
 }

@@ -13,16 +13,10 @@ import (
 	"hamband/internal/trace"
 )
 
-// orsetAdd is the call record of source 0's seq-th OR-set add of element e, as
-// a broadcast message carries it.
-func orsetAdd(t testing.TB, seq uint64, e int64) []byte {
-	t.Helper()
-	rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull,
-		C: spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(e, crdt.Tag(0, seq)), Proc: 0, Seq: seq}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rec
+// orsetAdd is source 0's seq-th OR-set add of element e as a broadcast
+// message carries it: a bare call.
+func orsetAdd(seq uint64, e int64) []byte {
+	return codec.AppendCall(nil, spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(e, crdt.Tag(0, seq)), Proc: 0, Seq: seq}, nil)
 }
 
 // heapInUse returns the bytes of live heap objects after two full
@@ -37,7 +31,7 @@ func heapInUse() uint64 {
 
 // TestBufferedBacklogBytes pins what a backlogged call costs an F buffer: with
 // the apply pump held, 4 096 OR-set adds delivered through onFreeDelivery keep
-// at most 48 B of heap each — here 36 B: the record's 22 wire bytes and its
+// at most 48 B of heap each — here 20 B: the bare call's 10 wire bytes and its
 // 4-byte length, in storage that doubles. Kept decoded, each call held 112 B:
 // a 96 B queue slot and a 16 B argument array of its own. Draining the backlog
 // through the pump then allocates nothing: each head is decoded into the
@@ -53,7 +47,7 @@ func TestBufferedBacklogBytes(t *testing.T) {
 	payloads := make([][]byte, calls)
 	for i := range payloads {
 		seq := uint64(i + 1)
-		payloads[i] = orsetAdd(t, seq, int64(i%64))
+		payloads[i] = orsetAdd(seq, int64(i%64))
 		r.live.apply(spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(int64(i%64), crdt.Tag(0, seq)), Proc: 0, Seq: seq})
 	}
 	q := &r.fQueues[0]
@@ -103,8 +97,8 @@ func TestBufferedBacklogBytes(t *testing.T) {
 func TestOverwrittenPayloadAppliesItsCalls(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 72, nil)
 	r := h.cluster.Replica(1)
-	payload := append(orsetAdd(t, 1, 5), orsetAdd(t, 2, 6)...)
-	other := append(orsetAdd(t, 3, 7), orsetAdd(t, 4, 8)...)
+	payload := append(orsetAdd(1, 5), orsetAdd(2, 6)...)
+	other := append(orsetAdd(3, 7), orsetAdd(4, 8)...)
 	if len(other) != len(payload) {
 		t.Fatalf("test premise: the overwriting payload is %d bytes, the delivered one %d", len(other), len(payload))
 	}
@@ -129,7 +123,7 @@ func TestTracedAppliesKeepTheirCalls(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 73, nil)
 	r := h.cluster.Replica(1)
 	r.opts.Tracer = trace.New(h.eng, 1<<10)
-	h.eng.At(h.eng.Now(), func() { r.onFreeDelivery(0, 0, append(orsetAdd(t, 1, 5), orsetAdd(t, 2, 6)...)) })
+	h.eng.At(h.eng.Now(), func() { r.onFreeDelivery(0, 0, append(orsetAdd(1, 5), orsetAdd(2, 6)...)) })
 	h.eng.RunFor(100 * sim.Microsecond)
 	var got []spec.Args
 	for _, ev := range r.opts.Tracer.ByKind(trace.Apply) {
@@ -143,14 +137,14 @@ func TestTracedAppliesKeepTheirCalls(t *testing.T) {
 	}
 }
 
-// FuzzCallBuffer runs a callBuffer against a FIFO of decoded records through
-// the operation sequence the input spells out: pushes of records whose length
+// FuzzCallBuffer runs a callBuffer against a FIFO of decoded calls through
+// the operation sequence the input spells out: pushes of bare calls whose length
 // varies with their argument count, pops from either end and head reads, so
-// the storage grows, wraps into compactions and empties. Every record read
-// must be the model's, and the storage must hold exactly the queued records.
+// the storage grows, wraps into compactions and empties. Every call read
+// must be the model's, and the storage must hold exactly the queued calls.
 func FuzzCallBuffer(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 0, 0, 3, 2, 1, 1, 1, 2, 2, 2})
-	f.Add([]byte{0, 0, 0, 2, 2, 0, 0x42, 0x42}) // the fourth push compacts 64 bytes of storage in place
+	f.Add([]byte{0x20, 0x20, 0x20, 2, 2, 0x20, 0x42, 0x42}) // 18-byte calls: the fourth push compacts 64 bytes of storage in place
 	f.Add([]byte{0x40, 0x41, 0x42, 0x43, 0x44, 0x45, 2, 2, 2, 2, 0x46, 3, 0x47, 2})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		var b callBuffer
@@ -167,7 +161,7 @@ func FuzzCallBuffer(f *testing.F) {
 			switch op % 4 {
 			case 0, 1:
 				seq++
-				n := int(op >> 2) // 0..63 arguments, so records of 15 to ~200 bytes
+				n := int(op >> 2) // 0..63 arguments, so calls of 6 to ~190 bytes
 				args := make([]int64, n)
 				for i := range args {
 					args[i] = int64(seq)<<8 | int64(i)
@@ -176,12 +170,9 @@ func FuzzCallBuffer(f *testing.F) {
 				for i := range d {
 					d[i] = uint32(seq) + uint32(i)
 				}
-				rec := codec.DeltaRecord{Kind: codec.FrameFull, D: d,
+				rec := codec.DeltaRecord{D: d,
 					C: spec.Call{Method: spec.MethodID(op % 3), Args: spec.Args{I: args}, Proc: spec.ProcID(n % 4), Seq: seq}}
-				enc, err := codec.EncodeDeltaRecord(rec)
-				if err != nil {
-					t.Fatal(err)
-				}
+				enc := codec.AppendCall(nil, rec.C, rec.D)
 				b.Push(enc)
 				clear(enc) // the buffer keeps a copy
 				rec.C = rec.C.Clone()

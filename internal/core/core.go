@@ -157,9 +157,9 @@ type Cluster struct {
 	fdom     *FailureDomain
 	ownsFdom bool
 
-	// freeBound is the most bytes of call records one broadcast message
+	// freeBound is the most bytes of bare calls one broadcast message
 	// carries: what bounds a batch of the F out-channel (Replica.enqueueFree),
-	// and a single call's record with it.
+	// and a single call with it.
 	freeBound int
 }
 
@@ -212,11 +212,11 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	c.Opts.Broadcast.Namespace = opts.Namespace
 	if an.HasFreeBuffers() {
 		// The smaller of what a backup slot and what half an inbound ring
-		// hold. Too little for any record is a hard configuration error, like
-		// the δ-log above: FrameFull records are δ-records.
+		// hold. Too little for a call is a hard configuration error, like the
+		// δ-log above: a bare call is no longer than a δ-record's body.
 		bc := c.Opts.Broadcast
 		if c.freeBound = bc.MaxPayload(); c.freeBound < MinDeltaLogBytes {
-			panic(fmt.Sprintf("core: a %d-byte backup slot and a %d-byte inbound ring leave %d bytes for a message's call records (minimum %d)",
+			panic(fmt.Sprintf("core: a %d-byte backup slot and a %d-byte inbound ring leave %d bytes for a message's calls (minimum %d)",
 				bc.BackupSlot, bc.RingCapacity, c.freeBound, MinDeltaLogBytes))
 		}
 		broadcast.Setup(fab, bc)
@@ -432,8 +432,8 @@ type Replica struct {
 	coal *rdma.Coalescer
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
-	// recBuf is where nextDelta, invokeFree, invokeConf and leaderTransform
-	// encode the record they hand on; the summary region, the coalescer, the
+	// recBuf is where nextDelta, accept, invokeConf and leaderTransform
+	// encode the record or call they hand on; the summary region, the coalescer, the
 	// broadcast, mu.Submit and mu (which copies Transform's result into the
 	// entry) copy it before it is reused.
 	recBuf []byte
@@ -442,13 +442,13 @@ type Replica struct {
 	// an anchor into anchorRec, folds a read log onto it and swaps its arrays
 	// with the slot's once it has passed every check; and callRec is where
 	// leaderTransform decodes the call it orders, and onFreeDelivery and
-	// onConfDelivery each record they buffer, to validate it.
+	// onConfDelivery each call they buffer, to validate and admit it.
 	deltaRec  codec.DeltaRecord
 	anchorRec codec.DeltaRecord
 	callRec   codec.DeltaRecord
 
-	// Buffers: the delivered-but-unapplied calls, each buffer the records as
-	// they arrived, in storage it reuses (callBuffer).
+	// Buffers: the delivered-but-unapplied calls, each buffer the bare calls
+	// as they arrived, in storage it reuses (callBuffer).
 	fQueues []callBuffer // per source proc
 	lQueues []callBuffer // per sync group
 	lNext   int          // the L buffer applyOne serves first: the one after the last served
@@ -606,7 +606,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	for g := range c.An.SyncGroups {
 		g := g
 		in := mu.NewInstance(c.Fab, r.node, muGroup(c.Opts.Namespace, g), c.Opts.Mu, rdma.NodeID(c.leaders[g]))
-		in.Transform = r.leaderTransform
+		in.Transform = func(origin rdma.NodeID, payload []byte) []byte { return r.leaderTransform(g, origin, payload) }
 		if c.Opts.Tracer != nil {
 			in.Tracer = c.Opts.Tracer
 			in.TraceLabel = confLabel

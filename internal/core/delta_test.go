@@ -472,28 +472,32 @@ func TestSummaryOverflowPanicsAtReanchor(t *testing.T) {
 }
 
 // TestStrayFreeRecordDropped feeds the delivery path a record that is not a
-// buffered call — a summary δ-record — alone and in the middle of a batch: it
-// must be dropped together with whatever follows it in the payload, never
-// delivered, while the records ahead of it land in the source's F buffer.
+// buffered call — a framed summary δ-record — alone and in the middle of a
+// batch of bare calls: it must be dropped together with whatever follows it in
+// the payload, never delivered, while the calls ahead of it land in the
+// source's F buffer. Read as a bare call, the frame's length word is a method
+// the class does not have.
 func TestStrayFreeRecordDropped(t *testing.T) {
 	h := newHarness(t, crdt.NewORSet(), 2, 76, nil)
 	r := h.cluster.Replica(1)
-	record := func(kind byte, seq uint64) []byte {
-		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: kind, Version: 1,
-			C: spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: seq}})
+	add := func(seq uint64) spec.Call {
+		return spec.Call{Method: crdt.ORSetAdd, Args: spec.ArgsI(2, 101), Proc: 0, Seq: seq}
+	}
+	delta := func(seq uint64) []byte {
+		b, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameDelta, Version: 1, C: add(seq)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	r.onFreeDelivery(0, 1, record(codec.FrameDelta, 1))
+	r.onFreeDelivery(0, 1, delta(1))
 	if got := r.fQueues[0].Len(); got != 0 {
 		t.Fatalf("a FrameDelta record reached the F buffer: %d queued, head %+v", got, r.fQueues[0].Head())
 	}
-	batch := append(append(record(codec.FrameFull, 2), record(codec.FrameDelta, 3)...), record(codec.FrameFull, 4)...)
+	batch := codec.AppendCall(append(codec.AppendCall(nil, add(2), nil), delta(3)...), add(4), nil)
 	r.onFreeDelivery(0, 2, batch)
 	if got := &r.fQueues[0]; got.Len() != 1 || got.Head().C.Seq != 2 {
-		t.Fatalf("mixed batch delivered %d records, want only the record ahead of the stray one", got.Len())
+		t.Fatalf("mixed batch delivered %d records, want only the call ahead of the stray record", got.Len())
 	}
 }
 

@@ -27,15 +27,15 @@ import (
 // tappedMsg is one broadcast message as it sits in a tapped ring.
 type tappedMsg struct {
 	seq     uint64
-	payload int // bytes of call records
+	payload int // bytes of bare calls
 	first   int // bytes of the first of them
 	calls   []spec.Call
 }
 
 // tapFree decodes every message src wrote into node's inbound ring, in ring
 // order. The wire format is broadcast's: a raw-framed record holding uvarint
-// epoch | uvarint seq | payload, the payload a run of FrameFull δ-records;
-// Poll strips the framing.
+// epoch | uvarint seq | payload, the payload a run of bare calls (the ring
+// record is the one frame); Poll strips the framing.
 func (h *harness) tapFree(node, src int) []tappedMsg {
 	h.t.Helper()
 	region := h.fab.Node(rdma.NodeID(node)).Region(broadcast.InboundRegion("", rdma.NodeID(src)))
@@ -56,8 +56,9 @@ func (h *harness) tapFree(node, src int) []tappedMsg {
 			h.t.Fatalf("tap of p%d's ring from p%d: %d-byte message: %v", node, src, len(msg), err)
 		}
 		for m.payload = len(payload); len(payload) > 0; {
-			r, n, err := codec.DecodeDeltaRecord(payload)
-			if err != nil || r.Kind != codec.FrameFull {
+			var r codec.DeltaRecord
+			n, err := codec.DecodeCall(&r, payload)
+			if err != nil {
 				h.t.Fatalf("tap of p%d's ring from p%d: message %d: %v", node, src, m.seq, err)
 			}
 			if m.calls = append(m.calls, r.C); len(m.calls) == 1 {
@@ -158,7 +159,7 @@ func TestOneMessagePerRoundTrip(t *testing.T) {
 // TestFreeBatchSplitsAtBound: a burst longer than one message splits where
 // the next record would not fit, and nowhere else.
 func TestFreeBatchSplitsAtBound(t *testing.T) {
-	const calls = 60
+	const calls = 150
 	h, tap := newTappedHarness(t, 3, 134, nil)
 	h.eng.At(0, func() {
 		for e := int64(1); e <= calls; e++ {
@@ -405,8 +406,8 @@ func TestTooLargeFreeCallTouchesNothing(t *testing.T) {
 }
 
 // TestTooLargeConfCallTouchesNothing is the twin on rule CONF for a call
-// whose record does not encode at all (over codec.MaxRecord; the tighter
-// journal-slot bound has TestConfCallBoundIsTheJournalSlot): it is answered
+// far past any record's size (over codec.MaxRecord; the journal-slot bound that
+// refuses it is pinned at its edge by TestConfCallBoundIsTheJournalSlot): it is answered
 // with the codec's error at its origin, before the synchronization group
 // hears of it — no pending request, no state or applied count moved, no write
 // posted towards the leader — and the group goes on ordering calls.
@@ -472,7 +473,7 @@ func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
 	}
 	r1 := h.cluster.Replica(1) // not the leader: an accepted call is written to p0
 	// withdraw(1) padded with zero args, a byte each, and its entry payload
-	// as the origin counts it: flag byte, record, the longest 3-cell DepVec
+	// as the origin counts it: flag byte, call, the longest 3-cell DepVec
 	// in place of the empty one.
 	withdraw := func(args int) spec.Args {
 		a := spec.Args{I: make([]int64, args)}
@@ -481,11 +482,7 @@ func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
 	}
 	counted := func(a spec.Args) int {
 		c := spec.Call{Method: crdt.AccountWithdraw, Proc: 1, Seq: r1.nextSeq + 1, Args: a}
-		b, err := encodeConf(nil, c, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return len(b) - 1 + codec.MaxDepVecBytes(3)
+		return len(encodeConf(nil, c, nil)) - 1 + codec.MaxDepVecBytes(3)
 	}
 	args := 1
 	for counted(withdraw(args+1)) <= bound {

@@ -743,15 +743,13 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 func (r *Replica) accept() {
 	fc := r.accepts.Pop()
 	c := fc.c
-	// The packed varint δ-framing is the F path's one record format. A call
-	// whose record no broadcast message can carry is refused before it takes
+	// The call rides its broadcast message bare: the message's ring record
+	// validates it. A call no message can carry is refused before it takes
 	// effect anywhere.
-	entry, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: fc.d})
+	entry := codec.AppendCall(r.recBuf[:0], c, fc.d)
 	r.recBuf = entry
-	if err == nil && len(entry) > r.cluster.freeBound {
-		err = fmt.Errorf("%w: %d-byte call record, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
-	}
-	if err != nil {
+	if len(entry) > r.cluster.freeBound {
+		err := fmt.Errorf("%w: %d-byte call, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
 		if r.tracing() {
 			r.traceData(trace.Complete, c, "response resolved: "+err.Error(), trace.AckRecord{})
 		}
@@ -797,7 +795,7 @@ func (r *Replica) accept() {
 // a source that fails on an open batch recover what it had answered. DESIGN.md
 // §4, "The F out-channel", has the gates that were measured and declined.
 
-// enqueueFree adds an accepted call's record (at most freeBound bytes) to the
+// enqueueFree adds an accepted call (at most freeBound bytes) to the
 // open batch and stages the batch. A non-empty batch always has a flush coming:
 // the deferred item armed here or by freeAcked, or the completion that will
 // arm it.
@@ -859,20 +857,21 @@ func (r *Replica) flushFree() {
 	}
 }
 
-// onFreeDelivery receives a broadcast batch of (c, D) pairs into the F
-// buffer of its source and tries to apply. Records are self-delimiting, so
-// single-entry and batched payloads share one loop. Each record is decoded
-// into the replica's scratch record to validate it, and anything that is not
-// a FrameFull record drops the rest of the payload. The payload is the
-// receiver's, borrowed for the call: the F buffer copies each record's bytes.
+// onFreeDelivery receives a broadcast batch of bare calls into the F buffer
+// of its source and tries to apply. Calls are self-delimiting, so
+// single-call and batched payloads share one loop. Each call is decoded into
+// the replica's scratch record to validate it, and the first that does not
+// decode or that the F buffer does not admit drops the rest of the payload.
+// The payload is the receiver's, borrowed for the call: the F buffer copies
+// each call's bytes.
 func (r *Replica) onFreeDelivery(src rdma.NodeID, _ uint64, payload []byte) {
 	for len(payload) > 0 {
-		h, err := codec.PeekDeltaRecord(payload)
-		if err != nil || h.Kind != codec.FrameFull || codec.DecodeDeltaBody(&r.callRec, payload, h) != nil {
-			return
+		n, err := codec.DecodeCall(&r.callRec, payload)
+		if err != nil || !r.admits(&r.callRec, spec.NoGroup, src, true) {
+			break
 		}
-		r.fQueues[src].Push(payload[:h.Total])
-		payload = payload[h.Total:]
+		r.fQueues[src].Push(payload[:n])
+		payload = payload[n:]
 	}
 	r.noteQueueDepths()
 	r.kickApply()
@@ -892,17 +891,15 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 			trace.CallRecord{C: c, SubmitAt: submitAt})
 	}
 	// The flag byte stays clear; the leader's Transform decides. A call whose
-	// record does not encode, or whose entry would not fit a journal slot once
-	// the leader adds its dependency record (packed as a one-byte empty
-	// vector here), is refused before anything knows of it. The payload is
-	// encoded in recBuf, which mu.Submit copies.
-	payload, err := encodeConf(r.recBuf[:0], c, nil)
+	// entry would not fit a journal slot once the leader adds its dependency
+	// record (packed as a one-byte empty vector here) is refused before
+	// anything knows of it. The payload is encoded in recBuf, which mu.Submit
+	// copies.
+	payload := encodeConf(r.recBuf[:0], c, nil)
 	r.recBuf = payload
 	bound := r.cluster.Opts.Mu.MaxPayload()
-	if n := len(payload) - 1 + codec.MaxDepVecBytes(r.n*len(r.an.DependsOn[u])); err == nil && n > bound {
-		err = fmt.Errorf("%w: %d-byte conflicting call entry, Mu entries carry %d", codec.ErrTooLarge, n, bound)
-	}
-	if err != nil {
+	if n := len(payload) - 1 + codec.MaxDepVecBytes(r.n*len(r.an.DependsOn[u])); n > bound {
+		err := fmt.Errorf("%w: %d-byte conflicting call entry, Mu entries carry %d", codec.ErrTooLarge, n, bound)
 		if onDone != nil {
 			onDone(nil, err)
 		}
@@ -915,35 +912,53 @@ func (r *Replica) invokeConf(u spec.MethodID, args spec.Args, submitAt sim.Time,
 }
 
 // encodeConf appends an ordered group entry's payload for (c, d) to dst: a
-// flag byte (clear) ahead of the call record. On error dst comes back
-// unextended.
-func encodeConf(dst []byte, c spec.Call, d spec.DepVec) ([]byte, error) {
-	b, err := codec.AppendDeltaRecord(append(dst, 0), codec.DeltaRecord{Kind: codec.FrameFull, C: c, D: d})
-	if err != nil {
-		return dst, err
-	}
-	return b, nil
+// flag byte (clear) ahead of the bare call. The Mu entry, request and journal
+// slot that carry it validate it.
+func encodeConf(dst []byte, c spec.Call, d spec.DepVec) []byte {
+	return codec.AppendCall(append(dst, 0), c, d)
 }
 
-// decodeConf is encodeConf's inverse: it returns the flag byte and the call
-// record's bytes, and decodes the record into dst, reusing dst's arrays
-// (codec.DecodeDeltaBody): a fresh record in confLabel, one of the replica's
-// scratch records everywhere else.
-func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, rec []byte, err error) {
+// decodeConf is encodeConf's inverse: it returns the flag byte and the call's
+// bytes, and decodes the call into dst, reusing dst's arrays
+// (codec.DecodeCall): a fresh record in confLabel, one of the replica's
+// scratch records everywhere else. The call must end where the payload does.
+func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, call []byte, err error) {
 	if len(payload) < 1 {
 		return 0, nil, codec.ErrIncomplete
 	}
-	h, err := codec.PeekDeltaRecord(payload[1:])
-	if err == nil && h.Kind != codec.FrameFull {
-		err = codec.ErrCorrupt
-	}
-	if err == nil {
-		err = codec.DecodeDeltaBody(dst, payload[1:], h)
+	n, err := codec.DecodeCall(dst, payload[1:])
+	if err == nil && 1+n != len(payload) {
+		err = fmt.Errorf("%w: %d bytes after the call", codec.ErrCorrupt, len(payload)-1-n)
 	}
 	if err != nil {
 		return 0, nil, err
 	}
-	return payload[0], payload[1 : 1+h.Total], nil
+	return payload[0], payload[1:], nil
+}
+
+// admits reports whether e, a call decoded from a peer's write, may join a
+// buffer of this replica's: an F buffer (g is spec.NoGroup) takes one of the
+// class's irreducible conflict-free methods, the L buffer of sync group g one
+// of that group's methods; the call's process must be the one that wrote it
+// (the broadcast source, the Mu origin); and its dependency record must be the
+// method's projection over every process when ordered is set, and empty
+// otherwise (a request at the leader's Transform, or an entry the leader
+// rejected). The frame around a call says its bytes are the writer's; this
+// says they are a call of this cluster's, so nothing downstream indexes past
+// the class's methods, the applied map or the record.
+func (r *Replica) admits(e *codec.DeltaRecord, g int, from rdma.NodeID, ordered bool) bool {
+	u := e.C.Method
+	if u < 0 || int(u) >= len(r.an.Category) || e.C.Proc != spec.ProcID(from) {
+		return false
+	}
+	if g == spec.NoGroup && r.an.Category[u] != spec.CatIrreducibleFree || g != spec.NoGroup && r.an.SyncGroupOf[u] != g {
+		return false
+	}
+	cells := 0
+	if ordered {
+		cells = r.n * len(r.an.DependsOn[u])
+	}
+	return len(e.D) == cells
 }
 
 // callKey2 identifies a (process, method) cell of the speculative
@@ -966,10 +981,12 @@ type callKey2 struct {
 // payload encoded in recBuf, which mu copies into the entry before anything
 // else runs (the Transform contract), so ordering a call allocates nothing
 // here but its dependency record; a traced call is cloned, since the next
-// decode reuses the record's arrays.
-func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
-	if _, _, err := decodeConf(&r.callRec, payload); err != nil {
-		return payload
+// decode reuses the record's arrays. A request that does not decode, or that
+// group g's L buffers would not admit from origin, is ordered as an empty
+// entry, which every replica drops.
+func (r *Replica) leaderTransform(g int, origin rdma.NodeID, payload []byte) []byte {
+	if _, _, err := decodeConf(&r.callRec, payload); err != nil || !r.admits(&r.callRec, g, origin, false) {
+		return r.recBuf[:0]
 	}
 	c := r.callRec.C
 	if !r.specPermissible(c) {
@@ -985,12 +1002,8 @@ func (r *Replica) leaderTransform(_ rdma.NodeID, payload []byte) []byte {
 	if r.tracing() {
 		r.traceData(trace.Order, c, "sequenced at the leader (speculative)", trace.CallRecord{C: c.Clone(), D: d})
 	}
-	out, err := encodeConf(r.recBuf[:0], c, d)
-	r.recBuf = out
-	if err != nil {
-		return payload
-	}
-	return out
+	r.recBuf = encodeConf(r.recBuf[:0], c, d)
+	return r.recBuf
 }
 
 // specView returns the speculative view, lazily forked from σ.
@@ -1027,21 +1040,23 @@ func (r *Replica) projectSpec(deps []spec.MethodID) spec.DepVec {
 
 // onConfDelivery receives an ordered group entry into the L buffer of its
 // group, or answers the origin's client when the leader rejected the call.
-// The entry is decoded into the replica's scratch record to validate it. The
-// payload is mu's, borrowed for the call: the L buffer copies the call
-// record's bytes.
-func (r *Replica) onConfDelivery(g int, _ rdma.NodeID, payload []byte) {
-	flags, rec, err := decodeConf(&r.callRec, payload)
-	if err != nil {
+// The entry is decoded into the replica's scratch record to validate it, and
+// dropped unless the L buffer admits it (a rejected entry carries no
+// dependency record). The payload is mu's, borrowed for the call: the L
+// buffer copies the call's bytes.
+func (r *Replica) onConfDelivery(g int, origin rdma.NodeID, payload []byte) {
+	flags, call, err := decodeConf(&r.callRec, payload)
+	rejected := flags&confFlagRejected != 0
+	if err != nil || !r.admits(&r.callRec, g, origin, !rejected) {
 		return
 	}
-	if flags&confFlagRejected != 0 {
+	if rejected {
 		if c := r.callRec.C; c.Proc == r.id {
 			r.complete(c.Seq, nil, ErrImpermissible)
 		}
 		return
 	}
-	r.lQueues[g].Push(rec)
+	r.lQueues[g].Push(call)
 	r.noteQueueDepths()
 	r.kickApply()
 }

@@ -204,12 +204,7 @@ func TestApplyServesLBuffersRoundRobin(t *testing.T) {
 		t.Fatalf("movie has %d sync groups, want 2", len(r.lQueues))
 	}
 	entry := func(u spec.MethodID, seq uint64) []byte {
-		rec, err := codec.EncodeDeltaRecord(codec.DeltaRecord{Kind: codec.FrameFull,
-			C: spec.Call{Method: u, Args: spec.ArgsI(int64(seq)), Proc: 0, Seq: seq}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rec
+		return codec.AppendCall(nil, spec.Call{Method: u, Args: spec.ArgsI(int64(seq)), Proc: 0, Seq: seq}, nil)
 	}
 	methods := [2]spec.MethodID{schema.MovieAddCustomer, schema.MovieAddMovie}
 	for g, u := range methods {

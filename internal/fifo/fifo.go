@@ -1,6 +1,6 @@
 // Package fifo is the queue the runtime's buffers share: in a replica (core),
 // its client calls waiting for their issue, query or accept item and the
-// lengths of the call records its F and L buffers hold; in a consensus
+// lengths of the calls its F and L buffers hold; in a consensus
 // instance (mu), the decided entries
 // waiting for their CPU item and each follower's unacknowledged sequence
 // numbers; the broadcast messages waiting for their delivery item; and a ring
