@@ -6,16 +6,18 @@
 //	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|doorbell|costs|trace|overview|
 //	               metrics|latency|wire|shard|reconfig|snapshot|benchstat|chaos|health|hamtop]
 //	         [-ops N] [-seed N] [-json FILE] [-chrome-trace FILE]
-//	         [-old FILE -new FILE [-max-regress PCT]] [-shards N]
+//	         [-old FILE -new FILE] [-shards N]
 //	         [-plans N] [-plan-json FILE] [-chaos-dir DIR] [-frames N]
 //
 // Every fixed-op point, the sharded store's included, is driven by
 // bench.Run's closed loop and ends when every update is applied at every live
-// node (the paper's throughput: calls over that makespan). -json
-// FILE is the one export: snapshot, latency, wire, shard and health write
-// their points there as one benchmark snapshot that -exp benchstat diffs
-// (-exp snapshot, the canonical set committed at the repository root, needs it),
-// and metrics writes its registry snapshot.
+// node (the paper's throughput: calls over that makespan). -json FILE is the
+// one export: snapshot, latency, wire, shard and health write their points
+// there as one benchmark snapshot of keyed points and named metrics (-exp
+// snapshot, the canonical set committed at the repository root, needs it),
+// and metrics writes its registry snapshot. -exp benchstat compares two
+// snapshots and exits 1 if a metric is worse than in -old by more than the
+// bound its definition in internal/bench gives.
 //
 // The shard experiment drives a keyed counter workload against the sharded
 // multi-object store: object-count and Zipfian-skew sweeps with per-shard
@@ -74,11 +76,10 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, metrics, latency, wire, shard, reconfig, snapshot, benchstat, chaos, health, hamtop")
+	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, metrics, latency, wire, shard, reconfig, snapshot, benchstat (compare -old and -new, gating each metric at its own bound), chaos, health, hamtop")
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
-	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot -exp benchstat can diff; metrics: the registry snapshot)")
-	maxRegress := flag.Float64("max-regress", 0, "benchstat: exit 1 if any point's throughput drops, or its p99 or bytes per op rise, by more than this percentage (0 disables)")
+	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot of keyed points and named metrics that -exp benchstat compares; metrics: the registry snapshot)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
 	newSnap := flag.String("new", "", "benchstat: current snapshot file")
@@ -118,7 +119,7 @@ func main() {
 		}
 		fmt.Printf("wrote %d benchmark points to %s\n", len(cfg.Snapshot().Points), *jsonOut)
 	case "benchstat":
-		compareSnapshots(*oldSnap, *newSnap, *maxRegress)
+		benchstat(*oldSnap, *newSnap)
 	case "costs":
 		cfg.Costs()
 	case "trace":
@@ -184,11 +185,9 @@ func runChaos(cfg bench.Config, plans int, planJSON, dumpDir string) {
 	}
 }
 
-// compareSnapshots prints throughput and p99 deltas between two snapshots.
-// With a nonzero maxRegress it additionally gates every point: any matched
-// point whose throughput dropped, or whose p99 rose, by more than that
-// percentage makes the command exit nonzero — the CI regression check.
-func compareSnapshots(oldPath, newPath string, maxRegress float64) {
+// benchstat compares two snapshot files (bench.Compare) and exits 1 if any
+// metric regressed past its bound: the CI regression check.
+func benchstat(oldPath, newPath string) {
 	if oldPath == "" || newPath == "" {
 		fmt.Fprintln(os.Stderr, "hambench: -exp benchstat needs -old FILE and -new FILE")
 		os.Exit(2)
@@ -207,16 +206,12 @@ func compareSnapshots(oldPath, newPath string, maxRegress float64) {
 		}
 		return s
 	}
-	old, cur := read(oldPath), read(newPath)
-	bench.CompareSnapshots(os.Stdout, old, cur)
-	if maxRegress > 0 {
-		bad := bench.RegressionCheck(old, cur, maxRegress)
-		for _, msg := range bad {
-			fmt.Fprintf(os.Stderr, "hambench: regression: %s\n", msg)
-		}
-		if len(bad) > 0 {
-			os.Exit(1)
-		}
+	bad := bench.Compare(os.Stdout, read(oldPath), read(newPath))
+	for _, msg := range bad {
+		fmt.Fprintf(os.Stderr, "hambench: regression: %s\n", msg)
+	}
+	if len(bad) > 0 {
+		os.Exit(1)
 	}
 }
 

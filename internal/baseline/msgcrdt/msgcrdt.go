@@ -118,10 +118,11 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 	})
 }
 
-// onMessage applies a remotely issued effector.
-func (r *Replica) onMessage(_ msgnet.NodeID, payload []byte) {
+// onMessage applies a remotely issued effector: one call that decodes to
+// the message's end and that the class admits from the sender.
+func (r *Replica) onMessage(from msgnet.NodeID, payload []byte) {
 	var rec codec.DeltaRecord
-	if n, err := codec.DecodeCall(&rec, payload); err != nil || n != len(payload) {
+	if n, err := codec.DecodeCall(&rec, payload); err != nil || n != len(payload) || !r.cls.AdmitsFrom(rec.C, spec.ProcID(from)) {
 		return
 	}
 	c := rec.C

@@ -3,6 +3,7 @@ package msgcrdt
 import (
 	"testing"
 
+	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/msgnet"
 	"hamband/internal/rdma"
@@ -120,5 +121,50 @@ func TestAppliedCountsTrackReplication(t *testing.T) {
 		if total != 10 {
 			t.Fatalf("replica %d applied %d calls, want 10", p, total)
 		}
+	}
+}
+
+// TestMalformedMessagesAreDropped: a message applies only if its call is one
+// of the class's updates issued by the sender. Each malformed row would
+// otherwise panic the receiver (a method past the class's, a query with no
+// effector) or apply a call in another process's name.
+func TestMalformedMessagesAreDropped(t *testing.T) {
+	add := func(proc spec.ProcID) spec.Call {
+		return spec.Call{Method: crdt.CounterAdd, Args: spec.ArgsI(5), Proc: proc, Seq: 1}
+	}
+	cases := []struct {
+		name    string
+		call    spec.Call
+		applied uint32
+	}{
+		{"well-formed", add(0), 1},
+		{"method 99", spec.Call{Method: 99, Args: spec.ArgsI(5), Proc: 0, Seq: 1}, 0},
+		{"query method", spec.Call{Method: crdt.CounterValue, Proc: 0, Seq: 1}, 0},
+		{"process is not the sender", add(2), 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			eng, cl := setup(t, crdt.NewCounter(), 3)
+			eng.At(0, func() { cl.Net.Node(0).Send(1, codec.AppendCall(nil, c.call, nil), nil) })
+			func() {
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("receiver panicked: %v", p)
+					}
+				}()
+				eng.RunUntil(sim.Time(10 * sim.Millisecond))
+			}()
+			r := cl.Replica(1)
+			var applied uint32
+			for _, row := range r.Applied() {
+				for _, n := range row {
+					applied += n
+				}
+			}
+			v := r.CurrentState().(*crdt.CounterState).V
+			if applied != c.applied || v != 5*int64(c.applied) {
+				t.Fatalf("receiver applied %d calls, value %d; want %d calls", applied, v, c.applied)
+			}
+		})
 	}
 }

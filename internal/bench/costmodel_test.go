@@ -117,7 +117,8 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 
 // TestExperimentEntryPointsSmoke runs the experiments no other test runs at
 // a small scale: each prints its header (the snapshot prints nothing), each
-// JSON export reads back as a Snapshot with points, and the health run passes.
+// JSON export reads back as a Snapshot with points whose every metric
+// metricDefs defines, and the health run passes.
 func TestExperimentEntryPointsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
@@ -160,6 +161,16 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 			}
 			if len(s.Points) == 0 {
 				t.Fatal("export holds no points")
+			}
+			for _, p := range s.Points {
+				if len(p.Metrics) == 0 {
+					t.Fatalf("point %s carries no metrics", p.key())
+				}
+				for name := range p.Metrics {
+					if _, ok := metricDefs[name]; !ok {
+						t.Fatalf("point %s carries undefined metric %q", p.key(), name)
+					}
+				}
 			}
 		})
 	}

@@ -24,8 +24,9 @@ type Config struct {
 	Seed int64
 	Out  io.Writer
 	// JSON, when non-nil, receives the experiment's points as one Snapshot
-	// (snapshot, latency, wire, shard, health) or, for metrics, the registry
-	// snapshot; ChromeTrace receives the metrics experiment's call lifecycles.
+	// of keyed points and named metrics (snapshot, latency, wire, shard,
+	// health) or, for metrics, the registry snapshot; ChromeTrace receives
+	// the metrics experiment's call lifecycles.
 	JSON        io.Writer
 	ChromeTrace io.Writer
 }
@@ -384,10 +385,7 @@ func (cfg Config) Costs() {
 		{"irreducible free (orset)", crdt.NewORSet()},
 		{"conflicting (movie)", schema.NewMovie()},
 	}
-	ops := cfg.Ops / 4
-	if ops < 500 {
-		ops = 500
-	}
+	ops := max(cfg.Ops/4, 500)
 	for _, rw := range rows {
 		res, sys := cfg.run(Hamband, rw.cls, 4, ops, 1.0, 0, Variant{})
 		fab := sys.(*hambandSystem).c.Fab
@@ -453,10 +451,7 @@ func (cfg Config) Trace() {
 // registry snapshot (see writeMergedMetrics); ChromeTrace, when set, receives
 // a Chrome trace-event file of the first calls' lifecycles.
 func (cfg Config) Metrics() {
-	ops := cfg.Ops / 4
-	if ops < 500 {
-		ops = 500
-	}
+	ops := max(cfg.Ops/4, 500)
 	var reg *metrics.Registry
 	var tr *trace.Tracer
 	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {

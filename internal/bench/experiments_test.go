@@ -149,53 +149,3 @@ func TestReconfigExperiment(t *testing.T) {
 		t.Fatalf("a transition never recovered:\n%s", out)
 	}
 }
-
-// TestRegressionCheckGatesEveryPoint: the CI gate covers whatever experiment a
-// point belongs to (it used to look at fig8 alone), ignores unmatched points
-// and tolerates drops within the bound.
-func TestRegressionCheckGatesEveryPoint(t *testing.T) {
-	pt := func(exp, class string, ops float64) SnapPoint {
-		return SnapPoint{Experiment: exp, System: "Hamband", Class: class, Nodes: 4, UpdateRatio: 1, OpsPerUs: ops}
-	}
-	old := Snapshot{Schema: 1, Points: []SnapPoint{
-		pt("fig8", "counter", 16), pt("fig10", "movie", 3), pt("shard/uniform", "counter", 10), pt("wire/delta", "gset", 22),
-	}}
-	cur := Snapshot{Schema: 1, Points: []SnapPoint{
-		pt("fig8", "counter", 15.5), pt("fig10", "movie", 2.5), pt("shard/uniform", "counter", 9), pt("doorbell/chain", "orset", 1),
-	}}
-	bad := RegressionCheck(old, cur, 5)
-	if len(bad) != 2 || !strings.Contains(bad[0], "fig10") || !strings.Contains(bad[1], "shard/uniform") {
-		t.Fatalf("regressions reported: %q, want the fig10 and shard/uniform points", bad)
-	}
-}
-
-// TestRegressionCheckGatesTails: the same threshold gates a matched point's
-// p99 rising. A tail deliberately slowed by a tenth fails at unchanged
-// throughput; one inside the bound, a faster one, and a point whose baseline
-// recorded no tail (the shard points up to BENCH_PR21.json) pass.
-func TestRegressionCheckGatesTails(t *testing.T) {
-	pt := func(exp string, p99 float64) SnapPoint {
-		return SnapPoint{Experiment: exp, System: "Hamband", Class: "movie", Nodes: 4, UpdateRatio: 1, OpsPerUs: 3.12, P99Us: p99}
-	}
-	old := Snapshot{Schema: 1, Points: []SnapPoint{pt("fig10", 15.7), pt("doorbell/baseline", 15.7), pt("wire/delta", 15.7), pt("shard/uniform", 0)}}
-	cur := Snapshot{Schema: 1, Points: []SnapPoint{pt("fig10", 17.3), pt("doorbell/baseline", 16.4), pt("wire/delta", 9), pt("shard/uniform", 3.2)}}
-	bad := RegressionCheck(old, cur, 5)
-	if len(bad) != 1 || !strings.Contains(bad[0], "fig10") || !strings.Contains(bad[0], "p99 15.70 -> 17.30") {
-		t.Fatalf("regressions reported: %q, want the fig10 tail alone", bad)
-	}
-}
-
-// TestRegressionCheckGatesBytes: the same threshold gates a matched point's
-// bytes per op rising. Six per cent more bytes fails at 5, four per cent
-// passes, and so do fewer bytes and a point whose baseline recorded none.
-func TestRegressionCheckGatesBytes(t *testing.T) {
-	pt := func(exp string, bytes float64) SnapPoint {
-		return SnapPoint{Experiment: exp, System: "Hamband", Class: "gset", Nodes: 4, UpdateRatio: 1, OpsPerUs: 22.5, P99Us: 1.9, BytesPerOp: bytes}
-	}
-	old := Snapshot{Schema: 1, Points: []SnapPoint{pt("wire/delta", 100), pt("fig13/normal", 100), pt("fig13/leader", 100), pt("fig8", 0)}}
-	cur := Snapshot{Schema: 1, Points: []SnapPoint{pt("wire/delta", 106), pt("fig13/normal", 104), pt("fig13/leader", 60), pt("fig8", 50)}}
-	bad := RegressionCheck(old, cur, 5)
-	if len(bad) != 1 || !strings.Contains(bad[0], "wire/delta") || !strings.Contains(bad[0], "bytes 100.0 -> 106.0") {
-		t.Fatalf("regressions reported: %q, want the wire/delta bytes alone", bad)
-	}
-}

@@ -133,25 +133,17 @@ func firingKey(f health.Firing) string {
 	return fmt.Sprintf("%d|%s|%s|%d", f.Node, f.Rule, f.Shard, f.At)
 }
 
-// healthSnapshot flattens the experiment into the benchmark-snapshot
-// schema: one point per watchdog rule (OpsPerUs carries the firing count on
-// the fault run), one "unexpected" point, and one "control" point that must
-// stay at zero. A diff in any count is a calibration change `-exp
-// benchstat` will surface.
+// healthSnapshot flattens the experiment into snapshot points of watchdog
+// firings: one per rule on the fault run, one "unexpected" point, and one
+// "control" point that must stay at zero.
 func healthSnapshot(cfg Config, plan chaos.Plan, v, control *chaos.Verdict) Snapshot {
-	s := Snapshot{Schema: 1, Ops: plan.Ops, Seed: cfg.Seed}
+	s := Snapshot{Schema: snapshotSchema, Ops: plan.Ops, Seed: cfg.Seed}
 	byRule := map[health.Rule]int{}
 	for _, f := range v.Anomalies {
 		byRule[f.Rule]++
 	}
 	add := func(class string, count int) {
-		s.Points = append(s.Points, SnapPoint{
-			Experiment: "health",
-			System:     "watchdog",
-			Class:      class,
-			Nodes:      plan.Nodes,
-			OpsPerUs:   float64(count),
-		})
+		s.add("health", "watchdog", class, plan.Nodes, 0, map[string]float64{"firings": float64(count)})
 	}
 	for _, r := range health.Rules {
 		add(string(r), byRule[r])

@@ -20,10 +20,7 @@ func (cfg Config) Latency() {
 		nodes = 4
 		ratio = 0.5
 	)
-	ops := cfg.Ops / 4
-	if ops < 500 {
-		ops = 500
-	}
+	ops := max(cfg.Ops/4, 500)
 	var reg *metrics.Registry
 	var tr *trace.Tracer
 	res, _ := cfg.run(Hamband, crdt.NewBankMap(), nodes, ops, ratio, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
@@ -44,39 +41,28 @@ func (cfg Config) Latency() {
 	cfg.export("latency", latencySnapshot(cfg, ops, nodes, ratio, rep))
 }
 
-// latencySnapshot flattens a span report into the benchmark-snapshot
-// schema: one point per (category, stage) keyed as experiment
-// "latency/<category>" and class "<stage>", plus a "total" class per
-// category. OpsPerUs carries the stage's observation count (there is no
-// per-stage throughput), so count regressions also show up in benchstat.
+// latencySnapshot flattens a span report into snapshot points: one per
+// (category, stage) keyed as experiment "latency/<category>" and class
+// "<stage>", plus a "total" class per category. Each carries the calls it
+// observed and their response times.
 func latencySnapshot(cfg Config, ops, nodes int, ratio float64, rep *span.Report) Snapshot {
-	s := Snapshot{Schema: 1, Ops: ops, Seed: cfg.Seed}
+	s := Snapshot{Schema: snapshotSchema, Ops: ops, Seed: cfg.Seed}
 	for _, cr := range rep.Categories {
 		exp := "latency/" + cr.Category
 		for _, st := range cr.Stages {
-			s.Points = append(s.Points, SnapPoint{
-				Experiment:  exp,
-				System:      "hamband",
-				Class:       st.Name,
-				Nodes:       nodes,
-				UpdateRatio: ratio,
-				OpsPerUs:    float64(st.Count),
-				MeanRTUs:    st.Mean.Micros(),
-				P50Us:       st.P50.Micros(),
-				P95Us:       st.P95.Micros(),
-				P99Us:       st.P99.Micros(),
+			s.add(exp, "hamband", st.Name, nodes, ratio, map[string]float64{
+				"calls":      float64(st.Count),
+				"mean_rt_us": st.Mean.Micros(),
+				"p50_us":     st.P50.Micros(),
+				"p95_us":     st.P95.Micros(),
+				"p99_us":     st.P99.Micros(),
 			})
 		}
-		s.Points = append(s.Points, SnapPoint{
-			Experiment:  exp,
-			System:      "hamband",
-			Class:       "total",
-			Nodes:       nodes,
-			UpdateRatio: ratio,
-			OpsPerUs:    float64(cr.Completed),
-			P50Us:       cr.TotalP50.Micros(),
-			P95Us:       cr.TotalP95.Micros(),
-			P99Us:       cr.TotalP99.Micros(),
+		s.add(exp, "hamband", "total", nodes, ratio, map[string]float64{
+			"calls":  float64(cr.Completed),
+			"p50_us": cr.TotalP50.Micros(),
+			"p95_us": cr.TotalP95.Micros(),
+			"p99_us": cr.TotalP99.Micros(),
 		})
 	}
 	return s

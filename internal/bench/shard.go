@@ -158,7 +158,7 @@ func (cfg Config) Shard(shards int) {
 	counts := []int{max(shards/4, 2), shards / 2, shards}
 
 	var all []shardRun
-	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
+	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}
 	cfg.printf("Sharded store — keyed counter workload, %d nodes, %d ops/point\n", nodes, cfg.Ops)
 	cfg.printf("%-7s %6s %9s %10s %11s %11s %9s\n",
 		"shards", "skew", "ops/µs", "chains", "chainedWRs", "crossChains", "crossWRs")
@@ -166,7 +166,7 @@ func (cfg Config) Shard(shards int) {
 		for _, skew := range skews {
 			r := cfg.shardPoint(sc, 0, nodes, cfg.Ops, skew)
 			all = append(all, r)
-			s.Points = append(s.Points, resultPoint(shardExperiment(skew), Hamband.String(), r.Result, 0))
+			s.addResult(shardExperiment(skew), Hamband.String(), r.Result)
 			cfg.printf("%-7d %6s %9.2f %10d %11d %11d %9d\n",
 				sc, skewName(skew), r.Throughput(), r.verbs.Chains, r.verbs.ChainedWRs, r.crossChains, r.crossWRs)
 		}

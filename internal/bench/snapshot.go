@@ -4,34 +4,33 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 
 	"hamband/internal/crdt"
 	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
-// SnapPoint is one benchmark measurement in a committed snapshot. Times are
-// virtual microseconds; a given (ops, seed) pair reproduces a snapshot
+// snapshotSchema is the version of the Snapshot layout; ReadSnapshot
+// accepts no other.
+const snapshotSchema = 2
+
+// SnapPoint is one benchmark measurement in a snapshot: a key (experiment,
+// system, class, nodes, update ratio) and the metrics measured there, by
+// their names in metricDefs. A metric that was not measured is absent. Times
+// are virtual microseconds; a given (ops, seed) pair reproduces a snapshot
 // bit-for-bit, so diffs between snapshots are real model changes, not noise.
 type SnapPoint struct {
-	Experiment  string  `json:"experiment"`
-	System      string  `json:"system"`
-	Class       string  `json:"class"`
-	Nodes       int     `json:"nodes"`
-	UpdateRatio float64 `json:"update_ratio"`
-	OpsPerUs    float64 `json:"ops_per_us"`
-	MeanRTUs    float64 `json:"mean_rt_us"`
-	P50Us       float64 `json:"p50_us"`
-	P95Us       float64 `json:"p95_us"`
-	P99Us       float64 `json:"p99_us"`
-	// BytesPerOp records the fabric bytes shipped per completed op; only
-	// the wire-efficiency and Figure 13 points set it (zero elsewhere,
-	// omitted in JSON).
-	BytesPerOp float64 `json:"bytes_per_op,omitempty"`
+	Experiment  string             `json:"experiment"`
+	System      string             `json:"system"`
+	Class       string             `json:"class"`
+	Nodes       int                `json:"nodes"`
+	UpdateRatio float64            `json:"update_ratio"`
+	Metrics     map[string]float64 `json:"metrics"`
 }
 
 // Snapshot is the canonical benchmark record written to BENCH_PR<n>.json at
-// the repo root; `make benchstat` compares two of them.
+// the repo root; `-exp benchstat` compares two of them.
 type Snapshot struct {
 	Schema int         `json:"schema"`
 	Ops    int         `json:"ops"`
@@ -39,22 +38,65 @@ type Snapshot struct {
 	Points []SnapPoint `json:"points"`
 }
 
-// resultPoint is a driver result in the snapshot schema; bytesPerOp is zero
-// (omitted) for experiments that do not measure wire bytes.
-func resultPoint(exp, system string, r *Result, bytesPerOp float64) SnapPoint {
-	return SnapPoint{
-		Experiment:  exp,
-		System:      system,
-		Class:       r.Class,
-		Nodes:       r.Nodes,
-		UpdateRatio: r.UpdateRatio,
-		OpsPerUs:    r.Throughput(),
-		MeanRTUs:    r.MeanRT.Micros(),
-		P50Us:       r.Percentile(50).Micros(),
-		P95Us:       r.Percentile(95).Micros(),
-		P99Us:       r.Percentile(99).Micros(),
-		BytesPerOp:  bytesPerOp,
+// metricDef says what one metric measures and how a compare gates it: the
+// metric fails when it is worse than its baseline by more than Bound times
+// the baseline; one whose Bound is ungated is recorded, not gated.
+type metricDef struct {
+	Unit   string
+	Clock  string // "virtual" (simulated, repeats for a seed), "host" or "count"
+	Better string // "higher" or "lower"
+	Bound  float64
+}
+
+const ungated = -1
+
+type metricTable map[string]metricDef
+
+// metricDefs defines every metric a point may carry. Throughput, the p99
+// and bytes per op are CI's regression gate; the other response times are
+// recorded for reading. A watchdog firing more than its baseline is a
+// calibration change, so firings are gated at zero.
+var metricDefs = metricTable{
+	"ops_per_us":   {"ops/µs", "virtual", "higher", 0.05},
+	"mean_rt_us":   {"µs", "virtual", "lower", ungated},
+	"p50_us":       {"µs", "virtual", "lower", ungated},
+	"p95_us":       {"µs", "virtual", "lower", ungated},
+	"p99_us":       {"µs", "virtual", "lower", 0.05},
+	"bytes_per_op": {"B/op", "virtual", "lower", 0.05},
+	"calls":        {"calls", "count", "higher", ungated},
+	"firings":      {"firings", "count", "lower", 0},
+}
+
+// regressed reports whether cur is worse than old by more than the bound.
+func (d metricDef) regressed(old, cur float64) bool {
+	if d.Bound == ungated {
+		return false
 	}
+	worse := cur - old
+	if d.Better == "higher" {
+		worse = -worse
+	}
+	return worse > d.Bound*old
+}
+
+// add appends a point keyed by its arguments with the given metrics.
+func (s *Snapshot) add(exp, system, class string, nodes int, ratio float64, metrics map[string]float64) {
+	s.Points = append(s.Points, SnapPoint{exp, system, class, nodes, ratio, metrics})
+}
+
+// addResult appends a driver result's point with its throughput and
+// response times. It returns the point's metrics, for the caller to add what
+// else it measured there.
+func (s *Snapshot) addResult(exp, system string, r *Result) map[string]float64 {
+	m := map[string]float64{
+		"ops_per_us": r.Throughput(),
+		"mean_rt_us": r.MeanRT.Micros(),
+		"p50_us":     r.Percentile(50).Micros(),
+		"p95_us":     r.Percentile(95).Micros(),
+		"p99_us":     r.Percentile(99).Micros(),
+	}
+	s.add(exp, system, r.Class, r.Nodes, r.UpdateRatio, m)
+	return m
 }
 
 // key identifies a point for cross-snapshot matching.
@@ -69,10 +111,7 @@ func (p SnapPoint) key() string {
 // DefaultLatency, which the figure points already run), the sharded store at
 // uniform and Zipf 1.5 keys and the wire points — exports it and returns it.
 func (cfg Config) Snapshot() Snapshot {
-	s := Snapshot{Schema: 1, Ops: cfg.Ops, Seed: cfg.Seed}
-	add := func(exp string, sysName string, r *Result) {
-		s.Points = append(s.Points, resultPoint(exp, sysName, r, 0))
-	}
+	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}
 	figures := []struct {
 		exp     string
 		cls     func() *spec.Class
@@ -85,120 +124,115 @@ func (cfg Config) Snapshot() Snapshot {
 	}
 	for _, f := range figures {
 		for _, kind := range f.systems {
-			add(f.exp, kind.String(), cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio))
+			s.addResult(f.exp, kind.String(), cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio))
 		}
 	}
 	for _, p := range cfg.fig13Points() {
-		s.Points = append(s.Points, resultPoint("fig13/"+p.scenario, Hamband.String(), p.res, p.bytesPerOp))
-	}
-	doorbell := []struct {
-		cls   func() *spec.Class
-		ratio float64
-	}{
-		{crdt.NewCounter, 0.25},
-		{crdt.NewORSet, 0.25},
-		{schema.NewMovie, 1.0},
+		s.addResult("fig13/"+p.scenario, Hamband.String(), p.res)["bytes_per_op"] = p.bytesPerOp
 	}
 	base := doorbellVariant{name: "baseline"}
-	for _, d := range doorbell {
-		r, _, _ := cfg.doorbellPoint(d.cls(), 4, d.ratio, base.latency())
-		add("doorbell/"+base.name, Hamband.String(), r)
+	for _, f := range figures {
+		r, _, _ := cfg.doorbellPoint(f.cls(), 4, f.ratio, base.latency())
+		s.addResult("doorbell/"+base.name, Hamband.String(), r)
 	}
 	for _, skew := range []float64{0, 1.5} {
-		add(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)
+		s.addResult(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)
 	}
-	wireOps := cfg.Ops / 4
-	if wireOps < 500 {
-		wireOps = 500
-	}
+	wireOps := max(cfg.Ops/4, 500)
 	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewGSet, crdt.NewLWWMap} {
 		r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps)
-		s.Points = append(s.Points, resultPoint("wire/delta", Hamband.String(), r, bytes))
+		s.addResult("wire/delta", Hamband.String(), r)["bytes_per_op"] = bytes
 	}
 	cfg.export("snapshot", s)
 	return s
 }
 
-// RegressionCheck compares every current point against the baseline and
-// returns one message per point whose throughput dropped, or whose p99 or
-// bytes per op rose, by more than maxPct percent. Points missing from either
-// side are ignored — only like-for-like pairs can regress — and so is the
-// tail or the byte count of a point whose baseline recorded none.
-func RegressionCheck(old, cur Snapshot, maxPct float64) []string {
-	idx := make(map[string]SnapPoint, len(old.Points))
-	for _, p := range old.Points {
-		idx[p.key()] = p
-	}
-	var bad []string
-	for _, np := range cur.Points {
-		op, ok := idx[np.key()]
-		if !ok || op.OpsPerUs == 0 {
-			continue
-		}
-		if d := pctDelta(op.OpsPerUs, np.OpsPerUs); d < -maxPct {
-			bad = append(bad, fmt.Sprintf("%s %s %s: throughput %.2f -> %.2f ops/µs (%.1f%%)",
-				np.Experiment, np.System, np.Class, op.OpsPerUs, np.OpsPerUs, d))
-		}
-		if d := pctDelta(op.P99Us, np.P99Us); op.P99Us > 0 && d > maxPct {
-			bad = append(bad, fmt.Sprintf("%s %s %s: p99 %.2f -> %.2f µs (+%.1f%%)",
-				np.Experiment, np.System, np.Class, op.P99Us, np.P99Us, d))
-		}
-		if d := pctDelta(op.BytesPerOp, np.BytesPerOp); op.BytesPerOp > 0 && d > maxPct {
-			bad = append(bad, fmt.Sprintf("%s %s %s: bytes %.1f -> %.1f B/op (+%.1f%%)",
-				np.Experiment, np.System, np.Class, op.BytesPerOp, np.BytesPerOp, d))
-		}
-	}
-	return bad
-}
-
-// ReadSnapshot parses a snapshot an experiment exported. Arbitrary JSON
-// objects decode into a zero Snapshot without error, so the schema field
-// doubles as a file-type check.
+// ReadSnapshot parses a snapshot an experiment exported. It rejects any
+// other schema, which also turns away JSON that is no snapshot at all, and
+// any metric metricDefs does not define.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
 		return s, err
 	}
-	if s.Schema == 0 {
-		return s, fmt.Errorf("not a benchmark snapshot (no schema field)")
+	if s.Schema != snapshotSchema {
+		return s, fmt.Errorf("not a schema-%d benchmark snapshot (schema %d)", snapshotSchema, s.Schema)
+	}
+	for _, p := range s.Points {
+		for name := range p.Metrics {
+			if _, ok := metricDefs[name]; !ok {
+				return s, fmt.Errorf("point %s: undefined metric %q", p.key(), name)
+			}
+		}
 	}
 	return s, nil
 }
 
-// CompareSnapshots prints a benchstat-style table of throughput and p99
-// deltas for every point present in both snapshots, and notes points only
-// one side has.
-func CompareSnapshots(w io.Writer, old, cur Snapshot) {
+// Compare prints one row per metric of every point the two snapshots share,
+// matched by key and metric name, and notes points and metrics only one side
+// has. It returns one message per metric that regressed past its bound; a
+// point or metric missing from either side cannot regress.
+func Compare(w io.Writer, old, cur Snapshot) []string {
+	return metricDefs.compare(w, old, cur)
+}
+
+func (t metricTable) compare(w io.Writer, old, cur Snapshot) []string {
 	idx := make(map[string]SnapPoint, len(old.Points))
 	for _, p := range old.Points {
 		idx[p.key()] = p
 	}
-	fmt.Fprintf(w, "%-22s %-8s %-10s %9s %9s %8s %9s %9s %8s\n",
-		"experiment", "system", "class", "old op/µs", "new op/µs", "Δthr", "old p99", "new p99", "Δp99")
-	matched := make(map[string]bool)
+	fmt.Fprintf(w, "%-40s %-12s %12s %12s %8s %6s\n", "point", "metric", "old", "new", "Δ", "bound")
+	var bad []string
 	for _, np := range cur.Points {
-		op, ok := idx[np.key()]
+		k := np.key()
+		op, ok := idx[k]
 		if !ok {
-			fmt.Fprintf(w, "%-22s %-8s %-10s %9s %9.2f %8s (new point)\n",
-				np.Experiment, np.System, np.Class, "-", np.OpsPerUs, "-")
+			fmt.Fprintf(w, "%-40s (new point)\n", k)
 			continue
 		}
-		matched[np.key()] = true
-		fmt.Fprintf(w, "%-22s %-8s %-10s %9.2f %9.2f %7.1f%% %8.2fµs %8.2fµs %7.1f%%\n",
-			np.Experiment, np.System, np.Class,
-			op.OpsPerUs, np.OpsPerUs, pctDelta(op.OpsPerUs, np.OpsPerUs),
-			op.P99Us, np.P99Us, pctDelta(op.P99Us, np.P99Us))
-	}
-	for _, op := range old.Points {
-		if !matched[op.key()] {
-			fmt.Fprintf(w, "%-22s %-8s %-10s %9.2f %9s (dropped point)\n",
-				op.Experiment, op.System, op.Class, op.OpsPerUs, "-")
+		delete(idx, k)
+		names := make([]string, 0, len(op.Metrics)+len(np.Metrics))
+		for name := range op.Metrics {
+			names = append(names, name)
+		}
+		for name := range np.Metrics {
+			if _, ok := op.Metrics[name]; !ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			ov, inOld := op.Metrics[name]
+			nv, inNew := np.Metrics[name]
+			d := t[name]
+			switch {
+			case !inOld:
+				fmt.Fprintf(w, "%-40s %-12s %12s %12.6g (new metric)\n", k, name, "-", nv)
+			case !inNew:
+				fmt.Fprintf(w, "%-40s %-12s %12.6g %12s (dropped metric)\n", k, name, ov, "-")
+			default:
+				bound, verdict := "-", ""
+				if d.Bound != ungated {
+					bound = fmt.Sprintf("%g%%", 100*d.Bound)
+				}
+				if d.regressed(ov, nv) {
+					verdict = " REGRESSION"
+					bad = append(bad, fmt.Sprintf("%s %s: %g -> %g %s (%+.1f%%, bound %s)", k, name, ov, nv, d.Unit, pctDelta(ov, nv), bound))
+				}
+				fmt.Fprintf(w, "%-40s %-12s %12.6g %12.6g %7.1f%% %6s%s\n", k, name, ov, nv, pctDelta(ov, nv), bound, verdict)
+			}
 		}
 	}
+	for _, op := range old.Points {
+		if _, dropped := idx[op.key()]; dropped {
+			fmt.Fprintf(w, "%-40s (dropped point)\n", op.key())
+		}
+	}
+	return bad
 }
 
 func pctDelta(old, cur float64) float64 {
-	if old == 0 {
+	if old == cur {
 		return 0
 	}
 	return 100 * (cur - old) / old

@@ -65,17 +65,14 @@ func wireBytesPerOp(res *Result, sys System) float64 {
 // per-class points (`-exp benchstat` diffs two).
 func (cfg Config) Wire() {
 	const nodes = 4
-	ops := cfg.Ops / 4
-	if ops < 500 {
-		ops = 500
-	}
+	ops := max(cfg.Ops/4, 500)
 	cfg.printf("Wire efficiency — δ-mutation broadcast and δ-group summaries (%d nodes, updates only)\n", nodes)
 	cfg.printf("%-10s %11s %9s %11s\n", "class", "delta B/op", "T delta", "wire% delta")
-	s := Snapshot{Schema: 1, Ops: ops, Seed: cfg.Seed}
+	s := Snapshot{Schema: snapshotSchema, Ops: ops, Seed: cfg.Seed}
 	for _, mk := range wireClasses() {
 		r, bytes, share := cfg.wirePoint(mk(), nodes, ops)
 		cfg.printf("%-10s %11.1f %9.2f %10.1f%%\n", r.Class, bytes, r.Throughput(), 100*share)
-		s.Points = append(s.Points, resultPoint("wire/delta", "hamband", r, bytes))
+		s.addResult("wire/delta", "hamband", r)["bytes_per_op"] = bytes
 	}
 	cfg.printf("\n")
 	cfg.export("wire", s)

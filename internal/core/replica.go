@@ -937,20 +937,21 @@ func decodeConf(dst *codec.DeltaRecord, payload []byte) (flags byte, call []byte
 }
 
 // admits reports whether e, a call decoded from a peer's write, may join a
-// buffer of this replica's: an F buffer (g is spec.NoGroup) takes one of the
-// class's irreducible conflict-free methods, the L buffer of sync group g one
-// of that group's methods; the call's process must be the one that wrote it
-// (the broadcast source, the Mu origin); and its dependency record must be the
-// method's projection over every process when ordered is set, and empty
-// otherwise (a request at the leader's Transform, or an entry the leader
-// rejected). The frame around a call says its bytes are the writer's; this
-// says they are a call of this cluster's, so nothing downstream indexes past
-// the class's methods, the applied map or the record.
+// buffer of this replica's: the class admits it from the process that wrote
+// it (the broadcast source, the Mu origin; spec.Class.AdmitsFrom); an F
+// buffer (g is spec.NoGroup) takes one of the class's irreducible
+// conflict-free methods, the L buffer of sync group g one of that group's
+// methods; and its dependency record must be the method's projection over
+// every process when ordered is set, and empty otherwise (a request at the
+// leader's Transform, or an entry the leader rejected). The frame around a
+// call says its bytes are the writer's; this says they are a call of this
+// cluster's, so nothing downstream indexes past the class's methods, the
+// applied map or the record.
 func (r *Replica) admits(e *codec.DeltaRecord, g int, from rdma.NodeID, ordered bool) bool {
-	u := e.C.Method
-	if u < 0 || int(u) >= len(r.an.Category) || e.C.Proc != spec.ProcID(from) {
+	if !r.cls.AdmitsFrom(e.C, spec.ProcID(from)) {
 		return false
 	}
+	u := e.C.Method
 	if g == spec.NoGroup && r.an.Category[u] != spec.CatIrreducibleFree || g != spec.NoGroup && r.an.SyncGroupOf[u] != g {
 		return false
 	}

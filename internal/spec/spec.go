@@ -321,6 +321,15 @@ func (c *Class) Vacuous(call Call) bool {
 	return c.TrivialInvariant || (suff != nil && suff(call))
 }
 
+// AdmitsFrom reports whether call, decoded from bytes process from wrote or
+// sent, may be applied as a call of this class: its method is one of the
+// class's update methods and its process is from. A receiver asks it before
+// anything indexes the class's methods or an applied map by the call.
+func (c *Class) AdmitsFrom(call Call, from ProcID) bool {
+	u := call.Method
+	return u >= 0 && int(u) < len(c.Methods) && c.Methods[u].Kind == Update && call.Proc == from
+}
+
 // ApplyCall applies an update call to the state in place.
 func (c *Class) ApplyCall(sigma State, call Call) {
 	c.Methods[call.Method].Apply(sigma, call.Args)
