@@ -2,7 +2,7 @@ GO ?= go
 FUZZTIME ?= 10s
 STATICCHECK ?= staticcheck
 
-.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions mutants store health health-exp torn cover loc check
+.PHONY: all build test bench-test fmt vet staticcheck race check-race bench allocs ledger bench-snapshot bench-same bench-wire bench-shard bench-reconfig bench-pairs benchstat fuzz relations chaos conform conform-sessions mutants store health health-exp torn cover loc check
 
 all: check
 
@@ -206,6 +206,15 @@ ledger:
 SNAPSHOT ?= BENCH_PR51.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
+
+# bench-same regenerates the snapshot into a temporary file and fails unless
+# it is byte-identical to $(SNAPSHOT): the check for a change that must move
+# no virtual number (a refactor, a host-cost change). It is in neither check
+# nor CI, because a performance change moves these bytes on purpose.
+bench-same:
+	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
+	$(GO) run ./cmd/hambench -exp snapshot -json "$$tmp" > /dev/null && \
+	cmp "$$tmp" $(SNAPSHOT) && echo "snapshot identical to $(SNAPSHOT)"
 
 # bench-wire runs the wire-efficiency study: δ bytes on the wire per op,
 # throughput and wire-stage latency share per class.

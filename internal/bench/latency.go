@@ -50,7 +50,7 @@ func latencySnapshot(cfg Config, ops, nodes int, ratio float64, rep *span.Report
 	for _, cr := range rep.Categories {
 		exp := "latency/" + cr.Category
 		for _, st := range cr.Stages {
-			s.add(exp, "hamband", st.Name, nodes, ratio, map[string]float64{
+			s.add(exp, Hamband.String(), st.Name, nodes, ratio, map[string]float64{
 				"calls":      float64(st.Count),
 				"mean_rt_us": st.Mean.Micros(),
 				"p50_us":     st.P50.Micros(),
@@ -58,7 +58,7 @@ func latencySnapshot(cfg Config, ops, nodes int, ratio float64, rep *span.Report
 				"p99_us":     st.P99.Micros(),
 			})
 		}
-		s.add(exp, "hamband", "total", nodes, ratio, map[string]float64{
+		s.add(exp, Hamband.String(), "total", nodes, ratio, map[string]float64{
 			"calls":  float64(cr.Completed),
 			"p50_us": cr.TotalP50.Micros(),
 			"p95_us": cr.TotalP95.Micros(),

@@ -60,13 +60,11 @@ var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).post<heartbeat.", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
 	{"rdma.(*verb).cqe", "CQE: completions"},
-	{"mu.(*Instance).deliverEntry", "deliver"},
-	{"broadcast.(*Receiver).deliver", "deliver"},
+	{"ring.(*Handoff).Push", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
-	{"mu.(*Instance).poll", "polls"},
-	{"broadcast.(*Receiver).poll", "polls"},
+	{"ring.(*Poller).poll", "polls"},
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
 }

@@ -172,3 +172,37 @@ func TestReadSnapshotSchema(t *testing.T) {
 		t.Fatalf("undefined metric: err = %v", err)
 	}
 }
+
+// TestWireKeysMatchSnapshot: the counter, gset and lwwmap points an `-exp
+// wire` export holds are keyed as the snapshot keys the same measurements,
+// so `-exp benchstat` pairs an export with the committed baseline.
+func TestWireKeysMatchSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the whole snapshot")
+	}
+	wireKeys := func(run func(Config)) map[string]bool {
+		var js bytes.Buffer
+		run(Config{Ops: 1000, Seed: 42, Out: io.Discard, JSON: &js})
+		s, err := ReadSnapshot(&js)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := map[string]bool{}
+		for _, p := range s.Points {
+			if p.Experiment == "wire/delta" {
+				keys[p.key()] = true
+			}
+		}
+		return keys
+	}
+	wire := wireKeys(Config.Wire)
+	shared := wireKeys(func(cfg Config) { cfg.Snapshot() })
+	if len(shared) != 3 {
+		t.Fatalf("the snapshot holds %d wire points, want counter, gset and lwwmap", len(shared))
+	}
+	for k := range shared {
+		if !wire[k] {
+			t.Errorf("the snapshot's wire point %s is not in the wire export", k)
+		}
+	}
+}

@@ -72,7 +72,7 @@ func (cfg Config) Wire() {
 	for _, mk := range wireClasses() {
 		r, bytes, share := cfg.wirePoint(mk(), nodes, ops)
 		cfg.printf("%-10s %11.1f %9.2f %10.1f%%\n", r.Class, bytes, r.Throughput(), 100*share)
-		s.addResult("wire/delta", "hamband", r)["bytes_per_op"] = bytes
+		s.addResult("wire/delta", Hamband.String(), r)["bytes_per_op"] = bytes
 	}
 	cfg.printf("\n")
 	cfg.export("wire", s)

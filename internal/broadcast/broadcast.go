@@ -27,11 +27,9 @@ import (
 	"slices"
 
 	"hamband/internal/codec"
-	"hamband/internal/fifo"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
-	"hamband/internal/sim"
 )
 
 // Region naming. The namespace prefix lets several broadcast domains (one
@@ -360,8 +358,8 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 
 // Handler consumes delivered broadcast messages. The payload is borrowed for
 // the call: when the handler returns, its buffer goes back to the receiver's
-// free list and is overwritten by a later message, so a handler that keeps
-// the bytes copies them.
+// handoff (ring.Handoff) and is overwritten by a later message, so a handler
+// that keeps the bytes copies them.
 type Handler func(src rdma.NodeID, seq uint64, payload []byte)
 
 // Receiver is the delivery side of reliable broadcast on one node. A nil
@@ -372,33 +370,23 @@ type Handler func(src rdma.NodeID, seq uint64, payload []byte)
 // Rings is empty. Callers on the failure, epoch and health paths therefore
 // need no "has F buffers" flag of their own.
 type Receiver struct {
-	fab     *rdma.Fabric
-	node    *rdma.Node
-	cfg     Config
-	handler Handler
+	fab  *rdma.Fabric
+	node *rdma.Node
+	cfg  Config
 
 	// readers[src] reads src's inbound ring, nil for this node. floors[src]
-	// is src's epoch floor, which the sweep and recovery gate on, and
-	// stale[src] counts the ring records it rejected.
+	// is src's epoch floor, which the sweep and recovery gate on, stale[src]
+	// counts the ring records it rejected, and dedup[src] is what has been
+	// delivered of src's messages.
 	readers     []*ring.Reader
 	floors      []ring.EpochFloor
 	stale       []uint64
-	delivered   map[rdma.NodeID]map[uint64]int
-	low         map[rdma.NodeID]uint64 // contiguous delivery watermark per source
-	tornBackup  uint64                 // backup slots rejected by CRC validation during recovery
-	staleBackup uint64                 // stale backup slots rejected during recovery
-	ticker      *sim.Ticker
-	sweepFn     func() // r.sweep bound once: a poll allocates nothing
-	// inbox holds the messages whose DeliverCost item is still queued on the
-	// CPU, oldest first. The CPU runs its items in order and never discards one
-	// (Suspend and Crash only pause it), so the k-th run of handleFn pops the
-	// k-th message pushed.
-	inbox    fifo.Queue[message]
-	handleFn func() // r.handleNext bound once: a delivery allocates no closure
-	// free holds the buffers of handled messages: an inbox payload is a copy
-	// into one of them, and goes back once the handler returns, so a warm
-	// receiver allocates nothing per message.
-	free [][]byte
+	dedup       []ring.Watermark
+	validated   int    // the sweep's admitted ring bytes, framing included
+	tornBackup  uint64 // backup slots rejected by CRC validation during recovery
+	staleBackup uint64 // stale backup slots rejected during recovery
+	poller      *ring.Poller
+	handoff     *ring.Handoff
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -415,12 +403,11 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		fab:         fab,
 		node:        node,
 		cfg:         cfg,
-		handler:     handler,
 		readers:     make([]*ring.Reader, fab.Size()),
 		floors:      make([]ring.EpochFloor, fab.Size()),
 		stale:       make([]uint64, fab.Size()),
-		delivered:   make(map[rdma.NodeID]map[uint64]int),
-		low:         make(map[rdma.NodeID]uint64),
+		dedup:       make([]ring.Watermark, fab.Size()),
+		handoff:     ring.NewHandoff(fab, node, handler),
 		mDelivered:  reg.Counter("broadcast.delivered"),
 		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
@@ -433,17 +420,15 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 			continue
 		}
 		r.readers[src] = ring.NewReader(node.Region(cfg.inRegion(src)).Bytes())
-		r.delivered[src] = make(map[uint64]int)
 	}
-	r.sweepFn, r.handleFn = r.sweep, r.handleNext
-	r.ticker = fab.Engine().NewTicker(fab.Latency().SweepPeriod, r.poll)
+	r.poller = ring.NewPoller(fab, node, r.sweep)
 	return r
 }
 
 // Stop cancels the receiver's poll loop.
 func (r *Receiver) Stop() {
 	if r != nil {
-		r.ticker.Cancel()
+		r.poller.Stop()
 	}
 }
 
@@ -470,13 +455,7 @@ func (r *Receiver) TornRejects() uint64 {
 	if r == nil {
 		return 0
 	}
-	total := r.tornBackup
-	for _, rd := range r.readers {
-		if rd != nil {
-			total += rd.TornRejects()
-		}
-	}
-	return total
+	return r.tornBackup + ring.TornRejects(r.readers)
 }
 
 // StaleRejects returns how many records the epoch gates have rejected
@@ -492,46 +471,18 @@ func (r *Receiver) StaleRejects() uint64 {
 	return total
 }
 
-func (r *Receiver) poll() {
-	if r.node.Suspended() || r.node.Crashed() {
-		return
-	}
-	r.node.CPU.Exec(r.fab.Latency().SweepCost, r.sweepFn)
-}
-
-// sweep is one poll's work on the reader CPU: drain every source's ring. A
-// record stamped below its source's epoch floor is whole (it passed the CRC)
-// but was posted before the current configuration: it is consumed — the
-// head must advance for the writer's flow control — and counted instead of
-// delivered. An idle poll that finds the ring Quiescent is the drain proof
-// a floor parked by FloorAfterDrain waits for.
+// sweep is one poll's work on the reader CPU: drain every source's ring. An
+// idle poll that finds a ring Quiescent is the drain proof a floor parked by
+// FloorAfterDrain waits for.
 func (r *Receiver) sweep() {
-	validated := 0
+	r.validated = 0
+	ring.Drain(r.readers, r.admit)
 	for p, rd := range r.readers {
-		if rd == nil {
-			continue
-		}
-		for {
-			msg, ok, err := rd.Poll()
-			if err != nil || !ok {
-				if rd.Quiescent() {
-					r.floors[p].Drained()
-				}
-				break
-			}
-			epoch, seq, payload, err := decodeMessage(msg)
-			if err == nil && !r.floors[p].Admits(epoch) {
-				r.stale[p]++
-				continue
-			}
-			validated += len(msg) + codec.RawOverhead
-			if err != nil {
-				break
-			}
-			r.deliver(rdma.NodeID(p), seq, payload, true)
+		if rd != nil && rd.Quiescent() {
+			r.floors[p].Drained()
 		}
 	}
-	if cost := r.fab.Latency().CRCCost(validated); cost > 0 {
+	if cost := r.fab.Latency().CRCCost(r.validated); cost > 0 {
 		// The checksum compute leg of this sweep's validated reads:
 		// occupy the reader CPU for the bytes re-hashed, so the cost
 		// model charges single-RTT validation what it actually costs.
@@ -539,62 +490,36 @@ func (r *Receiver) sweep() {
 	}
 }
 
-// whole is the dedup entry of a message that came by ring: that is all of it.
-const whole = math.MaxInt
+// admit delivers the ring record msg from src. A record stamped below its
+// source's epoch floor is whole (it passed the CRC) but was posted before the
+// current configuration: it is consumed — the head must advance for the
+// writer's flow control — and counted instead of delivered. A record that
+// does not decode ends the ring's drain for this sweep.
+func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
+	epoch, seq, payload, err := decodeMessage(msg)
+	if err == nil && !r.floors[src].Admits(epoch) {
+		r.stale[src]++
+		return nil
+	}
+	r.validated += len(msg) + codec.RawOverhead
+	if err != nil {
+		return err
+	}
+	r.deliver(src, seq, payload, true)
+	return nil
+}
 
 // deliver hands the handler what it has not yet had of message (src, seq). A
 // ring record is the whole message. A backup slot may hold one its source was
 // still putting together (Broadcaster.Stage) — a prefix of what the ring will
-// carry — so the dedup entry is the payload length delivered so far, and a
-// longer payload delivers its tail. Only whole messages move the contiguous
-// watermark the set is compacted against, so memory stays proportional to
-// reordering and to recovered messages still awaited on a ring, not to the
-// message count.
+// carry — so only the tail a longer payload adds is handed on (ring.Watermark).
 func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing bool) {
-	seen := r.delivered[src]
-	had, dup := seen[seq]
-	if seq <= r.low[src] || had == whole {
-		return
-	}
-	fresh := !dup || len(payload) > had
-	if byRing {
-		seen[seq] = whole
-		for seen[r.low[src]+1] == whole {
-			r.low[src]++
-			delete(seen, r.low[src])
-		}
-	} else if fresh {
-		seen[seq] = len(payload)
-	}
+	from, fresh := r.dedup[src].Admit(seq, len(payload), byRing)
 	if !fresh {
 		return
 	}
 	r.mDelivered.Inc()
-	var buf []byte
-	if n := len(r.free); n > 0 {
-		buf, r.free[n-1] = r.free[n-1], nil
-		r.free = r.free[:n-1]
-	}
-	r.inbox.Push(message{src, seq, append(buf, payload[had:]...)})
-	r.node.CPU.Exec(r.fab.Latency().DeliverCost, r.handleFn)
-}
-
-// message is a delivered message on its way to the handler; the payload is
-// the receiver's own copy, in a buffer from its free list.
-type message struct {
-	src     rdma.NodeID
-	seq     uint64
-	payload []byte
-}
-
-// handleNext is the DeliverCost item of the oldest queued message: the
-// handler borrows the payload, and its buffer is free again once it returns.
-func (r *Receiver) handleNext() {
-	m := r.inbox.Pop()
-	r.handler(m.src, m.seq, m.payload)
-	if cap(m.payload) > 0 {
-		r.free = append(r.free, m.payload[:0])
-	}
+	r.handoff.Push(src, seq, payload[from:])
 }
 
 // RecoverFrom reads src's backup region remotely and delivers any pending

@@ -394,8 +394,8 @@ func TestStagedMessageSurvivesItsSource(t *testing.T) {
 		t.Fatalf("after the broadcast the peers hold %s and %s, want each byte once", a, b)
 	}
 	for i := 1; i < 3; i++ {
-		if rcs[i].low[0] != 1 || len(rcs[i].delivered[0]) != 0 {
-			t.Fatalf("node %d: watermark %d with %d entries above it, want the whole message folded in", i, rcs[i].low[0], len(rcs[i].delivered[0]))
+		if w := &rcs[i].dedup[0]; w.Low() != 1 || w.Above() != 0 {
+			t.Fatalf("node %d: watermark %d with %d entries above it, want the whole message folded in", i, w.Low(), w.Above())
 		}
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // Who owns a message's bytes: the source frames a record in its scratch
 // buffer, which the backup slot and every peer's ring.Sender copy; a receiver
-// polls it into the ring reader's reused buffer and copies the payload into an
-// inbox buffer from its free list, which the handler borrows and the receiver
-// takes back when the handler returns.
+// polls it into the ring reader's reused buffer and its handoff
+// (ring.Handoff) copies the payload into a buffer from its free list, which
+// the handler borrows and the handoff takes back when the handler returns.
 
 // TestWarmDeliveryAllocs pins one message's host cost: on a warm 4-node
 // fabric, a 64-byte message from BroadcastLabeled to the last of its three
@@ -23,7 +23,7 @@ import (
 // message when each had its own); the record is framed in the broadcaster's
 // scratch buffer, each ring.Sender copies it into a queue buffer it reuses and
 // completes it through its bound callback, and each receiver polls it into its
-// reader's buffer and hands the handler a recycled inbox buffer.
+// reader's buffer and hands the handler a recycled handoff buffer.
 func TestWarmDeliveryAllocs(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := sim.NewEngine(31)
@@ -57,7 +57,7 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 }
 
 // TestSuspendedReceiverHandsEachPayloadIntact suspends a receiver while
-// messages wait in its inbox for their handler item, lets the source go on
+// messages wait in its handoff for their handler item, lets the source go on
 // broadcasting, and resumes it: each queued payload, and each one after, must
 // reach the handler exactly as broadcast. The payloads differ in length, so a
 // recycled buffer still held by a queued message would show.
@@ -75,7 +75,7 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 			}
 		})
 	}
-	for rcs[victim].inbox.Len() < 3 {
+	for rcs[victim].handoff.Len() < 3 {
 		if eng.Now() > sim.Time(100*sim.Microsecond) {
 			t.Fatal("the receiver never had three messages queued")
 		}
@@ -83,7 +83,7 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 	}
 	fab.Node(victim).Suspend()
 	eng.RunUntil(eng.Now() + sim.Time(sim.Microsecond)) // the item already dispatched completes
-	queued, before := rcs[victim].inbox.Len(), len(got[victim])
+	queued, before := rcs[victim].handoff.Len(), len(got[victim])
 	if queued < 2 {
 		t.Fatalf("suspended with %d messages queued, want at least two", queued)
 	}

@@ -36,7 +36,7 @@ func (r *Receiver) Rings() []SourceHealth {
 		h := SourceHealth{
 			Src:        src,
 			Head:       rd.Head(),
-			Low:        r.low[src],
+			Low:        r.dedup[p].Low(),
 			TornStreak: rd.TornStreak(),
 			Torn:       rd.TornRejects(),
 			Stale:      r.stale[p],

@@ -37,13 +37,20 @@ func chargedUnder(site string, sum *sim.Duration) func(sim.Duration) {
 // TestFreeBuffersFollowAnalysis pins the rule on every bundled class: the
 // reliable-broadcast regions, the receiver and its poller exist on a node iff
 // the analysis finds an irreducible conflict-free method, and an idle cluster
-// of a class without one spends no CPU polling rings nothing can write.
+// of a class without one spends no CPU polling rings nothing can write. Every
+// ring poller (ring.Poller) of a node ticks in step, so the sweeps a node
+// submits per tick count its pollers: one Mu instance's per sync group, and
+// the receiver's.
 func TestFreeBuffersFollowAnalysis(t *testing.T) {
 	const n = 4
 	for _, cls := range schema.Bundled() {
 		h := newHarness(t, cls, n, 1, nil)
 		want := h.cluster.An.HasFreeBuffers()
-		polled := make([]sim.Duration, n)
+		pollers := len(h.cluster.An.SyncGroups)
+		if want {
+			pollers++
+		}
+		sweeps, ticks := make([]int, n), make([]int, n)
 		for i := 0; i < n; i++ {
 			node := h.fab.Node(rdma.NodeID(i))
 			names := []string{"rb-backup"}
@@ -60,12 +67,26 @@ func TestFreeBuffersFollowAnalysis(t *testing.T) {
 			if got := h.cluster.Replica(spec.ProcID(i)).Receiver() != nil; got != want {
 				t.Errorf("%s: node %d has a receiver = %v, want %v", cls.Name, i, got, want)
 			}
-			node.CPU.Observe = chargedUnder("broadcast.(*Receiver).poll", &polled[i])
+			var polled sim.Duration
+			var last sim.Time
+			charge := chargedUnder("ring.(*Poller).poll", &polled)
+			node.CPU.Observe = func(cost sim.Duration) {
+				before := polled
+				if charge(cost); polled == before {
+					return
+				}
+				sweeps[i]++
+				if now := h.eng.Now(); now != last {
+					last = now
+					ticks[i]++
+				}
+			}
 		}
 		h.eng.RunFor(100 * sim.Microsecond)
-		for i, d := range polled {
-			if got := d > 0; got != want {
-				t.Errorf("%s: node %d spent %v polling F rings while idle, want polling = %v", cls.Name, i, d, want)
+		for i := range sweeps {
+			if (ticks[i] > 0) != (pollers > 0) || sweeps[i] != ticks[i]*pollers {
+				t.Errorf("%s: node %d swept %d times on %d ticks while idle, want %d pollers (receiver %v)",
+					cls.Name, i, sweeps[i], ticks[i], pollers, want)
 			}
 		}
 		h.cluster.Stop()

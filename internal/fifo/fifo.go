@@ -1,10 +1,10 @@
 // Package fifo is the queue the runtime's buffers share: in a replica (core),
 // its client calls waiting for their issue, query or accept item and the
-// lengths of the calls its F and L buffers hold; in a consensus
-// instance (mu), the decided entries
-// waiting for their CPU item and each follower's unacknowledged sequence
-// numbers; the broadcast messages waiting for their delivery item; and a ring
-// sender's posts in flight with the completions they carry.
+// lengths of the calls its F and L buffers hold; in a consensus instance
+// (mu), each follower's unacknowledged sequence numbers; the records a ring
+// handoff holds for their delivery item, broadcast messages and decided Mu
+// entries alike; and a ring sender's posts in flight with the completions
+// they carry.
 package fifo
 
 // Queue is a first-in-first-out queue over a circular array. The array grows

@@ -162,21 +162,17 @@ func TestElectionSweepAllocatesNothing(t *testing.T) {
 // behind its CPU, changes the leader, orders more entries and resumes it: the
 // follower must deliver everything exactly once and in sequence order, the
 // entries it had queued first, each exactly as submitted: the queued entries
-// hold buffers from the free list, which the deliveries made meanwhile on the
-// other nodes recycle, and the payloads differ in length so that a buffer
-// handed out twice shows. lifo is the mutation: the follower's CPU item takes
-// the newest queued delivery instead of the oldest.
+// hold buffers from its handoff's free list (ring.Handoff), and the payloads
+// differ in length so that a buffer handed out twice shows. lifo is the
+// mutation: the follower's CPU item takes the newest queued delivery instead
+// of the oldest.
 func suspendedDeliveries(t *testing.T, lifo bool) error {
 	t.Helper()
 	c := newCluster(t, 4, 0)
 	const victim = 3
 	in := c.inst[victim]
 	if lifo {
-		in.deliverFn = func() {
-			d := in.deliveries.PopBack()
-			in.Deliver(d.seq, d.origin, d.payload)
-			in.release(d.entry)
-		}
+		in.handoff.MutateLIFO()
 	}
 	// One event submits six: the first is a round of its own, the other five
 	// the next, and the commit record after it delivers those five in one sweep.
@@ -187,7 +183,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 			c.inst[0].Submit([]byte(want[i]))
 		}
 	})
-	for in.deliveries.Len() < 3 {
+	for in.handoff.Len() < 3 {
 		if c.eng.Now() > sim.Time(100*sim.Microsecond) {
 			t.Fatal("the follower never had three deliveries queued")
 		}
@@ -195,7 +191,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	}
 	c.fab.Node(victim).Suspend()
 	c.run(sim.Microsecond) // the item the CPU had already dispatched completes
-	queued, before := in.deliveries.Len(), len(c.delivered[victim])
+	queued, before := in.handoff.Len(), len(c.delivered[victim])
 	if queued < 2 {
 		t.Fatalf("suspended with %d deliveries queued, want at least two", queued)
 	}
@@ -211,9 +207,9 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 		c.inst[2].Submit([]byte(want[6+i]))
 	}
 	c.run(2 * sim.Millisecond)
-	if in.deliveries.Len() != queued || len(c.delivered[victim]) != before {
+	if in.handoff.Len() != queued || len(c.delivered[victim]) != before {
 		return fmt.Errorf("suspended with %d deliveries queued and %d made; after the leader change %d and %d",
-			queued, before, in.deliveries.Len(), len(c.delivered[victim]))
+			queued, before, in.handoff.Len(), len(c.delivered[victim]))
 	}
 	c.fab.Node(victim).Resume()
 	c.run(5 * sim.Millisecond)
@@ -228,8 +224,8 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 			}
 		}
 	}
-	if in.deliveries.Len() != 0 {
-		return fmt.Errorf("%d deliveries still queued at rest", in.deliveries.Len())
+	if in.handoff.Len() != 0 {
+		return fmt.Errorf("%d deliveries still queued at rest", in.handoff.Len())
 	}
 	return nil
 }
@@ -404,7 +400,7 @@ func TestCatchUpDeliversSubmittedBytes(t *testing.T) {
 		t.Fatalf("the leader delivered %q, want the submitted %q in some order", c.delivered[0], want)
 	}
 	c.wantDelivered(t, []int{1, 2, cut}, c.delivered[0])
-	if head := c.inst[cut].logReader.Head(); head != 0 {
+	if head := c.inst[cut].logReader[0].Head(); head != 0 {
 		t.Fatalf("node %d consumed %d bytes of its log ring: some entries came by ring, not by catch-up", cut, head)
 	}
 }

@@ -94,8 +94,8 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 
 // DeliverFunc consumes decided entries, in sequence order, exactly once. The
 // payload is borrowed for the call: when Deliver returns, its buffer goes back
-// to the instance's free list and is overwritten by a later entry, so a callee
-// that keeps the bytes copies them.
+// to the instance's handoff (ring.Handoff) and is overwritten by a later
+// entry, so a callee that keeps the bytes copies them.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
 // Instance is one node's participant in a consensus group.
@@ -119,14 +119,15 @@ type Instance struct {
 
 	// Buffers. Every payload, entry or request the instance holds on to — a
 	// submission not yet delivered here, a request queued for a round, a
-	// proposal, a stashed follower entry, a delivery waiting for its CPU item —
-	// lives in a buffer from free, and the buffer goes back to free when its
-	// holder is done with it: when the submission is delivered, when Deliver
-	// returns, or when the entry is dropped as a duplicate, as an older-term
-	// entry, or because a catch-up or a newer leader's entry filled its stash
-	// slot. A warm instance therefore allocates no buffers. rec is the scratch buffer
-	// every outgoing ring record is framed in: ring.Sender.Send copies it.
-	free [][]byte
+	// proposal, a stashed follower entry — lives in a buffer from free, and
+	// the buffer goes back to free when its holder is done with it: when the
+	// submission is delivered, when the entry is handed off for Deliver (the
+	// handoff copies its payload), or when the entry is dropped as a
+	// duplicate, as an older-term entry, or because a catch-up or a newer
+	// leader's entry filled its stash slot. A warm instance therefore
+	// allocates no buffers. rec is the scratch buffer every outgoing ring
+	// record is framed in: ring.Sender.Send copies it.
+	free ring.Buffers
 	rec  []byte
 
 	// Leader state.
@@ -167,17 +168,11 @@ type Instance struct {
 	ringTerm       uint64            // highest term seen in the log ring
 	catching       bool              // journal catch-up read in flight
 	lastProgressAt sim.Time          // when delivery last advanced (or was verified current)
-	// Delivery dedup per origin, indexed by node id: every submission sequence
-	// number up to dedupLow[p] is delivered, and dedupSet[p] holds the ones
-	// above it that are.
-	dedupLow []uint64
-	dedupSet []map[uint64]bool
-	// deliveries holds the decided entries whose DeliverCost item is still
-	// queued on the CPU, oldest first. The CPU runs its items in FIFO order and
-	// never discards one (Suspend and Crash only pause it), so the k-th run of
-	// deliverFn pops the k-th entry pushed.
-	deliveries fifo.Queue[delivery]
-	deliverFn  func() // in.deliverNext bound once: a delivery allocates no closure
+	// dedup[p] is what has been delivered of origin p's submissions, by
+	// submission sequence number; handoff hands the entries delivered on to
+	// Deliver, each as a CPU item of its own.
+	dedup   []ring.Watermark
+	handoff *ring.Handoff
 
 	// Membership view (dynamic reconfiguration). nil means the fixed
 	// full-fabric membership; otherwise members[p] reports whether node p
@@ -194,14 +189,13 @@ type Instance struct {
 	reqOut  []*ring.Sender
 	ctrlOut []*ring.Sender
 
-	// Readers: the log ring, and each peer's request and control rings,
-	// indexed by peer (nil for this node).
-	logReader   *ring.Reader
+	// Readers: the log ring (a set of one, for ring.Drain), and each peer's
+	// request and control rings, indexed by peer (nil for this node).
+	logReader   [1]*ring.Reader
 	reqReaders  []*ring.Reader
 	ctrlReaders []*ring.Reader
 
-	ticker  *sim.Ticker
-	sweepFn func() // in.sweep bound once: a poll allocates nothing
+	poller *ring.Poller
 
 	// Instrumentation. proposedAt is populated only when metrics are
 	// enabled, so the disabled path stays allocation-free.
@@ -251,14 +245,13 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		nextSeq:   1,
 		oldLeader: initialLeader,
 
-		logOut:   make([]*ring.Sender, fab.Size()),
-		unacked:  make([]fifo.Queue[uint64], fab.Size()),
-		ackFns:   make([]func(error), fab.Size()),
-		open:     make([]bool, fab.Size()),
-		stash:    make(map[uint64][]byte),
-		dedupLow: make([]uint64, fab.Size()),
-		dedupSet: make([]map[uint64]bool, fab.Size()),
-		pending:  make(map[uint64][]byte),
+		logOut:  make([]*ring.Sender, fab.Size()),
+		unacked: make([]fifo.Queue[uint64], fab.Size()),
+		ackFns:  make([]func(error), fab.Size()),
+		open:    make([]bool, fab.Size()),
+		stash:   make(map[uint64][]byte),
+		dedup:   make([]ring.Watermark, fab.Size()),
+		pending: make(map[uint64][]byte),
 
 		reqOut:  make([]*ring.Sender, fab.Size()),
 		ctrlOut: make([]*ring.Sender, fab.Size()),
@@ -276,19 +269,12 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.mLeaderChanges = reg.Counter("mu.leader_changes")
 		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
-		reg.CounterFunc("mu.torn_rejects", func() uint64 { // the log, request and control rings' CRC rejects
-			n := in.logReader.TornRejects()
-			for p, rd := range in.reqReaders {
-				if rd != nil {
-					n += rd.TornRejects() + in.ctrlReaders[p].TornRejects()
-				}
-			}
-			return n
+		reg.CounterFunc("mu.torn_rejects", func() uint64 {
+			return ring.TornRejects(in.logReader[:], in.reqReaders, in.ctrlReaders)
 		})
 	}
-	in.logReader = ring.NewReader(node.Region(logRegion(group)).Bytes())
+	in.logReader[0] = ring.NewReader(node.Region(logRegion(group)).Bytes())
 	for p := 0; p < in.n; p++ {
-		in.dedupSet[p] = make(map[uint64]bool)
 		peer := rdma.NodeID(p)
 		if peer == node.ID() {
 			continue
@@ -301,13 +287,15 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
 		in.ctrlReaders[peer] = ring.NewReader(node.Region(ctrlRegion(group, peer)).Bytes())
 	}
-	in.sweepFn, in.deliverFn = in.sweep, in.deliverNext
-	in.ticker = fab.Engine().NewTicker(fab.Latency().SweepPeriod, in.poll)
+	in.handoff = ring.NewHandoff(fab, node, func(origin rdma.NodeID, seq uint64, payload []byte) {
+		in.Deliver(seq, origin, payload)
+	})
+	in.poller = ring.NewPoller(fab, node, in.sweep)
 	return in
 }
 
 // Stop cancels the instance's poll loop.
-func (in *Instance) Stop() { in.ticker.Cancel() }
+func (in *Instance) Stop() { in.poller.Stop() }
 
 // Leader returns this node's current leader view.
 func (in *Instance) Leader() rdma.NodeID { return in.leader }
@@ -431,25 +419,6 @@ func (in *Instance) frame(b []byte) []byte {
 	}
 	in.rec = rec
 	return rec
-}
-
-// keep copies b into a buffer from the free list, or into a new one when the
-// list is empty.
-func (in *Instance) keep(b []byte) []byte {
-	var buf []byte
-	if n := len(in.free); n > 0 {
-		buf, in.free[n-1] = in.free[n-1], nil
-		in.free = in.free[:n-1]
-	}
-	return append(buf, b...)
-}
-
-// release puts b, a buffer from keep whose holder is done with it, back on the
-// free list.
-func (in *Instance) release(b []byte) {
-	if cap(b) > 0 {
-		in.free = append(in.free, b[:0])
-	}
 }
 
 type logEntry struct {
@@ -582,7 +551,7 @@ func (in *Instance) replicate(rec []byte, seq uint64) {
 // returns.
 func (in *Instance) Submit(payload []byte) {
 	in.submitSeq++
-	payload = in.keep(payload)
+	payload = in.free.Keep(payload)
 	in.pending[in.submitSeq] = payload
 	in.route(in.submitSeq, payload)
 	in.startRound()
@@ -615,7 +584,7 @@ type request struct {
 
 // propose queues a copy of a request for the leader's next round.
 func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte) {
-	in.queue = append(in.queue, request{origin, submitSeq, in.keep(payload), in.fab.Engine().Now()})
+	in.queue = append(in.queue, request{origin, submitSeq, in.free.Keep(payload), in.fab.Engine().Now()})
 }
 
 // startRound sequences everything queued as one round — Transform, sequence
@@ -652,9 +621,9 @@ func (in *Instance) startRound() bool {
 			in.proposedAt[seq] = now
 		}
 		entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
-		in.release(r.payload) // copied into the entry, like Transform's result
+		in.free.Release(r.payload) // copied into the entry, like Transform's result
 		in.journal(seq, rec)
-		in.props = append(in.props, proposal{entry: in.keep(entry), acks: 1}) // self
+		in.props = append(in.props, proposal{entry: in.free.Keep(entry), acks: 1}) // self
 		in.replicate(rec, seq)
 	}
 	in.mRoundEntries.Observe(sim.Duration(n))
@@ -783,79 +752,38 @@ func (in *Instance) journalRaw(seq uint64, rec []byte) {
 	copy(in.node.Region(journalRegion(in.group)).Bytes()[off:], rec)
 }
 
-// deliverEntry dedups by (origin, submitSeq) and queues the entry for Deliver.
-// The caller gives entry, a buffer from the free list, away: its payload goes
-// to Deliver as a sub-slice, and the buffer back to the free list when Deliver
-// returns, or now when the entry is not delivered. An entry of this node's own
-// submission also puts the submission's pending copy back on the list.
+// deliverEntry dedups by (origin, submitSeq) and hands the entry's payload off
+// for Deliver. The caller gives entry, a buffer from the free list, away: the
+// handoff copies the payload, and the buffer goes back to the free list. An
+// entry of this node's own submission also puts the submission's pending copy
+// back on the list.
 func (in *Instance) deliverEntry(entry []byte) {
+	defer in.free.Release(entry)
 	e, err := decodeLogEntry(entry)
-	if err != nil {
-		in.release(entry)
-		return
-	}
-	if int(e.origin) >= in.n {
-		// An entry naming no node is sequenced but delivered nowhere.
-		in.release(entry)
-		return
+	if err != nil || int(e.origin) >= in.n {
+		return // an entry naming no node is sequenced but delivered nowhere
 	}
 	if e.origin == in.node.ID() {
 		if mine, ok := in.pending[e.submitSeq]; ok {
 			delete(in.pending, e.submitSeq)
-			in.release(mine)
+			in.free.Release(mine)
 		}
 	}
-	if e.submitSeq <= in.dedupLow[e.origin] || in.dedupSet[e.origin][e.submitSeq] {
-		in.release(entry)
-		return
+	if _, fresh := in.dedup[e.origin].Admit(e.submitSeq, len(e.payload), true); fresh && in.Deliver != nil {
+		in.handoff.Push(e.origin, e.seq, e.payload)
 	}
-	set := in.dedupSet[e.origin]
-	set[e.submitSeq] = true
-	for set[in.dedupLow[e.origin]+1] {
-		in.dedupLow[e.origin]++
-		delete(set, in.dedupLow[e.origin])
-	}
-	if in.Deliver == nil {
-		in.release(entry)
-		return
-	}
-	in.deliveries.Push(delivery{e.seq, e.origin, entry, e.payload})
-	in.node.CPU.Exec(in.fab.Latency().DeliverCost, in.deliverFn)
-}
-
-// delivery is a decided entry on its way to Deliver.
-type delivery struct {
-	seq     uint64
-	origin  rdma.NodeID
-	entry   []byte // a buffer from the free list
-	payload []byte // the entry's payload, a sub-slice of entry
-}
-
-// deliverNext is the DeliverCost item of the oldest queued delivery: Deliver
-// borrows the entry's payload, and the buffer is free again once it returns.
-func (in *Instance) deliverNext() {
-	d := in.deliveries.Pop()
-	in.Deliver(d.seq, d.origin, d.payload)
-	in.release(d.entry)
 }
 
 // --- polling ----------------------------------------------------------
 
-func (in *Instance) poll() {
-	if !in.alive() {
-		return
-	}
-	in.node.CPU.Exec(in.fab.Latency().SweepCost, in.sweepFn)
-}
-
 // sweep is one poll's work on the node's CPU.
 func (in *Instance) sweep() {
-	in.pollLog()
+	ring.Drain(in.logReader[:], in.handleLog)
 	if in.isLeader && !in.recovering {
-		drain(in.reqReaders, in.handleRequest)
+		ring.Drain(in.reqReaders, in.handleRequest)
 		in.startRound()
 	}
-	drain(in.ctrlReaders, in.handleCtrl)
+	ring.Drain(in.ctrlReaders, in.handleCtrl)
 	// Anti-entropy with the leader: a stash gap, or simply no delivery
 	// progress for a while, means entries may have been lost to a
 	// permission window or a ring reset — pull them from the leader's
@@ -870,66 +798,34 @@ func (in *Instance) sweep() {
 	}
 }
 
-// drain hands every record waiting on readers — one kind of per-peer ring,
-// indexed by peer — to handle, peer by peer in ascending order. A record
-// handle cannot decode ends its ring's drain for this sweep. handle does not
-// escape, so a method value passed per sweep allocates nothing.
-func drain(readers []*ring.Reader, handle func(from rdma.NodeID, msg []byte) error) {
-	for p, rd := range readers {
-		if rd == nil {
-			continue
-		}
-		for {
-			msg, ok, err := rd.Poll()
-			if err != nil || !ok || handle(rdma.NodeID(p), msg) != nil {
-				break
+// handleLog takes in the log record msg. One that does not decode, or comes
+// from a term older than the highest this ring has carried (a zombie), is
+// dropped; the drain goes on either way.
+func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
+	e, err := decodeLogEntry(msg)
+	if err != nil || e.term < in.ringTerm {
+		return nil
+	}
+	if e.term > in.ringTerm {
+		in.ringTerm = e.term
+		// A newer term invalidates stashed uncommitted entries from
+		// older terms.
+		for seq, old := range in.stash {
+			if oe, oerr := decodeLogEntry(old); oerr == nil && oe.term < e.term {
+				delete(in.stash, seq)
+				in.free.Release(old)
 			}
 		}
 	}
-}
-
-func (in *Instance) pollLog() {
-	for {
-		msg, ok, err := in.logReader.Poll()
-		if err != nil || !ok {
-			return
-		}
-		e, derr := decodeLogEntry(msg)
-		if derr != nil {
-			continue
-		}
-		// Zombie filter: drop anything from a term older than the highest
-		// this ring has carried.
-		if e.term < in.ringTerm {
-			continue
-		}
-		if e.term > in.ringTerm {
-			in.ringTerm = e.term
-			// A newer term invalidates stashed uncommitted entries from
-			// older terms.
-			for seq, old := range in.stash {
-				if oe, oerr := decodeLogEntry(old); oerr == nil && oe.term < e.term {
-					delete(in.stash, seq)
-					in.release(old)
-				}
-			}
-		}
-		if e.commit > in.commitSeen {
-			in.commitSeen = e.commit
-		}
-		if e.seq == 0 {
-			// Pure commit record.
-			in.drainCommitted()
-			continue
-		}
-		if e.seq > in.lastDelivered {
-			// Poll reuses its buffer, so the stash keeps a copy, in place of any
-			// entry a newer leader's re-dissemination supersedes.
-			in.release(in.stash[e.seq])
-			in.stash[e.seq] = in.keep(msg)
-		}
-		in.drainCommitted()
+	in.commitSeen = max(in.commitSeen, e.commit)
+	if e.seq > in.lastDelivered { // seq 0 is a pure commit record
+		// Poll reuses its buffer, so the stash keeps a copy, in place of any
+		// entry a newer leader's re-dissemination supersedes.
+		in.free.Release(in.stash[e.seq])
+		in.stash[e.seq] = in.free.Keep(msg)
 	}
+	in.drainCommitted()
+	return nil
 }
 
 // drainCommitted delivers stashed entries in sequence order up to the
@@ -955,7 +851,7 @@ func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) error {
 	// Requests may be replayed after a leader change; dedup before proposing
 	// to keep the log free of duplicates where possible (delivery-side dedup
 	// is the safety net).
-	if submitSeq <= in.dedupLow[from] || in.dedupSet[from][submitSeq] {
+	if in.dedup[from].Delivered(submitSeq) {
 		return nil
 	}
 	in.propose(from, submitSeq, payload)
@@ -1101,9 +997,9 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 					in.commitSeen = seq - 1
 				}
 				in.bumpDelivered(seq)
-				in.release(in.stash[seq])
+				in.free.Release(in.stash[seq])
 				delete(in.stash, seq)
-				in.deliverEntry(in.keep(entry))
+				in.deliverEntry(in.free.Keep(entry))
 			}
 			// Drain any stashed successors the catch-up unblocked.
 			in.drainCommitted()
@@ -1184,7 +1080,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		in.readJournal(old, floor+1, oldNext, func(slot func(uint64) []byte, err error) {
 			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
 				if entry := journalSlot(slot(seq), seq); entry != nil {
-					recovered = append(recovered, in.keep(entry))
+					recovered = append(recovered, in.free.Keep(entry))
 				}
 			}
 			done()
@@ -1268,13 +1164,13 @@ func (in *Instance) readJournal(from rdma.NodeID, lo, hi uint64, got func(slot f
 				// The read lends data only until this callback returns, and
 				// got runs when the other span lands: keep a copy meanwhile,
 				// in a buffer from the free list.
-				parts[i] = in.keep(data)
+				parts[i] = in.free.Keep(data)
 				return
 			}
 			parts[i] = data
 			got(slot, failed)
 			if len(spans) > 1 {
-				in.release(parts[1-i])
+				in.free.Release(parts[1-i])
 			}
 		})
 	}
@@ -1377,7 +1273,7 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 // leader's term. Receivers (and our own delivery path) dedup. old is a buffer
 // from the free list, which the new entry replaces.
 func (in *Instance) redisseminate(old []byte) {
-	defer in.release(old)
+	defer in.free.Release(old)
 	oe, err := decodeLogEntry(old)
 	if err != nil {
 		return
@@ -1387,8 +1283,8 @@ func (in *Instance) redisseminate(old []byte) {
 	in.journalRaw(seq, rec)
 	// The record goes out after a decision, which may frame records of its
 	// own in the scratch buffer: it waits in a buffer of its own.
-	rec = in.keep(rec)
-	defer in.release(rec)
+	rec = in.free.Keep(rec)
+	defer in.free.Release(rec)
 	if seq > in.lastDelivered {
 		// Recovered entries come in sequence order; one the journal had lost
 		// leaves a zero proposal behind, which is never decided.
@@ -1396,7 +1292,7 @@ func (in *Instance) redisseminate(old []byte) {
 			in.props = append(in.props, proposal{})
 		}
 		p := in.proposal(seq)
-		*p = proposal{entry: in.keep(entry), acks: 1}
+		*p = proposal{entry: in.free.Keep(entry), acks: 1}
 		if p.acks >= in.majority() {
 			in.decide(seq)
 		}

@@ -344,8 +344,8 @@ func TestMessagesNamingNoNodeDropped(t *testing.T) {
 				t.Fatalf("electing=%v grants=%v follower's leader %d: want node 1 electing on 2 grants", cand.Electing(), cand.grants, follower.Leader())
 			}
 			state := func(in *Instance) string {
-				return fmt.Sprintf("leader=%d term=%d leading=%v electing=%v grants=%v dedup=%v %v",
-					in.leader, in.term, in.isLeader, in.electing, in.grants, in.dedupLow, in.dedupSet)
+				return fmt.Sprintf("leader=%d term=%d leading=%v electing=%v grants=%v dedup=%v",
+					in.leader, in.term, in.isLeader, in.electing, in.grants, in.dedup)
 			}
 			before := state(cand) + " | " + state(follower)
 			c.eng.At(c.eng.Now(), func() {

@@ -1,0 +1,281 @@
+package ring
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"hamband/internal/rdma"
+	"hamband/internal/sim"
+)
+
+// admitted is what one Admit let through: the bytes from `from` on, or "-".
+func admitted(w *Watermark, seq uint64, payload string, all bool) string {
+	from, fresh := w.Admit(seq, len(payload), all)
+	if !fresh {
+		return "-"
+	}
+	return payload[from:]
+}
+
+// TestWatermarkRefusesDuplicates: a message delivered whole is delivered
+// once, below the watermark and above it.
+func TestWatermarkRefusesDuplicates(t *testing.T) {
+	var w Watermark
+	for _, step := range []struct {
+		seq  uint64
+		want string
+	}{{1, "m"}, {1, "-"}, {3, "m"}, {3, "-"}, {2, "m"}, {2, "-"}, {1, "-"}} {
+		if got := admitted(&w, step.seq, "m", true); got != step.want {
+			t.Fatalf("seq %d admitted %q, want %q", step.seq, got, step.want)
+		}
+	}
+	for seq := uint64(0); seq <= 4; seq++ {
+		if got, want := w.Delivered(seq), seq <= 3; got != want {
+			t.Errorf("Delivered(%d) = %v, want %v", seq, got, want)
+		}
+	}
+}
+
+// TestWatermarkFoldsOutOfOrder: numbers delivered above a gap wait in the
+// set, and fold into the watermark, leaving the set empty, once it fills.
+func TestWatermarkFoldsOutOfOrder(t *testing.T) {
+	var w Watermark
+	for _, seq := range []uint64{2, 5, 4, 1} {
+		w.Admit(seq, 1, true)
+	}
+	if w.Low() != 2 || w.Above() != 2 {
+		t.Fatalf("watermark %d with %d above it, want 2 with 4 and 5 above", w.Low(), w.Above())
+	}
+	w.Admit(3, 1, true)
+	if w.Low() != 5 || w.Above() != 0 {
+		t.Fatalf("watermark %d with %d above it once the gap filled, want 5 with none", w.Low(), w.Above())
+	}
+}
+
+// TestWatermarkPrefixGrowth: a staged prefix, then a longer one, delivers
+// only the tail; a whole record after a prefix delivers the rest and moves
+// the watermark; a backup slot after a whole record delivers nothing.
+func TestWatermarkPrefixGrowth(t *testing.T) {
+	var w Watermark
+	for i, step := range []struct {
+		payload string
+		all     bool
+		want    string
+	}{
+		{"ab", false, "ab"},
+		{"ab", false, "-"},      // the same prefix recovered again
+		{"abcd", false, "cd"},   // a longer prefix: its tail
+		{"abc", false, "-"},     // a shorter one: nothing
+		{"abcdef", true, "ef"},  // the ring record: the rest
+		{"abcdefg", false, "-"}, // a backup slot after the whole message
+		{"abcdef", true, "-"},   // the ring record again
+	} {
+		if got := admitted(&w, 1, step.payload, step.all); got != step.want {
+			t.Fatalf("step %d: %q (whole %v) admitted %q, want %q", i, step.payload, step.all, got, step.want)
+		}
+	}
+	if w.Low() != 1 || w.Above() != 0 {
+		t.Fatalf("watermark %d with %d above it, want the whole message folded in", w.Low(), w.Above())
+	}
+	// A whole record of a length a prefix already reached delivers nothing,
+	// and still completes the message.
+	w.Admit(2, 3, false)
+	if _, fresh := w.Admit(2, 3, true); fresh || !w.Delivered(2) || w.Above() != 0 {
+		t.Fatalf("whole record after an equal prefix: fresh %v, delivered %v, %d above", fresh, w.Delivered(2), w.Above())
+	}
+}
+
+// handoffRig is a handoff on node 0 of a one-node fabric whose CPU charges
+// are counted.
+type handoffRig struct {
+	eng   *sim.Engine
+	fab   *rdma.Fabric
+	h     *Handoff
+	got   []string
+	items []sim.Duration // the cost of every CPU item submitted
+}
+
+func newHandoffRig() *handoffRig {
+	rig := &handoffRig{eng: sim.NewEngine(5)}
+	rig.fab = rdma.NewFabric(rig.eng, 1, rdma.DefaultLatency())
+	node := rig.fab.Node(0)
+	node.CPU.Observe = func(cost sim.Duration) { rig.items = append(rig.items, cost) }
+	rig.h = NewHandoff(rig.fab, node, func(src rdma.NodeID, seq uint64, payload []byte) {
+		rig.got = append(rig.got, fmt.Sprintf("%d/%d/%s", src, seq, payload))
+	})
+	return rig
+}
+
+// handoffInOrder pushes five records of different lengths from one buffer
+// the caller rewrites between pushes, and reports the first way the handler
+// calls differ from push order or from one DeliverCost item each.
+func handoffInOrder(lifo bool) error {
+	rig := newHandoffRig()
+	if lifo {
+		rig.h.MutateLIFO()
+	}
+	var want []string
+	buf := make([]byte, 0, 16)
+	for i := 0; i < 5; i++ {
+		buf = fmt.Appendf(buf[:0], "r%d-%s", i, "xxxxxxxx"[:i])
+		rig.h.Push(rdma.NodeID(i%3), uint64(10+i), buf)
+		want = append(want, fmt.Sprintf("%d/%d/%s", i%3, 10+i, buf))
+	}
+	if rig.h.Len() != 5 {
+		return fmt.Errorf("%d records queued, want 5", rig.h.Len())
+	}
+	rig.eng.RunFor(10 * sim.Microsecond)
+	if !slices.Equal(rig.got, want) {
+		return fmt.Errorf("handled %q, want %q", rig.got, want)
+	}
+	cost := rig.fab.Latency().DeliverCost
+	if len(rig.items) != 5 || slices.ContainsFunc(rig.items, func(d sim.Duration) bool { return d != cost }) {
+		return fmt.Errorf("CPU items %v, want five of %v", rig.items, cost)
+	}
+	if rig.h.Len() != 0 {
+		return fmt.Errorf("%d records still queued", rig.h.Len())
+	}
+	return nil
+}
+
+// TestHandoffInPushOrder: records reach the handler in push order, each as
+// one DeliverCost item, with the bytes pushed.
+func TestHandoffInPushOrder(t *testing.T) {
+	if err := handoffInOrder(false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHandoffCatchesLIFO is the mutation control of the test above.
+func TestHandoffCatchesLIFO(t *testing.T) {
+	err := handoffInOrder(true)
+	if err == nil {
+		t.Fatal("a handoff that hands on its newest record first passed")
+	}
+	t.Logf("caught: %v", err)
+}
+
+// TestWarmHandoffAllocs pins the handoff's host cost: once warm, a push and
+// its handling allocate nothing — the payload goes into a recycled buffer and
+// the work item is bound once.
+func TestWarmHandoffAllocs(t *testing.T) {
+	rig := newHandoffRig()
+	rig.fab.Node(0).CPU.Observe = nil
+	handled := 0
+	rig.h.handle = func(rdma.NodeID, uint64, []byte) { handled++ }
+	payload := make([]byte, 64)
+	cycle := func() {
+		rig.h.Push(1, 7, payload)
+		rig.eng.RunFor(sim.Microsecond)
+	}
+	for i := 0; i < 16; i++ {
+		cycle()
+	}
+	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
+		t.Errorf("a warm push and its handling allocate %.1f times, want 0", allocs)
+	}
+	if handled != 16+201 {
+		t.Fatalf("%d records handled, want %d", handled, 16+201)
+	}
+}
+
+// TestPollerSkipsDownNode: a poller submits one SweepCost item per period,
+// none while its node is suspended — nothing is queued to run on resume — and
+// none once it has crashed.
+func TestPollerSkipsDownNode(t *testing.T) {
+	eng := sim.NewEngine(9)
+	fab := rdma.NewFabric(eng, 1, rdma.DefaultLatency())
+	node := fab.Node(0)
+	lat := fab.Latency()
+	var items []sim.Duration
+	node.CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
+	sweeps := 0
+	NewPoller(fab, node, func() { sweeps++ })
+	// at(k) is when the k-th period's sweep has run.
+	at := func(k int) sim.Time { return sim.Time(k)*sim.Time(lat.SweepPeriod) + sim.Time(lat.SweepCost) }
+
+	eng.RunUntil(at(4))
+	if sweeps != 4 || len(items) != 4 || slices.ContainsFunc(items, func(d sim.Duration) bool { return d != lat.SweepCost }) {
+		t.Fatalf("over four periods: %d sweeps, items %v; want four of %v", sweeps, items, lat.SweepCost)
+	}
+	node.Suspend()
+	eng.RunUntil(at(10))
+	node.Resume()
+	eng.RunUntil(at(10) + 1)
+	if sweeps != 4 || len(items) != 4 {
+		t.Fatalf("suspended for six periods: %d sweeps, %d items; want none added", sweeps, len(items))
+	}
+	eng.RunUntil(at(12))
+	if sweeps != 6 {
+		t.Fatalf("resumed: %d sweeps, want 6", sweeps)
+	}
+	node.Crash()
+	eng.RunUntil(at(20))
+	if len(items) != 6 {
+		t.Fatalf("crashed: %d items, want no more than the 6 before", len(items))
+	}
+}
+
+// TestPollerStop: a stopped poller submits nothing more.
+func TestPollerStop(t *testing.T) {
+	eng := sim.NewEngine(9)
+	fab := rdma.NewFabric(eng, 1, rdma.DefaultLatency())
+	sweeps := 0
+	p := NewPoller(fab, fab.Node(0), func() { sweeps++ })
+	eng.RunUntil(sim.Time(2*fab.Latency().SweepPeriod) + 1)
+	p.Stop()
+	eng.RunUntil(sim.Time(10 * fab.Latency().SweepPeriod))
+	if sweeps != 2 {
+		t.Fatalf("%d sweeps, want the 2 before Stop", sweeps)
+	}
+}
+
+// TestDrainAndTornRejects: Drain hands records sender by sender in
+// ascending order and stops a ring's drain at the record its handler
+// refuses; TornRejects totals the CRC rejects of every reader of every set.
+func TestDrainAndTornRejects(t *testing.T) {
+	const capacity = 256
+	regions := make([][]byte, 3)
+	readers := make([]*Reader, 3) // sender 1 has no ring
+	for _, p := range []int{0, 2} {
+		regions[p] = make([]byte, RegionSize(capacity))
+		readers[p] = NewReader(regions[p])
+		w := NewWriter(capacity)
+		for i := 0; i < 3; i++ {
+			writes, ok := w.Append(record(t, uint64(10*p+i)))
+			if !ok {
+				t.Fatal("ring full")
+			}
+			apply(regions[p], writes)
+		}
+	}
+	var got []string
+	handle := func(from rdma.NodeID, msg []byte) error {
+		got = append(got, fmt.Sprintf("%d:%d", from, seqOf(msg)))
+		if seqOf(msg) == 1 {
+			return fmt.Errorf("refused")
+		}
+		return nil
+	}
+	Drain(readers, handle)
+	if want := []string{"0:0", "0:1", "2:20", "2:21", "2:22"}; !slices.Equal(got, want) {
+		t.Fatalf("first sweep handled %q, want %q", got, want)
+	}
+	got = got[:0]
+	Drain(readers, handle)
+	if want := []string{"0:2"}; !slices.Equal(got, want) {
+		t.Fatalf("second sweep handled %q, want %q", got, want)
+	}
+
+	// Tear the next record on ring 2's interior and sweep twice.
+	writes, _ := NewWriterAt(capacity, readers[2].Head()).Append(record(t, 23))
+	torn := slices.Clone(writes[0].Data)
+	torn[5] ^= 0xFF
+	apply(regions[2], []Write{{writes[0].Off, torn}})
+	Drain(readers, handle)
+	Drain(readers, handle)
+	if n := TornRejects(readers[:1], readers[1:], nil); n != 2 || len(got) != 1 {
+		t.Fatalf("TornRejects = %d with %q handled, want ring 2's 2 rejects and nothing more", n, got)
+	}
+}
