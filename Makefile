@@ -138,10 +138,12 @@ health-exp:
 
 # torn runs every torn-read test in one command: the one bound
 # (rdma.TornLooks) and the one validated read (rdma.QP.ReadValid), the ring
-# reader's park and heal, the codec's trailer check, the summary scan's park
-# and slot re-read, the recovery sweep's re-read, and the torn chaos corpus.
+# reader's park and heal, the recovery slots' re-read (ring.Slots, which
+# broadcast's backup and Mu's journal read through), the codec's trailer
+# check, the summary scan's park and slot re-read, the recovery sweep's and a
+# journal catch-up's re-read, and the torn chaos corpus.
 torn:
-	$(GO) test -count=1 -run 'Torn|Park|Reread|ReadValid|RecoverRetry|StaleBackup' ./internal/rdma ./internal/ring ./internal/codec ./internal/core ./internal/broadcast ./internal/chaos
+	$(GO) test -count=1 -run 'Torn|Park|Reread|ReadValid|RecoverRetry|StaleBackup' ./internal/rdma ./internal/ring ./internal/codec ./internal/core ./internal/broadcast ./internal/mu ./internal/chaos
 
 # cover prints per-package statement coverage so test gaps stay visible.
 cover:
@@ -151,8 +153,10 @@ cover:
 # lines included) per package of the root package, internal/ and cmd/, and
 # their total — 22 240 at commit 8589353, 22 195 once backup and journal
 # slots held ring records, 22 359 once OR-set and cart adds were stored by
-# tag, 22 308 once the summary anchor became a call record. Files a build
-# constraint excludes are not counted.
+# tag, 22 308 once the summary anchor became a call record, 22 410 once
+# broadcast and Mu received through one ring in-channel, and 22 409 once
+# both wrote and read back their recovery slots through one ring.Slots. Files
+# a build constraint excludes are not counted.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \
 		while read pkg dir files; do echo "$$(cd $$dir && cat $$files | wc -l) $$pkg"; done | \
@@ -257,6 +261,7 @@ benchstat:
 # -fuzz pattern per package invocation.
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReaderPoll -fuzztime=$(FUZZTIME) ./internal/ring
+	$(GO) test -run=^$$ -fuzz=FuzzSlots -fuzztime=$(FUZZTIME) ./internal/ring
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSlot -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzSlot -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRaw -fuzztime=$(FUZZTIME) ./internal/codec

@@ -60,7 +60,7 @@ var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).post<heartbeat.", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
 	{"rdma.(*verb).cqe", "CQE: completions"},
-	{"ring.(*Handoff).Push", "deliver"},
+	{"ring.(*Handoff).Hand", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},

@@ -126,8 +126,7 @@ func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err erro
 // *Broadcaster is the source side of a class that has no F buffers: it stamps
 // nothing, so SetEpoch on it is a no-op.
 type Broadcaster struct {
-	cfg    Config
-	backup *rdma.Region
+	backup *ring.Slots
 	seq    uint64
 	epoch  uint32   // configuration epoch stamped on outgoing messages
 	slots  []uint64 // seq occupying each backup slot, 0 if free
@@ -163,8 +162,7 @@ type pendingMsg struct {
 func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster {
 	reg := fab.Metrics()
 	b := &Broadcaster{
-		cfg:        cfg,
-		backup:     node.Region(cfg.backupRegion()),
+		backup:     ring.NewSlots(node, cfg.backupRegion(), cfg.BackupSlots, cfg.BackupSlot),
 		slots:      make([]uint64, cfg.BackupSlots),
 		mSlotWaits: reg.Counter("broadcast.backup_slot_waits"),
 	}
@@ -223,7 +221,7 @@ func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDo
 	}
 	pm := b.pending()
 	pm.seq, pm.label, pm.onAck, pm.onDone, pm.left = b.seq, label, onAck, onDone, len(b.peers)
-	slot := int(pm.seq) % b.cfg.BackupSlots
+	slot := int(pm.seq) % len(b.slots)
 	if held := b.slots[slot]; held != 0 && held != pm.seq {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
@@ -278,11 +276,12 @@ func (pm *pendingMsg) ack() {
 // launch stores record, message pm's ring record, in its backup slot and
 // queues it to every peer; both copy it.
 func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
-	slot := int(pm.seq) % b.cfg.BackupSlots
+	slot := int(pm.seq) % len(b.slots)
 	b.slots[slot] = pm.seq
 	// Write the backup before any remote write (the protocol's ordering
-	// requirement); this is a local store.
-	b.backUp(pm.seq, record)
+	// requirement); this is a local store. A read racing the rewrite of a
+	// staged slot fails the record's CRC.
+	b.backup.Put(pm.seq, record)
 	if pm.left == 0 { // single-node fabric
 		pm.ack()
 		b.finish(pm)
@@ -293,18 +292,6 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	for _, pc := range b.peers {
 		pc.Send(record, pm.label, pm.written)
 	}
-}
-
-// backUp copies seq's ring record into its backup slot as it is: recovery
-// validates it the way a ring poll does, and it is the record's CRC that
-// rejects a read racing the rewrite of a staged slot.
-func (b *Broadcaster) backUp(seq uint64, record []byte) {
-	if len(record) > b.cfg.BackupSlot {
-		// Oversized for the backup slot: configuration error.
-		panic(fmt.Sprintf("broadcast: a %d-byte record does not fit a %d-byte backup slot", len(record), b.cfg.BackupSlot))
-	}
-	off := int(seq) % b.cfg.BackupSlots * b.cfg.BackupSlot
-	copy(b.backup.Bytes()[off:], record)
 }
 
 // Stage makes the NEXT message recoverable while its source is still putting
@@ -320,7 +307,7 @@ func (b *Broadcaster) backUp(seq uint64, record []byte) {
 // the window a broadcast queued for its slot has always had.
 func (b *Broadcaster) Stage(payload []byte) {
 	seq := b.seq + 1
-	slot := int(seq) % b.cfg.BackupSlots
+	slot := int(seq) % len(b.slots)
 	if held := b.slots[slot]; held != 0 && held != seq {
 		return
 	}
@@ -329,17 +316,17 @@ func (b *Broadcaster) Stage(payload []byte) {
 		return // the broadcast will refuse it
 	}
 	b.slots[slot] = seq
-	b.backUp(seq, record)
+	b.backup.Put(seq, record)
 }
 
 // finish clears the backup slot, puts pm back on the free list and fires
 // its completion callback, then launches any broadcast waiting for the freed
 // slot.
 func (b *Broadcaster) finish(pm *pendingMsg) {
-	slot := int(pm.seq) % b.cfg.BackupSlots
+	slot := int(pm.seq) % len(b.slots)
 	if b.slots[slot] == pm.seq {
 		b.slots[slot] = 0
-		clear(b.backup.Bytes()[slot*b.cfg.BackupSlot : (slot+1)*b.cfg.BackupSlot])
+		b.backup.Clear(pm.seq)
 	}
 	onDone := pm.onDone
 	pm.label, pm.onAck, pm.onDone = "", nil, nil
@@ -348,7 +335,7 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 		onDone()
 	}
 	for i, w := range b.waiting {
-		if b.slots[int(w.seq)%b.cfg.BackupSlots] == 0 {
+		if b.slots[int(w.seq)%len(b.slots)] == 0 {
 			b.waiting = append(b.waiting[:i], b.waiting[i+1:]...)
 			b.launch(w, w.record) // launch copies the record
 			return
@@ -382,9 +369,9 @@ type Receiver struct {
 	floors      []ring.EpochFloor
 	stale       []uint64
 	dedup       []ring.Watermark
-	validated   int    // the sweep's admitted ring bytes, framing included
-	tornBackup  uint64 // backup slots rejected by CRC validation during recovery
-	staleBackup uint64 // stale backup slots rejected during recovery
+	validated   int         // the sweep's admitted ring bytes, framing included
+	backup      *ring.Slots // reads a suspected source's backup slots; counts the torn ones
+	staleBackup uint64      // stale backup slots rejected during recovery
 	poller      *ring.Poller
 	handoff     *ring.Handoff
 
@@ -407,7 +394,8 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		floors:      make([]ring.EpochFloor, fab.Size()),
 		stale:       make([]uint64, fab.Size()),
 		dedup:       make([]ring.Watermark, fab.Size()),
-		handoff:     ring.NewHandoff(fab, node, handler),
+		backup:      ring.NewSlots(node, cfg.backupRegion(), cfg.BackupSlots, cfg.BackupSlot),
+		handoff:     ring.NewHandoff(fab, node, new(ring.Buffers), handler),
 		mDelivered:  reg.Counter("broadcast.delivered"),
 		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
@@ -455,7 +443,7 @@ func (r *Receiver) TornRejects() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.tornBackup + ring.TornRejects(r.readers)
+	return r.backup.TornRejects() + ring.TornRejects(r.readers)
 }
 
 // StaleRejects returns how many records the epoch gates have rejected
@@ -522,61 +510,37 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing b
 	r.handoff.Push(src, seq, payload[from:])
 }
 
-// RecoverFrom reads src's backup region remotely and delivers any pending
-// message this node has not seen. Call it when the failure detector
-// suspects src. Under the suspension failure model src's NIC still serves
-// the read; if src truly crashed the read fails and recovery is skipped
-// (its in-flight messages were not delivered anywhere they can be read
-// back from).
+// RecoverFrom reads src's backup slots remotely and delivers any pending
+// message this node has not seen. Call it when the failure detector suspects
+// src. Under the suspension failure model src's NIC still serves the read; if
+// src truly crashed the read fails and recovery is skipped (its in-flight
+// messages were not delivered anywhere they can be read back from). A slot
+// intact in an earlier look of a torn read and empty in the last was cleared,
+// which its source does only once the message has landed in every ring.
+//
+// Messages are delivered in sequence order, not slot order (which wraps): the
+// handler buffers per source and serves head first, so a message delivered
+// ahead of one it depends on would block its buffer.
 func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 	if r == nil || src == r.node.ID() {
 		return
 	}
 	r.mRecoveries.Inc()
-	r.recoverSweep(src)
-}
-
-// recoverSweep reads the whole backup region and recovers every validated
-// slot, in sequence order: a slot's index is its sequence number modulo
-// BackupSlots, which is sequence order except across the wrap, and the handler
-// buffers per source and serves head first, so a message delivered ahead of one
-// it depends on would block its buffer. A slot holds a ring record, read back
-// the way a ring poll reads one: a zero length word is an empty slot, and any
-// other slot that fails validation is torn, counted, and earns the region a
-// re-read (rdma.QP.ReadValid). Only the last read is recovered from: a slot
-// intact in an earlier read and empty in the last was cleared, which its
-// source does only once the message has landed in every ring.
-func (r *Receiver) recoverSweep(src rdma.NodeID) {
 	type recovered struct {
 		epoch   uint32
 		seq     uint64
 		payload []byte
 	}
-	var found []recovered // the latest read's validated slots, borrowing its bytes
-	torn := func(data []byte) bool {
-		found = found[:0]
-		tornSeen := false
-		for slot := 0; slot < r.cfg.BackupSlots; slot++ {
-			record := data[slot*r.cfg.BackupSlot : (slot+1)*r.cfg.BackupSlot]
-			if binary.LittleEndian.Uint32(record) == 0 {
-				continue // empty
-			}
-			msg, _, err := codec.DecodeRaw(record)
-			if err != nil {
-				r.tornBackup++
-				tornSeen = true
-				continue
-			}
-			if epoch, seq, payload, err := decodeMessage(msg); err == nil {
-				found = append(found, recovered{epoch, seq, payload})
-			}
-		}
-		return tornSeen
-	}
-	size := r.cfg.BackupSlots * r.cfg.BackupSlot
-	r.node.QP(src).ReadValid(r.cfg.backupRegion(), 0, size, torn, func(_ []byte, err error) {
+	n := uint64(r.cfg.BackupSlots)
+	r.backup.Read(r.node.QP(src), 0, n, func(rec func(uint64) []byte, err error) {
 		if err != nil {
 			return
+		}
+		var found []recovered // borrowing the read's bytes
+		for slot := uint64(0); slot < n; slot++ {
+			if epoch, seq, payload, err := decodeMessage(rec(slot)); err == nil {
+				found = append(found, recovered{epoch, seq, payload})
+			}
 		}
 		slices.SortFunc(found, func(a, b recovered) int { return cmp.Compare(a.seq, b.seq) })
 		for _, m := range found {

@@ -11,7 +11,7 @@ import (
 	"hamband/internal/sim"
 )
 
-// backupSlotBytes builds what recoverSweep expects in one backup slot: the
+// backupSlotBytes builds what RecoverFrom expects in one backup slot: the
 // ring record of message (epoch, seq, payload), EncodeRaw(message).
 func backupSlotBytes(t *testing.T, epoch uint32, seq uint64, payload []byte) []byte {
 	t.Helper()

@@ -16,7 +16,8 @@ import (
 // chargedUnder returns a sim.CPU observer that adds to *sum the cost of every
 // work item submitted from under a function whose name contains site. The
 // observer runs on the submitter's stack, so a receiver's poll sweeps and the
-// READ posts of its backup recovery are both visible this way.
+// READ posts of its backup recovery (broadcast.(*Receiver).RecoverFrom, which
+// reads through ring.(*Slots).Read) are both visible this way.
 func chargedUnder(site string, sum *sim.Duration) func(sim.Duration) {
 	return func(cost sim.Duration) {
 		var pcs [16]uintptr
@@ -98,6 +99,8 @@ func TestFreeBuffersFollowAnalysis(t *testing.T) {
 // join, the stale-reject total, Stop — on the account, which has a reducible
 // and a conflicting method and no F buffers. Each must run on the nil
 // receiver, converge, and post no recovery READ: there is no backup region.
+// The READs are told apart by RecoverFrom, not by ring.(*Slots).Read, which
+// Mu's journal reads go through too.
 func TestFaultPathsWithoutFreeBuffers(t *testing.T) {
 	h := newHarness(t, crdt.NewAccount(), 4, 19, nil)
 	if h.cluster.An.HasFreeBuffers() {
@@ -105,7 +108,7 @@ func TestFaultPathsWithoutFreeBuffers(t *testing.T) {
 	}
 	var recovery sim.Duration
 	for i := 0; i < 4; i++ {
-		h.fab.Node(rdma.NodeID(i)).CPU.Observe = chargedUnder("broadcast.(*Receiver).recoverSweep", &recovery)
+		h.fab.Node(rdma.NodeID(i)).CPU.Observe = chargedUnder("broadcast.(*Receiver).RecoverFrom", &recovery)
 	}
 	settle := func(stage string) {
 		t.Helper()

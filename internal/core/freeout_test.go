@@ -459,7 +459,7 @@ func TestTooLargeConfCallTouchesNothing(t *testing.T) {
 // applied on every node; one a byte longer is refused at its origin with
 // codec.ErrTooLarge, no request pending and no write posted. Without the
 // bound, a withdraw of 24 args alternating MinInt64 and 0 (ten delta bytes
-// each) reached the leader and panicked it in mu.journalRaw; at the leader and
+// each) reached the leader and panicked its journal write; at the leader and
 // at a follower it is refused.
 func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
 	h := newHarness(t, crdt.NewAccount(), 3, 152, nil)

@@ -84,8 +84,9 @@ func TestLateAckLeavesNoResidue(t *testing.T) {
 //   - ring.Reader.Poll returns each record in a buffer the reader reuses;
 //   - the submitter's pending copy, the queued request, the proposal and each
 //     follower's stashed entry are copies into buffers from the instance's
-//     free list, and every one of them goes back to the list when the entry
-//     is delivered;
+//     free list; the handoff, which shares the list, takes the proposal or
+//     stash entry as it is, and every buffer goes back to the list once the
+//     entry is delivered;
 //   - a pump's completion is the Sender's bound callback, which finds the
 //     post's onDones queued, and each follower's ack is its bound ackFns.
 func TestWarmCommitAllocs(t *testing.T) {
@@ -449,5 +450,60 @@ func TestSubmitCopiesThePayload(t *testing.T) {
 	c.wantDelivered(t, []int{1, 2}, want)
 	if n := c.inst[2].PendingCount(); n != 0 {
 		t.Fatalf("node 2 still holds %d submissions pending at rest", n)
+	}
+}
+
+// within reports whether p, non-empty, lies inside buf's bytes.
+func within(p, buf []byte) bool {
+	for i := 0; len(p) > 0 && i+len(p) <= len(buf); i++ {
+		if &buf[i] == &p[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDeliverBorrowsTheHeldEntry: a decided entry is copied once on its way to
+// Deliver. The payload Deliver sees lies inside the buffer the entry already
+// waited in — the leader's proposal, a follower's stash entry — which the
+// handoff takes as it is instead of copying the payload again. Node 1's log
+// ring is drained by hand, a record at a time, so its stash is seen between
+// the entry's arrival and the commit record's.
+func TestDeliverBorrowsTheHeldEntry(t *testing.T) {
+	c := newCluster(t, 3, 0)
+	leader, follower := c.inst[0], c.inst[1]
+	follower.Stop()
+	var held [2][]byte // the entry buffers of seq 1 at the leader and at node 1
+	var inside [2]bool
+	for i, in := range []*Instance{leader, follower} {
+		deliver := in.Deliver
+		in.Deliver = func(seq uint64, origin rdma.NodeID, payload []byte) {
+			inside[i] = seq == 1 && within(payload, held[i])
+			deliver(seq, origin, payload)
+		}
+	}
+	c.eng.At(0, func() {
+		leader.Submit([]byte("copied once"))
+		held[0] = leader.proposal(1).entry
+	})
+	c.run(50 * sim.Microsecond)
+	for {
+		msg, ok, err := follower.logReader[0].Poll()
+		if err != nil || !ok {
+			break
+		}
+		follower.handleLog(0, msg)
+		if e, ok := follower.stash[1]; ok {
+			held[1] = e
+		}
+	}
+	c.run(10 * sim.Microsecond)
+	for i, node := range []int{0, 1} {
+		if !slices.Equal(c.delivered[node], []string{"copied once"}) {
+			t.Fatalf("node %d delivered %q", node, c.delivered[node])
+		}
+		if held[i] == nil || !inside[i] {
+			t.Errorf("node %d: the payload Deliver saw is not inside the entry buffer it held (%v held): a second copy", node, held[i] != nil)
+		}
 	}
 }

@@ -93,9 +93,9 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 }
 
 // DeliverFunc consumes decided entries, in sequence order, exactly once. The
-// payload is borrowed for the call: when Deliver returns, its buffer goes back
-// to the instance's handoff (ring.Handoff) and is overwritten by a later
-// entry, so a callee that keeps the bytes copies them.
+// payload is borrowed for the call: it lies in the buffer its entry waited in,
+// which goes back to the instance's free list when Deliver returns and is
+// overwritten by a later entry, so a callee that keeps the bytes copies them.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
 // Instance is one node's participant in a consensus group.
@@ -121,14 +121,17 @@ type Instance struct {
 	// submission not yet delivered here, a request queued for a round, a
 	// proposal, a stashed follower entry — lives in a buffer from free, and
 	// the buffer goes back to free when its holder is done with it: when the
-	// submission is delivered, when the entry is handed off for Deliver (the
-	// handoff copies its payload), or when the entry is dropped as a
-	// duplicate, as an older-term entry, or because a catch-up or a newer
-	// leader's entry filled its stash slot. A warm instance therefore
-	// allocates no buffers. rec is the scratch buffer every outgoing ring
-	// record is framed in: ring.Sender.Send copies it.
+	// submission is delivered, when Deliver returns from the entry's payload
+	// (the handoff shares the list and takes the entry's buffer as it is), or
+	// when the entry is dropped as a duplicate, as an older-term entry, or
+	// because a catch-up or a newer leader's entry filled its stash slot. A
+	// warm instance therefore allocates no buffers. rec is the scratch buffer
+	// every outgoing ring record is framed in: ring.Sender.Send copies it.
 	free ring.Buffers
 	rec  []byte
+
+	journal *ring.Slots // every entry sequenced here, as its log record, for one-sided reads
+	state   []byte      // the state words, published for one-sided reads (publish)
 
 	// Leader state.
 	nextSeq uint64 // next sequence number to assign (1-based)
@@ -258,6 +261,9 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 
 		reqReaders:  make([]*ring.Reader, fab.Size()),
 		ctrlReaders: make([]*ring.Reader, fab.Size()),
+
+		journal: ring.NewSlots(node, journalRegion(group), cfg.JournalSlots, cfg.JournalSlotSize),
+		state:   node.Region(stateRegion(group)).Bytes(),
 	}
 	if reg := fab.Metrics(); reg.Enabled() {
 		in.mCommitLat = reg.Histogram("mu.commit_latency", nil)
@@ -270,7 +276,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
 		reg.CounterFunc("mu.torn_rejects", func() uint64 {
-			return ring.TornRejects(in.logReader[:], in.reqReaders, in.ctrlReaders)
+			return ring.TornRejects(in.logReader[:], in.reqReaders, in.ctrlReaders) + in.journal.TornRejects()
 		})
 	}
 	in.logReader[0] = ring.NewReader(node.Region(logRegion(group)).Bytes())
@@ -287,7 +293,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
 		in.ctrlReaders[peer] = ring.NewReader(node.Region(ctrlRegion(group, peer)).Bytes())
 	}
-	in.handoff = ring.NewHandoff(fab, node, func(origin rdma.NodeID, seq uint64, payload []byte) {
+	in.handoff = ring.NewHandoff(fab, node, &in.free, func(origin rdma.NodeID, seq uint64, payload []byte) {
 		in.Deliver(seq, origin, payload)
 	})
 	in.poller = ring.NewPoller(fab, node, in.sweep)
@@ -622,10 +628,11 @@ func (in *Instance) startRound() bool {
 		}
 		entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
 		in.free.Release(r.payload) // copied into the entry, like Transform's result
-		in.journal(seq, rec)
+		in.journal.Put(seq, rec)
 		in.props = append(in.props, proposal{entry: in.free.Keep(entry), acks: 1}) // self
 		in.replicate(rec, seq)
 	}
+	in.publish()
 	in.mRoundEntries.Observe(sim.Duration(n))
 	rest := copy(in.queue, in.queue[n:])
 	clear(in.queue[rest:])
@@ -723,55 +730,50 @@ func (in *Instance) sendCommitRecord() {
 	in.replicate(rec, 0)
 }
 
-// bumpDelivered advances the delivery watermark and publishes it in the
-// state region so that a future leader can compute the global recovery
-// floor with one-sided reads.
+// bumpDelivered advances the delivery watermark and publishes it, so that a
+// future leader can compute the global recovery floor with one-sided reads.
 func (in *Instance) bumpDelivered(to uint64) {
 	in.lastDelivered = to
 	in.lastProgressAt = in.fab.Engine().Now()
-	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes()[8:], to)
+	in.publish()
 }
 
-// journal stores seq's log record in the local journal region and advances
-// the published nextSeq.
-func (in *Instance) journal(seq uint64, rec []byte) {
-	in.journalRaw(seq, rec)
-	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes(), in.nextSeq)
+// publish writes the state words, nextSeq and then lastDelivered, to the
+// state region, where readState reads them.
+func (in *Instance) publish() {
+	binary.LittleEndian.PutUint64(in.state, in.nextSeq)
+	binary.LittleEndian.PutUint64(in.state[8:], in.lastDelivered)
 }
 
-// journalRaw copies rec, seq's log ring record as frameEntry built it, into
-// seq's journal slot as it is: one-sided readers validate it the way a ring
-// poll does. Only the bytes used are written; the record is self-delimiting
-// and the slot's stale tail is never read.
-func (in *Instance) journalRaw(seq uint64, rec []byte) {
-	size := in.cfg.JournalSlotSize
-	if rec == nil || len(rec) > size { // nil: the entry is over codec.MaxRecord
-		panic(fmt.Sprintf("mu: journal slot too small: a %d-byte slot for a %d-byte record", size, len(rec)))
-	}
-	off := int(seq) % in.cfg.JournalSlots * size
-	copy(in.node.Region(journalRegion(in.group)).Bytes()[off:], rec)
+// readState reads peer's published state words (one 16-byte READ); got
+// receives them, or the read's error.
+func (in *Instance) readState(peer rdma.NodeID, got func(next, delivered uint64, err error)) {
+	in.node.QP(peer).Read(stateRegion(in.group), 0, 16, func(data []byte, err error) {
+		if err != nil {
+			got(0, 0, err)
+			return
+		}
+		got(binary.LittleEndian.Uint64(data), binary.LittleEndian.Uint64(data[8:]), nil)
+	})
 }
 
 // deliverEntry dedups by (origin, submitSeq) and hands the entry's payload off
-// for Deliver. The caller gives entry, a buffer from the free list, away: the
-// handoff copies the payload, and the buffer goes back to the free list. An
-// entry of this node's own submission also puts the submission's pending copy
-// back on the list.
+// for Deliver; an entry naming no node is sequenced but delivered nowhere. The
+// caller gives entry, a buffer from the free list, away: the handoff takes it
+// as it is and puts it back once Deliver returns, or it goes back at once. An
+// entry of this node's own submission also puts the pending copy back.
 func (in *Instance) deliverEntry(entry []byte) {
-	defer in.free.Release(entry)
-	e, err := decodeLogEntry(entry)
-	if err != nil || int(e.origin) >= in.n {
-		return // an entry naming no node is sequenced but delivered nowhere
-	}
-	if e.origin == in.node.ID() {
-		if mine, ok := in.pending[e.submitSeq]; ok {
+	if e, err := decodeLogEntry(entry); err == nil && int(e.origin) < in.n {
+		if mine, ok := in.pending[e.submitSeq]; ok && e.origin == in.node.ID() {
 			delete(in.pending, e.submitSeq)
 			in.free.Release(mine)
 		}
+		if _, fresh := in.dedup[e.origin].Admit(e.submitSeq, len(e.payload), true); fresh && in.Deliver != nil {
+			in.handoff.Hand(e.origin, e.seq, entry, e.payload)
+			return
+		}
 	}
-	if _, fresh := in.dedup[e.origin].Admit(e.submitSeq, len(e.payload), true); fresh && in.Deliver != nil {
-		in.handoff.Push(e.origin, e.seq, e.payload)
-	}
+	in.free.Release(entry)
 }
 
 // --- polling ----------------------------------------------------------
@@ -963,7 +965,7 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 		return
 	}
 	in.catching = true
-	in.node.QP(from).Read(stateRegion(in.group), 0, 16, func(data []byte, err error) {
+	in.readState(from, func(leaderNext, delivered uint64, err error) {
 		if err != nil {
 			in.catching = false
 			return
@@ -971,16 +973,13 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 		// Deliver only what the leader itself has decided: its published
 		// lastDelivered is its commit watermark (the journal also holds
 		// proposed-but-undecided entries).
-		next := binary.LittleEndian.Uint64(data[8:]) + 1
-		if n := binary.LittleEndian.Uint64(data); n < next {
-			next = n
-		}
+		next := min(delivered+1, leaderNext)
 		if next <= in.lastDelivered+1 {
 			in.catching = false
 			in.lastProgressAt = in.fab.Engine().Now() // verified current
 			return
 		}
-		in.readJournal(from, in.lastDelivered+1, next, func(slot func(uint64) []byte, jerr error) {
+		in.journal.Read(in.node.QP(from), in.lastDelivered+1, next, func(rec func(uint64) []byte, jerr error) {
 			in.catching = false
 			if jerr != nil {
 				return
@@ -989,13 +988,11 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 			// read was in flight: what is left of the gap lies inside the range
 			// read.
 			for seq := in.lastDelivered + 1; seq < next; seq++ {
-				entry := journalSlot(slot(seq), seq)
+				entry := journaled(rec(seq), seq)
 				if entry == nil {
-					return // hole (journal wrapped or write in flight): stop
+					return // hole (journal wrapped, or a slot torn on every look): stop
 				}
-				if seq-1 > in.commitSeen {
-					in.commitSeen = seq - 1
-				}
+				in.commitSeen = max(in.commitSeen, seq-1)
 				in.bumpDelivered(seq)
 				in.free.Release(in.stash[seq])
 				delete(in.stash, seq)
@@ -1049,9 +1046,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		in.becomeActiveLeader(in.lastDelivered + 1)
 		return
 	}
-	floor := in.lastDelivered
-	ceil := in.lastDelivered
-	oldNext := uint64(0)
+	floor, ceil, oldNext := in.lastDelivered, in.lastDelivered, uint64(0)
 	var recovered [][]byte
 	strands := 2
 	done := func() {
@@ -1065,7 +1060,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		in.becomeActiveLeader(oldNext)
 	}
 	in.resetRings(done)
-	states := 0
+	states := in.n - 1 // every peer's state words
 	stated := func() {
 		if states--; states > 0 {
 			return
@@ -1074,12 +1069,10 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		// observe: a predecessor that died mid-recovery may publish a
 		// stale (even zero) nextSeq, and reusing numbers would diverge
 		// replicas that already delivered them.
-		if oldNext < ceil+1 {
-			oldNext = ceil + 1
-		}
-		in.readJournal(old, floor+1, oldNext, func(slot func(uint64) []byte, err error) {
+		oldNext = max(oldNext, ceil+1)
+		in.journal.Read(in.node.QP(old), floor+1, oldNext, func(rec func(uint64) []byte, err error) {
 			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
-				if entry := journalSlot(slot(seq), seq); entry != nil {
+				if entry := journaled(rec(seq), seq); entry != nil {
 					recovered = append(recovered, in.free.Keep(entry))
 				}
 			}
@@ -1091,18 +1084,11 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		if peer == in.node.ID() {
 			continue
 		}
-		states++
-		in.node.QP(peer).Read(stateRegion(in.group), 0, 16, func(data []byte, err error) {
+		in.readState(peer, func(next, delivered uint64, err error) {
 			if err == nil {
-				ld := binary.LittleEndian.Uint64(data[8:])
-				if ld < floor {
-					floor = ld
-				}
-				if ld > ceil {
-					ceil = ld
-				}
+				floor, ceil = min(floor, delivered), max(ceil, delivered)
 				if peer == old {
-					oldNext = binary.LittleEndian.Uint64(data)
+					oldNext = next
 				}
 			}
 			stated()
@@ -1110,70 +1096,14 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 	}
 }
 
-// journalSlot decodes seq's entry from its journal slot, which holds the log
-// record as a ring poll reads one, or returns nil for a hole (an empty slot,
-// or a write in flight) or a slot that holds another sequence number (the
-// journal wrapped). The entry is a sub-slice of slot.
-func journalSlot(slot []byte, seq uint64) []byte {
-	entry, _, err := codec.DecodeRaw(slot)
-	if err != nil {
+// journaled returns rec, the record read from seq's journal slot, if it is
+// seq's entry, and nil for a hole — an empty slot, or one still torn — or a
+// slot that holds another sequence number (the journal wrapped).
+func journaled(rec []byte, seq uint64) []byte {
+	if e, err := decodeLogEntry(rec); err != nil || e.seq != seq {
 		return nil
 	}
-	if je, err := decodeLogEntry(entry); err != nil || je.seq != seq {
-		return nil
-	}
-	return entry
-}
-
-// readJournal reads the slots of sequence numbers [lo, hi) from node from's
-// journal: one read, or two when the range wraps past the last slot; a range
-// as long as the journal reads all of it. got receives a function that
-// returns seq's slot, for any seq in the range, or the first read's error;
-// the slots are valid until got returns. An empty range reads nothing and
-// calls got at once.
-func (in *Instance) readJournal(from rdma.NodeID, lo, hi uint64, got func(slot func(seq uint64) []byte, err error)) {
-	slots, size := in.cfg.JournalSlots, in.cfg.JournalSlotSize
-	// parts[0] holds the slots from lo's onwards and parts[1] the slots from
-	// zero that the range wraps onto, so (seq-lo) mod slots indexes their
-	// concatenation.
-	var parts [2][]byte
-	slot := func(seq uint64) []byte {
-		i := int((seq-lo)%uint64(slots)) * size
-		if i >= len(parts[0]) {
-			return parts[1][i-len(parts[0]) : i-len(parts[0])+size]
-		}
-		return parts[0][i : i+size]
-	}
-	if hi <= lo {
-		got(slot, nil)
-		return
-	}
-	n, first := int(min(hi-lo, uint64(slots))), int(lo%uint64(slots))
-	spans := [][2]int{{first, min(first+n, slots)}, {0, first + n - slots}}
-	if first+n <= slots {
-		spans = spans[:1]
-	}
-	reads := len(spans)
-	var failed error
-	for i, sp := range spans {
-		in.node.QP(from).Read(journalRegion(in.group), sp[0]*size, (sp[1]-sp[0])*size, func(data []byte, err error) {
-			if failed == nil {
-				failed = err
-			}
-			if reads--; reads > 0 {
-				// The read lends data only until this callback returns, and
-				// got runs when the other span lands: keep a copy meanwhile,
-				// in a buffer from the free list.
-				parts[i] = in.free.Keep(data)
-				return
-			}
-			parts[i] = data
-			got(slot, failed)
-			if len(spans) > 1 {
-				in.free.Release(parts[1-i])
-			}
-		})
-	}
+	return rec
 }
 
 // resetRings establishes this node's writer on every follower's log ring (see
@@ -1280,7 +1210,7 @@ func (in *Instance) redisseminate(old []byte) {
 	}
 	seq := oe.seq
 	entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
-	in.journalRaw(seq, rec)
+	in.journal.Put(seq, rec)
 	// The record goes out after a decision, which may frame records of its
 	// own in the scratch buffer: it waits in a buffer of its own.
 	rec = in.free.Keep(rec)
@@ -1302,10 +1232,8 @@ func (in *Instance) redisseminate(old []byte) {
 
 func (in *Instance) becomeActiveLeader(nextSeq uint64) {
 	in.recovering = false
-	if nextSeq > in.nextSeq {
-		in.nextSeq = nextSeq
-	}
-	binary.LittleEndian.PutUint64(in.node.Region(stateRegion(in.group)).Bytes(), in.nextSeq)
+	in.nextSeq = max(in.nextSeq, nextSeq)
+	in.publish()
 	in.resubmitPending()
 }
 

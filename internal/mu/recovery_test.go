@@ -272,14 +272,49 @@ func TestCatchUpReadsOnlyTheGap(t *testing.T) {
 	}
 }
 
+// TestTornJournalSlotIsReread: a journal slot that holds garbage under a
+// non-zero length word is torn, not a hole. The catch-up of TestCatchUpReadsOnlyTheGap
+// over such a slot at seq 17 reads its span again like every other torn read —
+// rdma.TornLooks looks, each counted in mu.torn_rejects — and then stops there,
+// having delivered 14..16. The slots of 14 and 15 are read once.
+func TestTornJournalSlotIsReread(t *testing.T) {
+	const cut = 2
+	c, reg := wrappedJournal(t, func(c *cluster) {
+		c.fab.Node(cut).Region(logRegion("g")).RevokeWrite(0)
+		c.fab.Node(cut).Suspend()
+	})
+	cfg := c.inst[0].cfg
+	off := 17 % cfg.JournalSlots * cfg.JournalSlotSize
+	garbage := c.fab.Node(0).Region(journalRegion("g")).Bytes()[off : off+cfg.JournalSlotSize]
+	for i := range garbage {
+		garbage[i] = 0xAB
+	}
+	reads := qpCount(cut, 0, "reads")
+	before := counters(reg)
+	c.eng.At(c.eng.Now(), func() { c.fab.Node(cut).Resume() })
+	c.run(50 * sim.Microsecond) // well inside CatchUpAfter: one catch-up
+	after := counters(reg)
+	if got := c.inst[cut].LastDelivered(); got != 16 || !slices.Equal(c.delivered[cut][13:], c.delivered[0][13:16]) {
+		t.Fatalf("the follower delivered up to %d (%q), want 14..16 and a stop at the torn slot", got, c.delivered[cut][13:])
+	}
+	// The state words, the span of seqs 14 and 15, and each look at the span
+	// of 16..18 (slots 0..2), which holds the torn slot.
+	if got, want := after[reads]-before[reads], uint64(2+rdma.TornLooks); got != want {
+		t.Fatalf("the follower posted %d READs to the leader, want %d", got, want)
+	}
+	if got := after["mu.torn_rejects"] - before["mu.torn_rejects"]; got != rdma.TornLooks {
+		t.Fatalf("mu.torn_rejects rose by %d, want the torn slot counted on each of %d looks", got, rdma.TornLooks)
+	}
+}
+
 // TestWrappedJournalReadKeepsTheFirstSpan: a journal read that wraps is two
-// READs, and readJournal needs the first one's bytes until the second lands,
-// although a READ lends them only until its callback returns. With 8 KiB
-// slots the second span (slots 0..2) takes 4.9 µs of wire, longer than an
-// 8 B read's round trip, so the heartbeat-sized reads node 1 posts every
-// 250 ns meanwhile complete between the spans and take the first span's
-// record, and its buffer, off the free list. The slots must still decode to
-// what a whole-journal read finds.
+// READs, and the journal's ring.Slots.Read needs the first one's bytes until
+// the second lands, although a READ lends them only until its callback
+// returns. With 8 KiB slots the second span (slots 0..2) takes 4.9 µs of
+// wire, longer than an 8 B read's round trip, so the heartbeat-sized reads
+// node 1 posts every 250 ns meanwhile complete between the spans and take the
+// first span's verb record, and its buffer, off the fabric's free list. The
+// slots must still decode to what a whole-journal read finds.
 func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 	c, _ := wrappedJournalSlots(t, 8<<10, func(*cluster) {})
 	want := c.journalEntries(0, 14, 19, false)
@@ -297,17 +332,12 @@ func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 		c.eng.After(250*sim.Nanosecond, beat)
 	}
 	c.eng.At(c.eng.Now(), func() {
-		c.inst[1].readJournal(0, 14, 19, func(slot func(uint64) []byte, err error) {
+		c.inst[1].journal.Read(c.fab.Node(1).QP(0), 14, 19, func(rec func(uint64) []byte, err error) {
 			if err != nil {
 				t.Fatalf("journal read failed: %v", err)
 			}
 			for seq := uint64(14); seq < 19; seq++ {
-				entry, _, derr := codec.DecodeRaw(slot(seq))
-				var e logEntry
-				if derr == nil {
-					e, derr = decodeLogEntry(entry)
-				}
-				if derr == nil && e.seq == seq {
+				if e, derr := decodeLogEntry(rec(seq)); derr == nil && e.seq == seq {
 					got = append(got, journalEntry{e.seq, e.origin, e.submitSeq, string(e.payload)})
 				}
 			}

@@ -112,33 +112,42 @@ func (w *Watermark) Admit(seq uint64, n int, all bool) (from int, fresh bool) {
 
 // Handoff hands delivered records to the layer above in push order, each as a
 // DeliverCost work item of its own on the node's CPU, which runs its items in
-// order and only pauses them while suspended or crashed. The handler borrows
-// the payload's copy, which is back on the free list when it returns.
+// order and only pauses them while suspended or crashed. Each record waits in
+// a buffer from a free list shared with the holder (Push copies into one, Hand
+// takes the holder's), and the handler borrows it until it returns.
 type Handoff struct {
 	cpu    *sim.CPU
 	cost   sim.Duration
 	handle func(src rdma.NodeID, seq uint64, payload []byte)
 	queue  fifo.Queue[handoffEntry]
-	bufs   Buffers
+	bufs   *Buffers
 	nextFn func() // h.next bound once
 }
 
 type handoffEntry struct {
-	src     rdma.NodeID
-	seq     uint64
-	payload []byte
+	src          rdma.NodeID
+	seq          uint64
+	buf, payload []byte // payload lies in buf
 }
 
-// NewHandoff returns node's handoff to handle.
-func NewHandoff(fab *rdma.Fabric, node *rdma.Node, handle func(src rdma.NodeID, seq uint64, payload []byte)) *Handoff {
-	h := &Handoff{cpu: node.CPU, cost: fab.Latency().DeliverCost, handle: handle}
+// NewHandoff returns node's handoff to handle, taking its buffers from bufs
+// and returning them there.
+func NewHandoff(fab *rdma.Fabric, node *rdma.Node, bufs *Buffers, handle func(src rdma.NodeID, seq uint64, payload []byte)) *Handoff {
+	h := &Handoff{cpu: node.CPU, cost: fab.Latency().DeliverCost, handle: handle, bufs: bufs}
 	h.nextFn = h.next
 	return h
 }
 
 // Push queues a copy of payload, from src under seq, for the handler.
 func (h *Handoff) Push(src rdma.NodeID, seq uint64, payload []byte) {
-	h.queue.Push(handoffEntry{src, seq, h.bufs.Keep(payload)})
+	buf := h.bufs.Keep(payload)
+	h.Hand(src, seq, buf, buf)
+}
+
+// Hand is Push without the copy: payload lies in buf, a buffer from the shared
+// list, which the caller gives away.
+func (h *Handoff) Hand(src rdma.NodeID, seq uint64, buf, payload []byte) {
+	h.queue.Push(handoffEntry{src, seq, buf, payload})
 	h.cpu.Exec(h.cost, h.nextFn)
 }
 
@@ -149,7 +158,7 @@ func (h *Handoff) next() { h.hand(h.queue.Pop()) }
 
 func (h *Handoff) hand(e handoffEntry) {
 	h.handle(e.src, e.seq, e.payload)
-	h.bufs.Release(e.payload)
+	h.bufs.Release(e.buf)
 }
 
 // MutateLIFO makes the handoff hand on its newest record first. It is for the

@@ -101,7 +101,7 @@ func newHandoffRig() *handoffRig {
 	rig.fab = rdma.NewFabric(rig.eng, 1, rdma.DefaultLatency())
 	node := rig.fab.Node(0)
 	node.CPU.Observe = func(cost sim.Duration) { rig.items = append(rig.items, cost) }
-	rig.h = NewHandoff(rig.fab, node, func(src rdma.NodeID, seq uint64, payload []byte) {
+	rig.h = NewHandoff(rig.fab, node, new(Buffers), func(src rdma.NodeID, seq uint64, payload []byte) {
 		rig.got = append(rig.got, fmt.Sprintf("%d/%d/%s", src, seq, payload))
 	})
 	return rig
