@@ -196,10 +196,10 @@ allocs:
 # that leads nothing, under Hamband and under the SMR baseline; TestStoreLedger
 # is one node of a 16-shard store under the store-zipf shape, for counter
 # shards (no polls row: no F or L buffers) and for OR-set shards at 4 and 16
-# (the per-shard pollers that are left); TestReduceLedger is one node on the
-# reducible path, gset with all updates and counter with a quarter, with the
-# WRs, chains and δ-records per summary write; TestFreeLedger is one node on
-# the buffered path (orset, a quarter updates), with the calls per broadcast
+# (one poll loop a node: the polls share must not depend on the shard
+# count); TestReduceLedger is one node on the reducible path, gset with all
+# updates and counter with a quarter, with the WRs, chains and δ-records per
+# summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
 # message and the ring records per write. The rows are checked against
 # sim.CPU.BusyTotal.
 ledger:
@@ -207,7 +207,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR51.json
+SNAPSHOT ?= BENCH_PR54.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -252,8 +252,8 @@ bench-pairs:
 # benchstat compares two snapshots: make benchstat OLD=a.json NEW=b.json. It
 # fails if any metric is worse in NEW by more than the bound its definition
 # gives (internal/bench/snapshot.go) — the CI regression gate.
-OLD ?= BENCH_PR51.json
-NEW ?= BENCH_PR51.json
+OLD ?= BENCH_PR54.json
+NEW ?= BENCH_PR54.json
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

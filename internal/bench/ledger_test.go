@@ -64,7 +64,7 @@ var ledgerRows = []struct{ site, row string }{
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
-	{"ring.(*Poller).poll", "polls"},
+	{"rdma.(*Node).tick", "polls"},
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
 }
@@ -256,12 +256,15 @@ func TestFreeLedger(t *testing.T) {
 // half local queries, eight calls outstanding per node; `make ledger`). A
 // counter has no irreducible conflict-free method, so its shards build no F
 // rings and the ledger must hold no polls row however many are open. The
-// OR-set keeps its buffers: its polls row — one receiver per open shard,
-// SweepCost every SweepPeriod whether or not anything arrived — is what is left
-// of the per-object slope, printed at 4 and 16 shards.
+// OR-set keeps its buffers: one receiver per open shard. Every receiver of a
+// node sweeps in the node's one poll loop, SweepCost every SweepPeriod whether
+// or not anything arrived, so the polls row is the same share of the node at
+// 4 and 16 shards (ROADMAP item 6), and 16 shards keep at least minORSet16.
 func TestStoreLedger(t *testing.T) {
-	const nodes = 4
-	point := func(cls *spec.Class, shards int) *ledger {
+	const nodes, minORSet16 = 4, 6.5
+	// point returns the ledger, the throughput and the polls row's share of
+	// the node's time.
+	point := func(cls *spec.Class, shards int) (*ledger, float64, float64) {
 		eng := sim.NewEngine(42)
 		fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
 		an := spec.MustAnalyze(cls)
@@ -279,18 +282,26 @@ func TestStoreLedger(t *testing.T) {
 		}
 		sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
 		polls := l.rows["polls"]
+		share := float64(polls) / float64(res.Makespan)
 		t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; polls %.4f µs/op = %.1f%% of the node's CPU time\n%s",
 			shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-			polls.Micros()/float64(res.Completed), 100*float64(polls)/float64(res.Makespan), l.table(res.Completed))
-		return l
+			polls.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
+		return l, res.Throughput(), share
 	}
-	if polls, ok := point(crdt.NewCounter(), 16).rows["polls"]; ok {
-		t.Errorf("16 counter shards charge %v of polls: a class without F or L buffers has nothing to poll", polls)
+	if l, _, _ := point(crdt.NewCounter(), 16); l.rows["polls"] != 0 {
+		t.Errorf("16 counter shards charge %v of polls: a class without F or L buffers has nothing to poll", l.rows["polls"])
 	}
-	for _, shards := range []int{4, 16} {
-		if point(crdt.NewORSet(), shards).rows["polls"] == 0 {
-			t.Errorf("%d orset shards charge no polls: the ledger lost the receivers' row", shards)
-		}
+	_, _, share4 := point(crdt.NewORSet(), 4)
+	_, rate16, share16 := point(crdt.NewORSet(), 16)
+	if share4 == 0 || share16 == 0 {
+		t.Fatalf("orset polls share %.4f at 4 shards, %.4f at 16: the ledger lost the receivers' row", share4, share16)
+	}
+	// Up to the partial tick at each end of the run.
+	if math.Abs(share16-share4) > 0.001 {
+		t.Errorf("orset polls take %.2f%% of the node at 4 shards and %.2f%% at 16, want the same share: one poll loop a node", 100*share4, 100*share16)
+	}
+	if rate16 < minORSet16 {
+		t.Errorf("16 orset shards run at %.2f ops/µs, want at least %.1f", rate16, minORSet16)
 	}
 }
 

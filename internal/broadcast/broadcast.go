@@ -352,10 +352,10 @@ type Handler func(src rdma.NodeID, seq uint64, payload []byte)
 // Receiver is the delivery side of reliable broadcast on one node. A nil
 // *Receiver is the delivery side of a class that has no F buffers (package
 // core builds one only when the analysis finds an irreducible conflict-free
-// method): it has no rings, no backup to recover from and no poller, so
-// RecoverFrom, FloorAfterDrain and Stop do nothing, StaleRejects is zero and
-// Rings is empty. Callers on the failure, epoch and health paths therefore
-// need no "has F buffers" flag of their own.
+// method): it has no rings, no backup to recover from and no sweep in its
+// node's poll loop, so RecoverFrom, FloorAfterDrain and Stop do nothing,
+// StaleRejects is zero and Rings is empty. Callers on the failure, epoch and
+// health paths therefore need no "has F buffers" flag of their own.
 type Receiver struct {
 	fab  *rdma.Fabric
 	node *rdma.Node
@@ -372,7 +372,7 @@ type Receiver struct {
 	validated   int         // the sweep's admitted ring bytes, framing included
 	backup      *ring.Slots // reads a suspected source's backup slots; counts the torn ones
 	staleBackup uint64      // stale backup slots rejected during recovery
-	poller      *ring.Poller
+	poll        *rdma.Sweep
 	handoff     *ring.Handoff
 
 	mDelivered  *metrics.Counter // messages handed to the handler
@@ -409,14 +409,14 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		}
 		r.readers[src] = ring.NewReader(node.Region(cfg.inRegion(src)).Bytes())
 	}
-	r.poller = ring.NewPoller(fab, node, r.sweep)
+	r.poll = node.Poll(r.sweep)
 	return r
 }
 
-// Stop cancels the receiver's poll loop.
+// Stop takes the receiver's sweep out of its node's poll loop.
 func (r *Receiver) Stop() {
 	if r != nil {
-		r.poller.Stop()
+		r.poll.Stop()
 	}
 }
 

@@ -36,20 +36,21 @@ func chargedUnder(site string, sum *sim.Duration) func(sim.Duration) {
 }
 
 // TestFreeBuffersFollowAnalysis pins the rule on every bundled class: the
-// reliable-broadcast regions, the receiver and its poller exist on a node iff
-// the analysis finds an irreducible conflict-free method, and an idle cluster
-// of a class without one spends no CPU polling rings nothing can write. Every
-// ring poller (ring.Poller) of a node ticks in step, so the sweeps a node
-// submits per tick count its pollers: one Mu instance's per sync group, and
-// the receiver's.
+// reliable-broadcast regions and the receiver exist on a node iff the
+// analysis finds an irreducible conflict-free method, and an idle cluster of
+// a class without one spends no CPU polling rings nothing can write. A node's
+// in-channels — the receiver and one Mu instance per sync group — share the
+// node's poll loop, so a node with any of them submits one sweep item per
+// tick (rdma.(*Node).tick), whatever their number, and a node with none
+// submits no sweep item at all.
 func TestFreeBuffersFollowAnalysis(t *testing.T) {
 	const n = 4
 	for _, cls := range schema.Bundled() {
 		h := newHarness(t, cls, n, 1, nil)
 		want := h.cluster.An.HasFreeBuffers()
-		pollers := len(h.cluster.An.SyncGroups)
+		inChannels := len(h.cluster.An.SyncGroups)
 		if want {
-			pollers++
+			inChannels++
 		}
 		sweeps, ticks := make([]int, n), make([]int, n)
 		for i := 0; i < n; i++ {
@@ -68,9 +69,12 @@ func TestFreeBuffersFollowAnalysis(t *testing.T) {
 			if got := h.cluster.Replica(spec.ProcID(i)).Receiver() != nil; got != want {
 				t.Errorf("%s: node %d has a receiver = %v, want %v", cls.Name, i, got, want)
 			}
+			if got := node.Sweeps(); got != inChannels {
+				t.Errorf("%s: node %d registered %d sweeps, want %d in-channels (receiver %v)", cls.Name, i, got, inChannels, want)
+			}
 			var polled sim.Duration
 			var last sim.Time
-			charge := chargedUnder("ring.(*Poller).poll", &polled)
+			charge := chargedUnder("rdma.(*Node).tick", &polled)
 			node.CPU.Observe = func(cost sim.Duration) {
 				before := polled
 				if charge(cost); polled == before {
@@ -85,12 +89,17 @@ func TestFreeBuffersFollowAnalysis(t *testing.T) {
 		}
 		h.eng.RunFor(100 * sim.Microsecond)
 		for i := range sweeps {
-			if (ticks[i] > 0) != (pollers > 0) || sweeps[i] != ticks[i]*pollers {
-				t.Errorf("%s: node %d swept %d times on %d ticks while idle, want %d pollers (receiver %v)",
-					cls.Name, i, sweeps[i], ticks[i], pollers, want)
+			if (ticks[i] > 0) != (inChannels > 0) || sweeps[i] != ticks[i] {
+				t.Errorf("%s: node %d submitted %d sweep items on %d ticks while idle, want one a tick iff it has in-channels (%d)",
+					cls.Name, i, sweeps[i], ticks[i], inChannels)
 			}
 		}
 		h.cluster.Stop()
+		for i := 0; i < n; i++ {
+			if got := h.fab.Node(rdma.NodeID(i)).Sweeps(); got != 0 {
+				t.Errorf("%s: node %d keeps %d sweeps after Stop, want 0", cls.Name, i, got)
+			}
+		}
 	}
 }
 

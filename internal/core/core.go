@@ -170,7 +170,8 @@ func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 // NewCluster builds a Hamband deployment of the analyzed class over fab:
 // it registers the memory regions, creates the heartbeat, the per-group
 // consensus instances and — for a class with an irreducible conflict-free
-// method — the reliable broadcast, and starts every replica's pollers.
+// method — the reliable broadcast; every in-channel joins its node's poll
+// loop.
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor needs most of
@@ -311,10 +312,11 @@ func CrossWire(a, b *Cluster) {
 	}
 }
 
-// Stop cancels every replica's pollers and consensus instances, and the
-// failure domain when the cluster owns it (a shared domain outlives the
-// cluster: other shards still use it, and its owner stops it). The cluster
-// must not be used afterwards; memory regions stay registered on the fabric.
+// Stop cancels every replica's tickers, takes its in-channels out of its
+// node's poll loop, and stops the failure domain when the cluster owns it (a
+// shared domain outlives the cluster: other shards still use it, and its
+// owner stops it). The cluster must not be used afterwards; memory regions
+// stay registered on the fabric.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.stop()
@@ -639,7 +641,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.beater = r.fdom.Beater(int(id))
 	}
 
-	// Pollers.
+	// The summary scan.
 	if r.haveSums {
 		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Fab.Latency().ScanPeriod, r.scanSummaries))
 	}

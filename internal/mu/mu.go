@@ -198,7 +198,7 @@ type Instance struct {
 	reqReaders  []*ring.Reader
 	ctrlReaders []*ring.Reader
 
-	poller *ring.Poller
+	poll *rdma.Sweep
 
 	// Instrumentation. proposedAt is populated only when metrics are
 	// enabled, so the disabled path stays allocation-free.
@@ -296,12 +296,12 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 	in.handoff = ring.NewHandoff(fab, node, &in.free, func(origin rdma.NodeID, seq uint64, payload []byte) {
 		in.Deliver(seq, origin, payload)
 	})
-	in.poller = ring.NewPoller(fab, node, in.sweep)
+	in.poll = node.Poll(in.sweep)
 	return in
 }
 
-// Stop cancels the instance's poll loop.
-func (in *Instance) Stop() { in.poller.Stop() }
+// Stop takes the instance's sweep out of its node's poll loop.
+func (in *Instance) Stop() { in.poll.Stop() }
 
 // Leader returns this node's current leader view.
 func (in *Instance) Leader() rdma.NodeID { return in.leader }

@@ -43,9 +43,9 @@ var (
 
 // LatencyModel is the one cost model of the simulation: every price the
 // fabric charges for its verbs, and every CPU price and poll period the
-// layers above it (ring pollers, the replica's call path, the summary scan)
-// charge on a node, each read from Fabric.Latency where it is charged. The
-// verb defaults (DefaultLatency) are calibrated to published RDMA
+// layers above it (the node's poll loop, the replica's call path, the summary
+// scan) charge on a node, each read from Fabric.Latency where it is charged.
+// The verb defaults (DefaultLatency) are calibrated to published RDMA
 // microbenchmarks for a 40 Gbps InfiniBand RC setup: ~1 µs one-sided write
 // visibility, ~2 µs write-completion RTT, ~2.5 µs read/CAS RTT.
 type LatencyModel struct {
@@ -86,11 +86,12 @@ type LatencyModel struct {
 	// much earlier.
 	InlineDMASaving sim.Duration
 
-	// The layers' prices, which the fabric itself never charges.
+	// The layers' prices, which no verb charges.
 
-	// SweepPeriod is the period of every ring poller (a broadcast receiver,
-	// a Mu instance), SweepCost its CPU per sweep, and DeliverCost its CPU
-	// per record handed on.
+	// SweepPeriod is the period of a node's poll loop (Node.Poll), which
+	// sweeps every ring in-channel of the node (a broadcast receiver, a Mu
+	// instance), SweepCost its CPU per tick, whatever the number of sweeps,
+	// and DeliverCost an in-channel's CPU per record handed on.
 	SweepPeriod sim.Duration
 	SweepCost   sim.Duration
 	DeliverCost sim.Duration
@@ -301,6 +302,7 @@ type Node struct {
 	regions map[string]*Region
 	qps     map[NodeID]*QP
 	routes  []regionRoute
+	poll    pollLoop
 
 	crashed   bool
 	suspended bool

@@ -8,32 +8,6 @@ import (
 	"hamband/internal/sim"
 )
 
-// Poller is the in-channel's clock (a broadcast receiver's, a Mu instance's):
-// it runs the holder's sweep every SweepPeriod, as one SweepCost work item on
-// the node's CPU, except while the node is suspended or crashed.
-type Poller struct {
-	node   *rdma.Node
-	cost   sim.Duration
-	sweep  func() // bound once: a poll allocates nothing
-	ticker *sim.Ticker
-}
-
-// NewPoller starts polling on node; its ticker is created now.
-func NewPoller(fab *rdma.Fabric, node *rdma.Node, sweep func()) *Poller {
-	p := &Poller{node: node, cost: fab.Latency().SweepCost, sweep: sweep}
-	p.ticker = fab.Engine().NewTicker(fab.Latency().SweepPeriod, p.poll)
-	return p
-}
-
-// Stop cancels the poll loop.
-func (p *Poller) Stop() { p.ticker.Cancel() }
-
-func (p *Poller) poll() {
-	if !p.node.Suspended() && !p.node.Crashed() {
-		p.node.CPU.Exec(p.cost, p.sweep)
-	}
-}
-
 // Drain hands every record waiting on readers — one ring per sender, indexed
 // by sender, nil for none — to handle, sender by sender. A ring's drain ends
 // for the sweep when it is idle or parked or handle returns an error. handle

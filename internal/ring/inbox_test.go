@@ -180,57 +180,6 @@ func TestWarmHandoffAllocs(t *testing.T) {
 	}
 }
 
-// TestPollerSkipsDownNode: a poller submits one SweepCost item per period,
-// none while its node is suspended — nothing is queued to run on resume — and
-// none once it has crashed.
-func TestPollerSkipsDownNode(t *testing.T) {
-	eng := sim.NewEngine(9)
-	fab := rdma.NewFabric(eng, 1, rdma.DefaultLatency())
-	node := fab.Node(0)
-	lat := fab.Latency()
-	var items []sim.Duration
-	node.CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
-	sweeps := 0
-	NewPoller(fab, node, func() { sweeps++ })
-	// at(k) is when the k-th period's sweep has run.
-	at := func(k int) sim.Time { return sim.Time(k)*sim.Time(lat.SweepPeriod) + sim.Time(lat.SweepCost) }
-
-	eng.RunUntil(at(4))
-	if sweeps != 4 || len(items) != 4 || slices.ContainsFunc(items, func(d sim.Duration) bool { return d != lat.SweepCost }) {
-		t.Fatalf("over four periods: %d sweeps, items %v; want four of %v", sweeps, items, lat.SweepCost)
-	}
-	node.Suspend()
-	eng.RunUntil(at(10))
-	node.Resume()
-	eng.RunUntil(at(10) + 1)
-	if sweeps != 4 || len(items) != 4 {
-		t.Fatalf("suspended for six periods: %d sweeps, %d items; want none added", sweeps, len(items))
-	}
-	eng.RunUntil(at(12))
-	if sweeps != 6 {
-		t.Fatalf("resumed: %d sweeps, want 6", sweeps)
-	}
-	node.Crash()
-	eng.RunUntil(at(20))
-	if len(items) != 6 {
-		t.Fatalf("crashed: %d items, want no more than the 6 before", len(items))
-	}
-}
-
-// TestPollerStop: a stopped poller submits nothing more.
-func TestPollerStop(t *testing.T) {
-	eng := sim.NewEngine(9)
-	fab := rdma.NewFabric(eng, 1, rdma.DefaultLatency())
-	sweeps := 0
-	p := NewPoller(fab, fab.Node(0), func() { sweeps++ })
-	eng.RunUntil(sim.Time(2*fab.Latency().SweepPeriod) + 1)
-	p.Stop()
-	eng.RunUntil(sim.Time(10 * fab.Latency().SweepPeriod))
-	if sweeps != 2 {
-		t.Fatalf("%d sweeps, want the 2 before Stop", sweeps)
-	}
-}
-
 // TestDrainAndTornRejects: Drain hands records sender by sender in
 // ascending order and stops a ring's drain at the record its handler
 // refuses; TornRejects totals the CRC rejects of every reader of every set.

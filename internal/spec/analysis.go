@@ -235,7 +235,7 @@ func MustAnalyze(cls *Class) *Analysis {
 // configuration (§4: one buffer per source for irreducible conflict-free
 // calls): some method is irreducible conflict-free. Like SumGroups for S and
 // SyncGroups for L, it is the one input that decides whether a deployment
-// builds the reliable-broadcast regions, sender, receiver and poller at all,
+// builds the reliable-broadcast regions, sender, receiver and its sweep at all,
 // and what a shard's memory footprint counts.
 func (a *Analysis) HasFreeBuffers() bool {
 	return slices.Contains(a.Category, CatIrreducibleFree)
