@@ -248,8 +248,8 @@ type fig13Point struct {
 
 // fig13Points runs Figure 13's three scenarios on the courseware schema — no
 // failure, the follower p3 failing, and the synchronization group's leader p0
-// failing (p3 leads nothing), each fault a quarter into the fault-free
-// makespan.
+// failing (p3 leads nothing), each fault fig13FaultPerOp per operation into
+// the run.
 //
 // The run length is scaled so that the leader-change outage (~115 µs of
 // virtual time — cf. Mu's sub-millisecond failover) occupies a fraction of
@@ -262,10 +262,15 @@ func (cfg Config) fig13Points() []fig13Point {
 		r, sys := cfg.run(Hamband, schema.NewCourseware(), 4, ops, 0.5, 0, Variant{}, faults...)
 		return fig13Point{scenario, r, wireBytesPerOp(r, sys)}
 	}
-	normal := run("normal")
-	failAt := sim.Time(normal.res.Makespan / 4)
-	return []fig13Point{normal, run("follower", Fault{At: failAt, Node: 3}), run("leader", Fault{At: failAt, Node: 0})}
+	failAt := sim.Time(sim.Duration(ops) * fig13FaultPerOp)
+	return []fig13Point{run("normal"), run("follower", Fault{At: failAt, Node: 3}), run("leader", Fault{At: failAt, Node: 0})}
 }
+
+// fig13FaultPerOp places Figure 13's faults by the op count alone: a quarter
+// into the fault-free run at the default point (1 000 operations in 158 µs at
+// seed 42). A fault a quarter into the fault-free makespan moved with every
+// change that sped up the fault-free run, and the faulty runs' tails with it.
+const fig13FaultPerOp = 40 * sim.Nanosecond
 
 // Fig13 regenerates Figure 13: the effect of follower and leader failure
 // on the courseware schema, with per-method response times.

@@ -232,7 +232,7 @@ func TestFreeLedger(t *testing.T) {
 		t.Fatalf("completed %d/%d, timed out %v", res.Completed, DefaultOps, res.TimedOut)
 	}
 	sum := l.settle(t, eng, cpu, "orset p0")
-	batch := reg.Histogram("core.free_batch_entries", nil)
+	batch := reg.Histogram("broadcast.batch_entries", nil)
 	calls, msgs, writes := uint64(batch.Sum()), batch.Count(), fab.Stats().Writes
 	perMsg := float64(calls) / float64(msgs)
 	t.Logf("orset, 25%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d messages (%.1f a message), their %d ring records in %d writes (%.1f a write)\n%s",

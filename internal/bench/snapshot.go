@@ -53,8 +53,8 @@ const ungated = -1
 type metricTable map[string]metricDef
 
 // metricDefs defines every metric a point may carry. Throughput, the p99
-// and bytes per op are CI's regression gate; the other response times are
-// recorded for reading. A watchdog firing more than its baseline is a
+// and bytes per op are gated at their bounds (-exp benchstat); the other
+// response times are recorded for reading. A watchdog firing more than its baseline is a
 // calibration change, so firings are gated at zero.
 var metricDefs = metricTable{
 	"ops_per_us":   {"ops/µs", "virtual", "higher", 0.05},

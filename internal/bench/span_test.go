@@ -71,7 +71,7 @@ func TestOrderStageCarriesQueueWait(t *testing.T) {
 // and not vanish between stages: on a saturated orset run every span's
 // stages still tile Issue → last remote apply, the client-observed latency
 // ends before the hold begins, and the `doorbell` stages together hold at
-// least the time the replicas measured themselves (core.free_hold).
+// least the time the replicas measured themselves (broadcast.hold).
 func TestDoorbellStageCarriesTheHold(t *testing.T) {
 	var reg *metrics.Registry
 	var tr *trace.Tracer
@@ -109,9 +109,9 @@ func TestDoorbellStageCarriesTheHold(t *testing.T) {
 	if checked < cfg.Ops*9/10 {
 		t.Fatalf("only %d of %d calls checked", checked, cfg.Ops)
 	}
-	hold, batch := reg.Histogram("core.free_hold", nil), reg.Histogram("core.free_batch_entries", nil)
+	hold, batch := reg.Histogram("broadcast.hold", nil), reg.Histogram("broadcast.batch_entries", nil)
 	if hold.Count() != uint64(checked) || hold.Sum() == 0 || uint64(batch.Sum()) != hold.Count() || batch.Count() >= hold.Count()/2 {
-		t.Fatalf("core.free_hold recorded %d holds summing to %v, core.free_batch_entries %d calls in %d messages, on a saturated run of %d calls",
+		t.Fatalf("broadcast.hold recorded %d holds summing to %v, broadcast.batch_entries %d calls in %d messages, on a saturated run of %d calls",
 			hold.Count(), hold.Sum(), batch.Sum(), batch.Count(), checked)
 	}
 	if doorbell < hold.Sum() {

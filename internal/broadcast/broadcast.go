@@ -13,9 +13,9 @@
 //
 // Receivers deduplicate by (source, sequence number), so a message that was
 // both written to a ring and recovered from the backup is delivered once. A
-// source that puts a message together over time stages what it has of it in
-// the message's backup slot as it goes (Broadcaster.Stage), so recovery also
-// finds what the source had accepted and not yet sent; the dedup entry is the
+// source batching units into its next message (Broadcaster.Send) stages the
+// batch in that message's backup slot as it grows, so recovery also finds
+// what the source had accepted and not yet sent; the dedup entry is the
 // length delivered, and the message's arrival delivers the rest.
 package broadcast
 
@@ -25,11 +25,13 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 
 	"hamband/internal/codec"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
+	"hamband/internal/sim"
 )
 
 // Region naming. The namespace prefix lets several broadcast domains (one
@@ -125,12 +127,37 @@ func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err erro
 // Broadcaster is the source side of reliable broadcast on one node. A nil
 // *Broadcaster is the source side of a class that has no F buffers: it stamps
 // nothing, so SetEpoch on it is a no-op.
+//
+// Broadcast sends a payload as one message. Send is rule FREE's out-channel,
+// one message per round trip: a unit joins the open batch, staged in the
+// backup slot of the message it will leave as, so it survives its source from
+// the moment Send returns. The batch leaves as ONE message (a) when no message
+// is unacknowledged, (b) when the first completion of one leaves none
+// unacknowledged — the first, so a parked link never holds the healthy peers
+// back — or (c) when the next unit would not fit MaxPayload. (a) and (b)
+// flush from a zero-cost deferred CPU item (the ring.Sender.Send trick): an
+// idle source sends at once, and units sent by work already queued on the CPU
+// share the message. No size, no delay, no timer; DESIGN.md §4, "The F
+// out-channel", has the gates that were measured and declined.
 type Broadcaster struct {
+	node   *rdma.Node
+	eng    *sim.Engine
+	max    int // Config.MaxPayload: the longest payload a message carries
 	backup *ring.Slots
 	seq    uint64
 	epoch  uint32   // configuration epoch stamped on outgoing messages
 	slots  []uint64 // seq occupying each backup slot, 0 if free
 	rec    []byte   // scratch: the ring record being framed; ring.Sender.Send copies it
+
+	// The out-channel (Send): the open batch of units, and how many messages
+	// have seen none of their writes complete. labels are the
+	// batched units' trace labels (tracing only), since their send times
+	// (metrics only).
+	batch   []byte
+	unacked int
+	labels  []string
+	since   []sim.Time
+	idleFn  func() // b.idle bound once: a Send allocates nothing
 
 	peers []*ring.Sender // one out-channel per destination
 	// waiting holds broadcasts blocked on a free backup slot.
@@ -139,10 +166,12 @@ type Broadcaster struct {
 	// nextFree: a warm broadcaster allocates none per message.
 	free *pendingMsg
 
-	mSlotWaits *metrics.Counter // broadcasts queued waiting for a backup slot
+	mSlotWaits *metrics.Counter   // broadcasts queued waiting for a backup slot
+	mHold      *metrics.Histogram // a unit: Send → its message's flush
+	mBatch     *metrics.Histogram // units per batch Send flushed (a count, not a time)
 }
 
-// pendingMsg is one message from Broadcast to its last remote write's
+// pendingMsg is one message from its send to its last remote write's
 // completion; finish puts it on the broadcaster's free list.
 type pendingMsg struct {
 	seq uint64
@@ -150,7 +179,6 @@ type pendingMsg struct {
 	// a backup slot; the buffer stays with the pendingMsg for its next wait.
 	record   []byte
 	label    string // trace label of the write carrying the record (may be "")
-	onAck    func() // first completion of the remote writes; nil once fired
 	onDone   func()
 	left     int         // outstanding remote writes
 	written  func(error) // accounts one of them; bound once per pendingMsg
@@ -158,14 +186,20 @@ type pendingMsg struct {
 }
 
 // NewBroadcaster creates the source side on node. Setup must have run. Its
-// counters go to the fabric's registry, if one is attached.
+// counters and histograms go to the fabric's registry, if one is attached.
 func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster {
 	reg := fab.Metrics()
 	b := &Broadcaster{
+		node:       node,
+		eng:        fab.Engine(),
+		max:        cfg.MaxPayload(),
 		backup:     ring.NewSlots(node, cfg.backupRegion(), cfg.BackupSlots, cfg.BackupSlot),
 		slots:      make([]uint64, cfg.BackupSlots),
 		mSlotWaits: reg.Counter("broadcast.backup_slot_waits"),
+		mHold:      reg.Histogram("broadcast.hold", nil),
+		mBatch:     reg.Histogram("broadcast.batch_entries", nil),
 	}
+	b.idleFn = b.idle
 	region := cfg.inRegion(node.ID())
 	headReads := reg.Counter("broadcast.head_reads")
 	retries := reg.Counter("broadcast.ring_full_retries")
@@ -181,11 +215,111 @@ func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster 
 	return b
 }
 
-// Broadcast reliably delivers payload to every other node. onDone, if
-// non-nil, runs when every remote write has completed (and the backup slot
-// has been cleared). The local node does not deliver its own messages.
+// Broadcast reliably delivers payload to every other node as one message,
+// after the open batch if Send left one. onDone, if non-nil, runs when every
+// remote write has completed (and the backup slot has been cleared). The
+// local node does not deliver its own messages. A payload over
+// Config.MaxPayload is refused with codec.ErrTooLarge before it takes a
+// sequence number. payload is copied before the call returns.
 func (b *Broadcaster) Broadcast(payload []byte, onDone func()) error {
-	return b.BroadcastLabeled("", payload, nil, onDone)
+	if err := b.fits(payload); err != nil {
+		return err
+	}
+	b.flush()
+	b.send("", payload, onDone)
+	return nil
+}
+
+// Send adds unit to the open batch and stages the batch (see Broadcaster).
+// Units go back to back: the handler must split a payload into units itself.
+// A non-empty label joins the trace label of the write carrying the message.
+// A unit over Config.MaxPayload is refused with codec.ErrTooLarge and nothing
+// else happens. unit is copied.
+func (b *Broadcaster) Send(unit []byte, label string) error {
+	if err := b.fits(unit); err != nil {
+		return err
+	}
+	if len(b.batch)+len(unit) > b.max {
+		b.flush()
+	}
+	if len(b.batch) == 0 && b.unacked == 0 {
+		b.node.CPU.Exec(0, b.idleFn)
+	}
+	b.batch = append(b.batch, unit...)
+	b.stage()
+	if label != "" {
+		b.labels = append(b.labels, label)
+	}
+	if b.mHold != nil {
+		b.since = append(b.since, b.eng.Now())
+	}
+	return nil
+}
+
+// Backlog returns what Send holds, the open batch's bytes, and the messages
+// none of whose writes has completed, which the batch waits behind.
+func (b *Broadcaster) Backlog() (batched, unacked int) { return len(b.batch), b.unacked }
+
+func (b *Broadcaster) fits(payload []byte) error {
+	if len(payload) > b.max {
+		return fmt.Errorf("%w: %d-byte payload, broadcast messages carry %d", codec.ErrTooLarge, len(payload), b.max)
+	}
+	return nil
+}
+
+// stage makes the next message recoverable while the batch is still open:
+// the batch goes into the backup slot that message will take, under its
+// sequence number, the way launch will store the whole of it. A receiver that
+// recovered a staged batch is handed only the rest when the message arrives
+// (Receiver.deliver). Nothing is staged while the slot still holds an older
+// message in flight: the window a message queued for its slot has always had.
+func (b *Broadcaster) stage() {
+	seq := b.seq + 1
+	slot := int(seq) % len(b.slots)
+	if held := b.slots[slot]; held != 0 && held != seq {
+		return
+	}
+	b.slots[slot] = seq
+	b.backup.Put(seq, b.record(seq, b.batch))
+}
+
+// acked is the first completion of a message's writes — one round trip to
+// the nearest peer after it launched, whatever the slowest link does — or its
+// launch when there is no peer to write to: the clock Send paces by.
+func (b *Broadcaster) acked() {
+	if b.unacked--; b.unacked == 0 && len(b.batch) > 0 {
+		b.node.CPU.Exec(0, b.idleFn)
+	}
+}
+
+// idle is the deferred flush. An overflow flush may have overtaken it, in
+// which case the batch waits for that message's completion.
+func (b *Broadcaster) idle() {
+	if b.unacked == 0 {
+		b.flush()
+	}
+}
+
+// flush sends the open batch as one message; its trace label joins the
+// batched units' labels with commas (package span splits them back out).
+// The message copies the batch, so the batch's buffers are reused.
+func (b *Broadcaster) flush() {
+	if len(b.batch) == 0 {
+		return
+	}
+	batch, label := b.batch, strings.Join(b.labels, ",")
+	b.batch = b.batch[:0]
+	clear(b.labels)
+	b.labels = b.labels[:0]
+	if b.mHold != nil {
+		now := b.eng.Now()
+		for _, at := range b.since {
+			b.mHold.Observe(sim.Duration(now - at))
+		}
+		b.mBatch.Observe(sim.Duration(len(b.since)))
+		b.since = b.since[:0]
+	}
+	b.send(label, batch, nil)
 }
 
 // SetEpoch installs the configuration epoch stamped on subsequent
@@ -199,51 +333,35 @@ func (b *Broadcaster) SetEpoch(e uint32) {
 // Epoch returns the epoch currently stamped on outgoing messages.
 func (b *Broadcaster) Epoch() uint32 { return b.epoch }
 
-// BroadcastLabeled is Broadcast with a trace label: when the fabric has a
-// tracer attached, the work request carrying this message's record is tagged
-// with label, so the transport's post/wire/completion events can be
-// attributed to the originating call (see rdma.WR.Label). An empty label
-// records nothing.
-//
-// onAck, if non-nil, runs once, on the first completion of the message's
-// remote writes — one round trip to the nearest peer after the message
-// launched, whatever the slowest link does — or at launch when there is no
-// peer to write to. It is the clock a source paces its messages by (package
-// core's F out-channel). payload is copied before the call returns: the
-// message is framed in a scratch buffer, and the backup slot and every peer's
+// send sends payload, at most MaxPayload bytes, as the next message. When the
+// fabric has a tracer attached, the work request carrying its record is tagged
+// with label (see rdma.WR.Label); an empty label records nothing. payload is
+// framed in the scratch buffer, and the backup slot and every peer's
 // ring.Sender copy it from there. Only a message that has to wait for its
 // backup slot keeps a copy of its own.
-func (b *Broadcaster) BroadcastLabeled(label string, payload []byte, onAck, onDone func()) error {
+func (b *Broadcaster) send(label string, payload []byte, onDone func()) {
 	b.seq++
-	record, err := b.record(b.seq, payload)
-	if err != nil {
-		return err
-	}
+	b.unacked++ // the batch is already empty: with no peers acked runs inside the send
+	record := b.record(b.seq, payload)
 	pm := b.pending()
-	pm.seq, pm.label, pm.onAck, pm.onDone, pm.left = b.seq, label, onAck, onDone, len(b.peers)
+	pm.seq, pm.label, pm.onDone, pm.left = b.seq, label, onDone, len(b.peers)
 	slot := int(pm.seq) % len(b.slots)
 	if held := b.slots[slot]; held != 0 && held != pm.seq {
 		// Slot occupied by an older in-flight broadcast: queue until free.
 		b.mSlotWaits.Inc()
 		pm.record = append(pm.record[:0], record...)
 		b.waiting = append(b.waiting, pm)
-		return nil
+		return
 	}
 	b.launch(pm, record)
-	return nil
 }
 
 // record frames message seq for the rings in the scratch buffer. The record
-// is valid until the next one is framed.
-func (b *Broadcaster) record(seq uint64, payload []byte) ([]byte, error) {
-	f := appendMessage(codec.BeginRaw(b.rec[:0]), b.epoch, seq, payload)
-	rec, err := codec.FinishRaw(f, 0)
-	if err != nil {
-		b.rec = f
-		return nil, err
-	}
-	b.rec = rec
-	return rec, nil
+// is valid until the next one is framed. A payload of at most MaxPayload
+// bytes keeps it under codec.MaxRecord, so framing cannot fail.
+func (b *Broadcaster) record(seq uint64, payload []byte) []byte {
+	b.rec, _ = codec.FinishRaw(appendMessage(codec.BeginRaw(b.rec[:0]), b.epoch, seq, payload), 0)
+	return b.rec
 }
 
 // pending takes a pendingMsg off the free list, or makes one with its written
@@ -254,7 +372,9 @@ func (b *Broadcaster) pending() *pendingMsg {
 		pm = &pendingMsg{}
 		// A failed write (crashed peer) is accounted as done, like a landed one.
 		pm.written = func(error) {
-			pm.ack()
+			if pm.left == len(b.peers) {
+				b.acked()
+			}
 			if pm.left--; pm.left == 0 {
 				b.finish(pm)
 			}
@@ -263,14 +383,6 @@ func (b *Broadcaster) pending() *pendingMsg {
 	}
 	b.free, pm.nextFree = pm.nextFree, nil
 	return pm
-}
-
-// ack fires onAck the first time it is called.
-func (pm *pendingMsg) ack() {
-	if ack := pm.onAck; ack != nil {
-		pm.onAck = nil
-		ack()
-	}
 }
 
 // launch stores record, message pm's ring record, in its backup slot and
@@ -283,7 +395,7 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	// staged slot fails the record's CRC.
 	b.backup.Put(pm.seq, record)
 	if pm.left == 0 { // single-node fabric
-		pm.ack()
+		b.acked()
 		b.finish(pm)
 		return
 	}
@@ -292,31 +404,6 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	for _, pc := range b.peers {
 		pc.Send(record, pm.label, pm.written)
 	}
-}
-
-// Stage makes the NEXT message recoverable while its source is still putting
-// it together: payload, what there is of it so far, goes into the backup slot
-// that message will take, under its sequence number, the way launch will store
-// the whole of it. The caller may stage again and must then broadcast a
-// payload that extends each staged one by appending, in units the handler can
-// parse on their own: a receiver that recovered a staged payload is handed
-// only the rest when the message arrives (Receiver.deliver). So whatever the
-// source has staged survives its failure, broadcast or not.
-//
-// Nothing is staged while the slot still holds an older message in flight:
-// the window a broadcast queued for its slot has always had.
-func (b *Broadcaster) Stage(payload []byte) {
-	seq := b.seq + 1
-	slot := int(seq) % len(b.slots)
-	if held := b.slots[slot]; held != 0 && held != seq {
-		return
-	}
-	record, err := b.record(seq, payload)
-	if err != nil {
-		return // the broadcast will refuse it
-	}
-	b.slots[slot] = seq
-	b.backup.Put(seq, record)
 }
 
 // finish clears the backup slot, puts pm back on the free list and fires
@@ -329,7 +416,7 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 		b.backup.Clear(pm.seq)
 	}
 	onDone := pm.onDone
-	pm.label, pm.onAck, pm.onDone = "", nil, nil
+	pm.label, pm.onDone = "", nil
 	pm.nextFree, b.free = b.free, pm
 	if onDone != nil {
 		onDone()
@@ -499,7 +586,7 @@ func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
 
 // deliver hands the handler what it has not yet had of message (src, seq). A
 // ring record is the whole message. A backup slot may hold one its source was
-// still putting together (Broadcaster.Stage) — a prefix of what the ring will
+// still putting together (Broadcaster.Send) — a prefix of what the ring will
 // carry — so only the tail a longer payload adds is handed on (ring.Watermark).
 func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing bool) {
 	from, fresh := r.dedup[src].Admit(seq, len(payload), byRing)

@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -288,40 +289,71 @@ func TestRecoverFromDoesNotDuplicateInFlightChain(t *testing.T) {
 	}
 }
 
-// TestFirstAckPacesTheSource: onAck runs once per message, at the first
-// completion of its writes — while a parked link still holds onDone back —
-// counts an error completion, and with no peer at all runs at launch.
+// TestFirstAckPacesTheSource: Send's open batch leaves on the first
+// completion of the message in flight — a Broadcast's too — while a parked
+// link still holds that message's last completion, and with it Broadcast's
+// onDone, back; each message is acknowledged once, an error completion
+// counts, and a message with no peer to write to is acknowledged as it
+// launches.
 func TestFirstAckPacesTheSource(t *testing.T) {
-	eng, fab, bcs, _, _ := setup(3, DefaultConfig())
-	acks, dones := 0, 0
+	eng, fab, bcs, got, _ := setup(3, DefaultConfig())
+	dones := 0
+	send := func(b *Broadcaster, unit string) {
+		if err := b.Send([]byte(unit), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	backlog := func(b *Broadcaster, batched, unacked int, when string) {
+		if n, u := b.Backlog(); n != batched || u != unacked {
+			t.Fatalf("%s: %d bytes batched, %d messages unacknowledged, want %d and %d", when, n, u, batched, unacked)
+		}
+	}
 	eng.At(0, func() {
 		fab.Partition(0, 2)
-		if err := bcs[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, func() { dones++ }); err != nil {
+		send(bcs[0], "a")
+	})
+	eng.At(sim.Time(100*sim.Nanosecond), func() {
+		send(bcs[0], "b")
+		send(bcs[0], "c")
+		backlog(bcs[0], 2, 1, "behind the first message")
+	})
+	eng.At(sim.Time(10*sim.Microsecond), func() {
+		backlog(bcs[0], 0, 0, "both messages at p1")
+		if err := bcs[0].Broadcast([]byte("m"), func() { dones++ }); err != nil {
 			t.Error(err)
 		}
+		send(bcs[0], "d")
+		backlog(bcs[0], 1, 1, "behind the broadcast")
 	})
 	eng.RunUntil(sim.Time(50 * sim.Microsecond))
-	if acks != 1 || dones != 0 {
-		t.Fatalf("one link parked: %d acks, %d dones, want the healthy peer's completion only", acks, dones)
+	if s := fmt.Sprint(got[1]); s != "[{0 1 a} {0 2 bc} {0 3 m} {0 4 d}]" || len(got[2]) != 0 {
+		t.Fatalf("one link parked: p1 got %s and p2 %v, want every message at p1 only", s, got[2])
+	}
+	backlog(bcs[0], 0, 0, "one link parked")
+	if dones != 0 {
+		t.Fatalf("one link parked: onDone ran %d times, want it to wait for the last write", dones)
 	}
 	fab.HealAll()
 	eng.RunUntil(sim.Time(sim.Millisecond))
-	if acks != 1 || dones != 1 {
-		t.Fatalf("after heal: %d acks, %d dones, want 1 and 1", acks, dones)
+	backlog(bcs[0], 0, 0, "after heal") // the late completions acknowledge nothing twice
+	if len(got[2]) != 4 {
+		t.Fatalf("after heal p2 got %v, want every message", got[2])
+	}
+	if dones != 1 {
+		t.Fatalf("after heal onDone ran %d times, want once", dones)
 	}
 
 	fab.Node(1).Crash()
 	fab.Node(2).Crash()
-	bcs[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, nil)
+	send(bcs[0], "e")
 	eng.RunUntil(sim.Time(2 * sim.Millisecond))
-	if acks != 2 {
-		t.Fatalf("every peer crashed: %d acks, want the error completion to count", acks)
-	}
+	backlog(bcs[0], 0, 0, "every peer crashed")
 
-	_, _, solo, _, _ := setup(1, DefaultConfig())
-	solo[0].BroadcastLabeled("", []byte("m"), func() { acks++ }, nil)
-	if acks != 3 {
-		t.Fatal("a message with no peer to write to was not acknowledged at launch")
+	soloEng, _, solo, _, _ := setup(1, DefaultConfig())
+	for _, unit := range []string{"x", "y"} {
+		send(solo[0], unit)
+		soloEng.RunUntil(soloEng.Now() + sim.Time(sim.Microsecond))
+		backlog(solo[0], 0, 0, "no peer to write to")
 	}
 }
 
@@ -355,14 +387,77 @@ func TestMaxPayloadFitsSlotAndRing(t *testing.T) {
 	}
 }
 
-// TestStagedMessageSurvivesItsSource: what a source has staged of its next
-// message is in its backup region before anything is broadcast, so a peer that
-// suspects it recovers it; a longer staging, and then the message itself,
+// TestRefusedPayloadKeepsTheStream: a payload over MaxPayload is refused with
+// codec.ErrTooLarge, by Broadcast and by Send alike, before it takes a
+// sequence number — one that would overflow the backup slot, and one that
+// would overflow codec.MaxRecord. The messages around the refusals keep
+// consecutive sequence numbers, so the receiver's watermark folds every one.
+func TestRefusedPayloadKeepsTheStream(t *testing.T) {
+	cfg := DefaultConfig()
+	eng, _, bcs, got, rcs := setup(2, cfg)
+	refused := func(how string, send func() error) {
+		t.Helper()
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("%s: panicked: %v", how, p)
+			}
+		}()
+		if err := send(); !errors.Is(err, codec.ErrTooLarge) {
+			t.Errorf("%s: %v, want codec.ErrTooLarge", how, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := bcs[0].Broadcast([]byte(fmt.Sprint(i)), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{cfg.MaxPayload() + 1, cfg.BackupSlot, codec.MaxRecord + 1} {
+		big := make([]byte, n)
+		refused(fmt.Sprintf("a %d-byte Broadcast", n), func() error { return bcs[0].Broadcast(big, nil) })
+		refused(fmt.Sprintf("a %d-byte Send", n), func() error { return bcs[0].Send(big, "") })
+	}
+	if err := bcs[0].Broadcast([]byte("5"), nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := bcs[0].Send([]byte("6"), ""); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	if s := fmt.Sprint(got[1]); s != "[{0 1 0} {0 2 1} {0 3 2} {0 4 3} {0 5 4} {0 6 5} {0 7 6}]" {
+		t.Fatalf("delivered %s, want seven messages in sequence", s)
+	}
+	if w := &rcs[1].dedup[0]; w.Low() != 7 || w.Above() != 0 {
+		t.Fatalf("watermark %d with %d entries above it, want all seven messages folded in", w.Low(), w.Above())
+	}
+}
+
+// TestBroadcastFollowsTheOpenBatch: a Broadcast while Send holds an open
+// batch sends the batch first, as the message its backup slot was staged
+// for, so the source's messages keep the order their payloads were handed in.
+func TestBroadcastFollowsTheOpenBatch(t *testing.T) {
+	eng, _, bcs, got, _ := setup(2, DefaultConfig())
+	if err := bcs[0].Send([]byte("ab"), ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := bcs[0].Broadcast([]byte("xyz"), nil); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunUntil(sim.Time(sim.Millisecond))
+	if s := fmt.Sprint(got[1]); s != "[{0 1 ab} {0 2 xyz}]" {
+		t.Fatalf("delivered %s, want the batch and then the broadcast", s)
+	}
+}
+
+// TestStagedMessageSurvivesItsSource: what a source has sent into its open
+// batch is in its backup region before the batch leaves, so a peer that
+// suspects it recovers it; a longer batch, and then the message itself,
 // deliver only what the peer has not had. A source that stays down has lost
-// nothing it staged, one that comes back delivers nothing twice, and once the
-// message has come by ring the dedup entry folds into the watermark.
+// nothing it sent, one that comes back delivers nothing twice, and once the
+// message has come by ring the dedup entry folds into the watermark. The
+// source is suspended throughout: its CPU holds the deferred flush while its
+// NIC serves the peers' reads.
 func TestStagedMessageSurvivesItsSource(t *testing.T) {
-	eng, _, bcs, got, rcs := setup(3, DefaultConfig())
+	eng, fab, bcs, got, rcs := setup(3, DefaultConfig())
 	run := func() { eng.RunUntil(eng.Now() + sim.Time(100*sim.Microsecond)) }
 	msgs := func(i int) (s []string) {
 		for _, d := range got[i] {
@@ -373,10 +468,16 @@ func TestStagedMessageSurvivesItsSource(t *testing.T) {
 		}
 		return s
 	}
-	bcs[0].Stage([]byte("ab"))
+	send := func(unit string) {
+		if err := bcs[0].Send([]byte(unit), ""); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fab.Node(0).Suspend()
+	send("ab")
 	rcs[1].RecoverFrom(0)
 	run()
-	bcs[0].Stage([]byte("abcd"))
+	send("cd")
 	rcs[1].RecoverFrom(0)
 	rcs[1].RecoverFrom(0) // nothing new: nothing delivered
 	rcs[2].RecoverFrom(0)
@@ -384,14 +485,13 @@ func TestStagedMessageSurvivesItsSource(t *testing.T) {
 	if a, b := fmt.Sprint(msgs(1)), fmt.Sprint(msgs(2)); a != "[ab cd]" || b != "[abcd]" {
 		t.Fatalf("recovered %s and %s from the staged slot, want [ab cd] and [abcd]", a, b)
 	}
-	if err := bcs[0].Broadcast([]byte("abcdef"), nil); err != nil {
-		t.Fatal(err)
-	}
+	send("ef")
+	fab.Node(0).Resume()
 	run()
 	rcs[1].RecoverFrom(0)
 	run()
 	if a, b := fmt.Sprint(msgs(1)), fmt.Sprint(msgs(2)); a != "[ab cd ef]" || b != "[abcd ef]" {
-		t.Fatalf("after the broadcast the peers hold %s and %s, want each byte once", a, b)
+		t.Fatalf("after the message left the peers hold %s and %s, want each byte once", a, b)
 	}
 	for i := 1; i < 3; i++ {
 		if w := &rcs[i].dedup[0]; w.Low() != 1 || w.Above() != 0 {
@@ -401,29 +501,39 @@ func TestStagedMessageSurvivesItsSource(t *testing.T) {
 }
 
 // TestStageYieldsToMessagesInFlight: a slot still held by a message in flight
-// is not staged over, and the broadcast that follows queues for it as before.
+// is not staged over, and the message that follows queues for it as before.
+// With the link parked no message is acknowledged, so each batch leaves only
+// when the next unit would overflow it: units of more than half MaxPayload
+// make a message each.
 func TestStageYieldsToMessagesInFlight(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BackupSlots = 2
 	eng, fab, bcs, got, _ := setup(2, cfg)
 	fab.Partition(0, 1)
-	for _, m := range []string{"one", "two"} {
-		bcs[0].Stage([]byte(m))
-		if err := bcs[0].Broadcast([]byte(m), nil); err != nil {
+	units := make([]string, 3)
+	for i := range units {
+		units[i] = strings.Repeat(fmt.Sprint(i+1), cfg.MaxPayload()/2+1)
+		if err := bcs[0].Send([]byte(units[i]), ""); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bcs[0].Stage([]byte("three")) // message 3 wants message 1's slot
-	backup := fab.Node(0).Region(cfg.backupRegion()).Bytes()
-	if msg, _, err := codec.DecodeRaw(backup[cfg.BackupSlot : 2*cfg.BackupSlot]); err != nil || !strings.Contains(string(msg), "one") {
-		t.Fatalf("slot of message 1 holds %q (%v) after staging message 3 over it", msg, err)
+	// Messages 1 and 2 are in flight; message 3, the open batch, wants
+	// message 1's slot.
+	if _, unacked := bcs[0].Backlog(); unacked != 2 {
+		t.Fatalf("%d messages unacknowledged, want 2", unacked)
 	}
-	if err := bcs[0].Broadcast([]byte("three"), nil); err != nil {
-		t.Fatal(err)
+	backup := fab.Node(0).Region(cfg.backupRegion()).Bytes()
+	if msg, _, err := codec.DecodeRaw(backup[cfg.BackupSlot : 2*cfg.BackupSlot]); err != nil || !strings.Contains(string(msg), units[0]) {
+		t.Fatalf("slot of message 1 holds %q (%v) after staging message 3 over it", msg, err)
 	}
 	fab.HealAll()
 	eng.RunUntil(sim.Time(sim.Millisecond))
-	if s := fmt.Sprint(got[1]); s != "[{0 1 one} {0 2 two} {0 3 three}]" {
-		t.Fatalf("delivered %s", s)
+	if len(got[1]) != 3 {
+		t.Fatalf("delivered %d messages, want 3", len(got[1]))
+	}
+	for i, d := range got[1] {
+		if d.seq != uint64(i+1) || d.msg != units[i] {
+			t.Fatalf("delivery %d is message %d of %d bytes, want message %d, unit %d", i, d.seq, len(d.msg), i+1, i+1)
+		}
 	}
 }

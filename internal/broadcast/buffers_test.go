@@ -16,8 +16,9 @@ import (
 // the handler borrows and the handoff takes back when the handler returns.
 
 // TestWarmDeliveryAllocs pins one message's host cost: on a warm 4-node
-// fabric, a 64-byte message from BroadcastLabeled to the last of its three
-// handler calls allocates nothing. The source keeps the message in flight in
+// fabric, a 64-byte unit from Send to the last of its three handler calls
+// allocates nothing: the unit joins the open batch, which leaves as one message
+// from the deferred flush. The source keeps the message in flight in
 // a pendingMsg from its free list, whose written func, the completion every
 // peer's write reports to, was bound when it was first made (2 objects a
 // message when each had its own); the record is framed in the broadcaster's
@@ -38,7 +39,7 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 	payload := make([]byte, 64)
 	now := eng.Now()
 	message := func() {
-		if err := b.BroadcastLabeled("", payload, nil, nil); err != nil {
+		if err := b.Send(payload, ""); err != nil {
 			t.Fatal(err)
 		}
 		now += sim.Time(20 * sim.Microsecond)
@@ -49,7 +50,7 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 		message()
 	}
 	if allocs := testing.AllocsPerRun(runs, message); allocs != 0 {
-		t.Errorf("a warm message allocates %.0f times from BroadcastLabeled to its last handler call, want 0", allocs)
+		t.Errorf("a warm message allocates %.0f times from Send to its last handler call, want 0", allocs)
 	}
 	if want := 3 * (warm + runs + 1); handled != want {
 		t.Fatalf("%d handler calls, want %d", handled, want)

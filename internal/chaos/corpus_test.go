@@ -146,7 +146,7 @@ func TestCorpusDenseBursts(t *testing.T) {
 				t.Fatalf("issued %d, acked %d, rejected %d: calls unresolved", v.Issued, v.Acked, v.Rejected)
 			}
 			snap := v.Metrics.Snapshot()
-			batch := snap.Histograms["core.free_batch_entries"]
+			batch := snap.Histograms["broadcast.batch_entries"]
 			if batch.Count == 0 || batch.SumNS <= int64(batch.Count) || batch.MaxNS < 4 {
 				t.Fatalf("%d calls left in %d messages, the largest carrying %d: the bursts are not dense enough to batch",
 					batch.SumNS, batch.Count, batch.MaxNS)
@@ -167,7 +167,7 @@ func TestCorpusDenseBursts(t *testing.T) {
 					down += sim.Duration(e.At)
 				}
 			}
-			if hold := snap.Histograms["core.free_hold"]; down <= 0 || sim.Duration(hold.MaxNS) < down {
+			if hold := snap.Histograms["broadcast.hold"]; down <= 0 || sim.Duration(hold.MaxNS) < down {
 				t.Fatalf("longest hold %v, the suspension lasts %v: the node was not suspended on an open batch", sim.Duration(hold.MaxNS), down)
 			}
 		})

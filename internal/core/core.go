@@ -156,11 +156,6 @@ type Cluster struct {
 	// domain this cluster created and stops (ownsFdom).
 	fdom     *FailureDomain
 	ownsFdom bool
-
-	// freeBound is the most bytes of bare calls one broadcast message
-	// carries: what bounds a batch of the F out-channel (Replica.enqueueFree),
-	// and a single call with it.
-	freeBound int
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -216,9 +211,9 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		// hold. Too little for a call is a hard configuration error, like the
 		// δ-log above: a bare call is no longer than a δ-record's body.
 		bc := c.Opts.Broadcast
-		if c.freeBound = bc.MaxPayload(); c.freeBound < MinDeltaLogBytes {
+		if bound := bc.MaxPayload(); bound < MinDeltaLogBytes {
 			panic(fmt.Sprintf("core: a %d-byte backup slot and a %d-byte inbound ring leave %d bytes for a message's calls (minimum %d)",
-				bc.BackupSlot, bc.RingCapacity, c.freeBound, MinDeltaLogBytes))
+				bc.BackupSlot, bc.RingCapacity, bound, MinDeltaLogBytes))
 		}
 		broadcast.Setup(fab, bc)
 	}
@@ -472,17 +467,6 @@ type Replica struct {
 	// Pending conflicting requests awaiting their ordered delivery.
 	pendingConf map[uint64]func(any, error)
 
-	// The F out-channel (enqueueFree): the open batch of accepted calls'
-	// records, and how many broadcast messages of this source have seen none
-	// of their writes complete. freeLabels are the batched calls' trace labels
-	// (tracing only), freeSince their accept times (metrics only).
-	freeBatch   []byte
-	freeUnacked int
-	freeLabels  []string
-	freeSince   []sim.Time
-	freeIdleFn  func() // r.freeIdle and r.freeAcked bound once: a call allocates nothing
-	freeAckedFn func()
-
 	// Speculative leader state: while this replica leads a group it
 	// checks permissibility and projects dependency records against a
 	// speculative view (σ plus proposed-but-undecided calls), which is
@@ -514,8 +498,6 @@ type Replica struct {
 	mQueryLat  *metrics.Histogram // query latency
 	mFreeDepth *metrics.Gauge     // total F-buffer depth
 	mConfDepth *metrics.Gauge     // total L-buffer depth
-	mFreeBatch *metrics.Histogram // calls per F broadcast message (a count, not a time)
-	mFreeHold  *metrics.Histogram // F call: accept → its message's flush
 
 	tickers []*sim.Ticker
 
@@ -555,7 +537,6 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	r.live = view{r: r, base: cls.NewState()}
 	r.issueFn, r.queryFn, r.acceptFn = r.issue, r.query, r.accept
 	r.applyStepFn = r.applyStep
-	r.freeIdleFn, r.freeAckedFn = r.freeIdle, r.freeAcked
 	r.floors = make([]ring.EpochFloor, n)
 	if c.Opts.Coalescers != nil {
 		r.coal = c.Opts.Coalescers[id]
@@ -576,10 +557,6 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		reg.CounterFunc("core.anchor_writes", func() uint64 { return r.statAnchors })
 		reg.CounterFunc("core.gap_fetches", func() uint64 { return r.statGapFetch })
 		reg.CounterFunc("core.stale_slot_rejects", func() uint64 { return r.statStaleSlots })
-		if c.An.HasFreeBuffers() {
-			r.mFreeBatch = reg.Histogram("core.free_batch_entries", nil)
-			r.mFreeHold = reg.Histogram("core.free_hold", nil)
-		}
 	}
 	for range cls.SumGroups {
 		row := make([]*sumSlot, n)

@@ -19,7 +19,7 @@ import (
 	"hamband/internal/trace"
 )
 
-// The F out-channel's rule (Replica.enqueueFree), pinned on the wire. The tap
+// The F out-channel's rule (broadcast.Broadcaster.Send), pinned on the wire. The tap
 // is a node whose receiver is stopped before the first write, so its inbound
 // ring keeps every record a source wrote, the way mu's TestOneRoundInFlight
 // taps a log ring.
@@ -151,8 +151,8 @@ func TestOneMessagePerRoundTrip(t *testing.T) {
 		}
 	}
 	h.assertAppliedOnce([]int{1, 2}, 1+k)
-	if r := h.cluster.Replica(0); r.freeUnacked != 0 || len(r.freeBatch) != 0 {
-		t.Fatalf("at rest the source holds %d bytes with %d messages unacknowledged", len(r.freeBatch), r.freeUnacked)
+	if batched, unacked := h.cluster.Replica(0).bc.Backlog(); unacked != 0 || batched != 0 {
+		t.Fatalf("at rest the source holds %d bytes with %d messages unacknowledged", batched, unacked)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestFreeBatchSplitsAtBound(t *testing.T) {
 		}
 	})
 	h.eng.RunUntil(sim.Time(sim.Millisecond))
-	bound := h.cluster.freeBound
+	bound := h.cluster.Opts.Broadcast.MaxPayload()
 	if want := DefaultOptions().Broadcast.MaxPayload(); bound != want || bound > DefaultOptions().Broadcast.BackupSlot {
 		t.Fatalf("bound %d, want the broadcast's %d", bound, want)
 	}
@@ -231,16 +231,16 @@ func TestIsolatedSourceKeepsAccepting(t *testing.T) {
 	if h.pending != 0 || h.issued[0][crdt.ORSetAdd] != calls {
 		t.Fatalf("isolated source answered %d of %d calls, %d pending", h.issued[0][crdt.ORSetAdd], calls, h.pending)
 	}
-	if r.freeUnacked < 2 {
-		t.Fatalf("%d messages unacknowledged: the backlog did not build", r.freeUnacked)
+	if _, unacked := r.bc.Backlog(); unacked < 2 {
+		t.Fatalf("%d messages unacknowledged: the backlog did not build", unacked)
 	}
 	h.fab.HealAll()
 	if !h.drain(50 * sim.Millisecond) {
 		t.Fatal("backlog did not drain after heal")
 	}
 	h.assertAppliedOnce([]int{1, 2}, calls)
-	if r.freeUnacked != 0 || len(r.freeBatch) != 0 {
-		t.Fatalf("after heal the source holds %d bytes with %d messages unacknowledged", len(r.freeBatch), r.freeUnacked)
+	if batched, unacked := r.bc.Backlog(); unacked != 0 || batched != 0 {
+		t.Fatalf("after heal the source holds %d bytes with %d messages unacknowledged", batched, unacked)
 	}
 }
 
@@ -260,9 +260,9 @@ func TestFreeGateWithoutLivePeers(t *testing.T) {
 		}
 		h.eng.RunUntil(sim.Time(2 * sim.Millisecond))
 		r := h.cluster.Replica(0)
-		if h.pending != 0 || r.freeUnacked != 0 || len(r.freeBatch) != 0 {
+		if batched, unacked := r.bc.Backlog(); h.pending != 0 || unacked != 0 || batched != 0 {
 			t.Fatalf("%d nodes: %d calls pending, %d bytes held, %d messages unacknowledged",
-				n, h.pending, len(r.freeBatch), r.freeUnacked)
+				n, h.pending, batched, unacked)
 		}
 		if h.issued[0][crdt.ORSetAdd] != 10 {
 			t.Fatalf("%d nodes: %d of 10 calls accepted", n, h.issued[0][crdt.ORSetAdd])
@@ -283,9 +283,9 @@ func TestSuspendedSourceLosesNothingItAnswered(t *testing.T) {
 	h.addAt(700*sim.Nanosecond, 3)
 	h.eng.At(sim.Time(1200*sim.Nanosecond), func() {
 		r := h.cluster.Replica(0)
-		if r.freeUnacked != 1 || len(r.freeBatch) == 0 || h.pending != 0 {
+		if batched, unacked := r.bc.Backlog(); unacked != 1 || batched == 0 || h.pending != 0 {
 			t.Fatalf("suspending with %d bytes held, %d messages unacknowledged and %d calls unanswered: not mid-batch",
-				len(r.freeBatch), r.freeUnacked, h.pending)
+				batched, unacked, h.pending)
 		}
 		r.Beater().Suspend()
 		h.fab.Node(0).Suspend()
@@ -319,8 +319,8 @@ func TestRecoveredBatchDeliversItsTailOnce(t *testing.T) {
 		if got := h.cluster.Replica(1).applied.Get(0, crdt.ORSetAdd); got != 3 {
 			t.Fatalf("p1 applied %d adds before the batch left, want the three it recovered", got)
 		}
-		if r := h.cluster.Replica(0); r.freeUnacked != 1 || len(r.freeBatch) == 0 {
-			t.Fatalf("the batch left early: %d bytes held, %d messages unacknowledged", len(r.freeBatch), r.freeUnacked)
+		if batched, unacked := h.cluster.Replica(0).bc.Backlog(); unacked != 1 || batched == 0 {
+			t.Fatalf("the batch left early: %d bytes held, %d messages unacknowledged", batched, unacked)
 		}
 	})
 	if !h.drain(50 * sim.Millisecond) {
@@ -391,10 +391,10 @@ func TestTooLargeFreeCallTouchesNothing(t *testing.T) {
 	h.eng.RunUntil(sim.Time(2 * sim.Millisecond))
 
 	if !errors.Is(refused, codec.ErrTooLarge) {
-		t.Fatalf("a %d-argument call under the %d-byte bound: %v, want an error wrapping codec.ErrTooLarge", len(big.I), h.cluster.freeBound, refused)
+		t.Fatalf("a %d-argument call under the %d-byte bound: %v, want an error wrapping codec.ErrTooLarge", len(big.I), h.cluster.Opts.Broadcast.MaxPayload(), refused)
 	}
-	if !r0.CurrentState().Equal(state) || !reflect.DeepEqual(r0.Applied(), applied) || len(r0.freeBatch) != 0 {
-		t.Fatalf("the refused call took effect at its source: state %v, applied %v, %d bytes batched", r0.CurrentState(), r0.Applied(), len(r0.freeBatch))
+	if batched, _ := r0.bc.Backlog(); !r0.CurrentState().Equal(state) || !reflect.DeepEqual(r0.Applied(), applied) || batched != 0 {
+		t.Fatalf("the refused call took effect at its source: state %v, applied %v, %d bytes batched", r0.CurrentState(), r0.Applied(), batched)
 	}
 	if !bytes.Equal(backup, staged) {
 		t.Fatal("the refused call was staged in the backup region")
@@ -539,7 +539,7 @@ func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
 func TestFreeBoundFollowsTheRing(t *testing.T) {
 	small := func(o *Options) { o.Broadcast.RingCapacity = 512 }
 	h, tap := newTappedHarness(t, 3, 139, small)
-	if bound := h.cluster.freeBound; bound >= 512/2 || bound != h.cluster.Opts.Broadcast.MaxPayload() {
+	if bound := h.cluster.Opts.Broadcast.MaxPayload(); bound >= 512/2 {
 		t.Fatalf("bound %d under 512-byte rings", bound)
 	}
 	h.eng.At(0, func() {
@@ -569,10 +569,11 @@ func TestFreeBoundFollowsTheRing(t *testing.T) {
 	r0.Invoke(crdt.ORSetAdd, big, func(_ any, err error) { refused = err })
 	h.eng.RunUntil(h.eng.Now() + sim.Time(sim.Millisecond))
 	if !errors.Is(refused, codec.ErrTooLarge) {
-		t.Fatalf("a call with a %d-argument record under a %d-byte bound: %v, want ErrTooLarge", len(big.I), h.cluster.freeBound, refused)
+		t.Fatalf("a call with a %d-argument record under a %d-byte bound: %v, want ErrTooLarge", len(big.I), h.cluster.Opts.Broadcast.MaxPayload(), refused)
 	}
-	if got := r0.applied.Get(0, crdt.ORSetAdd); got != 40 || !r0.CurrentState().Equal(state) || len(r0.freeBatch) != 0 {
-		t.Fatalf("the refused call took effect: %d adds applied, %d bytes batched, state %v", got, len(r0.freeBatch), r0.CurrentState())
+	batched, _ := r0.bc.Backlog()
+	if got := r0.applied.Get(0, crdt.ORSetAdd); got != 40 || !r0.CurrentState().Equal(state) || batched != 0 {
+		t.Fatalf("the refused call took effect: %d adds applied, %d bytes batched, state %v", got, batched, r0.CurrentState())
 	}
 	h.assertAppliedOnce([]int{1}, 40)
 

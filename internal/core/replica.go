@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strings"
 
 	"hamband/internal/codec"
 	"hamband/internal/metrics"
@@ -738,18 +737,22 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 }
 
 // accept is an accepted irreducible conflict-free call's ApplyCost item: it
-// pops the call, applies it locally, adds its record to the open batch and
-// answers.
+// pops the call, hands its record to the broadcaster's out-channel, applies it
+// locally and answers. The call rides its broadcast message bare: the
+// message's ring record validates it. Send refuses a call no message can carry
+// before it takes effect anywhere; a call it takes is staged in its message's
+// backup slot before its client is answered, and leaves with the calls
+// accepted meanwhile, one message per round trip (broadcast.Broadcaster).
 func (r *Replica) accept() {
 	fc := r.accepts.Pop()
 	c := fc.c
-	// The call rides its broadcast message bare: the message's ring record
-	// validates it. A call no message can carry is refused before it takes
-	// effect anywhere.
 	entry := codec.AppendCall(r.recBuf[:0], c, fc.d)
 	r.recBuf = entry
-	if len(entry) > r.cluster.freeBound {
-		err := fmt.Errorf("%w: %d-byte call, broadcast messages carry %d", codec.ErrTooLarge, len(entry), r.cluster.freeBound)
+	var label string
+	if r.tracing() {
+		label = r.callLabel(c)
+	}
+	if err := r.bc.Send(entry, label); err != nil {
 		if r.tracing() {
 			r.traceData(trace.Complete, c, "response resolved: "+err.Error(), trace.AckRecord{})
 		}
@@ -763,97 +766,13 @@ func (r *Replica) accept() {
 	r.statApplied++
 	r.syncSpec(c)
 	r.assertIntegrity("free")
-	var label string
 	if r.tracing() {
 		r.traceData(trace.FreeSend, c, "applied locally, broadcast to F buffers", trace.CallRecord{C: c, D: fc.d})
-		label = r.callLabel(c)
-	}
-	r.enqueueFree(entry, label)
-	if r.tracing() {
 		r.traceData(trace.Complete, c, "response resolved", trace.AckRecord{OK: true})
 	}
 	r.kickApply()
 	if fc.onDone != nil {
 		fc.onDone(nil, nil)
-	}
-}
-
-// The F out-channel: one broadcast message per round trip. An accepted call's
-// record joins the open batch, which leaves as ONE message — one sequence
-// number, one backup slot, one ring record and one DeliverCost per peer —
-// (a) when no message of this source is unacknowledged, (b) when the first
-// completion of a message's writes leaves none unacknowledged, or (c) when the
-// next record would not fit (Cluster.freeBound). No size, no delay, no timer,
-// and the client's response waits for none of it. (a) and (b) flush from a
-// zero-cost deferred CPU item (the ring.Sender.Send trick): an idle source
-// sends at once, and calls already queued on the CPU share the message. First
-// completion and not last, so that a slow or parked link never holds the batch
-// back from the healthy peers; an error completion counts, and a message with
-// no peer to write to is acknowledged as it launches. The hold costs no
-// durability: every record is staged in the backup slot its message will take
-// before its client is answered (broadcast.Broadcaster.Stage), so the peers of
-// a source that fails on an open batch recover what it had answered. DESIGN.md
-// §4, "The F out-channel", has the gates that were measured and declined.
-
-// enqueueFree adds an accepted call (at most freeBound bytes) to the
-// open batch and stages the batch. A non-empty batch always has a flush coming:
-// the deferred item armed here or by freeAcked, or the completion that will
-// arm it.
-func (r *Replica) enqueueFree(entry []byte, label string) {
-	if len(r.freeBatch)+len(entry) > r.cluster.freeBound {
-		r.flushFree()
-	}
-	if len(r.freeBatch) == 0 && r.freeUnacked == 0 {
-		r.node.CPU.Exec(0, r.freeIdleFn)
-	}
-	r.freeBatch = append(r.freeBatch, entry...)
-	r.bc.Stage(r.freeBatch)
-	if label != "" {
-		r.freeLabels = append(r.freeLabels, label)
-	}
-	if r.mFreeHold != nil {
-		r.freeSince = append(r.freeSince, r.cluster.Fab.Engine().Now())
-	}
-}
-
-// freeAcked is the first write completion of one of this source's messages.
-func (r *Replica) freeAcked() {
-	if r.freeUnacked--; r.freeUnacked == 0 && len(r.freeBatch) > 0 {
-		r.node.CPU.Exec(0, r.freeIdleFn)
-	}
-}
-
-// freeIdle is the deferred flush. An overflow flush may have overtaken it, in
-// which case the batch waits for that message's completion.
-func (r *Replica) freeIdle() {
-	if r.freeUnacked == 0 {
-		r.flushFree()
-	}
-}
-
-// flushFree broadcasts the open batch as one message; its trace label joins
-// the batched calls' identities with commas (the span layer splits them back
-// out). The broadcast copies the payload, so the batch's buffers are reused.
-func (r *Replica) flushFree() {
-	if len(r.freeBatch) == 0 {
-		return
-	}
-	batch, label := r.freeBatch, strings.Join(r.freeLabels, ",")
-	r.freeBatch = r.freeBatch[:0]
-	clear(r.freeLabels)
-	r.freeLabels = r.freeLabels[:0]
-	if r.mFreeHold != nil {
-		now := r.cluster.Fab.Engine().Now()
-		for _, at := range r.freeSince {
-			r.mFreeHold.Observe(sim.Duration(now - at))
-		}
-		r.mFreeBatch.Observe(sim.Duration(len(r.freeSince)))
-		r.freeSince = r.freeSince[:0]
-	}
-	// The batch is already empty: with no peers freeAcked runs inside the call.
-	r.freeUnacked++
-	if err := r.bc.BroadcastLabeled(label, batch, r.freeAckedFn, nil); err != nil {
-		panic(fmt.Sprintf("core: broadcast refused a %d-byte batch within the %d-byte bound: %v", len(batch), r.cluster.freeBound, err))
 	}
 }
 
