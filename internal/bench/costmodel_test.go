@@ -52,7 +52,7 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 
 		"CRCBytesPerNS":   {points: []point{orset}},
 		"ChainedPostCost": {points: []point{counter}}, // a summary flush chains its WRs to a peer
-		"InlineThreshold": {points: []point{movie}},   // the OR-set point's writes all fit 220 B; movie's Mu rounds straddle it
+		"InlineThreshold": {points: []point{mu}},      // ×2 moves neither the OR-set nor the movie point; the Mu baseline's rounds straddle 220 B
 		"InlineCost":      {points: []point{orset}},
 		"InlineDMASaving": {points: []point{orset}},
 

@@ -64,9 +64,28 @@ func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio 
 // Little's law: depth/throughput). The paper measures latency the same way
 // — at load levels below saturation.
 func (cfg Config) rtPoint(kind SystemKind, cls *spec.Class, nodes int, ratio float64, faults ...Fault) *Result {
-	r, _ := cfg.run(kind, cls, nodes, min(cfg.Ops, 2000), ratio, 1, Variant{}, faults...)
+	r, _ := cfg.run(kind, cls, nodes, cfg.rtOps(), ratio, 1, Variant{}, faults...)
 	return r
 }
+
+// rtOps is the length of an rtPoint run.
+func (cfg Config) rtOps() int { return min(cfg.Ops, 2000) }
+
+// faultAt places a figure's fault by its run's length alone, perOp per
+// operation. A fault a fixed share into the fault-free run's makespan moved
+// with every change that sped up the fault-free run, and the faulty runs'
+// numbers with it.
+func faultAt(ops int, perOp sim.Duration) sim.Time { return sim.Time(sim.Duration(ops) * perOp) }
+
+// The per-operation fault times, each about a quarter into its fault-free
+// run at the default point (seed 42): Figure 12's loaded runs (20 000
+// operations in 1.11–1.49 ms), its unloaded response-time runs (2 000 in
+// 112–226 µs), and Figure 13's courseware runs (1 000 in 158 µs).
+const (
+	fig12FaultPerOp   = 15 * sim.Nanosecond
+	fig12RTFaultPerOp = 20 * sim.Nanosecond
+	fig13FaultPerOp   = 40 * sim.Nanosecond
+)
 
 // export writes v as indented JSON to cfg.JSON, when set.
 func (cfg Config) export(what string, v any) {
@@ -221,12 +240,11 @@ func (cfg Config) Fig12() {
 	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewORSet} {
 		for _, ratio := range []float64{0.25, 0.15, 0.05} {
 			normal := cfg.point(Hamband, mk(), 4, cfg.Ops, ratio)
-			failAt := sim.Time(normal.Makespan / 4)
 			failed := cfg.point(Hamband, mk(), 4, cfg.Ops, ratio,
-				Fault{At: failAt, Node: 3})
+				Fault{At: faultAt(cfg.Ops, fig12FaultPerOp), Node: 3})
 			nrt := cfg.rtPoint(Hamband, mk(), 4, ratio)
 			frt := cfg.rtPoint(Hamband, mk(), 4, ratio,
-				Fault{At: sim.Time(nrt.Makespan / 4), Node: 3})
+				Fault{At: faultAt(cfg.rtOps(), fig12RTFaultPerOp), Node: 3})
 			cfg.printf("%-9s %5.0f %9.2f %9.2f %6.0f%% %10s %10s %7.0f%%\n",
 				normal.Class, ratio*100,
 				normal.Throughput(), failed.Throughput(),
@@ -249,7 +267,7 @@ type fig13Point struct {
 // fig13Points runs Figure 13's three scenarios on the courseware schema — no
 // failure, the follower p3 failing, and the synchronization group's leader p0
 // failing (p3 leads nothing), each fault fig13FaultPerOp per operation into
-// the run.
+// the run (faultAt).
 //
 // The run length is scaled so that the leader-change outage (~115 µs of
 // virtual time — cf. Mu's sub-millisecond failover) occupies a fraction of
@@ -262,15 +280,9 @@ func (cfg Config) fig13Points() []fig13Point {
 		r, sys := cfg.run(Hamband, schema.NewCourseware(), 4, ops, 0.5, 0, Variant{}, faults...)
 		return fig13Point{scenario, r, wireBytesPerOp(r, sys)}
 	}
-	failAt := sim.Time(sim.Duration(ops) * fig13FaultPerOp)
+	failAt := faultAt(ops, fig13FaultPerOp)
 	return []fig13Point{run("normal"), run("follower", Fault{At: failAt, Node: 3}), run("leader", Fault{At: failAt, Node: 0})}
 }
-
-// fig13FaultPerOp places Figure 13's faults by the op count alone: a quarter
-// into the fault-free run at the default point (1 000 operations in 158 µs at
-// seed 42). A fault a quarter into the fault-free makespan moved with every
-// change that sped up the fault-free run, and the faulty runs' tails with it.
-const fig13FaultPerOp = 40 * sim.Nanosecond
 
 // Fig13 regenerates Figure 13: the effect of follower and leader failure
 // on the courseware schema, with per-method response times.

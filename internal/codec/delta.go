@@ -161,7 +161,7 @@ func appendDepVec(b []byte, d spec.DepVec) []byte {
 
 // MaxDepVecBytes is the most bytes a DepVec of cells cells packs into: its
 // count, then five bytes a cell, the longest zigzag delta between two u32s.
-func MaxDepVecBytes(cells int) int { return uvarintLen(uint64(cells)) + 5*cells }
+func MaxDepVecBytes(cells int) int { return UvarintLen(uint64(cells)) + 5*cells }
 
 // AppendCall appends c and its dependency record d to b as a bare call:
 //
@@ -362,15 +362,16 @@ func (h DeltaHeader) Epoch() uint32 { return h.Span }
 // byte and the version and span (or epoch) varints, whose lengths their
 // values fix since Uvarint refuses an overlong encoding.
 func (h DeltaHeader) bodyOffset() int {
-	n := 5 + uvarintLen(uint64(h.Version))
+	n := 5 + UvarintLen(uint64(h.Version))
 	if h.Kind != FrameFull {
-		n += uvarintLen(uint64(h.Span))
+		n += UvarintLen(uint64(h.Span))
 	}
 	return n
 }
 
-// uvarintLen is the length of v's shortest uvarint encoding.
-func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+// UvarintLen is the length of v's shortest uvarint encoding: what
+// AppendUvarint appends.
+func UvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // PeekDeltaRecord validates the delta record at the front of b — length
 // word, canary, CRC32-C over the whole frame, kind byte, version varint and,

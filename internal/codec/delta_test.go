@@ -430,7 +430,7 @@ func epochFrame(r DeltaRecord, epoch uint64) []byte {
 	if err != nil {
 		panic(err)
 	}
-	at := 5 + uvarintLen(uint64(r.Version)) // the epoch varint, one byte for 0
+	at := 5 + UvarintLen(uint64(r.Version)) // the epoch varint, one byte for 0
 	b := AppendUvarint(append([]byte(nil), good[:at]...), epoch)
 	b = append(b, good[at+1:]...)
 	binary.LittleEndian.PutUint32(b, uint32(len(b)))

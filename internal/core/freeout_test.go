@@ -453,7 +453,9 @@ func TestTooLargeConfCallTouchesNothing(t *testing.T) {
 }
 
 // TestConfCallBoundIsTheJournalSlot: rule CONF's bound is the Mu journal slot
-// (mu.Config.MaxPayload), far below codec.MaxRecord. The
+// (mu.Config.MaxPayload: 201 bytes at the defaults, the 256-byte slot less
+// the longest packed round of one ahead of its payload and the raw framing),
+// far below codec.MaxRecord. The
 // origin counts its call's entry payload with room for the longest dependency
 // record the leader may add. A call exactly at the bound is ordered and
 // applied on every node; one a byte longer is refused at its origin with
@@ -468,8 +470,8 @@ func TestConfCallBoundIsTheJournalSlot(t *testing.T) {
 		t.Fatal("the deposit did not replicate")
 	}
 	bound := h.cluster.Opts.Mu.MaxPayload()
-	if bound >= h.cluster.Opts.Mu.JournalSlotSize {
-		t.Fatalf("bound %d, want less than the %d-byte journal slot", bound, h.cluster.Opts.Mu.JournalSlotSize)
+	if bound != 201 || h.cluster.Opts.Mu.JournalSlotSize != 256 {
+		t.Fatalf("bound %d for a %d-byte journal slot, want 201 for 256", bound, h.cluster.Opts.Mu.JournalSlotSize)
 	}
 	r1 := h.cluster.Replica(1) // not the leader: an accepted call is written to p0
 	// withdraw(1) padded with zero args, a byte each, and its entry payload

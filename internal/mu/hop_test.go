@@ -22,7 +22,7 @@ import (
 // proposals it has not delivered and the log writes it has not seen complete.
 func leaderResidue(in *Instance) (held int) {
 	for _, p := range in.props {
-		if p.entry != nil || p.acks != 0 || p.decided {
+		if p.payload != nil || p.acks != 0 || p.decided {
 			held++
 		}
 	}
@@ -78,7 +78,7 @@ func TestLateAckLeavesNoResidue(t *testing.T) {
 // sequenced in a round, replicated, committed and delivered on all four nodes
 // — allocates no object. Every hop has a buffer that is already there:
 //
-//   - the request, entry and commit records are framed in the instance's
+//   - the request, round and commit records are framed in the instance's
 //     scratch buffer, and each ring.Sender copies a record into a queue buffer
 //     it reuses, so one scratch buffer serves every follower;
 //   - ring.Reader.Poll returns each record in a buffer the reader reuses;
@@ -159,7 +159,7 @@ func TestElectionSweepAllocatesNothing(t *testing.T) {
 	}
 }
 
-// suspendedDeliveries suspends a follower while decided entries are queued
+// suspendedDeliveries suspends a follower while decided rounds are queued
 // behind its CPU, changes the leader, orders more entries and resumes it: the
 // follower must deliver everything exactly once and in sequence order, the
 // entries it had queued first, each exactly as submitted: the queued entries
@@ -176,9 +176,12 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 		in.handoff.MutateLIFO()
 	}
 	// One event submits six: the first is a round of its own, the other five
-	// the next, and the commit record after it delivers those five in one sweep.
+	// the next, and the round of no entries after it commits those five. The
+	// follower's CPU is busy meanwhile, so one sweep drains all three records
+	// and queues both rounds' deliveries: one item of one entry, one of five.
 	var want []string
 	c.eng.At(0, func() {
+		c.fab.Node(victim).CPU.Exec(20*sim.Microsecond, func() {})
 		for i := 0; i < 6; i++ {
 			want = append(want, fmt.Sprintf("first-%d-%s", i, strings.Repeat("f", 5*i)))
 			c.inst[0].Submit([]byte(want[i]))
@@ -249,8 +252,8 @@ func TestSuspendedDeliveriesCatchLIFO(t *testing.T) {
 // resetWithWriteInFlight has a leader reset its followers' rings (what a
 // fresh leader does before it re-disseminates) with, on every follower's
 // sender, one write in flight (seq 1) and two records still queued (seqs 2
-// and 3), and then send seq 4. Every completion must be credited to the
-// sequence number of the record it completes: 1, then 4, with nothing left
+// and 3), and then send seq 4, each a round of one. Every completion must be
+// credited to the sequence numbers of the record it completes: 1, then 4, with nothing left
 // unacknowledged; the two dropped records are credited nowhere. trim false is
 // the mutation: the senders are emptied before resetRings looks, so it drops
 // nothing and trims nothing from the unacked queues.
@@ -265,24 +268,21 @@ func resetWithWriteInFlight(t *testing.T, trim bool) error {
 			if err != nil {
 				t.Errorf("write to node %d failed: %v", p, err)
 			}
-			credited[p] = append(credited[p], in.unacked[p].Head())
+			credited[p] = append(credited[p], in.unacked[p].Head().first)
 			acked(err)
 		}
 	}
 	// The sequence numbers are past anything the leader proposed, so the
 	// completions only move the queues: no proposal counts them.
-	record := func(seq uint64) []byte {
-		_, rec := in.frameEntry(seq, in.term, 0, 0, seq, []byte("x"))
-		return rec
-	}
+	send := func(seq uint64) { in.replicate(in.frameOne(seq, entry{0, seq, []byte("x")}), span{seq, 1}) }
 	at := func(d sim.Duration, fn func()) { c.eng.At(sim.Time(d), fn) }
-	at(10*sim.Microsecond, func() { in.replicate(record(1), 1) })
+	at(10*sim.Microsecond, func() { send(1) })
 	at(10*sim.Microsecond+300*sim.Nanosecond, func() {
 		if w := c.fab.Stats().Writes; w == 0 {
 			t.Error("seq 1 has not been posted yet: nothing is in flight")
 		}
-		in.replicate(record(2), 2)
-		in.replicate(record(3), 3)
+		send(2)
+		send(3)
 		if !trim {
 			for _, oc := range in.logOut {
 				if oc != nil {
@@ -290,7 +290,7 @@ func resetWithWriteInFlight(t *testing.T, trim bool) error {
 				}
 			}
 		}
-		in.resetRings(func() { in.replicate(record(4), 4) })
+		in.resetRings(func() { send(4) })
 	})
 	c.run(sim.Millisecond)
 	for p := 1; p < 5; p++ {
@@ -484,7 +484,7 @@ func TestDeliverBorrowsTheHeldEntry(t *testing.T) {
 	}
 	c.eng.At(0, func() {
 		leader.Submit([]byte("copied once"))
-		held[0] = leader.proposal(1).entry
+		held[0] = leader.proposal(1).payload
 	})
 	c.run(50 * sim.Microsecond)
 	for {
@@ -494,7 +494,7 @@ func TestDeliverBorrowsTheHeldEntry(t *testing.T) {
 		}
 		follower.handleLog(0, msg)
 		if e, ok := follower.stash[1]; ok {
-			held[1] = e
+			held[1] = e.payload
 		}
 	}
 	c.run(10 * sim.Microsecond)

@@ -7,13 +7,14 @@
 // log ring at every replica. The leader orders calls in rounds, one round in
 // flight at a time: requests that arrive while a round is undecided queue,
 // and the decision that completes the round sequences everything queued as
-// the next one. A round is one local journal write per entry plus one
-// one-sided RDMA write per follower per round; the leader considers an entry
-// decided once a majority of writes (counting itself) completed. Every entry
-// of a round carries the previous round's last sequence number as its commit
-// watermark, so followers, which poll their log rings and deliver entries in
-// sequence order, deliver round k when round k+1 arrives; only a round with
-// no successor is followed by a dedicated commit record.
+// the next one. A round is one local journal write per entry plus one ring
+// record — one one-sided RDMA write — per follower; the leader considers an
+// entry decided once a majority of writes (counting itself) completed. A
+// round record carries the previous round's last sequence number as its
+// commit watermark, so followers, which poll their log rings and deliver
+// entries in sequence order, deliver round k, as one delivery, when round k+1
+// arrives; only a round with no successor is followed by a round of no
+// entries, which carries its commit alone.
 //
 // Failure case: when the failure detector suspects the leader, the next
 // node requests leadership under a higher term. Every replica that accepts
@@ -30,6 +31,7 @@ package mu
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"hamband/internal/codec"
@@ -117,20 +119,20 @@ type Instance struct {
 	// keep their original sequence numbers.
 	recovering bool
 
-	// Buffers. Every payload, entry or request the instance holds on to — a
-	// submission not yet delivered here, a request queued for a round, a
-	// proposal, a stashed follower entry — lives in a buffer from free, and
-	// the buffer goes back to free when its holder is done with it: when the
-	// submission is delivered, when Deliver returns from the entry's payload
-	// (the handoff shares the list and takes the entry's buffer as it is), or
-	// when the entry is dropped as a duplicate, as an older-term entry, or
-	// because a catch-up or a newer leader's entry filled its stash slot. A
-	// warm instance therefore allocates no buffers. rec is the scratch buffer
-	// every outgoing ring record is framed in: ring.Sender.Send copies it.
+	// Buffers. Every payload the instance holds on to — a submission not yet
+	// delivered here, a request queued for a round, a proposal, a stashed
+	// follower entry — lives in a buffer from free, and the buffer goes back
+	// to free when its holder is done with it: when the submission is
+	// delivered, when Deliver returns from the entry's payload (the handoff
+	// shares the list and takes the entry's buffer as it is), or when the
+	// entry is dropped as a duplicate, as an older-term entry, or because a
+	// catch-up or a newer leader's entry filled its stash slot. A warm
+	// instance therefore allocates no buffers. rec is the scratch buffer every
+	// outgoing ring record is framed in: ring.Sender.Send copies it.
 	free ring.Buffers
 	rec  []byte
 
-	journal *ring.Slots // every entry sequenced here, as its log record, for one-sided reads
+	journal *ring.Slots // every entry sequenced here, as a round of one, for one-sided reads
 	state   []byte      // the state words, published for one-sided reads (publish)
 
 	// Leader state.
@@ -148,11 +150,12 @@ type Instance struct {
 	// delivered finds nothing to count toward.
 	propBase uint64
 	props    []proposal
-	// unacked[p] lists the sequence numbers of the entries sent to follower p
-	// whose log writes have not completed, oldest first; ackFns[p], bound once,
-	// is the completion of every one of them and pops its own (a Sender's
-	// onDones run in send order). Both are indexed by node id.
-	unacked []fifo.Queue[uint64]
+	// unacked[p] lists the sequence numbers each round record sent to
+	// follower p carries, one span per record whose log write has not
+	// completed, oldest first; ackFns[p], bound once, is the completion of
+	// every one of them and pops its own (a Sender's onDones run in send
+	// order). Both are indexed by node id.
+	unacked []fifo.Queue[span]
 	ackFns  []func(error)
 	// open[p] reports whether this node's writer on follower p's log ring sits
 	// at a position it established: from the start for the initial leader,
@@ -166,14 +169,15 @@ type Instance struct {
 
 	// Delivery state (all roles).
 	lastDelivered  uint64
-	stash          map[uint64][]byte // out-of-order, not-yet-committed log entries, each in a buffer from free
-	commitSeen     uint64            // highest commit watermark received
-	ringTerm       uint64            // highest term seen in the log ring
-	catching       bool              // journal catch-up read in flight
-	lastProgressAt sim.Time          // when delivery last advanced (or was verified current)
+	stash          map[uint64]stashed // not-yet-committed log entries, each payload in a buffer from free
+	commitSeen     uint64             // highest commit watermark received
+	ringTerm       uint64             // highest term seen in the log ring
+	catching       bool               // journal catch-up read in flight
+	lastProgressAt sim.Time           // when delivery last advanced (or was verified current)
 	// dedup[p] is what has been delivered of origin p's submissions, by
 	// submission sequence number; handoff hands the entries delivered on to
-	// Deliver, each as a CPU item of its own.
+	// Deliver: the leader's each as a CPU item of its own, a follower's the
+	// entries one round record commits as one item.
 	dedup   []ring.Watermark
 	handoff *ring.Handoff
 
@@ -205,7 +209,7 @@ type Instance struct {
 	mCommitLat     *metrics.Histogram // leader: round start → majority decide
 	mQueueWait     *metrics.Histogram // leader: request queued → its round starts
 	mRoundEntries  *metrics.Histogram // leader: entries per round (a count, not a time)
-	mCommitRecords *metrics.Counter   // leader: dedicated commit records sent
+	mCommitRecords *metrics.Counter   // leader: rounds of no entries sent
 	mLeaderChanges *metrics.Counter   // leader-view adoptions on this node
 	mElections     *metrics.Counter   // candidacies started by this node
 	proposedAt     map[uint64]sim.Time
@@ -249,10 +253,10 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		oldLeader: initialLeader,
 
 		logOut:  make([]*ring.Sender, fab.Size()),
-		unacked: make([]fifo.Queue[uint64], fab.Size()),
+		unacked: make([]fifo.Queue[span], fab.Size()),
 		ackFns:  make([]func(error), fab.Size()),
 		open:    make([]bool, fab.Size()),
-		stash:   make(map[uint64][]byte),
+		stash:   make(map[uint64]stashed),
 		dedup:   make([]ring.Watermark, fab.Size()),
 		pending: make(map[uint64][]byte),
 
@@ -374,43 +378,68 @@ func (in *Instance) alive() bool { return !in.node.Suspended() && !in.node.Crash
 // maxNode is the largest node id a message carries.
 const maxNode = 0xFFFF
 
-// entry: uvarint seq | uvarint term | uvarint commit | uvarint origin |
-// uvarint submitSeq | payload. term is the proposing leader's term: receivers
-// drop entries from terms older than the highest they have seen, which
-// silences a deposed "zombie" leader that has not yet learned of its
-// deposition. commit is the proposer's decided watermark: receivers deliver an
-// entry only once some record shows it committed, so a zombie's never-decided
-// proposals are never applied. A seq of zero marks a pure commit record (no
-// payload).
-func appendEntry(dst []byte, seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) []byte {
-	dst = codec.AppendUvarint(dst, seq)
+// round: uvarint first | uvarint term | uvarint commit | uvarint count, then
+// count entries, each uvarint origin | uvarint submitSeq | uvarint length |
+// payload. The entries carry sequence numbers first, first+1, …; a round of
+// no entries carries its commit alone. term is the proposing leader's term:
+// receivers drop rounds from terms older than the highest they have seen,
+// which silences a deposed "zombie" leader that has not yet learned of its
+// deposition. commit is the proposer's decided watermark: receivers deliver
+// an entry only once some record shows it committed, so a zombie's
+// never-decided proposals are never applied. The log ring carries a round as
+// one record, or several when it outgrows the ring's record bound; the
+// journal keeps each entry as a round of one.
+func appendRoundHeader(dst []byte, first, term, commit uint64, count int) []byte {
+	dst = codec.AppendUvarint(dst, first)
 	dst = codec.AppendUvarint(dst, term)
 	dst = codec.AppendUvarint(dst, commit)
-	dst = codec.AppendUvarint(dst, uint64(origin))
-	dst = codec.AppendUvarint(dst, submitSeq)
-	return append(dst, payload...)
+	return codec.AppendUvarint(dst, uint64(count))
 }
 
-// maxEntryHeader is the longest an entry's fields pack to: four ten-byte
-// varints and a three-byte origin.
-const maxEntryHeader = 4*binary.MaxVarintLen64 + 3
+// entry is one log entry: who submitted it, its submission sequence number
+// at its origin, and its payload.
+type entry struct {
+	origin    rdma.NodeID
+	submitSeq uint64
+	payload   []byte
+}
 
-// MaxPayload is the largest payload Submit can order under c. The ring record
-// that carries its entry (the longest packed header, raw framing) must fit a
-// journal slot, which keeps the record as it is, half a log ring
-// (ring.Writer's bound) and one codec record. Whichever is tighter decides.
-// A request for the payload is shorter than its entry.
+func appendEntry(dst []byte, e entry) []byte {
+	dst = codec.AppendUvarint(dst, uint64(e.origin))
+	dst = codec.AppendUvarint(dst, e.submitSeq)
+	dst = codec.AppendUvarint(dst, uint64(len(e.payload)))
+	return append(dst, e.payload...)
+}
+
+// size is how long e packs to in a round.
+func (e entry) size() int {
+	return codec.UvarintLen(uint64(e.origin)) + codec.UvarintLen(e.submitSeq) +
+		codec.UvarintLen(uint64(len(e.payload))) + len(e.payload)
+}
+
+// maxOneHeader is the longest a round of one packs to ahead of its payload's
+// length: three ten-byte varints, a one-byte count, a three-byte origin and a
+// ten-byte submission sequence number.
+const maxOneHeader = 3*binary.MaxVarintLen64 + 1 + 3 + binary.MaxVarintLen64
+
+// MaxPayload is the largest payload Submit can order under c. The round of
+// one that carries its entry (the longest packed header, the payload's length,
+// raw framing) must fit a journal slot, which keeps the record as it is, half
+// a log ring (ring.Writer's bound) and one codec record. Whichever is tighter
+// decides. A request for the payload is shorter than its entry.
 func (c Config) MaxPayload() int {
-	return min(c.JournalSlotSize, c.RingCapacity/2, codec.MaxRecord) - maxEntryHeader - codec.RawOverhead
+	room := min(c.JournalSlotSize, c.RingCapacity/2, codec.MaxRecord) - maxOneHeader - codec.RawOverhead
+	n := room
+	for n > 0 && n+codec.UvarintLen(uint64(n)) > room {
+		n--
+	}
+	return n
 }
 
-// frameEntry builds an entry inside the ring record that carries it, in the
-// instance's scratch buffer (see frame): the entry is the record's payload,
-// and one that is kept — a proposal — is copied out of it. A nil record is an
-// entry no ring record can carry.
-func (in *Instance) frameEntry(seq, term, commit uint64, origin rdma.NodeID, submitSeq uint64, payload []byte) (entry, rec []byte) {
-	b := appendEntry(codec.BeginRaw(in.rec[:0]), seq, term, commit, origin, submitSeq, payload)
-	return b[4:], in.frame(b)
+// maxRound is the longest message a log ring record carries: a round is cut
+// into records no longer than this.
+func (c Config) maxRound() int {
+	return min(c.RingCapacity/2, codec.MaxRecord) - codec.RawOverhead
 }
 
 // frame closes the ring record b, opened on the scratch buffer with
@@ -427,25 +456,73 @@ func (in *Instance) frame(b []byte) []byte {
 	return rec
 }
 
-type logEntry struct {
-	seq, term, commit uint64
-	origin            rdma.NodeID
-	submitSeq         uint64
-	payload           []byte // a sub-slice of the decoded bytes
+// frameOne frames e as seq's round of one under this node's term and commit
+// watermark: its journal slot, and the record recovery re-sends it in.
+func (in *Instance) frameOne(seq uint64, e entry) []byte {
+	b := appendRoundHeader(codec.BeginRaw(in.rec[:0]), seq, in.term, in.lastDelivered, 1)
+	return in.frame(appendEntry(b, e))
 }
 
-func decodeLogEntry(b []byte) (logEntry, error) {
-	var e logEntry
-	var origin uint64
-	payload, err := codec.Uvarints(b, &e.seq, &e.term, &e.commit, &origin, &e.submitSeq)
+// round is a decoded round record: its header, and its entries still packed.
+type round struct {
+	first, term, commit uint64
+	count               int
+	entries             []byte
+}
+
+// decodeRound decodes a round record's message. Every entry is checked, so
+// a record is taken whole or not at all: a cut anywhere is an error, and a
+// byte past the last entry, a first sequence number of zero or a count the
+// sequence numbers cannot hold is codec.ErrCorrupt.
+func decodeRound(b []byte) (round, error) {
+	var r round
+	var count uint64
+	body, err := codec.Uvarints(b, &r.first, &r.term, &r.commit, &count)
+	switch {
+	case err != nil:
+		return round{}, err
+	case r.first == 0 || count > math.MaxUint64-r.first+1:
+		return round{}, fmt.Errorf("%w: round of %d from seq %d", codec.ErrCorrupt, count, r.first)
+	case count > uint64(len(body))/3: // an entry packs to three bytes at least
+		return round{}, codec.ErrTruncated
+	}
+	r.count, r.entries = int(count), body
+	for i := 0; i < r.count; i++ {
+		if _, body, err = nextEntry(body); err != nil {
+			return round{}, err
+		}
+	}
+	if len(body) > 0 {
+		return round{}, fmt.Errorf("%w: %d bytes past a round", codec.ErrCorrupt, len(body))
+	}
+	return r, nil
+}
+
+// nextEntry decodes the entry at the front of b and returns the bytes past it.
+func nextEntry(b []byte) (e entry, rest []byte, err error) {
+	var origin, n uint64
+	rest, err = codec.Uvarints(b, &origin, &e.submitSeq, &n)
 	if err == nil {
 		e.origin, err = nodeID(origin)
 	}
-	if err != nil {
-		return logEntry{}, err
+	if err == nil && n > uint64(len(rest)) {
+		err = codec.ErrTruncated
 	}
-	e.payload = payload
-	return e, nil
+	if err != nil {
+		return entry{}, nil, err
+	}
+	return entry{e.origin, e.submitSeq, rest[:n]}, rest[n:], nil
+}
+
+// each calls fn with every entry of r, a decoded round, and its sequence
+// number, in order. The payloads lie in the decoded bytes.
+func (r round) each(fn func(seq uint64, e entry)) {
+	b := r.entries
+	for i := 0; i < r.count; i++ {
+		var e entry
+		e, b, _ = nextEntry(b)
+		fn(r.first+uint64(i), e)
+	}
 }
 
 // nodeID checks a node id read off a ring.
@@ -456,8 +533,8 @@ func nodeID(v uint64) (rdma.NodeID, error) {
 	return rdma.NodeID(v), nil
 }
 
-// request: uvarint submitSeq | payload, built inside its ring record like an
-// entry.
+// request: uvarint submitSeq | payload, built inside its ring record like a
+// round.
 func (in *Instance) frameReq(submitSeq uint64, payload []byte) []byte {
 	b := codec.AppendUvarint(codec.BeginRaw(in.rec[:0]), submitSeq)
 	return in.frame(append(b, payload...))
@@ -525,22 +602,28 @@ func decodeCtrl(b []byte) (m ctrl, err error) {
 
 // --- output ------------------------------------------------------------
 
-// replicate appends rec, an entry framed once, to the log ring of every
+// span is the sequence numbers a round record carries: n of them, from first.
+type span struct {
+	first uint64
+	n     int
+}
+
+// replicate appends rec, a round record framed once, to the log ring of every
 // follower whose ring is open (a write error — e.g. permission revoked by a
 // new leader — reaches every record the write carried, so a deposed leader
-// still cannot assemble a majority). With a nonzero seq each follower's
-// completed write is counted toward deciding seq: the sequence number joins
-// the follower's unacked queue, and the follower's one completion callback
-// pops it.
-func (in *Instance) replicate(rec []byte, seq uint64) {
+// still cannot assemble a majority). Each follower's completed write is
+// counted toward deciding every entry of the record: its span joins the
+// follower's unacked queue, and the follower's one completion callback pops
+// it. A round of no entries asks for no completion.
+func (in *Instance) replicate(rec []byte, s span) {
 	for p := 0; p < in.n; p++ {
 		oc := in.logOut[p]
 		if oc == nil || !in.open[p] {
 			continue
 		}
 		var onDone func(error)
-		if seq != 0 {
-			in.unacked[p].Push(seq)
+		if s.n > 0 {
+			in.unacked[p].Push(s)
 			onDone = in.ackFns[p]
 		}
 		oc.Send(rec, "", onDone)
@@ -594,12 +677,12 @@ func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte
 }
 
 // startRound sequences everything queued as one round — Transform, sequence
-// number, journal and one log write per follower for the lot — unless a
+// number, journal and one round record per follower for the lot — unless a
 // round is in flight: something proposed is still undelivered here. The gate
-// makes lastDelivered the previous round's last sequence number, and every
-// entry of this round carries it as its commit watermark. A leader whose
-// round can never decide (a zombie) therefore proposes nothing further. It
-// reports whether a round started.
+// makes lastDelivered the previous round's last sequence number, and the
+// round's record carries it as its commit watermark. A leader whose round can
+// never decide (a zombie) therefore proposes nothing further. It reports
+// whether a round started.
 //
 // A round takes at most half the journal, so the journal always holds the
 // round in flight and the one before it: followers learn that a round is
@@ -619,24 +702,25 @@ func (in *Instance) startRound() bool {
 		in.mQueueWait.Observe(sim.Duration(now - r.at))
 		payload := r.payload
 		if in.Transform != nil {
-			payload = in.Transform(r.origin, payload)
+			// The result is borrowed: the proposal keeps a copy of it.
+			payload = in.free.Keep(in.Transform(r.origin, payload))
+			in.free.Release(r.payload)
 		}
 		seq := in.nextSeq
 		in.nextSeq++
 		if in.proposedAt != nil {
 			in.proposedAt[seq] = now
 		}
-		entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, r.origin, r.submitSeq, payload)
-		in.free.Release(r.payload) // copied into the entry, like Transform's result
-		in.journal.Put(seq, rec)
-		in.props = append(in.props, proposal{entry: in.free.Keep(entry), acks: 1}) // self
-		in.replicate(rec, seq)
+		e := entry{r.origin, r.submitSeq, payload}
+		in.journal.Put(seq, in.frameOne(seq, e))
+		in.props = append(in.props, proposal{entry: e, acks: 1}) // self
 	}
 	in.publish()
 	in.mRoundEntries.Observe(sim.Duration(n))
 	rest := copy(in.queue, in.queue[n:])
 	clear(in.queue[rest:])
 	in.queue = in.queue[:rest]
+	in.sendRound(first, in.props)
 	// A configuration whose majority is this node alone decides here, after
 	// the round has left the queue: the last decision completes the round and
 	// comes back for the remainder.
@@ -648,9 +732,33 @@ func (in *Instance) startRound() bool {
 	return true
 }
 
-// acked is the completion of the oldest unacknowledged log write to peer.
+// sendRound replicates props, sequence numbers first on, as round records
+// under this leader's term and commit watermark: one record, or as many as
+// the log ring's record bound cuts the round into, each taking as many
+// entries as fit.
+func (in *Instance) sendRound(first uint64, props []proposal) {
+	for len(props) > 0 {
+		// The header at its longest for what is left: the count is at most
+		// len(props).
+		size := codec.UvarintLen(first) + codec.UvarintLen(in.term) +
+			codec.UvarintLen(in.lastDelivered) + codec.UvarintLen(uint64(len(props)))
+		k := 0
+		for ; k < len(props) && (k == 0 || size+props[k].size() <= in.cfg.maxRound()); k++ {
+			size += props[k].size()
+		}
+		b := appendRoundHeader(codec.BeginRaw(in.rec[:0]), first, in.term, in.lastDelivered, k)
+		for i := range props[:k] {
+			b = appendEntry(b, props[i].entry)
+		}
+		in.replicate(in.frame(b), span{first, k})
+		first, props = first+uint64(k), props[k:]
+	}
+}
+
+// acked is the completion of the oldest unacknowledged log write to peer: a
+// completed write counts toward every entry of the round record it carried.
 func (in *Instance) acked(peer rdma.NodeID, err error) {
-	seq := in.unacked[peer].Pop()
+	s := in.unacked[peer].Pop()
 	// Only successful writes count: a deposed leader's writes fail with
 	// permission errors at every voter, so it can never assemble a
 	// majority and never decides its zombie proposals. Acks from nodes
@@ -659,23 +767,26 @@ func (in *Instance) acked(peer rdma.NodeID, err error) {
 	if !in.isLeader || err != nil || !in.member(peer) {
 		return
 	}
-	p := in.proposal(seq)
-	if p == nil || p.entry == nil {
-		return // delivered without this write, or sequenced under an earlier leadership
-	}
-	p.acks++
-	if !p.decided && p.acks >= in.majority() {
-		in.decide(seq)
+	for seq := s.first; seq < s.first+uint64(s.n); seq++ {
+		p := in.proposal(seq)
+		if p == nil || p.acks == 0 {
+			continue // delivered without this write, or sequenced under an earlier leadership
+		}
+		p.acks++
+		if !p.decided && p.acks >= in.majority() {
+			in.decide(seq)
+		}
 	}
 }
 
-// proposal is an entry this leader sequenced and has not delivered yet. The
-// zero value is a sequence number the leader holds nothing for: one it has
-// delivered, or a hole in what it recovered.
+// proposal is an entry this leader sequenced and has not delivered yet, its
+// payload in a buffer from the free list. The zero value, with no acks, is a
+// sequence number the leader holds nothing for: one it has delivered, or a
+// hole in what it recovered.
 type proposal struct {
-	entry   []byte // the full entry, in a buffer from the free list
-	acks    int    // completed writes, counting the local journal's
-	decided bool   // a majority reached
+	entry
+	acks    int  // completed writes, counting the local journal's
+	decided bool // a majority reached
 }
 
 // proposal returns seq's slot in props, or nil when seq is outside it.
@@ -686,10 +797,11 @@ func (in *Instance) proposal(seq uint64) *proposal {
 	return &in.props[seq-in.propBase]
 }
 
-// decide marks seq decided and delivers contiguous decided entries locally.
-// The decision that completes the round in flight starts the next one, whose
-// entries carry the new commit watermark; with nothing queued, a dedicated
-// commit record carries it to the followers.
+// decide marks seq decided and delivers contiguous decided entries locally,
+// each handed on as an item of its own. The decision that completes the round
+// in flight starts the next one, whose record carries the new commit
+// watermark; with nothing queued, a round of no entries carries it to the
+// followers.
 func (in *Instance) decide(seq uint64) {
 	p := in.proposal(seq)
 	p.decided = true
@@ -698,11 +810,9 @@ func (in *Instance) decide(seq uint64) {
 		delete(in.proposedAt, seq)
 	}
 	if in.Tracer != nil && in.TraceLabel != nil {
-		if e, err := decodeLogEntry(p.entry); err == nil {
-			if label := in.TraceLabel(e.payload); label != "" {
-				in.Tracer.Record(int(in.node.ID()), trace.Commit, label,
-					fmt.Sprintf("%s seq %d replicated to a majority", in.group, seq))
-			}
+		if label := in.TraceLabel(p.payload); label != "" {
+			in.Tracer.Record(int(in.node.ID()), trace.Commit, label,
+				fmt.Sprintf("%s seq %d replicated to a majority", in.group, seq))
 		}
 	}
 	advanced := false
@@ -711,23 +821,24 @@ func (in *Instance) decide(seq uint64) {
 		if next == nil || !next.decided {
 			break
 		}
-		entry := next.entry
+		e := next.entry
 		*next = proposal{}
 		in.bumpDelivered(in.lastDelivered + 1)
 		advanced = true
-		in.deliverEntry(entry)
+		in.deliverEntry(in.lastDelivered, e)
+		in.handoff.Hand()
 	}
 	if advanced && in.lastDelivered+1 >= in.nextSeq && !in.startRound() {
 		in.sendCommitRecord()
 	}
 }
 
-// sendCommitRecord broadcasts a payload-less record carrying the current
-// commit watermark (seq 0 marks it as pure metadata).
+// sendCommitRecord broadcasts a round of no entries, which carries the
+// current commit watermark alone.
 func (in *Instance) sendCommitRecord() {
 	in.mCommitRecords.Inc()
-	_, rec := in.frameEntry(0, in.term, in.lastDelivered, in.node.ID(), 0, nil)
-	in.replicate(rec, 0)
+	b := appendRoundHeader(codec.BeginRaw(in.rec[:0]), in.nextSeq, in.term, in.lastDelivered, 0)
+	in.replicate(in.frame(b), span{})
 }
 
 // bumpDelivered advances the delivery watermark and publishes it, so that a
@@ -757,23 +868,25 @@ func (in *Instance) readState(peer rdma.NodeID, got func(next, delivered uint64,
 	})
 }
 
-// deliverEntry dedups by (origin, submitSeq) and hands the entry's payload off
-// for Deliver; an entry naming no node is sequenced but delivered nowhere. The
-// caller gives entry, a buffer from the free list, away: the handoff takes it
-// as it is and puts it back once Deliver returns, or it goes back at once. An
-// entry of this node's own submission also puts the pending copy back.
-func (in *Instance) deliverEntry(entry []byte) {
-	if e, err := decodeLogEntry(entry); err == nil && int(e.origin) < in.n {
+// deliverEntry dedups e, entry seq, by (origin, submitSeq) and adds its
+// payload to the record the handoff hands on to Deliver at the caller's next
+// Hand; an entry naming no node is sequenced but delivered nowhere. The
+// caller gives e's payload, a buffer from the free list, away: the handoff
+// takes it as it is and puts it back once Deliver returns, or it goes back at
+// once. An entry of this node's own submission also puts the pending copy
+// back.
+func (in *Instance) deliverEntry(seq uint64, e entry) {
+	if int(e.origin) < in.n {
 		if mine, ok := in.pending[e.submitSeq]; ok && e.origin == in.node.ID() {
 			delete(in.pending, e.submitSeq)
 			in.free.Release(mine)
 		}
 		if _, fresh := in.dedup[e.origin].Admit(e.submitSeq, len(e.payload), true); fresh && in.Deliver != nil {
-			in.handoff.Hand(e.origin, e.seq, entry, e.payload)
+			in.handoff.Add(e.origin, seq, e.payload, e.payload)
 			return
 		}
 	}
-	in.free.Release(entry)
+	in.free.Release(e.payload)
 }
 
 // --- polling ----------------------------------------------------------
@@ -800,48 +913,61 @@ func (in *Instance) sweep() {
 	}
 }
 
-// handleLog takes in the log record msg. One that does not decode, or comes
-// from a term older than the highest this ring has carried (a zombie), is
-// dropped; the drain goes on either way.
+// stashed is a follower's copy of an entry it has not delivered, and the
+// term of the round that carried it.
+type stashed struct {
+	entry
+	term uint64
+}
+
+// handleLog takes in the round record msg: it stashes the round's entries and
+// delivers what the record's commit watermark decides. One that does not
+// decode, or comes from a term older than the highest this ring has carried
+// (a zombie), is dropped; the drain goes on either way.
 func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
-	e, err := decodeLogEntry(msg)
-	if err != nil || e.term < in.ringTerm {
+	r, err := decodeRound(msg)
+	if err != nil || r.term < in.ringTerm {
 		return nil
 	}
-	if e.term > in.ringTerm {
-		in.ringTerm = e.term
+	if r.term > in.ringTerm {
+		in.ringTerm = r.term
 		// A newer term invalidates stashed uncommitted entries from
 		// older terms.
 		for seq, old := range in.stash {
-			if oe, oerr := decodeLogEntry(old); oerr == nil && oe.term < e.term {
+			if old.term < r.term {
 				delete(in.stash, seq)
-				in.free.Release(old)
+				in.free.Release(old.payload)
 			}
 		}
 	}
-	in.commitSeen = max(in.commitSeen, e.commit)
-	if e.seq > in.lastDelivered { // seq 0 is a pure commit record
+	in.commitSeen = max(in.commitSeen, r.commit)
+	r.each(func(seq uint64, e entry) {
+		if seq <= in.lastDelivered {
+			return
+		}
 		// Poll reuses its buffer, so the stash keeps a copy, in place of any
 		// entry a newer leader's re-dissemination supersedes.
-		in.free.Release(in.stash[e.seq])
-		in.stash[e.seq] = in.free.Keep(msg)
-	}
+		in.free.Release(in.stash[seq].payload)
+		e.payload = in.free.Keep(e.payload)
+		in.stash[seq] = stashed{e, r.term}
+	})
 	in.drainCommitted()
 	return nil
 }
 
 // drainCommitted delivers stashed entries in sequence order up to the
-// received commit watermark.
+// received commit watermark, handed on as one item.
 func (in *Instance) drainCommitted() {
 	for in.lastDelivered < in.commitSeen {
 		next, ok := in.stash[in.lastDelivered+1]
 		if !ok {
-			return
+			break
 		}
 		delete(in.stash, in.lastDelivered+1)
 		in.bumpDelivered(in.lastDelivered + 1)
-		in.deliverEntry(next)
+		in.deliverEntry(in.lastDelivered, next.entry)
 	}
+	in.handoff.Hand()
 }
 
 // handleRequest proposes the request msg that from redirected to this leader.
@@ -988,15 +1114,17 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 			// read was in flight: what is left of the gap lies inside the range
 			// read.
 			for seq := in.lastDelivered + 1; seq < next; seq++ {
-				entry := journaled(rec(seq), seq)
-				if entry == nil {
+				e, ok := journaled(rec(seq), seq)
+				if !ok {
 					return // hole (journal wrapped, or a slot torn on every look): stop
 				}
 				in.commitSeen = max(in.commitSeen, seq-1)
 				in.bumpDelivered(seq)
-				in.free.Release(in.stash[seq])
+				in.free.Release(in.stash[seq].payload)
 				delete(in.stash, seq)
-				in.deliverEntry(in.free.Keep(entry))
+				e.payload = in.free.Keep(e.payload)
+				in.deliverEntry(seq, e) // a journal slot is a round of one
+				in.handoff.Hand()
 			}
 			// Drain any stashed successors the catch-up unblocked.
 			in.drainCommitted()
@@ -1047,15 +1175,19 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		return
 	}
 	floor, ceil, oldNext := in.lastDelivered, in.lastDelivered, uint64(0)
-	var recovered [][]byte
+	type recoveredEntry struct {
+		seq uint64
+		entry
+	}
+	var recovered []recoveredEntry
 	strands := 2
 	done := func() {
 		if strands--; strands > 0 {
 			return
 		}
 		in.propBase, in.props = in.lastDelivered+1, in.props[:0]
-		for _, entry := range recovered {
-			in.redisseminate(entry)
+		for _, r := range recovered {
+			in.redisseminate(r.seq, r.entry)
 		}
 		in.becomeActiveLeader(oldNext)
 	}
@@ -1072,8 +1204,9 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		oldNext = max(oldNext, ceil+1)
 		in.journal.Read(in.node.QP(old), floor+1, oldNext, func(rec func(uint64) []byte, err error) {
 			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
-				if entry := journaled(rec(seq), seq); entry != nil {
-					recovered = append(recovered, in.free.Keep(entry))
+				if e, ok := journaled(rec(seq), seq); ok {
+					e.payload = in.free.Keep(e.payload)
+					recovered = append(recovered, recoveredEntry{seq, e})
 				}
 			}
 			done()
@@ -1096,14 +1229,17 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 	}
 }
 
-// journaled returns rec, the record read from seq's journal slot, if it is
-// seq's entry, and nil for a hole — an empty slot, or one still torn — or a
-// slot that holds another sequence number (the journal wrapped).
-func journaled(rec []byte, seq uint64) []byte {
-	if e, err := decodeLogEntry(rec); err != nil || e.seq != seq {
-		return nil
+// journaled returns the entry in rec, the record read from seq's journal
+// slot, if it is seq's round of one, and false for a hole — an empty slot, or
+// one still torn — or a slot that holds another sequence number (the journal
+// wrapped). The payload lies in rec.
+func journaled(rec []byte, seq uint64) (e entry, ok bool) {
+	r, err := decodeRound(rec)
+	if err != nil || r.first != seq || r.count != 1 {
+		return entry{}, false
 	}
-	return rec
+	e, _, _ = nextEntry(r.entries)
+	return e, true
 }
 
 // resetRings establishes this node's writer on every follower's log ring (see
@@ -1124,9 +1260,9 @@ func (in *Instance) resetRings(next func()) {
 			continue
 		}
 		remaining++
-		// The dropped records complete nothing: their sequence numbers, the
-		// newest sent to peer, leave its unacked queue with them, and a write
-		// still in flight keeps popping its own.
+		// The dropped records complete nothing: their spans, the newest sent
+		// to peer, leave its unacked queue with them, and a write still in
+		// flight keeps popping its own.
 		for dropped := oc.Drop(); dropped > 0; dropped-- {
 			in.unacked[peer].PopBack()
 		}
@@ -1199,17 +1335,11 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 	probe()
 }
 
-// redisseminate re-journals and re-sends a recovered entry under this
-// leader's term. Receivers (and our own delivery path) dedup. old is a buffer
-// from the free list, which the new entry replaces.
-func (in *Instance) redisseminate(old []byte) {
-	defer in.free.Release(old)
-	oe, err := decodeLogEntry(old)
-	if err != nil {
-		return
-	}
-	seq := oe.seq
-	entry, rec := in.frameEntry(seq, in.term, in.lastDelivered, oe.origin, oe.submitSeq, oe.payload)
+// redisseminate re-journals and re-sends a recovered entry, seq, under this
+// leader's term, as a round of one. Receivers (and our own delivery path)
+// dedup. The caller gives e's payload, a buffer from the free list, away.
+func (in *Instance) redisseminate(seq uint64, e entry) {
+	rec := in.frameOne(seq, e)
 	in.journal.Put(seq, rec)
 	// The record goes out after a decision, which may frame records of its
 	// own in the scratch buffer: it waits in a buffer of its own.
@@ -1222,12 +1352,14 @@ func (in *Instance) redisseminate(old []byte) {
 			in.props = append(in.props, proposal{})
 		}
 		p := in.proposal(seq)
-		*p = proposal{entry: in.free.Keep(entry), acks: 1}
+		*p = proposal{entry: e, acks: 1}
 		if p.acks >= in.majority() {
 			in.decide(seq)
 		}
+	} else {
+		in.free.Release(e.payload)
 	}
-	in.replicate(rec, seq)
+	in.replicate(rec, span{seq, 1})
 }
 
 func (in *Instance) becomeActiveLeader(nextSeq uint64) {

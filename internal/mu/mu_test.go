@@ -1,7 +1,9 @@
 package mu
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -351,8 +353,8 @@ func TestMessagesNamingNoNodeDropped(t *testing.T) {
 			c.eng.At(c.eng.Now(), func() {
 				cand.ctrlOut[2].Send(cand.frameVote(cand.term+1, n), "", nil)
 				follower.ctrlOut[1].Send(follower.frameGrant(cand.term, 0, n), "", nil)
-				entry := appendEntry(codec.BeginRaw(nil), 1, cand.term, 1, n, 1, []byte("from no node"))
-				cand.logOut[2].Send(cand.frame(entry), "", nil)
+				b := appendRoundHeader(codec.BeginRaw(nil), 1, cand.term, 1, 1)
+				cand.logOut[2].Send(cand.frame(appendEntry(b, entry{n, 1, []byte("from no node")})), "", nil)
 			})
 			c.run(50 * sim.Microsecond)
 			if after := state(cand) + " | " + state(follower); after != before {
@@ -572,30 +574,44 @@ func TestFollowerCatchUpAfterMissedElection(t *testing.T) {
 }
 
 func TestLogEntryWireRoundTrip(t *testing.T) {
-	e := appendEntry(nil, 42, 3, 41, 2, 99, []byte("payload"))
-	d, err := decodeLogEntry(e)
+	b := appendRoundHeader(nil, 42, 3, 41, 2)
+	b = appendEntry(b, entry{2, 99, []byte("payload")})
+	b = appendEntry(b, entry{1, 7, nil})
+	r, err := decodeRound(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.seq != 42 || d.term != 3 || d.commit != 41 || d.origin != 2 ||
-		d.submitSeq != 99 || string(d.payload) != "payload" {
-		t.Fatalf("round trip = %+v", d)
+	type got struct {
+		seq       uint64
+		origin    rdma.NodeID
+		submitSeq uint64
+		payload   string
 	}
-	// Five one-byte varints ahead of the payload: every cut inside them is an
-	// error.
-	if header := len(e) - len("payload"); header != 5 {
-		t.Fatalf("entry header packs to %d bytes, want 5", header)
+	var entries []got
+	r.each(func(seq uint64, e entry) {
+		entries = append(entries, got{seq, e.origin, e.submitSeq, string(e.payload)})
+	})
+	if r.first != 42 || r.term != 3 || r.commit != 41 || r.count != 2 ||
+		!slices.Equal(entries, []got{{42, 2, 99, "payload"}, {43, 1, 7, ""}}) {
+		t.Fatalf("round trip = %+v, entries %+v", r, entries)
 	}
-	for cut := 0; cut < 5; cut++ {
-		if _, err := decodeLogEntry(e[:cut]); err == nil {
-			t.Fatalf("entry truncated to %d bytes decoded", cut)
+	// Four one-byte varints of header, then three per entry ahead of its
+	// payload: every cut is an error, and so is a byte past the last entry.
+	if len(b) != 4+3+len("payload")+3 {
+		t.Fatalf("the round packs to %d bytes, want %d", len(b), 4+3+len("payload")+3)
+	}
+	for cut := 0; cut < len(b); cut++ {
+		if _, err := decodeRound(b[:cut]); err == nil {
+			t.Fatalf("round truncated to %d bytes decoded", cut)
 		}
 	}
-	// A commit record has seq 0 and empty payload.
-	cr := appendEntry(nil, 0, 3, 41, 1, 0, nil)
-	d, err = decodeLogEntry(cr)
-	if err != nil || d.seq != 0 || len(d.payload) != 0 {
-		t.Fatalf("commit record round trip = %+v, %v", d, err)
+	if _, err := decodeRound(append(b, 0)); !errors.Is(err, codec.ErrCorrupt) {
+		t.Fatalf("a byte past the round: %v, want codec.ErrCorrupt", err)
+	}
+	// A round of no entries carries its commit alone.
+	cr, err := decodeRound(appendRoundHeader(nil, 44, 3, 43, 0))
+	if err != nil || cr.first != 44 || cr.commit != 43 || cr.count != 0 {
+		t.Fatalf("round of no entries = %+v, %v", cr, err)
 	}
 }
 
@@ -774,13 +790,13 @@ func TestElectionRepeatsForASeed(t *testing.T) {
 
 // --- one round in flight ------------------------------------------------
 
-// tapLog decodes every record the leader wrote into node's log ring, in
-// ring order. The node's instance must have been stopped before the first
+// tapLog decodes every round record the leader wrote into node's log ring,
+// in ring order. The node's instance must have been stopped before the first
 // write, so that nothing consumed the ring.
-func (c *cluster) tapLog(t *testing.T, node int) []logEntry {
+func (c *cluster) tapLog(t *testing.T, node int) []round {
 	t.Helper()
 	rd := ring.NewReader(c.fab.Node(rdma.NodeID(node)).Region(logRegion("g")).Bytes())
-	var out []logEntry
+	var out []round
 	for {
 		msg, ok, err := rd.Poll()
 		if err != nil {
@@ -789,11 +805,11 @@ func (c *cluster) tapLog(t *testing.T, node int) []logEntry {
 		if !ok {
 			return out
 		}
-		e, err := decodeLogEntry(append([]byte(nil), msg...))
+		r, err := decodeRound(append([]byte(nil), msg...))
 		if err != nil {
 			t.Fatalf("tap of node %d's log ring: %v", node, err)
 		}
-		out = append(out, e)
+		out = append(out, r)
 	}
 }
 
@@ -829,10 +845,11 @@ func (c *cluster) assertInOrder(t *testing.T, nodes []int, want int) {
 // TestOneRoundInFlight pins the round rule at the leader and on the wire. A
 // fourth node's instance is stopped, so its log ring keeps every record the
 // leader wrote: (1) the leader sequences an entry only when nothing it
-// proposed is undelivered, (2) every entry carries as its commit the last
-// sequence number of the round before its own, (3) a follower receives one
-// write per round plus one per commit record — nothing else — and (4) the
-// round instruments agree with what the wire shows.
+// proposed is undelivered, (2) a round goes out as one record carrying its
+// entries in sequence order, (3) every round record carries as its commit the
+// last sequence number of the round before its own, (4) a follower receives
+// one write per round plus one per round of no entries — nothing else — and
+// (5) the round instruments agree with what the wire shows.
 func TestOneRoundInFlight(t *testing.T) {
 	cfg := DefaultConfig()
 	reg := metrics.New(nil)
@@ -865,34 +882,30 @@ func TestOneRoundInFlight(t *testing.T) {
 		t.Fatalf("%d entries went out in %d rounds: the burst did not batch", len(sent), rounds)
 	}
 
-	entries, commits := 0, 0
-	var prev logEntry
-	for _, e := range c.tapLog(t, tap) {
-		if e.seq == 0 {
+	entries, commits, records := 0, 0, 0
+	var prevLast uint64
+	for _, r := range c.tapLog(t, tap) {
+		if r.count == 0 {
 			commits++
 			continue
 		}
-		entries++
+		records++
+		last := r.first + uint64(r.count) - 1
 		switch {
-		case prev.seq == 0:
-			if e.commit != 0 {
-				t.Fatalf("first entry carries commit %d", e.commit)
-			}
-		case roundOf[e.seq] == roundOf[prev.seq]:
-			if e.commit != prev.commit {
-				t.Fatalf("seq %d carries commit %d, seq %d of the same round carries %d",
-					e.seq, e.commit, prev.seq, prev.commit)
-			}
-		default:
-			if e.commit != prev.seq {
-				t.Fatalf("seq %d opens round %d with commit %d, want the previous round's last seq %d",
-					e.seq, roundOf[e.seq], e.commit, prev.seq)
-			}
+		case r.first != prevLast+1:
+			t.Fatalf("a round record opens at seq %d after seq %d", r.first, prevLast)
+		case roundOf[r.first] != roundOf[last] || roundOf[r.first] == roundOf[prevLast]:
+			t.Fatalf("seqs %d..%d of rounds %d..%d went out as one record after seq %d of round %d",
+				r.first, last, roundOf[r.first], roundOf[last], prevLast, roundOf[prevLast])
+		case r.commit != prevLast:
+			t.Fatalf("seq %d opens round %d with commit %d, want the previous round's last seq %d",
+				r.first, roundOf[r.first], r.commit, prevLast)
 		}
-		prev = e
+		entries += r.count
+		prevLast = last
 	}
-	if entries != len(sent) {
-		t.Fatalf("tap saw %d entries, want %d", entries, len(sent))
+	if entries != len(sent) || records != rounds {
+		t.Fatalf("tap saw %d entries in %d records, want %d in %d rounds", entries, records, len(sent), rounds)
 	}
 	for _, follower := range []int{1, 2, tap} {
 		writes := reg.Counter(fmt.Sprintf("rdma.qp.0-%d.writes", follower)).Value()
@@ -911,24 +924,40 @@ func TestOneRoundInFlight(t *testing.T) {
 }
 
 // TestNextRoundCarriesTheCommit: under a steady burst the leader never goes
-// idle between rounds, so the only dedicated commit record is the one
-// trailing the last round. Followers learn every earlier decision from the
-// next round's entries and deliver round k in the sweep that polls round
-// k+1: whatever a follower holds stashed between sweeps is one round, whose
-// commit stamp is the follower's own delivery watermark.
+// idle between rounds, so the only round of no entries is the one trailing
+// the last round. Followers learn every earlier decision from the next
+// round's record and deliver round k in the sweep that polls round k+1:
+// whatever a follower holds stashed between sweeps is the one round right
+// past its own delivery watermark, whole.
 func TestNextRoundCarriesTheCommit(t *testing.T) {
 	c := newCluster(t, 4, 0)
 	const tap = 3
 	c.inst[tap].Stop()
+	leader := c.inst[0]
+	roundOf, size := map[uint64]uint64{}, map[uint64]int{} // seq → its round's first seq; first seq → round size
+	leader.Transform = func(_ rdma.NodeID, payload []byte) []byte {
+		first := leader.propBase
+		roundOf[leader.nextSeq] = first
+		size[first]++
+		return payload
+	}
 	sent := c.steadyBurst([]int{0, 1, 2}, 300, 200*sim.Nanosecond)
 	held := 0 // probes that found a round held back
 	probe := c.eng.NewTicker(100*sim.Nanosecond, func() {
 		for _, in := range c.inst[1:3] {
-			for seq, raw := range in.stash {
-				held++
-				if e, err := decodeLogEntry(raw); err != nil || e.commit != in.lastDelivered {
-					t.Fatalf("follower %d delivered through %d but holds seq %d with commit %d (%v)",
-						in.node.ID(), in.lastDelivered, seq, e.commit, err)
+			if len(in.stash) == 0 {
+				continue
+			}
+			held++
+			first := in.lastDelivered + 1
+			if roundOf[first] != first || len(in.stash) != size[first] {
+				t.Fatalf("follower %d delivered through %d and holds %d entries, want the %d of the round from seq %d",
+					in.node.ID(), in.lastDelivered, len(in.stash), size[first], first)
+			}
+			for seq := range in.stash {
+				if roundOf[seq] != first {
+					t.Fatalf("follower %d holds seq %d of the round from %d, want only the round from %d",
+						in.node.ID(), seq, roundOf[seq], first)
 				}
 			}
 		}
@@ -940,15 +969,112 @@ func TestNextRoundCarriesTheCommit(t *testing.T) {
 	}
 
 	log := c.tapLog(t, tap)
-	for i, e := range log {
-		if e.seq == 0 && i != len(log)-1 {
-			t.Fatalf("dedicated commit record at position %d of %d: the leader went idle mid-burst", i, len(log))
+	for i, r := range log {
+		if r.count == 0 && i != len(log)-1 {
+			t.Fatalf("round of no entries at position %d of %d: the leader went idle mid-burst", i, len(log))
 		}
 	}
-	if last := log[len(log)-1]; last.seq != 0 || last.commit != uint64(len(sent)) {
-		t.Fatalf("log ends with seq %d commit %d, want the trailing commit record for %d", last.seq, last.commit, len(sent))
+	if last := log[len(log)-1]; last.count != 0 || last.commit != uint64(len(sent)) {
+		t.Fatalf("log ends with %d entries, commit %d; want the trailing round of no entries for %d", last.count, last.commit, len(sent))
 	}
 	c.assertInOrder(t, []int{0, 1, 2}, len(sent))
+}
+
+// roundDelivery feeds a stopped follower, by hand, one round record of k
+// entries and then the round of no entries that commits it, and reports the
+// first way its deliveries differ from k Deliver calls in sequence order in
+// one DeliverCost item. perEntry is the mutation: the follower's handoff
+// charges an item per entry.
+func roundDelivery(t *testing.T, perEntry bool) error {
+	t.Helper()
+	const k = 6
+	c := newCluster(t, 3, 0)
+	follower := c.inst[2]
+	follower.Stop()
+	if perEntry {
+		follower.handoff.MutatePerEntry()
+	}
+	var items []sim.Duration
+	c.fab.Node(2).CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
+	rnd := appendRoundHeader(nil, 1, 0, 0, k)
+	var want []string
+	for i := 0; i < k; i++ {
+		want = append(want, distinctPayload("round", i))
+		rnd = appendEntry(rnd, entry{rdma.NodeID(i % 3), uint64(i + 1), []byte(want[i])})
+	}
+	c.eng.At(0, func() {
+		follower.handleLog(0, rnd)
+		follower.handleLog(0, appendRoundHeader(nil, k+1, 0, k, 0))
+	})
+	c.run(10 * sim.Microsecond)
+	if !slices.Equal(c.delivered[2], want) || !slices.Equal(c.seqs[2], []uint64{1, 2, 3, 4, 5, 6}) {
+		return fmt.Errorf("delivered %q as seqs %v, want %q as 1..%d", c.delivered[2], c.seqs[2], want, k)
+	}
+	if cost := c.fab.Latency().DeliverCost; !slices.Equal(items, []sim.Duration{cost}) {
+		return fmt.Errorf("CPU items %v for a round of %d, want one of %v", items, k, cost)
+	}
+	return nil
+}
+
+// TestFollowerDeliversARoundAsOneItem: a follower hands a decided round on to
+// Deliver as one CPU item, its entries in sequence order.
+func TestFollowerDeliversARoundAsOneItem(t *testing.T) {
+	if err := roundDelivery(t, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRoundDeliveryCatchesPerEntry is the mutation control of the test above.
+func TestRoundDeliveryCatchesPerEntry(t *testing.T) {
+	err := roundDelivery(t, true)
+	if err == nil {
+		t.Fatal("a follower that charges an item per entry passed")
+	}
+	t.Logf("caught: %v", err)
+}
+
+// TestLongRoundSplitsIntoRecords: a round longer than the log ring's record
+// bound goes out as several round records, and each record's entries are
+// decided by the completions of that record's writes alone. With a 2 KiB
+// ring, a record carries at most 1 015 bytes; the second round, 39 entries of
+// about 100 bytes, takes five.
+func TestLongRoundSplitsIntoRecords(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.RingCapacity = 2 << 10
+	c := newClusterCfg(t, 3, 0, cfg, nil)
+	leader := c.inst[0]
+	var decided []span // the span of every completion that delivered at the leader
+	for p := 1; p < 3; p++ {
+		p, acked := p, leader.ackFns[p]
+		leader.ackFns[p] = func(err error) {
+			s, before := leader.unacked[p].Head(), leader.lastDelivered
+			acked(err)
+			if after := leader.lastDelivered; after != before {
+				decided = append(decided, s)
+				if before+1 != s.first || after != s.first+uint64(s.n)-1 {
+					t.Errorf("node %d's completion of seqs %d..%d delivered %d..%d", p, s.first, s.first+uint64(s.n)-1, before+1, after)
+				}
+			}
+		}
+	}
+	const k = 40
+	var want []string
+	c.eng.At(0, func() {
+		for i := 0; i < k; i++ {
+			want = append(want, fmt.Sprintf("%03d-%s", i, strings.Repeat("p", 96)))
+			leader.Submit([]byte(want[i]))
+		}
+	})
+	c.run(sim.Millisecond)
+	c.wantDelivered(t, []int{0, 1, 2}, want)
+	if len(decided) < 3 || decided[0] != (span{1, 1}) {
+		t.Fatalf("completions decided %v: want the first round, then the second in two records or more", decided)
+	}
+	for i, s := range decided[1:] {
+		if s.first != decided[i].first+uint64(decided[i].n) {
+			t.Fatalf("completions decided %v: not one record after another", decided)
+		}
+	}
 }
 
 // TestDeposedLeaderDropsItsQueue: the old leader resumes after its successor

@@ -146,18 +146,15 @@ func (c *cluster) journalEntries(node int, lo, hi uint64, stop bool) []journalEn
 	var out []journalEntry
 	for seq := lo; seq < hi; seq++ {
 		off := int(seq) % cfg.JournalSlots * cfg.JournalSlotSize
-		entry, _, err := codec.DecodeRaw(journal[off : off+cfg.JournalSlotSize])
-		var e logEntry
-		if err == nil {
-			e, err = decodeLogEntry(entry)
-		}
-		if err != nil || e.seq != seq {
+		rec, _, _ := codec.DecodeRaw(journal[off : off+cfg.JournalSlotSize])
+		e, ok := journaled(rec, seq)
+		if !ok {
 			if stop {
 				break
 			}
 			continue
 		}
-		out = append(out, journalEntry{e.seq, e.origin, e.submitSeq, string(e.payload)})
+		out = append(out, journalEntry{seq, e.origin, e.submitSeq, string(e.payload)})
 	}
 	return out
 }
@@ -337,8 +334,8 @@ func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 				t.Fatalf("journal read failed: %v", err)
 			}
 			for seq := uint64(14); seq < 19; seq++ {
-				if e, derr := decodeLogEntry(rec(seq)); derr == nil && e.seq == seq {
-					got = append(got, journalEntry{e.seq, e.origin, e.submitSeq, string(e.payload)})
+				if e, ok := journaled(rec(seq), seq); ok {
+					got = append(got, journalEntry{seq, e.origin, e.submitSeq, string(e.payload)})
 				}
 			}
 			done = true
@@ -354,9 +351,10 @@ func TestWrappedJournalReadKeepsTheFirstSpan(t *testing.T) {
 	}
 }
 
-// TestJournalSlotHoldsTheLogRecord: a journal slot holds the log ring record
-// the followers receive, byte for byte, and nothing else. Node 1 is stopped
-// before the write, so its log ring keeps the record.
+// TestJournalSlotHoldsTheLogRecord: a journal slot holds its entry's round of
+// one, and nothing else; a round of one entry is the log ring record the
+// followers receive, byte for byte. Node 1 is stopped before the write, so
+// its log ring keeps the record.
 func TestJournalSlotHoldsTheLogRecord(t *testing.T) {
 	c := newCluster(t, 3, 0)
 	c.inst[1].Stop()

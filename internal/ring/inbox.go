@@ -84,18 +84,24 @@ func (w *Watermark) Admit(seq uint64, n int, all bool) (from int, fresh bool) {
 	return had, fresh
 }
 
-// Handoff hands delivered records to the layer above in push order, each as a
-// DeliverCost work item of its own on the node's CPU, which runs its items in
-// order and only pauses them while suspended or crashed. Each record waits in
-// a buffer from a free list shared with the holder (Push copies into one, Hand
-// takes the holder's), and the handler borrows it until it returns.
+// Handoff hands delivered records to the layer above in push order. A record
+// is one entry or several — a broadcast message, a decided Mu entry, or a Mu
+// round a follower delivers at once — and each is a DeliverCost work item of
+// its own on the node's CPU, which runs its items in order and only pauses
+// them while suspended or crashed. Each entry waits in a buffer from a free
+// list shared with the holder (Push copies into one, Add takes the holder's),
+// and the handler borrows it until it returns.
 type Handoff struct {
 	cpu    *sim.CPU
 	cost   sim.Duration
 	handle func(src rdma.NodeID, seq uint64, payload []byte)
-	queue  fifo.Queue[handoffEntry]
+	queue  fifo.Queue[handoffEntry] // every queued entry, oldest first
+	items  fifo.Queue[int]          // the entries of each queued record, oldest first
+	open   int                      // entries added since the last Hand
 	bufs   *Buffers
 	nextFn func() // h.next bound once
+
+	perEntry bool // the per-entry mutant (MutatePerEntry)
 }
 
 type handoffEntry struct {
@@ -112,32 +118,64 @@ func NewHandoff(fab *rdma.Fabric, node *rdma.Node, bufs *Buffers, handle func(sr
 	return h
 }
 
-// Push queues a copy of payload, from src under seq, for the handler.
+// Push queues a copy of payload, from src under seq, as a record of its own.
 func (h *Handoff) Push(src rdma.NodeID, seq uint64, payload []byte) {
 	buf := h.bufs.Keep(payload)
-	h.Hand(src, seq, buf, buf)
+	h.Add(src, seq, buf, buf)
+	h.Hand()
 }
 
-// Hand is Push without the copy: payload lies in buf, a buffer from the shared
-// list, which the caller gives away.
-func (h *Handoff) Hand(src rdma.NodeID, seq uint64, buf, payload []byte) {
+// Add queues an entry of the record Hand closes, without the copy: payload
+// lies in buf, a buffer from the shared list, which the caller gives away.
+func (h *Handoff) Add(src rdma.NodeID, seq uint64, buf, payload []byte) {
 	h.queue.Push(handoffEntry{src, seq, buf, payload})
+	h.open++
+	if h.perEntry {
+		h.Hand()
+	}
+}
+
+// Hand closes the record the entries added since the last Hand make up: they
+// reach the handler in the order added, in one DeliverCost work item. A record
+// of no entries costs nothing.
+func (h *Handoff) Hand() {
+	if h.open == 0 {
+		return
+	}
+	h.items.Push(h.open)
+	h.open = 0
 	h.cpu.Exec(h.cost, h.nextFn)
 }
 
-// Len returns how many pushed records still wait for their work item.
+// Len returns how many added entries still wait for their work item.
 func (h *Handoff) Len() int { return h.queue.Len() }
 
-func (h *Handoff) next() { h.hand(h.queue.Pop()) }
+func (h *Handoff) next() {
+	for n := h.items.Pop(); n > 0; n-- {
+		h.hand(h.queue.Pop())
+	}
+}
 
 func (h *Handoff) hand(e handoffEntry) {
 	h.handle(e.src, e.seq, e.payload)
 	h.bufs.Release(e.buf)
 }
 
-// MutateLIFO makes the handoff hand on its newest record first. It is for the
-// mutation controls only, a bug the delivery-order tests must catch.
-func (h *Handoff) MutateLIFO() { h.nextFn = func() { h.hand(h.queue.PopBack()) } }
+// MutateLIFO makes the handoff hand on its newest record first, and that
+// record's entries newest first. It is for the mutation controls only, a bug
+// the delivery-order tests must catch.
+func (h *Handoff) MutateLIFO() {
+	h.nextFn = func() {
+		for n := h.items.PopBack(); n > 0; n-- {
+			h.hand(h.queue.PopBack())
+		}
+	}
+}
+
+// MutatePerEntry makes the handoff close a record at every entry, so each
+// costs a DeliverCost item of its own. It is for the mutation controls only,
+// a cost the delivery-cost tests must catch.
+func (h *Handoff) MutatePerEntry() { h.perEntry = true }
 
 // Buffers is a free list of byte buffers, so a warm holder of copies
 // allocates none.

@@ -107,51 +107,70 @@ func newHandoffRig() *handoffRig {
 	return rig
 }
 
-// handoffInOrder pushes five records of different lengths from one buffer
-// the caller rewrites between pushes, and reports the first way the handler
-// calls differ from push order or from one DeliverCost item each.
-func handoffInOrder(lifo bool) error {
+// handoffInOrder hands on three records — one entry, three, one — of
+// different lengths, from one buffer the caller rewrites between entries, and
+// reports the first way the handler calls differ from the order added or from
+// one DeliverCost item per record. lifo and perEntry are the mutations.
+func handoffInOrder(lifo, perEntry bool) error {
 	rig := newHandoffRig()
 	if lifo {
 		rig.h.MutateLIFO()
 	}
+	if perEntry {
+		rig.h.MutatePerEntry()
+	}
 	var want []string
 	buf := make([]byte, 0, 16)
-	for i := 0; i < 5; i++ {
-		buf = fmt.Appendf(buf[:0], "r%d-%s", i, "xxxxxxxx"[:i])
-		rig.h.Push(rdma.NodeID(i%3), uint64(10+i), buf)
-		want = append(want, fmt.Sprintf("%d/%d/%s", i%3, 10+i, buf))
+	i := 0
+	for _, entries := range []int{1, 3, 1} {
+		for ; entries > 0; entries-- {
+			buf = fmt.Appendf(buf[:0], "r%d-%s", i, "xxxxxxxx"[:i])
+			kept := rig.h.bufs.Keep(buf)
+			rig.h.Add(rdma.NodeID(i%3), uint64(10+i), kept, kept)
+			want = append(want, fmt.Sprintf("%d/%d/%s", i%3, 10+i, buf))
+			i++
+		}
+		rig.h.Hand()
 	}
 	if rig.h.Len() != 5 {
-		return fmt.Errorf("%d records queued, want 5", rig.h.Len())
+		return fmt.Errorf("%d entries queued, want 5", rig.h.Len())
 	}
 	rig.eng.RunFor(10 * sim.Microsecond)
 	if !slices.Equal(rig.got, want) {
 		return fmt.Errorf("handled %q, want %q", rig.got, want)
 	}
 	cost := rig.fab.Latency().DeliverCost
-	if len(rig.items) != 5 || slices.ContainsFunc(rig.items, func(d sim.Duration) bool { return d != cost }) {
-		return fmt.Errorf("CPU items %v, want five of %v", rig.items, cost)
+	if len(rig.items) != 3 || slices.ContainsFunc(rig.items, func(d sim.Duration) bool { return d != cost }) {
+		return fmt.Errorf("CPU items %v, want three of %v", rig.items, cost)
 	}
 	if rig.h.Len() != 0 {
-		return fmt.Errorf("%d records still queued", rig.h.Len())
+		return fmt.Errorf("%d entries still queued", rig.h.Len())
 	}
 	return nil
 }
 
-// TestHandoffInPushOrder: records reach the handler in push order, each as
-// one DeliverCost item, with the bytes pushed.
+// TestHandoffInPushOrder: entries reach the handler in the order added, each
+// record as one DeliverCost item, with the bytes added.
 func TestHandoffInPushOrder(t *testing.T) {
-	if err := handoffInOrder(false); err != nil {
+	if err := handoffInOrder(false, false); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestHandoffCatchesLIFO is the mutation control of the test above.
+// TestHandoffCatchesLIFO is a mutation control of the test above.
 func TestHandoffCatchesLIFO(t *testing.T) {
-	err := handoffInOrder(true)
+	err := handoffInOrder(true, false)
 	if err == nil {
 		t.Fatal("a handoff that hands on its newest record first passed")
+	}
+	t.Logf("caught: %v", err)
+}
+
+// TestHandoffCatchesPerEntry is a mutation control of the test above.
+func TestHandoffCatchesPerEntry(t *testing.T) {
+	err := handoffInOrder(false, true)
+	if err == nil {
+		t.Fatal("a handoff that charges an item per entry passed")
 	}
 	t.Logf("caught: %v", err)
 }
