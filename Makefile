@@ -108,12 +108,15 @@ conform-sessions:
 mutants:
 	$(GO) test -run 'TestCatchMatrix' -count=1 -v ./internal/conform
 
-# store runs the sharded multi-object store gate: exact footprint
-# accounting against the per-node arena, typed budget errors, freed-memory
-# reuse under concurrent open/close, set-up allocating only carved bytes,
+# store runs the sharded multi-object store gate: admission by the charge
+# (every registered byte charged to the per-node arena, refusals that leave
+# every arena untouched over a seeded open/close sequence), typed budget
+# errors, freed-memory reuse under concurrent open/close, closed shards deaf
+# to the shared failure domain, set-up allocating only carved bytes,
 # cross-shard doorbell coalescing and shard-tagged trace decomposition —
-# plus the arena's own tests (first-fit carving, coalescing, carved regions
-# serving verbs), which live in internal/rdma.
+# plus the arena's own tests (first-fit carving, coalescing, all-or-none
+# charging in name order, carved regions serving verbs), which live in
+# internal/rdma and all match -run Arena.
 store:
 	$(GO) test -count=1 -v ./internal/store
 	$(GO) test -run Arena -count=1 -v ./internal/rdma

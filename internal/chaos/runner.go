@@ -283,8 +283,10 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		sopts := store.DefaultOptions()
 		sopts.Core = copts
 		sopts.Tracer = r.v.Trace
-		// Exact admission: the budget is sized to the plan's shard count, so a
-		// footprint-accounting regression surfaces here as an Open error.
+		// Exact admission: the budget is the plan's shard count times what
+		// one shard's charge carves (store.Footprint, measured on a scratch
+		// fabric), so a shard whose regions grow with what else is open on
+		// the fabric surfaces here as an Open error.
 		sopts.MemoryBudget = p.ShardMix * store.Footprint(an, p.Nodes, copts)
 		r.st = store.New(fab, sopts)
 		for i := 0; i < p.ShardMix; i++ {

@@ -99,17 +99,12 @@ type Options struct {
 	// DisableFailureHandling turns off detectors and recovery (ablation).
 	DisableFailureHandling bool
 
-	// Namespace isolates this cluster's memory regions and consensus
-	// groups, so several replicated objects can share one fabric. The
-	// heartbeat infrastructure is shared across namespaces.
-	Namespace string
-
-	// ShardTag names the shard this cluster implements inside a
-	// multi-object store (package store). When set, call identities in
-	// traces and WR labels are prefixed "tag:" so one merged fabric trace
-	// decomposes per shard, and summary writes enqueue under the tag for
-	// cross-shard accounting. Empty for standalone clusters.
-	ShardTag string
+	// Shard is the cluster's key inside a multi-object store (package
+	// store), empty standalone. Its regions and consensus groups live under
+	// Cluster.Namespace, its call identities in traces and WR labels read
+	// "key:…" so one merged fabric trace decomposes per shard, and its
+	// summary writes enqueue under the key for cross-shard accounting.
+	Shard string
 
 	// Coalescers, when non-nil, holds one shared per-node write coalescer
 	// (indexed by node id) through which replicas route their summary-slot
@@ -143,6 +138,7 @@ type Cluster struct {
 	Opts     Options
 	Replicas []*Replica
 	leaders  []spec.ProcID
+	ns       string // see Namespace
 
 	// Dynamic membership (epoch.go): the configuration epoch and which
 	// nodes are currently members. The per-source epoch floors live on each
@@ -161,6 +157,12 @@ type Cluster struct {
 // muGroup names the consensus group of synchronization group g within a
 // namespace.
 func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
+
+// Namespace returns what every region name of the cluster contains: "" or,
+// for Options.Shard key, "shard[key]/" (a prefix on core and broadcast
+// regions, an infix on Mu ones: "mu-log-<ns>ham-g0"). The brackets keep one
+// key's namespace out of another's.
+func (c *Cluster) Namespace() string { return c.ns }
 
 // NewCluster builds a Hamband deployment of the analyzed class over fab:
 // it registers the memory regions, creates the heartbeat, the per-group
@@ -181,6 +183,9 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 			opts.SumSlotSize, opts.DeltaLogBytes, MinDeltaLogBytes))
 	}
 	c := &Cluster{Fab: fab, An: an, Opts: opts}
+	if opts.Shard != "" {
+		c.ns = "shard[" + opts.Shard + "]/"
+	}
 	c.leaders = opts.Leaders
 	if c.leaders == nil {
 		for g := range an.SyncGroups {
@@ -192,7 +197,7 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	// post/wire/completion timestamps (zero cost without labels). A shard
 	// cluster's tracer is a scoped view; the store attaches the root tracer
 	// to the fabric itself, so a shard never replaces an attached one.
-	if opts.Tracer != nil && (opts.ShardTag == "" || fab.Tracer() == nil) {
+	if opts.Tracer != nil && (opts.Shard == "" || fab.Tracer() == nil) {
 		fab.EnableTracing(opts.Tracer)
 	}
 
@@ -205,7 +210,7 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	// where the analysis gives the class something to put in it — F buffers
 	// iff some method is irreducible conflict-free, L buffers per
 	// synchronization group, S slots per summarization group.
-	c.Opts.Broadcast.Namespace = opts.Namespace
+	c.Opts.Broadcast.Namespace = c.ns
 	if an.HasFreeBuffers() {
 		// The smaller of what a backup slot and what half an inbound ring
 		// hold. Too little for a call is a hard configuration error, like the
@@ -218,13 +223,13 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		broadcast.Setup(fab, bc)
 	}
 	for g := range an.SyncGroups {
-		mu.Setup(fab, muGroup(opts.Namespace, g), opts.Mu, rdma.NodeID(c.leaders[g]))
+		mu.Setup(fab, muGroup(c.ns, g), opts.Mu, rdma.NodeID(c.leaders[g]))
 	}
 	nslots := len(an.Class.SumGroups) * n
 	for i := 0; i < n; i++ {
 		node := fab.Node(rdma.NodeID(i))
 		if nslots > 0 {
-			r := node.Register(opts.Namespace+sumRegionBase, nslots*opts.SumSlotSize)
+			r := node.Register(c.ns+sumRegionBase, nslots*opts.SumSlotSize)
 			r.TrackWrites() // the scan validates only what moved (Replica.scanSlot)
 			// Single-writer per slot by protocol; the grants are explicit
 			// per peer (not AllowAllWrites) so a leaving node's permission
@@ -235,7 +240,7 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 				}
 			}
 		}
-		er := node.Register(epochRegion(opts.Namespace), epochRegionSize)
+		er := node.Register(epochRegion(c.ns), epochRegionSize)
 		er.AllowAllWrites() // any member may CAS-claim a reconfiguration
 	}
 	c.members = make([]bool, n)
@@ -308,7 +313,8 @@ func CrossWire(a, b *Cluster) {
 }
 
 // Stop cancels every replica's tickers, takes its in-channels out of its
-// node's poll loop, and stops the failure domain when the cluster owns it (a
+// node's poll loop and the replicas off the failure domain (a stopped replica
+// hears no suspicion), and stops the domain when the cluster owns it (a
 // shared domain outlives the cluster: other shards still use it, and its
 // owner stops it). The cluster must not be used afterwards; memory regions
 // stay registered on the fabric.
@@ -422,7 +428,7 @@ type Replica struct {
 	// Summaries.
 	sums      [][]*sumSlot // [sum group][proc]
 	haveSums  bool
-	sumRegion string // the summary-slot region's name: Options.Namespace + sumRegionBase
+	sumRegion string // the summary-slot region's name: the cluster's namespace + sumRegionBase
 	// coal batches summary-slot writes per peer into one chained doorbell;
 	// private by default, shared across shards when Options.Coalescers is
 	// set (cross-shard WRs to one peer then ride one chain).
@@ -531,7 +537,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		pendingConf: make(map[uint64]func(any, error)),
 		specA:       make(map[callKey2]uint32),
 		haveSums:    len(cls.SumGroups) > 0,
-		sumRegion:   c.Opts.Namespace + sumRegionBase,
+		sumRegion:   c.ns + sumRegionBase,
 	}
 	r.freeSink = r
 	r.live = view{r: r, base: cls.NewState()}
@@ -584,12 +590,12 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	// One consensus instance per synchronization group.
 	for g := range c.An.SyncGroups {
 		g := g
-		in := mu.NewInstance(c.Fab, r.node, muGroup(c.Opts.Namespace, g), c.Opts.Mu, rdma.NodeID(c.leaders[g]))
+		in := mu.NewInstance(c.Fab, r.node, muGroup(c.ns, g), c.Opts.Mu, rdma.NodeID(c.leaders[g]))
 		in.Transform = func(origin rdma.NodeID, payload []byte) []byte { return r.leaderTransform(g, origin, payload) }
 		if c.Opts.Tracer != nil {
 			in.Tracer = c.Opts.Tracer
 			in.TraceLabel = confLabel
-			if tag := c.Opts.ShardTag; tag != "" {
+			if tag := c.Opts.Shard; tag != "" {
 				in.TraceLabel = func(payload []byte) string {
 					l := confLabel(payload)
 					if l == "" {
@@ -614,7 +620,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 
 	r.fdom = c.fdom
 	if !c.Opts.DisableFailureHandling {
-		r.fdom.Subscribe(int(id), r.onSuspect, r.onRestore)
+		r.fdom.subscribe(r)
 		r.beater = r.fdom.Beater(int(id))
 	}
 
@@ -658,7 +664,8 @@ func (r *Replica) DeltaStats() (deltas, anchors, gapFetches uint64) {
 	return r.statDeltas, r.statAnchors, r.statGapFetch
 }
 
-// stop cancels the replica's background activity.
+// stop cancels the replica's background activity and takes it off the
+// failure domain.
 func (r *Replica) stop() {
 	for _, t := range r.tickers {
 		t.Cancel()
@@ -667,4 +674,5 @@ func (r *Replica) stop() {
 	for _, in := range r.groups {
 		in.Stop()
 	}
+	r.fdom.unsubscribe(r)
 }

@@ -842,19 +842,19 @@ func TestTracerRecordsCallLifecycle(t *testing.T) {
 }
 
 func TestTwoObjectsShareOneFabric(t *testing.T) {
-	// Namespaces isolate two replicated objects — an account and a cart —
-	// deployed over the same three nodes. Heartbeats are shared; regions,
-	// broadcast domains and consensus groups are disjoint.
+	// Shard keys isolate two replicated objects — an account and a cart —
+	// deployed over the same three nodes: each key's namespace keeps their
+	// regions, broadcast domains and consensus groups disjoint.
 	eng := sim.NewEngine(111)
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
 
 	bankOpts := DefaultOptions()
 	bankOpts.CheckIntegrity = true
-	bankOpts.Namespace = "bank/"
+	bankOpts.Shard = "bank"
 	bank := NewCluster(fab, spec.MustAnalyze(crdt.NewAccount()), bankOpts)
 
 	cartOpts := DefaultOptions()
-	cartOpts.Namespace = "cart/"
+	cartOpts.Shard = "cart"
 	cart := NewCluster(fab, spec.MustAnalyze(crdt.NewCart()), cartOpts)
 
 	eng.At(0, func() {
@@ -897,7 +897,8 @@ func TestClusterStopQuiescesEngine(t *testing.T) {
 
 // TestClusterStopLeavesSuppliedDomainRunning is the other half of the
 // ownership rule: a domain the caller supplied (a store's, shared by its
-// shards) outlives the cluster's Stop and is stopped by its owner.
+// shards) outlives the cluster's Stop and is stopped by its owner; Stop only
+// takes the cluster's replicas off it.
 func TestClusterStopLeavesSuppliedDomainRunning(t *testing.T) {
 	eng := sim.NewEngine(142)
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
@@ -906,6 +907,11 @@ func TestClusterStopLeavesSuppliedDomainRunning(t *testing.T) {
 	c := NewCluster(fab, spec.MustAnalyze(crdt.NewAccount()), opts)
 	eng.RunFor(sim.Millisecond)
 	c.Stop()
+	for node, subs := range opts.FailureDomain.subs {
+		if len(subs) != 0 {
+			t.Fatalf("node %d: %d replicas still subscribed after Stop", node, len(subs))
+		}
+	}
 	eng.RunFor(sim.Millisecond)
 	if eng.Pending() == 0 {
 		t.Fatal("Cluster.Stop stopped a failure domain it does not own")

@@ -203,7 +203,7 @@ const epochHome = 0
 // copy. The initiator reaches it with a one-sided verb; when the initiator
 // is the home node itself the atomic executes on local memory.
 func (c *Cluster) claimEpoch(init int, cur uint32, onDone func(won bool, err error)) {
-	name := epochRegion(c.Opts.Namespace)
+	name := epochRegion(c.ns)
 	if init == epochHome {
 		buf := c.Fab.Node(epochHome).Region(name).Bytes()
 		if binary.LittleEndian.Uint64(buf) != uint64(cur) {
@@ -228,7 +228,7 @@ func (c *Cluster) claimEpoch(init int, cur uint32, onDone func(won bool, err err
 func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 	c.epoch = newEpoch
 	c.members[target] = join
-	ns := c.Opts.Namespace
+	ns := c.ns
 	n := len(c.Replicas)
 	t := rdma.NodeID(target)
 

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
 )
@@ -11,19 +13,14 @@ import (
 // it beats once, is suspected once, and every shard on it fails together.
 // Every replica subscribes to a domain — a standalone cluster to the
 // one-shard domain it owns — so N shards cost the same background heartbeat
-// traffic as one.
+// traffic as one; Cluster.Stop takes its replicas off again.
 //
 // A nil *FailureDomain is failure handling disabled: it suspects nobody and
 // its membership calls do nothing.
 type FailureDomain struct {
 	beaters   []*heartbeat.Beater
 	detectors []*heartbeat.Detector
-	subs      [][]fdomSub // per observing node
-}
-
-// fdomSub is one shard replica's suspicion callbacks on a node.
-type fdomSub struct {
-	onSuspect, onRestore func(rdma.NodeID)
+	subs      [][]*Replica // per observing node, in subscription order
 }
 
 // NewFailureDomain registers the heartbeat region on every node and starts
@@ -31,7 +28,7 @@ type fdomSub struct {
 // subscriber on the observing node.
 func NewFailureDomain(fab *rdma.Fabric, cfg heartbeat.Config) *FailureDomain {
 	n := fab.Size()
-	fd := &FailureDomain{subs: make([][]fdomSub, n)}
+	fd := &FailureDomain{subs: make([][]*Replica, n)}
 	for i := 0; i < n; i++ {
 		heartbeat.Register(fab.Node(rdma.NodeID(i)))
 	}
@@ -41,13 +38,13 @@ func NewFailureDomain(fab *rdma.Fabric, cfg heartbeat.Config) *FailureDomain {
 		fd.beaters = append(fd.beaters, heartbeat.NewBeater(fab.Engine(), node, cfg.BeatPeriod))
 		det := heartbeat.NewDetector(fab, node, cfg)
 		det.OnSuspect = func(peer rdma.NodeID) {
-			for _, s := range fd.subs[i] {
-				s.onSuspect(peer)
+			for _, r := range fd.subs[i] {
+				r.onSuspect(peer)
 			}
 		}
 		det.OnRestore = func(peer rdma.NodeID) {
-			for _, s := range fd.subs[i] {
-				s.onRestore(peer)
+			for _, r := range fd.subs[i] {
+				r.onRestore(peer)
 			}
 		}
 		fd.detectors = append(fd.detectors, det)
@@ -55,9 +52,17 @@ func NewFailureDomain(fab *rdma.Fabric, cfg heartbeat.Config) *FailureDomain {
 	return fd
 }
 
-// Subscribe adds suspicion callbacks for a replica observing from node.
-func (fd *FailureDomain) Subscribe(node int, onSuspect, onRestore func(rdma.NodeID)) {
-	fd.subs[node] = append(fd.subs[node], fdomSub{onSuspect: onSuspect, onRestore: onRestore})
+// subscribe delivers the suspicions r's node observes to r; unsubscribe
+// stops that (nothing to stop on a nil domain).
+func (fd *FailureDomain) subscribe(r *Replica) {
+	fd.subs[r.id] = append(fd.subs[r.id], r)
+}
+
+func (fd *FailureDomain) unsubscribe(r *Replica) {
+	if fd == nil {
+		return
+	}
+	fd.subs[r.id] = slices.DeleteFunc(fd.subs[r.id], func(s *Replica) bool { return s == r })
 }
 
 // Beater returns the node's shared heartbeat thread; suspending it injects

@@ -36,10 +36,10 @@ func (r *Replica) tracing() bool { return r.opts.Tracer != nil }
 // call's WR labels, so fabric verb events attribute to the right shard.
 // Only called on tracing paths; the disabled path never builds it.
 func (r *Replica) callLabel(c spec.Call) string {
-	if r.opts.ShardTag == "" {
+	if r.opts.Shard == "" {
 		return callID(c)
 	}
-	return r.opts.ShardTag + ":" + callID(c)
+	return r.opts.Shard + ":" + callID(c)
 }
 
 // trace records a lifecycle event when tracing is enabled.
@@ -363,7 +363,7 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 func (r *Replica) propagate(g int, wr rdma.WR) {
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) != r.id {
-			r.coal.Enqueue(rdma.NodeID(p), r.opts.ShardTag, wr)
+			r.coal.Enqueue(rdma.NodeID(p), r.opts.Shard, wr)
 		}
 	}
 	r.deltaW[g].mark = r.coal.Mark()

@@ -22,9 +22,9 @@ type span struct{ off, size int }
 // scarce resource) and carve per-object rings and slots out of them. Arena
 // models that discipline as bookkeeping: the budget is the modelled
 // registration, an address space [0, size) that is never allocated, and every
-// Carve reserves a span of it. The region a carve backs (Node.Register builds
-// it) owns a buffer of exactly its size, so the bytes that exist are the bytes
-// carved, while admission, fragmentation and reuse follow the spans.
+// Carve reserves a span of it. Node.Charge carves one span per registered
+// region, of exactly the region's size, so the bytes a tenant holds are the
+// bytes carved, while admission, fragmentation and reuse follow the spans.
 //
 // Allocation is first-fit over a sorted, coalesced free list. Release merges
 // the span back; the next tenant gets fresh memory, so it never observes a
@@ -82,8 +82,8 @@ func (a *Arena) largest() int {
 	return max
 }
 
-// Carve reserves a span of the given size under name; the region it backs is
-// built by Node.Register (see Node.Route). Exhaustion returns an error
+// Carve reserves a span of the given size under name; Node.Charge carves
+// one for each region it charges. Exhaustion returns an error
 // wrapping ErrArenaExhausted; a duplicate name or non-positive size is a
 // programming error and panics, matching Node.Register.
 func (a *Arena) Carve(name string, size int) error {

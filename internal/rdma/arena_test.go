@@ -29,12 +29,15 @@ func TestArenaExhaustionTypedError(t *testing.T) {
 func TestArenaReleaseReuseAndCoalesce(t *testing.T) {
 	n := NewFabric(sim.NewEngine(1), 2, DefaultLatency()).Node(0)
 	a := NewArena(300)
-	n.Route(func(string) bool { return true }, a)
+	all := func(string) bool { return true }
 	for _, name := range []string{"a", "b", "c"} {
 		r := n.Register(name, 100)
 		for i := range r.Bytes() {
 			r.Bytes()[i] = 0xAB
 		}
+	}
+	if err := n.Charge(all, a); err != nil {
+		t.Fatalf("charge: %v", err)
 	}
 	if err := a.Carve("d", 1); !errors.Is(err, ErrArenaExhausted) {
 		t.Fatalf("full arena carve: %v", err)
@@ -54,6 +57,9 @@ func TestArenaReleaseReuseAndCoalesce(t *testing.T) {
 		t.Fatalf("largest=%d after full release; spans not coalesced", got)
 	}
 	r := n.Register("whole", 300)
+	if err := n.Charge(all, a); err != nil {
+		t.Fatalf("charge after full release: %v", err)
+	}
 	for i, b := range r.Bytes() {
 		if b != 0 {
 			t.Fatalf("byte %d = %#x: the new tenant sees a previous one's memory", i, b)
@@ -93,27 +99,30 @@ func TestArenaConcurrentCarveReleaseBudget(t *testing.T) {
 	}
 }
 
-func TestRegisterRoutesIntoArena(t *testing.T) {
+func TestChargeCarvesMatchingRegionsIntoArena(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := NewFabric(eng, 2, DefaultLatency()).Node(0)
 	a := NewArena(4096)
-	n.Route(func(name string) bool { return strings.HasPrefix(name, "shard/") }, a)
+	shard := func(name string) bool { return strings.HasPrefix(name, "shard/") }
 
-	routed := n.Register("shard/ring", 1024)
-	if routed.arena != a || routed.owner != n {
-		t.Fatal("routed region not charged to the arena, or not owned by its node")
-	}
-	if a.Used() != 1024 {
-		t.Fatalf("arena used=%d after routed register", a.Used())
-	}
+	charged := n.Register("shard/ring", 1024)
 	direct := n.Register("plain", 1024)
+	if a.Used() != 0 {
+		t.Fatalf("arena used=%d before any charge: Register carved", a.Used())
+	}
+	if err := n.Charge(shard, a); err != nil {
+		t.Fatalf("charge: %v", err)
+	}
+	if charged.arena != a || charged.owner != n {
+		t.Fatal("matching region not charged to the arena, or not owned by its node")
+	}
 	if direct.arena != nil {
-		t.Fatal("non-matching register went through the arena")
+		t.Fatal("non-matching region was charged to the arena")
 	}
 	if a.Used() != 1024 {
-		t.Fatalf("arena used=%d after direct register", a.Used())
+		t.Fatalf("arena used=%d after charge, want 1024", a.Used())
 	}
-	if got := n.UnregisterMatch(func(name string) bool { return strings.HasPrefix(name, "shard/") }); got != 1 {
+	if got := n.UnregisterMatch(shard); got != 1 {
 		t.Fatalf("UnregisterMatch removed %d regions", got)
 	}
 	if n.Region("shard/ring") != nil {
@@ -121,6 +130,64 @@ func TestRegisterRoutesIntoArena(t *testing.T) {
 	}
 	if a.Used() != 0 {
 		t.Fatalf("arena used=%d after unregister", a.Used())
+	}
+}
+
+// A Charge that does not fit carves nothing: the spans it carved before the
+// refusal go back to the arena and their regions stay uncharged, so a later
+// Charge into a larger arena takes all of them.
+func TestArenaChargeRefusalRollsBack(t *testing.T) {
+	n := NewFabric(sim.NewEngine(1), 2, DefaultLatency()).Node(0)
+	all := func(string) bool { return true }
+	for _, name := range []string{"a", "b", "c"} {
+		n.Register(name, 100)
+	}
+	small := NewArena(250)
+	if err := n.Charge(all, small); !errors.Is(err, ErrArenaExhausted) {
+		t.Fatalf("charging 300 B into 250 B: %v, want ErrArenaExhausted", err)
+	}
+	if small.Used() != 0 || small.Largest() != 250 {
+		t.Fatalf("used=%d largest=%d after a refused charge, want 0/250", small.Used(), small.Largest())
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		if n.Region(name).arena != nil {
+			t.Fatalf("region %q left charged by a refused charge", name)
+		}
+	}
+	big := NewArena(300)
+	if err := n.Charge(all, big); err != nil {
+		t.Fatalf("charge after the refusal: %v", err)
+	}
+	if big.Used() != 300 {
+		t.Fatalf("used=%d, want 300", big.Used())
+	}
+}
+
+// Charge carves in name order, not registration order: two nodes that
+// registered the same regions in opposite orders get the same placement.
+func TestArenaChargeInNameOrder(t *testing.T) {
+	fab := NewFabric(sim.NewEngine(1), 2, DefaultLatency())
+	sizes := map[string]int{"a": 64, "b": 128, "c": 32}
+	all := func(string) bool { return true }
+	var arenas []*Arena
+	for i, order := range [][]string{{"a", "b", "c"}, {"c", "b", "a"}} {
+		n := fab.Node(NodeID(i))
+		for _, name := range order {
+			n.Register(name, sizes[name])
+		}
+		a := NewArena(1024)
+		if err := n.Charge(all, a); err != nil {
+			t.Fatal(err)
+		}
+		arenas = append(arenas, a)
+	}
+	want := map[string]span{"a": {0, 64}, "b": {64, 128}, "c": {192, 32}}
+	for i, a := range arenas {
+		for name, sp := range want {
+			if got := a.allocs[name]; got != sp {
+				t.Fatalf("node %d: %q placed at %+v, want %+v", i, name, got, sp)
+			}
+		}
 	}
 }
 
@@ -134,9 +201,11 @@ func TestArenaRegionServesVerbs(t *testing.T) {
 	fab := NewFabric(eng, 2, DefaultLatency())
 	target := fab.Node(1)
 	a := NewArena(4096)
-	target.Route(func(name string) bool { return strings.HasPrefix(name, "sub") }, a)
 	sub := target.Register("sub0", 64)
 	sibling := target.Register("sub1", 64)
+	if err := target.Charge(func(name string) bool { return strings.HasPrefix(name, "sub") }, a); err != nil {
+		t.Fatal(err)
+	}
 	sub.AllowWrite(0)
 	sibling.AllowWrite(0)
 	if b := sub.Bytes(); len(b) != 64 || cap(b) != 64 {

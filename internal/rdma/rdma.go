@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"hamband/internal/metrics"
 	"hamband/internal/sim"
@@ -301,17 +302,10 @@ type Node struct {
 	CPU     *sim.CPU
 	regions map[string]*Region
 	qps     map[NodeID]*QP
-	routes  []regionRoute
 	poll    pollLoop
 
 	crashed   bool
 	suspended bool
-}
-
-// regionRoute diverts matching Register calls into an arena (see Route).
-type regionRoute struct {
-	match func(name string) bool
-	arena *Arena
 }
 
 // ID returns the node's identifier.
@@ -326,39 +320,50 @@ func (n *Node) Suspended() bool { return n.suspended }
 // Register allocates a memory region of the given size under name and
 // returns it. Registering an existing name panics: region layout is part of
 // protocol setup and a double registration is a programming error.
-//
-// If an installed route (see Route) matches the name, the region's size is
-// carved out of the route's arena budget first. The caller is expected to
-// have reserved that budget beforehand — a carve failure here means the
-// reservation accounting is wrong, so it panics rather than silently spilling
-// outside the budget.
 func (n *Node) Register(name string, size int) *Region {
 	if _, ok := n.regions[name]; ok {
 		panic(fmt.Sprintf("rdma: region %q already registered on node %d", name, n.id))
 	}
-	var arena *Arena
-	for _, rt := range n.routes {
-		if !rt.match(name) {
-			continue
-		}
-		if err := rt.arena.Carve(name, size); err != nil {
-			panic(fmt.Sprintf("rdma: routed region %q on node %d: %v (budget not reserved?)", name, n.id, err))
-		}
-		arena = rt.arena
-		break
-	}
-	r := &Region{name: name, owner: n, buf: make([]byte, size), writers: make(map[NodeID]bool), arena: arena}
+	r := &Region{name: name, owner: n, buf: make([]byte, size), writers: make(map[NodeID]bool)}
 	n.regions[name] = r
 	return r
 }
 
-// Route installs an arena route: subsequent Register calls whose name
-// matches are charged to the arena's budget. Routes are consulted in
-// installation order; the first match wins. This is how a multi-object store
-// holds a protocol stack's region registrations — which know nothing about
-// arenas — to one per-node registration budget.
-func (n *Node) Route(match func(name string) bool, a *Arena) {
-	n.routes = append(n.routes, regionRoute{match: match, arena: a})
+// Charge carves every registered region whose name matches out of a's
+// budget, in name order, so the placement depends only on the names and the
+// arena; Unregister returns a charged region's span. It is all or none: when
+// a region does not fit, the spans this call carved are released and the
+// error wraps ErrArenaExhausted. This is how a multi-object store holds a
+// protocol stack's registrations — which know nothing about arenas — to one
+// per-node registration budget. Charging a region twice panics.
+func (n *Node) Charge(match func(name string) bool, a *Arena) error {
+	regions := n.Regions(match)
+	for i, r := range regions {
+		if r.arena != nil {
+			panic(fmt.Sprintf("rdma: region %q on node %d already charged", r.name, n.id))
+		}
+		if err := a.Carve(r.name, len(r.buf)); err != nil {
+			for _, carved := range regions[:i] {
+				a.release(carved.name)
+				carved.arena = nil
+			}
+			return fmt.Errorf("rdma: charging node %d: %w", n.id, err)
+		}
+		r.arena = a
+	}
+	return nil
+}
+
+// Regions returns the registered regions whose names match, in name order.
+func (n *Node) Regions(match func(name string) bool) []*Region {
+	var out []*Region
+	for name, r := range n.regions {
+		if match(name) {
+			out = append(out, r)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Region) int { return strings.Compare(a.name, b.name) })
+	return out
 }
 
 // Region returns the region registered under name, or nil.
@@ -383,14 +388,11 @@ func (n *Node) Unregister(name string) {
 // UnregisterMatch unregisters every region whose name matches and returns
 // how many were removed.
 func (n *Node) UnregisterMatch(match func(name string) bool) int {
-	removed := 0
-	for name := range n.regions {
-		if match(name) {
-			n.Unregister(name)
-			removed++
-		}
+	regions := n.Regions(match)
+	for _, r := range regions {
+		n.Unregister(r.name)
 	}
-	return removed
+	return len(regions)
 }
 
 // QP returns the reliable-connection queue pair from this node to peer,
@@ -439,7 +441,7 @@ type Region struct {
 	buf      []byte
 	writers  map[NodeID]bool
 	allowAll bool
-	arena    *Arena // non-nil when charged to an arena's budget (see Node.Route)
+	arena    *Arena // non-nil when charged to an arena's budget (see Node.Charge)
 
 	// Write generations (Write, Moved): gen counts the region's writes,
 	// gens[i] is the gen of the last write that touched chunk i, and pages[j]

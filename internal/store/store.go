@@ -8,34 +8,37 @@
 //   - Memory. Each node has ONE registration budget of MemoryBudget bytes
 //     (registration is a scarce NIC resource — real deployments register
 //     big and sub-allocate); an rdma.Arena carves every shard's rings,
-//     summary slots and δ-log areas out of it, and only carved bytes exist.
-//     Open admits a shard only if its exact footprint fits the remaining
-//     budget, returning ErrBudget otherwise; Close returns its spans.
+//     summary slots and δ-log areas out of it. Admission is the charge: Open
+//     builds the shard, then charges every region it registered to each
+//     node's arena (rdma.Node.Charge, all or none); a refusal tears the
+//     shard down again and Open returns ErrBudget. Close returns the spans.
 //   - Queue pairs. All shards on a node post through the node's per-peer RC
 //     QPs, and their summary writes flow through one shared per-node
 //     rdma.Coalescer — WRs from different shards bound for the same peer
 //     ride one PostChain doorbell (CoalesceStats.CrossChains counts them).
 //   - Failure handling. One heartbeat thread and one detector per node
 //     (core.FailureDomain); a node's shards are suspected and recovered
-//     together, as one process.
+//     together, as one process, and a closed shard hears no more of it.
 //
-// Per shard: a disjoint region namespace, per-source broadcast rings when the
-// class has irreducible conflict-free methods, one Mu consensus instance per
-// synchronization group (the paper scopes Mu to sync groups; the store scopes
-// it to sync groups × shards), and staggered default group leaders so
-// consensus load spreads across nodes instead of piling onto node 0.
+// Per shard: a disjoint region namespace (core.Cluster.Namespace), per-source
+// broadcast rings when the class has irreducible conflict-free methods, one
+// Mu consensus instance per synchronization group (the paper scopes Mu to
+// sync groups; the store scopes it to sync groups × shards), and staggered
+// default group leaders so consensus load spreads across nodes instead of
+// piling onto node 0.
 package store
 
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
 
 	"hamband/internal/core"
 	"hamband/internal/rdma"
-	"hamband/internal/ring"
+	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
@@ -58,10 +61,10 @@ type Options struct {
 	// modelled registration, of which only the carved bytes are allocated.
 	MemoryBudget int
 
-	// Core is the per-shard cluster option template. Namespace, ShardTag,
-	// Tracer, Coalescers, FailureDomain and Leaders are overwritten per
-	// shard; everything else applies to every shard alike. Zero value means
-	// core.DefaultOptions().
+	// Core is the per-shard cluster option template, typically
+	// core.DefaultOptions() adjusted. Shard, Tracer, Coalescers,
+	// FailureDomain and Leaders are overwritten per shard; everything else
+	// applies to every shard alike.
 	Core core.Options
 
 	// Tracer, when non-nil, is the root tracer: each shard records through
@@ -90,15 +93,13 @@ type Store struct {
 	fdom   *core.FailureDomain
 
 	shards  map[string]*Shard
-	opening string // namespace being routed during an Open, "" otherwise
-	nOpened int    // total Opens ever, for leader staggering
+	nOpened int // total Opens ever, for leader staggering
 }
 
 // Shard is one replicated object hosted by the store.
 type Shard struct {
 	Key       string
 	Cluster   *core.Cluster
-	ns        string
 	footprint int
 }
 
@@ -108,13 +109,6 @@ type Shard struct {
 func New(fab *rdma.Fabric, opts Options) *Store {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 16 << 20
-	}
-	if opts.Core.SumSlotSize == 0 {
-		base := core.DefaultOptions()
-		base.Tracer = opts.Core.Tracer
-		base.Metrics = opts.Core.Metrics
-		base.DisableFailureHandling = opts.Core.DisableFailureHandling
-		opts.Core = base
 	}
 	s := &Store{fab: fab, opts: opts, shards: make(map[string]*Shard)}
 	// The fabric holds the run's one registry: the shared failure domain
@@ -126,11 +120,8 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 		fab.EnableTracing(opts.Tracer)
 	}
 	for i := 0; i < fab.Size(); i++ {
-		node := fab.Node(rdma.NodeID(i))
-		a := rdma.NewArena(opts.MemoryBudget)
-		s.arenas = append(s.arenas, a)
-		node.Route(s.routeMatch, a)
-		s.coals = append(s.coals, rdma.NewCoalescer(node))
+		s.arenas = append(s.arenas, rdma.NewArena(opts.MemoryBudget))
+		s.coals = append(s.coals, rdma.NewCoalescer(fab.Node(rdma.NodeID(i))))
 	}
 	if !opts.Core.DisableFailureHandling {
 		s.fdom = core.NewFailureDomain(fab, opts.Core.Heartbeat)
@@ -138,65 +129,29 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 	return s
 }
 
-// routeMatch diverts the opening shard's region registrations into the
-// node's arena. Namespaces appear as prefixes on core/broadcast regions
-// but as infixes on Mu regions ("mu-log-<ns>ham-g0"), so the match is a
-// substring test; the bracketed namespace shape makes keys prefix-free.
-func (s *Store) routeMatch(name string) bool {
-	return s.opening != "" && strings.Contains(name, s.opening)
-}
-
-// namespace renders a shard key's region namespace. The brackets make the
-// namespace self-delimiting so no key's namespace is a substring of
-// another's (plain "a"/"ab" prefixes would collide under the infix match).
-func namespace(key string) string { return "shard[" + key + "]/" }
-
-// Footprint returns the exact per-node memory a shard of the analyzed
-// class costs under the given core options: summary slots per summarization
-// group, broadcast backup + inbound rings iff the class has an irreducible
-// conflict-free method (spec.Analysis.HasFreeBuffers, the predicate
-// core.NewCluster builds by), and per-sync-group Mu log/journal/state plus
-// per-peer request/vote/grant rings. Open admits against this number, and
-// the arena accounting in the tests pins it byte-for-byte.
+// Footprint returns the per-node memory a shard of the analyzed class
+// costs under the given core options: what Open charges for it, measured by
+// opening one such shard in a scratch store on a fabric of its own.
 func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
-	total, _ := footprintDetail(an, nodes, o)
-	return total
+	o.Tracer, o.Metrics, o.DisableFailureHandling = nil, nil, true
+	fab := rdma.NewFabric(sim.NewEngine(0), nodes, rdma.DefaultLatency())
+	s := New(fab, Options{MemoryBudget: math.MaxInt, Core: o})
+	defer s.Stop()
+	sh, err := s.Open("footprint", an, ShardOptions{})
+	if err != nil {
+		panic(err) // an unbounded budget refuses nothing
+	}
+	return sh.Footprint()
 }
 
-// footprintDetail returns a shard's total per-node footprint and its
-// largest single region — the fragmentation-aware admission pair.
-func footprintDetail(an *spec.Analysis, nodes int, o core.Options) (total, largest int) {
-	add := func(size, count int) {
-		total += size * count
-		if size > largest {
-			largest = size
-		}
-	}
-	if nslots := len(an.Class.SumGroups) * nodes; nslots > 0 {
-		add(nslots*o.SumSlotSize, 1)
-	}
-	add(8, 1) // configuration-epoch word (dynamic membership)
-	if an.HasFreeBuffers() {
-		add(o.Broadcast.BackupSlots*o.Broadcast.BackupSlot, 1)
-		add(ring.RegionSize(o.Broadcast.RingCapacity), nodes-1)
-	}
-	for range an.SyncGroups {
-		add(ring.RegionSize(o.Mu.RingCapacity), 1)       // leader log
-		add(o.Mu.JournalSlots*o.Mu.JournalSlotSize, 1)   // journal
-		add(16, 1)                                       // state words
-		add(ring.RegionSize(o.Mu.RingCapacity), nodes-1) // request rings
-		add(ring.RegionSize(o.Mu.CtrlCapacity), nodes-1) // control rings
-	}
-	return total, largest
-}
-
-// Open admits a new shard under key: it checks the exact footprint against
-// every node's remaining budget (ErrBudget on any shortfall — no partial
-// registration happens), then builds the shard's cluster with its regions
-// routed into the arenas, its Mu instances scoped per sync group per
-// shard, its traces stamped with the key, and its summary writes flowing
-// through the shared coalescers. Group leaders are staggered by
-// shard index so consensus load spreads across the nodes.
+// Open admits a new shard under key: it builds the shard's cluster — its
+// regions named under the key's namespace, its Mu instances scoped per
+// sync group per shard, its traces stamped with the key, its summary writes
+// flowing through the shared coalescers, its group leaders staggered by
+// shard index so consensus load spreads across the nodes — and then charges
+// every region the shard registered to each node's arena. A node that cannot
+// hold them all refuses: the shard is torn down the way Close tears it down,
+// no arena keeps a byte of it, and Open returns ErrBudget.
 func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, error) {
 	if key == "" || strings.ContainsAny(key, ":,[]") {
 		return nil, fmt.Errorf("store: invalid shard key %q (must be non-empty, without ':' ',' '[' ']')", key)
@@ -208,9 +163,7 @@ func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, err
 	}
 	n := s.fab.Size()
 	co := s.opts.Core
-	ns := namespace(key)
-	co.Namespace = ns
-	co.ShardTag = key
+	co.Shard = key
 	co.Tracer = s.opts.Tracer.Scoped(key)
 	co.FailureDomain = s.fdom
 	co.Coalescers = s.coals
@@ -219,27 +172,38 @@ func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, err
 		co.Leaders[g] = spec.ProcID((g + s.nOpened) % n)
 	}
 
-	total, largest := footprintDetail(an, n, co)
+	sh := &Shard{Key: key, Cluster: core.NewCluster(s.fab, an, co)}
+	before := s.arenas[0].Used()
 	for i, a := range s.arenas {
-		if a.Available() < total || a.Largest() < largest {
-			return nil, fmt.Errorf(
-				"store: open %q needs %d B/node (largest region %d B) but node %d has %d B free (largest span %d B): %w",
-				key, total, largest, i, a.Available(), a.Largest(), ErrBudget)
+		if err := s.fab.Node(rdma.NodeID(i)).Charge(sh.owns, a); err != nil {
+			s.teardown(sh)
+			return nil, fmt.Errorf("store: open %q: %w: %w", key, ErrBudget, err)
 		}
 	}
-
-	s.opening = ns
-	cluster := core.NewCluster(s.fab, an, co)
-	s.opening = ""
-
-	sh := &Shard{Key: key, Cluster: cluster, ns: ns, footprint: total}
+	sh.footprint = s.arenas[0].Used() - before
 	s.shards[key] = sh
 	s.nOpened++
 	return sh, nil
 }
 
-// Close stops the shard's cluster and unregisters its regions, returning
-// their spans to every node's budget. The caller is responsible for
+// owns reports whether a region name belongs to the shard: whether it
+// contains the shard's namespace (an infix on Mu regions, see
+// core.Cluster.Namespace).
+func (sh *Shard) owns(name string) bool { return strings.Contains(name, sh.Cluster.Namespace()) }
+
+// teardown stops the shard's cluster — its tickers, its poll-loop channels,
+// its failure-domain subscriptions — and then unregisters its regions on
+// every node, returning whatever spans they were charged.
+func (s *Store) teardown(sh *Shard) {
+	sh.Cluster.Stop()
+	for i := 0; i < s.fab.Size(); i++ {
+		s.fab.Node(rdma.NodeID(i)).UnregisterMatch(sh.owns)
+	}
+}
+
+// Close tears the shard down the way a refused Open does: it stops the
+// shard's cluster and unregisters its regions, returning their spans to
+// every node's budget. The caller is responsible for
 // quiescence: verbs in flight toward a closed shard fail with ErrNoRegion,
 // the same way a real NIC invalidates an rkey.
 func (s *Store) Close(key string) error {
@@ -249,12 +213,7 @@ func (s *Store) Close(key string) error {
 	if !ok {
 		return fmt.Errorf("store: close %q: %w", key, ErrUnknownShard)
 	}
-	sh.Cluster.Stop()
-	for i := 0; i < s.fab.Size(); i++ {
-		s.fab.Node(rdma.NodeID(i)).UnregisterMatch(func(name string) bool {
-			return strings.Contains(name, sh.ns)
-		})
-	}
+	s.teardown(sh)
 	delete(s.shards, key)
 	return nil
 }
@@ -311,8 +270,9 @@ func (s *Store) Budget(node int) (used, total int) {
 }
 
 // Headroom reports one node's arena free space: total available bytes and
-// the largest single free extent — the number that decides whether another
-// shard of a given footprint can still be admitted.
+// the largest single free extent. A shard whose footprint exceeds the
+// available bytes is refused; one that fits them may still be refused when
+// its regions do not fit the free extents.
 func (s *Store) Headroom(node int) (available, largest int) {
 	a := s.arenas[node]
 	return a.Available(), a.Largest()

@@ -3,7 +3,9 @@ package store
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -59,9 +61,10 @@ func TestOpenBudgetTypedError(t *testing.T) {
 }
 
 // TestFootprintExactlyMatchesArenaAccounting opens one class of each buffer
-// shape — S only, F only, S+L and all three — and pins the formula to the
-// arena byte for byte after every open: Footprint and core.NewCluster consult
-// the same analysis, so admission counts exactly the regions that get built.
+// shape — S only, F only, S+L and all three — and checks that every byte a
+// shard registers is charged: on every node, the bytes of the regions under
+// the shard's namespace, the arena's Used delta, Shard.Footprint and
+// Footprint agree.
 func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 	opts := testOptions()
 	_, s := newStore(t, 4, 2, opts)
@@ -71,27 +74,38 @@ func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 		schema.NewCourseware(), // reducible + conflicting: slots and one Mu group
 		crdt.NewBankMap(),      // all three categories
 	}
-	want := 0
 	for _, cls := range classes {
 		an := spec.MustAnalyze(cls)
+		before, _ := s.Budget(0)
 		sh, err := s.Open(cls.Name, an, ShardOptions{})
 		if err != nil {
 			t.Fatalf("open %s: %v", cls.Name, err)
 		}
-		if sh.Footprint() != Footprint(an, 4, opts.Core) {
-			t.Fatalf("%s: shard footprint %d != Footprint() %d", cls.Name, sh.Footprint(), Footprint(an, 4, opts.Core))
+		if fp := Footprint(an, 4, opts.Core); sh.Footprint() != fp {
+			t.Fatalf("%s: shard footprint %d != Footprint() %d", cls.Name, sh.Footprint(), fp)
 		}
-		want += sh.Footprint()
 		for node := 0; node < 4; node++ {
+			registered := registeredBytes(s, node, sh.Cluster.Namespace())
 			used, total := s.Budget(node)
-			if used != want {
-				t.Fatalf("after opening %s: node %d arena used %d B, footprint formula says %d B", cls.Name, node, used, want)
+			if registered != sh.Footprint() || used-before != sh.Footprint() {
+				t.Fatalf("%s: node %d registered %d B under the namespace, arena charged %d B, footprint %d B",
+					cls.Name, node, registered, used-before, sh.Footprint())
 			}
 			if total != opts.MemoryBudget {
 				t.Fatalf("node %d: budget %d, want %d", node, total, opts.MemoryBudget)
 			}
 		}
 	}
+}
+
+// registeredBytes sums the sizes of the regions registered on node whose
+// names contain the namespace ns.
+func registeredBytes(s *Store, node int, ns string) int {
+	total := 0
+	for _, r := range s.Fabric().Node(rdma.NodeID(node)).Regions(func(name string) bool { return strings.Contains(name, ns) }) {
+		total += r.Size()
+	}
+	return total
 }
 
 // TestSetupAllocatesOnlyWhatShardsCarve pins what a store costs to build: the
@@ -386,9 +400,9 @@ func TestKeyedQueryPaths(t *testing.T) {
 
 // TestReopenUnderEpochChangeKeepsFootprintExact pins the arena accounting
 // across a shard's whole membership lifecycle: a leave/join round-trip
-// allocates nothing outside the budgeted arena (the epoch word is part of
-// the footprint formula), Close after the round-trip returns every byte,
-// and a reopen lands on exactly the formula again at epoch zero. It runs on
+// registers nothing the charge at Open did not bill (the epoch word is
+// registered up front), Close after the round-trip returns every byte, and a
+// reopen is charged exactly the footprint again at epoch zero. It runs on
 // the OR-set, whose commit revokes and restores the departed node's inbound
 // rings, and on the counter, which has no inbound region to revoke.
 func TestReopenUnderEpochChangeKeepsFootprintExact(t *testing.T) {
@@ -411,8 +425,9 @@ func TestReopenUnderEpochChangeKeepsFootprintExact(t *testing.T) {
 			assertUsed := func(stage string, want int) {
 				t.Helper()
 				for node := 0; node < 4; node++ {
-					if used, _ := s.Budget(node); used != want {
-						t.Fatalf("%s: node %d arena holds %d B, footprint formula says %d B", stage, node, used, want)
+					used, _ := s.Budget(node)
+					if reg := registeredBytes(s, node, "shard[obj]/"); used != want || reg != want {
+						t.Fatalf("%s: node %d arena holds %d B and %d B are registered under the shard, footprint %d B", stage, node, used, reg, want)
 					}
 				}
 			}
@@ -504,6 +519,147 @@ func TestReopenUnderEpochChangeKeepsFootprintExact(t *testing.T) {
 				t.Fatalf("reopened shard starts at epoch %d, want a fresh configuration", e)
 			}
 		})
+	}
+}
+
+// TestRandomOpenCloseUnderTightBudget drives a seeded sequence of Opens and
+// Closes over classes of every buffer shape against a budget of three movie
+// footprints, so the arenas fragment. Admission is the charge itself: an Open
+// either carves every region its shard registered or is refused with
+// ErrBudget and leaves every arena as it found it, whatever the free spans
+// look like: enough free bytes and a large enough largest span do not make
+// a shard's regions fit spans the churn has cut up.
+func TestRandomOpenCloseUnderTightBudget(t *testing.T) {
+	classes := []*spec.Analysis{
+		spec.MustAnalyze(crdt.NewCounter()),
+		spec.MustAnalyze(crdt.NewORSet()),
+		spec.MustAnalyze(schema.NewCourseware()),
+		spec.MustAnalyze(schema.NewMovie()),
+		spec.MustAnalyze(crdt.NewBankMap()),
+	}
+	const nodes, steps = 3, 120
+	for seed := int64(0); seed < 3; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			opts := testOptions()
+			opts.MemoryBudget = 3 * Footprint(classes[3], nodes, opts.Core)
+			eng, s := newStore(t, nodes, seed, opts)
+			rng := rand.New(rand.NewSource(seed))
+			used := func() []int {
+				out := make([]int, nodes)
+				for i := range out {
+					out[i], _ = s.Budget(i)
+				}
+				return out
+			}
+			refused := 0
+			for step := 0; step < steps; step++ {
+				// Time passes between steps: whatever a refused or closed
+				// shard left scheduled runs against a fabric it has left.
+				eng.RunFor(20 * sim.Microsecond)
+				key := fmt.Sprintf("k%d", rng.Intn(6))
+				if s.Shard(key) != nil {
+					if err := s.Close(key); err != nil {
+						t.Fatalf("step %d: close %s: %v", step, key, err)
+					}
+					continue
+				}
+				an := classes[rng.Intn(len(classes))]
+				before := used()
+				sh, err := s.Open(key, an, ShardOptions{})
+				after := used()
+				if err != nil {
+					if !errors.Is(err, ErrBudget) {
+						t.Fatalf("step %d: open %s: %v, want ErrBudget", step, key, err)
+					}
+					refused++
+					for i := range after {
+						if after[i] != before[i] {
+							t.Fatalf("step %d: refused open of %s moved node %d's arena from %d to %d B", step, key, i, before[i], after[i])
+						}
+					}
+					continue
+				}
+				for i := range after {
+					if after[i]-before[i] != sh.Footprint() {
+						t.Fatalf("step %d: open of %s carved %d B on node %d, footprint %d B", step, key, after[i]-before[i], i, sh.Footprint())
+					}
+				}
+			}
+			if refused == 0 {
+				t.Fatal("no open was refused — the budget never bound")
+			}
+			for _, key := range s.Keys() {
+				if err := s.Close(key); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i, u := range used() {
+				if u != 0 {
+					t.Fatalf("node %d holds %d B after every shard closed", i, u)
+				}
+			}
+		})
+	}
+}
+
+// suspendNode0 stops node 0's process and runs the engine long enough for
+// every other node's detector to suspect it.
+func suspendNode0(eng *sim.Engine, s *Store) {
+	s.Fabric().Node(0).Suspend()
+	eng.RunFor(2 * sim.Millisecond)
+}
+
+// TestClosedShardIgnoresSuspicion: a closed shard's replicas are off the
+// shared failure domain, so a suspicion after Close reaches none of them —
+// a subscribed replica would start a Mu election on regions Close removed.
+func TestClosedShardIgnoresSuspicion(t *testing.T) {
+	eng, s := newStore(t, 3, 21, testOptions())
+	if _, err := s.Open("m", spec.MustAnalyze(schema.NewMovie()), ShardOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(sim.Millisecond)
+	if err := s.Close("m"); err != nil {
+		t.Fatal(err)
+	}
+	suspendNode0(eng, s)
+	if !s.FailureDomain().Suspected(1, 0) {
+		t.Fatal("node 1 never suspected node 0: the test injected no failure")
+	}
+}
+
+// TestReopenedShardIsolatedFromItsPredecessor: a shard reopened under a
+// closed shard's key registers the same region names. The closed shard's
+// replicas must take no part in the new shard's consensus: node 0 leads none
+// of the new shard's groups, so its suspension moves none of their terms.
+func TestReopenedShardIsolatedFromItsPredecessor(t *testing.T) {
+	eng, s := newStore(t, 3, 22, testOptions())
+	an := spec.MustAnalyze(schema.NewMovie())
+	if _, err := s.Open("k", an, ShardOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(sim.Millisecond)
+	if err := s.Close("k"); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := s.Open("k", an, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := range an.SyncGroups {
+		if sh.Cluster.Leader(0, g) == 0 {
+			t.Fatalf("node 0 leads group %d of the reopened shard; the test needs it to lead none", g)
+		}
+	}
+	suspendNode0(eng, s)
+	if !s.FailureDomain().Suspected(1, 0) {
+		t.Fatal("node 1 never suspected node 0: the test injected no failure")
+	}
+	for p := spec.ProcID(0); p < 3; p++ {
+		for g := range an.SyncGroups {
+			if term := sh.Replica(p).Group(g).Term(); term != 0 {
+				t.Fatalf("p%d group %d: term %d after suspecting a node that leads nothing here, want 0", p, g, term)
+			}
+		}
 	}
 }
 
