@@ -112,8 +112,10 @@ mutants:
 # (every registered byte charged to the per-node arena, refusals that leave
 # every arena untouched over a seeded open/close sequence), typed budget
 # errors, freed-memory reuse under concurrent open/close, closed shards deaf
-# to the shared failure domain, set-up allocating only carved bytes,
-# cross-shard doorbell coalescing and shard-tagged trace decomposition —
+# to their nodes' failure detection, which the last closed shard stops and
+# the next opened one restarts, a registry flat under shard churn, set-up
+# allocating only carved bytes, cross-shard doorbell coalescing and
+# shard-tagged trace decomposition —
 # plus the arena's own tests (first-fit carving, coalescing, all-or-none
 # charging in name order, carved regions serving verbs), which live in
 # internal/rdma and all match -run Arena.
@@ -122,17 +124,21 @@ store:
 	$(GO) test -run Arena -count=1 -v ./internal/rdma
 
 # health runs the introspection gate: the watchdog rule unit tests and the
-# zero-alloc snapshot guarantee (internal/health), the fault-plan
-# cross-check over the chaos corpus (every firing predicted by an injected
-# fault, fault-free runs silent, schedules unperturbed), the fabric's one
-# registry (a store's shared failure domain counts its suspicions, a registry
-# attached to the fabric alone reaches every layer), the metrics-export
+# zero-alloc snapshot guarantee (internal/health), the node-liveness tests
+# (the heartbeat and detector every object on a node subscribes to, in
+# internal/rdma, and two clusters sharing one node's, in internal/core), the
+# fault-plan cross-check over the chaos corpus (every firing predicted by an
+# injected fault, fault-free runs silent, schedules unperturbed), the
+# fabric's one registry (the nodes' detectors count a store's suspicions, a
+# registry attached to the fabric alone reaches every layer), the metrics-export
 # completeness pin, the one-count pin (every exported counter equals the
 # layer's own count), and the fixed-seed `-exp health` run itself (health-exp:
 # nonzero exit on unexpected firings, an unobserved fault run, or a noisy
 # control — the one step of the named gates that no test covers).
 health: health-exp
 	$(GO) test -count=1 -v ./internal/health
+	$(GO) test -run 'Subscribe|Suspect|Suspicion|Restore|Forget|Beating|Config|CheckRound' -count=1 -v ./internal/rdma
+	$(GO) test -run 'TestTwoClustersShareTheNode|TestNodeServicesLifecycle' -count=1 -v ./internal/core
 	$(GO) test -run 'TestWatchdog|TestKindRules|TestFabricRegistry' -count=1 -v ./internal/chaos
 	$(GO) test -run 'TestMetricsExportCompleteness|TestEachEventCountedOnce' -count=1 -v ./internal/bench
 
@@ -157,9 +163,11 @@ cover:
 # their total — 22 240 at commit 8589353, 22 195 once backup and journal
 # slots held ring records, 22 359 once OR-set and cart adds were stored by
 # tag, 22 308 once the summary anchor became a call record, 22 410 once
-# broadcast and Mu received through one ring in-channel, and 22 409 once
-# both wrote and read back their recovery slots through one ring.Slots. Files
-# a build constraint excludes are not counted.
+# broadcast and Mu received through one ring in-channel, 22 409 once both
+# wrote and read back their recovery slots through one ring.Slots, and
+# 22 603 once each node owned its heartbeat, detector and write coalescer
+# (internal/heartbeat folded into internal/rdma). Files a build constraint
+# excludes are not counted.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \
 		while read pkg dir files; do echo "$$(cd $$dir && cat $$files | wc -l) $$pkg"; done | \

@@ -7,13 +7,14 @@
 //
 //   - internal/sim — deterministic discrete-event engine with per-node CPUs
 //   - internal/rdma — simulated RDMA fabric (RC queue pairs, one-sided
-//     verbs, write permissions, suspend/crash fault injection)
+//     verbs, write permissions, suspend/crash fault injection), and each
+//     node's write coalescer, poll loop, heartbeat and failure detector
 //   - internal/msgnet — two-sided kernel-stack message network (baseline)
 //   - internal/spec — object data types, coordination relations, analysis
 //   - internal/wrdt, internal/rdmawrdt — the paper's abstract and concrete
 //     operational semantics, executable, with a refinement checker
-//   - internal/codec, internal/ring, internal/heartbeat,
-//     internal/broadcast, internal/mu — the runtime's protocol substrates
+//   - internal/codec, internal/ring, internal/broadcast, internal/mu —
+//     the runtime's protocol substrates
 //   - internal/core — the Hamband runtime (REDUCE / FREE / CONF dispatch)
 //   - internal/crdt, internal/schema — the evaluated data types
 //   - internal/baseline — the MSG and Mu SMR baselines

@@ -48,16 +48,16 @@ func (l *ledger) charge(cost sim.Duration) {
 
 // ledgerRows maps a charging site to the ledger row it belongs to. A site is
 // "function" or, for the rdma verbs, "function<user": the first caller
-// outside rdma, which says whose verb it is — or the coalescer's flush, which
-// runs as a CPU work item of its own and posts the reducible path's writes.
-// Every verb's completion is reaped by one stage, so reads and writes share
-// the CQE row. Unlisted sites get a row of their own, so the rows always sum
-// to the CPU's busy time.
+// outside rdma, which says whose verb it is — or the node service posting it
+// from its own work item or ticker: the coalescer (summary writes) or the
+// detector (heartbeat reads). Every verb's completion is reaped by one stage,
+// so reads and writes share the CQE row. Unlisted sites get a row of their
+// own, so the rows always sum to the CPU's busy time.
 var ledgerRows = []struct{ site, row string }{
 	{"rdma.(*verb).post<ring.(*Sender).pump", "post: log/request ring writes"},
 	{"rdma.(*verb).post<rdma.(*Coalescer).flush", "post: summary writes"},
 	{"rdma.(*verb).post<ring.(*Sender)", "head reads"},
-	{"rdma.(*verb).post<heartbeat.", "heartbeat reads"},
+	{"rdma.(*verb).post<rdma.(*Detector).", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
 	{"rdma.(*verb).cqe", "CQE: completions"},
 	{"ring.(*Handoff).Hand", "deliver"},
@@ -71,7 +71,7 @@ var ledgerRows = []struct{ site, row string }{
 
 // ledgerRow names the row of the stack pcs. The innermost frame outside sim
 // is the charging site; for a site in rdma the first caller outside rdma, or
-// the coalescer on the way there, is appended.
+// the coalescer or the detector on the way there, is appended.
 func ledgerRow(pcs []uintptr) string {
 	site := callSite(pcs)
 	for _, r := range ledgerRows {
@@ -90,7 +90,7 @@ func callSite(pcs []uintptr) string {
 		fn := strings.TrimPrefix(strings.TrimPrefix(f.Function, "hamband/internal/"), "baseline/")
 		switch {
 		case strings.HasPrefix(fn, "sim."):
-		case strings.HasPrefix(fn, "rdma.(*Coalescer).") && site != "":
+		case (strings.HasPrefix(fn, "rdma.(*Coalescer).") || strings.HasPrefix(fn, "rdma.(*Detector).")) && site != "":
 			return site + "<" + fn
 		case strings.HasPrefix(fn, "rdma."):
 			if site == "" {

@@ -119,23 +119,16 @@ func TestEachEventCountedOnce(t *testing.T) {
 		eng := sim.NewEngine(7)
 		an := spec.MustAnalyze(crdt.NewBankMap())
 		reg := metrics.New(eng)
-		var coals []*rdma.Coalescer
 		sys, err := Build(Hamband, eng, 4, an, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
 			fab.EnableMetrics(reg)
 			o.Metrics = reg
-			// Shared coalescers, one per node, are the private ones of a
-			// single cluster, made reachable for the sum.
-			for i := 0; i < fab.Size(); i++ {
-				coals = append(coals, rdma.NewCoalescer(fab.Node(rdma.NodeID(i))))
-			}
-			o.Coalescers = coals
 		}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
 		c := sys.(*hambandSystem).c
-		checkOneCount(t, reg, c.Fab, []*core.Cluster{c}, coals)
+		checkOneCount(t, reg, c.Fab, []*core.Cluster{c})
 	})
 	t.Run("orset-store", func(t *testing.T) {
 		eng := sim.NewEngine(7)
@@ -151,18 +144,17 @@ func TestEachEventCountedOnce(t *testing.T) {
 		defer sys.st.Stop()
 		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
 		var clusters []*core.Cluster
-		var coals []*rdma.Coalescer
-		for i, key := range sys.keys {
+		for _, key := range sys.keys {
 			clusters = append(clusters, sys.st.Shard(key).Cluster)
-			coals = append(coals, sys.st.Coalescer(i))
 		}
-		checkOneCount(t, reg, fab, clusters, coals)
+		checkOneCount(t, reg, fab, clusters)
 	})
 }
 
 // checkOneCount compares every counter reg exports for the fabric, core and
-// broadcast layers with the count the layer keeps.
-func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, clusters []*core.Cluster, coals []*rdma.Coalescer) {
+// broadcast layers with the count the layer keeps; rdma.coalesce_merged with
+// the sum over every node's coalescer.
+func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, clusters []*core.Cluster) {
 	t.Helper()
 	snap := reg.Snapshot()
 	qpSum := func(suffix string) uint64 {
@@ -186,8 +178,8 @@ func checkOneCount(t *testing.T, reg *metrics.Registry, fab *rdma.Fabric, cluste
 			bcStale += r.Receiver().StaleRejects()
 		}
 	}
-	for _, co := range coals {
-		merged += co.Stats().Merged
+	for i := 0; i < fab.Size(); i++ {
+		merged += fab.Node(rdma.NodeID(i)).Coalescer().Stats().Merged
 	}
 	st := fab.Stats()
 	for _, c := range []struct {

@@ -465,6 +465,7 @@ type Receiver struct {
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
 	mRecovered  *metrics.Counter // backup slots holding a decodable pending message
+	reads       [2]*metrics.Read // broadcast.torn_rejects and .stale_rejects; Stop retires them
 }
 
 // NewReceiver starts delivery on node, invoking handler on the node's CPU
@@ -487,8 +488,8 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
 	}
-	reg.CounterFunc("broadcast.torn_rejects", r.TornRejects)
-	reg.CounterFunc("broadcast.stale_rejects", r.StaleRejects)
+	r.reads[0] = reg.CounterFunc("broadcast.torn_rejects", r.TornRejects)
+	r.reads[1] = reg.CounterFunc("broadcast.stale_rejects", r.StaleRejects)
 	for i := 0; i < fab.Size(); i++ {
 		src := rdma.NodeID(i)
 		if src == node.ID() {
@@ -504,6 +505,9 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 func (r *Receiver) Stop() {
 	if r != nil {
 		r.poll.Stop()
+		for _, rd := range r.reads {
+			rd.Retire()
+		}
 	}
 }
 

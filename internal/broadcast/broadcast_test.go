@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hamband/internal/codec"
-	"hamband/internal/heartbeat"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
@@ -181,15 +180,10 @@ func TestIntegrationWithFailureDetector(t *testing.T) {
 	// End-to-end: heartbeats + detector + recovery, as wired in Hamband.
 	cfg := DefaultConfig()
 	eng, fab, bcs, got, rcs := setup(3, cfg)
-	hbCfg := heartbeat.DefaultConfig()
-	for i := 0; i < 3; i++ {
-		heartbeat.Register(fab.Node(rdma.NodeID(i)))
-	}
 	for i := 0; i < 3; i++ {
 		i := i
-		heartbeat.NewBeater(eng, fab.Node(rdma.NodeID(i)), hbCfg.BeatPeriod)
-		d := heartbeat.NewDetector(fab, fab.Node(rdma.NodeID(i)), hbCfg)
-		d.OnSuspect = func(peer rdma.NodeID) { rcs[i].RecoverFrom(peer) }
+		hb := fab.Node(rdma.NodeID(i)).Subscribe(rdma.DefaultHeartbeatConfig())
+		hb.OnSuspect = func(peer rdma.NodeID) { rcs[i].RecoverFrom(peer) }
 	}
 	eng.At(0, func() {
 		bcs[0].Broadcast([]byte("survives"), nil)

@@ -10,7 +10,6 @@ import (
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/health"
-	"hamband/internal/heartbeat"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
@@ -232,7 +231,7 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	// Tight detector timings: plans play out over a few milliseconds, so
 	// suspicion must fire within tens of microseconds of a failure. The
 	// raised trust threshold avoids restore churn on flapping schedules.
-	copts.Heartbeat = heartbeat.Config{
+	copts.Heartbeat = rdma.HeartbeatConfig{
 		BeatPeriod:     5 * sim.Microsecond,
 		CheckPeriod:    10 * sim.Microsecond,
 		Threshold:      3,
@@ -510,15 +509,14 @@ func (r *runner) apply(e Event) {
 	r.fold(int64(r.eng.Now()), int64(kindIndex(e.Kind)), int64(e.Node), int64(e.A), int64(e.B))
 }
 
-// suspend stops node n's process — every shard it hosts at once. Any
-// shard's replica hands out the node's heartbeat thread: behind a store the
-// replicas of a node share the failure domain's one beater.
+// suspend stops node n's process — every shard it hosts at once — and the
+// node's one heartbeat thread (nil with failure handling disabled).
 func (r *runner) suspend(n int) {
 	if r.down[n] || r.crashed[n] {
 		return
 	}
 	r.down[n] = true
-	if b := r.shards[0].cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
+	if b := r.fab.Node(rdma.NodeID(n)).Beater(); b != nil {
 		b.Suspend()
 	}
 	r.fab.Node(rdma.NodeID(n)).Suspend()
@@ -529,7 +527,7 @@ func (r *runner) resume(n int) {
 		return
 	}
 	r.down[n] = false
-	if b := r.shards[0].cluster.Replica(spec.ProcID(n)).Beater(); b != nil {
+	if b := r.fab.Node(rdma.NodeID(n)).Beater(); b != nil {
 		b.Resume()
 	}
 	r.fab.Node(rdma.NodeID(n)).Resume()

@@ -132,9 +132,9 @@ func TestShardFaultIsolation(t *testing.T) {
 
 // TestFabricRegistry: chaos.Run attaches its registry to the fabric and
 // leaves core.Options.Metrics unset, so every layer must find the registry
-// there, on one cluster and across a store's shards — the store's shared
-// failure domain included, which is built before any shard from the
-// heartbeat configuration alone. The leader kill must show as a suspicion.
+// there, on one cluster and across a store's shards — the nodes' failure
+// detection included, which the first shard starts. The leader kill must
+// show as a suspicion.
 func TestFabricRegistry(t *testing.T) {
 	for _, tc := range []struct {
 		class    string

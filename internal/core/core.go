@@ -28,7 +28,6 @@ import (
 	"hamband/internal/broadcast"
 	"hamband/internal/codec"
 	"hamband/internal/fifo"
-	"hamband/internal/heartbeat"
 	"hamband/internal/metrics"
 	"hamband/internal/mu"
 	"hamband/internal/rdma"
@@ -58,7 +57,7 @@ func epochRegion(ns string) string { return ns + epochRegionBase }
 // Options configures a Hamband cluster. Its CPU prices and poll periods are
 // not options: they are the fabric's cost model (rdma.LatencyModel).
 type Options struct {
-	Heartbeat heartbeat.Config
+	Heartbeat rdma.HeartbeatConfig
 	Broadcast broadcast.Config
 	Mu        mu.Config
 
@@ -105,25 +104,12 @@ type Options struct {
 	// "key:…" so one merged fabric trace decomposes per shard, and its
 	// summary writes enqueue under the key for cross-shard accounting.
 	Shard string
-
-	// Coalescers, when non-nil, holds one shared per-node write coalescer
-	// (indexed by node id) through which replicas route their summary-slot
-	// fan-out. Shards sharing a node's coalescers get their same-peer WRs
-	// chained into one doorbell. Nil gives each replica a private
-	// coalescer, which reproduces the single-object behavior exactly.
-	Coalescers []*rdma.Coalescer
-
-	// FailureDomain supplies the per-node heartbeat beaters and detectors
-	// every replica subscribes to. A store passes the one domain its shards
-	// share; nil (the default) makes the cluster build and own a domain of
-	// its own — the one-shard case — which Cluster.Stop then stops.
-	FailureDomain *FailureDomain
 }
 
 // DefaultOptions returns production-shaped parameters.
 func DefaultOptions() Options {
 	return Options{
-		Heartbeat:     heartbeat.DefaultConfig(),
+		Heartbeat:     rdma.DefaultHeartbeatConfig(),
 		Broadcast:     broadcast.DefaultConfig(),
 		Mu:            mu.DefaultConfig(),
 		SumSlotSize:   16 * 1024,
@@ -146,12 +132,6 @@ type Cluster struct {
 	// replica has drained the departed source's remaining frames.
 	epoch   uint32
 	members []bool
-
-	// fdom is the failure domain the replicas subscribe to: nil with failure
-	// handling disabled, Options.FailureDomain when one was supplied, else a
-	// domain this cluster created and stops (ownsFdom).
-	fdom     *FailureDomain
-	ownsFdom bool
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -165,10 +145,11 @@ func muGroup(ns string, g int) string { return fmt.Sprintf("%sham-g%d", ns, g) }
 func (c *Cluster) Namespace() string { return c.ns }
 
 // NewCluster builds a Hamband deployment of the analyzed class over fab:
-// it registers the memory regions, creates the heartbeat, the per-group
-// consensus instances and — for a class with an irreducible conflict-free
-// method — the reliable broadcast; every in-channel joins its node's poll
-// loop.
+// it registers the memory regions, subscribes every replica to its node's
+// failure detection, and creates the per-group consensus instances and — for
+// a class with an irreducible conflict-free method — the reliable broadcast;
+// every in-channel joins its node's poll loop, and every summary write goes
+// through its node's coalescer.
 func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	n := fab.Size()
 	// Normalize the delta-group parameters: the anchor needs most of
@@ -248,18 +229,19 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		c.members[i] = true
 	}
 
-	// Failure handling: every replica subscribes to one failure domain (a
-	// node beats once for everything it hosts). A standalone cluster is the
-	// one-shard case and owns its domain.
+	// Failure handling: every replica subscribes to its node's heartbeat and
+	// detector (a node beats once for everything it hosts). The first
+	// subscriber on a node starts them, in node order, before any replica
+	// schedules work of its own.
+	live := make([]*rdma.Subscription, n)
 	if !opts.DisableFailureHandling {
-		if c.fdom = opts.FailureDomain; c.fdom == nil {
-			c.fdom = NewFailureDomain(fab, c.Opts.Heartbeat)
-			c.ownsFdom = true
+		for i := range live {
+			live[i] = fab.Node(rdma.NodeID(i)).Subscribe(opts.Heartbeat)
 		}
 	}
 
 	for i := 0; i < n; i++ {
-		c.Replicas = append(c.Replicas, newReplica(c, spec.ProcID(i)))
+		c.Replicas = append(c.Replicas, newReplica(c, spec.ProcID(i), live[i]))
 	}
 	return c
 }
@@ -313,17 +295,17 @@ func CrossWire(a, b *Cluster) {
 }
 
 // Stop cancels every replica's tickers, takes its in-channels out of its
-// node's poll loop and the replicas off the failure domain (a stopped replica
-// hears no suspicion), and stops the domain when the cluster owns it (a
-// shared domain outlives the cluster: other shards still use it, and its
-// owner stops it). The cluster must not be used afterwards; memory regions
+// node's poll loop and its subscription off its node's failure detection (a
+// stopped replica hears no suspicion; the node's last subscriber stops the
+// heartbeat and the detector), and retires its counter reads into the
+// registry's totals. The cluster must not be used afterwards; memory regions
 // stay registered on the fabric.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.stop()
-	}
-	if c.ownsFdom {
-		c.fdom.Stop()
+		for _, rd := range r.reads {
+			rd.Retire()
+		}
 	}
 }
 
@@ -429,9 +411,9 @@ type Replica struct {
 	sums      [][]*sumSlot // [sum group][proc]
 	haveSums  bool
 	sumRegion string // the summary-slot region's name: the cluster's namespace + sumRegionBase
-	// coal batches summary-slot writes per peer into one chained doorbell;
-	// private by default, shared across shards when Options.Coalescers is
-	// set (cross-shard WRs to one peer then ride one chain).
+	// coal is the node's coalescer: it batches summary-slot writes per peer
+	// into one chained doorbell, shared by every object on the node
+	// (cross-object WRs to one peer ride one chain).
 	coal *rdma.Coalescer
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
@@ -465,10 +447,9 @@ type Replica struct {
 	// freeSink is the replica rx's deliveries go to: this one, or the partner
 	// CrossWire gave it.
 	freeSink *Replica
-	// The cluster's failure domain and this node's heartbeat thread in it;
-	// both nil with failure handling disabled.
-	fdom   *FailureDomain
-	beater *heartbeat.Beater
+	// hb is the replica's subscription to its node's failure detection; nil
+	// with failure handling disabled.
+	hb *rdma.Subscription
 
 	// Pending conflicting requests awaiting their ordered delivery.
 	pendingConf map[uint64]func(any, error)
@@ -507,7 +488,9 @@ type Replica struct {
 
 	tickers []*sim.Ticker
 
-	// Stats; the registry's core.* counters read them.
+	// Stats; the registry's core.* counters read them through reads, which
+	// Cluster.Stop retires.
+	reads          []*metrics.Read
 	statApplied    uint64 // calls applied to σ or a summary slot
 	statIssued     uint64
 	statRejected   uint64 // calls rejected as impermissible
@@ -520,7 +503,7 @@ type Replica struct {
 	statValidated  uint64 // anchors the scan and log records the walks validated: one CRC pass each
 }
 
-func newReplica(c *Cluster, id spec.ProcID) *Replica {
+func newReplica(c *Cluster, id spec.ProcID, live *rdma.Subscription) *Replica {
 	n := c.Fab.Size()
 	cls := c.An.Class
 	r := &Replica{
@@ -544,11 +527,7 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 	r.issueFn, r.queryFn, r.acceptFn = r.issue, r.query, r.accept
 	r.applyStepFn = r.applyStep
 	r.floors = make([]ring.EpochFloor, n)
-	if c.Opts.Coalescers != nil {
-		r.coal = c.Opts.Coalescers[id]
-	} else {
-		r.coal = rdma.NewCoalescer(r.node)
-	}
+	r.coal = r.node.Coalescer()
 	if reg := c.Fab.Metrics(); reg.Enabled() {
 		r.mReduceLat = reg.Histogram("core.call.reduce", nil)
 		r.mFreeLat = reg.Histogram("core.call.free", nil)
@@ -556,13 +535,15 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.mQueryLat = reg.Histogram("core.call.query", nil)
 		r.mFreeDepth = reg.Gauge("core.queue.free_depth")
 		r.mConfDepth = reg.Gauge("core.queue.conf_depth")
-		reg.CounterFunc("core.applied", func() uint64 { return r.statApplied })
-		reg.CounterFunc("core.rejected", func() uint64 { return r.statRejected })
-		reg.CounterFunc("core.torn_rejects", func() uint64 { return r.statTorn })
-		reg.CounterFunc("core.delta_records", func() uint64 { return r.statDeltas })
-		reg.CounterFunc("core.anchor_writes", func() uint64 { return r.statAnchors })
-		reg.CounterFunc("core.gap_fetches", func() uint64 { return r.statGapFetch })
-		reg.CounterFunc("core.stale_slot_rejects", func() uint64 { return r.statStaleSlots })
+		r.reads = []*metrics.Read{
+			reg.CounterFunc("core.applied", func() uint64 { return r.statApplied }),
+			reg.CounterFunc("core.rejected", func() uint64 { return r.statRejected }),
+			reg.CounterFunc("core.torn_rejects", func() uint64 { return r.statTorn }),
+			reg.CounterFunc("core.delta_records", func() uint64 { return r.statDeltas }),
+			reg.CounterFunc("core.anchor_writes", func() uint64 { return r.statAnchors }),
+			reg.CounterFunc("core.gap_fetches", func() uint64 { return r.statGapFetch }),
+			reg.CounterFunc("core.stale_slot_rejects", func() uint64 { return r.statStaleSlots }),
+		}
 	}
 	for range cls.SumGroups {
 		row := make([]*sumSlot, n)
@@ -618,10 +599,8 @@ func newReplica(c *Cluster, id spec.ProcID) *Replica {
 		r.groups = append(r.groups, in)
 	}
 
-	r.fdom = c.fdom
-	if !c.Opts.DisableFailureHandling {
-		r.fdom.subscribe(r)
-		r.beater = r.fdom.Beater(int(id))
+	if r.hb = live; live != nil {
+		live.OnSuspect, live.OnRestore = r.onSuspect, r.onRestore
 	}
 
 	// The summary scan.
@@ -637,10 +616,10 @@ func (r *Replica) ID() spec.ProcID { return r.id }
 // Node returns the underlying fabric node.
 func (r *Replica) Node() *rdma.Node { return r.node }
 
-// Beater returns the heartbeat thread of the replica's node (nil when
-// failure handling is disabled); tests and the failure benchmarks suspend it
-// to inject the paper's failure mode.
-func (r *Replica) Beater() *heartbeat.Beater { return r.beater }
+// Beater returns the heartbeat thread of the replica's node (nil until an
+// object on the node first subscribes to failure detection); tests and the
+// failure benchmarks suspend it to inject the paper's failure mode.
+func (r *Replica) Beater() *rdma.Beater { return r.node.Beater() }
 
 // Group returns the consensus instance of synchronization group g.
 func (r *Replica) Group(g int) *mu.Instance { return r.groups[g] }
@@ -664,8 +643,8 @@ func (r *Replica) DeltaStats() (deltas, anchors, gapFetches uint64) {
 	return r.statDeltas, r.statAnchors, r.statGapFetch
 }
 
-// stop cancels the replica's background activity and takes it off the
-// failure domain.
+// stop cancels the replica's background activity and takes it off its
+// node's failure detection.
 func (r *Replica) stop() {
 	for _, t := range r.tickers {
 		t.Cancel()
@@ -674,5 +653,5 @@ func (r *Replica) stop() {
 	for _, in := range r.groups {
 		in.Stop()
 	}
-	r.fdom.unsubscribe(r)
+	r.hb.Stop()
 }

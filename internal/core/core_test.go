@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"hamband/internal/crdt"
@@ -895,31 +896,80 @@ func TestClusterStopQuiescesEngine(t *testing.T) {
 	}
 }
 
-// TestClusterStopLeavesSuppliedDomainRunning is the other half of the
-// ownership rule: a domain the caller supplied (a store's, shared by its
-// shards) outlives the cluster's Stop and is stopped by its owner; Stop only
-// takes the cluster's replicas off it.
-func TestClusterStopLeavesSuppliedDomainRunning(t *testing.T) {
-	eng := sim.NewEngine(142)
+// twoCounters builds two standalone counter clusters, keyed "a" and "b", on
+// one three-node fabric.
+func twoCounters(seed int64) (*sim.Engine, *rdma.Fabric, [2]*Cluster) {
+	eng := sim.NewEngine(seed)
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
-	opts := DefaultOptions()
-	opts.FailureDomain = NewFailureDomain(fab, opts.Heartbeat)
-	c := NewCluster(fab, spec.MustAnalyze(crdt.NewAccount()), opts)
+	var cs [2]*Cluster
+	for i, key := range []string{"a", "b"} {
+		opts := DefaultOptions()
+		opts.Shard = key
+		cs[i] = NewCluster(fab, spec.MustAnalyze(crdt.NewCounter()), opts)
+	}
+	return eng, fab, cs
+}
+
+// TestTwoClustersShareTheNode: standalone clusters on one fabric are two
+// objects hosted by the same nodes, so they share each node's services. One
+// suspended heartbeat is seen by both — a second beater on node 0 would keep
+// the node's one counter moving and hide it — and their summary writes to one
+// peer ride one coalescer's chains.
+func TestTwoClustersShareTheNode(t *testing.T) {
+	eng, fab, cs := twoCounters(143)
+	eng.At(0, func() {
+		cs[0].Replica(0).Invoke(crdt.CounterAdd, spec.ArgsI(1), nil)
+		cs[1].Replica(0).Invoke(crdt.CounterAdd, spec.ArgsI(2), nil)
+	})
 	eng.RunFor(sim.Millisecond)
-	c.Stop()
-	for node, subs := range opts.FailureDomain.subs {
-		if len(subs) != 0 {
-			t.Fatalf("node %d: %d replicas still subscribed after Stop", node, len(subs))
+	if st := fab.Node(0).Coalescer().Stats(); st.CrossChains == 0 {
+		t.Fatalf("node 0's coalescer %+v: the two objects' writes to one peer rode no chain together", st)
+	}
+	cs[0].Replica(0).Beater().Suspend()
+	eng.RunFor(2 * sim.Millisecond)
+	for i, c := range cs {
+		if got := c.Replica(1).Suspects(); !slices.Equal(got, []int{0}) {
+			t.Fatalf("cluster %d: p1 suspects %v 2 ms after node 0's heartbeat stopped, want [0]", i, got)
 		}
 	}
-	eng.RunFor(sim.Millisecond)
-	if eng.Pending() == 0 {
-		t.Fatal("Cluster.Stop stopped a failure domain it does not own")
+}
+
+// TestNodeServicesLifecycle: a node has one heartbeat thread and one detector
+// however many clusters subscribe; stopping one cluster leaves the other's
+// failure detection working, and stopping the last one stops both services.
+func TestNodeServicesLifecycle(t *testing.T) {
+	eng, fab, cs := twoCounters(142)
+	for i := 0; i < 3; i++ {
+		node := fab.Node(rdma.NodeID(i))
+		if node.Beater() == nil || node.Detector() == nil {
+			t.Fatalf("node %d runs no failure detection", i)
+		}
+		for _, c := range cs {
+			if c.Replica(spec.ProcID(i)).Beater() != node.Beater() {
+				t.Fatalf("node %d: a cluster's beater is not the node's", i)
+			}
+		}
 	}
-	opts.FailureDomain.Stop()
-	eng.Run()
+	// One detector a node: each checks its two peers once a period.
+	eng.RunFor(sim.Millisecond)
+	reads := fab.Stats().Reads
+	eng.RunFor(sim.Millisecond)
+	period := rdma.DefaultHeartbeatConfig().CheckPeriod
+	if got, want := fab.Stats().Reads-reads, uint64(3*2*sim.Millisecond/period); got != want {
+		t.Fatalf("%d heartbeat reads in 1 ms, want %d: one detector a node", got, want)
+	}
+
+	cs[0].Stop()
+	fab.Node(0).Beater().Suspend()
+	eng.RunFor(2 * sim.Millisecond)
+	if got := cs[1].Replica(1).Suspects(); !slices.Equal(got, []int{0}) {
+		t.Fatalf("after the other cluster stopped, p1 suspects %v, want [0]", got)
+	}
+
+	cs[1].Stop()
+	eng.RunFor(sim.Millisecond) // a cancelled ticker's last event fires within a period
 	if eng.Pending() != 0 {
-		t.Fatalf("engine still has %d pending events after the owner stopped the domain", eng.Pending())
+		t.Fatalf("engine still has %d pending events after the last cluster stopped", eng.Pending())
 	}
 }
 

@@ -246,10 +246,15 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 
 	// Failure-detector membership: a departed node is outside the view (no
 	// suspicion, no checks), an admitted one is watched from a clean slate.
-	if join {
-		c.fdom.Watch(t)
-	} else {
-		c.fdom.Forget(t)
+	// The detector is the node's, shared by every object on it.
+	for _, r := range c.Replicas {
+		switch d := r.node.Detector(); {
+		case r.hb == nil:
+		case join:
+			d.Watch(t)
+		default:
+			d.Forget(t)
+		}
 	}
 
 	// The target's write permission on every other node's inbound ring and

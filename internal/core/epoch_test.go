@@ -398,7 +398,7 @@ func TestContestedEpochClaimOneWinner(t *testing.T) {
 // node 3, and its claim against the old epoch fails.
 func TestLocalClaimAgainstAMovedEpoch(t *testing.T) {
 	h := newHarness(t, crdt.NewCounter(), 4, 31, nil)
-	h.cluster.fdom.detectors[2].Stop()
+	h.fab.Node(2).Detector().Stop()
 	h.cluster.Replica(3).Beater().Suspend()
 	h.eng.RunFor(sim.Millisecond)
 	var errs [2]error
@@ -456,7 +456,7 @@ func TestReconfigureRefusals(t *testing.T) {
 		{name: "no agreement", target: 3, want: ErrNoAgreement, setup: func(h *harness) {
 			// Node 2's detector stops, so it never suspects node 3, whose
 			// heartbeat stops; nodes 0 and 1 do.
-			h.cluster.fdom.detectors[2].Stop()
+			h.fab.Node(2).Detector().Stop()
 			h.cluster.Replica(3).Beater().Suspend()
 			h.eng.RunFor(sim.Millisecond)
 			if !h.cluster.Replica(0).suspected(3) || !h.cluster.Replica(1).suspected(3) || h.cluster.Replica(2).suspected(3) {

@@ -44,7 +44,12 @@ func (r *Replica) GroupCount() int { return len(r.groups) }
 
 // Suspects returns the peers this replica's failure-detection view
 // currently suspects, ascending. Nil with an empty suspicion set.
-func (r *Replica) Suspects() []int { return r.fdom.Suspects(int(r.id)) }
+func (r *Replica) Suspects() []int {
+	if r.hb == nil {
+		return nil
+	}
+	return r.node.Detector().Suspects()
+}
 
 // Down reports whether the replica's node is currently suspended or
 // crashed — the fault injector's view, surfaced so health snapshots can

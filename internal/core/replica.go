@@ -715,7 +715,9 @@ func (r *Replica) fetchSlot(g int, p spec.ProcID, slot *sumSlot) {
 
 // suspected reports whether this node's detector currently suspects peer
 // (never, with failure handling disabled).
-func (r *Replica) suspected(peer rdma.NodeID) bool { return r.fdom.Suspected(int(r.id), peer) }
+func (r *Replica) suspected(peer rdma.NodeID) bool {
+	return r.hb != nil && r.node.Detector().Suspected(peer)
+}
 
 // --- irreducible conflict-free calls (rules FREE / FREE-APP) -------------
 

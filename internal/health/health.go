@@ -159,10 +159,12 @@ func collectNode(c *core.Cluster, p int) NodeHealth {
 func CollectStore(at sim.Time, st *store.Store) *Snapshot {
 	s := &Snapshot{At: at}
 	fab := st.Fabric()
-	fdom := st.FailureDomain()
 	for n := 0; n < fab.Size(); n++ {
 		node := fab.Node(rdma.NodeID(n))
-		nh := NodeHealth{Node: n, Down: node.Suspended() || node.Crashed(), Suspects: fdom.Suspects(n)}
+		nh := NodeHealth{Node: n, Down: node.Suspended() || node.Crashed()}
+		if d := node.Detector(); d != nil {
+			nh.Suspects = d.Suspects()
+		}
 		s.Nodes = append(s.Nodes, nh)
 
 		used, total := st.Budget(n)

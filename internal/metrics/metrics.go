@@ -23,6 +23,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"hamband/internal/sim"
@@ -34,7 +35,35 @@ import (
 // a second time.
 type Counter struct {
 	v     uint64
-	reads []func() uint64
+	reads []*Read
+}
+
+// Read is one read function of a counter (Registry.CounterFunc); the nil
+// Read, from the nil registry, is a no-op.
+type Read struct {
+	c  *Counter
+	fn func() uint64 // nil once retired
+}
+
+// Retire folds the read's value into the counter's own count and drops the
+// read, so a stopped instance leaves no read behind and the value does not
+// move. Retiring again does nothing.
+func (rd *Read) Retire() {
+	if rd == nil || rd.fn == nil {
+		return
+	}
+	c := rd.c
+	c.v += rd.fn()
+	rd.fn = nil
+	c.reads = slices.DeleteFunc(c.reads, func(o *Read) bool { return o == rd })
+}
+
+// Reads returns how many read functions the counter calls.
+func (c *Counter) Reads() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.reads)
 }
 
 // Inc adds one.
@@ -58,8 +87,8 @@ func (c *Counter) Value() uint64 {
 		return 0
 	}
 	v := c.v
-	for _, read := range c.reads {
-		v += read()
+	for _, rd := range c.reads {
+		v += rd.fn()
 	}
 	return v
 }
@@ -307,11 +336,16 @@ func (r *Registry) Counter(name string) *Counter {
 // CounterFunc adds read to the counter registered under name, creating it
 // on first use: the counter's value then includes what read returns. A layer
 // that keeps its own count of an event exports it this way, once per
-// instance (the counter sums them). A no-op on the nil registry.
-func (r *Registry) CounterFunc(name string, read func() uint64) {
-	if c := r.Counter(name); c != nil {
-		c.reads = append(c.reads, read)
+// instance (the counter sums them); an instance that stops retires its Read.
+// A no-op returning nil on the nil registry.
+func (r *Registry) CounterFunc(name string, read func() uint64) *Read {
+	c := r.Counter(name)
+	if c == nil {
+		return nil
 	}
+	rd := &Read{c: c, fn: read}
+	c.reads = append(c.reads, rd)
+	return rd
 }
 
 // Gauge returns the gauge registered under name, creating it on first use.

@@ -212,6 +212,7 @@ type Instance struct {
 	mCommitRecords *metrics.Counter   // leader: rounds of no entries sent
 	mLeaderChanges *metrics.Counter   // leader-view adoptions on this node
 	mElections     *metrics.Counter   // candidacies started by this node
+	tornRead       *metrics.Read      // mu.torn_rejects; Stop retires it
 	proposedAt     map[uint64]sim.Time
 
 	// Deliver is invoked, on this node's CPU, for every decided entry in
@@ -279,7 +280,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.mLeaderChanges = reg.Counter("mu.leader_changes")
 		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
-		reg.CounterFunc("mu.torn_rejects", func() uint64 {
+		in.tornRead = reg.CounterFunc("mu.torn_rejects", func() uint64 {
 			return ring.TornRejects(in.logReader[:], in.reqReaders, in.ctrlReaders) + in.journal.TornRejects()
 		})
 	}
@@ -305,7 +306,10 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 }
 
 // Stop takes the instance's sweep out of its node's poll loop.
-func (in *Instance) Stop() { in.poll.Stop() }
+func (in *Instance) Stop() {
+	in.poll.Stop()
+	in.tornRead.Retire()
+}
 
 // Leader returns this node's current leader view.
 func (in *Instance) Leader() rdma.NodeID { return in.leader }

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"hamband/internal/codec"
-	"hamband/internal/heartbeat"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
@@ -212,15 +211,10 @@ func TestResubmissionAfterLeaderChange(t *testing.T) {
 
 func TestElectionWithDetectorIntegration(t *testing.T) {
 	c := newCluster(t, 3, 0)
-	hbCfg := heartbeat.DefaultConfig()
-	for i := 0; i < 3; i++ {
-		heartbeat.Register(c.fab.Node(rdma.NodeID(i)))
-	}
 	for i := 0; i < 3; i++ {
 		i := i
-		heartbeat.NewBeater(c.eng, c.fab.Node(rdma.NodeID(i)), hbCfg.BeatPeriod)
-		d := heartbeat.NewDetector(c.fab, c.fab.Node(rdma.NodeID(i)), hbCfg)
-		d.OnSuspect = func(peer rdma.NodeID) {
+		hb := c.fab.Node(rdma.NodeID(i)).Subscribe(rdma.DefaultHeartbeatConfig())
+		hb.OnSuspect = func(peer rdma.NodeID) {
 			// Next node in ring order becomes candidate.
 			if peer == c.inst[i].Leader() && rdma.NodeID((int(peer)+1)%3) == c.fab.Node(rdma.NodeID(i)).ID() {
 				c.inst[i].StartElection()

@@ -69,11 +69,11 @@ type CoalesceStats struct {
 }
 
 // NewCoalescer creates a coalescer posting from node, with one pending
-// batch per fabric peer.
+// batch per fabric peer. Every node is built with one (Node.Coalescer), the
+// one rdma.coalesce_merged counts.
 func NewCoalescer(node *Node) *Coalescer {
 	co := &Coalescer{node: node, out: make([]peerBatch, node.fabric.Size())}
 	co.flushFn = co.flush
-	node.fabric.coalescers = append(node.fabric.coalescers, co)
 	return co
 }
 

@@ -1,35 +1,34 @@
-// Package heartbeat implements Hamband's failure detector (§4): every node
-// runs a heartbeat thread that periodically increments a local counter in a
-// registered region, and every node periodically performs one-sided RDMA
-// reads of its peers' counters. A peer whose counter stops advancing for a
-// configured number of checks is suspected; if its counter moves again it
-// is restored.
-//
-// The paper injects failures by suspending a node's heartbeat thread: the
-// node's NIC keeps serving one-sided accesses (so backup slots and summary
-// rows remain readable for recovery) while its peers detect the failure.
-// Beater.Suspend models exactly that.
-package heartbeat
+package rdma
+
+// Failure detection (§4): a node's heartbeat thread increments a counter in
+// a registered region, and its detector reads its peers' counters with
+// one-sided READs; a peer whose counter stops advancing for Threshold checks
+// is suspected, and restored once it moves again. The paper injects failures
+// by suspending the heartbeat thread (Beater.Suspend): the NIC keeps serving
+// one-sided accesses, so recovery can still read the node's memory. A node
+// hosting many objects is one process — it beats once and is suspected once
+// — so both are node services every object subscribes to (Node.Subscribe).
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"hamband/internal/metrics"
-	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
 
-// RegionName is the heartbeat counter region registered on every node.
-const RegionName = "hb"
+// heartbeatRegion is the heartbeat counter region, registered on a node by
+// its first subscriber; heartbeatRegionSize holds one counter.
+const (
+	heartbeatRegion     = "hb"
+	heartbeatRegionSize = 8
+)
 
-// RegionSize is the heartbeat region's size.
-const RegionSize = 8
-
-// Config holds detector timing parameters. The zero value of every field
-// means "use the default", so a zero Config behaves exactly like
-// DefaultConfig() and partial configs (chaos runs tighten one or two knobs)
-// only override what they set.
-type Config struct {
+// HeartbeatConfig holds detector timing parameters. The zero value of every
+// field means "use the default", so a zero config behaves exactly like
+// DefaultHeartbeatConfig() and partial configs (chaos runs tighten one or two
+// knobs) only override what they set.
+type HeartbeatConfig struct {
 	BeatPeriod  sim.Duration // counter increment period
 	CheckPeriod sim.Duration // remote read period
 	Threshold   int          // consecutive stale checks before suspicion
@@ -41,11 +40,11 @@ type Config struct {
 	TrustThreshold int
 }
 
-// DefaultConfig returns timings in line with microsecond-scale RDMA
+// DefaultHeartbeatConfig returns timings in line with microsecond-scale RDMA
 // deployments: 10 µs beats, 25 µs checks, suspicion after 3 stale checks,
 // restore after 1 advancing check.
-func DefaultConfig() Config {
-	return Config{
+func DefaultHeartbeatConfig() HeartbeatConfig {
+	return HeartbeatConfig{
 		BeatPeriod:     10 * sim.Microsecond,
 		CheckPeriod:    25 * sim.Microsecond,
 		Threshold:      3,
@@ -53,9 +52,9 @@ func DefaultConfig() Config {
 	}
 }
 
-// withDefaults fills zero fields from DefaultConfig.
-func (c Config) withDefaults() Config {
-	def := DefaultConfig()
+// withDefaults fills zero fields from DefaultHeartbeatConfig.
+func (c HeartbeatConfig) withDefaults() HeartbeatConfig {
+	def := DefaultHeartbeatConfig()
 	if c.BeatPeriod <= 0 {
 		c.BeatPeriod = def.BeatPeriod
 	}
@@ -71,34 +70,112 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Register registers the heartbeat region on a node before starting
-// beaters or detectors. It is idempotent: multiple clusters sharing a
-// fabric share one heartbeat region per node.
-func Register(node *rdma.Node) *rdma.Region {
-	if r := node.Region(RegionName); r != nil {
-		return r
+// liveness is a node's failure detection. The first subscriber builds the
+// beater and the detector, which the node keeps (a suspended beater stays
+// suspended while no one subscribes); their tickers run from a first
+// subscription to the last Stop.
+type liveness struct {
+	beater   *Beater
+	detector *Detector
+	subs     []*Subscription // in subscription order
+}
+
+// Subscription is one subscriber's place in its node's failure detection.
+type Subscription struct {
+	node *Node
+	// OnSuspect and OnRestore, when set, are called (on the node's CPU) when
+	// the node's detector suspects a peer or restores a suspected one, in
+	// subscription order.
+	OnSuspect func(peer NodeID)
+	OnRestore func(peer NodeID)
+	stopped   bool
+}
+
+// Subscribe subscribes to the node's failure detection. The first
+// subscription — the first ever, or the first after the last Stop — starts
+// the heartbeat thread (registering its region the first time), then the
+// detector, with cfg; later ones share them and their cfg is not read.
+func (n *Node) Subscribe(cfg HeartbeatConfig) *Subscription {
+	l := &n.live
+	if len(l.subs) == 0 {
+		cfg = cfg.withDefaults()
+		if l.beater == nil {
+			l.beater = newBeater(n, cfg.BeatPeriod)
+			l.detector = newDetector(n, cfg)
+			l.detector.OnSuspect = func(peer NodeID) { n.fanOut(peer, false) }
+			l.detector.OnRestore = func(peer NodeID) { n.fanOut(peer, true) }
+		} else {
+			l.beater.start(cfg.BeatPeriod)
+			l.detector.start(cfg)
+		}
 	}
-	return node.Register(RegionName, RegionSize)
+	s := &Subscription{node: n}
+	l.subs = append(l.subs, s)
+	return s
+}
+
+// Stop unsubscribes: the subscriber hears no more transitions, and stopping
+// the node's last subscription cancels the heartbeat's and the detector's
+// tickers. Stopping again, or a nil subscription, does nothing.
+func (s *Subscription) Stop() {
+	if s == nil || s.stopped {
+		return
+	}
+	s.stopped = true
+	l := &s.node.live
+	// A fresh list: a fan-out running now keeps ranging over the old one.
+	l.subs = slices.DeleteFunc(slices.Clone(l.subs), func(o *Subscription) bool { return o == s })
+	if len(l.subs) == 0 {
+		l.beater.ticker.Cancel()
+		l.detector.Stop()
+	}
+}
+
+// Beater returns the node's heartbeat thread, nil until a first subscriber
+// started it; suspending it injects the paper's failure mode for the whole
+// node (every object on it at once).
+func (n *Node) Beater() *Beater { return n.live.beater }
+
+// Detector returns the node's failure detector, nil until a first subscriber
+// started it.
+func (n *Node) Detector() *Detector { return n.live.detector }
+
+// fanOut hands the detector's transition to every running subscriber.
+func (n *Node) fanOut(peer NodeID, restore bool) {
+	for _, s := range n.live.subs {
+		fn := s.OnSuspect
+		if restore {
+			fn = s.OnRestore
+		}
+		if !s.stopped && fn != nil {
+			fn(peer)
+		}
+	}
 }
 
 // Beater is a node's heartbeat thread.
 type Beater struct {
-	node      *rdma.Node
-	region    *rdma.Region
+	node      *Node
+	region    *Region
 	count     uint64
 	suspended bool
 	ticker    *sim.Ticker
 }
 
-// NewBeater starts a heartbeat thread on node with the given period; a
-// non-positive period uses the default.
-func NewBeater(eng *sim.Engine, node *rdma.Node, period sim.Duration) *Beater {
-	if period <= 0 {
-		period = DefaultConfig().BeatPeriod
-	}
-	b := &Beater{node: node, region: node.Region(RegionName)}
-	b.ticker = eng.NewTicker(period, b.beat)
+// newBeater registers the node's heartbeat region and starts a heartbeat
+// thread on it with the given period; a non-positive period uses the
+// default.
+func newBeater(node *Node, period sim.Duration) *Beater {
+	b := &Beater{node: node, region: node.Register(heartbeatRegion, heartbeatRegionSize)}
+	b.start(period)
 	return b
+}
+
+func (b *Beater) start(period sim.Duration) {
+	if period <= 0 {
+		period = DefaultHeartbeatConfig().BeatPeriod
+	}
+	b.ticker = b.node.fabric.eng.NewTicker(period, b.beat)
 }
 
 func (b *Beater) beat() {
@@ -116,14 +193,10 @@ func (b *Beater) Suspend() { b.suspended = true }
 // Resume restarts a suspended heartbeat thread.
 func (b *Beater) Resume() { b.suspended = false }
 
-// Stop cancels the underlying ticker.
-func (b *Beater) Stop() { b.ticker.Cancel() }
-
 // Detector watches all peers of a node and reports suspicion transitions.
 type Detector struct {
-	fab  *rdma.Fabric
-	node *rdma.Node
-	cfg  Config
+	node *Node
+	cfg  HeartbeatConfig
 
 	lastSeen  []uint64
 	misses    []int
@@ -139,20 +212,18 @@ type Detector struct {
 
 	// OnSuspect is invoked (on the detector node's CPU) when a peer
 	// transitions to suspected.
-	OnSuspect func(peer rdma.NodeID)
+	OnSuspect func(peer NodeID)
 	// OnRestore is invoked when a suspected peer's counter advances again.
-	OnRestore func(peer rdma.NodeID)
+	OnRestore func(peer NodeID)
 }
 
-// NewDetector starts a failure detector on node. Its suspicion and restore
+// newDetector starts a failure detector on node. Its suspicion and restore
 // counters go to the fabric's registry, if one is attached.
-func NewDetector(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Detector {
-	cfg = cfg.withDefaults()
+func newDetector(node *Node, cfg HeartbeatConfig) *Detector {
+	fab := node.fabric
 	n := fab.Size()
 	d := &Detector{
-		fab:         fab,
 		node:        node,
-		cfg:         cfg,
 		lastSeen:    make([]uint64, n),
 		misses:      make([]int, n),
 		advances:    make([]int, n),
@@ -164,18 +235,24 @@ func NewDetector(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Detector {
 		readFns:     make([]func([]byte, error), n),
 	}
 	for p := range d.readFns {
-		peer := rdma.NodeID(p)
+		peer := NodeID(p)
 		d.readFns[p] = func(data []byte, err error) { d.checked(peer, data, err) }
 	}
-	d.ticker = fab.Engine().NewTicker(cfg.CheckPeriod, d.check)
+	d.start(cfg)
 	return d
 }
 
-// Stop cancels the detector.
+func (d *Detector) start(cfg HeartbeatConfig) {
+	d.cfg = cfg.withDefaults()
+	d.ticker = d.node.fabric.eng.NewTicker(d.cfg.CheckPeriod, d.check)
+}
+
+// Stop cancels the detector's checks. The node's last subscriber stops it;
+// a test stops one node's detector to split the nodes' views.
 func (d *Detector) Stop() { d.ticker.Cancel() }
 
 // Suspected reports whether peer is currently suspected.
-func (d *Detector) Suspected(peer rdma.NodeID) bool { return d.suspected[peer] }
+func (d *Detector) Suspected(peer NodeID) bool { return d.suspected[peer] }
 
 // Suspects returns the currently suspected peers, ascending. Read-only and
 // allocation-free when the suspicion set is empty — the health layer polls
@@ -196,7 +273,7 @@ func (d *Detector) Suspects() []int {
 // immediately, without waiting for TrustThreshold advancing checks, and no
 // new suspicion can be raised until Watch re-admits the peer. Forget fires
 // no OnRestore: the peer is outside the membership, not recovered.
-func (d *Detector) Forget(peer rdma.NodeID) {
+func (d *Detector) Forget(peer NodeID) {
 	d.ignored[peer] = true
 	d.suspected[peer] = false
 	d.misses[peer] = 0
@@ -206,7 +283,7 @@ func (d *Detector) Forget(peer rdma.NodeID) {
 
 // Watch re-admits a forgotten peer (a node joining the configuration):
 // checks resume from a clean slate on the next tick.
-func (d *Detector) Watch(peer rdma.NodeID) {
+func (d *Detector) Watch(peer NodeID) {
 	d.ignored[peer] = false
 	d.misses[peer] = 0
 	d.advances[peer] = 0
@@ -222,18 +299,18 @@ func (d *Detector) check() {
 	if d.node.Suspended() || d.node.Crashed() {
 		return
 	}
-	for peer := 0; peer < d.fab.Size(); peer++ {
-		peer := rdma.NodeID(peer)
+	for peer := range d.inflight {
+		peer := NodeID(peer)
 		if peer == d.node.ID() || d.inflight[peer] || d.ignored[peer] {
 			continue
 		}
 		d.inflight[peer] = true
-		d.node.QP(peer).Read(RegionName, 0, 8, d.readFns[peer])
+		d.node.QP(peer).Read(heartbeatRegion, 0, heartbeatRegionSize, d.readFns[peer])
 	}
 }
 
 // checked handles the completion of a check read of peer.
-func (d *Detector) checked(peer rdma.NodeID, data []byte, err error) {
+func (d *Detector) checked(peer NodeID, data []byte, err error) {
 	d.inflight[peer] = false
 	if err != nil {
 		d.miss(peer) // crashed NIC: immediate miss
@@ -252,7 +329,7 @@ func (d *Detector) checked(peer rdma.NodeID, data []byte, err error) {
 
 // advance records an advancing check and restores the peer once it has
 // passed TrustThreshold of them in a row.
-func (d *Detector) advance(peer rdma.NodeID) {
+func (d *Detector) advance(peer NodeID) {
 	if !d.suspected[peer] || d.ignored[peer] {
 		return
 	}
@@ -268,7 +345,7 @@ func (d *Detector) advance(peer rdma.NodeID) {
 	}
 }
 
-func (d *Detector) miss(peer rdma.NodeID) {
+func (d *Detector) miss(peer NodeID) {
 	if d.ignored[peer] {
 		// A check read completing after Forget must not resurrect
 		// suspicion of a node that is no longer a member.

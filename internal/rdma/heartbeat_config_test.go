@@ -1,22 +1,21 @@
-package heartbeat
+package rdma
 
 import (
 	"testing"
 
-	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
 
 // suspicionTime runs a two-node scenario — node 0's beater suspends at
 // 200 µs — under cfg and returns the virtual time node 1 suspected node 0.
-func suspicionTime(t *testing.T, cfg Config) sim.Time {
+func suspicionTime(t *testing.T, cfg HeartbeatConfig) sim.Time {
 	t.Helper()
-	eng, fab := setup(2)
-	b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2)
+	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	suspectedAt := sim.Time(-1)
-	d1.OnSuspect = func(peer rdma.NodeID) {
+	d1.OnSuspect = func(peer NodeID) {
 		if peer == 0 && suspectedAt < 0 {
 			suspectedAt = eng.Now()
 		}
@@ -29,20 +28,20 @@ func suspicionTime(t *testing.T, cfg Config) sim.Time {
 	return suspectedAt
 }
 
-// A zero Config must reproduce DefaultConfig's timing exactly: every zero
+// A zero HeartbeatConfig must reproduce DefaultHeartbeatConfig's timing exactly: every zero
 // field means "default", so existing callers keep their behaviour.
 func TestZeroConfigMatchesDefaultTiming(t *testing.T) {
-	def := suspicionTime(t, DefaultConfig())
-	zero := suspicionTime(t, Config{})
+	def := suspicionTime(t, DefaultHeartbeatConfig())
+	zero := suspicionTime(t, HeartbeatConfig{})
 	if def != zero {
-		t.Fatalf("zero config suspected at %d, DefaultConfig at %d — want identical timing", zero, def)
+		t.Fatalf("zero config suspected at %d, DefaultHeartbeatConfig at %d — want identical timing", zero, def)
 	}
 }
 
 // Partial configs only override the fields they set.
 func TestPartialConfigKeepsOtherDefaults(t *testing.T) {
-	cfg := Config{Threshold: 6}.withDefaults()
-	def := DefaultConfig()
+	cfg := HeartbeatConfig{Threshold: 6}.withDefaults()
+	def := DefaultHeartbeatConfig()
 	if cfg.Threshold != 6 {
 		t.Fatalf("Threshold = %d, want the override 6", cfg.Threshold)
 	}
@@ -55,14 +54,14 @@ func TestPartialConfigKeepsOtherDefaults(t *testing.T) {
 // consecutive checks.
 func TestTrustThresholdDelaysRestore(t *testing.T) {
 	restoreAt := func(trust int) sim.Time {
-		eng, fab := setup(2)
-		cfg := DefaultConfig()
+		eng, fab := heartbeatFabric(2)
+		cfg := DefaultHeartbeatConfig()
 		cfg.TrustThreshold = trust
-		b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-		NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-		d1 := NewDetector(fab, fab.Node(1), cfg)
+		b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+		newBeater(fab.Node(1), cfg.BeatPeriod)
+		d1 := newDetector(fab.Node(1), cfg)
 		restored := sim.Time(-1)
-		d1.OnRestore = func(peer rdma.NodeID) {
+		d1.OnRestore = func(peer NodeID) {
 			if peer == 0 && restored < 0 {
 				restored = eng.Now()
 			}
@@ -87,14 +86,14 @@ func TestTrustThresholdDelaysRestore(t *testing.T) {
 // restore — not a churn of stale verdicts from reads queued during the
 // outage (the detector keeps at most one read in flight per peer).
 func TestPartitionHealNoSuspicionChurn(t *testing.T) {
-	eng, fab := setup(2)
-	cfg := DefaultConfig()
-	NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2)
+	cfg := DefaultHeartbeatConfig()
+	newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	var suspicions, restores int
-	d1.OnSuspect = func(rdma.NodeID) { suspicions++ }
-	d1.OnRestore = func(rdma.NodeID) { restores++ }
+	d1.OnSuspect = func(NodeID) { suspicions++ }
+	d1.OnRestore = func(NodeID) { restores++ }
 
 	// Cut node 1's read path to node 0 for 1 ms (40 check periods).
 	eng.At(sim.Time(200*sim.Microsecond), func() { fab.Partition(0, 1) })

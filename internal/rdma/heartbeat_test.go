@@ -1,37 +1,32 @@
-package heartbeat
+package rdma
 
 import (
 	"testing"
 
-	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
 
-func setup(n int) (*sim.Engine, *rdma.Fabric) {
+func heartbeatFabric(n int) (*sim.Engine, *Fabric) {
 	eng := sim.NewEngine(21)
-	fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
-	for i := 0; i < n; i++ {
-		Register(fab.Node(rdma.NodeID(i)))
-	}
-	return eng, fab
+	return eng, NewFabric(eng, n, DefaultLatency())
 }
 
 func TestHealthyNodesNotSuspected(t *testing.T) {
-	eng, fab := setup(3)
-	cfg := DefaultConfig()
+	eng, fab := heartbeatFabric(3)
+	cfg := DefaultHeartbeatConfig()
 	var beaters []*Beater
 	var detectors []*Detector
 	for i := 0; i < 3; i++ {
-		beaters = append(beaters, NewBeater(eng, fab.Node(rdma.NodeID(i)), cfg.BeatPeriod))
-		d := NewDetector(fab, fab.Node(rdma.NodeID(i)), cfg)
-		d.OnSuspect = func(peer rdma.NodeID) {
+		beaters = append(beaters, newBeater(fab.Node(NodeID(i)), cfg.BeatPeriod))
+		d := newDetector(fab.Node(NodeID(i)), cfg)
+		d.OnSuspect = func(peer NodeID) {
 			t.Errorf("healthy peer %d suspected", peer)
 		}
 		detectors = append(detectors, d)
 	}
 	eng.RunUntil(sim.Time(2 * sim.Millisecond))
 	for _, b := range beaters {
-		b.Stop()
+		b.ticker.Cancel()
 	}
 	for _, d := range detectors {
 		d.Stop()
@@ -39,14 +34,14 @@ func TestHealthyNodesNotSuspected(t *testing.T) {
 }
 
 func TestSuspendedHeartbeatIsSuspected(t *testing.T) {
-	eng, fab := setup(3)
-	cfg := DefaultConfig()
-	b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(2), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(3)
+	cfg := DefaultHeartbeatConfig()
+	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	newBeater(fab.Node(2), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	suspectedAt := sim.Time(-1)
-	d1.OnSuspect = func(peer rdma.NodeID) {
+	d1.OnSuspect = func(peer NodeID) {
 		if peer == 0 && suspectedAt < 0 {
 			suspectedAt = eng.Now()
 		}
@@ -69,13 +64,13 @@ func TestSuspendedHeartbeatIsSuspected(t *testing.T) {
 }
 
 func TestRestoreAfterResume(t *testing.T) {
-	eng, fab := setup(2)
-	cfg := DefaultConfig()
-	b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2)
+	cfg := DefaultHeartbeatConfig()
+	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	restored := false
-	d1.OnRestore = func(peer rdma.NodeID) { restored = peer == 0 }
+	d1.OnRestore = func(peer NodeID) { restored = peer == 0 }
 	eng.At(sim.Time(200*sim.Microsecond), func() { b0.Suspend() })
 	eng.At(sim.Time(1*sim.Millisecond), func() { b0.Resume() })
 	eng.RunUntil(sim.Time(2 * sim.Millisecond))
@@ -88,13 +83,13 @@ func TestRestoreAfterResume(t *testing.T) {
 }
 
 func TestCrashedNodeIsSuspected(t *testing.T) {
-	eng, fab := setup(2)
-	cfg := DefaultConfig()
-	NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2)
+	cfg := DefaultHeartbeatConfig()
+	newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	suspected := false
-	d1.OnSuspect = func(peer rdma.NodeID) { suspected = suspected || peer == 0 }
+	d1.OnSuspect = func(peer NodeID) { suspected = suspected || peer == 0 }
 	eng.At(sim.Time(300*sim.Microsecond), func() { fab.Node(0).Crash() })
 	eng.RunUntil(sim.Time(3 * sim.Millisecond))
 	if !suspected {
@@ -107,15 +102,15 @@ func TestForgetClearsSuspicionImmediately(t *testing.T) {
 	// cleared at once — no TrustThreshold advancing checks, which would
 	// never come anyway (its beater is gone with it) — and must not be
 	// re-suspected afterwards even though its counter stays frozen.
-	eng, fab := setup(3)
-	cfg := DefaultConfig()
+	eng, fab := heartbeatFabric(3)
+	cfg := DefaultHeartbeatConfig()
 	cfg.TrustThreshold = 50 // a restore-by-advances would take ~1.25 ms
-	b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(2), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	newBeater(fab.Node(2), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	restores := 0
-	d1.OnRestore = func(rdma.NodeID) { restores++ }
+	d1.OnRestore = func(NodeID) { restores++ }
 
 	eng.At(sim.Time(200*sim.Microsecond), func() { b0.Suspend() })
 	eng.RunUntil(sim.Time(600 * sim.Microsecond))
@@ -148,12 +143,12 @@ func TestForgetClearsSuspicionImmediately(t *testing.T) {
 
 func TestForgetWhileCheckInFlight(t *testing.T) {
 	// A check read completing after Forget must not resurrect suspicion.
-	eng, fab := setup(2)
-	cfg := DefaultConfig()
+	eng, fab := heartbeatFabric(2)
+	cfg := DefaultHeartbeatConfig()
 	cfg.Threshold = 1 // a single missed check suffices to suspect
-	b0 := NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	eng.At(sim.Time(100*sim.Microsecond), func() { b0.Suspend() })
 	// Forget between a check's post and its completion: the read is in
 	// flight (check period 25µs, read RTT ~2.5µs — land just after a tick).
@@ -167,13 +162,13 @@ func TestForgetWhileCheckInFlight(t *testing.T) {
 func TestNodeSuspendStopsBeating(t *testing.T) {
 	// Suspending the whole node (not just the beater) must also stop
 	// heartbeats: the beat callback checks the node state.
-	eng, fab := setup(2)
-	cfg := DefaultConfig()
-	NewBeater(eng, fab.Node(0), cfg.BeatPeriod)
-	NewBeater(eng, fab.Node(1), cfg.BeatPeriod)
-	d1 := NewDetector(fab, fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2)
+	cfg := DefaultHeartbeatConfig()
+	newBeater(fab.Node(0), cfg.BeatPeriod)
+	newBeater(fab.Node(1), cfg.BeatPeriod)
+	d1 := newDetector(fab.Node(1), cfg)
 	suspected := false
-	d1.OnSuspect = func(peer rdma.NodeID) { suspected = suspected || peer == 0 }
+	d1.OnSuspect = func(peer NodeID) { suspected = suspected || peer == 0 }
 	eng.At(sim.Time(300*sim.Microsecond), func() { fab.Node(0).Suspend() })
 	eng.RunUntil(sim.Time(2 * sim.Millisecond))
 	if !suspected {
@@ -187,11 +182,11 @@ func TestNodeSuspendStopsBeating(t *testing.T) {
 // record and completes through the detector's callback for that peer, bound
 // once; the callback only decodes the borrowed counter.
 func TestCheckRoundAllocatesNothing(t *testing.T) {
-	eng, fab := setup(4)
+	eng, fab := heartbeatFabric(4)
 	for i := 1; i < 4; i++ {
-		NewBeater(eng, fab.Node(rdma.NodeID(i)), 0)
+		newBeater(fab.Node(NodeID(i)), 0)
 	}
-	d := NewDetector(fab, fab.Node(0), DefaultConfig())
+	d := newDetector(fab.Node(0), DefaultHeartbeatConfig())
 	d.Stop() // the measured rounds are the only ones
 	round := func() {
 		d.check()
@@ -211,5 +206,61 @@ func TestCheckRoundAllocatesNothing(t *testing.T) {
 		if d.inflight[p] || d.lastSeen[p] == 0 {
 			t.Fatalf("peer %d: in flight %v, last seen %d: its reads did not complete", p, d.inflight[p], d.lastSeen[p])
 		}
+	}
+}
+
+// TestSubscribeSharesTheNodeServices: a node runs one beater and one
+// detector however many subscribers it has. The first subscriber's config
+// starts them, every subscriber hears each transition, a stopped one hears
+// none, and the last Stop cancels both tickers; a later subscriber restarts
+// them, and a beater suspended in between stays suspended.
+func TestSubscribeSharesTheNodeServices(t *testing.T) {
+	eng := sim.NewEngine(22)
+	fab := NewFabric(eng, 2, DefaultLatency())
+	cfg := HeartbeatConfig{CheckPeriod: 50 * sim.Microsecond}
+	var subs [2][2]*Subscription
+	heard := map[*Subscription]int{}
+	for i := range subs {
+		for n := range subs[i] {
+			s := fab.Node(NodeID(n)).Subscribe(cfg)
+			s.OnSuspect = func(NodeID) { heard[s]++ }
+			subs[i][n] = s
+		}
+		cfg.CheckPeriod = 5 * sim.Microsecond // not read: the services run
+	}
+	if d := fab.Node(1).Detector(); d.cfg.CheckPeriod != 50*sim.Microsecond {
+		t.Fatalf("detector checks every %v, want the first subscriber's 50µs", d.cfg.CheckPeriod)
+	}
+	eng.RunFor(sim.Millisecond)
+	reads := fab.Stats().Reads
+	eng.RunFor(sim.Millisecond)
+	if got := fab.Stats().Reads - reads; got != 2*20 {
+		t.Fatalf("%d heartbeat reads in 1 ms, want 40: one detector a node", got)
+	}
+
+	subs[0][1].Stop()
+	fab.Node(0).Beater().Suspend()
+	eng.RunFor(sim.Millisecond)
+	if heard[subs[0][1]] != 0 || heard[subs[1][1]] != 1 {
+		t.Fatalf("stopped subscriber heard %d suspicions, running one %d; want 0 and 1", heard[subs[0][1]], heard[subs[1][1]])
+	}
+
+	for i := range subs {
+		for _, s := range subs[i] {
+			s.Stop()
+		}
+	}
+	eng.RunFor(sim.Millisecond)
+	if eng.Pending() != 0 {
+		t.Fatalf("%d events pending after the last Stop, want 0", eng.Pending())
+	}
+	fab.Node(1).Detector().Forget(0) // a clean slate: only a fresh miss can suspect node 0 again
+	fab.Node(1).Detector().Watch(0)
+	for n := 0; n < 2; n++ {
+		fab.Node(NodeID(n)).Subscribe(HeartbeatConfig{})
+	}
+	eng.RunFor(sim.Millisecond)
+	if !fab.Node(1).Detector().Suspected(0) {
+		t.Fatal("restarted services missed the beater suspended while stopped")
 	}
 }

@@ -181,8 +181,7 @@ type Fabric struct {
 	reg   *metrics.Registry
 	tr    *trace.Tracer
 
-	partitions uint64       // directed-link partitions installed (Stats.Partitions)
-	coalescers []*Coalescer // every coalescer posting on the fabric, for rdma.coalesce_merged
+	partitions uint64 // directed-link partitions installed (Stats.Partitions)
 
 	// links holds per-directed-link injected faults (see fault.go). It
 	// stays nil until the first fault is installed, so the fault-free verb
@@ -206,6 +205,9 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 			CPU:     sim.NewCPU(eng),
 			regions: make(map[string]*Region),
 		})
+	}
+	for _, n := range f.nodes {
+		n.coal = NewCoalescer(n)
 	}
 	return f
 }
@@ -266,8 +268,8 @@ func (f *Fabric) EnableMetrics(reg *metrics.Registry) {
 	reg.CounterFunc("rdma.torn_writes", func() uint64 { return f.Stats().TornWrites })
 	reg.CounterFunc("rdma.coalesce_merged", func() uint64 {
 		var n uint64
-		for _, co := range f.coalescers {
-			n += co.stats.Merged
+		for _, node := range f.nodes {
+			n += node.coal.stats.Merged
 		}
 		return n
 	})
@@ -295,14 +297,18 @@ func (f *Fabric) EnableTracing(tr *trace.Tracer) { f.tr = tr }
 func (f *Fabric) Tracer() *trace.Tracer { return f.tr }
 
 // Node is one machine on the fabric: a CPU, registered memory regions, and
-// queue pairs to its peers.
+// queue pairs to its peers, plus the services every object the node hosts
+// shares — its write coalescer, its poll loop (Node.Poll) and its failure
+// detection (Node.Subscribe).
 type Node struct {
 	id      NodeID
 	fabric  *Fabric
 	CPU     *sim.CPU
 	regions map[string]*Region
 	qps     map[NodeID]*QP
+	coal    *Coalescer
 	poll    pollLoop
+	live    liveness
 
 	crashed   bool
 	suspended bool
@@ -310,6 +316,11 @@ type Node struct {
 
 // ID returns the node's identifier.
 func (n *Node) ID() NodeID { return n.id }
+
+// Coalescer returns the node's write coalescer, built with the node: every
+// object on the node posts its summary writes through it, so writes of
+// different objects to one peer ride one doorbell.
+func (n *Node) Coalescer() *Coalescer { return n.coal }
 
 // Crashed reports whether the node's NIC is dead.
 func (n *Node) Crashed() bool { return n.crashed }

@@ -13,12 +13,18 @@
 //     node's arena (rdma.Node.Charge, all or none); a refusal tears the
 //     shard down again and Open returns ErrBudget. Close returns the spans.
 //   - Queue pairs. All shards on a node post through the node's per-peer RC
-//     QPs, and their summary writes flow through one shared per-node
-//     rdma.Coalescer — WRs from different shards bound for the same peer
-//     ride one PostChain doorbell (CoalesceStats.CrossChains counts them).
-//   - Failure handling. One heartbeat thread and one detector per node
-//     (core.FailureDomain); a node's shards are suspected and recovered
-//     together, as one process, and a closed shard hears no more of it.
+//     QPs, and their summary writes flow through the node's one
+//     rdma.Coalescer (Node.Coalescer) — WRs from different shards bound for
+//     the same peer ride one PostChain doorbell (CoalesceStats.CrossChains
+//     counts them).
+//   - Failure handling. One heartbeat thread and one detector per node,
+//     services of the node (Node.Subscribe) that every shard's replica
+//     subscribes to; a node's shards are suspected and recovered together,
+//     as one process, and a closed shard hears no more of it.
+//
+// The coalescer and the failure detection belong to the node, not to the
+// store: a standalone core.Cluster on the same fabric shares them too. The
+// store owns only the arenas and the directory.
 //
 // Per shard: a disjoint region namespace (core.Cluster.Namespace), per-source
 // broadcast rings when the class has irreducible conflict-free methods, one
@@ -62,9 +68,8 @@ type Options struct {
 	MemoryBudget int
 
 	// Core is the per-shard cluster option template, typically
-	// core.DefaultOptions() adjusted. Shard, Tracer, Coalescers,
-	// FailureDomain and Leaders are overwritten per shard; everything else
-	// applies to every shard alike.
+	// core.DefaultOptions() adjusted. Shard, Tracer and Leaders are
+	// overwritten per shard; everything else applies to every shard alike.
 	Core core.Options
 
 	// Tracer, when non-nil, is the root tracer: each shard records through
@@ -88,9 +93,7 @@ type Store struct {
 	fab  *rdma.Fabric
 	opts Options
 
-	arenas []*rdma.Arena     // per node: the registration budget shards carve from
-	coals  []*rdma.Coalescer // per node: shared write coalescer
-	fdom   *core.FailureDomain
+	arenas []*rdma.Arena // per node: the registration budget shards carve from
 
 	shards  map[string]*Shard
 	nOpened int // total Opens ever, for leader staggering
@@ -103,16 +106,14 @@ type Shard struct {
 	footprint int
 }
 
-// New builds a store over fab: one budgeted arena and one shared coalescer
-// per node, plus the shared failure domain (unless the Core template
-// disables failure handling).
+// New builds a store over fab: one budgeted arena per node.
 func New(fab *rdma.Fabric, opts Options) *Store {
 	if opts.MemoryBudget <= 0 {
 		opts.MemoryBudget = 16 << 20
 	}
 	s := &Store{fab: fab, opts: opts, shards: make(map[string]*Shard)}
-	// The fabric holds the run's one registry: the shared failure domain
-	// built below registers its counters there like every shard's layers.
+	// The fabric holds the run's one registry: every shard's layers, and
+	// the nodes' failure detection, register their counters there.
 	if opts.Core.Metrics != nil {
 		fab.EnableMetrics(opts.Core.Metrics)
 	}
@@ -121,10 +122,6 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 	}
 	for i := 0; i < fab.Size(); i++ {
 		s.arenas = append(s.arenas, rdma.NewArena(opts.MemoryBudget))
-		s.coals = append(s.coals, rdma.NewCoalescer(fab.Node(rdma.NodeID(i))))
-	}
-	if !opts.Core.DisableFailureHandling {
-		s.fdom = core.NewFailureDomain(fab, opts.Core.Heartbeat)
 	}
 	return s
 }
@@ -147,7 +144,7 @@ func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
 // Open admits a new shard under key: it builds the shard's cluster — its
 // regions named under the key's namespace, its Mu instances scoped per
 // sync group per shard, its traces stamped with the key, its summary writes
-// flowing through the shared coalescers, its group leaders staggered by
+// flowing through the nodes' coalescers, its group leaders staggered by
 // shard index so consensus load spreads across the nodes — and then charges
 // every region the shard registered to each node's arena. A node that cannot
 // hold them all refuses: the shard is torn down the way Close tears it down,
@@ -165,8 +162,6 @@ func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, err
 	co := s.opts.Core
 	co.Shard = key
 	co.Tracer = s.opts.Tracer.Scoped(key)
-	co.FailureDomain = s.fdom
-	co.Coalescers = s.coals
 	co.Leaders = make([]spec.ProcID, len(an.SyncGroups))
 	for g := range co.Leaders {
 		co.Leaders[g] = spec.ProcID((g + s.nOpened) % n)
@@ -192,7 +187,7 @@ func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, err
 func (sh *Shard) owns(name string) bool { return strings.Contains(name, sh.Cluster.Namespace()) }
 
 // teardown stops the shard's cluster — its tickers, its poll-loop channels,
-// its failure-domain subscriptions — and then unregisters its regions on
+// its failure-detection subscriptions — and then unregisters its regions on
 // every node, returning whatever spans they were charged.
 func (s *Store) teardown(sh *Shard) {
 	sh.Cluster.Stop()
@@ -278,27 +273,21 @@ func (s *Store) Headroom(node int) (available, largest int) {
 	return a.Available(), a.Largest()
 }
 
-// Coalescer returns the node's shared write coalescer (its stats expose
-// the cross-shard chains).
-func (s *Store) Coalescer(node int) *rdma.Coalescer { return s.coals[node] }
-
-// FailureDomain returns the shared failure-handling infrastructure (nil
-// when the Core template disables failure handling).
-func (s *Store) FailureDomain() *core.FailureDomain { return s.fdom }
+// Coalescer returns the node's write coalescer (rdma.Node.Coalescer; its
+// stats expose the cross-shard chains).
+func (s *Store) Coalescer(node int) *rdma.Coalescer { return s.fab.Node(rdma.NodeID(node)).Coalescer() }
 
 // Fabric returns the underlying fabric.
 func (s *Store) Fabric() *rdma.Fabric { return s.fab }
 
-// Stop closes every shard's background activity and then the shared
-// failure domain. The store must not be used afterwards.
+// Stop closes every shard's background activity; the last shard's stop
+// on a node stops the node's heartbeat and detector. The store must not be
+// used afterwards.
 func (s *Store) Stop() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sh := range s.shards {
 		sh.Cluster.Stop()
-	}
-	if s.fdom != nil {
-		s.fdom.Stop()
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 
 	"hamband/internal/core"
 	"hamband/internal/crdt"
+	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
@@ -609,12 +610,25 @@ func suspendNode0(eng *sim.Engine, s *Store) {
 	eng.RunFor(2 * sim.Millisecond)
 }
 
-// TestClosedShardIgnoresSuspicion: a closed shard's replicas are off the
-// shared failure domain, so a suspicion after Close reaches none of them —
+// suspects reports whether node's detector suspects peer.
+func suspects(s *Store, node, peer rdma.NodeID) bool {
+	d := s.Fabric().Node(node).Detector()
+	return d != nil && d.Suspected(peer)
+}
+
+// TestClosedShardIgnoresSuspicion: a closed shard's replicas are off their
+// nodes' failure detection, so a suspicion after Close reaches none of them —
 // a subscribed replica would start a Mu election on regions Close removed.
+// A second shard stays open: it keeps the nodes' detection running, and it
+// must still hear the suspicion.
 func TestClosedShardIgnoresSuspicion(t *testing.T) {
 	eng, s := newStore(t, 3, 21, testOptions())
-	if _, err := s.Open("m", spec.MustAnalyze(schema.NewMovie()), ShardOptions{}); err != nil {
+	an := spec.MustAnalyze(schema.NewMovie())
+	if _, err := s.Open("m", an, ShardOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	other, err := s.Open("n", an, ShardOptions{})
+	if err != nil {
 		t.Fatal(err)
 	}
 	eng.RunFor(sim.Millisecond)
@@ -622,8 +636,44 @@ func TestClosedShardIgnoresSuspicion(t *testing.T) {
 		t.Fatal(err)
 	}
 	suspendNode0(eng, s)
-	if !s.FailureDomain().Suspected(1, 0) {
+	if !suspects(s, 1, 0) {
 		t.Fatal("node 1 never suspected node 0: the test injected no failure")
+	}
+	if got := other.Replica(1).Suspects(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("the open shard's p1 suspects %v, want [0]", got)
+	}
+}
+
+// TestClosingEveryShardStopsTheNodeServices: closing a store's last shard
+// stops every node's heartbeat and detector — nothing is left on the engine
+// — and a shard opened afterwards starts them again: a node suspended in
+// between is suspected.
+func TestClosingEveryShardStopsTheNodeServices(t *testing.T) {
+	eng, s := newStore(t, 3, 23, testOptions())
+	an := spec.MustAnalyze(crdt.NewCounter())
+	for _, key := range []string{"a", "b"} {
+		if _, err := s.Open(key, an, ShardOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunFor(sim.Millisecond)
+	for _, key := range []string{"a", "b"} {
+		if err := s.Close(key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng.RunFor(sim.Millisecond)
+	if eng.Pending() != 0 {
+		t.Fatalf("%d events pending with every shard closed, want 0", eng.Pending())
+	}
+	s.Fabric().Node(0).Beater().Suspend()
+	sh, err := s.Open("c", an, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.RunFor(2 * sim.Millisecond)
+	if got := sh.Replica(1).Suspects(); len(got) != 1 || got[0] != 0 {
+		t.Fatalf("the new shard's p1 suspects %v, want [0]", got)
 	}
 }
 
@@ -651,7 +701,7 @@ func TestReopenedShardIsolatedFromItsPredecessor(t *testing.T) {
 		}
 	}
 	suspendNode0(eng, s)
-	if !s.FailureDomain().Suspected(1, 0) {
+	if !suspects(s, 1, 0) {
 		t.Fatal("node 1 never suspected node 0: the test injected no failure")
 	}
 	for p := spec.ProcID(0); p < 3; p++ {
@@ -664,3 +714,61 @@ func TestReopenedShardIsolatedFromItsPredecessor(t *testing.T) {
 }
 
 var _ = core.Options{} // keep the import pinned for testOptions mutations
+
+// TestShardChurnKeepsTheRegistryFlat: a closed shard retires the read
+// functions its replicas, broadcast receivers and Mu instances registered,
+// folding their final counts into the counters, so a hundred open/close
+// cycles of one key leave no read function behind and the totals never fall.
+func TestShardChurnKeepsTheRegistryFlat(t *testing.T) {
+	for _, tc := range []struct {
+		cls  *spec.Class
+		u    spec.MethodID
+		args func(p spec.ProcID, seq uint64) spec.Args
+	}{
+		{crdt.NewCounter(), crdt.CounterAdd, func(spec.ProcID, uint64) spec.Args { return spec.ArgsI(1) }},
+		{crdt.NewORSet(), crdt.ORSetAdd, func(p spec.ProcID, seq uint64) spec.Args {
+			return spec.ArgsI(int64(seq), crdt.Tag(p, seq))
+		}},
+		{schema.NewMovie(), schema.MovieAddCustomer, func(p spec.ProcID, seq uint64) spec.Args {
+			return spec.ArgsI(int64(seq)*3 + int64(p))
+		}},
+	} {
+		t.Run(tc.cls.Name, func(t *testing.T) {
+			opts := testOptions()
+			eng := sim.NewEngine(24)
+			opts.Core.Metrics = metrics.New(eng)
+			fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+			s := New(fab, opts)
+			t.Cleanup(s.Stop)
+			an := spec.MustAnalyze(tc.cls)
+			reg := opts.Core.Metrics
+			names := []string{"core.applied", "broadcast.torn_rejects", "broadcast.stale_rejects", "mu.torn_rejects"}
+			var applied uint64
+			for cycle := 0; cycle < 100; cycle++ {
+				if _, err := s.Open("k", an, ShardOptions{}); err != nil {
+					t.Fatal(err)
+				}
+				for p := spec.ProcID(0); p < 3; p++ {
+					s.Invoke("k", p, tc.u, tc.args(p, uint64(cycle+1)), nil)
+				}
+				eng.RunFor(200 * sim.Microsecond)
+				if err := s.Close("k"); err != nil {
+					t.Fatal(err)
+				}
+				for _, name := range names {
+					if n := reg.Counter(name).Reads(); n != 0 {
+						t.Fatalf("cycle %d: %s keeps %d read functions with no shard open", cycle, name, n)
+					}
+				}
+				got := reg.Counter("core.applied").Value()
+				if got < applied {
+					t.Fatalf("cycle %d: core.applied fell from %d to %d at Close", cycle, applied, got)
+				}
+				applied = got
+			}
+			if applied == 0 {
+				t.Fatal("no call applied: the churn exercised nothing")
+			}
+		})
+	}
+}
