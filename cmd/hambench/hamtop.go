@@ -80,12 +80,10 @@ func runHamtop(cfg bench.Config, frames int) {
 	resumeAt := suspendAt * 2
 	eng.At(suspendAt, func() {
 		down = 3
-		fab.Node(3).Beater().Suspend()
 		fab.Node(3).Suspend()
 	})
 	eng.At(resumeAt, func() {
 		down = -1
-		fab.Node(3).Beater().Resume()
 		fab.Node(3).Resume()
 	})
 

@@ -55,7 +55,6 @@ func main() {
 	// Leader failure: p0 leads the synchronization group by default.
 	at(800*sim.Microsecond, func() {
 		log("LEADER p0 fails (heartbeat thread suspended; NIC stays up)")
-		cluster.Replica(0).Beater().Suspend()
 		fab.Node(0).Suspend()
 	})
 	// Conflict-free registrations keep flowing during fail-over.

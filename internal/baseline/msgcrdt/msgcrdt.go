@@ -94,9 +94,9 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		}
 		return
 	}
-	r.ep.CPU.Exec(r.costs.IssueCost, func() {
+	r.ep.CPU.Submit(r.costs.IssueCost, func() {
 		if r.cls.Methods[u].Kind == spec.Query {
-			r.ep.CPU.Exec(r.costs.QueryCost, func() {
+			r.ep.CPU.Submit(r.costs.QueryCost, func() {
 				v := r.cls.Methods[u].Eval(r.sigma, args)
 				if onDone != nil {
 					onDone(v, nil)
@@ -106,7 +106,7 @@ func (r *Replica) Invoke(u spec.MethodID, args spec.Args, onDone func(result any
 		}
 		r.nextSeq++
 		c := spec.Call{Method: u, Args: args, Proc: r.id, Seq: r.nextSeq}
-		r.ep.CPU.Exec(r.costs.ApplyCost, func() {
+		r.ep.CPU.Submit(r.costs.ApplyCost, func() {
 			r.cls.ApplyCall(r.sigma, c)
 			r.applied.Inc(r.id, u)
 			r.ep.Broadcast(codec.AppendCall(nil, c, nil), func() {
@@ -126,7 +126,7 @@ func (r *Replica) onMessage(from msgnet.NodeID, payload []byte) {
 		return
 	}
 	c := rec.C
-	r.ep.CPU.Exec(r.costs.ApplyCost, func() {
+	r.ep.CPU.Submit(r.costs.ApplyCost, func() {
 		r.cls.ApplyCall(r.sigma, c)
 		r.applied.Inc(c.Proc, c.Method)
 	})

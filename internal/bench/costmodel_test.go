@@ -17,27 +17,33 @@ import (
 // TestEveryCostFieldMovesTheClock: every field of the cost model is charged
 // somewhere a benchmark point reaches, so every arm of a sensitivity sweep
 // over the model moves the clock. Each row runs a small point once on
-// DefaultLatency and once with one field's price doubled (a rate, *PerNS,
+// DefaultLatency and once with one field's value doubled (a rate, *PerNS,
 // halved) and wants the virtual clock to read differently: the makespan, or
 // the mean response time where a small price hides inside the makespan's
-// 2 µs completion probe. A layer that kept a price of its own instead of
-// reading the model's leaves its row flat. The test walks the struct, so a
-// field added to the model without a row fails it.
+// 2 µs completion probe. A layer that kept a price or period of its own
+// instead of reading the model's leaves its row flat. The test walks the
+// struct, so a field added to the model without a row fails it.
 func TestEveryCostFieldMovesTheClock(t *testing.T) {
 	type point struct {
-		name  string
-		kind  SystemKind
-		cls   func() *spec.Class
-		ratio float64
+		name   string
+		kind   SystemKind
+		cls    func() *spec.Class
+		ratio  float64
+		ops    int
+		faults []Fault
 	}
 	var (
-		counter = point{"Hamband/counter", Hamband, crdt.NewCounter, 0.25}
-		orset   = point{"Hamband/orset", Hamband, crdt.NewORSet, 0.25}
-		movie   = point{"Hamband/movie", Hamband, schema.NewMovie, 1.0}
-		mu      = point{"Mu/counter", MuSMR, crdt.NewCounter, 0.25}
-		msg     = point{"MSG/counter", MSG, crdt.NewCounter, 0.25}
+		counter = point{"Hamband/counter", Hamband, crdt.NewCounter, 0.25, 2000, nil}
+		orset   = point{"Hamband/orset", Hamband, crdt.NewORSet, 0.25, 2000, nil}
+		movie   = point{"Hamband/movie", Hamband, schema.NewMovie, 1.0, 2000, nil}
+		mu      = point{"Mu/counter", MuSMR, crdt.NewCounter, 0.25, 2000, nil}
+		msg     = point{"MSG/counter", MSG, crdt.NewCounter, 0.25, 2000, nil}
+		// Figure 13's leader fault: p0, which leads the courseware's group,
+		// fails a quarter into the run, and the others elect a new leader.
+		leader = point{"Hamband/courseware, leader fault", Hamband, schema.NewCourseware, 0.5, 1000,
+			[]Fault{{At: faultAt(1000, fig13FaultPerOp), Node: 0}}}
 	)
-	// Each field's points, or why no fault-free point reaches it.
+	// Each field's points, or why no point reaches it.
 	rows := map[string]struct {
 		points []point
 		why    string
@@ -47,7 +53,7 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 		"WireLatency": {points: []point{counter}},
 		"AckLatency":  {points: []point{counter}},
 		"BytesPerNS":  {points: []point{orset}},
-		"CASExtra":    {why: "CAS runs only in elections and reconfigurations"},
+		"CASExtra":    {why: "the only CAS is a reconfiguration's epoch claim, which no point runs"},
 		"FailTimeout": {why: "charged only for a verb on a crashed target"},
 
 		"CRCBytesPerNS":   {points: []point{orset}},
@@ -60,16 +66,23 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 		"SweepCost":   {points: []point{orset, movie, mu}},
 		"DeliverCost": {points: []point{orset, movie, mu}},
 		"ScanPeriod":  {points: []point{counter}},
-		"IssueCost":   {points: []point{counter, msg}},
-		"ApplyCost":   {points: []point{orset, msg}}, // a reducible call's adoption is not priced
-		"QueryCost":   {points: []point{counter, msg}},
+
+		"BeatPeriod":   {points: []point{leader}},
+		"CheckPeriod":  {points: []point{counter, leader}}, // the detectors' reads share the nodes' CPUs and links
+		"SuspectAfter": {points: []point{leader}},
+		"TrustAfter":   {why: "charged only when a suspected node comes back, and no point resumes one"},
+		"CatchUpAfter": {points: []point{leader}},
+
+		"IssueCost": {points: []point{counter, msg}},
+		"ApplyCost": {points: []point{orset, msg}}, // a reducible call's adoption is not priced
+		"QueryCost": {points: []point{counter, msg}},
 	}
 
-	cfg := Config{Ops: 2000, Seed: 42}
+	cfg := Config{Seed: 42}
 	// clock reads a point's makespan and mean response time.
 	type reading struct{ makespan, meanRT sim.Duration }
 	clock := func(p point, lat rdma.LatencyModel) reading {
-		r, _ := cfg.run(p.kind, p.cls(), 4, cfg.Ops, p.ratio, 0, Variant{Latency: &lat})
+		r, _ := cfg.run(p.kind, p.cls(), 4, p.ops, p.ratio, 0, Variant{Latency: &lat}, p.faults...)
 		if r.TimedOut {
 			t.Fatalf("%s timed out", p.name)
 		}

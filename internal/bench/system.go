@@ -28,8 +28,8 @@ type System interface {
 	Applied(p spec.ProcID) spec.AppliedMap
 	// Down reports whether replica p has failed.
 	Down(p spec.ProcID) bool
-	// Fail injects the paper's failure at replica p (suspend the heartbeat
-	// thread and the process; the NIC stays up).
+	// Fail injects the paper's failure at replica p (suspend the process,
+	// its heartbeat thread with it; the NIC stays up).
 	Fail(p spec.ProcID)
 	// State snapshots replica p's object state (final convergence checks).
 	State(p spec.ProcID) spec.State
@@ -119,12 +119,7 @@ func (s *hambandSystem) Applied(p spec.ProcID) spec.AppliedMap { return s.c.Repl
 func (s *hambandSystem) Down(p spec.ProcID) bool {
 	return s.c.Replica(p).Node().Suspended() || s.c.Replica(p).Node().Crashed()
 }
-func (s *hambandSystem) Fail(p spec.ProcID) {
-	if b := s.c.Replica(p).Beater(); b != nil {
-		b.Suspend()
-	}
-	s.c.Replica(p).Node().Suspend()
-}
+func (s *hambandSystem) Fail(p spec.ProcID)             { s.c.Replica(p).Node().Suspend() }
 func (s *hambandSystem) State(p spec.ProcID) spec.State { return s.c.Replica(p).CurrentState() }
 func (s *hambandSystem) Size() int                      { return len(s.c.Replicas) }
 

@@ -243,7 +243,7 @@ func (b *Broadcaster) Send(unit []byte, label string) error {
 		b.flush()
 	}
 	if len(b.batch) == 0 && b.unacked == 0 {
-		b.node.CPU.Exec(0, b.idleFn)
+		b.node.CPU.Submit(0, b.idleFn)
 	}
 	b.batch = append(b.batch, unit...)
 	b.stage()
@@ -288,7 +288,7 @@ func (b *Broadcaster) stage() {
 // launch when there is no peer to write to: the clock Send paces by.
 func (b *Broadcaster) acked() {
 	if b.unacked--; b.unacked == 0 && len(b.batch) > 0 {
-		b.node.CPU.Exec(0, b.idleFn)
+		b.node.CPU.Submit(0, b.idleFn)
 	}
 }
 
@@ -565,7 +565,7 @@ func (r *Receiver) sweep() {
 		// The checksum compute leg of this sweep's validated reads:
 		// occupy the reader CPU for the bytes re-hashed, so the cost
 		// model charges single-RTT validation what it actually costs.
-		r.node.CPU.Exec(cost, func() {})
+		r.node.CPU.Submit(cost, func() {})
 	}
 }
 

@@ -182,8 +182,7 @@ func TestIntegrationWithFailureDetector(t *testing.T) {
 	eng, fab, bcs, got, rcs := setup(3, cfg)
 	for i := 0; i < 3; i++ {
 		i := i
-		hb := fab.Node(rdma.NodeID(i)).Subscribe(rdma.DefaultHeartbeatConfig())
-		hb.OnSuspect = func(peer rdma.NodeID) { rcs[i].RecoverFrom(peer) }
+		fab.Node(rdma.NodeID(i)).Subscribe(func(peer rdma.NodeID) { rcs[i].RecoverFrom(peer) }, nil)
 	}
 	eng.At(0, func() {
 		bcs[0].Broadcast([]byte("survives"), nil)

@@ -225,18 +225,15 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	cls := classRegistry[p.Class]()
 	an := spec.MustAnalyze(cls)
 	eng := sim.NewEngine(p.Seed)
-	fab := rdma.NewFabric(eng, p.Nodes, rdma.DefaultLatency())
-
-	copts := core.DefaultOptions()
 	// Tight detector timings: plans play out over a few milliseconds, so
 	// suspicion must fire within tens of microseconds of a failure. The
 	// raised trust threshold avoids restore churn on flapping schedules.
-	copts.Heartbeat = rdma.HeartbeatConfig{
-		BeatPeriod:     5 * sim.Microsecond,
-		CheckPeriod:    10 * sim.Microsecond,
-		Threshold:      3,
-		TrustThreshold: 2,
-	}
+	lat := rdma.DefaultLatency()
+	lat.BeatPeriod, lat.CheckPeriod = 5*sim.Microsecond, 10*sim.Microsecond
+	lat.SuspectAfter, lat.TrustAfter = 3, 2
+	fab := rdma.NewFabric(eng, p.Nodes, lat)
+
+	copts := core.DefaultOptions()
 	// Integrity is probed (and reported) rather than asserted: a violation
 	// must become a verdict, not a panic.
 	copts.CheckIntegrity = false
@@ -509,16 +506,13 @@ func (r *runner) apply(e Event) {
 	r.fold(int64(r.eng.Now()), int64(kindIndex(e.Kind)), int64(e.Node), int64(e.A), int64(e.B))
 }
 
-// suspend stops node n's process — every shard it hosts at once — and the
-// node's one heartbeat thread (nil with failure handling disabled).
+// suspend stops node n's process — every shard it hosts at once, and the
+// node's one heartbeat thread with them.
 func (r *runner) suspend(n int) {
 	if r.down[n] || r.crashed[n] {
 		return
 	}
 	r.down[n] = true
-	if b := r.fab.Node(rdma.NodeID(n)).Beater(); b != nil {
-		b.Suspend()
-	}
 	r.fab.Node(rdma.NodeID(n)).Suspend()
 }
 
@@ -527,9 +521,6 @@ func (r *runner) resume(n int) {
 		return
 	}
 	r.down[n] = false
-	if b := r.fab.Node(rdma.NodeID(n)).Beater(); b != nil {
-		b.Resume()
-	}
 	r.fab.Node(rdma.NodeID(n)).Resume()
 }
 

@@ -484,10 +484,9 @@ func TestFreeBurstAllocsBelowMessagePerCall(t *testing.T) {
 // buffer, and each L buffer kept its calls decoded, one argument array each;
 // 23 before one copy per ring record, 24 before the call path's queues.
 func TestConfCallAllocs(t *testing.T) {
-	h := newHarness(t, schema.NewMovie(), 4, 94, func(o *Options) {
-		o.CheckIntegrity = false
-		o.Mu.CatchUpAfter = sim.Second // the idle group's staleness probe of its leader builds callbacks, and is not this path
-	})
+	lat := rdma.DefaultLatency()
+	lat.CatchUpAfter = sim.Second // the idle group's staleness probe of its leader builds callbacks, and is not this path
+	h := newHarnessOn(t, lat, schema.NewMovie(), 4, 94, func(o *Options) { o.CheckIntegrity = false })
 	r := h.cluster.Replica(1)
 	if r.tracing() || r.mConfLat != nil {
 		t.Fatal("harness attached a tracer or a metrics registry unexpectedly")

@@ -54,10 +54,10 @@ const MinDeltaLogBytes = 64
 
 func epochRegion(ns string) string { return ns + epochRegionBase }
 
-// Options configures a Hamband cluster. Its CPU prices and poll periods are
-// not options: they are the fabric's cost model (rdma.LatencyModel).
+// Options configures a Hamband cluster. Its CPU prices, poll periods and
+// failure-detector timing are not options: they are the fabric's cost model
+// (rdma.LatencyModel).
 type Options struct {
-	Heartbeat rdma.HeartbeatConfig
 	Broadcast broadcast.Config
 	Mu        mu.Config
 
@@ -109,7 +109,6 @@ type Options struct {
 // DefaultOptions returns production-shaped parameters.
 func DefaultOptions() Options {
 	return Options{
-		Heartbeat:     rdma.DefaultHeartbeatConfig(),
 		Broadcast:     broadcast.DefaultConfig(),
 		Mu:            mu.DefaultConfig(),
 		SumSlotSize:   16 * 1024,
@@ -232,11 +231,15 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	// Failure handling: every replica subscribes to its node's heartbeat and
 	// detector (a node beats once for everything it hosts). The first
 	// subscriber on a node starts them, in node order, before any replica
-	// schedules work of its own.
+	// schedules work of its own; what the detector reports reaches a replica
+	// on its node's CPU, once the replicas are built.
 	live := make([]*rdma.Subscription, n)
 	if !opts.DisableFailureHandling {
 		for i := range live {
-			live[i] = fab.Node(rdma.NodeID(i)).Subscribe(opts.Heartbeat)
+			p := spec.ProcID(i)
+			live[i] = fab.Node(rdma.NodeID(i)).Subscribe(
+				func(peer rdma.NodeID) { c.Replicas[p].onSuspect(peer) },
+				func(peer rdma.NodeID) { c.Replicas[p].onRestore(peer) })
 		}
 	}
 
@@ -397,7 +400,7 @@ type Replica struct {
 	// The call path: a client call waits in calls for its IssueCost item, a
 	// query in queries for its QueryCost item, an accepted irreducible
 	// conflict-free call in accepts for its ApplyCost item. Every push is paired
-	// with one CPU.Exec of the queue's bound item in the same function, and
+	// with one CPU.Submit of the queue's bound item in the same function, and
 	// sim.CPU runs items in order and never discards one (Suspend and Crash only
 	// pause it), so the k-th run of an item pops the k-th record.
 	calls    fifo.Queue[clientCall]
@@ -599,9 +602,7 @@ func newReplica(c *Cluster, id spec.ProcID, live *rdma.Subscription) *Replica {
 		r.groups = append(r.groups, in)
 	}
 
-	if r.hb = live; live != nil {
-		live.OnSuspect, live.OnRestore = r.onSuspect, r.onRestore
-	}
+	r.hb = live
 
 	// The summary scan.
 	if r.haveSums {
@@ -617,8 +618,8 @@ func (r *Replica) ID() spec.ProcID { return r.id }
 func (r *Replica) Node() *rdma.Node { return r.node }
 
 // Beater returns the heartbeat thread of the replica's node (nil until an
-// object on the node first subscribes to failure detection); tests and the
-// failure benchmarks suspend it to inject the paper's failure mode.
+// object on the node first subscribes to failure detection); tests suspend
+// it to stop the node's heartbeat alone.
 func (r *Replica) Beater() *rdma.Beater { return r.node.Beater() }
 
 // Group returns the consensus instance of synchronization group g.

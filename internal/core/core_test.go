@@ -8,6 +8,7 @@ import (
 
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
+	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -27,8 +28,14 @@ type harness struct {
 
 func newHarness(t *testing.T, cls *spec.Class, n int, seed int64, mut func(*Options)) *harness {
 	t.Helper()
+	return newHarnessOn(t, rdma.DefaultLatency(), cls, n, seed, mut)
+}
+
+// newHarnessOn is newHarness on a fabric priced by lat.
+func newHarnessOn(t *testing.T, lat rdma.LatencyModel, cls *spec.Class, n int, seed int64, mut func(*Options)) *harness {
+	t.Helper()
 	eng := sim.NewEngine(seed)
-	fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
+	fab := rdma.NewFabric(eng, n, lat)
 	opts := DefaultOptions()
 	opts.CheckIntegrity = true
 	if mut != nil {
@@ -954,7 +961,7 @@ func TestNodeServicesLifecycle(t *testing.T) {
 	eng.RunFor(sim.Millisecond)
 	reads := fab.Stats().Reads
 	eng.RunFor(sim.Millisecond)
-	period := rdma.DefaultHeartbeatConfig().CheckPeriod
+	period := fab.Latency().CheckPeriod
 	if got, want := fab.Stats().Reads-reads, uint64(3*2*sim.Millisecond/period); got != want {
 		t.Fatalf("%d heartbeat reads in 1 ms, want %d: one detector a node", got, want)
 	}
@@ -970,6 +977,51 @@ func TestNodeServicesLifecycle(t *testing.T) {
 	eng.RunFor(sim.Millisecond) // a cancelled ticker's last event fires within a period
 	if eng.Pending() != 0 {
 		t.Fatalf("engine still has %d pending events after the last cluster stopped", eng.Pending())
+	}
+}
+
+// TestLateClusterHearsEarlierSuspicion: a standalone cluster built on a
+// fabric whose nodes' detectors, run for an earlier cluster, already suspect
+// a node hears that suspicion as it subscribes. Node 0 fails under cluster a
+// and leads addCustomer's group in both clusters, so a call on that group of
+// cluster b completes only if b's replicas elect a new leader; the same call
+// on cluster a is the control.
+func TestLateClusterHearsEarlierSuspicion(t *testing.T) {
+	eng := sim.NewEngine(144)
+	fab := rdma.NewFabric(eng, 4, rdma.DefaultLatency())
+	an := spec.MustAnalyze(schema.NewMovie())
+	build := func(key string) *Cluster {
+		opts := DefaultOptions()
+		opts.Shard = key
+		return NewCluster(fab, an, opts)
+	}
+	cs := []*Cluster{build("a")}
+	fab.Node(0).Suspend()
+	eng.RunFor(300 * sim.Microsecond)
+	if d := fab.Node(1).Detector(); !d.Suspected(0) {
+		t.Fatal("node 1 does not suspect node 0 300 µs after it failed: the test injected no failure")
+	}
+	cs = append(cs, build("b"))
+	g := an.SyncGroupOf[schema.MovieAddCustomer]
+	if leader := cs[1].Leader(1, g); leader != 0 {
+		t.Fatalf("cluster b's addCustomer group is led by p%d; the test needs the suspected node 0", leader)
+	}
+	done := make([]bool, len(cs))
+	for i, c := range cs {
+		i := i
+		c.Replica(1).Invoke(schema.MovieAddCustomer, spec.ArgsI(7), func(_ any, err error) {
+			if err != nil {
+				t.Errorf("cluster %d: addCustomer at p1: %v", i, err)
+			}
+			done[i] = true
+		})
+	}
+	eng.RunFor(20 * sim.Millisecond)
+	for i, c := range cs {
+		if !done[i] || c.Leader(1, g) == 0 {
+			t.Errorf("cluster %d: addCustomer at p1 done %v 20 ms after it was issued, p1 names p%d the leader; want done under a new leader",
+				i, done[i], c.Leader(1, g))
+		}
 	}
 }
 

@@ -121,7 +121,7 @@ func TestDeltaLogWrapReanchors(t *testing.T) {
 			flushes, anchors = r.coal.Stats().Flushes, r.statAnchors
 			for i := 0; i < calls; i++ {
 				h.invoke(0, crdt.GSetAdd, spec.ArgsI(int64(i)))
-				r.node.CPU.Exec(0, checkAfter) // runs right after the call's issue item
+				r.node.CPU.Submit(0, checkAfter) // runs right after the call's issue item
 			}
 		})
 		if !h.drain(100 * sim.Millisecond) {

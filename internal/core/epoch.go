@@ -7,7 +7,6 @@ import (
 
 	"hamband/internal/broadcast"
 	"hamband/internal/rdma"
-	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
@@ -163,11 +162,7 @@ func (c *Cluster) agreeOnView(target int, join bool, left int, onDone func(error
 		onDone(ErrNoAgreement)
 		return
 	}
-	delay := 4 * c.Opts.Heartbeat.CheckPeriod
-	if delay <= 0 {
-		delay = 100 * sim.Microsecond
-	}
-	c.Fab.Engine().After(delay, func() {
+	c.Fab.Engine().After(4*c.Fab.Latency().CheckPeriod, func() {
 		c.agreeOnView(target, join, left-1, onDone)
 	})
 }

@@ -483,7 +483,7 @@ func TestReconfigureRefusals(t *testing.T) {
 			}
 			if tc.want == ErrNoAgreement {
 				// Every round waits four detector check periods.
-				if waited, min := h.eng.Now()-at, sim.Time(viewAgreeRetries*4*h.cluster.Opts.Heartbeat.CheckPeriod); waited < min {
+				if waited, min := h.eng.Now()-at, sim.Time(viewAgreeRetries*4*h.fab.Latency().CheckPeriod); waited < min {
 					t.Fatalf("refused after %v, before %d agreement rounds (%v)", waited, viewAgreeRetries, min)
 				}
 			}

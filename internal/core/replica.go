@@ -94,7 +94,7 @@ func (r *Replica) submit(u spec.MethodID, args spec.Args, fresh bool, onDone fun
 	// issue→dispatch stage (CPU queueing + issue cost) from it.
 	r.calls.Push(clientCall{u: u, args: args, submitAt: r.cluster.Fab.Engine().Now(),
 		fresh: fresh && r.haveSums, onDone: r.measureCall(u, onDone)})
-	r.node.CPU.Exec(r.cluster.Fab.Latency().IssueCost, r.issueFn)
+	r.node.CPU.Submit(r.cluster.Fab.Latency().IssueCost, r.issueFn)
 }
 
 // issue is a call's IssueCost item. It pops the call before dispatching it:
@@ -125,7 +125,7 @@ func (r *Replica) issue() {
 // queueQuery queues a query for its QueryCost item.
 func (r *Replica) queueQuery(cc clientCall) {
 	r.queries.Push(cc)
-	r.node.CPU.Exec(r.cluster.Fab.Latency().QueryCost, r.queryFn)
+	r.node.CPU.Submit(r.cluster.Fab.Latency().QueryCost, r.queryFn)
 }
 
 // query is a query's QueryCost item: it pops the query, evaluates it against
@@ -735,7 +735,7 @@ func (r *Replica) invokeFree(u spec.MethodID, args spec.Args, submitAt sim.Time,
 		return
 	}
 	r.accepts.Push(freeCall{c: c, d: r.applied.Project(r.an.DependsOn[u]), onDone: onDone})
-	r.node.CPU.Exec(r.cluster.Fab.Latency().ApplyCost, r.acceptFn)
+	r.node.CPU.Submit(r.cluster.Fab.Latency().ApplyCost, r.acceptFn)
 }
 
 // accept is an accepted irreducible conflict-free call's ApplyCost item: it
@@ -1013,7 +1013,7 @@ func (r *Replica) kickApply() {
 		return
 	}
 	r.applying = true
-	r.node.CPU.Exec(r.cluster.Fab.Latency().ApplyCost, r.applyStepFn)
+	r.node.CPU.Submit(r.cluster.Fab.Latency().ApplyCost, r.applyStepFn)
 }
 
 func (r *Replica) applyStep() {

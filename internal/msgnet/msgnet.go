@@ -132,7 +132,7 @@ func (ep *Endpoint) Send(to NodeID, payload []byte, onSent func()) {
 	nw := ep.net
 	nw.stats.Sent++
 	nw.stats.Bytes += uint64(len(buf))
-	ep.CPU.Exec(nw.cost.SendCost, func() {
+	ep.CPU.Submit(nw.cost.SendCost, func() {
 		if onSent != nil {
 			onSent()
 		}
@@ -151,7 +151,7 @@ func (ep *Endpoint) Send(to NodeID, payload []byte, onSent func()) {
 				return
 			}
 			from := ep.id
-			dst.CPU.Exec(nw.cost.RecvCost, func() {
+			dst.CPU.Submit(nw.cost.RecvCost, func() {
 				nw.stats.Delivered++
 				dst.handler(from, buf)
 			})

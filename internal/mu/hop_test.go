@@ -126,9 +126,10 @@ func TestWarmCommitAllocs(t *testing.T) {
 // 12-byte vote and 13-byte grant records lap them.
 func TestElectionSweepAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.CatchUpAfter = sim.Second
 	cfg.CtrlCapacity = 1 << 11
-	c := newClusterCfg(t, 3, 0, cfg, nil)
+	lat := rdma.DefaultLatency()
+	lat.CatchUpAfter = sim.Second
+	c := newClusterOn(t, 3, 0, cfg, lat, nil)
 	c.inst[0].Stop()
 	c.inst[1].Stop()
 	in := c.inst[2]
@@ -181,7 +182,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	// and queues both rounds' deliveries: one item of one entry, one of five.
 	var want []string
 	c.eng.At(0, func() {
-		c.fab.Node(victim).CPU.Exec(20*sim.Microsecond, func() {})
+		c.fab.Node(victim).CPU.Submit(20*sim.Microsecond, func() {})
 		for i := 0; i < 6; i++ {
 			want = append(want, fmt.Sprintf("first-%d-%s", i, strings.Repeat("f", 5*i)))
 			c.inst[0].Submit([]byte(want[i]))

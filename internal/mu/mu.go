@@ -52,14 +52,14 @@ func ctrlRegion(g string, from rdma.NodeID) string {
 func journalRegion(g string) string { return "mu-journal-" + g }
 func stateRegion(g string) string   { return "mu-state-" + g }
 
-// Config holds consensus sizes. The poll period and CPU prices are the
-// fabric's (rdma.LatencyModel's SweepPeriod, SweepCost and DeliverCost).
+// Config holds consensus sizes. The poll period, the CPU prices and the
+// catch-up period are the fabric's (rdma.LatencyModel's SweepPeriod,
+// SweepCost, DeliverCost and CatchUpAfter).
 type Config struct {
-	RingCapacity    int          // log and request ring capacity
-	CtrlCapacity    int          // control (vote and grant) ring capacity
-	JournalSlots    int          // journal length (entries)
-	JournalSlotSize int          // bytes per journal slot
-	CatchUpAfter    sim.Duration // follower staleness before a journal catch-up
+	RingCapacity    int // log and request ring capacity
+	CtrlCapacity    int // control (vote and grant) ring capacity
+	JournalSlots    int // journal length (entries)
+	JournalSlotSize int // bytes per journal slot
 }
 
 // DefaultConfig returns sizes suited to the benchmark workloads.
@@ -69,7 +69,6 @@ func DefaultConfig() Config {
 		CtrlCapacity:    1 << 12,
 		JournalSlots:    1024,
 		JournalSlotSize: 256,
-		CatchUpAfter:    100 * sim.Microsecond,
 	}
 }
 
@@ -910,7 +909,7 @@ func (in *Instance) sweep() {
 	// staleness window.)
 	if !in.isLeader {
 		_, gapped := in.stash[in.lastDelivered+1]
-		stale := in.fab.Engine().Now()-in.lastProgressAt > sim.Time(in.cfg.CatchUpAfter)
+		stale := in.fab.Engine().Now()-in.lastProgressAt > sim.Time(in.fab.Latency().CatchUpAfter)
 		if (len(in.stash) > 0 && !gapped) || stale {
 			in.catchUp(in.leader)
 		}
@@ -1313,7 +1312,7 @@ func (in *Instance) resetRing(peer rdma.NodeID, oc *ring.Sender, done func()) {
 		qp.Write(region, ring.HeaderSize, in.zeros[:8], func(err error) {
 			if err == rdma.ErrPermission {
 				// Voter has not switched permissions yet: probe again.
-				in.fab.Engine().After(in.cfg.CatchUpAfter, probe)
+				in.fab.Engine().After(in.fab.Latency().CatchUpAfter, probe)
 				finish()
 				return
 			}

@@ -32,8 +32,14 @@ func newCluster(t *testing.T, n int, leader rdma.NodeID) *cluster {
 // attached to the fabric first, so the instances register their instruments.
 func newClusterCfg(t *testing.T, n int, leader rdma.NodeID, cfg Config, reg *metrics.Registry) *cluster {
 	t.Helper()
+	return newClusterOn(t, n, leader, cfg, rdma.DefaultLatency(), reg)
+}
+
+// newClusterOn is newClusterCfg on a fabric priced by lat.
+func newClusterOn(t *testing.T, n int, leader rdma.NodeID, cfg Config, lat rdma.LatencyModel, reg *metrics.Registry) *cluster {
+	t.Helper()
 	eng := sim.NewEngine(41)
-	fab := rdma.NewFabric(eng, n, rdma.DefaultLatency())
+	fab := rdma.NewFabric(eng, n, lat)
 	fab.EnableMetrics(reg)
 	Setup(fab, "g", cfg, leader)
 	c := &cluster{eng: eng, fab: fab, delivered: make([][]string, n), seqs: make([][]uint64, n)}
@@ -213,13 +219,12 @@ func TestElectionWithDetectorIntegration(t *testing.T) {
 	c := newCluster(t, 3, 0)
 	for i := 0; i < 3; i++ {
 		i := i
-		hb := c.fab.Node(rdma.NodeID(i)).Subscribe(rdma.DefaultHeartbeatConfig())
-		hb.OnSuspect = func(peer rdma.NodeID) {
+		c.fab.Node(rdma.NodeID(i)).Subscribe(func(peer rdma.NodeID) {
 			// Next node in ring order becomes candidate.
 			if peer == c.inst[i].Leader() && rdma.NodeID((int(peer)+1)%3) == c.fab.Node(rdma.NodeID(i)).ID() {
 				c.inst[i].StartElection()
 			}
-		}
+		}, nil)
 	}
 	c.eng.At(sim.Time(100*sim.Microsecond), func() { c.fab.Node(0).Suspend() })
 	c.eng.At(sim.Time(5*sim.Millisecond), func() { c.inst[2].Submit([]byte("after")) })

@@ -254,7 +254,7 @@ func TestCoalescerCrossStreamChain(t *testing.T) {
 	reg.AllowAllWrites()
 
 	co := NewCoalescer(src)
-	src.CPU.Exec(0, func() {
+	src.CPU.Submit(0, func() {
 		co.Enqueue(1, "shard-a", WR{Region: "slots", Off: 0, Data: []byte{1, 2, 3, 4}})
 		co.Enqueue(1, "shard-b", WR{Region: "slots", Off: 16, Data: []byte{5, 6, 7, 8}})
 		co.Enqueue(1, "shard-a", WR{Region: "slots", Off: 32, Data: []byte{9, 10, 11, 12}})
@@ -285,7 +285,7 @@ func TestCoalescerSingleStreamNotCross(t *testing.T) {
 	dst.Register("slots", 1024).AllowAllWrites()
 
 	co := NewCoalescer(src)
-	src.CPU.Exec(0, func() {
+	src.CPU.Submit(0, func() {
 		co.Enqueue(1, "only", WR{Region: "slots", Off: 0, Data: []byte{1}})
 		co.Enqueue(1, "only", WR{Region: "slots", Off: 8, Data: []byte{2}})
 	})

@@ -115,7 +115,7 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 		return
 	}
 	co.armed = true
-	co.node.CPU.Exec(0, co.flushFn)
+	co.node.CPU.Submit(0, co.flushFn)
 }
 
 // Mark returns a value that changes with every Enqueue and every flush. A

@@ -29,7 +29,7 @@ func coalescePair(t *testing.T) (*sim.Engine, *Fabric, *Coalescer, *Region) {
 func TestCoalescerMergesContiguousRun(t *testing.T) {
 	eng, fab, co, reg := coalescePair(t)
 	var want []byte
-	fab.Node(0).CPU.Exec(0, func() {
+	fab.Node(0).CPU.Submit(0, func() {
 		off := 100
 		for k := 0; k < 8; k++ {
 			rec := bytes.Repeat([]byte{byte(k + 1)}, 3+k) // records of different lengths
@@ -66,10 +66,10 @@ func TestCoalescerInlinesOnlyWhenIdle(t *testing.T) {
 	for _, busy := range []bool{false, true} {
 		eng, fab, co, _ := coalescePair(t)
 		cpu := fab.Node(0).CPU
-		cpu.Exec(0, func() {
+		cpu.Submit(0, func() {
 			co.Enqueue(1, "s", WR{Region: "slots", Off: 0, Data: data})
 			if busy {
-				cpu.Exec(behind, nil) // queued behind the flush
+				cpu.Submit(behind, nil) // queued behind the flush
 			}
 		})
 		eng.Run()
@@ -94,7 +94,7 @@ func TestCoalescerRunEndsAndKeepsOrder(t *testing.T) {
 	eng, fab, co, reg := coalescePair(t)
 	tr := trace.New(eng, 0)
 	fab.EnableTracing(tr)
-	fab.Node(0).CPU.Exec(0, func() {
+	fab.Node(0).CPU.Submit(0, func() {
 		co.Enqueue(1, "s", WR{Region: "slots", Off: 200, Data: []byte{1, 1}, Label: "a"})
 		co.Enqueue(1, "s", WR{Region: "slots", Off: 202, Data: []byte{2, 2}, Label: "b"})
 		// The anchor at the slot head: not adjacent, and it overwrites 200..201.
@@ -139,7 +139,7 @@ func TestCoalescerMergedCallsKeepTheirEvents(t *testing.T) {
 	tr := trace.New(eng, 0)
 	fab.EnableTracing(tr)
 	labels := []string{"p0#1", "p0#2", "p0#3", "p0#4"}
-	fab.Node(0).CPU.Exec(0, func() {
+	fab.Node(0).CPU.Submit(0, func() {
 		for k, l := range labels {
 			co.Enqueue(1, "s", WR{Region: "slots", Off: 8 * k, Data: make([]byte, 8), Label: l})
 		}
@@ -177,7 +177,7 @@ func TestCoalescerMergedCallsKeepTheirEvents(t *testing.T) {
 // scratch buffer — does not change what lands.
 func TestCoalescerOwnsItsBytes(t *testing.T) {
 	eng, fab, co, reg := coalescePair(t)
-	fab.Node(0).CPU.Exec(0, func() {
+	fab.Node(0).CPU.Submit(0, func() {
 		buf := []byte{1, 2, 3, 4}
 		co.Enqueue(1, "s", WR{Region: "slots", Off: 0, Data: buf})
 		copy(buf, []byte{5, 6, 7, 8})
@@ -207,10 +207,10 @@ func TestCoalescerSteadyStateAllocatesNothing(t *testing.T) {
 		}
 		co.Enqueue(1, "s", WR{Region: "slots", Off: 512, Data: rec})
 	}
-	fab.Node(0).CPU.Exec(0, burst)
+	fab.Node(0).CPU.Submit(0, burst)
 	eng.Run()
 	allocs := testing.AllocsPerRun(200, func() {
-		fab.Node(0).CPU.Exec(0, burst)
+		fab.Node(0).CPU.Submit(0, burst)
 		eng.Run()
 	})
 	if allocs != 0 {
@@ -278,7 +278,7 @@ func TestCoalescerMatchesPostingInOrder(t *testing.T) {
 				tail = span{wr.Region, wr.Off, end}
 			}
 		}
-		fab.Node(0).CPU.Exec(0, func() {
+		fab.Node(0).CPU.Submit(0, func() {
 			for _, wr := range wrs {
 				co.Enqueue(1, "s", wr)
 			}

@@ -2,12 +2,14 @@ package rdma
 
 // Failure detection (§4): a node's heartbeat thread increments a counter in
 // a registered region, and its detector reads its peers' counters with
-// one-sided READs; a peer whose counter stops advancing for Threshold checks
-// is suspected, and restored once it moves again. The paper injects failures
-// by suspending the heartbeat thread (Beater.Suspend): the NIC keeps serving
-// one-sided accesses, so recovery can still read the node's memory. A node
-// hosting many objects is one process — it beats once and is suspected once
-// — so both are node services every object subscribes to (Node.Subscribe).
+// one-sided READs; a peer whose counter stops advancing for SuspectAfter
+// checks is suspected, and restored once it moves again. The periods and
+// thresholds are the fabric's (LatencyModel). The paper injects failures by
+// suspending a node's threads (Node.Suspend, which stops the heartbeat): the
+// NIC keeps serving one-sided accesses, so recovery can still read the
+// node's memory. A node hosting many objects is one process — it beats once
+// and is suspected once — so both are node services every object subscribes
+// to (Node.Subscribe).
 
 import (
 	"encoding/binary"
@@ -24,52 +26,6 @@ const (
 	heartbeatRegionSize = 8
 )
 
-// HeartbeatConfig holds detector timing parameters. The zero value of every
-// field means "use the default", so a zero config behaves exactly like
-// DefaultHeartbeatConfig() and partial configs (chaos runs tighten one or two
-// knobs) only override what they set.
-type HeartbeatConfig struct {
-	BeatPeriod  sim.Duration // counter increment period
-	CheckPeriod sim.Duration // remote read period
-	Threshold   int          // consecutive stale checks before suspicion
-
-	// TrustThreshold is the number of consecutive advancing checks a
-	// suspected peer must pass before it is restored. The default (1)
-	// restores on the first sign of life; chaos configurations raise it to
-	// ride out flapping links without suspect/restore churn.
-	TrustThreshold int
-}
-
-// DefaultHeartbeatConfig returns timings in line with microsecond-scale RDMA
-// deployments: 10 µs beats, 25 µs checks, suspicion after 3 stale checks,
-// restore after 1 advancing check.
-func DefaultHeartbeatConfig() HeartbeatConfig {
-	return HeartbeatConfig{
-		BeatPeriod:     10 * sim.Microsecond,
-		CheckPeriod:    25 * sim.Microsecond,
-		Threshold:      3,
-		TrustThreshold: 1,
-	}
-}
-
-// withDefaults fills zero fields from DefaultHeartbeatConfig.
-func (c HeartbeatConfig) withDefaults() HeartbeatConfig {
-	def := DefaultHeartbeatConfig()
-	if c.BeatPeriod <= 0 {
-		c.BeatPeriod = def.BeatPeriod
-	}
-	if c.CheckPeriod <= 0 {
-		c.CheckPeriod = def.CheckPeriod
-	}
-	if c.Threshold <= 0 {
-		c.Threshold = def.Threshold
-	}
-	if c.TrustThreshold <= 0 {
-		c.TrustThreshold = def.TrustThreshold
-	}
-	return c
-}
-
 // liveness is a node's failure detection. The first subscriber builds the
 // beater and the detector, which the node keeps (a suspended beater stays
 // suspended while no one subscribes); their tickers run from a first
@@ -82,36 +38,55 @@ type liveness struct {
 
 // Subscription is one subscriber's place in its node's failure detection.
 type Subscription struct {
-	node *Node
-	// OnSuspect and OnRestore, when set, are called (on the node's CPU) when
-	// the node's detector suspects a peer or restores a suspected one, in
-	// subscription order.
-	OnSuspect func(peer NodeID)
-	OnRestore func(peer NodeID)
-	stopped   bool
+	node                 *Node
+	onSuspect, onRestore func(peer NodeID)
+	// catchingUp holds a subscriber back from the fan-out until it has heard
+	// the suspicions the detector held when it subscribed (catchUp).
+	catchingUp bool
+	stopped    bool
 }
 
-// Subscribe subscribes to the node's failure detection. The first
+// Subscribe subscribes to the node's failure detection: onSuspect and
+// onRestore, when not nil, are called (on the node's CPU, in subscription
+// order) when the node's detector suspects a peer or restores a suspected
+// one. A subscriber arriving while the detector suspects peers hears each of
+// them first, ascending, in one work item on the node's CPU. The first
 // subscription — the first ever, or the first after the last Stop — starts
 // the heartbeat thread (registering its region the first time), then the
-// detector, with cfg; later ones share them and their cfg is not read.
-func (n *Node) Subscribe(cfg HeartbeatConfig) *Subscription {
+// detector; both run on the fabric's timing.
+func (n *Node) Subscribe(onSuspect, onRestore func(peer NodeID)) *Subscription {
 	l := &n.live
 	if len(l.subs) == 0 {
-		cfg = cfg.withDefaults()
 		if l.beater == nil {
-			l.beater = newBeater(n, cfg.BeatPeriod)
-			l.detector = newDetector(n, cfg)
+			l.beater = newBeater(n)
+			l.detector = newDetector(n)
 			l.detector.OnSuspect = func(peer NodeID) { n.fanOut(peer, false) }
 			l.detector.OnRestore = func(peer NodeID) { n.fanOut(peer, true) }
 		} else {
-			l.beater.start(cfg.BeatPeriod)
-			l.detector.start(cfg)
+			l.beater.start()
+			l.detector.start()
 		}
 	}
-	s := &Subscription{node: n}
+	s := &Subscription{node: n, onSuspect: onSuspect, onRestore: onRestore}
 	l.subs = append(l.subs, s)
+	if slices.Contains(l.detector.suspected, true) {
+		s.catchingUp = true
+		n.CPU.Submit(0, s.catchUp)
+	}
 	return s
+}
+
+// catchUp tells a late subscriber the peers its node's detector suspects
+// now — transitions since Subscribe are folded in — and lets the fan-out
+// reach it from then on.
+func (s *Subscription) catchUp() {
+	s.catchingUp = false
+	if s.stopped || s.onSuspect == nil {
+		return
+	}
+	for _, peer := range s.node.live.detector.Suspects() {
+		s.onSuspect(NodeID(peer))
+	}
 }
 
 // Stop unsubscribes: the subscriber hears no more transitions, and stopping
@@ -132,22 +107,23 @@ func (s *Subscription) Stop() {
 }
 
 // Beater returns the node's heartbeat thread, nil until a first subscriber
-// started it; suspending it injects the paper's failure mode for the whole
-// node (every object on it at once).
+// started it. Node.Suspend stops it along with everything else on the node;
+// suspending the beater alone stops only the heartbeat.
 func (n *Node) Beater() *Beater { return n.live.beater }
 
 // Detector returns the node's failure detector, nil until a first subscriber
 // started it.
 func (n *Node) Detector() *Detector { return n.live.detector }
 
-// fanOut hands the detector's transition to every running subscriber.
+// fanOut hands the detector's transition to every running subscriber that
+// has caught up.
 func (n *Node) fanOut(peer NodeID, restore bool) {
 	for _, s := range n.live.subs {
-		fn := s.OnSuspect
+		fn := s.onSuspect
 		if restore {
-			fn = s.OnRestore
+			fn = s.onRestore
 		}
-		if !s.stopped && fn != nil {
+		if !s.stopped && !s.catchingUp && fn != nil {
 			fn(peer)
 		}
 	}
@@ -163,19 +139,15 @@ type Beater struct {
 }
 
 // newBeater registers the node's heartbeat region and starts a heartbeat
-// thread on it with the given period; a non-positive period uses the
-// default.
-func newBeater(node *Node, period sim.Duration) *Beater {
+// thread on it.
+func newBeater(node *Node) *Beater {
 	b := &Beater{node: node, region: node.Register(heartbeatRegion, heartbeatRegionSize)}
-	b.start(period)
+	b.start()
 	return b
 }
 
-func (b *Beater) start(period sim.Duration) {
-	if period <= 0 {
-		period = DefaultHeartbeatConfig().BeatPeriod
-	}
-	b.ticker = b.node.fabric.eng.NewTicker(period, b.beat)
+func (b *Beater) start() {
+	b.ticker = b.node.fabric.eng.NewTicker(b.node.fabric.lat.BeatPeriod, b.beat)
 }
 
 func (b *Beater) beat() {
@@ -186,8 +158,8 @@ func (b *Beater) beat() {
 	binary.LittleEndian.PutUint64(b.region.Bytes(), b.count)
 }
 
-// Suspend stops the heartbeat thread without touching anything else — the
-// paper's failure injection.
+// Suspend stops the heartbeat thread without touching anything else: the
+// node's other work goes on and only its peers' detectors notice.
 func (b *Beater) Suspend() { b.suspended = true }
 
 // Resume restarts a suspended heartbeat thread.
@@ -196,7 +168,6 @@ func (b *Beater) Resume() { b.suspended = false }
 // Detector watches all peers of a node and reports suspicion transitions.
 type Detector struct {
 	node *Node
-	cfg  HeartbeatConfig
 
 	lastSeen  []uint64
 	misses    []int
@@ -219,7 +190,7 @@ type Detector struct {
 
 // newDetector starts a failure detector on node. Its suspicion and restore
 // counters go to the fabric's registry, if one is attached.
-func newDetector(node *Node, cfg HeartbeatConfig) *Detector {
+func newDetector(node *Node) *Detector {
 	fab := node.fabric
 	n := fab.Size()
 	d := &Detector{
@@ -238,13 +209,12 @@ func newDetector(node *Node, cfg HeartbeatConfig) *Detector {
 		peer := NodeID(p)
 		d.readFns[p] = func(data []byte, err error) { d.checked(peer, data, err) }
 	}
-	d.start(cfg)
+	d.start()
 	return d
 }
 
-func (d *Detector) start(cfg HeartbeatConfig) {
-	d.cfg = cfg.withDefaults()
-	d.ticker = d.node.fabric.eng.NewTicker(d.cfg.CheckPeriod, d.check)
+func (d *Detector) start() {
+	d.ticker = d.node.fabric.eng.NewTicker(d.node.fabric.lat.CheckPeriod, d.check)
 }
 
 // Stop cancels the detector's checks. The node's last subscriber stops it;
@@ -270,7 +240,7 @@ func (d *Detector) Suspects() []int {
 // Forget drops all failure-detection state about peer and stops checking
 // it. A node that has cleanly left the configuration is not failed — it is
 // simply no longer a member — so any suspicion raised against it clears
-// immediately, without waiting for TrustThreshold advancing checks, and no
+// immediately, without waiting for TrustAfter advancing checks, and no
 // new suspicion can be raised until Watch re-admits the peer. Forget fires
 // no OnRestore: the peer is outside the membership, not recovered.
 func (d *Detector) Forget(peer NodeID) {
@@ -328,13 +298,13 @@ func (d *Detector) checked(peer NodeID, data []byte, err error) {
 }
 
 // advance records an advancing check and restores the peer once it has
-// passed TrustThreshold of them in a row.
+// passed TrustAfter of them in a row.
 func (d *Detector) advance(peer NodeID) {
 	if !d.suspected[peer] || d.ignored[peer] {
 		return
 	}
 	d.advances[peer]++
-	if d.advances[peer] < d.cfg.TrustThreshold {
+	if d.advances[peer] < d.node.fabric.lat.TrustAfter {
 		return
 	}
 	d.advances[peer] = 0
@@ -352,7 +322,7 @@ func (d *Detector) miss(peer NodeID) {
 		return
 	}
 	d.misses[peer]++
-	if d.misses[peer] >= d.cfg.Threshold && !d.suspected[peer] {
+	if d.misses[peer] >= d.node.fabric.lat.SuspectAfter && !d.suspected[peer] {
 		d.suspected[peer] = true
 		d.mSuspicions.Inc()
 		if d.OnSuspect != nil {

@@ -1,24 +1,30 @@
 package rdma
 
 import (
+	"slices"
 	"testing"
 
 	"hamband/internal/sim"
 )
 
-func heartbeatFabric(n int) (*sim.Engine, *Fabric) {
+// heartbeatFabric builds an n-node fabric on DefaultLatency, which edits,
+// when given, change first (the detector's timing is the fabric's).
+func heartbeatFabric(n int, edits ...func(*LatencyModel)) (*sim.Engine, *Fabric) {
 	eng := sim.NewEngine(21)
-	return eng, NewFabric(eng, n, DefaultLatency())
+	lat := DefaultLatency()
+	for _, edit := range edits {
+		edit(&lat)
+	}
+	return eng, NewFabric(eng, n, lat)
 }
 
 func TestHealthyNodesNotSuspected(t *testing.T) {
 	eng, fab := heartbeatFabric(3)
-	cfg := DefaultHeartbeatConfig()
 	var beaters []*Beater
 	var detectors []*Detector
 	for i := 0; i < 3; i++ {
-		beaters = append(beaters, newBeater(fab.Node(NodeID(i)), cfg.BeatPeriod))
-		d := newDetector(fab.Node(NodeID(i)), cfg)
+		beaters = append(beaters, newBeater(fab.Node(NodeID(i))))
+		d := newDetector(fab.Node(NodeID(i)))
 		d.OnSuspect = func(peer NodeID) {
 			t.Errorf("healthy peer %d suspected", peer)
 		}
@@ -35,11 +41,10 @@ func TestHealthyNodesNotSuspected(t *testing.T) {
 
 func TestSuspendedHeartbeatIsSuspected(t *testing.T) {
 	eng, fab := heartbeatFabric(3)
-	cfg := DefaultHeartbeatConfig()
-	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	newBeater(fab.Node(2), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	b0 := newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	newBeater(fab.Node(2))
+	d1 := newDetector(fab.Node(1))
 	suspectedAt := sim.Time(-1)
 	d1.OnSuspect = func(peer NodeID) {
 		if peer == 0 && suspectedAt < 0 {
@@ -65,10 +70,9 @@ func TestSuspendedHeartbeatIsSuspected(t *testing.T) {
 
 func TestRestoreAfterResume(t *testing.T) {
 	eng, fab := heartbeatFabric(2)
-	cfg := DefaultHeartbeatConfig()
-	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	b0 := newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	d1 := newDetector(fab.Node(1))
 	restored := false
 	d1.OnRestore = func(peer NodeID) { restored = peer == 0 }
 	eng.At(sim.Time(200*sim.Microsecond), func() { b0.Suspend() })
@@ -84,10 +88,9 @@ func TestRestoreAfterResume(t *testing.T) {
 
 func TestCrashedNodeIsSuspected(t *testing.T) {
 	eng, fab := heartbeatFabric(2)
-	cfg := DefaultHeartbeatConfig()
-	newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	d1 := newDetector(fab.Node(1))
 	suspected := false
 	d1.OnSuspect = func(peer NodeID) { suspected = suspected || peer == 0 }
 	eng.At(sim.Time(300*sim.Microsecond), func() { fab.Node(0).Crash() })
@@ -99,16 +102,16 @@ func TestCrashedNodeIsSuspected(t *testing.T) {
 
 func TestForgetClearsSuspicionImmediately(t *testing.T) {
 	// A node that cleanly leaves the configuration while suspected must be
-	// cleared at once — no TrustThreshold advancing checks, which would
+	// cleared at once — no TrustAfter advancing checks, which would
 	// never come anyway (its beater is gone with it) — and must not be
 	// re-suspected afterwards even though its counter stays frozen.
-	eng, fab := heartbeatFabric(3)
-	cfg := DefaultHeartbeatConfig()
-	cfg.TrustThreshold = 50 // a restore-by-advances would take ~1.25 ms
-	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	newBeater(fab.Node(2), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(3, func(l *LatencyModel) {
+		l.TrustAfter = 50 // a restore-by-advances would take ~1.25 ms
+	})
+	b0 := newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	newBeater(fab.Node(2))
+	d1 := newDetector(fab.Node(1))
 	restores := 0
 	d1.OnRestore = func(NodeID) { restores++ }
 
@@ -143,12 +146,12 @@ func TestForgetClearsSuspicionImmediately(t *testing.T) {
 
 func TestForgetWhileCheckInFlight(t *testing.T) {
 	// A check read completing after Forget must not resurrect suspicion.
-	eng, fab := heartbeatFabric(2)
-	cfg := DefaultHeartbeatConfig()
-	cfg.Threshold = 1 // a single missed check suffices to suspect
-	b0 := newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	eng, fab := heartbeatFabric(2, func(l *LatencyModel) {
+		l.SuspectAfter = 1 // a single missed check suffices to suspect
+	})
+	b0 := newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	d1 := newDetector(fab.Node(1))
 	eng.At(sim.Time(100*sim.Microsecond), func() { b0.Suspend() })
 	// Forget between a check's post and its completion: the read is in
 	// flight (check period 25µs, read RTT ~2.5µs — land just after a tick).
@@ -163,10 +166,9 @@ func TestNodeSuspendStopsBeating(t *testing.T) {
 	// Suspending the whole node (not just the beater) must also stop
 	// heartbeats: the beat callback checks the node state.
 	eng, fab := heartbeatFabric(2)
-	cfg := DefaultHeartbeatConfig()
-	newBeater(fab.Node(0), cfg.BeatPeriod)
-	newBeater(fab.Node(1), cfg.BeatPeriod)
-	d1 := newDetector(fab.Node(1), cfg)
+	newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	d1 := newDetector(fab.Node(1))
 	suspected := false
 	d1.OnSuspect = func(peer NodeID) { suspected = suspected || peer == 0 }
 	eng.At(sim.Time(300*sim.Microsecond), func() { fab.Node(0).Suspend() })
@@ -184,9 +186,9 @@ func TestNodeSuspendStopsBeating(t *testing.T) {
 func TestCheckRoundAllocatesNothing(t *testing.T) {
 	eng, fab := heartbeatFabric(4)
 	for i := 1; i < 4; i++ {
-		newBeater(fab.Node(NodeID(i)), 0)
+		newBeater(fab.Node(NodeID(i)))
 	}
-	d := newDetector(fab.Node(0), DefaultHeartbeatConfig())
+	d := newDetector(fab.Node(0))
 	d.Stop() // the measured rounds are the only ones
 	round := func() {
 		d.check()
@@ -209,40 +211,93 @@ func TestCheckRoundAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestTrustThresholdDelaysRestore: a TrustAfter above 1 delays restore until
+// the peer has advanced that many consecutive checks.
+func TestTrustThresholdDelaysRestore(t *testing.T) {
+	restoreAt := func(trust int) sim.Time {
+		eng, fab := heartbeatFabric(2, func(l *LatencyModel) { l.TrustAfter = trust })
+		b0 := newBeater(fab.Node(0))
+		newBeater(fab.Node(1))
+		d1 := newDetector(fab.Node(1))
+		restored := sim.Time(-1)
+		d1.OnRestore = func(peer NodeID) {
+			if peer == 0 && restored < 0 {
+				restored = eng.Now()
+			}
+		}
+		eng.At(sim.Time(200*sim.Microsecond), func() { b0.Suspend() })
+		eng.At(sim.Time(600*sim.Microsecond), func() { b0.Resume() })
+		eng.RunUntil(sim.Time(3 * sim.Millisecond))
+		if restored < 0 {
+			t.Fatalf("trust=%d: resumed node never restored", trust)
+		}
+		return restored
+	}
+	fast := restoreAt(1)
+	slow := restoreAt(4)
+	// Three further advancing checks at the 25 µs check period.
+	if want := sim.Time(3 * 25 * sim.Microsecond); slow-fast != want {
+		t.Fatalf("trust=4 restored %v after trust=1, want %v", sim.Duration(slow-fast), sim.Duration(want))
+	}
+}
+
+// A long partition must produce exactly one suspicion and, after heal, one
+// restore — not a churn of stale verdicts from reads queued during the
+// outage (the detector keeps at most one read in flight per peer).
+func TestPartitionHealNoSuspicionChurn(t *testing.T) {
+	eng, fab := heartbeatFabric(2)
+	newBeater(fab.Node(0))
+	newBeater(fab.Node(1))
+	d1 := newDetector(fab.Node(1))
+	var suspicions, restores int
+	d1.OnSuspect = func(NodeID) { suspicions++ }
+	d1.OnRestore = func(NodeID) { restores++ }
+
+	// Cut node 1's read path to node 0 for 1 ms (40 check periods).
+	eng.At(sim.Time(200*sim.Microsecond), func() { fab.Partition(0, 1) })
+	eng.At(sim.Time(1200*sim.Microsecond), func() { fab.HealAll() })
+	eng.RunUntil(sim.Time(4 * sim.Millisecond))
+
+	// One in-flight read parks for the whole outage; its post-heal
+	// completion sees an advanced counter, so the peer is never suspected.
+	if suspicions != 0 || restores != 0 {
+		t.Fatalf("partition outage produced %d suspicions / %d restores, want 0/0 "+
+			"(single in-flight check sees the advanced counter at heal)", suspicions, restores)
+	}
+	if d1.Suspected(0) {
+		t.Fatal("peer left suspected after heal")
+	}
+}
+
 // TestSubscribeSharesTheNodeServices: a node runs one beater and one
-// detector however many subscribers it has. The first subscriber's config
-// starts them, every subscriber hears each transition, a stopped one hears
-// none, and the last Stop cancels both tickers; a later subscriber restarts
-// them, and a beater suspended in between stays suspended.
+// detector, checking at the fabric's CheckPeriod, however many subscribers
+// it has. Every subscriber hears each transition, a stopped one hears none,
+// and the last Stop cancels both tickers; a later subscriber restarts them,
+// and a beater suspended in between stays suspended.
 func TestSubscribeSharesTheNodeServices(t *testing.T) {
-	eng := sim.NewEngine(22)
-	fab := NewFabric(eng, 2, DefaultLatency())
-	cfg := HeartbeatConfig{CheckPeriod: 50 * sim.Microsecond}
-	var subs [2][2]*Subscription
+	eng, fab := heartbeatFabric(2, func(l *LatencyModel) { l.CheckPeriod = 50 * sim.Microsecond })
+	var subs [3][2]*Subscription
 	heard := map[*Subscription]int{}
 	for i := range subs {
 		for n := range subs[i] {
-			s := fab.Node(NodeID(n)).Subscribe(cfg)
-			s.OnSuspect = func(NodeID) { heard[s]++ }
+			var s *Subscription
+			s = fab.Node(NodeID(n)).Subscribe(func(NodeID) { heard[s]++ }, nil)
 			subs[i][n] = s
 		}
-		cfg.CheckPeriod = 5 * sim.Microsecond // not read: the services run
-	}
-	if d := fab.Node(1).Detector(); d.cfg.CheckPeriod != 50*sim.Microsecond {
-		t.Fatalf("detector checks every %v, want the first subscriber's 50µs", d.cfg.CheckPeriod)
 	}
 	eng.RunFor(sim.Millisecond)
 	reads := fab.Stats().Reads
 	eng.RunFor(sim.Millisecond)
 	if got := fab.Stats().Reads - reads; got != 2*20 {
-		t.Fatalf("%d heartbeat reads in 1 ms, want 40: one detector a node", got)
+		t.Fatalf("%d heartbeat reads in 1 ms, want 40: one detector a node, checking every 50 µs", got)
 	}
 
 	subs[0][1].Stop()
 	fab.Node(0).Beater().Suspend()
 	eng.RunFor(sim.Millisecond)
-	if heard[subs[0][1]] != 0 || heard[subs[1][1]] != 1 {
-		t.Fatalf("stopped subscriber heard %d suspicions, running one %d; want 0 and 1", heard[subs[0][1]], heard[subs[1][1]])
+	if heard[subs[0][1]] != 0 || heard[subs[1][1]] != 1 || heard[subs[2][1]] != 1 {
+		t.Fatalf("stopped subscriber heard %d suspicions, running ones %d and %d; want 0, 1 and 1",
+			heard[subs[0][1]], heard[subs[1][1]], heard[subs[2][1]])
 	}
 
 	for i := range subs {
@@ -257,10 +312,66 @@ func TestSubscribeSharesTheNodeServices(t *testing.T) {
 	fab.Node(1).Detector().Forget(0) // a clean slate: only a fresh miss can suspect node 0 again
 	fab.Node(1).Detector().Watch(0)
 	for n := 0; n < 2; n++ {
-		fab.Node(NodeID(n)).Subscribe(HeartbeatConfig{})
+		fab.Node(NodeID(n)).Subscribe(nil, nil)
 	}
 	eng.RunFor(sim.Millisecond)
 	if !fab.Node(1).Detector().Suspected(0) {
 		t.Fatal("restarted services missed the beater suspended while stopped")
+	}
+}
+
+// TestLateSubscriberHearsCurrentSuspects: a subscriber arriving while its
+// node's detector suspects peers hears each of them once, ascending, on the
+// node's CPU after Subscribe returns; a transition before that is folded into
+// what it hears, not heard twice, and a subscriber stopped first hears
+// nothing.
+func TestLateSubscriberHearsCurrentSuspects(t *testing.T) {
+	eng, fab := heartbeatFabric(4)
+	node := fab.Node(0)
+	var early []NodeID
+	node.Subscribe(func(p NodeID) { early = append(early, p) }, nil)
+	for n := 1; n < 4; n++ {
+		fab.Node(NodeID(n)).Subscribe(nil, nil)
+	}
+	fab.Node(3).Suspend()
+	fab.Node(1).Suspend()
+	eng.RunFor(sim.Millisecond)
+	if !slices.Equal(early, []NodeID{1, 3}) {
+		t.Fatalf("the first subscriber heard %v, want [1 3]", early)
+	}
+
+	var late, stopped, restored []NodeID
+	node.Subscribe(func(p NodeID) { late = append(late, p) }, func(p NodeID) { restored = append(restored, p) })
+	node.Subscribe(func(p NodeID) { stopped = append(stopped, p) }, nil).Stop()
+	if len(late) != 0 {
+		t.Fatalf("the late subscriber heard %v inside Subscribe, want nothing before its CPU item", late)
+	}
+	eng.RunFor(sim.Millisecond)
+	if !slices.Equal(late, []NodeID{1, 3}) || len(stopped) != 0 {
+		t.Fatalf("late subscriber heard %v and the stopped one %v, want [1 3] and nothing", late, stopped)
+	}
+
+	// Transitions between a subscription and its catch-up item are folded
+	// into what the item reports, and none reaches the subscriber twice:
+	// node 3 leaves the membership and node 2, whose beats stopped two checks
+	// ago, reaches its third missed check in between.
+	d := node.Detector()
+	fab.Node(2).Suspend()
+	eng.RunFor(2 * fab.Latency().CheckPeriod)
+	if d.Suspected(2) {
+		t.Fatal("node 2 suspected two checks after it stopped: the test needs it suspected later")
+	}
+	var later []NodeID
+	node.Subscribe(func(p NodeID) { later = append(later, p) }, nil)
+	d.Forget(3)
+	for !d.Suspected(2) {
+		d.miss(2)
+	}
+	eng.RunFor(sim.Millisecond)
+	if !slices.Equal(later, []NodeID{1, 2}) {
+		t.Fatalf("a subscriber whose catch-up came after two transitions heard %v, want [1 2]", later)
+	}
+	if !slices.Equal(late, []NodeID{1, 3, 2}) || len(restored) != 0 {
+		t.Fatalf("the caught-up subscriber heard suspects %v and restores %v, want [1 3 2] and none", late, restored)
 	}
 }

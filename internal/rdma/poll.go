@@ -61,7 +61,7 @@ func (n *Node) Sweeps() int { return len(n.poll.sweeps) }
 
 func (n *Node) tick() {
 	if !n.suspended && !n.crashed {
-		n.CPU.Exec(n.fabric.lat.SweepCost, n.poll.runFn)
+		n.CPU.Submit(n.fabric.lat.SweepCost, n.poll.runFn)
 	}
 }
 

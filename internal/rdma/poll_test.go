@@ -166,7 +166,7 @@ func TestPollOneSweepKeepsTheTickerSchedule(t *testing.T) {
 		} else {
 			eng.NewTicker(lat.SweepPeriod, func() {
 				if !node.Suspended() && !node.Crashed() {
-					node.CPU.Exec(lat.SweepCost, sweep)
+					node.CPU.Submit(lat.SweepCost, sweep)
 				}
 			})
 		}

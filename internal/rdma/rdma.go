@@ -45,7 +45,8 @@ var (
 // LatencyModel is the one cost model of the simulation: every price the
 // fabric charges for its verbs, and every CPU price and poll period the
 // layers above it (the node's poll loop, the replica's call path, the summary
-// scan) charge on a node, each read from Fabric.Latency where it is charged.
+// scan) charge on a node, and every period and threshold of failure detection
+// and Mu's catch-up, each read from Fabric.Latency where it is charged.
 // The verb defaults (DefaultLatency) are calibrated to published RDMA
 // microbenchmarks for a 40 Gbps InfiniBand RC setup: ~1 µs one-sided write
 // visibility, ~2 µs write-completion RTT, ~2.5 µs read/CAS RTT.
@@ -98,6 +99,17 @@ type LatencyModel struct {
 	DeliverCost sim.Duration
 	// ScanPeriod is the period of a replica's summary-slot scan.
 	ScanPeriod sim.Duration
+	// BeatPeriod is the period of a node's heartbeat thread and CheckPeriod
+	// its detector's (heartbeat.go): a peer is suspected after SuspectAfter
+	// consecutive stale checks and restored after TrustAfter consecutive
+	// advancing ones. CatchUpAfter is how long a Mu follower goes without
+	// delivery progress before it pulls the leader's journal, and how often
+	// a new leader probes a follower's ring that still refuses it.
+	BeatPeriod   sim.Duration
+	CheckPeriod  sim.Duration
+	SuspectAfter int
+	TrustAfter   int
+	CatchUpAfter sim.Duration
 	// CallCosts price a replica's application work: accepting a client
 	// call, applying an update, evaluating a query.
 	sim.CallCosts
@@ -125,6 +137,13 @@ func DefaultLatency() LatencyModel {
 		SweepCost:   50 * sim.Nanosecond,
 		DeliverCost: 100 * sim.Nanosecond,
 		ScanPeriod:  2 * sim.Microsecond,
+
+		BeatPeriod:   10 * sim.Microsecond,
+		CheckPeriod:  25 * sim.Microsecond,
+		SuspectAfter: 3,
+		TrustAfter:   1,
+		CatchUpAfter: 100 * sim.Microsecond,
+
 		CallCosts: sim.CallCosts{
 			IssueCost: 100 * sim.Nanosecond,
 			ApplyCost: 50 * sim.Nanosecond,
@@ -878,7 +897,7 @@ func (v *verb) post() {
 			cost += lat.InlineCost
 		}
 	}
-	v.qp.from.CPU.Exec(cost, v.gateFn)
+	v.qp.from.CPU.Submit(cost, v.gateFn)
 }
 
 // wire is the NIC-side stage, run once the link gate lets the verb through.
@@ -1095,7 +1114,7 @@ func (v *verb) cqe() {
 		v.release()
 		return
 	}
-	v.qp.from.CPU.Exec(v.qp.fabric().lat.PollCost, v.pollFn)
+	v.qp.from.CPU.Submit(v.qp.fabric().lat.PollCost, v.pollFn)
 }
 
 // poll hands the completion to the caller. A READ's callback borrows the

@@ -144,7 +144,7 @@ func (h *Handoff) Hand() {
 	}
 	h.items.Push(h.open)
 	h.open = 0
-	h.cpu.Exec(h.cost, h.nextFn)
+	h.cpu.Submit(h.cost, h.nextFn)
 }
 
 // Len returns how many added entries still wait for their work item.

@@ -102,7 +102,7 @@ func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 	s.data = append(s.data, record...)
 	if !s.pumpArmed {
 		s.pumpArmed = true
-		s.node.CPU.Exec(0, s.pumpFn)
+		s.node.CPU.Submit(0, s.pumpFn)
 	}
 }
 

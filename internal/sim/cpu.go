@@ -61,9 +61,6 @@ func (c *CPU) Submit(cost Duration, fn func()) {
 	c.kick()
 }
 
-// Exec is shorthand for Submit where fn runs after the busy period.
-func (c *CPU) Exec(cost Duration, fn func()) { c.Submit(cost, fn) }
-
 // cpuQueueCompact is the consumed-prefix length beyond which a backlogged
 // queue is shifted down instead of growing behind its head.
 const cpuQueueCompact = 64

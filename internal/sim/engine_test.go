@@ -191,9 +191,9 @@ func TestCPUSerializesWork(t *testing.T) {
 	c := NewCPU(e)
 	var done []Time
 	e.At(0, func() {
-		c.Exec(10, func() { done = append(done, e.Now()) })
-		c.Exec(10, func() { done = append(done, e.Now()) })
-		c.Exec(5, func() { done = append(done, e.Now()) })
+		c.Submit(10, func() { done = append(done, e.Now()) })
+		c.Submit(10, func() { done = append(done, e.Now()) })
+		c.Submit(5, func() { done = append(done, e.Now()) })
 	})
 	e.Run()
 	want := []Time{10, 20, 25}
@@ -216,7 +216,7 @@ func TestCPUSuspendResume(t *testing.T) {
 	ran := false
 	e.At(0, func() {
 		c.Suspend()
-		c.Exec(10, func() { ran = true })
+		c.Submit(10, func() { ran = true })
 	})
 	e.RunUntil(100)
 	if ran {
@@ -237,8 +237,8 @@ func TestCPUZeroAndNegativeCost(t *testing.T) {
 	c := NewCPU(e)
 	n := 0
 	e.At(0, func() {
-		c.Exec(0, func() { n++ })
-		c.Exec(-5, func() { n++ })
+		c.Submit(0, func() { n++ })
+		c.Submit(-5, func() { n++ })
 	})
 	e.Run()
 	if n != 2 {

@@ -677,6 +677,48 @@ func TestClosingEveryShardStopsTheNodeServices(t *testing.T) {
 	}
 }
 
+// TestLateShardHearsEarlierSuspicion: a shard opened while its nodes'
+// detectors already suspect a node hears that suspicion as it subscribes.
+// Node 1 fails under shard s0; once it is suspected, s1 opens with its
+// addCustomer group led by node 1, so a call on that group completes only if
+// s1's replicas elect a new leader. The same call on s0, which heard the
+// suspicion as it happened, is the control.
+func TestLateShardHearsEarlierSuspicion(t *testing.T) {
+	eng, s := newStore(t, 4, 24, testOptions())
+	an := spec.MustAnalyze(schema.NewMovie())
+	if _, err := s.Open("s0", an, ShardOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	s.Fabric().Node(1).Suspend()
+	eng.RunFor(300 * sim.Microsecond)
+	if !suspects(s, 0, 1) {
+		t.Fatal("node 0 does not suspect node 1 300 µs after it failed: the test injected no failure")
+	}
+	late, err := s.Open("s1", an, ShardOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := an.SyncGroupOf[schema.MovieAddCustomer]
+	if leader := late.Cluster.Leader(0, g); leader != 1 {
+		t.Fatalf("s1's addCustomer group is led by p%d; the test needs the suspected node 1", leader)
+	}
+	done := map[string]error{}
+	for _, key := range []string{"s0", "s1"} {
+		key := key
+		s.Invoke(key, 0, schema.MovieAddCustomer, spec.ArgsI(7), func(_ any, err error) { done[key] = err })
+	}
+	eng.RunFor(20 * sim.Millisecond)
+	for _, key := range []string{"s0", "s1"} {
+		err, ok := done[key]
+		if !ok || err != nil {
+			t.Errorf("%s: addCustomer at p0 finished %v (error %v) 20 ms after it was issued, want a completion", key, ok, err)
+		}
+	}
+	if leader := late.Cluster.Leader(0, g); leader == 1 {
+		t.Fatal("p0 still names the suspected node 1 as s1's addCustomer leader")
+	}
+}
+
 // TestReopenedShardIsolatedFromItsPredecessor: a shard reopened under a
 // closed shard's key registers the same region names. The closed shard's
 // replicas must take no part in the new shard's consensus: node 0 leads none
