@@ -222,7 +222,7 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR56.json
+SNAPSHOT ?= BENCH_PR60.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -271,8 +271,8 @@ bench-pairs:
 # gives (internal/bench/snapshot.go). Run it with OLD at the previous
 # snapshot when re-recording one; CI runs it against the committed snapshot
 # as a report before its byte-for-byte cmp.
-OLD ?= BENCH_PR56.json
-NEW ?= BENCH_PR56.json
+OLD ?= BENCH_PR60.json
+NEW ?= BENCH_PR60.json
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

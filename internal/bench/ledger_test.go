@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -50,16 +51,17 @@ func (l *ledger) charge(cost sim.Duration) {
 // "function" or, for the rdma verbs, "function<user": the first caller
 // outside rdma, which says whose verb it is — or the node service posting it
 // from its own work item or ticker: the coalescer (summary writes) or the
-// detector (heartbeat reads). Every verb's completion is reaped by one stage,
-// so reads and writes share the CQE row. Unlisted sites get a row of their
-// own, so the rows always sum to the CPU's busy time.
-var ledgerRows = []struct{ site, row string }{
+// detector (heartbeat reads). Every verb's completion lands in the node's one
+// completion queue, whose polls are the CQE row, reads and writes alike. An
+// unlisted site gets a row of its own, so the rows always sum to the CPU's
+// busy time, and fails the test: every row is one of the list's.
+var ledgerRows = []ledgerSite{
 	{"rdma.(*verb).post<ring.(*Sender).pump", "post: log/request ring writes"},
 	{"rdma.(*verb).post<rdma.(*Coalescer).flush", "post: summary writes"},
 	{"rdma.(*verb).post<ring.(*Sender)", "head reads"},
 	{"rdma.(*verb).post<rdma.(*Detector).", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
-	{"rdma.(*verb).cqe", "CQE: completions"},
+	{"rdma.(*completionQueue).arm", "CQE: completions"},
 	{"ring.(*Handoff).Hand", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
@@ -68,6 +70,8 @@ var ledgerRows = []struct{ site, row string }{
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
 }
+
+type ledgerSite struct{ site, row string }
 
 // ledgerRow names the row of the stack pcs. The innermost frame outside sim
 // is the charging site; for a site in rdma the first caller outside rdma, or
@@ -209,11 +213,13 @@ func TestReduceLedger(t *testing.T) {
 // path (`make ledger`): the Fig. 9 point and buffer-orset shape (orset, a
 // quarter updates, four nodes, eight calls outstanding per node). A node is
 // busy all the time, so what the F out-channel's rule buys is on the ledger:
-// deliver, post and CQE are paid per broadcast message, and one message per
-// round trip carries every call accepted meanwhile; accept and apply are per
+// post is paid per broadcast message, and one message per round trip carries
+// every call accepted meanwhile; deliver is paid per sweep that found
+// messages and CQE per poll of the completion queue; accept and apply are per
 // call and do not move. At commit c6f5281, one message per call, the point
 // read deliver 0.0187 + post 0.0144 + CQE 0.0085 of 0.1038 µs/op and 6 780
-// ring writes for 5 000 updates.
+// ring writes for 5 000 updates; at a2bb955, a deliver item per message and a
+// poll per completion, deliver 0.0038 + CQE 0.0047.
 func TestFreeLedger(t *testing.T) {
 	const nodes = 4
 	eng := sim.NewEngine(42)
@@ -241,6 +247,9 @@ func TestFreeLedger(t *testing.T) {
 	perOp := func(row string) float64 { return l.rows[row].Micros() / float64(res.Completed) }
 	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQE: completions"); perMessage == 0 || perMessage > 0.020 {
 		t.Errorf("deliver + post + CQE cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
+	}
+	if batched := perOp("deliver") + perOp("CQE: completions"); batched > 0.005 {
+		t.Errorf("deliver + CQE cost %.4f µs/op, want at most 0.005 (0.0085 with an item per message and per completion)", batched)
 	}
 	// Per call, so unchanged up to p0's share of the closed loop's calls.
 	if accept, apply := perOp("accept"), perOp("apply"); math.Abs(accept-0.0438) > 0.0002 || math.Abs(apply-0.0124) > 0.0002 {
@@ -308,7 +317,7 @@ func TestStoreLedger(t *testing.T) {
 // settle closes a ledger after a run: busy time is charged at dispatch, the
 // ledger at submission, so it lets the few items still queued when the run
 // stopped dispatch, detaches the observer and checks that the rows sum to the
-// CPU's busy time, which it returns.
+// CPU's busy time, which it returns, and that ledgerRows names every row.
 func (l *ledger) settle(t *testing.T, eng *sim.Engine, cpu *sim.CPU, who string) sim.Duration {
 	t.Helper()
 	for cpu.QueueLen() > 0 {
@@ -318,6 +327,11 @@ func (l *ledger) settle(t *testing.T, eng *sim.Engine, cpu *sim.CPU, who string)
 	sum := l.total()
 	if sum != cpu.BusyTotal() {
 		t.Errorf("%s: ledger rows sum to %v, CPU.BusyTotal is %v", who, sum, cpu.BusyTotal())
+	}
+	for row := range l.rows {
+		if !slices.ContainsFunc(ledgerRows, func(r ledgerSite) bool { return r.row == row }) {
+			t.Errorf("%s: row %q is a site ledgerRows does not name", who, row)
+		}
 	}
 	return sum
 }

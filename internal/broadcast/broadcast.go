@@ -461,6 +461,7 @@ type Receiver struct {
 	staleBackup uint64      // stale backup slots rejected during recovery
 	poll        *rdma.Sweep
 	handoff     *ring.Handoff
+	bufs        ring.Buffers // the handoff's: each delivered payload's copy
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -483,11 +484,11 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		stale:       make([]uint64, fab.Size()),
 		dedup:       make([]ring.Watermark, fab.Size()),
 		backup:      ring.NewSlots(node, cfg.backupRegion(), cfg.BackupSlots, cfg.BackupSlot),
-		handoff:     ring.NewHandoff(fab, node, new(ring.Buffers), handler),
 		mDelivered:  reg.Counter("broadcast.delivered"),
 		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
 	}
+	r.handoff = ring.NewHandoff(fab, node, &r.bufs, handler)
 	r.reads[0] = reg.CounterFunc("broadcast.torn_rejects", r.TornRejects)
 	r.reads[1] = reg.CounterFunc("broadcast.stale_rejects", r.StaleRejects)
 	for i := 0; i < fab.Size(); i++ {
@@ -550,12 +551,14 @@ func (r *Receiver) StaleRejects() uint64 {
 	return total
 }
 
-// sweep is one poll's work on the reader CPU: drain every source's ring. An
-// idle poll that finds a ring Quiescent is the drain proof a floor parked by
-// FloorAfterDrain waits for.
+// sweep is one poll's work on the reader CPU: drain every source's ring and
+// hand the messages found on, in ring order, as one record: one DeliverCost
+// item. An idle poll that finds a ring Quiescent is the drain proof a floor
+// parked by FloorAfterDrain waits for.
 func (r *Receiver) sweep() {
 	r.validated = 0
 	ring.Drain(r.readers, r.admit)
+	r.handoff.Hand()
 	for p, rd := range r.readers {
 		if rd != nil && rd.Quiescent() {
 			r.floors[p].Drained()
@@ -588,17 +591,19 @@ func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
 	return nil
 }
 
-// deliver hands the handler what it has not yet had of message (src, seq). A
-// ring record is the whole message. A backup slot may hold one its source was
-// still putting together (Broadcaster.Send) — a prefix of what the ring will
-// carry — so only the tail a longer payload adds is handed on (ring.Watermark).
+// deliver adds to the handoff's open record what the handler has not yet had
+// of message (src, seq); its caller hands the record on. A ring record is the
+// whole message. A backup slot may hold one its source was still putting
+// together (Broadcaster.Send) — a prefix of what the ring will carry — so only
+// the tail a longer payload adds is handed on (ring.Watermark).
 func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing bool) {
 	from, fresh := r.dedup[src].Admit(seq, len(payload), byRing)
 	if !fresh {
 		return
 	}
 	r.mDelivered.Inc()
-	r.handoff.Push(src, seq, payload[from:])
+	buf := r.bufs.Keep(payload[from:])
+	r.handoff.Add(src, seq, buf, buf)
 }
 
 // RecoverFrom reads src's backup slots remotely and delivers any pending
@@ -611,7 +616,8 @@ func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing b
 //
 // Messages are delivered in sequence order, not slot order (which wraps): the
 // handler buffers per source and serves head first, so a message delivered
-// ahead of one it depends on would block its buffer.
+// ahead of one it depends on would block its buffer. The messages one read
+// recovers are handed on as one record, as a sweep's are.
 func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 	if r == nil || src == r.node.ID() {
 		return
@@ -644,5 +650,6 @@ func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 			r.mRecovered.Inc()
 			r.deliver(src, m.seq, m.payload, false)
 		}
+		r.handoff.Hand()
 	})
 }

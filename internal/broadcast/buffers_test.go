@@ -1,6 +1,7 @@
 package broadcast
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -58,10 +59,16 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 }
 
 // TestSuspendedReceiverHandsEachPayloadIntact suspends a receiver while
-// messages wait in its handoff for their handler item, lets the source go on
-// broadcasting, and resumes it: each queued payload, and each one after, must
-// reach the handler exactly as broadcast. The payloads differ in length, so a
-// recycled buffer still held by a queued message would show.
+// records of messages wait in its handoff for their handler items, lets the
+// source go on broadcasting, and resumes it: each queued payload, and each one
+// after, must reach the handler exactly as broadcast. The payloads differ in
+// length, so a recycled buffer still held by a queued message would show.
+//
+// A sweep hands on everything it drained as one record, queued behind the
+// items already on the CPU. So the victim's CPU is kept busy: one long item,
+// then an item of a microsecond just after each tick of its poll loop, and
+// each sweep's record waits behind the next sweep, which finds the messages
+// that landed meanwhile: the source broadcasts for 30 µs, past the long item.
 func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 	cfg := DefaultConfig()
 	eng, fab, bcs, got, rcs := setup(4, cfg)
@@ -70,27 +77,33 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 	for i := 0; i < count; i++ {
 		payload := fmt.Sprintf("m%02d-%s", i, strings.Repeat(string(rune('a'+i%26)), i%19))
 		want = append(want, payload)
-		eng.At(sim.Time(sim.Duration(i)*300*sim.Nanosecond), func() {
+		eng.At(sim.Time(sim.Duration(i)*500*sim.Nanosecond), func() {
 			if err := bcs[0].Broadcast([]byte(payload), nil); err != nil {
 				t.Error(err)
 			}
 		})
 	}
-	for rcs[victim].handoff.Len() < 3 {
+	cpu, period := fab.Node(victim).CPU, fab.Latency().SweepPeriod
+	eng.At(0, func() { cpu.Submit(10*period, nil) })
+	for k := 1; k < 10; k++ {
+		eng.At(sim.Time(sim.Duration(k)*period+period/4), func() { cpu.Submit(sim.Microsecond, nil) })
+	}
+	for rcs[victim].handoff.Records() < 3 {
 		if eng.Now() > sim.Time(100*sim.Microsecond) {
-			t.Fatal("the receiver never had three messages queued")
+			t.Fatal("the receiver never had three records queued")
 		}
 		eng.RunUntil(eng.Now() + 25)
 	}
 	fab.Node(victim).Suspend()
 	eng.RunUntil(eng.Now() + sim.Time(sim.Microsecond)) // the item already dispatched completes
-	queued, before := rcs[victim].handoff.Len(), len(got[victim])
-	if queued < 2 {
-		t.Fatalf("suspended with %d messages queued, want at least two", queued)
+	records, queued, before := rcs[victim].handoff.Records(), rcs[victim].handoff.Len(), len(got[victim])
+	if records < 2 {
+		t.Fatalf("suspended with %d records (%d messages) queued, want at least two records", records, queued)
 	}
 	eng.RunUntil(sim.Time(200 * sim.Microsecond))
-	if len(got[victim]) != before || len(got[2]) != count {
-		t.Fatalf("while suspended: the victim handled %d → %d, node 2 %d of %d", before, len(got[victim]), len(got[2]), count)
+	if len(got[victim]) != before || rcs[victim].handoff.Len() != queued || len(got[2]) != count {
+		t.Fatalf("while suspended: the victim handled %d → %d with %d → %d queued, node 2 %d of %d",
+			before, len(got[victim]), queued, rcs[victim].handoff.Len(), len(got[2]), count)
 	}
 	fab.Node(victim).Resume()
 	eng.RunUntil(sim.Time(sim.Millisecond))
@@ -166,4 +179,72 @@ func TestRecycledPendingMsgKeepsEachMessage(t *testing.T) {
 	if free != first {
 		t.Errorf("%d pendingMsgs on the free list, want the %d the burst needed at once", free, first)
 	}
+}
+
+// sweepAsOneRecord has nodes 1, 2 and 3 broadcast two messages each while
+// node 0's CPU is busy, so all six sit in node 0's rings when its first sweep
+// runs, and reports the first way node 0 differs from handing them on as one
+// DeliverCost item, ring by ring in sender order and each ring in sequence
+// order. perEntry is the mutation: a record per message.
+func sweepAsOneRecord(perEntry bool) error {
+	cfg := DefaultConfig()
+	eng, fab, bcs, got, rcs := setup(4, cfg)
+	if perEntry {
+		rcs[0].handoff.MutatePerEntry()
+	}
+	lat := fab.Latency()
+	cpu := fab.Node(0).CPU
+	var delivers int
+	cpu.Observe = func(cost sim.Duration) {
+		if cost == lat.DeliverCost {
+			delivers++
+		}
+	}
+	var want []string
+	var sendErr error
+	eng.At(0, func() {
+		cpu.Submit(5*lat.SweepPeriod, nil)
+		for src := 3; src >= 1; src-- { // the reverse of ring order
+			for i := 1; i <= 2; i++ {
+				sendErr = errors.Join(sendErr, bcs[src].Broadcast([]byte(fmt.Sprintf("p%d-m%d", src, i)), nil))
+			}
+		}
+	})
+	for src := 1; src <= 3; src++ {
+		for i := 1; i <= 2; i++ {
+			want = append(want, fmt.Sprintf("%d/%d/p%d-m%d", src, i, src, i))
+		}
+	}
+	eng.RunUntil(sim.Time(20 * lat.SweepPeriod))
+	if sendErr != nil {
+		return sendErr
+	}
+	var handled []string
+	for _, d := range got[0] {
+		handled = append(handled, fmt.Sprintf("%d/%d/%s", d.src, d.seq, d.msg))
+	}
+	if strings.Join(handled, " ") != strings.Join(want, " ") {
+		return fmt.Errorf("node 0 handled %q, want %q", handled, want)
+	}
+	if delivers != 1 {
+		return fmt.Errorf("node 0 ran %d DeliverCost items for one sweep's six messages, want one", delivers)
+	}
+	return nil
+}
+
+// TestSweepHandsOnOneRecord: the messages one sweep drains from three rings
+// reach the handler in ring order, in one DeliverCost item.
+func TestSweepHandsOnOneRecord(t *testing.T) {
+	if err := sweepAsOneRecord(false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSweepRecordCatchesPerEntry is the mutation control of the test above.
+func TestSweepRecordCatchesPerEntry(t *testing.T) {
+	err := sweepAsOneRecord(true)
+	if err == nil {
+		t.Fatal("a receiver that hands each message on as a record of its own passed")
+	}
+	t.Logf("caught: %v", err)
 }

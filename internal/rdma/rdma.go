@@ -6,7 +6,8 @@
 //   - registered memory regions with per-remote-node write permissions,
 //   - RC queue pairs carrying one-sided WRITE, READ and CAS verbs with
 //     per-QP in-order delivery,
-//   - completion callbacks charged to the posting node's CPU,
+//   - completion callbacks charged to the posting node's CPU, which reaps its
+//     one completion queue a batch per poll,
 //   - fault injection: Suspend (the node's process stops, its NIC keeps
 //     serving one-sided accesses — the paper's failure mode) and Crash
 //     (the NIC dies too).
@@ -52,7 +53,7 @@ var (
 // visibility, ~2 µs write-completion RTT, ~2.5 µs read/CAS RTT.
 type LatencyModel struct {
 	PostCost    sim.Duration // sender CPU occupancy to post one verb (WQE write + doorbell MMIO)
-	PollCost    sim.Duration // sender CPU occupancy to reap one completion
+	PollCost    sim.Duration // sender CPU occupancy of one poll of its completion queue (cq.go)
 	WireLatency sim.Duration // one-way NIC-to-NIC propagation (includes the payload DMA-read leg)
 	AckLatency  sim.Duration // remote NIC ack generation + return
 	BytesPerNS  int          // wire bandwidth, bytes per virtual ns
@@ -153,12 +154,12 @@ func DefaultLatency() LatencyModel {
 }
 
 // inline reports whether a payload of n bytes posts inline under this model.
-func (m LatencyModel) inline(n int) bool {
+func (m *LatencyModel) inline(n int) bool {
 	return m.InlineThreshold > 0 && n <= m.InlineThreshold
 }
 
 // transfer returns the serialization delay for n bytes.
-func (m LatencyModel) transfer(n int) sim.Duration {
+func (m *LatencyModel) transfer(n int) sim.Duration {
 	if m.BytesPerNS <= 0 {
 		return 0
 	}
@@ -167,7 +168,7 @@ func (m LatencyModel) transfer(n int) sim.Duration {
 
 // CRCCost returns the reader-CPU occupancy of checksumming n bytes — the
 // compute leg of a single-RTT validated read.
-func (m LatencyModel) CRCCost(n int) sim.Duration {
+func (m *LatencyModel) CRCCost(n int) sim.Duration {
 	if m.CRCBytesPerNS <= 0 {
 		return 0
 	}
@@ -227,6 +228,7 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 	}
 	for _, n := range f.nodes {
 		n.coal = NewCoalescer(n)
+		n.cq.init(n)
 	}
 	return f
 }
@@ -234,8 +236,10 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 // Engine returns the engine the fabric runs on.
 func (f *Fabric) Engine() *sim.Engine { return f.eng }
 
-// Latency returns the fabric's cost model.
-func (f *Fabric) Latency() LatencyModel { return f.lat }
+// Latency returns the fabric's cost model. It is the fabric's own, not a copy,
+// so a reader on a hot path pays no copy of the whole model: callers read it
+// and never write through it.
+func (f *Fabric) Latency() *LatencyModel { return &f.lat }
 
 // Size returns the number of nodes.
 func (f *Fabric) Size() int { return len(f.nodes) }
@@ -326,6 +330,7 @@ type Node struct {
 	regions map[string]*Region
 	qps     map[NodeID]*QP
 	coal    *Coalescer
+	cq      completionQueue
 	poll    pollLoop
 	live    liveness
 
@@ -759,8 +764,8 @@ type WR struct {
 // ibv_post_send, one doorbell. The first WR pays the full PostCost; each
 // subsequent WR pays only ChainedPostCost. Payloads at or under
 // InlineThreshold post inline (see Write). Intermediate WRs are unsignaled —
-// only the tail generates a CQE, delivered to onDone — so a chain pays at
-// most one PollCost. RC ordering still applies WR-by-WR: the tail's
+// only the tail generates a CQE, delivered to onDone — so a chain lands at
+// most one completion. RC ordering still applies WR-by-WR: the tail's
 // completion implies every WR in the chain has landed.
 //
 // Failure semantics follow an RC QP transitioning to the error state: the
@@ -829,8 +834,8 @@ type verb struct {
 	parked bool  // waiting at a partitioned link, or released from it by a heal
 	err    error // first failure: later WRs flush, the CQE reports it
 
-	gateFn, landFn, cqeFn, pollFn func()
-	nextFree                      *verb
+	gateFn, landFn, cqeFn func()
+	nextFree              *verb
 }
 
 // verbWR is one request of a verb.
@@ -851,7 +856,7 @@ func (f *Fabric) acquireVerb(qp *QP, op verbOp) *verb {
 	v := f.freeVerbs
 	if v == nil {
 		v = &verb{}
-		v.gateFn, v.landFn, v.cqeFn, v.pollFn = v.gate, v.land, v.cqe, v.poll
+		v.gateFn, v.landFn, v.cqeFn = v.gate, v.land, v.cqe
 	} else {
 		f.freeVerbs, v.nextFree = v.nextFree, nil
 	}
@@ -890,7 +895,7 @@ func (v *verb) add(region string, off int, data []byte, label string, inline boo
 // ChainedPostCost for each further one and InlineCost per inline payload,
 // then the verb reaches the link gate.
 func (v *verb) post() {
-	lat := v.qp.fabric().lat
+	lat := &v.qp.fabric().lat
 	cost := lat.PostCost + sim.Duration(len(v.wrs)-1)*lat.ChainedPostCost
 	for i := range v.wrs {
 		if v.wrs[i].inline {
@@ -1107,14 +1112,15 @@ func (v *verb) landCAS() {
 	f.eng.At(qp.cqeAt(w.interior), v.cqeFn)
 }
 
-// cqe is the completion arriving at the sender's NIC; reaping it costs the
-// sender CPU PollCost. Completions destined to a crashed node are dropped.
+// cqe is the completion arriving at the sender's NIC: it lands in the
+// sender's completion queue, whose next poll reaps it. Completions destined to
+// a crashed node are dropped.
 func (v *verb) cqe() {
 	if v.qp.from.crashed {
 		v.release()
 		return
 	}
-	v.qp.from.CPU.Submit(v.qp.fabric().lat.PollCost, v.pollFn)
+	v.qp.from.cq.land(v)
 }
 
 // poll hands the completion to the caller. A READ's callback borrows the

@@ -84,13 +84,13 @@ func (w *Watermark) Admit(seq uint64, n int, all bool) (from int, fresh bool) {
 	return had, fresh
 }
 
-// Handoff hands delivered records to the layer above in push order. A record
-// is one entry or several — a broadcast message, a decided Mu entry, or a Mu
-// round a follower delivers at once — and each is a DeliverCost work item of
-// its own on the node's CPU, which runs its items in order and only pauses
-// them while suspended or crashed. Each entry waits in a buffer from a free
-// list shared with the holder (Push copies into one, Add takes the holder's),
-// and the handler borrows it until it returns.
+// Handoff hands delivered records to the layer above in the order added. A
+// record is one entry or several — the messages one broadcast sweep found, a
+// decided Mu entry, or a Mu round a follower delivers at once — and each is a
+// DeliverCost work item of its own on the node's CPU, which runs its items in
+// order and only pauses them while suspended or crashed. Each entry waits in a
+// buffer from a free list shared with the holder, who fills it (Buffers.Keep)
+// and gives it to Add, and the handler borrows it until it returns.
 type Handoff struct {
 	cpu    *sim.CPU
 	cost   sim.Duration
@@ -118,13 +118,6 @@ func NewHandoff(fab *rdma.Fabric, node *rdma.Node, bufs *Buffers, handle func(sr
 	return h
 }
 
-// Push queues a copy of payload, from src under seq, as a record of its own.
-func (h *Handoff) Push(src rdma.NodeID, seq uint64, payload []byte) {
-	buf := h.bufs.Keep(payload)
-	h.Add(src, seq, buf, buf)
-	h.Hand()
-}
-
 // Add queues an entry of the record Hand closes, without the copy: payload
 // lies in buf, a buffer from the shared list, which the caller gives away.
 func (h *Handoff) Add(src rdma.NodeID, seq uint64, buf, payload []byte) {
@@ -149,6 +142,9 @@ func (h *Handoff) Hand() {
 
 // Len returns how many added entries still wait for their work item.
 func (h *Handoff) Len() int { return h.queue.Len() }
+
+// Records returns how many closed records still wait for their work item.
+func (h *Handoff) Records() int { return h.items.Len() }
 
 func (h *Handoff) next() {
 	for n := h.items.Pop(); n > 0; n-- {

@@ -175,9 +175,9 @@ func TestHandoffCatchesPerEntry(t *testing.T) {
 	t.Logf("caught: %v", err)
 }
 
-// TestWarmHandoffAllocs pins the handoff's host cost: once warm, a push and
-// its handling allocate nothing — the payload goes into a recycled buffer and
-// the work item is bound once.
+// TestWarmHandoffAllocs pins the handoff's host cost: once warm, a record of
+// one kept entry and its handling allocate nothing — the payload goes into a
+// recycled buffer and the work item is bound once.
 func TestWarmHandoffAllocs(t *testing.T) {
 	rig := newHandoffRig()
 	rig.fab.Node(0).CPU.Observe = nil
@@ -185,14 +185,16 @@ func TestWarmHandoffAllocs(t *testing.T) {
 	rig.h.handle = func(rdma.NodeID, uint64, []byte) { handled++ }
 	payload := make([]byte, 64)
 	cycle := func() {
-		rig.h.Push(1, 7, payload)
+		kept := rig.h.bufs.Keep(payload)
+		rig.h.Add(1, 7, kept, kept)
+		rig.h.Hand()
 		rig.eng.RunFor(sim.Microsecond)
 	}
 	for i := 0; i < 16; i++ {
 		cycle()
 	}
 	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("a warm push and its handling allocate %.1f times, want 0", allocs)
+		t.Errorf("a warm record and its handling allocate %.1f times, want 0", allocs)
 	}
 	if handled != 16+201 {
 		t.Fatalf("%d records handled, want %d", handled, 16+201)
