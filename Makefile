@@ -221,8 +221,11 @@ ledger:
 	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger' -count=1 -v ./internal/bench
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
-# the repo root (deterministic: same ops+seed give identical bytes).
-SNAPSHOT ?= BENCH_PR60.json
+# the repo root (deterministic: same ops+seed give identical bytes). Since it
+# holds every figure of the paper table (the Figure 8–13 grids and a misses
+# point per claim), it takes about 13 s on a 2-core host (1.3 s when it held
+# one point per figure); bench-same and CI's benchstat lane take as long.
+SNAPSHOT ?= BENCH_PR61.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -271,8 +274,8 @@ bench-pairs:
 # gives (internal/bench/snapshot.go). Run it with OLD at the previous
 # snapshot when re-recording one; CI runs it against the committed snapshot
 # as a report before its byte-for-byte cmp.
-OLD ?= BENCH_PR60.json
-NEW ?= BENCH_PR60.json
+OLD ?= BENCH_PR61.json
+NEW ?= BENCH_PR61.json
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

@@ -12,120 +12,57 @@ import (
 
 	"hamband/internal/bench"
 	"hamband/internal/codec"
-	"hamband/internal/crdt"
 	"hamband/internal/rdma"
 	"hamband/internal/ring"
-	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
 
 const benchOps = 2000
 
-// runPoint executes one benchmark point per b.N iteration and reports the
-// virtual-time metrics of the last run.
-func runPoint(b *testing.B, kind bench.SystemKind, cls func() *spec.Class,
-	nodes int, ratio float64, faults ...bench.Fault) {
-	b.Helper()
-	var res *bench.Result
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine(int64(42 + i))
-		an := spec.MustAnalyze(cls())
-		sys, err := bench.Build(kind, eng, nodes, an, bench.Variant{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wl := bench.NewWorkload(an, nodes, benchOps, ratio, int64(7+i))
-		res = bench.Run(eng, sys, wl, faults...)
-		if res.TimedOut {
-			b.Fatal("replication barrier timed out")
-		}
-	}
-	b.ReportMetric(res.Throughput(), "vops/µs")
-	b.ReportMetric(float64(res.MeanRT), "vrt-ns")
-}
-
-// BenchmarkFig8Reduction regenerates Figure 8: reducible methods
-// (Counter, LWW, GSet) across the three systems at 4 nodes, 25% updates.
-func BenchmarkFig8Reduction(b *testing.B) {
-	classes := map[string]func() *spec.Class{
-		"counter": crdt.NewCounter, "lww": crdt.NewLWW, "gset": crdt.NewGSet,
-	}
-	for name, cls := range classes {
-		for _, kind := range []bench.SystemKind{bench.Hamband, bench.MSG, bench.MuSMR} {
-			b.Run(name+"/"+kind.String(), func(b *testing.B) {
-				runPoint(b, kind, cls, 4, 0.25)
-			})
-		}
-	}
-}
-
-// BenchmarkFig9Buffering regenerates Figure 9: irreducible conflict-free
-// methods (ORSet, buffered GSet, Cart).
-func BenchmarkFig9Buffering(b *testing.B) {
-	classes := map[string]func() *spec.Class{
-		"orset": crdt.NewORSet, "gset-buffered": crdt.NewGSetBuffered, "cart": crdt.NewCart,
-	}
-	for name, cls := range classes {
-		for _, kind := range []bench.SystemKind{bench.Hamband, bench.MSG, bench.MuSMR} {
-			b.Run(name+"/"+kind.String(), func(b *testing.B) {
-				runPoint(b, kind, cls, 4, 0.25)
-			})
-		}
-	}
-}
-
-// BenchmarkFig10SyncGroups regenerates Figure 10: the movie schema's two
-// synchronization groups versus the SMR's single leader, all-update load.
-func BenchmarkFig10SyncGroups(b *testing.B) {
-	for _, kind := range []bench.SystemKind{bench.Hamband, bench.MuSMR} {
-		b.Run(kind.String(), func(b *testing.B) {
-			runPoint(b, kind, schema.NewMovie, 4, 1.0)
+// benchFigure runs each headline point of the figure called name — its
+// first panel at the first class and update ratio on four nodes, one per
+// fault scenario and system, as the figure table in internal/bench defines
+// it — per b.N iteration and reports the virtual-time metrics of the last
+// run.
+func benchFigure(b *testing.B, name string) {
+	labels, runs := bench.Headline(name)
+	for i, run := range runs {
+		b.Run(labels[i], func(b *testing.B) {
+			var res *bench.Result
+			for j := 0; j < b.N; j++ {
+				res = run(bench.Config{Ops: benchOps, Seed: int64(42 + j)})
+				if res.TimedOut {
+					b.Fatal("replication barrier timed out")
+				}
+			}
+			b.ReportMetric(res.Throughput(), "vops/µs")
+			b.ReportMetric(float64(res.MeanRT), "vrt-ns")
 		})
 	}
 }
 
-// BenchmarkFig11Mix regenerates Figure 11: the project-management schema
-// mixing all three categories, 50% updates.
-func BenchmarkFig11Mix(b *testing.B) {
-	for _, kind := range []bench.SystemKind{bench.Hamband, bench.MuSMR} {
-		b.Run(kind.String(), func(b *testing.B) {
-			runPoint(b, kind, schema.NewProjectManagement, 4, 0.5)
-		})
-	}
-}
+// BenchmarkFig8Reduction: Figure 8, reducible methods, on the three systems.
+func BenchmarkFig8Reduction(b *testing.B) { benchFigure(b, "fig8") }
 
-// BenchmarkFig12FailureFree regenerates Figure 12: conflict-free use-cases
-// with and without a follower failure.
-func BenchmarkFig12FailureFree(b *testing.B) {
-	for name, cls := range map[string]func() *spec.Class{
-		"counter": crdt.NewCounter, "orset": crdt.NewORSet,
-	} {
-		b.Run(name+"/normal", func(b *testing.B) {
-			runPoint(b, bench.Hamband, cls, 4, 0.25)
-		})
-		b.Run(name+"/follower-fails", func(b *testing.B) {
-			runPoint(b, bench.Hamband, cls, 4, 0.25,
-				bench.Fault{At: sim.Time(100 * sim.Microsecond), Node: 3})
-		})
-	}
-}
+// BenchmarkFig9Buffering: Figure 9, irreducible conflict-free methods.
+func BenchmarkFig9Buffering(b *testing.B) { benchFigure(b, "fig9") }
 
-// BenchmarkFig13Failure regenerates Figure 13: the courseware schema under
-// normal execution, follower failure, and leader failure.
-func BenchmarkFig13Failure(b *testing.B) {
-	b.Run("normal", func(b *testing.B) {
-		runPoint(b, bench.Hamband, schema.NewCourseware, 4, 0.5)
-	})
-	b.Run("follower-fails", func(b *testing.B) {
-		runPoint(b, bench.Hamband, schema.NewCourseware, 4, 0.5,
-			bench.Fault{At: sim.Time(100 * sim.Microsecond), Node: 3})
-	})
-	b.Run("leader-fails", func(b *testing.B) {
-		runPoint(b, bench.Hamband, schema.NewCourseware, 4, 0.5,
-			bench.Fault{At: sim.Time(100 * sim.Microsecond), Node: 0})
-	})
-}
+// BenchmarkFig10SyncGroups: Figure 10, the movie schema's two
+// synchronization groups against the SMR's single leader.
+func BenchmarkFig10SyncGroups(b *testing.B) { benchFigure(b, "fig10") }
+
+// BenchmarkFig11Mix: Figure 11, the project-management schema mixing all
+// three categories.
+func BenchmarkFig11Mix(b *testing.B) { benchFigure(b, "fig11") }
+
+// BenchmarkFig12FailureFree: Figure 12, a conflict-free use-case with and
+// without a follower failure.
+func BenchmarkFig12FailureFree(b *testing.B) { benchFigure(b, "fig12") }
+
+// BenchmarkFig13Failure: Figure 13, the courseware schema under normal
+// execution, follower failure and leader failure.
+func BenchmarkFig13Failure(b *testing.B) { benchFigure(b, "fig13") }
 
 // BenchmarkCodec measures the call wire codec.
 func BenchmarkCodec(b *testing.B) {

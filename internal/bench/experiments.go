@@ -77,16 +77,6 @@ func (cfg Config) rtOps() int { return min(cfg.Ops, 2000) }
 // numbers with it.
 func faultAt(ops int, perOp sim.Duration) sim.Time { return sim.Time(sim.Duration(ops) * perOp) }
 
-// The per-operation fault times, each about a quarter into its fault-free
-// run at the default point (seed 42): Figure 12's loaded runs (20 000
-// operations in 1.11–1.49 ms), its unloaded response-time runs (2 000 in
-// 112–226 µs), and Figure 13's courseware runs (1 000 in 158 µs).
-const (
-	fig12FaultPerOp   = 15 * sim.Nanosecond
-	fig12RTFaultPerOp = 20 * sim.Nanosecond
-	fig13FaultPerOp   = 40 * sim.Nanosecond
-)
-
 // export writes v as indented JSON to cfg.JSON, when set.
 func (cfg Config) export(what string, v any) {
 	if cfg.JSON == nil {
@@ -105,209 +95,6 @@ func (cfg Config) printf(format string, args ...any) {
 
 func fmtRT(d sim.Duration) string { return fmt.Sprintf("%.2fµs", d.Micros()) }
 
-// ratioOrDash formats a/b, or "-" when b is zero.
-func ratioOrDash(a, b float64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1f×", a/b)
-}
-
-// Fig8 regenerates Figure 8: the effect of summarization and remote writes
-// for reducible methods. Part (a) sweeps node counts and update ratios and
-// reports throughput for Hamband, MSG and Mu; part (b) reports mean
-// response time on four nodes.
-func (cfg Config) Fig8() {
-	classes := []func() *spec.Class{crdt.NewCounter, crdt.NewLWW, crdt.NewGSet}
-	ratios := []float64{0.25, 0.15, 0.05}
-	cfg.printf("Figure 8(a) — throughput (ops/µs), reducible methods\n")
-	cfg.printf("%-9s %5s %6s %9s %8s %8s %7s %7s\n",
-		"class", "upd%", "nodes", "Hamband", "MSG", "Mu", "H/MSG", "H/Mu")
-	for _, mk := range classes {
-		for _, ratio := range ratios {
-			for nodes := 3; nodes <= 7; nodes++ {
-				h := cfg.point(Hamband, mk(), nodes, cfg.Ops, ratio)
-				m := cfg.point(MSG, mk(), nodes, cfg.Ops, ratio)
-				u := cfg.point(MuSMR, mk(), nodes, cfg.Ops, ratio)
-				cfg.printf("%-9s %5.0f %6d %9.2f %8.2f %8.2f %7s %7s\n",
-					h.Class, ratio*100, nodes,
-					h.Throughput(), m.Throughput(), u.Throughput(),
-					ratioOrDash(h.Throughput(), m.Throughput()),
-					ratioOrDash(h.Throughput(), u.Throughput()))
-			}
-		}
-	}
-	cfg.printf("\nFigure 8(b) — mean response time (unloaded), 4 nodes\n")
-	cfg.printf("%-9s %5s %10s %10s %10s %9s %10s\n",
-		"class", "upd%", "Hamband", "MSG", "Mu", "MSG/H", "H p99")
-	for _, mk := range classes {
-		for _, ratio := range ratios {
-			h := cfg.rtPoint(Hamband, mk(), 4, ratio)
-			m := cfg.rtPoint(MSG, mk(), 4, ratio)
-			u := cfg.rtPoint(MuSMR, mk(), 4, ratio)
-			cfg.printf("%-9s %5.0f %10s %10s %10s %9s %10s\n",
-				h.Class, ratio*100, fmtRT(h.MeanRT), fmtRT(m.MeanRT), fmtRT(u.MeanRT),
-				ratioOrDash(m.MeanRT.Micros(), h.MeanRT.Micros()), fmtRT(h.Percentile(99)))
-		}
-	}
-	cfg.printf("\n")
-}
-
-// Fig9 regenerates Figure 9: the effect of remote buffering for
-// irreducible conflict-free methods (OR-set, buffered G-set, shopping
-// cart).
-func (cfg Config) Fig9() {
-	classes := []func() *spec.Class{crdt.NewORSet, crdt.NewGSetBuffered, crdt.NewCart}
-	ratios := []float64{0.25, 0.15, 0.05}
-	cfg.printf("Figure 9(a) — throughput (ops/µs), irreducible conflict-free methods\n")
-	cfg.printf("%-14s %5s %6s %9s %8s %8s %7s %7s\n",
-		"class", "upd%", "nodes", "Hamband", "MSG", "Mu", "H/MSG", "H/Mu")
-	for _, mk := range classes {
-		for _, ratio := range ratios {
-			for nodes := 3; nodes <= 7; nodes++ {
-				h := cfg.point(Hamband, mk(), nodes, cfg.Ops, ratio)
-				m := cfg.point(MSG, mk(), nodes, cfg.Ops, ratio)
-				u := cfg.point(MuSMR, mk(), nodes, cfg.Ops, ratio)
-				cfg.printf("%-14s %5.0f %6d %9.2f %8.2f %8.2f %7s %7s\n",
-					h.Class, ratio*100, nodes,
-					h.Throughput(), m.Throughput(), u.Throughput(),
-					ratioOrDash(h.Throughput(), m.Throughput()),
-					ratioOrDash(h.Throughput(), u.Throughput()))
-			}
-		}
-	}
-	cfg.printf("\nFigure 9(b) — mean response time (unloaded), 4 nodes\n")
-	cfg.printf("%-14s %5s %10s %10s %10s %9s %10s\n",
-		"class", "upd%", "Hamband", "MSG", "Mu", "MSG/H", "H p99")
-	for _, mk := range classes {
-		for _, ratio := range ratios {
-			h := cfg.rtPoint(Hamband, mk(), 4, ratio)
-			m := cfg.rtPoint(MSG, mk(), 4, ratio)
-			u := cfg.rtPoint(MuSMR, mk(), 4, ratio)
-			cfg.printf("%-14s %5.0f %10s %10s %10s %9s %10s\n",
-				h.Class, ratio*100, fmtRT(h.MeanRT), fmtRT(m.MeanRT), fmtRT(u.MeanRT),
-				ratioOrDash(m.MeanRT.Micros(), h.MeanRT.Micros()), fmtRT(h.Percentile(99)))
-		}
-	}
-	cfg.printf("\n")
-}
-
-// Fig10 regenerates Figure 10: the effect of separate synchronization
-// groups on the movie schema (two leaders vs Mu's single leader), sweeping
-// the operation count (the paper's 2/4/8 M updates) on four nodes with an
-// all-update workload.
-func (cfg Config) Fig10() {
-	cfg.printf("Figure 10 — synchronization groups, movie schema, 4 nodes, all updates\n")
-	cfg.printf("%-8s %9s %8s %7s %12s %12s\n", "ops", "Hamband", "Mu", "H/Mu", "RT Hamband", "RT Mu")
-	hrt := cfg.rtPoint(Hamband, schema.NewMovie(), 4, 1.0)
-	urt := cfg.rtPoint(MuSMR, schema.NewMovie(), 4, 1.0)
-	for _, mult := range []int{1, 2, 4} {
-		ops := cfg.Ops * mult / 2
-		h := cfg.point(Hamband, schema.NewMovie(), 4, ops, 1.0)
-		u := cfg.point(MuSMR, schema.NewMovie(), 4, ops, 1.0)
-		cfg.printf("%-8d %9.2f %8.2f %7s %12s %12s\n",
-			ops, h.Throughput(), u.Throughput(),
-			ratioOrDash(h.Throughput(), u.Throughput()),
-			fmtRT(hrt.MeanRT), fmtRT(urt.MeanRT))
-	}
-	cfg.printf("\n")
-}
-
-// Fig11 regenerates Figure 11: the project-management schema mixing all
-// three method categories; throughput for 50/25/10%% update ratios and
-// per-method response times.
-func (cfg Config) Fig11() {
-	cfg.printf("Figure 11(a) — project management, 4 nodes: throughput (ops/µs)\n")
-	cfg.printf("%5s %9s %8s %7s\n", "upd%", "Hamband", "Mu", "H/Mu")
-	for _, ratio := range []float64{0.5, 0.25, 0.10} {
-		h := cfg.point(Hamband, schema.NewProjectManagement(), 4, cfg.Ops, ratio)
-		u := cfg.point(MuSMR, schema.NewProjectManagement(), 4, cfg.Ops, ratio)
-		cfg.printf("%5.0f %9.2f %8.2f %7s\n", ratio*100,
-			h.Throughput(), u.Throughput(), ratioOrDash(h.Throughput(), u.Throughput()))
-	}
-	cfg.printf("\nFigure 11(b) — response time per method (unloaded, 50%% updates)\n")
-	h := cfg.rtPoint(Hamband, schema.NewProjectManagement(), 4, 0.5)
-	printByMethod(cfg, h)
-	cfg.printf("\n")
-}
-
-// Fig12 regenerates Figure 12: the effect of a (follower) failure on the
-// conflict-free Counter and OR-set use-cases.
-func (cfg Config) Fig12() {
-	cfg.printf("Figure 12 — failure effect on conflict-free use-cases, 4 nodes\n")
-	cfg.printf("%-9s %5s %9s %9s %7s %10s %10s %8s\n",
-		"class", "upd%", "T normal", "T failed", "ΔT", "RT normal", "RT failed", "ΔRT")
-	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewORSet} {
-		for _, ratio := range []float64{0.25, 0.15, 0.05} {
-			normal := cfg.point(Hamband, mk(), 4, cfg.Ops, ratio)
-			failed := cfg.point(Hamband, mk(), 4, cfg.Ops, ratio,
-				Fault{At: faultAt(cfg.Ops, fig12FaultPerOp), Node: 3})
-			nrt := cfg.rtPoint(Hamband, mk(), 4, ratio)
-			frt := cfg.rtPoint(Hamband, mk(), 4, ratio,
-				Fault{At: faultAt(cfg.rtOps(), fig12RTFaultPerOp), Node: 3})
-			cfg.printf("%-9s %5.0f %9.2f %9.2f %6.0f%% %10s %10s %7.0f%%\n",
-				normal.Class, ratio*100,
-				normal.Throughput(), failed.Throughput(),
-				100*(failed.Throughput()-normal.Throughput())/normal.Throughput(),
-				fmtRT(nrt.MeanRT), fmtRT(frt.MeanRT),
-				100*(frt.MeanRT-nrt.MeanRT).Micros()/nrt.MeanRT.Micros())
-		}
-	}
-	cfg.printf("\n")
-}
-
-// fig13Point is one scenario of Figure 13 with the fabric bytes its run
-// wrote per completed op.
-type fig13Point struct {
-	scenario   string // normal, follower or leader
-	res        *Result
-	bytesPerOp float64
-}
-
-// fig13Points runs Figure 13's three scenarios on the courseware schema — no
-// failure, the follower p3 failing, and the synchronization group's leader p0
-// failing (p3 leads nothing), each fault fig13FaultPerOp per operation into
-// the run (faultAt).
-//
-// The run length is scaled so that the leader-change outage (~115 µs of
-// virtual time — cf. Mu's sub-millisecond failover) occupies a fraction of
-// the measurement window comparable to the paper's: with the full 4 M-op
-// analogue the failover amortizes to noise and the figure's effect
-// disappears.
-func (cfg Config) fig13Points() []fig13Point {
-	ops := max(cfg.Ops/20, 1000)
-	run := func(scenario string, faults ...Fault) fig13Point {
-		r, sys := cfg.run(Hamband, schema.NewCourseware(), 4, ops, 0.5, 0, Variant{}, faults...)
-		return fig13Point{scenario, r, wireBytesPerOp(r, sys)}
-	}
-	failAt := faultAt(ops, fig13FaultPerOp)
-	return []fig13Point{run("normal"), run("follower", Fault{At: failAt, Node: 3}), run("leader", Fault{At: failAt, Node: 0})}
-}
-
-// Fig13 regenerates Figure 13: the effect of follower and leader failure
-// on the courseware schema, with per-method response times.
-func (cfg Config) Fig13() {
-	cfg.printf("Figure 13(a) — courseware under failures, 4 nodes, 50%% updates: throughput (ops/µs)\n")
-	points := cfg.fig13Points()
-	normal, follower, leader := points[0].res, points[1].res, points[2].res
-	cfg.printf("%-16s %9s %7s\n", "scenario", "ops/µs", "Δ")
-	cfg.printf("%-16s %9.2f %7s\n", "normal", normal.Throughput(), "-")
-	cfg.printf("%-16s %9.2f %6.0f%%\n", "follower fails", follower.Throughput(),
-		100*(follower.Throughput()-normal.Throughput())/normal.Throughput())
-	cfg.printf("%-16s %9.2f %6.0f%%\n", "leader fails", leader.Throughput(),
-		100*(leader.Throughput()-normal.Throughput())/normal.Throughput())
-
-	cfg.printf("\nFigure 13(b) — response time per method\n")
-	cfg.printf("%-18s %12s %12s %12s\n", "method", "normal", "follower", "leader")
-	for _, name := range methodNames(normal) {
-		cfg.printf("%-18s %12s %12s %12s\n", name,
-			fmtRT(normal.ByMethod[name].Mean()),
-			fmtRT(follower.ByMethod[name].Mean()),
-			fmtRT(leader.ByMethod[name].Mean()))
-	}
-	cfg.printf("\n")
-}
-
 // Ablations runs the design-choice studies DESIGN.md calls out: the value
 // of summarization (reducible vs buffered G-set), of per-group leaders
 // (movie with two leaders vs one), and of the closed-loop depth.
@@ -318,8 +105,7 @@ func (cfg Config) Ablations() {
 		red := cfg.point(Hamband, crdt.NewGSet(), nodes, cfg.Ops, 0.25)
 		buf := cfg.point(Hamband, crdt.NewGSetBuffered(), nodes, cfg.Ops, 0.25)
 		cfg.printf("%6d %12.2f %12.2f %8s\n", nodes,
-			red.Throughput(), buf.Throughput(),
-			ratioOrDash(red.Throughput(), buf.Throughput()))
+			red.Throughput(), buf.Throughput(), fmtRatio(red.Throughput()/buf.Throughput()))
 	}
 
 	cfg.printf("\nAblation — synchronization groups: movie with two leaders vs one\n")
@@ -328,8 +114,7 @@ func (cfg Config) Ablations() {
 		o.Leaders = []spec.ProcID{0, 0} // both groups on one node
 	}})
 	cfg.printf("two leaders: %.2f ops/µs   single leader: %.2f ops/µs   gain: %s\n",
-		two.Throughput(), one.Throughput(),
-		ratioOrDash(two.Throughput(), one.Throughput()))
+		two.Throughput(), one.Throughput(), fmtRatio(two.Throughput()/one.Throughput()))
 
 	cfg.printf("\nAblation — dependency gating: worksOn waits for its dependencies\n")
 	cfg.printf("(slower summary scans delay addEmployee visibility; worksOn — which\n")
@@ -355,15 +140,6 @@ func (cfg Config) Ablations() {
 	cfg.printf("\n")
 }
 
-// printByMethod prints a per-method response-time table.
-func printByMethod(cfg Config, r *Result) {
-	cfg.printf("%-18s %8s %12s %12s\n", "method", "calls", "mean RT", "max RT")
-	for _, name := range methodNames(r) {
-		st := r.ByMethod[name]
-		cfg.printf("%-18s %8d %12s %12s\n", name, st.Count, fmtRT(st.Mean()), fmtRT(st.Max))
-	}
-}
-
 func methodNames(r *Result) []string {
 	names := make([]string, 0, len(r.ByMethod))
 	for name := range r.ByMethod {
@@ -373,14 +149,11 @@ func methodNames(r *Result) []string {
 	return names
 }
 
-// All runs every experiment in figure order.
+// All runs every figure of the paper table in order, then the ablations.
 func (cfg Config) All() {
-	cfg.Fig8()
-	cfg.Fig9()
-	cfg.Fig10()
-	cfg.Fig11()
-	cfg.Fig12()
-	cfg.Fig13()
+	for _, f := range paper {
+		cfg.Figure(f.name)
+	}
 	cfg.Ablations()
 }
 

@@ -7,28 +7,55 @@ import (
 	"testing"
 )
 
-// TestAllExperimentsSmoke runs every figure driver at a tiny scale: it
-// guards the experiment code itself (table construction, fault plumbing,
-// the rt/throughput split) against regressions. Full-scale numbers come
-// from cmd/hambench.
+// TestAllExperimentsSmoke runs every figure of the paper table at a tiny
+// scale: it guards the table's runner and renderer (the cross product, fault
+// plumbing, the throughput/response-time split, the per-method tables and
+// the claims) against regressions. Full-scale numbers come from
+// cmd/hambench.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
 	}
 	var buf bytes.Buffer
-	cfg := Config{Ops: 400, Seed: 3, Out: &buf}
-	cfg.Fig10()
-	cfg.Fig11()
-	cfg.Fig12()
-	cfg.Fig13()
+	cfg := Config{Ops: 150, Seed: 3, Out: &buf}
+	for _, f := range paper {
+		if !cfg.Figure(f.name) {
+			t.Fatalf("%s is not in the figure table", f.name)
+		}
+	}
 	out := buf.String()
 	for _, want := range []string{
+		"Figure 8(a)", "Figure 8(b)", "Figure 9(a)", "Figure 9(b)", "counter", "orset",
 		"Figure 10", "Figure 11(a)", "Figure 11(b)", "Figure 12",
-		"Figure 13(a)", "Figure 13(b)",
+		"Figure 13(a)", "Figure 13(b)", "Figure 13 — the paper's claims",
 		"worksOn", "registerStudent", "leader fails",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+	if cfg.Figure("fig8a") {
+		t.Fatal("fig8a ran: the table has no such figure")
+	}
+}
+
+// TestFig8And9Smoke runs the two larger sweeps on their own, through the
+// figure table by name; they cover the three-system comparison code paths.
+func TestFig8And9Smoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test is not short")
+	}
+	var buf bytes.Buffer
+	cfg := Config{Ops: 150, Seed: 3, Out: &buf}
+	for _, name := range []string{"fig8", "fig9"} {
+		if !cfg.Figure(name) {
+			t.Fatalf("%s is not in the figure table", name)
+		}
+	}
+	out := buf.String()
+	for _, want := range []string{"Figure 8(a)", "Figure 8(b)", "Figure 9(a)", "Figure 9(b)", "counter", "orset"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q", want)
 		}
 	}
 }
@@ -59,24 +86,6 @@ func TestMetricsExperiment(t *testing.T) {
 	events, ok := tr["traceEvents"].([]any)
 	if !ok || len(events) == 0 {
 		t.Fatal("chrome trace has no events")
-	}
-}
-
-// TestFig8And9Smoke runs the larger sweeps on a reduced grid by shrinking
-// the op count; they cover the three-system comparison code paths.
-func TestFig8And9Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is not short")
-	}
-	var buf bytes.Buffer
-	cfg := Config{Ops: 150, Seed: 3, Out: &buf}
-	cfg.Fig8()
-	cfg.Fig9()
-	out := buf.String()
-	for _, want := range []string{"Figure 8(a)", "Figure 8(b)", "Figure 9(a)", "Figure 9(b)", "counter", "orset"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q", want)
-		}
 	}
 }
 

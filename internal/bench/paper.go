@@ -1,0 +1,519 @@
+package bench
+
+import (
+	"fmt"
+	"io"
+	"slices"
+	"sort"
+	"strings"
+
+	"hamband/internal/crdt"
+	"hamband/internal/schema"
+	"hamband/internal/sim"
+	"hamband/internal/spec"
+)
+
+// A figure is one figure of the paper's evaluation, written once: its panels
+// and the paper's claims about them. hambench's fig8 … fig13, the snapshot,
+// the testing.B benchmarks and EXPERIMENTS.md's figure tables all read the
+// table below. Its headline runs (see headline) also record baseline, the
+// metrics the committed baseline gated there before the figures were a table.
+type figure struct {
+	name     string // the -exp selector and its points' experiment prefix
+	panels   []panel
+	claims   []claim
+	baseline []string
+}
+
+// A panel runs each class × update ratio × node count × op scale × fault
+// scenario × system once. Its table plots one metric per run and, under its
+// methods heading, each method's mean response time.
+type panel struct {
+	title, methods, suffix string // headings ("": no such table); experiment suffix
+	depth                  int    // closed-loop depth; 1 measures unloaded response time
+	plots                  string
+	systems                []SystemKind
+	classes                []func() *spec.Class
+	ratios                 []float64
+	nodes                  []int
+	scales                 []float64        // op count multiples; nil: {1}
+	faults                 []scenario       // nil: one fault-free run
+	ops                    func(Config) int // nil: Config.Ops, or rtOps at depth 1
+}
+
+// A scenario suspends node at faultAt(ops, perOp); perOp 0 is no fault.
+type scenario struct {
+	name  string
+	node  spec.ProcID
+	perOp sim.Duration
+}
+
+// A claim is one of the paper's claims as a predicate over a panel's points
+// (its per-method points, with methods), its threshold written once. Each
+// point pick selects is divided by its comparand vs(c), and a ratio outside
+// [lo, hi] (hi 0: no bound) is a miss. Without vs, the largest value pick
+// selects is checked, once. Its misses point is <figure>/claim/<id>; col
+// names its ratio.
+type claim struct {
+	id, col, what, paper string
+	pan                  int
+	methods              bool
+	pick                 func(cell) bool
+	vs                   func(cell) cell
+	lo, hi               float64
+}
+
+var (
+	paperRatios  = []float64{0.25, 0.15, 0.05}
+	threeSystems = []SystemKind{Hamband, MSG, MuSMR}
+	vsMu         = []SystemKind{Hamband, MuSMR}
+	four         = []int{4}
+	tails        = []string{"mean_rt_us", "p50_us", "p95_us", "p99_us"}
+)
+
+func isSys(k SystemKind) func(cell) bool                    { return func(c cell) bool { return c.sys == k } }
+func toSys(k SystemKind) func(cell) cell                    { return func(c cell) cell { c.sys = k; return c } }
+func isScen(name string) func(cell) bool                    { return func(c cell) bool { return c.scen.name == name } }
+func toScen(name string) func(cell) cell                    { return func(c cell) cell { c.scen.name = name; return c } }
+func classes(mk ...func() *spec.Class) []func() *spec.Class { return mk }
+
+// sweep is the shape of Figures 8 and 9: throughput over classes × update
+// ratios × 3–7 nodes on all three systems, then unloaded response time.
+func sweep(name, what string, cls []func() *spec.Class, claims ...claim) figure {
+	n := "Figure " + strings.TrimPrefix(name, "fig")
+	return figure{name: name, baseline: tails, claims: claims, panels: []panel{
+		{title: n + "(a) — throughput (ops/µs), " + what, plots: "ops_per_us", systems: threeSystems, classes: cls, ratios: paperRatios, nodes: []int{3, 4, 5, 6, 7}},
+		{title: n + "(b) — mean response time (µs, unloaded), 4 nodes", suffix: "/rt", depth: 1, plots: "mean_rt_us", systems: threeSystems, classes: cls, ratios: paperRatios, nodes: four},
+	}}
+}
+
+// The per-operation fault times, each about a quarter into its fault-free
+// run at the default point (seed 42): Figure 12's loaded runs (20 000
+// operations in 1.11–1.49 ms), its unloaded response-time runs (2 000 in
+// 112–226 µs), and Figure 13's courseware runs (1 000 in 158 µs).
+const (
+	fig12FaultPerOp   = 15 * sim.Nanosecond
+	fig12RTFaultPerOp = 20 * sim.Nanosecond
+	fig13FaultPerOp   = 40 * sim.Nanosecond
+)
+
+// paper is the figure table. Its figure names, panel suffixes, scenario
+// names, methods and claim ids make up the points' experiments, so renaming
+// one renames points of the committed baseline.
+var paper = []figure{
+	sweep("fig8", "reducible methods", classes(crdt.NewCounter, crdt.NewLWW, crdt.NewGSet),
+		claim{id: "grows-with-nodes", col: "7/3 nodes", what: "Hamband grows with node count", paper: "grows", lo: 1,
+			pick: func(c cell) bool { return c.sys == Hamband && c.nodes == 7 }, vs: func(c cell) cell { c.nodes = 3; return c }},
+		claim{id: "grows-as-updates-fall", col: "5%/25%", what: "Hamband grows as updates fall", paper: "grows", lo: 1,
+			pick: func(c cell) bool { return c.sys == Hamband && c.ratio == 0.05 }, vs: func(c cell) cell { c.ratio = 0.25; return c }},
+		claim{id: "peak", what: "Hamband's peak throughput (ops/µs)", paper: "up to 25", pick: isSys(Hamband), lo: 25},
+		claim{id: "vs-msg", col: "H/MSG", what: "Hamband above MSG", paper: "18.4× on average", pick: isSys(Hamband), vs: toSys(MSG), lo: 1},
+		claim{id: "vs-mu", col: "H/Mu", what: "Hamband above Mu", paper: "4.1× on average", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
+		claim{id: "rt-vs-msg", pan: 1, col: "MSG/H", what: "Hamband's RT below MSG's", paper: "21× lower", pick: isSys(MSG), vs: toSys(Hamband), lo: 1},
+		claim{id: "rt-vs-mu", pan: 1, col: "H/Mu", what: "Hamband's RT at most Mu's", paper: "≈ Mu", pick: isSys(Hamband), vs: toSys(MuSMR), hi: 1}),
+	sweep("fig9", "irreducible conflict-free methods", classes(crdt.NewORSet, crdt.NewGSetBuffered, crdt.NewCart),
+		claim{id: "peak", what: "Hamband's peak throughput (ops/µs)", paper: "up to 23", pick: isSys(Hamband), lo: 23},
+		claim{id: "vs-msg", col: "H/MSG", what: "Hamband above MSG", paper: "17× on average", pick: isSys(Hamband), vs: toSys(MSG), lo: 1},
+		claim{id: "vs-mu", col: "H/Mu", what: "Hamband above Mu", paper: "3× on average", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
+		claim{id: "rt-vs-msg", pan: 1, col: "MSG/H", what: "Hamband's RT below MSG's", paper: "24.3× lower", pick: isSys(MSG), vs: toSys(Hamband), lo: 1}),
+	{name: "fig10", baseline: tails, panels: []panel{
+		{title: "Figure 10(a) — throughput (ops/µs), movie schema, 4 nodes, all updates", plots: "ops_per_us",
+			systems: vsMu, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four, scales: []float64{0.5, 1, 2}},
+		{title: "Figure 10(b) — mean response time (µs, unloaded)", suffix: "/rt", depth: 1, plots: "mean_rt_us",
+			systems: vsMu, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four},
+	}, claims: []claim{
+		{id: "vs-mu", col: "H/Mu", what: "two leaders above one", paper: "1.4×–1.8× (2× at most)", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
+		{id: "flat-in-ops", col: "ops/middle", what: "throughput flat in the op count", paper: "invariant", lo: 0.95, hi: 1.05,
+			pick: func(c cell) bool { return c.scale != 1 }, vs: func(c cell) cell { c.scale = 1; return c }},
+		{id: "rt-vs-mu", pan: 1, col: "H/Mu", what: "response times alike", paper: "difference negligible", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 0.9, hi: 1.1},
+	}},
+	{name: "fig11", panels: []panel{
+		{title: "Figure 11(a) — throughput (ops/µs), project management, 4 nodes", plots: "ops_per_us",
+			systems: vsMu, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5, 0.25, 0.10}, nodes: four},
+		{methods: "Figure 11(b) — mean response time per method (µs, unloaded), 50 % updates", suffix: "/rt", depth: 1,
+			systems: []SystemKind{Hamband}, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5}, nodes: four},
+	}, claims: []claim{
+		{id: "vs-mu", col: "H/Mu", what: "Hamband above Mu", paper: "up to 1.21×", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
+	}},
+	{name: "fig12", panels: []panel{
+		{title: "Figure 12(a) — throughput (ops/µs), follower p3 failing, 4 nodes", plots: "ops_per_us",
+			systems: []SystemKind{Hamband}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig12FaultPerOp}}},
+		{title: "Figure 12(b) — mean response time (µs, unloaded), follower p3 failing", suffix: "/rt", depth: 1, plots: "mean_rt_us",
+			systems: []SystemKind{Hamband}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig12RTFaultPerOp}}},
+	}, claims: []claim{
+		{id: "throughput", col: "failed/normal", what: "throughput keeps the three survivors' share", paper: "−5 %", pick: isScen("follower"), vs: toScen("normal"), lo: 0.75},
+		{id: "rt", pan: 1, col: "failed/normal", what: "response time rises by at most half", paper: "+15 % / +5 %", pick: isScen("follower"), vs: toScen("normal"), hi: 1.5},
+	}},
+	{name: "fig13", baseline: append(slices.Clip(tails), "bytes_per_op"), panels: []panel{
+		{title: "Figure 13(a) — throughput (ops/µs), courseware, 4 nodes, 50 % updates, ops/20 (at least 1 000)", plots: "ops_per_us",
+			methods: "Figure 13(b) — mean response time per method (µs)",
+			systems: []SystemKind{Hamband}, classes: classes(schema.NewCourseware), ratios: []float64{0.5}, nodes: four,
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig13FaultPerOp}, {"leader", 0, fig13FaultPerOp}},
+			ops:    func(cfg Config) int { return max(cfg.Ops/20, 1000) }},
+	}, claims: []claim{
+		{id: "follower", col: "follower/normal", what: "a follower failing keeps the survivors' share", paper: "−6 %", pick: isScen("follower"), vs: toScen("normal"), lo: 0.75},
+		{id: "leader", col: "leader/follower", what: "a leader failing costs more than a follower", paper: "−53 %", pick: isScen("leader"), vs: toScen("follower"), hi: 1},
+		{id: "free-rt", methods: true, col: "leader/normal", what: "conflict-free registerStudent barely slows on leader failure", paper: "unchanged", hi: 1.5,
+			pick: func(c cell) bool { return c.scen.name == "leader" && c.method == "registerStudent" }, vs: toScen("normal")},
+		{id: "conflicting-rt", methods: true, col: "leader/normal", what: "conflicting addCourse, deleteCourse, enroll slow down", paper: "≈ 2×", lo: 1.5,
+			pick: func(c cell) bool {
+				return c.scen.name == "leader" && slices.Contains([]string{"addCourse", "deleteCourse", "enroll"}, c.method)
+			}, vs: toScen("normal")},
+	}},
+}
+
+// A cell is one point of a panel: a run, or one method of a run.
+type cell struct {
+	fig          *figure
+	pan          int
+	sys          SystemKind
+	mk           func() *spec.Class
+	class        string
+	ratio, scale float64
+	nodes        int
+	method       string
+	scen         scenario
+}
+
+// cells lists panel pan's runs, or with methods their methods, in run order;
+// a row of its table is len(systems) × len(faults) consecutive cells.
+func (f *figure) cells(pan int, methods bool) (cs []cell) {
+	p := &f.panels[pan]
+	scales, faults := p.scales, p.faults
+	if scales == nil {
+		scales = []float64{1}
+	}
+	if faults == nil {
+		faults = []scenario{{}}
+	}
+	for _, mk := range p.classes {
+		cls := mk()
+		names := []string{""}
+		if methods {
+			names = nil
+			for _, m := range cls.Methods {
+				names = append(names, m.Name)
+			}
+			sort.Strings(names)
+		}
+		for _, ratio := range p.ratios {
+			for _, nodes := range p.nodes {
+				for _, scale := range scales {
+					for _, m := range names {
+						for _, sc := range faults {
+							for _, sys := range p.systems {
+								cs = append(cs, cell{f, pan, sys, mk, cls.Name, ratio, scale, nodes, m, sc})
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return cs
+}
+
+func (c cell) panel() *panel { return &c.fig.panels[c.pan] }
+
+// exp is c's experiment: the figure's name, then the panel's suffix, op
+// scale, fault scenario and method, which the point key lacks.
+func (c cell) exp() string {
+	e := c.fig.name + c.panel().suffix
+	if c.scale != 1 {
+		e += fmt.Sprintf("/ops%gx", c.scale)
+	}
+	for _, s := range []string{c.scen.name, c.method} {
+		if s != "" {
+			e += "/" + s
+		}
+	}
+	return e
+}
+
+// value looks c's plotted metric up in vals, a snapshot's metrics by key.
+func (c cell) value(vals map[string]map[string]float64) (float64, bool) {
+	metric := c.panel().plots
+	if c.method != "" {
+		metric = "mean_rt_us"
+	}
+	v, ok := vals[SnapPoint{c.exp(), c.sys.String(), c.class, c.nodes, c.ratio, nil}.key()][metric]
+	return v, ok
+}
+
+func (c cell) ops(cfg Config) int {
+	n := cfg.Ops
+	if p := c.panel(); p.ops != nil {
+		n = p.ops(cfg)
+	} else if p.depth == 1 {
+		n = cfg.rtOps()
+	}
+	return int(float64(n) * c.scale)
+}
+
+// runCell runs c, failing its scenario's node perOp per operation in.
+func (cfg Config) runCell(c cell) (*Result, System) {
+	ops := c.ops(cfg)
+	var faults []Fault
+	if c.scen.perOp > 0 {
+		faults = []Fault{{At: faultAt(ops, c.scen.perOp), Node: c.scen.node}}
+	}
+	return cfg.run(c.sys, c.mk(), c.nodes, ops, c.ratio, c.panel().depth, Variant{}, faults...)
+}
+
+// headline reports whether c is a headline run: its figure's first panel at
+// the first class and update ratio on four nodes and the full op count.
+func (c cell) headline() bool {
+	p := &c.fig.panels[0]
+	return c.pan == 0 && c.method == "" && c.class == p.classes[0]().Name && c.ratio == p.ratios[0] && c.nodes == 4 && c.scale == 1
+}
+
+// runFigure runs f and adds to s the points its tables plot.
+func (cfg Config) runFigure(f *figure, s *Snapshot) {
+	for pan, p := range f.panels {
+		for _, c := range f.cells(pan, false) {
+			r, sys := cfg.runCell(c)
+			if p.methods != "" {
+				for _, name := range methodNames(r) {
+					s.add(c.exp()+"/"+name, c.sys.String(), c.class, c.nodes, c.ratio, map[string]float64{"mean_rt_us": r.ByMethod[name].Mean().Micros()})
+				}
+			}
+			if p.plots == "" {
+				continue
+			}
+			keep := []string{p.plots}
+			if c.headline() {
+				keep = append(keep, f.baseline...)
+			}
+			m := s.addResult(c.exp(), c.sys.String(), r)
+			for name := range m {
+				if !slices.Contains(keep, name) {
+					delete(m, name)
+				}
+			}
+			if slices.Contains(keep, "bytes_per_op") {
+				m["bytes_per_op"] = wireBytesPerOp(r, sys)
+			}
+		}
+	}
+}
+
+// ratio is c's value over its comparand's (or its value, without vs), if
+// pick selects c and vals holds both.
+func (cl *claim) ratio(c cell, vals map[string]map[string]float64) (float64, bool) {
+	x, ok := c.value(vals)
+	if !ok || !cl.pick(c) {
+		return 0, false
+	}
+	if cl.vs == nil {
+		return x, true
+	}
+	y, ok := cl.vs(c).value(vals)
+	return x / y, ok
+}
+
+func (cl *claim) miss(r float64) bool { return r < cl.lo || cl.hi != 0 && r > cl.hi }
+
+// check returns the ratios cl finds on f's points in vals, how many checks
+// it makes and how many of them miss.
+func (cl *claim) check(f *figure, vals map[string]map[string]float64) (ratios []float64, of, misses int) {
+	for _, c := range f.cells(cl.pan, cl.methods) {
+		if r, ok := cl.ratio(c, vals); ok {
+			ratios = append(ratios, r)
+		}
+	}
+	checked := ratios
+	if cl.vs == nil && len(ratios) > 0 {
+		checked = []float64{slices.Max(ratios)}
+	}
+	for _, r := range checked {
+		if cl.miss(r) {
+			misses++
+		}
+	}
+	return ratios, len(checked), misses
+}
+
+func (s Snapshot) values() map[string]map[string]float64 {
+	vals := make(map[string]map[string]float64, len(s.Points))
+	for _, p := range s.Points {
+		vals[p.key()] = p.Metrics
+	}
+	return vals
+}
+
+// claimPoints returns a misses point for each claim of the figure table
+// that s's points check.
+func claimPoints(s Snapshot) (pts []SnapPoint) {
+	vals := s.values()
+	for i := range paper {
+		for _, cl := range paper[i].claims {
+			if _, of, misses := cl.check(&paper[i], vals); of > 0 {
+				pts = append(pts, SnapPoint{paper[i].name + "/claim/" + cl.id, Hamband.String(), "", 0, 0, map[string]float64{"misses": float64(misses)}})
+			}
+		}
+	}
+	return pts
+}
+
+func fmtRatio(r float64) string { return fmt.Sprintf("%.2f×", r) }
+
+// render writes f's tables from s's points as Markdown: each panel's values
+// and the ratios its claims check (✗ a miss), then the claims' verdicts.
+func (f *figure) render(w io.Writer, s Snapshot) {
+	vals := s.values()
+	for pan, p := range f.panels {
+		for i, title := range []string{p.title, p.methods} {
+			if title != "" {
+				f.renderTable(w, vals, s.Ops, pan, i == 1, title)
+			}
+		}
+	}
+	fmt.Fprintf(w, "Figure %s — the paper's claims\n\n| claim | paper | measured | misses | |\n|---|---|---|---|---|\n", strings.TrimPrefix(f.name, "fig"))
+	for _, cl := range f.claims {
+		ratios, of, misses := cl.check(f, vals)
+		pred, measured, verdict := cl.col, "-", "-"
+		switch {
+		case of == 0:
+		case cl.vs == nil:
+			pred, measured = "max", fmt.Sprintf("%.2f", slices.Max(ratios))
+		case len(ratios) == 1:
+			measured = fmtRatio(ratios[0])
+		default:
+			sum := 0.0
+			for _, r := range ratios {
+				sum += r
+			}
+			measured = fmt.Sprintf("%s–%s, mean %s", fmtRatio(slices.Min(ratios)), fmtRatio(slices.Max(ratios)), fmtRatio(sum/float64(len(ratios))))
+		}
+		switch {
+		case cl.hi == 0:
+			pred = fmt.Sprintf("%s ≥ %g", pred, cl.lo)
+		case cl.lo == 0:
+			pred = fmt.Sprintf("%s ≤ %g", pred, cl.hi)
+		default:
+			pred = fmt.Sprintf("%g ≤ %s ≤ %g", cl.lo, pred, cl.hi)
+		}
+		if of > 0 {
+			verdict = "✓"
+			if misses > 0 {
+				verdict = "✗"
+			}
+		}
+		fmt.Fprintf(w, "| %s (%s) | %s | %s | %d of %d | %s |\n", cl.what, pred, cl.paper, measured, misses, of, verdict)
+	}
+	fmt.Fprintln(w)
+}
+
+// renderTable writes one table of panel pan: a row per class, update ratio,
+// node count, op count and method the panel varies, a column per fault
+// scenario and system, then one per ratio its claims check.
+func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, ops, pan int, methods bool, title string) {
+	p, cs := &f.panels[pan], f.cells(pan, methods)
+	width := len(p.systems) * max(len(p.faults), 1)
+	label := func(c cell) (head, row []string) {
+		for _, d := range []struct {
+			show bool
+			h, v string
+		}{
+			{len(p.classes) > 1, "class", c.class},
+			{len(p.ratios) > 1, "upd%", fmt.Sprintf("%.0f", 100*c.ratio)},
+			{len(p.nodes) > 1, "nodes", fmt.Sprint(c.nodes)},
+			{len(p.scales) > 1, "ops", fmt.Sprint(c.ops(Config{Ops: ops}))},
+			{methods, "method", c.method},
+		} {
+			if d.show {
+				head, row = append(head, d.h), append(row, d.v)
+			}
+		}
+		return head, row
+	}
+	var claims []claim
+	var cols []string
+	for _, cl := range f.claims {
+		if cl.pan == pan && cl.methods == methods && cl.vs != nil {
+			claims = append(claims, cl)
+			if !slices.Contains(cols, cl.col) {
+				cols = append(cols, cl.col)
+			}
+		}
+	}
+	head, _ := label(cs[0])
+	for _, c := range cs[:width] {
+		switch {
+		case len(p.faults) < 2:
+			head = append(head, c.sys.String())
+		case c.scen.perOp == 0:
+			head = append(head, c.scen.name)
+		default:
+			head = append(head, c.scen.name+" fails")
+		}
+	}
+	head = append(head, cols...)
+	fmt.Fprintf(w, "%s\n\n| %s |\n|%s\n", title, strings.Join(head, " | "), strings.Repeat("---|", len(head)))
+	for at := 0; at < len(cs); at += width {
+		row := cs[at : at+width]
+		_, text := label(row[0])
+		for _, c := range row {
+			v, ok := c.value(vals)
+			if !ok {
+				text = append(text, "-")
+				continue
+			}
+			text = append(text, fmt.Sprintf("%.2f", v))
+		}
+		for _, col := range cols {
+			t := ""
+			for _, cl := range claims {
+				for _, c := range row {
+					if r, ok := cl.ratio(c, vals); ok && cl.col == col {
+						t = fmtRatio(r)
+						if cl.miss(r) {
+							t += " ✗"
+						}
+					}
+				}
+			}
+			text = append(text, t)
+		}
+		fmt.Fprintf(w, "| %s |\n", strings.Join(text, " | "))
+	}
+	fmt.Fprintln(w)
+}
+
+func figureNamed(name string) *figure {
+	for i := range paper {
+		if paper[i].name == name {
+			return &paper[i]
+		}
+	}
+	return nil
+}
+
+// Figure runs the paper's figure called name (fig8 … fig13) and prints its
+// tables and the paper's claims checked against them. It reports whether
+// the table has that figure.
+func (cfg Config) Figure(name string) bool {
+	f := figureNamed(name)
+	if f != nil {
+		s := Snapshot{Ops: cfg.Ops, Seed: cfg.Seed}
+		cfg.runFigure(f, &s)
+		f.render(cfg.Out, s)
+	}
+	return f != nil
+}
+
+// Headline returns the headline runs of the figure called name — its first
+// panel at the first class and update ratio on four nodes, one per fault
+// scenario and system — with their labels, for the testing.B benchmarks.
+func Headline(name string) (labels []string, runs []func(Config) *Result) {
+	f := figureNamed(name)
+	for _, c := range f.cells(0, false) {
+		if c.headline() {
+			labels = append(labels, strings.Join(strings.Fields(c.class+" "+c.scen.name+" "+c.sys.String()), "/"))
+			runs = append(runs, func(cfg Config) *Result { r, _ := cfg.runCell(c); return r })
+		}
+	}
+	return labels, runs
+}

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"hamband/internal/crdt"
-	"hamband/internal/schema"
 	"hamband/internal/spec"
 )
 
@@ -55,7 +54,8 @@ type metricTable map[string]metricDef
 // metricDefs defines every metric a point may carry. Throughput, the p99
 // and bytes per op are gated at their bounds (-exp benchstat); the other
 // response times are recorded for reading. A watchdog firing more than its baseline is a
-// calibration change, so firings are gated at zero.
+// calibration change, so firings are gated at zero; so are a paper claim's
+// misses, the points of its figure that fail its predicate.
 var metricDefs = metricTable{
 	"ops_per_us":   {"ops/µs", "virtual", "higher", 0.05},
 	"mean_rt_us":   {"µs", "virtual", "lower", ungated},
@@ -65,6 +65,7 @@ var metricDefs = metricTable{
 	"bytes_per_op": {"B/op", "virtual", "lower", 0.05},
 	"calls":        {"calls", "count", "higher", ungated},
 	"firings":      {"firings", "count", "lower", 0},
+	"misses":       {"points", "count", "lower", 0},
 }
 
 // regressed reports whether cur is worse than old by more than the bound.
@@ -104,35 +105,22 @@ func (p SnapPoint) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g", p.Experiment, p.System, p.Class, p.Nodes, p.UpdateRatio)
 }
 
-// Snapshot runs the canonical benchmark set — one representative point per
-// headline figure (all three systems where the class supports them), Figure
-// 13's three failure scenarios with their wire bytes, the doorbell
-// ablation's baseline over the three replication paths (its full variant is
-// DefaultLatency, which the figure points already run), the sharded store at
-// uniform and Zipf 1.5 keys and the wire points — exports it and returns it.
+// Snapshot runs the canonical benchmark set — every figure of the paper
+// table with one misses point per claim, the doorbell ablation's baseline at
+// the headline class and ratio of Figures 8–10 over the three replication
+// paths (its full variant is DefaultLatency, which the figure points already
+// run), the sharded store at uniform and Zipf 1.5 keys and the wire points —
+// exports it and returns it.
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}
-	figures := []struct {
-		exp     string
-		cls     func() *spec.Class
-		ratio   float64
-		systems []SystemKind
-	}{
-		{"fig8", crdt.NewCounter, 0.25, []SystemKind{Hamband, MSG, MuSMR}},
-		{"fig9", crdt.NewORSet, 0.25, []SystemKind{Hamband, MSG, MuSMR}},
-		{"fig10", schema.NewMovie, 1.0, []SystemKind{Hamband, MuSMR}},
+	for i := range paper {
+		cfg.runFigure(&paper[i], &s)
 	}
-	for _, f := range figures {
-		for _, kind := range f.systems {
-			s.addResult(f.exp, kind.String(), cfg.point(kind, f.cls(), 4, cfg.Ops, f.ratio))
-		}
-	}
-	for _, p := range cfg.fig13Points() {
-		s.addResult("fig13/"+p.scenario, Hamband.String(), p.res)["bytes_per_op"] = p.bytesPerOp
-	}
+	s.Points = append(s.Points, claimPoints(s)...)
 	base := doorbellVariant{name: "baseline"}
-	for _, f := range figures {
-		r, _, _ := cfg.doorbellPoint(f.cls(), 4, f.ratio, base.latency())
+	for _, f := range paper[:3] {
+		p := &f.panels[0]
+		r, _, _ := cfg.doorbellPoint(p.classes[0](), 4, p.ratios[0], base.latency())
 		s.addResult("doorbell/"+base.name, Hamband.String(), r)
 	}
 	for _, skew := range []float64{0, 1.5} {
