@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"hamband/internal/sim"
+	"hamband/internal/trace"
 )
 
 // partitionHealPlan cuts the cluster 2|2 mid-run and heals before the
@@ -133,10 +134,44 @@ func TestPlanValidation(t *testing.T) {
 		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindPartition, A: 2, B: 2}}},
 		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"off-by-one"}},
 		{Class: "counter", Nodes: 4, Ops: 10, Mutants: []string{"apply-order", "no-recovery", "apply-order"}},
+		{Class: "counter", Nodes: 4, Ops: 10, Events: []Event{{Kind: KindSuspend, Node: 1, MidRound: true}}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("plan %d validated but is invalid", i)
+		}
+	}
+}
+
+// TestMidRoundKillFiresAfterASequencing: a plain leaderkill fires at its
+// time; an anchored one fires a nanosecond after the first call sequenced at
+// or after it (bankmap has one synchronization group, so by the victim).
+func TestMidRoundKillFiresAfterASequencing(t *testing.T) {
+	const at = sim.Time(100 * sim.Microsecond)
+	for _, midRound := range []bool{false, true} {
+		p := Plan{Class: "bankmap", Nodes: 4, Ops: 240, Seed: 13,
+			Events: []Event{{At: at, Kind: KindLeaderKill, MidRound: midRound}}}
+		v := mustRun(t, p, Options{}.Checked())
+		assertPassed(t, v)
+		if len(v.Kills) != 1 {
+			t.Fatalf("mid_round %v: %d kills fired, want 1", midRound, len(v.Kills))
+		}
+		fired := v.Kills[0]
+		if !midRound {
+			if fired != at {
+				t.Fatalf("plain kill fired at %v, want %v", sim.Duration(fired), sim.Duration(at))
+			}
+			continue
+		}
+		var order *trace.Event
+		for _, e := range v.Trace.ByKind(trace.Order) {
+			if e.At >= at {
+				order = &e
+				break
+			}
+		}
+		if order == nil || fired != order.At+sim.Time(sim.Nanosecond) {
+			t.Fatalf("anchored kill fired at %v; the first sequencing at or after %v is %v", sim.Duration(fired), sim.Duration(at), order)
 		}
 	}
 }

@@ -68,12 +68,13 @@ var denseRoundPlans = []string{"bankmap-rounds-seed1700.json", "bankmap-rounds-s
 // in fact have been batching, both kills must have forced an election, and
 // each must have caught its victim mid-round: the last call the victim (shard
 // s00's leader on the shardmix plan) sequenced before the kill commits there
-// after it, or never. The kill times are placed on this schedule by hand, and
-// a change that shortens what a round writes can move a kill between two rounds,
-// which only this check can see: the first kill of seed 1700 moved from 43.7 to
-// 45.7 µs when the call record shrank, and to 50.5 µs when the Mu entry header
-// was packed; the second kill of seed 1701 moved from 251.0 to 248.6 µs when
-// one poll came to reap every landed completion.
+// after it, or never. The kills are anchored (Event.MidRound): each fires
+// right after its victim's first sequencing at or after its time, so a change
+// that moves the schedule does not move a kill between two rounds. When they
+// were placed by hand, the first kill of seed 1700 moved from 43.7 to 45.7 µs
+// when the call record shrank and to 50.5 µs when the Mu entry header was
+// packed, and the second kill of seed 1701 from 251.0 to 248.6 µs when one
+// poll came to reap every landed completion.
 func TestCorpusDenseRounds(t *testing.T) {
 	for _, name := range denseRoundPlans {
 		t.Run(name, func(t *testing.T) {
@@ -84,23 +85,29 @@ func TestCorpusDenseRounds(t *testing.T) {
 			v := mustRun(t, p, opts)
 			assertPassed(t, v)
 			events := v.Trace.Events()
-			for _, kill := range p.Events {
-				if kill.Kind != KindLeaderKill {
-					continue
+			kills := 0
+			for _, e := range p.Events {
+				if e.Kind == KindLeaderKill {
+					kills++
 				}
+			}
+			if len(v.Kills) != kills {
+				t.Fatalf("%d of the plan's %d leader kills fired", len(v.Kills), kills)
+			}
+			for _, at := range v.Kills {
 				var last *trace.Event
 				for i := range events {
-					if e := &events[i]; e.At < kill.At && e.Kind == trace.Order && (e.Shard == "" || e.Shard == "s00") {
+					if e := &events[i]; e.At < at && e.Kind == trace.Order && (e.Shard == "" || e.Shard == "s00") {
 						last = e
 					}
 				}
 				if last == nil {
-					t.Fatalf("kill at %v: nothing sequenced before it", sim.Duration(kill.At))
+					t.Fatalf("kill at %v: nothing sequenced before it", sim.Duration(at))
 				}
 				for _, e := range events {
-					if e.Kind == trace.Commit && e.Node == last.Node && e.Shard == last.Shard && e.Call == last.Call && e.At < kill.At {
+					if e.Kind == trace.Commit && e.Node == last.Node && e.Shard == last.Shard && e.Call == last.Call && e.At < at {
 						t.Fatalf("kill at %v: n%d's last round (%s, sequenced at %v) had committed at %v: the kill is not mid-round",
-							sim.Duration(kill.At), last.Node, last.Call, sim.Duration(last.At), sim.Duration(e.At))
+							sim.Duration(at), last.Node, last.Call, sim.Duration(last.At), sim.Duration(e.At))
 					}
 				}
 			}

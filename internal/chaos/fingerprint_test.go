@@ -77,7 +77,7 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	crossWire.Mutants = nil
 	add("conform-sharded/crosswire-control", crossWire, checked)
 	// The round-rule plans at the density TestCorpusDenseRounds replays them
-	// at: their kill times are placed mid-round on this schedule.
+	// at: their kills are anchored mid-round on this schedule.
 	for _, name := range denseRoundPlans {
 		add("dense-rounds/"+name, readCorpusPlan(t, filepath.Join("testdata", "chaos", name)), denseRounds)
 	}

@@ -71,6 +71,12 @@ type Event struct {
 	Extra  sim.Duration `json:"extra,omitempty"`  // delay/torn: fixed extra latency or tear, ns
 	Jitter sim.Duration `json:"jitter,omitempty"` // delay/torn: uniform extra in [0,Jitter], ns
 	Group  int          `json:"group,omitempty"`  // leaderkill: synchronization group
+	// MidRound anchors a leaderkill to the protocol: the victim, the leader
+	// at At, is suspended a nanosecond after its first sequencing at or after
+	// At (where a traced run records trace.Order), with the round that call
+	// opens in flight. A victim that never sequences again is never
+	// suspended. On a class without conflicting methods the kill fires at At.
+	MidRound bool `json:"mid_round,omitempty"`
 }
 
 // String renders an event for logs and violation reports.
@@ -87,6 +93,9 @@ func (e Event) String() string {
 	case KindTornHeal:
 		return fmt.Sprintf("%v tornheal p%d-p%d", sim.Duration(e.At), e.A, e.B)
 	case KindLeaderKill:
+		if e.MidRound {
+			return fmt.Sprintf("%v leaderkill g%d mid-round", sim.Duration(e.At), e.Group)
+		}
 		return fmt.Sprintf("%v leaderkill g%d", sim.Duration(e.At), e.Group)
 	case KindLeave, KindJoin:
 		return fmt.Sprintf("%v %s p%d", sim.Duration(e.At), e.Kind, e.Node)
@@ -179,6 +188,9 @@ func (p Plan) Validate() error {
 	for i, e := range p.Events {
 		if e.At < 0 {
 			return fmt.Errorf("chaos: event %d at negative time", i)
+		}
+		if e.MidRound && e.Kind != KindLeaderKill {
+			return fmt.Errorf("chaos: event %d: mid_round on a %s", i, e.Kind)
 		}
 		switch e.Kind {
 		case KindSuspend, KindResume, KindCrash:

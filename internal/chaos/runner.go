@@ -11,6 +11,7 @@ import (
 	"hamband/internal/crdt"
 	"hamband/internal/health"
 	"hamband/internal/metrics"
+	"hamband/internal/mu"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -135,6 +136,10 @@ type Verdict struct {
 	// reconfiguration events.
 	Reconfigs  int
 	FinalEpoch uint32
+
+	// Kills holds the instant each leaderkill suspended its victim, in
+	// firing order: the event's At, or later for a mid-round one.
+	Kills []sim.Time
 
 	// ShardAcked is the per-shard acked-update count on ShardMix runs
 	// (nil otherwise). A healthy sharded run acks on every shard.
@@ -497,7 +502,7 @@ func (r *runner) apply(e Event) {
 	case KindTornHeal:
 		r.fab.SetTorn(rdma.NodeID(e.A), rdma.NodeID(e.B), 0, 0)
 	case KindLeaderKill:
-		r.leaderKill(e.Group)
+		r.leaderKill(e.Group, e.MidRound)
 	case KindLeave:
 		r.reconfig(e.Node, false)
 	case KindJoin:
@@ -529,18 +534,43 @@ func (r *runner) resume(n int) {
 // g mod shards first, so on a ShardMix plan the fault is aimed at exactly
 // one shard's consensus — the probe for cross-shard stall isolation.
 // Classes without conflicting methods have no leaders; the kill then falls
-// on the lowest-id live node so the event still perturbs something.
-func (r *runner) leaderKill(g int) {
+// on the lowest-id live node so the event still perturbs something. A
+// midRound kill waits for the victim's next sequencing (Event.MidRound).
+func (r *runner) leaderKill(g int, midRound bool) {
 	live := r.issuable()
 	if len(live) == 0 {
 		return
 	}
 	victim := live[0]
+	kill := func() {
+		r.v.Kills = append(r.v.Kills, r.eng.Now())
+		r.suspend(victim)
+	}
 	if groups := len(r.an.SyncGroups); groups > 0 {
 		sh := r.shards[g%len(r.shards)]
-		victim = int(sh.cluster.Leader(spec.ProcID(live[0]), (g/len(r.shards))%groups))
+		gi := (g / len(r.shards)) % groups
+		victim = int(sh.cluster.Leader(spec.ProcID(live[0]), gi))
+		if midRound {
+			r.afterNextOrder(sh.cluster.Replica(spec.ProcID(victim)).Group(gi), kill)
+			return
+		}
 	}
-	r.suspend(victim)
+	kill()
+}
+
+// afterNextOrder runs fire once, a nanosecond after in next sequences a call:
+// strictly after the sequencing, and before anything the round that call
+// opens could have completed. It wraps in's Transform, the ordering point,
+// for the rest of the run; the wrapper costs no virtual time.
+func (r *runner) afterNextOrder(in *mu.Instance, fire func()) {
+	transform, armed := in.Transform, true
+	in.Transform = func(origin rdma.NodeID, payload []byte) []byte {
+		if armed {
+			armed = false
+			r.eng.After(sim.Nanosecond, fire)
+		}
+		return transform(origin, payload)
+	}
 }
 
 // reconfigSettle is how long the runner stops issuing at a leave target

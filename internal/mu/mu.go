@@ -13,8 +13,9 @@
 // round record carries the previous round's last sequence number as its
 // commit watermark, so followers, which poll their log rings and deliver
 // entries in sequence order, deliver round k, as one delivery, when round k+1
-// arrives; only a round with no successor is followed by a round of no
-// entries, which carries its commit alone.
+// arrives. A round that completes with nothing queued leaves its commit owed:
+// the leader's next poll sweep sends a round of no entries, which carries it
+// alone, unless a round started in between has carried it already.
 //
 // Failure case: when the failure detector suspects the leader, the next
 // node requests leadership under a higher term. Every replica that accepts
@@ -165,6 +166,11 @@ type Instance struct {
 	zeros     []byte // RingCapacity zero bytes: what resetRing writes over a follower's ring
 	grants    map[rdma.NodeID]uint64
 	oldLeader rdma.NodeID
+	// owed reports that the followers have not been sent the delivery
+	// watermark: a round completed with nothing queued. The next sweep pays
+	// it with a round of no entries, a round starting first carries it, and a
+	// deposition forgets it.
+	owed bool
 
 	// Delivery state (all roles).
 	lastDelivered  uint64
@@ -175,8 +181,9 @@ type Instance struct {
 	lastProgressAt sim.Time           // when delivery last advanced (or was verified current)
 	// dedup[p] is what has been delivered of origin p's submissions, by
 	// submission sequence number; handoff hands the entries delivered on to
-	// Deliver: the leader's each as a CPU item of its own, a follower's the
-	// entries one round record commits as one item.
+	// Deliver, one CPU item for what one event delivers: at the leader a
+	// write completion's decisions, a self-majority round or a recovered
+	// entry, at a follower what one round record commits.
 	dedup   []ring.Watermark
 	handoff *ring.Handoff
 
@@ -724,6 +731,7 @@ func (in *Instance) startRound() bool {
 	clear(in.queue[rest:])
 	in.queue = in.queue[:rest]
 	in.sendRound(first, in.props)
+	in.owed = false // the round's records carry the watermark
 	// A configuration whose majority is this node alone decides here, after
 	// the round has left the queue: the last decision completes the round and
 	// comes back for the remainder.
@@ -731,6 +739,7 @@ func (in *Instance) startRound() bool {
 		for seq := first; seq < first+uint64(n); seq++ {
 			in.decide(seq)
 		}
+		in.handoff.Hand()
 	}
 	return true
 }
@@ -759,7 +768,8 @@ func (in *Instance) sendRound(first uint64, props []proposal) {
 }
 
 // acked is the completion of the oldest unacknowledged log write to peer: a
-// completed write counts toward every entry of the round record it carried.
+// completed write counts toward every entry of the round record it carried,
+// and what its decisions deliver is handed on as one item.
 func (in *Instance) acked(peer rdma.NodeID, err error) {
 	s := in.unacked[peer].Pop()
 	// Only successful writes count: a deposed leader's writes fail with
@@ -780,6 +790,7 @@ func (in *Instance) acked(peer rdma.NodeID, err error) {
 			in.decide(seq)
 		}
 	}
+	in.handoff.Hand()
 }
 
 // proposal is an entry this leader sequenced and has not delivered yet, its
@@ -800,11 +811,10 @@ func (in *Instance) proposal(seq uint64) *proposal {
 	return &in.props[seq-in.propBase]
 }
 
-// decide marks seq decided and delivers contiguous decided entries locally,
-// each handed on as an item of its own. The decision that completes the round
+// decide marks seq decided and delivers contiguous decided entries locally;
+// the caller closes the handoff record. The decision that completes the round
 // in flight starts the next one, whose record carries the new commit
-// watermark; with nothing queued, a round of no entries carries it to the
-// followers.
+// watermark; with nothing queued, the watermark is owed to the next sweep.
 func (in *Instance) decide(seq uint64) {
 	p := in.proposal(seq)
 	p.decided = true
@@ -829,16 +839,16 @@ func (in *Instance) decide(seq uint64) {
 		in.bumpDelivered(in.lastDelivered + 1)
 		advanced = true
 		in.deliverEntry(in.lastDelivered, e)
-		in.handoff.Hand()
 	}
 	if advanced && in.lastDelivered+1 >= in.nextSeq && !in.startRound() {
-		in.sendCommitRecord()
+		in.owed = true
 	}
 }
 
 // sendCommitRecord broadcasts a round of no entries, which carries the
-// current commit watermark alone.
+// current commit watermark alone, and so pays the owed one.
 func (in *Instance) sendCommitRecord() {
+	in.owed = false
 	in.mCommitRecords.Inc()
 	b := appendRoundHeader(codec.BeginRaw(in.rec[:0]), in.nextSeq, in.term, in.lastDelivered, 0)
 	in.replicate(in.frame(b), span{})
@@ -900,6 +910,9 @@ func (in *Instance) sweep() {
 	if in.isLeader && !in.recovering {
 		ring.Drain(in.reqReaders, in.handleRequest)
 		in.startRound()
+		if in.owed {
+			in.sendCommitRecord()
+		}
 	}
 	ring.Drain(in.ctrlReaders, in.handleCtrl)
 	// Anti-entropy with the leader: a stash gap, or simply no delivery
@@ -1067,6 +1080,7 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	// entries a later leadership recovers are sequenced afresh.
 	clear(in.props)
 	in.props = in.props[:0]
+	in.owed = false
 	// Revoke the previous leader's permission before granting the next —
 	// the order the paper prescribes.
 	in.switchLogPermission(cand)
@@ -1358,6 +1372,7 @@ func (in *Instance) redisseminate(seq uint64, e entry) {
 		*p = proposal{entry: e, acks: 1}
 		if p.acks >= in.majority() {
 			in.decide(seq)
+			in.handoff.Hand()
 		}
 	} else {
 		in.free.Release(e.payload)

@@ -1032,6 +1032,160 @@ func TestRoundDeliveryCatchesPerEntry(t *testing.T) {
 	t.Logf("caught: %v", err)
 }
 
+// leaderDelivery queues k requests at the leader of a 3-node group and
+// starts them as one round, and reports the first way the leader's
+// deliveries differ from k Deliver calls in sequence order in one
+// DeliverCost item: the first follower's write completion decides the whole
+// round, and the second finds it delivered. DeliverCost is priced apart from
+// every other item the leader's CPU runs. perEntry is the mutation: the
+// leader's handoff charges an item per entry.
+func leaderDelivery(t *testing.T, perEntry bool) error {
+	t.Helper()
+	const k = 6
+	lat := rdma.DefaultLatency()
+	lat.DeliverCost = 123 * sim.Nanosecond
+	c := newClusterOn(t, 3, 0, DefaultConfig(), lat, nil)
+	leader := c.inst[0]
+	if perEntry {
+		leader.handoff.MutatePerEntry()
+	}
+	items := 0
+	c.fab.Node(0).CPU.Observe = func(cost sim.Duration) {
+		if cost == lat.DeliverCost {
+			items++
+		}
+	}
+	var want []string
+	c.eng.At(0, func() {
+		for i := 0; i < k; i++ {
+			want = append(want, distinctPayload("leader", i))
+			leader.propose(rdma.NodeID(i%3), uint64(i+1), []byte(want[i]))
+		}
+		leader.startRound()
+	})
+	c.run(50 * sim.Microsecond)
+	if !slices.Equal(c.delivered[0], want) || !slices.Equal(c.seqs[0], []uint64{1, 2, 3, 4, 5, 6}) {
+		return fmt.Errorf("leader delivered %q as seqs %v, want %q as 1..%d", c.delivered[0], c.seqs[0], want, k)
+	}
+	if items != 1 {
+		return fmt.Errorf("%d DeliverCost items for a round of %d decided by one completion, want 1", items, k)
+	}
+	return nil
+}
+
+// TestLeaderDeliversACompletionAsOneItem: the leader hands what one write
+// completion decides on to Deliver as one CPU item, in sequence order.
+func TestLeaderDeliversACompletionAsOneItem(t *testing.T) {
+	if err := leaderDelivery(t, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLeaderDeliveryCatchesPerEntry is the mutation control of the test
+// above.
+func TestLeaderDeliveryCatchesPerEntry(t *testing.T) {
+	err := leaderDelivery(t, true)
+	if err == nil {
+		t.Fatal("a leader that charges an item per entry passed")
+	}
+	t.Logf("caught: %v", err)
+}
+
+// onLeaderDecide calls fn right after the write completion that first
+// advances the leader's delivery watermark.
+func onLeaderDecide(c *cluster, fn func()) {
+	leader := c.inst[0]
+	for p := 1; p < len(c.inst); p++ {
+		acked := leader.ackFns[p]
+		leader.ackFns[p] = func(err error) {
+			before := leader.lastDelivered
+			acked(err)
+			if before == 0 && leader.lastDelivered > 0 {
+				fn()
+			}
+		}
+	}
+}
+
+// TestIdleLeaderOwesCommitToNextSweep: a round that completes with nothing
+// queued does not send its commit from the completion. The leader's next poll
+// sweep sends it, as the one round of no entries, and the followers deliver
+// the entry after that sweep.
+func TestIdleLeaderOwesCommitToNextSweep(t *testing.T) {
+	reg := metrics.New(nil)
+	c := newClusterCfg(t, 3, 0, DefaultConfig(), reg)
+	leader, commits := c.inst[0], reg.Counter("mu.commit_records")
+	var decidedAt, paidAt sim.Time
+	decided, swept := false, false
+	onLeaderDecide(c, func() {
+		decided, decidedAt = true, c.eng.Now()
+		if commits.Value() != 0 {
+			t.Errorf("the completion that decided the round sent %d commit records", commits.Value())
+		}
+	})
+	leader.poll.Stop()
+	leader.poll = c.fab.Node(0).Poll(func() {
+		before := commits.Value()
+		leader.sweep()
+		if !decided || swept {
+			return
+		}
+		swept = true
+		if commits.Value() != before+1 {
+			t.Errorf("the first sweep after the decision at %v sent %d commit records, want 1",
+				sim.Duration(decidedAt), commits.Value()-before)
+		}
+		paidAt = c.eng.Now()
+	})
+	deliveredAt := make([]sim.Time, 3)
+	for i := 1; i < 3; i++ {
+		i, deliver := i, c.inst[i].Deliver
+		c.inst[i].Deliver = func(seq uint64, origin rdma.NodeID, payload []byte) {
+			deliveredAt[i] = c.eng.Now()
+			deliver(seq, origin, payload)
+		}
+	}
+	c.eng.At(0, func() { leader.Submit([]byte("solo")) })
+	c.run(5 * sim.Millisecond)
+	if !swept {
+		t.Fatal("the leader never swept after deciding the round")
+	}
+	if n := commits.Value(); n != 1 {
+		t.Fatalf("%d commit records for one lone submission, want 1", n)
+	}
+	for i := 1; i < 3; i++ {
+		if len(c.delivered[i]) != 1 || deliveredAt[i] <= paidAt {
+			t.Fatalf("follower %d delivered %q, the last at %v; the commit left in the sweep at %v",
+				i, c.delivered[i], sim.Duration(deliveredAt[i]), sim.Duration(paidAt))
+		}
+	}
+}
+
+// TestDeposedLeaderForgetsOwedCommit: a leader deposed between the decision
+// that leaves a commit owed and its next sweep never sends it.
+func TestDeposedLeaderForgetsOwedCommit(t *testing.T) {
+	reg := metrics.New(nil)
+	c := newClusterCfg(t, 3, 0, DefaultConfig(), reg)
+	leader := c.inst[0]
+	deposed := false
+	onLeaderDecide(c, func() {
+		leader.handleVote(leader.term+1, 1) // node 1's vote, read in the same instant
+		deposed = true
+	})
+	c.eng.At(0, func() { leader.Submit([]byte("solo")) })
+	c.run(1 * sim.Millisecond)
+	if !deposed || leader.IsLeader() {
+		t.Fatalf("deposed %v, leader still leads %v: the vote did not land after the decision", deposed, leader.IsLeader())
+	}
+	if n := reg.Counter("mu.commit_records").Value(); n != 0 {
+		t.Fatalf("the deposed leader sent %d commit records, want none", n)
+	}
+	// Node 1 also got the grant; node 2 gets nothing but the round.
+	if w := reg.Counter("rdma.qp.0-2.writes").Value(); w != 1 {
+		t.Fatalf("the deposed leader posted %d writes to node 2, want the round's one", w)
+	}
+}
+
 // TestLongRoundSplitsIntoRecords: a round longer than the log ring's record
 // bound goes out as several round records, and each record's entries are
 // decided by the completions of that record's writes alone. With a 2 KiB

@@ -85,10 +85,11 @@ func (w *Watermark) Admit(seq uint64, n int, all bool) (from int, fresh bool) {
 }
 
 // Handoff hands delivered records to the layer above in the order added. A
-// record is one entry or several — the messages one broadcast sweep found, a
-// decided Mu entry, or a Mu round a follower delivers at once — and each is a
-// DeliverCost work item of its own on the node's CPU, which runs its items in
-// order and only pauses them while suspended or crashed. Each entry waits in a
+// record is one entry or several — the messages one broadcast sweep found,
+// what one write completion decides at a Mu leader, or a Mu round a follower
+// delivers at once — and each is a DeliverCost work item of its own on the
+// node's CPU, which runs its items in order and only pauses them while
+// suspended or crashed. Each entry waits in a
 // buffer from a free list shared with the holder, who fills it (Buffers.Keep)
 // and gives it to Add, and the handler borrows it until it returns.
 type Handoff struct {
