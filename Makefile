@@ -15,14 +15,8 @@ test:
 # bench-test runs the tests of the two-clock benchmark. benchmark/ is a
 # module of its own (the root `go test ./...` skips it), and its tests are
 # the only place the same-seed byte-identity of the virtual clock is pinned.
-# TestFigurePointsMatchPR8 is skipped since PR 13 ("one write per pump"): it
-# pins fig9/fig10 to BENCH_PR8's 9.07 / 2.12 ops/µs. PR 13 moved them to
-# 9.63 / 2.40 and PR 17 ("one round per sync group") moved fig10 on to 3.06,
-# both on purpose and both with benchmark/ frozen (PR 18, which builds no F
-# buffers for a class without an irreducible conflict-free method, moved fig10
-# to 3.12 and left fig9 at 9.62; PR 19, one write per δ-run, moved neither;
-# PR 20, one broadcast record per round trip, moved fig9 to 13.44). The next
-# benchmark PR re-pins the test to BENCH_PR20.json and drops the skip.
+# TestFigurePointsMatchPR8 is skipped: it pins three workloads to BENCH_PR8's
+# throughputs, which later perf changes moved on purpose (ROADMAP item 2).
 bench-test:
 	cd benchmark && $(GO) test -skip TestFigurePointsMatchPR8 ./...
 
@@ -206,13 +200,15 @@ allocs:
 	done
 
 # ledger prints the virtual-CPU ledgers: µs of simulated CPU per call by call
-# site (post, CQE, deliver, apply, polls, accept, head and heartbeat reads).
-# TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for a node
-# that leads nothing, under Hamband and under the SMR baseline (Hamband p0's
-# deliver row at most 0.025 µs/op, both p0 post rows side by side); TestStoreLedger
+# site (post, CQ polls, deliver, apply, sweeps, accept, head and heartbeat
+# reads). TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for
+# a node that leads nothing, under Hamband and under the SMR baseline (Hamband
+# p0's deliver row at most 0.025 µs/op and its CQ polls row at most 0.015, with
+# the polls per quorum batch, both p0 post rows side by side), and
+# TestLeaderLedgerCatchesSignAll its control; TestStoreLedger
 # is one node of a 16-shard store under the store-zipf shape, for counter
-# shards (no polls row: no F or L buffers) and for OR-set shards at 4 and 16
-# (one poll loop a node: the polls share must not depend on the shard
+# shards (no sweeps row: no F or L buffers) and for OR-set shards at 4 and 16
+# (one poll loop a node: the sweeps share must not depend on the shard
 # count); TestReduceLedger is one node on the reducible path, gset with all
 # updates and counter with a quarter, with the WRs, chains and δ-records per
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
@@ -226,7 +222,7 @@ ledger:
 # holds every figure of the paper table (the Figure 8–13 grids and a misses
 # point per claim), it takes about 13 s on a 2-core host (1.3 s when it held
 # one point per figure); bench-same and CI's benchstat lane take as long.
-SNAPSHOT ?= BENCH_PR62.json
+SNAPSHOT ?= BENCH_PR63.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -275,8 +271,8 @@ bench-pairs:
 # gives (internal/bench/snapshot.go). Run it with OLD at the previous
 # snapshot when re-recording one; CI runs it against the committed snapshot
 # as a report before its byte-for-byte cmp.
-OLD ?= BENCH_PR62.json
-NEW ?= BENCH_PR62.json
+OLD ?= BENCH_PR63.json
+NEW ?= BENCH_PR63.json
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

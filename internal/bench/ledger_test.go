@@ -20,16 +20,17 @@ import (
 )
 
 // ledger charges every work item submitted to one node's CPU to the call
-// site that submitted it.
+// site that submitted it, and counts the items of each site.
 type ledger struct {
 	rows  map[string]sim.Duration
-	sites map[[ledgerDepth]uintptr]string // stack → row, so each stack is symbolized once
+	items map[string]int                  // site → work items
+	sites map[[ledgerDepth]uintptr]string // stack → site, so each stack is symbolized once
 }
 
 const ledgerDepth = 12
 
 func newLedger() *ledger {
-	return &ledger{rows: map[string]sim.Duration{}, sites: map[[ledgerDepth]uintptr]string{}}
+	return &ledger{rows: map[string]sim.Duration{}, items: map[string]int{}, sites: map[[ledgerDepth]uintptr]string{}}
 }
 
 // charge is the sim.CPU observer: it runs on the submitter's stack.
@@ -39,45 +40,60 @@ func (l *ledger) charge(cost sim.Duration) {
 	}
 	var pcs [ledgerDepth]uintptr
 	runtime.Callers(3, pcs[:]) // skip Callers, charge and CPU.Submit
-	row, ok := l.sites[pcs]
+	site, ok := l.sites[pcs]
 	if !ok {
-		row = ledgerRow(pcs[:])
-		l.sites[pcs] = row
+		site = callSite(pcs[:])
+		l.sites[pcs] = site
 	}
-	l.rows[row] += cost
+	l.rows[ledgerRow(site)] += cost
+	l.items[site]++
 }
+
+// itemsAt counts the work items of the sites that start with prefix.
+func (l *ledger) itemsAt(prefix string) int {
+	n := 0
+	for site, k := range l.items {
+		if strings.HasPrefix(site, prefix) {
+			n += k
+		}
+	}
+	return n
+}
+
+// perOp is row's µs of virtual CPU per call of ops.
+func (l *ledger) perOp(row string, ops int) float64 { return l.rows[row].Micros() / float64(ops) }
 
 // ledgerRows maps a charging site to the ledger row it belongs to. A site is
 // "function" or, for the rdma verbs, "function<user": the first caller
 // outside rdma, which says whose verb it is — or the node service posting it
 // from its own work item or ticker: the coalescer (summary writes) or the
-// detector (heartbeat reads). Every verb's completion lands in the node's one
-// completion queue, whose polls are the CQE row, reads and writes alike. An
-// unlisted site gets a row of its own, so the rows always sum to the CPU's
+// detector (heartbeat reads). A Mu leader's quorum writes are one batch's post
+// item, a log ring write too. Every verb's completion lands in the node's one
+// completion queue, whose polls (PollCost each) are the CQ polls row, reads and
+// writes alike; the node's poll loop ticks (SweepCost each) are the sweeps row.
+// An unlisted site gets a row of its own, so the rows always sum to the CPU's
 // busy time, and fails the test: every row is one of the list's.
 var ledgerRows = []ledgerSite{
 	{"rdma.(*verb).post<ring.(*Sender).pump", "post: log/request ring writes"},
+	{"rdma.(*Batch).flush", "post: log/request ring writes"},
 	{"rdma.(*verb).post<rdma.(*Coalescer).flush", "post: summary writes"},
 	{"rdma.(*verb).post<ring.(*Sender)", "head reads"},
 	{"rdma.(*verb).post<rdma.(*Detector).", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
-	{"rdma.(*completionQueue).arm", "CQE: completions"},
+	{"rdma.(*completionQueue).arm", "CQ polls"},
 	{"ring.(*Handoff).Hand", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
-	{"rdma.(*Node).tick", "polls"},
+	{"rdma.(*Node).tick", "sweeps"},
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
 }
 
 type ledgerSite struct{ site, row string }
 
-// ledgerRow names the row of the stack pcs. The innermost frame outside sim
-// is the charging site; for a site in rdma the first caller outside rdma, or
-// the coalescer or the detector on the way there, is appended.
-func ledgerRow(pcs []uintptr) string {
-	site := callSite(pcs)
+// ledgerRow names the row of a charging site (callSite).
+func ledgerRow(site string) string {
 	for _, r := range ledgerRows {
 		if strings.HasPrefix(site, r.site) {
 			return r.row
@@ -86,6 +102,10 @@ func ledgerRow(pcs []uintptr) string {
 	return site
 }
 
+// callSite names the charging site of the stack pcs. The innermost frame
+// outside sim is the charging site; for a site in rdma the first caller
+// outside rdma, or the coalescer or the detector on the way there, is
+// appended.
 func callSite(pcs []uintptr) string {
 	frames := runtime.CallersFrames(pcs)
 	site := ""
@@ -119,46 +139,92 @@ func callSite(pcs []uintptr) string {
 // busy time; utilisation is busy time over the makespan. The leader hands on
 // what one write completion decides as one delivery, so Hamband p0's deliver
 // row stays at most 0.025 µs/op: 0.0211 at seed 42, and 0.0598 with an item
-// per decided entry. The two systems' p0 post rows are printed side by side:
-// Mu's one leader posts less per call than Hamband's group-0 leader.
+// per decided entry. A round asks completions of its quorum only, posted as
+// one batch, so one poll of the completion queue reaps the round: Hamband
+// p0's CQ polls row stays at most maxLeaderCQ µs/op (0.0293, about 2.5 polls a
+// round, with every follower signed and each write posted alone). The two
+// systems' p0 post rows are printed side by side: Mu's one leader posts less
+// per call than Hamband's group-0 leader.
 func TestLeaderLedger(t *testing.T) {
-	const nodes, leader, follower = 4, 0, 3
-	const postRow = "post: log/request ring writes"
 	post := map[SystemKind]float64{}
 	for _, kind := range []SystemKind{Hamband, MuSMR} {
-		eng := sim.NewEngine(42)
-		an := spec.MustAnalyze(schema.NewMovie())
-		sys, err := Build(kind, eng, nodes, an, Variant{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fab := sys.(*hambandSystem).c.Fab
-		observed := []int{leader, follower}
-		ledgers := []*ledger{newLedger(), newLedger()}
-		for i, node := range observed {
-			fab.Node(rdma.NodeID(node)).CPU.Observe = ledgers[i].charge
-		}
-		res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 1.0, 43))
-		if res.TimedOut || res.Completed != DefaultOps {
-			t.Fatalf("%s: completed %d/%d, timed out %v", kind, res.Completed, DefaultOps, res.TimedOut)
-		}
-		for i, node := range observed {
-			l := ledgers[i]
-			sum := l.settle(t, eng, fab.Node(rdma.NodeID(node)).CPU, fmt.Sprintf("%s p%d", kind, node))
-			role := "leads nothing"
-			if node == leader {
-				role = "leads group 0" // under SMR, the one group
-				post[kind] = l.rows[postRow].Micros() / float64(res.Completed)
-				deliver := l.rows["deliver"].Micros() / float64(res.Completed)
-				if kind == Hamband && (deliver == 0 || deliver > 0.025) {
-					t.Errorf("Hamband p0: deliver costs %.4f µs/op, want a row and at most 0.025 (0.0598 with an item per decided entry)", deliver)
-				}
+		l, ops := leaderLedger(t, kind, false)
+		post[kind] = l.perOp(ledgerPostRow, ops)
+		if kind == Hamband {
+			if deliver := l.perOp("deliver", ops); deliver == 0 || deliver > 0.025 {
+				t.Errorf("Hamband p0: deliver costs %.4f µs/op, want a row and at most 0.025 (0.0598 with an item per decided entry)", deliver)
 			}
-			t.Logf("%s p%d (%s): %.2f ops/µs, busy %.1f%% of %v\n%s", kind, node, role,
-				res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan, l.table(res.Completed))
+			if cq := l.perOp("CQ polls", ops); cq == 0 || cq > maxLeaderCQ {
+				t.Errorf("Hamband p0: CQ polls cost %.4f µs/op, want a row and at most %.3f (0.0293 with every follower signed)", cq, maxLeaderCQ)
+			}
 		}
 	}
-	t.Logf("p0 %s: Hamband %.4f µs/op, Mu %.4f µs/op", postRow, post[Hamband], post[MuSMR])
+	t.Logf("p0 %s: Hamband %.4f µs/op, Mu %.4f µs/op", ledgerPostRow, post[Hamband], post[MuSMR])
+}
+
+// TestLeaderLedgerCatchesSignAll is the mutation control of the CQ polls bound
+// above: every follower's write signaled and posted alone, the rule before
+// the quorum batch.
+func TestLeaderLedgerCatchesSignAll(t *testing.T) {
+	l, ops := leaderLedger(t, Hamband, true)
+	cq := l.perOp("CQ polls", ops)
+	if cq <= maxLeaderCQ {
+		t.Fatalf("signing every follower costs %.4f µs/op of CQ polls, within the %.3f bound", cq, maxLeaderCQ)
+	}
+	t.Logf("caught: CQ polls %.4f µs/op", cq)
+}
+
+const (
+	ledgerPostRow = "post: log/request ring writes"
+	maxLeaderCQ   = 0.015
+)
+
+// leaderLedger runs the Fig. 10 point under kind, every Mu instance signing
+// every follower when signAll is set, logs the ledgers of the group-0 leader
+// (with its CQ polls per quorum batch, one batch a round) and of a node that
+// leads nothing, and returns the leader's and the calls completed.
+func leaderLedger(t *testing.T, kind SystemKind, signAll bool) (*ledger, int) {
+	t.Helper()
+	const nodes, leader, follower = 4, 0, 3
+	eng := sim.NewEngine(42)
+	an := spec.MustAnalyze(schema.NewMovie())
+	sys, err := Build(kind, eng, nodes, an, Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.(*hambandSystem).c
+	if signAll {
+		for _, r := range c.Replicas {
+			for g := 0; g < r.GroupCount(); g++ {
+				r.Group(g).MutateSignAll()
+			}
+		}
+	}
+	observed := []int{leader, follower}
+	ledgers := []*ledger{newLedger(), newLedger()}
+	for i, node := range observed {
+		c.Fab.Node(rdma.NodeID(node)).CPU.Observe = ledgers[i].charge
+	}
+	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 1.0, 43))
+	if res.TimedOut || res.Completed != DefaultOps {
+		t.Fatalf("%s: completed %d/%d, timed out %v", kind, res.Completed, DefaultOps, res.TimedOut)
+	}
+	for i, node := range observed {
+		l := ledgers[i]
+		sum := l.settle(t, eng, c.Fab.Node(rdma.NodeID(node)).CPU, fmt.Sprintf("%s p%d", kind, node))
+		role := "leads nothing"
+		if node == leader {
+			role = "leads group 0" // under SMR, the one group
+			polls, batches := l.itemsAt("rdma.(*completionQueue).arm"), l.itemsAt("rdma.(*Batch).flush")
+			role += fmt.Sprintf("; %d CQ polls, %d quorum batches", polls, batches)
+			if batches > 0 {
+				role += fmt.Sprintf(", %.2f polls a batch", float64(polls)/float64(batches))
+			}
+		}
+		t.Logf("%s p%d (%s): %.2f ops/µs, busy %.1f%% of %v\n%s", kind, node, role,
+			res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan, l.table(res.Completed))
+	}
+	return ledgers[0], res.Completed
 }
 
 // TestReduceLedger prints the virtual-CPU ledger of one node on the reducible
@@ -227,7 +293,7 @@ func TestReduceLedger(t *testing.T) {
 // busy all the time, so what the F out-channel's rule buys is on the ledger:
 // post is paid per broadcast message, and one message per round trip carries
 // every call accepted meanwhile; deliver is paid per sweep that found
-// messages and CQE per poll of the completion queue; accept and apply are per
+// messages and CQ polls per poll of the completion queue; accept and apply are per
 // call and do not move. At commit c6f5281, one message per call, the point
 // read deliver 0.0187 + post 0.0144 + CQE 0.0085 of 0.1038 µs/op and 6 780
 // ring writes for 5 000 updates; at a2bb955, a deliver item per message and a
@@ -257,11 +323,11 @@ func TestFreeLedger(t *testing.T) {
 		res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
 		calls, msgs, perMsg, msgs*(nodes-1), writes, float64(msgs*(nodes-1))/float64(writes), l.table(res.Completed))
 	perOp := func(row string) float64 { return l.rows[row].Micros() / float64(res.Completed) }
-	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQE: completions"); perMessage == 0 || perMessage > 0.020 {
-		t.Errorf("deliver + post + CQE cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
+	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQ polls"); perMessage == 0 || perMessage > 0.020 {
+		t.Errorf("deliver + post + CQ polls cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
 	}
-	if batched := perOp("deliver") + perOp("CQE: completions"); batched > 0.005 {
-		t.Errorf("deliver + CQE cost %.4f µs/op, want at most 0.005 (0.0085 with an item per message and per completion)", batched)
+	if batched := perOp("deliver") + perOp("CQ polls"); batched > 0.005 {
+		t.Errorf("deliver + CQ polls cost %.4f µs/op, want at most 0.005 (0.0085 with an item per message and per completion)", batched)
 	}
 	// Per call, so unchanged up to p0's share of the closed loop's calls.
 	if accept, apply := perOp("accept"), perOp("apply"); math.Abs(accept-0.0438) > 0.0002 || math.Abs(apply-0.0124) > 0.0002 {
@@ -276,14 +342,14 @@ func TestFreeLedger(t *testing.T) {
 // store under the store-zipf shape (four nodes, Zipf 1.5 keys, half updates
 // half local queries, eight calls outstanding per node; `make ledger`). A
 // counter has no irreducible conflict-free method, so its shards build no F
-// rings and the ledger must hold no polls row however many are open. The
+// rings and the ledger must hold no sweeps row however many are open. The
 // OR-set keeps its buffers: one receiver per open shard. Every receiver of a
 // node sweeps in the node's one poll loop, SweepCost every SweepPeriod whether
-// or not anything arrived, so the polls row is the same share of the node at
+// or not anything arrived, so the sweeps row is the same share of the node at
 // 4 and 16 shards (ROADMAP item 6), and 16 shards keep at least minORSet16.
 func TestStoreLedger(t *testing.T) {
 	const nodes, minORSet16 = 4, 6.5
-	// point returns the ledger, the throughput and the polls row's share of
+	// point returns the ledger, the throughput and the sweeps row's share of
 	// the node's time.
 	point := func(cls *spec.Class, shards int) (*ledger, float64, float64) {
 		eng := sim.NewEngine(42)
@@ -302,24 +368,24 @@ func TestStoreLedger(t *testing.T) {
 			t.Fatalf("%s ×%d: completed %d/%d, timed out %v", cls.Name, shards, res.Completed, DefaultOps, res.TimedOut)
 		}
 		sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
-		polls := l.rows["polls"]
-		share := float64(polls) / float64(res.Makespan)
-		t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; polls %.4f µs/op = %.1f%% of the node's CPU time\n%s",
+		sweeps := l.rows["sweeps"]
+		share := float64(sweeps) / float64(res.Makespan)
+		t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; sweeps %.4f µs/op = %.1f%% of the node's CPU time\n%s",
 			shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-			polls.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
+			sweeps.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
 		return l, res.Throughput(), share
 	}
-	if l, _, _ := point(crdt.NewCounter(), 16); l.rows["polls"] != 0 {
-		t.Errorf("16 counter shards charge %v of polls: a class without F or L buffers has nothing to poll", l.rows["polls"])
+	if l, _, _ := point(crdt.NewCounter(), 16); l.rows["sweeps"] != 0 {
+		t.Errorf("16 counter shards charge %v of sweeps: a class without F or L buffers has nothing to poll", l.rows["sweeps"])
 	}
 	_, _, share4 := point(crdt.NewORSet(), 4)
 	_, rate16, share16 := point(crdt.NewORSet(), 16)
 	if share4 == 0 || share16 == 0 {
-		t.Fatalf("orset polls share %.4f at 4 shards, %.4f at 16: the ledger lost the receivers' row", share4, share16)
+		t.Fatalf("orset sweeps share %.4f at 4 shards, %.4f at 16: the ledger lost the receivers' row", share4, share16)
 	}
 	// Up to the partial tick at each end of the run.
 	if math.Abs(share16-share4) > 0.001 {
-		t.Errorf("orset polls take %.2f%% of the node at 4 shards and %.2f%% at 16, want the same share: one poll loop a node", 100*share4, 100*share16)
+		t.Errorf("orset sweeps take %.2f%% of the node at 4 shards and %.2f%% at 16, want the same share: one poll loop a node", 100*share4, 100*share16)
 	}
 	if rate16 < minORSet16 {
 		t.Errorf("16 orset shards run at %.2f ops/µs, want at least %.1f", rate16, minORSet16)

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR62.json"
+	baselineSnapshot = "../../BENCH_PR63.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 

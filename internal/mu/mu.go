@@ -9,7 +9,10 @@
 // and the decision that completes the round sequences everything queued as
 // the next one. A round is one local journal write per entry plus one ring
 // record — one one-sided RDMA write — per follower; the leader considers an
-// entry decided once a majority of writes (counting itself) completed. A
+// entry decided once a majority of writes (counting itself) completed. Only
+// the majority−1 followers' writes the decision waits on ask a completion,
+// posted as one batch, so one poll reaps them; if one of them fails or is
+// overdue, the round's other followers are asked instead. A
 // round record carries the previous round's last sequence number as its
 // commit watermark, so followers, which poll their log rings and deliver
 // entries in sequence order, deliver round k, as one delivery, when round k+1
@@ -150,13 +153,27 @@ type Instance struct {
 	// delivered finds nothing to count toward.
 	propBase uint64
 	props    []proposal
-	// unacked[p] lists the sequence numbers each round record sent to
-	// follower p carries, one span per record whose log write has not
+	// unacked[p] lists the sequence numbers each signaled record sent to
+	// follower p counts toward, one span per record whose log write has not
 	// completed, oldest first; ackFns[p], bound once, is the completion of
 	// every one of them and pops its own (a Sender's onDones run in send
 	// order). Both are indexed by node id.
 	unacked []fifo.Queue[span]
 	ackFns  []func(error)
+	// copies[p] is how the round in flight went to follower p: not at all, a
+	// copy asking no completion, or a signaled one (replicate). missed[p]
+	// reports that p's last signaled write failed or was overdue, so later
+	// rounds sign the other followers first; a completed write clears it.
+	// pick is replicate's scratch. All are indexed by node id. batch posts a
+	// round's signaled writes as one CPU item.
+	copies []roundCopy
+	missed []bool
+	pick   []bool
+	batch  *rdma.Batch
+	// signAll is the mutant that signs every follower's write, each posted
+	// alone (MutateSignAll), and noFallback the one that never signs the
+	// others (the fault tests' control).
+	signAll, noFallback bool
 	// open[p] reports whether this node's writer on follower p's log ring sits
 	// at a position it established: from the start for the initial leader,
 	// once resetRing has wiped the ring and read its head for a later one.
@@ -216,6 +233,7 @@ type Instance struct {
 	mQueueWait     *metrics.Histogram // leader: request queued → its round starts
 	mRoundEntries  *metrics.Histogram // leader: entries per round (a count, not a time)
 	mCommitRecords *metrics.Counter   // leader: rounds of no entries sent
+	mFallbacks     *metrics.Counter   // leader: rounds whose other followers were signed
 	mLeaderChanges *metrics.Counter   // leader-view adoptions on this node
 	mElections     *metrics.Counter   // candidacies started by this node
 	tornRead       *metrics.Read      // mu.torn_rejects; Stop retires it
@@ -262,6 +280,10 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		logOut:  make([]*ring.Sender, fab.Size()),
 		unacked: make([]fifo.Queue[span], fab.Size()),
 		ackFns:  make([]func(error), fab.Size()),
+		copies:  make([]roundCopy, fab.Size()),
+		missed:  make([]bool, fab.Size()),
+		pick:    make([]bool, fab.Size()),
+		batch:   node.NewBatch(),
 		open:    make([]bool, fab.Size()),
 		stash:   make(map[uint64]stashed),
 		dedup:   make([]ring.Watermark, fab.Size()),
@@ -283,6 +305,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.mRoundEntries = reg.Histogram("mu.round_entries",
 			[]sim.Duration{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024})
 		in.mCommitRecords = reg.Counter("mu.commit_records")
+		in.mFallbacks = reg.Counter("mu.quorum_fallbacks")
 		in.mLeaderChanges = reg.Counter("mu.leader_changes")
 		in.mElections = reg.Counter("mu.elections")
 		in.proposedAt = make(map[uint64]sim.Time)
@@ -618,27 +641,139 @@ type span struct {
 	n     int
 }
 
+// roundCopy is how the round in flight went to one follower.
+type roundCopy uint8
+
+const (
+	noCopy   roundCopy = iota // not at all: the follower's ring was closed
+	unsigned                  // its writes ask no completion
+	signed                    // its writes ask a completion, counted toward the round
+)
+
 // replicate appends rec, a round record framed once, to the log ring of every
-// follower whose ring is open (a write error — e.g. permission revoked by a
-// new leader — reaches every record the write carried, so a deposed leader
-// still cannot assemble a majority). Each follower's completed write is
-// counted toward deciding every entry of the record: its span joins the
+// follower whose ring is open. A record of entries asks a completion of
+// majority−1 member followers only, the quorum the round waits on: the first
+// ones, by node id, that have not missed a quorum, then the first that have
+// (pickQuorum). Their writes go out as one batch, so their completions land
+// together and one poll of the completion queue reaps them; each completed
+// write counts toward every entry of the record (its span joins the
 // follower's unacked queue, and the follower's one completion callback pops
-// it. A round of no entries asks for no completion.
+// it), and a write error — e.g. permission revoked by a new leader — counts
+// nothing, so a deposed leader still cannot assemble a majority. Every other
+// follower's write, and a round of no entries, posts unsignaled behind the
+// batch. A round's records all go out in one event, so each of them picks the
+// same quorum.
 func (in *Instance) replicate(rec []byte, s span) {
+	if s.n > 0 {
+		in.pickQuorum(in.majority() - 1)
+	}
 	for p := 0; p < in.n; p++ {
 		oc := in.logOut[p]
 		if oc == nil || !in.open[p] {
 			continue
 		}
-		var onDone func(error)
-		if s.n > 0 {
-			in.unacked[p].Push(s)
-			onDone = in.ackFns[p]
+		switch {
+		case s.n == 0:
+			oc.Send(rec, "", nil)
+		case in.pick[p]:
+			in.sign(p, rec, s)
+		default:
+			in.copies[p] = max(in.copies[p], unsigned)
+			oc.Send(rec, "", nil)
 		}
-		oc.Send(rec, "", onDone)
 	}
 }
+
+// sign sends rec to follower p asking a completion, which counts toward s,
+// in the batch; under the signAll mutant, in a post of its own.
+func (in *Instance) sign(p int, rec []byte, s span) {
+	in.copies[p] = signed
+	in.unacked[p].Push(s)
+	if in.signAll {
+		in.logOut[p].Send(rec, "", in.ackFns[p])
+		return
+	}
+	in.logOut[p].SendIn(in.batch, rec, "", in.ackFns[p])
+}
+
+// pickQuorum sets pick to the want open member followers whose writes ask a
+// completion: those that have not missed a quorum first, each group in node
+// id order.
+func (in *Instance) pickQuorum(want int) {
+	if in.signAll {
+		want = in.n
+	}
+	clear(in.pick)
+	for _, late := range [2]bool{false, true} {
+		for p := 0; p < in.n && want > 0; p++ {
+			if in.logOut[p] != nil && in.open[p] && in.member(rdma.NodeID(p)) && in.missed[p] == late {
+				in.pick[p] = true
+				want--
+			}
+		}
+	}
+}
+
+// overdue reports, at a sweep, whether the round in flight can no longer
+// count on the completions it asked for: every signed write still
+// outstanding to a member is late, marking its follower missed, or none is
+// outstanding and the round is short of its quorum (a signed follower's ack
+// was discarded, or the majority grew). A signed write is late a round trip
+// (WireLatency + AckLatency) and one SweepPeriod after the newest verb of its
+// follower's log Sender left (ring.Sender.SentAt): its round record, or the
+// head read a full ring holds it behind. The queue pair to the follower is no
+// clock: broadcast, requests and summaries post on it too, and while the link
+// is partitioned each of their verbs parks fresh. The sweep's clock is its
+// tick, not its start: it has seen every completion that landed before it
+// (rdma.Node.SweepTick), however long a busy CPU held it. Nothing is due
+// while the round's batch waits on the CPU.
+func (in *Instance) overdue() bool {
+	if in.lastDelivered+1 >= in.nextSeq || in.batch.Pending() {
+		return false
+	}
+	lat := in.fab.Latency()
+	due := sim.Time(lat.WireLatency + lat.AckLatency + lat.SweepPeriod)
+	tick, waiting := in.node.SweepTick(), false
+	for p := range in.copies {
+		switch {
+		case in.copies[p] != signed || in.unacked[p].Len() == 0 || !in.member(rdma.NodeID(p)):
+		case tick <= in.logOut[p].SentAt()+due:
+			waiting = true // it may yet complete in time
+		default:
+			in.missed[p] = true
+		}
+	}
+	return !waiting
+}
+
+// signOthers asks a completion of every open member follower to which the
+// round in flight went unsignaled: a signaled round of no entries each, all
+// in one batch. RC ordering completes it only once the round's records to that
+// follower have landed, so its span is the whole round, and the round decides
+// from any majority. A signaled write that failed, or a quorum overdue at a
+// sweep, calls it.
+func (in *Instance) signOthers() {
+	if in.noFallback || in.recovering || in.lastDelivered+1 >= in.nextSeq {
+		return
+	}
+	var rec []byte
+	for p, oc := range in.logOut {
+		if oc == nil || !in.open[p] || in.copies[p] != unsigned || !in.member(rdma.NodeID(p)) {
+			continue
+		}
+		if rec == nil {
+			in.mFallbacks.Inc()
+			rec = in.frame(appendRoundHeader(codec.BeginRaw(in.rec[:0]), in.nextSeq, in.term, in.lastDelivered, 0))
+		}
+		in.sign(p, rec, span{in.propBase, len(in.props)})
+	}
+}
+
+// MutateSignAll makes every round ask a completion of every follower, each
+// write posted alone: the rule before the quorum batch. It is for the
+// mutation controls only, a cost the ledger's completion-queue bound must
+// catch.
+func (in *Instance) MutateSignAll() { in.signAll = true }
 
 // --- submission -------------------------------------------------------
 
@@ -707,6 +842,7 @@ func (in *Instance) startRound() bool {
 	now := in.fab.Engine().Now()
 	first := in.nextSeq
 	in.propBase, in.props = first, in.props[:0] // everything before is delivered
+	clear(in.copies)
 	for i := 0; i < n; i++ {
 		r := &in.queue[i]
 		in.mQueueWait.Observe(sim.Duration(now - r.at))
@@ -767,9 +903,10 @@ func (in *Instance) sendRound(first uint64, props []proposal) {
 	}
 }
 
-// acked is the completion of the oldest unacknowledged log write to peer: a
-// completed write counts toward every entry of the round record it carried,
-// and what its decisions deliver is handed on as one item.
+// acked is the completion of the oldest unacknowledged signaled log write to
+// peer: a completed write counts toward every entry of its span, and what its
+// decisions deliver is handed on as one item. A failed one leaves the quorum
+// short, so the round's other followers are signed.
 func (in *Instance) acked(peer rdma.NodeID, err error) {
 	s := in.unacked[peer].Pop()
 	// Only successful writes count: a deposed leader's writes fail with
@@ -777,9 +914,15 @@ func (in *Instance) acked(peer rdma.NodeID, err error) {
 	// majority and never decides its zombie proposals. Acks from nodes
 	// outside the current configuration are discarded the same way — an
 	// observer's copy must not help decide an entry.
-	if !in.isLeader || err != nil || !in.member(peer) {
+	if !in.isLeader || !in.member(peer) {
 		return
 	}
+	if err != nil {
+		in.missed[peer] = true
+		in.signOthers()
+		return
+	}
+	in.missed[peer] = false
 	for seq := s.first; seq < s.first+uint64(s.n); seq++ {
 		p := in.proposal(seq)
 		if p == nil || p.acks == 0 {
@@ -912,6 +1055,9 @@ func (in *Instance) sweep() {
 		in.startRound()
 		if in.owed {
 			in.sendCommitRecord()
+		}
+		if in.overdue() {
+			in.signOthers()
 		}
 	}
 	ring.Drain(in.ctrlReaders, in.handleCtrl)
@@ -1080,6 +1226,7 @@ func (in *Instance) handleVote(term uint64, cand rdma.NodeID) {
 	// entries a later leadership recovers are sequenced afresh.
 	clear(in.props)
 	in.props = in.props[:0]
+	clear(in.copies)
 	in.owed = false
 	// Revoke the previous leader's permission before granting the next —
 	// the order the paper prescribes.
@@ -1203,6 +1350,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 			return
 		}
 		in.propBase, in.props = in.lastDelivered+1, in.props[:0]
+		clear(in.copies)
 		for _, r := range recovered {
 			in.redisseminate(r.seq, r.entry)
 		}

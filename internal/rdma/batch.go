@@ -1,0 +1,107 @@
+package rdma
+
+import "hamband/internal/sim"
+
+// Batch posts verbs to several of one node's queue pairs as one work item on
+// its CPU: the item costs what posting each verb alone would (each its own
+// doorbell: PostCost, ChainedPostCost per further WR of a chain, InlineCost
+// per inline payload), and every verb goes to its link gate, in the order it
+// was added, when the item ends. Verbs posted one item each reach the wire a
+// post cost apart, so their completions land apart and each costs a poll of
+// the completion queue of its own; a batch's completions land together, and
+// one poll reaps them all. A Mu leader posts the writes its quorum waits on
+// as one batch.
+//
+// Producers join a batch the way a ring sender's records join a pump: Defer
+// arms a zero-cost flush on the node's CPU, so every producer that defers
+// within the same scheduling round lands in the same post. The flush calls
+// each deferred fill, which adds its verbs with PostChain, and submits one
+// item for all of them. A batch is reused from flush to flush, and a warm one
+// allocates nothing.
+type Batch struct {
+	node    *Node
+	fills   []func(*Batch) // deferred to the next flush, in order
+	verbs   []*verb        // added by the last flush, posted by its item
+	cost    sim.Duration   // their post cost
+	armed   bool           // a flush is queued on the CPU
+	posting bool           // the flush's post item is queued on the CPU
+	flushFn func()         // b.flush and b.post bound once
+	postFn  func()
+}
+
+// NewBatch returns an empty batch posting from n.
+func (n *Node) NewBatch() *Batch {
+	b := &Batch{node: n}
+	b.flushFn, b.postFn = b.flush, b.post
+	return b
+}
+
+// Defer has the batch's next flush call fill, and arms the flush unless it is
+// armed. fill is bound once by the caller, and defers nothing itself.
+func (b *Batch) Defer(fill func(*Batch)) {
+	b.fills = append(b.fills, fill)
+	if !b.armed {
+		b.armed = true
+		b.node.CPU.Submit(0, b.flushFn)
+	}
+}
+
+// PostChain adds wrs, a chain to qp's target, to the post of the running
+// flush: the verb qp.PostChain would post alone, signaled only if onDone is
+// non-nil. A fill calls it; qp must be one of the batch's node's queue pairs.
+// On a nil b it posts the verb alone, as qp.PostChain does. When sent is
+// non-nil, *sent is set to when the verb reaches its link gate: leaves the
+// node's CPU for the wire, or parks at a partitioned link. A poster that
+// shares the queue pair with others reads its own completions' due times from
+// it. Data is copied now.
+func (b *Batch) PostChain(qp *QP, wrs []WR, onDone func(error), sent *sim.Time) {
+	v := qp.chain(wrs, onDone, true)
+	if v == nil {
+		return
+	}
+	v.sent = sent
+	if b == nil {
+		v.post()
+		return
+	}
+	if qp.from != b.node {
+		panic("rdma: a batch posts from its own node only")
+	}
+	b.cost += v.postCost()
+	b.verbs = append(b.verbs, v)
+}
+
+// Pending reports whether a flush or a post item of the batch waits on the
+// CPU: verbs deferred to it have not left yet.
+func (b *Batch) Pending() bool { return b.armed || b.posting }
+
+// flush calls the deferred fills and submits one item of the verbs they
+// added, unless they added none. The CPU runs its work in submission order,
+// so the item ends before the next flush runs: one post item at most is in
+// flight.
+func (b *Batch) flush() {
+	b.armed = false
+	for i, fill := range b.fills {
+		b.fills[i] = nil
+		fill(b)
+	}
+	b.fills = b.fills[:0]
+	if len(b.verbs) == 0 {
+		return
+	}
+	b.posting = true
+	cost := b.cost
+	b.cost = 0
+	b.node.CPU.Submit(cost, b.postFn)
+}
+
+// post is the end of the post item: its verbs reach their link gates in the
+// order they were added.
+func (b *Batch) post() {
+	b.posting = false
+	for i, v := range b.verbs {
+		b.verbs[i] = nil
+		v.gate()
+	}
+	b.verbs = b.verbs[:0]
+}

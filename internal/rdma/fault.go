@@ -198,9 +198,12 @@ func (f *Fabric) drop(from, to NodeID, ls *linkState) {
 // the target is partitioned. Parked verbs re-enter the gate on heal, so they
 // retransmit in posting order (RC retry semantics). A poster that crashed
 // while its verb was parked never reaches the wire: the record goes back to
-// the free list.
+// the free list. A verb's first arrival stamps its sent time, if it has one.
 func (v *verb) gate() {
 	qp := v.qp
+	if !v.parked && v.sent != nil {
+		*v.sent = qp.fabric().eng.Now()
+	}
 	if v.parked && qp.from.crashed {
 		v.release()
 		return

@@ -3,6 +3,7 @@ package rdma
 import (
 	"slices"
 
+	"hamband/internal/fifo"
 	"hamband/internal/sim"
 )
 
@@ -21,6 +22,8 @@ type pollLoop struct {
 	ticker *sim.Ticker
 	tickFn func() // n.tick and n.sweep bound once: a poll allocates nothing
 	runFn  func()
+	ticks  fifo.Queue[sim.Time] // the ticks of the queued items, oldest first
+	tickAt sim.Time             // the tick of the running item (SweepTick)
 }
 
 // Poll registers sweep in the node's poll loop. The first registration
@@ -59,13 +62,23 @@ func (s *Sweep) Stop() {
 // Sweeps returns how many sweeps the node's poll loop runs each tick.
 func (n *Node) Sweeps() int { return len(n.poll.sweeps) }
 
+// SweepTick returns when the poll loop's running item was ticked. The node's
+// CPU runs its work in submission order, and a completion that lands arms a
+// poll of the completion queue at once, so a sweep has seen every completion
+// that landed before its tick reaped — one that landed while a poll was
+// running aside, which waits for the next poll — however long the item
+// waited for the CPU.
+func (n *Node) SweepTick() sim.Time { return n.poll.tickAt }
+
 func (n *Node) tick() {
 	if !n.suspended && !n.crashed {
+		n.poll.ticks.Push(n.fabric.eng.Now())
 		n.CPU.Submit(n.fabric.lat.SweepCost, n.poll.runFn)
 	}
 }
 
 func (n *Node) sweep() {
+	n.poll.tickAt = n.poll.ticks.Pop()
 	for _, s := range n.poll.sweeps {
 		if fn := s.fn; fn != nil {
 			fn()

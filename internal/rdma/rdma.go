@@ -781,8 +781,16 @@ func (qp *QP) PostChain(wrs []WR, onDone func(error)) { qp.postChain(wrs, onDone
 // postChain is PostChain; with inline false every payload posts by DMA,
 // whatever its size, as a Coalescer's batch does on a busy node.
 func (qp *QP) postChain(wrs []WR, onDone func(error), inline bool) {
+	if v := qp.chain(wrs, onDone, inline); v != nil {
+		v.post()
+	}
+}
+
+// chain assembles the verb postChain posts, or returns nil when there is
+// nothing to post: wrs is empty or the node has crashed.
+func (qp *QP) chain(wrs []WR, onDone func(error), inline bool) *verb {
 	if len(wrs) == 0 || qp.from.crashed {
-		return
+		return nil
 	}
 	v := qp.fabric().acquireVerb(qp, opWrite)
 	n := 0
@@ -796,7 +804,7 @@ func (qp *QP) postChain(wrs []WR, onDone func(error), inline bool) {
 		v.add(wr.Region, wr.Off, wr.Data, wr.Label, inline)
 	}
 	v.onDone = onDone
-	v.post()
+	return v
 }
 
 // verbOp is the kind of one-sided verb a record carries.
@@ -831,8 +839,9 @@ type verb struct {
 	onCAS  func(old uint64, err error)  // CAS
 	landed int32                        // WRs landed so far; landings fire in posting order
 	op     verbOp
-	parked bool  // waiting at a partitioned link, or released from it by a heal
-	err    error // first failure: later WRs flush, the CQE reports it
+	parked bool      // waiting at a partitioned link, or released from it by a heal
+	err    error     // first failure: later WRs flush, the CQE reports it
+	sent   *sim.Time // if set, stamped when the verb first reaches its link gate
 
 	gateFn, landFn, cqeFn func()
 	nextFree              *verb
@@ -869,7 +878,7 @@ func (f *Fabric) acquireVerb(qp *QP, op verbOp) *verb {
 func (v *verb) release() {
 	f := v.qp.fabric()
 	clear(v.wrs)
-	v.qp, v.wrs, v.data, v.landed, v.parked, v.err = nil, v.wrs[:0], v.data[:0], 0, false, nil
+	v.qp, v.wrs, v.data, v.landed, v.parked, v.err, v.sent = nil, v.wrs[:0], v.data[:0], 0, false, nil, nil
 	v.onDone, v.onRead, v.onCAS = nil, nil, nil
 	v.nextFree, f.freeVerbs = f.freeVerbs, v
 }
@@ -891,10 +900,15 @@ func (v *verb) add(region string, off int, data []byte, label string, inline boo
 		inline: inline && v.qp.fabric().lat.inline(len(data))})
 }
 
-// post rings the doorbell: the sender CPU pays PostCost for the first WR,
-// ChainedPostCost for each further one and InlineCost per inline payload,
-// then the verb reaches the link gate.
+// post rings the doorbell: the sender CPU pays postCost, then the verb
+// reaches the link gate.
 func (v *verb) post() {
+	v.qp.from.CPU.Submit(v.postCost(), v.gateFn)
+}
+
+// postCost is the sender CPU a verb's doorbell takes: PostCost for the first
+// WR, ChainedPostCost for each further one and InlineCost per inline payload.
+func (v *verb) postCost() sim.Duration {
 	lat := &v.qp.fabric().lat
 	cost := lat.PostCost + sim.Duration(len(v.wrs)-1)*lat.ChainedPostCost
 	for i := range v.wrs {
@@ -902,7 +916,7 @@ func (v *verb) post() {
 			cost += lat.InlineCost
 		}
 	}
-	v.qp.from.CPU.Submit(cost, v.gateFn)
+	return cost
 }
 
 // wire is the NIC-side stage, run once the link gate lets the verb through.
@@ -1162,12 +1176,18 @@ func (v *verb) poll() {
 // until onDone returns and are then overwritten by a later verb, so a caller
 // that keeps the bytes copies them.
 func (qp *QP) Read(region string, off, n int, onDone func(data []byte, err error)) {
+	qp.ReadStamped(region, off, n, onDone, nil)
+}
+
+// ReadStamped is Read that, when sent is non-nil, sets *sent to when the
+// read reaches its link gate, as Batch.PostChain does for a write.
+func (qp *QP) ReadStamped(region string, off, n int, onDone func(data []byte, err error), sent *sim.Time) {
 	if qp.from.crashed {
 		return
 	}
 	v := qp.fabric().acquireVerb(qp, opRead)
 	v.wrs = append(v.wrs, verbWR{region: region, off: off, hi: n})
-	v.onRead = onDone
+	v.onRead, v.sent = onDone, sent
 	v.post()
 }
 

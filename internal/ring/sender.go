@@ -24,9 +24,11 @@ const (
 // Send copies the record into a queue buffer the Sender reuses and arms a
 // deferred pump as a zero-cost CPU work item, so records queued by work
 // already on the CPU (a poll sweep proposing several entries, pipelined
-// calls) reach the ring together. Records appended back to back are adjacent
-// bytes of the ring, so the pump posts them as one remote write — two when
-// the run crosses the wrap boundary — built in a staging buffer that is
+// calls) reach the ring together. SendIn defers the pump to an rdma.Batch
+// instead, so the records of several Senders of one node leave in one post
+// item. Records appended back to back are adjacent bytes of the ring, so the
+// pump posts them as one remote write — two when the run crosses the wrap
+// boundary — built in a staging buffer that is
 // reused from pump to pump (PostChain copies at post time). RC ordering makes
 // the tail completion cover the whole post; it and any error fan out to every
 // batched record's onDone, through one callback bound at construction and a
@@ -56,10 +58,13 @@ type Sender struct {
 	dones  fifo.Queue[func(error)]
 	doneFn func(error)
 
-	pumpArmed bool         // deferred pump queued on the CPU
-	pumpFn    func()       // the deferred pump, bound once: a Send allocates nothing
-	waiting   bool         // head read in flight, or held back by the retry timer
-	delay     sim.Duration // next retry delay
+	pumpArmed bool              // deferred pump queued on the CPU
+	pumpFn    func()            // the deferred pump, bound once: a Send allocates nothing
+	batched   bool              // a pump is deferred to a batch (SendIn)
+	fillFn    func(*rdma.Batch) // that pump, bound once
+	waiting   bool              // head read in flight, or held back by the retry timer
+	delay     sim.Duration      // next retry delay
+	sentAt    sim.Time          // when the newest post or head read left (SentAt)
 
 	// HeadReads and Retries, when non-nil, count remote head-counter reads
 	// and the reads that found no space freed.
@@ -84,7 +89,8 @@ func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region strin
 		w:      NewWriter(capacity),
 		delay:  retryDelay,
 	}
-	s.pumpFn = func() { s.pumpArmed = false; s.pump() }
+	s.pumpFn = func() { s.pumpArmed = false; s.pump(nil) }
+	s.fillFn = func(b *rdma.Batch) { s.batched = false; s.pump(b) }
 	s.doneFn = s.completed
 	return s
 }
@@ -105,6 +111,27 @@ func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 		s.node.CPU.Submit(0, s.pumpFn)
 	}
 }
+
+// SendIn is Send with the pump deferred to b, a batch of the Sender's node:
+// the records the ring has room for when b flushes, this one and any queued
+// with it, ride b's post instead of a post of their own. A record a pump has
+// taken meanwhile, or left behind a ring that looks full, goes out as Send's
+// would.
+func (s *Sender) SendIn(b *rdma.Batch, record []byte, label string, onDone func(error)) {
+	s.queue = append(s.queue, sendItem{len(record), label, onDone})
+	s.data = append(s.data, record...)
+	if !s.batched {
+		s.batched = true
+		b.Defer(s.fillFn)
+	}
+}
+
+// SentAt returns when the newest verb the Sender posted, a post of records or
+// a head read, left the node's CPU for the link: went to the wire, or parked
+// at a partitioned link. The queue pair to the peer carries other posters'
+// verbs too, so a poster that waits on this Sender's completions reads their
+// due time from it, not from the queue pair.
+func (s *Sender) SentAt() sim.Time { return s.sentAt }
 
 // Drop discards every queued record without completing it and returns how
 // many of them carried an onDone. A peer's onDones run in send order and the
@@ -128,10 +155,10 @@ func (s *Sender) RestartAt(head uint64) {
 	s.delay = retryDelay
 }
 
-// pump moves every queued record the ring has room for into one post.
-// Records leave the queue as they are staged, so a later crash drain in
-// onHead cannot complete them a second time.
-func (s *Sender) pump() {
+// pump moves every queued record the ring has room for into one post, its
+// own or, when b is non-nil, one of b's. Records leave the queue as they are
+// staged, so a later crash drain in onHead cannot complete them a second time.
+func (s *Sender) pump(b *rdma.Batch) {
 	if s.node.Crashed() {
 		return
 	}
@@ -195,7 +222,7 @@ func (s *Sender) pump() {
 			s.posted.Push(withDone)
 			cb = s.doneFn
 		}
-		s.qp.PostChain(wrs[:k], cb)
+		b.PostChain(s.qp, wrs[:k], cb, &s.sentAt)
 	}
 	s.refreshHead() // a no-op unless records are left behind a ring that looks full
 }
@@ -216,7 +243,7 @@ func (s *Sender) refreshHead() {
 	}
 	s.waiting = true
 	s.HeadReads.Inc()
-	s.qp.Read(s.region, 0, HeaderSize, s.onHead)
+	s.qp.ReadStamped(s.region, 0, HeaderSize, s.onHead, &s.sentAt)
 }
 
 func (s *Sender) onHead(data []byte, err error) {
@@ -243,5 +270,5 @@ func (s *Sender) onHead(data []byte, err error) {
 		return
 	}
 	s.waiting, s.delay = false, retryDelay
-	s.pump()
+	s.pump(nil)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"hamband/internal/codec"
+	"hamband/internal/metrics"
 	"hamband/internal/rdma"
 	"hamband/internal/sim"
 )
@@ -380,5 +381,93 @@ func TestSenderDropReportsCallbacks(t *testing.T) {
 	rig.eng.Run()
 	if !slices.Equal(done, []int{0}) || rig.fab.Stats().Writes != 1 {
 		t.Fatalf("completions %v over %d writes, want only the write in flight to complete", done, rig.fab.Stats().Writes)
+	}
+}
+
+// TestSenderSendInRidesTheBatch: records two senders of one node queue with
+// SendIn go out in their batch's one post item, each sender's records as one
+// write, and complete in send order; a record dropped before the flush goes
+// nowhere, and a record queued with Send after the batch's flush posts alone.
+func TestSenderSendInRidesTheBatch(t *testing.T) {
+	eng := sim.NewEngine(3)
+	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
+	n := fab.Node(0)
+	var items []sim.Duration
+	n.CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
+	var senders []*Sender
+	var readers []*Reader
+	for p := rdma.NodeID(1); p < 3; p++ {
+		reg := fab.Node(p).Register("ring", RegionSize(1<<10))
+		reg.AllowWrite(0)
+		senders = append(senders, NewSender(fab, n, p, "ring", 1<<10))
+		readers = append(readers, NewReader(reg.Bytes()))
+	}
+	b := n.NewBatch()
+	var done []int
+	note := func(i int) func(error) { return func(error) { done = append(done, i) } }
+	want := [][]byte{rec(t, 30, 'a'), rec(t, 30, 'b')}
+	senders[0].SendIn(b, want[0], "", note(0))
+	senders[0].SendIn(b, want[1], "", note(1))
+	senders[1].SendIn(b, want[0], "", note(2))
+	senders[1].SendIn(b, want[1], "", nil)
+	eng.Run()
+	lat := fab.Latency()
+	post := lat.PostCost + lat.InlineCost // each sender's two records are one inline write
+	if len(items) < 2 || items[0] != 0 || items[1] != 2*post {
+		t.Fatalf("node 0 ran items %v, want a flush and then one post item of %v", items, 2*post)
+	}
+	if !slices.Equal(done, []int{0, 1, 2}) || fab.Stats().Writes != 2 {
+		t.Fatalf("completions %v over %d writes, want 0, 1, 2 over two", done, fab.Stats().Writes)
+	}
+	for _, rd := range readers {
+		wantRecords(t, "batched", drain(t, rd), want)
+	}
+
+	senders[0].SendIn(b, want[0], "", note(3))
+	if got := senders[0].Drop(); got != 1 {
+		t.Fatalf("Drop reported %d callbacks, want 1", got)
+	}
+	eng.Run()
+	senders[1].Send(want[0], "", note(4))
+	eng.Run()
+	if !slices.Equal(done, []int{0, 1, 2, 4}) || fab.Stats().Writes != 3 {
+		t.Fatalf("completions %v over %d writes, want 0, 1, 2, 4 over three", done, fab.Stats().Writes)
+	}
+}
+
+// TestSenderSentAtIsItsOwn: SentAt is when the Sender's newest post or head
+// read left the node's CPU. Another poster's verbs on the same queue pair
+// leave it alone, even when a partition parks each of them fresh; records
+// sent behind a full ring move it to their head read.
+func TestSenderSentAtIsItsOwn(t *testing.T) {
+	const capacity = 256
+	rig := newSenderRig(capacity)
+	rig.s.HeadReads = metrics.New(nil).Counter("head_reads")
+	rig.s.Send(rec(t, 40, 'a'), "", nil)
+	rig.eng.RunUntil(sim.Time(sim.Microsecond))
+	first := rig.s.SentAt()
+	if first == 0 {
+		t.Fatal("a post left no SentAt")
+	}
+	rig.fab.PartitionLink(0, 1)
+	other := rig.fab.Node(1).Register("other", 8)
+	other.AllowWrite(0)
+	qp := rig.fab.Node(0).QP(1)
+	chatter := rig.eng.NewTicker(sim.Microsecond, func() { qp.Write("other", 0, make([]byte, 8), nil) })
+	rig.eng.RunUntil(sim.Time(9500 * sim.Nanosecond)) // between two of its writes
+	if got := rig.s.SentAt(); got != first {
+		t.Fatalf("another poster's verbs moved SentAt from %d to %d", first, got)
+	}
+	chatter.Cancel()
+	sendAt := rig.eng.Now()
+	for i := 0; i < capacity/40; i++ {
+		rig.s.Send(rec(t, 40, byte(i)), "", nil)
+	}
+	rig.eng.RunUntil(sim.Time(20 * sim.Microsecond))
+	// The records that fit post first, and the head read posts behind them.
+	lat := rig.fab.Latency()
+	want := sendAt + sim.Time(lat.PostCost+lat.InlineCost) + sim.Time(lat.PostCost)
+	if got, reads := rig.s.SentAt(), rig.s.HeadReads.Value(); got != want || reads != 1 {
+		t.Fatalf("records behind a full ring left SentAt %d after %d head reads, want one read leaving at %d", got, reads, want)
 	}
 }
