@@ -219,10 +219,14 @@ ledger:
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes). Since it
-# holds every figure of the paper table (the Figure 8–13 grids and a misses
-# point per claim), it takes about 13 s on a 2-core host (1.3 s when it held
+# holds every figure of the table (the Figure 8–13 grids, the use-case
+# overview, the ablations and a misses point per claim), it takes about 18 s
+# on a 2-core host (13 s with the Figure 8–13 grids alone, 1.3 s when it held
 # one point per figure); bench-same and CI's benchstat lane take as long.
-SNAPSHOT ?= BENCH_PR63.json
+# SNAPSHOT is the one place the baseline is named: OLD, NEW and CI's
+# benchstat lane follow it, and internal/bench's paper_test.go renders
+# EXPERIMENTS.md's generated tables from the same file.
+SNAPSHOT ?= BENCH_PR64.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -231,7 +235,8 @@ bench-snapshot:
 # no virtual number (a refactor, a host-cost change). It is not in check; CI's
 # benchstat lane makes the same comparison with cmp after its report, so a
 # change that moves these bytes on purpose re-records the snapshot
-# (bench-snapshot) under a new name and points SNAPSHOT, OLD, NEW and CI at it.
+# (bench-snapshot) under a new name and points SNAPSHOT and paper_test.go's
+# baselineSnapshot at it.
 bench-same:
 	@tmp=$$(mktemp); trap 'rm -f "$$tmp"' EXIT; \
 	$(GO) run ./cmd/hambench -exp snapshot -json "$$tmp" > /dev/null && \
@@ -271,8 +276,8 @@ bench-pairs:
 # gives (internal/bench/snapshot.go). Run it with OLD at the previous
 # snapshot when re-recording one; CI runs it against the committed snapshot
 # as a report before its byte-for-byte cmp.
-OLD ?= BENCH_PR63.json
-NEW ?= BENCH_PR63.json
+OLD ?= $(SNAPSHOT)
+NEW ?= $(SNAPSHOT)
 benchstat:
 	$(GO) run ./cmd/hambench -exp benchstat -old $(OLD) -new $(NEW)
 

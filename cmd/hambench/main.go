@@ -1,11 +1,14 @@
 // Command hambench regenerates the paper's evaluation (Figures 8–13) on
-// the simulated RDMA fabric, plus the ablation studies from DESIGN.md.
-// fig8 … fig13 select a figure of internal/bench's figure table: each prints
-// the figure's tables and the paper's claims checked against them.
+// the simulated RDMA fabric, plus the use-case overview and the ablation
+// studies from DESIGN.md. fig8 … fig13, overview and ablations select a
+// figure of internal/bench's figure table: each prints the figure's tables
+// and its claims checked against them. The ablations compare summarized
+// against buffered G-sets, two Mu leaders against one, summary-scan periods
+// (dependency gating), closed-loop depths, and inline against DMA posts.
 //
 // Usage:
 //
-//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|ablations|doorbell|costs|trace|overview|
+//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|overview|ablations|costs|trace|
 //	               metrics|latency|wire|shard|reconfig|snapshot|benchstat|chaos|health|hamtop]
 //	         [-ops N] [-seed N] [-json FILE] [-chrome-trace FILE]
 //	         [-old FILE -new FILE] [-shards N]
@@ -61,7 +64,7 @@
 // spent their time in); its export holds the same data.
 //
 // The -ops flag plays the role of the paper's 4 M operations per
-// experiment point; the default (20000) keeps `-exp all` to about 15 s of
+// experiment point; the default (20000) keeps `-exp all` to about 20 s of
 // wall-clock on a 2-core host while preserving the figures' shapes. Results are
 // measured in deterministic virtual time, so a given (-ops, -seed) pair
 // always reproduces the same numbers.
@@ -78,7 +81,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, ablations, doorbell, costs, trace, overview, metrics, latency, wire, shard, reconfig, snapshot, benchstat (compare -old and -new, gating each metric at its own bound), chaos, health, hamtop")
+	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, overview, ablations (figures of the table), costs, trace, metrics, latency, wire, shard, reconfig, snapshot, benchstat (compare -old and -new, gating each metric at its own bound), chaos, health, hamtop")
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
 	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot of keyed points and named metrics that -exp benchstat compares; metrics: the registry snapshot)")
@@ -98,10 +101,6 @@ func main() {
 	case "all":
 		cfg.All()
 		cfg.Costs()
-	case "ablations":
-		cfg.Ablations()
-	case "doorbell":
-		cfg.Doorbell()
 	case "snapshot":
 		if cfg.JSON == nil {
 			fmt.Fprintln(os.Stderr, "hambench: -exp snapshot needs -json FILE")
@@ -114,8 +113,6 @@ func main() {
 		cfg.Costs()
 	case "trace":
 		cfg.Trace()
-	case "overview":
-		cfg.Overview()
 	case "metrics":
 		cfg.Metrics()
 	case "latency":

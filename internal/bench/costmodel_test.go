@@ -142,9 +142,10 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 }
 
 // TestExperimentEntryPointsSmoke runs the experiments no other test runs at
-// a small scale: each prints its header (the snapshot prints nothing), each
-// JSON export reads back as a Snapshot with points whose every metric
-// metricDefs defines, and the health run passes.
+// a small scale, and the overview as hambench reaches it, by name: each
+// prints its header (the snapshot prints nothing), each JSON export reads
+// back as a Snapshot with points whose every metric metricDefs defines, and
+// the health run passes.
 func TestExperimentEntryPointsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
@@ -156,8 +157,7 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 	}{
 		{"costs", "Coordination cost per call", Config.Costs, false},
 		{"trace", "Call lifecycles", Config.Trace, false},
-		{"overview", "Use-case overview", Config.Overview, false},
-		{"doorbell", "Ablation — doorbell batching", Config.Doorbell, false},
+		{"overview", "Use-case overview", func(cfg Config) { cfg.Figure("overview") }, false},
 		{"latency", "Latency attribution", Config.Latency, true},
 		{"wire", "Wire efficiency", Config.Wire, true},
 		{"snapshot", "", func(cfg Config) { cfg.Snapshot() }, true},

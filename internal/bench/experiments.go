@@ -52,23 +52,10 @@ func (cfg Config) run(kind SystemKind, cls *spec.Class, nodes, ops int, ratio fl
 	return Run(eng, sys, wl, faults...), sys
 }
 
-// point runs one (system, class, nodes, ratio) benchmark point at the
-// default deployment.
-func (cfg Config) point(kind SystemKind, cls *spec.Class, nodes, ops int, ratio float64, faults ...Fault) *Result {
-	r, _ := cfg.run(kind, cls, nodes, ops, ratio, 0, Variant{}, faults...)
-	return r
-}
-
-// rtPoint measures unloaded response time: a closed loop of depth one, so
-// queueing does not dominate (under saturation, response time is just
-// Little's law: depth/throughput). The paper measures latency the same way
-// — at load levels below saturation.
-func (cfg Config) rtPoint(kind SystemKind, cls *spec.Class, nodes int, ratio float64, faults ...Fault) *Result {
-	r, _ := cfg.run(kind, cls, nodes, cfg.rtOps(), ratio, 1, Variant{}, faults...)
-	return r
-}
-
-// rtOps is the length of an rtPoint run.
+// rtOps is the length of an unloaded response-time run: a closed loop of
+// depth one, so queueing does not dominate (under saturation, response time
+// is just Little's law: depth/throughput). The paper measures latency the
+// same way — at load levels below saturation.
 func (cfg Config) rtOps() int { return min(cfg.Ops, 2000) }
 
 // faultAt places a figure's fault by its run's length alone, perOp per
@@ -93,53 +80,6 @@ func (cfg Config) printf(format string, args ...any) {
 	fmt.Fprintf(cfg.Out, format, args...)
 }
 
-func fmtRT(d sim.Duration) string { return fmt.Sprintf("%.2fµs", d.Micros()) }
-
-// Ablations runs the design-choice studies DESIGN.md calls out: the value
-// of summarization (reducible vs buffered G-set), of per-group leaders
-// (movie with two leaders vs one), and of the closed-loop depth.
-func (cfg Config) Ablations() {
-	cfg.printf("Ablation — summarization: G-set reducible vs buffered (Hamband, 25%% updates)\n")
-	cfg.printf("%6s %12s %12s %8s\n", "nodes", "summarized", "buffered", "gain")
-	for nodes := 3; nodes <= 7; nodes += 2 {
-		red := cfg.point(Hamband, crdt.NewGSet(), nodes, cfg.Ops, 0.25)
-		buf := cfg.point(Hamband, crdt.NewGSetBuffered(), nodes, cfg.Ops, 0.25)
-		cfg.printf("%6d %12.2f %12.2f %8s\n", nodes,
-			red.Throughput(), buf.Throughput(), fmtRatio(red.Throughput()/buf.Throughput()))
-	}
-
-	cfg.printf("\nAblation — synchronization groups: movie with two leaders vs one\n")
-	two := cfg.point(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0)
-	one, _ := cfg.run(Hamband, schema.NewMovie(), 4, cfg.Ops, 1.0, 0, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) {
-		o.Leaders = []spec.ProcID{0, 0} // both groups on one node
-	}})
-	cfg.printf("two leaders: %.2f ops/µs   single leader: %.2f ops/µs   gain: %s\n",
-		two.Throughput(), one.Throughput(), fmtRatio(two.Throughput()/one.Throughput()))
-
-	cfg.printf("\nAblation — dependency gating: worksOn waits for its dependencies\n")
-	cfg.printf("(slower summary scans delay addEmployee visibility; worksOn — which\n")
-	cfg.printf("depends on it — waits at the buffer head, and FIFO order makes its\n")
-	cfg.printf("group peers queue behind it; cf. Figure 11(b))\n")
-	cfg.printf("%10s %12s %12s %12s\n", "scan", "addProject", "worksOn", "addEmployee")
-	for _, scan := range []sim.Duration{2 * sim.Microsecond, 50 * sim.Microsecond, 200 * sim.Microsecond} {
-		lat := rdma.DefaultLatency()
-		lat.ScanPeriod = scan
-		res, _ := cfg.run(Hamband, schema.NewProjectManagement(), 4, 2000, 0.5, 1, Variant{Latency: &lat})
-		cfg.printf("%10v %12s %12s %12s\n", scan,
-			fmtRT(res.ByMethod["addProject"].Mean()),
-			fmtRT(res.ByMethod["worksOn"].Mean()),
-			fmtRT(res.ByMethod["addEmployee"].Mean()))
-	}
-
-	cfg.printf("\nAblation — closed-loop depth (counter, 4 nodes, 25%% updates)\n")
-	cfg.printf("%6s %9s %10s\n", "depth", "ops/µs", "mean RT")
-	for _, depth := range []int{1, 4, 8, 16, 32} {
-		res, _ := cfg.run(Hamband, crdt.NewCounter(), 4, cfg.Ops, 0.25, depth, Variant{})
-		cfg.printf("%6d %9.2f %10s\n", depth, res.Throughput(), fmtRT(res.MeanRT))
-	}
-	cfg.printf("\n")
-}
-
 func methodNames(r *Result) []string {
 	names := make([]string, 0, len(r.ByMethod))
 	for name := range r.ByMethod {
@@ -149,12 +89,12 @@ func methodNames(r *Result) []string {
 	return names
 }
 
-// All runs every figure of the paper table in order, then the ablations.
+// All runs every figure of the table in order: the paper's, the use-case
+// overview and the ablations.
 func (cfg Config) All() {
 	for _, f := range paper {
 		cfg.Figure(f.name)
 	}
-	cfg.Ablations()
 }
 
 // Costs measures the empirical coordination cost per method category: one
@@ -262,34 +202,6 @@ func (cfg Config) Metrics() {
 		if err := tr.WriteChromeTrace(cfg.ChromeTrace); err != nil {
 			cfg.printf("metrics: chrome trace export failed: %v\n", err)
 		}
-	}
-	cfg.printf("\n")
-}
-
-// Overview prints one row per bundled data type: its method-category mix
-// and its Hamband throughput and unloaded response time at four nodes —
-// the summary table for the whole use-case suite.
-func (cfg Config) Overview() {
-	cfg.printf("Use-case overview — Hamband, 4 nodes, 25%% updates\n")
-	cfg.printf("%-16s %12s %6s %10s %12s\n", "class", "categories", "ops/µs", "mean RT", "p99 RT")
-	for _, cls := range schema.Bundled() {
-		an := spec.MustAnalyze(cls)
-		var red, free, conf int
-		for _, u := range cls.UpdateMethods() {
-			switch an.Category[u] {
-			case spec.CatReducible:
-				red++
-			case spec.CatIrreducibleFree:
-				free++
-			case spec.CatConflicting:
-				conf++
-			}
-		}
-		mix := fmt.Sprintf("%dR/%dF/%dC", red, free, conf)
-		th := cfg.point(Hamband, cls, 4, cfg.Ops/2, 0.25)
-		rt := cfg.rtPoint(Hamband, cls, 4, 0.25)
-		cfg.printf("%-16s %12s %6.2f %10s %12s\n",
-			cls.Name, mix, th.Throughput(), fmtRT(rt.MeanRT), fmtRT(rt.Percentile(99)))
 	}
 	cfg.printf("\n")
 }

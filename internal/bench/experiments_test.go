@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// TestAllExperimentsSmoke runs every figure of the paper table at a tiny
-// scale: it guards the table's runner and renderer (the cross product, fault
-// plumbing, the throughput/response-time split, the per-method tables and
-// the claims) against regressions. Full-scale numbers come from
-// cmd/hambench.
+// TestAllExperimentsSmoke runs every figure of the table — the paper's, the
+// use-case overview and the ablations — at a tiny scale: it guards the
+// table's runner and renderer (the cross product, variants, fault plumbing,
+// the throughput/response-time split, the per-method tables and the claims)
+// against regressions. Full-scale numbers come from cmd/hambench.
 func TestAllExperimentsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
@@ -29,6 +29,10 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		"Figure 10", "Figure 11(a)", "Figure 11(b)", "Figure 12",
 		"Figure 13(a)", "Figure 13(b)", "Figure 13 — the paper's claims",
 		"worksOn", "registerStudent", "leader fails",
+		"Use-case overview", "| tournament | 1R/0F/3C |", "p99_us",
+		"summarization", "| gset | 3 |", "two leaders", "| one-leader |",
+		"dependency gating", "| worksOn | scan-200us |", "closed-loop depth", "| depth-32 |",
+		"inline", "| dma |", "Ablations — DESIGN.md's claims",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)
@@ -86,21 +90,6 @@ func TestMetricsExperiment(t *testing.T) {
 	events, ok := tr["traceEvents"].([]any)
 	if !ok || len(events) == 0 {
 		t.Fatal("chrome trace has no events")
-	}
-}
-
-func TestAblationsSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test is not short")
-	}
-	var buf bytes.Buffer
-	cfg := Config{Ops: 300, Seed: 3, Out: &buf}
-	cfg.Ablations()
-	out := buf.String()
-	for _, want := range []string{"summarization", "two leaders", "dependency gating", "closed-loop depth"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("output missing %q:\n%s", want, out)
-		}
 	}
 }
 

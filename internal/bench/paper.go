@@ -7,17 +7,21 @@ import (
 	"sort"
 	"strings"
 
+	"hamband/internal/core"
 	"hamband/internal/crdt"
+	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
 
-// A figure is one figure of the paper's evaluation, written once: its panels
-// and the paper's claims about them. hambench's fig8 … fig13, the snapshot,
-// the testing.B benchmarks and EXPERIMENTS.md's figure tables all read the
-// table below. Its headline runs (see headline) also record baseline, the
-// metrics the committed baseline gated there before the figures were a table.
+// A figure is one figure of the paper's evaluation, or one study beyond it
+// (the use-case overview, the ablations), written once: its panels and the
+// claims about them. hambench's fig8 … fig13, overview and ablations, the
+// snapshot, the testing.B benchmarks and EXPERIMENTS.md's generated tables
+// all read the table below. Its headline runs (see headline) also record
+// baseline, the metrics the committed baseline gated there before the
+// figures were a table.
 type figure struct {
 	name     string // the -exp selector and its points' experiment prefix
 	panels   []panel
@@ -25,20 +29,30 @@ type figure struct {
 	baseline []string
 }
 
-// A panel runs each class × update ratio × node count × op scale × fault
-// scenario × system once. Its table plots one metric per run and, under its
-// methods heading, each method's mean response time.
+// A panel runs each class × update ratio × node count × op scale × variant ×
+// fault scenario × system once. Its table plots its metrics per run and,
+// under its methods heading, each method's mean response time.
 type panel struct {
 	title, methods, suffix string // headings ("": no such table); experiment suffix
 	depth                  int    // closed-loop depth; 1 measures unloaded response time
-	plots                  string
+	mix                    bool   // label each class with its method-category mix
+	plots                  []string
 	systems                []SystemKind
 	classes                []func() *spec.Class
 	ratios                 []float64
 	nodes                  []int
 	scales                 []float64        // op count multiples; nil: {1}
+	variants               []variant        // nil: the default deployment
 	faults                 []scenario       // nil: one fault-free run
 	ops                    func(Config) int // nil: Config.Ops, or rtOps at depth 1
+}
+
+// A variant is a deployment a panel compares with others: a Variant and, for
+// the depth sweep, a closed-loop depth (0: the panel's).
+type variant struct {
+	name  string
+	v     Variant
+	depth int
 }
 
 // A scenario suspends node at faultAt(ops, perOp); perOp 0 is no fault.
@@ -67,14 +81,46 @@ var (
 	paperRatios  = []float64{0.25, 0.15, 0.05}
 	threeSystems = []SystemKind{Hamband, MSG, MuSMR}
 	vsMu         = []SystemKind{Hamband, MuSMR}
+	hamband      = []SystemKind{Hamband}
 	four         = []int{4}
+	throughput   = []string{"ops_per_us"}
+	meanRT       = []string{"mean_rt_us"}
 	tails        = []string{"mean_rt_us", "p50_us", "p95_us", "p99_us"}
+	oneLeader    = variant{name: "one-leader", v: Variant{Edit: func(_ *rdma.Fabric, o *core.Options) {
+		o.Leaders = []spec.ProcID{0, 0} // both groups on one node
+	}}}
+	depths = []variant{{name: "depth-1", depth: 1}, {name: "depth-4", depth: 4}, {name: "depth-8", depth: 8}, {name: "depth-16", depth: 16}, {name: "depth-32", depth: 32}}
+	posts  = []variant{{name: "inline"}, latencyVariant("dma", func(l *rdma.LatencyModel) { l.InlineThreshold, l.InlineCost = 0, 0 })}
 )
+
+// latencyVariant is the default cost model, edited.
+func latencyVariant(name string, edit func(*rdma.LatencyModel)) variant {
+	lat := rdma.DefaultLatency()
+	edit(&lat)
+	return variant{name: name, v: Variant{Latency: &lat}}
+}
+
+// scans are the dependency-gating ablation's summary-scan periods.
+func scans(periods ...sim.Duration) (vs []variant) {
+	for _, d := range periods {
+		vs = append(vs, latencyVariant(fmt.Sprintf("scan-%dus", d/sim.Microsecond), func(l *rdma.LatencyModel) { l.ScanPeriod = d }))
+	}
+	return vs
+}
+
+// bundled lists a constructor per bundled class, for the use-case overview.
+func bundled() (mks []func() *spec.Class) {
+	for i := range schema.Bundled() {
+		mks = append(mks, func() *spec.Class { return schema.Bundled()[i] })
+	}
+	return mks
+}
 
 func isSys(k SystemKind) func(cell) bool                    { return func(c cell) bool { return c.sys == k } }
 func toSys(k SystemKind) func(cell) cell                    { return func(c cell) cell { c.sys = k; return c } }
 func isScen(name string) func(cell) bool                    { return func(c cell) bool { return c.scen.name == name } }
 func toScen(name string) func(cell) cell                    { return func(c cell) cell { c.scen.name = name; return c } }
+func toVar(v variant) func(cell) cell                       { return func(c cell) cell { c.vari = v; return c } }
 func classes(mk ...func() *spec.Class) []func() *spec.Class { return mk }
 
 // sweep is the shape of Figures 8 and 9: throughput over classes × update
@@ -82,8 +128,8 @@ func classes(mk ...func() *spec.Class) []func() *spec.Class { return mk }
 func sweep(name, what string, cls []func() *spec.Class, claims ...claim) figure {
 	n := "Figure " + strings.TrimPrefix(name, "fig")
 	return figure{name: name, baseline: tails, claims: claims, panels: []panel{
-		{title: n + "(a) — throughput (ops/µs), " + what, plots: "ops_per_us", systems: threeSystems, classes: cls, ratios: paperRatios, nodes: []int{3, 4, 5, 6, 7}},
-		{title: n + "(b) — mean response time (µs, unloaded), 4 nodes", suffix: "/rt", depth: 1, plots: "mean_rt_us", systems: threeSystems, classes: cls, ratios: paperRatios, nodes: four},
+		{title: n + "(a) — throughput (ops/µs), " + what, plots: throughput, systems: threeSystems, classes: cls, ratios: paperRatios, nodes: []int{3, 4, 5, 6, 7}},
+		{title: n + "(b) — mean response time (µs, unloaded), 4 nodes", suffix: "/rt", depth: 1, plots: meanRT, systems: threeSystems, classes: cls, ratios: paperRatios, nodes: four},
 	}}
 }
 
@@ -117,9 +163,9 @@ var paper = []figure{
 		claim{id: "vs-mu", col: "H/Mu", what: "Hamband above Mu", paper: "3× on average", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
 		claim{id: "rt-vs-msg", pan: 1, col: "MSG/H", what: "Hamband's RT below MSG's", paper: "24.3× lower", pick: isSys(MSG), vs: toSys(Hamband), lo: 1}),
 	{name: "fig10", baseline: tails, panels: []panel{
-		{title: "Figure 10(a) — throughput (ops/µs), movie schema, 4 nodes, all updates", plots: "ops_per_us",
+		{title: "Figure 10(a) — throughput (ops/µs), movie schema, 4 nodes, all updates", plots: throughput,
 			systems: vsMu, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four, scales: []float64{0.5, 1, 2}},
-		{title: "Figure 10(b) — mean response time (µs, unloaded)", suffix: "/rt", depth: 1, plots: "mean_rt_us",
+		{title: "Figure 10(b) — mean response time (µs, unloaded)", suffix: "/rt", depth: 1, plots: meanRT,
 			systems: vsMu, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four},
 	}, claims: []claim{
 		{id: "vs-mu", col: "H/Mu", what: "two leaders above one", paper: "1.4×–1.8× (2× at most)", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
@@ -128,28 +174,28 @@ var paper = []figure{
 		{id: "rt-vs-mu", pan: 1, col: "H/Mu", what: "response times alike", paper: "difference negligible", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 0.9, hi: 1.1},
 	}},
 	{name: "fig11", panels: []panel{
-		{title: "Figure 11(a) — throughput (ops/µs), project management, 4 nodes", plots: "ops_per_us",
+		{title: "Figure 11(a) — throughput (ops/µs), project management, 4 nodes", plots: throughput,
 			systems: vsMu, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5, 0.25, 0.10}, nodes: four},
 		{methods: "Figure 11(b) — mean response time per method (µs, unloaded), 50 % updates", suffix: "/rt", depth: 1,
-			systems: []SystemKind{Hamband}, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5}, nodes: four},
+			systems: hamband, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5}, nodes: four},
 	}, claims: []claim{
 		{id: "vs-mu", col: "H/Mu", what: "Hamband above Mu", paper: "up to 1.21×", pick: isSys(Hamband), vs: toSys(MuSMR), lo: 1},
 	}},
 	{name: "fig12", panels: []panel{
-		{title: "Figure 12(a) — throughput (ops/µs), follower p3 failing, 4 nodes", plots: "ops_per_us",
-			systems: []SystemKind{Hamband}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
+		{title: "Figure 12(a) — throughput (ops/µs), follower p3 failing, 4 nodes", plots: throughput,
+			systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
 			faults: []scenario{{name: "normal"}, {"follower", 3, fig12FaultPerOp}}},
-		{title: "Figure 12(b) — mean response time (µs, unloaded), follower p3 failing", suffix: "/rt", depth: 1, plots: "mean_rt_us",
-			systems: []SystemKind{Hamband}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
+		{title: "Figure 12(b) — mean response time (µs, unloaded), follower p3 failing", suffix: "/rt", depth: 1, plots: meanRT,
+			systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
 			faults: []scenario{{name: "normal"}, {"follower", 3, fig12RTFaultPerOp}}},
 	}, claims: []claim{
 		{id: "throughput", col: "failed/normal", what: "throughput keeps the three survivors' share", paper: "−5 %", pick: isScen("follower"), vs: toScen("normal"), lo: 0.75},
 		{id: "rt", pan: 1, col: "failed/normal", what: "response time rises by at most half", paper: "+15 % / +5 %", pick: isScen("follower"), vs: toScen("normal"), hi: 1.5},
 	}},
 	{name: "fig13", baseline: append(slices.Clip(tails), "bytes_per_op"), panels: []panel{
-		{title: "Figure 13(a) — throughput (ops/µs), courseware, 4 nodes, 50 % updates, ops/20 (at least 1 000)", plots: "ops_per_us",
+		{title: "Figure 13(a) — throughput (ops/µs), courseware, 4 nodes, 50 % updates, ops/20 (at least 1 000)", plots: throughput,
 			methods: "Figure 13(b) — mean response time per method (µs)",
-			systems: []SystemKind{Hamband}, classes: classes(schema.NewCourseware), ratios: []float64{0.5}, nodes: four,
+			systems: hamband, classes: classes(schema.NewCourseware), ratios: []float64{0.5}, nodes: four,
 			faults: []scenario{{name: "normal"}, {"follower", 3, fig13FaultPerOp}, {"leader", 0, fig13FaultPerOp}},
 			ops:    func(cfg Config) int { return max(cfg.Ops/20, 1000) }},
 	}, claims: []claim{
@@ -161,6 +207,35 @@ var paper = []figure{
 			pick: func(c cell) bool {
 				return c.scen.name == "leader" && slices.Contains([]string{"addCourse", "deleteCourse", "enroll"}, c.method)
 			}, vs: toScen("normal")},
+	}},
+	{name: "overview", panels: []panel{
+		{title: "Use-case overview — throughput (ops/µs), Hamband, 4 nodes, 25 % updates, ops/2", mix: true, plots: throughput,
+			systems: hamband, classes: bundled(), ratios: []float64{0.25}, nodes: four, ops: func(cfg Config) int { return cfg.Ops / 2 }},
+		{title: "Use-case overview — response time (µs, unloaded)", suffix: "/rt", depth: 1, plots: []string{"mean_rt_us", "p99_us"},
+			systems: hamband, classes: bundled(), ratios: []float64{0.25}, nodes: four},
+	}},
+	{name: "ablations", panels: []panel{
+		{title: "Ablation — summarization: G-set summarized (gset) vs buffered (gset-buffered), throughput (ops/µs), Hamband, 25 % updates",
+			suffix: "/summarization", plots: throughput, systems: hamband, classes: classes(crdt.NewGSet, crdt.NewGSetBuffered), ratios: []float64{0.25}, nodes: []int{3, 5, 7}},
+		{title: "Ablation — synchronization groups: movie with two leaders vs one, throughput (ops/µs), Hamband, 4 nodes, all updates",
+			suffix: "/groups", plots: throughput, systems: hamband, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four,
+			variants: []variant{{name: "two-leaders"}, oneLeader}},
+		{methods: "Ablation — dependency gating: project management's mean response time per method (µs, unloaded) by summary-scan period, Hamband, 4 nodes, 50 % updates",
+			suffix: "/gating", depth: 1, systems: hamband, classes: classes(schema.NewProjectManagement), ratios: []float64{0.5}, nodes: four,
+			variants: scans(2*sim.Microsecond, 50*sim.Microsecond, 200*sim.Microsecond)},
+		{title: "Ablation — closed-loop depth: counter, Hamband, 4 nodes, 25 % updates", suffix: "/depth", plots: []string{"ops_per_us", "mean_rt_us"},
+			systems: hamband, classes: classes(crdt.NewCounter), ratios: []float64{0.25}, nodes: four, variants: depths},
+		{title: "Ablation — inline against DMA posts: counter and orset, Hamband, 4 nodes, 25 % updates", suffix: "/inline", plots: []string{"ops_per_us", "p99_us"},
+			systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: []float64{0.25}, nodes: four, variants: posts},
+		{title: "Ablation — inline against DMA posts: movie, Hamband, 4 nodes, all updates", suffix: "/inline", plots: []string{"ops_per_us", "p99_us"},
+			systems: hamband, classes: classes(schema.NewMovie), ratios: []float64{1}, nodes: four, variants: posts},
+	}, claims: []claim{
+		{id: "summarization", col: "gset/buffered", what: "a summarized G-set above a buffered one", paper: "summaries pay", lo: 1,
+			pick: func(c cell) bool { return c.class == "gset" }, vs: func(c cell) cell { c.class = "gset-buffered"; return c }},
+		{id: "groups", pan: 1, col: "two/one", what: "two leaders above one", paper: "a leader per group pays", lo: 1,
+			pick: func(c cell) bool { return c.vari.name == "two-leaders" }, vs: toVar(oneLeader)},
+		{id: "depth", pan: 3, col: "d/1", what: "throughput at depth d at least depth 1's", paper: "load lifts throughput", lo: 1,
+			pick: func(c cell) bool { return c.vari.depth > 1 }, vs: toVar(depths[0])},
 	}},
 }
 
@@ -174,6 +249,7 @@ type cell struct {
 	ratio, scale float64
 	nodes        int
 	method       string
+	vari         variant
 	scen         scenario
 }
 
@@ -181,9 +257,12 @@ type cell struct {
 // a row of its table is len(systems) × len(faults) consecutive cells.
 func (f *figure) cells(pan int, methods bool) (cs []cell) {
 	p := &f.panels[pan]
-	scales, faults := p.scales, p.faults
+	scales, variants, faults := p.scales, p.variants, p.faults
 	if scales == nil {
 		scales = []float64{1}
+	}
+	if variants == nil {
+		variants = []variant{{}}
 	}
 	if faults == nil {
 		faults = []scenario{{}}
@@ -202,9 +281,11 @@ func (f *figure) cells(pan int, methods bool) (cs []cell) {
 			for _, nodes := range p.nodes {
 				for _, scale := range scales {
 					for _, m := range names {
-						for _, sc := range faults {
-							for _, sys := range p.systems {
-								cs = append(cs, cell{f, pan, sys, mk, cls.Name, ratio, scale, nodes, m, sc})
+						for _, v := range variants {
+							for _, sc := range faults {
+								for _, sys := range p.systems {
+									cs = append(cs, cell{f, pan, sys, mk, cls.Name, ratio, scale, nodes, m, v, sc})
+								}
 							}
 						}
 					}
@@ -218,13 +299,13 @@ func (f *figure) cells(pan int, methods bool) (cs []cell) {
 func (c cell) panel() *panel { return &c.fig.panels[c.pan] }
 
 // exp is c's experiment: the figure's name, then the panel's suffix, op
-// scale, fault scenario and method, which the point key lacks.
+// scale, variant, fault scenario and method, which the point key lacks.
 func (c cell) exp() string {
 	e := c.fig.name + c.panel().suffix
 	if c.scale != 1 {
 		e += fmt.Sprintf("/ops%gx", c.scale)
 	}
-	for _, s := range []string{c.scen.name, c.method} {
+	for _, s := range []string{c.vari.name, c.scen.name, c.method} {
 		if s != "" {
 			e += "/" + s
 		}
@@ -232,12 +313,22 @@ func (c cell) exp() string {
 	return e
 }
 
-// value looks c's plotted metric up in vals, a snapshot's metrics by key.
-func (c cell) value(vals map[string]map[string]float64) (float64, bool) {
-	metric := c.panel().plots
+// metrics are the metrics c's table plots: the panel's, or a method's mean
+// response time.
+func (c cell) metrics() []string {
 	if c.method != "" {
-		metric = "mean_rt_us"
+		return meanRT
 	}
+	return c.panel().plots
+}
+
+// value looks c's first plotted metric up in vals, a snapshot's metrics by
+// key; the claims compare it.
+func (c cell) value(vals map[string]map[string]float64) (float64, bool) {
+	return c.valueOf(vals, c.metrics()[0])
+}
+
+func (c cell) valueOf(vals map[string]map[string]float64, metric string) (float64, bool) {
 	v, ok := vals[SnapPoint{c.exp(), c.sys.String(), c.class, c.nodes, c.ratio, nil}.key()][metric]
 	return v, ok
 }
@@ -252,14 +343,18 @@ func (c cell) ops(cfg Config) int {
 	return int(float64(n) * c.scale)
 }
 
-// runCell runs c, failing its scenario's node perOp per operation in.
+// runCell runs c under its variant, failing its scenario's node perOp per
+// operation in.
 func (cfg Config) runCell(c cell) (*Result, System) {
-	ops := c.ops(cfg)
+	ops, depth := c.ops(cfg), c.panel().depth
+	if c.vari.depth > 0 {
+		depth = c.vari.depth
+	}
 	var faults []Fault
 	if c.scen.perOp > 0 {
 		faults = []Fault{{At: faultAt(ops, c.scen.perOp), Node: c.scen.node}}
 	}
-	return cfg.run(c.sys, c.mk(), c.nodes, ops, c.ratio, c.panel().depth, Variant{}, faults...)
+	return cfg.run(c.sys, c.mk(), c.nodes, ops, c.ratio, depth, c.vari.v, faults...)
 }
 
 // headline reports whether c is a headline run: its figure's first panel at
@@ -279,12 +374,12 @@ func (cfg Config) runFigure(f *figure, s *Snapshot) {
 					s.add(c.exp()+"/"+name, c.sys.String(), c.class, c.nodes, c.ratio, map[string]float64{"mean_rt_us": r.ByMethod[name].Mean().Micros()})
 				}
 			}
-			if p.plots == "" {
+			if p.plots == nil {
 				continue
 			}
-			keep := []string{p.plots}
+			keep := p.plots
 			if c.headline() {
-				keep = append(keep, f.baseline...)
+				keep = slices.Concat(keep, f.baseline)
 			}
 			m := s.addResult(c.exp(), c.sys.String(), r)
 			for name := range m {
@@ -370,7 +465,14 @@ func (f *figure) render(w io.Writer, s Snapshot) {
 			}
 		}
 	}
-	fmt.Fprintf(w, "Figure %s — the paper's claims\n\n| claim | paper | measured | misses | |\n|---|---|---|---|---|\n", strings.TrimPrefix(f.name, "fig"))
+	if len(f.claims) == 0 {
+		return
+	}
+	head, src := strings.ToUpper(f.name[:1])+f.name[1:]+" — DESIGN.md's claims", "DESIGN.md"
+	if n, ok := strings.CutPrefix(f.name, "fig"); ok {
+		head, src = "Figure "+n+" — the paper's claims", "paper"
+	}
+	fmt.Fprintf(w, "%s\n\n| claim | %s | measured | misses | |\n|---|---|---|---|---|\n", head, src)
 	for _, cl := range f.claims {
 		ratios, of, misses := cl.check(f, vals)
 		pred, measured, verdict := cl.col, "-", "-"
@@ -407,21 +509,28 @@ func (f *figure) render(w io.Writer, s Snapshot) {
 }
 
 // renderTable writes one table of panel pan: a row per class, update ratio,
-// node count, op count and method the panel varies, a column per fault
-// scenario and system, then one per ratio its claims check.
+// node count, op count, method and variant the panel varies, a column per
+// fault scenario, system and plotted metric, then one per ratio its claims
+// check.
 func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, ops, pan int, methods bool, title string) {
 	p, cs := &f.panels[pan], f.cells(pan, methods)
 	width := len(p.systems) * max(len(p.faults), 1)
 	label := func(c cell) (head, row []string) {
+		mix := ""
+		if p.mix {
+			mix = categoryMix(c.mk())
+		}
 		for _, d := range []struct {
 			show bool
 			h, v string
 		}{
 			{len(p.classes) > 1, "class", c.class},
+			{p.mix, "categories", mix},
 			{len(p.ratios) > 1, "upd%", fmt.Sprintf("%.0f", 100*c.ratio)},
 			{len(p.nodes) > 1, "nodes", fmt.Sprint(c.nodes)},
 			{len(p.scales) > 1, "ops", fmt.Sprint(c.ops(Config{Ops: ops}))},
 			{methods, "method", c.method},
+			{len(p.variants) > 1, "variant", c.vari.name},
 		} {
 			if d.show {
 				head, row = append(head, d.h), append(row, d.v)
@@ -440,14 +549,24 @@ func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, op
 		}
 	}
 	head, _ := label(cs[0])
+	metrics := cs[0].metrics()
 	for _, c := range cs[:width] {
+		col := c.scen.name + " fails"
 		switch {
 		case len(p.faults) < 2:
-			head = append(head, c.sys.String())
+			col = c.sys.String()
 		case c.scen.perOp == 0:
-			head = append(head, c.scen.name)
-		default:
-			head = append(head, c.scen.name+" fails")
+			col = c.scen.name
+		}
+		for _, m := range metrics {
+			switch {
+			case len(metrics) == 1:
+				head = append(head, col)
+			case width == 1:
+				head = append(head, m)
+			default:
+				head = append(head, col+" "+m)
+			}
 		}
 	}
 	head = append(head, cols...)
@@ -456,12 +575,13 @@ func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, op
 		row := cs[at : at+width]
 		_, text := label(row[0])
 		for _, c := range row {
-			v, ok := c.value(vals)
-			if !ok {
-				text = append(text, "-")
-				continue
+			for _, m := range metrics {
+				if v, ok := c.valueOf(vals, m); ok {
+					text = append(text, fmt.Sprintf("%.2f", v))
+				} else {
+					text = append(text, "-")
+				}
 			}
-			text = append(text, fmt.Sprintf("%.2f", v))
 		}
 		for _, col := range cols {
 			t := ""
@@ -482,6 +602,17 @@ func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, op
 	fmt.Fprintln(w)
 }
 
+// categoryMix counts cls's update methods by category: R reducible, F
+// irreducible conflict-free, C conflicting.
+func categoryMix(cls *spec.Class) string {
+	an := spec.MustAnalyze(cls)
+	n := map[spec.Category]int{}
+	for _, u := range cls.UpdateMethods() {
+		n[an.Category[u]]++
+	}
+	return fmt.Sprintf("%dR/%dF/%dC", n[spec.CatReducible], n[spec.CatIrreducibleFree], n[spec.CatConflicting])
+}
+
 func figureNamed(name string) *figure {
 	for i := range paper {
 		if paper[i].name == name {
@@ -491,9 +622,9 @@ func figureNamed(name string) *figure {
 	return nil
 }
 
-// Figure runs the paper's figure called name (fig8 … fig13) and prints its
-// tables and the paper's claims checked against them. It reports whether
-// the table has that figure.
+// Figure runs the figure of the table called name (fig8 … fig13, overview,
+// ablations) and prints its tables and its claims checked against them. It
+// reports whether the table has that figure.
 func (cfg Config) Figure(name string) bool {
 	f := figureNamed(name)
 	if f != nil {

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR63.json"
+	baselineSnapshot = "../../BENCH_PR64.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 
@@ -33,7 +33,7 @@ func readSnapshotFile(t *testing.T, path string) Snapshot {
 }
 
 // renderExperiments returns doc with each figure's block, between its
-// "<!-- begin figN -->" and "<!-- end figN -->" lines, replaced by the
+// "<!-- begin NAME -->" and "<!-- end NAME -->" lines, replaced by the
 // figure's render of s.
 func renderExperiments(doc string, s Snapshot) (string, error) {
 	for i := range paper {
@@ -50,10 +50,10 @@ func renderExperiments(doc string, s Snapshot) (string, error) {
 	return doc, nil
 }
 
-// TestExperimentsTables: EXPERIMENTS.md's Figure 8–13 tables are the render
-// of the committed baseline, so a number typed into them by hand, or a
-// baseline re-recorded without them, fails. Regenerate with
-// go test ./internal/bench -run ExperimentsTables -update.
+// TestExperimentsTables: EXPERIMENTS.md's Figure 8–13, overview and
+// ablation tables are the render of the committed baseline, so a number
+// typed into them by hand, or a baseline re-recorded without them, fails.
+// Regenerate with go test ./internal/bench -run ExperimentsTables -update.
 func TestExperimentsTables(t *testing.T) {
 	s := readSnapshotFile(t, baselineSnapshot)
 	doc, err := os.ReadFile(experimentsDoc)
@@ -74,12 +74,25 @@ func TestExperimentsTables(t *testing.T) {
 		t.Fatalf("EXPERIMENTS.md's figure tables are not the render of %s; regenerate with -update", baselineSnapshot)
 	}
 
-	// The control: one hand-edited Fig. 9 cell is caught.
-	at := strings.Index(want, "<!-- begin fig9 -->")
-	cellAt := at + strings.Index(want[at:], "| 14.43 |")
-	edited := want[:cellAt] + "| 14.44 |" + want[cellAt+len("| 14.43 |"):]
-	if regen, err := renderExperiments(edited, s); err != nil || regen == edited {
-		t.Fatalf("a hand-edited Fig. 9 cell went unnoticed (%v)", err)
+	// The controls: one hand-edited cell of a Fig. 9, overview or ablation
+	// table is caught.
+	for _, c := range []struct{ block, cell, edit string }{
+		{"fig9", "| 14.43 |", "| 14.44 |"},
+		{"overview", "| 16.78 |", "| 16.79 |"},
+		{"ablations", "| 3.81 |", "| 3.82 |"},
+	} {
+		at, end, cellAt := strings.Index(want, "<!-- begin "+c.block+" -->"), strings.Index(want, "<!-- end "+c.block+" -->"), -1
+		if 0 <= at && at < end {
+			cellAt = strings.Index(want[at:end], c.cell)
+		}
+		if cellAt < 0 {
+			t.Fatalf("no %q cell in the %s block", c.cell, c.block)
+		}
+		cellAt += at
+		edited := want[:cellAt] + c.edit + want[cellAt+len(c.cell):]
+		if regen, err := renderExperiments(edited, s); err != nil || regen == edited {
+			t.Fatalf("a hand-edited %s cell went unnoticed (%v)", c.block, err)
+		}
 	}
 }
 

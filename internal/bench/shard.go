@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hamband/internal/crdt"
@@ -155,7 +156,7 @@ func (cfg Config) Shard(shards int) {
 	}
 	nodes := 4
 	skews := []float64{0, 1.1, 1.5, 2.5}
-	counts := []int{max(shards/4, 2), shards / 2, shards}
+	counts := slices.Compact([]int{max(shards/4, 2), max(shards/2, 2), shards}) // one row and point per count
 
 	var all []shardRun
 	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}

@@ -105,24 +105,17 @@ func (p SnapPoint) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g", p.Experiment, p.System, p.Class, p.Nodes, p.UpdateRatio)
 }
 
-// Snapshot runs the canonical benchmark set — every figure of the paper
-// table with one misses point per claim, the doorbell ablation's baseline at
-// the headline class and ratio of Figures 8–10 over the three replication
-// paths (its full variant is DefaultLatency, which the figure points already
-// run), the sharded store at uniform and Zipf 1.5 keys and the wire points —
-// exports it and returns it.
+// Snapshot runs the canonical benchmark set — every figure of the table
+// (the paper's, the use-case overview and the ablations) with one misses
+// point per claim, the sharded store at uniform and Zipf 1.5 keys and the
+// wire points — exports it and returns it. It panics if two points share a
+// key, which no compare could tell apart.
 func (cfg Config) Snapshot() Snapshot {
 	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}
 	for i := range paper {
 		cfg.runFigure(&paper[i], &s)
 	}
 	s.Points = append(s.Points, claimPoints(s)...)
-	base := doorbellVariant{name: "baseline"}
-	for _, f := range paper[:3] {
-		p := &f.panels[0]
-		r, _, _ := cfg.doorbellPoint(p.classes[0](), 4, p.ratios[0], base.latency())
-		s.addResult("doorbell/"+base.name, Hamband.String(), r)
-	}
 	for _, skew := range []float64{0, 1.5} {
 		s.addResult(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)
 	}
@@ -131,13 +124,30 @@ func (cfg Config) Snapshot() Snapshot {
 		r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps)
 		s.addResult("wire/delta", Hamband.String(), r)["bytes_per_op"] = bytes
 	}
+	if err := s.uniqueKeys(); err != nil {
+		panic(fmt.Sprintf("bench: %v", err))
+	}
 	cfg.export("snapshot", s)
 	return s
 }
 
+// uniqueKeys fails on the first key two of s's points share: Compare
+// matches points by key, so it would gate the first and report the second
+// as new.
+func (s Snapshot) uniqueKeys() error {
+	seen := make(map[string]bool, len(s.Points))
+	for _, p := range s.Points {
+		if seen[p.key()] {
+			return fmt.Errorf("two points with key %s", p.key())
+		}
+		seen[p.key()] = true
+	}
+	return nil
+}
+
 // ReadSnapshot parses a snapshot an experiment exported. It rejects any
-// other schema, which also turns away JSON that is no snapshot at all, and
-// any metric metricDefs does not define.
+// other schema, which also turns away JSON that is no snapshot at all, any
+// metric metricDefs does not define and two points with one key.
 func ReadSnapshot(r io.Reader) (Snapshot, error) {
 	var s Snapshot
 	if err := json.NewDecoder(r).Decode(&s); err != nil {
@@ -153,7 +163,7 @@ func ReadSnapshot(r io.Reader) (Snapshot, error) {
 			}
 		}
 	}
-	return s, nil
+	return s, s.uniqueKeys()
 }
 
 // Compare prints one row per metric of every point the two snapshots share,

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"os"
 	"regexp"
@@ -170,6 +171,29 @@ func TestReadSnapshotSchema(t *testing.T) {
 	_, err := ReadSnapshot(strings.NewReader(`{"schema": 2, "points": [{"experiment": "fig8", "metrics": {"ops_per_sec": 1}}]}`))
 	if err == nil || !strings.Contains(err.Error(), `"ops_per_sec"`) {
 		t.Fatalf("undefined metric: err = %v", err)
+	}
+}
+
+// TestReadSnapshotRejectsDuplicateKeys: Compare matches points by key, so
+// of two points with one key it would gate the first and print the second
+// as a new point, never gated. ReadSnapshot refuses such a snapshot; the
+// same points keyed apart, and every committed snapshot of this schema from
+// BENCH_PR61.json on, read back.
+func TestReadSnapshotRejectsDuplicateKeys(t *testing.T) {
+	const point = `{"experiment": "fig8", "system": "Hamband", "class": "counter", "nodes": %d, "update_ratio": 0.25, "metrics": {"ops_per_us": 16.72}}`
+	read := func(nodes ...any) error {
+		pts := strings.TrimSuffix(strings.Repeat(point+",", len(nodes)), ",")
+		_, err := ReadSnapshot(strings.NewReader(`{"schema": 2, "points": [` + fmt.Sprintf(pts, nodes...) + `]}`))
+		return err
+	}
+	if err := read(4, 4); err == nil || !strings.Contains(err.Error(), "fig8|Hamband|counter|4|0.25") {
+		t.Fatalf("two points with one key: err = %v", err)
+	}
+	if err := read(4, 5); err != nil {
+		t.Fatalf("two points keyed apart: %v", err)
+	}
+	for _, name := range []string{"BENCH_PR61.json", "BENCH_PR62.json", "BENCH_PR63.json", "BENCH_PR64.json"} {
+		readSnapshotFile(t, "../../"+name)
 	}
 }
 
