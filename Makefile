@@ -218,15 +218,15 @@ ledger:
 	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger' -count=1 -v ./internal/bench
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
-# the repo root (deterministic: same ops+seed give identical bytes). Since it
-# holds every figure of the table (the Figure 8–13 grids, the use-case
-# overview, the ablations and a misses point per claim), it takes about 18 s
-# on a 2-core host (13 s with the Figure 8–13 grids alone, 1.3 s when it held
-# one point per figure); bench-same and CI's benchstat lane take as long.
+# the repo root (deterministic: same ops+seed give identical bytes). It holds
+# every figure of the table (the Figure 8–13 grids, the use-case overview,
+# the ablations, the coordination costs, the wire and the sharded store) and
+# a misses point per claim, and takes about 14 s on a 2-core host; bench-same
+# and CI's benchstat lane take as long.
 # SNAPSHOT is the one place the baseline is named: OLD, NEW and CI's
 # benchstat lane follow it, and internal/bench's paper_test.go renders
 # EXPERIMENTS.md's generated tables from the same file.
-SNAPSHOT ?= BENCH_PR64.json
+SNAPSHOT ?= BENCH_PR65.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 
@@ -242,16 +242,16 @@ bench-same:
 	$(GO) run ./cmd/hambench -exp snapshot -json "$$tmp" > /dev/null && \
 	cmp "$$tmp" $(SNAPSHOT) && echo "snapshot identical to $(SNAPSHOT)"
 
-# bench-wire runs the wire-efficiency study: δ bytes on the wire per op,
-# throughput and wire-stage latency share per class.
+# bench-wire runs the wire figure: δ bytes on the wire per op, throughput,
+# the wire stage's latency share and response times per class.
 bench-wire:
 	$(GO) run ./cmd/hambench -exp wire
 
-# bench-shard runs the sharded-store experiment: object-count and Zipfian
-# skew sweeps with hot-key reporting and cross-shard chained-WR counts.
-SHARDS ?= 16
+# bench-shard runs the shard figure: a keyed counter workload over 4, 8 and
+# 16 shards of a store, uniform and Zipf keys, with throughput, writes and
+# doorbells per call and response times.
 bench-shard:
-	$(GO) run ./cmd/hambench -exp shard -shards $(SHARDS)
+	$(GO) run ./cmd/hambench -exp shard
 
 # bench-reconfig runs the membership-change experiment: windowed throughput
 # around a leave/join round-trip with dip and recovery-time reporting.

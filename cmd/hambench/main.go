@@ -1,73 +1,43 @@
-// Command hambench regenerates the paper's evaluation (Figures 8–13) on
-// the simulated RDMA fabric, plus the use-case overview and the ablation
-// studies from DESIGN.md. fig8 … fig13, overview and ablations select a
-// figure of internal/bench's figure table: each prints the figure's tables
-// and its claims checked against them. The ablations compare summarized
-// against buffered G-sets, two Mu leaders against one, summary-scan periods
-// (dependency gating), closed-loop depths, and inline against DMA posts.
+// Command hambench regenerates the paper's evaluation (Figures 8–13) on the
+// simulated RDMA fabric, plus the studies beyond it from DESIGN.md. A
+// selector that names a figure of internal/bench's figure table — fig8 …
+// fig13, overview, ablations, costs, wire, shard — prints the figure's
+// tables and its claims checked against them; all prints every figure.
 //
 // Usage:
 //
-//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|overview|ablations|costs|trace|
-//	               metrics|latency|wire|shard|reconfig|snapshot|benchstat|chaos|health|hamtop]
+//	hambench [-exp all|fig8|fig9|fig10|fig11|fig12|fig13|overview|ablations|costs|wire|shard|
+//	               trace|metrics|latency|reconfig|snapshot|benchstat|chaos|health|hamtop]
 //	         [-ops N] [-seed N] [-json FILE] [-chrome-trace FILE]
-//	         [-old FILE -new FILE] [-shards N]
+//	         [-old FILE -new FILE]
 //	         [-plans N] [-plan-json FILE] [-chaos-dir DIR] [-frames N]
 //
 // Every fixed-op point, the sharded store's included, is driven by
 // bench.Run's closed loop and ends when every update is applied at every live
-// node (the paper's throughput: calls over that makespan). -json FILE is the
-// one export: snapshot, latency, wire, shard and health write their points
-// there as one benchmark snapshot of keyed points and named metrics (-exp
-// snapshot, the canonical set committed at the repository root, needs it),
-// and metrics writes its registry snapshot. -exp benchstat compares two
-// snapshots and exits 1 if a metric is worse than in -old by more than the
-// bound its definition in internal/bench gives.
+// node (the paper's throughput: calls over that makespan), in deterministic
+// virtual time: a given (-ops, -seed) pair always reproduces the same
+// numbers. -ops plays the role of the paper's 4 M operations per point; the
+// default (20000) keeps `-exp all` to about 15 s on a 2-core host.
 //
-// The shard experiment drives a keyed counter workload against the sharded
-// multi-object store: object-count and Zipfian-skew sweeps with per-shard
-// (hot-key) throughput reporting and cross-shard chained-WR counts on the
-// shared per-peer QPs. -shards sets the largest object count.
+// -json FILE is the one export: a figure, all, snapshot, latency and health
+// write their points there as one benchmark snapshot of keyed points and
+// named metrics (-exp snapshot, the canonical set committed at the
+// repository root, needs it); metrics writes its registry snapshot, and
+// -chrome-trace a chrome://tracing file of its call lifecycles. -exp
+// benchstat compares two snapshots and exits 1 if a metric is worse than in
+// -old by more than the bound its definition in internal/bench gives.
 //
-// The chaos experiment explores -plans randomized, seed-reproducible fault
-// plans (node suspensions, link partitions, latency spikes, torn-write
-// windows, leader kills) against live clusters. Each run gets one verdict:
-// its probes check convergence, integrity and exactly-once delivery after
-// heal, and its recorded history is replayed through the abstract WRDT
-// semantics (local permissibility, conflict-synchronization, dependency
-// preservation, exactly-once delivery, query explainability and, with client
-// sessions, the session guarantees). Failing plans are shrunk and dumped
-// under -chaos-dir; -plan-json replays one plan's JSON artifact the same way,
-// printing both evidence lists. Torn windows ("kind": "torn"/"tornheal")
-// land each write's interior bytes after its boundary bytes — the
-// out-of-order delivery NICs permit within one work request — which the
-// CRC-validated slot and record frames must reject and retry rather than
-// false-accept.
-//
-// The health experiment runs one fixed-seed fault plan with the anomaly
-// watchdog attached: every firing is classified against the injected
-// faults (unexpected firings fail the run), a per-fault coverage table
-// shows each fault was observed, and a fault-free control run must stay
-// silent; its export holds the firing counts. The hamtop experiment renders -frames
-// top-style snapshots of a live sharded store — per-node progress and
-// suspicion sets, arena headroom, hottest shards, watchdog firings — all
-// in deterministic virtual time.
-//
-// The metrics experiment runs one fully instrumented workload and prints
-// the percentile report; its export is the raw registry snapshot, and
-// -chrome-trace writes a chrome://tracing file of the recorded call
-// lifecycles.
-//
-// The latency experiment runs one fully traced workload, reconstructs a
-// causal span per call and prints per-stage p50/p95/p99 tables plus a
-// tail-attribution report (which protocol stage the p95/p99-slowest calls
-// spent their time in); its export holds the same data.
-//
-// The -ops flag plays the role of the paper's 4 M operations per
-// experiment point; the default (20000) keeps `-exp all` to about 20 s of
-// wall-clock on a 2-core host while preserving the figures' shapes. Results are
-// measured in deterministic virtual time, so a given (-ops, -seed) pair
-// always reproduces the same numbers.
+// The other modes: trace prints a few calls' lifecycles; metrics the
+// registry's percentile report; latency a causal span per call, per-stage
+// percentiles and the stages the slowest calls spent their time in; reconfig
+// the throughput dip around a leave and a rejoin. chaos explores -plans
+// randomized fault plans (suspensions, partitions, latency spikes, torn
+// writes, leader kills), each judged by its probes and by replaying its
+// history through the abstract WRDT semantics, and shrinks and dumps a
+// failing one under -chaos-dir; -plan-json replays one. health runs one
+// fault plan under the anomaly watchdog and a fault-free control, and exits
+// 1 on an unexpected firing, an unobserved fault or a noisy control. hamtop
+// renders -frames top-style frames of a live sharded store.
 package main
 
 import (
@@ -81,17 +51,16 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, overview, ablations (figures of the table), costs, trace, metrics, latency, wire, shard, reconfig, snapshot, benchstat (compare -old and -new, gating each metric at its own bound), chaos, health, hamtop")
+	exp := flag.String("exp", "all", "experiment: all, fig8, fig9, fig10, fig11, fig12, fig13, overview, ablations, costs, wire, shard (figures of the table), trace, metrics, latency, reconfig, snapshot, benchstat (compare -old and -new, gating each metric at its own bound), chaos, health, hamtop")
 	ops := flag.Int("ops", bench.DefaultOps, "operations per experiment point")
 	seed := flag.Int64("seed", 42, "deterministic random seed")
-	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (snapshot, latency, wire, shard, health: a snapshot of keyed points and named metrics that -exp benchstat compares; metrics: the registry snapshot)")
+	jsonOut := flag.String("json", "", "write the experiment's points as JSON to FILE (a figure, all, snapshot, latency, health: a snapshot of keyed points and named metrics that -exp benchstat compares; metrics: the registry snapshot)")
 	chromeTrace := flag.String("chrome-trace", "", "write a chrome://tracing event file for the metrics experiment to FILE")
 	oldSnap := flag.String("old", "", "benchstat: baseline snapshot file")
 	newSnap := flag.String("new", "", "benchstat: current snapshot file")
 	plans := flag.Int("plans", 30, "chaos: number of randomized fault plans to explore")
 	planJSON := flag.String("plan-json", "", "chaos: replay one fault plan from FILE instead of exploring")
 	chaosDir := flag.String("chaos-dir", ".", "chaos: directory for failing-plan JSON dumps")
-	shards := flag.Int("shards", 16, "shard: objects hosted by the sharded store at the largest sweep point")
 	topFrames := flag.Int("frames", 6, "hamtop: snapshot frames to render")
 	flag.Parse()
 
@@ -100,7 +69,6 @@ func main() {
 	switch *exp {
 	case "all":
 		cfg.All()
-		cfg.Costs()
 	case "snapshot":
 		if cfg.JSON == nil {
 			fmt.Fprintln(os.Stderr, "hambench: -exp snapshot needs -json FILE")
@@ -109,18 +77,12 @@ func main() {
 		fmt.Printf("wrote %d benchmark points to %s\n", len(cfg.Snapshot().Points), *jsonOut)
 	case "benchstat":
 		benchstat(*oldSnap, *newSnap)
-	case "costs":
-		cfg.Costs()
 	case "trace":
 		cfg.Trace()
 	case "metrics":
 		cfg.Metrics()
 	case "latency":
 		cfg.Latency()
-	case "wire":
-		cfg.Wire()
-	case "shard":
-		cfg.Shard(*shards)
 	case "reconfig":
 		cfg.Reconfig()
 	case "health":

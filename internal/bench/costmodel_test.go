@@ -142,10 +142,11 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 }
 
 // TestExperimentEntryPointsSmoke runs the experiments no other test runs at
-// a small scale, and the overview as hambench reaches it, by name: each
-// prints its header (the snapshot prints nothing), each JSON export reads
-// back as a Snapshot with points whose every metric metricDefs defines, and
-// the health run passes.
+// a small scale, and the overview, costs, wire and shard figures as hambench
+// reaches them, by name: each prints its header (the snapshot prints
+// nothing), each JSON export reads back as a Snapshot with points whose
+// every metric metricDefs defines, and the health run passes. A figure's
+// export holds its points and its claims' misses points.
 func TestExperimentEntryPointsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment smoke test is not short")
@@ -155,13 +156,13 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 		run          func(Config)
 		exports      bool
 	}{
-		{"costs", "Coordination cost per call", Config.Costs, false},
+		{"costs", "Coordination cost per call", func(cfg Config) { cfg.Figure("costs") }, true},
 		{"trace", "Call lifecycles", Config.Trace, false},
-		{"overview", "Use-case overview", func(cfg Config) { cfg.Figure("overview") }, false},
+		{"overview", "Use-case overview", func(cfg Config) { cfg.Figure("overview") }, true},
 		{"latency", "Latency attribution", Config.Latency, true},
-		{"wire", "Wire efficiency", Config.Wire, true},
+		{"wire", "Wire efficiency", func(cfg Config) { cfg.Figure("wire") }, true},
 		{"snapshot", "", func(cfg Config) { cfg.Snapshot() }, true},
-		{"shard", "Sharded store", func(cfg Config) { cfg.Shard(4) }, true},
+		{"shard", "Sharded store", func(cfg Config) { cfg.Figure("shard") }, true},
 		{"health", "Anomaly watchdog", func(cfg Config) {
 			if n := cfg.Health(); n != 0 {
 				t.Errorf("health returned %d", n)
@@ -188,9 +189,13 @@ func TestExperimentEntryPointsSmoke(t *testing.T) {
 			if len(s.Points) == 0 {
 				t.Fatal("export holds no points")
 			}
+			f := figureNamed(c.name)
 			for _, p := range s.Points {
 				if len(p.Metrics) == 0 {
 					t.Fatalf("point %s carries no metrics", p.key())
+				}
+				if f != nil && p.Experiment != f.name && !strings.HasPrefix(p.Experiment, f.name+"/") {
+					t.Fatalf("the %s export holds point %s of another figure", c.name, p.key())
 				}
 				for name := range p.Metrics {
 					if _, ok := metricDefs[name]; !ok {

@@ -22,7 +22,6 @@ type Fault struct {
 type MethodStat struct {
 	Count int
 	Total sim.Duration
-	Max   sim.Duration
 }
 
 // Mean returns the method's mean response time.
@@ -48,8 +47,6 @@ type Result struct {
 
 	Makespan sim.Duration // start → all updates replicated on live nodes
 	MeanRT   sim.Duration
-	UpdateRT sim.Duration
-	QueryRT  sim.Duration
 	ByMethod map[string]MethodStat
 	TimedOut bool // replication barrier not reached before the deadline
 
@@ -102,8 +99,6 @@ type driver struct {
 
 	res      *Result
 	rtTotal  sim.Duration
-	updTotal sim.Duration
-	qryTotal sim.Duration
 	resRng   *rand.Rand // reservoir sampling
 	done     bool
 	deadline sim.Time
@@ -161,7 +156,9 @@ func Run(eng *sim.Engine, sys System, wl Workload, faults ...Fault) *Result {
 		d.res.TimedOut = true
 		d.res.Makespan = sim.Duration(eng.Now())
 	}
-	d.finalize()
+	if d.res.Completed > 0 {
+		d.res.MeanRT = d.rtTotal / sim.Duration(d.res.Completed)
+	}
 	return d.res
 }
 
@@ -221,13 +218,9 @@ func (d *driver) record(p spec.ProcID, u spec.MethodID, isUpdate bool, err error
 	st := d.res.ByMethod[name]
 	st.Count++
 	st.Total += rt
-	if rt > st.Max {
-		st.Max = rt
-	}
 	d.res.ByMethod[name] = st
 	if isUpdate {
 		d.res.Updates++
-		d.updTotal += rt
 		if err == nil {
 			d.accepted[p][u]++
 		} else {
@@ -235,7 +228,6 @@ func (d *driver) record(p spec.ProcID, u spec.MethodID, isUpdate bool, err error
 		}
 	} else {
 		d.res.Queries++
-		d.qryTotal += rt
 	}
 }
 
@@ -281,16 +273,4 @@ func (d *driver) checkDone() {
 	}
 	d.done = true
 	d.res.Makespan = sim.Duration(d.eng.Now())
-}
-
-func (d *driver) finalize() {
-	if d.res.Completed > 0 {
-		d.res.MeanRT = d.rtTotal / sim.Duration(d.res.Completed)
-	}
-	if d.res.Updates > 0 {
-		d.res.UpdateRT = d.updTotal / sim.Duration(d.res.Updates)
-	}
-	if d.res.Queries > 0 {
-		d.res.QueryRT = d.qryTotal / sim.Duration(d.res.Queries)
-	}
 }

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"hamband/internal/core"
 	"hamband/internal/crdt"
 	"hamband/internal/metrics"
 	"hamband/internal/rdma"
-	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -24,9 +22,9 @@ type Config struct {
 	Seed int64
 	Out  io.Writer
 	// JSON, when non-nil, receives the experiment's points as one Snapshot
-	// of keyed points and named metrics (snapshot, latency, wire, shard,
-	// health) or, for metrics, the registry snapshot; ChromeTrace receives
-	// the metrics experiment's call lifecycles.
+	// of keyed points and named metrics (every figure of the table, all and
+	// snapshot, latency, health) or, for metrics, the registry snapshot;
+	// ChromeTrace receives the metrics experiment's call lifecycles.
 	JSON        io.Writer
 	ChromeTrace io.Writer
 }
@@ -80,61 +78,13 @@ func (cfg Config) printf(format string, args ...any) {
 	fmt.Fprintf(cfg.Out, format, args...)
 }
 
-func methodNames(r *Result) []string {
-	names := make([]string, 0, len(r.ByMethod))
-	for name := range r.ByMethod {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// All runs every figure of the table in order: the paper's, the use-case
-// overview and the ablations.
+// All runs every figure of the table and prints each in order; its export
+// is the snapshot.
 func (cfg Config) All() {
-	for _, f := range paper {
-		cfg.Figure(f.name)
+	s := cfg.Snapshot()
+	for i := range paper {
+		paper[i].render(cfg.Out, s)
 	}
-}
-
-// Costs measures the empirical coordination cost per method category: one
-// single-category workload per row, reporting the RDMA verbs and bytes the
-// whole cluster spent per call. It quantifies §3.3's claims — a reducible
-// call is (N−1) one-sided writes, an irreducible conflict-free call adds
-// the reliable-broadcast backup machinery, and a conflicting call pays the
-// consensus round — plus the MSG baseline's message count for contrast.
-func (cfg Config) Costs() {
-	cfg.printf("Coordination cost per call by category (4 nodes, updates only)\n")
-	cfg.printf("%-28s %10s %10s %12s %11s\n", "workload", "writes/op", "reads/op", "bytes/op", "crc ns/op")
-	type row struct {
-		name string
-		cls  *spec.Class
-	}
-	rows := []row{
-		{"reducible (counter)", crdt.NewCounter()},
-		{"irreducible free (orset)", crdt.NewORSet()},
-		{"conflicting (movie)", schema.NewMovie()},
-	}
-	ops := max(cfg.Ops/4, 500)
-	for _, rw := range rows {
-		res, sys := cfg.run(Hamband, rw.cls, 4, ops, 1.0, 0, Variant{})
-		fab := sys.(*hambandSystem).c.Fab
-		st := fab.Stats()
-		n := float64(res.Completed - res.Rejected)
-		if n == 0 {
-			continue
-		}
-		// Reader-side CRC32-C validation of the bytes each call ships,
-		// priced by the cost model (hardware-assisted checksum throughput).
-		crc := fab.Latency().CRCCost(int(float64(st.BytesWritten) / n))
-		cfg.printf("%-28s %10.2f %10.2f %12.1f %11d\n", rw.name,
-			float64(st.Writes)/n, float64(st.Reads)/n, float64(st.BytesWritten)/n, int64(crc))
-	}
-	// Contrast: the MSG baseline's per-op message count.
-	res, sys := cfg.run(MSG, crdt.NewCounter(), 4, ops, 1.0, 0, Variant{})
-	cfg.printf("%-28s %10s %10s %12s  (%.2f messages/op)\n",
-		"MSG baseline (counter)", "-", "-", "-", float64(sys.(*msgSystem).c.Net.Stats().Sent)/float64(res.Completed))
-	cfg.printf("\n")
 }
 
 // Trace prints the full lifecycle of a few representative calls — one per

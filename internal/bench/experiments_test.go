@@ -8,7 +8,8 @@ import (
 )
 
 // TestAllExperimentsSmoke runs every figure of the table — the paper's, the
-// use-case overview and the ablations — at a tiny scale: it guards the
+// use-case overview, the ablations, the costs, the wire and the sharded
+// store — at a tiny scale: it guards the
 // table's runner and renderer (the cross product, variants, fault plumbing,
 // the throughput/response-time split, the per-method tables and the claims)
 // against regressions. Full-scale numbers come from cmd/hambench.
@@ -33,6 +34,8 @@ func TestAllExperimentsSmoke(t *testing.T) {
 		"summarization", "| gset | 3 |", "two leaders", "| one-leader |",
 		"dependency gating", "| worksOn | scan-200us |", "closed-loop depth", "| depth-32 |",
 		"inline", "| dma |", "Ablations — DESIGN.md's claims",
+		"Coordination cost per call", "| movie | 0R/0F/4C |", "Costs — DESIGN.md's claims",
+		"Wire efficiency", "| cart |", "wire_share", "Sharded store", "over 16 shards", "| zipf2.5 |",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("output missing %q:\n%s", want, out)

@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -12,14 +13,16 @@ import (
 	"hamband/internal/rdma"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
+	"hamband/internal/span"
 	"hamband/internal/spec"
+	"hamband/internal/trace"
 )
 
 // A figure is one figure of the paper's evaluation, or one study beyond it
-// (the use-case overview, the ablations), written once: its panels and the
-// claims about them. hambench's fig8 … fig13, overview and ablations, the
-// snapshot, the testing.B benchmarks and EXPERIMENTS.md's generated tables
-// all read the table below. Its headline runs (see headline) also record
+// (the use-case overview, the ablations, the coordination costs, the wire
+// and the sharded store), written once: its panels and the claims about
+// them. hambench's figure modes, the snapshot, the testing.B benchmarks and
+// EXPERIMENTS.md's generated tables all read the table below. Its headline runs (see headline) also record
 // baseline, the metrics the committed baseline gated there before the
 // figures were a table.
 type figure struct {
@@ -45,14 +48,17 @@ type panel struct {
 	variants               []variant        // nil: the default deployment
 	faults                 []scenario       // nil: one fault-free run
 	ops                    func(Config) int // nil: Config.Ops, or rtOps at depth 1
+	shards                 int              // > 0: each class as that many shards of a store, class "<name>-x<shards>"
 }
 
-// A variant is a deployment a panel compares with others: a Variant and, for
-// the depth sweep, a closed-loop depth (0: the panel's).
+// A variant is a deployment a panel compares with others: a Variant, for
+// the depth sweep a closed-loop depth (0: the panel's) and, for a store, its
+// key distribution (0 uniform, above 1 Zipf with that exponent).
 type variant struct {
 	name  string
 	v     Variant
 	depth int
+	skew  float64
 }
 
 // A scenario suspends node at faultAt(ops, perOp); perOp 0 is no fault.
@@ -91,7 +97,12 @@ var (
 	}}}
 	depths = []variant{{name: "depth-1", depth: 1}, {name: "depth-4", depth: 4}, {name: "depth-8", depth: 8}, {name: "depth-16", depth: 16}, {name: "depth-32", depth: 32}}
 	posts  = []variant{{name: "inline"}, latencyVariant("dma", func(l *rdma.LatencyModel) { l.InlineThreshold, l.InlineCost = 0, 0 })}
+	// traced attaches a tracer, for the wire stage's share; timing is as without.
+	traced = variant{v: Variant{Edit: func(fab *rdma.Fabric, o *core.Options) { o.Tracer = trace.New(fab.Engine(), 1<<20) }}}
+	perOp  = []string{"writes_per_op", "reads_per_op", "doorbells_per_op", "bytes_per_op"}
 )
+
+func quarter(cfg Config) int { return max(cfg.Ops/4, 500) }
 
 // latencyVariant is the default cost model, edited.
 func latencyVariant(name string, edit func(*rdma.LatencyModel)) variant {
@@ -106,6 +117,26 @@ func scans(periods ...sim.Duration) (vs []variant) {
 		vs = append(vs, latencyVariant(fmt.Sprintf("scan-%dus", d/sim.Microsecond), func(l *rdma.LatencyModel) { l.ScanPeriod = d }))
 	}
 	return vs
+}
+
+// skews are the sharded store's key distributions.
+func skews(ss ...float64) (vs []variant) {
+	for _, s := range ss {
+		name := "uniform"
+		if s > 0 {
+			name = fmt.Sprintf("zipf%.1f", s)
+		}
+		vs = append(vs, variant{name: name, skew: s})
+	}
+	return vs
+}
+
+// storePanel is the sharded store at n counter shards: throughput, verbs and
+// response times by key distribution, four calls outstanding per node.
+func storePanel(n int) panel {
+	return panel{title: fmt.Sprintf("Sharded store — keyed counter workload over %d shards, Hamband, 4 nodes, updates only, depth 4", n),
+		shards: n, depth: 4, plots: slices.Concat(throughput, []string{"writes_per_op", "doorbells_per_op"}, tails),
+		systems: hamband, classes: classes(crdt.NewCounter), ratios: []float64{1}, nodes: four, variants: skews(0, 1.1, 1.5, 2.5)}
 }
 
 // bundled lists a constructor per bundled class, for the use-case overview.
@@ -237,6 +268,22 @@ var paper = []figure{
 		{id: "depth", pan: 3, col: "d/1", what: "throughput at depth d at least depth 1's", paper: "load lifts throughput", lo: 1,
 			pick: func(c cell) bool { return c.vari.depth > 1 }, vs: toVar(depths[0])},
 	}},
+	{name: "costs", panels: []panel{
+		{title: "Coordination cost per call — verbs, doorbells and bytes the cluster spent per call, Hamband, 4 nodes, updates only, ops/4 (at least 500)",
+			mix: true, plots: perOp, systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet, schema.NewMovie), ratios: []float64{1}, nodes: four, ops: quarter},
+		{title: "Coordination cost per call — messages the MSG baseline sent per call", suffix: "/msg", plots: []string{"msgs_per_op"},
+			systems: []SystemKind{MSG}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: []float64{1}, nodes: four, ops: quarter},
+	}, claims: []claim{
+		{id: "reducible-writes", what: "a reducible counter call's writes", paper: "at most N−1 = 3 (§3.3)", hi: 3,
+			pick: func(c cell) bool { return c.class == "counter" }},
+	}},
+	{name: "wire", panels: []panel{
+		{title: "Wire efficiency — δ-mutation broadcast and δ-group summaries: bytes per call, throughput, the wire stage's share of span-attributed latency and response times, Hamband, 4 nodes, updates only, ops/4 (at least 500)",
+			suffix: "/delta", plots: slices.Concat([]string{"bytes_per_op", "ops_per_us", "wire_share"}, tails), systems: hamband,
+			classes: classes(crdt.NewCounter, crdt.NewPNCounter, crdt.NewLWW, crdt.NewGSet, crdt.NewLWWMap, crdt.NewTwoPSet, crdt.NewORSet, crdt.NewCart),
+			ratios:  []float64{1}, nodes: four, variants: []variant{traced}, ops: quarter},
+	}},
+	{name: "shard", panels: []panel{storePanel(4), storePanel(8), storePanel(16)}},
 }
 
 // A cell is one point of a panel: a run, or one method of a run.
@@ -269,6 +316,10 @@ func (f *figure) cells(pan int, methods bool) (cs []cell) {
 	}
 	for _, mk := range p.classes {
 		cls := mk()
+		class := cls.Name
+		if p.shards > 0 {
+			class = fmt.Sprintf("%s-x%d", class, p.shards)
+		}
 		names := []string{""}
 		if methods {
 			names = nil
@@ -284,7 +335,7 @@ func (f *figure) cells(pan int, methods bool) (cs []cell) {
 						for _, v := range variants {
 							for _, sc := range faults {
 								for _, sys := range p.systems {
-									cs = append(cs, cell{f, pan, sys, mk, cls.Name, ratio, scale, nodes, m, v, sc})
+									cs = append(cs, cell{f, pan, sys, mk, class, ratio, scale, nodes, m, v, sc})
 								}
 							}
 						}
@@ -322,13 +373,8 @@ func (c cell) metrics() []string {
 	return c.panel().plots
 }
 
-// value looks c's first plotted metric up in vals, a snapshot's metrics by
-// key; the claims compare it.
-func (c cell) value(vals map[string]map[string]float64) (float64, bool) {
-	return c.valueOf(vals, c.metrics()[0])
-}
-
-func (c cell) valueOf(vals map[string]map[string]float64, metric string) (float64, bool) {
+// value looks c's metric up in vals, a snapshot's metrics by key.
+func (c cell) value(vals map[string]map[string]float64, metric string) (float64, bool) {
 	v, ok := vals[SnapPoint{c.exp(), c.sys.String(), c.class, c.nodes, c.ratio, nil}.key()][metric]
 	return v, ok
 }
@@ -350,6 +396,10 @@ func (cfg Config) runCell(c cell) (*Result, System) {
 	if c.vari.depth > 0 {
 		depth = c.vari.depth
 	}
+	if n := c.panel().shards; n > 0 {
+		r, sys := cfg.runStore(c.mk(), n, 0, c.nodes, ops, c.ratio, depth, c.vari.skew)
+		return r, sys
+	}
 	var faults []Fault
 	if c.scen.perOp > 0 {
 		faults = []Fault{{At: faultAt(ops, c.scen.perOp), Node: c.scen.node}}
@@ -370,7 +420,12 @@ func (cfg Config) runFigure(f *figure, s *Snapshot) {
 		for _, c := range f.cells(pan, false) {
 			r, sys := cfg.runCell(c)
 			if p.methods != "" {
-				for _, name := range methodNames(r) {
+				var names []string
+				for name := range r.ByMethod {
+					names = append(names, name)
+				}
+				sort.Strings(names)
+				for _, name := range names {
 					s.add(c.exp()+"/"+name, c.sys.String(), c.class, c.nodes, c.ratio, map[string]float64{"mean_rt_us": r.ByMethod[name].Mean().Micros()})
 				}
 			}
@@ -381,30 +436,82 @@ func (cfg Config) runFigure(f *figure, s *Snapshot) {
 			if c.headline() {
 				keep = slices.Concat(keep, f.baseline)
 			}
-			m := s.addResult(c.exp(), c.sys.String(), r)
-			for name := range m {
-				if !slices.Contains(keep, name) {
-					delete(m, name)
-				}
-			}
-			if slices.Contains(keep, "bytes_per_op") {
-				m["bytes_per_op"] = wireBytesPerOp(r, sys)
-			}
+			m := measured(r, sys)
+			maps.DeleteFunc(m, func(name string, _ float64) bool { return !slices.Contains(keep, name) })
+			s.add(c.exp(), c.sys.String(), c.class, c.nodes, c.ratio, m)
 		}
 	}
 }
 
-// ratio is c's value over its comparand's (or its value, without vs), if
-// pick selects c and vals holds both.
+// measured returns what a run of sys measured: the driver's throughput and
+// response times and, per completed unrejected call, the writes, reads,
+// doorbells (writes less those that rode an earlier WR's doorbell) and bytes
+// written of its fabric or, for the MSG baseline, the messages it sent; with
+// a tracer attached, the wire stage's share of the calls' span-attributed
+// latency.
+func measured(r *Result, sys System) map[string]float64 {
+	m := map[string]float64{
+		"ops_per_us": r.Throughput(),
+		"mean_rt_us": r.MeanRT.Micros(),
+		"p50_us":     r.Percentile(50).Micros(),
+		"p95_us":     r.Percentile(95).Micros(),
+		"p99_us":     r.Percentile(99).Micros(),
+	}
+	n := float64(max(r.Completed-r.Rejected, 1))
+	var fab *rdma.Fabric
+	switch s := sys.(type) {
+	case *msgSystem:
+		m["msgs_per_op"] = float64(s.c.Net.Stats().Sent) / n
+		return m
+	case *storeSystem:
+		fab = s.st.Fabric()
+	case *hambandSystem:
+		fab = s.c.Fab
+		if tr := s.c.Opts.Tracer; tr != nil {
+			m["wire_share"] = wireShare(tr)
+		}
+	}
+	st := fab.Stats()
+	m["writes_per_op"] = float64(st.Writes) / n
+	m["reads_per_op"] = float64(st.Reads) / n
+	m["doorbells_per_op"] = float64(st.Writes-st.ChainedWRs) / n
+	m["bytes_per_op"] = float64(st.BytesWritten) / n
+	return m
+}
+
+// wireShare is the wire stage's share of the span-attributed latency of the
+// unrejected calls tr recorded.
+func wireShare(tr *trace.Tracer) float64 {
+	var wire, total sim.Duration
+	for _, s := range span.Build(tr.Events()) {
+		if s.Rejected {
+			continue
+		}
+		for _, st := range s.Stages {
+			total += st.Duration()
+			if st.Name == "wire" {
+				wire += st.Duration()
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(wire) / float64(total)
+}
+
+// ratio is c's first plotted metric over its comparand's (or its value,
+// without vs), if pick selects c and vals holds both.
 func (cl *claim) ratio(c cell, vals map[string]map[string]float64) (float64, bool) {
-	x, ok := c.value(vals)
+	m := c.metrics()[0]
+	x, ok := c.value(vals, m)
 	if !ok || !cl.pick(c) {
 		return 0, false
 	}
 	if cl.vs == nil {
 		return x, true
 	}
-	y, ok := cl.vs(c).value(vals)
+	y, ok := cl.vs(c).value(vals, m)
 	return x / y, ok
 }
 
@@ -576,7 +683,7 @@ func (f *figure) renderTable(w io.Writer, vals map[string]map[string]float64, op
 		_, text := label(row[0])
 		for _, c := range row {
 			for _, m := range metrics {
-				if v, ok := c.valueOf(vals, m); ok {
+				if v, ok := c.value(vals, m); ok {
 					text = append(text, fmt.Sprintf("%.2f", v))
 				} else {
 					text = append(text, "-")
@@ -622,15 +729,13 @@ func figureNamed(name string) *figure {
 	return nil
 }
 
-// Figure runs the figure of the table called name (fig8 … fig13, overview,
-// ablations) and prints its tables and its claims checked against them. It
-// reports whether the table has that figure.
+// Figure runs the figure of the table called name, prints its tables and
+// its claims checked against them, and exports its points as a snapshot when
+// cfg.JSON is set. It reports whether the table has that figure.
 func (cfg Config) Figure(name string) bool {
 	f := figureNamed(name)
 	if f != nil {
-		s := Snapshot{Ops: cfg.Ops, Seed: cfg.Seed}
-		cfg.runFigure(f, &s)
-		f.render(cfg.Out, s)
+		f.render(cfg.Out, cfg.measure(*f))
 	}
 	return f != nil
 }

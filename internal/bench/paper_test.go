@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR64.json"
+	baselineSnapshot = "../../BENCH_PR65.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 
@@ -50,9 +50,10 @@ func renderExperiments(doc string, s Snapshot) (string, error) {
 	return doc, nil
 }
 
-// TestExperimentsTables: EXPERIMENTS.md's Figure 8–13, overview and
-// ablation tables are the render of the committed baseline, so a number
-// typed into them by hand, or a baseline re-recorded without them, fails.
+// TestExperimentsTables: EXPERIMENTS.md's Figure 8–13, overview, ablation,
+// costs, wire and shard tables are the render of the committed baseline, so
+// a number typed into them by hand, or a baseline re-recorded without them,
+// fails.
 // Regenerate with go test ./internal/bench -run ExperimentsTables -update.
 func TestExperimentsTables(t *testing.T) {
 	s := readSnapshotFile(t, baselineSnapshot)
@@ -74,12 +75,15 @@ func TestExperimentsTables(t *testing.T) {
 		t.Fatalf("EXPERIMENTS.md's figure tables are not the render of %s; regenerate with -update", baselineSnapshot)
 	}
 
-	// The controls: one hand-edited cell of a Fig. 9, overview or ablation
-	// table is caught.
+	// The controls: one hand-edited cell of a Fig. 9, overview, ablation,
+	// costs, wire or shard table is caught.
 	for _, c := range []struct{ block, cell, edit string }{
 		{"fig9", "| 14.43 |", "| 14.44 |"},
 		{"overview", "| 16.78 |", "| 16.79 |"},
 		{"ablations", "| 3.81 |", "| 3.82 |"},
+		{"costs", "| 63.87 |", "| 63.88 |"},
+		{"wire", "| 44.53 |", "| 44.54 |"},
+		{"shard", "| 15.92 |", "| 15.93 |"},
 	} {
 		at, end, cellAt := strings.Index(want, "<!-- begin "+c.block+" -->"), strings.Index(want, "<!-- end "+c.block+" -->"), -1
 		if 0 <= at && at < end {

@@ -5,8 +5,30 @@ import (
 	"math"
 	"testing"
 
+	"hamband/internal/crdt"
 	"hamband/internal/sim"
 )
+
+// counterStore runs a keyed counter point like the shard figure's (updates
+// only, four calls outstanding per node) and returns its result and the
+// updates each loaded shard applied at p0.
+func counterStore(cfg Config, shards, idle int, skew float64) (*Result, []int) {
+	r, sys := cfg.runStore(crdt.NewCounter(), shards, idle, 4, cfg.Ops, 1, 4, skew)
+	return r, appliedPerShard(sys)
+}
+
+func appliedPerShard(sys *storeSystem) (per []int) {
+	for _, key := range sys.keys {
+		n := 0
+		for _, counts := range sys.st.Shard(key).Replica(0).Applied() {
+			for _, c := range counts {
+				n += int(c)
+			}
+		}
+		per = append(per, n)
+	}
+	return per
+}
 
 // TestIdleShardsCostNothing pins what the store's throughput may depend on:
 // the calls it serves, not the objects it holds open. A counter shard builds
@@ -31,36 +53,39 @@ func TestIdleShardsCostNothing(t *testing.T) {
 		}
 	}
 	const oneKey = 64 // Zipf s so steep that key 0 draws every call
-	one := cfg.shardPoint(1, 0, 4, cfg.Ops, 0)
-	hot := cfg.shardPoint(16, 0, 4, cfg.Ops, oneKey)
-	if hot.perShard[0] != cfg.Ops {
-		t.Fatalf("test premise broken: key 0 served %d of %d calls", hot.perShard[0], cfg.Ops)
+	one, _ := counterStore(cfg, 1, 0, 0)
+	hot, perShard := counterStore(cfg, 16, 0, oneKey)
+	if perShard[0] != cfg.Ops {
+		t.Fatalf("test premise broken: key 0 served %d of %d calls", perShard[0], cfg.Ops)
 	}
 	within1pct("16 shards, one key in use, against the 1-shard store", hot.Throughput(), one.Throughput())
 
-	four := cfg.shardPoint(4, 0, 4, cfg.Ops, 0)
-	within1pct("4 loaded and 12 idle shards, against 4 shards", cfg.shardPoint(4, 12, 4, cfg.Ops, 0).Throughput(), four.Throughput())
+	four, _ := counterStore(cfg, 4, 0, 0)
+	fourIdle, _ := counterStore(cfg, 4, 12, 0)
+	within1pct("4 loaded and 12 idle shards, against 4 shards", fourIdle.Throughput(), four.Throughput())
 
 	unmerged := float64(cfg.Ops) / 1870 // 15bcad2 at the barrier, at every shard count
 	for _, shards := range []int{8, 16} {
-		if got := cfg.shardPoint(shards, 0, 4, cfg.Ops, 0).Throughput(); got < unmerged-1e-9 {
-			t.Errorf("uniform keys over %d shards: %.3f ops/µs, below the unmerged %.3f", shards, got, unmerged)
+		if r, _ := counterStore(cfg, shards, 0, 0); r.Throughput() < unmerged-1e-9 {
+			t.Errorf("uniform keys over %d shards: %.3f ops/µs, below the unmerged %.3f", shards, r.Throughput(), unmerged)
 		}
 	}
 }
 
-// TestShardPointsEndAtTheBarrier: the snapshot's two store points are
+// TestShardPointsEndAtTheBarrier: the shard figure's 16-shard points are
 // measured like every figure point — by the driver, at the replication
 // barrier its probe checks every 2 µs — so they read 20 000 calls over an
-// exact makespan (1 826 and 1 692 µs at seed 42). The store's own loop used to
+// exact makespan (1 520 µs uniform and 1 424 µs at Zipf 1.5, seed 42), and
+// the shards' applied counts sum to the calls. The store's own loop used to
 // step the engine 100 µs at a time and stop at the first step after the last
-// callback, so its points read 20 000 / (k·100 µs): 10.526 (k = 19) uniform
-// and 11.765 (k = 17) at Zipf 1.5, a staircase with about 5 % steps.
+// callback, so its points read 20 000 / (k·100 µs), a staircase with about
+// 5 % steps.
 func TestShardPointsEndAtTheBarrier(t *testing.T) {
 	cfg := Config{Ops: DefaultOps, Seed: 42, Out: io.Discard}
-	for _, skew := range []float64{0, 1.5} {
-		r := cfg.shardPoint(16, 0, 4, cfg.Ops, skew)
-		what := shardExperiment(skew)
+	f := figureNamed("shard")
+	for _, c := range f.cells(len(f.panels)-1, false) {
+		r, sys := cfg.runCell(c)
+		what := c.exp() + " " + c.class
 		if r.TimedOut || r.Completed != cfg.Ops {
 			t.Fatalf("%s: completed %d/%d, timed out %v", what, r.Completed, cfg.Ops, r.TimedOut)
 		}
@@ -68,7 +93,7 @@ func TestShardPointsEndAtTheBarrier(t *testing.T) {
 			t.Errorf("%s: makespan %v, want a 2 µs probe instant that is not a 100 µs step", what, r.Makespan)
 		}
 		served := 0
-		for _, n := range r.perShard {
+		for _, n := range appliedPerShard(sys.(*storeSystem)) {
 			served += n
 		}
 		if served != cfg.Ops {

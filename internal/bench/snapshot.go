@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"hamband/internal/crdt"
-	"hamband/internal/spec"
 )
 
 // snapshotSchema is the version of the Snapshot layout; ReadSnapshot
@@ -53,19 +50,25 @@ type metricTable map[string]metricDef
 
 // metricDefs defines every metric a point may carry. Throughput, the p99
 // and bytes per op are gated at their bounds (-exp benchstat); the other
-// response times are recorded for reading. A watchdog firing more than its baseline is a
-// calibration change, so firings are gated at zero; so are a paper claim's
-// misses, the points of its figure that fail its predicate.
+// response times, the per-call verb and message counts and the wire stage's
+// latency share are recorded for reading. A watchdog firing more than its
+// baseline is a calibration change, so firings are gated at zero; so are a
+// paper claim's misses, the points of its figure that fail its predicate.
 var metricDefs = metricTable{
-	"ops_per_us":   {"ops/µs", "virtual", "higher", 0.05},
-	"mean_rt_us":   {"µs", "virtual", "lower", ungated},
-	"p50_us":       {"µs", "virtual", "lower", ungated},
-	"p95_us":       {"µs", "virtual", "lower", ungated},
-	"p99_us":       {"µs", "virtual", "lower", 0.05},
-	"bytes_per_op": {"B/op", "virtual", "lower", 0.05},
-	"calls":        {"calls", "count", "higher", ungated},
-	"firings":      {"firings", "count", "lower", 0},
-	"misses":       {"points", "count", "lower", 0},
+	"ops_per_us":       {"ops/µs", "virtual", "higher", 0.05},
+	"mean_rt_us":       {"µs", "virtual", "lower", ungated},
+	"p50_us":           {"µs", "virtual", "lower", ungated},
+	"p95_us":           {"µs", "virtual", "lower", ungated},
+	"p99_us":           {"µs", "virtual", "lower", 0.05},
+	"bytes_per_op":     {"B/op", "virtual", "lower", 0.05},
+	"writes_per_op":    {"writes/op", "virtual", "lower", ungated},
+	"reads_per_op":     {"reads/op", "virtual", "lower", ungated},
+	"doorbells_per_op": {"doorbells/op", "virtual", "lower", ungated},
+	"msgs_per_op":      {"messages/op", "virtual", "lower", ungated},
+	"wire_share":       {"share", "virtual", "lower", ungated},
+	"calls":            {"calls", "count", "higher", ungated},
+	"firings":          {"firings", "count", "lower", 0},
+	"misses":           {"points", "count", "lower", 0},
 }
 
 // regressed reports whether cur is worse than old by more than the bound.
@@ -85,45 +88,24 @@ func (s *Snapshot) add(exp, system, class string, nodes int, ratio float64, metr
 	s.Points = append(s.Points, SnapPoint{exp, system, class, nodes, ratio, metrics})
 }
 
-// addResult appends a driver result's point with its throughput and
-// response times. It returns the point's metrics, for the caller to add what
-// else it measured there.
-func (s *Snapshot) addResult(exp, system string, r *Result) map[string]float64 {
-	m := map[string]float64{
-		"ops_per_us": r.Throughput(),
-		"mean_rt_us": r.MeanRT.Micros(),
-		"p50_us":     r.Percentile(50).Micros(),
-		"p95_us":     r.Percentile(95).Micros(),
-		"p99_us":     r.Percentile(99).Micros(),
-	}
-	s.add(exp, system, r.Class, r.Nodes, r.UpdateRatio, m)
-	return m
-}
-
 // key identifies a point for cross-snapshot matching.
 func (p SnapPoint) key() string {
 	return fmt.Sprintf("%s|%s|%s|%d|%g", p.Experiment, p.System, p.Class, p.Nodes, p.UpdateRatio)
 }
 
-// Snapshot runs the canonical benchmark set — every figure of the table
-// (the paper's, the use-case overview and the ablations) with one misses
-// point per claim, the sharded store at uniform and Zipf 1.5 keys and the
-// wire points — exports it and returns it. It panics if two points share a
+// Snapshot runs the canonical benchmark set, every figure of the table, and
+// returns and exports it.
+func (cfg Config) Snapshot() Snapshot { return cfg.measure(paper...) }
+
+// measure runs figs and returns their points, then a misses point per claim
+// they check, exported to cfg.JSON when set. It panics if two points share a
 // key, which no compare could tell apart.
-func (cfg Config) Snapshot() Snapshot {
+func (cfg Config) measure(figs ...figure) Snapshot {
 	s := Snapshot{Schema: snapshotSchema, Ops: cfg.Ops, Seed: cfg.Seed}
-	for i := range paper {
-		cfg.runFigure(&paper[i], &s)
+	for i := range figs {
+		cfg.runFigure(&figs[i], &s)
 	}
 	s.Points = append(s.Points, claimPoints(s)...)
-	for _, skew := range []float64{0, 1.5} {
-		s.addResult(shardExperiment(skew), Hamband.String(), cfg.shardPoint(16, 0, 4, cfg.Ops, skew).Result)
-	}
-	wireOps := max(cfg.Ops/4, 500)
-	for _, mk := range []func() *spec.Class{crdt.NewCounter, crdt.NewGSet, crdt.NewLWWMap} {
-		r, bytes, _ := cfg.wirePoint(mk(), 4, wireOps)
-		s.addResult("wire/delta", Hamband.String(), r)["bytes_per_op"] = bytes
-	}
 	if err := s.uniqueKeys(); err != nil {
 		panic(fmt.Sprintf("bench: %v", err))
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"regexp"
 	"strings"
@@ -192,41 +193,40 @@ func TestReadSnapshotRejectsDuplicateKeys(t *testing.T) {
 	if err := read(4, 5); err != nil {
 		t.Fatalf("two points keyed apart: %v", err)
 	}
-	for _, name := range []string{"BENCH_PR61.json", "BENCH_PR62.json", "BENCH_PR63.json", "BENCH_PR64.json"} {
+	for _, name := range []string{"BENCH_PR61.json", "BENCH_PR62.json", "BENCH_PR63.json", "BENCH_PR64.json", "BENCH_PR65.json"} {
 		readSnapshotFile(t, "../../"+name)
 	}
 }
 
-// TestWireKeysMatchSnapshot: the counter, gset and lwwmap points an `-exp
-// wire` export holds are keyed as the snapshot keys the same measurements,
-// so `-exp benchstat` pairs an export with the committed baseline.
-func TestWireKeysMatchSnapshot(t *testing.T) {
+// TestFigureExportsMatchSnapshot: the points `-exp costs`, `-exp wire` and
+// `-exp shard` export — each figure's runs and its claims' misses points —
+// are the snapshot's points of that figure, key for key and value for value,
+// so `-exp benchstat` pairs a figure's export with the committed baseline.
+func TestFigureExportsMatchSnapshot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole snapshot")
 	}
-	wireKeys := func(run func(Config)) map[string]bool {
+	cfg := Config{Ops: 1000, Seed: 42, Out: io.Discard}
+	whole := cfg.Snapshot().values()
+	for _, name := range []string{"costs", "wire", "shard"} {
 		var js bytes.Buffer
-		run(Config{Ops: 1000, Seed: 42, Out: io.Discard, JSON: &js})
+		cfg.JSON = &js
+		cfg.Figure(name)
 		s, err := ReadSnapshot(&js)
 		if err != nil {
 			t.Fatal(err)
 		}
-		keys := map[string]bool{}
-		for _, p := range s.Points {
-			if p.Experiment == "wire/delta" {
-				keys[p.key()] = true
+		of := 0
+		for key, m := range whole {
+			if strings.HasPrefix(key, name+"|") || strings.HasPrefix(key, name+"/") {
+				of++
+				if got, ok := s.values()[key]; !ok || !maps.Equal(got, m) {
+					t.Errorf("the snapshot's %s point %s reads %v, the %s export %v", name, key, m, name, got)
+				}
 			}
 		}
-		return keys
-	}
-	wire := wireKeys(Config.Wire)
-	shared := wireKeys(func(cfg Config) { cfg.Snapshot() })
-	if len(shared) != 3 {
-		t.Fatalf("the snapshot holds %d wire points, want counter, gset and lwwmap", len(shared))
-	}
-	for k := range shared {
-		if !wire[k] {
-			t.Errorf("the snapshot's wire point %s is not in the wire export", k)
+		if of == 0 || len(s.Points) != of {
+			t.Errorf("the %s export holds %d points, the snapshot %d of that figure", name, len(s.Points), of)
 		}
 	}
 }

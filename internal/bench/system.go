@@ -31,10 +31,6 @@ type System interface {
 	// Fail injects the paper's failure at replica p (suspend the process,
 	// its heartbeat thread with it; the NIC stays up).
 	Fail(p spec.ProcID)
-	// State snapshots replica p's object state (final convergence checks).
-	State(p spec.ProcID) spec.State
-	// Size returns the cluster size.
-	Size() int
 }
 
 // SystemKind selects a system implementation.
@@ -119,9 +115,7 @@ func (s *hambandSystem) Applied(p spec.ProcID) spec.AppliedMap { return s.c.Repl
 func (s *hambandSystem) Down(p spec.ProcID) bool {
 	return s.c.Replica(p).Node().Suspended() || s.c.Replica(p).Node().Crashed()
 }
-func (s *hambandSystem) Fail(p spec.ProcID)             { s.c.Replica(p).Node().Suspend() }
-func (s *hambandSystem) State(p spec.ProcID) spec.State { return s.c.Replica(p).CurrentState() }
-func (s *hambandSystem) Size() int                      { return len(s.c.Replicas) }
+func (s *hambandSystem) Fail(p spec.ProcID) { s.c.Replica(p).Node().Suspend() }
 
 type msgSystem struct{ c *msgcrdt.Cluster }
 
@@ -132,5 +126,3 @@ func (s *msgSystem) Invoke(p spec.ProcID, u spec.MethodID, a spec.Args, cb func(
 func (s *msgSystem) Applied(p spec.ProcID) spec.AppliedMap { return s.c.Replica(p).Applied() }
 func (s *msgSystem) Down(p spec.ProcID) bool               { return s.c.Replica(p).Down() }
 func (s *msgSystem) Fail(p spec.ProcID)                    { s.c.Net.Node(msgnet.NodeID(p)).Fail() }
-func (s *msgSystem) State(p spec.ProcID) spec.State        { return s.c.Replica(p).CurrentState() }
-func (s *msgSystem) Size() int                             { return len(s.c.Replicas) }
