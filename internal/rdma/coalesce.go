@@ -125,11 +125,14 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 // rewrites those bytes of the same write.
 func (co *Coalescer) Mark() uint64 { return co.mark }
 
-// flush posts every pending batch, one chain per peer, and rearms.
+// flush posts every pending batch, one chain per peer, and rearms. Whether
+// the batches post inline is decided once, before the first post queues its
+// own item on the CPU: idle, every batch inlines; busy, none does.
 func (co *Coalescer) flush() {
 	co.mark++
 	co.armed = false
 	co.stats.Flushes++
+	idle := co.node.CPU.QueueLen() == 0
 	for p := range co.out {
 		b := &co.out[p]
 		if len(b.wrs) == 0 {
@@ -147,7 +150,7 @@ func (co *Coalescer) flush() {
 			b.wrs[i].Data = b.stage[lo : lo+n]
 			lo += n
 		}
-		co.node.QP(NodeID(p)).postChain(b.wrs, nil, co.node.CPU.QueueLen() == 0) // copies the payloads into the verb
+		co.node.QP(NodeID(p)).postChain(b.wrs, nil, idle) // copies the payloads into the verb
 		b.wrs, b.lens, b.stage = b.wrs[:0], b.lens[:0], b.stage[:0]
 		b.stream = ""
 		b.mixed = false

@@ -86,6 +86,40 @@ func TestCoalescerInlinesOnlyWhenIdle(t *testing.T) {
 	}
 }
 
+// TestCoalescerDecidesInlineOncePerFlush: whether a flush posts inline is
+// decided once, by what waits on the CPU behind the flush, for every peer's
+// batch alike. An idle node's flush to three peers inlines all three writes;
+// with an item queued behind the flush it inlines none. Deciding per peer
+// counted the first peer's own post item as a busy CPU, so the idle flush
+// inlined one write of three.
+func TestCoalescerDecidesInlineOncePerFlush(t *testing.T) {
+	data := bytes.Repeat([]byte{7}, 40)
+	for _, busy := range []bool{false, true} {
+		eng := sim.NewEngine(1)
+		fab := NewFabric(eng, 4, DefaultLatency())
+		for p := 1; p < 4; p++ {
+			fab.Node(NodeID(p)).Register("slots", 1024).AllowAllWrites()
+		}
+		co, cpu := NewCoalescer(fab.Node(0)), fab.Node(0).CPU
+		cpu.Submit(0, func() {
+			for p := 1; p < 4; p++ {
+				co.Enqueue(NodeID(p), "s", WR{Region: "slots", Off: 0, Data: data})
+			}
+			if busy {
+				cpu.Submit(50*sim.Nanosecond, nil) // queued behind the flush
+			}
+		})
+		eng.Run()
+		want := uint64(3)
+		if busy {
+			want = 0
+		}
+		if s := fab.Stats(); s.Writes != 3 || s.InlineWrites != want {
+			t.Errorf("busy=%v: %d writes, %d inline, want 3 writes, %d inline", busy, s.Writes, s.InlineWrites, want)
+		}
+	}
+}
+
 // TestCoalescerRunEndsAndKeepsOrder: only the tail merges. Another region or a
 // non-adjacent offset ends the run, and the chain keeps enqueue order — run,
 // anchor, run is three WRs in that order — so a later write to bytes an
