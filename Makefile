@@ -221,7 +221,7 @@ ledger:
 # the repo root (deterministic: same ops+seed give identical bytes). It holds
 # every figure of the table (the Figure 8–13 grids, the use-case overview,
 # the ablations, the coordination costs, the wire and the sharded store) and
-# a misses point per claim, and takes about 14 s on a 2-core host; bench-same
+# a misses point per claim, and takes 14–19 s on a 2-core host; bench-same
 # and CI's benchstat lane take as long.
 # SNAPSHOT is the one place the baseline is named: OLD, NEW and CI's
 # benchstat lane follow it, and internal/bench's paper_test.go renders

@@ -17,7 +17,7 @@
 // node (the paper's throughput: calls over that makespan), in deterministic
 // virtual time: a given (-ops, -seed) pair always reproduces the same
 // numbers. -ops plays the role of the paper's 4 M operations per point; the
-// default (20000) keeps `-exp all` to about 15 s on a 2-core host.
+// default (20000) keeps `-exp all` to about 20 s on a 2-core host.
 //
 // -json FILE is the one export: a figure, all, snapshot, latency and health
 // write their points there as one benchmark snapshot of keyed points and

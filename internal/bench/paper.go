@@ -22,9 +22,9 @@ import (
 // (the use-case overview, the ablations, the coordination costs, the wire
 // and the sharded store), written once: its panels and the claims about
 // them. hambench's figure modes, the snapshot, the testing.B benchmarks and
-// EXPERIMENTS.md's generated tables all read the table below. Its headline runs (see headline) also record
-// baseline, the metrics the committed baseline gated there before the
-// figures were a table.
+// EXPERIMENTS.md's generated tables all read the table below. Its headline
+// runs (see headline) also record baseline, the metrics the committed
+// baseline gated there before the figures were a table.
 type figure struct {
 	name     string // the -exp selector and its points' experiment prefix
 	panels   []panel
@@ -99,7 +99,7 @@ var (
 	posts  = []variant{{name: "inline"}, latencyVariant("dma", func(l *rdma.LatencyModel) { l.InlineThreshold, l.InlineCost = 0, 0 })}
 	// traced attaches a tracer, for the wire stage's share; timing is as without.
 	traced = variant{v: Variant{Edit: func(fab *rdma.Fabric, o *core.Options) { o.Tracer = trace.New(fab.Engine(), 1<<20) }}}
-	perOp  = []string{"writes_per_op", "reads_per_op", "doorbells_per_op", "bytes_per_op"}
+	verbs  = []string{"writes_per_op", "reads_per_op", "doorbells_per_op", "bytes_per_op"}
 )
 
 func quarter(cfg Config) int { return max(cfg.Ops/4, 500) }
@@ -270,7 +270,7 @@ var paper = []figure{
 	}},
 	{name: "costs", panels: []panel{
 		{title: "Coordination cost per call — verbs, doorbells and bytes the cluster spent per call, Hamband, 4 nodes, updates only, ops/4 (at least 500)",
-			mix: true, plots: perOp, systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet, schema.NewMovie), ratios: []float64{1}, nodes: four, ops: quarter},
+			mix: true, plots: verbs, systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet, schema.NewMovie), ratios: []float64{1}, nodes: four, ops: quarter},
 		{title: "Coordination cost per call — messages the MSG baseline sent per call", suffix: "/msg", plots: []string{"msgs_per_op"},
 			systems: []SystemKind{MSG}, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: []float64{1}, nodes: four, ops: quarter},
 	}, claims: []claim{

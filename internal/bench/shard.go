@@ -71,7 +71,7 @@ func (s *storeSystem) Down(p spec.ProcID) bool { return s.st.Fabric().Node(rdma.
 func (s *storeSystem) Fail(p spec.ProcID)      { s.st.Fabric().Node(rdma.NodeID(p)).Suspend() }
 
 // runStore runs one keyed point through the closed-loop driver: depth calls
-// of cls outstanding per node, each on the shard the skew distribution picks
+// of cls outstanding per node (0: DefaultConcurrency), each on the shard the skew distribution picks
 // among shards (0: uniform, above 1: Zipf), with idle more shards open and
 // never called. Like every point it ends at the replication barrier.
 func (cfg Config) runStore(cls *spec.Class, shards, idle, nodes, ops int, ratio float64, depth int, skew float64) (*Result, *storeSystem) {
@@ -87,6 +87,8 @@ func (cfg Config) runStore(cls *spec.Class, shards, idle, nodes, ops int, ratio 
 		panic(fmt.Sprintf("bench: open shard: %v", err))
 	}
 	wl := NewWorkload(an, nodes, ops, ratio, cfg.Seed+1)
-	wl.Concurrency = depth
+	if depth > 0 {
+		wl.Concurrency = depth
+	}
 	return Run(eng, sys, wl), sys
 }
