@@ -212,8 +212,9 @@ allocs:
 # count); TestReduceLedger is one node on the reducible path, gset with all
 # updates and counter with a quarter, with the WRs, chains and δ-records per
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
-# message and the ring records per write. The rows are checked against
-# sim.CPU.BusyTotal.
+# message, the ring records per write, and the node's post items (at most one)
+# and CQ polls a message, and TestFreeLedgerCatchesPerPeer its control (a post
+# item per peer). The rows are checked against sim.CPU.BusyTotal.
 ledger:
 	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger' -count=1 -v ./internal/bench
 
@@ -225,8 +226,12 @@ ledger:
 # and CI's benchstat lane take as long.
 # SNAPSHOT is the one place the baseline is named: OLD, NEW and CI's
 # benchstat lane follow it, and internal/bench's paper_test.go renders
-# EXPERIMENTS.md's generated tables from the same file.
-SNAPSHOT ?= BENCH_PR65.json
+# EXPERIMENTS.md's generated tables from the same file. PREV_SNAPSHOT is the
+# baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
+# make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
+# moved stays within its bound.
+SNAPSHOT ?= BENCH_PR66.json
+PREV_SNAPSHOT ?= BENCH_PR65.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

@@ -294,36 +294,18 @@ func TestReduceLedger(t *testing.T) {
 // post is paid per broadcast message, and one message per round trip carries
 // every call accepted meanwhile; deliver is paid per sweep that found
 // messages and CQ polls per poll of the completion queue; accept and apply are per
-// call and do not move. At commit c6f5281, one message per call, the point
+// call and do not move. A message's writes to the three peers are one post
+// item, so their completions land together and one CQ poll reaps them: p0
+// pays at most maxFreePostItems post items and maxFreeCQPolls CQ polls a
+// message. At commit c6f5281, one message per call, the point
 // read deliver 0.0187 + post 0.0144 + CQE 0.0085 of 0.1038 µs/op and 6 780
 // ring writes for 5 000 updates; at a2bb955, a deliver item per message and a
-// poll per completion, deliver 0.0038 + CQE 0.0047.
+// poll per completion, deliver 0.0038 + CQE 0.0047; with a post item per peer,
+// post 0.0065 and CQ polls 0.0016.
 func TestFreeLedger(t *testing.T) {
-	const nodes = 4
-	eng := sim.NewEngine(42)
-	an := spec.MustAnalyze(crdt.NewORSet())
-	reg := metrics.New(nil)
-	sys, err := Build(Hamband, eng, nodes, an, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) { o.Metrics = reg }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := sys.(*hambandSystem).c.Fab
-	l := newLedger()
-	cpu := fab.Node(0).CPU
-	cpu.Observe = l.charge
-	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.25, 43))
-	if res.TimedOut || res.Completed != DefaultOps {
-		t.Fatalf("completed %d/%d, timed out %v", res.Completed, DefaultOps, res.TimedOut)
-	}
-	sum := l.settle(t, eng, cpu, "orset p0")
-	batch := reg.Histogram("broadcast.batch_entries", nil)
-	calls, msgs, writes := uint64(batch.Sum()), batch.Count(), fab.Stats().Writes
-	perMsg := float64(calls) / float64(msgs)
-	t.Logf("orset, 25%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d messages (%.1f a message), their %d ring records in %d writes (%.1f a write)\n%s",
-		res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-		calls, msgs, perMsg, msgs*(nodes-1), writes, float64(msgs*(nodes-1))/float64(writes), l.table(res.Completed))
-	perOp := func(row string) float64 { return l.rows[row].Micros() / float64(res.Completed) }
-	if perMessage := perOp("deliver") + perOp("post: log/request ring writes") + perOp("CQ polls"); perMessage == 0 || perMessage > 0.020 {
+	l, ops, items, polls := freeLedger(t, false)
+	perOp := func(row string) float64 { return l.perOp(row, ops) }
+	if perMessage := perOp("deliver") + perOp(ledgerPostRow) + perOp("CQ polls"); perMessage == 0 || perMessage > 0.020 {
 		t.Errorf("deliver + post + CQ polls cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
 	}
 	if batched := perOp("deliver") + perOp("CQ polls"); batched > 0.005 {
@@ -333,9 +315,77 @@ func TestFreeLedger(t *testing.T) {
 	if accept, apply := perOp("accept"), perOp("apply"); math.Abs(accept-0.0438) > 0.0002 || math.Abs(apply-0.0124) > 0.0002 {
 		t.Errorf("accept %.4f and apply %.4f µs/op, want the 0.0438 and 0.0124 they cost before: they are per call", accept, apply)
 	}
-	if perMsg < 3 {
+	if items == 0 || items > maxFreePostItems {
+		t.Errorf("p0 posts %.2f items a message, want at most %.1f: one item carries its writes to every peer", items, maxFreePostItems)
+	}
+	if polls == 0 || polls > maxFreeCQPolls {
+		t.Errorf("p0 pays %.2f CQ polls a message, want at most %.2f: one poll reaps a message's completions", polls, maxFreeCQPolls)
+	}
+}
+
+// TestFreeLedgerCatchesPerPeer is the mutation control of the post items
+// bound above: every message posts each peer's write as an item of its own,
+// the rule before a message was one batch. Its CQ polls a message stay near
+// one (1.26 at seed 42): p0 is busy, so its polls find a message's
+// completions landed, a post apart, all the same; it pays for 15 % more
+// messages, each carrying fewer calls.
+func TestFreeLedgerCatchesPerPeer(t *testing.T) {
+	_, _, items, polls := freeLedger(t, true)
+	if items <= maxFreePostItems {
+		t.Fatalf("a post item per peer costs %.2f items a message, within the %.1f bound", items, maxFreePostItems)
+	}
+	t.Logf("caught: %.2f post items a message (%.2f CQ polls)", items, polls)
+}
+
+// maxFreeCQPolls leaves room for the polls that reap the failure detector's
+// heartbeat reads, about one every CheckPeriod (1.29 a message at seed 42).
+const (
+	maxFreePostItems = 1.0
+	maxFreeCQPolls   = 1.5
+)
+
+// freeLedger runs the buffered point, every broadcaster posting a write per
+// peer when perPeer is set, logs p0's ledger with its calls per message, and
+// returns the ledger, the calls completed, and p0's post items and CQ polls
+// per broadcast message it sent.
+func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls float64) {
+	t.Helper()
+	const nodes = 4
+	eng := sim.NewEngine(42)
+	an := spec.MustAnalyze(crdt.NewORSet())
+	reg := metrics.New(nil)
+	sys, err := Build(Hamband, eng, nodes, an, Variant{Edit: func(_ *rdma.Fabric, o *core.Options) { o.Metrics = reg }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := sys.(*hambandSystem).c
+	if perPeer {
+		for _, r := range c.Replicas {
+			r.Broadcaster().MutatePerPeer()
+		}
+	}
+	fab := c.Fab
+	l = newLedger()
+	cpu := fab.Node(0).CPU
+	cpu.Observe = l.charge
+	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.25, 43))
+	if res.TimedOut || res.Completed != DefaultOps {
+		t.Fatalf("completed %d/%d, timed out %v", res.Completed, DefaultOps, res.TimedOut)
+	}
+	sum := l.settle(t, eng, cpu, "orset p0")
+	batch := reg.Histogram("broadcast.batch_entries", nil)
+	calls, msgs, writes := uint64(batch.Sum()), batch.Count(), fab.Stats().Writes
+	sent := float64(c.Replicas[0].Broadcaster().Messages())
+	items = float64(l.itemsAt("rdma.(*Batch).flush")+l.itemsAt("rdma.(*verb).post<ring.(*Sender).pump")) / sent
+	polls = float64(l.itemsAt("rdma.(*completionQueue).arm")) / sent
+	t.Logf("orset, 25%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d messages (%.1f a message), their %d ring records in %d writes (%.1f a write); p0 sent %.0f messages, %.2f post items and %.2f CQ polls each\n%s",
+		res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
+		calls, msgs, float64(calls)/float64(msgs), msgs*(nodes-1), writes, float64(msgs*(nodes-1))/float64(writes),
+		sent, items, polls, l.table(res.Completed))
+	if perMsg := float64(calls) / float64(msgs); perMsg < 3 {
 		t.Errorf("%.1f calls per broadcast message, want at least 3", perMsg)
 	}
+	return l, res.Completed, items, polls
 }
 
 // TestStoreLedger prints the virtual-CPU ledger of one node of a sharded

@@ -160,6 +160,12 @@ type Broadcaster struct {
 	idleFn  func() // b.idle bound once: a Send allocates nothing
 
 	peers []*ring.Sender // one out-channel per destination
+	// post carries a message's writes to every peer as one CPU item, inline
+	// only on an idle node (rdma.InlineWhenIdle): rule FREE answers a call
+	// at its local apply, so nobody waits on them. perPeer is the mutant that
+	// posts each peer's write alone (MutatePerPeer).
+	post    *rdma.Batch
+	perPeer bool
 	// waiting holds broadcasts blocked on a free backup slot.
 	waiting []*pendingMsg
 	// free holds finished messages' records for reuse, linked through
@@ -198,6 +204,7 @@ func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster 
 		mSlotWaits: reg.Counter("broadcast.backup_slot_waits"),
 		mHold:      reg.Histogram("broadcast.hold", nil),
 		mBatch:     reg.Histogram("broadcast.batch_entries", nil),
+		post:       node.NewBatch(rdma.InlineWhenIdle),
 	}
 	b.idleFn = b.idle
 	region := cfg.inRegion(node.ID())
@@ -255,6 +262,9 @@ func (b *Broadcaster) Send(unit []byte, label string) error {
 	}
 	return nil
 }
+
+// Messages returns how many messages the broadcaster has sent.
+func (b *Broadcaster) Messages() uint64 { return b.seq }
 
 // Backlog returns what Send holds, the open batch's bytes, and the messages
 // none of whose writes has completed, which the batch waits behind.
@@ -399,12 +409,22 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 		b.finish(pm)
 		return
 	}
-	// One remote write per peer and pump (see ring.Sender): broadcasts issued
-	// by work already queued on the CPU share it.
+	// One remote write per peer and pump (see ring.Sender), every peer's in
+	// one post item: broadcasts issued by work already queued on the CPU share
+	// it, and its completions land together, so one poll reaps them.
 	for _, pc := range b.peers {
-		pc.Send(record, pm.label, pm.written)
+		if b.perPeer {
+			pc.Send(record, pm.label, pm.written)
+		} else {
+			pc.SendIn(b.post, record, pm.label, pm.written)
+		}
 	}
 }
+
+// MutatePerPeer makes every message post each peer's write as an item of its
+// own, inline whatever fits: the schedule before a message was one batch. The
+// ledger's control, not a mode.
+func (b *Broadcaster) MutatePerPeer() { b.perPeer = true }
 
 // finish clears the backup slot, puts pm back on the free list and fires
 // its completion callback, then launches any broadcast waiting for the freed

@@ -116,23 +116,22 @@ func TestBackupSlotClearedAfterCompletion(t *testing.T) {
 }
 
 func TestAgreementUnderSourceSuspension(t *testing.T) {
-	// The paper's agreement scenario: the source fails mid-fan-out. The
-	// source suspends after node 1's doorbell has rung but before node 2's
-	// chain is posted, so only node 1's write goes out; node 2's is stuck
-	// behind the suspended CPU. The message must be recoverable from the
-	// source's backup region, which its still-alive NIC serves.
+	// The paper's agreement scenario: the source fails mid-fan-out, so one
+	// peer's write lands and the other's does not. A message's writes leave
+	// as one CPU item, so no suspension of the source splits them; a cut
+	// link 0 → 2 does: node 1's write lands, node 2's parks at the link.
+	// The message must be recoverable from the source's backup region,
+	// which its NIC serves over the links that still work.
 	cfg := DefaultConfig()
 	eng, fab, bcs, got, rcs := setup(3, cfg)
+	fab.PartitionLink(0, 2)
 	eng.At(0, func() { bcs[0].Broadcast([]byte("pending"), nil) })
-	// Node 1's post is dispatched within the first PostCost of virtual
-	// time; suspending inside that window leaves node 2's post queued.
-	eng.At(100, func() { fab.Node(0).Suspend() })
 	eng.RunUntil(sim.Time(sim.Millisecond))
 	if len(got[1]) != 1 {
-		t.Fatalf("node 1 (write already on the wire) got %d deliveries, want 1", len(got[1]))
+		t.Fatalf("node 1 (write landed) got %d deliveries, want 1", len(got[1]))
 	}
 	if len(got[2]) != 0 {
-		t.Fatal("node 2's ring write should be stuck behind the suspended CPU")
+		t.Fatal("node 2's ring write should be parked at the cut link")
 	}
 	// Agreement is now at stake: node 1 delivered, node 2 did not. The
 	// failure detector would suspect node 0; survivors recover.
@@ -141,11 +140,19 @@ func TestAgreementUnderSourceSuspension(t *testing.T) {
 		rcs[2].RecoverFrom(0)
 	})
 	eng.RunUntil(eng.Now() + sim.Time(sim.Millisecond))
-	for _, i := range []int{1, 2} {
-		if len(got[i]) != 1 || got[i][0].msg != "pending" {
-			t.Fatalf("node %d deliveries after recovery = %v, want exactly the pending message", i, got[i])
+	check := func(when string) {
+		t.Helper()
+		for _, i := range []int{1, 2} {
+			if len(got[i]) != 1 || got[i][0].msg != "pending" {
+				t.Fatalf("node %d deliveries %s = %v, want exactly the pending message", i, when, got[i])
+			}
 		}
 	}
+	check("after recovery")
+	// The parked write lands once the link heals: still exactly once.
+	fab.HealLink(0, 2)
+	eng.RunUntil(eng.Now() + sim.Time(sim.Millisecond))
+	check("after the heal")
 }
 
 func TestRecoveryDoesNotDuplicate(t *testing.T) {

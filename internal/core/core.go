@@ -625,6 +625,10 @@ func (r *Replica) Beater() *rdma.Beater { return r.node.Beater() }
 // Group returns the consensus instance of synchronization group g.
 func (r *Replica) Group(g int) *mu.Instance { return r.groups[g] }
 
+// Broadcaster returns the replica's broadcast source, nil for a class
+// without F buffers.
+func (r *Replica) Broadcaster() *broadcast.Broadcaster { return r.bc }
+
 // Applied exposes the replica's applied-call map (read-only use).
 func (r *Replica) Applied() spec.AppliedMap { return r.applied }
 

@@ -101,11 +101,13 @@ func (h *harness) assertAppliedOnce(nodes []int, want int) {
 }
 
 // TestLoneFreeCallPostsAtOnce: a call on an idle source is its own message,
-// posted at the instant it was posted before the rule existed (320 ns after
-// Invoke at commit c6f5281: IssueCost, ApplyCost and the first peer's inline
-// post), because the flush is a zero-cost CPU item behind nothing. It
-// succeeds TestFreeBatchingFlushTimer: there is no timer left for a lone call
-// to wait on.
+// posted at once, because the flush is a zero-cost CPU item behind nothing.
+// The message's writes to both peers are one post item, inline on the idle
+// node, and leave together when it ends: 490 ns after Invoke (IssueCost,
+// ApplyCost and two inline posts; the first write left at 320 ns when each
+// peer's write was an item of its own). It succeeds
+// TestFreeBatchingFlushTimer: there is no timer left for a lone call to wait
+// on.
 func TestLoneFreeCallPostsAtOnce(t *testing.T) {
 	h, tap := newTappedHarness(t, 3, 132, nil)
 	tr := trace.New(h.eng, 4096)
@@ -120,9 +122,14 @@ func TestLoneFreeCallPostsAtOnce(t *testing.T) {
 		t.Fatalf("%d labeled posts, want one write per peer: %+v", len(posts), posts)
 	}
 	lat := rdma.DefaultLatency()
-	want := sim.Time(lat.IssueCost + lat.ApplyCost + lat.PostCost + lat.InlineCost)
-	if posts[0].At != want || posts[0].Call != "p0#1" {
-		t.Fatalf("first write posted at %v for %q, want %v for p0#1", posts[0].At, posts[0].Call, want)
+	want := sim.Time(lat.IssueCost + lat.ApplyCost + 2*(lat.PostCost+lat.InlineCost))
+	for _, p := range posts {
+		if p.At != want || p.Call != "p0#1" {
+			t.Fatalf("write posted at %v for %q, want %v for p0#1: both writes leave at the end of one inline post item", p.At, p.Call, want)
+		}
+	}
+	if st := h.fab.Stats(); st.InlineWrites != 2 {
+		t.Fatalf("%d inline writes of %d, want both: the node was idle", st.InlineWrites, st.Writes)
 	}
 	if msgs := h.tapFree(tap, 0); len(msgs) != 1 || len(msgs[0].calls) != 1 {
 		t.Fatalf("tap holds %+v, want one message of one record", msgs)

@@ -165,7 +165,8 @@ type Instance struct {
 	// reports that p's last signaled write failed or was overdue, so later
 	// rounds sign the other followers first; a completed write clears it.
 	// pick is replicate's scratch. All are indexed by node id. batch posts a
-	// round's signaled writes as one CPU item.
+	// round's signaled writes as one CPU item, inline whatever fits
+	// (rdma.InlineFits): a conflicting call's response waits on them.
 	copies []roundCopy
 	missed []bool
 	pick   []bool
@@ -283,7 +284,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		copies:  make([]roundCopy, fab.Size()),
 		missed:  make([]bool, fab.Size()),
 		pick:    make([]bool, fab.Size()),
-		batch:   node.NewBatch(),
+		batch:   node.NewBatch(rdma.InlineFits),
 		open:    make([]bool, fab.Size()),
 		stash:   make(map[uint64]stashed),
 		dedup:   make([]ring.Watermark, fab.Size()),

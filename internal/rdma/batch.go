@@ -10,7 +10,7 @@ import "hamband/internal/sim"
 // post cost apart, so their completions land apart and each costs a poll of
 // the completion queue of its own; a batch's completions land together, and
 // one poll reaps them all. A Mu leader posts the writes its quorum waits on
-// as one batch.
+// as one batch, and a broadcast source a message's writes to every peer.
 //
 // Producers join a batch the way a ring sender's records join a pump: Defer
 // arms a zero-cost flush on the node's CPU, so every producer that defers
@@ -18,20 +18,50 @@ import "hamband/internal/sim"
 // each deferred fill, which adds its verbs with PostChain, and submits one
 // item for all of them. A batch is reused from flush to flush, and a warm one
 // allocates nothing.
+//
+// A batch's Inline rule says whether its payloads post inline (InlineFits, a
+// Mu quorum's writes, which a conflicting call's response waits on) or only
+// on an idle node (InlineWhenIdle, a broadcast message's writes, which rule
+// FREE answers before). Each flush decides once, before any fill runs.
 type Batch struct {
-	node    *Node
-	fills   []func(*Batch) // deferred to the next flush, in order
-	verbs   []*verb        // added by the last flush, posted by its item
-	cost    sim.Duration   // their post cost
-	armed   bool           // a flush is queued on the CPU
-	posting bool           // the flush's post item is queued on the CPU
-	flushFn func()         // b.flush and b.post bound once
-	postFn  func()
+	node     *Node
+	rule     Inline
+	fills    []func(*Batch) // deferred to the next flush, in order
+	verbs    []*verb        // added by the last flush, posted by its item
+	cost     sim.Duration   // their post cost
+	armed    bool           // a flush is queued on the CPU
+	flushing bool           // the flush is calling its fills
+	inline   bool           // the running flush's decision (Node.inlines)
+	posting  bool           // the flush's post item is queued on the CPU
+	flushFn  func()         // b.flush and b.post bound once
+	postFn   func()
 }
 
-// NewBatch returns an empty batch posting from n.
-func (n *Node) NewBatch() *Batch {
-	b := &Batch{node: n}
+// Inline is when a poster's payloads post inline.
+type Inline uint8
+
+const (
+	// InlineFits inlines every payload that fits InlineThreshold: a caller
+	// waits on the writes, and the copy lands them InlineDMASaving sooner.
+	InlineFits Inline = iota
+	// InlineWhenIdle inlines only when no work waits on the CPU behind the
+	// flush: nobody waits on the writes, and on a busy node every queued
+	// item would wait behind InlineCost per payload.
+	InlineWhenIdle
+)
+
+// inlines is the one inline rule of a flush posting under rule: the summary
+// coalescer's, a batch's, and a lone post of a Sender whose records ride a
+// batch. A flush calls it once, before it queues any item of its own on the
+// CPU: a flush that checked per post would find its own earlier post items
+// queued and stop inlining on an idle node.
+func (n *Node) inlines(rule Inline) bool {
+	return rule == InlineFits || n.CPU.QueueLen() == 0
+}
+
+// NewBatch returns an empty batch posting from n under rule.
+func (n *Node) NewBatch(rule Inline) *Batch {
+	b := &Batch{node: n, rule: rule}
 	b.flushFn, b.postFn = b.flush, b.post
 	return b
 }
@@ -48,19 +78,21 @@ func (b *Batch) Defer(fill func(*Batch)) {
 
 // PostChain adds wrs, a chain to qp's target, to the post of the running
 // flush: the verb qp.PostChain would post alone, signaled only if onDone is
-// non-nil. A fill calls it; qp must be one of the batch's node's queue pairs.
-// On a nil b it posts the verb alone, as qp.PostChain does. When sent is
-// non-nil, *sent is set to when the verb reaches its link gate: leaves the
-// node's CPU for the wire, or parks at a partitioned link. A poster that
-// shares the queue pair with others reads its own completions' due times from
-// it. Data is copied now.
+// non-nil, inline as the flush decided. A fill calls it; qp must be one of the
+// batch's node's queue pairs. Called outside a flush (a ring pump after a head
+// read) it posts the verb alone, a flush of its own under the batch's rule;
+// on a nil b alone and inline, as qp.PostChain does. When sent is non-nil,
+// *sent is set to when the verb reaches its link gate: leaves the node's CPU
+// for the wire, or parks at a partitioned link. A poster that shares the
+// queue pair with others reads its own completions' due times from it. Data
+// is copied now.
 func (b *Batch) PostChain(qp *QP, wrs []WR, onDone func(error), sent *sim.Time) {
-	v := qp.chain(wrs, onDone, true)
+	v := qp.chain(wrs, onDone, b.inlines())
 	if v == nil {
 		return
 	}
 	v.sent = sent
-	if b == nil {
+	if b == nil || !b.flushing {
 		v.post()
 		return
 	}
@@ -71,21 +103,35 @@ func (b *Batch) PostChain(qp *QP, wrs []WR, onDone func(error), sent *sim.Time) 
 	b.verbs = append(b.verbs, v)
 }
 
+// inlines reports whether a verb b posts now carries its payloads inline: as
+// the running flush decided, or outside a flush as b's rule decides now. A nil
+// batch inlines.
+func (b *Batch) inlines() bool {
+	switch {
+	case b == nil:
+		return true
+	case b.flushing:
+		return b.inline
+	}
+	return b.node.inlines(b.rule)
+}
+
 // Pending reports whether a flush or a post item of the batch waits on the
 // CPU: verbs deferred to it have not left yet.
 func (b *Batch) Pending() bool { return b.armed || b.posting }
 
-// flush calls the deferred fills and submits one item of the verbs they
-// added, unless they added none. The CPU runs its work in submission order,
-// so the item ends before the next flush runs: one post item at most is in
-// flight.
+// flush decides whether its payloads post inline, calls the deferred fills
+// and submits one item of the verbs they added, unless they added none. The
+// CPU runs its work in submission order, so the item ends before the next
+// flush runs: one post item at most is in flight.
 func (b *Batch) flush() {
 	b.armed = false
+	b.inline, b.flushing = b.node.inlines(b.rule), true
 	for i, fill := range b.fills {
 		b.fills[i] = nil
 		fill(b)
 	}
-	b.fills = b.fills[:0]
+	b.fills, b.flushing = b.fills[:0], false
 	if len(b.verbs) == 0 {
 		return
 	}

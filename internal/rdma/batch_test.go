@@ -13,7 +13,7 @@ import (
 // runs the fabric dry.
 func batchWrites(rig *cqRig, batched bool) {
 	n := rig.f.Node(0)
-	b := n.NewBatch()
+	b := n.NewBatch(InlineFits)
 	for p := NodeID(1); p < 4; p++ {
 		name, qp := fmt.Sprintf("p%d", p), n.QP(p)
 		onDone := func(err error) { rig.done = append(rig.done, fmt.Sprintf("%s@%d", name, rig.eng.Now())) }
@@ -62,7 +62,7 @@ func TestBatchPostsAsOneItem(t *testing.T) {
 func TestBatchPendingUntilItsVerbsLeave(t *testing.T) {
 	rig := newCQRig(false)
 	n := rig.f.Node(0)
-	b := n.NewBatch()
+	b := n.NewBatch(InlineFits)
 	if b.Pending() {
 		t.Fatal("a fresh batch is pending")
 	}
@@ -92,7 +92,7 @@ func TestWarmBatchAllocatesNothing(t *testing.T) {
 	rig := newCQRig(false)
 	n := rig.f.Node(0)
 	n.CPU.Observe = nil
-	b := n.NewBatch()
+	b := n.NewBatch(InlineFits)
 	wrs := []WR{{Region: "m", Data: make([]byte, 8)}}
 	onDone := func(error) {}
 	fills := make([]func(*Batch), 4)
@@ -111,5 +111,87 @@ func TestWarmBatchAllocatesNothing(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
 		t.Fatalf("a warm batch of three writes allocates %.0f times, want 0", allocs)
+	}
+}
+
+// newInlineRig is a cqRig whose fabric inlines what fits InlineThreshold, as
+// the default model does.
+func newInlineRig() *cqRig {
+	rig := newCQRig(false)
+	rig.lat.InlineThreshold = DefaultLatency().InlineThreshold
+	rig.f.lat.InlineThreshold = rig.lat.InlineThreshold
+	return rig
+}
+
+// TestBatchInlineRule: a flush decides once, before its fills run, whether
+// its payloads post inline: under InlineFits always, under InlineWhenIdle only
+// when no work waits on the CPU behind the flush. The first fill queues an
+// item of its own, as a ring pump's head read does; the decision is the
+// flush's, so a rule checked per post would stop inlining the idle node's
+// batch there.
+func TestBatchInlineRule(t *testing.T) {
+	for _, tc := range []struct {
+		rule       Inline
+		busy, want bool
+	}{
+		{InlineFits, false, true},
+		{InlineFits, true, true},
+		{InlineWhenIdle, false, true},
+		{InlineWhenIdle, true, false},
+	} {
+		rig := newInlineRig()
+		n := rig.f.Node(0)
+		b := n.NewBatch(tc.rule)
+		wrs := []WR{{Region: "m", Data: make([]byte, 8)}}
+		for p := NodeID(1); p < 4; p++ {
+			qp := n.QP(p)
+			b.Defer(func(b *Batch) {
+				if p == 1 {
+					n.CPU.Submit(rig.lat.PollCost, nil)
+				}
+				b.PostChain(qp, wrs, nil, nil)
+			})
+		}
+		if tc.busy {
+			n.CPU.Submit(sim.Microsecond, nil) // queued behind the flush
+		}
+		rig.eng.Run()
+		post := 3 * rig.lat.PostCost
+		var inlined uint64
+		if tc.want {
+			post, inlined = post+3*rig.lat.InlineCost, 3
+		}
+		if got := rig.items[len(rig.items)-1]; got != post {
+			t.Errorf("rule %d, busy %v: the post item cost %v, want %v: items %v", tc.rule, tc.busy, got, post, rig.items)
+		}
+		if st := rig.f.Stats(); st.InlineWrites != inlined {
+			t.Errorf("rule %d, busy %v: %d of %d writes inline, want %d", tc.rule, tc.busy, st.InlineWrites, st.Writes, inlined)
+		}
+	}
+}
+
+// TestBatchPostAloneFollowsItsRule: outside a flush, PostChain posts a verb
+// alone, a flush of its own: under InlineWhenIdle inline on an idle node and
+// by DMA on a busy one, under InlineFits inline either way.
+func TestBatchPostAloneFollowsItsRule(t *testing.T) {
+	for _, rule := range []Inline{InlineFits, InlineWhenIdle} {
+		for _, busy := range []bool{false, true} {
+			rig := newInlineRig()
+			n := rig.f.Node(0)
+			if busy {
+				n.CPU.Submit(sim.Microsecond, nil)
+				n.CPU.Submit(sim.Microsecond, nil) // waits behind the first
+				rig.eng.RunUntil(1)
+			}
+			n.NewBatch(rule).PostChain(n.QP(1), []WR{{Region: "m", Data: make([]byte, 8)}}, nil, nil)
+			rig.eng.Run()
+			want := uint64(1)
+			if busy && rule == InlineWhenIdle {
+				want = 0
+			}
+			if st := rig.f.Stats(); st.Writes != 1 || st.InlineWrites != want {
+				t.Errorf("rule %d, busy %v: %d of %d writes inline, want %d of 1", rule, busy, st.InlineWrites, st.Writes, want)
+			}
+		}
 	}
 }

@@ -23,12 +23,13 @@ package rdma
 // order and an anchor at the slot head followed by the δ after it stay
 // ordered on the QP (DESIGN.md §4, "The summary out-channel").
 //
-// A batch posts inline only when no work waits on the CPU behind the flush.
-// Copying the payloads into the WQE charges the sender InlineCost per WR to
-// land them InlineDMASaving sooner: an idle node's peers see the write
-// earlier, but on a busy node every queued item waits behind the copies. A
-// busy node posts the batch by DMA from the stage it already sits in; nobody
-// waits for its completion.
+// A batch posts inline only when no work waits on the CPU behind the flush
+// (InlineWhenIdle, the rule a broadcast Batch shares). Copying the payloads
+// into the WQE charges the sender InlineCost per WR to land them
+// InlineDMASaving sooner: an idle node's peers see the write earlier, but on
+// a busy node every queued item waits behind the copies. A busy node posts
+// the batch by DMA from the stage it already sits in; nobody waits for its
+// completion.
 //
 // The stream tag exists only for accounting: a chain whose WRs carry more
 // than one distinct tag is a cross-stream chain, the measurable win of
@@ -132,7 +133,7 @@ func (co *Coalescer) flush() {
 	co.mark++
 	co.armed = false
 	co.stats.Flushes++
-	idle := co.node.CPU.QueueLen() == 0
+	inline := co.node.inlines(InlineWhenIdle)
 	for p := range co.out {
 		b := &co.out[p]
 		if len(b.wrs) == 0 {
@@ -150,7 +151,7 @@ func (co *Coalescer) flush() {
 			b.wrs[i].Data = b.stage[lo : lo+n]
 			lo += n
 		}
-		co.node.QP(NodeID(p)).postChain(b.wrs, nil, idle) // copies the payloads into the verb
+		co.node.QP(NodeID(p)).postChain(b.wrs, nil, inline) // copies the payloads into the verb
 		b.wrs, b.lens, b.stage = b.wrs[:0], b.lens[:0], b.stage[:0]
 		b.stream = ""
 		b.mixed = false

@@ -62,6 +62,7 @@ type Sender struct {
 	pumpFn    func()            // the deferred pump, bound once: a Send allocates nothing
 	batched   bool              // a pump is deferred to a batch (SendIn)
 	fillFn    func(*rdma.Batch) // that pump, bound once
+	home      *rdma.Batch       // the batch SendIn defers to, whose inline rule a lone post follows
 	waiting   bool              // head read in flight, or held back by the retry timer
 	delay     sim.Duration      // next retry delay
 	sentAt    sim.Time          // when the newest post or head read left (SentAt)
@@ -116,10 +117,11 @@ func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 // the records the ring has room for when b flushes, this one and any queued
 // with it, ride b's post instead of a post of their own. A record a pump has
 // taken meanwhile, or left behind a ring that looks full, goes out as Send's
-// would.
+// would, under b's inline rule (rdma.Inline). A Sender defers to one batch.
 func (s *Sender) SendIn(b *rdma.Batch, record []byte, label string, onDone func(error)) {
 	s.queue = append(s.queue, sendItem{len(record), label, onDone})
 	s.data = append(s.data, record...)
+	s.home = b
 	if !s.batched {
 		s.batched = true
 		b.Defer(s.fillFn)
@@ -156,11 +158,16 @@ func (s *Sender) RestartAt(head uint64) {
 }
 
 // pump moves every queued record the ring has room for into one post, its
-// own or, when b is non-nil, one of b's. Records leave the queue as they are
-// staged, so a later crash drain in onHead cannot complete them a second time.
+// own or, when b is non-nil, one of b's. A post of its own follows the inline
+// rule of the batch SendIn defers to, if any (rdma.Batch.PostChain). Records
+// leave the queue as they are staged, so a later crash drain in onHead cannot
+// complete them a second time.
 func (s *Sender) pump(b *rdma.Batch) {
 	if s.node.Crashed() {
 		return
+	}
+	if b == nil {
+		b = s.home
 	}
 	// The ring never has more than one lap free, so a pump crosses the wrap
 	// boundary at most once: the run stage[:split] goes at data offset off,

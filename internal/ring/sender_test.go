@@ -402,7 +402,7 @@ func TestSenderSendInRidesTheBatch(t *testing.T) {
 		senders = append(senders, NewSender(fab, n, p, "ring", 1<<10))
 		readers = append(readers, NewReader(reg.Bytes()))
 	}
-	b := n.NewBatch()
+	b := n.NewBatch(rdma.InlineFits)
 	var done []int
 	note := func(i int) func(error) { return func(error) { done = append(done, i) } }
 	want := [][]byte{rec(t, 30, 'a'), rec(t, 30, 'b')}
