@@ -163,8 +163,10 @@ cover:
 # broadcast and Mu received through one ring in-channel, 22 409 once both
 # wrote and read back their recovery slots through one ring.Slots, and
 # 22 603 once each node owned its heartbeat, detector and write coalescer
-# (internal/heartbeat folded into internal/rdma), and 22 568 once the
-# detector's timing and Mu's catch-up period were fields of the cost model.
+# (internal/heartbeat folded into internal/rdma), 22 568 once the
+# detector's timing and Mu's catch-up period were fields of the cost model,
+# and 23 105 (from 23 106) once each node owned one delivery queue, its
+# handoff, for every Mu group and broadcast receiver on it.
 # Files a build constraint excludes are not counted.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \
@@ -188,14 +190,15 @@ check: build fmt vet staticcheck test bench-test race fuzz health-exp
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./internal/metrics ./internal/crdt ./internal/schema ./internal/core
 
-# allocs runs every testing.AllocsPerRun pin under internal/, uncached and
-# verbose, so a host-cost change prints its counts with one command. The pins
-# are found in the test files — a Test function that calls
-# testing.AllocsPerRun is one — so a new pin joins without an edit here.
+# allocs runs every allocation pin under internal/, uncached and verbose, so a
+# host-cost change prints its counts with one command. The pins are found in
+# the test files — a Test function that calls testing.AllocsPerRun, or reads
+# runtime.ReadMemStats around its window, is one — so a new pin joins without
+# an edit here.
 allocs:
-	@for dir in $$(grep -rl --include='*_test.go' 'testing.AllocsPerRun' internal | xargs -n1 dirname | sort -u); do \
+	@for dir in $$(grep -rlE --include='*_test.go' 'testing\.AllocsPerRun|runtime\.ReadMemStats' internal | xargs -n1 dirname | sort -u); do \
 		run=$$(awk 'FNR == 1 || /^func / { name = "" } /^func Test/ { name = $$2; sub(/\(.*/, "", name) } \
-			/testing\.AllocsPerRun/ && name != "" { print name }' $$dir/*_test.go | sort -u | paste -sd'|'); \
+			/testing\.AllocsPerRun|runtime\.ReadMemStats/ && name != "" { print name }' $$dir/*_test.go | sort -u | paste -sd'|'); \
 		$(GO) test -count=1 -v -run "^($$run)$$" ./$$dir || exit 1; \
 	done
 
@@ -204,12 +207,15 @@ allocs:
 # reads). TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for
 # a node that leads nothing, under Hamband and under the SMR baseline (Hamband
 # p0's deliver row at most 0.025 µs/op and its CQ polls row at most 0.015, with
-# the polls per quorum batch, both p0 post rows side by side), and
-# TestLeaderLedgerCatchesSignAll its control; TestStoreLedger
+# the polls per quorum batch, p3's deliver row at most 0.013, both p0 post
+# rows side by side), and TestLeaderLedgerCatchesSignAll and
+# TestLeaderLedgerCatchesPerEntry its controls; TestStoreLedger
 # is one node of a 16-shard store under the store-zipf shape, for counter
 # shards (no sweeps row: no F or L buffers) and for OR-set shards at 4 and 16
 # (one poll loop a node: the sweeps share must not depend on the shard
-# count); TestReduceLedger is one node on the reducible path, gset with all
+# count; one handoff a node: the 16-shard deliver row at most 0.007 µs/op,
+# with the 16 ÷ 4 throughput ratio), and TestStoreLedgerCatchesPerEntry its
+# control; TestReduceLedger is one node on the reducible path, gset with all
 # updates and counter with a quarter, with the WRs, chains and δ-records per
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
 # message, the ring records per write, and the node's post items (at most one)
@@ -230,8 +236,8 @@ ledger:
 # baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
 # make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
 # moved stays within its bound.
-SNAPSHOT ?= BENCH_PR66.json
-PREV_SNAPSHOT ?= BENCH_PR65.json
+SNAPSHOT ?= BENCH_PR67.json
+PREV_SNAPSHOT ?= BENCH_PR66.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

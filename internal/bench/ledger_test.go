@@ -81,7 +81,7 @@ var ledgerRows = []ledgerSite{
 	{"rdma.(*verb).post<rdma.(*Detector).", "heartbeat reads"},
 	{"rdma.(*verb).post<", "post: other writes"},
 	{"rdma.(*completionQueue).arm", "CQ polls"},
-	{"ring.(*Handoff).Hand", "deliver"},
+	{"rdma.(*Handoff).Hand", "deliver"},
 	{"broadcast.(*Receiver).sweep", "crc"},
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
@@ -138,17 +138,21 @@ func callSite(pcs []uintptr) string {
 // that submitted work to the node's CPU, so the rows must sum to the CPU's
 // busy time; utilisation is busy time over the makespan. The leader hands on
 // what one write completion decides as one delivery, so Hamband p0's deliver
-// row stays at most 0.025 µs/op: 0.0211 at seed 42, and 0.0598 with an item
+// row stays at most 0.025 µs/op: 0.0194 at seed 42, and 0.0598 with an item
 // per decided entry. A round asks completions of its quorum only, posted as
 // one batch, so one poll of the completion queue reaps the round: Hamband
 // p0's CQ polls row stays at most maxLeaderCQ µs/op (0.0293, about 2.5 polls a
-// round, with every follower signed and each write posted alone). The two
+// round, with every follower signed and each write posted alone). A node
+// hands on what one sweep of all its in-channels delivers as one record, so
+// Hamband p3, which follows both sync groups, pays no more to deliver than
+// Mu's p3, which follows one: its deliver row stays at most maxFollowerDeliver
+// µs/op (0.0099 at seed 42; 0.0201 with a record per in-channel). The two
 // systems' p0 post rows are printed side by side: Mu's one leader posts less
 // per call than Hamband's group-0 leader.
 func TestLeaderLedger(t *testing.T) {
 	post := map[SystemKind]float64{}
 	for _, kind := range []SystemKind{Hamband, MuSMR} {
-		l, ops := leaderLedger(t, kind, false)
+		l, f, ops := leaderLedger(t, kind, nil)
 		post[kind] = l.perOp(ledgerPostRow, ops)
 		if kind == Hamband {
 			if deliver := l.perOp("deliver", ops); deliver == 0 || deliver > 0.025 {
@@ -156,6 +160,9 @@ func TestLeaderLedger(t *testing.T) {
 			}
 			if cq := l.perOp("CQ polls", ops); cq == 0 || cq > maxLeaderCQ {
 				t.Errorf("Hamband p0: CQ polls cost %.4f µs/op, want a row and at most %.3f (0.0293 with every follower signed)", cq, maxLeaderCQ)
+			}
+			if deliver := f.perOp("deliver", ops); deliver == 0 || deliver > maxFollowerDeliver {
+				t.Errorf("Hamband p3: deliver costs %.4f µs/op, want a row and at most %.3f (0.0201 with a record per in-channel)", deliver, maxFollowerDeliver)
 			}
 		}
 	}
@@ -166,7 +173,13 @@ func TestLeaderLedger(t *testing.T) {
 // above: every follower's write signaled and posted alone, the rule before
 // the quorum batch.
 func TestLeaderLedgerCatchesSignAll(t *testing.T) {
-	l, ops := leaderLedger(t, Hamband, true)
+	l, _, ops := leaderLedger(t, Hamband, func(c *core.Cluster) {
+		for _, r := range c.Replicas {
+			for g := 0; g < r.GroupCount(); g++ {
+				r.Group(g).MutateSignAll()
+			}
+		}
+	})
 	cq := l.perOp("CQ polls", ops)
 	if cq <= maxLeaderCQ {
 		t.Fatalf("signing every follower costs %.4f µs/op of CQ polls, within the %.3f bound", cq, maxLeaderCQ)
@@ -174,16 +187,28 @@ func TestLeaderLedgerCatchesSignAll(t *testing.T) {
 	t.Logf("caught: CQ polls %.4f µs/op", cq)
 }
 
+// TestLeaderLedgerCatchesPerEntry is the mutation control of p3's deliver
+// bound above: p3's handoff closes a record at every entry.
+func TestLeaderLedgerCatchesPerEntry(t *testing.T) {
+	_, f, ops := leaderLedger(t, Hamband, func(c *core.Cluster) { c.Fab.Node(3).Handoff().MutatePerEntry() })
+	deliver := f.perOp("deliver", ops)
+	if deliver <= maxFollowerDeliver {
+		t.Fatalf("a record per entry costs p3 %.4f µs/op of deliver, within the %.3f bound", deliver, maxFollowerDeliver)
+	}
+	t.Logf("caught: p3 deliver %.4f µs/op", deliver)
+}
+
 const (
-	ledgerPostRow = "post: log/request ring writes"
-	maxLeaderCQ   = 0.015
+	ledgerPostRow      = "post: log/request ring writes"
+	maxLeaderCQ        = 0.015
+	maxFollowerDeliver = 0.013
 )
 
-// leaderLedger runs the Fig. 10 point under kind, every Mu instance signing
-// every follower when signAll is set, logs the ledgers of the group-0 leader
-// (with its CQ polls per quorum batch, one batch a round) and of a node that
-// leads nothing, and returns the leader's and the calls completed.
-func leaderLedger(t *testing.T, kind SystemKind, signAll bool) (*ledger, int) {
+// leaderLedger runs the Fig. 10 point under kind, after mutate, if set, has
+// edited the cluster, logs the ledgers of the group-0 leader (with its CQ
+// polls per quorum batch, one batch a round) and of a node that leads
+// nothing, p3, and returns both and the calls completed.
+func leaderLedger(t *testing.T, kind SystemKind, mutate func(*core.Cluster)) (leads, follows *ledger, ops int) {
 	t.Helper()
 	const nodes, leader, follower = 4, 0, 3
 	eng := sim.NewEngine(42)
@@ -193,12 +218,8 @@ func leaderLedger(t *testing.T, kind SystemKind, signAll bool) (*ledger, int) {
 		t.Fatal(err)
 	}
 	c := sys.(*hambandSystem).c
-	if signAll {
-		for _, r := range c.Replicas {
-			for g := 0; g < r.GroupCount(); g++ {
-				r.Group(g).MutateSignAll()
-			}
-		}
+	if mutate != nil {
+		mutate(c)
 	}
 	observed := []int{leader, follower}
 	ledgers := []*ledger{newLedger(), newLedger()}
@@ -224,7 +245,7 @@ func leaderLedger(t *testing.T, kind SystemKind, signAll bool) (*ledger, int) {
 		t.Logf("%s p%d (%s): %.2f ops/µs, busy %.1f%% of %v\n%s", kind, node, role,
 			res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan, l.table(res.Completed))
 	}
-	return ledgers[0], res.Completed
+	return ledgers[0], ledgers[1], res.Completed
 }
 
 // TestReduceLedger prints the virtual-CPU ledger of one node on the reducible
@@ -397,39 +418,16 @@ func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls fl
 // node sweeps in the node's one poll loop, SweepCost every SweepPeriod whether
 // or not anything arrived, so the sweeps row is the same share of the node at
 // 4 and 16 shards (ROADMAP item 6), and 16 shards keep at least minORSet16.
+// What one sweep of every receiver delivers is one record of the node's
+// handoff, so the deliver row at 16 shards stays at most maxStoreDeliver
+// µs/op (0.0049 at seed 42; 0.0165 with a record per receiver).
 func TestStoreLedger(t *testing.T) {
-	const nodes, minORSet16 = 4, 6.5
-	// point returns the ledger, the throughput and the sweeps row's share of
-	// the node's time.
-	point := func(cls *spec.Class, shards int) (*ledger, float64, float64) {
-		eng := sim.NewEngine(42)
-		fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
-		an := spec.MustAnalyze(cls)
-		sys, err := newStoreSystem(fab, an, shards, 0, zipfPick(rand.New(rand.NewSource(44)), 1.5, shards))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer sys.st.Stop()
-		l := newLedger()
-		cpu := fab.Node(0).CPU
-		cpu.Observe = l.charge
-		res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.5, 43))
-		if res.TimedOut || res.Completed != DefaultOps {
-			t.Fatalf("%s ×%d: completed %d/%d, timed out %v", cls.Name, shards, res.Completed, DefaultOps, res.TimedOut)
-		}
-		sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
-		sweeps := l.rows["sweeps"]
-		share := float64(sweeps) / float64(res.Makespan)
-		t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; sweeps %.4f µs/op = %.1f%% of the node's CPU time\n%s",
-			shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-			sweeps.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
-		return l, res.Throughput(), share
-	}
-	if l, _, _ := point(crdt.NewCounter(), 16); l.rows["sweeps"] != 0 {
+	const minORSet16 = 6.5
+	if l, _, _ := storeLedger(t, crdt.NewCounter(), 16, false); l.rows["sweeps"] != 0 {
 		t.Errorf("16 counter shards charge %v of sweeps: a class without F or L buffers has nothing to poll", l.rows["sweeps"])
 	}
-	_, _, share4 := point(crdt.NewORSet(), 4)
-	_, rate16, share16 := point(crdt.NewORSet(), 16)
+	_, rate4, share4 := storeLedger(t, crdt.NewORSet(), 4, false)
+	l, rate16, share16 := storeLedger(t, crdt.NewORSet(), 16, false)
 	if share4 == 0 || share16 == 0 {
 		t.Fatalf("orset sweeps share %.4f at 4 shards, %.4f at 16: the ledger lost the receivers' row", share4, share16)
 	}
@@ -440,6 +438,57 @@ func TestStoreLedger(t *testing.T) {
 	if rate16 < minORSet16 {
 		t.Errorf("16 orset shards run at %.2f ops/µs, want at least %.1f", rate16, minORSet16)
 	}
+	if deliver := l.perOp("deliver", DefaultOps); deliver == 0 || deliver > maxStoreDeliver {
+		t.Errorf("16 orset shards: deliver costs %.4f µs/op, want a row and at most %.3f (0.0165 with a record per receiver)", deliver, maxStoreDeliver)
+	}
+	t.Logf("16 orset shards run at %.3f of the throughput of 4 (%.2f / %.2f ops/µs)", rate16/rate4, rate16, rate4)
+}
+
+// TestStoreLedgerCatchesPerEntry is the mutation control of the 16-shard
+// deliver bound above: p0's handoff closes a record at every entry.
+func TestStoreLedgerCatchesPerEntry(t *testing.T) {
+	l, _, _ := storeLedger(t, crdt.NewORSet(), 16, true)
+	deliver := l.perOp("deliver", DefaultOps)
+	if deliver <= maxStoreDeliver {
+		t.Fatalf("a record per entry costs %.4f µs/op of deliver, within the %.3f bound", deliver, maxStoreDeliver)
+	}
+	t.Logf("caught: deliver %.4f µs/op", deliver)
+}
+
+const maxStoreDeliver = 0.007
+
+// storeLedger runs the store-zipf shape over shards shards of cls, p0's
+// handoff closing a record at every entry when perEntry is set, logs p0's
+// ledger and returns it, the throughput and the sweeps row's share of the
+// node's time.
+func storeLedger(t *testing.T, cls *spec.Class, shards int, perEntry bool) (*ledger, float64, float64) {
+	t.Helper()
+	const nodes = 4
+	eng := sim.NewEngine(42)
+	fab := rdma.NewFabric(eng, nodes, rdma.DefaultLatency())
+	an := spec.MustAnalyze(cls)
+	sys, err := newStoreSystem(fab, an, shards, 0, zipfPick(rand.New(rand.NewSource(44)), 1.5, shards))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.st.Stop()
+	if perEntry {
+		fab.Node(0).Handoff().MutatePerEntry()
+	}
+	l := newLedger()
+	cpu := fab.Node(0).CPU
+	cpu.Observe = l.charge
+	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, 0.5, 43))
+	if res.TimedOut || res.Completed != DefaultOps {
+		t.Fatalf("%s ×%d: completed %d/%d, timed out %v", cls.Name, shards, res.Completed, DefaultOps, res.TimedOut)
+	}
+	sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
+	sweeps := l.rows["sweeps"]
+	share := float64(sweeps) / float64(res.Makespan)
+	t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; sweeps %.4f µs/op = %.1f%% of the node's CPU time\n%s",
+		shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
+		sweeps.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
+	return l, res.Throughput(), share
 }
 
 // settle closes a ledger after a run: busy time is charged at dispatch, the

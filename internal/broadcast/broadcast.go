@@ -450,12 +450,6 @@ func (b *Broadcaster) finish(pm *pendingMsg) {
 	}
 }
 
-// Handler consumes delivered broadcast messages. The payload is borrowed for
-// the call: when the handler returns, its buffer goes back to the receiver's
-// handoff (ring.Handoff) and is overwritten by a later message, so a handler
-// that keeps the bytes copies them.
-type Handler func(src rdma.NodeID, seq uint64, payload []byte)
-
 // Receiver is the delivery side of reliable broadcast on one node. A nil
 // *Receiver is the delivery side of a class that has no F buffers (package
 // core builds one only when the analysis finds an irreducible conflict-free
@@ -480,8 +474,7 @@ type Receiver struct {
 	backup      *ring.Slots // reads a suspected source's backup slots; counts the torn ones
 	staleBackup uint64      // stale backup slots rejected during recovery
 	poll        *rdma.Sweep
-	handoff     *ring.Handoff
-	bufs        ring.Buffers // the handoff's: each delivered payload's copy
+	handler     rdma.Handler // called through the node's handoff
 
 	mDelivered  *metrics.Counter // messages handed to the handler
 	mRecoveries *metrics.Counter // RecoverFrom sweeps started
@@ -493,7 +486,7 @@ type Receiver struct {
 // for every message. Setup must have run. Its counters go to the fabric's
 // registry, if one is attached; broadcast.torn_rejects and
 // broadcast.stale_rejects read TornRejects and StaleRejects.
-func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler) *Receiver {
+func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler rdma.Handler) *Receiver {
 	reg := fab.Metrics()
 	r := &Receiver{
 		fab:         fab,
@@ -504,11 +497,11 @@ func NewReceiver(fab *rdma.Fabric, node *rdma.Node, cfg Config, handler Handler)
 		stale:       make([]uint64, fab.Size()),
 		dedup:       make([]ring.Watermark, fab.Size()),
 		backup:      ring.NewSlots(node, cfg.backupRegion(), cfg.BackupSlots, cfg.BackupSlot),
+		handler:     handler,
 		mDelivered:  reg.Counter("broadcast.delivered"),
 		mRecoveries: reg.Counter("broadcast.recovery_sweeps"),
 		mRecovered:  reg.Counter("broadcast.backup_slots_recovered"),
 	}
-	r.handoff = ring.NewHandoff(fab, node, &r.bufs, handler)
 	r.reads[0] = reg.CounterFunc("broadcast.torn_rejects", r.TornRejects)
 	r.reads[1] = reg.CounterFunc("broadcast.stale_rejects", r.StaleRejects)
 	for i := 0; i < fab.Size(); i++ {
@@ -572,13 +565,12 @@ func (r *Receiver) StaleRejects() uint64 {
 }
 
 // sweep is one poll's work on the reader CPU: drain every source's ring and
-// hand the messages found on, in ring order, as one record: one DeliverCost
-// item. An idle poll that finds a ring Quiescent is the drain proof a floor
-// parked by FloorAfterDrain waits for.
+// add the messages found to the node's handoff, in ring order, for the
+// record the poll loop closes. An idle poll that finds a ring Quiescent is
+// the drain proof a floor parked by FloorAfterDrain waits for.
 func (r *Receiver) sweep() {
 	r.validated = 0
 	ring.Drain(r.readers, r.admit)
-	r.handoff.Hand()
 	for p, rd := range r.readers {
 		if rd != nil && rd.Quiescent() {
 			r.floors[p].Drained()
@@ -611,19 +603,19 @@ func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
 	return nil
 }
 
-// deliver adds to the handoff's open record what the handler has not yet had
-// of message (src, seq); its caller hands the record on. A ring record is the
-// whole message. A backup slot may hold one its source was still putting
-// together (Broadcaster.Send) — a prefix of what the ring will carry — so only
-// the tail a longer payload adds is handed on (ring.Watermark).
+// deliver adds to the node's open handoff record what the handler has not yet
+// had of message (src, seq), in a copy from the node's free list. A ring
+// record is the whole message. A backup slot may hold one its source was still
+// putting together (Broadcaster.Send) — a prefix of what the ring will carry —
+// so only the tail a longer payload adds is handed on (ring.Watermark).
 func (r *Receiver) deliver(src rdma.NodeID, seq uint64, payload []byte, byRing bool) {
 	from, fresh := r.dedup[src].Admit(seq, len(payload), byRing)
 	if !fresh {
 		return
 	}
 	r.mDelivered.Inc()
-	buf := r.bufs.Keep(payload[from:])
-	r.handoff.Add(src, seq, buf, buf)
+	h := r.node.Handoff()
+	h.Add(r.handler, src, seq, h.Keep(payload[from:]))
 }
 
 // RecoverFrom reads src's backup slots remotely and delivers any pending
@@ -670,6 +662,6 @@ func (r *Receiver) RecoverFrom(src rdma.NodeID) {
 			r.mRecovered.Inc()
 			r.deliver(src, m.seq, m.payload, false)
 		}
-		r.handoff.Hand()
+		r.node.Handoff().Hand()
 	})
 }

@@ -12,9 +12,9 @@ import (
 
 // Who owns a message's bytes: the source frames a record in its scratch
 // buffer, which the backup slot and every peer's ring.Sender copy; a receiver
-// polls it into the ring reader's reused buffer and its handoff
-// (ring.Handoff) copies the payload into a buffer from its free list, which
-// the handler borrows and the handoff takes back when the handler returns.
+// polls it into the ring reader's reused buffer and copies the payload into a
+// buffer from its node's free list, which the handler borrows and the node's
+// handoff (rdma.Handoff) takes back when the handler returns.
 
 // TestWarmDeliveryAllocs pins one message's host cost: on a warm 4-node
 // fabric, a 64-byte unit from Send to the last of its three handler calls
@@ -59,7 +59,7 @@ func TestWarmDeliveryAllocs(t *testing.T) {
 }
 
 // TestSuspendedReceiverHandsEachPayloadIntact suspends a receiver while
-// records of messages wait in its handoff for their handler items, lets the
+// records of messages wait in its node's handoff for their handler items, lets the
 // source go on broadcasting, and resumes it: each queued payload, and each one
 // after, must reach the handler exactly as broadcast. The payloads differ in
 // length, so a recycled buffer still held by a queued message would show.
@@ -88,7 +88,21 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 	for k := 1; k < 10; k++ {
 		eng.At(sim.Time(sim.Duration(k)*period+period/4), func() { cpu.Submit(sim.Microsecond, nil) })
 	}
-	for rcs[victim].handoff.Records() < 3 {
+	// The records queued: DeliverCost items submitted, less the instants the
+	// handler ran at, one an item.
+	closed, ran := 0, map[sim.Time]bool{}
+	cpu.Observe = func(cost sim.Duration) {
+		if cost == fab.Latency().DeliverCost {
+			closed++
+		}
+	}
+	handle := rcs[victim].handler
+	rcs[victim].handler = func(src rdma.NodeID, seq uint64, payload []byte) {
+		ran[eng.Now()] = true
+		handle(src, seq, payload)
+	}
+	hand := fab.Node(victim).Handoff()
+	for closed-len(ran) < 3 {
 		if eng.Now() > sim.Time(100*sim.Microsecond) {
 			t.Fatal("the receiver never had three records queued")
 		}
@@ -96,14 +110,14 @@ func TestSuspendedReceiverHandsEachPayloadIntact(t *testing.T) {
 	}
 	fab.Node(victim).Suspend()
 	eng.RunUntil(eng.Now() + sim.Time(sim.Microsecond)) // the item already dispatched completes
-	records, queued, before := rcs[victim].handoff.Records(), rcs[victim].handoff.Len(), len(got[victim])
+	records, queued, before := closed-len(ran), hand.Len(), len(got[victim])
 	if records < 2 {
 		t.Fatalf("suspended with %d records (%d messages) queued, want at least two records", records, queued)
 	}
 	eng.RunUntil(sim.Time(200 * sim.Microsecond))
-	if len(got[victim]) != before || rcs[victim].handoff.Len() != queued || len(got[2]) != count {
+	if len(got[victim]) != before || hand.Len() != queued || len(got[2]) != count {
 		t.Fatalf("while suspended: the victim handled %d → %d with %d → %d queued, node 2 %d of %d",
-			before, len(got[victim]), queued, rcs[victim].handoff.Len(), len(got[2]), count)
+			before, len(got[victim]), queued, hand.Len(), len(got[2]), count)
 	}
 	fab.Node(victim).Resume()
 	eng.RunUntil(sim.Time(sim.Millisecond))
@@ -188,9 +202,9 @@ func TestRecycledPendingMsgKeepsEachMessage(t *testing.T) {
 // order. perEntry is the mutation: a record per message.
 func sweepAsOneRecord(perEntry bool) error {
 	cfg := DefaultConfig()
-	eng, fab, bcs, got, rcs := setup(4, cfg)
+	eng, fab, bcs, got, _ := setup(4, cfg)
 	if perEntry {
-		rcs[0].handoff.MutatePerEntry()
+		fab.Node(0).Handoff().MutatePerEntry()
 	}
 	lat := fab.Latency()
 	cpu := fab.Node(0).CPU

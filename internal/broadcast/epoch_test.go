@@ -108,7 +108,8 @@ func gateRun(seed int64, nRecords, minEpoch uint8, gated bool) error {
 	}
 	sweep := func() {
 		rx.sweep()
-		eng.Run() // the handler calls the sweep queued on the CPU
+		fab.Node(1).Handoff().Hand() // as the poll loop closes the sweep's record
+		eng.Run()                    // the handler calls the record queued on the CPU
 	}
 
 	region := fab.Node(1).Region(cfg.inRegion(0)).Bytes()

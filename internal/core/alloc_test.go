@@ -205,6 +205,9 @@ func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
 			cycle()
 		}
 		folded := r1.sums[0][0].version
+		// As testing.AllocsPerRun does: another goroutine's objects would
+		// count toward this one's (under -race, once 17 B a cycle).
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < cycles; i++ {

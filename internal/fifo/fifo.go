@@ -1,7 +1,7 @@
 // Package fifo is the queue the runtime's buffers share: in a replica (core),
 // its client calls waiting for their issue, query or accept item and the
 // lengths of the calls its F and L buffers hold; in a consensus instance
-// (mu), each follower's unacknowledged round records; the records a ring
+// (mu), each follower's unacknowledged round records; the records a node's
 // handoff holds for their delivery item, broadcast messages and decided Mu
 // entries alike; and a ring sender's posts in flight with the completions
 // they carry.

@@ -83,10 +83,9 @@ func TestLateAckLeavesNoResidue(t *testing.T) {
 //     it reuses, so one scratch buffer serves every follower;
 //   - ring.Reader.Poll returns each record in a buffer the reader reuses;
 //   - the submitter's pending copy, the queued request, the proposal and each
-//     follower's stashed entry are copies into buffers from the instance's
-//     free list; the handoff, which shares the list, takes the proposal or
-//     stash entry as it is, and every buffer goes back to the list once the
-//     entry is delivered;
+//     follower's stashed entry are copies into buffers from the node's free
+//     list; the node's handoff takes the proposal or stash entry as it is,
+//     and every buffer goes back to the list once the entry is delivered;
 //   - a pump's completion is the Sender's bound callback, which finds the
 //     post's onDones queued, and each follower's ack is its bound ackFns.
 func TestWarmCommitAllocs(t *testing.T) {
@@ -164,7 +163,7 @@ func TestElectionSweepAllocatesNothing(t *testing.T) {
 // behind its CPU, changes the leader, orders more entries and resumes it: the
 // follower must deliver everything exactly once and in sequence order, the
 // entries it had queued first, each exactly as submitted: the queued entries
-// hold buffers from its handoff's free list (ring.Handoff), and the payloads
+// hold buffers from its node's free list (rdma.Handoff), and the payloads
 // differ in length so that a buffer handed out twice shows. lifo is the
 // mutation: the follower's CPU item takes the newest queued delivery instead
 // of the oldest.
@@ -174,7 +173,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	const victim = 3
 	in := c.inst[victim]
 	if lifo {
-		in.handoff.MutateLIFO()
+		in.hand.MutateLIFO()
 	}
 	// One event submits six: the first is a round of its own, the other five
 	// the next, and the round of no entries after it commits those five. The
@@ -188,7 +187,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 			c.inst[0].Submit([]byte(want[i]))
 		}
 	})
-	for in.handoff.Len() < 3 {
+	for in.hand.Len() < 3 {
 		if c.eng.Now() > sim.Time(100*sim.Microsecond) {
 			t.Fatal("the follower never had three deliveries queued")
 		}
@@ -196,7 +195,7 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 	}
 	c.fab.Node(victim).Suspend()
 	c.run(sim.Microsecond) // the item the CPU had already dispatched completes
-	queued, before := in.handoff.Len(), len(c.delivered[victim])
+	queued, before := in.hand.Len(), len(c.delivered[victim])
 	if queued < 2 {
 		t.Fatalf("suspended with %d deliveries queued, want at least two", queued)
 	}
@@ -212,9 +211,9 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 		c.inst[2].Submit([]byte(want[6+i]))
 	}
 	c.run(2 * sim.Millisecond)
-	if in.handoff.Len() != queued || len(c.delivered[victim]) != before {
+	if in.hand.Len() != queued || len(c.delivered[victim]) != before {
 		return fmt.Errorf("suspended with %d deliveries queued and %d made; after the leader change %d and %d",
-			queued, before, in.handoff.Len(), len(c.delivered[victim]))
+			queued, before, in.hand.Len(), len(c.delivered[victim]))
 	}
 	c.fab.Node(victim).Resume()
 	c.run(5 * sim.Millisecond)
@@ -229,8 +228,8 @@ func suspendedDeliveries(t *testing.T, lifo bool) error {
 			}
 		}
 	}
-	if in.handoff.Len() != 0 {
-		return fmt.Errorf("%d deliveries still queued at rest", in.handoff.Len())
+	if in.hand.Len() != 0 {
+		return fmt.Errorf("%d deliveries still queued at rest", in.hand.Len())
 	}
 	return nil
 }
@@ -505,6 +504,7 @@ func TestDeliverBorrowsTheHeldEntry(t *testing.T) {
 			held[1] = e.payload
 		}
 	}
+	follower.hand.Hand() // as the poll loop closes a sweep's record
 	c.run(10 * sim.Microsecond)
 	for i, node := range []int{0, 1} {
 		if !slices.Equal(c.delivered[node], []string{"copied once"}) {

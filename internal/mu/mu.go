@@ -99,7 +99,7 @@ func Setup(fab *rdma.Fabric, group string, cfg Config, initialLeader rdma.NodeID
 
 // DeliverFunc consumes decided entries, in sequence order, exactly once. The
 // payload is borrowed for the call: it lies in the buffer its entry waited in,
-// which goes back to the instance's free list when Deliver returns and is
+// which goes back to the node's free list when Deliver returns and is
 // overwritten by a later entry, so a callee that keeps the bytes copies them.
 type DeliverFunc func(seq uint64, origin rdma.NodeID, payload []byte)
 
@@ -124,16 +124,21 @@ type Instance struct {
 
 	// Buffers. Every payload the instance holds on to — a submission not yet
 	// delivered here, a request queued for a round, a proposal, a stashed
-	// follower entry — lives in a buffer from free, and the buffer goes back
-	// to free when its holder is done with it: when the submission is
-	// delivered, when Deliver returns from the entry's payload (the handoff
-	// shares the list and takes the entry's buffer as it is), or when the
-	// entry is dropped as a duplicate, as an older-term entry, or because a
+	// follower entry — lives in a buffer from the free list of hand, the
+	// node's handoff, and the buffer goes back there when its holder is done
+	// with it: when the submission is delivered, when Deliver returns from the
+	// entry's payload (the handoff takes the entry's buffer as it is), or when
+	// the entry is dropped as a duplicate, as an older-term entry, or because a
 	// catch-up or a newer leader's entry filled its stash slot. A warm
-	// instance therefore allocates no buffers. rec is the scratch buffer every
+	// instance therefore allocates no buffers. The handoff hands the entries
+	// delivered on to Deliver (deliverFn) in one CPU item for what one event
+	// delivers: at the leader a write completion's decisions, a self-majority
+	// round or a recovery, at a follower a caught-up journal slot, and what one
+	// sweep of the node's in-channels commits. rec is the scratch buffer every
 	// outgoing ring record is framed in: ring.Sender.Send copies it.
-	free ring.Buffers
-	rec  []byte
+	hand      *rdma.Handoff
+	deliverFn rdma.Handler
+	rec       []byte
 
 	journal *ring.Slots // every entry sequenced here, as a round of one, for one-sided reads
 	state   []byte      // the state words, published for one-sided reads (publish)
@@ -198,12 +203,8 @@ type Instance struct {
 	catching       bool               // journal catch-up read in flight
 	lastProgressAt sim.Time           // when delivery last advanced (or was verified current)
 	// dedup[p] is what has been delivered of origin p's submissions, by
-	// submission sequence number; handoff hands the entries delivered on to
-	// Deliver, one CPU item for what one event delivers: at the leader a
-	// write completion's decisions, a self-majority round or a recovered
-	// entry, at a follower what one round record commits.
-	dedup   []ring.Watermark
-	handoff *ring.Handoff
+	// submission sequence number.
+	dedup []ring.Watermark
 
 	// Membership view (dynamic reconfiguration). nil means the fixed
 	// full-fabric membership; otherwise members[p] reports whether node p
@@ -297,6 +298,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		ctrlReaders: make([]*ring.Reader, fab.Size()),
 
 		journal: ring.NewSlots(node, journalRegion(group), cfg.JournalSlots, cfg.JournalSlotSize),
+		hand:    node.Handoff(),
 		state:   node.Region(stateRegion(group)).Bytes(),
 	}
 	if reg := fab.Metrics(); reg.Enabled() {
@@ -328,9 +330,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		in.reqReaders[peer] = ring.NewReader(node.Region(reqRegion(group, peer)).Bytes())
 		in.ctrlReaders[peer] = ring.NewReader(node.Region(ctrlRegion(group, peer)).Bytes())
 	}
-	in.handoff = ring.NewHandoff(fab, node, &in.free, func(origin rdma.NodeID, seq uint64, payload []byte) {
-		in.Deliver(seq, origin, payload)
-	})
+	in.deliverFn = func(origin rdma.NodeID, seq uint64, payload []byte) { in.Deliver(seq, origin, payload) }
 	in.poll = node.Poll(in.sweep)
 	return in
 }
@@ -781,15 +781,16 @@ func (in *Instance) MutateSignAll() { in.signAll = true }
 // Submit hands a payload to the group for total ordering. The payload will
 // be delivered, exactly once and in order, through Deliver on every node.
 // Submissions survive leader changes via resubmission: the instance keeps a
-// copy of the payload, in a buffer from its free list, until the payload is
+// copy of the payload, in a buffer from the node's free list, until it is
 // delivered here, so the caller may reuse its buffer as soon as Submit
 // returns.
 func (in *Instance) Submit(payload []byte) {
 	in.submitSeq++
-	payload = in.free.Keep(payload)
+	payload = in.hand.Keep(payload)
 	in.pending[in.submitSeq] = payload
 	in.route(in.submitSeq, payload)
 	in.startRound()
+	in.hand.Hand() // a round a majority of one decided
 }
 
 func (in *Instance) route(submitSeq uint64, payload []byte) {
@@ -819,7 +820,7 @@ type request struct {
 
 // propose queues a copy of a request for the leader's next round.
 func (in *Instance) propose(origin rdma.NodeID, submitSeq uint64, payload []byte) {
-	in.queue = append(in.queue, request{origin, submitSeq, in.free.Keep(payload), in.fab.Engine().Now()})
+	in.queue = append(in.queue, request{origin, submitSeq, in.hand.Keep(payload), in.fab.Engine().Now()})
 }
 
 // startRound sequences everything queued as one round — Transform, sequence
@@ -850,8 +851,8 @@ func (in *Instance) startRound() bool {
 		payload := r.payload
 		if in.Transform != nil {
 			// The result is borrowed: the proposal keeps a copy of it.
-			payload = in.free.Keep(in.Transform(r.origin, payload))
-			in.free.Release(r.payload)
+			payload = in.hand.Keep(in.Transform(r.origin, payload))
+			in.hand.Release(r.payload)
 		}
 		seq := in.nextSeq
 		in.nextSeq++
@@ -876,7 +877,6 @@ func (in *Instance) startRound() bool {
 		for seq := first; seq < first+uint64(n); seq++ {
 			in.decide(seq)
 		}
-		in.handoff.Hand()
 	}
 	return true
 }
@@ -934,7 +934,7 @@ func (in *Instance) acked(peer rdma.NodeID, err error) {
 			in.decide(seq)
 		}
 	}
-	in.handoff.Hand()
+	in.hand.Hand()
 }
 
 // proposal is an entry this leader sequenced and has not delivered yet, its
@@ -956,9 +956,9 @@ func (in *Instance) proposal(seq uint64) *proposal {
 }
 
 // decide marks seq decided and delivers contiguous decided entries locally;
-// the caller closes the handoff record. The decision that completes the round
-// in flight starts the next one, whose record carries the new commit
-// watermark; with nothing queued, the watermark is owed to the next sweep.
+// the caller, or a sweep's poll loop, closes the handoff record. The decision
+// that completes the round in flight starts the next one, whose record carries
+// the new commit watermark; with nothing queued, it is owed to the next sweep.
 func (in *Instance) decide(seq uint64) {
 	p := in.proposal(seq)
 	p.decided = true
@@ -1026,8 +1026,8 @@ func (in *Instance) readState(peer rdma.NodeID, got func(next, delivered uint64,
 }
 
 // deliverEntry dedups e, entry seq, by (origin, submitSeq) and adds its
-// payload to the record the handoff hands on to Deliver at the caller's next
-// Hand; an entry naming no node is sequenced but delivered nowhere. The
+// payload to the node's open handoff record, for Deliver; an entry naming no
+// node is sequenced but delivered nowhere. The
 // caller gives e's payload, a buffer from the free list, away: the handoff
 // takes it as it is and puts it back once Deliver returns, or it goes back at
 // once. An entry of this node's own submission also puts the pending copy
@@ -1036,14 +1036,14 @@ func (in *Instance) deliverEntry(seq uint64, e entry) {
 	if int(e.origin) < in.n {
 		if mine, ok := in.pending[e.submitSeq]; ok && e.origin == in.node.ID() {
 			delete(in.pending, e.submitSeq)
-			in.free.Release(mine)
+			in.hand.Release(mine)
 		}
 		if _, fresh := in.dedup[e.origin].Admit(e.submitSeq, len(e.payload), true); fresh && in.Deliver != nil {
-			in.handoff.Add(e.origin, seq, e.payload, e.payload)
+			in.hand.Add(in.deliverFn, e.origin, seq, e.payload)
 			return
 		}
 	}
-	in.free.Release(e.payload)
+	in.hand.Release(e.payload)
 }
 
 // --- polling ----------------------------------------------------------
@@ -1099,7 +1099,7 @@ func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
 		for seq, old := range in.stash {
 			if old.term < r.term {
 				delete(in.stash, seq)
-				in.free.Release(old.payload)
+				in.hand.Release(old.payload)
 			}
 		}
 	}
@@ -1110,8 +1110,8 @@ func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
 		}
 		// Poll reuses its buffer, so the stash keeps a copy, in place of any
 		// entry a newer leader's re-dissemination supersedes.
-		in.free.Release(in.stash[seq].payload)
-		e.payload = in.free.Keep(e.payload)
+		in.hand.Release(in.stash[seq].payload)
+		e.payload = in.hand.Keep(e.payload)
 		in.stash[seq] = stashed{e, r.term}
 	})
 	in.drainCommitted()
@@ -1119,7 +1119,8 @@ func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
 }
 
 // drainCommitted delivers stashed entries in sequence order up to the
-// received commit watermark, handed on as one item.
+// received commit watermark, into the open handoff record: a sweep's closes
+// with the poll loop's item, a catch-up's after this drain.
 func (in *Instance) drainCommitted() {
 	for in.lastDelivered < in.commitSeen {
 		next, ok := in.stash[in.lastDelivered+1]
@@ -1130,7 +1131,6 @@ func (in *Instance) drainCommitted() {
 		in.bumpDelivered(in.lastDelivered + 1)
 		in.deliverEntry(in.lastDelivered, next.entry)
 	}
-	in.handoff.Hand()
 }
 
 // handleRequest proposes the request msg that from redirected to this leader.
@@ -1176,6 +1176,7 @@ func (in *Instance) StartElection() {
 		}
 	}
 	in.maybeLead()
+	in.hand.Hand() // what a majority of one decided
 }
 
 func (in *Instance) switchLogPermission(to rdma.NodeID) {
@@ -1285,14 +1286,15 @@ func (in *Instance) catchUp(from rdma.NodeID) {
 				}
 				in.commitSeen = max(in.commitSeen, seq-1)
 				in.bumpDelivered(seq)
-				in.free.Release(in.stash[seq].payload)
+				in.hand.Release(in.stash[seq].payload)
 				delete(in.stash, seq)
-				e.payload = in.free.Keep(e.payload)
+				e.payload = in.hand.Keep(e.payload)
 				in.deliverEntry(seq, e) // a journal slot is a round of one
-				in.handoff.Hand()
+				in.hand.Hand()
 			}
 			// Drain any stashed successors the catch-up unblocked.
 			in.drainCommitted()
+			in.hand.Hand()
 		})
 	})
 }
@@ -1356,6 +1358,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 			in.redisseminate(r.seq, r.entry)
 		}
 		in.becomeActiveLeader(oldNext)
+		in.hand.Hand() // what a majority of one decided
 	}
 	in.resetRings(done)
 	states := in.n - 1 // every peer's state words
@@ -1371,7 +1374,7 @@ func (in *Instance) recoverFrom(old rdma.NodeID) {
 		in.journal.Read(in.node.QP(old), floor+1, oldNext, func(rec func(uint64) []byte, err error) {
 			for seq := floor + 1; err == nil && seq < oldNext; seq++ {
 				if e, ok := journaled(rec(seq), seq); ok {
-					e.payload = in.free.Keep(e.payload)
+					e.payload = in.hand.Keep(e.payload)
 					recovered = append(recovered, recoveredEntry{seq, e})
 				}
 			}
@@ -1509,8 +1512,8 @@ func (in *Instance) redisseminate(seq uint64, e entry) {
 	in.journal.Put(seq, rec)
 	// The record goes out after a decision, which may frame records of its
 	// own in the scratch buffer: it waits in a buffer of its own.
-	rec = in.free.Keep(rec)
-	defer in.free.Release(rec)
+	rec = in.hand.Keep(rec)
+	defer in.hand.Release(rec)
 	if seq > in.lastDelivered {
 		// Recovered entries come in sequence order; one the journal had lost
 		// leaves a zero proposal behind, which is never decided.
@@ -1521,10 +1524,9 @@ func (in *Instance) redisseminate(seq uint64, e entry) {
 		*p = proposal{entry: e, acks: 1}
 		if p.acks >= in.majority() {
 			in.decide(seq)
-			in.handoff.Hand()
 		}
 	} else {
-		in.free.Release(e.payload)
+		in.hand.Release(e.payload)
 	}
 	in.replicate(rec, span{seq, 1})
 }

@@ -984,8 +984,8 @@ func TestNextRoundCarriesTheCommit(t *testing.T) {
 // roundDelivery feeds a stopped follower, by hand, one round record of k
 // entries and then the round of no entries that commits it, and reports the
 // first way its deliveries differ from k Deliver calls in sequence order in
-// one DeliverCost item. perEntry is the mutation: the follower's handoff
-// charges an item per entry.
+// one DeliverCost item. perEntry is the mutation: the follower's node's
+// handoff charges an item per entry.
 func roundDelivery(t *testing.T, perEntry bool) error {
 	t.Helper()
 	const k = 6
@@ -993,7 +993,7 @@ func roundDelivery(t *testing.T, perEntry bool) error {
 	follower := c.inst[2]
 	follower.Stop()
 	if perEntry {
-		follower.handoff.MutatePerEntry()
+		follower.hand.MutatePerEntry()
 	}
 	var items []sim.Duration
 	c.fab.Node(2).CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
@@ -1006,6 +1006,7 @@ func roundDelivery(t *testing.T, perEntry bool) error {
 	c.eng.At(0, func() {
 		follower.handleLog(0, rnd)
 		follower.handleLog(0, appendRoundHeader(nil, k+1, 0, k, 0))
+		follower.hand.Hand() // as the poll loop closes a sweep's record
 	})
 	c.run(10 * sim.Microsecond)
 	if !slices.Equal(c.delivered[2], want) || !slices.Equal(c.seqs[2], []uint64{1, 2, 3, 4, 5, 6}) {
@@ -1040,7 +1041,7 @@ func TestRoundDeliveryCatchesPerEntry(t *testing.T) {
 // DeliverCost item: the first follower's write completion decides the whole
 // round, and the second finds it delivered. DeliverCost is priced apart from
 // every other item the leader's CPU runs. perEntry is the mutation: the
-// leader's handoff charges an item per entry.
+// leader's node's handoff charges an item per entry.
 func leaderDelivery(t *testing.T, perEntry bool) error {
 	t.Helper()
 	const k = 6
@@ -1049,7 +1050,7 @@ func leaderDelivery(t *testing.T, perEntry bool) error {
 	c := newClusterOn(t, 3, 0, DefaultConfig(), lat, nil)
 	leader := c.inst[0]
 	if perEntry {
-		leader.handoff.MutatePerEntry()
+		leader.hand.MutatePerEntry()
 	}
 	items := 0
 	c.fab.Node(0).CPU.Observe = func(cost sim.Duration) {

@@ -15,7 +15,8 @@ type Sweep struct {
 
 // pollLoop is a node's one poll loop: a ticker at SweepPeriod that, unless the
 // node is suspended or crashed, submits one SweepCost work item calling every
-// registered sweep in registration order. The ticker exists while a sweep is
+// registered sweep in registration order, then closing the node's handoff
+// record (Handoff.Hand) the sweeps opened. The ticker exists while a sweep is
 // registered, so a node without in-channels has none.
 type pollLoop struct {
 	sweeps []*Sweep
@@ -84,4 +85,5 @@ func (n *Node) sweep() {
 			fn()
 		}
 	}
+	n.hand.Hand() // what every sweep delivered, as one record
 }

@@ -94,7 +94,8 @@ type LatencyModel struct {
 	// SweepPeriod is the period of a node's poll loop (Node.Poll), which
 	// sweeps every ring in-channel of the node (a broadcast receiver, a Mu
 	// instance), SweepCost its CPU per tick, whatever the number of sweeps,
-	// and DeliverCost an in-channel's CPU per record handed on.
+	// and DeliverCost its CPU per record its one handoff (handoff.go) hands
+	// on, whatever the number of in-channels delivering.
 	SweepPeriod sim.Duration
 	SweepCost   sim.Duration
 	DeliverCost sim.Duration
@@ -229,6 +230,7 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 	for _, n := range f.nodes {
 		n.coal = NewCoalescer(n)
 		n.cq.init(n)
+		n.hand.node, n.hand.nextFn = n, n.hand.next
 	}
 	return f
 }
@@ -332,6 +334,7 @@ type Node struct {
 	coal    *Coalescer
 	cq      completionQueue
 	poll    pollLoop
+	hand    Handoff
 	live    liveness
 
 	crashed   bool

@@ -3,9 +3,7 @@ package ring
 import (
 	"math"
 
-	"hamband/internal/fifo"
 	"hamband/internal/rdma"
-	"hamband/internal/sim"
 )
 
 // Drain hands every record waiting on readers — one ring per sender, indexed
@@ -82,115 +80,4 @@ func (w *Watermark) Admit(seq uint64, n int, all bool) (from int, fresh bool) {
 		w.seen[seq] = n
 	}
 	return had, fresh
-}
-
-// Handoff hands delivered records to the layer above in the order added. A
-// record is one entry or several — the messages one broadcast sweep found,
-// what one write completion decides at a Mu leader, or a Mu round a follower
-// delivers at once — and each is a DeliverCost work item of its own on the
-// node's CPU, which runs its items in order and only pauses them while
-// suspended or crashed. Each entry waits in a
-// buffer from a free list shared with the holder, who fills it (Buffers.Keep)
-// and gives it to Add, and the handler borrows it until it returns.
-type Handoff struct {
-	cpu    *sim.CPU
-	cost   sim.Duration
-	handle func(src rdma.NodeID, seq uint64, payload []byte)
-	queue  fifo.Queue[handoffEntry] // every queued entry, oldest first
-	items  fifo.Queue[int]          // the entries of each queued record, oldest first
-	open   int                      // entries added since the last Hand
-	bufs   *Buffers
-	nextFn func() // h.next bound once
-
-	perEntry bool // the per-entry mutant (MutatePerEntry)
-}
-
-type handoffEntry struct {
-	src          rdma.NodeID
-	seq          uint64
-	buf, payload []byte // payload lies in buf
-}
-
-// NewHandoff returns node's handoff to handle, taking its buffers from bufs
-// and returning them there.
-func NewHandoff(fab *rdma.Fabric, node *rdma.Node, bufs *Buffers, handle func(src rdma.NodeID, seq uint64, payload []byte)) *Handoff {
-	h := &Handoff{cpu: node.CPU, cost: fab.Latency().DeliverCost, handle: handle, bufs: bufs}
-	h.nextFn = h.next
-	return h
-}
-
-// Add queues an entry of the record Hand closes, without the copy: payload
-// lies in buf, a buffer from the shared list, which the caller gives away.
-func (h *Handoff) Add(src rdma.NodeID, seq uint64, buf, payload []byte) {
-	h.queue.Push(handoffEntry{src, seq, buf, payload})
-	h.open++
-	if h.perEntry {
-		h.Hand()
-	}
-}
-
-// Hand closes the record the entries added since the last Hand make up: they
-// reach the handler in the order added, in one DeliverCost work item. A record
-// of no entries costs nothing.
-func (h *Handoff) Hand() {
-	if h.open == 0 {
-		return
-	}
-	h.items.Push(h.open)
-	h.open = 0
-	h.cpu.Submit(h.cost, h.nextFn)
-}
-
-// Len returns how many added entries still wait for their work item.
-func (h *Handoff) Len() int { return h.queue.Len() }
-
-// Records returns how many closed records still wait for their work item.
-func (h *Handoff) Records() int { return h.items.Len() }
-
-func (h *Handoff) next() {
-	for n := h.items.Pop(); n > 0; n-- {
-		h.hand(h.queue.Pop())
-	}
-}
-
-func (h *Handoff) hand(e handoffEntry) {
-	h.handle(e.src, e.seq, e.payload)
-	h.bufs.Release(e.buf)
-}
-
-// MutateLIFO makes the handoff hand on its newest record first, and that
-// record's entries newest first. It is for the mutation controls only, a bug
-// the delivery-order tests must catch.
-func (h *Handoff) MutateLIFO() {
-	h.nextFn = func() {
-		for n := h.items.PopBack(); n > 0; n-- {
-			h.hand(h.queue.PopBack())
-		}
-	}
-}
-
-// MutatePerEntry makes the handoff close a record at every entry, so each
-// costs a DeliverCost item of its own. It is for the mutation controls only,
-// a cost the delivery-cost tests must catch.
-func (h *Handoff) MutatePerEntry() { h.perEntry = true }
-
-// Buffers is a free list of byte buffers, so a warm holder of copies
-// allocates none.
-type Buffers [][]byte
-
-// Keep copies b into a buffer from the list, or into a new one.
-func (f *Buffers) Keep(b []byte) []byte {
-	var buf []byte
-	if n := len(*f); n > 0 {
-		buf, (*f)[n-1] = (*f)[n-1], nil
-		*f = (*f)[:n-1]
-	}
-	return append(buf, b...)
-}
-
-// Release puts b, a buffer from Keep, back on the list.
-func (f *Buffers) Release(b []byte) {
-	if cap(b) > 0 {
-		*f = append(*f, b[:0])
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"hamband/internal/rdma"
-	"hamband/internal/sim"
 )
 
 // admitted is what one Admit let through: the bytes from `from` on, or "-".
@@ -83,121 +82,6 @@ func TestWatermarkPrefixGrowth(t *testing.T) {
 	w.Admit(2, 3, false)
 	if _, fresh := w.Admit(2, 3, true); fresh || !w.Delivered(2) || w.Above() != 0 {
 		t.Fatalf("whole record after an equal prefix: fresh %v, delivered %v, %d above", fresh, w.Delivered(2), w.Above())
-	}
-}
-
-// handoffRig is a handoff on node 0 of a one-node fabric whose CPU charges
-// are counted.
-type handoffRig struct {
-	eng   *sim.Engine
-	fab   *rdma.Fabric
-	h     *Handoff
-	got   []string
-	items []sim.Duration // the cost of every CPU item submitted
-}
-
-func newHandoffRig() *handoffRig {
-	rig := &handoffRig{eng: sim.NewEngine(5)}
-	rig.fab = rdma.NewFabric(rig.eng, 1, rdma.DefaultLatency())
-	node := rig.fab.Node(0)
-	node.CPU.Observe = func(cost sim.Duration) { rig.items = append(rig.items, cost) }
-	rig.h = NewHandoff(rig.fab, node, new(Buffers), func(src rdma.NodeID, seq uint64, payload []byte) {
-		rig.got = append(rig.got, fmt.Sprintf("%d/%d/%s", src, seq, payload))
-	})
-	return rig
-}
-
-// handoffInOrder hands on three records — one entry, three, one — of
-// different lengths, from one buffer the caller rewrites between entries, and
-// reports the first way the handler calls differ from the order added or from
-// one DeliverCost item per record. lifo and perEntry are the mutations.
-func handoffInOrder(lifo, perEntry bool) error {
-	rig := newHandoffRig()
-	if lifo {
-		rig.h.MutateLIFO()
-	}
-	if perEntry {
-		rig.h.MutatePerEntry()
-	}
-	var want []string
-	buf := make([]byte, 0, 16)
-	i := 0
-	for _, entries := range []int{1, 3, 1} {
-		for ; entries > 0; entries-- {
-			buf = fmt.Appendf(buf[:0], "r%d-%s", i, "xxxxxxxx"[:i])
-			kept := rig.h.bufs.Keep(buf)
-			rig.h.Add(rdma.NodeID(i%3), uint64(10+i), kept, kept)
-			want = append(want, fmt.Sprintf("%d/%d/%s", i%3, 10+i, buf))
-			i++
-		}
-		rig.h.Hand()
-	}
-	if rig.h.Len() != 5 {
-		return fmt.Errorf("%d entries queued, want 5", rig.h.Len())
-	}
-	rig.eng.RunFor(10 * sim.Microsecond)
-	if !slices.Equal(rig.got, want) {
-		return fmt.Errorf("handled %q, want %q", rig.got, want)
-	}
-	cost := rig.fab.Latency().DeliverCost
-	if len(rig.items) != 3 || slices.ContainsFunc(rig.items, func(d sim.Duration) bool { return d != cost }) {
-		return fmt.Errorf("CPU items %v, want three of %v", rig.items, cost)
-	}
-	if rig.h.Len() != 0 {
-		return fmt.Errorf("%d entries still queued", rig.h.Len())
-	}
-	return nil
-}
-
-// TestHandoffInPushOrder: entries reach the handler in the order added, each
-// record as one DeliverCost item, with the bytes added.
-func TestHandoffInPushOrder(t *testing.T) {
-	if err := handoffInOrder(false, false); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestHandoffCatchesLIFO is a mutation control of the test above.
-func TestHandoffCatchesLIFO(t *testing.T) {
-	err := handoffInOrder(true, false)
-	if err == nil {
-		t.Fatal("a handoff that hands on its newest record first passed")
-	}
-	t.Logf("caught: %v", err)
-}
-
-// TestHandoffCatchesPerEntry is a mutation control of the test above.
-func TestHandoffCatchesPerEntry(t *testing.T) {
-	err := handoffInOrder(false, true)
-	if err == nil {
-		t.Fatal("a handoff that charges an item per entry passed")
-	}
-	t.Logf("caught: %v", err)
-}
-
-// TestWarmHandoffAllocs pins the handoff's host cost: once warm, a record of
-// one kept entry and its handling allocate nothing — the payload goes into a
-// recycled buffer and the work item is bound once.
-func TestWarmHandoffAllocs(t *testing.T) {
-	rig := newHandoffRig()
-	rig.fab.Node(0).CPU.Observe = nil
-	handled := 0
-	rig.h.handle = func(rdma.NodeID, uint64, []byte) { handled++ }
-	payload := make([]byte, 64)
-	cycle := func() {
-		kept := rig.h.bufs.Keep(payload)
-		rig.h.Add(1, 7, kept, kept)
-		rig.h.Hand()
-		rig.eng.RunFor(sim.Microsecond)
-	}
-	for i := 0; i < 16; i++ {
-		cycle()
-	}
-	if allocs := testing.AllocsPerRun(200, cycle); allocs != 0 {
-		t.Errorf("a warm record and its handling allocate %.1f times, want 0", allocs)
-	}
-	if handled != 16+201 {
-		t.Fatalf("%d records handled, want %d", handled, 16+201)
 	}
 }
 

@@ -17,8 +17,8 @@ type Slots struct {
 	region  string
 	mem     []byte // this node's copy
 	n, size int
-	torn    uint64  // torn slots seen, one per slot per look
-	spare   Buffers // keeps a wrapped read's first span until the second lands
+	torn    uint64       // torn slots seen, one per slot per look
+	spare   rdma.Buffers // keeps a wrapped read's first span until the second lands
 }
 
 // NewSlots returns node's copy of region, n slots of size bytes.
