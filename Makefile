@@ -165,8 +165,9 @@ cover:
 # 22 603 once each node owned its heartbeat, detector and write coalescer
 # (internal/heartbeat folded into internal/rdma), 22 568 once the
 # detector's timing and Mu's catch-up period were fields of the cost model,
-# and 23 105 (from 23 106) once each node owned one delivery queue, its
-# handoff, for every Mu group and broadcast receiver on it.
+# 23 105 (from 23 106) once each node owned one delivery queue, its
+# handoff, for every Mu group and broadcast receiver on it, and 23 104 once
+# every ring.Sender posted through the rdma.Batch it is built with.
 # Files a build constraint excludes are not counted.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \
@@ -207,14 +208,14 @@ allocs:
 # reads). TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for
 # a node that leads nothing, under Hamband and under the SMR baseline (Hamband
 # p0's deliver row at most 0.025 µs/op and its CQ polls row at most 0.015, with
-# the polls per quorum batch, p3's deliver row at most 0.013, both p0 post
-# rows side by side), and TestLeaderLedgerCatchesSignAll and
+# the polls per quorum batch — the quorum batch's post items, not every Mu
+# Sender's — p3's deliver row at most 0.013, both p0 post rows side by side), and TestLeaderLedgerCatchesSignAll and
 # TestLeaderLedgerCatchesPerEntry its controls; TestStoreLedger
 # is one node of a 16-shard store under the store-zipf shape, for counter
 # shards (no sweeps row: no F or L buffers) and for OR-set shards at 4 and 16
 # (one poll loop a node: the sweeps share must not depend on the shard
-# count; one handoff a node: the 16-shard deliver row at most 0.007 µs/op,
-# with the 16 ÷ 4 throughput ratio), and TestStoreLedgerCatchesPerEntry its
+# count; one handoff a node: the 16-shard deliver row at most 0.007 µs/op;
+# one broadcast post batch a node; with the 16 ÷ 4 throughput ratio), and TestStoreLedgerCatchesPerEntry its
 # control; TestReduceLedger is one node on the reducible path, gset with all
 # updates and counter with a quarter, with the WRs, chains and δ-records per
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
@@ -273,8 +274,11 @@ bench-reconfig:
 # (benchmark/README.md, "Host time on the sandbox"): it exports REF with git
 # archive under .bench_build/, runs `bash benchmark/run.sh --trace 0` there and
 # in the working tree in alternating order, PAIRS times each on the same SEED,
-# and prints per end-to-end metric both medians and quartiles, the pairs the
-# working tree won, and whether the virtual values are byte-identical.
+# and prints per workload and end-to-end metric both medians and quartiles,
+# the pairs the working tree won, and whether the virtual values are
+# byte-identical, then one verdict line per workload. WORKLOAD is one
+# workload, a comma-separated list, or all (BENCHMARK.json's six): a refactor
+# proves "all six identical" with WORKLOAD=all PAIRS=1.
 REF ?= HEAD
 WORKLOAD ?= reduce-gset-write
 PAIRS ?= 10

@@ -67,8 +67,8 @@ func (l *ledger) perOp(row string, ops int) float64 { return l.rows[row].Micros(
 // "function" or, for the rdma verbs, "function<user": the first caller
 // outside rdma, which says whose verb it is — or the node service posting it
 // from its own work item or ticker: the coalescer (summary writes) or the
-// detector (heartbeat reads). A Mu leader's quorum writes are one batch's post
-// item, a log ring write too. Every verb's completion lands in the node's one
+// detector (heartbeat reads). A ring write is a post item of the batch its
+// Sender posts through, or a lone post after a head read. Every verb's completion lands in the node's one
 // completion queue, whose polls (PollCost each) are the CQ polls row, reads and
 // writes alike; the node's poll loop ticks (SweepCost each) are the sweeps row.
 // An unlisted site gets a row of its own, so the rows always sum to the CPU's
@@ -236,7 +236,10 @@ func leaderLedger(t *testing.T, kind SystemKind, mutate func(*core.Cluster)) (le
 		role := "leads nothing"
 		if node == leader {
 			role = "leads group 0" // under SMR, the one group
-			polls, batches := l.itemsAt("rdma.(*completionQueue).arm"), l.itemsAt("rdma.(*Batch).flush")
+			polls, batches := l.itemsAt("rdma.(*completionQueue).arm"), 0
+			for g, r := 0, c.Replicas[node]; g < r.GroupCount(); g++ {
+				batches += r.Group(g).QuorumPosts()
+			}
 			role += fmt.Sprintf("; %d CQ polls, %d quorum batches", polls, batches)
 			if batches > 0 {
 				role += fmt.Sprintf(", %.2f polls a batch", float64(polls)/float64(batches))

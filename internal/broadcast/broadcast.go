@@ -135,7 +135,7 @@ func decodeMessage(b []byte) (epoch uint32, seq uint64, payload []byte, err erro
 // is unacknowledged, (b) when the first completion of one leaves none
 // unacknowledged — the first, so a parked link never holds the healthy peers
 // back — or (c) when the next unit would not fit MaxPayload. (a) and (b)
-// flush from a zero-cost deferred CPU item (the ring.Sender.Send trick): an
+// flush from a zero-cost deferred CPU item (the rdma.Batch.Defer trick): an
 // idle source sends at once, and units sent by work already queued on the CPU
 // share the message. No size, no delay, no timer; DESIGN.md §4, "The F
 // out-channel", has the gates that were measured and declined.
@@ -159,13 +159,11 @@ type Broadcaster struct {
 	since   []sim.Time
 	idleFn  func() // b.idle bound once: a Send allocates nothing
 
-	peers []*ring.Sender // one out-channel per destination
-	// post carries a message's writes to every peer as one CPU item, inline
-	// only on an idle node (rdma.InlineWhenIdle): rule FREE answers a call
-	// at its local apply, so nobody waits on them. perPeer is the mutant that
-	// posts each peer's write alone (MutatePerPeer).
-	post    *rdma.Batch
-	perPeer bool
+	// peers holds one out-channel per destination, which connect builds on
+	// the node's broadcast batch (rdma.Node.Batch): the messages of every
+	// broadcaster on the node launched in one CPU round leave as one item.
+	peers   []*ring.Sender
+	connect func(post func() *rdma.Batch)
 	// waiting holds broadcasts blocked on a free backup slot.
 	waiting []*pendingMsg
 	// free holds finished messages' records for reuse, linked through
@@ -204,21 +202,24 @@ func NewBroadcaster(fab *rdma.Fabric, node *rdma.Node, cfg Config) *Broadcaster 
 		mSlotWaits: reg.Counter("broadcast.backup_slot_waits"),
 		mHold:      reg.Histogram("broadcast.hold", nil),
 		mBatch:     reg.Histogram("broadcast.batch_entries", nil),
-		post:       node.NewBatch(rdma.InlineWhenIdle),
 	}
 	b.idleFn = b.idle
 	region := cfg.inRegion(node.ID())
 	headReads := reg.Counter("broadcast.head_reads")
 	retries := reg.Counter("broadcast.ring_full_retries")
-	for i := 0; i < fab.Size(); i++ {
-		peer := rdma.NodeID(i)
-		if peer == node.ID() {
-			continue
+	b.connect = func(post func() *rdma.Batch) {
+		b.peers = b.peers[:0]
+		for i := 0; i < fab.Size(); i++ {
+			peer := rdma.NodeID(i)
+			if peer == node.ID() {
+				continue
+			}
+			pc := ring.NewSender(fab, node, post(), peer, region, cfg.RingCapacity)
+			pc.HeadReads, pc.Retries = headReads, retries
+			b.peers = append(b.peers, pc)
 		}
-		pc := ring.NewSender(fab, node, peer, region, cfg.RingCapacity)
-		pc.HeadReads, pc.Retries = headReads, retries
-		b.peers = append(b.peers, pc)
 	}
+	b.connect(node.Batch)
 	return b
 }
 
@@ -413,18 +414,16 @@ func (b *Broadcaster) launch(pm *pendingMsg, record []byte) {
 	// one post item: broadcasts issued by work already queued on the CPU share
 	// it, and its completions land together, so one poll reaps them.
 	for _, pc := range b.peers {
-		if b.perPeer {
-			pc.Send(record, pm.label, pm.written)
-		} else {
-			pc.SendIn(b.post, record, pm.label, pm.written)
-		}
+		pc.Send(record, pm.label, pm.written)
 	}
 }
 
-// MutatePerPeer makes every message post each peer's write as an item of its
-// own, inline whatever fits: the schedule before a message was one batch. The
-// ledger's control, not a mode.
-func (b *Broadcaster) MutatePerPeer() { b.perPeer = true }
+// MutatePerPeer rebuilds the out-channels each on a batch of its own, inline
+// whatever fits: the schedule before a message was one batch. The ledger's
+// control, not a mode; call it before the first message.
+func (b *Broadcaster) MutatePerPeer() {
+	b.connect(func() *rdma.Batch { return b.node.NewBatch(rdma.InlineFits) })
+}
 
 // finish clears the backup slot, puts pm back on the free list and fires
 // its completion callback, then launches any broadcast waiting for the freed

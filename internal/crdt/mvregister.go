@@ -139,21 +139,39 @@ func NewMVRegister(nprocs int) *spec.Class {
 		Invariant: invariantTrue,
 		Rel:       crdtRelations(),
 	}
-	// Generators maintain per-process version-vector counters so generated
-	// writes have realistic happened-before structure.
-	vv := make([]uint32, nprocs)
+	// The generators keep per-process version-vector counters so generated
+	// writes have realistic happened-before structure. The counters belong to
+	// the workload drawing the calls, one set per rng, not to the class: a
+	// class value driving a second workload gives it the calls a fresh class
+	// would.
+	counters := map[spec.Rand][]uint32{}
+	vvOf := func(r spec.Rand) []uint32 {
+		if counters[r] == nil {
+			counters[r] = make([]uint32, nprocs)
+		}
+		return counters[r]
+	}
+	// write draws p's next write: p's counter moves on, and the writer
+	// observes the others' counters, each one behind at random when stale.
+	write := func(r spec.Rand, stale bool) spec.Call {
+		vv := vvOf(r)
+		p := r.Intn(nprocs)
+		vv[p]++
+		args := make([]int64, 1+nprocs)
+		args[0] = int64(r.Intn(100))
+		for j := range vv {
+			args[j+1] = int64(vv[j])
+			if stale && j != p {
+				args[j+1] = max(0, args[j+1]-int64(r.Intn(2)))
+			}
+		}
+		return spec.Call{Method: MVWrite, Args: spec.Args{I: args}}
+	}
 	cls.Gen = spec.Generators{
 		State: func(r spec.Rand) spec.State {
 			st := cls.NewState().(*MVRegisterState)
 			for i, n := 0, r.Intn(4); i < n; i++ {
-				p := r.Intn(nprocs)
-				vv[p]++
-				args := make([]int64, 1+nprocs)
-				args[0] = int64(r.Intn(100))
-				for j := 0; j < nprocs; j++ {
-					args[j+1] = int64(vv[j])
-				}
-				cls.ApplyCall(st, spec.Call{Method: MVWrite, Args: spec.Args{I: args}})
+				cls.ApplyCall(st, write(r, false))
 			}
 			return st
 		},
@@ -161,23 +179,7 @@ func NewMVRegister(nprocs int) *spec.Class {
 			if u != MVWrite {
 				return spec.Call{Method: MVRead}
 			}
-			p := r.Intn(nprocs)
-			vv[p]++
-			args := make([]int64, 1+nprocs)
-			args[0] = int64(r.Intn(100))
-			for j := 0; j < nprocs; j++ {
-				// A writer observes a (possibly stale) prefix of other
-				// processes' counters and its own current counter.
-				if j == p {
-					args[j+1] = int64(vv[j])
-				} else {
-					args[j+1] = int64(vv[j]) - int64(r.Intn(2))
-					if args[j+1] < 0 {
-						args[j+1] = 0
-					}
-				}
-			}
-			return spec.Call{Method: MVWrite, Args: spec.Args{I: args}}
+			return write(r, true)
 		},
 	}
 	return markTrivial(cls)

@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -108,6 +109,32 @@ func TestDominates(t *testing.T) {
 	for _, c := range cases {
 		if got := dominates(c.a, c.b); got != c.want {
 			t.Fatalf("dominates(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
+		}
+	}
+}
+
+// TestMVRegisterGeneratorBelongsToTheWorkload: the generators' version
+// vectors are the workload's, so one class value driving two workloads on
+// the same seed, one after the other or interleaved, gives both the same
+// calls.
+func TestMVRegisterGeneratorBelongsToTheWorkload(t *testing.T) {
+	cls := NewMVRegister(3)
+	draw := func(r spec.Rand) string {
+		cls.Gen.State(r)
+		return fmt.Sprint(cls.Gen.Call(r, MVWrite).Args.I)
+	}
+	var first []string
+	r := rand.New(rand.NewSource(5))
+	for i := 0; i < 50; i++ {
+		first = append(first, draw(r))
+	}
+	again, interleaved := rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	for i, want := range first {
+		if got := draw(again); got != want {
+			t.Fatalf("call %d of the second workload: %s, want %s as the first drew", i, got, want)
+		}
+		if got := draw(interleaved); got != want {
+			t.Fatalf("call %d of an interleaved workload: %s, want %s as the first drew", i, got, want)
 		}
 	}
 }

@@ -364,8 +364,12 @@ func (in *Instance) Recovering() bool { return in.recovering }
 // (diagnostics).
 func (in *Instance) PendingCount() int { return len(in.pending) }
 
+// QuorumPosts reports how many post items the leader's quorum batch has
+// submitted (diagnostics).
+func (in *Instance) QuorumPosts() int { return in.batch.Posts() }
+
 func (in *Instance) newOut(peer rdma.NodeID, region string, capacity int) *ring.Sender {
-	return ring.NewSender(in.fab, in.node, peer, region, capacity)
+	return ring.NewSender(in.fab, in.node, in.node.NewBatch(rdma.InlineFits), peer, region, capacity)
 }
 
 // SetMembers installs the configuration's membership view. Majorities are
@@ -686,7 +690,7 @@ func (in *Instance) replicate(rec []byte, s span) {
 }
 
 // sign sends rec to follower p asking a completion, which counts toward s,
-// in the batch; under the signAll mutant, in a post of its own.
+// in the quorum batch; under the signAll mutant, in its Sender's own.
 func (in *Instance) sign(p int, rec []byte, s span) {
 	in.copies[p] = signed
 	in.unacked[p].Push(s)

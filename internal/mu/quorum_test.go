@@ -133,7 +133,7 @@ func TestQuorumFallbackOnPartition(t *testing.T) {
 func chatterTo(c *cluster, peer rdma.NodeID) {
 	const capacity = 1 << 16 // room for every record of the run: the Sender never waits on a head read
 	c.fab.Node(peer).Register("chatter", ring.RegionSize(capacity))
-	s := ring.NewSender(c.fab, c.fab.Node(0), peer, "chatter", capacity)
+	s := ring.NewSender(c.fab, c.fab.Node(0), c.fab.Node(0).NewBatch(rdma.InlineFits), peer, "chatter", capacity)
 	rec := make([]byte, 8)
 	var send func()
 	send = func() {

@@ -3,24 +3,23 @@ package rdma
 import "hamband/internal/sim"
 
 // Batch posts verbs to several of one node's queue pairs as one work item on
-// its CPU: the item costs what posting each verb alone would (each its own
-// doorbell: PostCost, ChainedPostCost per further WR of a chain, InlineCost
-// per inline payload), and every verb goes to its link gate, in the order it
-// was added, when the item ends. Verbs posted one item each reach the wire a
-// post cost apart, so their completions land apart and each costs a poll of
-// the completion queue of its own; a batch's completions land together, and
-// one poll reaps them all. A Mu leader posts the writes its quorum waits on
-// as one batch, and a broadcast source a message's writes to every peer.
+// its CPU: the item costs what posting each verb alone would (PostCost,
+// ChainedPostCost per further WR of a chain, InlineCost per inline payload),
+// and every verb goes to its link gate, in the order it was added, when the
+// item ends. Verbs posted one item each reach the wire a post cost apart and
+// each costs a poll of the completion queue; a batch's completions land
+// together, and one poll reaps them all. Every ring.Sender posts through the
+// batch it is built with: a node's broadcasters through the node's one
+// (Node.Batch), each Mu channel through its own, and a Mu leader's quorum
+// writes through one more (ring.Sender.SendIn).
 //
-// Producers join a batch the way a ring sender's records join a pump: Defer
-// arms a zero-cost flush on the node's CPU, so every producer that defers
-// within the same scheduling round lands in the same post. The flush calls
-// each deferred fill, which adds its verbs with PostChain, and submits one
-// item for all of them. A batch is reused from flush to flush, and a warm one
-// allocates nothing.
+// Defer arms a zero-cost flush on the node's CPU, so every producer that
+// defers within the same scheduling round lands in the same post. The flush
+// calls each deferred fill, which adds its verbs with PostChain, and submits
+// one item for all of them. A warm batch allocates nothing.
 //
 // A batch's Inline rule says whether its payloads post inline (InlineFits, a
-// Mu quorum's writes, which a conflicting call's response waits on) or only
+// Mu channel's writes, which a conflicting call's response waits on) or only
 // on an idle node (InlineWhenIdle, a broadcast message's writes, which rule
 // FREE answers before). Each flush decides once, before any fill runs.
 type Batch struct {
@@ -33,6 +32,7 @@ type Batch struct {
 	flushing bool           // the flush is calling its fills
 	inline   bool           // the running flush's decision (Node.inlines)
 	posting  bool           // the flush's post item is queued on the CPU
+	posts    int            // post items submitted (Posts)
 	flushFn  func()         // b.flush and b.post bound once
 	postFn   func()
 }
@@ -51,10 +51,9 @@ const (
 )
 
 // inlines is the one inline rule of a flush posting under rule: the summary
-// coalescer's, a batch's, and a lone post of a Sender whose records ride a
-// batch. A flush calls it once, before it queues any item of its own on the
-// CPU: a flush that checked per post would find its own earlier post items
-// queued and stop inlining on an idle node.
+// coalescer's, a batch's, and a batch Sender's lone post. A flush calls it
+// once, before it queues any item of its own: checked per post, a flush would
+// find its own earlier post items queued and stop inlining on an idle node.
 func (n *Node) inlines(rule Inline) bool {
 	return rule == InlineFits || n.CPU.QueueLen() == 0
 }
@@ -80,41 +79,34 @@ func (b *Batch) Defer(fill func(*Batch)) {
 // flush: the verb qp.PostChain would post alone, signaled only if onDone is
 // non-nil, inline as the flush decided. A fill calls it; qp must be one of the
 // batch's node's queue pairs. Called outside a flush (a ring pump after a head
-// read) it posts the verb alone, a flush of its own under the batch's rule;
-// on a nil b alone and inline, as qp.PostChain does. When sent is non-nil,
-// *sent is set to when the verb reaches its link gate: leaves the node's CPU
-// for the wire, or parks at a partitioned link. A poster that shares the
-// queue pair with others reads its own completions' due times from it. Data
-// is copied now.
+// read) it posts the verb alone, a flush of its own under the batch's rule.
+// When sent is non-nil, *sent is set to when the verb reaches its link gate:
+// leaves the node's CPU for the wire, or parks at a partitioned link. A
+// poster that shares the queue pair with others reads its own completions'
+// due times from it. Data is copied now.
 func (b *Batch) PostChain(qp *QP, wrs []WR, onDone func(error), sent *sim.Time) {
-	v := qp.chain(wrs, onDone, b.inlines())
+	if qp.from != b.node {
+		panic("rdma: a batch posts from its own node only")
+	}
+	inline := b.inline
+	if !b.flushing {
+		inline = b.node.inlines(b.rule)
+	}
+	v := qp.chain(wrs, onDone, inline)
 	if v == nil {
 		return
 	}
 	v.sent = sent
-	if b == nil || !b.flushing {
+	if !b.flushing {
 		v.post()
 		return
-	}
-	if qp.from != b.node {
-		panic("rdma: a batch posts from its own node only")
 	}
 	b.cost += v.postCost()
 	b.verbs = append(b.verbs, v)
 }
 
-// inlines reports whether a verb b posts now carries its payloads inline: as
-// the running flush decided, or outside a flush as b's rule decides now. A nil
-// batch inlines.
-func (b *Batch) inlines() bool {
-	switch {
-	case b == nil:
-		return true
-	case b.flushing:
-		return b.inline
-	}
-	return b.node.inlines(b.rule)
-}
+// Posts returns how many post items the batch has submitted.
+func (b *Batch) Posts() int { return b.posts }
 
 // Pending reports whether a flush or a post item of the batch waits on the
 // CPU: verbs deferred to it have not left yet.
@@ -136,6 +128,7 @@ func (b *Batch) flush() {
 		return
 	}
 	b.posting = true
+	b.posts++
 	cost := b.cost
 	b.cost = 0
 	b.node.CPU.Submit(cost, b.postFn)

@@ -58,7 +58,7 @@ func TestBatchPostsAsOneItem(t *testing.T) {
 // TestBatchPendingUntilItsVerbsLeave: a batch is pending while its flush or
 // its post item waits on the CPU, and its verbs leave, stamping their sent
 // times, when the post item ends. A verb posted alone on the same queue pair
-// stamps only its own.
+// leaves behind it and stamps nothing of the batch's.
 func TestBatchPendingUntilItsVerbsLeave(t *testing.T) {
 	rig := newCQRig(false)
 	n := rig.f.Node(0)
@@ -67,7 +67,7 @@ func TestBatchPendingUntilItsVerbsLeave(t *testing.T) {
 		t.Fatal("a fresh batch is pending")
 	}
 	wrs := []WR{{Region: "m", Data: make([]byte, 8)}}
-	var sent, alone sim.Time = -1, -1
+	var sent sim.Time = -1
 	b.Defer(func(b *Batch) { b.PostChain(n.QP(1), wrs, nil, &sent) })
 	if !b.Pending() {
 		t.Fatal("a batch with its flush armed is not pending")
@@ -76,13 +76,13 @@ func TestBatchPendingUntilItsVerbsLeave(t *testing.T) {
 	if !b.Pending() || sent != -1 {
 		t.Fatalf("with its post item running: pending %v, sent %d", b.Pending(), sent)
 	}
-	(*Batch)(nil).PostChain(n.QP(1), wrs, nil, &alone)
+	n.QP(1).PostChain(wrs, nil)
 	rig.eng.Run()
 	if b.Pending() || sent != sim.Time(rig.lat.PostCost) {
 		t.Fatalf("after its post item: pending %v, sent %d, want false, %d", b.Pending(), sent, rig.lat.PostCost)
 	}
-	if alone != sim.Time(2*rig.lat.PostCost) {
-		t.Fatalf("a verb posted alone behind the batch stamped %d, want %d", alone, 2*rig.lat.PostCost)
+	if want := []sim.Duration{0, rig.lat.PostCost, rig.lat.PostCost}; !slices.Equal(rig.items, want) {
+		t.Fatalf("node 0 ran items %v, want %v: a flush, the batch's post item, then the verb posted alone", rig.items, want)
 	}
 }
 

@@ -229,6 +229,7 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 	}
 	for _, n := range f.nodes {
 		n.coal = NewCoalescer(n)
+		n.post = n.NewBatch(InlineWhenIdle)
 		n.cq.init(n)
 		n.hand.node, n.hand.nextFn = n, n.hand.next
 	}
@@ -323,8 +324,8 @@ func (f *Fabric) Tracer() *trace.Tracer { return f.tr }
 
 // Node is one machine on the fabric: a CPU, registered memory regions, and
 // queue pairs to its peers, plus the services every object the node hosts
-// shares — its write coalescer, its poll loop (Node.Poll) and its failure
-// detection (Node.Subscribe).
+// shares — its write coalescer, its broadcast post batch (Node.Batch), its
+// poll loop (Node.Poll) and its failure detection (Node.Subscribe).
 type Node struct {
 	id      NodeID
 	fabric  *Fabric
@@ -332,6 +333,7 @@ type Node struct {
 	regions map[string]*Region
 	qps     map[NodeID]*QP
 	coal    *Coalescer
+	post    *Batch
 	cq      completionQueue
 	poll    pollLoop
 	hand    Handoff
@@ -348,6 +350,11 @@ func (n *Node) ID() NodeID { return n.id }
 // object on the node posts its summary writes through it, so writes of
 // different objects to one peer ride one doorbell.
 func (n *Node) Coalescer() *Coalescer { return n.coal }
+
+// Batch returns the node's broadcast post batch, built with the node under
+// InlineWhenIdle: every broadcaster on the node posts through it, so the
+// messages all its objects send in one CPU round leave as one post item.
+func (n *Node) Batch() *Batch { return n.post }
 
 // Crashed reports whether the node's NIC is dead.
 func (n *Node) Crashed() bool { return n.crashed }

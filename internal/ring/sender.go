@@ -21,29 +21,30 @@ const (
 // other. It is the out-channel of reliable broadcast (one per peer) and of
 // every Mu channel (log, request, vote, grant).
 //
-// Send copies the record into a queue buffer the Sender reuses and arms a
-// deferred pump as a zero-cost CPU work item, so records queued by work
-// already on the CPU (a poll sweep proposing several entries, pipelined
-// calls) reach the ring together. SendIn defers the pump to an rdma.Batch
-// instead, so the records of several Senders of one node leave in one post
-// item. Records appended back to back are adjacent bytes of the ring, so the
-// pump posts them as one remote write — two when the run crosses the wrap
-// boundary — built in a staging buffer that is
-// reused from pump to pump (PostChain copies at post time). RC ordering makes
-// the tail completion cover the whole post; it and any error fan out to every
-// batched record's onDone, through one callback bound at construction and a
-// queue of the onDones each post carries: a warm Sender allocates nothing per
-// record or per post.
+// A Sender is built with the rdma.Batch it posts through. Send copies the
+// record into a queue buffer the Sender reuses and defers the pump to that
+// batch, so records queued by work already on the CPU reach the ring
+// together, and the records of every Sender of one batch leave in one post
+// item; SendIn defers it to another batch (a Mu leader's quorum batch).
+// Records appended back to back are adjacent bytes of the ring, so the pump
+// posts them as one remote write — two when the run crosses the wrap
+// boundary — built in a staging buffer reused from pump to pump. RC ordering
+// makes the tail completion cover the whole post; it and any error fan out to
+// every batched record's onDone through one callback bound at construction
+// and a queue of the onDones each post carries: a warm Sender allocates
+// nothing per record or per post.
 //
-// When the ring looks full the pump reads the remote head counter. A read
-// that frees nothing (a suspended reader) holds every further read until a
-// retry timer fires; the delay doubles from the base up to maxBackoff times
+// When the ring looks full the pump reads the remote head counter, and the
+// records a read frees room for post alone, under the batch's inline rule. A
+// read that frees nothing (a suspended reader) holds every further read until
+// a retry timer fires; the delay doubles from the base up to maxBackoff times
 // it and resets when a read frees space, so a stalled reader costs a bounded
 // trickle of reads however many sends pile up.
 type Sender struct {
 	node   *rdma.Node
 	eng    *sim.Engine
 	qp     *rdma.QP
+	out    *rdma.Batch // the batch Send defers to
 	region string
 	w      *Writer
 	queue  []sendItem
@@ -58,14 +59,13 @@ type Sender struct {
 	dones  fifo.Queue[func(error)]
 	doneFn func(error)
 
-	pumpArmed bool              // deferred pump queued on the CPU
-	pumpFn    func()            // the deferred pump, bound once: a Send allocates nothing
-	batched   bool              // a pump is deferred to a batch (SendIn)
-	fillFn    func(*rdma.Batch) // that pump, bound once
-	home      *rdma.Batch       // the batch SendIn defers to, whose inline rule a lone post follows
-	waiting   bool              // head read in flight, or held back by the retry timer
-	delay     sim.Duration      // next retry delay
-	sentAt    sim.Time          // when the newest post or head read left (SentAt)
+	armed   bool              // a pump is deferred to out
+	batched bool              // a pump is deferred to another batch (SendIn)
+	outFn   func(*rdma.Batch) // the pump deferred to out, bound once: a Send allocates nothing
+	inFn    func(*rdma.Batch) // the pump deferred to another batch, bound once
+	waiting bool              // head read in flight, or held back by the retry timer
+	delay   sim.Duration      // next retry delay
+	sentAt  sim.Time          // when the newest post or head read left (SentAt)
 
 	// HeadReads and Retries, when non-nil, count remote head-counter reads
 	// and the reads that found no space freed.
@@ -80,18 +80,19 @@ type sendItem struct {
 }
 
 // NewSender returns node's out-channel to the ring of the given data
-// capacity in region at peer.
-func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region string, capacity int) *Sender {
+// capacity in region at peer, posting through out, a batch of node.
+func NewSender(fab *rdma.Fabric, node *rdma.Node, out *rdma.Batch, peer rdma.NodeID, region string, capacity int) *Sender {
 	s := &Sender{
 		node:   node,
 		eng:    fab.Engine(),
 		qp:     node.QP(peer),
+		out:    out,
 		region: region,
 		w:      NewWriter(capacity),
 		delay:  retryDelay,
 	}
-	s.pumpFn = func() { s.pumpArmed = false; s.pump(nil) }
-	s.fillFn = func(b *rdma.Batch) { s.batched = false; s.pump(b) }
+	s.outFn = func(b *rdma.Batch) { s.armed = false; s.pump(b) }
+	s.inFn = func(b *rdma.Batch) { s.batched = false; s.pump(b) }
 	s.doneFn = s.completed
 	return s
 }
@@ -107,24 +108,21 @@ func NewSender(fab *rdma.Fabric, node *rdma.Node, peer rdma.NodeID, region strin
 func (s *Sender) Send(record []byte, label string, onDone func(error)) {
 	s.queue = append(s.queue, sendItem{len(record), label, onDone})
 	s.data = append(s.data, record...)
-	if !s.pumpArmed {
-		s.pumpArmed = true
-		s.node.CPU.Submit(0, s.pumpFn)
+	if !s.armed {
+		s.armed = true
+		s.out.Defer(s.outFn)
 	}
 }
 
-// SendIn is Send with the pump deferred to b, a batch of the Sender's node:
-// the records the ring has room for when b flushes, this one and any queued
-// with it, ride b's post instead of a post of their own. A record a pump has
-// taken meanwhile, or left behind a ring that looks full, goes out as Send's
-// would, under b's inline rule (rdma.Inline). A Sender defers to one batch.
+// SendIn is Send with the pump deferred to b, one other batch of the Sender's
+// node: the records the ring has room for when b flushes, this one and any
+// queued with it, ride b's post instead of the Sender's batch's.
 func (s *Sender) SendIn(b *rdma.Batch, record []byte, label string, onDone func(error)) {
 	s.queue = append(s.queue, sendItem{len(record), label, onDone})
 	s.data = append(s.data, record...)
-	s.home = b
 	if !s.batched {
 		s.batched = true
-		b.Defer(s.fillFn)
+		b.Defer(s.inFn)
 	}
 }
 
@@ -157,17 +155,12 @@ func (s *Sender) RestartAt(head uint64) {
 	s.delay = retryDelay
 }
 
-// pump moves every queued record the ring has room for into one post, its
-// own or, when b is non-nil, one of b's. A post of its own follows the inline
-// rule of the batch SendIn defers to, if any (rdma.Batch.PostChain). Records
-// leave the queue as they are staged, so a later crash drain in onHead cannot
-// complete them a second time.
+// pump moves every queued record the ring has room for into one post of b.
+// Records leave the queue as they are staged, so a later crash drain in
+// onHead cannot complete them a second time.
 func (s *Sender) pump(b *rdma.Batch) {
 	if s.node.Crashed() {
 		return
-	}
-	if b == nil {
-		b = s.home
 	}
 	// The ring never has more than one lap free, so a pump crosses the wrap
 	// boundary at most once: the run stage[:split] goes at data offset off,
@@ -277,5 +270,5 @@ func (s *Sender) onHead(data []byte, err error) {
 		return
 	}
 	s.waiting, s.delay = false, retryDelay
-	s.pump(nil)
+	s.pump(s.out)
 }

@@ -30,7 +30,7 @@ func newSenderRig(capacity int) *senderRig {
 	reg.AllowWrite(0)
 	return &senderRig{
 		eng: eng, fab: fab, reg: reg,
-		s:  NewSender(fab, fab.Node(0), 1, "ring", capacity),
+		s:  NewSender(fab, fab.Node(0), fab.Node(0).NewBatch(rdma.InlineFits), 1, "ring", capacity),
 		rd: NewReader(reg.Bytes()),
 	}
 }
@@ -384,56 +384,91 @@ func TestSenderDropReportsCallbacks(t *testing.T) {
 	}
 }
 
-// TestSenderSendInRidesTheBatch: records two senders of one node queue with
-// SendIn go out in their batch's one post item, each sender's records as one
-// write, and complete in send order; a record dropped before the flush goes
-// nowhere, and a record queued with Send after the batch's flush posts alone.
-func TestSenderSendInRidesTheBatch(t *testing.T) {
-	eng := sim.NewEngine(3)
-	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
-	n := fab.Node(0)
-	var items []sim.Duration
-	n.CPU.Observe = func(cost sim.Duration) { items = append(items, cost) }
-	var senders []*Sender
-	var readers []*Reader
-	for p := rdma.NodeID(1); p < 3; p++ {
-		reg := fab.Node(p).Register("ring", RegionSize(1<<10))
-		reg.AllowWrite(0)
-		senders = append(senders, NewSender(fab, n, p, "ring", 1<<10))
-		readers = append(readers, NewReader(reg.Bytes()))
-	}
-	b := n.NewBatch(rdma.InlineFits)
-	var done []int
-	note := func(i int) func(error) { return func(error) { done = append(done, i) } }
+// TestSendersOfOneBatchPostAsOneItem: two senders built with one batch, sent
+// to in one CPU round, leave in the batch's one post item, each sender's
+// records as one write, and complete in send order; a record dropped before
+// the flush goes nowhere.
+func TestSendersOfOneBatchPostAsOneItem(t *testing.T) {
+	rig := newBatchRig(t)
 	want := [][]byte{rec(t, 30, 'a'), rec(t, 30, 'b')}
-	senders[0].SendIn(b, want[0], "", note(0))
-	senders[0].SendIn(b, want[1], "", note(1))
-	senders[1].SendIn(b, want[0], "", note(2))
-	senders[1].SendIn(b, want[1], "", nil)
-	eng.Run()
-	lat := fab.Latency()
+	rig.senders[0].Send(want[0], "", rig.note(0))
+	rig.senders[0].Send(want[1], "", rig.note(1))
+	rig.senders[1].Send(want[0], "", rig.note(2))
+	rig.senders[1].Send(want[1], "", nil)
+	rig.eng.Run()
+	lat := rig.fab.Latency()
 	post := lat.PostCost + lat.InlineCost // each sender's two records are one inline write
-	if len(items) < 2 || items[0] != 0 || items[1] != 2*post {
-		t.Fatalf("node 0 ran items %v, want a flush and then one post item of %v", items, 2*post)
+	if len(rig.items) < 2 || rig.items[0] != 0 || rig.items[1] != 2*post {
+		t.Fatalf("node 0 ran items %v, want a flush and then one post item of %v", rig.items, 2*post)
 	}
-	if !slices.Equal(done, []int{0, 1, 2}) || fab.Stats().Writes != 2 {
-		t.Fatalf("completions %v over %d writes, want 0, 1, 2 over two", done, fab.Stats().Writes)
+	if !slices.Equal(rig.done, []int{0, 1, 2}) || rig.fab.Stats().Writes != 2 {
+		t.Fatalf("completions %v over %d writes, want 0, 1, 2 over two", rig.done, rig.fab.Stats().Writes)
 	}
-	for _, rd := range readers {
+	for _, rd := range rig.readers {
 		wantRecords(t, "batched", drain(t, rd), want)
 	}
 
-	senders[0].SendIn(b, want[0], "", note(3))
-	if got := senders[0].Drop(); got != 1 {
+	rig.senders[0].Send(want[0], "", rig.note(3))
+	if got := rig.senders[0].Drop(); got != 1 {
 		t.Fatalf("Drop reported %d callbacks, want 1", got)
 	}
-	eng.Run()
-	senders[1].Send(want[0], "", note(4))
-	eng.Run()
-	if !slices.Equal(done, []int{0, 1, 2, 4}) || fab.Stats().Writes != 3 {
-		t.Fatalf("completions %v over %d writes, want 0, 1, 2, 4 over three", done, fab.Stats().Writes)
+	rig.eng.Run()
+	if !slices.Equal(rig.done, []int{0, 1, 2}) || rig.fab.Stats().Writes != 2 {
+		t.Fatalf("completions %v over %d writes after a drop, want 0, 1, 2 over two", rig.done, rig.fab.Stats().Writes)
 	}
 }
+
+// TestSenderSendInRidesTheBatch: records senders queue with SendIn ride
+// the other batch's one post item, and a record queued with Send afterwards
+// leaves in the senders' own batch's.
+func TestSenderSendInRidesTheBatch(t *testing.T) {
+	rig := newBatchRig(t)
+	quorum := rig.fab.Node(0).NewBatch(rdma.InlineFits)
+	rig.senders[0].SendIn(quorum, rec(t, 30, 'a'), "", rig.note(0))
+	rig.senders[1].SendIn(quorum, rec(t, 30, 'b'), "", rig.note(1))
+	rig.eng.Run()
+	rig.senders[1].Send(rec(t, 30, 'c'), "", rig.note(2))
+	rig.eng.Run()
+	lat := rig.fab.Latency()
+	post := lat.PostCost + lat.InlineCost
+	if quorum.Posts() != 1 || len(rig.items) < 4 || rig.items[1] != 2*post || rig.items[len(rig.items)-2] != post {
+		t.Fatalf("node 0 ran items %v after %d post items of the other batch, want one of two writes %v, then one of its own of %v",
+			rig.items, quorum.Posts(), 2*post, post)
+	}
+	if !slices.Equal(rig.done, []int{0, 1, 2}) || rig.fab.Stats().Writes != 3 {
+		t.Fatalf("completions %v over %d writes, want 0, 1, 2 over three", rig.done, rig.fab.Stats().Writes)
+	}
+}
+
+// batchRig is node 0 of a three-node fabric with a sender to each peer's
+// ring, both built with one batch, and the CPU items node 0 runs.
+type batchRig struct {
+	eng     *sim.Engine
+	fab     *rdma.Fabric
+	senders []*Sender
+	readers []*Reader
+	items   []sim.Duration
+	done    []int
+}
+
+func newBatchRig(t *testing.T) *batchRig {
+	t.Helper()
+	eng := sim.NewEngine(3)
+	rig := &batchRig{eng: eng, fab: rdma.NewFabric(eng, 3, rdma.DefaultLatency())}
+	n := rig.fab.Node(0)
+	n.CPU.Observe = func(cost sim.Duration) { rig.items = append(rig.items, cost) }
+	b := n.NewBatch(rdma.InlineFits)
+	for p := rdma.NodeID(1); p < 3; p++ {
+		reg := rig.fab.Node(p).Register("ring", RegionSize(1<<10))
+		reg.AllowWrite(0)
+		rig.senders = append(rig.senders, NewSender(rig.fab, n, b, p, "ring", 1<<10))
+		rig.readers = append(rig.readers, NewReader(reg.Bytes()))
+	}
+	return rig
+}
+
+// note returns an onDone that records i.
+func (rig *batchRig) note(i int) func(error) { return func(error) { rig.done = append(rig.done, i) } }
 
 // TestSenderSentAtIsItsOwn: SentAt is when the Sender's newest post or head
 // read left the node's CPU. Another poster's verbs on the same queue pair

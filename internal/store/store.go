@@ -13,17 +13,18 @@
 //     node's arena (rdma.Node.Charge, all or none); a refusal tears the
 //     shard down again and Open returns ErrBudget. Close returns the spans.
 //   - Queue pairs. All shards on a node post through the node's per-peer RC
-//     QPs, and their summary writes flow through the node's one
-//     rdma.Coalescer (Node.Coalescer) — WRs from different shards bound for
-//     the same peer ride one PostChain doorbell (CoalesceStats.CrossChains
-//     counts them).
+//     QPs: their summary writes through its one rdma.Coalescer
+//     (Node.Coalescer), so WRs from different shards bound for one peer ride
+//     one PostChain doorbell (CoalesceStats.CrossChains counts them), and
+//     their broadcast writes through its one post batch (Node.Batch), so the
+//     messages they launch in one CPU round leave as one post item.
 //   - Failure handling. One heartbeat thread and one detector per node,
 //     services of the node (Node.Subscribe) that every shard's replica
 //     subscribes to; a node's shards are suspected and recovered together,
 //     as one process, and a closed shard hears no more of it.
 //
-// The coalescer and the failure detection belong to the node, not to the
-// store: a standalone core.Cluster on the same fabric shares them too. The
+// The coalescer, post batch and failure detection belong to the node, not to
+// the store: a standalone core.Cluster on the same fabric shares them too. The
 // store owns only the arenas and the directory.
 //
 // Per shard: a disjoint region namespace (core.Cluster.Namespace), per-source

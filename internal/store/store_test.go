@@ -302,6 +302,29 @@ func TestCrossShardDoorbellCoalescing(t *testing.T) {
 	}
 }
 
+// TestShardsBroadcastInOnePostItem: two OR-set shards on one node, broadcasting
+// in one CPU round, post their writes to every peer as one item of the node's
+// broadcast batch.
+func TestShardsBroadcastInOnePostItem(t *testing.T) {
+	eng, s := newStore(t, 3, 7, testOptions())
+	an := spec.MustAnalyze(crdt.NewORSet())
+	keys := []string{"left", "right"}
+	for _, key := range keys {
+		if _, err := s.Open(key, an, ShardOptions{}); err != nil {
+			t.Fatalf("open %s: %v", key, err)
+		}
+	}
+	post := s.Fabric().Node(0).Batch()
+	writes := s.Fabric().Stats().Writes
+	for i, key := range keys {
+		s.Invoke(key, 0, crdt.ORSetAdd, spec.ArgsI(int64(i), crdt.Tag(0, uint64(i+1))), nil)
+	}
+	eng.RunFor(50 * sim.Microsecond)
+	if got, sent := post.Posts(), s.Fabric().Stats().Writes-writes; got != 1 || sent != 4 {
+		t.Fatalf("two shards' broadcasts to two peers left in %d post items and %d writes, want one item of 4", got, sent)
+	}
+}
+
 func TestShardTaggedTracesDecompose(t *testing.T) {
 	opts := testOptions()
 	eng := sim.NewEngine(8)

@@ -1,13 +1,20 @@
 // Command benchpairs runs the two-clock benchmark on a reference commit and on
-// the working tree in alternating pairs and prints, per end-to-end metric,
-// what choosing-metrics §8 asks of a performance claim: each side's median and
-// quartiles, how many pairs the change won, whether the medians differ by more
-// than the reference's own spread, whether the change's median is worse than
-// the reference's by more than the metric's bound in BENCHMARK.json (the rule
-// a regression is rejected on), and whether the virtual-clock values are
-// byte-identical on both sides.
+// the working tree in alternating pairs and prints, per workload and
+// end-to-end metric, what choosing-metrics §8 asks of a performance claim:
+// each side's median and quartiles, how many pairs the change won, whether the
+// medians differ by more than the reference's own spread, whether the change's
+// median is worse than the reference's by more than the metric's bound in
+// BENCHMARK.json (the rule a regression is rejected on), and whether the
+// virtual-clock values are byte-identical on both sides. Each workload's table
+// ends with one line saying whether all its virtual metrics were, so a
+// refactor shows "identical on all six" with one command.
 //
 //	make bench-pairs REF=HEAD~1 WORKLOAD=reduce-gset-write PAIRS=10 SEED=77
+//	make bench-pairs REF=HEAD~1 WORKLOAD=buffer-orset,conflict-movie
+//	make bench-pairs REF=HEAD~1 WORKLOAD=all PAIRS=3
+//
+// -workload takes one workload, a comma-separated list, or all: every
+// workload BENCHMARK.json declares. One run of a side covers them all.
 //
 // The reference tree is a `git archive` export under .bench_build/ (ignored),
 // named after the commit, so it is built once and leaves nothing in .git.
@@ -35,6 +42,14 @@ type metricSpec struct {
 	Bound  float64 `json:"bound"` // the worsening of the median a change may show, as a fraction of the ref's
 }
 
+// benchmarkSpec is the part of BENCHMARK.json this tool reads.
+type benchmarkSpec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []metricSpec `json:"end_to_end"`
+}
+
 // result is the part of a `run.sh --out` file this tool reads.
 type result struct {
 	Workloads []struct {
@@ -50,7 +65,7 @@ type result struct {
 
 func main() {
 	ref := flag.String("ref", "HEAD", "commit the working tree is compared against")
-	workload := flag.String("workload", "", "benchmark workload to run (required)")
+	workload := flag.String("workload", "", "benchmark workloads to run: one, a comma-separated list, or all (required)")
 	pairs := flag.Int("pairs", 10, "number of ref/change pairs")
 	seed := flag.Int("seed", 42, "workload seed, the same on both sides")
 	flag.Parse()
@@ -64,16 +79,44 @@ func main() {
 	}
 }
 
-func run(ref, workload string, pairs, seed int) error {
+// parseWorkloads reads -workload: all is every name of known, in its order;
+// otherwise a comma-separated list of names from known, each at most once.
+func parseWorkloads(arg string, known []string) ([]string, error) {
+	if strings.TrimSpace(arg) == "all" {
+		return known, nil
+	}
+	var names []string
+	for _, name := range strings.Split(arg, ",") {
+		name = strings.TrimSpace(name)
+		switch {
+		case name == "":
+			return nil, fmt.Errorf("empty workload name in %q", arg)
+		case !slices.Contains(known, name):
+			return nil, fmt.Errorf("unknown workload %q; BENCHMARK.json declares %s, or all", name, strings.Join(known, ", "))
+		case slices.Contains(names, name):
+			return nil, fmt.Errorf("workload %q named twice", name)
+		}
+		names = append(names, name)
+	}
+	return names, nil
+}
+
+func run(ref, workloadArg string, pairs, seed int) error {
 	root, err := os.Getwd()
 	if err != nil {
 		return err
 	}
-	var specs struct {
-		EndToEnd []metricSpec `json:"end_to_end"`
-	}
+	var specs benchmarkSpec
 	if err := readJSON(filepath.Join(root, "BENCHMARK.json"), &specs); err != nil {
 		return fmt.Errorf("run from the repository root: %w", err)
+	}
+	var known []string
+	for _, w := range specs.Workloads {
+		known = append(known, w.Name)
+	}
+	workloads, err := parseWorkloads(workloadArg, known)
+	if err != nil {
+		return err
 	}
 	out, err := exec.Command("git", "rev-parse", "--verify", "--short=12", ref+"^{commit}").Output()
 	if err != nil {
@@ -86,14 +129,22 @@ func run(ref, workload string, pairs, seed int) error {
 			return fmt.Errorf("export %s: %w", sha, err)
 		}
 	}
-	outDir := filepath.Join(root, ".bench_build", "pairs", fmt.Sprintf("%s-seed%d-%s", workload, seed, sha))
+	outDir := filepath.Join(root, ".bench_build", "pairs", fmt.Sprintf("%s-seed%d-%s", strings.Join(workloads, "+"), seed, sha))
 	if err := os.MkdirAll(outDir, 0o755); err != nil {
 		return err
 	}
 
 	sides := []struct{ name, root string }{{"ref", refRoot}, {"change", root}}
-	values := map[string]map[string][]float64{"ref": {}, "change": {}} // side → metric → per-pair value
-	texts := map[string]map[string]bool{}                              // virtual metric → distinct value texts seen
+	args := []string{"benchmark/run.sh", "--seed", fmt.Sprint(seed), "--trace", "0"}
+	for _, w := range workloads {
+		args = append(args, "--workload", w)
+	}
+	values := map[string]map[string]map[string][]float64{} // workload → side → metric → per-pair value
+	texts := map[string]map[string]map[string]bool{}       // workload → virtual metric → distinct value texts seen
+	for _, w := range workloads {
+		values[w] = map[string]map[string][]float64{"ref": {}, "change": {}}
+		texts[w] = map[string]map[string]bool{}
+	}
 	for i := 0; i < pairs; i++ {
 		order := []int{0, 1}
 		if i%2 == 1 {
@@ -102,8 +153,7 @@ func run(ref, workload string, pairs, seed int) error {
 		for _, s := range order {
 			side := sides[s]
 			file := filepath.Join(outDir, fmt.Sprintf("%s-%02d.json", side.name, i))
-			cmd := exec.Command("bash", "benchmark/run.sh", "--workload", workload,
-				"--seed", fmt.Sprint(seed), "--trace", "0", "--out", file)
+			cmd := exec.Command("bash", append(args, "--out", file)...)
 			cmd.Dir = side.root
 			if msg, err := cmd.CombinedOutput(); err != nil {
 				return fmt.Errorf("pair %d, %s: %w\n%s", i, side.name, err, msg)
@@ -112,39 +162,76 @@ func run(ref, workload string, pairs, seed int) error {
 			if err := readJSON(file, &res); err != nil {
 				return err
 			}
-			if len(res.Workloads) != 1 || !res.Workloads[0].Correct || res.Workloads[0].Failed != 0 {
-				return fmt.Errorf("pair %d, %s: the run failed its checks (see %s)", i, side.name, file)
+			if len(res.Workloads) != len(workloads) {
+				return fmt.Errorf("pair %d, %s: %d workloads in %s, want %d", i, side.name, len(res.Workloads), file, len(workloads))
 			}
-			for name, m := range res.Workloads[0].EndToEnd {
-				var v float64
-				if err := json.Unmarshal(m.Value, &v); err != nil {
-					return fmt.Errorf("%s: %s: %w", file, name, err)
+			for _, wr := range res.Workloads {
+				if values[wr.Name] == nil || !wr.Correct || wr.Failed != 0 {
+					return fmt.Errorf("pair %d, %s: workload %s failed its checks (see %s)", i, side.name, wr.Name, file)
 				}
-				values[side.name][name] = append(values[side.name][name], v)
-				if m.Clock == "virtual" {
-					if texts[name] == nil {
-						texts[name] = map[string]bool{}
+				for name, m := range wr.EndToEnd {
+					var v float64
+					if err := json.Unmarshal(m.Value, &v); err != nil {
+						return fmt.Errorf("%s: %s: %s: %w", file, wr.Name, name, err)
 					}
-					texts[name][string(m.Value)] = true
+					values[wr.Name][side.name][name] = append(values[wr.Name][side.name][name], v)
+					if m.Clock == "virtual" {
+						if texts[wr.Name][name] == nil {
+							texts[wr.Name][name] = map[string]bool{}
+						}
+						texts[wr.Name][name][string(m.Value)] = true
+					}
 				}
 			}
 		}
 		fmt.Fprintf(os.Stderr, "pair %d/%d done\n", i+1, pairs)
 	}
 
-	fmt.Printf("%s, seed %d, %d alternating pairs: ref %s vs the working tree (runs in %s)\n",
-		workload, seed, pairs, sha, strings.TrimPrefix(outDir, root+"/"))
-	fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", "metric", "unit", "ref median [q1, q3]", "change median [q1, q3]", "wins", "reading")
-	for _, spec := range specs.EndToEnd {
-		r, c := values["ref"][spec.Name], values["change"][spec.Name]
-		if len(r) != pairs || len(c) != pairs {
-			continue // not an end-to-end metric of this benchmark version
+	var moved []string
+	for _, w := range workloads {
+		fmt.Printf("%s, seed %d, %d alternating pairs: ref %s vs the working tree (runs in %s)\n",
+			w, seed, pairs, sha, strings.TrimPrefix(outDir, root+"/"))
+		fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", "metric", "unit", "ref median [q1, q3]", "change median [q1, q3]", "wins", "reading")
+		virtual, identical := 0, true
+		for _, spec := range specs.EndToEnd {
+			r, c := values[w]["ref"][spec.Name], values[w]["change"][spec.Name]
+			if len(r) != pairs || len(c) != pairs {
+				continue // not an end-to-end metric of this benchmark version
+			}
+			n := len(texts[w][spec.Name])
+			if n > 0 {
+				virtual++
+				identical = identical && n == 1
+			}
+			v := judge(spec, r, c, n)
+			fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", spec.Name, spec.Unit, show(v.ref), show(v.change),
+				fmt.Sprintf("%d/%d", v.wins, pairs), v.reading)
 		}
-		v := judge(spec, r, c, len(texts[spec.Name]))
-		fmt.Printf("%-20s %-15s %-38s %-38s %-6s %s\n", spec.Name, spec.Unit, show(v.ref), show(v.change),
-			fmt.Sprintf("%d/%d", v.wins, pairs), v.reading)
+		fmt.Printf("%s: %s\n\n", w, identityVerdict(virtual, identical))
+		if !identical {
+			moved = append(moved, w)
+		}
+	}
+	if len(workloads) > 1 {
+		if len(moved) == 0 {
+			fmt.Printf("every virtual metric byte-identical on all %d workloads\n", len(workloads))
+		} else {
+			fmt.Printf("virtual metrics NOT byte-identical on %s\n", strings.Join(moved, ", "))
+		}
 	}
 	return nil
+}
+
+// identityVerdict is a workload's last line: whether its virtual metrics, of
+// which there were n, read byte-identical on both sides in every pair.
+func identityVerdict(n int, identical bool) string {
+	switch {
+	case n == 0:
+		return "no virtual metric"
+	case identical:
+		return fmt.Sprintf("virtual byte-identical (%d metrics)", n)
+	}
+	return "virtual NOT byte-identical"
 }
 
 // verdict is what the paired runs say about one end-to-end metric.

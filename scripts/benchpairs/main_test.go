@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -63,5 +64,52 @@ func TestJudgeClaimRule(t *testing.T) {
 				t.Errorf("ref quartiles %v", v.ref)
 			}
 		})
+	}
+}
+
+// TestParseWorkloads: -workload names one workload, a comma-separated list in
+// the order given, or all, BENCHMARK.json's workloads in its order; an
+// unknown, empty or repeated name is refused.
+func TestParseWorkloads(t *testing.T) {
+	known := []string{"reduce-counter", "buffer-orset", "conflict-movie"}
+	for _, tc := range []struct {
+		arg  string
+		want []string
+		err  string
+	}{
+		{"buffer-orset", []string{"buffer-orset"}, ""},
+		{"conflict-movie,reduce-counter", []string{"conflict-movie", "reduce-counter"}, ""},
+		{" buffer-orset , conflict-movie ", []string{"buffer-orset", "conflict-movie"}, ""},
+		{"all", known, ""},
+		{"nope", nil, `unknown workload "nope"`},
+		{"buffer-orset,all", nil, `unknown workload "all"`},
+		{"buffer-orset,", nil, "empty workload name"},
+		{"buffer-orset,buffer-orset", nil, "named twice"},
+	} {
+		got, err := parseWorkloads(tc.arg, known)
+		switch {
+		case tc.err != "" && (err == nil || !strings.Contains(err.Error(), tc.err)):
+			t.Errorf("%q: error %v, want one containing %q", tc.arg, err, tc.err)
+		case tc.err == "" && (err != nil || !slices.Equal(got, tc.want)):
+			t.Errorf("%q: %v, %v; want %v", tc.arg, got, err, tc.want)
+		}
+	}
+}
+
+// TestIdentityVerdict: a workload reads byte-identical only when it had
+// virtual metrics and every one of them did.
+func TestIdentityVerdict(t *testing.T) {
+	for _, tc := range []struct {
+		n         int
+		identical bool
+		want      string
+	}{
+		{5, true, "virtual byte-identical (5 metrics)"},
+		{5, false, "virtual NOT byte-identical"},
+		{0, true, "no virtual metric"},
+	} {
+		if got := identityVerdict(tc.n, tc.identical); got != tc.want {
+			t.Errorf("identityVerdict(%d, %v) = %q, want %q", tc.n, tc.identical, got, tc.want)
+		}
 	}
 }
