@@ -59,23 +59,27 @@ relations:
 	$(GO) run ./cmd/wrdtcheck -iters 5000
 
 # chaos replays the committed fixed-seed plan corpus (including the three
-# join/leave reconfiguration plans and the recovery sweep across the backup
-# wrap) and the randomized acceptance sweep through the nemesis runner, whose
-# explorer checks every history as well as every probe, plus the
-# membership-change acceptance tests (round-trip convergence, a leader kill
-# mid-epoch-transition, pair-aware shrinking). Failing plans are shrunk and
-# dumped as replayable JSON next to the test binary's working dir (see
-# `hambench -exp chaos -plan-json`). TestFingerprints compares every one of
-# those plans' trace hash and counts with testdata/chaos/fingerprints.golden,
-# i.e. with earlier commits.
+# join/leave reconfiguration plans, the recovery sweep across the backup
+# wrap, and the courseware and movie plans) and the randomized acceptance
+# sweeps through the nemesis runner, whose explorer checks every history as
+# well as every probe: TestRandomizedPlans over counter, orset and bankmap,
+# and TestBundledSweep over every class of schema.Bundled (8 plans of 200 ops
+# a class, about 3 s; 3 of 120 under -short) — the one runner a plan may name
+# any bundled class in. Plus the membership-change acceptance tests
+# (round-trip convergence, a leader kill mid-epoch-transition, pair-aware
+# shrinking). Failing plans are shrunk and dumped as replayable JSON next to
+# the test binary's working dir (see `hambench -exp chaos -plan-json`).
+# TestFingerprints compares every one of those plans' trace hash and counts
+# with testdata/chaos/fingerprints.golden, i.e. with earlier commits.
 chaos:
-	$(GO) test -run 'TestCorpus|TestRandomizedPlans|TestShardMixConverges|TestShardFaultIsolation|TestReconfig|TestFingerprints' -count=1 -v ./internal/chaos
+	$(GO) test -run 'TestCorpus|TestRandomizedPlans|TestBundledSweep|TestShardMixConverges|TestShardFaultIsolation|TestReconfig|TestFingerprints' -count=1 -v ./internal/chaos
 
 # conform runs the refinement conformance gate. Every history is replayed
 # through rdmawrdt's Fig. 7 rule steps (Exec, Install, Query), each failed
 # premise reported by its rule, plus the trace-only checks. The gate: the
 # fixed-seed corpus (fault-free and fault-plan workloads across the
-# counter/orset/bankmap classes, checked deterministic), the catch matrix
+# counter/orset/bankmap classes, checked deterministic; every other bundled
+# class's histories are replayed by make chaos's TestBundledSweep), the catch matrix
 # (see mutants; among its rows, the injected apply-order bug must fail its
 # run and shrink to <= 8 calls, and cross-wired shards must fail the
 # per-shard identity check), the tampered-trace table (one tampered event
@@ -166,8 +170,9 @@ cover:
 # (internal/heartbeat folded into internal/rdma), 22 568 once the
 # detector's timing and Mu's catch-up period were fields of the cost model,
 # 23 105 (from 23 106) once each node owned one delivery queue, its
-# handoff, for every Mu group and broadcast receiver on it, and 23 104 once
-# every ring.Sender posted through the rdma.Batch it is built with.
+# handoff, for every Mu group and broadcast receiver on it, 23 104 once
+# every ring.Sender posted through the rdma.Batch it is built with, and
+# 23 087 once chaos plans took their classes from schema.Bundled.
 # Files a build constraint excludes are not counted.
 loc:
 	@$(GO) list -f '{{.ImportPath}} {{.Dir}} {{join .GoFiles " "}}' . ./internal/... ./cmd/... | \

@@ -31,13 +31,14 @@
 // registry's percentile report; latency a causal span per call, per-stage
 // percentiles and the stages the slowest calls spent their time in; reconfig
 // the throughput dip around a leave and a rejoin. chaos explores -plans
-// randomized fault plans (suspensions, partitions, latency spikes, torn
-// writes, leader kills), each judged by its probes and by replaying its
-// history through the abstract WRDT semantics, and shrinks and dumps a
-// failing one under -chaos-dir; -plan-json replays one. health runs one
-// fault plan under the anomaly watchdog and a fault-free control, and exits
-// 1 on an unexpected firing, an unobserved fault or a noisy control. hamtop
-// renders -frames top-style frames of a live sharded store.
+// randomized fault plans dealt over the bundled classes (suspensions,
+// partitions, latency spikes, torn writes, leader kills), each judged by its
+// probes and by replaying its history through the abstract WRDT semantics,
+// and shrinks and dumps a failing one under -chaos-dir; -plan-json replays
+// one. health runs one fault plan under the anomaly watchdog and a
+// fault-free control, and exits 1 on an unexpected firing, an unobserved
+// fault or a noisy control. hamtop renders -frames top-style frames of a
+// live sharded store.
 package main
 
 import (

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"hamband/internal/schema"
 	"hamband/internal/sim"
+	"hamband/internal/spec"
 	"hamband/internal/trace"
 )
 
@@ -141,6 +143,21 @@ func TestPlanValidation(t *testing.T) {
 			t.Errorf("plan %d validated but is invalid", i)
 		}
 	}
+	// Every bundled class is a target, in schema.Bundled's order, and the
+	// explorer deals over all of them by default.
+	var bundled []string
+	for _, cls := range schema.Bundled() {
+		bundled = append(bundled, cls.Name)
+		if err := (Plan{Class: cls.Name, Nodes: 4, Ops: 10}).Validate(); err != nil {
+			t.Errorf("bundled class %s: %v", cls.Name, err)
+		}
+	}
+	if names := ClassNames(); !reflect.DeepEqual(names, bundled) {
+		t.Errorf("ClassNames() = %v, want %v", names, bundled)
+	}
+	if classes := (ExploreOptions{}).withDefaults().Classes; !reflect.DeepEqual(classes, bundled) {
+		t.Errorf("the explorer's default classes are %v, want %v", classes, bundled)
+	}
 }
 
 // TestMidRoundKillFiresAfterASequencing: a plain leaderkill fires at its
@@ -213,6 +230,66 @@ func TestRandomizedPlans(t *testing.T) {
 	}
 	if testing.Verbose() {
 		t.Log("\n" + out.String())
+	}
+}
+
+// sweepSeed is the bundled sweep's base seed: its plan i runs on sweepSeed+i.
+const sweepSeed = 9001
+
+// bundledSweep deals perClass generated 4-node plans to every bundled class,
+// round-robin over ClassNames as Explore deals its classes, so no two plans
+// share a schedule.
+func bundledSweep(perClass, ops int) []Plan {
+	names := ClassNames()
+	plans := make([]Plan, perClass*len(names))
+	for i := range plans {
+		plans[i] = Generate(names[i%len(names)], 4, ops, sweepSeed+int64(i))
+	}
+	return plans
+}
+
+// TestBundledSweep runs every bundled class, the paper's use-case schemas
+// among them, under generated fault plans with the explorer's options:
+// probes, the watchdog and the history replay. Every verdict must read PASS
+// CONFORMS. Across the sweep the plans must suspend nodes (two different
+// ones within one plan), partition, slow and tear links, and kill the leader
+// of a synchronization group. The -short sweep runs 3 plans of 120 ops per
+// class, the full one 8 of 200.
+func TestBundledSweep(t *testing.T) {
+	perClass, ops := 8, 200
+	if testing.Short() {
+		perClass, ops = 3, 120
+	}
+	kinds := map[Kind]bool{}
+	twoSuspended, groupKills := false, 0
+	for _, p := range bundledSweep(perClass, ops) {
+		v := mustRun(t, p, Options{}.Checked())
+		assertPassed(t, v)
+		if !strings.HasSuffix(v.Summary(), " PASS CONFORMS") {
+			t.Fatalf("history unchecked: %s", v.Summary())
+		}
+		suspended := map[int]bool{}
+		for _, e := range p.Events {
+			kinds[e.Kind] = true
+			if e.Kind == KindSuspend {
+				suspended[e.Node] = true
+			}
+		}
+		twoSuspended = twoSuspended || len(suspended) >= 2
+		if cls, _ := Class(p.Class); len(spec.MustAnalyze(cls).SyncGroups) > 0 {
+			groupKills += len(v.Kills)
+		}
+	}
+	for _, k := range []Kind{KindSuspend, KindPartition, KindDelay, KindTorn, KindLeaderKill} {
+		if !kinds[k] {
+			t.Errorf("no plan of the sweep injects a %s", k)
+		}
+	}
+	if !twoSuspended {
+		t.Error("no plan of the sweep suspends two different nodes")
+	}
+	if groupKills == 0 {
+		t.Error("no leader kill fired on a class with a synchronization group")
 	}
 }
 

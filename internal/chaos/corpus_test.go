@@ -46,8 +46,8 @@ func TestCorpus(t *testing.T) {
 			assertPassed(t, mustRun(t, p, Options{}))
 		})
 	}
-	if len(classes) < 3 {
-		t.Fatalf("corpus covers %d classes, want at least 3", len(classes))
+	if len(classes) < 5 {
+		t.Fatalf("corpus covers %d classes, want at least 5", len(classes))
 	}
 }
 
@@ -57,14 +57,17 @@ func TestCorpus(t *testing.T) {
 var denseRounds = Options{BatchSize: 16, IssuePeriod: 5 * sim.Microsecond}
 
 // denseRoundPlans are the corpus plans written for that density.
-var denseRoundPlans = []string{"bankmap-rounds-seed1700.json", "bankmap-rounds-shardmix-seed1701.json"}
+var denseRoundPlans = []string{"bankmap-rounds-seed1700.json", "bankmap-rounds-shardmix-seed1701.json", "movie-rounds-seed1702.json"}
 
-// TestCorpusDenseRounds replays the two round-rule plans — dense conflicting
-// bursts on bankmap, once as a single object and once over three shards —
-// at the density they were written for (TestCorpus replays them at the
-// default one too). Each suspends the group-0 leader mid-round, resumes it
-// as a zombie holding a queue while its successor serves, and then suspends
-// the successor mid-round as well. Every probe must pass, the leaders must
+// TestCorpusDenseRounds replays the three round-rule plans — dense
+// conflicting bursts on bankmap, once as a single object and once over three
+// shards, and on movie, whose two synchronization groups are the conflict-movie
+// benchmark's — at the density they were written for (TestCorpus replays
+// them at the default one too). Each suspends the group-0 leader mid-round
+// and resumes it as a zombie holding a queue while its successor serves.
+// The bankmap plans then suspend that successor mid-round as well; the movie
+// plan, bankmap-rounds-seed1700's schedule, suspends group 1's leader
+// mid-round instead. Every probe must pass, the leaders must
 // in fact have been batching, both kills must have forced an election, and
 // each must have caught its victim mid-round: the last call the victim (shard
 // s00's leader on the shardmix plan) sequenced before the kill commits there

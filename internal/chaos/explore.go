@@ -14,7 +14,7 @@ import (
 type ExploreOptions struct {
 	Seed    int64    // base seed; plan i uses Seed+i
 	Plans   int      // total plans (default 30)
-	Classes []string // round-robined across plans (default counter, orset, bankmap)
+	Classes []string // round-robined across plans (default ClassNames: every bundled class)
 	Nodes   int      // cluster size per plan (default 4)
 	Ops     int      // workload updates per plan (default 120)
 	DumpDir string   // failing plans are written here (default ".")
@@ -26,7 +26,7 @@ func (o ExploreOptions) withDefaults() ExploreOptions {
 		o.Plans = 30
 	}
 	if len(o.Classes) == 0 {
-		o.Classes = []string{"counter", "orset", "bankmap"}
+		o.Classes = ClassNames()
 	}
 	if o.Nodes <= 0 {
 		o.Nodes = 4

@@ -26,10 +26,12 @@ type fingerprintCase struct {
 // commits: the committed corpus, the generated plans the acceptance tests run
 // (TestShardMix*, TestShardFaultIsolation, TestReconfig*, the negative and
 // watchdog controls), and the plans run under the explorer's options
-// (Options{}.Checked()): TestRandomizedPlans's sweep, which is also `-exp
-// chaos`'s plan sequence, and the sharded plans package conform replays. The
-// randomized/NN lines run that sweep's plans unchecked, the explored/NN lines
-// as the explorer runs them. Lines are keyed by name, so a new plan adds a
+// (Options{}.Checked()): TestRandomizedPlans's sweep over counter, orset and
+// bankmap, the sharded plans package conform replays, and TestBundledSweep's
+// -short plans over every bundled class. The randomized/NN lines run the
+// first sweep's plans unchecked, the explored/NN lines as the explorer runs
+// them; `-exp chaos` deals its plans over every bundled class, so it no
+// longer replays that sequence. Lines are keyed by name, so a new plan adds a
 // line and moves none.
 func fingerprintCases(t *testing.T) []fingerprintCase {
 	t.Helper()
@@ -88,6 +90,9 @@ func fingerprintCases(t *testing.T) []fingerprintCase {
 	}
 	for i := 0; i < 27; i++ {
 		add(fmt.Sprintf("explored/%02d", i), Generate(classes[i%3], 4, 120, 1000+int64(i)), checked)
+	}
+	for i, p := range bundledSweep(3, 120) {
+		add(fmt.Sprintf("bundled/%02d-%s", i, p.Class), p, checked)
 	}
 	return cases
 }

@@ -23,10 +23,9 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"sort"
 
 	"hamband/internal/core"
-	"hamband/internal/crdt"
+	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -108,7 +107,7 @@ func (e Event) String() string {
 // jitter draw, and the timed fault events. A plan is the unit of replay —
 // running the same plan twice produces bit-identical traces.
 type Plan struct {
-	Class string `json:"class"` // data-type class (see Classes)
+	Class string `json:"class"` // data-type class (see ClassNames)
 	Nodes int    `json:"nodes"` // cluster size
 	Ops   int    `json:"ops"`   // workload updates to issue
 	Seed  int64  `json:"seed"`  // engine + workload seed
@@ -154,8 +153,8 @@ type Plan struct {
 
 // Validate checks the plan is well-formed and names a known class.
 func (p Plan) Validate() error {
-	if _, ok := classRegistry[p.Class]; !ok {
-		return fmt.Errorf("chaos: unknown class %q (have %v)", p.Class, ClassNames())
+	if _, err := Class(p.Class); err != nil {
+		return err
 	}
 	if p.Nodes < 2 || p.Nodes > 64 {
 		return fmt.Errorf("chaos: nodes = %d, want 2..64", p.Nodes)
@@ -302,33 +301,23 @@ func ReadPlan(r io.Reader) (Plan, error) {
 	return p, p.Validate()
 }
 
-// classRegistry maps class names to constructors. Fresh instances per run
-// keep plans independent.
-var classRegistry = map[string]func() *spec.Class{
-	"counter":   crdt.NewCounter,
-	"pncounter": crdt.NewPNCounter,
-	"orset":     crdt.NewORSet,
-	"twopset":   crdt.NewTwoPSet,
-	"cart":      crdt.NewCart,
-	"account":   crdt.NewAccount,
-	"bankmap":   crdt.NewBankMap,
-}
-
-// Class returns a fresh instance of a registered class by name.
+// Class returns a fresh instance of the bundled class (schema.Bundled) of
+// that name. Fresh instances per run keep plans independent.
 func Class(name string) (*spec.Class, error) {
-	ctor, ok := classRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("chaos: unknown class %q (have %v)", name, ClassNames())
+	for _, cls := range schema.Bundled() {
+		if cls.Name == name {
+			return cls, nil
+		}
 	}
-	return ctor(), nil
+	return nil, fmt.Errorf("chaos: unknown class %q (have %v)", name, ClassNames())
 }
 
-// ClassNames lists the classes plans can target, sorted.
+// ClassNames lists the classes plans can target: the bundled ones, in
+// schema.Bundled's order.
 func ClassNames() []string {
-	names := make([]string, 0, len(classRegistry))
-	for n := range classRegistry {
-		names = append(names, n)
+	var names []string
+	for _, cls := range schema.Bundled() {
+		names = append(names, cls.Name)
 	}
-	sort.Strings(names)
 	return names
 }

@@ -174,7 +174,7 @@ func (v *Verdict) Summary() string {
 	default:
 		verdict += fmt.Sprintf(" NONCONFORMING(%d)", len(v.Conform.Violations))
 	}
-	return fmt.Sprintf("class=%-9s seed=%-6d events=%-2d issued=%-4d acked=%-4d makespan=%-10v hash=%016x %s",
+	return fmt.Sprintf("class=%-13s seed=%-6d events=%-2d issued=%-4d acked=%-4d makespan=%-10v hash=%016x %s",
 		v.Plan.Class, v.Plan.Seed, len(v.Plan.Events), v.Issued, v.Acked, v.Makespan, v.TraceHash, verdict)
 }
 
@@ -227,7 +227,7 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 	}
 	opts = opts.withDefaults()
 
-	cls := classRegistry[p.Class]()
+	cls, _ := Class(p.Class) // Validate found it
 	an := spec.MustAnalyze(cls)
 	eng := sim.NewEngine(p.Seed)
 	// Tight detector timings: plans play out over a few milliseconds, so

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"hamband/internal/conform"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 	"hamband/internal/trace"
@@ -187,7 +188,7 @@ func (s *session) waitCovered(t int, polls int) {
 		s.busy = false
 		return
 	}
-	if !covers(s.r.viewOf(s.sh, t), s.need) {
+	if !conform.Covers(s.r.viewOf(s.sh, t), s.need) {
 		s.r.eng.After(sessionPollPeriod, func() { s.waitCovered(t, polls-1) })
 		return
 	}
@@ -197,14 +198,4 @@ func (s *session) waitCovered(t int, polls int) {
 		s.staleArmed = true
 	}
 	s.record(t, fmt.Sprintf("s%d switch", s.id), trace.SessionRecord{Op: "switch"})
-}
-
-// covers reports have >= need coordinate-wise.
-func covers(have, need []uint64) bool {
-	for p, n := range need {
-		if p >= len(have) || have[p] < n {
-			return false
-		}
-	}
-	return true
 }

@@ -79,7 +79,7 @@ func checkSession(evs []trace.Event) []Violation {
 		case "write":
 			// Writes-follow-reads: the ack-time view must cover the last
 			// read — the write was ordered after everything the session saw.
-			if lastRead != nil && !viewCovers(rec.View, lastRead) {
+			if lastRead != nil && !Covers(rec.View, lastRead) {
 				violate(e, "session-wfr", fmt.Sprintf(
 					"s%d write at p%d (epoch %d) acked on view %v, behind the session's last read %v",
 					rec.S, rec.Node, rec.Epoch, rec.View, lastRead))
@@ -97,7 +97,7 @@ func checkSession(evs []trace.Event) []Violation {
 				}
 			}
 			// Monotonic reads: views never regress.
-			if lastRead != nil && !viewCovers(rec.View, lastRead) {
+			if lastRead != nil && !Covers(rec.View, lastRead) {
 				violate(e, "session-mr", fmt.Sprintf(
 					"s%d read at p%d (epoch %d) sees view %v after having read %v",
 					rec.S, rec.Node, rec.Epoch, rec.View, lastRead))
@@ -154,8 +154,10 @@ func SessionEvents(events []trace.Event) map[int][]trace.Event {
 	return out
 }
 
-// viewCovers reports have >= need coordinate-wise.
-func viewCovers(have, need []uint64) bool {
+// Covers reports have >= need coordinate-wise: a view that covers another
+// has applied at least its prefix of every origin's calls. A session's
+// switch waits on it too.
+func Covers(have, need []uint64) bool {
 	for p, n := range need {
 		if p >= len(have) || have[p] < n {
 			return false

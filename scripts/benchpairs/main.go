@@ -4,8 +4,10 @@
 // each side's median and quartiles, how many pairs the change won, whether the
 // medians differ by more than the reference's own spread, whether the change's
 // median is worse than the reference's by more than the metric's bound in
-// BENCHMARK.json (the rule a regression is rejected on), and whether the
-// virtual-clock values are byte-identical on both sides. Each workload's table
+// BENCHMARK.json (the rule a regression is rejected on), whether the
+// reference's own spread is wider than that bound (the reading is then
+// unresolved), and whether the virtual-clock values are byte-identical on
+// both sides. A gain is read from ten pairs or more only. Each workload's table
 // ends with one line saying whether all its virtual metrics were, so a
 // refactor shows "identical on all six" with one command.
 //
@@ -241,13 +243,21 @@ type verdict struct {
 	reading     string
 }
 
+// minPairs is the fewest pairs a gain may be read from: with fewer, one
+// pair's win is nine tenths of them, and the ref's spread is that of a
+// handful of runs.
+const minPairs = 10
+
 // judge applies the claim rule to one metric's values, ref[i] and change[i]
 // being pair i. texts is the number of distinct value texts a virtual-clock
 // metric produced over both sides (0 for a host metric): a virtual metric is
-// read only for byte-identity. A host metric reads as a gain when the change
-// won at least nine tenths of the pairs and its median is better than the
-// ref's by more than the ref's interquartile range, and as a regression when
-// its median is worse than the ref's by more than m.Bound of it.
+// read only for byte-identity. A host metric reads as a gain when there are
+// at least minPairs pairs, the change won at least nine tenths of them and
+// its median is better than the ref's by more than the ref's interquartile
+// range, and as a regression when its median is worse than the ref's by more
+// than m.Bound of it. Otherwise it is unresolved when the ref's interquartile
+// range is wider than m.Bound of its median, unless every change run beat
+// every ref run: the ref alone then spreads past what the bound can tell.
 func judge(m metricSpec, ref, change []float64, texts int) verdict {
 	v := verdict{ref: quartiles(ref), change: quartiles(change)}
 	for i := range ref {
@@ -260,19 +270,33 @@ func judge(m metricSpec, ref, change []float64, texts int) verdict {
 	if m.Better == "higher" {
 		limit = r[1] * (1 - m.Bound)
 	}
+	spread := r[2] - r[0]
 	switch {
 	case texts == 1:
 		v.reading = "virtual: byte-identical on both sides"
 	case texts > 1:
 		v.reading = fmt.Sprintf("virtual: NOT byte-identical (%d distinct values)", texts)
-	case 10*v.wins >= 9*len(ref) && better(m.Better, c[1], r[1]) && math.Abs(c[1]-r[1]) > r[2]-r[0]:
+	case len(ref) >= minPairs && 10*v.wins >= 9*len(ref) && better(m.Better, c[1], r[1]) && math.Abs(c[1]-r[1]) > spread:
 		v.reading = fmt.Sprintf("gain: %.3g× the ref median, beyond the ref's spread", c[1]/r[1])
 	case better(m.Better, limit, c[1]):
 		v.reading = fmt.Sprintf("regression: %.3g× the ref median, past the %g bound", c[1]/r[1], m.Bound)
+	case spread > m.Bound*math.Abs(r[1]) && !beatsAll(m.Better, change, ref):
+		v.reading = fmt.Sprintf("unresolved: %.3g× the ref median, the ref's spread %.3g of it past the %g bound", c[1]/r[1], spread/math.Abs(r[1]), m.Bound)
+	case len(ref) < minPairs:
+		v.reading = fmt.Sprintf("no claim: %.3g× the ref median; a gain needs %d pairs", c[1]/r[1], minPairs)
 	default:
 		v.reading = fmt.Sprintf("no claim: %.3g× the ref median", c[1]/r[1])
 	}
 	return v
+}
+
+// beatsAll reports whether every run of change is better than every run of ref.
+func beatsAll(direction string, change, ref []float64) bool {
+	worst, best := slices.Max(change), slices.Min(ref)
+	if direction == "higher" {
+		worst, best = slices.Min(change), slices.Max(ref)
+	}
+	return better(direction, worst, best)
 }
 
 // export unpacks commit sha into dir with git archive piped into tar; dir

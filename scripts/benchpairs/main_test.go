@@ -10,7 +10,9 @@ import (
 // nine tenths of the pairs won, a tie counting for neither side, and a median
 // better than the ref's by more than the ref's interquartile range; and the
 // rule a regression is rejected on: a median worse than the ref's by more
-// than the metric's bound. A virtual metric is read for byte-identity only.
+// than the metric's bound. This ref spreads 31 % of its median, so below a
+// bound of 0.31 a reading that is neither is unresolved. A virtual metric is
+// read for byte-identity only.
 func TestJudgeClaimRule(t *testing.T) {
 	// ref's quartiles are 12.25 / 14.5 / 16.75: an interquartile range of 4.5.
 	ref := []float64{10, 11, 12, 13, 14, 15, 16, 17, 18, 19}
@@ -38,17 +40,19 @@ func TestJudgeClaimRule(t *testing.T) {
 		{"every pair won, far beyond the spread", "lower", 0.05, shift(-9), 0, 10, "gain: "},
 		{"nine of ten won", "lower", 0.05, with(shift(-9), 3, 99), 0, 9, "gain: "},
 		{"nine won and a tie", "lower", 0.05, with(shift(-9), 3, ref[3]), 0, 9, "gain: "},
-		{"eight won and two ties", "lower", 0.05, with(with(shift(-9), 3, ref[3]), 4, ref[4]), 0, 8, "no claim: "},
-		{"eight of ten won", "lower", 0.05, with(with(shift(-9), 3, 99), 4, 99), 0, 8, "no claim: "},
-		{"every pair won, inside the spread", "lower", 0.05, shift(-1), 0, 10, "no claim: "},
-		{"median gap equal to the spread", "lower", 0.05, shift(-4.5), 0, 10, "no claim: "},
+		{"eight won and two ties", "lower", 0.05, with(with(shift(-9), 3, ref[3]), 4, ref[4]), 0, 8, "unresolved: "},
+		{"eight of ten won", "lower", 0.05, with(with(shift(-9), 3, 99), 4, 99), 0, 8, "unresolved: "},
+		{"every pair won, inside the spread", "lower", 0.05, shift(-1), 0, 10, "unresolved: "},
+		{"a spread inside the bound", "lower", 0.35, shift(-1), 0, 10, "no claim: "},
+		{"median gap equal to the spread", "lower", 0.05, shift(-4.5), 0, 10, "unresolved: "},
 		{"median gap just past the spread", "lower", 0.05, shift(-4.6), 0, 10, "gain: "},
 		{"higher is better", "higher", 0.05, shift(9), 0, 10, "gain: "},
 		{"the wrong direction", "lower", 0.05, shift(9), 0, 0, "regression: "},
 		{"worse past the bound", "lower", 0.05, shift(1), 0, 0, "regression: "},
-		{"worse within the bound", "lower", 0.05, shift(0.5), 0, 0, "no claim: "},
+		{"worse within the bound", "lower", 0.05, shift(0.5), 0, 0, "unresolved: "},
 		{"lower past the bound, higher is better", "higher", 0.05, shift(-1), 0, 0, "regression: "},
-		{"a wider bound forgives it", "lower", 0.1, shift(1), 0, 0, "no claim: "},
+		{"a wider bound forgives it", "lower", 0.1, shift(1), 0, 0, "unresolved: "},
+		{"a bound wider than the spread forgives it", "lower", 0.35, shift(1), 0, 0, "no claim: "},
 		{"virtual, identical", "lower", 0.05, ref, 1, 0, "virtual: byte-identical"},
 		{"virtual, moved", "lower", 0.05, shift(-9), 2, 10, "virtual: NOT byte-identical (2 distinct values)"},
 	} {
@@ -64,6 +68,31 @@ func TestJudgeClaimRule(t *testing.T) {
 				t.Errorf("ref quartiles %v", v.ref)
 			}
 		})
+	}
+}
+
+// TestJudgeFewPairsAndWideSpread: fewer than ten pairs claim no gain however
+// one-sided they are, and a ref spreading past the bound leaves a reading
+// unresolved unless every change run beat every ref run.
+func TestJudgeFewPairsAndWideSpread(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		direction   string
+		ref, change []float64
+		reading     string
+	}{
+		{"one pair won by half", "lower", []float64{10}, []float64{5}, "no claim: 0.5× the ref median; a gain needs 10 pairs"},
+		{"nine pairs, every one won", "lower", []float64{10, 10, 10, 10, 10, 10, 10, 10, 10}, []float64{5, 5, 5, 5, 5, 5, 5, 5, 5}, "no claim: "},
+		// A ref spreading 4/14 of its median, past the 0.05 bound.
+		{"wide ref, runs overlapping", "lower", []float64{10, 14, 18}, []float64{9, 13, 17}, "unresolved: "},
+		{"wide ref, every change run better", "lower", []float64{10, 14, 18}, []float64{9, 9.5, 9.9}, "no claim: "},
+		{"wide ref, every change run worse", "lower", []float64{10, 14, 18}, []float64{19, 20, 21}, "regression: "},
+		{"wide ref, higher is better, every change run better", "higher", []float64{10, 14, 18}, []float64{19, 20, 21}, "no claim: "},
+	} {
+		v := judge(metricSpec{Better: tc.direction, Bound: 0.05}, tc.ref, tc.change, 0)
+		if !strings.HasPrefix(v.reading, tc.reading) {
+			t.Errorf("%s: reading %q, want it to start %q", tc.name, v.reading, tc.reading)
+		}
 	}
 }
 
