@@ -113,7 +113,8 @@ mutants:
 # to their nodes' failure detection, which the last closed shard stops and
 # the next opened one restarts, a shard opened after a suspicion hearing it,
 # a registry flat under shard churn, set-up
-# allocating only carved bytes, cross-shard doorbell coalescing and
+# allocating only carved bytes, two shards' δ-records riding one write per
+# peer per flush, the node's δ-logs charged once per node and
 # shard-tagged trace decomposition —
 # plus the arena's own tests (first-fit carving, coalescing, all-or-none
 # charging in name order, carved regions serving verbs), which live in
@@ -220,8 +221,11 @@ allocs:
 # shards (no sweeps row: no F or L buffers) and for OR-set shards at 4 and 16
 # (one poll loop a node: the sweeps share must not depend on the shard
 # count; one handoff a node: the 16-shard deliver row at most 0.007 µs/op;
-# one broadcast post batch a node; with the 16 ÷ 4 throughput ratio), and TestStoreLedgerCatchesPerEntry its
-# control; TestReduceLedger is one node on the reducible path, gset with all
+# one broadcast post batch a node; with the 16 ÷ 4 throughput ratios, counter
+# and OR-set; one δ-log per peer: the 16-counter-shard "post: summary writes"
+# row at most 0.020 µs/op, with summary WRs per peer per flush), and
+# TestStoreLedgerCatchesPerEntry and TestStoreLedgerCatchesSlotLogs (a
+# coalescer that merges only within a shard) its controls; TestReduceLedger is one node on the reducible path, gset with all
 # updates and counter with a quarter, with the WRs, chains and δ-records per
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
 # message, the ring records per write, and the node's post items (at most one)
@@ -242,8 +246,8 @@ ledger:
 # baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
 # make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
 # moved stays within its bound.
-SNAPSHOT ?= BENCH_PR67.json
-PREV_SNAPSHOT ?= BENCH_PR66.json
+SNAPSHOT ?= BENCH_PR70.json
+PREV_SNAPSHOT ?= BENCH_PR67.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

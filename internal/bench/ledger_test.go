@@ -426,11 +426,16 @@ func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls fl
 // µs/op (0.0049 at seed 42; 0.0165 with a record per receiver).
 func TestStoreLedger(t *testing.T) {
 	const minORSet16 = 6.5
-	if l, _, _ := storeLedger(t, crdt.NewCounter(), 16, false); l.rows["sweeps"] != 0 {
+	l, counter16, _ := storeLedger(t, crdt.NewCounter(), 16, "")
+	if l.rows["sweeps"] != 0 {
 		t.Errorf("16 counter shards charge %v of sweeps: a class without F or L buffers has nothing to poll", l.rows["sweeps"])
 	}
-	_, rate4, share4 := storeLedger(t, crdt.NewORSet(), 4, false)
-	l, rate16, share16 := storeLedger(t, crdt.NewORSet(), 16, false)
+	if post := l.perOp("post: summary writes", DefaultOps); post > maxStorePost {
+		t.Errorf("16 counter shards: summary writes cost %.4f µs/op to post, want at most %.3f (0.0253 with a log per slot)", post, maxStorePost)
+	}
+	_, counter4, _ := storeLedger(t, crdt.NewCounter(), 4, "")
+	_, rate4, share4 := storeLedger(t, crdt.NewORSet(), 4, "")
+	l, rate16, share16 := storeLedger(t, crdt.NewORSet(), 16, "")
 	if share4 == 0 || share16 == 0 {
 		t.Fatalf("orset sweeps share %.4f at 4 shards, %.4f at 16: the ledger lost the receivers' row", share4, share16)
 	}
@@ -445,12 +450,30 @@ func TestStoreLedger(t *testing.T) {
 		t.Errorf("16 orset shards: deliver costs %.4f µs/op, want a row and at most %.3f (0.0165 with a record per receiver)", deliver, maxStoreDeliver)
 	}
 	t.Logf("16 orset shards run at %.3f of the throughput of 4 (%.2f / %.2f ops/µs)", rate16/rate4, rate16, rate4)
+	t.Logf("16 counter shards run at %.3f of the throughput of 4 (%.2f / %.2f ops/µs)", counter16/counter4, counter16, counter4)
 }
+
+// TestStoreLedgerCatchesSlotLogs is the mutation control of the 16-shard
+// summary-writes bound above: p0's coalescer writes a δ-record onto the
+// pending tail only when both are one shard's, so a flush posts a WR per
+// shard per peer, as when every slot kept its own δ-log.
+func TestStoreLedgerCatchesSlotLogs(t *testing.T) {
+	l, _, _ := storeLedger(t, crdt.NewCounter(), 16, "slot-logs")
+	post := l.perOp("post: summary writes", DefaultOps)
+	if post <= maxStorePost {
+		t.Fatalf("a log per slot costs %.4f µs/op of summary writes, within the %.3f bound", post, maxStorePost)
+	}
+	t.Logf("caught: summary writes %.4f µs/op", post)
+}
+
+// maxStorePost bounds what posting p0's summary writes costs a 16-counter-
+// shard node per call: 0.0179 µs/op with one δ-log per peer.
+const maxStorePost = 0.020
 
 // TestStoreLedgerCatchesPerEntry is the mutation control of the 16-shard
 // deliver bound above: p0's handoff closes a record at every entry.
 func TestStoreLedgerCatchesPerEntry(t *testing.T) {
-	l, _, _ := storeLedger(t, crdt.NewORSet(), 16, true)
+	l, _, _ := storeLedger(t, crdt.NewORSet(), 16, "per-entry")
 	deliver := l.perOp("deliver", DefaultOps)
 	if deliver <= maxStoreDeliver {
 		t.Fatalf("a record per entry costs %.4f µs/op of deliver, within the %.3f bound", deliver, maxStoreDeliver)
@@ -460,11 +483,13 @@ func TestStoreLedgerCatchesPerEntry(t *testing.T) {
 
 const maxStoreDeliver = 0.007
 
-// storeLedger runs the store-zipf shape over shards shards of cls, p0's
-// handoff closing a record at every entry when perEntry is set, logs p0's
-// ledger and returns it, the throughput and the sweeps row's share of the
-// node's time.
-func storeLedger(t *testing.T, cls *spec.Class, shards int, perEntry bool) (*ledger, float64, float64) {
+// storeLedger runs the store-zipf shape over shards shards of cls, under the
+// named mutant — "per-entry": p0's handoff closes a record at every entry;
+// "slot-logs": p0's coalescer merges a record only onto one of its own
+// shard's, a WR per shard per peer as with a δ-log per slot — logs
+// p0's ledger and summary WRs per peer per flush and returns the ledger, the
+// throughput and the sweeps row's share of the node's time.
+func storeLedger(t *testing.T, cls *spec.Class, shards int, mutant string) (*ledger, float64, float64) {
 	t.Helper()
 	const nodes = 4
 	eng := sim.NewEngine(42)
@@ -475,8 +500,11 @@ func storeLedger(t *testing.T, cls *spec.Class, shards int, perEntry bool) (*led
 		t.Fatal(err)
 	}
 	defer sys.st.Stop()
-	if perEntry {
+	switch mutant {
+	case "per-entry":
 		fab.Node(0).Handoff().MutatePerEntry()
+	case "slot-logs":
+		fab.Node(0).Coalescer().MutatePerStream()
 	}
 	l := newLedger()
 	cpu := fab.Node(0).CPU
@@ -488,9 +516,10 @@ func storeLedger(t *testing.T, cls *spec.Class, shards int, perEntry bool) (*led
 	sum := l.settle(t, eng, cpu, fmt.Sprintf("%s ×%d p0", cls.Name, shards))
 	sweeps := l.rows["sweeps"]
 	share := float64(sweeps) / float64(res.Makespan)
-	t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; sweeps %.4f µs/op = %.1f%% of the node's CPU time\n%s",
+	co := fab.Node(0).Coalescer().Stats()
+	t.Logf("%d %s shards, p0: %.2f ops/µs, busy %.1f%% of %v; sweeps %.4f µs/op = %.1f%% of the node's CPU time; %.2f summary WRs per peer per flush\n%s",
 		shards, cls.Name, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-		sweeps.Micros()/float64(res.Completed), 100*share, l.table(res.Completed))
+		sweeps.Micros()/float64(res.Completed), 100*share, float64(co.WRs)/float64(max(co.Batches, 1)), l.table(res.Completed))
 	return l, res.Throughput(), share
 }
 

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR67.json"
+	baselineSnapshot = "../../BENCH_PR70.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 
@@ -82,8 +82,8 @@ func TestExperimentsTables(t *testing.T) {
 		{"overview", "| 16.78 |", "| 16.79 |"},
 		{"ablations", "| 3.83 |", "| 3.84 |"},
 		{"costs", "| 63.96 |", "| 63.97 |"},
-		{"wire", "| 44.53 |", "| 44.54 |"},
-		{"shard", "| 15.92 |", "| 15.93 |"},
+		{"wire", "| 44.30 |", "| 44.31 |"},
+		{"shard", "| 18.28 |", "| 18.29 |"},
 	} {
 		at, end, cellAt := strings.Index(want, "<!-- begin "+c.block+" -->"), strings.Index(want, "<!-- end "+c.block+" -->"), -1
 		if 0 <= at && at < end {

@@ -36,10 +36,11 @@ func appliedPerShard(sys *storeSystem) (per []int) {
 // every call on one key must run like the one-shard store, and four loaded
 // shards like four loaded shards with twelve idle ones beside them (at commit
 // 08dadc7 an idle shard cost a 50 ns poll every 2 µs). How the calls spread
-// over the shards that are in use does show since commit c6f5281: δ-records
-// merge into one write only when two of them for one slot meet in a flush, so
-// throughput rises with key locality (uniform 11.76 / 11.19 / 10.95 ops/µs at
-// 4 / 8 / 16 shards) and never falls below the unmerged rate of its parent,
+// over the shards that are in use showed from commit c6f5281, when δ-records
+// merged into one write only when two of them for one slot met in a flush,
+// until every object's records to a peer shared one δ-log per node: uniform
+// keys now run like Zipf 2.5 ones (18.28 / 18.25 / 18.25 ops/µs at 4 / 8 /
+// 16 shards, EXPERIMENTS.md). No point falls below the unmerged rate of
 // 15bcad2. That floor is a measurement, not a quantum: this harness —
 // bench.Run over storeSystem, depth 4, uniform picks seeded 49 — run on
 // 15bcad2's tree reads 20 000 calls in 1 870 µs at the replication barrier at

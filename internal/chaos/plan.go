@@ -236,8 +236,8 @@ func (p Plan) Validate() error {
 // that a checker catches them. A plan names the mutants it installs
 // (Plan.Mutants), and the runner puts each where it applies: no-recovery
 // into the options every cluster is built with, apply-order, stale-scan and
-// no-local-delta onto every built cluster, cross-wire onto the opened shard
-// pairs, and stale-reads into the client sessions. Production types carry
+// no-local-delta onto every built cluster, cross-wire and cross-wire-reduce
+// onto the opened shard pairs, and stale-reads into the client sessions. Production types carry
 // none of them.
 type Mutant struct {
 	Name string
@@ -255,10 +255,12 @@ var Mutants = []Mutant{
 	{Name: "stale-reads", Doc: "the first read after a switch serves the session's first cached view",
 		needs: "sessions > 0", holds: func(p Plan) bool { return p.Sessions > 0 }},
 	{Name: "no-recovery", Doc: "failure handling off: no heartbeats, detectors, backup recovery or leader change"},
-	{Name: "stale-scan", Doc: "the summary scan trusts the anchor and log prefix it validated after a write touched them",
+	{Name: "stale-scan", Doc: "the summary scan trusts the anchors it validated after a write touched them",
 		needs: "a class with a summarization group", holds: summarized},
 	{Name: "no-local-delta", Doc: "an issuer installs the anchors it ships in its own summary slot but not the δ-records",
 		needs: "a class with a summarization group", holds: summarized},
+	{Name: "cross-wire-reduce", Doc: "shard pairs (0↔1, 2↔3 in open order) swap their δ-records in every node's walk",
+		needs: "shard_mix >= 2 and a class with a summarization group", holds: func(p Plan) bool { return p.ShardMix >= 2 && summarized(p) }},
 }
 
 // summarized reports whether the plan's class has a summarization group.

@@ -286,9 +286,10 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		sopts.Tracer = r.v.Trace
 		// Exact admission: the budget is the plan's shard count times what
 		// one shard's charge carves (store.Footprint, measured on a scratch
-		// fabric), so a shard whose regions grow with what else is open on
-		// the fabric surfaces here as an Open error.
-		sopts.MemoryBudget = p.ShardMix * store.Footprint(an, p.Nodes, copts)
+		// fabric), plus the nodes' δ-logs the first one charges, so a shard
+		// whose regions grow with what else is open on the fabric surfaces
+		// here as an Open error.
+		sopts.MemoryBudget = p.ShardMix*store.Footprint(an, p.Nodes, copts) + store.LogFootprint(an, p.Nodes, copts)
 		r.st = store.New(fab, sopts)
 		for i := 0; i < p.ShardMix; i++ {
 			key := fmt.Sprintf("s%02d", i)
@@ -299,8 +300,8 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 			addShard(key, sh.Cluster)
 		}
 	}
-	// The mutants that act on built clusters; cross-wire pairs the shards in
-	// open order.
+	// The mutants that act on built clusters; the cross-wires pair the shards
+	// in open order.
 	for i, sh := range r.shards {
 		if p.mutated("apply-order") {
 			sh.cluster.MutateApplyOrder()
@@ -313,6 +314,9 @@ func Run(p Plan, opts Options) (*Verdict, error) {
 		}
 		if p.mutated("cross-wire") && i%2 == 1 {
 			core.CrossWire(r.shards[i-1].cluster, sh.cluster)
+		}
+		if p.mutated("cross-wire-reduce") && i%2 == 1 {
+			core.CrossWireReduce(r.shards[i-1].cluster, sh.cluster)
 		}
 	}
 	// The watchdog observes health snapshots on the probe cadence. Both

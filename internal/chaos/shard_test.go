@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -155,5 +156,21 @@ func TestFabricRegistry(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCorpusShardLap replays the corpus plan whose four counter shards share
+// each writer's 64-byte δ-log while node 2 sleeps for 600 µs: the writers
+// fill many passes of their logs over records node 2 never read, and it must
+// catch up through fetches and pass, checked.
+func TestCorpusShardLap(t *testing.T) {
+	p := readCorpusPlan(t, filepath.Join("testdata", "chaos", "counter-shardmix-lap-seed2200.json"))
+	if p.ShardMix != 4 || p.DeltaLogBytes != 64 {
+		t.Fatalf("plan has shard_mix %d and a %d-byte δ-log, want 4 shards on a 64-byte one", p.ShardMix, p.DeltaLogBytes)
+	}
+	v := mustRun(t, p, Options{EnableMetrics: true}.Checked())
+	assertPassed(t, v)
+	if fetches := v.Metrics.Counter("core.gap_fetches").Value(); fetches == 0 {
+		t.Fatal("no gap fetch: the sleeping node was never lapped")
 	}
 }

@@ -55,7 +55,8 @@ type DeltaRecord struct {
 	Epoch   uint32      // configuration epoch the writer stamped (FrameAnchor)
 	Counts  []uint32    // absolute per-method applied counts (summary records)
 	C       spec.Call   // the call, folded call, or full summary
-	D       spec.DepVec // dependency record (buffered and ordered calls)
+	D       spec.DepVec // dependency record (FrameFull; a summary record has none)
+	Pass    uint32      // the δ-log pass a summary record was written in, in place of D
 }
 
 // AppendUvarint appends v in canonical unsigned varint form.
@@ -178,6 +179,12 @@ func MaxDepVecBytes(cells int) int { return UvarintLen(uint64(cells)) + 5*cells 
 // The deltas wrap like int64 arithmetic, and the decoder adds them back the
 // same way.
 func AppendCall(b []byte, c spec.Call, d spec.DepVec) []byte {
+	return appendDepVec(appendCallBody(b, c), d)
+}
+
+// appendCallBody appends c without its dependency record: a bare call's
+// fields up to the DepVec, which a summary record replaces by its pass.
+func appendCallBody(b []byte, c spec.Call) []byte {
 	b = AppendUvarint(b, uint64(c.Method))
 	b = AppendUvarint(b, uint64(c.Proc))
 	b = AppendUvarint(b, c.Seq)
@@ -192,7 +199,7 @@ func AppendCall(b []byte, c spec.Call, d spec.DepVec) []byte {
 		b = AppendUvarint(b, uint64(len(s)))
 		b = append(b, s...)
 	}
-	return appendDepVec(b, d)
+	return b
 }
 
 // DecodeCall decodes the bare call at the front of b (AppendCall) into dst.C
@@ -213,6 +220,21 @@ func DecodeCall(dst *DeltaRecord, b []byte) (int, error) {
 
 // decodePackedCall is DecodeCall with Uvarint's error classes.
 func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
+	p, err := decodeCallBody(dst, b)
+	if err != nil {
+		return 0, err
+	}
+	d, n, err := decodeU32Packed(dst.D, b[p:])
+	if err != nil {
+		return 0, err
+	}
+	dst.D = d
+	return p + n, nil
+}
+
+// decodeCallBody decodes what appendCallBody wrote into dst.C and returns
+// the bytes it took.
+func decodeCallBody(dst *DeltaRecord, b []byte) (int, error) {
 	c := &dst.C
 	p := 0
 	next := func() (uint64, error) {
@@ -271,12 +293,7 @@ func decodePackedCall(dst *DeltaRecord, b []byte) (int, error) {
 		c.Args.S[i] = string(b[p : p+int(l)])
 		p += int(l)
 	}
-	d, n, err := decodeU32Packed(dst.D, b[p:])
-	if err != nil {
-		return 0, err
-	}
-	dst.D = d
-	return p + n, nil
+	return p, nil
 }
 
 // AppendDeltaRecord appends one call record to dst as a self-delimiting frame
@@ -309,7 +326,11 @@ func AppendDeltaRecord(dst []byte, r DeltaRecord) ([]byte, error) {
 		return dst, fmt.Errorf("%w: unknown delta kind 0x%02x", ErrCorrupt, r.Kind)
 	}
 	b = appendU32Packed(b, r.Counts)
-	b = AppendCall(b, r.C, r.D)
+	if r.Kind == FrameFull {
+		b = AppendCall(b, r.C, r.D)
+	} else {
+		b = AppendUvarint(appendCallBody(b, r.C), uint64(r.Pass))
+	}
 	total := len(b) - start + RecordTrailer
 	if total > MaxRecord {
 		return dst, fmt.Errorf("%w: %d bytes", ErrTooLarge, total)
@@ -458,7 +479,12 @@ func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 		return asCorrupt(err)
 	}
 	dst.Counts = counts
-	n, err := DecodeCall(dst, body[p:])
+	var n int
+	if h.Kind == FrameFull {
+		n, err = DecodeCall(dst, body[p:])
+	} else {
+		n, err = decodeSummaryCall(dst, body[p:])
+	}
 	if err != nil {
 		return err
 	}
@@ -470,6 +496,24 @@ func DecodeDeltaBody(dst *DeltaRecord, b []byte, h DeltaHeader) error {
 		dst.Span, dst.Epoch = 0, h.Span
 	}
 	return nil
+}
+
+// decodeSummaryCall decodes a summary record's call and pass, the call's
+// dependency record left empty; errors as for DecodeCall.
+func decodeSummaryCall(dst *DeltaRecord, b []byte) (int, error) {
+	p, err := decodeCallBody(dst, b)
+	if err != nil {
+		return 0, asCorrupt(err)
+	}
+	pass, n, err := Uvarint(b[p:])
+	if err != nil {
+		return 0, asCorrupt(err)
+	}
+	if pass > uint64(^uint32(0)) {
+		return 0, fmt.Errorf("%w: pass overflows u32", ErrCorrupt)
+	}
+	dst.Pass, dst.D = uint32(pass), dst.D[:0]
+	return p + n, nil
 }
 
 // DecodeDeltaRecord parses a delta record from the front of b into fresh

@@ -54,6 +54,9 @@ func TestDeltaRecordRoundTrip(t *testing.T) {
 			case FrameAnchor: // only an anchor carries an epoch
 				r.Epoch = vs[1]
 			}
+			if kind != FrameFull { // a summary record carries a pass in place of a dependency record
+				r.D, r.Pass = nil, vs[1]
+			}
 			b, err := EncodeDeltaRecord(r)
 			if err != nil {
 				t.Fatal(err)
@@ -113,6 +116,7 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 					for i := range rec.Counts {
 						rec.Counts[i] = uint32(r.Intn(1 << 20))
 					}
+					rec.D, rec.Pass = nil, uint32(len(rec.D))<<uint(r.Intn(20))
 				}
 				b, err := AppendDeltaRecord([]byte("prefix"), rec)
 				if err != nil {
@@ -124,7 +128,7 @@ func TestBundledCallsRoundTrip(t *testing.T) {
 				}
 				if got.Kind != rec.Kind || got.Version != rec.Version || got.Span != rec.Span || got.Epoch != rec.Epoch || got.C.Method != rec.C.Method ||
 					got.C.Proc != rec.C.Proc || got.C.Seq != rec.C.Seq || !got.C.Args.Equal(rec.C.Args) ||
-					!slices.Equal(got.Counts, rec.Counts) || !slices.Equal(got.D, rec.D) {
+					!slices.Equal(got.Counts, rec.Counts) || !slices.Equal(got.D, rec.D) || got.Pass != rec.Pass {
 					t.Fatalf("%s.%s round trip:\n got %+v\nwant %+v", cls.Name, cls.Methods[u].Name, got, rec)
 				}
 				if re, err := EncodeDeltaRecord(got); err != nil || !bytes.Equal(re, b[6:]) {
@@ -472,7 +476,7 @@ func TestDeltaSpanBounds(t *testing.T) {
 	if _, err := EncodeDeltaRecord(r); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("encoding span 42 at v41: err = %v, want ErrCorrupt", err)
 	}
-	r.Span = 0
+	r.Span, r.D = 0, nil // a summary record's pass takes the empty dependency record's byte
 	one, err := EncodeDeltaRecord(r)
 	if err != nil {
 		t.Fatal(err)

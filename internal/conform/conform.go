@@ -120,6 +120,13 @@ func (r *Report) String() string {
 	return b.String()
 }
 
+// slotVersion names one version of one summary slot: group, writer, version.
+type slotVersion struct {
+	g   int
+	src spec.ProcID
+	ver uint32
+}
+
 // nodeState is what the trace-only checks remember of one replica.
 type nodeState struct {
 	seen     map[string]int // applies per call identity (at-most-once)
@@ -134,10 +141,11 @@ type checker struct {
 	k     *rdmawrdt.Config // σ, A and S of every replica, moved only by Fig. 7's steps
 	nodes []*nodeState
 
-	issued  map[string]spec.Call // identity -> the issued call
-	ordered map[string]bool      // identities sequenced by a leader
-	acked   map[string]bool      // identities acknowledged OK at the origin
-	lastAt  sim.Time             // timestamp of the last consumed event
+	issued  map[string]spec.Call      // identity -> the issued call
+	written map[slotVersion]spec.Call // the summary each REDUCE left in its issuer's slot
+	ordered map[string]bool           // identities sequenced by a leader
+	acked   map[string]bool           // identities acknowledged OK at the origin
+	lastAt  sim.Time                  // timestamp of the last consumed event
 }
 
 // Check replays a trace against the semantics of an's class and reports
@@ -157,6 +165,7 @@ func Check(an *spec.Analysis, events []trace.Event, opts Options) *Report {
 		rep:     &Report{Events: len(events)},
 		k:       rdmawrdt.New(an, nodes),
 		issued:  make(map[string]spec.Call),
+		written: make(map[slotVersion]spec.Call),
 		ordered: make(map[string]bool),
 		acked:   make(map[string]bool),
 	}
@@ -293,6 +302,16 @@ func (c *checker) stepSlot(e trace.Event, rec trace.SlotRecord) {
 	if !c.k.Newer(p, rec.Group, rec.Src, rec.Version) {
 		c.violate("trace", e, fmt.Sprintf("REDUCE write premise fails: slot g%d/p%d version regressed on %s: v%d after v%d",
 			rec.Group, rec.Src, e.Kind, rec.Version, s[rec.Group][rec.Src].Version))
+	}
+	// Provenance: an adopted slot version holds what its writer's REDUCE
+	// left there. A mismatch means the scan folded somebody else's records
+	// into the slot (e.g. two shards' δ-records cross-wired).
+	at := slotVersion{rec.Group, rec.Src, rec.Version}
+	if want, ok := c.written[at]; e.Kind == trace.Adopt && ok && !reflect.DeepEqual(want, rec.Sum) {
+		c.violate("identity", e, fmt.Sprintf("adopted slot g%d/p%d v%d holds %s, not the %s its writer's REDUCE left there",
+			rec.Group, rec.Src, rec.Version, rec.Sum.Format(c.cls), want.Format(c.cls)))
+	} else if e.Kind == trace.Reduce {
+		c.written[at] = rec.Sum
 	}
 	c.k.Install(p, rec.Group, rec.Src, rdmawrdt.Slot{Sum: rec.Sum, Version: rec.Version}, rec.Counts)
 	if e.Kind == trace.Adopt {

@@ -40,6 +40,7 @@ func TestFingerprints(t *testing.T) {
 		pinned{name: "sharded/corpus-orset-seed1400", plan: chaosCorpusPlan(t, "orset-shardmix-seed1400.json")},
 		pinned{name: "sharded/corpus-bankmap-sessions-seed1606", plan: chaosCorpusPlan(t, "bankmap-shardmix-sessions-seed1606.json")},
 		pinned{name: "sharded/crosswire", plan: crossWirePlan()},
+		pinned{name: "sharded/corpus-counter-lap-seed2200", plan: chaosCorpusPlan(t, "counter-shardmix-lap-seed2200.json")},
 	)
 	for _, class := range []string{"counter", "orset", "account"} {
 		cases = append(cases, pinned{name: "sharded/generated-" + class, plan: chaos.GenerateSharded(class, 4, 120, 51, 4)})

@@ -54,6 +54,12 @@ func crossWirePlan() chaos.Plan {
 	return chaos.Plan{Class: "orset", Nodes: 4, Ops: 120, Seed: 61, ShardMix: 2, Mutants: []string{"cross-wire"}}
 }
 
+// crossWireReducePlan is the cross-wire-reduce mutant's control: two counter
+// shards whose δ-records each node's walk folds into the other's slots.
+func crossWireReducePlan() chaos.Plan {
+	return chaos.Plan{Class: "counter", Nodes: 4, Ops: 120, Seed: 61, ShardMix: 2, Mutants: []string{"cross-wire-reduce"}}
+}
+
 // sessionReconfigPlan is the membership round-trip with two live sessions;
 // stale installs the stale-reads mutant on it, which makes it that mutant's
 // control.
@@ -142,6 +148,20 @@ func controls(t *testing.T) []control {
 			}
 		},
 	}, {
+		// rule REDUCE's cross-wire: the per-shard checker flags a slot version
+		// adopted with another shard's records folded in as an identity
+		// violation, at some shard and in the run's report.
+		mutant: "cross-wire-reduce", family: []chaos.Plan{crossWireReducePlan()}, twin: true,
+		caught: func(t *testing.T, v *chaos.Verdict) {
+			atShard := false
+			for _, rep := range v.Conform.Shards {
+				atShard = atShard || hasCheck(rep, "identity")
+			}
+			if !atShard || !hasCheck(v.Conform, "identity") {
+				t.Errorf("no identity violation; the crossed δ-records were flagged for the wrong reason:\n%s", v.Conform)
+			}
+		},
+	}, {
 		// Only the history check fails the run, through a session check, and
 		// every violating session shrinks to the offending write/read pair
 		// plus little else.
@@ -178,12 +198,12 @@ func controls(t *testing.T) []control {
 		twin:   true,
 		caught: wantQuiescence,
 	}, {
-		// A summary scan that trusts the anchor and log prefix it validated
-		// after writes landed over them misses what they carried; the reader
-		// never reaches the writer's version, which the quiescence probe
-		// reports. The corpus plan's 64-byte δ-log wraps every few records,
-		// the default 4 KiB one in no corpus plan, so this is the plan that
-		// overwrites what a reader validated.
+		// A summary scan that trusts the anchors it validated after writes
+		// landed over them misses what they carried; the reader never reaches
+		// the writer's version, which the quiescence probe reports. The
+		// corpus plan's 64-byte δ-log wraps every few records, re-anchoring
+		// as often, the default 4 KiB one in no corpus plan, so this is the
+		// plan that overwrites an anchor a reader validated.
 		mutant: "stale-scan", family: []chaos.Plan{staleScanPlan(t)}, twin: true,
 		caught: wantQuiescence,
 	}, {

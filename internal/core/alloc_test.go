@@ -113,12 +113,11 @@ func TestQueryCycleZeroAlloc(t *testing.T) {
 }
 
 // TestQuiescentScanZeroAlloc pins the cost of the poll that runs most: a
-// full scanSummaries pass over a 4-node counter cluster at rest. Every peer
-// slot's δ-log holds records the replica folded long ago; the pass must
-// re-validate each of them (length, canary, CRC, kind, version) and decode
-// none, which is what keeps it free of allocations — a body decode
-// materialises Counts and Args per record, and the garbage tail that ends
-// every walk must not cost an error message.
+// full scanSummaries pass over a 4-node counter cluster at rest. Every peer's
+// δ-log holds records the replica folded long ago; the pass reads each log's
+// head and the empty bytes behind the walk's position, decoding into the
+// node's scratch record, which is what keeps it free of allocations — and the
+// empty tail that ends every walk must not cost an error message.
 func TestQuiescentScanZeroAlloc(t *testing.T) {
 	const perNode = 10
 	h := newHarness(t, crdt.NewCounter(), 4, 81, func(o *Options) { o.CheckIntegrity = false })
@@ -136,10 +135,8 @@ func TestQuiescentScanZeroAlloc(t *testing.T) {
 	h.checkConvergence()
 
 	r := h.cluster.Replica(0)
-	region := r.node.Region(r.sumRegion).Bytes()
 	for p := 1; p < 4; p++ {
-		off := r.slotOffset(0, spec.ProcID(p))
-		log := region[off+r.anchorCap() : off+r.opts.SumSlotSize]
+		log := nodeLogOfWriter(r, spec.ProcID(p))
 		records := 0
 		for {
 			hd, err := codec.PeekDeltaRecord(log)
@@ -301,7 +298,7 @@ func TestSummaryGrowthAllocs(t *testing.T) {
 		o.DisableFailureHandling = true
 	})
 	r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
-	r1.stop() // no periodic scan: the measured one below is the only one
+	pauseScan(r1) // no periodic scan: the measured one below is the only one
 	args := make([]spec.Args, keys)
 	for k := range args {
 		args[k] = spec.ArgsI(int64(k))
@@ -369,20 +366,20 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 	slot := r.sums[0][0]
 	top := slot.version
 	c := spec.Call{Method: crdt.CounterAdd, Proc: 0, Seq: 4, Args: spec.ArgsI(4)}
-	logOff := r.slotOffset(0, 0) + r.anchorCap()
+	logOff := int(r.id) * r.nlog.size
 	now := h.eng.Now()
 	var recLen int
 	ship := func() {
 		slot.version++ // the call's version; a cycle ends at top
-		rec, at := r.nextDelta(0, slot, c)
+		rec, _, at := r.nextDelta(0, slot, c)
 		recLen = len(rec)
-		r.propagate(0, rdma.WR{Region: sumRegionBase, Off: logOff + at, Data: rec})
+		r.propagate(0, rdma.WR{Region: NodeLogRegion, Off: logOff + at, Data: rec})
 	}
 	cycle := func(calls int) func() {
 		return func() {
 			// The same log bytes every cycle, never an anchor.
 			dw := &r.deltaW[0]
-			dw.logOff, dw.sinceAnchor, dw.open = 0, 0, false
+			dw.logOff, dw.sinceAnchor, dw.open, r.nlog.at = 0, 0, false, 0
 			slot.version = top - uint32(calls)
 			for i := 0; i < calls; i++ {
 				ship()
@@ -405,7 +402,7 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 		}
 	}
 	for p := 1; p < 4; p++ {
-		log := h.cluster.Replica(spec.ProcID(p)).node.Region(sumRegionBase).Bytes()[logOff:]
+		log := h.cluster.Replica(spec.ProcID(p)).node.Region(NodeLogRegion).Bytes()[logOff:]
 		if hd, err := codec.PeekDeltaRecord(log); err != nil || hd.Version != top || hd.Span != burst || hd.Total != recLen {
 			t.Fatalf("p%d's log does not hold the run the cycles wrote: %+v, %v", p, hd, err)
 		}

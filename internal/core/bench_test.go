@@ -22,7 +22,7 @@ func BenchmarkReduceCall(b *testing.B) {
 			opts.DisableFailureHandling = true
 			c := NewCluster(rdma.NewFabric(eng, 2, rdma.DefaultLatency()), spec.MustAnalyze(crdt.NewGSet()), opts)
 			r0 := c.Replica(0)
-			c.Replica(1).stop()
+			pauseScan(c.Replica(1))
 			all := make([]int64, keys)
 			for i := range all {
 				all[i] = int64(i)

@@ -131,6 +131,11 @@ type Cluster struct {
 	// replica has drained the departed source's remaining frames.
 	epoch   uint32
 	members []bool
+
+	// tagBase is the node-log tag of the cluster's summarization group 0: its
+	// groups' records carry tags tagBase, tagBase+1, … in every node's δ-log
+	// (nodeLog), numbered fabric-wide and never reused.
+	tagBase int
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -206,11 +211,17 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 		mu.Setup(fab, muGroup(c.ns, g), opts.Mu, rdma.NodeID(c.leaders[g]))
 	}
 	nslots := len(an.Class.SumGroups) * n
+	if nslots > 0 {
+		c.tagBase = nodeLogOf(fab, fab.Node(0), opts.DeltaLogBytes).nextTag
+		for i := 0; i < n; i++ {
+			nodeLogOf(fab, fab.Node(rdma.NodeID(i)), opts.DeltaLogBytes).nextTag = c.tagBase + len(an.Class.SumGroups)
+		}
+	}
 	for i := 0; i < n; i++ {
 		node := fab.Node(rdma.NodeID(i))
 		if nslots > 0 {
 			r := node.Register(c.ns+sumRegionBase, nslots*opts.SumSlotSize)
-			r.TrackWrites() // the scan validates only what moved (Replica.scanSlot)
+			r.TrackWrites() // the scan validates only anchors that moved (Replica.scanAnchors)
 			// Single-writer per slot by protocol; the grants are explicit
 			// per peer (not AllowAllWrites) so a leaving node's permission
 			// can be revoked without touching anyone else's.
@@ -268,8 +279,8 @@ func (c *Cluster) MutateApplyOrder() {
 }
 
 // MutateStaleScan installs the stale-scan mutant on every replica: the scan
-// trusts the anchor and the log prefix it validated even after a write
-// touched their bytes. It is for the mutation controls only, a bug the δ-path
+// trusts the anchors it validated even after a write touched their bytes.
+// It is for the mutation controls only, a bug the δ-path
 // tests and the chaos corpus must catch.
 func (c *Cluster) MutateStaleScan() {
 	for _, r := range c.Replicas {
@@ -297,7 +308,34 @@ func CrossWire(a, b *Cluster) {
 	}
 }
 
-// Stop cancels every replica's tickers, takes its in-channels out of its
+// CrossWireReduce is CrossWire's rule-REDUCE analog on two clusters of one
+// fabric with as many summarization groups: every node's scan folds the
+// δ-records of each one's slots into the other's. It is for the conformance
+// harness only.
+func CrossWireReduce(a, b *Cluster) {
+	for _, r := range a.Replicas {
+		if nl := r.nlog; nl != nil {
+			for g := range r.sums {
+				nl.slots[a.tagBase+g], nl.slots[b.tagBase+g] = nl.slots[b.tagBase+g], nl.slots[a.tagBase+g]
+			}
+		}
+	}
+}
+
+// MutateIgnorePass installs the ignore-pass mutant on the nodes of the
+// cluster: their scans read every δ-log record as one of the pass they
+// walk, so a walk never follows its writer into the next pass. It is for the
+// mutation controls only; it acts on every object of those nodes.
+func (c *Cluster) MutateIgnorePass() {
+	for _, r := range c.Replicas {
+		if r.nlog != nil {
+			r.nlog.mutatePass = true
+		}
+	}
+}
+
+// Stop takes every replica off its node's summary scan (the node's last
+// replica stops the scan), takes its in-channels out of its
 // node's poll loop and its subscription off its node's failure detection (a
 // stopped replica hears no suspicion; the node's last subscriber stops the
 // heartbeat and the detector), and retires its counter reads into the
@@ -326,43 +364,40 @@ type sumSlot struct {
 	tornStreak uint8 // consecutive scans stuck on a torn frame
 	fetching   bool  // a full-state fetch of this slot is outstanding
 
-	// What earlier scans validated (scanSlot), each with the summary
-	// region's generation the bytes were read at: bytes no write has touched
-	// since are not validated again.
+	// What the current scan pass found for the slot (scanAnchors,
+	// foldRecord, nodeLog.stuck), settled behind its writer's walk.
+	changed, stuck, gap bool
+
+	// epoch is the epoch stamped on the anchor the slot was last adopted
+	// from: the δ-records folded onto it are its writer's as of that epoch,
+	// and the writer's epoch floor refuses them once it rises above it.
+	epoch uint32
+	seen  uint64 // the node walk's delivery count at the slot's last record (nodeLog.seq)
+
+	// The anchor an earlier scan validated, with the summary region's
+	// generation it was read at: an anchor no write has touched since is
+	// not validated again.
 	anchor    codec.DeltaHeader // the anchor's header
 	anchorGen uint64            // 0: none
-	walked    seenLog           // the log prefix the walk has passed
-}
-
-// seenLog is the prefix [0, end) of a slot's δ-log that a walk validated and
-// passed, every record in it stale or folded once the slot reached version
-// ver: while no write touches the prefix and the slot stays at ver or above,
-// a walk would pass it again without a fold, a fetch or a torn reject. The
-// prefix's bytes in its last chunk, which the next record's landing also
-// stamps, are kept as a copy and compared instead.
-type seenLog struct {
-	gen  uint64 // 0: none
-	end  int
-	ver  uint32
-	tail []byte // the prefix's bytes past its last whole chunk, in an array of GenChunk bytes
 }
 
 // deltaWriter is the writer-side state of one delta-group summary slot:
-// where the next δ-record lands in the slot's log area, how many calls have
-// shipped since the last full-state anchor, and the open run — the δ-record
-// the next call folds into while it is still the pending tail of every peer's
-// batch in the coalescer.
+// where the next δ-record lands in the log area of the writer's own copy of
+// the slot, how many calls have shipped since the last full-state anchor,
+// and the open run — the δ-record the next call folds into while it is still
+// the pending tail of every peer's batch in the coalescer.
 type deltaWriter struct {
 	anchored    bool // an anchor has shipped since the start or the last join
 	logOff      int
 	sinceAnchor int // calls shipped as δ-records since the last anchor (Replica.AnchorAge)
 
-	open  bool      // a run is open: its record is at runAt
-	mark  uint64    // the coalescer's Mark right after the group's last enqueue
-	runAt int       // log offset of the run's record
-	ext   int       // bytes the run's record has covered in this flush: the longest encoding
-	first uint32    // slot version of the run's first call
-	call  spec.Call // the group's Summarize over the run; the writer owns its arrays
+	open   bool      // a run is open: its record is at runAt, and at nodeAt in the node's log
+	mark   uint64    // the coalescer's Mark right after the group's last enqueue
+	runAt  int       // own log offset of the run's record
+	nodeAt int       // node-log offset of the run's record
+	ext    int       // bytes the run's record has covered in this flush: the longest encoding
+	first  uint32    // slot version of the run's first call
+	call   spec.Call // the group's Summarize over the run; the writer owns its arrays
 }
 
 // clientCall is a client call on its way from Invoke to its IssueCost item,
@@ -420,13 +455,23 @@ type Replica struct {
 	coal *rdma.Coalescer
 	// Per-group delta-writer state for the own slot.
 	deltaW []deltaWriter
+	// nlog is the node's δ-logs: every δ-record the replica ships to a peer
+	// lands in the peer's copy of the node's log, and the node's scan walks
+	// every peer's log into the replica's slots. Nil without summaries.
+	nlog *nodeLog
+	// What the node's current scan pass found for this replica: whether a
+	// slot changed, and per source whether a slot was unreadable (only while
+	// an epoch floor waits for its drain proof; nil otherwise).
+	scanChanged bool
+	scanBlocked []bool
 	// recBuf is where nextDelta, accept, invokeConf and leaderTransform
 	// encode the record or call they hand on; the summary region, the coalescer, the
 	// broadcast, mu.Submit and mu (which copies Transform's result into the
 	// entry) copy it before it is reused.
 	recBuf []byte
 	// The scratch records: walkLog decodes the δ-record it folds into
-	// deltaRec, which Summarize and the views only borrow; adoptAnchor decodes
+	// deltaRec (the node's scan, into its own), which Summarize and the views
+	// only borrow; adoptAnchor decodes
 	// an anchor into anchorRec, folds a read log onto it and swaps its arrays
 	// with the slot's once it has passed every check; and callRec is where
 	// leaderTransform decodes the call it orders, and onFreeDelivery and
@@ -489,8 +534,6 @@ type Replica struct {
 	mFreeDepth *metrics.Gauge     // total F-buffer depth
 	mConfDepth *metrics.Gauge     // total L-buffer depth
 
-	tickers []*sim.Ticker
-
 	// Stats; the registry's core.* counters read them through reads, which
 	// Cluster.Stop retires.
 	reads          []*metrics.Read
@@ -552,8 +595,7 @@ func newReplica(c *Cluster, id spec.ProcID, live *rdma.Subscription) *Replica {
 		row := make([]*sumSlot, n)
 		for p := range row {
 			g := len(r.sums)
-			row[p] = &sumSlot{call: cls.SumGroups[g].Identity(), counts: make([]uint32, len(cls.SumGroups[g].Methods)),
-				walked: seenLog{tail: make([]byte, 0, rdma.GenChunk)}}
+			row[p] = &sumSlot{call: cls.SumGroups[g].Identity(), counts: make([]uint32, len(cls.SumGroups[g].Methods))}
 		}
 		r.sums = append(r.sums, row)
 	}
@@ -604,9 +646,10 @@ func newReplica(c *Cluster, id spec.ProcID, live *rdma.Subscription) *Replica {
 
 	r.hb = live
 
-	// The summary scan.
+	// The summary scan: the node's, which the node's first replica starts.
 	if r.haveSums {
-		r.tickers = append(r.tickers, c.Fab.Engine().NewTicker(c.Fab.Latency().ScanPeriod, r.scanSummaries))
+		r.nlog = nodeLogOf(c.Fab, r.node, c.Opts.DeltaLogBytes)
+		r.nlog.join(r, c.tagBase)
 	}
 	return r
 }
@@ -651,8 +694,8 @@ func (r *Replica) DeltaStats() (deltas, anchors, gapFetches uint64) {
 // stop cancels the replica's background activity and takes it off its
 // node's failure detection.
 func (r *Replica) stop() {
-	for _, t := range r.tickers {
-		t.Cancel()
+	if r.nlog != nil {
+		r.nlog.leave(r)
 	}
 	r.rx.Stop()
 	for _, in := range r.groups {

@@ -14,6 +14,15 @@ import (
 	"hamband/internal/spec"
 )
 
+// pauseScan cancels the periodic summary scan of r's node: the test's own
+// scanSummaries calls are then the only passes.
+func pauseScan(r *Replica) { r.nlog.ticker.Cancel() }
+
+// nodeLogOfWriter returns r's node's copy of writer w's δ-log.
+func nodeLogOfWriter(r *Replica, w spec.ProcID) []byte {
+	return r.node.Region(NodeLogRegion).Bytes()[int(w)*r.nlog.size : int(w+1)*r.nlog.size]
+}
+
 // deltaStats sums the delta pipeline counters across a cluster.
 func deltaStats(c *Cluster) (deltas, anchors, fetches uint64) {
 	for _, r := range c.Replicas {
@@ -231,7 +240,7 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 			o.DeltaLogBytes = MinDeltaLogBytes
 		})
 		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
-		r1.stop()
+		pauseScan(r1)
 		h.invoke(0, crdt.CounterAdd, spec.ArgsI(tc.a))
 		h.eng.RunFor(100 * sim.Microsecond)
 		r1.scanSummaries()
@@ -269,7 +278,7 @@ func TestTornAnchorOverwriteParksAndFetches(t *testing.T) {
 		// and land the re-anchor again, torn.
 		next := bytes.Clone(theirs[:hd.Total])
 		mine.Write(off, held)
-		mine.Write(off+r1.anchorCap(), make([]byte, r1.opts.DeltaLogBytes))
+		copy(nodeLogOfWriter(r1, 0), make([]byte, r1.nlog.size))
 		mine.Write(off, next[:4])
 		mine.Write(off+len(next)-4, next[len(next)-4:])
 
@@ -355,8 +364,7 @@ func deltaGap(t *testing.T, noLocalDelta bool) error {
 		t.Fatal(err)
 	}
 	h.eng.At(h.eng.Now(), func() {
-		off := r1.slotOffset(0, 0)
-		r1.node.Region(sumRegionBase).Write(off+r1.anchorCap(), rec)
+		r1.node.Region(NodeLogRegion).Write(0, rec) // p0's log, as p0's first record
 	})
 	h.eng.RunFor(5 * sim.Millisecond)
 
@@ -378,9 +386,11 @@ func deltaGap(t *testing.T, noLocalDelta bool) error {
 // is written by the writes it ships and nothing else. On a counter and a
 // gset with the smallest δ-log, bursts of one to four calls a flush apart
 // fold into runs and re-anchor at least twice. Between two re-anchors the
-// issuer's anchor area does not change, and at quiescence its whole slot —
-// anchor, log and the stale bytes of earlier rounds — equals each peer's
-// copy byte for byte.
+// issuer's anchor area does not change, and at quiescence its anchor area
+// equals each peer's copy of it byte for byte, and — the node hosting one
+// object of one summarization group — its log, the stale bytes of earlier
+// rounds included, equals each peer's copy of the node's δ-log: the same
+// records at the same offsets, restarted at the same points.
 func TestIssuerSlotMatchesEveryCopy(t *testing.T) {
 	for _, tc := range []struct {
 		cls *spec.Class
@@ -409,7 +419,8 @@ func TestIssuerSlotMatchesEveryCopy(t *testing.T) {
 			t.Fatalf("%s: the runs did not replicate", tc.cls.Name)
 		}
 		for _, r := range h.cluster.Replicas[1:] {
-			if !bytes.Equal(r.node.Region(r.sumRegion).Bytes()[off:off+r.opts.SumSlotSize], own) {
+			if !bytes.Equal(r.node.Region(r.sumRegion).Bytes()[off:off+r.anchorCap()], own[:r0.anchorCap()]) ||
+				!bytes.Equal(nodeLogOfWriter(r, 0), own[r0.anchorCap():]) {
 				t.Fatalf("%s: p%d's copy of p0's slot differs from p0's own after %d runs and %d anchors",
 					tc.cls.Name, r.id, runs, anchors)
 			}
@@ -652,8 +663,7 @@ func tornRun(t *testing.T, staleScan bool) error {
 	anchor := r0.sums[0][0].version + 1 // round two's first call
 	final := anchor + run
 
-	off := r1.slotOffset(0, 0) + r1.anchorCap()
-	log := r1.node.Region(sumRegionBase).Bytes()[off : off+r1.opts.DeltaLogBytes]
+	log := nodeLogOfWriter(r1, 0)
 	type sample struct {
 		ver   uint32
 		torn  uint64
@@ -779,7 +789,7 @@ func TestTornSlotReadIsReread(t *testing.T) {
 			o.Metrics = reg
 		})
 		r0, r1 := h.cluster.Replica(0), h.cluster.Replica(1)
-		r1.stop()
+		pauseScan(r1)
 		h.invoke(0, crdt.CounterAdd, spec.ArgsI(5))
 		h.eng.RunFor(100 * sim.Microsecond)
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -305,7 +304,8 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	slot.version++
 
 	// The call ships as one record in one write: usually a small δ-record
-	// into the slot's log area (nextDelta), and when the log fills the anchor,
+	// (nextDelta) into the log area of the issuer's own slot and into every
+	// peer's copy of the node's δ-log, and when the slot's log fills the anchor,
 	// one call record at the slot head (codec.FrameAnchor: the summary call,
 	// its applied counts and the epoch that stamps it with the configuration
 	// its writer believed current; adopters reject anchors stamped below the
@@ -325,8 +325,11 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	}
 	off := r.slotOffset(g, r.id)
 	own := r.node.Region(r.sumRegion)
-	rec, at := r.nextDelta(g, slot, c)
-	wr := rdma.WR{Region: r.sumRegion, Off: off + r.anchorCap() + at, Data: rec, Label: label}
+	rec, at, nodeAt := r.nextDelta(g, slot, c)
+	wr := rdma.WR{Region: NodeLogRegion, Off: int(r.id)*r.nlog.size + nodeAt, Data: rec, Label: label}
+	if rec != nil && !r.mutateLocal {
+		own.Write(off+r.anchorCap()+at, rec)
+	}
 	if rec == nil {
 		// Encoded in place, so a growing summary costs no scratch.
 		frame, err := codec.AppendDeltaRecord(own.Bytes()[off:off:off+r.anchorCap()], codec.DeltaRecord{
@@ -336,10 +339,8 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 			panic(fmt.Sprintf("core: summary slot overflow at p%d: %d-byte anchor for a %d-byte anchor area (%v)",
 				r.id, len(frame), r.anchorCap(), err))
 		}
-		wr.Off, wr.Data = off, frame
-	}
-	if rec == nil || !r.mutateLocal {
-		own.Write(wr.Off, wr.Data)
+		wr.Region, wr.Off, wr.Data = r.sumRegion, off, frame
+		own.Write(off, frame)
 	}
 	r.propagate(g, wr)
 	r.statApplied++
@@ -377,70 +378,93 @@ func (r *Replica) slotOffset(g int, p spec.ProcID) int {
 // remaining DeltaLogBytes tail is the δ-record log.
 func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogBytes }
 
-// nextDelta picks what one reducible call ships: a δ-record and its offset
-// in the slot's log area, or nil — for the slot's first call, when the log
-// fills, or when the call does not pack — for a full-state re-anchor at the
-// slot head, which also resets the log cursor (peers skip the stale records
-// left behind by version). Anchors are not counted in calls: the log holds
-// every δ-record since the last anchor, and a scan pays only for the records
-// that landed since it last looked (scanSlot), so a longer log costs the
-// reader nothing and saves the writer the anchors' bytes.
+// nextDelta picks what one reducible call ships: a δ-record with its offsets
+// in the log area of the issuer's own slot and in the node's δ-log, or nil —
+// for the slot's first call, when the slot's log fills, or when the call does
+// not pack — for a full-state re-anchor at the slot head, which also resets
+// the slot's log cursor. Anchors are not counted in calls: the slot's log
+// holds every δ-record since its last anchor, so a longer log saves the
+// writer the anchors' bytes. The node's log fills on its own: a record that
+// does not fit behind its cursor starts a new pass at offset 0 (nodeLog).
 //
 // A δ-record is a run: while the open run's record is still the pending tail
 // of every peer's batch (nothing enqueued on the coalescer and no flush since,
 // which its Mark tells), c is folded into the run's call and the one record
-// re-encoded at the run's offset, where the coalescer writes it over the old
+// re-encoded at the run's offsets, where the coalescer writes it over the old
 // encoding. A shorter re-encoding is padded with zeros to the longest one, so
 // a peer's walk ends behind it on an empty length word instead of on the old
-// encoding's tail. Anything else starts a run at the log cursor. rec lives in
+// encoding's tail. Anything else starts a run at the cursors. rec lives in
 // the replica's scratch buffer and is good until the next call encodes over it.
-func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at int) {
+func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, nodeAt int) {
 	dw := &r.deltaW[g]
+	nl := r.nlog
 	if dw.anchored {
 		if dw.open && dw.mark == r.coal.Mark() {
 			dw.call = r.cls.SumGroups[g].Summarize(dw.call, c)
-			if rec := r.encodeRun(dw, slot); rec != nil {
+			if rec := r.encodeRun(g, dw, slot, nl.pass); r.fits(dw, rec) {
+				r.placeRun(dw, &rec)
 				dw.sinceAnchor++
-				return rec, dw.runAt
+				return rec, dw.runAt, dw.nodeAt
 			}
 		}
-		dw.open, dw.runAt, dw.ext, dw.first = true, dw.logOff, 0, slot.version
+		dw.open, dw.runAt, dw.nodeAt, dw.ext, dw.first = true, dw.logOff, nl.at, 0, slot.version
 		dw.call.Method, dw.call.Proc, dw.call.Seq = c.Method, c.Proc, c.Seq
 		dw.call.Args.I = append(dw.call.Args.I[:0], c.Args.I...)
 		dw.call.Args.S = append(dw.call.Args.S[:0], c.Args.S...)
-		if rec := r.encodeRun(dw, slot); rec != nil {
+		rec := r.encodeRun(g, dw, slot, nl.pass)
+		if rec != nil && dw.nodeAt+len(rec) > nl.size {
+			nl.at, nl.pass, dw.nodeAt = 0, (nl.pass+1)%passes, 0
+			rec = r.encodeRun(g, dw, slot, nl.pass)
+		}
+		if r.fits(dw, rec) {
+			r.placeRun(dw, &rec)
 			dw.sinceAnchor++
 			r.statDeltas++
-			return rec, dw.runAt
+			return rec, dw.runAt, dw.nodeAt
 		}
 	}
 	dw.anchored, dw.open, dw.logOff, dw.sinceAnchor = true, false, 0, 0
 	r.statAnchors++
-	return nil, 0
+	return nil, 0, 0
 }
 
-// encodeRun encodes dw's run, up to slot's version, at the run's offset into
-// the scratch buffer, padded to the longest encoding it had, and moves the
-// log cursor behind it; nil when it does not pack or fit the log.
-func (r *Replica) encodeRun(dw *deltaWriter, slot *sumSlot) []byte {
+// encodeRun encodes dw's run, up to slot's version, tagged with group g's
+// node-log tag in place of its Proc and stamped with pass, into the scratch
+// buffer; nil when it does not pack.
+func (r *Replica) encodeRun(g int, dw *deltaWriter, slot *sumSlot, pass uint32) []byte {
+	call := dw.call
+	call.Proc = spec.ProcID(r.cluster.tagBase + g)
 	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
 		Version: slot.version,
 		Span:    slot.version - dw.first + 1,
 		Counts:  slot.counts,
-		C:       dw.call,
+		C:       call,
+		Pass:    pass,
 	})
 	r.recBuf = rec
-	if err != nil || dw.runAt+len(rec) > r.opts.DeltaLogBytes {
+	if err != nil {
 		return nil
 	}
-	dw.logOff = dw.runAt + len(rec)
-	for len(rec) < dw.ext {
-		rec = append(rec, 0)
-	}
-	dw.ext = len(rec)
-	r.recBuf = rec
 	return rec
+}
+
+// fits reports whether rec packed and fits both logs at the run's offsets:
+// the node's log may be shorter than the slot's, when another cluster on the
+// fabric was built first with a shorter one.
+func (r *Replica) fits(dw *deltaWriter, rec []byte) bool {
+	return rec != nil && dw.runAt+len(rec) <= r.opts.DeltaLogBytes && dw.nodeAt+len(rec) <= r.nlog.size
+}
+
+// placeRun moves the cursors of the slot's log and the node's log behind the
+// run's record *rec and pads it to the longest encoding it had.
+func (r *Replica) placeRun(dw *deltaWriter, rec *[]byte) {
+	dw.logOff, r.nlog.at = dw.runAt+len(*rec), dw.nodeAt+len(*rec)
+	for len(*rec) < dw.ext {
+		*rec = append(*rec, 0)
+	}
+	dw.ext = len(*rec)
+	r.recBuf = *rec
 }
 
 func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
@@ -452,46 +476,124 @@ func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {
 	panic("core: method not in its summarization group")
 }
 
-// scanSummaries polls the local summary region for slots remotely
-// overwritten by peers and adopts newer versions: the decoded summary call
-// replaces the cached one and the applied counts advance. Each slot is an
-// anchor plus a δ-record log; the scan adopts a newer anchor and then
-// folds contiguous δ-records on top.
-func (r *Replica) scanSummaries() {
-	if r.node.Suspended() || r.node.Crashed() {
-		return
-	}
-	reg := r.node.Region(r.sumRegion)
-	changed := false
-	var blocked []bool // per source: a slot was unreadable this pass
+// scanSummaries runs one pass of the node's summary scan, which covers every
+// replica on the node (nodeLog.scan).
+func (r *Replica) scanSummaries() { r.nlog.scan() }
+
+// scanBegin starts the replica's share of a scan pass. Only while an epoch
+// floor waits for its drain proof does the pass note which sources' slots
+// were unreadable (settleSlots, scanEnd).
+func (r *Replica) scanBegin() {
+	r.scanChanged = false
+	r.scanBlocked = r.scanBlocked[:0]
 	for p := range r.floors {
 		if r.floors[p].Pending() != 0 {
-			blocked = make([]bool, r.n)
+			r.scanBlocked = append(r.scanBlocked, make([]bool, r.n)...)
 			break
 		}
 	}
+}
+
+// scanAnchors adopts the anchors at the heads of peer p's slots in the local
+// region when newer. An anchor an earlier scan validated is not validated
+// again while no write has touched its bytes (rdma.Region.Moved, which every
+// landing and adoptSlot's install stamp). A torn anchor leaves its slot
+// unreadable this pass (settleSlots).
+func (r *Replica) scanAnchors(p spec.ProcID) {
+	reg := r.node.Region(r.sumRegion)
+	region := reg.Bytes()
 	for g, row := range r.sums {
-		for p, slot := range row {
-			if spec.ProcID(p) == r.id {
-				continue // own slot is written locally
-			}
-			ch, stalled := r.scanSlot(g, spec.ProcID(p), slot, reg)
-			changed = changed || ch
-			if blocked != nil && (stalled || slot.fetching) {
-				blocked[p] = true
+		slot := row[p]
+		slot.changed, slot.stuck, slot.gap = false, false, false
+		off := r.slotOffset(g, p)
+		var err error
+		if slot.anchorGen == 0 || !r.unmoved(reg, off, slot.anchor.Total, slot.anchorGen) {
+			var h codec.DeltaHeader
+			if h, err = codec.PeekDeltaRecord(region[off : off+r.anchorCap()]); err == nil {
+				r.statValidated++
+				slot.anchor, slot.anchorGen = h, reg.Gen()
 			}
 		}
+		switch a := slot.anchor; {
+		case err == nil:
+			slot.changed = a.Version > slot.version && r.adoptAnchor(g, p, slot, region[off:], a, nil, "anchor")
+		case errors.Is(err, codec.ErrTorn):
+			r.statTorn++
+			slot.stuck = true
+		}
 	}
-	// Promote pending epoch floors (leave commits) once a full pass has read
-	// everything the departed source left behind: a floor raised any earlier
-	// could reject frames the source wrote — and acked — while still a
-	// member.
-	for p := range blocked {
-		if !blocked[p] {
+}
+
+// settleSlots settles what the scan pass found for peer p's slots, behind
+// p's walk. A slot left unreadable (a torn anchor, or a walk stuck on a torn
+// record) without a change or a gap fetch counts the scan, and on the
+// rdma.TornLooks-th such scan in a row fetches the writer's copy; a slot
+// that changed starts counting afresh.
+func (r *Replica) settleSlots(p spec.ProcID) {
+	for g, row := range r.sums {
+		slot := row[p]
+		if slot.changed {
+			r.scanChanged = true
+			slot.tornStreak = 0
+			continue
+		}
+		if !slot.stuck || slot.gap {
+			continue
+		}
+		if len(r.scanBlocked) > 0 {
+			r.scanBlocked[p] = true
+		}
+		if slot.tornStreak++; slot.tornStreak >= rdma.TornLooks {
+			slot.tornStreak = 0
+			r.fetchSlot(g, p, slot)
+		}
+	}
+}
+
+// foldRecord folds rec, a δ-record of peer p's group g that the node's walk
+// read, onto the slot when its run starts right behind the slot's version,
+// and reports whether the walk passes it. A record at or below the version
+// is stale. One starting further ahead (δs were lost: a partition, a dropped
+// write, a lapped walk) or straddling the version (a fetch landed mid-run) is
+// a gap: the slot fetches the writer's own copy instead of folding onto the
+// wrong base, and the walk waits at the record until the slot has caught up.
+// A record of a writer whose epoch floor has risen above the anchor the slot
+// folds onto (it left since) is not folded either: the slot fetches, and
+// the walk passes it.
+func (r *Replica) foldRecord(g int, p spec.ProcID, rec *codec.DeltaRecord) bool {
+	r.statValidated++
+	slot := r.sums[g][p]
+	switch {
+	case rec.Version <= slot.version:
+	case !r.floors[p].Admits(slot.epoch):
+		r.fetchSlot(g, p, slot)
+	case rec.Version-rec.Span == slot.version:
+		slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
+		r.installScan(g, p, slot, rec.Version, rec.Counts, "delta")
+		r.foldViews(rec.C)
+		slot.changed = true
+	default:
+		slot.gap = true
+		r.fetchSlot(g, p, slot)
+		return false
+	}
+	return true
+}
+
+// scanEnd ends the replica's share of a scan pass. Pending epoch floors
+// (leave commits) are promoted once a full pass has read everything the
+// departed source left behind: a floor raised any earlier could reject
+// frames the source wrote — and acked — while still a member.
+func (r *Replica) scanEnd() {
+	for p, blocked := range r.scanBlocked {
+		for _, row := range r.sums {
+			blocked = blocked || row[p].fetching
+		}
+		if !blocked {
 			r.floors[p].Drained()
 		}
 	}
-	if changed {
+	if r.scanChanged {
 		r.assertIntegrity("summary scan")
 		r.kickApply()
 	}
@@ -518,7 +620,8 @@ func (r *Replica) adoptAnchor(g int, p spec.ProcID, slot *sumSlot, b []byte, h c
 	if codec.DecodeDeltaBody(rec, b, h) != nil {
 		return false
 	}
-	r.walkLog(log, 0, rec.Version, func(d *codec.DeltaRecord) {
+	r.walkLog(log, rec.Version, func(d *codec.DeltaRecord) {
+		d.C.Proc = p // the record's tag
 		rec.C = r.cls.SumGroups[g].Summarize(rec.C, d.C)
 		rec.Version, rec.Counts = d.Version, append(rec.Counts[:0], d.Counts...)
 	})
@@ -530,6 +633,7 @@ func (r *Replica) adoptAnchor(g int, p spec.ProcID, slot *sumSlot, b []byte, h c
 		return false
 	}
 	slot.call, rec.C = rec.C, slot.call
+	slot.epoch = rec.Epoch
 	r.installScan(g, p, slot, rec.Version, rec.Counts, src)
 	r.dirtyViews()
 	return true
@@ -565,138 +669,42 @@ func (r *Replica) installScan(g int, p spec.ProcID, slot *sumSlot, ver uint32, c
 	}
 }
 
-// scanSlot adopts one peer slot from the local region. The anchor at the slot
-// head re-bases the state when newer; the δ-record log is then walked from
-// the slot's version (walkLog), and a gap there — a run starting further
-// ahead means deltas were lost (partition, dropped write), and one straddling
-// the slot's version (a fetch landed mid-run) holds calls the summary already
-// has — schedules a one-sided fetch of the writer's own copy instead of
-// folding onto the wrong base. The second result reports the slot unreadable
-// this pass (torn anchor or log record); on the rdma.TornLooks-th such scan
-// in a row the slot fetches the writer's copy too.
-//
-// The walk pays for news, not for the log: the anchor and the log
-// prefix an earlier scan validated are not validated again while no write has
-// touched their bytes (rdma.Region.Moved, which every landing and adoptSlot's
-// install stamp), and the walk starts behind that prefix. Every record in it
-// is at or below the slot's version, which only rises, so the full walk would
-// pass it without a fold, a fetch or a torn reject: the scan's outcome, its
-// stats and its fetches are those of the full walk at the same instant.
-func (r *Replica) scanSlot(g int, p spec.ProcID, slot *sumSlot, reg *rdma.Region) (bool, bool) {
-	off := r.slotOffset(g, p)
-	gen := reg.Gen()
-	region := reg.Bytes()
-	changed := false
-	stuck := false
-	// The anchor, unless it is the one an earlier scan validated.
-	var err error
-	if slot.anchorGen == 0 || !r.unmoved(reg, off, slot.anchor.Total, slot.anchorGen) {
-		var h codec.DeltaHeader
-		if h, err = codec.PeekDeltaRecord(region[off : off+r.anchorCap()]); err == nil {
-			r.statValidated++
-			slot.anchor, slot.anchorGen = h, gen
-		}
-	}
-	if a := slot.anchor; err == nil {
-		changed = a.Version > slot.version && r.adoptAnchor(g, p, slot, region[off:], a, nil, "anchor")
-	} else if errors.Is(err, codec.ErrTorn) {
-		r.statTorn++
-		stuck = true
-	}
-	logOff := off + r.anchorCap()
-	log := region[logOff : off+r.opts.SumSlotSize]
-	// The walk starts behind the prefix an earlier walk passed, when that
-	// prefix is unchanged and the slot has not gone below the version it
-	// was passed at: every record in it is stale, and validating it again
-	// would find just that.
-	from := 0
-	if w := &slot.walked; w.gen != 0 && slot.version >= w.ver && r.unmovedLog(reg, logOff, w) {
-		from = w.end
-	}
-	passed, torn, gap := r.walkLog(log, from, slot.version, func(rec *codec.DeltaRecord) {
-		slot.call = r.cls.SumGroups[g].Summarize(slot.call, rec.C)
-		r.installScan(g, p, slot, rec.Version, rec.Counts, "delta")
-		r.foldViews(rec.C)
-		changed = true
-	})
-	if torn {
-		r.statTorn++
-	}
-	if gap {
-		r.fetchSlot(g, p, slot)
-	}
-	stuck = (stuck || torn) && !gap // a fetch is the recovery; don't double up
-	if passed > from {
-		w := &slot.walked
-		w.gen, w.end, w.ver = gen, passed, slot.version
-		w.tail = append(w.tail[:0], log[tailStart(logOff, passed)-logOff:passed]...)
-	}
-	if changed {
-		slot.tornStreak = 0
-	} else if stuck {
-		if slot.tornStreak++; slot.tornStreak >= rdma.TornLooks {
-			slot.tornStreak = 0
-			r.fetchSlot(g, p, slot)
-		}
-	}
-	return changed, stuck
-}
-
-// walkLog walks a δ-record log from byte at for a summary at version ver: the
-// scan's walk of its local copy from the slot's version, and adoptAnchor's of
-// a copy read from the writer from the anchor's. Every record is validated,
-// but only one whose run starts at ver+1 is decoded — into the scratch record,
-// which fold borrows — and folded, advancing ver; records at or below ver are
-// stale leftovers or already folded, and are passed. The walk stops at the
-// first record it cannot pass — incomplete, torn (reported), garbage, or a
-// gap (reported: a run starting past ver+1 or straddling ver) — and returns
-// its offset.
-func (r *Replica) walkLog(log []byte, at int, ver uint32, fold func(*codec.DeltaRecord)) (passed int, torn, gap bool) {
-	for len(log) > at {
+// walkLog walks a slot's δ-record log, read from its writer's own copy, for
+// a summary at version ver (adoptAnchor, from the anchor's version). Every
+// record is validated, but only one whose run starts at ver+1 is decoded —
+// into the scratch record, which fold borrows — and folded, advancing ver;
+// records at or below ver are stale leftovers or already folded, and are
+// passed. The walk stops at the first record it cannot pass: incomplete,
+// torn, garbage, or a gap (a run starting past ver+1 or straddling ver).
+func (r *Replica) walkLog(log []byte, ver uint32, fold func(*codec.DeltaRecord)) {
+	for at := 0; at < len(log); {
 		h, err := codec.PeekDeltaRecord(log[at:])
 		if err != nil {
-			return at, errors.Is(err, codec.ErrTorn), false
+			return
 		}
 		r.statValidated++
 		switch {
 		case h.Kind != codec.FrameDelta:
-			return at, false, false
+			return
 		case h.Version <= ver:
 		case h.First() == ver+1:
 			rec := &r.deltaRec
 			if codec.DecodeDeltaBody(rec, log[at:], h) != nil {
-				return at, false, false // CRC-intact garbage from the writer: unusable
+				return // CRC-intact garbage from the writer: unusable
 			}
 			fold(rec)
 			ver = rec.Version
 		default:
-			return at, false, true
+			return
 		}
 		at += h.Total
 	}
-	return at, false, false
 }
 
 // unmoved reports whether no write has touched [off, off+n) of the summary
 // region reg since generation gen — always, under the stale-scan mutant.
 func (r *Replica) unmoved(reg *rdma.Region, off, n int, gen uint64) bool {
 	return r.mutateScan || !reg.Moved(off, n, gen)
-}
-
-// unmovedLog reports whether the log prefix w, which starts at region offset
-// logOff, holds the bytes it was walked with: its whole chunks unmoved since
-// w.gen and its tail equal to the copy — always, under the stale-scan mutant.
-// A record landing right behind the prefix stamps the prefix's last chunk, so
-// only the copy tells that landing from one that overwrote the prefix.
-func (r *Replica) unmovedLog(reg *rdma.Region, logOff int, w *seenLog) bool {
-	ts := tailStart(logOff, w.end)
-	return r.mutateScan || !reg.Moved(logOff, ts-logOff, w.gen) && bytes.Equal(reg.Bytes()[ts:logOff+w.end], w.tail)
-}
-
-// tailStart is the region offset where the last chunk of the log prefix
-// [logOff, logOff+end) begins, or logOff when the prefix lies in one chunk.
-func tailStart(logOff, end int) int {
-	return max(logOff, (logOff+end)/rdma.GenChunk*rdma.GenChunk)
 }
 
 // fetchSlot recovers a delta slot that cannot make forward progress (a

@@ -173,8 +173,7 @@ func TestShrinkingRunReencode(t *testing.T) {
 	if lens[1] >= lens[0] {
 		t.Fatalf("run record lengths %v: the re-encoding did not shrink", lens)
 	}
-	off := r1.slotOffset(0, 0) + r1.anchorCap()
-	log := r1.node.Region(sumRegionBase).Bytes()[off:]
+	log := nodeLogOfWriter(r1, 0)
 	hd, err := codec.PeekDeltaRecord(log)
 	if err != nil || hd.Version != 3 || hd.Span != 2 || hd.Total != lens[1] {
 		t.Fatalf("p1's log head is %+v (%v), want the %d-byte run v2..v3", hd, err, lens[1])

@@ -43,6 +43,10 @@ type Coalescer struct {
 	flushFn func() // co.flush bound once, so arming allocates nothing
 	mark    uint64 // advanced by every enqueue and every flush; see Mark
 	stats   CoalesceStats
+
+	// perStream is the per-stream mutant (MutatePerStream): a WR merges
+	// onto the tail only when both come from one stream.
+	perStream bool
 }
 
 // peerBatch accumulates one peer's pending WRs between flushes. Their
@@ -54,6 +58,7 @@ type peerBatch struct {
 	lens   []int  // payload bytes of wrs[i], in stage right after wrs[i-1]'s
 	stage  []byte // payload bytes, copied at enqueue
 	stream string // tag of the first pending WR
+	tail   string // tag of the last pending WR
 	mixed  bool   // true when ≥ 2 distinct tags are pending
 }
 
@@ -67,6 +72,8 @@ type CoalesceStats struct {
 	CrossChains uint64 // chains mixing ≥ 2 streams
 	CrossWRs    uint64 // WRs that rode a cross-stream chain
 	Merged      uint64 // enqueues written onto the pending tail WR instead of adding one
+	Batches     uint64 // per-peer batches posted, one doorbell each
+	WRs         uint64 // WRs those batches carried
 }
 
 // NewCoalescer creates a coalescer posting from node, with one pending
@@ -91,7 +98,7 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 	} else if b.stream != stream {
 		b.mixed = true
 	}
-	if n := len(b.wrs); n > 0 && b.wrs[n-1].Region == wr.Region &&
+	if n := len(b.wrs); n > 0 && b.wrs[n-1].Region == wr.Region && (!co.perStream || b.tail == stream) &&
 		b.wrs[n-1].Off <= wr.Off && wr.Off <= b.wrs[n-1].Off+b.lens[n-1] {
 		// The tail's payload is the last lens[n-1] bytes of stage.
 		last := &b.wrs[n-1]
@@ -112,12 +119,19 @@ func (co *Coalescer) Enqueue(peer NodeID, stream string, wr WR) {
 		wr.Data = nil
 		b.wrs = append(b.wrs, wr)
 	}
+	b.tail = stream
 	if co.armed {
 		return
 	}
 	co.armed = true
 	co.node.CPU.Submit(0, co.flushFn)
 }
+
+// MutatePerStream installs the per-stream mutant: a WR is written onto the
+// pending tail only when both come from one stream, so each object's writes
+// to a peer post as WRs of their own, as when every summary slot kept its
+// own δ-log. It is for the ledger's mutation control only.
+func (co *Coalescer) MutatePerStream() { co.perStream = true }
 
 // Mark returns a value that changes with every Enqueue and every flush. A
 // producer that reads it right after enqueueing a WR for each of its peers
@@ -139,6 +153,8 @@ func (co *Coalescer) flush() {
 		if len(b.wrs) == 0 {
 			continue
 		}
+		co.stats.Batches++
+		co.stats.WRs += uint64(len(b.wrs))
 		if len(b.wrs) >= 2 {
 			co.stats.Chains++
 			if b.mixed {

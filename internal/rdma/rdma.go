@@ -338,6 +338,7 @@ type Node struct {
 	poll    pollLoop
 	hand    Handoff
 	live    liveness
+	ext     map[any]any // see Attached
 
 	crashed   bool
 	suspended bool
@@ -355,6 +356,21 @@ func (n *Node) Coalescer() *Coalescer { return n.coal }
 // InlineWhenIdle: every broadcaster on the node posts through it, so the
 // messages all its objects send in one CPU round leave as one post item.
 func (n *Node) Batch() *Batch { return n.post }
+
+// Attached returns what a higher layer keeps on the node under key, built by
+// mk on the first call: per-node state beside the node's own services, which
+// every object on the node shares (core's δ-logs).
+func (n *Node) Attached(key any, mk func() any) any {
+	v, ok := n.ext[key]
+	if !ok {
+		if n.ext == nil {
+			n.ext = make(map[any]any)
+		}
+		v = mk()
+		n.ext[key] = v
+	}
+	return v
+}
 
 // Crashed reports whether the node's NIC is dead.
 func (n *Node) Crashed() bool { return n.crashed }

@@ -3,19 +3,25 @@
 // the single-object Hamband deployment (package core) to the many-objects-
 // per-node shape a production service actually runs.
 //
-// Three resources are shared across shards, everything else is per shard:
+// Four resources are shared across shards, everything else is per shard:
 //
 //   - Memory. Each node has ONE registration budget of MemoryBudget bytes
 //     (registration is a scarce NIC resource — real deployments register
-//     big and sub-allocate); an rdma.Arena carves every shard's rings,
-//     summary slots and δ-log areas out of it. Admission is the charge: Open
-//     builds the shard, then charges every region it registered to each
-//     node's arena (rdma.Node.Charge, all or none); a refusal tears the
-//     shard down again and Open returns ErrBudget. Close returns the spans.
+//     big and sub-allocate); an rdma.Arena carves every shard's rings and
+//     summary slots out of it. Admission is the charge: Open builds the
+//     shard, then charges every region it registered to each node's arena
+//     (rdma.Node.Charge, all or none); a refusal tears the shard down again
+//     and Open returns ErrBudget. Close returns the spans.
+//   - δ-logs. Every node holds one δ-log per writer node (core.NodeLogRegion),
+//     into which every shard's summary records from that writer land at one
+//     cursor, each tagged with its slot: a node's records to a peer in one
+//     flush are adjacent bytes, one WRITE however many shards wrote them. The
+//     first shard with summary slots charges them, once per node.
 //   - Queue pairs. All shards on a node post through the node's per-peer RC
 //     QPs: their summary writes through its one rdma.Coalescer
 //     (Node.Coalescer), so WRs from different shards bound for one peer ride
-//     one PostChain doorbell (CoalesceStats.CrossChains counts them), and
+//     one doorbell — their δ-records one WRITE, anchors chained behind it
+//     (CoalesceStats.CrossChains counts such chains) — and
 //     their broadcast writes through its one post batch (Node.Batch), so the
 //     messages they launch in one CPU round leave as one post item.
 //   - Failure handling. One heartbeat thread and one detector per node,
@@ -23,9 +29,9 @@
 //     subscribes to; a node's shards are suspected and recovered together,
 //     as one process, and a closed shard hears no more of it.
 //
-// The coalescer, post batch and failure detection belong to the node, not to
-// the store: a standalone core.Cluster on the same fabric shares them too. The
-// store owns only the arenas and the directory.
+// The δ-logs, coalescer, post batch and failure detection belong to the node,
+// not to the store: a standalone core.Cluster on the same fabric shares them
+// too. The store owns only the arenas and the directory.
 //
 // Per shard: a disjoint region namespace (core.Cluster.Namespace), per-source
 // broadcast rings when the class has irreducible conflict-free methods, one
@@ -95,6 +101,7 @@ type Store struct {
 	opts Options
 
 	arenas []*rdma.Arena // per node: the registration budget shards carve from
+	logged []bool        // per node: its δ-logs are charged to its arena
 
 	shards  map[string]*Shard
 	nOpened int // total Opens ever, for leader staggering
@@ -124,6 +131,7 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 	for i := 0; i < fab.Size(); i++ {
 		s.arenas = append(s.arenas, rdma.NewArena(opts.MemoryBudget))
 	}
+	s.logged = make([]bool, fab.Size())
 	return s
 }
 
@@ -131,6 +139,22 @@ func New(fab *rdma.Fabric, opts Options) *Store {
 // costs under the given core options: what Open charges for it, measured by
 // opening one such shard in a scratch store on a fabric of its own.
 func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
+	fp, _ := footprints(an, nodes, o)
+	return fp
+}
+
+// LogFootprint returns the per-node memory the δ-logs of a store of shards
+// of the analyzed class cost beside the shards' footprints: what its first
+// shard charges for them (Store.LogBytes), 0 for a class without summary
+// slots.
+func LogFootprint(an *spec.Analysis, nodes int, o core.Options) int {
+	_, logs := footprints(an, nodes, o)
+	return logs
+}
+
+// footprints opens one shard of the class in a scratch store on a fabric of
+// its own and returns its footprint and the δ-log bytes it charged.
+func footprints(an *spec.Analysis, nodes int, o core.Options) (shard, logs int) {
 	o.Tracer, o.Metrics, o.DisableFailureHandling = nil, nil, true
 	fab := rdma.NewFabric(sim.NewEngine(0), nodes, rdma.DefaultLatency())
 	s := New(fab, Options{MemoryBudget: math.MaxInt, Core: o})
@@ -139,7 +163,7 @@ func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
 	if err != nil {
 		panic(err) // an unbounded budget refuses nothing
 	}
-	return sh.Footprint()
+	return sh.Footprint(), s.LogBytes(0)
 }
 
 // Open admits a new shard under key: it builds the shard's cluster — its
@@ -149,7 +173,9 @@ func Footprint(an *spec.Analysis, nodes int, o core.Options) int {
 // shard index so consensus load spreads across the nodes — and then charges
 // every region the shard registered to each node's arena. A node that cannot
 // hold them all refuses: the shard is torn down the way Close tears it down,
-// no arena keeps a byte of it, and Open returns ErrBudget.
+// no arena keeps a byte of it, and Open returns ErrBudget. The first shard
+// with summary slots also charges the nodes' δ-logs (core.NodeLogRegion),
+// which every later shard shares: a shard's footprint does not include them.
 func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, error) {
 	if key == "" || strings.ContainsAny(key, ":,[]") {
 		return nil, fmt.Errorf("store: invalid shard key %q (must be non-empty, without ':' ',' '[' ']')", key)
@@ -169,6 +195,17 @@ func (s *Store) Open(key string, an *spec.Analysis, _ ShardOptions) (*Shard, err
 	}
 
 	sh := &Shard{Key: key, Cluster: core.NewCluster(s.fab, an, co)}
+	for i, a := range s.arenas {
+		node := s.fab.Node(rdma.NodeID(i))
+		if s.logged[i] || node.Region(core.NodeLogRegion) == nil {
+			continue
+		}
+		if err := node.Charge(func(name string) bool { return name == core.NodeLogRegion }, a); err != nil {
+			s.teardown(sh)
+			return nil, fmt.Errorf("store: open %q: %w: %w", key, ErrBudget, err)
+		}
+		s.logged[i] = true
+	}
 	before := s.arenas[0].Used()
 	for i, a := range s.arenas {
 		if err := s.fab.Node(rdma.NodeID(i)).Charge(sh.owns, a); err != nil {
@@ -265,6 +302,18 @@ func (s *Store) Budget(node int) (used, total int) {
 	return a.Used(), a.Size()
 }
 
+// LogBytes reports the bytes of one node's arena its δ-logs hold: charged
+// by the first shard with summary slots, and kept after every shard closed,
+// like the node's other shared services.
+func (s *Store) LogBytes(node int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.logged[node] {
+		return 0
+	}
+	return s.fab.Node(rdma.NodeID(node)).Region(core.NodeLogRegion).Size()
+}
+
 // Headroom reports one node's arena free space: total available bytes and
 // the largest single free extent. A shard whose footprint exceeds the
 // available bytes is refused; one that fits them may still be refused when
@@ -275,7 +324,7 @@ func (s *Store) Headroom(node int) (available, largest int) {
 }
 
 // Coalescer returns the node's write coalescer (rdma.Node.Coalescer; its
-// stats expose the cross-shard chains).
+// stats expose the merged records and the cross-shard chains).
 func (s *Store) Coalescer(node int) *rdma.Coalescer { return s.fab.Node(rdma.NodeID(node)).Coalescer() }
 
 // Fabric returns the underlying fabric.

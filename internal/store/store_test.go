@@ -56,15 +56,16 @@ func TestOpenBudgetTypedError(t *testing.T) {
 	}
 	// The failed open left no partial registration behind.
 	used, _ := s.Budget(0)
-	if used != fp {
-		t.Fatalf("node 0 used %d B after failed open, want %d", used, fp)
+	if used != fp+s.LogBytes(0) {
+		t.Fatalf("node 0 used %d B after failed open, want %d and the node's δ-logs", used, fp)
 	}
 }
 
 // TestFootprintExactlyMatchesArenaAccounting opens one class of each buffer
 // shape — S only, F only, S+L and all three — and checks that every byte a
 // shard registers is charged: on every node, the bytes of the regions under
-// the shard's namespace, the arena's Used delta, Shard.Footprint and
+// the shard's namespace, the arena's Used delta — less the nodes' δ-logs,
+// which the first shard with summary slots charges — Shard.Footprint and
 // Footprint agree.
 func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 	opts := testOptions()
@@ -78,6 +79,7 @@ func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 	for _, cls := range classes {
 		an := spec.MustAnalyze(cls)
 		before, _ := s.Budget(0)
+		before -= s.LogBytes(0)
 		sh, err := s.Open(cls.Name, an, ShardOptions{})
 		if err != nil {
 			t.Fatalf("open %s: %v", cls.Name, err)
@@ -88,6 +90,7 @@ func TestFootprintExactlyMatchesArenaAccounting(t *testing.T) {
 		for node := 0; node < 4; node++ {
 			registered := registeredBytes(s, node, sh.Cluster.Namespace())
 			used, total := s.Budget(node)
+			used -= s.LogBytes(node)
 			if registered != sh.Footprint() || used-before != sh.Footprint() {
 				t.Fatalf("%s: node %d registered %d B under the namespace, arena charged %d B, footprint %d B",
 					cls.Name, node, registered, used-before, sh.Footprint())
@@ -137,7 +140,7 @@ func TestSetupAllocatesOnlyWhatShardsCarve(t *testing.T) {
 	if got > 2*carved {
 		t.Errorf("set-up allocated %d B, more than twice the %d B the shards carve", got, carved)
 	}
-	if used, _ := s.Budget(0); uint64(used) != carved/nodes {
+	if used, _ := s.Budget(0); uint64(used-s.LogBytes(0)) != carved/nodes {
 		t.Fatalf("node 0 carved %d B, want %d", used, carved/nodes)
 	}
 }
@@ -160,8 +163,8 @@ func TestCloseFreesMemoryForReuse(t *testing.T) {
 	if err := s.Close("first"); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if used, _ := s.Budget(0); used != 0 {
-		t.Fatalf("used %d B after close, want 0", used)
+	if used, _ := s.Budget(0); used != s.LogBytes(0) {
+		t.Fatalf("used %d B after close, want the %d B of the node's δ-logs", used, s.LogBytes(0))
 	}
 	if _, err := s.Open("second", an, ShardOptions{}); err != nil {
 		t.Fatalf("open into freed memory: %v", err)
@@ -206,8 +209,8 @@ func TestConcurrentOpenCloseRespectsBudget(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if used, _ := s.Budget(0); used != 0 {
-		t.Fatalf("used %d B after all closes", used)
+	if used, _ := s.Budget(0); used != s.LogBytes(0) {
+		t.Fatalf("used %d B after all closes, want the %d B of the node's δ-logs", used, s.LogBytes(0))
 	}
 	count := 0
 	opened.Range(func(any, any) bool { count++; return true })
@@ -273,8 +276,15 @@ func TestSixteenShardsConvergeIndependently(t *testing.T) {
 	drainCounters(t, eng, s, want, 50*sim.Millisecond)
 }
 
+// TestCrossShardDoorbellCoalescing: back-to-back invokes on two shards at one
+// node land their δ-records side by side in the node's δ-log, so each flush
+// posts one WRITE per peer carrying both shards' records: the second shard's
+// record is merged onto the first's (CoalesceStats.Merged), never chained
+// behind it. The shards' first calls anchor, each into its own slot; they
+// are excluded.
 func TestCrossShardDoorbellCoalescing(t *testing.T) {
 	opts := testOptions()
+	opts.Core.DisableFailureHandling = true // no heartbeat verbs between the counted flushes
 	eng, s := newStore(t, 3, 6, opts)
 	an := spec.MustAnalyze(crdt.NewCounter())
 	want := make(map[string]int64)
@@ -283,22 +293,30 @@ func TestCrossShardDoorbellCoalescing(t *testing.T) {
 			t.Fatalf("open %s: %v", key, err)
 		}
 	}
-	// Back-to-back invokes on different shards at the same node: their
-	// summary WRs join one CPU drain and must share one chained doorbell
-	// per peer.
-	for i := 0; i < 10; i++ {
+	round := func() {
 		s.Invoke("hot", 0, crdt.CounterAdd, spec.ArgsI(1), nil)
 		s.Invoke("cold", 0, crdt.CounterAdd, spec.ArgsI(2), nil)
 		want["hot"], want["cold"] = want["hot"]+1, want["cold"]+2
 		eng.RunFor(100 * sim.Microsecond)
 	}
-	drainCounters(t, eng, s, want, 50*sim.Millisecond)
-	st := s.Coalescer(0).Stats()
-	if st.CrossChains == 0 || st.CrossWRs == 0 {
-		t.Fatalf("coalescer stats %+v: no cross-shard chains — shards are not sharing doorbells", st)
+	round() // the anchors
+	co := s.Coalescer(0)
+	before, fs := co.Stats(), s.Fabric().Stats()
+	const rounds = 10
+	for i := 1; i <= rounds; i++ {
+		round()
 	}
-	if fs := s.Fabric().Stats(); fs.Chains == 0 {
-		t.Fatalf("fabric stats %+v: no chained doorbells at all", fs)
+	drainCounters(t, eng, s, want, 50*sim.Millisecond)
+	st, after := co.Stats(), s.Fabric().Stats()
+	flushes, writes := st.Flushes-before.Flushes, after.Writes-fs.Writes
+	if flushes != rounds || writes != 2*flushes {
+		t.Fatalf("%d flushes posted %d writes to 2 peers, want %d flushes of one write per peer", flushes, writes, rounds)
+	}
+	if merged := st.Merged - before.Merged; merged != 2*rounds {
+		t.Fatalf("%d records merged onto the other shard's, want one per peer per flush (%d)", merged, 2*rounds)
+	}
+	if chains := st.Chains - before.Chains; chains != 0 {
+		t.Fatalf("%d chains: the shards' records still post as separate WRs", chains)
 	}
 }
 
@@ -450,6 +468,7 @@ func TestReopenUnderEpochChangeKeepsFootprintExact(t *testing.T) {
 				t.Helper()
 				for node := 0; node < 4; node++ {
 					used, _ := s.Budget(node)
+					used -= s.LogBytes(node)
 					if reg := registeredBytes(s, node, "shard[obj]/"); used != want || reg != want {
 						t.Fatalf("%s: node %d arena holds %d B and %d B are registered under the shard, footprint %d B", stage, node, used, reg, want)
 					}
@@ -572,6 +591,7 @@ func TestRandomOpenCloseUnderTightBudget(t *testing.T) {
 				out := make([]int, nodes)
 				for i := range out {
 					out[i], _ = s.Budget(i)
+					out[i] -= s.LogBytes(i) // the node's δ-logs, charged once
 				}
 				return out
 			}
