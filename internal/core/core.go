@@ -132,10 +132,11 @@ type Cluster struct {
 	epoch   uint32
 	members []bool
 
-	// tagBase is the node-log tag of the cluster's summarization group 0: its
-	// groups' records carry tags tagBase, tagBase+1, … in every node's δ-log
-	// (nodeLog), numbered fabric-wide and never reused.
-	tagBase int
+	// tags are the node-log tags of the cluster's summarization groups: group
+	// g's records carry tags[g] in every node's δ-log (nodeLog), numbered
+	// fabric-wide and taken again only once no walk can read a record of the
+	// stopped cluster that held them (tagPool).
+	tags []int
 }
 
 // muGroup names the consensus group of synchronization group g within a
@@ -212,15 +213,18 @@ func NewCluster(fab *rdma.Fabric, an *spec.Analysis, opts Options) *Cluster {
 	}
 	nslots := len(an.Class.SumGroups) * n
 	if nslots > 0 {
-		c.tagBase = nodeLogOf(fab, fab.Node(0), opts.DeltaLogBytes).nextTag
 		for i := 0; i < n; i++ {
-			nodeLogOf(fab, fab.Node(rdma.NodeID(i)), opts.DeltaLogBytes).nextTag = c.tagBase + len(an.Class.SumGroups)
+			nodeLogOf(fab, fab.Node(rdma.NodeID(i)), opts.DeltaLogBytes)
 		}
+		c.tags = tagPoolOf(fab).take(fab, len(an.Class.SumGroups))
 	}
 	for i := 0; i < n; i++ {
 		node := fab.Node(rdma.NodeID(i))
 		if nslots > 0 {
-			r := node.Register(c.ns+sumRegionBase, nslots*opts.SumSlotSize)
+			// Every slot's anchor area, and the node's own slots' logs
+			// (Replica.slotOffset).
+			anchorCap := opts.SumSlotSize - opts.DeltaLogBytes
+			r := node.Register(c.ns+sumRegionBase, nslots*anchorCap+len(an.Class.SumGroups)*opts.DeltaLogBytes)
 			r.TrackWrites() // the scan validates only anchors that moved (Replica.scanAnchors)
 			// Single-writer per slot by protocol; the grants are explicit
 			// per peer (not AllowAllWrites) so a leaving node's permission
@@ -316,7 +320,8 @@ func CrossWireReduce(a, b *Cluster) {
 	for _, r := range a.Replicas {
 		if nl := r.nlog; nl != nil {
 			for g := range r.sums {
-				nl.slots[a.tagBase+g], nl.slots[b.tagBase+g] = nl.slots[b.tagBase+g], nl.slots[a.tagBase+g]
+				ta, tb := a.tags[g], b.tags[g]
+				nl.slots[ta], nl.slots[tb] = nl.slots[tb], nl.slots[ta]
 			}
 		}
 	}
@@ -339,14 +344,19 @@ func (c *Cluster) MutateIgnorePass() {
 // node's poll loop and its subscription off its node's failure detection (a
 // stopped replica hears no suspicion; the node's last subscriber stops the
 // heartbeat and the detector), and retires its counter reads into the
-// registry's totals. The cluster must not be used afterwards; memory regions
-// stay registered on the fabric.
+// registry's totals. Its δ-log tags go back to the fabric's pool. The
+// cluster must not be used afterwards; memory regions stay registered on the
+// fabric.
 func (c *Cluster) Stop() {
 	for _, r := range c.Replicas {
 		r.stop()
 		for _, rd := range r.reads {
 			rd.Retire()
 		}
+	}
+	if c.tags != nil {
+		tagPoolOf(c.Fab).release(c.Fab, c.tags)
+		c.tags = nil
 	}
 }
 
@@ -649,7 +659,7 @@ func newReplica(c *Cluster, id spec.ProcID, live *rdma.Subscription) *Replica {
 	// The summary scan: the node's, which the node's first replica starts.
 	if r.haveSums {
 		r.nlog = nodeLogOf(c.Fab, r.node, c.Opts.DeltaLogBytes)
-		r.nlog.join(r, c.tagBase)
+		r.nlog.join(r, c.tags)
 	}
 	return r
 }

@@ -253,7 +253,10 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 	}
 
 	// The target's write permission on every other node's inbound ring and
-	// summary region follows its membership.
+	// summary region follows its membership, and so, from the end of what
+	// has landed, do the node's δ-log's records of the cluster's slots from
+	// the target (nodeLog.fence): that log is shared by every object on the
+	// target, so the NIC cannot revoke one object's part of it.
 	for i := 0; i < n; i++ {
 		for _, name := range []string{broadcast.InboundRegion(ns, t), ns + sumRegionBase} {
 			switch reg := c.Fab.Node(rdma.NodeID(i)).Region(name); {
@@ -263,6 +266,9 @@ func (c *Cluster) commit(target int, join bool, newEpoch uint32) {
 			default:
 				reg.RevokeWrite(t)
 			}
+		}
+		if r := c.Replicas[i]; i != target && r.nlog != nil {
+			r.nlog.fence(target, c.tags, !join)
 		}
 	}
 

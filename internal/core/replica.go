@@ -326,10 +326,14 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	off := r.slotOffset(g, r.id)
 	own := r.node.Region(r.sumRegion)
 	rec, at, nodeAt := r.nextDelta(g, slot, c)
-	wr := rdma.WR{Region: NodeLogRegion, Off: int(r.id)*r.nlog.size + nodeAt, Data: rec, Label: label}
 	if rec != nil && !r.mutateLocal {
 		own.Write(off+r.anchorCap()+at, rec)
 	}
+	if rec != nil && r.nlog.terminate(nodeAt, rec) {
+		rec = append(rec, 0, 0, 0, 0)
+		r.recBuf = rec
+	}
+	wr := rdma.WR{Region: NodeLogRegion, Off: int(r.id)*r.nlog.size + nodeAt, Data: rec, Label: label}
 	if rec == nil {
 		// Encoded in place, so a growing summary costs no scratch.
 		frame, err := codec.AppendDeltaRecord(own.Bytes()[off:off:off+r.anchorCap()], codec.DeltaRecord{
@@ -358,20 +362,37 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	}
 }
 
-// propagate queues group g's slot write wr for every peer and notes the
-// coalescer's Mark behind it: while the Mark stays there, wr is every peer's
-// pending tail, which is what lets nextDelta fold the next call into it.
+// propagate queues group g's slot write wr for every peer — an anchor at
+// the slot's offset in the peer's region — and notes the coalescer's Mark
+// behind it: while the Mark stays there, wr is every peer's pending tail,
+// which is what lets nextDelta fold the next call into it.
 func (r *Replica) propagate(g int, wr rdma.WR) {
+	anchor := wr.Region == r.sumRegion
 	for p := 0; p < r.n; p++ {
 		if spec.ProcID(p) != r.id {
+			if anchor {
+				wr.Off = r.slotOffsetOn(spec.ProcID(p), g, r.id)
+			}
 			r.coal.Enqueue(rdma.NodeID(p), r.opts.Shard, wr)
 		}
 	}
 	r.deltaW[g].mark = r.coal.Mark()
 }
 
-func (r *Replica) slotOffset(g int, p spec.ProcID) int {
-	return (g*r.n + int(p)) * r.opts.SumSlotSize
+// slotOffset is where slot (g, p) starts in the replica's summary region.
+func (r *Replica) slotOffset(g int, p spec.ProcID) int { return r.slotOffsetOn(r.id, g, p) }
+
+// slotOffsetOn is where slot (g, p) starts in node's summary region: slots
+// in group-major order, each its anchor area long, and the node's own ones
+// SumSlotSize, their δ-record log behind the anchor area. A peer's copy of
+// a slot holds only the anchor: its δ-records reach the node through the
+// writer's δ-log (nodeLog), and a fetch reads the writer's own copy.
+func (r *Replica) slotOffsetOn(node spec.ProcID, g int, p spec.ProcID) int {
+	own := g // the node's own slots before (g, p)
+	if node < p {
+		own++
+	}
+	return (g*r.n+int(p))*r.anchorCap() + own*r.opts.DeltaLogBytes
 }
 
 // anchorCap is the slot prefix holding the full-state anchor; the
@@ -413,7 +434,8 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, 
 		dw.call.Args.S = append(dw.call.Args.S[:0], c.Args.S...)
 		rec := r.encodeRun(g, dw, slot, nl.pass)
 		if rec != nil && dw.nodeAt+len(rec) > nl.size {
-			nl.at, nl.pass, dw.nodeAt = 0, (nl.pass+1)%passes, 0
+			nl.wrap()
+			dw.nodeAt = 0
 			rec = r.encodeRun(g, dw, slot, nl.pass)
 		}
 		if r.fits(dw, rec) {
@@ -433,7 +455,7 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, 
 // buffer; nil when it does not pack.
 func (r *Replica) encodeRun(g int, dw *deltaWriter, slot *sumSlot, pass uint32) []byte {
 	call := dw.call
-	call.Proc = spec.ProcID(r.cluster.tagBase + g)
+	call.Proc = spec.ProcID(r.cluster.tags[g])
 	rec, err := codec.AppendDeltaRecord(r.recBuf[:0], codec.DeltaRecord{
 		Kind:    codec.FrameDelta,
 		Version: slot.version,
@@ -583,9 +605,13 @@ func (r *Replica) foldRecord(g int, p spec.ProcID, rec *codec.DeltaRecord) bool 
 // scanEnd ends the replica's share of a scan pass. Pending epoch floors
 // (leave commits) are promoted once a full pass has read everything the
 // departed source left behind: a floor raised any earlier could reject
-// frames the source wrote — and acked — while still a member.
+// frames the source wrote — and acked — while still a member. The source's
+// δ-records are read only once the node's walk of its log has reached the
+// end of what landed: a walk that stopped short, at a gap or a torn record
+// of any object's, holds this replica's records behind it too.
 func (r *Replica) scanEnd() {
 	for p, blocked := range r.scanBlocked {
+		blocked = blocked || r.nlog.walks[p].short
 		for _, row := range r.sums {
 			blocked = blocked || row[p].fetching
 		}
@@ -1208,7 +1234,7 @@ func (r *Replica) isSuccessor(peer rdma.NodeID) bool {
 func (r *Replica) readSlot(peer rdma.NodeID, g int, p spec.ProcID, done func(adopted bool)) {
 	var h codec.DeltaHeader
 	var perr error
-	r.node.QP(peer).ReadValid(r.sumRegion, r.slotOffset(g, p), r.opts.SumSlotSize,
+	r.node.QP(peer).ReadValid(r.sumRegion, r.slotOffsetOn(spec.ProcID(peer), g, p), r.opts.SumSlotSize,
 		func(data []byte) bool {
 			if h, perr = codec.PeekDeltaRecord(data); errors.Is(perr, codec.ErrTorn) {
 				r.statTorn++

@@ -798,12 +798,12 @@ func TestReopenedShardIsolatedFromItsPredecessor(t *testing.T) {
 	}
 }
 
-var _ = core.Options{} // keep the import pinned for testOptions mutations
-
 // TestShardChurnKeepsTheRegistryFlat: a closed shard retires the read
 // functions its replicas, broadcast receivers and Mu instances registered,
 // folding their final counts into the counters, so a hundred open/close
 // cycles of one key leave no read function behind and the totals never fall.
+// Its δ-log tags are taken again, once every walk has read past its records,
+// so the nodes' tag tables stay as long as one shard's groups.
 func TestShardChurnKeepsTheRegistryFlat(t *testing.T) {
 	for _, tc := range []struct {
 		cls  *spec.Class
@@ -833,12 +833,21 @@ func TestShardChurnKeepsTheRegistryFlat(t *testing.T) {
 				if _, err := s.Open("k", an, ShardOptions{}); err != nil {
 					t.Fatal(err)
 				}
-				for p := spec.ProcID(0); p < 3; p++ {
-					s.Invoke("k", p, tc.u, tc.args(p, uint64(cycle+1)), nil)
+				calls := 1
+				if len(an.Class.SumGroups) > 0 {
+					calls = 2 // an anchor and a δ-record in the nodes' δ-logs
+				}
+				for i := 0; i < calls; i++ {
+					for p := spec.ProcID(0); p < 3; p++ {
+						s.Invoke("k", p, tc.u, tc.args(p, uint64(cycle+1)), nil)
+					}
 				}
 				eng.RunFor(200 * sim.Microsecond)
 				if err := s.Close("k"); err != nil {
 					t.Fatal(err)
+				}
+				if n := core.LogTags(fab.Node(0)); n != len(an.Class.SumGroups) {
+					t.Fatalf("cycle %d: node 0's δ-log table holds %d tags for %d summarization groups", cycle, n, len(an.Class.SumGroups))
 				}
 				for _, name := range names {
 					if n := reg.Counter(name).Reads(); n != 0 {
