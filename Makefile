@@ -310,6 +310,7 @@ benchstat:
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzReaderPoll -fuzztime=$(FUZZTIME) ./internal/ring
 	$(GO) test -run=^$$ -fuzz=FuzzSlots -fuzztime=$(FUZZTIME) ./internal/ring
+	$(GO) test -run=^$$ -fuzz=FuzzLogWalk -fuzztime=$(FUZZTIME) ./internal/ring
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeSlot -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzSlot -fuzztime=$(FUZZTIME) ./internal/codec
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeRaw -fuzztime=$(FUZZTIME) ./internal/codec

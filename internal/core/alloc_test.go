@@ -7,6 +7,7 @@ import (
 	"hamband/internal/codec"
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/schema"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
@@ -367,11 +368,12 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 	top := slot.version
 	c := spec.Call{Method: crdt.CounterAdd, Proc: 0, Seq: 4, Args: spec.ArgsI(4)}
 	logOff := int(r.id) * r.nlog.size
+	origin := *ring.NewLogWriter(nodeLogOfWriter(r, r.id), passes) // the node log's writer at its start
 	now := h.eng.Now()
 	var recLen int
 	ship := func() {
 		slot.version++ // the call's version; a cycle ends at top
-		rec, _, at := r.nextDelta(0, slot, c)
+		rec, _, at, _ := r.nextDelta(0, slot, c)
 		recLen = len(rec)
 		r.propagate(0, rdma.WR{Region: NodeLogRegion, Off: logOff + at, Data: rec})
 	}
@@ -379,7 +381,7 @@ func TestSummaryOutChannelAllocatesNothing(t *testing.T) {
 		return func() {
 			// The same log bytes every cycle, never an anchor.
 			dw := &r.deltaW[0]
-			dw.logOff, dw.sinceAnchor, dw.open, r.nlog.at = 0, 0, false, 0
+			dw.logOff, dw.sinceAnchor, dw.open, *r.nlog.w = 0, 0, false, origin
 			slot.version = top - uint32(calls)
 			for i := 0; i < calls; i++ {
 				ship()

@@ -334,7 +334,9 @@ func CrossWireReduce(a, b *Cluster) {
 func (c *Cluster) MutateIgnorePass() {
 	for _, r := range c.Replicas {
 		if r.nlog != nil {
-			r.nlog.mutatePass = true
+			for w := range r.nlog.walks {
+				r.nlog.walks[w].IgnorePass = true
+			}
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 
 	"hamband/internal/crdt"
 	"hamband/internal/rdma"
+	"hamband/internal/ring"
 	"hamband/internal/sim"
 	"hamband/internal/spec"
 )
@@ -77,14 +78,14 @@ func lappedReader(t *testing.T, ignorePass bool, laps uint64) error {
 	for i := 0; i < 5; i++ {
 		round(1)
 	}
-	stopped := reader.walks[0].at
+	stopped := reader.walks[0].Pos()
 	fab.Node(1).Suspend()
-	end := reader.walks[0].abs + laps
-	for writer.abs < end || writer.abs == end && writer.at <= stopped {
+	end := ring.LogPos{Abs: stopped.Abs + laps, At: stopped.At}
+	for !end.Before(writer.w.Pos()) {
 		round(1 << 40)
 	}
-	if writer.abs != end || writer.pass != (reader.walks[0].pass+uint32(laps))%passes {
-		return fmt.Errorf("the writer is in pass %d, want %d", writer.abs, end)
+	if writer.w.Pos().Abs != end.Abs || writer.w.Pass() != (reader.walks[0].Pass()+uint32(laps))%passes {
+		return fmt.Errorf("the writer is in pass %d, want %d", writer.w.Pos().Abs, end.Abs)
 	}
 	fab.Node(1).Resume()
 	eng.RunFor(sim.Millisecond)
@@ -104,7 +105,7 @@ func lappedReader(t *testing.T, ignorePass bool, laps uint64) error {
 	if anchors := cs[0].Replica(0).statAnchors; anchors != 1 {
 		return fmt.Errorf("s0's writer anchored %d times, want once: an anchor covered the lap", anchors)
 	}
-	t.Logf("lapped %d passes at %d of %d bytes, %d fetches", laps, stopped, writer.size, fetches)
+	t.Logf("lapped %d passes at %d of %d bytes, %d fetches", laps, stopped.At, writer.size, fetches)
 	return nil
 }
 

@@ -325,11 +325,11 @@ func (r *Replica) invokeReduce(u spec.MethodID, args spec.Args, submitAt sim.Tim
 	}
 	off := r.slotOffset(g, r.id)
 	own := r.node.Region(r.sumRegion)
-	rec, at, nodeAt := r.nextDelta(g, slot, c)
+	rec, at, nodeAt, term := r.nextDelta(g, slot, c)
 	if rec != nil && !r.mutateLocal {
 		own.Write(off+r.anchorCap()+at, rec)
 	}
-	if rec != nil && r.nlog.terminate(nodeAt, rec) {
+	if term {
 		rec = append(rec, 0, 0, 0, 0)
 		r.recBuf = rec
 	}
@@ -406,7 +406,9 @@ func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogB
 // the slot's log cursor. Anchors are not counted in calls: the slot's log
 // holds every δ-record since its last anchor, so a longer log saves the
 // writer the anchors' bytes. The node's log fills on its own: a record that
-// does not fit behind its cursor starts a new pass at offset 0 (nodeLog).
+// does not fit behind its cursor starts a new pass at offset 0
+// (ring.LogWriter), and term tells that its write carries a zero length
+// word behind rec.
 //
 // A δ-record is a run: while the open run's record is still the pending tail
 // of every peer's batch (nothing enqueued on the coalescer and no flush since,
@@ -416,38 +418,40 @@ func (r *Replica) anchorCap() int { return r.opts.SumSlotSize - r.opts.DeltaLogB
 // a peer's walk ends behind it on an empty length word instead of on the old
 // encoding's tail. Anything else starts a run at the cursors. rec lives in
 // the replica's scratch buffer and is good until the next call encodes over it.
-func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, nodeAt int) {
+func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, nodeAt int, term bool) {
 	dw := &r.deltaW[g]
-	nl := r.nlog
+	lw := r.nlog.w
 	if dw.anchored {
 		if dw.open && dw.mark == r.coal.Mark() {
 			dw.call = r.cls.SumGroups[g].Summarize(dw.call, c)
-			if rec := r.encodeRun(g, dw, slot, nl.pass); r.fits(dw, rec) {
-				r.placeRun(dw, &rec)
+			if rec := r.encodeRun(g, dw, slot, lw.Pass()); r.fits(dw, rec) {
+				term = r.placeRun(dw, &rec)
 				dw.sinceAnchor++
-				return rec, dw.runAt, dw.nodeAt
+				return rec, dw.runAt, dw.nodeAt, term
 			}
 		}
-		dw.open, dw.runAt, dw.nodeAt, dw.ext, dw.first = true, dw.logOff, nl.at, 0, slot.version
+		dw.open, dw.runAt, dw.nodeAt, dw.ext, dw.first = true, dw.logOff, lw.Pos().At, 0, slot.version
 		dw.call.Method, dw.call.Proc, dw.call.Seq = c.Method, c.Proc, c.Seq
 		dw.call.Args.I = append(dw.call.Args.I[:0], c.Args.I...)
 		dw.call.Args.S = append(dw.call.Args.S[:0], c.Args.S...)
-		rec := r.encodeRun(g, dw, slot, nl.pass)
-		if rec != nil && dw.nodeAt+len(rec) > nl.size {
-			nl.wrap()
-			dw.nodeAt = 0
-			rec = r.encodeRun(g, dw, slot, nl.pass)
+		was := lw.Pass()
+		rec := r.encodeRun(g, dw, slot, was)
+		if rec != nil {
+			var pass uint32
+			if dw.nodeAt, pass = lw.Reserve(len(rec)); pass != was {
+				rec = r.encodeRun(g, dw, slot, pass)
+			}
 		}
 		if r.fits(dw, rec) {
-			r.placeRun(dw, &rec)
+			term = r.placeRun(dw, &rec)
 			dw.sinceAnchor++
 			r.statDeltas++
-			return rec, dw.runAt, dw.nodeAt
+			return rec, dw.runAt, dw.nodeAt, term
 		}
 	}
 	dw.anchored, dw.open, dw.logOff, dw.sinceAnchor = true, false, 0, 0
 	r.statAnchors++
-	return nil, 0, 0
+	return nil, 0, 0, false
 }
 
 // encodeRun encodes dw's run, up to slot's version, tagged with group g's
@@ -479,14 +483,18 @@ func (r *Replica) fits(dw *deltaWriter, rec []byte) bool {
 }
 
 // placeRun moves the cursors of the slot's log and the node's log behind the
-// run's record *rec and pads it to the longest encoding it had.
-func (r *Replica) placeRun(dw *deltaWriter, rec *[]byte) {
-	dw.logOff, r.nlog.at = dw.runAt+len(*rec), dw.nodeAt+len(*rec)
+// run's record *rec, pads it to the longest encoding it had and lands it in
+// the node's log, reporting whether its write carries a zero length word
+// (ring.LogWriter.Land).
+func (r *Replica) placeRun(dw *deltaWriter, rec *[]byte) bool {
+	n := len(*rec)
+	dw.logOff = dw.runAt + n
 	for len(*rec) < dw.ext {
 		*rec = append(*rec, 0)
 	}
 	dw.ext = len(*rec)
 	r.recBuf = *rec
+	return r.nlog.w.Land(dw.nodeAt, *rec, n)
 }
 
 func groupIndexOf(methods []spec.MethodID, u spec.MethodID) int {

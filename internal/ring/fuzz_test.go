@@ -84,3 +84,55 @@ func FuzzReaderPoll(f *testing.F) {
 		}
 	})
 }
+
+// FuzzLogWalk walks arbitrary log bytes at 4 passes, from an arbitrary
+// position and pass, twice, with arbitrary bytes landing in between: a walk
+// must never panic, never return a record that fails its CRC or is of
+// another pass, never move backwards, and always stop.
+func FuzzLogWalk(f *testing.F) {
+	g := newLogRig(200, 1)
+	for i := 0; i < 12; i++ {
+		g.append(f)
+	}
+	f.Add(bytes.Clone(g.copy), 0, uint32(0), 0, []byte{})
+	f.Add(bytes.Clone(g.copy), 48, uint32(3), 7, []byte{0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, log []byte, start int, pass uint32, at int, landed []byte) {
+		var rec codec.DeltaRecord
+		w := NewLogWalker(log, testPasses, &rec)
+		if start < 0 {
+			start = -start
+		}
+		w.pos.At, w.pass = start%(len(log)+1), pass%testPasses
+		for round := 0; round < 2; round++ {
+			w.Start()
+			for steps := 0; ; steps++ {
+				if steps > len(log)+4 {
+					t.Fatalf("the walk did not stop in %d steps", steps)
+				}
+				before := w.Pos()
+				step := w.Step()
+				if w.Pos().Before(before) {
+					t.Fatalf("the walk moved back from %+v to %+v", before, w.Pos())
+				}
+				if step == LogRecord {
+					b := log[w.pos.At:]
+					if h, err := codec.PeekDeltaRecord(b); err != nil || h.Total != w.next || codec.ValidateRecord(b[:w.next]) != nil {
+						t.Fatalf("the walk returned a record at %d that does not validate: %v", w.pos.At, err)
+					}
+					if rec.Pass != w.Pass() {
+						t.Fatalf("the walk in pass %d returned a record of pass %d", w.Pass(), rec.Pass)
+					}
+					w.Advance()
+				}
+				if step == LogEnd || step == LogTorn {
+					break
+				}
+			}
+			w.Lapped()
+			w.Landed()
+			if len(log) > 0 && at >= 0 {
+				copy(log[at%len(log):], landed)
+			}
+		}
+	})
+}
