@@ -8,16 +8,8 @@ import (
 	"hamband/internal/codec"
 )
 
-// A pass-numbered log is the δ-log format (DESIGN.md §4, "The summary
-// out-channel"): one writer appends codec.FrameDelta records to a log of
-// fixed size, each stamped with the pass of the log it was written in, mod
-// a number of passes; a record that does not fit behind the cursor starts
-// the next pass at offset 0, over the bytes of older ones. Its readers hold
-// copies of the log that the writer's one-sided writes land in, and walk
-// them: LogWriter is the writer's side, LogWalker a reader's.
-
-// LogPos is a position in a pass-numbered log: byte At of its Abs-th pass,
-// counting every pass the writer started.
+// LogPos is a position in a pass-numbered log (the δ-log format, DESIGN.md
+// §4): byte At of its Abs-th pass, counting every pass the writer started.
 type LogPos struct {
 	Abs uint64
 	At  int
@@ -26,11 +18,11 @@ type LogPos struct {
 // Before reports whether p lies before q.
 func (p LogPos) Before(q LogPos) bool { return p.Abs < q.Abs || p.Abs == q.Abs && p.At < q.At }
 
-// LogWriter is the writer's side of a pass-numbered log. It is a pure state
-// machine over the writer's mirror: the bytes every reader's copy holds
-// once the writer's writes have landed. Reserve says where a record goes
-// and the pass to stamp it with; Land places it and says whether the write
-// must carry a zero length word behind it.
+// LogWriter is the writer's side of a pass-numbered log: codec.FrameDelta
+// records stamped with their pass mod passes, a record that does not fit
+// behind the cursor starting the next pass at offset 0. It is a pure state
+// machine over the writer's mirror, the bytes every reader's copy holds once
+// the writer's writes have landed.
 type LogWriter struct {
 	mirror []byte
 	passes uint32
@@ -106,20 +98,10 @@ func (w *LogWriter) Land(at int, rec []byte, n int) bool {
 type LogStep int
 
 const (
-	// LogRecord: a record of the walk's pass at the walk's position, decoded
-	// into the walker's record. Advance passes it; a walk that does not
-	// stays on it.
-	LogRecord LogStep = iota
-	// LogEnd: the end of what has landed of the walk's pass, or of the log.
-	LogEnd
-	// LogLap: the walk left its pass for the one at the log's head, and is
-	// at offset 0 of it. Whether the writer lapped it — wrote the new pass
-	// past where the walk left the old one, over records it had not read —
-	// Lapped tells once the walk stops.
-	LogLap
-	// LogTorn: the walk stopped on a torn record, at its position or at the
-	// log's head, which hides whether the writer moved on.
-	LogTorn
+	LogRecord LogStep = iota // a record of the walk's pass at its position, in the walker's record
+	LogEnd                   // the end of what has landed
+	LogLap                   // the walk entered the head's pass at offset 0; Lapped tells if it was lapped
+	LogTorn                  // a torn record at the walk's position or the head: the walk stops
 )
 
 // LogWalker is a reader's walk of its copy of one writer's log: a pure
