@@ -246,8 +246,8 @@ ledger:
 # baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
 # make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
 # moved stays within its bound.
-SNAPSHOT ?= BENCH_PR70.json
-PREV_SNAPSHOT ?= BENCH_PR67.json
+SNAPSHOT ?= BENCH_PR71.json
+PREV_SNAPSHOT ?= BENCH_PR70.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

@@ -62,10 +62,15 @@ type variant struct {
 }
 
 // A scenario suspends node at faultAt(ops, perOp); perOp 0 is no fault.
+// With instants > 1 its point is the median of that many runs, the fault
+// instants spread evenly over one CheckPeriod from faultAt: where the
+// detector's check falls against the fault moves a run's numbers by more
+// than their bounds.
 type scenario struct {
-	name  string
-	node  spec.ProcID
-	perOp sim.Duration
+	name     string
+	node     spec.ProcID
+	perOp    sim.Duration
+	instants int
 }
 
 // A claim is one of the paper's claims as a predicate over a panel's points
@@ -215,19 +220,19 @@ var paper = []figure{
 	{name: "fig12", panels: []panel{
 		{title: "Figure 12(a) — throughput (ops/µs), follower p3 failing, 4 nodes", plots: throughput,
 			systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
-			faults: []scenario{{name: "normal"}, {"follower", 3, fig12FaultPerOp}}},
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig12FaultPerOp, 1}}},
 		{title: "Figure 12(b) — mean response time (µs, unloaded), follower p3 failing", suffix: "/rt", depth: 1, plots: meanRT,
 			systems: hamband, classes: classes(crdt.NewCounter, crdt.NewORSet), ratios: paperRatios, nodes: four,
-			faults: []scenario{{name: "normal"}, {"follower", 3, fig12RTFaultPerOp}}},
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig12RTFaultPerOp, 1}}},
 	}, claims: []claim{
 		{id: "throughput", col: "failed/normal", what: "throughput keeps the three survivors' share", paper: "−5 %", pick: isScen("follower"), vs: toScen("normal"), lo: 0.75},
 		{id: "rt", pan: 1, col: "failed/normal", what: "response time rises by at most half", paper: "+15 % / +5 %", pick: isScen("follower"), vs: toScen("normal"), hi: 1.5},
 	}},
 	{name: "fig13", baseline: append(slices.Clip(tails), "bytes_per_op"), panels: []panel{
-		{title: "Figure 13(a) — throughput (ops/µs), courseware, 4 nodes, 50 % updates, ops/20 (at least 1 000)", plots: throughput,
-			methods: "Figure 13(b) — mean response time per method (µs)",
+		{title: "Figure 13(a) — throughput (ops/µs), courseware, 4 nodes, 50 % updates, ops/20 (at least 1 000); a failure's point is the median over 8 fault instants spread over one CheckPeriod", plots: throughput,
+			methods: "Figure 13(b) — mean response time per method (µs), medians as in (a)",
 			systems: hamband, classes: classes(schema.NewCourseware), ratios: []float64{0.5}, nodes: four,
-			faults: []scenario{{name: "normal"}, {"follower", 3, fig13FaultPerOp}, {"leader", 0, fig13FaultPerOp}},
+			faults: []scenario{{name: "normal"}, {"follower", 3, fig13FaultPerOp, 8}, {"leader", 0, fig13FaultPerOp, 8}},
 			ops:    func(cfg Config) int { return max(cfg.Ops/20, 1000) }},
 	}, claims: []claim{
 		{id: "follower", col: "follower/normal", what: "a follower failing keeps the survivors' share", paper: "−6 %", pick: isScen("follower"), vs: toScen("normal"), lo: 0.75},
@@ -390,8 +395,8 @@ func (c cell) ops(cfg Config) int {
 }
 
 // runCell runs c under its variant, failing its scenario's node perOp per
-// operation in.
-func (cfg Config) runCell(c cell) (*Result, System) {
+// operation in, and then instant i/instants of one CheckPeriod later.
+func (cfg Config) runCell(c cell, i int) (*Result, System) {
 	ops, depth := c.ops(cfg), c.panel().depth
 	if c.vari.depth > 0 {
 		depth = c.vari.depth
@@ -402,7 +407,12 @@ func (cfg Config) runCell(c cell) (*Result, System) {
 	}
 	var faults []Fault
 	if c.scen.perOp > 0 {
-		faults = []Fault{{At: faultAt(ops, c.scen.perOp), Node: c.scen.node}}
+		lat := rdma.DefaultLatency()
+		if c.vari.v.Latency != nil {
+			lat = *c.vari.v.Latency
+		}
+		at := faultAt(ops, c.scen.perOp) + sim.Time(sim.Duration(i)*lat.CheckPeriod/sim.Duration(max(c.scen.instants, 1)))
+		faults = []Fault{{At: at, Node: c.scen.node}}
 	}
 	return cfg.run(c.sys, c.mk(), c.nodes, ops, c.ratio, depth, c.vari.v, faults...)
 }
@@ -418,15 +428,15 @@ func (c cell) headline() bool {
 func (cfg Config) runFigure(f *figure, s *Snapshot) {
 	for pan, p := range f.panels {
 		for _, c := range f.cells(pan, false) {
-			r, sys := cfg.runCell(c)
+			m, rts := cfg.runPoint(c)
 			if p.methods != "" {
 				var names []string
-				for name := range r.ByMethod {
+				for name := range rts {
 					names = append(names, name)
 				}
 				sort.Strings(names)
 				for _, name := range names {
-					s.add(c.exp()+"/"+name, c.sys.String(), c.class, c.nodes, c.ratio, map[string]float64{"mean_rt_us": r.ByMethod[name].Mean().Micros()})
+					s.add(c.exp()+"/"+name, c.sys.String(), c.class, c.nodes, c.ratio, map[string]float64{"mean_rt_us": rts[name]})
 				}
 			}
 			if p.plots == nil {
@@ -436,11 +446,41 @@ func (cfg Config) runFigure(f *figure, s *Snapshot) {
 			if c.headline() {
 				keep = slices.Concat(keep, f.baseline)
 			}
-			m := measured(r, sys)
 			maps.DeleteFunc(m, func(name string, _ float64) bool { return !slices.Contains(keep, name) })
 			s.add(c.exp(), c.sys.String(), c.class, c.nodes, c.ratio, m)
 		}
 	}
+}
+
+// runPoint runs c at each of its scenario's fault instants and returns what
+// the runs measured and each method's mean response time, every value the
+// median over the runs.
+func (cfg Config) runPoint(c cell) (m, rts map[string]float64) {
+	var ms, rtss []map[string]float64
+	for i := range max(c.scen.instants, 1) {
+		r, sys := cfg.runCell(c, i)
+		rt := make(map[string]float64, len(r.ByMethod))
+		for name, st := range r.ByMethod {
+			rt[name] = st.Mean().Micros()
+		}
+		ms, rtss = append(ms, measured(r, sys)), append(rtss, rt)
+	}
+	return medians(ms), medians(rtss)
+}
+
+// medians returns, for each key of runs[0], the median of its values over
+// runs: the middle one, or the mean of the middle two.
+func medians(runs []map[string]float64) map[string]float64 {
+	out := make(map[string]float64, len(runs[0]))
+	for k := range runs[0] {
+		var xs []float64
+		for _, r := range runs {
+			xs = append(xs, r[k])
+		}
+		slices.Sort(xs)
+		out[k] = (xs[(len(xs)-1)/2] + xs[len(xs)/2]) / 2
+	}
+	return out
 }
 
 // measured returns what a run of sys measured: the driver's throughput and
@@ -748,7 +788,7 @@ func Headline(name string) (labels []string, runs []func(Config) *Result) {
 	for _, c := range f.cells(0, false) {
 		if c.headline() {
 			labels = append(labels, strings.Join(strings.Fields(c.class+" "+c.scen.name+" "+c.sys.String()), "/"))
-			runs = append(runs, func(cfg Config) *Result { r, _ := cfg.runCell(c); return r })
+			runs = append(runs, func(cfg Config) *Result { r, _ := cfg.runCell(c, 0); return r })
 		}
 	}
 	return labels, runs

@@ -85,7 +85,7 @@ func TestShardPointsEndAtTheBarrier(t *testing.T) {
 	cfg := Config{Ops: DefaultOps, Seed: 42, Out: io.Discard}
 	f := figureNamed("shard")
 	for _, c := range f.cells(len(f.panels)-1, false) {
-		r, sys := cfg.runCell(c)
+		r, sys := cfg.runCell(c, 0)
 		what := c.exp() + " " + c.class
 		if r.TimedOut || r.Completed != cfg.Ops {
 			t.Fatalf("%s: completed %d/%d, timed out %v", what, r.Completed, cfg.Ops, r.TimedOut)
