@@ -18,7 +18,8 @@ const NodeLogRegion = "ham-dlog"
 
 // passes is how many δ-log passes a record's pass number tells apart: it
 // stays a one-byte varint, the byte of the empty dependency record it
-// replaces.
+// replaces. A pass's head carries the pass itself (ring.LogWriter), one to
+// four bytes once per pass.
 const passes = 128
 
 // nodeLogKey is the key of a node's *nodeLog, tagPoolKey of the fabric's

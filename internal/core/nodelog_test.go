@@ -14,15 +14,16 @@ import (
 // TestLappedReaderFetches suspends a reader while four counter shards on one
 // writer fill more than one pass of the writer's δ-log, so the new pass
 // overwrites records the reader had not read. On resume every shard
-// converges, through fetches of the writer's own slots. So it does when the
-// writer is a whole passes-long lap on, in a pass of the number the reader
-// stopped in.
+// converges, through fetches of the writer's own slots, and its walk stops
+// at the writer's cursor. So it does when the writer is a whole passes-long
+// lap on, in a pass of the number the reader stopped in, and one pass
+// further, where the pass number alone reads as the next pass.
 //
 // The ignore-pass mutant (Cluster.MutateIgnorePass) is the control: a reader
 // that takes every record for one of the pass it walks never follows the
 // writer into the next pass, and must be left stale.
 func TestLappedReaderFetches(t *testing.T) {
-	for _, laps := range []uint64{1, passes} {
+	for _, laps := range []uint64{1, passes, passes + 1} {
 		if err := lappedReader(t, false, laps); err != nil {
 			t.Fatalf("lapped %d passes: %v", laps, err)
 		}
@@ -89,6 +90,9 @@ func lappedReader(t *testing.T, ignorePass bool, laps uint64) error {
 	}
 	fab.Node(1).Resume()
 	eng.RunFor(sim.Millisecond)
+	if at, wat := reader.walks[0].Pos(), writer.w.Pos(); !ignorePass && at != wat {
+		return fmt.Errorf("the reader's walk stopped at %+v, the writer is at %+v", at, wat)
+	}
 
 	var fetches uint64
 	for i, c := range cs {
@@ -188,8 +192,19 @@ func TestLeaveDrainsBehindAGap(t *testing.T) {
 // again only once every node's walk has read past its records. A node asleep
 // while the stopped cluster's last record landed would otherwise hand that
 // record to the next cluster on the tag. The cluster that takes it again
-// does not inherit the refusals of a node that left the one before.
+// does not inherit the refusals of a node that left the one before. So it
+// goes when the sleeper's walk is lapped by more than passes passes: its
+// walk knows the writer's pass, not only the pass number, and so passes the
+// stopped cluster's records.
 func TestTagsReturnBehindEveryWalk(t *testing.T) {
+	for _, lap := range []uint64{0, passes + 1} {
+		t.Run(fmt.Sprintf("lap-%d", lap), func(t *testing.T) { tagsReturn(t, lap) })
+	}
+}
+
+// tagsReturn runs the test with node 0 writing lap passes of its δ-log, a
+// second object's records, while node 1 sleeps.
+func tagsReturn(t *testing.T, lap uint64) {
 	eng := sim.NewEngine(3)
 	fab := rdma.NewFabric(eng, 3, rdma.DefaultLatency())
 	an := spec.MustAnalyze(crdt.NewCounter())
@@ -199,6 +214,15 @@ func TestTagsReturnBehindEveryWalk(t *testing.T) {
 		o := opts
 		o.Shard = shard
 		return NewCluster(fab, an, o)
+	}
+	var filler *Cluster
+	tags := 2
+	if lap > 0 {
+		// The first object sizes the nodes' δ-logs for a record or two a
+		// pass, so the lap is a few hundred calls.
+		o := opts
+		o.Shard, o.DeltaLogBytes = "filler", 128
+		filler, tags = NewCluster(fab, an, o), tags+1
 	}
 	a := build("a")
 	eng.At(0, func() {
@@ -212,6 +236,13 @@ func TestTagsReturnBehindEveryWalk(t *testing.T) {
 	fab.Node(1).Suspend()
 	eng.At(eng.Now(), func() { a.Replica(0).Invoke(crdt.CounterAdd, spec.ArgsI(5), nil) }) // a δ-record node 1 does not read
 	eng.RunFor(20 * sim.Microsecond)
+	if lap > 0 {
+		writer := attachedLog(fab.Node(0)).w
+		for end := writer.Pos().Abs + lap; writer.Pos().Abs < end; {
+			eng.At(eng.Now(), func() { filler.Replica(0).Invoke(crdt.CounterAdd, spec.ArgsI(1), nil) })
+			eng.RunFor(10 * sim.Microsecond) // a flush apart: a record each
+		}
+	}
 	tag := a.tags[0]
 	a.Stop()
 	if b := build("b"); b.tags[0] == tag {
@@ -233,8 +264,8 @@ func TestTagsReturnBehindEveryWalk(t *testing.T) {
 			t.Errorf("c at p%d reads %d, want 14: a refusal of a's outlived it", r.id, got)
 		}
 	}
-	if n := LogTags(fab.Node(1)); n != 2 {
-		t.Fatalf("node 1's table holds %d tags, want 2", n)
+	if n := LogTags(fab.Node(1)); n != tags {
+		t.Fatalf("node 1's table holds %d tags, want %d", n, tags)
 	}
 }
 

@@ -424,7 +424,7 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, 
 	if dw.anchored {
 		if dw.open && dw.mark == r.coal.Mark() {
 			dw.call = r.cls.SumGroups[g].Summarize(dw.call, c)
-			if rec := r.encodeRun(g, dw, slot, lw.Pass()); r.fits(dw, rec) {
+			if rec := r.encodeRun(g, dw, slot, lw.Stamp(dw.nodeAt)); r.fits(dw, rec) {
 				term = r.placeRun(dw, &rec)
 				dw.sinceAnchor++
 				return rec, dw.runAt, dw.nodeAt, term
@@ -434,12 +434,12 @@ func (r *Replica) nextDelta(g int, slot *sumSlot, c spec.Call) (rec []byte, at, 
 		dw.call.Method, dw.call.Proc, dw.call.Seq = c.Method, c.Proc, c.Seq
 		dw.call.Args.I = append(dw.call.Args.I[:0], c.Args.I...)
 		dw.call.Args.S = append(dw.call.Args.S[:0], c.Args.S...)
-		was := lw.Pass()
+		was := lw.Stamp(dw.nodeAt)
 		rec := r.encodeRun(g, dw, slot, was)
 		if rec != nil {
-			var pass uint32
-			if dw.nodeAt, pass = lw.Reserve(len(rec)); pass != was {
-				rec = r.encodeRun(g, dw, slot, pass)
+			var stamp uint32
+			if dw.nodeAt, stamp = lw.Reserve(len(rec)); stamp != was {
+				rec = r.encodeRun(g, dw, slot, stamp)
 			}
 		}
 		if r.fits(dw, rec) {

@@ -20,9 +20,11 @@ func (p LogPos) Before(q LogPos) bool { return p.Abs < q.Abs || p.Abs == q.Abs &
 
 // LogWriter is the writer's side of a pass-numbered log: codec.FrameDelta
 // records stamped with their pass mod passes, a record that does not fit
-// behind the cursor starting the next pass at offset 0. It is a pure state
-// machine over the writer's mirror, the bytes every reader's copy holds once
-// the writer's writes have landed.
+// behind the cursor starting the next pass at offset 0. The record at offset
+// 0, a pass's head, is stamped with the pass itself (mod 2^32), so a reader
+// that finds the writer moved on knows how many passes it missed. It is a
+// pure state machine over the writer's mirror, the bytes every reader's copy
+// holds once the writer's writes have landed.
 type LogWriter struct {
 	mirror []byte
 	passes uint32
@@ -50,16 +52,25 @@ func (w *LogWriter) Pos() LogPos { return w.pos }
 // Pass returns the pass number of the cursor's pass.
 func (w *LogWriter) Pass() uint32 { return w.pass }
 
+// Stamp returns the pass a record of the cursor's pass at at is stamped
+// with: the pass number, or at the head the pass itself.
+func (w *LogWriter) Stamp(at int) uint32 {
+	if at == 0 {
+		return uint32(w.pos.Abs)
+	}
+	return w.pass
+}
+
 // Reserve returns where an n-byte record goes and the pass it is stamped
 // with: the cursor, or offset 0 of the next pass, which it starts, when the
 // record would run past the log's end. A record longer than the log fits
 // neither; the pass starts all the same.
-func (w *LogWriter) Reserve(n int) (at int, pass uint32) {
+func (w *LogWriter) Reserve(n int) (at int, stamp uint32) {
 	if w.pos.At+n > len(w.mirror) {
 		w.pos = LogPos{w.pos.Abs + 1, 0}
 		w.pass = (w.pass + 1) % w.passes
 	}
-	return w.pos.At, w.pass
+	return w.pos.At, w.Stamp(w.pos.At)
 }
 
 // Land places rec at at — its first n bytes a record of the cursor's pass,
@@ -83,7 +94,7 @@ func (w *LogWriter) Land(at int, rec []byte, n int) bool {
 	h, err := codec.PeekDeltaRecord(b)
 	switch {
 	case err == nil && h.Kind == codec.FrameDelta:
-		if codec.DecodeDeltaBody(&w.probe, b, h) != nil || w.probe.Pass != w.pass {
+		if codec.DecodeDeltaBody(&w.probe, b, h) != nil || w.probe.Pass%w.passes != w.pass {
 			return false
 		}
 
@@ -114,19 +125,13 @@ type LogWalker struct {
 	log    []byte
 	rec    *codec.DeltaRecord
 	passes uint32
-	pos    LogPos // Abs: the writer's passes before the walk's, as far as the walk can tell
-	pass   uint32
-	next   int // the frame length of the record the last Step returned
-
-	// passHead is the CRC of the record the walk read at offset 0 of its
-	// pass, 0 before it read one. Once landed, that record changes only
-	// when the writer starts a new pass, so a head that differs under the
-	// same pass number is a whole number of passes later: a lap.
-	passHead uint32
+	pos    LogPos // Abs: the writer's passes before the walk's
+	pass   uint32 // pos.Abs mod passes
+	next   int    // the frame length of the record the last Step returned
 
 	// The record the last look at the log's head validated: its length
-	// word, its CRC and its pass. A head whose length word and CRC read the
-	// same is that record, and is not validated again.
+	// word, its CRC and its stamp. A head whose length word and CRC read
+	// the same is that record, and is not validated again.
 	headLen, headCRC, headPass uint32
 
 	lapAt           int // where this walk left the old pass, -1 while it has not
@@ -137,9 +142,10 @@ type LogWalker struct {
 }
 
 // NewLogWalker returns a walk of log from its start, telling passes passes
-// apart; every record it decodes lands in rec, which the caller reads after
-// a LogRecord step. The log is the reader's copy of one writer's log: its
-// bytes may change between steps, its length may not.
+// apart; every record it decodes lands in rec, its Pass the pass number mod
+// passes, which the caller reads after a LogRecord step. The log is the
+// reader's copy of one writer's log: its bytes may change between steps,
+// its length may not.
 func NewLogWalker(log []byte, passes int, rec *codec.DeltaRecord) *LogWalker {
 	checkPasses(passes)
 	return &LogWalker{log: log, rec: rec, passes: uint32(passes)}
@@ -163,25 +169,20 @@ func (w *LogWalker) Advance() { w.pos.At += w.next }
 
 // Step reads the log at the walk's position. Where no record of its pass
 // is, the pass has ended there or its next record has not landed — unless
-// the log's head says the writer moved on: a record of the next pass there
-// makes the walk enter it, once a walk. A head of any other pass, or a
-// changed head under the walk's own pass number, means the walk was lapped:
-// it enters the head's pass as well, once, and Lapped then holds.
+// the log's head says the writer moved on: the head of the next pass makes
+// the walk enter it, once a walk. The head of a later pass means the walk
+// was lapped: it enters the head's pass as well, once, and Lapped then
+// holds.
 func (w *LogWalker) Step() LogStep {
-	total, pass, err := w.read(w.pos.At)
-	if err == nil && w.same(pass, w.pass) {
-		if w.pos.At == 0 {
-			w.passHead = binary.LittleEndian.Uint32(w.log[total-codec.RecordTrailer:])
-		}
+	total, stamp, err := w.read(w.pos.At)
+	if err == nil && w.ours(w.pos.At, stamp, w.pos.Abs) {
 		w.next = total
 		return LogRecord
 	}
 	torn := errors.Is(err, codec.ErrTorn)
-	head, herr := pass, err
-	moved := false // the head changed under the walk's pass number
+	head, herr := stamp, err
 	if w.pos.At > 0 {
 		head, herr = w.head()
-		moved = herr == nil && !w.IgnorePass && w.passHead != 0 && w.headCRC != w.passHead
 	}
 	tornHead := w.pos.At > 0 && errors.Is(herr, codec.ErrTorn)
 	if torn {
@@ -190,20 +191,21 @@ func (w *LogWalker) Step() LogStep {
 	if tornHead {
 		w.torn++
 	}
+	ahead := int32(head - uint32(w.pos.Abs)) // passes the head is on from the walk's
 	switch {
-	case herr != nil || !moved && (w.same(head, w.pass) || head == (w.pass+w.passes-1)%w.passes):
+	case herr != nil || w.IgnorePass || ahead <= 0:
 		// The writer is still in the walk's pass, or a torn head hides
 		// whether it moved on.
 		if torn || tornHead {
 			return LogTorn
 		}
-	case head == (w.pass+1)%w.passes && w.pos.At > 0 && w.lapAt < 0 && !torn:
+	case ahead == 1 && w.pos.At > 0 && w.lapAt < 0 && !torn:
 		w.lapAt = w.pos.At
-		w.enter(head)
+		w.enter(ahead)
 		return LogLap
 	case w.lapAt != 0: // torn bytes left behind, two passes on, or a whole pass missed
 		w.lapAt = 0
-		w.enter(head)
+		w.enter(ahead)
 		return LogLap
 	}
 	return LogEnd
@@ -215,7 +217,7 @@ func (w *LogWalker) Step() LogStep {
 // did not advance) has not seen where it ends; the records of the pass from
 // its position on tell.
 func (w *LogWalker) Lapped() bool {
-	return w.lapAt >= 0 && w.passEnd(w.pos.At, w.pass) > w.lapAt
+	return w.lapAt >= 0 && w.passEnd(w.pos.At, w.pos.Abs) > w.lapAt
 }
 
 // Landed returns where what has landed of the log ends, as far as the walk
@@ -223,26 +225,21 @@ func (w *LogWalker) Lapped() bool {
 // the log's head is already a record of the next pass, behind that pass's
 // records from offset 0.
 func (w *LogWalker) Landed() LogPos {
-	pos := LogPos{w.pos.Abs, w.passEnd(w.pos.At, w.pass)}
-	if _, pass, err := w.read(0); err == nil && pos.At > 0 && pass == (w.pass+1)%w.passes {
-		pos = LogPos{w.pos.Abs + 1, w.passEnd(0, pass)}
+	pos := LogPos{w.pos.Abs, w.passEnd(w.pos.At, w.pos.Abs)}
+	if _, stamp, err := w.read(0); err == nil && pos.At > 0 && stamp == uint32(w.pos.Abs+1) {
+		pos = LogPos{w.pos.Abs + 1, w.passEnd(0, w.pos.Abs+1)}
 	}
 	return pos
 }
 
-// enter moves the walk to the start of the writer's pass pass, the next
-// one it knows of: pass numbers a whole lap apart count a lap.
-func (w *LogWalker) enter(pass uint32) {
-	d := uint64((pass + w.passes - w.pass) % w.passes)
-	if d == 0 {
-		d = uint64(w.passes)
-	}
-	w.pos = LogPos{w.pos.Abs + d, 0}
-	w.pass, w.passHead = pass, 0
+// enter moves the walk to the start of the pass d passes on from its own.
+func (w *LogWalker) enter(d int32) {
+	w.pos = LogPos{w.pos.Abs + uint64(d), 0}
+	w.pass = uint32(w.pos.Abs % uint64(w.passes))
 }
 
-// read decodes the record at log[at:] into the walker's record and returns
-// its frame length and pass.
+// read decodes the record at log[at:] into the walker's record, its Pass
+// made the pass number, and returns its frame length and stamp.
 func (w *LogWalker) read(at int) (int, uint32, error) {
 	h, err := codec.PeekDeltaRecord(w.log[at:])
 	if err != nil {
@@ -254,23 +251,25 @@ func (w *LogWalker) read(at int) (int, uint32, error) {
 	if err := codec.DecodeDeltaBody(w.rec, w.log[at:], h); err != nil {
 		return 0, 0, err
 	}
-	return h.Total, w.rec.Pass, nil
+	stamp := w.rec.Pass
+	w.rec.Pass %= w.passes
+	return h.Total, stamp, nil
 }
 
-// passEnd returns where the records of pass that follow one another from at
-// end.
-func (w *LogWalker) passEnd(at int, pass uint32) int {
+// passEnd returns where the records of pass abs that follow one another
+// from at end.
+func (w *LogWalker) passEnd(at int, abs uint64) int {
 	for {
-		total, p, err := w.read(at)
-		if err != nil || !w.same(p, pass) {
+		total, stamp, err := w.read(at)
+		if err != nil || !w.ours(at, stamp, abs) {
 			return at
 		}
 		at += total
 	}
 }
 
-// head returns the pass of the record at the head of the log, validating it
-// only when its length word or CRC changed since the walk last looked.
+// head returns the stamp of the record at the head of the log, validating
+// it only when its length word or CRC changed since the walk last looked.
 func (w *LogWalker) head() (uint32, error) {
 	if w.headLen != 0 {
 		n := binary.LittleEndian.Uint32(w.log)
@@ -287,6 +286,12 @@ func (w *LogWalker) head() (uint32, error) {
 	return pass, nil
 }
 
-// same reports whether a record of pass belongs to the walk's pass — any
+// ours reports whether a record at at stamped stamp belongs to pass abs:
+// its head carries the pass, every other record its number — and any
 // record does, under the ignore-pass mutant.
-func (w *LogWalker) same(pass, walk uint32) bool { return w.IgnorePass || pass == walk }
+func (w *LogWalker) ours(at int, stamp uint32, abs uint64) bool {
+	if at == 0 {
+		return w.IgnorePass || stamp == uint32(abs)
+	}
+	return w.IgnorePass || stamp == uint32(abs%uint64(w.passes))
+}

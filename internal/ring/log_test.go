@@ -31,6 +31,9 @@ type logRig struct {
 	// noTerm is the no-terminate mutant: the writes leave the zero length
 	// word out.
 	noTerm bool
+	// modHeads is the mod-heads mutant: a pass's head is stamped with its
+	// pass number, like every other record, not with the pass itself.
+	modHeads bool
 }
 
 func newLogRig(size int, seed int64) *logRig {
@@ -72,11 +75,14 @@ func (g *logRig) encode(t testing.TB, seq, pass uint32, n int) []byte {
 func (g *logRig) append(t testing.TB) LogPos {
 	g.seq++
 	n := 40 + g.rng.Intn(32)
-	was := g.w.Pass()
+	was := g.w.Stamp(g.w.Pos().At)
 	rec := g.encode(t, g.seq, was, n)
-	at, pass := g.w.Reserve(len(rec))
-	if pass != was {
-		rec = g.encode(t, g.seq, pass, n)
+	at, stamp := g.w.Reserve(len(rec))
+	if g.modHeads {
+		stamp = g.w.Pass()
+	}
+	if stamp != was {
+		rec = g.encode(t, g.seq, stamp, n)
 	}
 	if at+len(rec) > len(g.copy) {
 		t.Fatalf("a %d-byte record at %d overruns the %d-byte log", len(rec), at, len(g.copy))
@@ -120,37 +126,33 @@ func (g *logRig) walk(t testing.TB) (read []uint32, lapped bool, torn int) {
 }
 
 // TestLogLapSweep lets a walker that has read the head of its pass sleep
-// from 0 to 2 × passes passes, ending anywhere in the last one, while the
-// writer appends records of varying lengths; then one walk must report a
-// lap, or read every record that landed in the meantime, once and in
-// order. Sleeps of passes − 1 and passes passes alias the walk's pass
-// number, or the one before it, at the log's head; only the head's CRC
-// tells them from a writer that has not moved on. The forget-head control
-// clears the walker's record of that CRC before the walk, as a walker
-// without the comparison would, and must miss a lap.
-//
-// A sleep of k × passes + 1 passes that ends before where the walk stopped
-// reads as a writer one pass on that has not reached it: no pass number
-// mod passes tells the two apart. The sweep counts those sleeps apart and
-// asserts nothing of them.
+// from 0 to 2 × passes + 1 passes, ending anywhere in the last one, while
+// the writer appends records of varying lengths; then one walk must report
+// a lap, or read every record that landed in the meantime, once and in
+// order, and stop at the writer's cursor in the writer's pass. Sleeps of
+// k × passes − 1, k × passes and k × passes + 1 passes alias the walk's
+// pass number, the one before it or the one after it at the log's head;
+// only the head's stamp, the pass itself, tells them apart. The mod-heads
+// control stamps heads with their pass number, as every other record, and
+// must miss a lap.
 func TestLogLapSweep(t *testing.T) {
-	missed, aliased := lapSweep(t, false)
-	if missed != 0 {
+	if missed := lapSweep(t, false); missed != 0 {
 		t.Fatalf("%d sleeps lost records without a lap", missed)
 	}
-	t.Logf("%d sleeps of k × passes + 1 passes lost records unreported", aliased)
-	if missed, _ = lapSweep(t, true); missed == 0 {
-		t.Fatal("a walker that forgets its pass's head reported every lap")
+	missed := lapSweep(t, true)
+	if missed == 0 {
+		t.Fatal("a log whose heads carry only their pass number reported every lap")
 	}
-	t.Logf("forget-head control: %d sleeps lost records unreported", missed)
+	t.Logf("mod-heads control: %d sleeps lost records unreported", missed)
 }
 
-// lapSweep returns how many sleeps lost records without a lap report, and
-// how many of the aliased ones did; it fails t on any other misreading.
-func lapSweep(t *testing.T, forgetHead bool) (missed, aliased int) {
-	for sleep := uint64(0); sleep <= 2*testPasses; sleep++ {
+// lapSweep returns how many sleeps lost records without a lap report; it
+// fails t on any other misreading, and on any miss without modHeads.
+func lapSweep(t *testing.T, modHeads bool) (missed int) {
+	for sleep := uint64(0); sleep <= 2*testPasses+1; sleep++ {
 		for trial := int64(0); trial < 32; trial++ {
 			g := newLogRig(160+int(trial)%5*24, trial*31+int64(sleep))
+			g.modHeads = modHeads
 			for i := 1 + g.rng.Intn(12); i > 0; i-- {
 				g.append(t)
 				g.walk(t)
@@ -160,12 +162,9 @@ func lapSweep(t *testing.T, forgetHead bool) (missed, aliased int) {
 			for g.w.Pos().Before(stop) {
 				g.append(t)
 			}
-			if forgetHead {
-				g.walker.passHead = 0
-			}
 			read, lapped, torn := g.walk(t)
 			name := fmt.Sprintf("sleep %d, trial %d", sleep, trial)
-			if !forgetHead && (torn < 0 || torn > 0 && !lapped) { // a lapped walk may read the new pass's bytes misaligned
+			if !modHeads && (torn < 0 || torn > 0 && !lapped) { // a lapped walk may read the new pass's bytes misaligned
 				t.Fatalf("%s: a fault-free walk read torn records (%d), lapped %v", name, torn, lapped)
 			}
 			for i, v := range read {
@@ -173,23 +172,42 @@ func lapSweep(t *testing.T, forgetHead bool) (missed, aliased int) {
 					t.Fatalf("%s: the walk read versions %v, records %d on landed since the last", name, read, from)
 				}
 			}
-			if wp, gp := g.w.Pos(), g.walker.Pos(); !forgetHead && (gp.At != wp.At || g.walker.Pass() != g.w.Pass() || gp.Abs%testPasses != wp.Abs%testPasses) {
+			if wp, gp := g.w.Pos(), g.walker.Pos(); !modHeads && (gp != wp || g.walker.Pass() != g.w.Pass()) {
 				t.Fatalf("%s: the walk stopped at %+v in pass %d, the writer is at %+v in pass %d", name, gp, g.walker.Pass(), wp, g.w.Pass())
 			}
 			if lapped || len(read) == int(g.seq+1-from) {
 				continue
 			}
-			if sleep > 1 && sleep%testPasses == 1 && g.w.Pos().At <= left.At {
-				aliased++
-				continue
-			}
 			missed++
-			if !forgetHead {
-				t.Errorf("%s: the walk read %d of the %d records that landed and reported no lap", name, len(read), g.seq+1-from)
+			if !modHeads {
+				t.Errorf("%s: the walk read %d of the %d records that landed and reported no lap (it stopped at %+v)", name, len(read), g.seq+1-from, left)
 			}
 		}
 	}
-	return missed, aliased
+	return missed
+}
+
+// TestFreshWalkerFindsTheWriter: a walker that never read a record, whose
+// writer is already some passes on — one less than passes, or a multiple of
+// it, alias a fresh walk's pass number or the one before it — reports a lap
+// and stops at the writer's cursor.
+func TestFreshWalkerFindsTheWriter(t *testing.T) {
+	for _, ahead := range []uint64{1, testPasses - 1, testPasses, testPasses + 1, 2 * testPasses} {
+		for trial := int64(0); trial < 8; trial++ {
+			g := newLogRig(200, trial)
+			for g.w.Pos().Abs < ahead || g.rng.Intn(3) > 0 && g.w.Pos().Abs == ahead {
+				g.append(t)
+			}
+			if g.w.Pos().Abs != ahead {
+				continue
+			}
+			_, lapped, _ := g.walk(t)
+			if !lapped || g.walker.Pos() != g.w.Pos() {
+				t.Fatalf("%d passes ahead, trial %d: a fresh walk stopped at %+v, lapped %v; the writer is at %+v",
+					ahead, trial, g.walker.Pos(), lapped, g.w.Pos())
+			}
+		}
+	}
 }
 
 // TestFaultFreeLogWalksReadNoTornRecord has a writer append records of
@@ -245,20 +263,21 @@ func TestLogPosOrder(t *testing.T) {
 	}
 }
 
-// TestLogWriterReserve pins where records go: behind the cursor while they
-// fit, at offset 0 of the next pass, mod passes, when they do not — even a
-// record longer than the log, which fits nowhere.
+// TestLogWriterReserve pins where records go and their stamps: behind the
+// cursor while they fit, stamped with the pass number, at offset 0 of the
+// next pass when they do not — even a record longer than the log, which
+// fits nowhere — stamped with the pass itself.
 func TestLogWriterReserve(t *testing.T) {
 	w := NewLogWriter(make([]byte, 64), testPasses)
 	for i, want := range []struct {
 		n, at int
-		pass  uint32
+		stamp uint32
 		abs   uint64
-	}{{40, 0, 0, 0}, {30, 0, 1, 1}, {34, 30, 1, 1}, {1, 0, 2, 2}, {100, 0, 3, 3}, {100, 0, 0, 4}, {8, 0, 0, 4}} {
-		at, pass := w.Reserve(want.n)
-		if at != want.at || pass != want.pass || w.Pos().Abs != want.abs {
-			t.Fatalf("record %d (%d bytes) goes to %d of pass %d (abs %d), want %d of pass %d (abs %d)",
-				i, want.n, at, pass, w.Pos().Abs, want.at, want.pass, want.abs)
+	}{{40, 0, 0, 0}, {30, 0, 1, 1}, {34, 30, 1, 1}, {1, 0, 2, 2}, {100, 0, 3, 3}, {100, 0, 4, 4}, {8, 0, 4, 4}, {8, 8, 0, 4}} {
+		at, stamp := w.Reserve(want.n)
+		if at != want.at || stamp != want.stamp || w.Pos().Abs != want.abs {
+			t.Fatalf("record %d (%d bytes) goes to %d stamped %d (abs %d), want %d stamped %d (abs %d)",
+				i, want.n, at, stamp, w.Pos().Abs, want.at, want.stamp, want.abs)
 		}
 		if want.n <= 64 {
 			w.pos.At = at + want.n
