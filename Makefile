@@ -230,9 +230,15 @@ allocs:
 # summary write; TestFreeLedger is one node on the buffered path (orset, a quarter updates), with the calls per broadcast
 # message, the ring records per write, and the node's post items (at most one)
 # and CQ polls a message, and TestFreeLedgerCatchesPerPeer its control (a post
-# item per peer). The rows are checked against sim.CPU.BusyTotal.
+# item per peer). TestReduceLedger (both points), TestFreeLedger and
+# TestStoreLedger (16 counter shards) bound the "heartbeat reads" row at
+# 0.0004 µs/op: a peer whose records p0 consumes is not read (at most 0.0002;
+# 0.0010–0.0012 with a read of every peer at every check), and
+# TestLedgersCatchReadAll is its control on all three (p0's detector reads
+# every check, rdma.Detector.MutateReadAll). The rows are checked against
+# sim.CPU.BusyTotal.
 ledger:
-	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger' -count=1 -v ./internal/bench
+	$(GO) test -run 'Test(Leader|Store|Reduce|Free)Ledger|TestLedgersCatchReadAll' -count=1 -v ./internal/bench
 
 # bench-snapshot regenerates the canonical benchmark snapshot committed at
 # the repo root (deterministic: same ops+seed give identical bytes). It holds
@@ -246,8 +252,8 @@ ledger:
 # baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
 # make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
 # moved stays within its bound.
-SNAPSHOT ?= BENCH_PR71.json
-PREV_SNAPSHOT ?= BENCH_PR70.json
+SNAPSHOT ?= BENCH_PR72.json
+PREV_SNAPSHOT ?= BENCH_PR71.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

@@ -129,12 +129,16 @@ func (cfg Config) Trace() {
 // per-QP verb counters and bytes, and the protocol health counters
 // (broadcast retries, commit latency, suspicions). The JSON export is the
 // registry snapshot (see writeMergedMetrics); ChromeTrace, when set, receives
-// a Chrome trace-event file of the first calls' lifecycles.
+// a Chrome trace-event file of the first calls' lifecycles. The run ends
+// with two idle CheckPeriods, so the report shows the heartbeat reads: while
+// calls flow, the peers' records stand in for them (rdma.Node.Heard).
 func (cfg Config) Metrics() {
 	ops := max(cfg.Ops/4, 500)
 	var reg *metrics.Registry
 	var tr *trace.Tracer
-	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, 0, Variant{Edit: func(fab *rdma.Fabric, o *core.Options) {
+	var fab *rdma.Fabric
+	res, _ := cfg.run(Hamband, crdt.NewBankMap(), 4, ops, 0.5, 0, Variant{Edit: func(f *rdma.Fabric, o *core.Options) {
+		fab = f
 		reg = metrics.New(fab.Engine())
 		o.Metrics = reg
 		if cfg.ChromeTrace != nil {
@@ -142,6 +146,7 @@ func (cfg Config) Metrics() {
 			o.Tracer = tr
 		}
 	}})
+	fab.Engine().RunFor(2 * fab.Latency().CheckPeriod)
 
 	cfg.printf("Metrics report — %s\n\n", res)
 	reg.WriteTable(cfg.Out)

@@ -259,44 +259,12 @@ func leaderLedger(t *testing.T, kind SystemKind, mutate func(*core.Cluster)) (le
 // what one write per δ-run shrinks, and the WR counts say how: the same calls
 // in fewer writes. At commit 15bcad2 the gset point read post 0.0549 of 0.0823
 // µs/op and one call per write (60 000 WRs); since a run is one δ-record, the
-// record counts fall to the WR counts and the rows do not move.
+// record counts fall to the WR counts and the rows do not move. Every peer
+// writes δ-records to p0 while calls flow, which stand in for its heartbeat
+// (rdma.Node.Heard), so the heartbeat reads row stays under
+// maxHeartbeatReads at both points.
 func TestReduceLedger(t *testing.T) {
-	const nodes = 4
-	point := func(cls *spec.Class, updates float64) (l *ledger, ops int, perWrite float64) {
-		eng := sim.NewEngine(42)
-		an := spec.MustAnalyze(cls)
-		built, err := Build(Hamband, eng, nodes, an, Variant{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := built.(*hambandSystem)
-		fab := sys.c.Fab
-		l = newLedger()
-		cpu := fab.Node(0).CPU
-		cpu.Observe = l.charge
-		res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, updates, 43))
-		if res.TimedOut || res.Completed != DefaultOps {
-			t.Fatalf("%s: completed %d/%d, timed out %v", cls.Name, res.Completed, DefaultOps, res.TimedOut)
-		}
-		sum := l.settle(t, eng, cpu, cls.Name+" p0")
-		var records, calls uint64 // what the replicas handed the coalescer, per peer
-		for _, r := range sys.c.Replicas {
-			deltas, anchors, _ := r.DeltaStats()
-			records += (deltas + anchors) * (nodes - 1)
-			for u := range cls.Methods {
-				if an.Category[u] == spec.CatReducible {
-					calls += uint64(r.Applied().Get(r.ID(), spec.MethodID(u))) * (nodes - 1)
-				}
-			}
-		}
-		fs := fab.Stats()
-		perWrite = float64(calls) / float64(fs.Writes)
-		t.Logf("%s, %.0f%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d records in %d WRs (%.1f calls a write), %d of them chained on %d doorbells\n%s",
-			cls.Name, 100*updates, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
-			calls, records, fs.Writes, perWrite, fs.ChainedWRs, fs.Chains, l.table(res.Completed))
-		return l, res.Completed, perWrite
-	}
-	l, ops, perWrite := point(crdt.NewGSet(), 1.0)
+	l, ops, perWrite := reduceLedger(t, crdt.NewGSet(), 1.0, "")
 	if post := l.rows["post: summary writes"].Micros() / float64(ops); post == 0 || post > 0.025 {
 		t.Errorf("gset: summary writes cost %.4f µs/op, want a row and at most 0.025 (0.0549 with a WR per record)", post)
 	}
@@ -306,9 +274,87 @@ func TestReduceLedger(t *testing.T) {
 	if perWrite < 5 {
 		t.Errorf("gset: %.1f calls per summary write, want at least 5", perWrite)
 	}
-	if l, _, _ := point(crdt.NewCounter(), 0.25); l.rows["post: summary writes"] == 0 || l.rows["post: other writes"] != 0 {
+	checkHeartbeatReads(t, "gset", l, ops)
+	l, ops, _ = reduceLedger(t, crdt.NewCounter(), 0.25, "")
+	if l.rows["post: summary writes"] == 0 || l.rows["post: other writes"] != 0 {
 		t.Errorf("counter: summary writes are not in their row: %v", l.rows)
 	}
+	checkHeartbeatReads(t, "counter", l, ops)
+}
+
+// maxHeartbeatReads bounds what p0's heartbeat reads cost per call while
+// calls flow: 0.0002 µs/op at most at seed 42 on the reducible, buffered
+// and store points, 0.0010–0.0012 with a read of every peer at every check.
+const maxHeartbeatReads = 0.0004
+
+func checkHeartbeatReads(t *testing.T, point string, l *ledger, ops int) {
+	t.Helper()
+	if reads := l.perOp("heartbeat reads", ops); reads > maxHeartbeatReads {
+		t.Errorf("%s: heartbeat reads cost %.4f µs/op, want at most %.4f: a peer whose records p0 consumes is not read", point, reads, maxHeartbeatReads)
+	}
+}
+
+// TestLedgersCatchReadAll is the mutation control of the heartbeat reads
+// bound: p0's detector reads every peer at every check, heard or not
+// (rdma.Detector.MutateReadAll), and each of the three ledgers must read
+// more than the bound.
+func TestLedgersCatchReadAll(t *testing.T) {
+	l, ops, _ := reduceLedger(t, crdt.NewCounter(), 0.25, "read-all")
+	rows := []float64{l.perOp("heartbeat reads", ops)}
+	l, ops, _, _ = freeLedger(t, "read-all")
+	rows = append(rows, l.perOp("heartbeat reads", ops))
+	l, _, _ = storeLedger(t, crdt.NewCounter(), 16, "read-all")
+	rows = append(rows, l.perOp("heartbeat reads", DefaultOps))
+	for i, point := range []string{"counter", "orset", "16 counter shards"} {
+		if rows[i] <= maxHeartbeatReads {
+			t.Errorf("%s: reading every check costs %.4f µs/op of heartbeat reads, within the %.4f bound", point, rows[i], maxHeartbeatReads)
+		}
+	}
+	t.Logf("caught: heartbeat reads %.4f, %.4f and %.4f µs/op", rows[0], rows[1], rows[2])
+}
+
+// reduceLedger runs the reducible point, cls at updates, under the named
+// mutant — "read-all": p0's detector reads every peer at every check — logs
+// p0's ledger with its calls per summary write, and returns the ledger, the
+// calls completed and the calls per write.
+func reduceLedger(t *testing.T, cls *spec.Class, updates float64, mutant string) (l *ledger, ops int, perWrite float64) {
+	t.Helper()
+	const nodes = 4
+	eng := sim.NewEngine(42)
+	an := spec.MustAnalyze(cls)
+	built, err := Build(Hamband, eng, nodes, an, Variant{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := built.(*hambandSystem)
+	fab := sys.c.Fab
+	if mutant == "read-all" {
+		fab.Node(0).Detector().MutateReadAll()
+	}
+	l = newLedger()
+	cpu := fab.Node(0).CPU
+	cpu.Observe = l.charge
+	res := Run(eng, sys, NewWorkload(an, nodes, DefaultOps, updates, 43))
+	if res.TimedOut || res.Completed != DefaultOps {
+		t.Fatalf("%s: completed %d/%d, timed out %v", cls.Name, res.Completed, DefaultOps, res.TimedOut)
+	}
+	sum := l.settle(t, eng, cpu, cls.Name+" p0")
+	var records, calls uint64 // what the replicas handed the coalescer, per peer
+	for _, r := range sys.c.Replicas {
+		deltas, anchors, _ := r.DeltaStats()
+		records += (deltas + anchors) * (nodes - 1)
+		for u := range cls.Methods {
+			if an.Category[u] == spec.CatReducible {
+				calls += uint64(r.Applied().Get(r.ID(), spec.MethodID(u))) * (nodes - 1)
+			}
+		}
+	}
+	fs := fab.Stats()
+	perWrite = float64(calls) / float64(fs.Writes)
+	t.Logf("%s, %.0f%% updates, p0: %.2f ops/µs, busy %.1f%% of %v; %d calls in %d records in %d WRs (%.1f calls a write), %d of them chained on %d doorbells\n%s",
+		cls.Name, 100*updates, res.Throughput(), 100*float64(sum)/float64(res.Makespan), res.Makespan,
+		calls, records, fs.Writes, perWrite, fs.ChainedWRs, fs.Chains, l.table(res.Completed))
+	return l, res.Completed, perWrite
 }
 
 // TestFreeLedger prints the virtual-CPU ledger of one node on the buffered
@@ -325,9 +371,10 @@ func TestReduceLedger(t *testing.T) {
 // read deliver 0.0187 + post 0.0144 + CQE 0.0085 of 0.1038 µs/op and 6 780
 // ring writes for 5 000 updates; at a2bb955, a deliver item per message and a
 // poll per completion, deliver 0.0038 + CQE 0.0047; with a post item per peer,
-// post 0.0065 and CQ polls 0.0016.
+// post 0.0065 and CQ polls 0.0016. The heartbeat reads row stays under
+// maxHeartbeatReads: the peers' ring records stand in for their heartbeats.
 func TestFreeLedger(t *testing.T) {
-	l, ops, items, polls := freeLedger(t, false)
+	l, ops, items, polls := freeLedger(t, "")
 	perOp := func(row string) float64 { return l.perOp(row, ops) }
 	if perMessage := perOp("deliver") + perOp(ledgerPostRow) + perOp("CQ polls"); perMessage == 0 || perMessage > 0.020 {
 		t.Errorf("deliver + post + CQ polls cost %.4f µs/op, want rows and at most 0.020 (0.0416 with a message per call)", perMessage)
@@ -345,6 +392,7 @@ func TestFreeLedger(t *testing.T) {
 	if polls == 0 || polls > maxFreeCQPolls {
 		t.Errorf("p0 pays %.2f CQ polls a message, want at most %.2f: one poll reaps a message's completions", polls, maxFreeCQPolls)
 	}
+	checkHeartbeatReads(t, "orset", l, ops)
 }
 
 // TestFreeLedgerCatchesPerPeer is the mutation control of the post items
@@ -354,7 +402,7 @@ func TestFreeLedger(t *testing.T) {
 // completions landed, a post apart, all the same; it pays for 15 % more
 // messages, each carrying fewer calls.
 func TestFreeLedgerCatchesPerPeer(t *testing.T) {
-	_, _, items, polls := freeLedger(t, true)
+	_, _, items, polls := freeLedger(t, "per-peer")
 	if items <= maxFreePostItems {
 		t.Fatalf("a post item per peer costs %.2f items a message, within the %.1f bound", items, maxFreePostItems)
 	}
@@ -362,17 +410,19 @@ func TestFreeLedgerCatchesPerPeer(t *testing.T) {
 }
 
 // maxFreeCQPolls leaves room for the polls that reap the failure detector's
-// heartbeat reads, about one every CheckPeriod (1.29 a message at seed 42).
+// heartbeat reads (1.29 a message at seed 42 when every check read each
+// peer; 1.05 since the peers' ring records stand in for most of them).
 const (
 	maxFreePostItems = 1.0
 	maxFreeCQPolls   = 1.5
 )
 
-// freeLedger runs the buffered point, every broadcaster posting a write per
-// peer when perPeer is set, logs p0's ledger with its calls per message, and
-// returns the ledger, the calls completed, and p0's post items and CQ polls
-// per broadcast message it sent.
-func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls float64) {
+// freeLedger runs the buffered point under the named mutant — "per-peer":
+// every broadcaster posts a write per peer; "read-all": p0's detector reads
+// every peer at every check — logs p0's ledger with its calls per message,
+// and returns the ledger, the calls completed, and p0's post items and CQ
+// polls per broadcast message it sent.
+func freeLedger(t *testing.T, mutant string) (l *ledger, ops int, items, polls float64) {
 	t.Helper()
 	const nodes = 4
 	eng := sim.NewEngine(42)
@@ -383,10 +433,13 @@ func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls fl
 		t.Fatal(err)
 	}
 	c := sys.(*hambandSystem).c
-	if perPeer {
+	switch mutant {
+	case "per-peer":
 		for _, r := range c.Replicas {
 			r.Broadcaster().MutatePerPeer()
 		}
+	case "read-all":
+		c.Fab.Node(0).Detector().MutateReadAll()
 	}
 	fab := c.Fab
 	l = newLedger()
@@ -423,7 +476,9 @@ func freeLedger(t *testing.T, perPeer bool) (l *ledger, ops int, items, polls fl
 // 4 and 16 shards (ROADMAP item 6), and 16 shards keep at least minORSet16.
 // What one sweep of every receiver delivers is one record of the node's
 // handoff, so the deliver row at 16 shards stays at most maxStoreDeliver
-// µs/op (0.0049 at seed 42; 0.0165 with a record per receiver).
+// µs/op (0.0049 at seed 42; 0.0165 with a record per receiver). The 16
+// counter shards' δ-records stand in for the peers' heartbeats: the heartbeat
+// reads row stays under maxHeartbeatReads.
 func TestStoreLedger(t *testing.T) {
 	const minORSet16 = 6.5
 	l, counter16, _ := storeLedger(t, crdt.NewCounter(), 16, "")
@@ -433,6 +488,7 @@ func TestStoreLedger(t *testing.T) {
 	if post := l.perOp("post: summary writes", DefaultOps); post > maxStorePost {
 		t.Errorf("16 counter shards: summary writes cost %.4f µs/op to post, want at most %.3f (0.0253 with a log per slot)", post, maxStorePost)
 	}
+	checkHeartbeatReads(t, "16 counter shards", l, DefaultOps)
 	_, counter4, _ := storeLedger(t, crdt.NewCounter(), 4, "")
 	_, rate4, share4 := storeLedger(t, crdt.NewORSet(), 4, "")
 	l, rate16, share16 := storeLedger(t, crdt.NewORSet(), 16, "")
@@ -486,7 +542,8 @@ const maxStoreDeliver = 0.007
 // storeLedger runs the store-zipf shape over shards shards of cls, under the
 // named mutant — "per-entry": p0's handoff closes a record at every entry;
 // "slot-logs": p0's coalescer merges a record only onto one of its own
-// shard's, a WR per shard per peer as with a δ-log per slot — logs
+// shard's, a WR per shard per peer as with a δ-log per slot; "read-all":
+// p0's detector reads every peer at every check — logs
 // p0's ledger and summary WRs per peer per flush and returns the ledger, the
 // throughput and the sweeps row's share of the node's time.
 func storeLedger(t *testing.T, cls *spec.Class, shards int, mutant string) (*ledger, float64, float64) {
@@ -505,6 +562,8 @@ func storeLedger(t *testing.T, cls *spec.Class, shards int, mutant string) (*led
 		fab.Node(0).Handoff().MutatePerEntry()
 	case "slot-logs":
 		fab.Node(0).Coalescer().MutatePerStream()
+	case "read-all":
+		fab.Node(0).Detector().MutateReadAll()
 	}
 	l := newLedger()
 	cpu := fab.Node(0).CPU

@@ -89,7 +89,8 @@ func TestMetricsExportCompleteness(t *testing.T) {
 		t.Error(`counter "rdma.coalesce_merged" is zero in the export: the coalescer no longer reports merged records`)
 	}
 	// The per-QP family is formatted, so the scan above cannot see it: every
-	// queue pair that reads (heartbeats do) must export the bytes it read.
+	// queue pair that reads (heartbeats do, once the run idles) must export
+	// the bytes it read.
 	var read uint64
 	for name, v := range snap.Counters {
 		if strings.HasPrefix(name, "rdma.qp.") && strings.HasSuffix(name, ".bytes_read") {
@@ -113,7 +114,8 @@ func TestMetricsExportCompleteness(t *testing.T) {
 // exported counter equals the layer's own number. It runs a bank map cluster
 // (the registry attached to the fabric and again through core.Options, as the
 // two-clock benchmark does: the second attach must count nothing twice) and a
-// 4-shard OR-set store (the registry attached to the fabric only).
+// 4-shard OR-set store (the registry attached to the fabric only), each
+// idling after its calls so that its detectors read.
 func TestEachEventCountedOnce(t *testing.T) {
 	t.Run("bankmap-cluster", func(t *testing.T) {
 		eng := sim.NewEngine(7)
@@ -128,6 +130,7 @@ func TestEachEventCountedOnce(t *testing.T) {
 		}
 		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
 		c := sys.(*hambandSystem).c
+		idle(eng, c.Fab)
 		checkOneCount(t, reg, c.Fab, []*core.Cluster{c})
 	})
 	t.Run("orset-store", func(t *testing.T) {
@@ -143,6 +146,7 @@ func TestEachEventCountedOnce(t *testing.T) {
 		}
 		defer sys.st.Stop()
 		Run(eng, sys, NewWorkload(an, 4, 800, 0.5, 7))
+		idle(eng, fab)
 		var clusters []*core.Cluster
 		for _, key := range sys.keys {
 			clusters = append(clusters, sys.st.Shard(key).Cluster)
@@ -150,6 +154,11 @@ func TestEachEventCountedOnce(t *testing.T) {
 		checkOneCount(t, reg, fab, clusters)
 	})
 }
+
+// idle lets a run's nodes idle two CheckPeriods, so their detectors read the
+// peers they no longer hear from: while calls flow, the peers' records stand
+// in for the reads (rdma.Node.Heard).
+func idle(eng *sim.Engine, fab *rdma.Fabric) { eng.RunFor(2 * fab.Latency().CheckPeriod) }
 
 // checkOneCount compares every counter reg exports for the fabric, core and
 // broadcast layers with the count the layer keeps; rdma.coalesce_merged with

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR71.json"
+	baselineSnapshot = "../../BENCH_PR72.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 
@@ -78,12 +78,12 @@ func TestExperimentsTables(t *testing.T) {
 	// The controls: one hand-edited cell of a Fig. 9, overview, ablation,
 	// costs, wire or shard table is caught.
 	for _, c := range []struct{ block, cell, edit string }{
-		{"fig9", "| 14.88 |", "| 14.89 |"},
-		{"overview", "| 16.78 |", "| 16.79 |"},
-		{"ablations", "| 3.83 |", "| 3.84 |"},
-		{"costs", "| 63.96 |", "| 63.97 |"},
-		{"wire", "| 44.30 |", "| 44.31 |"},
-		{"shard", "| 18.28 |", "| 18.29 |"},
+		{"fig9", "| 12.33 |", "| 12.34 |"},
+		{"overview", "| 15.11 |", "| 15.12 |"},
+		{"ablations", "| 14.01 |", "| 14.02 |"},
+		{"costs", "| 47.66 |", "| 47.67 |"},
+		{"wire", "| 9.95 |", "| 9.96 |"},
+		{"shard", "| 18.73 |", "| 18.74 |"},
 	} {
 		at, end, cellAt := strings.Index(want, "<!-- begin "+c.block+" -->"), strings.Index(want, "<!-- end "+c.block+" -->"), -1
 		if 0 <= at && at < end {

@@ -583,11 +583,12 @@ func (r *Receiver) sweep() {
 	}
 }
 
-// admit delivers the ring record msg from src. A record stamped below its
-// source's epoch floor is whole (it passed the CRC) but was posted before the
-// current configuration: it is consumed — the head must advance for the
-// writer's flow control — and counted instead of delivered. A record that
-// does not decode ends the ring's drain for this sweep.
+// admit delivers the ring record msg from src, which it counts as word from
+// src (rdma.Node.Heard). A record stamped below its source's epoch floor is
+// whole (it passed the CRC) but was posted before the current configuration:
+// it is consumed — the head must advance for the writer's flow control — and
+// counted instead of delivered. A record that does not decode ends the
+// ring's drain for this sweep.
 func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
 	epoch, seq, payload, err := decodeMessage(msg)
 	if err == nil && !r.floors[src].Admits(epoch) {
@@ -598,6 +599,7 @@ func (r *Receiver) admit(src rdma.NodeID, msg []byte) error {
 	if err != nil {
 		return err
 	}
+	r.node.Heard(src)
 	r.deliver(src, seq, payload, true)
 	return nil
 }

@@ -188,10 +188,13 @@ func TestCorpusDenseBursts(t *testing.T) {
 // sweepWrapPlan is the corpus plan for the recovery sweep across the wrap of
 // the 64 backup slots, written for the denseRounds density: node 0's link to
 // node 1 is 20 µs slower than its others, and node 0 is suspended at 600 µs,
-// after more than a hundred broadcast messages, and resumed at 773 µs. When
+// after more than a hundred broadcast messages, and resumed at 763 µs. When
 // node 1 trusts it again its sweep reads node 0's backup while the writes of
 // node 0's newest messages are still on the slow link, and delivers those
 // messages ahead of the ring — seqs 127, 128 and 129, in slots 63, 0 and 1.
+// The resume is hand-timed: a scan of resumes from 700 to 900 µs in 0.5 µs
+// steps recovers seqs across the wrap for resumes in 760.5–770, 790.5–800
+// and 820.5–830 µs, and 127..129 for 760.5–765 (CHANGES.md).
 const sweepWrapPlan = "orset-sweepwrap-seed2000.json"
 
 // TestCorpusSweepWrap replays the sweep-wrap plan at the density it was

@@ -178,10 +178,15 @@ func TestQuiescentScanZeroAlloc(t *testing.T) {
 // closure per peer; 8 and 410 B when each peer fold decoded into fresh counts
 // and arguments; over 20 KiB when Summarize rebuilt the union).
 //
-// The warm-up runs until the δ-log has wrapped three times. The heartbeat
+// The warm-up runs until the δ-log has wrapped seven times. The heartbeat
 // reads hold verb records while the writes go on, so three records take
 // turns carrying the writes, and each grows its buffer to anchor size the
 // first time it carries an anchor: three anchors after the first, not one.
+// Node 1 reads node 0's counter only at checks that find it unheard since
+// the last δ-record (rdma.Node.Heard), a few phases of the 10 µs cycle
+// against the 25 µs check, so the engine's event heap reaches its peak
+// depth later: at the fourth anchor it had yet to grow once (384 B in the
+// window, 2 B a cycle).
 func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
 	const cycles = 320 // more than a δ-log of records: the window holds an anchor
 	measure := func(keys int) (allocs, bytes uint64) {
@@ -199,7 +204,7 @@ func TestReduceCycleAllocsIndependentOfSummary(t *testing.T) {
 			now += sim.Time(10 * sim.Microsecond)
 			h.eng.RunUntil(now)
 		}
-		for r0.statAnchors < 4 { // warm: queues, batches, the heartbeat path and every verb record's buffer
+		for r0.statAnchors < 8 { // warm: queues, batches, the heartbeat path and every verb record's buffer
 			cycle()
 		}
 		folded := r1.sums[0][0].version

@@ -279,6 +279,7 @@ func (nl *nodeLog) walk(w int) {
 				wk.short = true // a gap: the walk waits for the slot's fetch
 			} else {
 				wk.Advance()
+				nl.node.Heard(rdma.NodeID(w))
 			}
 		case ring.LogLap:
 			if !lapped {

@@ -200,6 +200,7 @@ type Instance struct {
 	stash          map[uint64]stashed // not-yet-committed log entries, each payload in a buffer from free
 	commitSeen     uint64             // highest commit watermark received
 	ringTerm       uint64             // highest term seen in the log ring
+	logWriter      rdma.NodeID        // the node this one let write its log ring
 	catching       bool               // journal catch-up read in flight
 	lastProgressAt sim.Time           // when delivery last advanced (or was verified current)
 	// dedup[p] is what has been delivered of origin p's submissions, by
@@ -274,6 +275,7 @@ func NewInstance(fab *rdma.Fabric, node *rdma.Node, group string, cfg Config, in
 		cfg:       cfg,
 		n:         fab.Size(),
 		leader:    initialLeader,
+		logWriter: initialLeader,
 		votedFor:  -1,
 		isLeader:  node.ID() == initialLeader,
 		nextSeq:   1,
@@ -1090,12 +1092,14 @@ type stashed struct {
 // handleLog takes in the round record msg: it stashes the round's entries and
 // delivers what the record's commit watermark decides. One that does not
 // decode, or comes from a term older than the highest this ring has carried
-// (a zombie), is dropped; the drain goes on either way.
+// (a zombie), is dropped; the drain goes on either way. A record taken in is
+// word from the node this one lets write its log ring (rdma.Node.Heard).
 func (in *Instance) handleLog(_ rdma.NodeID, msg []byte) error {
 	r, err := decodeRound(msg)
 	if err != nil || r.term < in.ringTerm {
 		return nil
 	}
+	in.node.Heard(in.logWriter)
 	if r.term > in.ringTerm {
 		in.ringTerm = r.term
 		// A newer term invalidates stashed uncommitted entries from
@@ -1143,6 +1147,7 @@ func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) error {
 	if err != nil {
 		return err
 	}
+	in.node.Heard(from)
 	// Requests may be replayed after a leader change; dedup before proposing
 	// to keep the log free of duplicates where possible (delivery-side dedup
 	// is the safety net).
@@ -1189,15 +1194,17 @@ func (in *Instance) switchLogPermission(to rdma.NodeID) {
 		region.RevokeWrite(rdma.NodeID(p))
 	}
 	region.AllowWrite(to)
+	in.logWriter = to
 }
 
 // handleCtrl handles msg off a control ring, a vote request or a grant. A
 // grant that lands while this node is not electing is consumed and dropped.
-func (in *Instance) handleCtrl(_ rdma.NodeID, msg []byte) error {
+func (in *Instance) handleCtrl(from rdma.NodeID, msg []byte) error {
 	m, err := decodeCtrl(msg)
 	if err != nil {
 		return err
 	}
+	in.node.Heard(from)
 	if m.grant {
 		in.handleGrant(m.term, m.lastDelivered, m.node)
 	} else {

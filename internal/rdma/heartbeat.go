@@ -10,6 +10,20 @@ package rdma
 // node's memory. A node hosting many objects is one process — it beats once
 // and is suspected once — so both are node services every object subscribes
 // to (Node.Subscribe).
+//
+// A peer's records are its heartbeat too. Every ring record, Mu record and
+// δ-record a peer's process writes into the node's memory proves it was
+// running, and the layers that consume them say so (Node.Heard). The
+// detector reads no counter of a peer heard since its last check and within
+// a BeatPeriod of this one: a counter read proves nothing fresher. Such a
+// check counts as advancing, and the first read after it sets a baseline
+// and counts as a miss, since the counter it compares with predates the
+// previous check. A READ this node posts of a peer's memory, and the
+// completion of its own write to a peer, are the NIC's work, not the peer
+// process's, and prove nothing. So a suspended node, which writes nothing,
+// is read every check and detected as before; a node whose heartbeat thread
+// alone stopped (Beater.Suspend) while it keeps writing is not suspected by
+// the peers it writes to.
 
 import (
 	"encoding/binary"
@@ -165,6 +179,11 @@ func (b *Beater) Suspend() { b.suspended = true }
 // Resume restarts a suspended heartbeat thread.
 func (b *Beater) Resume() { b.suspended = false }
 
+// Heard records that the node's CPU consumed, now, a record peer's process
+// wrote into the node's memory: the detector need not read peer's heartbeat
+// at its next check (Detector.check).
+func (n *Node) Heard(peer NodeID) { n.heard[peer] = n.fabric.eng.Now() }
+
 // Detector watches all peers of a node and reports suspicion transitions.
 type Detector struct {
 	node *Node
@@ -173,10 +192,17 @@ type Detector struct {
 	misses    []int
 	advances  []int  // consecutive advancing checks while suspected
 	inflight  []bool // a check read is outstanding to this peer
+	stale     []bool // a check skipped the peer's read: lastSeen predates the previous check
 	suspected []bool
 	ignored   []bool                // peers outside the membership: not checked, never suspected
 	readFns   []func([]byte, error) // readFns[p], bound once, handles a check read of p
 	ticker    *sim.Ticker
+	prev      sim.Time // when the last check ran
+	readAll   bool     // the read-every-check mutant (MutateReadAll)
+	// The detection-timing test's controls: a check skips a peer heard
+	// since the previous one however long ago, or the read after skipped
+	// checks compares with the counter read before them.
+	noFreshness, noBaseline bool
 
 	mSuspicions *metrics.Counter // peer transitions to suspected
 	mRestores   *metrics.Counter // suspected peers whose counter advanced again
@@ -199,6 +225,7 @@ func newDetector(node *Node) *Detector {
 		misses:      make([]int, n),
 		advances:    make([]int, n),
 		inflight:    make([]bool, n),
+		stale:       make([]bool, n),
 		suspected:   make([]bool, n),
 		ignored:     make([]bool, n),
 		mSuspicions: fab.Metrics().Counter("heartbeat.suspicions"),
@@ -220,6 +247,11 @@ func (d *Detector) start() {
 // Stop cancels the detector's checks. The node's last subscriber stops it;
 // a test stops one node's detector to split the nodes' views.
 func (d *Detector) Stop() { d.ticker.Cancel() }
+
+// MutateReadAll installs the read-every-check mutant: the detector reads
+// every peer's counter at every check, heard or not, as before records
+// counted as heartbeats. It is for the ledger's mutation control only.
+func (d *Detector) MutateReadAll() { d.readAll = true }
 
 // Suspected reports whether peer is currently suspected.
 func (d *Detector) Suspected(peer NodeID) bool { return d.suspected[peer] }
@@ -249,6 +281,7 @@ func (d *Detector) Forget(peer NodeID) {
 	d.misses[peer] = 0
 	d.advances[peer] = 0
 	d.lastSeen[peer] = 0
+	d.stale[peer] = false
 }
 
 // Watch re-admits a forgotten peer (a node joining the configuration):
@@ -258,28 +291,41 @@ func (d *Detector) Watch(peer NodeID) {
 	d.misses[peer] = 0
 	d.advances[peer] = 0
 	d.lastSeen[peer] = 0
+	d.stale[peer] = false
 }
 
-// check posts one heartbeat read per peer; results are handled
-// asynchronously as completions arrive. At most one read is outstanding per
-// peer: a read stalled on a slow or partitioned link suppresses further
-// checks of that peer instead of queueing behind itself, so a heal is met
-// by one (fresh) verdict rather than a burst of stale ones.
+// check posts one heartbeat read per peer it has not heard from lately;
+// results are handled asynchronously as completions arrive. A peer the node
+// heard since the previous check and within a BeatPeriod of this one is not
+// read and counts as advancing, unless it is suspected. At most one read is
+// outstanding per peer: a read stalled on a slow or partitioned link
+// suppresses further checks of that peer instead of queueing behind itself,
+// so a heal is met by one (fresh) verdict rather than a burst of stale ones.
 func (d *Detector) check() {
 	if d.node.Suspended() || d.node.Crashed() {
 		return
 	}
+	now, beat := d.node.fabric.eng.Now(), d.node.fabric.lat.BeatPeriod
 	for peer := range d.inflight {
 		peer := NodeID(peer)
 		if peer == d.node.ID() || d.inflight[peer] || d.ignored[peer] {
 			continue
 		}
+		heard := d.node.heard[peer]
+		if heard > d.prev && (now-heard <= sim.Time(beat) || d.noFreshness) && !d.suspected[peer] && !d.readAll {
+			d.stale[peer] = true
+			d.misses[peer] = 0
+			continue
+		}
 		d.inflight[peer] = true
 		d.node.QP(peer).Read(heartbeatRegion, 0, heartbeatRegionSize, d.readFns[peer])
 	}
+	d.prev = now
 }
 
-// checked handles the completion of a check read of peer.
+// checked handles the completion of a check read of peer. The first read
+// after skipped checks takes the counter as the baseline and counts as a
+// miss: its advance may predate the previous check.
 func (d *Detector) checked(peer NodeID, data []byte, err error) {
 	d.inflight[peer] = false
 	if err != nil {
@@ -287,6 +333,13 @@ func (d *Detector) checked(peer NodeID, data []byte, err error) {
 		return
 	}
 	count := binary.LittleEndian.Uint64(data)
+	if d.stale[peer] && !d.noBaseline {
+		d.stale[peer] = false
+		d.lastSeen[peer] = count
+		d.advances[peer] = 0
+		d.miss(peer)
+		return
+	}
 	if count > d.lastSeen[peer] {
 		d.lastSeen[peer] = count
 		d.misses[peer] = 0

@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"encoding/binary"
 	"slices"
 	"testing"
 
@@ -373,5 +374,128 @@ func TestLateSubscriberHearsCurrentSuspects(t *testing.T) {
 	}
 	if !slices.Equal(late, []NodeID{1, 3, 2}) || len(restored) != 0 {
 		t.Fatalf("the caught-up subscriber heard suspects %v and restores %v, want [1 3 2] and none", late, restored)
+	}
+}
+
+// writeContinuously has node w write a record, its count, into a region of
+// each node of to every microsecond, and each of them take in what landed
+// every 2 µs and count a new record as word from w (Node.Heard), as the
+// receive paths above the fabric do. A suspended w posts nothing.
+func writeContinuously(eng *sim.Engine, fab *Fabric, w NodeID, to ...NodeID) {
+	var count uint64
+	for _, p := range to {
+		fab.Node(p).Register("records", 8).AllowWrite(w)
+		node, last := fab.Node(p), uint64(0)
+		eng.NewTicker(2*sim.Microsecond, func() {
+			if v := binary.LittleEndian.Uint64(node.Region("records").Bytes()); v != last {
+				last = v
+				node.Heard(w)
+			}
+		})
+	}
+	eng.NewTicker(sim.Microsecond, func() {
+		if fab.Node(w).Suspended() {
+			return
+		}
+		count++
+		for _, p := range to {
+			fab.Node(w).QP(p).Write("records", 0, binary.LittleEndian.AppendUint64(nil, count), nil)
+		}
+	})
+}
+
+// TestWritingNodeSuspectedNoLater: a node whose records its peers consume is
+// not read while they hear it, and yet, suspended, it is suspected no later
+// than an idle node suspended at the same instant — at every instant over
+// 50 µs, the beats' and the checks' common period. Node 0 writes to the
+// survivors 2 and 3, node 1 writes nothing, and both are suspended
+// together. Two controls drop one rule each and must be caught: a check
+// that skips a peer heard since the previous check however long ago, and a
+// read after skipped checks that compares with the counter read before them
+// instead of taking a baseline. Either lets a writer fail just after a
+// check pass the next one as advancing, and be suspected a CheckPeriod late.
+func TestWritingNodeSuspectedNoLater(t *testing.T) {
+	if late := suspectedLate(t, nil); late != 0 {
+		t.Fatalf("the writer was suspected after the idle node at %d of 50 failure instants", late)
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*Detector)
+	}{
+		{"no freshness bound", func(d *Detector) { d.noFreshness = true }},
+		{"no baseline", func(d *Detector) { d.noBaseline = true }},
+	} {
+		late := suspectedLate(t, c.mutate)
+		if late == 0 {
+			t.Errorf("%s: the writer was never suspected after the idle node", c.name)
+		}
+		t.Logf("%s control: the writer suspected late at %d of 50 failure instants", c.name, late)
+	}
+}
+
+// suspectedLate fails nodes 0 and 1 at 50 instants a microsecond apart and
+// returns at how many a survivor suspected node 0 after node 1.
+func suspectedLate(t *testing.T, mutate func(*Detector)) (late int) {
+	t.Helper()
+	for phase := sim.Duration(0); phase < 50*sim.Microsecond; phase += sim.Microsecond {
+		eng, fab := heartbeatFabric(4)
+		writeContinuously(eng, fab, 0, 2, 3)
+		for i := 0; i < 4; i++ {
+			newBeater(fab.Node(NodeID(i)))
+		}
+		var at [4][2]sim.Time // at[survivor][failed node]: when it was suspected
+		for _, s := range []NodeID{2, 3} {
+			d := newDetector(fab.Node(s))
+			if mutate != nil {
+				mutate(d)
+			}
+			d.OnSuspect = func(peer NodeID) {
+				if peer < 2 && at[s][peer] == 0 {
+					at[s][peer] = eng.Now()
+				}
+			}
+		}
+		failAt := sim.Time(300*sim.Microsecond + phase)
+		eng.At(failAt, func() {
+			fab.Node(0).Suspend()
+			fab.Node(1).Suspend()
+		})
+		eng.RunUntil(failAt + sim.Time(300*sim.Microsecond))
+		for _, s := range []NodeID{2, 3} {
+			if at[s][0] == 0 || at[s][1] == 0 {
+				t.Fatalf("failed at %v: survivor %d suspected the writer at %v and the idle node at %v", failAt, s, at[s][0], at[s][1])
+			}
+			if at[s][0] > at[s][1] {
+				late++
+				break
+			}
+		}
+	}
+	return late
+}
+
+// TestBeaterAloneSuspendedWhileWriting pins what records as heartbeats
+// change: a node whose heartbeat thread alone is suspended but which keeps
+// writing is not suspected by the peers it writes to, which hear it; a peer
+// it does not write to suspects it.
+func TestBeaterAloneSuspendedWhileWriting(t *testing.T) {
+	eng, fab := heartbeatFabric(4)
+	writeContinuously(eng, fab, 0, 1, 2)
+	var b0 *Beater
+	for i := 0; i < 4; i++ {
+		if b := newBeater(fab.Node(NodeID(i))); i == 0 {
+			b0 = b
+		}
+	}
+	var ds []*Detector
+	for i := 1; i < 4; i++ {
+		ds = append(ds, newDetector(fab.Node(NodeID(i))))
+	}
+	eng.At(sim.Time(300*sim.Microsecond), func() { b0.Suspend() })
+	eng.RunUntil(sim.Time(2 * sim.Millisecond))
+	for i, d := range ds {
+		if got, want := d.Suspected(0), i == 2; got != want {
+			t.Errorf("node %d suspects node 0: %v, want %v", i+1, got, want)
+		}
 	}
 }

@@ -225,6 +225,7 @@ func NewFabric(eng *sim.Engine, n int, lat LatencyModel) *Fabric {
 			fabric:  f,
 			CPU:     sim.NewCPU(eng),
 			regions: make(map[string]*Region),
+			heard:   make([]sim.Time, n),
 		})
 	}
 	for _, n := range f.nodes {
@@ -338,6 +339,7 @@ type Node struct {
 	poll    pollLoop
 	hand    Handoff
 	live    liveness
+	heard   []sim.Time  // by peer: when the node last consumed a record of its (Heard)
 	ext     map[any]any // see Attached
 
 	crashed   bool
