@@ -81,7 +81,7 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 		"DeliverCost": {points: []point{orset, movie, mu}},
 		"ScanPeriod":  {points: []point{counter}},
 
-		"BeatPeriod":   {points: []point{leader}},
+		"BeatPeriod": {points: []point{leader}},
 		// A fault-free point's peers are heard from between checks and not
 		// read; the fault is detected some checks after it.
 		"CheckPeriod":  {points: []point{leader}},
