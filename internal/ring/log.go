@@ -126,13 +126,12 @@ type LogWalker struct {
 	rec    *codec.DeltaRecord
 	passes uint32
 	pos    LogPos // Abs: the writer's passes before the walk's
-	pass   uint32 // pos.Abs mod passes
 	next   int    // the frame length of the record the last Step returned
 
 	// The record the last look at the log's head validated: its length
 	// word, its CRC and its stamp. A head whose length word and CRC read
 	// the same is that record, and is not validated again.
-	headLen, headCRC, headPass uint32
+	headLen, headCRC, headStamp uint32
 
 	lapAt           int // where this walk left the old pass, -1 while it has not
 	torn, validated int // since Start
@@ -156,7 +155,7 @@ func NewLogWalker(log []byte, passes int, rec *codec.DeltaRecord) *LogWalker {
 func (w *LogWalker) Pos() LogPos { return w.pos }
 
 // Pass returns the pass number of the walk's pass.
-func (w *LogWalker) Pass() uint32 { return w.pass }
+func (w *LogWalker) Pass() uint32 { return uint32(w.pos.Abs % uint64(w.passes)) }
 
 // Start begins a walk.
 func (w *LogWalker) Start() { w.lapAt, w.torn, w.validated = -1, 0, 0 }
@@ -235,7 +234,6 @@ func (w *LogWalker) Landed() LogPos {
 // enter moves the walk to the start of the pass d passes on from its own.
 func (w *LogWalker) enter(d int32) {
 	w.pos = LogPos{w.pos.Abs + uint64(d), 0}
-	w.pass = uint32(w.pos.Abs % uint64(w.passes))
 }
 
 // read decodes the record at log[at:] into the walker's record, its Pass
@@ -274,16 +272,16 @@ func (w *LogWalker) head() (uint32, error) {
 	if w.headLen != 0 {
 		n := binary.LittleEndian.Uint32(w.log)
 		if n == w.headLen && binary.LittleEndian.Uint32(w.log[n-codec.RecordTrailer:]) == w.headCRC {
-			return w.headPass, nil
+			return w.headStamp, nil
 		}
 	}
-	total, pass, err := w.read(0)
+	total, stamp, err := w.read(0)
 	if err != nil {
 		return 0, err
 	}
 	w.validated++
-	w.headLen, w.headCRC, w.headPass = uint32(total), binary.LittleEndian.Uint32(w.log[total-codec.RecordTrailer:]), pass
-	return pass, nil
+	w.headLen, w.headCRC, w.headStamp = uint32(total), binary.LittleEndian.Uint32(w.log[total-codec.RecordTrailer:]), stamp
+	return stamp, nil
 }
 
 // ours reports whether a record at at stamped stamp belongs to pass abs:
