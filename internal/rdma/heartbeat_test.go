@@ -474,11 +474,11 @@ func suspectedLate(t *testing.T, mutate func(*Detector)) (late int) {
 	return late
 }
 
-// TestBeaterAloneSuspendedWhileWriting pins what records as heartbeats
-// change: a node whose heartbeat thread alone is suspended but which keeps
-// writing is not suspected by the peers it writes to, which hear it; a peer
-// it does not write to suspects it.
-func TestBeaterAloneSuspendedWhileWriting(t *testing.T) {
+// TestWritingNodeWithoutHeartbeatRaisesNoSuspicion pins what records as
+// heartbeats change: a node whose heartbeat thread alone is suspended but
+// which keeps writing is not suspected by the peers it writes to, which
+// hear it; a peer it does not write to suspects it.
+func TestWritingNodeWithoutHeartbeatRaisesNoSuspicion(t *testing.T) {
 	eng, fab := heartbeatFabric(4)
 	writeContinuously(eng, fab, 0, 1, 2)
 	var b0 *Beater
