@@ -252,8 +252,8 @@ ledger:
 # baseline SNAPSHOT re-recorded: CI's benchstat lane gates the re-record with
 # make benchstat OLD=$(PREV_SNAPSHOT) NEW=$(SNAPSHOT), so every metric that
 # moved stays within its bound.
-SNAPSHOT ?= BENCH_PR72.json
-PREV_SNAPSHOT ?= BENCH_PR71.json
+SNAPSHOT ?= BENCH_PR73.json
+PREV_SNAPSHOT ?= BENCH_PR72.json
 bench-snapshot:
 	$(GO) run ./cmd/hambench -exp snapshot -json $(SNAPSHOT)
 

@@ -14,7 +14,7 @@ var update = flag.Bool("update", false, "rewrite EXPERIMENTS.md's generated figu
 
 // The committed baseline, and the document whose figure tables render it.
 const (
-	baselineSnapshot = "../../BENCH_PR72.json"
+	baselineSnapshot = "../../BENCH_PR73.json"
 	experimentsDoc   = "../../EXPERIMENTS.md"
 )
 
@@ -76,8 +76,10 @@ func TestExperimentsTables(t *testing.T) {
 	}
 
 	// The controls: one hand-edited cell of a Fig. 9, overview, ablation,
-	// costs, wire or shard table is caught.
+	// costs, wire or shard table, or of a claims table's ÷ paper column, is
+	// caught.
 	for _, c := range []struct{ block, cell, edit string }{
+		{"fig8", "mean 1.24× | 0.303 |", "mean 1.24× | 0.304 |"},
 		{"fig9", "| 12.33 |", "| 12.34 |"},
 		{"overview", "| 15.11 |", "| 15.12 |"},
 		{"ablations", "| 14.01 |", "| 14.02 |"},
@@ -152,7 +154,7 @@ func TestClaimMissesGate(t *testing.T) {
 // TestRatioColumnsShowMisses: Fig. 9's orset point at 5 % updates on four
 // nodes, where Hamband (16.29 ops/µs) trails Mu (16.53) by 1.5 %, renders
 // its ratio at two decimals, 0.99× marked ✗ (one decimal printed 1.0×), and
-// counts as a miss of the Mu claim.
+// counts as a miss of the Mu claim, whose ÷ paper cell reads 0.99 ÷ 3.
 func TestRatioColumnsShowMisses(t *testing.T) {
 	point := func(sys string, ops float64) SnapPoint {
 		return SnapPoint{"fig9", sys, "orset", 4, 0.05, map[string]float64{"ops_per_us": ops}}
@@ -164,7 +166,7 @@ func TestRatioColumnsShowMisses(t *testing.T) {
 	if !strings.Contains(out.String(), "| orset | 5 | 4 | 16.29 | - | 16.53 |  | 0.99× ✗ |") {
 		t.Errorf("the point's row does not show 0.99× ✗:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "| 0.99× | 1 of 1 | ✗ |") {
+	if !strings.Contains(out.String(), "| 0.99× | 0.328 | 1 of 1 | ✗ |") {
 		t.Errorf("the Mu claim does not count the miss:\n%s", out.String())
 	}
 }

@@ -54,6 +54,7 @@ type metricTable map[string]metricDef
 // latency share are recorded for reading. A watchdog firing more than its
 // baseline is a calibration change, so firings are gated at zero; so are a
 // paper claim's misses, the points of its figure that fail its predicate.
+// A claim's measured value over the paper's is recorded for reading.
 var metricDefs = metricTable{
 	"ops_per_us":       {"ops/µs", "virtual", "higher", 0.05},
 	"mean_rt_us":       {"µs", "virtual", "lower", ungated},
@@ -69,6 +70,7 @@ var metricDefs = metricTable{
 	"calls":            {"calls", "count", "higher", ungated},
 	"firings":          {"firings", "count", "lower", 0},
 	"misses":           {"points", "count", "lower", 0},
+	"paper_ratio":      {"ratio", "virtual", "higher", ungated},
 }
 
 // regressed reports whether cur is worse than old by more than the bound.
