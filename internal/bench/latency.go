@@ -11,8 +11,10 @@ import (
 
 // Latency runs one fully traced Hamband workload (the bank map mixes all
 // three update-method categories) and prints the causal-span latency
-// attribution: per-stage p50/p95/p99 per category, plus a tail report
-// decomposing the p95/p99 slowest calls by stage. Its JSON export is the
+// attribution: per-stage p50/p95/p99 per category, and for the conflicting
+// calls per origin role (issued at the leader that ordered them, or at a
+// follower), plus a tail report decomposing the p95/p99 slowest calls by
+// stage. Its JSON export is the
 // report as a benchmark snapshot, so two latency exports diff with
 // `-exp benchstat`. Deterministic for a fixed seed.
 func (cfg Config) Latency() {
@@ -43,11 +45,13 @@ func (cfg Config) Latency() {
 
 // latencySnapshot flattens a span report into snapshot points: one per
 // (category, stage) keyed as experiment "latency/<category>" and class
-// "<stage>", plus a "total" class per category. Each carries the calls it
-// observed and their response times.
+// "<stage>", plus a "total" class per category; the conflicting calls by
+// origin role are the categories "conflicting/leader" and
+// "conflicting/follower". Each carries the calls it observed and their
+// response times.
 func latencySnapshot(cfg Config, ops, nodes int, ratio float64, rep *span.Report) Snapshot {
 	s := Snapshot{Schema: snapshotSchema, Ops: ops, Seed: cfg.Seed}
-	for _, cr := range rep.Categories {
+	for _, cr := range rep.All() {
 		exp := "latency/" + cr.Category
 		for _, st := range cr.Stages {
 			s.add(exp, Hamband.String(), st.Name, nodes, ratio, map[string]float64{

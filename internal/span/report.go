@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"hamband/internal/metrics"
@@ -52,9 +53,12 @@ type CategoryReport struct {
 	Tails     []TailCohort
 }
 
-// Report is the full latency-attribution report across categories.
+// Report is the full latency-attribution report across categories, and the
+// conflicting category split by origin role: Roles' categories read
+// "conflicting/leader" and "conflicting/follower" (Span.Role).
 type Report struct {
 	Categories []*CategoryReport
+	Roles      []*CategoryReport
 }
 
 // stageOrder fixes the report's stage ordering per category (superset of
@@ -85,16 +89,30 @@ func Analyze(spans []*Span, reg *metrics.Registry) *Report {
 		if len(ss) == 0 {
 			continue
 		}
-		rep.Categories = append(rep.Categories, analyzeCategory(cat, ss, reg))
+		rep.Categories = append(rep.Categories, analyzeCategory(cat, cat, ss, reg))
+	}
+	// The role reports feed no registry: its span.* histograms stay the
+	// categories'.
+	for _, role := range Roles {
+		var ss []*Span
+		for _, s := range byCat[CatConflicting] {
+			if s.Role == role {
+				ss = append(ss, s)
+			}
+		}
+		if len(ss) > 0 {
+			rep.Roles = append(rep.Roles, analyzeCategory(CatConflicting+"/"+role, CatConflicting, ss, nil))
+		}
 	}
 	return rep
 }
 
-func analyzeCategory(cat string, spans []*Span, reg *metrics.Registry) *CategoryReport {
-	cr := &CategoryReport{Category: cat, Count: len(spans)}
-	hist := func(name string) *metrics.Histogram {
+// analyzeCategory reports spans, all of category cat, under name.
+func analyzeCategory(name, cat string, spans []*Span, reg *metrics.Registry) *CategoryReport {
+	cr := &CategoryReport{Category: name, Count: len(spans)}
+	hist := func(stage string) *metrics.Histogram {
 		if reg.Enabled() {
-			return reg.Histogram("span."+cat+"."+name, nil)
+			return reg.Histogram("span."+name+"."+stage, nil)
 		}
 		return metrics.NewHistogram(nil)
 	}
@@ -187,14 +205,18 @@ func tailCohort(cat string, spans []*Span, q float64) *TailCohort {
 	return tc
 }
 
-// WriteTable prints the report: a per-stage percentile table per category
-// followed by the tail-attribution breakdowns.
+// All returns the category reports, then the role reports.
+func (rep *Report) All() []*CategoryReport { return slices.Concat(rep.Categories, rep.Roles) }
+
+// WriteTable prints the report: a per-stage percentile table per category,
+// then per origin role of the conflicting calls, each followed by its
+// tail-attribution breakdowns.
 func (rep *Report) WriteTable(w io.Writer) {
 	if len(rep.Categories) == 0 {
 		fmt.Fprintln(w, "(no spans)")
 		return
 	}
-	for _, cr := range rep.Categories {
+	for _, cr := range rep.All() {
 		fmt.Fprintf(w, "== %s (%d calls, %d completed) ==\n", cr.Category, cr.Count, cr.Completed)
 		fmt.Fprintf(w, "%-14s %9s %10s %10s %10s %10s\n", "stage", "count", "mean", "p50", "p95", "p99")
 		for _, st := range cr.Stages {

@@ -30,6 +30,15 @@ const (
 // Categories lists the span categories in canonical report order.
 var Categories = []string{CatReducible, CatConflictFree, CatConflicting, CatUnknown}
 
+// Origin roles of a conflicting call (Span.Role), in report order.
+const (
+	RoleLeader   = "leader"
+	RoleFollower = "follower"
+)
+
+// Roles lists the origin roles in report order.
+var Roles = []string{RoleLeader, RoleFollower}
+
 // Stage is one leg of a span: the protocol was between two recorded
 // boundary events from From to To.
 type Stage struct {
@@ -48,8 +57,12 @@ type Span struct {
 	End      sim.Time // last recorded event (replication tail included)
 	Done     sim.Time // response-resolved time; 0 when the call never completed
 	Rejected bool
-	Stages   []Stage // consecutive legs, in time order
-	Events   []trace.Event
+	// Role is where a conflicting call was issued: RoleLeader when the node
+	// that ordered it (its first Order event) issued it, RoleFollower when
+	// another node did; "" for other calls.
+	Role   string
+	Stages []Stage // consecutive legs, in time order
+	Events []trace.Event
 }
 
 // Completed reports whether the call's response resolved.
@@ -141,6 +154,7 @@ func build(call string, evs []trace.Event) *Span {
 
 	var issue, reduce, freeSend, order, commit, complete boundary
 	var firstPost, lastWire, lastCQE, lastApply, lastAdopt boundary
+	var issuer, orderer int // the nodes of the first Issue and Order events
 	first := func(b *boundary, name string, at sim.Time) {
 		if !b.ok {
 			*b = boundary{name: name, at: at, ok: true}
@@ -152,6 +166,9 @@ func build(call string, evs []trace.Event) *Span {
 	for _, e := range evs {
 		switch e.Kind {
 		case trace.Issue:
+			if !issue.ok {
+				issuer = e.Node
+			}
 			first(&issue, "queue", e.At)
 			if cr, ok := e.Data.(trace.CallRecord); ok && cr.SubmitAt != 0 && cr.SubmitAt <= e.At {
 				s.Start = cr.SubmitAt
@@ -163,6 +180,9 @@ func build(call string, evs []trace.Event) *Span {
 		case trace.FreeSend:
 			first(&freeSend, "local-apply", e.At)
 		case trace.Order:
+			if !order.ok {
+				orderer = e.Node
+			}
 			first(&order, "order", e.At)
 		case trace.Commit:
 			first(&commit, "commit", e.At)
@@ -196,6 +216,13 @@ func build(call string, evs []trace.Event) *Span {
 	case order.ok || commit.ok:
 		s.Category = CatConflicting
 		seq = []boundary{issue, order, commit, {name: "deliver", at: complete.at, ok: complete.ok}, lastApply}
+		switch {
+		case !issue.ok || !order.ok:
+		case orderer == issuer:
+			s.Role = RoleLeader
+		default:
+			s.Role = RoleFollower
+		}
 	default:
 		seq = []boundary{issue, complete}
 	}

@@ -2,9 +2,11 @@ package span
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
+	"hamband/internal/metrics"
 	"hamband/internal/sim"
 	"hamband/internal/trace"
 )
@@ -207,5 +209,55 @@ func TestAnalyzeDeterministic(t *testing.T) {
 	Analyze(Build(events), nil).WriteTable(&b)
 	if a.String() != b.String() {
 		t.Fatal("report is not deterministic for identical input")
+	}
+}
+
+// TestAnalyzeSplitsConflictingByRole: a conflicting call ordered at the node
+// that issued it is leader-origin, one ordered elsewhere follower-origin; the
+// report splits the conflicting category by role beside it, and only the
+// category feeds the registry's span histograms.
+func TestAnalyzeSplitsConflictingByRole(t *testing.T) {
+	events := []trace.Event{
+		ev(100, 0, trace.Issue, "p0#1", trace.CallRecord{SubmitAt: 90}),
+		ev(200, 0, trace.Order, "p0#1", nil),
+		ev(3000, 0, trace.Commit, "p0#1", nil),
+		ev(3500, 0, trace.Complete, "p0#1", trace.AckRecord{OK: true}),
+		ev(100, 2, trace.Issue, "p2#1", trace.CallRecord{SubmitAt: 90}),
+		ev(2000, 0, trace.Order, "p2#1", nil),
+		ev(6000, 0, trace.Commit, "p2#1", nil),
+		ev(8000, 2, trace.Complete, "p2#1", trace.AckRecord{OK: true}),
+		ev(300, 1, trace.Issue, "p1#1", trace.CallRecord{SubmitAt: 290}),
+		ev(400, 1, trace.Reduce, "p1#1", nil),
+		ev(450, 1, trace.Complete, "p1#1", nil),
+	}
+	roles := map[string]string{}
+	spans := Build(events)
+	for _, s := range spans {
+		roles[s.Call] = s.Role
+	}
+	if roles["p0#1"] != RoleLeader || roles["p2#1"] != RoleFollower || roles["p1#1"] != "" {
+		t.Fatalf("roles = %v, want p0#1 leader, p2#1 follower, p1#1 none", roles)
+	}
+	reg := metrics.New(nil)
+	rep := Analyze(spans, reg)
+	var got []string
+	for _, cr := range rep.All() {
+		got = append(got, fmt.Sprintf("%s:%d", cr.Category, cr.Count))
+	}
+	if want := "reducible:1 conflicting:2 conflicting/leader:1 conflicting/follower:1"; strings.Join(got, " ") != want {
+		t.Fatalf("reports = %v, want %s", got, want)
+	}
+	if order := rep.Roles[1].Stages[1]; order.Name != "order" || order.Mean != 1900 {
+		t.Fatalf("follower-origin stage 1 = %+v, want order at 1.9µs", order)
+	}
+	for name := range reg.Snapshot().Histograms {
+		if strings.Contains(name, "/") {
+			t.Fatalf("the registry holds %s: the role reports must not feed it", name)
+		}
+	}
+	var buf bytes.Buffer
+	rep.WriteTable(&buf)
+	if !strings.Contains(buf.String(), "== conflicting/follower (1 calls, 1 completed) ==") {
+		t.Fatalf("the table has no follower-origin section:\n%s", buf.String())
 	}
 }
