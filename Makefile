@@ -210,12 +210,14 @@ allocs:
 	done
 
 # ledger prints the virtual-CPU ledgers: µs of simulated CPU per call by call
-# site (post, CQ polls, deliver, apply, sweeps, accept, head and heartbeat
-# reads). TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for
+# site (post, CQ polls, deliver, apply, sweeps, intake, accept, head and
+# heartbeat reads). TestLeaderLedger is the Fig. 10 point, for the group-0 leader and for
 # a node that leads nothing, under Hamband and under the SMR baseline (Hamband
 # p0's deliver row at most 0.025 µs/op and its CQ polls row at most 0.015, with
 # the polls per quorum batch — the quorum batch's post items, not every Mu
-# Sender's — p3's deliver row at most 0.013, both p0 post rows side by side), and TestLeaderLedgerCatchesSignAll and
+# Sender's — and its intake row, the request-ring drain at each round's
+# decision, at most 0.006; p3's deliver row at most 0.013, both p0 post rows
+# side by side), and TestLeaderLedgerCatchesSignAll and
 # TestLeaderLedgerCatchesPerEntry its controls; TestStoreLedger
 # is one node of a 16-shard store under the store-zipf shape, for counter
 # shards (no sweeps row: no F or L buffers) and for OR-set shards at 4 and 16

@@ -81,7 +81,15 @@ func TestEveryCostFieldMovesTheClock(t *testing.T) {
 		"DeliverCost": {points: []point{orset, movie, mu}},
 		"ScanPeriod":  {points: []point{counter}},
 
-		"BeatPeriod": {points: []point{leader}},
+		// It moves detection only when the first check after the fault
+		// comes one to two BeatPeriods after the last record of p0's a peer
+		// consumed: doubled, the window takes that check for word from p0,
+		// and detection comes a CheckPeriod later. At 1 000 ops (fault at
+		// 40 µs) p0's last records land within one BeatPeriod of the 51.75
+		// µs check, which skips its read either way; at 2 000 ops the 101.75
+		// µs check comes 10–20 µs after them, and detection moves 151.75 →
+		// 176.75 µs.
+		"BeatPeriod": {points: []point{leader2k}},
 		// A fault-free point's peers are heard from between checks and not
 		// read; the fault is detected some checks after it.
 		"CheckPeriod":  {points: []point{leader}},

@@ -70,7 +70,9 @@ func (l *ledger) perOp(row string, ops int) float64 { return l.rows[row].Micros(
 // detector (heartbeat reads). A ring write is a post item of the batch its
 // Sender posts through, or a lone post after a head read. Every verb's completion lands in the node's one
 // completion queue, whose polls (PollCost each) are the CQ polls row, reads and
-// writes alike; the node's poll loop ticks (SweepCost each) are the sweeps row.
+// writes alike; the node's poll loop ticks (SweepCost each) are the sweeps row,
+// and a Mu leader's drain of its request rings at a round's decision (one
+// SweepCost each) the intake row.
 // An unlisted site gets a row of its own, so the rows always sum to the CPU's
 // busy time, and fails the test: every row is one of the list's.
 var ledgerRows = []ledgerSite{
@@ -86,6 +88,7 @@ var ledgerRows = []ledgerSite{
 	{"core.(*Replica).kickApply", "apply"},
 	{"core.(*Replica).invokeFree", "apply"},
 	{"rdma.(*Node).tick", "sweeps"},
+	{"mu.(*Instance).decide", "intake"},
 	{"core.(*Replica).submit", "accept"},
 	{"core.(*Replica).queueQuery", "accept"},
 }
@@ -146,7 +149,10 @@ func callSite(pcs []uintptr) string {
 // hands on what one sweep of all its in-channels delivers as one record, so
 // Hamband p3, which follows both sync groups, pays no more to deliver than
 // Mu's p3, which follows one: its deliver row stays at most maxFollowerDeliver
-// µs/op (0.0099 at seed 42; 0.0201 with a record per in-channel). The two
+// µs/op (0.0099 at seed 42; 0.0201 with a record per in-channel). The
+// decision that completes a round takes in the request rings for the next
+// one, one SweepCost item a round, so Hamband p0's intake row stays at most
+// maxLeaderIntake µs/op (0.0048 at seed 42, about 10 calls a round). The two
 // systems' p0 post rows are printed side by side: Mu's one leader posts less
 // per call than Hamband's group-0 leader.
 func TestLeaderLedger(t *testing.T) {
@@ -163,6 +169,9 @@ func TestLeaderLedger(t *testing.T) {
 			}
 			if deliver := f.perOp("deliver", ops); deliver == 0 || deliver > maxFollowerDeliver {
 				t.Errorf("Hamband p3: deliver costs %.4f µs/op, want a row and at most %.3f (0.0201 with a record per in-channel)", deliver, maxFollowerDeliver)
+			}
+			if intake := l.perOp("intake", ops); intake == 0 || intake > maxLeaderIntake {
+				t.Errorf("Hamband p0: intake costs %.4f µs/op, want a row and at most %.3f", intake, maxLeaderIntake)
 			}
 		}
 	}
@@ -202,6 +211,7 @@ const (
 	ledgerPostRow      = "post: log/request ring writes"
 	maxLeaderCQ        = 0.015
 	maxFollowerDeliver = 0.013
+	maxLeaderIntake    = 0.006
 )
 
 // leaderLedger runs the Fig. 10 point under kind, after mutate, if set, has

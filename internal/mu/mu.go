@@ -6,10 +6,13 @@
 // Common case: a designated leader holds exclusive write permission on a
 // log ring at every replica. The leader orders calls in rounds, one round in
 // flight at a time: requests that arrive while a round is undecided queue,
-// and the decision that completes the round sequences everything queued as
-// the next one. A round is one local journal write per entry plus one ring
-// record — one one-sided RDMA write — per follower; the leader considers an
-// entry decided once a majority of writes (counting itself) completed. Only
+// and the decision that completes the round first takes in every request
+// that has landed in the leader's request rings — the drain a poll sweep
+// runs, charged one SweepCost item queued ahead of the round's post — and
+// then sequences everything queued as the next one. A round is one local
+// journal write per entry plus one ring record — one one-sided RDMA write —
+// per follower; the leader considers an entry decided once a majority of
+// writes (counting itself) completed. Only
 // the majority−1 followers' writes the decision waits on ask a completion,
 // posted as one batch, so one poll reaps them; if one of them fails or is
 // overdue, the round's other followers are asked instead. A
@@ -177,9 +180,10 @@ type Instance struct {
 	pick   []bool
 	batch  *rdma.Batch
 	// signAll is the mutant that signs every follower's write, each posted
-	// alone (MutateSignAll), and noFallback the one that never signs the
-	// others (the fault tests' control).
-	signAll, noFallback bool
+	// alone (MutateSignAll), noFallback the one that never signs the others
+	// (the fault tests' control), and sweepIntake the one that takes in
+	// requests at sweeps only (MutateSweepIntake).
+	signAll, noFallback, sweepIntake bool
 	// open[p] reports whether this node's writer on follower p's log ring sits
 	// at a position it established: from the start for the initial leader,
 	// once resetRing has wiped the ring and read its head for a later one.
@@ -782,6 +786,11 @@ func (in *Instance) signOthers() {
 // catch.
 func (in *Instance) MutateSignAll() { in.signAll = true }
 
+// MutateSweepIntake makes the leader take in its request rings at its sweeps
+// only, not at the decision that completes a round: the rule before the
+// decision's intake. It is for the mutation controls only.
+func (in *Instance) MutateSweepIntake() { in.sweepIntake = true }
+
 // --- submission -------------------------------------------------------
 
 // Submit hands a payload to the group for total ordering. The payload will
@@ -963,8 +972,9 @@ func (in *Instance) proposal(seq uint64) *proposal {
 
 // decide marks seq decided and delivers contiguous decided entries locally;
 // the caller, or a sweep's poll loop, closes the handoff record. The decision
-// that completes the round in flight starts the next one, whose record carries
-// the new commit watermark; with nothing queued, it is owed to the next sweep.
+// that completes the round in flight takes in the request rings (intake) and
+// starts the next round, whose record carries the new commit watermark; with
+// nothing queued, it is owed to the next sweep.
 func (in *Instance) decide(seq uint64) {
 	p := in.proposal(seq)
 	p.decided = true
@@ -990,8 +1000,15 @@ func (in *Instance) decide(seq uint64) {
 		advanced = true
 		in.deliverEntry(in.lastDelivered, e)
 	}
-	if advanced && in.lastDelivered+1 >= in.nextSeq && !in.startRound() {
-		in.owed = true
+	if advanced && in.lastDelivered+1 >= in.nextSeq {
+		if in.isLeader && !in.recovering && !in.sweepIntake {
+			// What a sweep's drain costs, queued ahead of the round's post.
+			in.node.CPU.Submit(in.fab.Latency().SweepCost, nil)
+			in.intake()
+		}
+		if !in.startRound() {
+			in.owed = true
+		}
 	}
 }
 
@@ -1058,7 +1075,7 @@ func (in *Instance) deliverEntry(seq uint64, e entry) {
 func (in *Instance) sweep() {
 	ring.Drain(in.logReader[:], in.handleLog)
 	if in.isLeader && !in.recovering {
-		ring.Drain(in.reqReaders, in.handleRequest)
+		in.intake()
 		in.startRound()
 		if in.owed {
 			in.sendCommitRecord()
@@ -1140,6 +1157,11 @@ func (in *Instance) drainCommitted() {
 		in.deliverEntry(in.lastDelivered, next.entry)
 	}
 }
+
+// intake queues every request that has landed in the request rings: an
+// active leader's sweep runs it, and so does the decision that completes a
+// round, so the next round takes what landed while this one was in flight.
+func (in *Instance) intake() { ring.Drain(in.reqReaders, in.handleRequest) }
 
 // handleRequest proposes the request msg that from redirected to this leader.
 func (in *Instance) handleRequest(from rdma.NodeID, msg []byte) error {

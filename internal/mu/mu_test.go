@@ -1395,3 +1395,63 @@ func TestSetupRegistersOneControlRingPerPeer(t *testing.T) {
 		}
 	}
 }
+
+// intakeRound has the leader submit a and a follower submit b at once, on a
+// fabric whose poll loop ticks every 20 µs: b's request lands while a's round
+// is in flight, long before the leader's first sweep. It reports unless the
+// decision that completes a's round sequences b, in the round it starts, and
+// every node delivers a then b. sweepOnly is the mutation: the leader takes in
+// requests at its sweeps only, so b waits for the first one.
+func intakeRound(t *testing.T, sweepOnly bool) error {
+	t.Helper()
+	lat := rdma.DefaultLatency()
+	lat.SweepPeriod = 20 * sim.Microsecond
+	c := newClusterOn(t, 3, 0, DefaultConfig(), lat, nil)
+	leader := c.inst[0]
+	if sweepOnly {
+		leader.MutateSweepIntake()
+	}
+	var decided, sequenced uint64 // the engine events that decided a's round and sequenced b
+	var decidedAt, sequencedAt sim.Time
+	onLeaderDecide(c, func() { decided, decidedAt = c.eng.Executed(), c.eng.Now() })
+	leader.Transform = func(_ rdma.NodeID, payload []byte) []byte {
+		if string(payload) == "b" {
+			sequenced, sequencedAt = c.eng.Executed(), c.eng.Now()
+		}
+		return payload
+	}
+	c.eng.At(0, func() {
+		leader.Submit([]byte("a"))
+		c.inst[1].Submit([]byte("b"))
+	})
+	c.run(100 * sim.Microsecond)
+	for i := range c.inst {
+		if !slices.Equal(c.delivered[i], []string{"a", "b"}) {
+			return fmt.Errorf("node %d delivered %q, want a then b", i, c.delivered[i])
+		}
+	}
+	if decided == 0 || sequenced != decided {
+		return fmt.Errorf("b was sequenced at %v, not by the decision of a's round at %v",
+			sim.Duration(sequencedAt), sim.Duration(decidedAt))
+	}
+	return nil
+}
+
+// TestDecisionTakesInLandedRequests: a request that lands while a round is in
+// flight goes out in the round that round's decision starts, not in one a
+// later sweep starts.
+func TestDecisionTakesInLandedRequests(t *testing.T) {
+	if err := intakeRound(t, false); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntakeCatchesSweepOnly is the mutation control of the test above: a
+// leader that takes in requests at its sweeps only sequences b a sweep late.
+func TestIntakeCatchesSweepOnly(t *testing.T) {
+	err := intakeRound(t, true)
+	if err == nil {
+		t.Fatal("a sweep-only intake went unnoticed")
+	}
+	t.Logf("caught: %v", err)
+}
